@@ -1,24 +1,12 @@
-//! Machine-readable kernel benchmark: emits `BENCH_kernels.json`.
+//! Machine-readable SPMD reports: emits `BENCH_spmd.json` and
+//! `BENCH_balance.json`.
 //!
-//! Covers the three optimization layers of this repo's kernel work:
-//!
-//! 1. **GEMM microkernels** — scalar blocked loop vs the explicit
-//!    AVX2+FMA register-tiled kernel, on the panel shapes the traversal
-//!    actually runs (K×K translation matrices applied to n-box panels;
-//!    the paper's K = 12 and K = 72 operating points plus our K = 120
-//!    product rule).
-//! 2. **Near field** — target-centric parallel sweep vs the symmetric
-//!    colored sweep (Newton's third law + 8-color conflict-free blocks).
-//! 3. **End-to-end `evaluate()`** — first call (builds the traversal
-//!    plan) vs repeat call (plan cache hit), the regime of a time-stepping
-//!    loop.
-//!
-//! 4. **SPMD data motion** — the message-passing executor's measured
+//! 1. **SPMD data motion** — the message-passing executor's measured
 //!    per-phase messages/bytes against `fmm_machine::communication_budget`
 //!    on the Table-4 configuration, plus wall-clock scaling over worker
 //!    counts; written to `BENCH_spmd.json`.
 //!
-//! 5. **Load balance** — per-worker flop and busy-time spreads of the
+//! 2. **Load balance** — per-worker flop and busy-time spreads of the
 //!    uniform block layout vs the cost-weighted partition on clustered
 //!    distributions (Plummer, two-cluster) at p ∈ {2, 8}; written to
 //!    `BENCH_balance.json`. The flop counters are deterministic, so
@@ -26,27 +14,23 @@
 //!    under 10% at p = 8 where uniform exceeds 3x, with bitwise-identical
 //!    outputs.
 //!
+//! Kernel, near-field, end-to-end and serving *times* are the business of
+//! the repository benchmark (`benchmark/`, `BENCHMARK.json`), not of this
+//! binary.
+//!
 //! JSON is written by hand — the harness has no serde dependency.
 //!
 //! Run: `cargo run --release -p fmm-bench --bin bench_json [--seeded|--check]`
 //!
-//! `--seeded` emits only the deterministic SPMD data-motion report (no
-//! wall-clock numbers): two runs produce byte-identical
-//! `BENCH_spmd.json`, which CI diffs to pin executor determinism.
+//! `--seeded` drops every wall-clock number: two runs produce
+//! byte-identical `BENCH_spmd.json` and `BENCH_balance.json`, which CI
+//! diffs to pin executor determinism.
 //!
-//! `--check` is the perf-regression gate: re-measures the kernel rates
-//! and fails (exit 1) if any GEMM GFLOP/s or near-field interactions/s
-//! figure drops more than 15% below the committed `BENCH_kernels.json`.
-//! Override the threshold with `FMM_BENCH_TOLERANCE=<fraction>` — CI
-//! shared runners use 0.5.
+//! `--check` runs only the deterministic load-balance gate and writes
+//! nothing.
 
-use fmm_bench::util::best_of;
 use fmm_bench::workloads::{mixed_charges, uniform, unit_charges, Distribution};
-use fmm_core::near::{near_field_potentials, near_field_symmetric_colored, ColorSchedule};
-use fmm_core::near32::near_field_potentials_f32;
-use fmm_core::particles::BinnedParticles;
-use fmm_core::{Balance, Domain, Executor, Fmm, FmmConfig, Separation, SpmdReport};
-use fmm_linalg::{gemm_acc_with, gemm_flops, Kernel};
+use fmm_core::{Balance, Executor, Fmm, FmmConfig, SpmdReport};
 use fmm_machine::{communication_budget, Counters, ProgramConfig, VuGrid};
 use std::fmt::Write as _;
 
@@ -77,203 +61,6 @@ impl Obj {
 fn json_array(items: impl IntoIterator<Item = String>) -> String {
     let v: Vec<String> = items.into_iter().collect();
     format!("[{}]", v.join(","))
-}
-
-fn pseudo(seed: u64, len: usize) -> Vec<f64> {
-    let mut state = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
-    (0..len)
-        .map(|_| {
-            state = state
-                .wrapping_mul(6364136223846793005)
-                .wrapping_add(1442695040888963407);
-            ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-        })
-        .collect()
-}
-
-/// GFLOP/s of `C += A·B` for an `n × k` panel against a `k × k` matrix.
-fn gemm_rate(kernel: Kernel, n: usize, k: usize) -> f64 {
-    let a = pseudo(1, n * k);
-    let b = pseudo(2, k * k);
-    let mut c = vec![0.0; n * k];
-    let flops = gemm_flops(n, k, k) as f64;
-    // Warm-up plus best-of to suppress clock ramp noise.
-    gemm_acc_with(kernel, n, k, k, &a, &b, &mut c);
-    let (t, _) = best_of(5, || gemm_acc_with(kernel, n, k, k, &a, &b, &mut c));
-    flops / t / 1e9
-}
-
-/// JSON-friendly key for a microkernel family: `avx2+fma` → `avx2_fma`.
-fn family_key(kernel: Kernel) -> String {
-    kernel.name().replace('+', "_")
-}
-
-fn bench_gemm() -> (String, f64) {
-    let n = 2048; // panel rows: boxes aggregated per slab at depth ≥ 4
-    let families = Kernel::available();
-    let mut entries = Vec::new();
-    let mut speedup_k72 = 0.0;
-    for k in [12, 72, 120] {
-        let mut o = Obj::default();
-        o.field("k", k).field("panel_rows", n);
-        let mut scalar = 0.0;
-        let mut best = (Kernel::Scalar, 0.0f64);
-        let mut line = format!("gemm K={:<3} n={} ", k, n);
-        for &kernel in &families {
-            let rate = gemm_rate(kernel, n, k);
-            o.field(
-                &format!("{}_gflops", family_key(kernel)),
-                format_args!("{:.3}", rate),
-            );
-            let _ = write!(line, " {} {:>6.2} GF/s ", kernel.name(), rate);
-            if kernel == Kernel::Scalar {
-                scalar = rate;
-            }
-            if rate > best.1 {
-                best = (kernel, rate);
-            }
-        }
-        let speedup = best.1 / scalar;
-        if k == 72 {
-            speedup_k72 = speedup;
-        }
-        println!("{} ({:.2}x best/scalar)", line, speedup);
-        o.str_field("best_kernel", best.0.name())
-            .field("speedup", format_args!("{:.3}", speedup));
-        entries.push(o.finish());
-    }
-    (json_array(entries), speedup_k72)
-}
-
-fn bench_near() -> String {
-    let depth = 4u32;
-    let n = 120_000;
-    let pts = uniform(n, 77);
-    let q = unit_charges(n);
-    let domain = Domain::bounding(&pts);
-    let bp = BinnedParticles::build(&pts, &q, domain, depth);
-    let schedule = ColorSchedule::build(depth);
-    let sep = Separation::Two;
-
-    let mut out = vec![0.0; n];
-    // Warm-up both paths once.
-    let tc_stats = near_field_potentials(&bp, sep, true, &mut out);
-    let (t_target, _) = best_of(3, || {
-        out.iter_mut().for_each(|x| *x = 0.0);
-        near_field_potentials(&bp, sep, true, &mut out)
-    });
-    let sym_stats = near_field_symmetric_colored(&bp, sep, &schedule, true, 0.0, &mut out);
-    let (t_sym, _) = best_of(3, || {
-        out.iter_mut().for_each(|x| *x = 0.0);
-        near_field_symmetric_colored(&bp, sep, &schedule, true, 0.0, &mut out)
-    });
-    // Mixed-precision variant of the same colored sweep (f32 SIMD lanes,
-    // f64 accumulation across box pairs).
-    let detected = Kernel::detect();
-    near_field_potentials_f32(detected, &bp, sep, &schedule, true, 0.0, &mut out);
-    let (t_f32, _) = best_of(3, || {
-        out.iter_mut().for_each(|x| *x = 0.0);
-        near_field_potentials_f32(detected, &bp, sep, &schedule, true, 0.0, &mut out)
-    });
-
-    // Throughput in *physical* interactions per second: the symmetric
-    // sweep visits each pair once but updates both endpoints, so its
-    // effective interaction count equals the target-centric one.
-    let tc_rate = tc_stats.pair_interactions as f64 / t_target / 1e6;
-    let sym_rate = tc_stats.pair_interactions as f64 / t_sym / 1e6;
-    let f32_rate = tc_stats.pair_interactions as f64 / t_f32 / 1e6;
-    println!(
-        "near field n={} depth={}  target-centric {:.1} ms ({:.0} M int/s)  colored-symmetric {:.1} ms ({:.0} M int/s, {:.2}x)  f32 {:.1} ms ({:.0} M int/s, {:.2}x vs f64)",
-        n,
-        depth,
-        t_target * 1e3,
-        tc_rate,
-        t_sym * 1e3,
-        sym_rate,
-        t_target / t_sym,
-        t_f32 * 1e3,
-        f32_rate,
-        t_sym / t_f32
-    );
-
-    let mut o = Obj::default();
-    o.field("n_particles", n)
-        .field("depth", depth)
-        .field("target_centric_seconds", format_args!("{:.6}", t_target))
-        .field("colored_symmetric_seconds", format_args!("{:.6}", t_sym))
-        .field("f32_colored_seconds", format_args!("{:.6}", t_f32))
-        .field("target_centric_pairs", tc_stats.pair_interactions)
-        .field("symmetric_pairs", sym_stats.pair_interactions)
-        .field(
-            "target_centric_minteractions_per_s",
-            format_args!("{:.1}", tc_rate),
-        )
-        .field(
-            "colored_symmetric_minteractions_per_s",
-            format_args!("{:.1}", sym_rate),
-        )
-        .field("f32_minteractions_per_s", format_args!("{:.1}", f32_rate))
-        .str_field("f32_kernel", detected.name())
-        .field("speedup", format_args!("{:.3}", t_target / t_sym))
-        .field("f32_speedup", format_args!("{:.3}", t_sym / t_f32));
-    o.finish()
-}
-
-fn bench_evaluate() -> String {
-    let n = 40_000;
-    let pts = uniform(n, 101);
-    let q = unit_charges(n);
-    let fmm = Fmm::new(FmmConfig::order(5).depth(4)).unwrap();
-
-    let t0 = std::time::Instant::now();
-    let first = fmm.evaluate(&pts, &q).unwrap();
-    let t_first = t0.elapsed().as_secs_f64();
-    assert_eq!(fmm.plan_builds(), 1);
-
-    // The same configuration with the fused level sweeps disabled —
-    // isolates the cache-residency win of fusing P2O→T1 and T3→eval.
-    // The two variants are round-robined so slow machine-load drift
-    // cancels out of the ratio instead of biasing whichever ran second.
-    let unfused = Fmm::new(FmmConfig::order(5).depth(4).fused(false)).unwrap();
-    unfused.evaluate(&pts, &q).unwrap();
-    let mut t_repeat = f64::INFINITY;
-    let mut t_unfused = f64::INFINITY;
-    for _ in 0..5 {
-        let t0 = std::time::Instant::now();
-        fmm.evaluate(&pts, &q).unwrap();
-        t_repeat = t_repeat.min(t0.elapsed().as_secs_f64());
-        let t0 = std::time::Instant::now();
-        unfused.evaluate(&pts, &q).unwrap();
-        t_unfused = t_unfused.min(t0.elapsed().as_secs_f64());
-    }
-    assert_eq!(
-        fmm.plan_builds(),
-        1,
-        "repeat evaluations must hit the plan cache"
-    );
-
-    println!(
-        "evaluate n={} depth={}  first {:.1} ms (plan build)  repeat {:.1} ms (cache hit)  unfused repeat {:.1} ms ({:.2}x from fusion)",
-        n,
-        first.depth,
-        t_first * 1e3,
-        t_repeat * 1e3,
-        t_unfused * 1e3,
-        t_unfused / t_repeat
-    );
-
-    let mut o = Obj::default();
-    o.field("n_particles", n)
-        .field("depth", first.depth)
-        .field("first_seconds", format_args!("{:.6}", t_first))
-        .field("repeat_seconds", format_args!("{:.6}", t_repeat))
-        .field("repeat_unfused_seconds", format_args!("{:.6}", t_unfused))
-        .field(
-            "fused_repeat_speedup",
-            format_args!("{:.3}", t_unfused / t_repeat),
-        )
-        .field("plan_builds", fmm.plan_builds());
-    o.finish()
 }
 
 /// Predicted (logical messages, payload bytes) of one model phase: CSHIFT
@@ -520,62 +307,22 @@ fn balance_failures(cases: &[BalanceCase]) -> Vec<String> {
     failures
 }
 
-/// Higher-is-better rates only; wall-clock times are not gated.
-const RATE_KEYS: [&str; 7] = [
-    "scalar_gflops",
-    "avx2_fma_gflops",
-    "avx512_gflops",
-    "neon_gflops",
-    "target_centric_minteractions_per_s",
-    "colored_symmetric_minteractions_per_s",
-    "f32_minteractions_per_s",
-];
-
-fn kernels_report() -> (String, f64) {
-    let (gemm, speedup_k72) = bench_gemm();
-    let near = bench_near();
-    let eval = bench_evaluate();
-
-    let mut root = Obj::default();
-    root.str_field("kernel_detected", Kernel::detect().name())
-        .field("threads", rayon::current_num_threads())
-        .field("gemm", gemm)
-        .field("near_field", near)
-        .field("evaluate", eval);
-    (root.finish(), speedup_k72)
-}
-
 fn main() {
     let seeded = std::env::args().any(|a| a == "--seeded");
     let check = std::env::args().any(|a| a == "--check");
 
     if check {
-        // Perf-regression gate: re-measure and compare against the
-        // committed BENCH_kernels.json without overwriting it. Tune the
-        // threshold with FMM_BENCH_TOLERANCE (fraction, default 0.15) —
-        // CI shared runners need a loose one.
-        let old = std::fs::read_to_string("BENCH_kernels.json")
-            .expect("--check needs a committed BENCH_kernels.json baseline");
-        let tolerance = fmm_bench::util::bench_tolerance(0.15);
-        let (new, _) = kernels_report();
-        let mut failures = fmm_bench::util::check_regressions(&old, &new, &RATE_KEYS, tolerance);
         // The load-balance gate is flop-counter based — deterministic, so
         // no tolerance applies.
         let (_, cases) = bench_balance(true);
-        failures.extend(balance_failures(&cases));
+        let failures = balance_failures(&cases);
         if failures.is_empty() {
-            println!(
-                "\nbench --check: no regressions beyond {:.0}%, load balance within bounds",
-                tolerance * 100.0
-            );
+            println!("\nbench --check: load balance within bounds");
         } else {
-            eprintln!("\nbench --check: regressions detected:");
+            eprintln!("\nbench --check: load balance out of bounds:");
             for f in &failures {
                 eprintln!("  {}", f);
             }
-            eprintln!(
-                "(override the rate threshold with FMM_BENCH_TOLERANCE=<fraction>, e.g. 0.5)"
-            );
             std::process::exit(1);
         }
         return;
@@ -587,20 +334,4 @@ fn main() {
     let (balance, _) = bench_balance(seeded);
     std::fs::write("BENCH_balance.json", &balance).expect("write BENCH_balance.json");
     println!("wrote BENCH_balance.json");
-    if seeded {
-        // Deterministic mode for the CI byte-for-byte diff: the kernel
-        // timing sections are inherently noisy, so only the data-motion
-        // report (a pure function of the seed) is emitted.
-        return;
-    }
-
-    let (json, speedup_k72) = kernels_report();
-    std::fs::write("BENCH_kernels.json", &json).expect("write BENCH_kernels.json");
-    println!("\nwrote BENCH_kernels.json");
-    if Kernel::detect() != Kernel::Scalar && speedup_k72 < 1.5 {
-        println!(
-            "warning: K=72 SIMD speedup {:.2}x below the 1.5x target",
-            speedup_k72
-        );
-    }
 }

@@ -57,60 +57,6 @@ pub fn header(title: &str) {
     println!("\n=== {} ===", title);
 }
 
-/// All numeric values of `"key":<number>` occurrences, in document order.
-/// Enough of a parser for the JSON the bench binaries write themselves.
-pub fn extract_numbers(json: &str, key: &str) -> Vec<f64> {
-    let needle = format!("\"{}\":", key);
-    let mut out = Vec::new();
-    let mut rest = json;
-    while let Some(pos) = rest.find(&needle) {
-        rest = &rest[pos + needle.len()..];
-        let end = rest
-            .find(|c: char| !(c.is_ascii_digit() || c == '.' || c == '-' || c == 'e' || c == 'E'))
-            .unwrap_or(rest.len());
-        if let Ok(v) = rest[..end].parse::<f64>() {
-            out.push(v);
-        }
-    }
-    out
-}
-
-/// Compare higher-is-better throughput metrics of a fresh run against a
-/// committed baseline. A metric regresses when it falls more than
-/// `tolerance` (a fraction) below the baseline. Keys absent from either
-/// document are skipped, so the gate survives schema growth and
-/// host-dependent kernel sets.
-pub fn check_regressions(old: &str, new: &str, rate_keys: &[&str], tolerance: f64) -> Vec<String> {
-    let mut failures = Vec::new();
-    for key in rate_keys {
-        let old_vals = extract_numbers(old, key);
-        let new_vals = extract_numbers(new, key);
-        for (i, (o, n)) in old_vals.iter().zip(&new_vals).enumerate() {
-            if *n < o * (1.0 - tolerance) {
-                failures.push(format!(
-                    "{}[{}]: {:.2} vs baseline {:.2} ({:+.1}%, tolerance -{:.0}%)",
-                    key,
-                    i,
-                    n,
-                    o,
-                    (n / o - 1.0) * 100.0,
-                    tolerance * 100.0
-                ));
-            }
-        }
-    }
-    failures
-}
-
-/// The regression threshold: `FMM_BENCH_TOLERANCE` (a fraction) or the
-/// given default. CI shared runners use a loose 0.5.
-pub fn bench_tolerance(default: f64) -> f64 {
-    std::env::var("FMM_BENCH_TOLERANCE")
-        .ok()
-        .and_then(|v| v.parse::<f64>().ok())
-        .unwrap_or(default)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -128,25 +74,5 @@ mod tests {
     #[test]
     fn peak_is_positive() {
         assert!(peak_gemm_gflops() > 0.1);
-    }
-
-    #[test]
-    fn number_extraction_walks_the_document() {
-        let doc = r#"{"a":{"rate":1.5},"b":[{"rate":2e1},{"other":3}],"rate":-0.25}"#;
-        assert_eq!(extract_numbers(doc, "rate"), vec![1.5, 20.0, -0.25]);
-        assert!(extract_numbers(doc, "missing").is_empty());
-    }
-
-    #[test]
-    fn regression_gate_flags_only_real_drops() {
-        let old = r#"{"rate":100,"noise":5}"#;
-        let fine = r#"{"rate":90,"noise":1}"#; // -10% within 15%
-        let bad = r#"{"rate":80}"#; // -20% beyond 15%
-        assert!(check_regressions(old, fine, &["rate"], 0.15).is_empty());
-        let f = check_regressions(old, bad, &["rate"], 0.15);
-        assert_eq!(f.len(), 1);
-        assert!(f[0].contains("rate[0]"), "{f:?}");
-        // Keys absent from the baseline never fire.
-        assert!(check_regressions(old, bad, &["absent"], 0.15).is_empty());
     }
 }

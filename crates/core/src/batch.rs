@@ -4,35 +4,29 @@
 //! O(P²) translations into a few large matrix products. A serving
 //! workload re-creates the original problem one level up: many small
 //! *requests*, each of whose traversals is a stream of tiny GEMMs whose
-//! dispatch/gather overhead dwarfs their arithmetic. This module replays
-//! the same trick across requests: `R` same-shape evaluations share one
-//! [`crate::TraversalPlan`] and run their upward/downward sweeps through
-//! [`crate::traversal::upward_level_batch`] /
-//! [`crate::traversal::downward_level_batch`], which issue one GEMM of
-//! `R · np` rows per (slab, octant, offset) instead of `R` GEMMs of `np`
-//! rows — and compute the per-offset source geometry once instead of `R`
-//! times. The near field batches the same way: the travelling sweep's
-//! path and per-step box maps are instance-independent, so
-//! [`crate::near::near_field_travelling_batch_with`] derives them once
-//! and loops instances innermost. Purely particle-bound phases (binning,
-//! P2O, leaf evaluation) have no cross-request structure to exploit and
-//! stay per-instance.
+//! dispatch/gather overhead dwarfs their arithmetic. The pipeline
+//! (`Fmm::run` in [`crate::driver`]) replays the same trick across
+//! requests: `R` same-shape evaluations share one [`crate::TraversalPlan`]
+//! and go through [`crate::traversal::upward_level`] /
+//! [`crate::traversal::downward_level`] as one slice of hierarchies, which
+//! issue one GEMM of `R · np` rows per (panel, octant, offset) instead of
+//! `R` GEMMs of `np` rows — and compute the per-offset source geometry
+//! once instead of `R` times. The near field batches the same way: the
+//! travelling sweep's path and per-step box maps are instance-independent,
+//! so they are derived once and the instances loop innermost. Purely
+//! particle-bound phases (binning, P2O, leaf evaluation) have no
+//! cross-request structure to exploit and stay per-instance.
 //!
-//! Each request's results are **bitwise identical** to a solo
-//! [`Fmm::evaluate`] of the same inputs: the GEMM microkernels compute
-//! every output row independently of the panel's total row count, and
-//! instance panels are concatenated on row-tile boundaries (see the
-//! batched level sweeps), so batching changes scheduling, never
-//! arithmetic. fmm-serve's coalescing batcher relies on this — a request
-//! cannot observe whether it was batched.
+//! Batching is not a second code path: [`Fmm::evaluate`] is this pipeline
+//! with `R = 1`. Each request's results are therefore **bitwise
+//! identical** to a solo evaluation of the same inputs: the GEMM
+//! microkernels compute every output row independently of the panel's
+//! total row count, so batching changes scheduling, never arithmetic.
+//! fmm-serve's coalescing batcher relies on this — a request cannot
+//! observe whether it was batched.
 
-use crate::driver::{eval_local, p2o, EvalOutput, Fmm, FmmError};
-use crate::field::FieldHierarchy;
-use crate::near::{near_field_forces_softened, near_field_travelling_batch_with, NearFieldStats};
-use crate::near32::{near_field_forces_f32, near_field_potentials_f32};
-use crate::particles::BinnedParticles;
-use crate::traversal::{downward_level_batch, upward_level_batch};
-use fmm_tree::{Domain, Hierarchy};
+use crate::driver::{Fmm, FmmError};
+use crate::near::NearFieldStats;
 
 /// One evaluation request: a particle system to run the configured method
 /// on. The domain is inferred from the positions' bounding cube, exactly
@@ -41,6 +35,35 @@ use fmm_tree::{Domain, Hierarchy};
 pub struct BatchRequest<'a> {
     pub positions: &'a [[f64; 3]],
     pub charges: &'a [f64],
+}
+
+/// Index of the first point with a NaN or infinite coordinate.
+pub(crate) fn first_non_finite(points: &[[f64; 3]]) -> Option<usize> {
+    points.iter().position(|x| !x.iter().all(|c| c.is_finite()))
+}
+
+impl BatchRequest<'_> {
+    /// The one input check of every entry point (library and service
+    /// doors): a request must have particles, as many charges as
+    /// positions, and only finite values — a NaN or infinity would
+    /// otherwise come back as NaN potentials. The complaint names the
+    /// offending index.
+    pub fn validate(&self) -> Result<(), String> {
+        let (p, q) = (self.positions, self.charges);
+        if p.is_empty() {
+            return Err("no particles".into());
+        }
+        if p.len() != q.len() {
+            return Err(format!("{} positions vs {} charges", p.len(), q.len()));
+        }
+        if let Some(i) = first_non_finite(p) {
+            return Err(format!("position {i} is not finite: {:?}", p[i]));
+        }
+        if let Some(i) = q.iter().position(|c| !c.is_finite()) {
+            return Err(format!("charge {i} is not finite: {}", q[i]));
+        }
+        Ok(())
+    }
 }
 
 /// Results of a batched evaluation: per-request slices of concatenated
@@ -91,7 +114,7 @@ impl Fmm {
     /// receive requests the policy maps to one depth). Each request's
     /// potentials are bitwise identical to a solo [`Fmm::evaluate`].
     pub fn evaluate_batch(&self, requests: &[BatchRequest<'_>]) -> Result<BatchOutput, FmmError> {
-        self.run_batch(requests, false)
+        self.batch(requests, false)
     }
 
     /// [`Fmm::evaluate_batch`] with fields (−∇Φ), the batched analogue of
@@ -100,218 +123,21 @@ impl Fmm {
         &self,
         requests: &[BatchRequest<'_>],
     ) -> Result<BatchOutput, FmmError> {
-        self.run_batch(requests, true)
+        self.batch(requests, true)
     }
 
-    fn run_batch(
+    fn batch(
         &self,
         requests: &[BatchRequest<'_>],
         with_fields: bool,
     ) -> Result<BatchOutput, FmmError> {
-        if requests.is_empty() {
-            return Err(FmmError::BadInput("empty batch".into()));
-        }
-        for (i, q) in requests.iter().enumerate() {
-            if q.positions.is_empty() {
-                return Err(FmmError::BadInput(format!("request {i}: no particles")));
-            }
-            if q.positions.len() != q.charges.len() {
-                return Err(FmmError::BadInput(format!(
-                    "request {i}: {} positions vs {} charges",
-                    q.positions.len(),
-                    q.charges.len()
-                )));
-            }
-        }
-        if matches!(
-            self.cfg.effective_executor(),
-            crate::config::Executor::Spmd(_)
-        ) {
-            // The message-passing backend owns its whole pipeline; batch
-            // coalescing is a shared-memory optimization. Fall back to
-            // per-request evaluation (still bitwise per-request).
-            return self.batch_fallback(requests, with_fields);
-        }
-
-        let depth = self.cfg.depth.resolve(requests[0].positions.len());
-        for (i, q) in requests.iter().enumerate() {
-            let d = self.cfg.depth.resolve(q.positions.len());
-            if d != depth {
-                return Err(FmmError::BadInput(format!(
-                    "request {i} resolves to depth {d}, batch is depth {depth}; \
-                     batches must be depth-homogeneous"
-                )));
-            }
-        }
-        let k = self.k();
-        let par = self.cfg.parallel;
-        // One plan lookup for the whole batch: exactly one `plan_builds`
-        // when the key is cold, zero when warm.
-        let plan = self.plan_for(depth);
-
-        // Per-instance setup + P2O (particle-bound, no cross-request
-        // structure).
-        let mut bps: Vec<BinnedParticles> = Vec::with_capacity(requests.len());
-        let mut fhs: Vec<FieldHierarchy> = Vec::with_capacity(requests.len());
-        let mut b_leaves: Vec<f64> = Vec::with_capacity(requests.len());
-        for q in requests {
-            let domain = Domain::bounding(q.positions);
-            let bp = BinnedParticles::build(q.positions, q.charges, domain, depth);
-            let mut fh = FieldHierarchy::new(Hierarchy::new(depth), k);
-            let leaf_side = domain.box_side(depth);
-            let a_leaf = self.cfg.outer_ratio * leaf_side;
-            p2o(
-                &bp,
-                &self.rule,
-                a_leaf,
-                depth,
-                par,
-                &mut fh.far[depth as usize],
-            );
-            b_leaves.push(self.cfg.inner_ratio * leaf_side);
-            bps.push(bp);
-            fhs.push(fh);
-        }
-
-        // Batched hierarchy sweeps over the shared plan.
-        if depth >= 3 {
-            for l in (1..depth).rev() {
-                upward_level_batch(&mut fhs, &self.translations, &plan, l);
-            }
-        }
-        for l in 2..=depth {
-            downward_level_batch(&mut fhs, &self.translations, &plan, self.cfg.supernodes, l);
-        }
-
-        // Near field. The default f64 potentials path batches the
-        // travelling sweep (shared path geometry, instance-inner loops);
-        // the forces and mixed-precision variants run per instance below.
-        let mixed = self.cfg.precision == crate::config::Precision::Mixed;
-        let mut near_pots: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
-        let mut near_total = NearFieldStats::default();
-        if !with_fields && !mixed {
-            near_total.merge(&near_field_travelling_batch_with(
-                plan.kernel,
-                &bps,
-                self.cfg.separation,
-                self.cfg.softening,
-                &mut near_pots,
-            ));
-        }
-
-        // Per-instance leaf evaluation + remaining near variants + scatter.
-        let total: usize = requests.iter().map(|q| q.positions.len()).sum();
-        let mut potentials = Vec::with_capacity(total);
-        let mut fields = with_fields.then(|| Vec::with_capacity(total));
-        let mut offsets = Vec::with_capacity(requests.len() + 1);
-        offsets.push(0usize);
-        for (i, bp) in bps.iter().enumerate() {
-            let mut far_pot = vec![0.0; bp.len()];
-            let mut far_field = with_fields.then(|| vec![[0.0f64; 3]; bp.len()]);
-            eval_local(
-                bp,
-                &self.rule,
-                self.cfg.m_trunc,
-                b_leaves[i],
-                depth,
-                par,
-                &fhs[i].local[depth as usize],
-                &mut far_pot,
-                far_field.as_deref_mut(),
-            );
-            let near_pot = &mut near_pots[i];
-            if with_fields {
-                let mut near_f = vec![[0.0f64; 3]; bp.len()];
-                let st = if mixed {
-                    near_field_forces_f32(
-                        plan.kernel,
-                        bp,
-                        self.cfg.separation,
-                        par,
-                        self.cfg.softening,
-                        near_pot,
-                        &mut near_f,
-                    )
-                } else {
-                    near_field_forces_softened(
-                        bp,
-                        self.cfg.separation,
-                        par,
-                        self.cfg.softening,
-                        near_pot,
-                        &mut near_f,
-                    )
-                };
-                near_total.merge(&st);
-                if let Some(ff) = far_field.as_mut() {
-                    for (a, b) in ff.iter_mut().zip(&near_f) {
-                        for d in 0..3 {
-                            a[d] += b[d];
-                        }
-                    }
-                }
-            } else if mixed {
-                let st = near_field_potentials_f32(
-                    plan.kernel,
-                    bp,
-                    self.cfg.separation,
-                    &plan.near_schedule,
-                    par,
-                    self.cfg.softening,
-                    near_pot,
-                );
-                near_total.merge(&st);
-            }
-            for (f, n) in far_pot.iter_mut().zip(near_pots[i].iter()) {
-                *f += n;
-            }
-            potentials.extend(bp.binning.scatter(&far_pot));
-            if let (Some(all), Some(ff)) = (fields.as_mut(), far_field) {
-                all.extend(bp.binning.scatter(&ff));
-            }
-            offsets.push(potentials.len());
-        }
-
+        let (out, offsets) = self.run(requests, None, with_fields, false)?;
         Ok(BatchOutput {
-            potentials,
-            fields,
+            potentials: out.potentials,
+            fields: out.fields,
             offsets,
-            depth,
-            near_stats: near_total,
-        })
-    }
-
-    /// Per-request fallback used where the batched sweeps do not apply.
-    fn batch_fallback(
-        &self,
-        requests: &[BatchRequest<'_>],
-        with_fields: bool,
-    ) -> Result<BatchOutput, FmmError> {
-        let mut potentials = Vec::new();
-        let mut fields = with_fields.then(Vec::new);
-        let mut offsets = vec![0usize];
-        let mut near_total = NearFieldStats::default();
-        let mut depth = 0;
-        for q in requests {
-            let out: EvalOutput = if with_fields {
-                self.evaluate_forces(q.positions, q.charges)?
-            } else {
-                self.evaluate(q.positions, q.charges)?
-            };
-            depth = out.depth;
-            near_total.merge(&out.near_stats);
-            potentials.extend(out.potentials);
-            if let (Some(all), Some(f)) = (fields.as_mut(), out.fields) {
-                all.extend(f);
-            }
-            offsets.push(potentials.len());
-        }
-        Ok(BatchOutput {
-            potentials,
-            fields,
-            offsets,
-            depth,
-            near_stats: near_total,
+            depth: out.depth,
+            near_stats: out.near_stats,
         })
     }
 }

@@ -247,10 +247,6 @@ pub struct FmmConfig {
     /// choice is recorded on the cached [`crate::TraversalPlan`], so every
     /// backend (including SPMD workers) runs the same kernel.
     pub kernel: Option<Kernel>,
-    /// Fuse the P2O→leaf-T1 upward and leaf-T3→inner-evaluate downward
-    /// sweeps so leaf multipole panels stay cache-resident (bitwise
-    /// identical to the unfused phases; on by default).
-    pub fused: bool,
     /// SPMD load-balance policy (ignored by the shared-memory backends,
     /// whose work stealing makes the layout irrelevant).
     pub balance: Balance,
@@ -289,7 +285,6 @@ impl FmmConfig {
             softening: 0.0,
             precision: Precision::F64,
             kernel: None,
-            fused: true,
             balance: Balance::Uniform,
         }
     }
@@ -378,12 +373,6 @@ impl FmmConfig {
     /// Builder-style: force a specific microkernel family.
     pub fn kernel(mut self, k: Kernel) -> Self {
         self.kernel = Some(k);
-        self
-    }
-
-    /// Builder-style: enable/disable the fused level sweeps.
-    pub fn fused(mut self, on: bool) -> Self {
-        self.fused = on;
         self
     }
 

@@ -62,8 +62,7 @@ pub use config::{Balance, DepthPolicy, Executor, Fabric, FmmConfig, Precision, S
 pub use driver::{EvalOutput, Fmm, FmmError};
 pub use error::{relative_error_stats, ErrorStats};
 pub use near::{
-    near_field_potentials, near_field_symmetric, near_field_symmetric_colored,
-    near_field_symmetric_colored_with, near_field_travelling, near_field_travelling_with,
+    near_field_potentials, near_field_symmetric, near_field_travelling, near_field_travelling_with,
     ColorSchedule, NearFieldStats,
 };
 pub use near32::{near_field_forces_f32, near_field_potentials_f32, ParticlesF32};

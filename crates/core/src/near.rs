@@ -12,14 +12,17 @@
 //!   write conflicts but pays the full 124-neighbour pair count;
 //! * the sequential symmetric sweep (the correctness oracle and the
 //!   flop-count reference for experiment E13);
-//! * a **colored symmetric** sweep ([`near_field_symmetric_colored`]) that
-//!   keeps the third-law 2× pair savings *and* parallelizes: leaf boxes are
-//!   tiled into 4×4×4 blocks and blocks are colored by the 2×2×2 parity of
-//!   their block coordinates. A block's symmetric writes stay within
-//!   `[−d, 3+d]` of its origin (d ≤ 2), while same-color blocks are ≥ 8
-//!   boxes apart on any axis they differ in — so every color phase is a
-//!   conflict-free `par_iter` over blocks. This is the shared-memory
-//!   analogue of the paper's travelling-accumulator conflict resolution.
+//! * the **travelling-accumulator** sweep ([`near_field_travelling_with`]),
+//!   the production potentials path: it keeps the third-law 2× pair
+//!   savings *and* parallelizes, because within one unit step of the
+//!   canonical path every output and accumulator element is written by
+//!   exactly one box. It sweeps any number of same-depth particle sets
+//!   together, deriving the path geometry once.
+//!
+//! [`ColorSchedule`] — 4×4×4 blocks of leaf boxes colored by the 2×2×2
+//! parity of their block coordinates, so that every color phase of a
+//! symmetric sweep is conflict-free — is built here and recorded on the
+//! traversal plan; its one consumer is the f32 sweep in [`crate::near32`].
 //!
 //! The innermost particle–particle loops stream the SoA coordinate arrays
 //! through the [`fmm_linalg::pairwise`] rsqrt microkernels (scalar, AVX2,
@@ -392,9 +395,10 @@ impl ColorSchedule {
     }
 }
 
-/// Shared output buffer for the colored sweep. Tasks of one color phase
-/// carve out disjoint sub-slices (guaranteed by the schedule), so handing
-/// each task raw-pointer-derived `&mut [f64]` views is sound.
+/// Shared output buffer for the travelling sweep. The boxes of one step
+/// carve out disjoint sub-slices (each box's ranges are a bijection of the
+/// box), so handing each task raw-pointer-derived `&mut [f64]` views is
+/// sound.
 struct SharedOut(*mut f64);
 
 // SAFETY: the pointer is only dereferenced through `slice`, whose caller
@@ -420,118 +424,6 @@ fn add_stats(a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
         box_pairs: a.box_pairs + b.box_pairs,
         flops: 0,
     }
-}
-
-/// Symmetric near field with Newton's-third-law pair savings, parallelized
-/// via the 8-color block schedule. Adds into `out` (sorted particle order)
-/// and reports the same third-law-halved pair counts as the sequential
-/// [`near_field_symmetric`] sweep, so Fig.-10-style experiments read
-/// consistently off either path.
-pub fn near_field_symmetric_colored(
-    bp: &BinnedParticles,
-    sep: Separation,
-    schedule: &ColorSchedule,
-    parallel: bool,
-    eps: f64,
-    out: &mut [f64],
-) -> NearFieldStats {
-    near_field_symmetric_colored_with(Kernel::detect(), bp, sep, schedule, parallel, eps, out)
-}
-
-/// [`near_field_symmetric_colored`] with an explicit kernel choice.
-#[allow(clippy::too_many_arguments)]
-pub fn near_field_symmetric_colored_with(
-    kernel: Kernel,
-    bp: &BinnedParticles,
-    sep: Separation,
-    schedule: &ColorSchedule,
-    parallel: bool,
-    eps: f64,
-    out: &mut [f64],
-) -> NearFieldStats {
-    assert_eq!(out.len(), bp.len());
-    assert_eq!(
-        schedule.level, bp.level,
-        "schedule level {} does not match particle level {}",
-        schedule.level, bp.level
-    );
-    debug_assert!(sep.d() as u32 * 2 <= COLOR_BLOCK);
-    let eps2 = eps * eps;
-    let level = bp.level;
-    let side = 1u32 << level;
-    let half: Vec<[i32; 3]> = near_field_offsets(sep)
-        .into_iter()
-        .filter(|o| *o > [0, 0, 0])
-        .collect();
-
-    let shared = SharedOut(out.as_mut_ptr());
-    let shared = &shared;
-
-    let process_block = |origin: &[u32; 3]| -> NearFieldStats {
-        let mut st = NearFieldStats::default();
-        let [ox, oy, oz] = *origin;
-        for z in oz..(oz + COLOR_BLOCK).min(side) {
-            for y in oy..(oy + COLOR_BLOCK).min(side) {
-                for x in ox..(ox + COLOR_BLOCK).min(side) {
-                    let t = BoxCoord { level, x, y, z };
-                    let t_range = bp.range(t.index());
-                    if t_range.is_empty() {
-                        continue;
-                    }
-                    // SAFETY: within one color phase no other block's task
-                    // writes any box this task touches (see ColorSchedule).
-                    let t_out = unsafe { shared.slice(t_range.clone()) };
-                    st.pair_interactions += self_box_potential(bp, t_range.clone(), eps2, t_out);
-                    st.box_pairs += 1;
-                    for &d in &half {
-                        let Some(s) = t.offset(d) else { continue };
-                        let s_range = bp.range(s.index());
-                        if s_range.is_empty() {
-                            continue;
-                        }
-                        // SAFETY: as above; s is within the block's write
-                        // region, disjoint from every same-color block's.
-                        let s_out = unsafe { shared.slice(s_range.clone()) };
-                        let xs = &bp.x[s_range.clone()];
-                        let ys = &bp.y[s_range.clone()];
-                        let zs = &bp.z[s_range.clone()];
-                        let qs = &bp.q[s_range.clone()];
-                        for (i, ti) in t_range.clone().enumerate() {
-                            t_out[i] += pair_exchange_with(
-                                kernel, bp.x[ti], bp.y[ti], bp.z[ti], bp.q[ti], eps2, xs, ys, zs,
-                                qs, s_out,
-                            );
-                            st.pair_interactions += s_range.len() as u64;
-                        }
-                        st.box_pairs += 1;
-                    }
-                }
-            }
-        }
-        st
-    };
-
-    // Colors run as ordered sequential phases; blocks within a color are
-    // conflict-free and run in parallel.
-    let mut total = NearFieldStats::default();
-    for color in &schedule.colors {
-        // det: integer-counter reduction; block writes are conflict-free
-        // within a color.
-        let st = if parallel {
-            color
-                .par_iter()
-                .map(process_block)
-                .reduce(NearFieldStats::default, add_stats)
-        } else {
-            color
-                .iter()
-                .map(process_block)
-                .fold(NearFieldStats::default(), add_stats)
-        };
-        total = add_stats(total, st);
-    }
-    total.flops = total.pair_interactions * PAIR_FLOPS;
-    total
 }
 
 /// Near-field potentials via the paper's travelling-accumulator sweep
@@ -563,134 +455,32 @@ pub fn near_field_travelling_with(
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
-    assert_eq!(out.len(), bp.len());
-    let eps2 = eps * eps;
-    let level = bp.level;
-    let n_boxes = bp.binning.starts.len() - 1;
-    let path = fmm_machine::TravelPath::new(sep.d());
-    let mut acc = vec![0.0; bp.len()];
-
-    // Self interactions, symmetric within each box.
-    let mut self_slices = per_box_slices(bp, out);
-    let self_work = |(b, o): (usize, &mut &mut [f64])| -> NearFieldStats {
-        let t_range = bp.range(b);
-        if t_range.is_empty() {
-            return NearFieldStats::default();
-        }
-        NearFieldStats {
-            pair_interactions: self_box_potential(bp, t_range, eps2, o),
-            box_pairs: 1,
-            flops: 0,
-        }
-    };
-    // det: integer-counter reduction over disjoint per-box slices.
-    let mut total = if parallel {
-        self_slices
-            .par_iter_mut()
-            .enumerate()
-            .map(self_work)
-            .reduce(NearFieldStats::default, add_stats)
-    } else {
-        self_slices
-            .iter_mut()
-            .enumerate()
-            .map(self_work)
-            .fold(NearFieldStats::default(), add_stats)
-    };
-
-    // The travelling sweep: one ordered pass per unit step. The boxes of a
-    // step are independent — box t writes out[t] and acc[t + cum], both
-    // bijections of t — so they may run in parallel without changing bits.
-    let out_shared = SharedOut(out.as_mut_ptr());
-    let out_shared = &out_shared;
-    let acc_shared = SharedOut(acc.as_mut_ptr());
-    let acc_shared = &acc_shared;
-    let boxes: Vec<usize> = (0..n_boxes).collect();
-    for step in &path.steps {
-        let cum = step.cum;
-        let step_work = |&b: &usize| -> NearFieldStats {
-            let t = BoxCoord::from_index(level, b);
-            let t_range = bp.range(b);
-            if t_range.is_empty() {
-                return NearFieldStats::default();
-            }
-            let Some(s) = t.offset(cum) else {
-                return NearFieldStats::default();
-            };
-            let s_range = bp.range(s.index());
-            if s_range.is_empty() {
-                return NearFieldStats::default();
-            }
-            // SAFETY: t ↦ t_range and t ↦ s_range are injective over the
-            // boxes of one step, and `out`/`acc` are distinct arrays.
-            let t_out = unsafe { out_shared.slice(t_range.clone()) };
-            // SAFETY: same disjointness argument as `t_out`, on `acc`.
-            let s_acc = unsafe { acc_shared.slice(s_range.clone()) };
-            let xs = &bp.x[s_range.clone()];
-            let ys = &bp.y[s_range.clone()];
-            let zs = &bp.z[s_range.clone()];
-            let qs = &bp.q[s_range.clone()];
-            let mut pairs = 0u64;
-            for (i, ti) in t_range.clone().enumerate() {
-                t_out[i] += pair_exchange_with(
-                    kernel, bp.x[ti], bp.y[ti], bp.z[ti], bp.q[ti], eps2, xs, ys, zs, qs, s_acc,
-                );
-                pairs += s_range.len() as u64;
-            }
-            NearFieldStats {
-                pair_interactions: pairs,
-                box_pairs: 1,
-                flops: 0,
-            }
-        };
-        // det: integer-counter reduction; each box owns its accumulators.
-        let st = if parallel {
-            boxes
-                .par_iter()
-                .map(step_work)
-                .reduce(NearFieldStats::default, add_stats)
-        } else {
-            boxes
-                .iter()
-                .map(step_work)
-                .fold(NearFieldStats::default(), add_stats)
-        };
-        total = add_stats(total, st);
-    }
-
-    // Return shifts: every accumulator goes home and is added once.
-    for (o, a) in out.iter_mut().zip(&acc) {
-        *o += *a;
-    }
-    total.flops = total.pair_interactions * PAIR_FLOPS;
-    total
+    let bps = std::slice::from_ref(bp);
+    travelling_sweep(kernel, bps, sep, parallel, eps, &mut [out])
 }
 
-/// Multi-instance travelling near field: `R` same-depth particle sets
-/// sweep the canonical path together. The geometry — the path itself,
-/// each step's `t ↦ t + cum` box map and its domain clipping — depends
-/// only on the hierarchy depth and separation, so the batched form
-/// computes it once per (step, box) and loops instances innermost,
-/// instead of `R` full sweeps re-deriving it. For small requests the
-/// sweep is geometry-bound (tens of steps × every box, a few particles
-/// each), so this is where batching a serving workload actually pays.
+/// The travelling sweep over `R` same-depth particle sets at once. The
+/// geometry — the path itself, each step's `t ↦ t + cum` box map and its
+/// domain clipping — depends only on the hierarchy depth and separation,
+/// so it is computed once per (step, box) and the instances loop
+/// innermost. For small requests the sweep is geometry-bound (tens of
+/// steps × every box, a few particles each), so this is where batching a
+/// serving workload actually pays.
 ///
-/// Per instance the arithmetic replays [`near_field_travelling_with`]
-/// exactly: same self pass in box order, same ordered steps, same box
-/// order within a step, same gather/scatter into a per-instance
-/// accumulator, same return shift — so each instance's output is bitwise
-/// identical to its solo sweep (sequential or parallel; the solo forms
-/// are themselves bitwise equal). Runs sequentially: the instance loop
-/// already aggregates the work the solo form would spread over threads.
+/// Per instance the arithmetic does not depend on `R` or on `parallel`:
+/// same self pass in box order, same ordered steps, same gather/scatter
+/// into a per-instance accumulator, same return shift — so an instance's
+/// output is bitwise identical however it is swept.
 ///
 /// `outs[i]` is instance `i`'s potentials in **sorted** particle order;
-/// counters are summed over the batch.
-pub fn near_field_travelling_batch_with(
+/// counters are summed over the instances.
+pub(crate) fn travelling_sweep(
     kernel: Kernel,
     bps: &[BinnedParticles],
     sep: Separation,
+    parallel: bool,
     eps: f64,
-    outs: &mut [Vec<f64>],
+    outs: &mut [&mut [f64]],
 ) -> NearFieldStats {
     assert_eq!(bps.len(), outs.len());
     let Some(first) = bps.first() else {
@@ -700,64 +490,100 @@ pub fn near_field_travelling_batch_with(
     let level = first.level;
     let n_boxes = first.binning.starts.len() - 1;
     for (bp, out) in bps.iter().zip(outs.iter()) {
-        assert_eq!(bp.level, level, "batched near field needs one depth");
+        assert_eq!(bp.level, level, "one sweep needs one depth");
         assert_eq!(out.len(), bp.len());
     }
     let path = fmm_machine::TravelPath::new(sep.d());
     let mut accs: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
     let mut total = NearFieldStats::default();
 
-    // Self interactions: box-outer, instance-inner (per instance this is
-    // the solo sweep's ascending box order).
-    for b in 0..n_boxes {
-        for (bp, out) in bps.iter().zip(outs.iter_mut()) {
+    // Self interactions, symmetric within each box.
+    for (bp, out) in bps.iter().zip(outs.iter_mut()) {
+        let mut self_slices = per_box_slices(bp, out);
+        let self_work = |(b, o): (usize, &mut &mut [f64])| -> NearFieldStats {
             let t_range = bp.range(b);
             if t_range.is_empty() {
-                continue;
+                return NearFieldStats::default();
             }
-            total.pair_interactions +=
-                self_box_potential(bp, t_range.clone(), eps2, &mut out[t_range]);
-            total.box_pairs += 1;
-        }
+            NearFieldStats {
+                pair_interactions: self_box_potential(bp, t_range, eps2, o),
+                box_pairs: 1,
+                flops: 0,
+            }
+        };
+        // det: integer-counter reduction over disjoint per-box slices.
+        let st = if parallel {
+            self_slices
+                .par_iter_mut()
+                .enumerate()
+                .map(self_work)
+                .reduce(NearFieldStats::default, add_stats)
+        } else {
+            self_slices
+                .iter_mut()
+                .enumerate()
+                .map(self_work)
+                .fold(NearFieldStats::default(), add_stats)
+        };
+        total = add_stats(total, st);
     }
 
-    // The travelling sweep over the shared path: each step's source map is
-    // resolved once per box and reused by every instance.
-    let coords: Vec<BoxCoord> = (0..n_boxes)
-        .map(|b| BoxCoord::from_index(level, b))
+    // The travelling sweep: one ordered pass per unit step. The boxes of a
+    // step are independent — box t writes out[t] and acc[t + cum], both
+    // bijections of t — so they may run in parallel without changing bits.
+    let shared: Vec<(SharedOut, SharedOut)> = outs
+        .iter_mut()
+        .zip(accs.iter_mut())
+        .map(|(out, acc)| (SharedOut(out.as_mut_ptr()), SharedOut(acc.as_mut_ptr())))
         .collect();
     for step in &path.steps {
         let cum = step.cum;
-        for (b, t) in coords.iter().enumerate() {
-            let Some(s) = t.offset(cum) else { continue };
+        let step_work = |b: usize| -> NearFieldStats {
+            let mut st = NearFieldStats::default();
+            let Some(s) = BoxCoord::from_index(level, b).offset(cum) else {
+                return st;
+            };
             let s_idx = s.index();
-            for ((bp, out), acc) in bps.iter().zip(outs.iter_mut()).zip(accs.iter_mut()) {
+            for (bp, (out, acc)) in bps.iter().zip(&shared) {
                 let t_range = bp.range(b);
-                if t_range.is_empty() {
-                    continue;
-                }
                 let s_range = bp.range(s_idx);
-                if s_range.is_empty() {
+                if t_range.is_empty() || s_range.is_empty() {
                     continue;
                 }
-                let t_out = &mut out[t_range.clone()];
-                let s_acc = &mut acc[s_range.clone()];
+                // SAFETY: t ↦ t_range and t ↦ s_range are injective over the
+                // boxes of one step, and `out`/`acc` are distinct arrays.
+                let t_out = unsafe { out.slice(t_range.clone()) };
+                // SAFETY: same disjointness argument as `t_out`, on `acc`.
+                let s_acc = unsafe { acc.slice(s_range.clone()) };
                 let xs = &bp.x[s_range.clone()];
                 let ys = &bp.y[s_range.clone()];
                 let zs = &bp.z[s_range.clone()];
                 let qs = &bp.q[s_range.clone()];
-                for (i, ti) in t_range.clone().enumerate() {
+                for (i, ti) in t_range.enumerate() {
                     t_out[i] += pair_exchange_with(
                         kernel, bp.x[ti], bp.y[ti], bp.z[ti], bp.q[ti], eps2, xs, ys, zs, qs, s_acc,
                     );
-                    total.pair_interactions += s_range.len() as u64;
+                    st.pair_interactions += s_range.len() as u64;
                 }
-                total.box_pairs += 1;
+                st.box_pairs += 1;
             }
-        }
+            st
+        };
+        // det: integer-counter reduction; each box owns its accumulators.
+        let st = if parallel {
+            (0..n_boxes)
+                .into_par_iter()
+                .map(step_work)
+                .reduce(NearFieldStats::default, add_stats)
+        } else {
+            (0..n_boxes)
+                .map(step_work)
+                .fold(NearFieldStats::default(), add_stats)
+        };
+        total = add_stats(total, st);
     }
 
-    // Return shifts, per instance.
+    // Return shifts: every accumulator goes home and is added once.
     for (out, acc) in outs.iter_mut().zip(&accs) {
         for (o, a) in out.iter_mut().zip(acc) {
             *o += *a;
@@ -1044,79 +870,60 @@ mod tests {
     }
 
     #[test]
-    fn colored_symmetric_matches_sequential_symmetric() {
-        // Level 3 (8³ = 512 boxes, 2×2×2 blocks) exercises multi-color
-        // schedules; level 2 exercises the single-block degenerate case.
+    fn travelling_matches_sequential_symmetric() {
+        // Every dispatched kernel family, sequential and parallel, must
+        // reproduce the sequential scalar oracle: counters exactly, values
+        // to rounding. Level 2 and 3, both separations.
         for (n, level) in [(400usize, 2u32), (3000, 3)] {
             for sep in [Separation::One, Separation::Two] {
                 let bp = build(n, level, 31);
                 let (seq, st_seq) = near_field_symmetric(&bp, sep);
-                let schedule = ColorSchedule::build(level);
-                for parallel in [false, true] {
-                    let mut col = vec![0.0; bp.len()];
-                    let st_col =
-                        near_field_symmetric_colored(&bp, sep, &schedule, parallel, 0.0, &mut col);
-                    for (a, b) in seq.iter().zip(&col) {
-                        assert!(
-                            (a - b).abs() < 1e-12 * (1.0 + a.abs()),
-                            "n={} level={} {:?} par={}: {} vs {}",
-                            n,
-                            level,
-                            sep,
-                            parallel,
-                            a,
-                            b
-                        );
+                for kernel in Kernel::available() {
+                    for parallel in [false, true] {
+                        let mut trav = vec![0.0; bp.len()];
+                        let st =
+                            near_field_travelling_with(kernel, &bp, sep, parallel, 0.0, &mut trav);
+                        for (a, b) in seq.iter().zip(&trav) {
+                            assert!(
+                                (a - b).abs() < 1e-12 * (1.0 + a.abs()),
+                                "n={n} level={level} {sep:?} {kernel:?} par={parallel}: {a} vs {b}"
+                            );
+                        }
+                        assert_eq!(st, st_seq);
                     }
-                    // Third-law-halved counters must agree exactly with the
-                    // sequential sweep (satellite: stats consistency).
-                    assert_eq!(st_col.pair_interactions, st_seq.pair_interactions);
-                    assert_eq!(st_col.box_pairs, st_seq.box_pairs);
-                    assert_eq!(st_col.flops, st_seq.flops);
                 }
             }
         }
     }
 
     #[test]
-    fn colored_symmetric_agrees_across_kernels() {
-        // Every dispatched kernel family must reproduce the sequential
-        // scalar oracle (counters exactly, values to rounding).
-        let bp = build(2000, 3, 41);
-        let (seq, st_seq) = near_field_symmetric(&bp, Separation::Two);
-        let schedule = ColorSchedule::build(3);
-        for kernel in Kernel::available() {
-            let mut col = vec![0.0; bp.len()];
-            let st = near_field_symmetric_colored_with(
-                kernel,
-                &bp,
-                Separation::Two,
-                &schedule,
-                true,
-                0.0,
-                &mut col,
-            );
-            for (a, b) in seq.iter().zip(&col) {
-                assert!(
-                    (a - b).abs() < 1e-12 * (1.0 + a.abs()),
-                    "{:?}: {} vs {}",
+    fn travelling_instances_swept_together_keep_their_bits() {
+        let bps: Vec<BinnedParticles> = (0..3)
+            .map(|i| build(300 + 50 * i, 2, 50 + i as u64))
+            .collect();
+        let kernel = Kernel::detect();
+        let mut together: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
+        let mut alone_stats = NearFieldStats::default();
+        let alone: Vec<Vec<f64>> = bps
+            .iter()
+            .map(|bp| {
+                let mut out = vec![0.0; bp.len()];
+                alone_stats.merge(&near_field_travelling_with(
                     kernel,
-                    a,
-                    b
-                );
-            }
-            assert_eq!(st.pair_interactions, st_seq.pair_interactions);
-            assert_eq!(st.box_pairs, st_seq.box_pairs);
-
-            let mut trav = vec![0.0; bp.len()];
-            near_field_travelling_with(kernel, &bp, Separation::Two, true, 0.0, &mut trav);
-            for (a, b) in seq.iter().zip(&trav) {
-                assert!(
-                    (a - b).abs() < 1e-12 * (1.0 + a.abs()),
-                    "travelling {:?}",
-                    kernel
-                );
-            }
+                    bp,
+                    Separation::Two,
+                    true,
+                    0.0,
+                    &mut out,
+                ));
+                out
+            })
+            .collect();
+        let mut outs: Vec<&mut [f64]> = together.iter_mut().map(Vec::as_mut_slice).collect();
+        let st = travelling_sweep(kernel, &bps, Separation::Two, false, 0.0, &mut outs);
+        assert_eq!(st, alone_stats);
+        for (a, b) in together.iter().flatten().zip(alone.iter().flatten()) {
+            assert_eq!(a.to_bits(), b.to_bits());
         }
     }
 
@@ -1138,14 +945,13 @@ mod tests {
     }
 
     #[test]
-    fn colored_symmetric_softened_matches_target_centric_softened() {
+    fn travelling_softened_matches_target_centric_softened() {
         let bp = build(600, 2, 37);
         let eps = 0.05;
         let mut tc = vec![0.0; bp.len()];
         near_field_potentials_softened(&bp, Separation::Two, false, eps, &mut tc);
-        let schedule = ColorSchedule::build(2);
         let mut col = vec![0.0; bp.len()];
-        near_field_symmetric_colored(&bp, Separation::Two, &schedule, true, eps, &mut col);
+        near_field_travelling(&bp, Separation::Two, true, eps, &mut col);
         for (a, b) in tc.iter().zip(&col) {
             assert!((a - b).abs() < 1e-10 * (1.0 + a.abs()), "{} vs {}", a, b);
         }

@@ -10,6 +10,18 @@
 //! range of the level's output buffer, so there are no write conflicts.
 //! Levels are sequential, as in the paper.
 //!
+//! There is one body per sweep, [`upward_level`] and [`downward_level`],
+//! and both take a slice of hierarchies: `R` instances that share one plan
+//! and one translation set are gathered into a single instance-major panel
+//! and run as ONE GEMM of `R · rows` per (panel, octant, offset), with the
+//! source geometry of an offset computed once for all of them — the
+//! paper's aggregation trick replayed across *requests*. A solo evaluation
+//! is the `R = 1` case. The GEMM microkernels compute every output row
+//! with per-row accumulators and an identical k-loop order whatever the
+//! panel's row count, so neither the number of instances nor the panel
+//! width changes a bit of any row (the Serial/Rayon/SPMD bitwise suites,
+//! which compare one-row GEMMs against panels, pin this).
+//!
 //! All index structure — slab ranges, child gather/scatter lists, offset
 //! lists and resolved T2 matrix positions — comes from a precomputed
 //! [`TraversalPlan`], so a pass does no per-box index decoding and no
@@ -21,7 +33,7 @@
 use crate::field::FieldHierarchy;
 use crate::plan::TraversalPlan;
 use crate::translations::TranslationSet;
-use fmm_linalg::{gemm_acc_with, gemm_flops, multi_gemm_acc_with, Matrix, MultiGemmPlan};
+use fmm_linalg::{gemm_acc_with, gemm_flops, Kernel, Matrix};
 use rayon::prelude::*;
 
 /// Flop counters from a traversal.
@@ -35,6 +47,15 @@ pub struct TraversalFlops {
     pub copied: u64,
 }
 
+impl std::ops::AddAssign for TraversalFlops {
+    fn add_assign(&mut self, o: TraversalFlops) {
+        self.t1 += o.t1;
+        self.t2 += o.t2;
+        self.t3 += o.t3;
+        self.copied += o.copied;
+    }
+}
+
 /// Execution strategy for the translation applications.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Aggregation {
@@ -42,29 +63,50 @@ pub enum Aggregation {
     Gemv,
     /// Panel-aggregated GEMMs (the paper's level-3-BLAS optimization).
     Gemm,
-    /// Multiple-instance GEMM over per-row panels — the paper's CMSSL
-    /// multiple-instance call, which aggregates "along one of the three
-    /// space dimensions without a data reallocation": each instance is a
-    /// K×K by K×S product over one row of parents (S = row extent).
-    MultiGemm,
 }
 
-/// Gather the children `cidx[p0..p1]` (one octant of parents `p0..p1`)
-/// into a `(p1-p0) × k` panel. `src` starts at child box index
-/// `src_base` (0 when it is the whole child level, `p0 * 8` when it is
-/// one slab's chunk).
-fn gather_children(
-    src: &[f64],
-    src_base: usize,
-    cidx: &[u32],
-    p0: usize,
-    p1: usize,
+/// Parents per T2 sub-panel, at least: a slab is walked in sub-panels of
+/// one parent row (`max(2^l, 8)` parents), so the source and accumulator
+/// panels stay cache-resident across the hundreds of offsets of an
+/// octant, where a whole slab's panels stream through memory once per
+/// offset. A constant, not a knob: see DESIGN.md §5.5 for the numbers.
+const PANEL_MIN_PARENTS: usize = 8;
+
+/// `acc += panel · m` over `rows` rows of `k` samples, as one GEMM or as
+/// one GEMV per row. The GEMV arm skips exact-zero samples (the zero rows
+/// of out-of-domain sources).
+fn translate_acc(
+    agg: Aggregation,
+    kernel: Kernel,
+    rows: usize,
     k: usize,
-    panel: &mut [f64],
+    panel: &[f64],
+    m: &Matrix,
+    acc: &mut [f64],
 ) {
+    match agg {
+        Aggregation::Gemm => gemm_acc_with(kernel, rows, k, k, panel, m.as_slice(), acc),
+        Aggregation::Gemv => {
+            for (g, dst) in panel.chunks(k).zip(acc.chunks_mut(k)) {
+                for (i, &gi) in g.iter().enumerate() {
+                    if gi == 0.0 {
+                        continue;
+                    }
+                    for (dj, tj) in dst.iter_mut().zip(m.row(i)) {
+                        *dj += gi * tj;
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// Gather the children `cidx[p0..p1]` (one octant of parents `p0..p1`) of
+/// a whole child level `src` into a `(p1-p0) × k` panel.
+fn gather_children(src: &[f64], cidx: &[u32], p0: usize, p1: usize, k: usize, panel: &mut [f64]) {
     debug_assert_eq!(panel.len(), (p1 - p0) * k);
     for (row, pi) in (p0..p1).enumerate() {
-        let ci = cidx[pi] as usize - src_base;
+        let ci = cidx[pi] as usize;
         panel[row * k..(row + 1) * k].copy_from_slice(&src[ci * k..(ci + 1) * k]);
     }
 }
@@ -90,7 +132,24 @@ fn scatter_add_children(
     }
 }
 
-/// Upward pass: for levels l = depth−1 … 2 combine children's outer
+/// Run `do_slab` over the slabs of a level, each with the output chunks
+/// (one per instance) that slab owns.
+fn for_each_slab<'a, F>(
+    slabs: &[(usize, usize)],
+    outs: &mut [Vec<&'a mut [f64]>],
+    parallel: bool,
+    do_slab: F,
+) where
+    F: Fn((&(usize, usize), &mut Vec<&'a mut [f64]>)) + Sync + Send,
+{
+    if parallel {
+        slabs.par_iter().zip(outs.par_iter_mut()).for_each(do_slab);
+    } else {
+        slabs.iter().zip(outs.iter_mut()).for_each(do_slab);
+    }
+}
+
+/// Upward pass: for levels l = depth−1 … 1 combine children's outer
 /// samples into parents' (T1). Returns flop counters.
 pub fn upward_pass(
     fh: &mut FieldHierarchy,
@@ -108,481 +167,111 @@ pub fn upward_pass(
     // Level 1 is included (beyond the paper's level-2 stop) because the
     // supernode path at level 2 reads parent-level outer samples.
     for l in (1..depth).rev() {
-        let f = upward_level(fh, ts, plan, l, agg, parallel);
-        flops.t1 += f.t1;
-        flops.copied += f.copied;
+        flops += upward_level(std::slice::from_mut(fh), ts, plan, l, agg, parallel);
     }
     flops
 }
 
-/// One parent level of the upward pass: combine the children at level
-/// `l + 1` into the parents at level `l`. Public so the SPMD backend's
-/// rank-0 Multigrid-embed region runs the identical per-level code.
+/// One parent level of the upward pass, for every instance of `fhs`:
+/// combine the children at level `l + 1` into the parents at level `l`,
+/// which are overwritten. Per (slab, octant) all instances' child panels
+/// are gathered into one instance-major panel and translated together.
+/// Public so the SPMD backend's rank-0 Multigrid-embed region runs the
+/// identical per-level code.
 pub fn upward_level(
-    fh: &mut FieldHierarchy,
+    fhs: &mut [FieldHierarchy],
     ts: &TranslationSet,
     plan: &TraversalPlan,
     l: u32,
     agg: Aggregation,
     parallel: bool,
 ) -> TraversalFlops {
-    let k = fh.k;
-    let mut flops = TraversalFlops::default();
-    {
-        let n_parents = fh.hierarchy.boxes_at_level(l);
-        // Split far into (child source, parent destination) levels.
-        let (lo, hi) = fh.far.split_at_mut(l as usize + 1);
-        let parents = &mut lo[l as usize];
-        let children = &hi[0];
-        let lvl = plan.level(l);
-        let slabs = &lvl.slabs;
-        let plane = slabs[0].1 - slabs[0].0;
-
-        let do_slab = |(slab, out): (&(usize, usize), &mut [f64])| {
-            let (p0, p1) = *slab;
-            match agg {
-                Aggregation::Gemm => {
-                    let mut panel = vec![0.0; (p1 - p0) * k];
-                    for oct in 0..8 {
-                        let cidx = &lvl.children[oct].idx;
-                        gather_children(children, 0, cidx, p0, p1, k, &mut panel);
-                        gemm_acc_with(
-                            plan.kernel,
-                            p1 - p0,
-                            k,
-                            k,
-                            &panel,
-                            ts.t1t[oct].as_slice(),
-                            out,
-                        );
-                    }
-                }
-                Aggregation::MultiGemm => {
-                    // One instance per parent row (x-axis aggregation, the
-                    // CM's no-reallocation direction), all sharing one
-                    // translation matrix.
-                    let row_len = 1usize << l; // parents per x-row
-                    let n_rows = (p1 - p0) / row_len;
-                    let mut panel = vec![0.0; (p1 - p0) * k];
-                    for oct in 0..8 {
-                        let cidx = &lvl.children[oct].idx;
-                        gather_children(children, 0, cidx, p0, p1, k, &mut panel);
-                        let mut mplan = MultiGemmPlan::new(row_len, k, k);
-                        for r in 0..n_rows {
-                            // A = the row's gathered child panel, B = the
-                            // shared transposed T1 matrix, C = the row's
-                            // parents.
-                            mplan.push(r * row_len * k, 0, r * row_len * k);
-                        }
-                        multi_gemm_acc_with(
-                            plan.kernel,
-                            &mplan,
-                            &panel,
-                            ts.t1t[oct].as_slice(),
-                            out,
-                        );
-                    }
-                }
-                Aggregation::Gemv => {
-                    let mut xt = vec![0.0; k];
-                    for (row, pi) in (p0..p1).enumerate() {
-                        for oct in 0..8 {
-                            let ci = lvl.children[oct].idx[pi] as usize;
-                            let g = &children[ci * k..(ci + 1) * k];
-                            // out_j += Σ_i g_i Tᵗ[i][j] — apply the
-                            // transposed matrix to a row vector via GEMV on
-                            // the transpose: equivalent to T · g with the
-                            // untransposed matrix; reuse gemv_acc with Tᵗᵗ
-                            // by looping columns.
-                            xt.copy_from_slice(g);
-                            let t = &ts.t1t[oct];
-                            let dst = &mut out[row * k..(row + 1) * k];
-                            for (i, &gi) in xt.iter().enumerate() {
-                                for (dj, tj) in dst.iter_mut().zip(t.row(i)) {
-                                    *dj += gi * tj;
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        };
-
-        if parallel {
-            slabs
-                .par_iter()
-                .zip(parents.par_chunks_mut(plane * k))
-                .for_each(do_slab);
-        } else {
-            for (slab, out) in slabs.iter().zip(parents.chunks_mut(plane * k)) {
-                do_slab((slab, out));
-            }
-        }
-        flops.t1 += gemm_flops(n_parents, k, k) * 8;
-        flops.copied += (n_parents * 8 * k) as u64;
-    }
-    flops
-}
-
-/// Fused P2O + leaf T1: fill the leaf level's outer samples slab by slab
-/// and immediately combine each slab's freshly written children into their
-/// parents while the panel is still cache-resident.
-///
-/// `fill_children(c0, c1, chunk)` must write the outer samples of leaf
-/// boxes `c0..c1` into `chunk` (row `i` ↔ box `c0 + i`); the driver passes
-/// the per-box P2O loop. The slab decomposition guarantees the children of
-/// parents `p0..p1` occupy exactly boxes `p0*8..p1*8`, so each slab owns a
-/// disjoint contiguous chunk of both levels.
-///
-/// Bitwise identical to running the fill over the whole leaf level and
-/// then [`upward_level`] at `l = depth − 1` with [`Aggregation::Gemm`]:
-/// the per-box arithmetic is unchanged, only the loop order moves.
-/// One fused-upward slab work item: ((slab bounds, parent panel), child
-/// panel) — the zipped shape rayon hands `do_slab` below.
-type SlabItem<'a> = ((&'a (usize, usize), &'a mut [f64]), &'a mut [f64]);
-
-/// Sub-slab consumer for the fused downward sweep: `(c0, c1, chunk)` with
-/// row `i` of `chunk` holding the inner samples of box `c0 + i`.
-pub type EvalSink<'a> = &'a (dyn Fn(usize, usize, &[f64]) + Sync);
-
-pub fn fused_p2o_upward_leaf(
-    fh: &mut FieldHierarchy,
-    ts: &TranslationSet,
-    plan: &TraversalPlan,
-    parallel: bool,
-    fill_children: &(dyn Fn(usize, usize, &mut [f64]) + Sync),
-) -> TraversalFlops {
-    let depth = fh.hierarchy.depth;
-    debug_assert!(depth >= 2, "fused P2O+T1 needs a parent level");
-    let l = depth - 1;
-    let k = fh.k;
-    let mut flops = TraversalFlops::default();
-    let n_parents = fh.hierarchy.boxes_at_level(l);
-    let (lo, hi) = fh.far.split_at_mut(l as usize + 1);
-    let parents = &mut lo[l as usize];
-    let children = &mut hi[0];
+    let r = fhs.len();
+    let k = fhs[0].k;
+    let n_parents = fhs[0].hierarchy.boxes_at_level(l);
     let lvl = plan.level(l);
     let slabs = &lvl.slabs;
     let plane = slabs[0].1 - slabs[0].0;
 
-    let do_slab = |((slab, out), kids): SlabItem| {
-        let (p0, p1) = *slab;
-        fill_children(p0 * 8, p1 * 8, kids);
-        let mut panel = vec![0.0; (p1 - p0) * k];
-        for oct in 0..8 {
-            let cidx = &lvl.children[oct].idx;
-            gather_children(kids, p0 * 8, cidx, p0, p1, k, &mut panel);
-            gemm_acc_with(
-                plan.kernel,
-                p1 - p0,
-                k,
-                k,
-                &panel,
-                ts.t1t[oct].as_slice(),
-                out,
-            );
-        }
-    };
-
-    if parallel {
-        slabs
-            .par_iter()
-            .zip(parents.par_chunks_mut(plane * k))
-            .zip(children.par_chunks_mut(plane * 8 * k))
-            .for_each(do_slab);
-    } else {
-        for item in slabs
-            .iter()
-            .zip(parents.chunks_mut(plane * k))
-            .zip(children.chunks_mut(plane * 8 * k))
-        {
-            do_slab(item);
-        }
-    }
-    flops.t1 += gemm_flops(n_parents, k, k) * 8;
-    flops.copied += (n_parents * 8 * k) as u64;
-    flops
-}
-
-/// Multi-instance upward level: `R` instances share one plan and one
-/// translation set; every (slab, octant) gathers all instances' child
-/// panels into a single instance-major panel and issues ONE GEMM of
-/// `R · np` rows — the paper's §2 aggregation trick replayed across
-/// *requests* instead of boxes. The GEMM microkernels compute every
-/// output row with per-row accumulators and an identical k-loop order
-/// regardless of the total row count, and `np` (a parent z-plane,
-/// `4^l`) is a multiple of the widest row-tile, so concatenating
-/// instances changes no row's bits: each instance's parents come out
-/// bitwise identical to a solo [`upward_level`] run.
-pub(crate) fn upward_level_batch(
-    fhs: &mut [FieldHierarchy],
-    ts: &TranslationSet,
-    plan: &TraversalPlan,
-    l: u32,
-) -> TraversalFlops {
-    let r = fhs.len();
-    let k = fhs[0].k;
-    let lvl = plan.level(l);
-    let n_parents = fhs[0].hierarchy.boxes_at_level(l);
-    let mut flops = TraversalFlops::default();
-    for &(p0, p1) in lvl.slabs.iter() {
-        let np = p1 - p0;
-        let rows = r * np;
-        let mut panel = vec![0.0; rows * k];
-        let mut acc = vec![0.0; rows * k];
-        for oct in 0..8 {
-            let cidx = &lvl.children[oct].idx;
-            for (ri, fh) in fhs.iter().enumerate() {
-                gather_children(
-                    &fh.far[l as usize + 1],
-                    0,
-                    cidx,
-                    p0,
-                    p1,
-                    k,
-                    &mut panel[ri * np * k..(ri + 1) * np * k],
-                );
-            }
-            gemm_acc_with(
-                plan.kernel,
-                rows,
-                k,
-                k,
-                &panel,
-                ts.t1t[oct].as_slice(),
-                &mut acc,
-            );
-        }
-        // The parents start zeroed and are written only here, so a plain
-        // copy lands the accumulated octant sum bit-for-bit.
-        for (ri, fh) in fhs.iter_mut().enumerate() {
-            fh.far[l as usize][p0 * k..p1 * k]
-                .copy_from_slice(&acc[ri * np * k..(ri + 1) * np * k]);
-        }
-    }
-    flops.t1 = gemm_flops(n_parents, k, k) * 8 * r as u64;
-    flops.copied = (n_parents * 8 * k * r) as u64;
-    flops
-}
-
-/// How a T2 offset list maps a child coordinate to its source box.
-enum SourceMap {
-    /// Same-level interactive sources: `t + off`.
-    SameLevel,
-    /// Parent-level supernode sources: `(t >> 1) + off`.
-    ParentLevel,
-}
-
-/// Multi-instance downward level, the batched analogue of
-/// [`downward_level`]: T2 source geometry (offset application, domain
-/// bounds, the all-rows-invalid skip) is computed once per offset and
-/// shared by every instance, and each offset's GEMM runs once over
-/// `R · np` rows. Bitwise identical per instance to a solo
-/// [`downward_level`] for the same reasons as [`upward_level_batch`]
-/// (the T3 gather-then-GEMM sees the same row values as the solo
-/// direct-slice GEMM).
-pub(crate) fn downward_level_batch(
-    fhs: &mut [FieldHierarchy],
-    ts: &TranslationSet,
-    plan: &TraversalPlan,
-    supernodes: bool,
-    l: u32,
-) -> TraversalFlops {
-    let r = fhs.len();
-    let k = fhs[0].k;
-    let mut flops = TraversalFlops::default();
-    let oct_mats = resolve_octant_matrices(ts, plan, supernodes);
-    let n_boxes = fhs[0].hierarchy.boxes_at_level(l);
-    let l_parent = l - 1;
-    let lvl = plan.level(l_parent);
-    let apply_t3 = l >= 3; // local field is zero above level 2
-    let n_axis = 1i64 << l;
-    let parent_axis = 1i64 << l_parent;
-
+    // Per instance: the child level to read, and the parent level cut
+    // into the chunks the slabs own.
+    let mut children: Vec<&[f64]> = Vec::with_capacity(r);
+    let mut outs: Vec<Vec<&mut [f64]>> = slabs.iter().map(|_| Vec::with_capacity(r)).collect();
     for fh in fhs.iter_mut() {
-        fh.local[l as usize].iter_mut().for_each(|x| *x = 0.0);
-    }
-
-    for &(p0, p1) in lvl.slabs.iter() {
-        let np = p1 - p0;
-        let rows = r * np;
-        let mut src_panel = vec![0.0; rows * k];
-        let mut acc_panel = vec![0.0; rows * k];
-        // Per-row source index of the current offset, shared by all
-        // instances (the geometry depends only on the plan).
-        let mut src_idx = vec![-1isize; np];
-        for (oct, mats) in oct_mats.iter().enumerate() {
-            acc_panel.iter_mut().for_each(|x| *x = 0.0);
-
-            // ---- T3: parent inner → child inner -----------------------
-            if apply_t3 {
-                for (ri, fh) in fhs.iter().enumerate() {
-                    src_panel[ri * np * k..(ri + 1) * np * k]
-                        .copy_from_slice(&fh.local[l_parent as usize][p0 * k..p1 * k]);
-                }
-                gemm_acc_with(
-                    plan.kernel,
-                    rows,
-                    k,
-                    k,
-                    &src_panel,
-                    ts.t3t[oct].as_slice(),
-                    &mut acc_panel,
-                );
-            }
-
-            // ---- T2: interactive field --------------------------------
-            let coords = &lvl.children[oct].coord;
-            let op = &plan.octants[oct];
-            #[allow(clippy::type_complexity)]
-            let lists: Vec<(&[[i32; 3]], &[&Matrix], usize, i64, SourceMap)> = if supernodes {
-                vec![
-                    (
-                        &op.sn_parent_offsets,
-                        &mats.sn_parent,
-                        l_parent as usize,
-                        parent_axis,
-                        SourceMap::ParentLevel,
-                    ),
-                    (
-                        &op.sn_child_offsets,
-                        &mats.sn_child,
-                        l as usize,
-                        n_axis,
-                        SourceMap::SameLevel,
-                    ),
-                ]
-            } else {
-                vec![(
-                    &op.offsets,
-                    &mats.plain,
-                    l as usize,
-                    n_axis,
-                    SourceMap::SameLevel,
-                )]
-            };
-            for (offsets, matrices, src_level, src_axis, map) in lists {
-                for (&off, &m) in offsets.iter().zip(matrices) {
-                    let mut any = false;
-                    for (row, si) in src_idx.iter_mut().enumerate() {
-                        let t = coords[p0 + row];
-                        let s = match map {
-                            SourceMap::SameLevel => [
-                                (t[0] + off[0]) as i64,
-                                (t[1] + off[1]) as i64,
-                                (t[2] + off[2]) as i64,
-                            ],
-                            SourceMap::ParentLevel => [
-                                ((t[0] >> 1) + off[0]) as i64,
-                                ((t[1] >> 1) + off[1]) as i64,
-                                ((t[2] >> 1) + off[2]) as i64,
-                            ],
-                        };
-                        *si = if s[0] >= 0
-                            && s[1] >= 0
-                            && s[2] >= 0
-                            && s[0] < src_axis
-                            && s[1] < src_axis
-                            && s[2] < src_axis
-                        {
-                            any = true;
-                            ((s[2] * src_axis + s[1]) * src_axis + s[0]) as isize
-                        } else {
-                            -1
-                        };
-                    }
-                    // Same decision as the solo pass: the flag depends
-                    // only on geometry, which every instance shares.
-                    if !any {
-                        continue;
-                    }
-                    for (ri, fh) in fhs.iter().enumerate() {
-                        let source = &fh.far[src_level];
-                        for (row, &si) in src_idx.iter().enumerate() {
-                            let dst = &mut src_panel[(ri * np + row) * k..(ri * np + row + 1) * k];
-                            if si >= 0 {
-                                let s = si as usize;
-                                dst.copy_from_slice(&source[s * k..(s + 1) * k]);
-                            } else {
-                                dst.iter_mut().for_each(|x| *x = 0.0);
-                            }
-                        }
-                    }
-                    gemm_acc_with(
-                        plan.kernel,
-                        rows,
-                        k,
-                        k,
-                        &src_panel,
-                        m.as_slice(),
-                        &mut acc_panel,
-                    );
-                }
-            }
-
-            // Scatter the accumulated panel into each instance's children.
-            for (ri, fh) in fhs.iter_mut().enumerate() {
-                let out = &mut fh.local[l as usize][p0 * 8 * k..p1 * 8 * k];
-                scatter_add_children(
-                    out,
-                    p0 * 8,
-                    &lvl.children[oct].idx,
-                    p0,
-                    p1,
-                    k,
-                    &acc_panel[ri * np * k..(ri + 1) * np * k],
-                );
-            }
+        let (lo, hi) = fh.far.split_at_mut(l as usize + 1);
+        children.push(&hi[0]);
+        for (slot, chunk) in outs.iter_mut().zip(lo[l as usize].chunks_mut(plane * k)) {
+            slot.push(chunk);
         }
     }
 
-    let per_box_t2 = if supernodes {
-        plan.octants[0].sn_translation_count as u64
-    } else {
-        plan.octants[0].offsets.len() as u64
-    };
-    flops.t2 += per_box_t2 * gemm_flops(n_boxes, k, k) * r as u64;
-    if apply_t3 {
-        flops.t3 += gemm_flops(n_boxes, k, k) * r as u64;
+    for_each_slab(slabs, &mut outs, parallel, |(&(p0, p1), out)| {
+        let np = p1 - p0;
+        let mut panel = vec![0.0; r * np * k];
+        let mut acc = vec![0.0; r * np * k];
+        for oct in 0..8 {
+            let cidx = &lvl.children[oct].idx;
+            for (src, rows) in children.iter().zip(panel.chunks_mut(np * k)) {
+                gather_children(src, cidx, p0, p1, k, rows);
+            }
+            translate_acc(agg, plan.kernel, r * np, k, &panel, &ts.t1t[oct], &mut acc);
+        }
+        for (o, rows) in out.iter_mut().zip(acc.chunks(np * k)) {
+            o.copy_from_slice(rows);
+        }
+    });
+
+    TraversalFlops {
+        t1: gemm_flops(n_parents, k, k) * 8 * r as u64,
+        copied: (n_parents * 8 * k * r) as u64,
+        ..TraversalFlops::default()
     }
-    flops.copied += (n_boxes * k * r) as u64 * (per_box_t2 + 2);
-    flops
 }
 
-/// Per-octant translation matrices, resolved once per pass from the plan's
-/// stored indices/keys (no hash lookups inside the slab loops).
-struct OctantMatrices<'a> {
-    plain: Vec<&'a Matrix>,
-    sn_parent: Vec<&'a Matrix>,
-    sn_child: Vec<&'a Matrix>,
+/// One T2 offset list of a child octant with its matrices resolved from
+/// the plan's stored indices/keys (no hash lookups inside the slab
+/// loops). The source of child `t` under offset `off` is the box
+/// `(t >> shift) + off` of level `l − shift`: `shift` is 0 for same-level
+/// interactive sources and 1 for parent-level supernode sources.
+struct OffsetList<'a> {
+    offsets: &'a [[i32; 3]],
+    matrices: Vec<&'a Matrix>,
+    shift: u32,
 }
 
-fn resolve_octant_matrices<'a>(
+fn resolve_offset_lists<'a>(
     ts: &'a TranslationSet,
-    plan: &TraversalPlan,
+    plan: &'a TraversalPlan,
     supernodes: bool,
-) -> Vec<OctantMatrices<'a>> {
+) -> Vec<Vec<OffsetList<'a>>> {
     let t2_at =
         |i: &u32| -> &'a Matrix { ts.t2t[*i as usize].as_ref().expect("interactive offset") };
     plan.octants
         .iter()
         .map(|op| {
             if supernodes {
-                OctantMatrices {
-                    plain: Vec::new(),
-                    sn_parent: op
-                        .sn_parent_keys
-                        .iter()
-                        .map(|key| &ts.t2t_super[key])
-                        .collect(),
-                    sn_child: op.sn_child_idx.iter().map(t2_at).collect(),
-                }
+                vec![
+                    OffsetList {
+                        offsets: &op.sn_parent_offsets,
+                        matrices: op
+                            .sn_parent_keys
+                            .iter()
+                            .map(|key| &ts.t2t_super[key])
+                            .collect(),
+                        shift: 1,
+                    },
+                    OffsetList {
+                        offsets: &op.sn_child_offsets,
+                        matrices: op.sn_child_idx.iter().map(t2_at).collect(),
+                        shift: 0,
+                    },
+                ]
             } else {
-                OctantMatrices {
-                    plain: op.t2_idx.iter().map(t2_at).collect(),
-                    sn_parent: Vec::new(),
-                    sn_child: Vec::new(),
-                }
+                vec![OffsetList {
+                    offsets: &op.offsets,
+                    matrices: op.t2_idx.iter().map(t2_at).collect(),
+                    shift: 0,
+                }]
             }
         })
         .collect()
@@ -603,19 +292,29 @@ pub fn downward_pass(
     debug_assert_eq!(plan.depth, depth);
     let mut flops = TraversalFlops::default();
     for l in 2..=depth {
-        let f = downward_level(fh, ts, plan, supernodes, agg, parallel, l);
-        flops.t2 += f.t2;
-        flops.t3 += f.t3;
-        flops.copied += f.copied;
+        let one = std::slice::from_mut(fh);
+        flops += downward_level(one, ts, plan, supernodes, agg, parallel, l);
     }
     flops
 }
 
-/// One level of the downward pass: T2 (interactive field) plus T3 (parent
-/// inner shift) into `local[l]`, which is zeroed first. Public for the
-/// SPMD backend's rank-0 embed region, like [`upward_level`].
+/// What the downward sweep reads of one instance at level `l`.
+struct DownwardSources<'a> {
+    /// Outer samples by shift: `[far[l], far[l − 1]]`.
+    far: [&'a [f64]; 2],
+    local_parent: &'a [f64],
+}
+
+/// One level of the downward pass, for every instance of `fhs`: T2
+/// (interactive field) plus T3 (parent inner shift) into `local[l]`, which
+/// is zeroed first. Each slab is walked in sub-panels of one parent row
+/// ([`PANEL_MIN_PARENTS`]); per (sub-panel, octant, offset) the source
+/// geometry — offset application, domain bounds, the all-rows-invalid
+/// skip — is computed once and every instance's rows go through one GEMM.
+/// Public for the SPMD backend's rank-0 embed region, like
+/// [`upward_level`].
 pub fn downward_level(
-    fh: &mut FieldHierarchy,
+    fhs: &mut [FieldHierarchy],
     ts: &TranslationSet,
     plan: &TraversalPlan,
     supernodes: bool,
@@ -623,285 +322,131 @@ pub fn downward_level(
     parallel: bool,
     l: u32,
 ) -> TraversalFlops {
-    downward_level_impl(fh, ts, plan, supernodes, agg, parallel, l, None)
-}
+    let r = fhs.len();
+    let k = fhs[0].k;
+    let n_boxes = fhs[0].hierarchy.boxes_at_level(l);
+    let oct_lists = resolve_offset_lists(ts, plan, supernodes);
+    let l_parent = l - 1;
+    let lvl = plan.level(l_parent);
+    let slabs = &lvl.slabs;
+    let parent_plane = slabs[0].1 - slabs[0].0;
+    let child_chunk = parent_plane * 8 * k; // children of one parent plane
+    let n_par = 1usize << l_parent; // parent-level axis length
+    let apply_t3 = l >= 3; // local field is zero above level 2
 
-/// [`downward_level`] fused with a per-slab consumer: once a slab's
-/// children hold their complete inner samples (T3 + all T2 octants), the
-/// sink runs on `(c0, c1, chunk)` — the slab's first child box, one past
-/// its last, and its chunk of `local[l]` — while the samples are still
-/// cache-resident. The driver uses this at the leaf level to fuse the
-/// final downward sweep with particle evaluation. Bitwise identical to
-/// [`downward_level`] followed by a separate pass over `local[l]`.
-#[allow(clippy::too_many_arguments)]
-pub fn downward_level_fused(
-    fh: &mut FieldHierarchy,
-    ts: &TranslationSet,
-    plan: &TraversalPlan,
-    supernodes: bool,
-    agg: Aggregation,
-    parallel: bool,
-    l: u32,
-    sink: EvalSink,
-) -> TraversalFlops {
-    downward_level_impl(fh, ts, plan, supernodes, agg, parallel, l, Some(sink))
-}
+    let mut sources: Vec<DownwardSources> = Vec::with_capacity(r);
+    let mut outs: Vec<Vec<&mut [f64]>> = slabs.iter().map(|_| Vec::with_capacity(r)).collect();
+    for fh in fhs.iter_mut() {
+        let (lo, hi) = fh.local.split_at_mut(l as usize);
+        hi[0].fill(0.0);
+        sources.push(DownwardSources {
+            far: [&fh.far[l as usize], &fh.far[l_parent as usize]],
+            local_parent: &lo[l_parent as usize],
+        });
+        for (slot, chunk) in outs.iter_mut().zip(hi[0].chunks_mut(child_chunk)) {
+            slot.push(chunk);
+        }
+    }
 
-#[allow(clippy::too_many_arguments)]
-fn downward_level_impl(
-    fh: &mut FieldHierarchy,
-    ts: &TranslationSet,
-    plan: &TraversalPlan,
-    supernodes: bool,
-    agg: Aggregation,
-    parallel: bool,
-    l: u32,
-    sink: Option<EvalSink>,
-) -> TraversalFlops {
-    let k = fh.k;
-    let mut flops = TraversalFlops::default();
-
-    // Resolve every translation matrix reference once, up front.
-    let oct_mats = resolve_octant_matrices(ts, plan, supernodes);
-
-    {
-        let n_boxes = fh.hierarchy.boxes_at_level(l);
-        let l_parent = l - 1;
-        let lvl = plan.level(l_parent);
-        let (local_lo, local_hi) = fh.local.split_at_mut(l as usize);
-        let local_parent: &[f64] = &local_lo[l_parent as usize];
-        let local_cur = &mut local_hi[0];
-        local_cur.iter_mut().for_each(|x| *x = 0.0);
-        let far_cur: &[f64] = &fh.far[l as usize];
-        let far_parent: &[f64] = &fh.far[l_parent as usize];
-        let slabs = &lvl.slabs;
-        let parent_plane = slabs[0].1 - slabs[0].0;
-        let child_chunk = parent_plane * 8 * k; // children of one parent plane
-
-        let apply_t3 = l >= 3; // local field is zero above level 2
-
-        // Sub-slab width when a sink consumes finished children: one
-        // parent row (8 parents, 64 children) keeps the panels and the
-        // consumed chunk cache-resident between production and
-        // consumption — a whole slab's T2 streams far more than any
-        // cache level holds, which made slab-granular fusion a net
-        // loss. Without a sink the whole slab runs as one panel
-        // (larger GEMMs, nothing downstream to keep warm).
-        const SINK_SUB_PARENTS: usize = 8;
-
-        let do_panel = |s0: usize,
-                        s1: usize,
-                        p0: usize,
-                        out: &mut [f64],
-                        src_panel: &mut [f64],
-                        acc_panel: &mut [f64]| {
+    for_each_slab(slabs, &mut outs, parallel, |(&(p0, p1), out)| {
+        let step = n_par.max(PANEL_MIN_PARENTS).min(p1 - p0);
+        let mut src_panel = vec![0.0; r * step * k];
+        let mut acc_panel = vec![0.0; r * step * k];
+        // Source box of each row under the current offset.
+        const OUTSIDE: usize = usize::MAX;
+        let mut src_idx = vec![OUTSIDE; step];
+        // Target box of each row on the current list's source level.
+        let mut targets = vec![([0i32; 3], 0isize); step];
+        for s0 in (p0..p1).step_by(step) {
+            let s1 = (s0 + step).min(p1);
             let np = s1 - s0;
-            let dst_base = p0 * 8; // first child box index of the slab
-            for (oct, mats) in oct_mats.iter().enumerate() {
-                acc_panel.iter_mut().for_each(|x| *x = 0.0);
+            let src_panel = &mut src_panel[..r * np * k];
+            let acc_panel = &mut acc_panel[..r * np * k];
+            let src_idx = &mut src_idx[..np];
+            let targets = &mut targets[..np];
+            for (oct, lists) in oct_lists.iter().enumerate() {
+                acc_panel.fill(0.0);
 
                 // ---- T3: parent inner → child inner -------------------
                 if apply_t3 {
-                    match agg {
-                        Aggregation::Gemm | Aggregation::MultiGemm => {
-                            gemm_acc_with(
-                                plan.kernel,
-                                np,
-                                k,
-                                k,
-                                &local_parent[s0 * k..s1 * k],
-                                ts.t3t[oct].as_slice(),
-                                acc_panel,
-                            );
-                        }
-                        Aggregation::Gemv => {
-                            for row in 0..np {
-                                let g = &local_parent[(s0 + row) * k..(s0 + row + 1) * k];
-                                let t = &ts.t3t[oct];
-                                let dst = &mut acc_panel[row * k..(row + 1) * k];
-                                for (i, &gi) in g.iter().enumerate() {
-                                    for (dj, tj) in dst.iter_mut().zip(t.row(i)) {
-                                        *dj += gi * tj;
-                                    }
-                                }
-                            }
-                        }
+                    for (src, panel) in sources.iter().zip(src_panel.chunks_mut(np * k)) {
+                        panel.copy_from_slice(&src.local_parent[s0 * k..s1 * k]);
                     }
+                    let t3 = &ts.t3t[oct];
+                    translate_acc(agg, plan.kernel, r * np, k, src_panel, t3, acc_panel);
                 }
 
                 // ---- T2: interactive field ----------------------------
                 // Targets: the octant-`oct` children of parents s0..s1, in
                 // parent order (rows of the panels); their coordinates come
                 // straight from the plan's child map.
-                let n_axis = 1i64 << l;
-                let coords = &lvl.children[oct].coord;
-
-                let mut run_offset_list =
-                    |offsets: &[[i32; 3]],
-                     matrices: &[&Matrix],
-                     source: &[f64],
-                     src_axis: i64,
-                     to_src: &dyn Fn([i32; 3], [i32; 3]) -> [i64; 3]| {
-                        for (&off, &m) in offsets.iter().zip(matrices) {
-                            // Gather sources; out-of-domain sources are zero.
-                            let mut any = false;
-                            for row in 0..np {
-                                let s = to_src(coords[s0 + row], off);
-                                let dst = &mut src_panel[row * k..(row + 1) * k];
-                                if s[0] >= 0
-                                    && s[1] >= 0
-                                    && s[2] >= 0
-                                    && s[0] < src_axis
-                                    && s[1] < src_axis
-                                    && s[2] < src_axis
-                                {
-                                    let si = ((s[2] * src_axis + s[1]) * src_axis + s[0]) as usize;
-                                    dst.copy_from_slice(&source[si * k..(si + 1) * k]);
-                                    any = true;
+                let coords = &lvl.children[oct].coord[s0..s1];
+                for list in lists {
+                    let bits = l - list.shift; // log2 of the source level's axis
+                    let axis = 1u32 << bits;
+                    let lin = |c: [i32; 3]| {
+                        ((c[2] as isize) << (2 * bits)) + ((c[1] as isize) << bits) + c[0] as isize
+                    };
+                    // Each row's target box on the source level, with its
+                    // linear index: an offset then only adds a constant.
+                    for (target, t) in targets.iter_mut().zip(coords) {
+                        let c = t.map(|x| x >> list.shift);
+                        *target = (c, lin(c));
+                    }
+                    for (&off, &m) in list.offsets.iter().zip(&list.matrices) {
+                        // A row's source box depends only on the plan, so
+                        // it is located once for all instances.
+                        let delta = lin(off);
+                        let mut any = false;
+                        for (si, &(c, base)) in src_idx.iter_mut().zip(targets.iter()) {
+                            // One unsigned compare per axis covers both ends.
+                            *si = if (0..3).all(|d| ((c[d] + off[d]) as u32) < axis) {
+                                any = true;
+                                (base + delta) as usize
+                            } else {
+                                OUTSIDE
+                            };
+                        }
+                        if !any {
+                            continue;
+                        }
+                        // Gather sources; out-of-domain sources are zero.
+                        for (src, panel) in sources.iter().zip(src_panel.chunks_mut(np * k)) {
+                            let far = src.far[list.shift as usize];
+                            for (dst, &si) in panel.chunks_mut(k).zip(src_idx.iter()) {
+                                if si == OUTSIDE {
+                                    dst.fill(0.0);
                                 } else {
-                                    dst.iter_mut().for_each(|x| *x = 0.0);
-                                }
-                            }
-                            if !any {
-                                continue;
-                            }
-                            match agg {
-                                Aggregation::Gemm | Aggregation::MultiGemm => {
-                                    gemm_acc_with(
-                                        plan.kernel,
-                                        np,
-                                        k,
-                                        k,
-                                        src_panel,
-                                        m.as_slice(),
-                                        acc_panel,
-                                    );
-                                }
-                                Aggregation::Gemv => {
-                                    for row in 0..np {
-                                        let g = &src_panel[row * k..(row + 1) * k];
-                                        let dst = &mut acc_panel[row * k..(row + 1) * k];
-                                        for (i, &gi) in g.iter().enumerate() {
-                                            if gi == 0.0 {
-                                                continue;
-                                            }
-                                            for (dj, tj) in dst.iter_mut().zip(m.row(i)) {
-                                                *dj += gi * tj;
-                                            }
-                                        }
-                                    }
+                                    dst.copy_from_slice(&far[si * k..(si + 1) * k]);
                                 }
                             }
                         }
-                    };
-
-                let same_level = |t: [i32; 3], off: [i32; 3]| -> [i64; 3] {
-                    [
-                        (t[0] + off[0]) as i64,
-                        (t[1] + off[1]) as i64,
-                        (t[2] + off[2]) as i64,
-                    ]
-                };
-                let op = &plan.octants[oct];
-                if supernodes {
-                    // Parent-level supernode sources.
-                    let parent_axis = 1i64 << l_parent;
-                    run_offset_list(
-                        &op.sn_parent_offsets,
-                        &mats.sn_parent,
-                        far_parent,
-                        parent_axis,
-                        &|t, off| {
-                            [
-                                ((t[0] >> 1) + off[0]) as i64,
-                                ((t[1] >> 1) + off[1]) as i64,
-                                ((t[2] >> 1) + off[2]) as i64,
-                            ]
-                        },
-                    );
-                    // Leftover child-level sources.
-                    run_offset_list(
-                        &op.sn_child_offsets,
-                        &mats.sn_child,
-                        far_cur,
-                        n_axis,
-                        &same_level,
-                    );
-                } else {
-                    run_offset_list(&op.offsets, &mats.plain, far_cur, n_axis, &same_level);
-                }
-
-                // Scatter the accumulated panel into the children.
-                scatter_add_children(out, dst_base, &lvl.children[oct].idx, s0, s1, k, acc_panel);
-            }
-        };
-
-        let n_par = 1usize << (l_parent); // parent-level axis length
-        let do_slab = |(slab, out): (&(usize, usize), &mut [f64])| {
-            let (p0, p1) = *slab;
-            // A sub-slab must be whole parent rows so its children form
-            // contiguous child-index segments (one per child z-half).
-            let step = if sink.is_some() {
-                n_par.max(SINK_SUB_PARENTS).min(p1 - p0)
-            } else {
-                p1 - p0
-            };
-            let mut src_panel = vec![0.0; step * k];
-            let mut acc_panel = vec![0.0; step * k];
-            let cax = 2 * n_par; // child-level axis length
-            let mut s0 = p0;
-            while s0 < p1 {
-                let s1 = (s0 + step).min(p1);
-                do_panel(
-                    s0,
-                    s1,
-                    p0,
-                    &mut *out,
-                    &mut src_panel[..(s1 - s0) * k],
-                    &mut acc_panel[..(s1 - s0) * k],
-                );
-                // The sub-slab's children are now final — consume them
-                // while the chunk is still hot. Parent rows [r0, r1) of
-                // plane z_p own child rows [2r0, 2r1) in each of the two
-                // child planes 2z_p and 2z_p + 1.
-                if let Some(s) = sink {
-                    let z_p = p0 / (n_par * n_par);
-                    let r0 = (s0 - p0) / n_par;
-                    let r1 = (s1 - p0) / n_par;
-                    for h in 0..2 {
-                        let c0 = ((2 * z_p + h) * cax + 2 * r0) * cax;
-                        let c1 = ((2 * z_p + h) * cax + 2 * r1) * cax;
-                        s(c0, c1, &out[(c0 - p0 * 8) * k..(c1 - p0 * 8) * k]);
+                        translate_acc(agg, plan.kernel, r * np, k, src_panel, m, acc_panel);
                     }
                 }
-                s0 = s1;
-            }
-        };
 
-        if parallel {
-            slabs
-                .par_iter()
-                .zip(local_cur.par_chunks_mut(child_chunk))
-                .for_each(do_slab);
-        } else {
-            for (slab, out) in slabs.iter().zip(local_cur.chunks_mut(child_chunk)) {
-                do_slab((slab, out));
+                // Scatter the accumulated panel into each instance's children.
+                let cidx = &lvl.children[oct].idx;
+                for (o, panel) in out.iter_mut().zip(acc_panel.chunks(np * k)) {
+                    scatter_add_children(o, p0 * 8, cidx, s0, s1, k, panel);
+                }
             }
         }
+    });
 
-        // Flop accounting (interior-box counts; boundary boxes do less).
-        let per_box_t2 = if supernodes {
-            plan.octants[0].sn_translation_count as u64
-        } else {
-            plan.octants[0].offsets.len() as u64
-        };
-        flops.t2 += per_box_t2 * gemm_flops(n_boxes, k, k);
-        if apply_t3 {
-            flops.t3 += gemm_flops(n_boxes, k, k);
-        }
-        flops.copied += (n_boxes * k) as u64 * (per_box_t2 + 2);
+    // Flop accounting (interior-box counts; boundary boxes do less).
+    let per_box_t2 = if supernodes {
+        plan.octants[0].sn_translation_count as u64
+    } else {
+        plan.octants[0].offsets.len() as u64
+    };
+    let level_gemm = gemm_flops(n_boxes, k, k) * r as u64;
+    TraversalFlops {
+        t1: 0,
+        t2: per_box_t2 * level_gemm,
+        t3: if apply_t3 { level_gemm } else { 0 },
+        copied: (n_boxes * k * r) as u64 * (per_box_t2 + 2),
     }
-    flops
 }
 
 #[cfg(test)]
@@ -937,20 +482,6 @@ mod tests {
         upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
         upward_pass(&mut b, &ts, &plan, Aggregation::Gemm, true);
         for l in 2..=4usize {
-            for (x, y) in a.far[l].iter().zip(&b.far[l]) {
-                assert!((x - y).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
-    fn upward_multigemm_matches_gemm() {
-        let (mut a, ts, plan) = small_setup(4);
-        fill_pseudo(&mut a);
-        let mut b = a.clone();
-        upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
-        upward_pass(&mut b, &ts, &plan, Aggregation::MultiGemm, false);
-        for l in 1..=4usize {
             for (x, y) in a.far[l].iter().zip(&b.far[l]) {
                 assert!((x - y).abs() < 1e-12);
             }
@@ -1026,62 +557,41 @@ mod tests {
     }
 
     #[test]
-    fn fused_p2o_upward_is_bitwise_identical() {
-        let (mut plain, ts, plan) = small_setup(4);
-        fill_pseudo(&mut plain);
-        let leaf = plain.far[4].clone();
-        upward_level(&mut plain, &ts, &plan, 3, Aggregation::Gemm, false);
-
-        for parallel in [false, true] {
-            let (mut fused, _, _) = small_setup(4);
-            let k = fused.k;
-            let fill = |c0: usize, c1: usize, kids: &mut [f64]| {
-                kids.copy_from_slice(&leaf[c0 * k..c1 * k]);
-            };
-            let f = fused_p2o_upward_leaf(&mut fused, &ts, &plan, parallel, &fill);
-            assert!(f.t1 > 0);
-            for (x, y) in plain.far[4].iter().zip(&fused.far[4]) {
-                assert_eq!(x.to_bits(), y.to_bits());
+    fn instances_share_panels_without_changing_bits() {
+        // Three instances through the one body, sequential and with
+        // parallel slabs, against each instance swept alone.
+        for supernodes in [false, true] {
+            let mut solo = Vec::new();
+            for seed in 0..3u64 {
+                let (mut fh, ts, plan) = small_setup(4);
+                fill_pseudo(&mut fh);
+                fh.far[4].iter_mut().for_each(|v| *v *= 1.0 + seed as f64);
+                let pristine = fh.clone();
+                upward_pass(&mut fh, &ts, &plan, Aggregation::Gemm, false);
+                downward_pass(&mut fh, &ts, &plan, supernodes, Aggregation::Gemm, false);
+                solo.push((pristine, fh));
             }
-            for (x, y) in plain.far[3].iter().zip(&fused.far[3]) {
-                assert_eq!(x.to_bits(), y.to_bits());
+            let (_, ts, plan) = small_setup(4);
+            for parallel in [false, true] {
+                let mut fhs: Vec<FieldHierarchy> = solo.iter().map(|(p, _)| p.clone()).collect();
+                for l in (1..4).rev() {
+                    upward_level(&mut fhs, &ts, &plan, l, Aggregation::Gemm, parallel);
+                }
+                for l in 2..=4 {
+                    let agg = Aggregation::Gemm;
+                    downward_level(&mut fhs, &ts, &plan, supernodes, agg, parallel, l);
+                }
+                for (got, (_, want)) in fhs.iter().zip(&solo) {
+                    for l in 1..=4usize {
+                        for (x, y) in got.far[l].iter().zip(&want.far[l]) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "far[{l}]");
+                        }
+                        for (x, y) in got.local[l].iter().zip(&want.local[l]) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "local[{l}]");
+                        }
+                    }
+                }
             }
-        }
-    }
-
-    #[test]
-    fn downward_fused_sink_is_bitwise_identical() {
-        let (mut plain, ts, plan) = small_setup(3);
-        fill_pseudo(&mut plain);
-        upward_pass(&mut plain, &ts, &plan, Aggregation::Gemm, false);
-        let mut fused = plain.clone();
-        downward_pass(&mut plain, &ts, &plan, false, Aggregation::Gemm, false);
-
-        // Run levels 2..depth plain, then the leaf level fused; the sink
-        // reassembles local[3] from the per-slab chunks it is handed.
-        downward_level(&mut fused, &ts, &plan, false, Aggregation::Gemm, false, 2);
-        let n_leaf = 1usize << (3 * 3);
-        let k = fused.k;
-        let collected = std::sync::Mutex::new(vec![0.0f64; n_leaf * k]);
-        let sink = |c0: usize, c1: usize, chunk: &[f64]| {
-            collected.lock().unwrap()[c0 * k..c1 * k].copy_from_slice(chunk);
-        };
-        downward_level_fused(
-            &mut fused,
-            &ts,
-            &plan,
-            false,
-            Aggregation::Gemm,
-            true,
-            3,
-            &sink,
-        );
-        let collected = collected.into_inner().unwrap();
-        for (x, y) in plain.local[3].iter().zip(&fused.local[3]) {
-            assert_eq!(x.to_bits(), y.to_bits());
-        }
-        for (x, y) in fused.local[3].iter().zip(&collected) {
-            assert_eq!(x.to_bits(), y.to_bits(), "sink saw a stale chunk");
         }
     }
 

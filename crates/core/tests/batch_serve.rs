@@ -4,7 +4,8 @@
 //! once under concurrent hammering while enforcing its LRU bound.
 
 use fmm_core::{
-    BatchRequest, Executor, Fmm, FmmConfig, PlanKey, PlanRegistry, Precision, Separation,
+    BatchRequest, Domain, Executor, Fmm, FmmConfig, FmmError, PlanKey, PlanRegistry, Precision,
+    Separation,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -77,13 +78,23 @@ fn batched_evaluation_is_bitwise_identical_to_solo() {
     }
 }
 
-/// The batched path composes with the other configuration axes the serve
-/// shape key discriminates on: supernodes off and mixed precision.
+/// One pipeline: `evaluate*` ≡ `evaluate_batch*` of `[r]` ≡ slot *i* of a
+/// three-request batch, bitwise, potentials and forces, along the
+/// configuration axes the serve shape key discriminates on — supernodes
+/// on and off, f64 and mixed precision — and on the scalar sequential
+/// executor.
 #[test]
-fn batched_evaluation_matches_solo_across_config_axes() {
+fn solo_batch_of_one_and_batch_slot_agree_bitwise() {
+    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+    let field_bits = |v: &[[f64; 3]]| bits(&v.iter().flatten().copied().collect::<Vec<_>>());
     for cfg in [
         FmmConfig::order(3).depth(2).supernodes(false),
+        FmmConfig::order(3).depth(3).supernodes(true),
         FmmConfig::order(3).depth(2).precision(Precision::Mixed),
+        FmmConfig::order(3)
+            .depth(3)
+            .precision(Precision::Mixed)
+            .supernodes(true),
         FmmConfig::order(3)
             .depth(3)
             .kernel(fmm_core::Kernel::Scalar)
@@ -91,7 +102,7 @@ fn batched_evaluation_matches_solo_across_config_axes() {
     ] {
         let fmm = Fmm::new(cfg).unwrap();
         let systems: Vec<(Vec<[f64; 3]>, Vec<f64>)> =
-            (0..4).map(|i| system(96, 40 + i as u64)).collect();
+            (0..3).map(|i| system(96 + 8 * i, 40 + i as u64)).collect();
         let requests: Vec<BatchRequest> = systems
             .iter()
             .map(|(p, q)| BatchRequest {
@@ -100,30 +111,26 @@ fn batched_evaluation_matches_solo_across_config_axes() {
             })
             .collect();
         let batch = fmm.evaluate_batch(&requests).unwrap();
+        let batch_f = fmm.evaluate_batch_forces(&requests).unwrap();
         for (i, (p, q)) in systems.iter().enumerate() {
             let solo = fmm.evaluate(p, q).unwrap();
-            for (a, b) in batch.potentials_of(i).iter().zip(&solo.potentials) {
-                assert_eq!(a.to_bits(), b.to_bits(), "request {i}");
-            }
-        }
-    }
-}
+            let one = fmm.evaluate_batch(&requests[i..=i]).unwrap();
+            assert_eq!(one.len(), 1);
+            assert_eq!(bits(&one.potentials), bits(&solo.potentials), "[r] {i}");
+            assert_eq!(
+                bits(batch.potentials_of(i)),
+                bits(&solo.potentials),
+                "slot {i}"
+            );
 
-/// A batch of one is the degenerate case the batcher falls back to when
-/// the window closes empty; it must behave exactly like `evaluate`.
-#[test]
-fn batch_of_one_matches_solo() {
-    let fmm = Fmm::new(FmmConfig::order(4).depth(2)).unwrap();
-    let (p, q) = system(200, 7);
-    let batch = fmm
-        .evaluate_batch(&[BatchRequest {
-            positions: &p,
-            charges: &q,
-        }])
-        .unwrap();
-    let solo = fmm.evaluate(&p, &q).unwrap();
-    for (a, b) in batch.potentials.iter().zip(&solo.potentials) {
-        assert_eq!(a.to_bits(), b.to_bits());
+            let solo_f = fmm.evaluate_forces(p, q).unwrap();
+            let one_f = fmm.evaluate_batch_forces(&requests[i..=i]).unwrap();
+            let want = field_bits(solo_f.fields.as_ref().unwrap());
+            assert_eq!(bits(&one_f.potentials), bits(&solo_f.potentials));
+            assert_eq!(field_bits(one_f.fields_of(0).unwrap()), want, "[r] {i}");
+            assert_eq!(bits(batch_f.potentials_of(i)), bits(&solo_f.potentials));
+            assert_eq!(field_bits(batch_f.fields_of(i).unwrap()), want, "slot {i}");
+        }
     }
 }
 
@@ -138,6 +145,52 @@ fn batch_rejects_malformed_requests() {
             charges: &q[..16],
         }])
         .is_err());
+}
+
+/// Non-finite input is rejected by name — request and index — on every
+/// entry point, solo and as request 2 of 3, instead of coming back as NaN
+/// potentials.
+#[test]
+fn non_finite_input_is_rejected_by_name() {
+    let fmm = Fmm::new(FmmConfig::order(3).depth(2)).unwrap();
+    let (p, q) = system(48, 3);
+    let message = |r: Result<(), FmmError>| match r {
+        Err(FmmError::BadInput(m)) => m,
+        other => panic!("expected BadInput, got {other:?}"),
+    };
+    for bad in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+        let mut bad_p = p.clone();
+        bad_p[17][1] = bad;
+        let mut bad_q = q.clone();
+        bad_q[5] = bad;
+        for (pp, qq, what) in [(&bad_p, &q, "position 17"), (&p, &bad_q, "charge 5")] {
+            let solo = [
+                fmm.evaluate(pp, qq).map(drop),
+                fmm.evaluate_forces(pp, qq).map(drop),
+                fmm.evaluate_in(pp, qq, Domain::unit()).map(drop),
+                fmm.evaluate_at(&p[..4], pp, qq).map(drop),
+            ];
+            for r in solo {
+                let m = message(r);
+                assert!(m.contains(what), "{m}");
+            }
+            let good = BatchRequest {
+                positions: &p,
+                charges: &q,
+            };
+            let second = BatchRequest {
+                positions: pp,
+                charges: qq,
+            };
+            let m = message(fmm.evaluate_batch(&[good, second, good]).map(drop));
+            assert!(m.contains("request 1") && m.contains(what), "{m}");
+            let m = message(fmm.evaluate_batch_forces(&[good, second, good]).map(drop));
+            assert!(m.contains("request 1") && m.contains(what), "{m}");
+        }
+    }
+    let target = [[0.5, f64::NAN, 0.5]];
+    let m = message(fmm.evaluate_at(&target, &p, &q).map(drop));
+    assert!(m.contains("target 0"), "{m}");
 }
 
 /// N threads hammer a shared registry with a mix of keys: every distinct

@@ -5,10 +5,9 @@
 //! and aggregates independent translations into (multiple-instance)
 //! matrix–matrix products executed by the Connection Machine Scientific
 //! Software Library (CMSSL). This crate is the stand-in for that substrate:
-//! a small, allocation-conscious dense linear algebra kernel set —
-//! GEMV, GEMM, batched ("multiple instance") GEMM — together with flop
-//! accounting so the benchmark harness can report *arithmetic efficiency*
-//! the way the paper's Table 3 does.
+//! a small, allocation-conscious dense linear algebra kernel set — GEMV
+//! and GEMM — together with flop accounting so the benchmark harness can
+//! report *arithmetic efficiency* the way the paper's Table 3 does.
 //!
 //! Matrices are row-major `f64`. The kernels are written so that the
 //! compiler can vectorize the inner loops (contiguous unit-stride access on
@@ -21,7 +20,6 @@ pub(crate) mod avx512;
 pub mod gemm;
 pub mod kernel;
 pub mod matrix;
-pub mod multi;
 #[cfg(target_arch = "aarch64")]
 pub(crate) mod neon;
 pub mod pairwise;
@@ -30,7 +28,6 @@ pub mod perm;
 pub use gemm::{gemm_acc, gemm_naive, gemv, gemv_acc};
 pub use kernel::{gemm_acc_scalar, gemm_acc_with, gemv_with, Kernel};
 pub use matrix::Matrix;
-pub use multi::{multi_gemm_acc, multi_gemm_acc_with, MultiGemmPlan};
 pub use perm::Permutation;
 
 /// Number of floating point operations for an `m×k` by `k×n` matrix product

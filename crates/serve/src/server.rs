@@ -232,17 +232,15 @@ fn evaluate(
 ) -> Result<protocol::EvalResponse, String> {
     let m = &engine.metrics;
     Metrics::inc(&m.requests_total);
-    if req.positions.len() != req.charges.len() {
+    // Refuse bad input at the door, before it can be coalesced with (and
+    // fail) other tenants' requests.
+    let checked = fmm_core::BatchRequest {
+        positions: &req.positions,
+        charges: &req.charges,
+    };
+    if let Err(e) = checked.validate() {
         Metrics::inc(&m.errors_total);
-        return Err(format!(
-            "{} positions vs {} charges",
-            req.positions.len(),
-            req.charges.len()
-        ));
-    }
-    if req.positions.is_empty() {
-        Metrics::inc(&m.errors_total);
-        return Err("no particles".into());
+        return Err(e);
     }
     let rx = match batcher.submit(req) {
         Ok(rx) => rx,

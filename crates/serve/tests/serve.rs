@@ -171,6 +171,69 @@ fn json_front_door_round_trips() {
     server.join();
 }
 
+/// A non-finite value is rejected at the binary door with an error frame
+/// that names it — not answered with NaN potentials — and the connection
+/// pool keeps serving.
+#[test]
+fn binary_door_rejects_non_finite_input() {
+    let server = start(1, 64);
+    let addr = server.local_addr().to_string();
+    let (pts, q) = system(40, 11);
+    for (bad_position, bad_charge) in [(f64::NAN, 1.0), (0.5, f64::NEG_INFINITY)] {
+        let mut positions = pts.clone();
+        positions[7][2] = bad_position;
+        let mut charges = q.clone();
+        charges[3] *= bad_charge;
+        let err = binary_evaluate(
+            &addr,
+            &EvalRequest {
+                shape: shape(),
+                positions,
+                charges,
+            },
+        )
+        .expect_err("non-finite input must not be evaluated");
+        let what = if bad_position.is_nan() {
+            "position 7"
+        } else {
+            "charge 3"
+        };
+        assert!(err.contains(what) && err.contains("not finite"), "{err}");
+    }
+    let good = EvalRequest {
+        shape: shape(),
+        positions: pts,
+        charges: q,
+    };
+    let resp = binary_evaluate(&addr, &good).unwrap();
+    assert!(resp.potentials.iter().all(|p| p.is_finite()));
+    server.shutdown();
+    server.join();
+}
+
+/// The JSON door answers a non-finite value (an overflowing literal is the
+/// one JSON can carry) with HTTP 400 and the same complaint.
+#[test]
+fn json_door_rejects_non_finite_input() {
+    let server = start(1, 64);
+    let addr = server.local_addr().to_string();
+    let body =
+        "{\"order\":3,\"depth\":2,\"positions\":[0.1,0.2,0.3,0.4,1e999,0.6],\"charges\":[1,1]}";
+    let raw = format!(
+        "POST /evaluate HTTP/1.1\r\nHost: t\r\nContent-Length: {}\r\n\r\n{}",
+        body.len(),
+        body
+    );
+    let (status, resp) = http_roundtrip(&addr, &raw);
+    assert!(status.contains("400"), "{status}: {resp}");
+    assert!(
+        resp.contains("position 1") && resp.contains("not finite"),
+        "{resp}"
+    );
+    server.shutdown();
+    server.join();
+}
+
 #[test]
 fn concurrent_same_shape_requests_coalesce() {
     // A generous window so concurrent clients land in one batch.

@@ -187,7 +187,6 @@ pub(crate) struct JobSpec {
     pub sep_d: u32,
     pub depth: u32,
     pub softening: f64,
-    pub fused: bool,
     pub kernel: String,
     pub cost_weighted: bool,
     pub with_fields: bool,
@@ -209,7 +208,6 @@ impl JobSpec {
         put_u32(&mut b, self.sep_d);
         put_u32(&mut b, self.depth);
         put_f64(&mut b, self.softening);
-        put_u32(&mut b, u32::from(self.fused));
         put_str(&mut b, &self.kernel);
         put_u32(&mut b, u32::from(self.cost_weighted));
         put_u32(&mut b, u32::from(self.with_fields));
@@ -243,7 +241,6 @@ impl JobSpec {
         let sep_d = d.u32()?;
         let depth = d.u32()?;
         let softening = d.f64()?;
-        let fused = d.u32()? != 0;
         let kernel = d.str()?;
         let cost_weighted = d.u32()? != 0;
         let with_fields = d.u32()? != 0;
@@ -268,7 +265,6 @@ impl JobSpec {
             sep_d,
             depth,
             softening,
-            fused,
             kernel,
             cost_weighted,
             with_fields,
@@ -298,7 +294,6 @@ impl JobSpec {
         };
         cfg.depth = DepthPolicy::Fixed(self.depth);
         cfg.softening = self.softening;
-        cfg.fused = self.fused;
         cfg.kernel = Some(kernel);
         cfg.executor = Executor::spmd(self.workers as usize);
         cfg.balance = if self.cost_weighted {
@@ -639,7 +634,6 @@ pub fn evaluate_distributed(
             sep_d: cfg.separation.d() as u32,
             depth,
             softening: cfg.softening,
-            fused: cfg.fused,
             kernel: cfg.resolve_kernel().name().to_string(),
             cost_weighted: balance == Balance::CostWeighted,
             with_fields: lc.with_fields,
@@ -876,7 +870,6 @@ mod tests {
             sep_d: 2,
             depth: 3,
             softening: 0.0,
-            fused: true,
             kernel: "scalar".into(),
             cost_weighted: true,
             with_fields: true,
@@ -892,7 +885,7 @@ mod tests {
         assert_eq!(out.positions, job.positions);
         assert_eq!(out.charges, job.charges);
         assert_eq!(out.peers, job.peers);
-        assert!(out.cost_weighted && out.with_fields && out.fused);
+        assert!(out.cost_weighted && out.with_fields);
         let cfg = out.config().unwrap();
         assert_eq!(cfg.m_trunc, 5);
         assert_eq!(cfg.balance, Balance::CostWeighted);
@@ -908,7 +901,6 @@ mod tests {
             sep_d: 2,
             depth: 3,
             softening: 0.0,
-            fused: true,
             kernel: "scalar".into(),
             cost_weighted: false,
             with_fields: false,

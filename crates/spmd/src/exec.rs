@@ -117,10 +117,13 @@ pub(crate) struct WorkerOut {
     pub times: [Duration; 6],
 }
 
-/// Does the serial slab of level `l` have any in-domain T2 source at this
-/// (octant parity `o`, offset `off`) along one of x/y? The serial panel
-/// spans every parent of the plane, so the question is whether any parent
-/// coordinate `q ∈ [0, 2^(l−1))` puts `2q + o + off` inside `[0, 2^l)`.
+/// Does a whole parent plane of level `l` have any in-domain T2 source at
+/// this (octant parity `o`, offset `off`) along one of x/y — i.e. does any
+/// parent coordinate `q ∈ [0, 2^(l−1))` put `2q + o + off` inside
+/// `[0, 2^l)`? Where it has none, no serial panel multiplies this offset,
+/// so the worker skips it too. (The serial sweep's row-blocked panels skip
+/// somewhat more; the zero-row multiplies kept here add ±0 to an
+/// accumulator that started at +0, which leaves its bits alone.)
 #[inline]
 fn axis_has_source(l: u32, o: i64, off: i64) -> bool {
     let n = 1i64 << l;
@@ -337,7 +340,8 @@ pub(crate) fn worker_main(mut ctx: WorkerCtx, sh: &Shared<'_>) -> WorkerOut {
                     gather_level_to_root(&mut ctx, &mut fh.far[(l + 1) as usize], l + 1, k);
                 }
                 if rank == 0 {
-                    let fl = upward_level(&mut fh, ts, sh.plan, l, Aggregation::Gemm, false);
+                    let one = std::slice::from_mut(&mut fh);
+                    let fl = upward_level(one, ts, sh.plan, l, Aggregation::Gemm, false);
                     ctx.counters.add_local_words(fl.copied);
                     tflops += fl.t1;
                 }
@@ -359,7 +363,8 @@ pub(crate) fn worker_main(mut ctx: WorkerCtx, sh: &Shared<'_>) -> WorkerOut {
         if !sh.program.has_box_halo(l) {
             // Multigrid-embedded level: rank 0 computes it serially.
             if rank == 0 {
-                let fl = downward_level(&mut fh, ts, sh.plan, false, Aggregation::Gemm, false, l);
+                let one = std::slice::from_mut(&mut fh);
+                let fl = downward_level(one, ts, sh.plan, false, Aggregation::Gemm, false, l);
                 ctx.counters.add_local_words(fl.copied);
                 tflops += fl.t2 + fl.t3;
             }

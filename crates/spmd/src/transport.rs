@@ -213,6 +213,7 @@ impl SocketTransport {
             writers,
             writer_joins,
             readers,
+            // det: taken by key only, never iterated (see the field).
             pending: HashMap::new(),
         })
     }

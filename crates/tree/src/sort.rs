@@ -125,10 +125,17 @@ impl Binning {
     /// Scatter a sorted-order array back to original particle order.
     pub fn scatter<T: Copy + Default>(&self, sorted: &[T]) -> Vec<T> {
         let mut out = vec![T::default(); sorted.len()];
+        self.scatter_into(sorted, &mut out);
+        out
+    }
+
+    /// [`Binning::scatter`] into a caller-provided slice of the same
+    /// length.
+    pub fn scatter_into<T: Copy>(&self, sorted: &[T], out: &mut [T]) {
+        assert_eq!(out.len(), sorted.len());
         for (s, &i) in self.perm.iter().enumerate() {
             out[i as usize] = sorted[s];
         }
-        out
     }
 }
 

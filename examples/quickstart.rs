@@ -75,6 +75,9 @@ fn main() {
             msgs
         );
     }
+    // Per-phase time, flops and rate. Every phase is timed around the code
+    // that does its flops, so the rates are true by construction: T2 cannot
+    // read above the host's GEMM peak.
     println!("{}", out.profile.table());
 
     // 4. Check against the O(N²) direct sum.
