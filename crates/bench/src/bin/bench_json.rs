@@ -235,7 +235,8 @@ fn bench_balance(seeded: bool) -> (String, Vec<BalanceCase>) {
                         .field(
                             "busy_imbalance",
                             format_args!("{:.4}", rep.busy_imbalance()),
-                        );
+                        )
+                        .field("wait_max_ms", ms(*rep.worker_wait_ns.iter().max().unwrap()));
                 }
                 o.finish()
             };

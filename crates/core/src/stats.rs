@@ -276,9 +276,13 @@ pub struct SpmdReport {
     /// Measured motion per phase, in [`SpmdReport::PHASE_NAMES`] order,
     /// merged over all ranks.
     pub phases: Counters,
-    /// Per-worker busy wall-clock (sum of its six phase timings), in
-    /// nanoseconds. The spread across workers is the load-balance signal.
+    /// Per-worker busy wall-clock, in nanoseconds: the sum of its six
+    /// phase timings minus [`SpmdReport::worker_wait_ns`]. The spread
+    /// across workers is the load-balance signal.
     pub worker_busy_ns: Vec<u64>,
+    /// Per-worker wall-clock spent blocked in fabric receives, in
+    /// nanoseconds, summed over the six phases.
+    pub worker_wait_ns: Vec<u64>,
     /// Per-worker arithmetic flops (P2O + traversal + eval + near field).
     /// Deterministic for a fixed input, unlike wall-clock.
     pub worker_flops: Vec<u64>,

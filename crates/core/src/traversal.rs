@@ -19,8 +19,15 @@
 //! is the `R = 1` case. The GEMM microkernels compute every output row
 //! with per-row accumulators and an identical k-loop order whatever the
 //! panel's row count, so neither the number of instances nor the panel
-//! width changes a bit of any row (the Serial/Rayon/SPMD bitwise suites,
-//! which compare one-row GEMMs against panels, pin this).
+//! height changes a bit of any row (`fmm-linalg`'s
+//! `gemm_rows_are_independent_of_panel_height` pins this).
+//!
+//! The target rows of a sweep are data, not loop bounds: a slab is a list
+//! of parent indices per octant. [`upward_level`] / [`downward_level`]
+//! pass the plan's slab ranges (every box of the level);
+//! [`upward_rows`] / [`downward_rows`] pass an arbitrary subset — the
+//! boxes one SPMD worker owns — through the same body, and write the same
+//! bits to those rows that the full-level sweep writes.
 //!
 //! All index structure — slab ranges, child gather/scatter lists, offset
 //! lists and resolved T2 matrix positions — comes from a precomputed
@@ -34,6 +41,7 @@ use crate::field::FieldHierarchy;
 use crate::plan::TraversalPlan;
 use crate::translations::TranslationSet;
 use fmm_linalg::{gemm_acc_with, gemm_flops, Kernel, Matrix};
+use fmm_tree::BoxCoord;
 use rayon::prelude::*;
 
 /// Flop counters from a traversal.
@@ -101,32 +109,27 @@ fn translate_acc(
     }
 }
 
-/// Gather the children `cidx[p0..p1]` (one octant of parents `p0..p1`) of
-/// a whole child level `src` into a `(p1-p0) × k` panel.
-fn gather_children(src: &[f64], cidx: &[u32], p0: usize, p1: usize, k: usize, panel: &mut [f64]) {
-    debug_assert_eq!(panel.len(), (p1 - p0) * k);
-    for (row, pi) in (p0..p1).enumerate() {
-        let ci = cidx[pi] as usize;
-        panel[row * k..(row + 1) * k].copy_from_slice(&src[ci * k..(ci + 1) * k]);
+/// Gather the k-sample rows `idx` of a whole level `src` into a panel.
+fn gather_rows(src: &[f64], idx: impl Iterator<Item = usize>, k: usize, panel: &mut [f64]) {
+    for (dst, i) in panel.chunks_mut(k).zip(idx) {
+        dst.copy_from_slice(&src[i * k..(i + 1) * k]);
     }
 }
 
-/// Scatter-add a `(p1-p0) × k` panel into the children `cidx[p0..p1]`,
-/// where `dst` is the slice of the child level starting at child box index
+/// Scatter-add a panel into the children `cidx[p]` of `parents`, where
+/// `dst` is the slice of the child level starting at child box index
 /// `dst_base`.
 fn scatter_add_children(
     dst: &mut [f64],
     dst_base: usize,
     cidx: &[u32],
-    p0: usize,
-    p1: usize,
+    parents: &[u32],
     k: usize,
     panel: &[f64],
 ) {
-    for (row, pi) in (p0..p1).enumerate() {
-        let ci = cidx[pi] as usize - dst_base;
-        let d = &mut dst[ci * k..(ci + 1) * k];
-        for (dj, sj) in d.iter_mut().zip(&panel[row * k..(row + 1) * k]) {
+    for (&pi, row) in parents.iter().zip(panel.chunks(k)) {
+        let ci = cidx[pi as usize] as usize - dst_base;
+        for (dj, sj) in dst[ci * k..(ci + 1) * k].iter_mut().zip(row) {
             *dj += sj;
         }
     }
@@ -134,13 +137,13 @@ fn scatter_add_children(
 
 /// Run `do_slab` over the slabs of a level, each with the output chunks
 /// (one per instance) that slab owns.
-fn for_each_slab<'a, F>(
-    slabs: &[(usize, usize)],
+fn for_each_slab<'a, S: Send + Sync, F>(
+    slabs: &[S],
     outs: &mut [Vec<&'a mut [f64]>],
     parallel: bool,
     do_slab: F,
 ) where
-    F: Fn((&(usize, usize), &mut Vec<&'a mut [f64]>)) + Sync + Send,
+    F: Fn((&S, &mut Vec<&'a mut [f64]>)) + Sync + Send,
 {
     if parallel {
         slabs.par_iter().zip(outs.par_iter_mut()).for_each(do_slab);
@@ -172,12 +175,15 @@ pub fn upward_pass(
     flops
 }
 
+/// The target rows of one slab of a sweep: the first box index of the
+/// contiguous chunk of the level the slab writes (the level is cut into
+/// as many equal chunks as there are slabs), and the rows themselves.
+type Slab<R> = (usize, R);
+
 /// One parent level of the upward pass, for every instance of `fhs`:
 /// combine the children at level `l + 1` into the parents at level `l`,
 /// which are overwritten. Per (slab, octant) all instances' child panels
 /// are gathered into one instance-major panel and translated together.
-/// Public so the SPMD backend's rank-0 Multigrid-embed region runs the
-/// identical per-level code.
 pub fn upward_level(
     fhs: &mut [FieldHierarchy],
     ts: &TranslationSet,
@@ -186,12 +192,42 @@ pub fn upward_level(
     agg: Aggregation,
     parallel: bool,
 ) -> TraversalFlops {
+    // Every parent is a target: the plan's slabs over an identity list.
+    let ident: Vec<u32> = (0..1u32 << (3 * l)).collect();
+    let slabs = plan.level(l).slabs.iter();
+    let slabs: Vec<_> = slabs.map(|&(p0, p1)| (p0, &ident[p0..p1])).collect();
+    upward_sweep(fhs, ts, plan, l, agg, parallel, &slabs)
+}
+
+/// [`upward_level`] restricted to the parents `parents` (box indices at
+/// level `l`): exactly those rows of `far[l]` are overwritten, with the
+/// bits the full-level sweep writes there. The SPMD backend's workers
+/// sweep the parents they own through this.
+pub fn upward_rows(
+    fhs: &mut [FieldHierarchy],
+    ts: &TranslationSet,
+    plan: &TraversalPlan,
+    l: u32,
+    agg: Aggregation,
+    parents: &[u32],
+) -> TraversalFlops {
+    upward_sweep(fhs, ts, plan, l, agg, false, &[(0, parents)])
+}
+
+fn upward_sweep(
+    fhs: &mut [FieldHierarchy],
+    ts: &TranslationSet,
+    plan: &TraversalPlan,
+    l: u32,
+    agg: Aggregation,
+    parallel: bool,
+    slabs: &[Slab<&[u32]>],
+) -> TraversalFlops {
     let r = fhs.len();
     let k = fhs[0].k;
-    let n_parents = fhs[0].hierarchy.boxes_at_level(l);
     let lvl = plan.level(l);
-    let slabs = &lvl.slabs;
-    let plane = slabs[0].1 - slabs[0].0;
+    let plane = lvl.slabs[0].1 - lvl.slabs[0].0;
+    let chunk = fhs[0].hierarchy.boxes_at_level(l) / slabs.len();
 
     // Per instance: the child level to read, and the parent level cut
     // into the chunks the slabs own.
@@ -200,30 +236,38 @@ pub fn upward_level(
     for fh in fhs.iter_mut() {
         let (lo, hi) = fh.far.split_at_mut(l as usize + 1);
         children.push(&hi[0]);
-        for (slot, chunk) in outs.iter_mut().zip(lo[l as usize].chunks_mut(plane * k)) {
+        for (slot, chunk) in outs.iter_mut().zip(lo[l as usize].chunks_mut(chunk * k)) {
             slot.push(chunk);
         }
     }
 
-    for_each_slab(slabs, &mut outs, parallel, |(&(p0, p1), out)| {
-        let np = p1 - p0;
-        let mut panel = vec![0.0; r * np * k];
-        let mut acc = vec![0.0; r * np * k];
-        for oct in 0..8 {
-            let cidx = &lvl.children[oct].idx;
-            for (src, rows) in children.iter().zip(panel.chunks_mut(np * k)) {
-                gather_children(src, cidx, p0, p1, k, rows);
+    for_each_slab(slabs, &mut outs, parallel, |(&(base, parents), out)| {
+        // Panels of at most one parent plane (a plan slab is exactly one).
+        for rows in parents.chunks(plane) {
+            let np = rows.len();
+            let mut panel = vec![0.0; r * np * k];
+            let mut acc = vec![0.0; r * np * k];
+            for oct in 0..8 {
+                let cidx = &lvl.children[oct].idx;
+                let kids = || rows.iter().map(|&pi| cidx[pi as usize] as usize);
+                for (src, panel) in children.iter().zip(panel.chunks_mut(np * k)) {
+                    gather_rows(src, kids(), k, panel);
+                }
+                translate_acc(agg, plan.kernel, r * np, k, &panel, &ts.t1t[oct], &mut acc);
             }
-            translate_acc(agg, plan.kernel, r * np, k, &panel, &ts.t1t[oct], &mut acc);
-        }
-        for (o, rows) in out.iter_mut().zip(acc.chunks(np * k)) {
-            o.copy_from_slice(rows);
+            for (o, acc) in out.iter_mut().zip(acc.chunks(np * k)) {
+                for (&pi, row) in rows.iter().zip(acc.chunks(k)) {
+                    let at = (pi as usize - base) * k;
+                    o[at..at + k].copy_from_slice(row);
+                }
+            }
         }
     });
 
+    let n_rows: usize = slabs.iter().map(|(_, parents)| parents.len()).sum();
     TraversalFlops {
-        t1: gemm_flops(n_parents, k, k) * 8 * r as u64,
-        copied: (n_parents * 8 * k * r) as u64,
+        t1: gemm_flops(n_rows, k, k) * 8 * r as u64,
+        copied: (n_rows * 8 * k * r) as u64,
         ..TraversalFlops::default()
     }
 }
@@ -311,8 +355,6 @@ struct DownwardSources<'a> {
 /// ([`PANEL_MIN_PARENTS`]); per (sub-panel, octant, offset) the source
 /// geometry — offset application, domain bounds, the all-rows-invalid
 /// skip — is computed once and every instance's rows go through one GEMM.
-/// Public for the SPMD backend's rank-0 embed region, like
-/// [`upward_level`].
 pub fn downward_level(
     fhs: &mut [FieldHierarchy],
     ts: &TranslationSet,
@@ -322,15 +364,60 @@ pub fn downward_level(
     parallel: bool,
     l: u32,
 ) -> TraversalFlops {
+    // Every box is a target: along each octant, the plan's slabs over an
+    // identity parent list.
+    let ident: Vec<u32> = (0..1u32 << (3 * (l - 1))).collect();
+    let slabs = plan.level(l - 1).slabs.iter();
+    let slabs: Vec<_> = slabs
+        .map(|&(p0, p1)| (p0 * 8, [&ident[p0..p1]; 8]))
+        .collect();
+    downward_sweep(fhs, ts, plan, supernodes, agg, parallel, l, &slabs)
+}
+
+/// [`downward_level`] restricted to the target boxes `boxes` (box indices
+/// at level `l`, in any order, sibling groups split freely): `local[l]`
+/// is zeroed, then exactly those rows receive the bits the full-level
+/// sweep writes there. The SPMD backend's workers sweep the boxes they
+/// own through this.
+pub fn downward_rows(
+    fhs: &mut [FieldHierarchy],
+    ts: &TranslationSet,
+    plan: &TraversalPlan,
+    supernodes: bool,
+    agg: Aggregation,
+    l: u32,
+    boxes: &[u32],
+) -> TraversalFlops {
+    let mut parents: [Vec<u32>; 8] = Default::default();
+    for &b in boxes {
+        let c = BoxCoord::from_index(l, b as usize);
+        let parent = c.parent().expect("the downward pass starts at level 2");
+        parents[c.octant()].push(parent.index() as u32);
+    }
+    let rows = std::array::from_fn(|oct| parents[oct].as_slice());
+    downward_sweep(fhs, ts, plan, supernodes, agg, false, l, &[(0, rows)])
+}
+
+/// The downward body. A slab's rows are, per octant, the parents whose
+/// child along that octant is a target; the child's index and coordinate
+/// come from the plan's child map.
+#[allow(clippy::too_many_arguments)]
+fn downward_sweep(
+    fhs: &mut [FieldHierarchy],
+    ts: &TranslationSet,
+    plan: &TraversalPlan,
+    supernodes: bool,
+    agg: Aggregation,
+    parallel: bool,
+    l: u32,
+    slabs: &[Slab<[&[u32]; 8]>],
+) -> TraversalFlops {
     let r = fhs.len();
     let k = fhs[0].k;
-    let n_boxes = fhs[0].hierarchy.boxes_at_level(l);
     let oct_lists = resolve_offset_lists(ts, plan, supernodes);
     let l_parent = l - 1;
     let lvl = plan.level(l_parent);
-    let slabs = &lvl.slabs;
-    let parent_plane = slabs[0].1 - slabs[0].0;
-    let child_chunk = parent_plane * 8 * k; // children of one parent plane
+    let chunk = fhs[0].hierarchy.boxes_at_level(l) / slabs.len();
     let n_par = 1usize << l_parent; // parent-level axis length
     let apply_t3 = l >= 3; // local field is zero above level 2
 
@@ -343,44 +430,47 @@ pub fn downward_level(
             far: [&fh.far[l as usize], &fh.far[l_parent as usize]],
             local_parent: &lo[l_parent as usize],
         });
-        for (slot, chunk) in outs.iter_mut().zip(hi[0].chunks_mut(child_chunk)) {
+        for (slot, chunk) in outs.iter_mut().zip(hi[0].chunks_mut(chunk * k)) {
             slot.push(chunk);
         }
     }
 
-    for_each_slab(slabs, &mut outs, parallel, |(&(p0, p1), out)| {
-        let step = n_par.max(PANEL_MIN_PARENTS).min(p1 - p0);
-        let mut src_panel = vec![0.0; r * step * k];
-        let mut acc_panel = vec![0.0; r * step * k];
+    for_each_slab(slabs, &mut outs, parallel, |(&(base, ref rows), out)| {
+        let longest = rows.iter().map(|p| p.len()).max().unwrap_or(0);
+        let step = n_par.max(PANEL_MIN_PARENTS);
+        let cap = step.min(longest);
+        let mut src_panel = vec![0.0; r * cap * k];
+        let mut acc_panel = vec![0.0; r * cap * k];
         // Source box of each row under the current offset.
         const OUTSIDE: usize = usize::MAX;
-        let mut src_idx = vec![OUTSIDE; step];
+        let mut src_idx = vec![OUTSIDE; cap];
         // Target box of each row on the current list's source level.
-        let mut targets = vec![([0i32; 3], 0isize); step];
-        for s0 in (p0..p1).step_by(step) {
-            let s1 = (s0 + step).min(p1);
-            let np = s1 - s0;
-            let src_panel = &mut src_panel[..r * np * k];
-            let acc_panel = &mut acc_panel[..r * np * k];
-            let src_idx = &mut src_idx[..np];
-            let targets = &mut targets[..np];
+        let mut targets = vec![([0i32; 3], 0isize); cap];
+        for sub in 0..longest.div_ceil(step) {
             for (oct, lists) in oct_lists.iter().enumerate() {
+                // Rows of the panels: this sub-panel's parents along `oct`.
+                let Some(parents) = rows[oct].chunks(step).nth(sub) else {
+                    continue;
+                };
+                let np = parents.len();
+                let src_panel = &mut src_panel[..r * np * k];
+                let acc_panel = &mut acc_panel[..r * np * k];
+                let src_idx = &mut src_idx[..np];
+                let targets = &mut targets[..np];
+                let kids = &lvl.children[oct];
                 acc_panel.fill(0.0);
 
                 // ---- T3: parent inner → child inner -------------------
                 if apply_t3 {
+                    let at = || parents.iter().map(|&pi| pi as usize);
                     for (src, panel) in sources.iter().zip(src_panel.chunks_mut(np * k)) {
-                        panel.copy_from_slice(&src.local_parent[s0 * k..s1 * k]);
+                        gather_rows(src.local_parent, at(), k, panel);
                     }
                     let t3 = &ts.t3t[oct];
                     translate_acc(agg, plan.kernel, r * np, k, src_panel, t3, acc_panel);
                 }
 
                 // ---- T2: interactive field ----------------------------
-                // Targets: the octant-`oct` children of parents s0..s1, in
-                // parent order (rows of the panels); their coordinates come
-                // straight from the plan's child map.
-                let coords = &lvl.children[oct].coord[s0..s1];
                 for list in lists {
                     let bits = l - list.shift; // log2 of the source level's axis
                     let axis = 1u32 << bits;
@@ -389,8 +479,8 @@ pub fn downward_level(
                     };
                     // Each row's target box on the source level, with its
                     // linear index: an offset then only adds a constant.
-                    for (target, t) in targets.iter_mut().zip(coords) {
-                        let c = t.map(|x| x >> list.shift);
+                    for (target, &pi) in targets.iter_mut().zip(parents) {
+                        let c = kids.coord[pi as usize].map(|x| x >> list.shift);
                         *target = (c, lin(c));
                     }
                     for (&off, &m) in list.offsets.iter().zip(&list.matrices) {
@@ -426,9 +516,8 @@ pub fn downward_level(
                 }
 
                 // Scatter the accumulated panel into each instance's children.
-                let cidx = &lvl.children[oct].idx;
                 for (o, panel) in out.iter_mut().zip(acc_panel.chunks(np * k)) {
-                    scatter_add_children(o, p0 * 8, cidx, s0, s1, k, panel);
+                    scatter_add_children(o, base, &kids.idx, parents, k, panel);
                 }
             }
         }
@@ -440,12 +529,17 @@ pub fn downward_level(
     } else {
         plan.octants[0].offsets.len() as u64
     };
-    let level_gemm = gemm_flops(n_boxes, k, k) * r as u64;
+    let n_rows: usize = slabs
+        .iter()
+        .flat_map(|(_, rows)| rows)
+        .map(|p| p.len())
+        .sum();
+    let level_gemm = gemm_flops(n_rows, k, k) * r as u64;
     TraversalFlops {
         t1: 0,
         t2: per_box_t2 * level_gemm,
         t3: if apply_t3 { level_gemm } else { 0 },
-        copied: (n_boxes * k * r) as u64 * (per_box_t2 + 2),
+        copied: (n_rows * k * r) as u64 * (per_box_t2 + 2),
     }
 }
 
@@ -590,6 +684,60 @@ mod tests {
                             assert_eq!(x.to_bits(), y.to_bits(), "local[{l}]");
                         }
                     }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn target_subsets_write_the_full_sweeps_bits() {
+        // What the SPMD workers sweep: a Morton range (cuts sibling groups
+        // at both ends), a scattered set, and nothing at all — against the
+        // full-level sweep, with T3 off (level 2) and on (levels 3, 4).
+        use fmm_tree::partition::morton_to_rowmajor;
+        const SENTINEL: f64 = 12345.678;
+        let agg = Aggregation::Gemm;
+        for supernodes in [false, true] {
+            let (mut full, ts, plan) = small_setup(4);
+            fill_pseudo(&mut full);
+            upward_pass(&mut full, &ts, &plan, agg, false);
+            downward_pass(&mut full, &ts, &plan, supernodes, agg, false);
+            for l in 2..=4u32 {
+                let n = 1u32 << (3 * l);
+                let morton_cut = 5..(n as u64 * 5 / 8 + 3);
+                let subsets = [
+                    morton_cut
+                        .map(|code| morton_to_rowmajor(l, code) as u32)
+                        .collect(),
+                    (0..n).filter(|b| b % 3 == 1).collect(),
+                    Vec::<u32>::new(),
+                ];
+                for boxes in &subsets {
+                    let check = |got: &[f64], want: &[f64], rest: f64, what: &str| {
+                        for (b, (g, w)) in got.chunks(6).zip(want.chunks(6)).enumerate() {
+                            let target = boxes.contains(&(b as u32));
+                            for (x, y) in g.iter().zip(w) {
+                                let y = if target { *y } else { rest };
+                                assert_eq!(x.to_bits(), y.to_bits(), "{what}[{l}] box {b}");
+                            }
+                        }
+                    };
+                    let li = l as usize;
+                    if l < 4 {
+                        let mut fh = full.clone();
+                        fh.far[li].fill(SENTINEL);
+                        let one = std::slice::from_mut(&mut fh);
+                        let fl = upward_rows(one, &ts, &plan, l, agg, boxes);
+                        check(&fh.far[li], &full.far[li], SENTINEL, "far");
+                        assert_eq!(fl.t1, gemm_flops(boxes.len(), 6, 6) * 8);
+                    }
+                    let mut fh = full.clone();
+                    fh.local[li].fill(SENTINEL);
+                    let one = std::slice::from_mut(&mut fh);
+                    let fl = downward_rows(one, &ts, &plan, supernodes, agg, l, boxes);
+                    // The level is zeroed first, as in the full sweep.
+                    check(&fh.local[li], &full.local[li], 0.0, "local");
+                    assert_eq!(fl.t3, gemm_flops(boxes.len(), 6, 6) * (l >= 3) as u64);
                 }
             }
         }

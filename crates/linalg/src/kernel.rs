@@ -563,6 +563,33 @@ mod tests {
     }
 
     #[test]
+    fn gemm_rows_are_independent_of_panel_height() {
+        // What lets fmm-core batch any set of boxes into a panel: row i of
+        // an m-row product is the one-row product, bit for bit, at every
+        // K the FMM uses (orders 3, 5, 11, 14) and on every tile edge.
+        for kernel in Kernel::available() {
+            for &k in &[6, 12, 72, 120] {
+                let b = pseudo(k as u64, k * k);
+                for &m in &[1, 3, 8, 32, 33] {
+                    let mut a = pseudo((m + k) as u64, m * k);
+                    a[(m / 2) * k..(m / 2 + 1) * k].fill(0.0); // an out-of-domain source
+                    let c0 = pseudo(3, m * k);
+                    let mut panel = c0.clone();
+                    gemm_acc_with(kernel, m, k, k, &a, &b, &mut panel);
+                    for i in 0..m {
+                        let rows = i * k..(i + 1) * k;
+                        let mut row = c0[rows.clone()].to_vec();
+                        gemm_acc_with(kernel, 1, k, k, &a[rows.clone()], &b, &mut row);
+                        for (x, y) in panel[rows].iter().zip(&row) {
+                            assert_eq!(x.to_bits(), y.to_bits(), "{kernel:?} K={k} row {i} of {m}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
     fn gemv_kernels_agree() {
         for kernel in Kernel::available() {
             for &(m, k) in &[(1, 1), (3, 5), (12, 12), (7, 17), (72, 72), (33, 129)] {

@@ -61,7 +61,9 @@ pub fn all_to_allv(ctx: &mut WorkerCtx, outgoing: Vec<Vec<f64>>) -> Vec<f64> {
 /// Tree-structured combine: bring the owned `(box index, k samples)` chunks
 /// of a distributed level to rank 0, which writes them into its full-size
 /// `buf`. Binomial: stage `s` halves the set of holders, so the total
-/// box transmissions match the model's `gather_hops(p)` accounting.
+/// box transmissions match the model's `gather_hops(p)` accounting. As
+/// with every collective here, the caller counts the messages (`p − 1`
+/// sends); bytes are counted here per transmission.
 pub fn gather_level_to_root(ctx: &mut WorkerCtx, buf: &mut [f64], l: u32, k: usize) {
     let p = ctx.p();
     let tag = ctx.tags.fresh();
@@ -86,7 +88,6 @@ pub fn gather_level_to_root(ctx: &mut WorkerCtx, buf: &mut [f64], l: u32, k: usi
         if ctx.rank & bit != 0 {
             // Payload words are the k-sample rows; the per-box index is
             // envelope metadata, like a router packet header.
-            ctx.counters.add_messages(1);
             ctx.counters.add_words((held.len() / (k + 1) * k) as u64);
             let data = std::mem::take(&mut held);
             ctx.send(ctx.rank - bit, tag, data);
@@ -105,8 +106,8 @@ pub fn gather_level_to_root(ctx: &mut WorkerCtx, buf: &mut [f64], l: u32, k: usi
 
 /// Tree-structured spread: rank 0's `buf` replaces every other rank's.
 /// Mirror image of [`gather_level_to_root`]; the model prices `log2 p`
-/// broadcast stages, counted here via `count_op` (rank 0 sends in every
-/// stage), with bytes per actual transmission.
+/// broadcast stages, which the caller counts, with bytes counted here per
+/// actual transmission.
 pub fn broadcast_from_root(ctx: &mut WorkerCtx, buf: &mut [f64]) {
     let p = ctx.p();
     let tag = ctx.tags.fresh();
@@ -118,7 +119,6 @@ pub fn broadcast_from_root(ctx: &mut WorkerCtx, buf: &mut [f64]) {
         let bit = 1usize << s;
         let span = bit << 1;
         if ctx.rank.is_multiple_of(span) {
-            ctx.count_op(1);
             ctx.counters.add_words(buf.len() as u64);
             ctx.send(ctx.rank + bit, tag, buf.to_vec());
         } else if ctx.rank.is_multiple_of(bit) {
@@ -225,6 +225,42 @@ impl CellParticles {
     }
 }
 
+/// Append `cell` to `data` in wire form `[count, xs.., ys.., zs.., qs..]`
+/// and return its payload words (the count is envelope metadata, like a
+/// router packet header).
+fn pack_cell(cell: &CellParticles, data: &mut Vec<f64>) -> u64 {
+    data.push(cell.len() as f64);
+    for coords in [&cell.xs, &cell.ys, &cell.zs, &cell.qs] {
+        data.extend_from_slice(coords);
+    }
+    4 * cell.len() as u64
+}
+
+/// Read one wire-form cell off the front of `data`.
+fn unpack_cell(data: &mut &[f64]) -> CellParticles {
+    let cnt = data[0] as usize;
+    *data = &data[1..];
+    let mut take = || {
+        let (head, tail) = data.split_at(cnt);
+        *data = tail;
+        head.to_vec()
+    };
+    CellParticles {
+        xs: take(),
+        ys: take(),
+        zs: take(),
+        qs: take(),
+    }
+}
+
+/// Store a message of wire-form cells under the plan's cell indices.
+fn unpack_cells(mut data: &[f64], cells: &[usize], store: &mut BTreeMap<usize, CellParticles>) {
+    for &c in cells {
+        store.insert(c, unpack_cell(&mut data));
+    }
+    debug_assert!(data.is_empty());
+}
+
 /// One axis phase of the halo exchange of leaf *particles* (positions +
 /// charges) to ghost depth `g`, without wrap — the forces near field is
 /// target-centric and only reads true in-domain neighbors. `own` serves a
@@ -258,12 +294,7 @@ pub fn particle_halo_axis(
                 let cell = own(c)
                     .or_else(|| store.get(&c).cloned())
                     .unwrap_or_default();
-                data.push(cell.len() as f64);
-                payload += 4 * cell.len() as u64;
-                data.extend_from_slice(&cell.xs);
-                data.extend_from_slice(&cell.ys);
-                data.extend_from_slice(&cell.zs);
-                data.extend_from_slice(&cell.qs);
+                payload += pack_cell(&cell, &mut data);
             }
             ctx.counters.add_words(payload);
             ctx.send(dst, tag, data);
@@ -272,22 +303,7 @@ pub fn particle_halo_axis(
     let plan = particle_axis_plan(&lay, my, axis, g, n);
     for (src, cells) in &plan {
         let data = ctx.recv(*src, tag);
-        let mut i = 0usize;
-        for &c in cells {
-            let cnt = data[i] as usize;
-            i += 1;
-            let take = |i: &mut usize| -> Vec<f64> {
-                let v = data[*i..*i + cnt].to_vec();
-                *i += cnt;
-                v
-            };
-            let xs = take(&mut i);
-            let ys = take(&mut i);
-            let zs = take(&mut i);
-            let qs = take(&mut i);
-            store.insert(c, CellParticles { xs, ys, zs, qs });
-        }
-        debug_assert_eq!(i, data.len());
+        unpack_cells(&data, cells, store);
     }
 }
 
@@ -308,35 +324,14 @@ pub fn particle_exchange(
         let mut data = Vec::new();
         let mut payload = 0u64;
         for &c in cells {
-            let cell = own(c);
-            data.push(cell.len() as f64);
-            payload += 4 * cell.len() as u64;
-            data.extend_from_slice(&cell.xs);
-            data.extend_from_slice(&cell.ys);
-            data.extend_from_slice(&cell.zs);
-            data.extend_from_slice(&cell.qs);
+            payload += pack_cell(&own(c), &mut data);
         }
         ctx.counters.add_words(payload);
         ctx.send(*dst, tag, data);
     }
     for (src, cells) in &ex.recvs[ctx.rank] {
         let data = ctx.recv(*src, tag);
-        let mut i = 0usize;
-        for &c in cells {
-            let cnt = data[i] as usize;
-            i += 1;
-            let take = |i: &mut usize| -> Vec<f64> {
-                let v = data[*i..*i + cnt].to_vec();
-                *i += cnt;
-                v
-            };
-            let xs = take(&mut i);
-            let ys = take(&mut i);
-            let zs = take(&mut i);
-            let qs = take(&mut i);
-            store.insert(c, CellParticles { xs, ys, zs, qs });
-        }
-        debug_assert_eq!(i, data.len());
+        unpack_cells(&data, cells, store);
     }
 }
 
@@ -347,6 +342,18 @@ pub struct Slot {
     pub origin: usize,
     pub cell: CellParticles,
     pub acc: Vec<f64>,
+}
+
+impl Slot {
+    /// Append the slot, bound for position `npos`, to `data` in wire form
+    /// `[npos, origin, cell, acc..]` and return its payload words.
+    fn pack(&self, npos: usize, data: &mut Vec<f64>) -> u64 {
+        data.push(npos as f64);
+        data.push(self.origin as f64);
+        let words = pack_cell(&self.cell, data) + self.acc.len() as u64;
+        data.extend_from_slice(&self.acc);
+        words
+    }
 }
 
 /// One unit CSHIFT of the travelling slots: every slot's position moves by
@@ -373,16 +380,7 @@ pub fn shift_slots(
             ctx.counters.add_local_words(5 * slot.cell.len() as u64);
             staying.insert(npos, slot);
         } else {
-            let cnt = slot.cell.len();
-            leaving_words += 5 * cnt as u64;
-            leaving.push(npos as f64);
-            leaving.push(slot.origin as f64);
-            leaving.push(cnt as f64);
-            leaving.extend_from_slice(&slot.cell.xs);
-            leaving.extend_from_slice(&slot.cell.ys);
-            leaving.extend_from_slice(&slot.cell.zs);
-            leaving.extend_from_slice(&slot.cell.qs);
-            leaving.extend_from_slice(&slot.acc);
+            leaving_words += slot.pack(npos, &mut leaving);
         }
     }
     *slots = staying;
@@ -397,34 +395,18 @@ pub fn shift_slots(
     unpack_slots(&data, slots);
 }
 
-/// Deserialize a stream of `[npos, origin, cnt, xs, ys, zs, qs, acc]`
-/// slot records into `slots`, keyed by new position.
-fn unpack_slots(data: &[f64], slots: &mut BTreeMap<usize, Slot>) {
-    let mut i = 0usize;
-    while i < data.len() {
-        let npos = data[i] as usize;
-        let origin = data[i + 1] as usize;
-        let cnt = data[i + 2] as usize;
-        i += 3;
-        let take = |i: &mut usize| -> Vec<f64> {
-            let v = data[*i..*i + cnt].to_vec();
-            *i += cnt;
-            v
-        };
-        let xs = take(&mut i);
-        let ys = take(&mut i);
-        let zs = take(&mut i);
-        let qs = take(&mut i);
-        let acc = take(&mut i);
-        slots.insert(
-            npos,
-            Slot {
-                origin,
-                cell: CellParticles { xs, ys, zs, qs },
-                acc,
-            },
-        );
+/// Deserialize a stream of wire-form slots ([`Slot::pack`]) into `slots`,
+/// keyed by new position.
+fn unpack_slots(mut data: &[f64], slots: &mut BTreeMap<usize, Slot>) {
+    while let [npos, origin, ..] = *data {
+        data = &data[2..];
+        let cell = unpack_cell(&mut data);
+        let (acc, rest) = data.split_at(cell.len());
+        data = rest;
+        let (origin, acc) = (origin as usize, acc.to_vec());
+        slots.insert(npos as usize, Slot { origin, cell, acc });
     }
+    debug_assert!(data.is_empty());
 }
 
 /// Partitioned variant of [`shift_slots`]: the same unit circular shift of
@@ -466,16 +448,7 @@ pub fn shift_slots_part(
             let (npos, slot) = leaving
                 .remove(&c)
                 .expect("route names every departing slot");
-            let cnt = slot.cell.len();
-            words += 5 * cnt as u64;
-            data.push(npos as f64);
-            data.push(slot.origin as f64);
-            data.push(cnt as f64);
-            data.extend_from_slice(&slot.cell.xs);
-            data.extend_from_slice(&slot.cell.ys);
-            data.extend_from_slice(&slot.cell.zs);
-            data.extend_from_slice(&slot.cell.qs);
-            data.extend_from_slice(&slot.acc);
+            words += slot.pack(npos, &mut data);
         }
         ctx.counters.add_words(words);
         ctx.send(*dst, tag, data);

@@ -339,7 +339,7 @@ fn encode_out(rank: u32, out: &WorkerOut) -> Vec<u8> {
     put_u64(&mut b, out.p2o_flops);
     put_u64(&mut b, out.eval_flops);
     put_u64(&mut b, out.traversal_flops);
-    for t in &out.times {
+    for t in out.times.iter().chain(&out.wait) {
         put_u64(&mut b, t.as_nanos() as u64);
     }
     b
@@ -383,8 +383,8 @@ fn decode_out(body: &[u8]) -> io::Result<(u32, WorkerOut)> {
     let p2o_flops = d.u64()?;
     let eval_flops = d.u64()?;
     let traversal_flops = d.u64()?;
-    let mut times = [Duration::ZERO; 6];
-    for t in &mut times {
+    let (mut times, mut wait) = ([Duration::ZERO; 6], [Duration::ZERO; 6]);
+    for t in times.iter_mut().chain(&mut wait) {
         *t = Duration::from_nanos(d.u64()?);
     }
     d.done()?;
@@ -400,6 +400,7 @@ fn decode_out(body: &[u8]) -> io::Result<(u32, WorkerOut)> {
             eval_flops,
             traversal_flops,
             times,
+            wait,
         },
     ))
 }
@@ -694,10 +695,7 @@ pub fn evaluate_distributed(
         fmm,
         &plan,
         &program,
-        grid,
-        depth,
         positions.len(),
-        lc.with_fields,
         domain,
         outs,
     ))
@@ -742,12 +740,7 @@ fn run_job<S: MeshStream>(
     };
     let transport = SocketTransport::new(rank, mesh).map_err(|e| e.to_string())?;
     let ctx = WorkerCtx::new(rank, grid, Box::new(transport));
-    let out = if program.partition.is_some() {
-        exec::worker_main_part(ctx, &shared)
-    } else {
-        exec::worker_main(ctx, &shared)
-    };
-    Ok(out)
+    Ok(exec::worker_main(ctx, &shared))
 }
 
 /// Join a rendezvous as rank `rank` and execute the job the launcher
@@ -943,6 +936,7 @@ mod tests {
             eval_flops: 2,
             traversal_flops: 3,
             times: [Duration::from_nanos(5); 6],
+            wait: [Duration::from_nanos(2); 6],
         };
         let (rank, back) = decode_out(&encode_out(3, &out)).unwrap();
         assert_eq!(rank, 3);
@@ -954,6 +948,7 @@ mod tests {
         assert_eq!(back.fields, out.fields);
         assert_eq!(back.near_stats, out.near_stats);
         assert_eq!(back.times, out.times);
+        assert_eq!(back.wait, out.wait);
     }
 
     #[test]

@@ -30,7 +30,7 @@ use std::collections::HashMap;
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 use fmm_core::stats::{Counters, SpmdReport};
 use fmm_machine::VuGrid;
@@ -72,7 +72,7 @@ pub trait Transport: Send {
 /// Monotonic collective-tag allocator. All ranks call [`fresh`] in the
 /// same program order, so the same tag names the same collective phase
 /// everywhere — the property `fmm-verify`'s endpoint-matching pass checks
-/// statically and the executor debug-asserts step by step via [`peek`].
+/// statically and the executor asserts step by step via [`peek`].
 ///
 /// [`fresh`]: TagAllocator::fresh
 /// [`peek`]: TagAllocator::peek
@@ -177,6 +177,9 @@ pub struct WorkerCtx {
     /// Data-motion counters, charged by the collectives (never by the
     /// transport), so totals are fabric-independent.
     pub counters: Counters,
+    /// Wall time spent inside [`WorkerCtx::recv`], per program phase — the
+    /// part of a phase's wall clock this rank was blocked on a peer.
+    pub wait: [Duration; Counters::PHASES],
     /// Mirror of the current phase the launcher can read after a panic.
     phase_board: Option<Arc<Vec<AtomicUsize>>>,
 }
@@ -190,6 +193,7 @@ impl WorkerCtx {
             transport,
             tags: TagAllocator::default(),
             counters: Counters::default(),
+            wait: [Duration::ZERO; Counters::PHASES],
             phase_board: None,
         }
     }
@@ -224,9 +228,14 @@ impl WorkerCtx {
         self.transport.send(to, tag, data);
     }
 
-    /// Receive the payload sent by `from` under `tag`.
+    /// Receive the payload sent by `from` under `tag`. Every receive of
+    /// the program passes through here, so this is where blocked time is
+    /// charged to the current phase's [`WorkerCtx::wait`].
     pub fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        self.transport.recv(from, tag)
+        let t0 = Instant::now();
+        let data = self.transport.recv(from, tag);
+        self.wait[self.counters.phase()] += t0.elapsed();
+        data
     }
 
     /// Count `n` logical channel operations (CSHIFTs, router transfers,

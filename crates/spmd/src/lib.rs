@@ -2,12 +2,20 @@
 //!
 //! The machine model in `fmm-machine` *prices* the FMM's communication on a
 //! CM-5-style distributed machine; this crate *executes* it. N worker
-//! ranks play the VUs of a [`fmm_machine::VuGrid`], each owning a block
-//! of boxes outright. No shared mutable arrays exist: every datum that
-//! moves between workers goes through an explicit [`Transport`], so the
-//! per-phase byte and message counters measured here are the program's
-//! actual data motion — directly comparable against
+//! ranks play the VUs of a [`fmm_machine::VuGrid`], each owning its boxes
+//! outright — a block of the uniform layout, or a segment of the
+//! cost-weighted Morton [`Partition`]. No shared mutable arrays exist:
+//! every datum that moves between workers goes through an explicit
+//! [`Transport`], so the per-phase byte and message counters measured here
+//! are the program's actual data motion — directly comparable against
 //! `fmm_machine::communication_budget`.
+//!
+//! There are two schedules and one interpreter. [`CommProgram::build`]
+//! (wrapped CSHIFTs, Multigrid embedding) and
+//! [`CommProgram::build_partitioned`] (planned exchanges) are data; one
+//! worker body walks either, step by step, and runs `fmm-core`'s own panel
+//! sweeps over the boxes its rank owns. The mapping decides where the rows
+//! live, never how they are computed.
 //!
 //! The channel primitives mirror the CM runtime (see `DESIGN.md`, "The
 //! SPMD runtime"): a personalized all-to-all (the data router) for the
@@ -24,8 +32,8 @@
 //! (`fmm-worker` ranks joining a rendezvous).
 //!
 //! Results are **bitwise identical** to the serial and rayon backends for
-//! every worker count and every fabric: the same per-box arithmetic runs
-//! in the same order, only the data lives elsewhere.
+//! every worker count, fabric and balance mode: every box's row goes
+//! through the same sweep in the same order, only the data lives elsewhere.
 //!
 //! ## Usage
 //!
@@ -235,7 +243,6 @@ fn run_spmd(
             grid.dims,
         )));
     }
-    let plan = fmm.plan_for(depth);
     let program = build_program(
         fmm,
         positions,
@@ -245,57 +252,55 @@ fn run_spmd(
         with_fields,
         cfg.effective_balance(),
     );
-    let shared = exec::Shared {
-        fmm,
-        positions,
-        charges,
-        domain,
-        depth,
-        with_fields,
-        plan: &plan,
-        program: &program,
-    };
     let ctxs = fabric_ctxs(grid, opts.transport).map_err(|e| {
         FmmError::InvalidConfig(format!(
             "cannot wire the {} fabric for {workers} workers: {e}",
             opts.transport.name()
         ))
     })?;
-    let outs = if program.partition.is_some() {
-        run_ctxs(ctxs, |ctx| exec::worker_main_part(ctx, &shared))
-    } else {
-        run_ctxs(ctxs, |ctx| exec::worker_main(ctx, &shared))
-    };
-    Ok(assemble(
+    Ok(run_program(fmm, positions, charges, domain, &program, ctxs))
+}
+
+/// Run `program` with one worker thread per pre-wired context and
+/// assemble the result.
+fn run_program(
+    fmm: &Fmm,
+    positions: &[[f64; 3]],
+    charges: &[f64],
+    domain: Domain,
+    program: &CommProgram,
+    ctxs: Vec<WorkerCtx>,
+) -> EvalOutput {
+    let plan = fmm.plan_for(program.depth);
+    let shared = exec::Shared {
         fmm,
-        &plan,
-        &program,
-        grid,
-        depth,
-        positions.len(),
-        with_fields,
+        positions,
+        charges,
         domain,
-        outs,
-    ))
+        depth: program.depth,
+        with_fields: program.with_fields,
+        plan: &plan,
+        program,
+    };
+    let outs = run_ctxs(ctxs, |ctx| exec::worker_main(ctx, &shared));
+    assemble(fmm, &plan, program, positions.len(), domain, outs)
 }
 
 /// Assemble per-worker outputs into one [`EvalOutput`]: scatter results
-/// back to original particle order, merge counters and stats, take phase
-/// times from rank 0. Shared between the thread launcher and the
+/// back to original particle order, merge counters and stats, take each
+/// phase's time as the slowest rank's (no rank is special under
+/// `Balance::CostWeighted`). Shared between the thread launcher and the
 /// multi-process launcher in [`distributed`] — the aggregation must be
 /// identical or the fabrics would diverge at the last step.
-#[allow(clippy::too_many_arguments)]
 pub(crate) fn assemble(
     fmm: &Fmm,
     plan: &TraversalPlan,
     program: &CommProgram,
-    grid: VuGrid,
-    depth: u32,
     n: usize,
-    with_fields: bool,
     domain: Domain,
     outs: Vec<exec::WorkerOut>,
 ) -> EvalOutput {
+    let (grid, depth, with_fields) = (program.grid, program.depth, program.with_fields);
     let workers = grid.len();
     let mut potentials = vec![0.0; n];
     let mut fields = with_fields.then(|| vec![[0.0; 3]; n]);
@@ -303,9 +308,12 @@ pub(crate) fn assemble(
     let mut stats = NearFieldStats::default();
     let (mut p2o_flops, mut eval_flops) = (0u64, 0u64);
     let mut worker_busy_ns = Vec::with_capacity(outs.len());
+    let mut worker_wait_ns = Vec::with_capacity(outs.len());
     let mut worker_flops = Vec::with_capacity(outs.len());
     for w in &outs {
-        worker_busy_ns.push(w.times.iter().map(|t| t.as_nanos() as u64).sum());
+        let (wall, wait): (Duration, Duration) = (w.times.iter().sum(), w.wait.iter().sum());
+        worker_busy_ns.push(wall.saturating_sub(wait).as_nanos() as u64);
+        worker_wait_ns.push(wait.as_nanos() as u64);
         worker_flops.push(w.p2o_flops + w.traversal_flops + w.eval_flops + w.near_stats.flops);
         for (i, &o) in w.orig.iter().enumerate() {
             potentials[o] = w.pot[i];
@@ -323,6 +331,8 @@ pub(crate) fn assemble(
 
     // Nominal traversal flop counters, closed-form — identical to the
     // serial per-level accounting (which also counts interior-box work).
+    // The workers' own sweep counters do not sum to it: a partitioned run
+    // never computes level 1.
     let k = fmm.k();
     let mut tfl = TraversalFlops::default();
     if depth >= 3 {
@@ -351,9 +361,9 @@ pub(crate) fn assemble(
         Phase::Eval,
         Phase::Near,
     ];
-    let critical_path: &[Duration; 6] = &outs[0].times;
-    for (ph, &t) in phase_of.iter().zip(critical_path) {
-        profile.add_time(*ph, t);
+    for (i, ph) in phase_of.into_iter().enumerate() {
+        let slowest = outs.iter().map(|w| w.times[i]).max();
+        profile.add_time(ph, slowest.unwrap_or_default());
     }
     profile.add_flops(Phase::P2O, p2o_flops);
     profile.add_flops(Phase::Upward, tfl.t1);
@@ -375,6 +385,7 @@ pub(crate) fn assemble(
             vu_dims: grid.dims,
             phases: counters,
             worker_busy_ns,
+            worker_wait_ns,
             worker_flops,
             partition: program
                 .partition
@@ -387,6 +398,105 @@ pub(crate) fn assemble(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmm_core::FmmConfig;
+
+    /// A loopback-TCP endpoint whose every receive dawdles for `NAP` first.
+    struct Sleepy(SocketTransport);
+    const NAP: Duration = Duration::from_millis(30);
+
+    impl Transport for Sleepy {
+        fn send(&mut self, to: usize, tag: u64, data: Vec<f64>) {
+            self.0.send(to, tag, data)
+        }
+        fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
+            std::thread::sleep(NAP);
+            self.0.recv(from, tag)
+        }
+        fn kind(&self) -> &'static str {
+            "sleepy"
+        }
+    }
+
+    type Edit = fn(&mut CommProgram);
+
+    /// A depth-3 potentials run on two ranks over `ctxs`, with the program
+    /// passed through `edit` first.
+    fn two_rank_run(ctxs: Vec<WorkerCtx>, edit: Edit) -> EvalOutput {
+        let fmm = Fmm::new(FmmConfig::order(3).depth(3)).unwrap();
+        let positions: Vec<[f64; 3]> = (0..600)
+            .map(|i| {
+                let f = i as f64 / 600.0;
+                [f, (f * 7.3) % 1.0, (f * 3.1) % 1.0]
+            })
+            .collect();
+        let charges = vec![1.0; positions.len()];
+        let (domain, grid) = (Domain::bounding(&positions), vu_grid_for(2));
+        let mut program = build_program(&fmm, &positions, domain, 3, grid, false, Balance::Uniform);
+        edit(&mut program);
+        run_program(&fmm, &positions, &charges, domain, &program, ctxs)
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)] // runs the SIMD kernels
+    fn blocked_receives_are_wait_not_busy() {
+        let grid = vu_grid_for(2);
+        let mesh = transport::tcp_loopback_mesh(2).unwrap().into_iter();
+        let ctxs = mesh
+            .enumerate()
+            .map(|(rank, row)| {
+                let wire = Sleepy(SocketTransport::new(rank, row).unwrap());
+                WorkerCtx::new(rank, grid, Box::new(wire))
+            })
+            .collect();
+        let t0 = std::time::Instant::now();
+        let out = two_rank_run(ctxs, |_| {});
+        let wall = t0.elapsed().as_nanos() as u64;
+        let rep = out.spmd.unwrap();
+        let nap = NAP.as_nanos() as u64;
+        for rank in 0..2 {
+            // Each rank receives at least thrice: the router and the
+            // x-axis halo of levels 2 and 3. Busy plus wait is the sum of
+            // the rank's phase timers, which the wall clock bounds — so
+            // busy has no room for the naps.
+            let (busy, wait) = (rep.worker_busy_ns[rank], rep.worker_wait_ns[rank]);
+            assert!(wait >= 3 * nap, "rank {rank} waited only {wait} ns");
+            assert!(
+                busy + wait <= wall,
+                "rank {rank}: busy {busy} + wait {wait} > {wall}"
+            );
+        }
+        // The profile takes each phase from its slowest rank, naps included.
+        let profile: Duration = Phase::ALL
+            .iter()
+            .map(|&ph| out.profile.phase_time(ph))
+            .sum();
+        assert!(profile.as_nanos() as u64 >= 3 * nap);
+    }
+
+    #[test]
+    #[cfg_attr(miri, ignore)]
+    fn a_program_the_worker_cannot_follow_panics_with_rank_phase_and_step() {
+        // In release builds too: the checks are `assert!`s. A drifted tag,
+        // then a step no phase code consumes.
+        let cases: [(Edit, [&str; 3]); 2] = [
+            (
+                |p| p.phases[3][0].tag += 1,
+                ["downward(T2+T3)", "tag drift", "BoxHalo"],
+            ),
+            (
+                |p| p.phases[4].push(p.phases[5][0]),
+                ["eval", "never executed", "SlotShift"],
+            ),
+        ];
+        for (edit, wants) in cases {
+            let run = || two_rank_run(channel_ctxs(vu_grid_for(2)), edit);
+            let panic = std::panic::catch_unwind(run).map(drop).unwrap_err();
+            let msg = panic.downcast_ref::<String>().cloned().unwrap_or_default();
+            for want in ["rank 0"].iter().chain(&wants) {
+                assert!(msg.contains(want), "{want:?} missing from {msg:?}");
+            }
+        }
+    }
 
     #[test]
     fn grid_factorization_round_robins() {

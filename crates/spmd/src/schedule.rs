@@ -9,9 +9,10 @@
 //! reifies that schedule as a list of per-phase [`Step`]s, and is consumed
 //! from both sides:
 //!
-//! * the executor ([`crate::run_workers`] workers in `exec.rs`) walks the
-//!   program step by step — phase order, levels, axes, shift directions and
-//!   tag sequence all come from here, nowhere else;
+//! * the executor (one interpreter, `exec.rs`) walks the program step by
+//!   step and dispatches each [`StepKind`] to its collective — phase order,
+//!   levels, axes, shift directions and tag sequence all come from here,
+//!   nowhere else;
 //! * the static analyzer (`fmm-verify`) lowers every step to its per-rank
 //!   send/receive endpoints via [`Step::ops_for`] and proves endpoint
 //!   matching, deadlock freedom and budget conformance without launching a
@@ -484,14 +485,6 @@ impl CommProgram {
             }),
             phases,
         }
-    }
-
-    /// Does the downward phase halo-exchange level `l` (⇔ the level is
-    /// block-distributed rather than Multigrid-embedded)?
-    pub fn has_box_halo(&self, l: u32) -> bool {
-        self.phases[3]
-            .iter()
-            .any(|s| matches!(s.kind, StepKind::BoxHalo { level, .. } if level == l))
     }
 
     /// Total number of steps (= fabric tags burned per rank).

@@ -194,6 +194,42 @@ fn two_processes_over_tcp_match_in_process_bitwise() {
     assert_bitwise_eq(&local, &remote, "tcp 2-process");
 }
 
+/// The fabric × balance rows the tests above leave open, over TCP: the
+/// block layout's particle halo (forces) and the partition-routed
+/// travelling slots (`shift_slots_part`, potentials) both cross a socket.
+#[test]
+fn tcp_carries_uniform_forces_and_partitioned_slots_bitwise() {
+    const P: usize = 4;
+    let (pts, q) = system(1024, 0x7c9f);
+    for (bal, with_fields) in [(Balance::Uniform, true), (Balance::CostWeighted, false)] {
+        let f = fmm(P, 3, bal);
+        let local = if with_fields {
+            f.evaluate_forces(&pts, &q)
+        } else {
+            f.evaluate(&pts, &q)
+        }
+        .unwrap();
+        let remote = evaluate_distributed(
+            &f,
+            &pts,
+            &q,
+            &LaunchConfig {
+                rendezvous: FabricAddr::Tcp("127.0.0.1:0".into()),
+                workers: P,
+                with_fields,
+                worker_bin: Some(worker_bin()),
+                capacity_bytes: None,
+            },
+        )
+        .unwrap();
+        assert_bitwise_eq(
+            &local,
+            &remote,
+            &format!("tcp {bal:?} forces={with_fields}"),
+        );
+    }
+}
+
 #[test]
 fn preflight_refuses_undersized_capacity_before_spawning() {
     let (pts, q) = system(512, 0xbad);
