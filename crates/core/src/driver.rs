@@ -5,7 +5,7 @@
 use crate::batch::{first_non_finite, BatchRequest};
 use crate::config::{Executor, FmmConfig, Precision};
 use crate::field::FieldHierarchy;
-use crate::near::{near_field_forces_softened, travelling_sweep, NearFieldStats};
+use crate::near::{near_field_forces_softened_with, travelling_sweep, NearFieldStats};
 use crate::near32::{near_field_forces_f32, near_field_potentials_f32};
 use crate::particles::BinnedParticles;
 use crate::plan::TraversalPlan;
@@ -517,12 +517,12 @@ impl Fmm {
                 let st = profile.time(Phase::Near, || match far_field.as_mut() {
                     Some(ff) => {
                         let mut near_f = vec![[0.0; 3]; bp.len()];
-                        let st = if mixed {
-                            let kernel = plan.kernel;
-                            near_field_forces_f32(kernel, bp, sep, par, eps, near_pot, &mut near_f)
+                        let forces = if mixed {
+                            near_field_forces_f32
                         } else {
-                            near_field_forces_softened(bp, sep, par, eps, near_pot, &mut near_f)
+                            near_field_forces_softened_with
                         };
+                        let st = forces(plan.kernel, bp, sep, par, eps, near_pot, &mut near_f);
                         for (a, b) in ff.iter_mut().zip(&near_f) {
                             for d in 0..3 {
                                 a[d] += b[d];
@@ -992,6 +992,18 @@ mod tests {
             let a = seq.evaluate(&pts, &q).unwrap();
             let b = par.evaluate(&pts, &q).unwrap();
             for (x, y) in a.potentials.iter().zip(&b.potentials) {
+                assert_eq!(x.to_bits(), y.to_bits(), "kernel {}", kernel.name());
+            }
+            assert_eq!(a.near_stats, b.near_stats);
+            // Forces go through the target-centric sweep, cut into pieces
+            // only on the parallel side.
+            let a = seq.evaluate_forces(&pts, &q).unwrap();
+            let b = par.evaluate_forces(&pts, &q).unwrap();
+            for (x, y) in a.potentials.iter().zip(&b.potentials) {
+                assert_eq!(x.to_bits(), y.to_bits(), "kernel {}", kernel.name());
+            }
+            let (fa, fb) = (a.fields.unwrap(), b.fields.unwrap());
+            for (x, y) in fa.iter().flatten().zip(fb.iter().flatten()) {
                 assert_eq!(x.to_bits(), y.to_bits(), "kernel {}", kernel.name());
             }
             assert_eq!(a.near_stats, b.near_stats);

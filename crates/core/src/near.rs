@@ -9,7 +9,9 @@
 //! provided:
 //!
 //! * a target-centric sweep that parallelizes over target boxes without
-//!   write conflicts but pays the full 124-neighbour pair count;
+//!   write conflicts but pays the full 124-neighbour pair count — the
+//!   production **forces** path ([`near_field_forces_softened_with`]),
+//!   swept in pieces of near-equal pair count on the plan's kernel;
 //! * the sequential symmetric sweep (the correctness oracle and the
 //!   flop-count reference for experiment E13);
 //! * the **travelling-accumulator** sweep ([`near_field_travelling_with`]),
@@ -34,6 +36,7 @@ use crate::particles::BinnedParticles;
 use fmm_linalg::{pairwise, Kernel};
 use fmm_tree::{near_field_offsets, BoxCoord, Separation};
 use rayon::prelude::*;
+use std::ops::Range;
 
 /// Flops charged per pairwise potential interaction (3 subs, 3 mults, 2
 /// adds, rsqrt, multiply–accumulate — the conventional count used when
@@ -615,46 +618,24 @@ pub fn near_field_forces_softened(
     pot: &mut [f64],
     field: &mut [[f64; 3]],
 ) -> NearFieldStats {
+    near_field_forces_softened_with(Kernel::detect(), bp, sep, parallel, eps, pot, field)
+}
+
+/// [`near_field_forces_softened`] with an explicit kernel choice (the
+/// driver passes the one recorded on the traversal plan).
+pub fn near_field_forces_softened_with(
+    kernel: Kernel,
+    bp: &BinnedParticles,
+    sep: Separation,
+    parallel: bool,
+    eps: f64,
+    pot: &mut [f64],
+    field: &mut [[f64; 3]],
+) -> NearFieldStats {
     let eps2 = eps * eps;
-    assert_eq!(pot.len(), bp.len());
-    assert_eq!(field.len(), bp.len());
-    let offsets = near_field_offsets(sep);
-    let mut pot_slices = per_box_slices(bp, pot);
-    // split field the same way
-    let n_boxes = bp.binning.starts.len() - 1;
-    let mut fbuf: &mut [[f64; 3]] = field;
-    let mut field_slices = Vec::with_capacity(n_boxes);
-    for b in 0..n_boxes {
-        let (head, tail) = fbuf.split_at_mut(bp.binning.count(b));
-        field_slices.push(head);
-        fbuf = tail;
-    }
-
-    let work = |(b, (po, fo)): (usize, (&mut &mut [f64], &mut &mut [[f64; 3]]))| -> u64 {
-        near_field_forces_box(bp, b, &offsets, eps2, po, fo)
-    };
-
-    // det: integer pair-count reduction; floats live in disjoint slices.
-    let pairs: u64 = if parallel {
-        pot_slices
-            .par_iter_mut()
-            .zip(field_slices.par_iter_mut())
-            .enumerate()
-            .map(work)
-            .sum()
-    } else {
-        pot_slices
-            .iter_mut()
-            .zip(field_slices.iter_mut())
-            .enumerate()
-            .map(work)
-            .sum()
-    };
-    NearFieldStats {
-        pair_interactions: pairs,
-        box_pairs: 0,
-        flops: pairs * PAIR_FORCE_FLOPS,
-    }
+    target_sweep(bp, sep, parallel, pot, field, |b, offsets, po, fo| {
+        near_field_forces_box(kernel, bp, b, offsets, eps2, po, fo)
+    })
 }
 
 /// Target-centric potential + field accumulation for the particles of one
@@ -663,6 +644,7 @@ pub fn near_field_forces_softened(
 /// run this exact loop per *owned* box over its halo-extended binning to
 /// stay bitwise identical to the shared-memory path.
 pub fn near_field_forces_box(
+    kernel: Kernel,
     bp: &BinnedParticles,
     b: usize,
     offsets: &[[i32; 3]],
@@ -670,47 +652,149 @@ pub fn near_field_forces_box(
     po: &mut [f64],
     fo: &mut [[f64; 3]],
 ) -> u64 {
-    let t = BoxCoord::from_index(bp.level, b);
+    target_box(bp, b, offsets, po, fo, |ti, r| {
+        let (x, y, z) = (&bp.x[r.clone()], &bp.y[r.clone()], &bp.z[r.clone()]);
+        pairwise::force_gather_with(
+            kernel, bp.x[ti], bp.y[ti], bp.z[ti], eps2, x, y, z, &bp.q[r],
+        )
+    })
+}
+
+/// One box of a target-centric sweep, either precision. Each target sums
+/// the run of its own box before itself, the run after itself, then every
+/// non-empty in-domain neighbour run in `offsets` order; `gather(ti, run)`
+/// returns one run's `(potential, field)`, which joins the target's
+/// accumulator whole. A target's bits depend on that order alone. Returns
+/// the directed pair count.
+pub(crate) fn target_box(
+    bp: &BinnedParticles,
+    b: usize,
+    offsets: &[[i32; 3]],
+    po: &mut [f64],
+    fo: &mut [[f64; 3]],
+    gather: impl Fn(usize, Range<usize>) -> (f64, [f64; 3]),
+) -> u64 {
     let t_range = bp.range(b);
-    let mut pairs = 0u64;
-    for (idx, ti) in t_range.clone().enumerate() {
-        let (tx, ty, tz) = (bp.x[ti], bp.y[ti], bp.z[ti]);
+    if t_range.is_empty() {
+        return 0;
+    }
+    let t = BoxCoord::from_index(bp.level, b);
+    let neighbours = offsets.iter().filter_map(|&d| t.offset(d));
+    let runs: Vec<Range<usize>> = neighbours
+        .map(|s| bp.range(s.index()))
+        .filter(|r| !r.is_empty())
+        .collect();
+    for (ti, (p_out, f_out)) in t_range.clone().zip(po.iter_mut().zip(fo.iter_mut())) {
         let mut p_acc = 0.0;
         let mut f_acc = [0.0; 3];
-        let mut visit = |s_range: std::ops::Range<usize>, skip: usize| {
-            for si in s_range {
-                if si == skip {
-                    continue;
-                }
-                let dx = tx - bp.x[si];
-                let dy = ty - bp.y[si];
-                let dz = tz - bp.z[si];
-                let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                let inv_r = 1.0 / r2.sqrt();
-                let qr = bp.q[si] * inv_r;
-                p_acc += qr;
-                // −∇(q/r) = q (x_t − x_s) / r³
-                let qr3 = qr * inv_r * inv_r;
-                f_acc[0] += qr3 * dx;
-                f_acc[1] += qr3 * dy;
-                f_acc[2] += qr3 * dz;
-            }
-        };
-        visit(t_range.clone(), ti);
-        pairs += (t_range.len() - 1) as u64;
-        for &d in offsets {
-            if let Some(s) = t.offset(d) {
-                let s_range = bp.range(s.index());
-                pairs += s_range.len() as u64;
-                visit(s_range, usize::MAX);
+        let own = [t_range.start..ti, ti + 1..t_range.end];
+        for r in own.iter().chain(&runs).filter(|r| !r.is_empty()) {
+            let (p, f) = gather(ti, r.clone());
+            p_acc += p;
+            for a in 0..3 {
+                f_acc[a] += f[a];
             }
         }
-        po[idx] += p_acc;
+        *p_out += p_acc;
         for a in 0..3 {
-            fo[idx][a] += f_acc[a];
+            f_out[a] += f_acc[a];
         }
     }
-    pairs
+    let sources: usize = runs.iter().map(Range::len).sum();
+    (t_range.len() * (t_range.len() - 1 + sources)) as u64
+}
+
+/// Pieces per thread of a parallel target-centric sweep: several, so that
+/// a pool handing out pieces one at a time can even out what the
+/// pair-count estimate misses.
+const PIECES_PER_THREAD: usize = 8;
+
+/// Cut the row-major box range into `pieces` contiguous runs of near-equal
+/// cost, a box costing its directed pair count `n_t · (n_t + Σ n_s)` over
+/// its in-domain neighbours `s`. Returns the `pieces + 1` ascending box
+/// boundaries, `0` first and the box count last; a piece may be empty
+/// (one box can outweigh several pieces' share).
+fn cut_pieces(bp: &BinnedParticles, offsets: &[[i32; 3]], pieces: usize) -> Vec<usize> {
+    let n_boxes = bp.binning.starts.len() - 1;
+    let costs: Vec<u64> = (0..n_boxes)
+        .map(|b| {
+            let t = BoxCoord::from_index(bp.level, b);
+            let neighbours = offsets.iter().filter_map(|&d| t.offset(d));
+            let near: usize = neighbours.map(|s| bp.binning.count(s.index())).sum();
+            let n_t = bp.binning.count(b);
+            (n_t * (n_t + near)) as u64
+        })
+        .collect();
+    let total: u128 = costs.iter().map(|&c| c as u128).sum();
+    let mut cuts = vec![0];
+    let mut before = 0u128;
+    for (b, &c) in costs.iter().enumerate() {
+        // Piece k ends at the first box with k/pieces of the cost before it.
+        while cuts.len() < pieces && before * pieces as u128 >= cuts.len() as u128 * total {
+            cuts.push(b);
+        }
+        before += c as u128;
+    }
+    cuts.resize(pieces + 1, n_boxes);
+    cuts
+}
+
+/// The target-centric sweep both precisions share: `per_box(b, offsets,
+/// po, fo)` on every box, `pot`/`field` in sorted particle order. A
+/// parallel sweep cuts the box range into [`PIECES_PER_THREAD`] pieces per
+/// thread by cost — leaf occupancy on clustered inputs is far too skewed
+/// to cut by box count — and hands each its own `split_at_mut` of the
+/// outputs; a sequential one is a single piece and skips the cost pass.
+/// Each output element is written by its own target alone, so the result
+/// is bitwise the same wherever the cuts fall.
+pub(crate) fn target_sweep(
+    bp: &BinnedParticles,
+    sep: Separation,
+    parallel: bool,
+    pot: &mut [f64],
+    field: &mut [[f64; 3]],
+    per_box: impl Fn(usize, &[[i32; 3]], &mut [f64], &mut [[f64; 3]]) -> u64 + Sync,
+) -> NearFieldStats {
+    assert_eq!(pot.len(), bp.len());
+    assert_eq!(field.len(), bp.len());
+    let offsets = near_field_offsets(sep);
+    let starts = &bp.binning.starts;
+    let cuts = if parallel {
+        cut_pieces(
+            bp,
+            &offsets,
+            PIECES_PER_THREAD * rayon::current_num_threads(),
+        )
+    } else {
+        vec![0, starts.len() - 1]
+    };
+    type Piece<'a> = (Range<usize>, &'a mut [f64], &'a mut [[f64; 3]]);
+    let mut pieces: Vec<Piece<'_>> = Vec::with_capacity(cuts.len() - 1);
+    let (mut pot, mut field) = (pot, field);
+    for w in cuts.windows(2) {
+        let len = (starts[w[1]] - starts[w[0]]) as usize;
+        let (p_head, p_tail) = pot.split_at_mut(len);
+        let (f_head, f_tail) = field.split_at_mut(len);
+        pieces.push((w[0]..w[1], p_head, f_head));
+        (pot, field) = (p_tail, f_tail);
+    }
+    let work = |(boxes, po, fo): &mut Piece<'_>| -> u64 {
+        let base = starts[boxes.start] as usize;
+        let slot = |b| bp.range(b).start - base..bp.range(b).end - base;
+        let per_box = |b| per_box(b, &offsets, &mut po[slot(b)], &mut fo[slot(b)]);
+        boxes.clone().map(per_box).sum()
+    };
+    // det: integer pair counts only; floats live in disjoint slices.
+    let pairs: u64 = if parallel {
+        pieces.par_iter_mut().map(work).sum()
+    } else {
+        pieces.iter_mut().map(work).sum()
+    };
+    NearFieldStats {
+        pair_interactions: pairs,
+        box_pairs: 0,
+        flops: pairs * PAIR_FORCE_FLOPS,
+    }
 }
 
 #[cfg(test)]
@@ -866,6 +950,156 @@ mod tests {
                 fd,
                 field[i][a]
             );
+        }
+    }
+
+    type ForceOut = (Vec<f64>, Vec<[f64; 3]>, NearFieldStats);
+
+    fn forces(bp: &BinnedParticles, kernel: Kernel, parallel: bool) -> ForceOut {
+        let mut pot = vec![0.0; bp.len()];
+        let mut field = vec![[0.0; 3]; bp.len()];
+        let sep = Separation::Two;
+        let st =
+            near_field_forces_softened_with(kernel, bp, sep, parallel, 0.0, &mut pot, &mut field);
+        (pot, field, st)
+    }
+
+    fn assert_same_bits(a: &ForceOut, b: &ForceOut, what: &str) {
+        assert_eq!(a.2, b.2, "{what}: counters");
+        for (x, y) in a.0.iter().zip(&b.0) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: potential");
+        }
+        for (x, y) in a.1.iter().flatten().zip(b.1.iter().flatten()) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{what}: field");
+        }
+    }
+
+    #[test]
+    fn scalar_force_sweep_is_the_exact_sqrt_loop_in_run_order() {
+        // Pins both the summation order per target — own box before the
+        // target, own box after it, then neighbours in offset order, each
+        // run summed on its own — and that `Kernel::Scalar` is 1/√ exactly.
+        let bp = build(700, 2, 61);
+        let got = forces(&bp, Kernel::Scalar, true);
+        let offsets = near_field_offsets(Separation::Two);
+        for b in 0..64 {
+            let t = BoxCoord::from_index(2, b);
+            let own = bp.range(b);
+            for ti in own.clone() {
+                let mut runs = vec![own.start..ti, ti + 1..own.end];
+                runs.extend(
+                    offsets
+                        .iter()
+                        .filter_map(|&d| t.offset(d))
+                        .map(|s| bp.range(s.index())),
+                );
+                let (mut p_acc, mut f_acc) = (0.0, [0.0; 3]);
+                for run in runs.into_iter().filter(|r| !r.is_empty()) {
+                    let (mut p, mut f) = (0.0, [0.0; 3]);
+                    for si in run {
+                        let d = [
+                            bp.x[ti] - bp.x[si],
+                            bp.y[ti] - bp.y[si],
+                            bp.z[ti] - bp.z[si],
+                        ];
+                        let inv_r = 1.0 / (d[0] * d[0] + d[1] * d[1] + d[2] * d[2] + 0.0).sqrt();
+                        let qr = bp.q[si] * inv_r;
+                        p += qr;
+                        for a in 0..3 {
+                            f[a] += qr * inv_r * inv_r * d[a];
+                        }
+                    }
+                    p_acc += p;
+                    for a in 0..3 {
+                        f_acc[a] += f[a];
+                    }
+                }
+                assert_eq!(got.0[ti].to_bits(), p_acc.to_bits(), "potential {ti}");
+                assert_eq!(
+                    got.1[ti].map(f64::to_bits),
+                    f_acc.map(f64::to_bits),
+                    "field {ti}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn force_sweep_bits_do_not_depend_on_pieces() {
+        // 1 100 of 1 500 particles sit in the eight boxes around the centre
+        // of a 512-box grid: a count-based cut gives one thread nearly all
+        // of the work, and the cost-based cuts fall inside the cluster.
+        let (mut pts, q) = pseudo_system(1500, 67);
+        for p in pts.iter_mut().take(1100) {
+            *p = p.map(|c| 0.45 + 0.1 * c);
+        }
+        let bp = BinnedParticles::build(&pts, &q, Domain::unit(), 3);
+        let mut counts: Vec<usize> = (0..512).map(|b| bp.binning.count(b)).collect();
+        counts.sort_unstable_by(|a, b| b.cmp(a));
+        let hot: usize = counts[..512 / 20].iter().sum();
+        assert!(hot > 1100, "5 % of the boxes must hold the cluster");
+        for kernel in Kernel::available() {
+            let seq = forces(&bp, kernel, false);
+            for threads in [1, 2, 3, 7] {
+                let pool = rayon::ThreadPoolBuilder::new()
+                    .num_threads(threads)
+                    .build()
+                    .unwrap();
+                let par = pool.install(|| forces(&bp, kernel, true));
+                assert_same_bits(&seq, &par, &format!("{kernel:?}, {threads} threads"));
+            }
+        }
+    }
+
+    #[test]
+    fn piece_cuts_survive_degenerate_inputs() {
+        // Inputs whose cost sits in one box or in fewer boxes than there
+        // are pieces. Every particle is in every other's neighbourhood, so
+        // the near field alone must reproduce direct summation.
+        let corner = |n: usize, lo: f64| -> Vec<[f64; 3]> {
+            pseudo_system(n, 71)
+                .0
+                .iter()
+                .map(|p| p.map(|c| lo + 0.1 * c))
+                .collect()
+        };
+        let cases: [(&str, Vec<[f64; 3]>); 4] = [
+            ("N = 1", vec![[0.3, 0.6, 0.2]]),
+            ("one interior leaf", corner(200, 0.51)),
+            ("the far-corner leaf alone", corner(40, 0.89)),
+            (
+                "three boxes, one particle each",
+                vec![[0.1, 0.1, 0.1], [0.2, 0.1, 0.1], [0.3, 0.3, 0.1]],
+            ),
+        ];
+        for (what, pts) in cases {
+            let q: Vec<f64> = (0..pts.len()).map(|i| 1.0 - 0.3 * (i % 5) as f64).collect();
+            let bp = BinnedParticles::build(&pts, &q, Domain::unit(), 3);
+            for pieces in [1, 2, 16, 1000] {
+                let cuts = cut_pieces(&bp, &near_field_offsets(Separation::Two), pieces);
+                assert_eq!(cuts.len(), pieces + 1, "{what}");
+                assert_eq!((cuts[0], cuts[pieces]), (0, 512), "{what}");
+                assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{what}: {cuts:?}");
+            }
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(7)
+                .build()
+                .unwrap();
+            let got = pool.install(|| forces(&bp, Kernel::detect(), true));
+            assert_same_bits(&got, &forces(&bp, Kernel::detect(), false), what);
+            let sorted: Vec<[f64; 3]> =
+                (0..bp.len()).map(|i| [bp.x[i], bp.y[i], bp.z[i]]).collect();
+            let (want_p, want_f) = fmm_direct::potentials_and_fields(&sorted, &bp.q);
+            let scale = want_f.iter().flatten().fold(1.0f64, |m, v| m.max(v.abs()));
+            for (got_p, want_p) in got.0.iter().zip(&want_p) {
+                assert!(
+                    (got_p - want_p).abs() <= 1e-12 * (1.0 + want_p.abs()),
+                    "{what}"
+                );
+            }
+            for (got_f, want_f) in got.1.iter().flatten().zip(want_f.iter().flatten()) {
+                assert!((got_f - want_f).abs() <= 1e-12 * scale, "{what}");
+            }
         }
     }
 

@@ -27,7 +27,7 @@
 //! Arithmetic is f32; accumulation across box pairs is f64, so repeated
 //! `evaluate()` calls stay deterministic for a fixed kernel choice.
 
-use crate::near::{NearFieldStats, PAIR_FLOPS, PAIR_FORCE_FLOPS};
+use crate::near::{target_box, target_sweep, NearFieldStats, PAIR_FLOPS};
 use crate::particles::BinnedParticles;
 use fmm_linalg::{pairwise, Kernel};
 use fmm_tree::{near_field_offsets, BoxCoord, Separation};
@@ -216,9 +216,11 @@ pub fn near_field_potentials_f32(
     total
 }
 
-/// Mixed-precision near-field potentials **and** fields: target-centric
-/// f32 sweep; each box's partial (self box, then each neighbour box) is
-/// widened to f64 before joining the target's accumulator.
+/// Mixed-precision near-field potentials **and** fields: the f64 force
+/// sweep's skeleton ([`target_sweep`], [`target_box`]) over the f32 mirror;
+/// each run's partial (own box before and after the target, then each
+/// neighbour box) is widened to f64 before joining the target's
+/// accumulator.
 pub fn near_field_forces_f32(
     kernel: Kernel,
     bp: &BinnedParticles,
@@ -228,108 +230,22 @@ pub fn near_field_forces_f32(
     pot: &mut [f64],
     field: &mut [[f64; 3]],
 ) -> NearFieldStats {
-    assert_eq!(pot.len(), bp.len());
-    assert_eq!(field.len(), bp.len());
     let ps = ParticlesF32::build(bp);
     let eps2 = (eps * eps) as f32;
-    let offsets = near_field_offsets(sep);
-    let n_boxes = bp.binning.starts.len() - 1;
-
-    // Per-box output slices (same CSR split as the f64 path).
-    let mut pot_slices = Vec::with_capacity(n_boxes);
-    let mut pbuf: &mut [f64] = pot;
-    let mut field_slices = Vec::with_capacity(n_boxes);
-    let mut fbuf: &mut [[f64; 3]] = field;
-    for b in 0..n_boxes {
-        let cnt = bp.binning.count(b);
-        let (ph, pt) = pbuf.split_at_mut(cnt);
-        pot_slices.push(ph);
-        pbuf = pt;
-        let (fh, ft) = fbuf.split_at_mut(cnt);
-        field_slices.push(fh);
-        fbuf = ft;
-    }
-    let ps_ref = &ps;
-
-    let work = |(b, (po, fo)): (usize, (&mut &mut [f64], &mut &mut [[f64; 3]]))| -> u64 {
-        let t = BoxCoord::from_index(bp.level, b);
-        let t_range = bp.range(b);
-        let mut pairs = 0u64;
-        for (idx, ti) in t_range.clone().enumerate() {
-            let (tx, ty, tz) = (ps_ref.x[ti], ps_ref.y[ti], ps_ref.z[ti]);
-            // Self box: scalar f32 with the self-term skipped.
-            let mut p_acc = 0.0f32;
-            let mut f_acc = [0.0f32; 3];
-            for si in t_range.clone() {
-                if si == ti {
-                    continue;
-                }
-                let dx = tx - ps_ref.x[si];
-                let dy = ty - ps_ref.y[si];
-                let dz = tz - ps_ref.z[si];
-                let r2 = dx * dx + dy * dy + dz * dz + eps2;
-                let inv_r = 1.0 / r2.sqrt();
-                let qr = ps_ref.q[si] * inv_r;
-                p_acc += qr;
-                let qr3 = qr * inv_r * inv_r;
-                f_acc[0] += qr3 * dx;
-                f_acc[1] += qr3 * dy;
-                f_acc[2] += qr3 * dz;
-            }
-            pairs += (t_range.len() - 1) as u64;
-            po[idx] += p_acc as f64;
-            for a in 0..3 {
-                fo[idx][a] += f_acc[a] as f64;
-            }
-            for &d in &offsets {
-                if let Some(s) = t.offset(d) {
-                    let s_range = bp.range(s.index());
-                    if s_range.is_empty() {
-                        continue;
-                    }
-                    pairs += s_range.len() as u64;
-                    let (p, f) = pairwise::force_gather_f32_with(
-                        kernel,
-                        tx,
-                        ty,
-                        tz,
-                        eps2,
-                        &ps_ref.x[s_range.clone()],
-                        &ps_ref.y[s_range.clone()],
-                        &ps_ref.z[s_range.clone()],
-                        &ps_ref.q[s_range.clone()],
-                    );
-                    po[idx] += p as f64;
-                    for a in 0..3 {
-                        fo[idx][a] += f[a] as f64;
-                    }
-                }
-            }
-        }
-        pairs
+    let gather = |ti: usize, r: std::ops::Range<usize>| {
+        let (x, y, z, q) = (
+            &ps.x[r.clone()],
+            &ps.y[r.clone()],
+            &ps.z[r.clone()],
+            &ps.q[r],
+        );
+        let (p, f) =
+            pairwise::force_gather_f32_with(kernel, ps.x[ti], ps.y[ti], ps.z[ti], eps2, x, y, z, q);
+        (p as f64, f.map(f64::from))
     };
-
-    // det: integer pair-count reduction; floats live in disjoint slices.
-    let pairs: u64 = if parallel {
-        pot_slices
-            .par_iter_mut()
-            .zip(field_slices.par_iter_mut())
-            .enumerate()
-            .map(work)
-            .sum()
-    } else {
-        pot_slices
-            .iter_mut()
-            .zip(field_slices.iter_mut())
-            .enumerate()
-            .map(work)
-            .sum()
-    };
-    NearFieldStats {
-        pair_interactions: pairs,
-        box_pairs: 0,
-        flops: pairs * PAIR_FORCE_FLOPS,
-    }
+    target_sweep(bp, sep, parallel, pot, field, |b, offsets, po, fo| {
+        target_box(bp, b, offsets, po, fo, gather)
+    })
 }
 
 #[cfg(test)]

@@ -1,10 +1,11 @@
 //! Pairwise particle–particle microkernels for the near field.
 //!
 //! One target against a contiguous SoA run of sources, `Σ q_s/√(r²+ε²)`,
-//! in two flavours: *gather* (target-only accumulation) and *exchange*
+//! in three flavours: *gather* (target-only accumulation), *exchange*
 //! (the symmetric Newton's-third-law form — the target gathers while each
-//! source accumulates the reciprocal term). Each flavour exists in f64 and
-//! in f32, dispatched over the same [`Kernel`] families as the GEMM path:
+//! source accumulates the reciprocal term) and *force gather* (potential
+//! and field `Σ q_s·r⁻³·Δ` together). Each flavour exists in f64 and in
+//! f32, dispatched over the same [`Kernel`] families as the GEMM path:
 //!
 //! | kernel   | f64 lanes | f32 lanes | rsqrt seed        | NR steps f64/f32 |
 //! |----------|-----------|-----------|-------------------|------------------|
@@ -253,6 +254,38 @@ pub fn force_gather_f32_with(
     }
 }
 
+/// f64 potential + field gather: returns `(Σ q·r⁻¹, Σ q·r⁻³·Δ)` for one
+/// target against a source run (the target-centric force near field). The
+/// target must not be among the sources: a caller whose target sits inside
+/// the source block gathers over the sub-runs before and after it.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn force_gather_with(
+    kernel: Kernel,
+    tx: f64,
+    ty: f64,
+    tz: f64,
+    eps2: f64,
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    qs: &[f64],
+) -> (f64, [f64; 3]) {
+    debug_assert!(ys.len() == xs.len() && zs.len() == xs.len() && qs.len() == xs.len());
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: callers obtain the kernel from detect()/supported().
+        Kernel::Avx2Fma => unsafe { x86::force_gather_avx2(tx, ty, tz, eps2, xs, ys, zs, qs) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above.
+        Kernel::Avx512 => unsafe { x86::force_gather_avx512(tx, ty, tz, eps2, xs, ys, zs, qs) },
+        #[cfg(target_arch = "aarch64")]
+        // SAFETY: NEON is architecturally guaranteed on aarch64.
+        Kernel::Neon => unsafe { arm::force_gather_neon(tx, ty, tz, eps2, xs, ys, zs, qs) },
+        _ => force_gather_scalar(tx, ty, tz, eps2, xs, ys, zs, qs),
+    }
+}
+
 // ---------------------------------------------------------------- scalar
 
 #[allow(clippy::too_many_arguments)]
@@ -370,6 +403,36 @@ fn force_gather_f32_scalar(
         let inv_r = 1.0 / r2.sqrt();
         let qr = qs[j] * inv_r;
         p += qr;
+        let qr3 = qr * inv_r * inv_r;
+        f[0] += qr3 * dx;
+        f[1] += qr3 * dy;
+        f[2] += qr3 * dz;
+    }
+    (p, f)
+}
+
+#[allow(clippy::too_many_arguments)]
+fn force_gather_scalar(
+    tx: f64,
+    ty: f64,
+    tz: f64,
+    eps2: f64,
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    qs: &[f64],
+) -> (f64, [f64; 3]) {
+    let mut p = 0.0;
+    let mut f = [0.0; 3];
+    for j in 0..xs.len() {
+        let dx = tx - xs[j];
+        let dy = ty - ys[j];
+        let dz = tz - zs[j];
+        let r2 = dx * dx + dy * dy + dz * dz + eps2;
+        let inv_r = 1.0 / r2.sqrt();
+        let qr = qs[j] * inv_r;
+        p += qr;
+        // −∇(q/r) = q (x_t − x_s) / r³
         let qr3 = qr * inv_r * inv_r;
         f[0] += qr3 * dx;
         f[1] += qr3 * dy;
@@ -1193,6 +1256,141 @@ mod x86 {
         ];
         (p, f)
     }
+
+    /// # Safety
+    /// Requires AVX2+FMA; SoA slices must have equal lengths.
+    #[target_feature(enable = "avx2,fma")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn force_gather_avx2(
+        tx: f64,
+        ty: f64,
+        tz: f64,
+        eps2: f64,
+        xs: &[f64],
+        ys: &[f64],
+        zs: &[f64],
+        qs: &[f64],
+    ) -> (f64, [f64; 3]) {
+        let n = xs.len();
+        let txv = _mm256_set1_pd(tx);
+        let tyv = _mm256_set1_pd(ty);
+        let tzv = _mm256_set1_pd(tz);
+        let e2v = _mm256_set1_pd(eps2);
+        let mut pacc = _mm256_setzero_pd();
+        let mut fx = _mm256_setzero_pd();
+        let mut fy = _mm256_setzero_pd();
+        let mut fz = _mm256_setzero_pd();
+        let mut j = 0;
+        while j + 4 <= n {
+            let dx = _mm256_sub_pd(txv, _mm256_loadu_pd(xs.as_ptr().add(j)));
+            let dy = _mm256_sub_pd(tyv, _mm256_loadu_pd(ys.as_ptr().add(j)));
+            let dz = _mm256_sub_pd(tzv, _mm256_loadu_pd(zs.as_ptr().add(j)));
+            let r2 = _mm256_fmadd_pd(
+                dz,
+                dz,
+                _mm256_fmadd_pd(dy, dy, _mm256_fmadd_pd(dx, dx, e2v)),
+            );
+            let inv_r = rsqrt_nr(r2);
+            let qr = _mm256_mul_pd(_mm256_loadu_pd(qs.as_ptr().add(j)), inv_r);
+            pacc = _mm256_add_pd(pacc, qr);
+            let qr3 = _mm256_mul_pd(qr, _mm256_mul_pd(inv_r, inv_r));
+            fx = _mm256_fmadd_pd(qr3, dx, fx);
+            fy = _mm256_fmadd_pd(qr3, dy, fy);
+            fz = _mm256_fmadd_pd(qr3, dz, fz);
+            j += 4;
+        }
+        let mut p = hsum(pacc);
+        let mut f = [hsum(fx), hsum(fy), hsum(fz)];
+        while j < n {
+            let dx = tx - xs[j];
+            let dy = ty - ys[j];
+            let dz = tz - zs[j];
+            let r2 = dx * dx + dy * dy + dz * dz + eps2;
+            let inv_r = 1.0 / r2.sqrt();
+            let qr = qs[j] * inv_r;
+            p += qr;
+            let qr3 = qr * inv_r * inv_r;
+            f[0] += qr3 * dx;
+            f[1] += qr3 * dy;
+            f[2] += qr3 * dz;
+            j += 1;
+        }
+        (p, f)
+    }
+
+    /// # Safety
+    /// Requires AVX-512F; SoA slices must have equal lengths.
+    #[target_feature(enable = "avx512f")]
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn force_gather_avx512(
+        tx: f64,
+        ty: f64,
+        tz: f64,
+        eps2: f64,
+        xs: &[f64],
+        ys: &[f64],
+        zs: &[f64],
+        qs: &[f64],
+    ) -> (f64, [f64; 3]) {
+        let n = xs.len();
+        let txv = _mm512_set1_pd(tx);
+        let tyv = _mm512_set1_pd(ty);
+        let tzv = _mm512_set1_pd(tz);
+        let e2v = _mm512_set1_pd(eps2);
+        let mut pacc = _mm512_setzero_pd();
+        let mut fx = _mm512_setzero_pd();
+        let mut fy = _mm512_setzero_pd();
+        let mut fz = _mm512_setzero_pd();
+        let mut j = 0;
+        while j + 8 <= n {
+            let dx = _mm512_sub_pd(txv, _mm512_loadu_pd(xs.as_ptr().add(j)));
+            let dy = _mm512_sub_pd(tyv, _mm512_loadu_pd(ys.as_ptr().add(j)));
+            let dz = _mm512_sub_pd(tzv, _mm512_loadu_pd(zs.as_ptr().add(j)));
+            let r2 = _mm512_fmadd_pd(
+                dz,
+                dz,
+                _mm512_fmadd_pd(dy, dy, _mm512_fmadd_pd(dx, dx, e2v)),
+            );
+            let inv_r = rsqrt_nr_512(r2);
+            let qr = _mm512_mul_pd(_mm512_loadu_pd(qs.as_ptr().add(j)), inv_r);
+            pacc = _mm512_add_pd(pacc, qr);
+            let qr3 = _mm512_mul_pd(qr, _mm512_mul_pd(inv_r, inv_r));
+            fx = _mm512_fmadd_pd(qr3, dx, fx);
+            fy = _mm512_fmadd_pd(qr3, dy, fy);
+            fz = _mm512_fmadd_pd(qr3, dz, fz);
+            j += 8;
+        }
+        if j < n {
+            // Masked tail (see gather_f32_avx512): a leaf holds ~8 particles
+            // on the clustered force workloads, so most runs are all tail.
+            // q is zeroed on dead lanes so qr and qr3 vanish there; r2 is
+            // pinned to 1.0 to keep rsqrt finite.
+            let m: __mmask8 = (1u8 << (n - j)) - 1;
+            let dx = _mm512_sub_pd(txv, _mm512_maskz_loadu_pd(m, xs.as_ptr().add(j)));
+            let dy = _mm512_sub_pd(tyv, _mm512_maskz_loadu_pd(m, ys.as_ptr().add(j)));
+            let dz = _mm512_sub_pd(tzv, _mm512_maskz_loadu_pd(m, zs.as_ptr().add(j)));
+            let r2 = _mm512_fmadd_pd(
+                dz,
+                dz,
+                _mm512_fmadd_pd(dy, dy, _mm512_fmadd_pd(dx, dx, e2v)),
+            );
+            let r2 = _mm512_mask_mov_pd(_mm512_set1_pd(1.0), m, r2);
+            let inv_r = rsqrt_nr_512(r2);
+            let qr = _mm512_mul_pd(_mm512_maskz_loadu_pd(m, qs.as_ptr().add(j)), inv_r);
+            pacc = _mm512_add_pd(pacc, qr);
+            let qr3 = _mm512_mul_pd(qr, _mm512_mul_pd(inv_r, inv_r));
+            fx = _mm512_fmadd_pd(qr3, dx, fx);
+            fy = _mm512_fmadd_pd(qr3, dy, fy);
+            fz = _mm512_fmadd_pd(qr3, dz, fz);
+        }
+        let p = _mm512_reduce_add_pd(pacc);
+        let f = [
+            _mm512_reduce_add_pd(fx),
+            _mm512_reduce_add_pd(fy),
+            _mm512_reduce_add_pd(fz),
+        ];
+        (p, f)
+    }
 }
 
 // --------------------------------------------------------------- aarch64
@@ -1454,6 +1652,62 @@ mod arm {
         }
         (p, f)
     }
+
+    /// # Safety
+    /// SoA slices must have equal lengths.
+    #[allow(clippy::too_many_arguments)]
+    pub unsafe fn force_gather_neon(
+        tx: f64,
+        ty: f64,
+        tz: f64,
+        eps2: f64,
+        xs: &[f64],
+        ys: &[f64],
+        zs: &[f64],
+        qs: &[f64],
+    ) -> (f64, [f64; 3]) {
+        let n = xs.len();
+        let txv = vdupq_n_f64(tx);
+        let tyv = vdupq_n_f64(ty);
+        let tzv = vdupq_n_f64(tz);
+        let e2v = vdupq_n_f64(eps2);
+        let mut pacc = vdupq_n_f64(0.0);
+        let mut fx = vdupq_n_f64(0.0);
+        let mut fy = vdupq_n_f64(0.0);
+        let mut fz = vdupq_n_f64(0.0);
+        let mut j = 0;
+        while j + 2 <= n {
+            let dx = vsubq_f64(txv, vld1q_f64(xs.as_ptr().add(j)));
+            let dy = vsubq_f64(tyv, vld1q_f64(ys.as_ptr().add(j)));
+            let dz = vsubq_f64(tzv, vld1q_f64(zs.as_ptr().add(j)));
+            let r2 = vfmaq_f64(vfmaq_f64(vfmaq_f64(e2v, dx, dx), dy, dy), dz, dz);
+            let inv_r = rsqrt_nr_f64(r2);
+            let qr = vmulq_f64(vld1q_f64(qs.as_ptr().add(j)), inv_r);
+            pacc = vaddq_f64(pacc, qr);
+            let qr3 = vmulq_f64(qr, vmulq_f64(inv_r, inv_r));
+            fx = vfmaq_f64(fx, qr3, dx);
+            fy = vfmaq_f64(fy, qr3, dy);
+            fz = vfmaq_f64(fz, qr3, dz);
+            j += 2;
+        }
+        let mut p = vaddvq_f64(pacc);
+        let mut f = [vaddvq_f64(fx), vaddvq_f64(fy), vaddvq_f64(fz)];
+        while j < n {
+            let dx = tx - xs[j];
+            let dy = ty - ys[j];
+            let dz = tz - zs[j];
+            let r2 = dx * dx + dy * dy + dz * dz + eps2;
+            let inv_r = 1.0 / r2.sqrt();
+            let qr = qs[j] * inv_r;
+            p += qr;
+            let qr3 = qr * inv_r * inv_r;
+            f[0] += qr3 * dx;
+            f[1] += qr3 * dy;
+            f[2] += qr3 * dz;
+            j += 1;
+        }
+        (p, f)
+    }
 }
 
 #[cfg(test)]
@@ -1522,6 +1776,160 @@ mod tests {
                         kernel,
                         n
                     );
+                }
+            }
+        }
+    }
+
+    /// `|got − want| ≤ 1e-13 · scale` on the potential and every field
+    /// component, `scale` being the same sum over `|q|` (no cancellation).
+    fn assert_force_close(
+        got: (f64, [f64; 3]),
+        want: (f64, [f64; 3]),
+        scale: (f64, f64),
+        what: &str,
+    ) {
+        assert!(
+            (got.0 - want.0).abs() <= 1e-13 * scale.0,
+            "{what} potential: {} vs {}",
+            got.0,
+            want.0
+        );
+        for d in 0..3 {
+            assert!(
+                (got.1[d] - want.1[d]).abs() <= 1e-13 * scale.1,
+                "{what} field[{d}]: {} vs {}",
+                got.1[d],
+                want.1[d]
+            );
+        }
+    }
+
+    /// `(Σ|q|·r⁻¹, Σ|q|·r⁻²)` of a target against a source run.
+    fn force_scale(
+        t: [f64; 3],
+        eps2: f64,
+        src: &(Vec<f64>, Vec<f64>, Vec<f64>, Vec<f64>),
+    ) -> (f64, f64) {
+        let (xs, ys, zs, qs) = src;
+        let mut scale = (0.0, 0.0);
+        for j in 0..xs.len() {
+            let r2 =
+                (t[0] - xs[j]).powi(2) + (t[1] - ys[j]).powi(2) + (t[2] - zs[j]).powi(2) + eps2;
+            scale.0 += qs[j].abs() / r2.sqrt();
+            scale.1 += qs[j].abs() / r2;
+        }
+        scale
+    }
+
+    #[test]
+    fn force_gather_agrees_across_kernels() {
+        let t = [0.0, 0.1, -0.05];
+        for n in [0usize, 1, 7, 8, 9, 15, 16, 17, 63, 537] {
+            let src = soa(n, 23);
+            let (xs, ys, zs, qs) = &src;
+            for eps in [0.0, 0.05] {
+                let eps2 = eps * eps;
+                let want =
+                    force_gather_with(Kernel::Scalar, t[0], t[1], t[2], eps2, xs, ys, zs, qs);
+                let scale = force_scale(t, eps2, &src);
+                for kernel in Kernel::available() {
+                    let got = force_gather_with(kernel, t[0], t[1], t[2], eps2, xs, ys, zs, qs);
+                    assert_force_close(got, want, scale, &format!("{kernel:?} n={n} eps={eps}"));
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn force_gather_around_a_target_inside_the_source_block_is_finite() {
+        // The near field's self box: the target is one of the sources, and
+        // the caller gathers over the runs before and after it. Unsoftened,
+        // nothing in either run (live lane or dead) may meet r = 0.
+        let n = 17;
+        let src = soa(n, 31);
+        let (xs, ys, zs, qs) = &src;
+        for i in [0, n / 2, n - 1] {
+            let t = [xs[i], ys[i], zs[i]];
+            let halves = |kernel| {
+                let a = force_gather_with(
+                    kernel,
+                    t[0],
+                    t[1],
+                    t[2],
+                    0.0,
+                    &xs[..i],
+                    &ys[..i],
+                    &zs[..i],
+                    &qs[..i],
+                );
+                let b = force_gather_with(
+                    kernel,
+                    t[0],
+                    t[1],
+                    t[2],
+                    0.0,
+                    &xs[i + 1..],
+                    &ys[i + 1..],
+                    &zs[i + 1..],
+                    &qs[i + 1..],
+                );
+                (
+                    a.0 + b.0,
+                    [a.1[0] + b.1[0], a.1[1] + b.1[1], a.1[2] + b.1[2]],
+                )
+            };
+            let want = halves(Kernel::Scalar);
+            let mut rest = src.clone();
+            rest.3[i] = 0.0;
+            rest.0[i] += 1.0;
+            let scale = force_scale(t, 0.0, &rest);
+            for kernel in Kernel::available() {
+                let got = halves(kernel);
+                assert!(got.0.is_finite() && got.1.iter().all(|v| v.is_finite()));
+                assert_force_close(got, want, scale, &format!("{kernel:?} split at {i}"));
+            }
+        }
+    }
+
+    #[test]
+    fn force_gather_dead_lanes_contribute_exactly_zero() {
+        // A target at the origin with ε = 0 puts r² = 0 on every dead lane
+        // of a masked tail; unpinned, 0·rsqrt(0) = NaN would poison the
+        // sums. Every tier must stay finite and agree with the scalar body.
+        for n in [1usize, 7, 9, 15] {
+            let src = soa(n, 41);
+            let (xs, ys, zs, qs) = &src;
+            let want = force_gather_with(Kernel::Scalar, 0.0, 0.0, 0.0, 0.0, xs, ys, zs, qs);
+            let scale = force_scale([0.0; 3], 0.0, &src);
+            for kernel in Kernel::available() {
+                let got = force_gather_with(kernel, 0.0, 0.0, 0.0, 0.0, xs, ys, zs, qs);
+                assert_force_close(got, want, scale, &format!("{kernel:?} origin n={n}"));
+                // AVX-512 is the masked-tail tier: padding the run to whole
+                // vectors with zero charges puts the same values in the
+                // same lanes, so the bits must not move. (Tiers with a
+                // scalar tail associate the padded sum differently.)
+                if kernel == Kernel::Avx512 {
+                    let pad = |v: &[f64], fill: f64| {
+                        let mut v = v.to_vec();
+                        v.resize(n.next_multiple_of(8), fill);
+                        v
+                    };
+                    let padded = force_gather_with(
+                        kernel,
+                        0.0,
+                        0.0,
+                        0.0,
+                        0.0,
+                        &pad(xs, 1.0),
+                        &pad(ys, 0.0),
+                        &pad(zs, 0.0),
+                        &pad(qs, 0.0),
+                    );
+                    assert_eq!(got.0.to_bits(), padded.0.to_bits(), "n={n}");
+                    for d in 0..3 {
+                        assert_eq!(got.1[d].to_bits(), padded.1[d].to_bits(), "n={n} [{d}]");
+                    }
                 }
             }
         }

@@ -439,7 +439,7 @@ impl Worker<'_> {
                 let rh = bph.range(bi);
                 let (pot_b, f_b) = (&mut pot_h[rh.clone()], &mut f_h[rh.clone()]);
                 stats.pair_interactions +=
-                    near_field_forces_box(&bph, bi, &offsets, eps2, pot_b, f_b);
+                    near_field_forces_box(sh.plan.kernel, &bph, bi, &offsets, eps2, pot_b, f_b);
                 for (dst, src) in bp.range(bi).zip(rh) {
                     near_pot[dst] = pot_h[src];
                     for d in 0..3 {

@@ -169,14 +169,18 @@ fn forced_kernels_bitwise_across_all_executors() {
     fmm_spmd::install();
     let (pts, q) = pseudo_system(2200, 0xbeef);
     for kernel in fmm_core::Kernel::available() {
-        let mk = |ex: Executor| {
-            Fmm::new(config(3, ex).kernel(kernel))
+        let mk = |ex: Executor, bal: Balance| {
+            Fmm::new(config(3, ex).kernel(kernel).balance(bal))
                 .unwrap()
                 .evaluate_forces(&pts, &q)
                 .unwrap()
         };
-        let serial = mk(Executor::Serial);
-        for out in [mk(Executor::Rayon), mk(Executor::spmd(4))] {
+        let serial = mk(Executor::Serial, Balance::Uniform);
+        let mut others = vec![mk(Executor::Rayon, Balance::Uniform)];
+        for bal in [Balance::Uniform, Balance::CostWeighted] {
+            others.extend([2, 4, 8].map(|p| mk(Executor::spmd(p), bal)));
+        }
+        for out in others {
             for (a, b) in serial.potentials.iter().zip(&out.potentials) {
                 assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?} potential");
             }
