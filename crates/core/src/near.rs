@@ -5,21 +5,29 @@
 //! The particle–particle interactions are structured as neighbour box–box
 //! interactions over the d-separation neighbourhood (124 neighbours for
 //! two-separation); exploiting Newton's third law halves that to 62
-//! box–box interactions (the paper's Fig. 10 traversal). Three forms are
-//! provided:
+//! box–box interactions (the paper's Fig. 10 traversal).
 //!
-//! * a target-centric sweep that parallelizes over target boxes without
-//!   write conflicts but pays the full 124-neighbour pair count — the
-//!   production **forces** path ([`near_field_forces_softened_with`]),
-//!   swept in pieces of near-equal pair count on the plan's kernel;
-//! * the sequential symmetric sweep (the correctness oracle and the
-//!   flop-count reference for experiment E13);
-//! * the **travelling-accumulator** sweep ([`near_field_travelling_with`]),
-//!   the production potentials path: it keeps the third-law 2× pair
-//!   savings *and* parallelizes, because within one unit step of the
-//!   canonical path every output and accumulator element is written by
-//!   exactly one box. It sweeps any number of same-depth particle sets
-//!   together, deriving the path geometry once.
+//! Two sweeps are production paths, and each has one body that every
+//! executor runs — the Serial/Rayon driver over its own binning, an SPMD
+//! worker over the boxes it owns with sources served from its cell store
+//! through a [`Cells`] range lookup:
+//!
+//! * **potentials** — the travelling-accumulator sweep
+//!   ([`near_field_travelling_with`]): a self pass ([`self_pass`]), one
+//!   [`travelling_step`] per unit step of the canonical path, and the
+//!   return add ([`return_add`]). It keeps the third-law 2× pair savings
+//!   *and* parallelizes, because within one unit step every output and
+//!   accumulator element is written by exactly one box. The driver sweeps
+//!   any number of same-depth particle sets together, deriving the path
+//!   geometry once;
+//! * **forces** — the target-centric sweep
+//!   ([`near_field_forces_softened_with`], per box
+//!   [`near_field_forces_box`]): parallel over target boxes without write
+//!   conflicts at the full 124-neighbour pair count, swept in pieces of
+//!   near-equal pair count on the plan's kernel.
+//!
+//! [`near_field_symmetric`] is the sequential third-law sweep: the
+//! correctness oracle and the flop-count reference for experiment E13.
 //!
 //! [`ColorSchedule`] — 4×4×4 blocks of leaf boxes colored by the 2×2×2
 //! parity of their block coordinates, so that every color phase of a
@@ -67,58 +75,33 @@ impl NearFieldStats {
     }
 }
 
-/// Symmetric one-target update with an explicit kernel: the target
-/// gathers Σ q_s·r⁻¹ (returned) while each source accumulates q_t·r⁻¹
-/// into `s_out`. Public because the SPMD executor's travelling-accumulator
-/// sweep must apply the *same* kernel in the same order to stay bitwise
-/// identical to the shared-memory paths (it reads the kernel off the
-/// shared traversal plan).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn pair_exchange_with(
-    kernel: Kernel,
-    tx: f64,
-    ty: f64,
-    tz: f64,
-    tq: f64,
-    eps2: f64,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-    s_out: &mut [f64],
-) -> f64 {
-    pairwise::exchange_with(kernel, tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out)
+/// Leaf cells as flat SoA arrays with a per-box range lookup: what the
+/// near-field bodies read their sources through. [`BinnedParticles::cells`]
+/// is a binning's own sorted arrays; an SPMD worker hands in its cell
+/// store, where cells received from other ranks sit behind its own in
+/// arrival order.
+pub struct Cells<'a, L> {
+    x: &'a [f64],
+    y: &'a [f64],
+    z: &'a [f64],
+    q: &'a [f64],
+    range: L,
 }
 
-/// [`pair_exchange_with`] using the host-detected kernel.
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn pair_exchange(
-    tx: f64,
-    ty: f64,
-    tz: f64,
-    tq: f64,
-    eps2: f64,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-    s_out: &mut [f64],
-) -> f64 {
-    pairwise::exchange_with(
-        Kernel::detect(),
-        tx,
-        ty,
-        tz,
-        tq,
-        eps2,
-        xs,
-        ys,
-        zs,
-        qs,
-        s_out,
-    )
+impl<'a, L: Fn(usize) -> Range<usize>> Cells<'a, L> {
+    /// `range(b)` is the run of leaf box `b`'s particles in the four
+    /// equally long arrays, empty if it has none.
+    pub fn new(x: &'a [f64], y: &'a [f64], z: &'a [f64], q: &'a [f64], range: L) -> Self {
+        assert!(x.len() == y.len() && y.len() == z.len() && z.len() == q.len());
+        Cells { x, y, z, q, range }
+    }
+}
+
+impl BinnedParticles {
+    /// The binning's own cells: the sorted arrays under [`Self::range`].
+    pub fn cells(&self) -> Cells<'_, impl Fn(usize) -> Range<usize> + '_> {
+        Cells::new(&self.x, &self.y, &self.z, &self.q, |b| self.range(b))
+    }
 }
 
 /// Accumulate potentials of particles in `t_range` due to particles in
@@ -145,12 +128,10 @@ fn box_pair_potential(
 }
 
 /// Potentials within one box, pairwise symmetric, excluding self terms.
-/// Public for the same reason as [`pair_exchange`]: every backend's
-/// self-box pass must be this exact loop.
 #[inline]
-pub fn self_box_potential(
+fn self_box_potential(
     bp: &BinnedParticles,
-    range: std::ops::Range<usize>,
+    range: Range<usize>,
     eps2: f64,
     out: &mut [f64],
 ) -> u64 {
@@ -216,23 +197,11 @@ pub fn near_field_potentials_softened(
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
-    near_field_potentials_softened_with(Kernel::detect(), bp, sep, parallel, eps, out)
-}
-
-/// [`near_field_potentials_softened`] with an explicit kernel choice.
-pub fn near_field_potentials_softened_with(
-    kernel: Kernel,
-    bp: &BinnedParticles,
-    sep: Separation,
-    parallel: bool,
-    eps: f64,
-    out: &mut [f64],
-) -> NearFieldStats {
-    let eps2 = eps * eps;
+    let (kernel, eps2) = (Kernel::detect(), eps * eps);
     assert_eq!(out.len(), bp.len());
     let offsets = near_field_offsets(sep);
     let level = bp.level;
-    let slices = per_box_slices(bp, out);
+    let mut slices = per_box_slices(bp, out);
 
     let work = |(b, o): (usize, &mut &mut [f64])| -> NearFieldStats {
         let t = BoxCoord::from_index(level, b);
@@ -253,27 +222,14 @@ pub fn near_field_potentials_softened_with(
         st
     };
 
-    let mut slices = slices;
     // det: the reduction adds integer counters; potentials accumulate in
     // disjoint per-box slices, unaffected by the combine order.
-    let total: NearFieldStats = if parallel {
-        slices
-            .par_iter_mut()
-            .enumerate()
-            .map(work)
-            .reduce(NearFieldStats::default, |a, b| NearFieldStats {
-                pair_interactions: a.pair_interactions + b.pair_interactions,
-                box_pairs: a.box_pairs + b.box_pairs,
-                flops: 0,
-            })
+    let total = if parallel {
+        let boxes = slices.par_iter_mut().enumerate();
+        boxes.map(work).reduce(NearFieldStats::default, add_stats)
     } else {
-        let mut acc = NearFieldStats::default();
-        for item in slices.iter_mut().enumerate() {
-            let st = work(item);
-            acc.pair_interactions += st.pair_interactions;
-            acc.box_pairs += st.box_pairs;
-        }
-        acc
+        let boxes = slices.iter_mut().enumerate();
+        boxes.map(work).fold(NearFieldStats::default(), add_stats)
     };
     NearFieldStats {
         flops: total.pair_interactions * PAIR_FLOPS,
@@ -398,11 +354,14 @@ impl ColorSchedule {
     }
 }
 
-/// Shared output buffer for the travelling sweep. The boxes of one step
-/// carve out disjoint sub-slices (each box's ranges are a bijection of the
-/// box), so handing each task raw-pointer-derived `&mut [f64]` views is
+/// Shared output buffer of a parallel symmetric sweep, this one's and the
+/// colored f32 one's. The tasks of one step (or color) carve out disjoint
+/// sub-slices, so handing each raw-pointer-derived `&mut [f64]` views is
 /// sound.
-struct SharedOut(*mut f64);
+pub(crate) struct SharedOut {
+    ptr: *mut f64,
+    len: usize,
+}
 
 // SAFETY: the pointer is only dereferenced through `slice`, whose caller
 // contract guarantees disjoint ranges across concurrently running tasks.
@@ -411,22 +370,28 @@ unsafe impl Sync for SharedOut {}
 unsafe impl Send for SharedOut {}
 
 impl SharedOut {
+    pub(crate) fn new(buf: &mut [f64]) -> Self {
+        SharedOut {
+            ptr: buf.as_mut_ptr(),
+            len: buf.len(),
+        }
+    }
+
     /// # Safety
-    /// `range` must be in bounds and not concurrently viewed by any other
-    /// task.
+    /// `range` must not be viewed by any other task, nor by any other live
+    /// slice of this buffer, while the returned one lives. Bounds are
+    /// checked here: a range lookup the caller supplies may name anything.
     #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self, range: std::ops::Range<usize>) -> &mut [f64] {
-        std::slice::from_raw_parts_mut(self.0.add(range.start), range.len())
+    pub(crate) unsafe fn slice(&self, range: Range<usize>) -> &mut [f64] {
+        assert!(range.start <= range.end && range.end <= self.len);
+        std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len())
     }
 }
 
 #[inline]
-fn add_stats(a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
-    NearFieldStats {
-        pair_interactions: a.pair_interactions + b.pair_interactions,
-        box_pairs: a.box_pairs + b.box_pairs,
-        flops: 0,
-    }
+fn add_stats(mut a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
+    a.merge(&b);
+    a
 }
 
 /// Near-field potentials via the paper's travelling-accumulator sweep
@@ -437,7 +402,8 @@ fn add_stats(a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
 /// added back at the end (the "return shifts"). Steps are ordered; within
 /// a step each out/accumulator element is written by exactly one box, so
 /// the parallel and sequential forms — and the message-passing executor,
-/// which runs the identical arithmetic per worker — are bitwise identical.
+/// whose workers call the same [`travelling_step`] on the boxes they own
+/// — are bitwise identical.
 /// Reports the same third-law-halved counts as [`near_field_symmetric`].
 pub fn near_field_travelling(
     bp: &BinnedParticles,
@@ -490,110 +456,180 @@ pub(crate) fn travelling_sweep(
         return NearFieldStats::default();
     };
     let eps2 = eps * eps;
-    let level = first.level;
-    let n_boxes = first.binning.starts.len() - 1;
-    for (bp, out) in bps.iter().zip(outs.iter()) {
-        assert_eq!(bp.level, level, "one sweep needs one depth");
-        assert_eq!(out.len(), bp.len());
+    for bp in bps {
+        assert_eq!(bp.level, first.level, "one sweep needs one depth");
     }
-    let path = fmm_machine::TravelPath::new(sep.d());
-    let mut accs: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
     let mut total = NearFieldStats::default();
-
-    // Self interactions, symmetric within each box.
     for (bp, out) in bps.iter().zip(outs.iter_mut()) {
-        let mut self_slices = per_box_slices(bp, out);
-        let self_work = |(b, o): (usize, &mut &mut [f64])| -> NearFieldStats {
+        total.merge(&self_pass(bp, eps2, parallel, out));
+    }
+    // Every box is a target, and a binning serves its own sources.
+    let targets: Vec<u32> = (0..first.binning.starts.len() as u32 - 1).collect();
+    let mut accs: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
+    let parts = bps.iter().zip(outs.iter_mut()).zip(&mut accs);
+    let mut insts: Vec<_> = parts
+        .map(|((bp, out), acc)| Travelling {
+            bp,
+            out,
+            cells: bp.cells(),
+            acc,
+        })
+        .collect();
+    for step in &fmm_machine::TravelPath::new(sep.d()).steps {
+        total.merge(&step_over(
+            kernel, eps2, step.cum, &targets, parallel, &mut insts,
+        ));
+    }
+    drop(insts);
+    for (out, acc) in outs.iter_mut().zip(&accs) {
+        return_add(out, acc);
+    }
+    total
+}
+
+/// Self interactions of a travelling sweep, symmetric within each box of
+/// `bp`, added into `out` (sorted particle order).
+pub fn self_pass(
+    bp: &BinnedParticles,
+    eps2: f64,
+    parallel: bool,
+    out: &mut [f64],
+) -> NearFieldStats {
+    assert_eq!(out.len(), bp.len());
+    let mut slices = per_box_slices(bp, out);
+    let work = |(b, o): (usize, &mut &mut [f64])| -> NearFieldStats {
+        let t_range = bp.range(b);
+        if t_range.is_empty() {
+            return NearFieldStats::default();
+        }
+        let pairs = self_box_potential(bp, t_range, eps2, o);
+        NearFieldStats {
+            pair_interactions: pairs,
+            box_pairs: 1,
+            flops: pairs * PAIR_FLOPS,
+        }
+    };
+    // det: integer-counter reduction over disjoint per-box slices.
+    if parallel {
+        let boxes = slices.par_iter_mut().enumerate();
+        boxes.map(work).reduce(NearFieldStats::default, add_stats)
+    } else {
+        let boxes = slices.iter_mut().enumerate();
+        boxes.map(work).fold(NearFieldStats::default(), add_stats)
+    }
+}
+
+/// One instance of a travelling step: the target boxes' particles and
+/// potentials in `bp`'s sorted order, the source cells by origin box —
+/// wherever they sit — and the travelling accumulators laid out as those.
+pub struct Travelling<'a, L> {
+    pub bp: &'a BinnedParticles,
+    pub out: &'a mut [f64],
+    pub cells: Cells<'a, L>,
+    pub acc: &'a mut [f64],
+}
+
+/// One unit step of the travelling sweep over the target boxes `targets`:
+/// each exchanges with the cell `cum` away, gathering into its own run of
+/// `out` and scattering into that cell's run of `acc`. Targets must be
+/// distinct; then every element is written by one box, and a sweep that
+/// covers the boxes by any split into calls, in any order, writes the bits
+/// of the full one. The SPMD workers step the boxes they own through this.
+pub fn travelling_step<L: Fn(usize) -> Range<usize> + Sync>(
+    kernel: Kernel,
+    eps2: f64,
+    cum: [i32; 3],
+    targets: &[u32],
+    one: &mut Travelling<'_, L>,
+) -> NearFieldStats {
+    step_over(kernel, eps2, cum, targets, false, std::slice::from_mut(one))
+}
+
+/// [`travelling_step`] over same-depth instances, the instances innermost.
+/// The boxes of a step are independent — box t writes out[t] and
+/// acc[t + cum], both bijections of t — so they may run in parallel
+/// without changing bits; `parallel` stays in this module because that
+/// holds only for distinct targets under an injective range lookup.
+fn step_over<L: Fn(usize) -> Range<usize> + Sync>(
+    kernel: Kernel,
+    eps2: f64,
+    cum: [i32; 3],
+    targets: &[u32],
+    parallel: bool,
+    insts: &mut [Travelling<'_, L>],
+) -> NearFieldStats {
+    let Some(first) = insts.first() else {
+        return NearFieldStats::default();
+    };
+    let level = first.bp.level;
+    for t in insts.iter() {
+        assert_eq!(t.out.len(), t.bp.len());
+        assert_eq!(t.acc.len(), t.cells.q.len());
+    }
+    let shared: Vec<(SharedOut, SharedOut)> = insts
+        .iter_mut()
+        .map(|t| (SharedOut::new(t.out), SharedOut::new(t.acc)))
+        .collect();
+    let insts = &*insts;
+    let step_work = |&b: &u32| -> NearFieldStats {
+        let mut st = NearFieldStats::default();
+        let b = b as usize;
+        let Some(s) = BoxCoord::from_index(level, b).offset(cum) else {
+            return st;
+        };
+        let s_idx = s.index();
+        for (t, (out, acc)) in insts.iter().zip(&shared) {
+            let (bp, cells) = (t.bp, &t.cells);
             let t_range = bp.range(b);
             if t_range.is_empty() {
-                return NearFieldStats::default();
+                continue;
             }
-            NearFieldStats {
-                pair_interactions: self_box_potential(bp, t_range, eps2, o),
-                box_pairs: 1,
-                flops: 0,
+            let s_range = (cells.range)(s_idx);
+            if s_range.is_empty() {
+                continue;
             }
-        };
-        // det: integer-counter reduction over disjoint per-box slices.
-        let st = if parallel {
-            self_slices
-                .par_iter_mut()
-                .enumerate()
-                .map(self_work)
-                .reduce(NearFieldStats::default, add_stats)
-        } else {
-            self_slices
-                .iter_mut()
-                .enumerate()
-                .map(self_work)
-                .fold(NearFieldStats::default(), add_stats)
-        };
-        total = add_stats(total, st);
-    }
-
-    // The travelling sweep: one ordered pass per unit step. The boxes of a
-    // step are independent — box t writes out[t] and acc[t + cum], both
-    // bijections of t — so they may run in parallel without changing bits.
-    let shared: Vec<(SharedOut, SharedOut)> = outs
-        .iter_mut()
-        .zip(accs.iter_mut())
-        .map(|(out, acc)| (SharedOut(out.as_mut_ptr()), SharedOut(acc.as_mut_ptr())))
-        .collect();
-    for step in &path.steps {
-        let cum = step.cum;
-        let step_work = |b: usize| -> NearFieldStats {
-            let mut st = NearFieldStats::default();
-            let Some(s) = BoxCoord::from_index(level, b).offset(cum) else {
-                return st;
-            };
-            let s_idx = s.index();
-            for (bp, (out, acc)) in bps.iter().zip(&shared) {
-                let t_range = bp.range(b);
-                let s_range = bp.range(s_idx);
-                if t_range.is_empty() || s_range.is_empty() {
-                    continue;
-                }
-                // SAFETY: t ↦ t_range and t ↦ s_range are injective over the
-                // boxes of one step, and `out`/`acc` are distinct arrays.
-                let t_out = unsafe { out.slice(t_range.clone()) };
-                // SAFETY: same disjointness argument as `t_out`, on `acc`.
-                let s_acc = unsafe { acc.slice(s_range.clone()) };
-                let xs = &bp.x[s_range.clone()];
-                let ys = &bp.y[s_range.clone()];
-                let zs = &bp.z[s_range.clone()];
-                let qs = &bp.q[s_range.clone()];
-                for (i, ti) in t_range.enumerate() {
-                    t_out[i] += pair_exchange_with(
-                        kernel, bp.x[ti], bp.y[ti], bp.z[ti], bp.q[ti], eps2, xs, ys, zs, qs, s_acc,
-                    );
-                    st.pair_interactions += s_range.len() as u64;
-                }
-                st.box_pairs += 1;
+            // SAFETY: t ↦ t_range and t ↦ s_range are injective over the
+            // boxes of a parallel step, a sequential one holds one pair of
+            // slices at a time, and `out`/`acc` are distinct arrays.
+            let t_out = unsafe { out.slice(t_range.clone()) };
+            // SAFETY: same disjointness argument as `t_out`, on `acc`.
+            let s_acc = unsafe { acc.slice(s_range.clone()) };
+            let xs = &cells.x[s_range.clone()];
+            let ys = &cells.y[s_range.clone()];
+            let zs = &cells.z[s_range.clone()];
+            let qs = &cells.q[s_range.clone()];
+            for (i, ti) in t_range.enumerate() {
+                t_out[i] += pairwise::exchange_with(
+                    kernel, bp.x[ti], bp.y[ti], bp.z[ti], bp.q[ti], eps2, xs, ys, zs, qs, s_acc,
+                );
+                st.pair_interactions += s_range.len() as u64;
             }
-            st
-        };
-        // det: integer-counter reduction; each box owns its accumulators.
-        let st = if parallel {
-            (0..n_boxes)
-                .into_par_iter()
-                .map(step_work)
-                .reduce(NearFieldStats::default, add_stats)
-        } else {
-            (0..n_boxes)
-                .map(step_work)
-                .fold(NearFieldStats::default(), add_stats)
-        };
-        total = add_stats(total, st);
-    }
-
-    // Return shifts: every accumulator goes home and is added once.
-    for (out, acc) in outs.iter_mut().zip(&accs) {
-        for (o, a) in out.iter_mut().zip(acc) {
-            *o += *a;
+            st.box_pairs += 1;
         }
+        st.flops = st.pair_interactions * PAIR_FLOPS;
+        st
+    };
+    // det: integer-counter reduction; each box owns its accumulators.
+    if parallel {
+        let boxes = targets.par_iter();
+        boxes
+            .map(step_work)
+            .reduce(NearFieldStats::default, add_stats)
+    } else {
+        let boxes = targets.iter();
+        boxes
+            .map(step_work)
+            .fold(NearFieldStats::default(), add_stats)
     }
-    total.flops = total.pair_interactions * PAIR_FLOPS;
-    total
+}
+
+/// The return shifts of a travelling sweep: accumulators that are home
+/// again join their cells' potentials, once.
+pub fn return_add(out: &mut [f64], acc: &[f64]) {
+    assert_eq!(out.len(), acc.len());
+    for (o, a) in out.iter_mut().zip(acc) {
+        *o += *a;
+    }
 }
 
 /// Target-centric near-field potentials **and** fields (−∇Φ). Outputs are
@@ -632,56 +668,59 @@ pub fn near_field_forces_softened_with(
     pot: &mut [f64],
     field: &mut [[f64; 3]],
 ) -> NearFieldStats {
-    let eps2 = eps * eps;
+    let (eps2, cells) = (eps * eps, bp.cells());
     target_sweep(bp, sep, parallel, pot, field, |b, offsets, po, fo| {
-        near_field_forces_box(kernel, bp, b, offsets, eps2, po, fo)
+        near_field_forces_box(kernel, &cells, bp.level, b, offsets, eps2, po, fo)
     })
 }
 
-/// Target-centric potential + field accumulation for the particles of one
-/// box. `po`/`fo` are the per-box output slices of box `b`; `offsets` is
-/// the full near-field offset list. Public because the SPMD executor must
-/// run this exact loop per *owned* box over its halo-extended binning to
-/// stay bitwise identical to the shared-memory path.
-pub fn near_field_forces_box(
+/// Target-centric potential + field accumulation for the particles of leaf
+/// box `b` of `level`, targets and sources both read through `cells`.
+/// `po`/`fo` are the per-box output slices of box `b`; `offsets` is the
+/// full near-field offset list. The SPMD workers run the boxes they own
+/// through this, over a cell store that holds their halo.
+#[allow(clippy::too_many_arguments)]
+pub fn near_field_forces_box<L: Fn(usize) -> Range<usize>>(
     kernel: Kernel,
-    bp: &BinnedParticles,
+    cells: &Cells<'_, L>,
+    level: u32,
     b: usize,
     offsets: &[[i32; 3]],
     eps2: f64,
     po: &mut [f64],
     fo: &mut [[f64; 3]],
 ) -> u64 {
-    target_box(bp, b, offsets, po, fo, |ti, r| {
-        let (x, y, z) = (&bp.x[r.clone()], &bp.y[r.clone()], &bp.z[r.clone()]);
-        pairwise::force_gather_with(
-            kernel, bp.x[ti], bp.y[ti], bp.z[ti], eps2, x, y, z, &bp.q[r],
-        )
+    let (x, y, z, q) = (cells.x, cells.y, cells.z, cells.q);
+    target_box(level, b, offsets, &cells.range, po, fo, |ti, r| {
+        let (xs, ys, zs) = (&x[r.clone()], &y[r.clone()], &z[r.clone()]);
+        pairwise::force_gather_with(kernel, x[ti], y[ti], z[ti], eps2, xs, ys, zs, &q[r])
     })
 }
 
-/// One box of a target-centric sweep, either precision. Each target sums
-/// the run of its own box before itself, the run after itself, then every
+/// One box of a target-centric sweep, either precision; `range` places a
+/// box's particles in the arrays `gather` reads. Each target sums the run
+/// of its own box before itself, the run after itself, then every
 /// non-empty in-domain neighbour run in `offsets` order; `gather(ti, run)`
 /// returns one run's `(potential, field)`, which joins the target's
 /// accumulator whole. A target's bits depend on that order alone. Returns
 /// the directed pair count.
 pub(crate) fn target_box(
-    bp: &BinnedParticles,
+    level: u32,
     b: usize,
     offsets: &[[i32; 3]],
+    range: &impl Fn(usize) -> Range<usize>,
     po: &mut [f64],
     fo: &mut [[f64; 3]],
     gather: impl Fn(usize, Range<usize>) -> (f64, [f64; 3]),
 ) -> u64 {
-    let t_range = bp.range(b);
+    let t_range = range(b);
     if t_range.is_empty() {
         return 0;
     }
-    let t = BoxCoord::from_index(bp.level, b);
+    let t = BoxCoord::from_index(level, b);
     let neighbours = offsets.iter().filter_map(|&d| t.offset(d));
     let runs: Vec<Range<usize>> = neighbours
-        .map(|s| bp.range(s.index()))
+        .map(|s| range(s.index()))
         .filter(|r| !r.is_empty())
         .collect();
     for (ti, (p_out, f_out)) in t_range.clone().zip(po.iter_mut().zip(fo.iter_mut())) {
@@ -1126,6 +1165,64 @@ mod tests {
                         assert_eq!(st, st_seq);
                     }
                 }
+            }
+        }
+    }
+
+    #[test]
+    fn travelling_step_over_box_subsets_writes_the_full_sweeps_bits() {
+        // What the SPMD workers run: every step over a Morton range (cuts
+        // sibling groups at both ends), a scattered set, nothing at all and
+        // the rest, with the sources served from a store that holds the
+        // cells in another order than the binning, gaps between them —
+        // against the full sweep, on every kernel tier.
+        use fmm_tree::partition::morton_to_rowmajor;
+        let (sep, level, n) = (Separation::Two, 3, 512u32);
+        let bp = build(3000, level, 43);
+        let mut store: [Vec<f64>; 4] = Default::default();
+        let mut start_of = vec![0; n as usize];
+        for b in (0..n as usize).rev() {
+            start_of[b] = store[0].len();
+            for (arr, src) in store.iter_mut().zip([&bp.x, &bp.y, &bp.z, &bp.q]) {
+                arr.extend_from_slice(&src[bp.range(b)]);
+                arr.push(f64::NAN);
+            }
+        }
+        let range = |b: usize| start_of[b]..start_of[b] + bp.binning.count(b);
+        let [x, y, z, q] = &store;
+        let morton: Vec<u32> = (5..n as u64 * 5 / 8 + 3)
+            .map(|code| morton_to_rowmajor(level, code) as u32)
+            .collect();
+        let rest = || (0..n).filter(|b| !morton.contains(b));
+        let subsets = [
+            morton.clone(),
+            rest().filter(|b| b % 3 == 1).collect(),
+            Vec::new(),
+            rest().filter(|b| b % 3 != 1).collect(),
+        ];
+        for kernel in Kernel::available() {
+            let mut want = vec![0.0; bp.len()];
+            let want_st = near_field_travelling_with(kernel, &bp, sep, false, 0.0, &mut want);
+            let mut got = vec![0.0; bp.len()];
+            let mut acc = vec![0.0; x.len()];
+            let mut st = self_pass(&bp, 0.0, false, &mut got);
+            for step in &fmm_machine::TravelPath::new(sep.d()).steps {
+                for boxes in &subsets {
+                    let mut one = Travelling {
+                        bp: &bp,
+                        out: &mut got,
+                        cells: Cells::new(x, y, z, q, range),
+                        acc: &mut acc,
+                    };
+                    st.merge(&travelling_step(kernel, 0.0, step.cum, boxes, &mut one));
+                }
+            }
+            for b in 0..n as usize {
+                return_add(&mut got[bp.range(b)], &acc[range(b)]);
+            }
+            assert_eq!(st, want_st, "{kernel:?}");
+            for (a, b) in got.iter().zip(&want) {
+                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
             }
         }
     }

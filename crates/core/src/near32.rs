@@ -27,7 +27,7 @@
 //! Arithmetic is f32; accumulation across box pairs is f64, so repeated
 //! `evaluate()` calls stay deterministic for a fixed kernel choice.
 
-use crate::near::{target_box, target_sweep, NearFieldStats, PAIR_FLOPS};
+use crate::near::{target_box, target_sweep, NearFieldStats, SharedOut, PAIR_FLOPS};
 use crate::particles::BinnedParticles;
 use fmm_linalg::{pairwise, Kernel};
 use fmm_tree::{near_field_offsets, BoxCoord, Separation};
@@ -51,26 +51,6 @@ impl ParticlesF32 {
             z: narrow(&bp.z),
             q: narrow(&bp.q),
         }
-    }
-}
-
-/// Shared f64 output buffer; same disjointness contract as the f64
-/// `SharedOut` in [`crate::near`].
-struct SharedOut32(*mut f64);
-
-// SAFETY: only dereferenced through `slice`, whose caller contract
-// guarantees disjoint ranges across concurrently running tasks.
-unsafe impl Sync for SharedOut32 {}
-// SAFETY: as above — no thread-affine state.
-unsafe impl Send for SharedOut32 {}
-
-impl SharedOut32 {
-    /// # Safety
-    /// `range` must be in bounds and not concurrently viewed by any other
-    /// task.
-    #[allow(clippy::mut_from_ref)]
-    unsafe fn slice(&self, range: std::ops::Range<usize>) -> &mut [f64] {
-        std::slice::from_raw_parts_mut(self.0.add(range.start), range.len())
     }
 }
 
@@ -138,7 +118,7 @@ pub fn near_field_potentials_f32(
         .filter(|o| *o > [0, 0, 0])
         .collect();
 
-    let shared = SharedOut32(out.as_mut_ptr());
+    let shared = SharedOut::new(out);
     let shared = &shared;
     let ps_ref = &ps;
 
@@ -244,7 +224,7 @@ pub fn near_field_forces_f32(
         (p as f64, f.map(f64::from))
     };
     target_sweep(bp, sep, parallel, pot, field, |b, offsets, po, fo| {
-        target_box(bp, b, offsets, po, fo, gather)
+        target_box(bp.level, b, offsets, &|b| bp.range(b), po, fo, gather)
     })
 }
 

@@ -177,7 +177,10 @@ pub struct SpmdPhase {
     pub messages: u64,
     /// Payload bytes that crossed a worker boundary.
     pub bytes: u64,
-    /// f64 words copied within workers' own memories.
+    /// f64 words of *logical* motion within workers' own memories, as the
+    /// machine model prices it: a CSHIFT charges every element that stays
+    /// on its VU, per shift, whether or not the executor copies it (the
+    /// SPMD near field leaves a slot that stays on its rank where it is).
     pub local_words: u64,
 }
 

@@ -92,35 +92,6 @@ pub fn exchange_with(
     }
 }
 
-/// f32 gather (mixed-precision near field).
-#[inline]
-#[allow(clippy::too_many_arguments)]
-pub fn gather_f32_with(
-    kernel: Kernel,
-    tx: f32,
-    ty: f32,
-    tz: f32,
-    eps2: f32,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    qs: &[f32],
-) -> f32 {
-    debug_assert!(ys.len() == xs.len() && zs.len() == xs.len() && qs.len() == xs.len());
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers obtain the kernel from detect()/supported().
-        Kernel::Avx2Fma => unsafe { x86::gather_f32_avx2(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe { x86::gather_f32_avx512(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        Kernel::Neon => unsafe { arm::gather_f32_neon(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        _ => gather_f32_scalar(tx, ty, tz, eps2, xs, ys, zs, qs),
-    }
-}
-
 /// f32 exchange (mixed-precision symmetric near field). Every pairwise
 /// term is computed in f32, but each source's contribution is widened to
 /// f64 before the scatter-add into `s_out`, so f32 rounding never
@@ -331,28 +302,6 @@ fn exchange_scalar(
         let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
         acc += qs[j] * inv_r;
         s_out[j] += tq * inv_r;
-    }
-    acc
-}
-
-#[allow(clippy::too_many_arguments)]
-fn gather_f32_scalar(
-    tx: f32,
-    ty: f32,
-    tz: f32,
-    eps2: f32,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    qs: &[f32],
-) -> f32 {
-    let mut acc = 0.0f32;
-    for j in 0..xs.len() {
-        let dx = tx - xs[j];
-        let dy = ty - ys[j];
-        let dz = tz - zs[j];
-        let r2 = dx * dx + dy * dy + dz * dz + eps2;
-        acc += qs[j] / r2.sqrt();
     }
     acc
 }
@@ -721,51 +670,6 @@ mod x86 {
     }
 
     /// # Safety
-    /// Requires AVX2+FMA; SoA slices must have equal lengths.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gather_f32_avx2(
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-    ) -> f32 {
-        let n = xs.len();
-        let txv = _mm256_set1_ps(tx);
-        let tyv = _mm256_set1_ps(ty);
-        let tzv = _mm256_set1_ps(tz);
-        let e2v = _mm256_set1_ps(eps2);
-        let mut acc = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            let dx = _mm256_sub_ps(txv, _mm256_loadu_ps(xs.as_ptr().add(j)));
-            let dy = _mm256_sub_ps(tyv, _mm256_loadu_ps(ys.as_ptr().add(j)));
-            let dz = _mm256_sub_ps(tzv, _mm256_loadu_ps(zs.as_ptr().add(j)));
-            let r2 = _mm256_fmadd_ps(
-                dz,
-                dz,
-                _mm256_fmadd_ps(dy, dy, _mm256_fmadd_ps(dx, dx, e2v)),
-            );
-            let qv = _mm256_loadu_ps(qs.as_ptr().add(j));
-            acc = _mm256_fmadd_ps(qv, rsqrt_nr_ps(r2), acc);
-            j += 8;
-        }
-        let mut total = hsum_ps(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            total += qs[j] / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            j += 1;
-        }
-        total
-    }
-
-    /// # Safety
     /// Requires AVX2+FMA; all slices (including `s_out`) equal lengths.
     #[target_feature(enable = "avx2,fma")]
     #[allow(clippy::too_many_arguments)]
@@ -824,62 +728,6 @@ mod x86 {
     }
 
     /// # Safety
-    /// Requires AVX-512F; SoA slices must have equal lengths.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gather_f32_avx512(
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-    ) -> f32 {
-        let n = xs.len();
-        let txv = _mm512_set1_ps(tx);
-        let tyv = _mm512_set1_ps(ty);
-        let tzv = _mm512_set1_ps(tz);
-        let e2v = _mm512_set1_ps(eps2);
-        let mut acc = _mm512_setzero_ps();
-        let mut j = 0;
-        while j + 16 <= n {
-            let dx = _mm512_sub_ps(txv, _mm512_loadu_ps(xs.as_ptr().add(j)));
-            let dy = _mm512_sub_ps(tyv, _mm512_loadu_ps(ys.as_ptr().add(j)));
-            let dz = _mm512_sub_ps(tzv, _mm512_loadu_ps(zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_ps(
-                dz,
-                dz,
-                _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dx, dx, e2v)),
-            );
-            let qv = _mm512_loadu_ps(qs.as_ptr().add(j));
-            acc = _mm512_fmadd_ps(qv, rsqrt_nr_ps_512(r2), acc);
-            j += 16;
-        }
-        if j < n {
-            // Masked tail: one more 16-lane iteration with dead lanes
-            // zeroed. A box holds ~2·⌈p²/2⌉/… ≈ 30 particles at the
-            // standard depths, so a scalar tail would dominate the call.
-            let m: __mmask16 = (1u16 << (n - j)) - 1;
-            let dx = _mm512_sub_ps(txv, _mm512_maskz_loadu_ps(m, xs.as_ptr().add(j)));
-            let dy = _mm512_sub_ps(tyv, _mm512_maskz_loadu_ps(m, ys.as_ptr().add(j)));
-            let dz = _mm512_sub_ps(tzv, _mm512_maskz_loadu_ps(m, zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_ps(
-                dz,
-                dz,
-                _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dx, dx, e2v)),
-            );
-            // Dead lanes hold tx²+ty²+tz²+eps2, which can be 0; pin them
-            // to 1.0 so rsqrt stays finite (0·∞ = NaN would poison acc).
-            let r2 = _mm512_mask_mov_ps(_mm512_set1_ps(1.0), m, r2);
-            let qv = _mm512_maskz_loadu_ps(m, qs.as_ptr().add(j));
-            acc = _mm512_fmadd_ps(qv, rsqrt_nr_ps_512(r2), acc);
-        }
-        _mm512_reduce_add_ps(acc)
-    }
-
-    /// # Safety
     /// Requires AVX-512F; all slices (including `s_out`) equal lengths.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
@@ -930,9 +778,12 @@ mod x86 {
             j += 16;
         }
         if j < n {
-            // Masked tail (see gather_f32_avx512): dead lanes zeroed, r2
-            // pinned to 1.0 to keep rsqrt finite, and the f64 scatter-add
-            // write-masked per 8-lane half.
+            // Masked tail: one more 16-lane iteration with dead lanes
+            // zeroed, since a box holds few enough particles that a scalar
+            // tail would dominate the call. Dead lanes of r2 hold
+            // tx²+ty²+tz²+eps2, which can be 0, so they are pinned to 1.0
+            // to keep rsqrt finite (0·∞ = NaN would poison acc); the f64
+            // scatter-add is write-masked per 8-lane half.
             let m: __mmask16 = (1u16 << (n - j)) - 1;
             let dx = _mm512_sub_ps(txv, _mm512_maskz_loadu_ps(m, xs.as_ptr().add(j)));
             let dy = _mm512_sub_ps(tyv, _mm512_maskz_loadu_ps(m, ys.as_ptr().add(j)));
@@ -1033,7 +884,7 @@ mod x86 {
             j += 16;
         }
         if j < n {
-            // Masked tail (see gather_f32_avx512): dead lanes zeroed, r2
+            // Masked tail (see exchange_f32_avx512): dead lanes zeroed, r2
             // pinned to 1.0, scatter write-masked per 8-lane half.
             let m: __mmask16 = (1u16 << (n - j)) - 1;
             let xv = _mm512_maskz_loadu_ps(m, xs.as_ptr().add(j));
@@ -1227,7 +1078,7 @@ mod x86 {
             j += 16;
         }
         if j < n {
-            // Masked tail (see gather_f32_avx512): q is zeroed on dead
+            // Masked tail (see exchange_f32_avx512): q is zeroed on dead
             // lanes so qr and qr3 vanish there; r2 is pinned to 1.0 to
             // keep rsqrt finite.
             let m: __mmask16 = (1u16 << (n - j)) - 1;
@@ -1361,7 +1212,7 @@ mod x86 {
             j += 8;
         }
         if j < n {
-            // Masked tail (see gather_f32_avx512): a leaf holds ~8 particles
+            // Masked tail (see exchange_f32_avx512): a leaf holds ~8 particles
             // on the clustered force workloads, so most runs are all tail.
             // q is zeroed on dead lanes so qr and qr3 vanish there; r2 is
             // pinned to 1.0 to keep rsqrt finite.
@@ -1500,45 +1351,6 @@ mod arm {
             let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
             total += qs[j] * inv_r;
             s_out[j] += tq * inv_r;
-            j += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// SoA slices must have equal lengths.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gather_f32_neon(
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-    ) -> f32 {
-        let n = xs.len();
-        let txv = vdupq_n_f32(tx);
-        let tyv = vdupq_n_f32(ty);
-        let tzv = vdupq_n_f32(tz);
-        let e2v = vdupq_n_f32(eps2);
-        let mut acc = vdupq_n_f32(0.0);
-        let mut j = 0;
-        while j + 4 <= n {
-            let dx = vsubq_f32(txv, vld1q_f32(xs.as_ptr().add(j)));
-            let dy = vsubq_f32(tyv, vld1q_f32(ys.as_ptr().add(j)));
-            let dz = vsubq_f32(tzv, vld1q_f32(zs.as_ptr().add(j)));
-            let r2 = vfmaq_f32(vfmaq_f32(vfmaq_f32(e2v, dx, dx), dy, dy), dz, dz);
-            acc = vfmaq_f32(acc, vld1q_f32(qs.as_ptr().add(j)), rsqrt_nr_f32(r2));
-            j += 4;
-        }
-        let mut total = vaddvq_f32(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            total += qs[j] / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
             j += 1;
         }
         total
@@ -1943,7 +1755,6 @@ mod tests {
             let ys: Vec<f32> = ys.iter().map(|&v| v as f32).collect();
             let zs: Vec<f32> = zs.iter().map(|&v| v as f32).collect();
             let qs: Vec<f32> = qs.iter().map(|&v| v as f32).collect();
-            let want = gather_f32_with(Kernel::Scalar, 0.0, 0.1, -0.05, 0.0, &xs, &ys, &zs, &qs);
             let (wp, wf) =
                 force_gather_f32_with(Kernel::Scalar, 0.0, 0.1, -0.05, 0.0, &xs, &ys, &zs, &qs);
             let mut want_s = vec![0.0f64; n];
@@ -1964,11 +1775,9 @@ mod tests {
             // ulps per term, so compare at ~1e-5 relative.
             let tol = |r: f32| 1e-5 * (1.0 + r.abs());
             for kernel in Kernel::available() {
-                let got = gather_f32_with(kernel, 0.0, 0.1, -0.05, 0.0, &xs, &ys, &zs, &qs);
-                assert!((got - want).abs() < tol(want), "{:?} n={}", kernel, n);
                 let (gp, gf) =
                     force_gather_f32_with(kernel, 0.0, 0.1, -0.05, 0.0, &xs, &ys, &zs, &qs);
-                assert!((gp - wp).abs() < tol(wp));
+                assert!((gp - wp).abs() < tol(wp), "{:?} n={}", kernel, n);
                 for d in 0..3 {
                     assert!(
                         (gf[d] - wf[d]).abs() < 10.0 * tol(wf[d]),
@@ -2050,25 +1859,6 @@ mod tests {
                     );
                 }
             }
-        }
-    }
-
-    #[test]
-    fn f32_gather_tracks_f64_reference() {
-        // The f32 path against the f64 scalar path: the difference is the
-        // f32 representation + rsqrt error, ~1e-6 relative for a
-        // well-conditioned sum of ~100 terms.
-        let n = 100;
-        let (xs, ys, zs, qs) = soa(n, 99);
-        let f64_ref = gather_with(Kernel::Scalar, 0.0, 0.1, -0.05, 0.0, &xs, &ys, &zs, &qs);
-        let xs32: Vec<f32> = xs.iter().map(|&v| v as f32).collect();
-        let ys32: Vec<f32> = ys.iter().map(|&v| v as f32).collect();
-        let zs32: Vec<f32> = zs.iter().map(|&v| v as f32).collect();
-        let qs32: Vec<f32> = qs.iter().map(|&v| v as f32).collect();
-        for kernel in Kernel::available() {
-            let got = gather_f32_with(kernel, 0.0, 0.1, -0.05, 0.0, &xs32, &ys32, &zs32, &qs32);
-            let rel = (got as f64 - f64_ref).abs() / (1.0 + f64_ref.abs());
-            assert!(rel < 1e-5, "{:?}: rel {}", kernel, rel);
         }
     }
 }

@@ -104,7 +104,7 @@ proptest! {
         let f32s = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
         let (xs32, ys32, zs32, qs32) = (f32s(&xs), f32s(&ys), f32s(&zs), f32s(&qs));
         for kernel in Kernel::available() {
-            let got = pairwise::gather_f32_with(
+            let (got, _) = pairwise::force_gather_f32_with(
                 kernel, tx as f32, ty as f32, tz as f32, 0.0, &xs32, &ys32, &zs32, &qs32);
             prop_assert!((got as f64 - want).abs() < 1e-5 * (1.0 + want.abs()),
                          "{:?}: {} vs {}", kernel, got, want);

@@ -20,14 +20,11 @@
 //!   in `fmm-verify`);
 //! * receive order is fixed by rank arithmetic, never by arrival order.
 
-use std::collections::BTreeMap;
-
 use fmm_machine::BlockLayout;
-use fmm_tree::morton::morton_encode;
-use fmm_tree::{Exchange, Partition};
 
+use crate::cells::CellStore;
 use crate::fabric::WorkerCtx;
-use crate::schedule::{cell_index, halo_axis_plan, particle_axis_plan, ring_partners};
+use crate::schedule::{axis_exchange, axis_plan, cell_index, Side};
 
 /// Personalized all-to-all (the router): worker `w` receives
 /// `outgoing[w]`, concatenated in source-rank order. The model prices the
@@ -144,52 +141,28 @@ pub fn halo_exchange_axis(
 ) {
     let n = 1usize << l;
     let lay = BlockLayout::new([n; 3], ctx.grid);
-    let my = ctx.coords();
-    let tag = ctx.tags.fresh();
-    // Post sends: serve every rank along this axis whose plan names me.
-    for other in 0..ctx.grid.dims[axis] {
-        if other == my[axis] {
-            continue;
-        }
-        let mut dst_c = my;
-        dst_c[axis] = other;
-        let dst = ctx.grid.rank(dst_c);
-        let dplan = halo_axis_plan(&lay, dst_c, axis, g, n);
-        if let Some(cells) = dplan.get(&ctx.rank) {
-            let mut data = Vec::with_capacity(cells.len() * k);
-            for &c in cells {
-                data.extend_from_slice(&level_buf[c * k..(c + 1) * k]);
-            }
-            ctx.counters.add_words(data.len() as u64);
-            ctx.send(dst, tag, data);
-        }
-    }
-    // Receive, in plan (ascending source-rank) order.
-    let plan = halo_axis_plan(&lay, my, axis, g, n);
-    for (src, cells) in &plan {
+    let plan_of = |who| axis_plan(&lay, who, axis, g, n, true);
+    let (sends, mut recvs) = axis_exchange(&ctx.grid, ctx.rank, axis, plan_of);
+    // Wrap aliased back onto my own subgrid: the true values are already
+    // in place, only local index motion.
+    recvs.retain(|(src, cells)| {
         if *src == ctx.rank {
-            // Wrap aliased back onto my own subgrid: the true values
-            // are already in place, only local index motion.
             ctx.counters.add_local_words((cells.len() * k) as u64);
-            continue;
         }
-        let data = ctx.recv(*src, tag);
-        debug_assert_eq!(data.len(), cells.len() * k);
-        for (i, &c) in cells.iter().enumerate() {
-            level_buf[c * k..(c + 1) * k].copy_from_slice(&data[i * k..(i + 1) * k]);
-        }
-    }
+        *src != ctx.rank
+    });
+    exchange_rows(ctx, level_buf, (&sends, &recvs), k)
 }
 
-/// Execute one [`Exchange`] plan over the k-sample rows of a full-size
-/// level buffer: send every owned row the plan names (row-major cell
-/// order, one message per destination), then receive and store peers'
+/// Execute one rank's side of an exchange plan over the k-sample rows of a
+/// full-size level buffer: send every owned row the plan names (row-major
+/// cell order, one message per destination), then receive and store peers'
 /// rows at their cell indices. Both ends walk the same plan, so no
 /// metadata travels; bytes are exactly `rows × k` words, which is what
 /// the partitioned budget predicts.
-pub fn exchange_rows(ctx: &mut WorkerCtx, buf: &mut [f64], ex: &Exchange, k: usize) {
+pub fn exchange_rows(ctx: &mut WorkerCtx, buf: &mut [f64], (sends, recvs): Side<'_>, k: usize) {
     let tag = ctx.tags.fresh();
-    for (dst, cells) in &ex.sends[ctx.rank] {
+    for (dst, cells) in sends {
         let mut data = Vec::with_capacity(cells.len() * k);
         for &c in cells {
             data.extend_from_slice(&buf[c * k..(c + 1) * k]);
@@ -197,7 +170,7 @@ pub fn exchange_rows(ctx: &mut WorkerCtx, buf: &mut [f64], ex: &Exchange, k: usi
         ctx.counters.add_words(data.len() as u64);
         ctx.send(*dst, tag, data);
     }
-    for (src, cells) in &ex.recvs[ctx.rank] {
+    for (src, cells) in recvs {
         let data = ctx.recv(*src, tag);
         debug_assert_eq!(data.len(), cells.len() * k);
         for (i, &c) in cells.iter().enumerate() {
@@ -206,256 +179,77 @@ pub fn exchange_rows(ctx: &mut WorkerCtx, buf: &mut [f64], ex: &Exchange, k: usi
     }
 }
 
-/// Particles of one leaf cell, in the owner's sorted (= serial) order.
-#[derive(Default, Clone)]
-pub struct CellParticles {
-    pub xs: Vec<f64>,
-    pub ys: Vec<f64>,
-    pub zs: Vec<f64>,
-    pub qs: Vec<f64>,
-}
-
-impl CellParticles {
-    pub fn len(&self) -> usize {
-        self.xs.len()
-    }
-
-    pub fn is_empty(&self) -> bool {
-        self.xs.is_empty()
-    }
-}
-
-/// Append `cell` to `data` in wire form `[count, xs.., ys.., zs.., qs..]`
-/// and return its payload words (the count is envelope metadata, like a
-/// router packet header).
-fn pack_cell(cell: &CellParticles, data: &mut Vec<f64>) -> u64 {
-    data.push(cell.len() as f64);
-    for coords in [&cell.xs, &cell.ys, &cell.zs, &cell.qs] {
-        data.extend_from_slice(coords);
-    }
-    4 * cell.len() as u64
-}
-
-/// Read one wire-form cell off the front of `data`.
-fn unpack_cell(data: &mut &[f64]) -> CellParticles {
-    let cnt = data[0] as usize;
-    *data = &data[1..];
-    let mut take = || {
-        let (head, tail) = data.split_at(cnt);
-        *data = tail;
-        head.to_vec()
-    };
-    CellParticles {
-        xs: take(),
-        ys: take(),
-        zs: take(),
-        qs: take(),
-    }
-}
-
-/// Store a message of wire-form cells under the plan's cell indices.
-fn unpack_cells(mut data: &[f64], cells: &[usize], store: &mut BTreeMap<usize, CellParticles>) {
-    for &c in cells {
-        store.insert(c, unpack_cell(&mut data));
-    }
-    debug_assert!(data.is_empty());
-}
-
 /// One axis phase of the halo exchange of leaf *particles* (positions +
 /// charges) to ghost depth `g`, without wrap — the forces near field is
-/// target-centric and only reads true in-domain neighbors. `own` serves a
-/// cell I own; received cells accumulate in `store` and are re-served in
-/// later phases (corner forwarding). Message layout per cell, in plan
-/// order: `[count, xs.., ys.., zs.., qs..]`.
+/// target-centric and only reads true in-domain neighbors. Cells received
+/// in an earlier phase are re-served from `store` like the rank's own
+/// (corner forwarding).
 pub fn particle_halo_axis(
     ctx: &mut WorkerCtx,
     depth: u32,
     g: usize,
     axis: usize,
-    own: &impl Fn(usize) -> Option<CellParticles>,
-    store: &mut BTreeMap<usize, CellParticles>,
+    store: &mut CellStore,
 ) {
     let n = 1usize << depth;
     let lay = BlockLayout::new([n; 3], ctx.grid);
-    let my = ctx.coords();
-    let tag = ctx.tags.fresh();
-    for other in 0..ctx.grid.dims[axis] {
-        if other == my[axis] {
-            continue;
-        }
-        let mut dst_c = my;
-        dst_c[axis] = other;
-        let dst = ctx.grid.rank(dst_c);
-        let dplan = particle_axis_plan(&lay, dst_c, axis, g, n);
-        if let Some(cells) = dplan.get(&ctx.rank) {
-            let mut data = Vec::new();
-            let mut payload = 0u64;
-            for &c in cells {
-                let cell = own(c)
-                    .or_else(|| store.get(&c).cloned())
-                    .unwrap_or_default();
-                payload += pack_cell(&cell, &mut data);
-            }
-            ctx.counters.add_words(payload);
-            ctx.send(dst, tag, data);
-        }
-    }
-    let plan = particle_axis_plan(&lay, my, axis, g, n);
-    for (src, cells) in &plan {
-        let data = ctx.recv(*src, tag);
-        unpack_cells(&data, cells, store);
-    }
+    let plan_of = |who| axis_plan(&lay, who, axis, g, n, false);
+    let (sends, recvs) = axis_exchange(&ctx.grid, ctx.rank, axis, plan_of);
+    particle_exchange(ctx, (&sends, &recvs), store)
 }
 
-/// One-shot partitioned particle halo (forces near field): every cross-
-/// owner neighbour cell of the [`fmm_tree::particle_halo`] plan moves in a
-/// single exchange. `own` serves a cell this rank owns; received cells
-/// land in `store`. Message layout per cell, in plan order:
-/// `[count, xs.., ys.., zs.., qs..]` (the count is envelope metadata, like
-/// the axis-phase variant's).
-pub fn particle_exchange(
-    ctx: &mut WorkerCtx,
-    ex: &Exchange,
-    own: &impl Fn(usize) -> CellParticles,
-    store: &mut BTreeMap<usize, CellParticles>,
-) {
+/// Exchange leaf particles by plan: one message per `(dst, cells)` of the
+/// rank's side, every cell served from `store`, then one per `(src,
+/// cells)`, whose cells land in it. The partitioned forces near field
+/// moves its whole [`fmm_tree::particle_halo`] plan in one such exchange.
+/// Message layout per cell, in plan order: `[count, xs.., ys.., zs..,
+/// qs..]` (the count is envelope metadata).
+pub fn particle_exchange(ctx: &mut WorkerCtx, (sends, recvs): Side<'_>, store: &mut CellStore) {
     let tag = ctx.tags.fresh();
-    for (dst, cells) in &ex.sends[ctx.rank] {
+    for (dst, cells) in sends {
         let mut data = Vec::new();
-        let mut payload = 0u64;
-        for &c in cells {
-            payload += pack_cell(&own(c), &mut data);
-        }
+        let payload: u64 = cells.iter().map(|&c| store.pack_cell(c, &mut data)).sum();
         ctx.counters.add_words(payload);
         ctx.send(*dst, tag, data);
     }
-    for (src, cells) in &ex.recvs[ctx.rank] {
+    for (src, cells) in recvs {
         let data = ctx.recv(*src, tag);
-        unpack_cells(&data, cells, store);
-    }
-}
-
-/// One travelling slot of the symmetric near-field sweep: the particles
-/// and partial accumulator of origin box `origin`, currently visiting some
-/// other leaf box.
-pub struct Slot {
-    pub origin: usize,
-    pub cell: CellParticles,
-    pub acc: Vec<f64>,
-}
-
-impl Slot {
-    /// Append the slot, bound for position `npos`, to `data` in wire form
-    /// `[npos, origin, cell, acc..]` and return its payload words.
-    fn pack(&self, npos: usize, data: &mut Vec<f64>) -> u64 {
-        data.push(npos as f64);
-        data.push(self.origin as f64);
-        let words = pack_cell(&self.cell, data) + self.acc.len() as u64;
-        data.extend_from_slice(&self.acc);
-        words
+        store.unpack_cells(&data, cells);
     }
 }
 
 /// One unit CSHIFT of the travelling slots: every slot's position moves by
-/// `pos_delta` (±1) along `axis` with circular wrap. Slots that cross a VU
-/// boundary are serialized to the grid neighbor; the rest re-key locally.
-/// `slots` is keyed by current position (global leaf index).
+/// `delta` (±1) along `axis` with circular wrap. The rank's side of the
+/// hop — [`ring_route`] under the block layout, the
+/// [`fmm_tree::slot_route`] under a partition — names, per destination and
+/// by current position, the slots whose new position another rank owns.
+/// Those are serialized in that order, `[new position, origin, count,
+/// xs.., ys.., zs.., qs.., acc..]` each, and one message from every source
+/// brings the arrivals; no other slot is touched. `local_words` is charged
+/// the *logical* shift all the same: five words per particle of every slot
+/// that stays. Fails with the origin of a slot to send that is not here.
 pub fn shift_slots(
     ctx: &mut WorkerCtx,
-    slots: &mut BTreeMap<usize, Slot>,
+    store: &mut CellStore,
     axis: usize,
-    pos_delta: i32,
-    lay: &BlockLayout,
-    n: usize,
-) {
+    delta: i32,
+    (sends, recvs): Side<'_>,
+) -> Result<(), usize> {
     let tag = ctx.tags.fresh();
-    let mut staying: BTreeMap<usize, Slot> = BTreeMap::new();
-    let mut leaving: Vec<f64> = Vec::new();
-    let mut leaving_words = 0u64;
-    for (pos, slot) in std::mem::take(slots) {
-        let mut g = [pos % n, (pos / n) % n, pos / (n * n)];
-        g[axis] = (g[axis] as i64 + pos_delta as i64).rem_euclid(n as i64) as usize;
-        let npos = cell_index(g, n);
-        if lay.vu_of(g) == ctx.rank {
-            ctx.counters.add_local_words(5 * slot.cell.len() as u64);
-            staying.insert(npos, slot);
-        } else {
-            leaving_words += slot.pack(npos, &mut leaving);
-        }
-    }
-    *slots = staying;
-    if ctx.grid.dims[axis] == 1 {
-        debug_assert!(leaving.is_empty());
-        return;
-    }
-    let (dst, src) = ring_partners(&ctx.grid, ctx.rank, axis, pos_delta);
-    ctx.counters.add_words(leaving_words);
-    ctx.send(dst, tag, leaving);
-    let data = ctx.recv(src, tag);
-    unpack_slots(&data, slots);
-}
-
-/// Deserialize a stream of wire-form slots ([`Slot::pack`]) into `slots`,
-/// keyed by new position.
-fn unpack_slots(mut data: &[f64], slots: &mut BTreeMap<usize, Slot>) {
-    while let [npos, origin, ..] = *data {
-        data = &data[2..];
-        let cell = unpack_cell(&mut data);
-        let (acc, rest) = data.split_at(cell.len());
-        data = rest;
-        let (origin, acc) = (origin as usize, acc.to_vec());
-        slots.insert(npos as usize, Slot { origin, cell, acc });
-    }
-    debug_assert!(data.is_empty());
-}
-
-/// Partitioned variant of [`shift_slots`]: the same unit circular shift of
-/// slot positions, but ownership follows the Morton `part` and departing
-/// slots travel by the precomputed `route` ([`fmm_tree::slot_route`] for
-/// this `(axis, pos_delta)`), which keys each crossing slot by its
-/// *source* cell — so sender and receiver agree on serialization order
-/// with no extra metadata. Wire format matches [`shift_slots`].
-pub fn shift_slots_part(
-    ctx: &mut WorkerCtx,
-    slots: &mut BTreeMap<usize, Slot>,
-    axis: usize,
-    pos_delta: i32,
-    part: &Partition,
-    route: &Exchange,
-    n: usize,
-) {
-    let tag = ctx.tags.fresh();
-    let mut staying: BTreeMap<usize, Slot> = BTreeMap::new();
-    // Departing slots keyed by source cell, the route's key.
-    let mut leaving: BTreeMap<usize, (usize, Slot)> = BTreeMap::new();
-    for (pos, slot) in std::mem::take(slots) {
-        let mut g = [pos % n, (pos / n) % n, pos / (n * n)];
-        g[axis] = (g[axis] as i64 + pos_delta as i64).rem_euclid(n as i64) as usize;
-        let npos = cell_index(g, n);
-        let owner = part.leaf_owner(morton_encode(g[0] as u32, g[1] as u32, g[2] as u32));
-        if owner == ctx.rank {
-            ctx.counters.add_local_words(5 * slot.cell.len() as u64);
-            staying.insert(npos, slot);
-        } else {
-            leaving.insert(pos, (npos, slot));
-        }
-    }
-    *slots = staying;
-    for (dst, cells) in &route.sends[ctx.rank] {
+    for (dst, cells) in sends {
         let mut data = Vec::new();
         let mut words = 0u64;
-        for &c in cells {
-            let (npos, slot) = leaving
-                .remove(&c)
-                .expect("route names every departing slot");
-            words += slot.pack(npos, &mut data);
+        for &pos in cells {
+            words += store.pack_slot(pos, axis, delta, &mut data)?;
         }
         ctx.counters.add_words(words);
         ctx.send(*dst, tag, data);
     }
-    debug_assert!(leaving.is_empty(), "departing slot missing from the route");
-    for (src, _) in &route.recvs[ctx.rank] {
+    store.shift(axis, delta);
+    ctx.counters.add_local_words(5 * store.live() as u64);
+    for (src, _) in recvs {
         let data = ctx.recv(*src, tag);
-        unpack_slots(&data, slots);
+        store.unpack_slots(&data);
     }
+    Ok(())
 }

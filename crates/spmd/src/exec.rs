@@ -23,23 +23,24 @@
 //!   (other boxes are empty and skipped). T1/T2/T3 run
 //!   `fmm_core::traversal::{upward_rows, downward_rows}` — the serial
 //!   sweep's panel loop, handed the owned boxes instead of the plan's
-//!   slabs. The near field runs the serial travelling-accumulator sweep
-//!   with the slots physically shifted between workers (potentials), or
-//!   the serial per-box kernel over a halo-extended binning (forces).
+//!   slabs. The near field runs `fmm_core::near::{self_pass,
+//!   travelling_step, return_add}` (potentials) or
+//!   `near_field_forces_box` (forces) over the owned boxes, sources read
+//!   from the rank's [`CellStore`]: its own cells, plus the slots the
+//!   program's shifts or the cells its halo steps have brought so far.
 //!
 //! Bitwise identity with the serial backend is a hard invariant. It holds
 //! because a GEMM row does not depend on the height of the panel it sits
 //! in, because each box's row is written by its owner alone, and because
 //! stable binning keeps every leaf's particles in the serial order.
 
-use std::collections::BTreeMap;
 use std::iter::Peekable;
 use std::time::{Duration, Instant};
 
 use fmm_core::driver::{eval_local, p2o, Fmm};
 use fmm_core::field::FieldHierarchy;
 use fmm_core::near::{
-    near_field_forces_box, pair_exchange_with, self_box_potential, NearFieldStats, PAIR_FLOPS,
+    near_field_forces_box, return_add, self_pass, travelling_step, NearFieldStats, Travelling,
     PAIR_FORCE_FLOPS,
 };
 use fmm_core::particles::BinnedParticles;
@@ -50,12 +51,13 @@ use fmm_machine::{subgrid_extent, BlockLayout};
 use fmm_tree::partition::morton_to_rowmajor;
 use fmm_tree::{near_field_offsets, BoxCoord, Domain, Hierarchy};
 
+use crate::cells::CellStore;
 use crate::collectives::{
     all_to_allv, broadcast_from_root, exchange_rows, gather_level_to_root, halo_exchange_axis,
-    particle_exchange, particle_halo_axis, shift_slots, shift_slots_part, CellParticles, Slot,
+    particle_exchange, particle_halo_axis, shift_slots,
 };
 use crate::fabric::WorkerCtx;
-use crate::schedule::{cell_index, CommProgram, PartitionSchedule, Step, StepKind};
+use crate::schedule::{cell_index, ring_route, CommProgram, PartitionSchedule, Step, StepKind};
 
 /// Read-only inputs shared by all workers.
 pub(crate) struct Shared<'a> {
@@ -164,15 +166,11 @@ fn feeds(kind: &StepKind) -> Option<u32> {
     }
 }
 
-/// The particles of leaf cell `c`, in sorted (= serial) order.
-fn cell_of(bp: &BinnedParticles, c: usize) -> CellParticles {
-    let r = bp.range(c);
-    CellParticles {
-        xs: bp.x[r.clone()].to_vec(),
-        ys: bp.y[r.clone()].to_vec(),
-        zs: bp.z[r.clone()].to_vec(),
-        qs: bp.q[r].to_vec(),
-    }
+/// Cell coverage is total — every slot a shift moves or a visit reads, and
+/// every neighbour cell a force sweep reads, is on the rank at that point
+/// of the program. Here it is not: `st` left this rank without `origin`.
+fn cell_missing(whereabouts: &str, st: &Step, origin: usize) -> ! {
+    panic!("{whereabouts}: step {st:?} needs origin cell {origin}, which is not on this rank")
 }
 
 /// A phase's unconsumed steps.
@@ -189,10 +187,8 @@ struct Worker<'a> {
     /// This rank's particles binned by leaf box; none until the sort.
     bp: BinnedParticles,
     fh: FieldHierarchy,
-    /// Forces near field: the neighbour cells received so far.
-    store: BTreeMap<usize, CellParticles>,
-    /// Potentials near field: travelling slots by current position.
-    slots: BTreeMap<usize, Slot>,
+    /// Near field: the leaf cells on this rank; none until that phase.
+    store: CellStore,
     out: WorkerOut,
 }
 
@@ -208,8 +204,7 @@ pub(crate) fn worker_main<'a>(ctx: WorkerCtx, sh: &'a Shared<'a>) -> WorkerOut {
         records: Vec::new(),
         bp: BinnedParticles::build(&[], &[], sh.domain, sh.depth),
         fh: FieldHierarchy::new(Hierarchy::new(sh.depth), sh.fmm.k()),
-        store: BTreeMap::new(),
-        slots: BTreeMap::new(),
+        store: CellStore::default(),
         out: WorkerOut::default(),
     };
     let phases: [fn(&mut Worker<'a>, &mut Steps<'_>); 6] = [
@@ -252,7 +247,6 @@ impl Worker<'_> {
         );
         let Worker { ctx, sh, own, .. } = self;
         let (k, depth) = (sh.fmm.k(), sh.depth);
-        let n_axis = 1usize << depth;
         // The one place a step's messages go on the ledger; the collectives
         // count the bytes they move.
         ctx.count_op(st.logical_msgs);
@@ -272,39 +266,39 @@ impl Worker<'_> {
             }
             StepKind::ChildFlush { level } => {
                 let plan = own.plans().child_flush_at(level);
-                exchange_rows(ctx, &mut far[level as usize], plan, k)
+                exchange_rows(ctx, &mut far[level as usize], plan.side(ctx.rank), k)
             }
             StepKind::ParentFetch { level } => {
                 let plan = own.plans().parent_fetch_at(level);
-                exchange_rows(ctx, &mut local[level as usize - 1], plan, k)
+                exchange_rows(ctx, &mut local[level as usize - 1], plan.side(ctx.rank), k)
             }
             StepKind::PartBoxHalo { level } => {
                 let plan = own.plans().box_halo_at(level);
-                exchange_rows(ctx, &mut far[level as usize], plan, k)
+                exchange_rows(ctx, &mut far[level as usize], plan.side(ctx.rank), k)
             }
             StepKind::ParticleHalo { axis } => {
-                // Cells I do not own are re-served from the store (corner
-                // forwarding).
-                let (rank, bp) = (ctx.rank, &self.bp);
-                let mine = |c: usize| {
-                    (own.owner(&BoxCoord::from_index(depth, c)) == rank).then(|| cell_of(bp, c))
-                };
-                particle_halo_axis(ctx, depth, sh.program.sep_d, axis, &mine, &mut self.store)
+                particle_halo_axis(ctx, depth, sh.program.sep_d, axis, &mut self.store)
             }
             StepKind::PartParticleHalo => {
-                let (plan, bp) = (&own.plans().particle_halo, &self.bp);
-                particle_exchange(ctx, plan, &|c| cell_of(bp, c), &mut self.store)
+                let side = own.plans().particle_halo.side(ctx.rank);
+                particle_exchange(ctx, side, &mut self.store)
             }
-            StepKind::SlotShift { axis, delta, .. } => match own {
-                Ownership::Block(leaf) => {
-                    shift_slots(ctx, &mut self.slots, axis, delta, leaf, n_axis)
+            StepKind::SlotShift { axis, delta, .. } => {
+                let store = &mut self.store;
+                let lost = match own {
+                    Ownership::Block(leaf) => {
+                        let (sends, recvs) = ring_route(leaf, ctx.rank, axis, delta);
+                        shift_slots(ctx, store, axis, delta, (&sends, &recvs))
+                    }
+                    Ownership::Part(ps) => {
+                        let side = ps.slot_route_at(axis, delta).side(ctx.rank);
+                        shift_slots(ctx, store, axis, delta, side)
+                    }
+                };
+                if let Err(origin) = lost {
+                    cell_missing(&self.whereabouts(), st, origin);
                 }
-                Ownership::Part(ps) => {
-                    let route = ps.slot_route_at(axis, delta);
-                    let part = &ps.partition;
-                    shift_slots_part(ctx, &mut self.slots, axis, delta, part, route, n_axis)
-                }
-            },
+            }
         }
     }
 
@@ -403,6 +397,10 @@ impl Worker<'_> {
             &mut self.out.pot,
             self.out.fields.as_deref_mut(),
         );
+        // Nothing reads the hierarchy again: free it before the near field
+        // allocates, as the serial driver does.
+        self.fh.far.clear();
+        self.fh.local.clear();
     }
 
     /// Phase 5: the near field, added onto the far-field results exactly
@@ -410,63 +408,49 @@ impl Worker<'_> {
     fn near(&mut self, steps: &mut Steps<'_>) {
         let sh = self.sh;
         let cfg = sh.fmm.config();
-        let eps2 = cfg.softening * cfg.softening;
+        let (kernel, eps2) = (sh.plan.kernel, cfg.softening * cfg.softening);
         let owned = self.own.owned(self.ctx.rank, sh.depth);
+        let here = self.whereabouts();
+        // A cell found missing after the steps have run is laid to the last.
+        let last = sh.program.phases[5]
+            .last()
+            .expect("the near phase has steps");
+        self.store = CellStore::seed(&self.bp, &owned);
         let mut near_pot = vec![0.0; self.bp.len()];
-        let mut stats = NearFieldStats::default();
-        if sh.with_fields {
+        let stats = if sh.with_fields {
             // Forces are target-centric: fetch the true neighbour cells,
-            // then run the serial per-box kernel over the halo-extended
-            // binning. Stable binning keeps each box's particles in owner
-            // order, so per-box source order equals the serial binning's.
+            // then run the serial per-box kernel on every owned box. A
+            // cell arrives in its owner's order, which is the serial
+            // binning's, so every run a target sums is the serial run.
             for st in steps {
                 self.step(st);
             }
-            let bp = &self.bp;
-            let mut pos2: Vec<[f64; 3]> =
-                (0..bp.len()).map(|i| [bp.x[i], bp.y[i], bp.z[i]]).collect();
-            let mut q2 = bp.q.clone();
-            for cell in self.store.values() {
-                pos2.extend((0..cell.len()).map(|j| [cell.xs[j], cell.ys[j], cell.zs[j]]));
-                q2.extend_from_slice(&cell.qs);
-            }
-            let bph = BinnedParticles::build(&pos2, &q2, sh.domain, sh.depth);
+            let (cells, _) = self.store.cells(|c| cell_missing(&here, last, c));
             let offsets = near_field_offsets(cfg.separation);
-            let mut pot_h = vec![0.0; bph.len()];
-            let mut f_h = vec![[0.0; 3]; bph.len()];
+            let mut near_f = vec![[0.0; 3]; self.bp.len()];
+            let mut pairs = 0;
+            for b in owned.iter().map(|&b| b as usize) {
+                let (r, depth) = (self.bp.range(b), sh.depth);
+                let (po, fo) = (&mut near_pot[r.clone()], &mut near_f[r]);
+                pairs += near_field_forces_box(kernel, &cells, depth, b, &offsets, eps2, po, fo);
+            }
             let fields = self.out.fields.as_mut().expect("forces were asked for");
-            for bi in owned.iter().map(|&b| b as usize) {
-                let rh = bph.range(bi);
-                let (pot_b, f_b) = (&mut pot_h[rh.clone()], &mut f_h[rh.clone()]);
-                stats.pair_interactions +=
-                    near_field_forces_box(sh.plan.kernel, &bph, bi, &offsets, eps2, pot_b, f_b);
-                for (dst, src) in bp.range(bi).zip(rh) {
-                    near_pot[dst] = pot_h[src];
-                    for d in 0..3 {
-                        fields[dst][d] += f_h[src][d];
-                    }
+            for (f, nf) in fields.iter_mut().zip(&near_f) {
+                for d in 0..3 {
+                    f[d] += nf[d];
                 }
             }
-            stats.flops = stats.pair_interactions * PAIR_FORCE_FLOPS;
+            NearFieldStats {
+                pair_interactions: pairs,
+                box_pairs: 0,
+                flops: pairs * PAIR_FORCE_FLOPS,
+            }
         } else {
             // Potentials use the symmetric travelling-accumulator sweep:
             // each owned box's particles + partial accumulator ride a slot
             // that shifts along the snake itinerary, exactly as the serial
             // emulation (and the paper's CM implementation) orders it.
-            for bi in owned.iter().map(|&b| b as usize) {
-                let r = self.bp.range(bi);
-                if !r.is_empty() {
-                    stats.pair_interactions +=
-                        self_box_potential(&self.bp, r.clone(), eps2, &mut near_pot[r.clone()]);
-                    stats.box_pairs += 1;
-                }
-                let slot = Slot {
-                    origin: bi,
-                    cell: cell_of(&self.bp, bi),
-                    acc: vec![0.0; r.len()],
-                };
-                self.slots.insert(bi, slot);
-            }
+            let mut stats = self_pass(&self.bp, eps2, false, &mut near_pot);
             for st in steps {
                 self.step(st);
                 // Return shifts (no visit) only move the accumulators home.
@@ -476,46 +460,24 @@ impl Worker<'_> {
                 else {
                     continue;
                 };
-                let bp = &self.bp;
-                for bi in owned.iter().map(|&b| b as usize) {
-                    let t_range = bp.range(bi);
-                    let source = BoxCoord::from_index(sh.depth, bi).offset(cum);
-                    if t_range.is_empty() || source.is_none() {
-                        continue;
-                    }
-                    let slot = self.slots.get_mut(&bi).expect("slot coverage is total");
-                    debug_assert_eq!(Some(slot.origin), source.map(|s| s.index()));
-                    if slot.cell.is_empty() {
-                        continue;
-                    }
-                    for ti in t_range {
-                        near_pot[ti] += pair_exchange_with(
-                            sh.plan.kernel,
-                            bp.x[ti],
-                            bp.y[ti],
-                            bp.z[ti],
-                            bp.q[ti],
-                            eps2,
-                            &slot.cell.xs,
-                            &slot.cell.ys,
-                            &slot.cell.zs,
-                            &slot.cell.qs,
-                            &mut slot.acc,
-                        );
-                        stats.pair_interactions += slot.cell.len() as u64;
-                    }
-                    stats.box_pairs += 1;
-                }
+                let (cells, acc) = self.store.cells(|c| cell_missing(&here, st, c));
+                let (bp, out) = (&self.bp, &mut near_pot[..]);
+                let mut one = Travelling {
+                    bp,
+                    out,
+                    cells,
+                    acc,
+                };
+                stats.merge(&travelling_step(kernel, eps2, cum, &owned, &mut one));
             }
-            for bi in owned.iter().map(|&b| b as usize) {
-                let slot = &self.slots[&bi];
-                debug_assert_eq!(slot.origin, bi);
-                for (o, a) in near_pot[self.bp.range(bi)].iter_mut().zip(&slot.acc) {
-                    *o += *a;
-                }
+            for b in owned.iter().map(|&b| b as usize) {
+                let Some([.., acc]) = self.store.slot(b) else {
+                    cell_missing(&here, last, b)
+                };
+                return_add(&mut near_pot[self.bp.range(b)], acc);
             }
-            stats.flops = stats.pair_interactions * PAIR_FLOPS;
-        }
+            stats
+        };
         for (f, nr) in self.out.pot.iter_mut().zip(&near_pot) {
             *f += nr;
         }

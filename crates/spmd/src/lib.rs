@@ -54,6 +54,7 @@
 
 #![forbid(unsafe_code)]
 
+pub mod cells;
 pub mod collectives;
 pub mod distributed;
 mod exec;
@@ -477,8 +478,11 @@ mod tests {
     #[cfg_attr(miri, ignore)]
     fn a_program_the_worker_cannot_follow_panics_with_rank_phase_and_step() {
         // In release builds too: the checks are `assert!`s. A drifted tag,
-        // then a step no phase code consumes.
-        let cases: [(Edit, [&str; 3]); 2] = [
+        // a step no phase code consumes, and every x-axis shift dropped
+        // (tags closed up): no slot crosses to rank 0, whose boxes at the
+        // boundary then visit origin cells it never received. (Rank 1 is
+        // left needing nothing, so nobody blocks in a receive.)
+        let cases: [(Edit, [&str; 3]); 3] = [
             (
                 |p| p.phases[3][0].tag += 1,
                 ["downward(T2+T3)", "tag drift", "BoxHalo"],
@@ -486,6 +490,19 @@ mod tests {
             (
                 |p| p.phases[4].push(p.phases[5][0]),
                 ["eval", "never executed", "SlotShift"],
+            ),
+            (
+                |p| {
+                    let first = p.phases[5][0].tag;
+                    let x_shift = |st: &schedule::Step| {
+                        matches!(st.kind, schedule::StepKind::SlotShift { axis: 0, .. })
+                    };
+                    p.phases[5].retain(|st| !x_shift(st));
+                    for (st, tag) in p.phases[5].iter_mut().zip(first..) {
+                        st.tag = tag;
+                    }
+                },
+                ["near", "SlotShift", "needs origin cell"],
             ),
         ];
         for (edit, wants) in cases {

@@ -23,8 +23,7 @@
 //! it would be executed.
 //!
 //! Endpoint enumeration reuses the identical per-rank plan functions the
-//! collectives run ([`halo_axis_plan`], [`particle_axis_plan`],
-//! [`ring_partners`]): the sender-side enumeration rebuilds the receiver's
+//! collectives run ([`axis_plan`] under [`axis_exchange`], [`ring_route`]): the sender-side enumeration rebuilds the receiver's
 //! plan just like the wire protocol does, so the endpoint-matching pass is
 //! a real proof that both ends agree, not a tautology.
 
@@ -34,7 +33,7 @@ use fmm_machine::{subgrid_extent, BlockLayout, TravelPath, VuGrid};
 use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo, slot_route};
 use fmm_tree::Separation;
 
-pub use fmm_tree::{Exchange, Partition};
+pub use fmm_tree::{Exchange, Partition, Side};
 
 /// Index of the global grid cell `g` on an `n`-per-axis level.
 #[inline]
@@ -501,10 +500,13 @@ impl CommProgram {
     }
 }
 
+/// One direction of a rank's [`Side`] of an exchange, owned: `(peer,
+/// cells)` per message.
+pub type Messages = Vec<(usize, Vec<usize>)>;
+
 /// The ring partners of `rank` for a unit circular shift of slot positions
 /// by `delta` along `axis`: `(dst, src)` — we send to `dst` and receive
-/// from `src`. Shared by [`crate::collectives::shift_slots`] and the
-/// static lowering.
+/// from `src`. Shared by [`ring_route`] and the static lowering.
 pub fn ring_partners(grid: &VuGrid, rank: usize, axis: usize, delta: i32) -> (usize, usize) {
     let dims_a = grid.dims[axis] as i64;
     let my = grid.coords(rank);
@@ -515,75 +517,69 @@ pub fn ring_partners(grid: &VuGrid, rank: usize, axis: usize, delta: i32) -> (us
     (grid.rank(dst_c), grid.rank(src_c))
 }
 
-/// The halo cells rank `who` must obtain in axis phase `axis` of a
-/// wrapped box-halo exchange with ghost depth `g`, grouped by source rank
-/// (BTreeMap ⇒ deterministic order). Cells are wrapped global indices, in
-/// window enumeration order — senders rebuild the same plan, so both ends
-/// agree on the per-message layout without exchanging metadata.
+/// `rank`'s side of that shift under the leaf block layout `lay`, in the
+/// shape of a partition's [`slot_route`] entries: the slots that cross are
+/// those on the face of its subgrid towards `dst`, by position in
+/// ascending order; the arrivals from `src` name themselves. Both lists
+/// are empty on an axis one VU spans: it wraps onto itself, pure local
+/// motion.
+pub fn ring_route(lay: &BlockLayout, rank: usize, axis: usize, delta: i32) -> (Messages, Messages) {
+    if lay.vu.dims[axis] == 1 {
+        return (Vec::new(), Vec::new());
+    }
+    let (my, s) = (lay.vu.coords(rank), lay.subgrid);
+    let mut span = [0, 1, 2].map(|a| my[a] * s[a]..(my[a] + 1) * s[a]);
+    let edge = if delta > 0 {
+        span[axis].end - 1
+    } else {
+        span[axis].start
+    };
+    span[axis] = edge..edge + 1;
+    let mut face = Vec::with_capacity(lay.boxes_per_vu() / s[axis]);
+    for z in span[2].clone() {
+        for y in span[1].clone() {
+            face.extend(
+                span[0]
+                    .clone()
+                    .map(|x| cell_index([x, y, z], lay.global[0])),
+            );
+        }
+    }
+    let (dst, src) = ring_partners(&lay.vu, rank, axis, delta);
+    (vec![(dst, face)], vec![(src, Vec::new())])
+}
+
+/// The halo cells rank `who` must obtain in axis phase `axis` of a block-
+/// layout halo exchange with ghost depth `g`, grouped by source rank
+/// (BTreeMap ⇒ deterministic order), in window enumeration order — senders
+/// rebuild the same plan, so both ends agree on the per-message layout
+/// without exchanging metadata. With `wrap` (box halos, CSHIFT semantics)
+/// cells are wrapped global indices; without (the particle halo of the
+/// forces near field) cells outside the domain simply don't exist, so
+/// ranges intersect `[0, n)` and no coordinate wraps.
 ///
 /// Phase structure (the CSHIFT corner-forwarding trick): phase `a` extends
 /// the slab along axis `a` only, but enumerates the *already extended*
 /// range on axes `< a`, so corner/edge cells ride later phases instead of
 /// needing diagonal neighbors.
-pub fn halo_axis_plan(
+pub fn axis_plan(
     lay: &BlockLayout,
     who: [usize; 3],
     axis: usize,
     g: usize,
     n: usize,
+    wrap: bool,
 ) -> BTreeMap<usize, Vec<usize>> {
     let s = lay.subgrid;
-    let gi = g as i64;
-    let ni = n as i64;
+    let (gi, ni) = (g as i64, n as i64);
     let lo: Vec<i64> = (0..3).map(|a| (who[a] * s[a]) as i64).collect();
-    let ranges: Vec<Vec<i64>> = (0..3)
-        .map(|a| {
-            let si = s[a] as i64;
-            if a < axis {
-                (lo[a] - gi..lo[a] + si + gi).collect()
-            } else if a == axis {
-                (lo[a] - gi..lo[a])
-                    .chain(lo[a] + si..lo[a] + si + gi)
-                    .collect()
-            } else {
-                (lo[a]..lo[a] + si).collect()
-            }
-        })
-        .collect();
-    let mut plan: BTreeMap<usize, Vec<usize>> = BTreeMap::new();
-    for &z in &ranges[2] {
-        for &y in &ranges[1] {
-            for &x in &ranges[0] {
-                let w = [
-                    x.rem_euclid(ni) as usize,
-                    y.rem_euclid(ni) as usize,
-                    z.rem_euclid(ni) as usize,
-                ];
-                let mut src_c = who;
-                src_c[axis] = w[axis] / s[axis];
-                let src = lay.vu.rank(src_c);
-                plan.entry(src).or_default().push(cell_index(w, n));
-            }
+    let clip = |r: std::ops::Range<i64>| {
+        if wrap {
+            r
+        } else {
+            r.start.max(0)..r.end.min(ni)
         }
-    }
-    plan
-}
-
-/// Clipped (non-wrapped) variant of [`halo_axis_plan`] for the particle
-/// halo of the forces near field: cells outside the domain simply don't
-/// exist, so ranges intersect `[0, n)` and no coordinate wraps.
-pub fn particle_axis_plan(
-    lay: &BlockLayout,
-    who: [usize; 3],
-    axis: usize,
-    g: usize,
-    n: usize,
-) -> BTreeMap<usize, Vec<usize>> {
-    let s = lay.subgrid;
-    let gi = g as i64;
-    let ni = n as i64;
-    let lo: Vec<i64> = (0..3).map(|a| (who[a] * s[a]) as i64).collect();
-    let clip = |r: std::ops::Range<i64>| r.start.max(0)..r.end.min(ni);
+    };
     let ranges: Vec<Vec<i64>> = (0..3)
         .map(|a| {
             let si = s[a] as i64;
@@ -602,16 +598,38 @@ pub fn particle_axis_plan(
     for &z in &ranges[2] {
         for &y in &ranges[1] {
             for &x in &ranges[0] {
-                let w = [x as usize, y as usize, z as usize];
+                let w = [x, y, z].map(|c| c.rem_euclid(ni) as usize);
                 let mut src_c = who;
                 src_c[axis] = w[axis] / s[axis];
                 let src = lay.vu.rank(src_c);
-                debug_assert_ne!(src, lay.vu.rank(who));
                 plan.entry(src).or_default().push(cell_index(w, n));
             }
         }
     }
     plan
+}
+
+/// `rank`'s side of one axis phase of a block-layout halo exchange, in the
+/// shape of an [`Exchange`]'s entries: it serves every rank along `axis`
+/// whose plan names it (ascending), then receives what its own plan names
+/// (sources ascending). `plan_of(who)` is the phase's [`axis_plan`]. The
+/// collectives and the static lowering both walk this.
+pub fn axis_exchange(
+    grid: &VuGrid,
+    rank: usize,
+    axis: usize,
+    plan_of: impl Fn([usize; 3]) -> BTreeMap<usize, Vec<usize>>,
+) -> (Messages, Messages) {
+    let my = grid.coords(rank);
+    let mut sends = Vec::new();
+    for other in (0..grid.dims[axis]).filter(|&o| o != my[axis]) {
+        let mut dst_c = my;
+        dst_c[axis] = other;
+        if let Some(cells) = plan_of(dst_c).remove(&rank) {
+            sends.push((grid.rank(dst_c), cells));
+        }
+    }
+    (sends, plan_of(my).into_iter().collect())
 }
 
 impl Step {
@@ -701,124 +719,46 @@ impl Step {
             StepKind::BoxHalo { level, axis } => {
                 let n = 1usize << level;
                 let lay = BlockLayout::new([n; 3], *grid);
-                let my = grid.coords(rank);
-                // Sends: serve every rank along this axis whose plan
-                // names me, in ascending axis-coordinate order.
-                for other in 0..grid.dims[axis] {
-                    if other == my[axis] {
-                        continue;
-                    }
-                    let mut dst_c = my;
-                    dst_c[axis] = other;
-                    let dst = grid.rank(dst_c);
-                    let dplan = halo_axis_plan(&lay, dst_c, axis, prog.ghost, n);
-                    if let Some(cells) = dplan.get(&rank) {
-                        ops.push(Op::Send {
-                            to: dst,
-                            words: Volume::Exact(cells.len() as u64 * k),
-                            payload: Payload::Boxes,
-                        });
-                    }
-                }
-                // Receives, in plan (ascending source-rank) order; the
-                // wrap-aliased self entry is local motion, not a message.
-                let plan = halo_axis_plan(&lay, my, axis, prog.ghost, n);
-                for src in plan.keys() {
-                    if *src != rank {
-                        ops.push(Op::Recv {
-                            from: *src,
-                            payload: Payload::Boxes,
-                        });
-                    }
-                }
+                let plan_of = |who| axis_plan(&lay, who, axis, prog.ghost, n, true);
+                let (sends, mut recvs) = axis_exchange(grid, rank, axis, plan_of);
+                // The wrap-aliased self entry is local motion, not a message.
+                recvs.retain(|(src, _)| *src != rank);
+                exchange_ops((&sends, &recvs), Some(k), Payload::Boxes, &mut ops);
             }
             StepKind::ParticleHalo { axis } => {
                 let n = 1usize << prog.depth;
                 let lay = BlockLayout::new([n; 3], *grid);
-                let my = grid.coords(rank);
-                for other in 0..grid.dims[axis] {
-                    if other == my[axis] {
-                        continue;
-                    }
-                    let mut dst_c = my;
-                    dst_c[axis] = other;
-                    let dst = grid.rank(dst_c);
-                    let dplan = particle_axis_plan(&lay, dst_c, axis, prog.sep_d, n);
-                    if dplan.contains_key(&rank) {
-                        ops.push(Op::Send {
-                            to: dst,
-                            words: Volume::Dynamic,
-                            payload: Payload::Particles,
-                        });
-                    }
-                }
-                let plan = particle_axis_plan(&lay, my, axis, prog.sep_d, n);
-                for src in plan.keys() {
-                    ops.push(Op::Recv {
-                        from: *src,
-                        payload: Payload::Particles,
-                    });
-                }
+                let plan_of = |who| axis_plan(&lay, who, axis, prog.sep_d, n, false);
+                let (sends, recvs) = axis_exchange(grid, rank, axis, plan_of);
+                exchange_ops((&sends, &recvs), None, Payload::Particles, &mut ops);
             }
-            StepKind::SlotShift { axis, delta, .. } => {
-                if let Some(ps) = prog.partition.as_ref() {
-                    // Partitioned hop: route by ownership, not by ring.
-                    exchange_ops(
-                        ps.slot_route_at(axis, delta),
-                        rank,
-                        None,
-                        Payload::Slots,
-                        &mut ops,
-                    );
-                } else if grid.dims[axis] > 1 {
-                    // An axis spanned by one VU wraps onto itself: pure
-                    // local motion, no message (the collective still burns
-                    // its tag).
-                    let (dst, src) = ring_partners(grid, rank, axis, delta);
-                    ops.push(Op::Send {
-                        to: dst,
-                        words: Volume::Dynamic,
-                        payload: Payload::Slots,
-                    });
-                    ops.push(Op::Recv {
-                        from: src,
-                        payload: Payload::Slots,
-                    });
+            StepKind::SlotShift { axis, delta, .. } => match prog.partition.as_ref() {
+                // Partitioned hop: route by ownership, not by ring.
+                Some(ps) => {
+                    let side = ps.slot_route_at(axis, delta).side(rank);
+                    exchange_ops(side, None, Payload::Slots, &mut ops)
                 }
-            }
+                None => {
+                    let lay = BlockLayout::new([1 << prog.depth; 3], *grid);
+                    let (sends, recvs) = ring_route(&lay, rank, axis, delta);
+                    exchange_ops((&sends, &recvs), None, Payload::Slots, &mut ops)
+                }
+            },
             StepKind::ChildFlush { level } => {
-                let ps = part_sched(prog);
-                exchange_ops(
-                    ps.child_flush_at(level),
-                    rank,
-                    Some(k),
-                    Payload::Boxes,
-                    &mut ops,
-                );
+                let side = part_sched(prog).child_flush_at(level).side(rank);
+                exchange_ops(side, Some(k), Payload::Boxes, &mut ops);
             }
             StepKind::ParentFetch { level } => {
-                let ps = part_sched(prog);
-                exchange_ops(
-                    ps.parent_fetch_at(level),
-                    rank,
-                    Some(k),
-                    Payload::Boxes,
-                    &mut ops,
-                );
+                let side = part_sched(prog).parent_fetch_at(level).side(rank);
+                exchange_ops(side, Some(k), Payload::Boxes, &mut ops);
             }
             StepKind::PartBoxHalo { level } => {
-                let ps = part_sched(prog);
-                exchange_ops(
-                    ps.box_halo_at(level),
-                    rank,
-                    Some(k),
-                    Payload::Boxes,
-                    &mut ops,
-                );
+                let side = part_sched(prog).box_halo_at(level).side(rank);
+                exchange_ops(side, Some(k), Payload::Boxes, &mut ops);
             }
             StepKind::PartParticleHalo => {
-                let ps = part_sched(prog);
-                exchange_ops(&ps.particle_halo, rank, None, Payload::Particles, &mut ops);
+                let side = part_sched(prog).particle_halo.side(rank);
+                exchange_ops(side, None, Payload::Particles, &mut ops);
             }
         }
         ops
@@ -831,19 +771,18 @@ fn part_sched(prog: &CommProgram) -> &PartitionSchedule {
         .expect("partitioned step kinds only appear in partitioned programs")
 }
 
-/// Lower one rank's side of an [`Exchange`]: all sends (destinations
+/// Lower one rank's side of an exchange: all sends (destinations
 /// ascending, `Exact` when every cell row carries `row_words` f64 words),
 /// then all receives (sources ascending) — the order the executor's
 /// exchange collectives use, deadlock-free at channel capacity 1 because
 /// each ordered rank pair carries at most one message.
 fn exchange_ops(
-    ex: &Exchange,
-    rank: usize,
+    (sends, recvs): Side<'_>,
     row_words: Option<u64>,
     payload: Payload,
     ops: &mut Vec<Op>,
 ) {
-    for (dst, cells) in &ex.sends[rank] {
+    for (dst, cells) in sends {
         ops.push(Op::Send {
             to: *dst,
             words: match row_words {
@@ -853,7 +792,7 @@ fn exchange_ops(
             payload,
         });
     }
-    for (src, _) in &ex.recvs[rank] {
+    for (src, _) in recvs {
         ops.push(Op::Recv {
             from: *src,
             payload,

@@ -26,20 +26,34 @@ fn assert_bitwise(depth: u32, n: usize, workers: &[usize], with_fields: bool) {
 }
 
 fn assert_bitwise_bal(depth: u32, n: usize, workers: &[usize], with_fields: bool, bal: Balance) {
-    fmm_spmd::install();
     let (pts, q) = pseudo_system(n, 0x5eed ^ (depth as u64) << 8 ^ n as u64);
+    assert_system_bitwise(depth, &pts, &q, workers, with_fields, bal);
+}
+
+fn assert_system_bitwise(
+    depth: u32,
+    pts: &[[f64; 3]],
+    q: &[f64],
+    workers: &[usize],
+    with_fields: bool,
+    bal: Balance,
+) {
+    fmm_spmd::install();
     let serial = Fmm::new(config(depth, Executor::Serial)).unwrap();
     let reference = if with_fields {
-        serial.evaluate_forces(&pts, &q).unwrap()
+        serial.evaluate_forces(pts, q).unwrap()
     } else {
-        serial.evaluate(&pts, &q).unwrap()
+        serial.evaluate(pts, q).unwrap()
     };
+    let fields = reference.fields.iter().flatten().flatten();
+    let mut values = reference.potentials.iter().chain(fields);
+    assert!(values.all(|v| v.is_finite()), "serial is not finite");
     for &p in workers {
         let fmm = Fmm::new(config(depth, Executor::spmd(p)).balance(bal)).unwrap();
         let out = if with_fields {
-            fmm.evaluate_forces(&pts, &q).unwrap()
+            fmm.evaluate_forces(pts, q).unwrap()
         } else {
-            fmm.evaluate(&pts, &q).unwrap()
+            fmm.evaluate(pts, q).unwrap()
         };
         for (i, (a, b)) in reference.potentials.iter().zip(&out.potentials).enumerate() {
             assert_eq!(
@@ -146,6 +160,45 @@ fn forces_cost_weighted_depth2_all_worker_counts() {
 #[test]
 fn forces_cost_weighted_depth3_all_worker_counts() {
     assert_bitwise_bal(3, 2500, &[1, 2, 4, 8], true, Balance::CostWeighted);
+}
+
+#[test]
+fn spmd_near_field_survives_degenerate_inputs() {
+    // Inputs that leave ranks, slots and halo cells empty: the cell store
+    // must move nothing as faithfully as it moves particles.
+    let (unit, _) = pseudo_system(400, 0xdead);
+    let shrunk = |lo: f64, side: f64| unit.iter().map(move |p| p.map(|c| lo + side * c));
+    let corners = [[0.0; 3], [1.0; 3]];
+    let cases: [(&str, Vec<[f64; 3]>); 4] = [
+        ("N = 1", vec![[0.3, 0.6, 0.2]]),
+        (
+            "N = 3 < p",
+            vec![[0.1, 0.1, 0.1], [0.9, 0.2, 0.4], [0.5, 0.5, 0.95]],
+        ),
+        (
+            "one leaf and the two domain corners",
+            shrunk(0.51, 0.1).chain(corners).collect(),
+        ),
+        (
+            // A core of scale 0.01 inside one octant; most ranks own
+            // nothing but an empty corner of the domain.
+            "a cluster with empty ranks",
+            shrunk(0.2, 0.01)
+                .take(300)
+                .chain(shrunk(0.15, 0.2).skip(300))
+                .chain(corners)
+                .collect(),
+        ),
+    ];
+    for (what, pts) in &cases {
+        let q: Vec<f64> = (0..pts.len()).map(|i| 1.0 - 0.3 * (i % 5) as f64).collect();
+        for with_fields in [false, true] {
+            for bal in [Balance::Uniform, Balance::CostWeighted] {
+                eprintln!("{what}, forces: {with_fields}, {bal:?}");
+                assert_system_bitwise(3, pts, &q, &[2, 8], with_fields, bal);
+            }
+        }
+    }
 }
 
 #[test]

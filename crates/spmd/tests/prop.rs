@@ -2,11 +2,12 @@
 //! backend equivalence is bitwise for arbitrary systems, a CSHIFT forward
 //! and back is the identity, and the all-to-all router loses nothing.
 
-use std::collections::BTreeMap;
-
-use fmm_core::{Balance, Executor, Fmm, FmmConfig};
+use fmm_core::particles::BinnedParticles;
+use fmm_core::{Balance, Domain, Executor, Fmm, FmmConfig};
 use fmm_machine::BlockLayout;
-use fmm_spmd::collectives::{all_to_allv, shift_slots, CellParticles, Slot};
+use fmm_spmd::cells::CellStore;
+use fmm_spmd::collectives::{all_to_allv, shift_slots};
+use fmm_spmd::schedule::ring_route;
 use fmm_spmd::{run_workers, vu_grid_for, Partition};
 use proptest::prelude::*;
 
@@ -22,7 +23,7 @@ fn system(lo: usize, hi: usize) -> impl Strategy<Value = (Vec<[f64; 3]>, Vec<f64
     })
 }
 
-/// Splitmix64 — deterministic per-slot contents all workers can rebuild.
+/// Splitmix64 — deterministic contents any worker can rebuild.
 fn mix(mut z: u64) -> u64 {
     z = z.wrapping_add(0x9E3779B97F4A7C15);
     z = (z ^ (z >> 30)).wrapping_mul(0xBF58476D1CE4E5B9);
@@ -34,34 +35,12 @@ fn unit(z: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// The slot that starts at leaf box `b`: 0–3 particles plus accumulators,
-/// all a pure function of (b, seed).
-fn slot_for(b: usize, seed: u64) -> Slot {
-    let h = mix(seed ^ (b as u64).wrapping_mul(0x2545F4914F6CDD1D));
-    let cnt = (h % 4) as usize;
-    let mut cell = CellParticles::default();
-    let mut acc = Vec::new();
-    for i in 0..cnt {
-        let s = mix(h ^ i as u64);
-        cell.xs.push(unit(s));
-        cell.ys.push(unit(mix(s)));
-        cell.zs.push(unit(mix(mix(s))));
-        cell.qs.push(unit(mix(mix(mix(s)))) * 2.0 - 1.0);
-        acc.push(unit(s.rotate_left(17)));
-    }
-    Slot {
-        origin: b,
-        cell,
-        acc,
-    }
-}
-
-fn flatten(pos: usize, s: &Slot) -> Vec<u64> {
-    let mut v = vec![pos as u64, s.origin as u64, s.cell.len() as u64];
-    for arr in [&s.cell.xs, &s.cell.ys, &s.cell.zs, &s.cell.qs, &s.acc] {
-        v.extend(arr.iter().map(|x| x.to_bits()));
-    }
-    v
+/// Every run of every leaf cell that is on the rank, as bits.
+fn snapshot(store: &CellStore, leaves: usize) -> Vec<Option<[Vec<u64>; 5]>> {
+    let bits = |run: &[f64]| run.iter().map(|v| v.to_bits()).collect();
+    (0..leaves)
+        .map(|c| store.slot(c).map(|runs| runs.map(bits)))
+        .collect()
 }
 
 proptest! {
@@ -124,43 +103,54 @@ proptest! {
         prop_assert_eq!(covered, leaves, "exact cover");
     }
 
-    /// A unit CSHIFT of the travelling slots followed by its inverse puts
-    /// every slot back where it started, bit for bit.
+    /// A unit CSHIFT of the travelling slots followed by its inverse leaves
+    /// every rank's cell store as it was: the same cells, and bit for bit
+    /// their particles and accumulators.
     #[test]
     fn cshift_forward_back_is_identity(axis in 0usize..3,
                                        log_p in 0u32..4,
                                        seed in 0u64..1 << 60) {
         let p = 1usize << log_p;
-        let grid = vu_grid_for(p);
         let n = 4usize; // depth-2 leaf grid
-        let all: Vec<Vec<u64>> = run_workers(grid, |mut ctx| {
+        let coords = |b: usize| [b % n, (b / n) % n, b / (n * n)];
+        let all: Vec<_> = run_workers(vu_grid_for(p), |mut ctx| {
             let lay = BlockLayout::new([n; 3], ctx.grid);
-            let mut slots: BTreeMap<usize, Slot> = (0..n * n * n)
-                .filter(|&b| lay.vu_of([b % n, (b / n) % n, b / (n * n)]) == ctx.rank)
-                .map(|b| (b, slot_for(b, seed)))
+            let owned: Vec<u32> = (0..(n * n * n) as u32)
+                .filter(|&b| lay.vu_of(coords(b as usize)) == ctx.rank)
                 .collect();
-            shift_slots(&mut ctx, &mut slots, axis, 1, &lay, n);
-            shift_slots(&mut ctx, &mut slots, axis, -1, &lay, n);
-            slots.iter().flat_map(|(&pos, s)| flatten(pos, s)).collect::<Vec<u64>>()
+            // 0–3 particles inside every owned leaf, then accumulators,
+            // all a pure function of (leaf, seed).
+            let (mut pos, mut q) = (Vec::new(), Vec::new());
+            for &b in &owned {
+                let h = mix(seed ^ (b as u64).wrapping_mul(0x2545F4914F6CDD1D));
+                for i in 0..h % 4 {
+                    let s = mix(h ^ i);
+                    let u = [unit(s), unit(mix(s)), unit(mix(mix(s)))];
+                    let g = coords(b as usize);
+                    pos.push([0, 1, 2].map(|a| (g[a] as f64 + u[a]) / n as f64));
+                    q.push(unit(s.rotate_left(17)) * 2.0 - 1.0);
+                }
+            }
+            let bp = BinnedParticles::build(&pos, &q, Domain::unit(), 2);
+            let mut store = CellStore::seed(&bp, &owned);
+            let (_, acc) = store.cells(|_| 0..0);
+            for (i, a) in acc.iter_mut().enumerate() {
+                *a = unit(mix(seed ^ (ctx.rank * 1000 + i) as u64));
+            }
+            let before = snapshot(&store, n * n * n);
+            for delta in [1, -1] {
+                let (sends, recvs) = ring_route(&lay, ctx.rank, axis, delta);
+                shift_slots(&mut ctx, &mut store, axis, delta, (&sends, &recvs))
+                    .expect("every slot of the face is here");
+            }
+            (owned, before, snapshot(&store, n * n * n))
         });
-        let mut merged: Vec<u64> = all.into_iter().flatten().collect();
-        // Workers hold disjoint box ranges; re-sorting by leading position
-        // (flatten records are self-delimiting, so a stable global sort is
-        // easiest done by rebuilding the expected stream).
-        let expected: Vec<u64> = (0..n * n * n)
-            .flat_map(|b| flatten(b, &slot_for(b, seed)))
-            .collect();
-        // Collate the merged records into position order.
-        let mut records: BTreeMap<u64, Vec<u64>> = BTreeMap::new();
-        let mut i = 0;
-        while i < merged.len() {
-            let cnt = merged[i + 2] as usize;
-            let end = i + 3 + 5 * cnt;
-            records.insert(merged[i], merged[i..end].to_vec());
-            i = end;
+        for (rank, (owned, before, after)) in all.into_iter().enumerate() {
+            for (c, slot) in before.iter().enumerate() {
+                prop_assert_eq!(slot.is_some(), owned.contains(&(c as u32)));
+            }
+            prop_assert_eq!(before, after, "axis={} p={} rank={}", axis, p, rank);
         }
-        merged = records.into_values().flatten().collect();
-        prop_assert_eq!(merged, expected, "axis={} p={}", axis, p);
     }
 
     /// The router conserves data: every worker receives exactly the

@@ -33,6 +33,6 @@ pub use interaction::{
 };
 pub use partition::{
     box_halo, child_flush, leaf_costs, morton_to_rowmajor, parent_fetch, particle_halo,
-    rowmajor_to_morton, slot_route, CostModel, Exchange, Partition,
+    rowmajor_to_morton, slot_route, CostModel, Exchange, Partition, Side,
 };
 pub use sort::{assign_boxes, bin_particles, coordinate_sort, Binning, CoordinateSortKey};

@@ -363,7 +363,16 @@ impl Exchange {
     pub fn is_empty(&self) -> bool {
         self.sends.iter().all(|s| s.is_empty())
     }
+
+    /// `rank`'s side of the plan.
+    pub fn side(&self, rank: usize) -> Side<'_> {
+        (&self.sends[rank], &self.recvs[rank])
+    }
 }
+
+/// One rank's side of an exchange: the `(dst, cells)` messages it sends,
+/// then the `(src, cells)` messages it receives.
+pub type Side<'a> = (&'a [(usize, Vec<usize>)], &'a [(usize, Vec<usize>)]);
 
 /// Upward-pass exchange for forming parents at `parent_level`: every child
 /// box (level `parent_level + 1`) whose owner differs from its parent's
