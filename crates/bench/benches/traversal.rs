@@ -10,9 +10,15 @@ use fmm_core::traversal::{downward_pass, upward_pass, Aggregation};
 use fmm_sphere::SphereRule;
 use fmm_tree::{Hierarchy, Separation};
 
+/// A translation set holds the T2 matrices of one supernode setting.
+fn translations(supernodes: bool) -> TranslationSet {
+    let rule = SphereRule::for_order(5);
+    TranslationSet::build(&rule, 3, 1.6, 1.0, Separation::Two, supernodes)
+}
+
 fn setup(depth: u32) -> (FieldHierarchy, TranslationSet, TraversalPlan) {
     let rule = SphereRule::for_order(5);
-    let ts = TranslationSet::build(&rule, 3, 1.6, 1.0, Separation::Two, true);
+    let ts = translations(false);
     let plan = TraversalPlan::build(depth, Separation::Two);
     let mut fh = FieldHierarchy::new(Hierarchy::new(depth), rule.len());
     let mut state = 5u64;
@@ -30,6 +36,7 @@ fn setup(depth: u32) -> (FieldHierarchy, TranslationSet, TraversalPlan) {
 fn bench_traversal(c: &mut Criterion) {
     let depth = 4;
     let (fh, ts, plan) = setup(depth);
+    let ts_sup = translations(true);
 
     let mut group = c.benchmark_group("downward_pass_depth4");
     group.sample_size(10);
@@ -55,13 +62,13 @@ fn bench_traversal(c: &mut Criterion) {
     group.bench_function("supernodes_seq", |b| {
         b.iter(|| {
             let mut f = fh.clone();
-            downward_pass(&mut f, &ts, &plan, true, Aggregation::Gemm, false)
+            downward_pass(&mut f, &ts_sup, &plan, true, Aggregation::Gemm, false)
         });
     });
     group.bench_function("supernodes_par", |b| {
         b.iter(|| {
             let mut f = fh.clone();
-            downward_pass(&mut f, &ts, &plan, true, Aggregation::Gemm, true)
+            downward_pass(&mut f, &ts_sup, &plan, true, Aggregation::Gemm, true)
         });
     });
     group.finish();

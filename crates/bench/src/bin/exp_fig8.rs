@@ -7,7 +7,8 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_fig8`
 
-use fmm_bench::util::header;
+use fmm_bench::util::{header, measured_build_table};
+use fmm_core::TranslationSet;
 use fmm_machine::replication::{precompute_cost, ReplicationStrategy};
 use fmm_machine::CostModel;
 
@@ -65,6 +66,11 @@ fn main() {
             100.0 * grp.replicate_s / grp.total_s()
         );
     }
+    header("Measured on this host, one core — the 8 T1 + 8 T3 matrices (model: 16 on one VU)");
+    measured_build_table(16, |rule, m| {
+        let (t1t, t3t) = TranslationSet::build_t1_t3(rule, m, 1.6, 1.0);
+        t1t.len() + t3t.len()
+    });
     println!(
         "\nPaper: parallel-compute+replicate costs 66%→24% of the all-redundant\n\
          scheme as K grows 12→72; grouping (8 VUs) reduces the replication\n\

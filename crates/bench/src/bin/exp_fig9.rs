@@ -10,7 +10,8 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_fig9`
 
-use fmm_bench::util::header;
+use fmm_bench::util::{header, measured_build_table};
+use fmm_core::{Separation, TranslationSet};
 use fmm_machine::replication::{precompute_cost, ReplicationStrategy};
 use fmm_machine::CostModel;
 
@@ -82,6 +83,12 @@ fn main() {
         }
         println!();
     }
+    header("Measured on this host, one core — TranslationSet::build, 1206 T2 + 16 T1/T3 (model: 1331 on one VU)");
+    measured_build_table(N_MAT, |rule, m| {
+        let ts = TranslationSet::build(rule, m, 1.6, 1.0, Separation::Two, false);
+        ts.t2_count() + ts.t1t.len() + ts.t3t.len()
+    });
+    println!();
     println!(
         "Paper: compute-in-parallel shrinks with machine size; replication\n\
          dominates and grows mildly with machine size (their total grew ≤62%\n\

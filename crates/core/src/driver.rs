@@ -15,7 +15,7 @@ use crate::translations::TranslationSet;
 use crate::traversal::{
     downward_level, downward_pass, upward_level, upward_pass, Aggregation, TraversalFlops,
 };
-use fmm_sphere::{inner_kernel_row, inner_kernel_row_grad, norm, SphereRule};
+use fmm_sphere::{inner_kernel_row, inner_kernel_row_with_grad, norm, SphereRule};
 use fmm_tree::{BoxCoord, Domain, Hierarchy};
 use rayon::prelude::*;
 use std::fmt;
@@ -284,16 +284,15 @@ impl Fmm {
         let m = self.cfg.m_trunc;
         let near_offsets = fmm_tree::near_field_offsets(self.cfg.separation);
         let local_leaf = &fh.local[depth as usize];
-        let eval_one = |t: &[f64; 3]| -> f64 {
+        let eval_one = |row: &mut [f64], t: &[f64; 3]| -> f64 {
             let b = domain.locate(*t, depth);
             let c = domain.box_center(b);
-            let mut row = vec![0.0; k];
             inner_kernel_row(
                 &self.rule,
                 m,
                 b_leaf,
                 [t[0] - c[0], t[1] - c[1], t[2] - c[2]],
-                &mut row,
+                row,
             );
             let g = &local_leaf[b.index() * k..(b.index() + 1) * k];
             let mut pot: f64 = row.iter().zip(g).map(|(r, gg)| r * gg).sum();
@@ -317,11 +316,20 @@ impl Fmm {
             }
             pot
         };
-        let out: Vec<f64> = if par {
-            targets.par_iter().map(eval_one).collect()
-        } else {
-            targets.iter().map(eval_one).collect()
+        // One kernel-row buffer per chunk of targets, not per target.
+        const CHUNK: usize = 256;
+        let mut out = vec![0.0; targets.len()];
+        let eval_chunk = |(c, o): (usize, &mut [f64])| {
+            let mut row = vec![0.0; k];
+            for (oi, t) in o.iter_mut().zip(&targets[c * CHUNK..]) {
+                *oi = eval_one(&mut row, t);
+            }
         };
+        if par {
+            out.par_chunks_mut(CHUNK).enumerate().for_each(eval_chunk);
+        } else {
+            out.chunks_mut(CHUNK).enumerate().for_each(eval_chunk);
+        }
         Ok(out)
     }
 
@@ -716,13 +724,12 @@ fn eval_box(
     let k = rule.len();
     let c = bp.domain.box_center(BoxCoord::from_index(depth, b));
     let mut row = vec![0.0; k];
-    let mut grad_rows = [vec![0.0; k], vec![0.0; k], vec![0.0; k]];
+    let kg = if fo.is_some() { k } else { 0 };
+    let mut grad_rows = [vec![0.0; kg], vec![0.0; kg], vec![0.0; kg]];
     for (idx, j) in range.clone().enumerate() {
         let x = [bp.x[j] - c[0], bp.y[j] - c[1], bp.z[j] - c[2]];
-        inner_kernel_row(rule, m, b_leaf, x, &mut row);
-        po[idx] += row.iter().zip(g).map(|(r, gg)| r * gg).sum::<f64>();
         if let Some(f) = fo.as_mut() {
-            inner_kernel_row_grad(rule, m, b_leaf, x, &mut grad_rows);
+            inner_kernel_row_with_grad(rule, m, b_leaf, x, &mut row, &mut grad_rows);
             for d in 0..3 {
                 // field is −∇Φ
                 f[idx][d] -= grad_rows[d]
@@ -731,7 +738,10 @@ fn eval_box(
                     .map(|(r, gg)| r * gg)
                     .sum::<f64>();
             }
+        } else {
+            inner_kernel_row(rule, m, b_leaf, x, &mut row);
         }
+        po[idx] += row.iter().zip(g).map(|(r, gg)| r * gg).sum::<f64>();
     }
     (range.len() * k * (m + 1)) as u64 * 6
 }
@@ -958,6 +968,14 @@ mod tests {
         for (a, b) in at.iter().zip(&out) {
             assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()), "{} vs {}", a, b);
         }
+        // 800 targets are three chunks of 256 and a tail; the parallel
+        // path walks the same chunks.
+        let par = Fmm::new(FmmConfig::order(5).depth(3)).unwrap();
+        let at_par = par.evaluate_at(&pts, &pts, &q).unwrap();
+        assert!(at
+            .iter()
+            .zip(&at_par)
+            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

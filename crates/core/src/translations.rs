@@ -31,7 +31,8 @@ pub fn child_center_offset(octant: usize) -> [f64; 3] {
 }
 
 /// The translation-matrix side of an FMM instance: all T1/T3 matrices, the
-/// full cube of T2 matrices, and (optionally) the supernode T2 matrices.
+/// cube of T2 matrices the configured traversal can reach, and (with
+/// supernodes) the parent-level supernode T2 matrices.
 #[derive(Debug, Clone)]
 pub struct TranslationSet {
     pub k: usize,
@@ -42,9 +43,13 @@ pub struct TranslationSet {
     /// `t3t[oct]`: parent-inner → child-inner (transposed).
     pub t3t: Vec<Matrix>,
     /// T2 matrices (transposed) in a dense (4d+3)³ cube indexed by
-    /// [`TranslationSet::t2_index_for`]; `None` for near-field offsets (the
-    /// paper allocates the full 11³ = 1331 cube "for ease of indexing" and
-    /// fills the 1206 interactive offsets).
+    /// [`TranslationSet::t2_index_for`]; `None` for every offset the
+    /// traversal never asks for. Without supernodes that is the near field
+    /// only: from depth 3 on every one of the 1206 interactive offsets of
+    /// the 11³ = 1331 cube is some box's, so all are built (the paper does
+    /// the same). With supernodes it is also every child-level offset the
+    /// decomposition folded into a parent source; only the leftover
+    /// children of the eight octants are built (152 at two-separation).
     pub t2t: Vec<Option<Matrix>>,
     /// Supernode T2 matrices keyed by the doubled parent-centre offset.
     // det: matrices are fetched by offset key only, never iterated.
@@ -52,19 +57,83 @@ pub struct TranslationSet {
 }
 
 /// Floating point work to build one K×K translation matrix with truncation
-/// M: each entry is an M-term Legendre series plus a dot product, ~6 flops
-/// per term. Used by the precomputation-vs-replication experiments
-/// (paper Figs. 8–9).
+/// M: per entry a dot product, clamp and weight (~10 flops), then per series
+/// term one divide, four multiplies and two add/subtracts (the Legendre
+/// step `((2n−1)·u·Pₙ₋₁ − (n−1)·Pₙ₋₂)/n` and the accumulation
+/// `acc += cₙ·Pₙ`) — 7 flops. Used by the precomputation-vs-replication
+/// experiments (paper Figs. 8–9).
 pub const fn matrix_build_flops(k: usize, m: usize) -> u64 {
-    (k as u64) * (k as u64) * (6 * (m as u64 + 1) + 10)
+    (k as u64) * (k as u64) * (7 * (m as u64 + 1) + 10)
+}
+
+/// One translation matrix, stored transposed: `kernel_row(j, row)` writes
+/// the kernel row of destination point j, which is *column* j of the
+/// result. The rows are written where they are produced, contiguously, and
+/// the square is then transposed in place.
+fn transposed_from_rows(k: usize, mut kernel_row: impl FnMut(usize, &mut [f64])) -> Matrix {
+    let mut mt = Matrix::zeros(k, k);
+    for j in 0..k {
+        kernel_row(j, mt.row_mut(j));
+    }
+    let a = mt.as_mut_slice();
+    for i in 0..k {
+        for j in i + 1..k {
+            a.swap(i * k + j, j * k + i);
+        }
+    }
+    mt
+}
+
+/// `scale·s_j + shift`: where destination sample j sits relative to the
+/// source sphere's centre.
+fn sample_point(rule: &SphereRule, j: usize, scale: f64, shift: [f64; 3]) -> [f64; 3] {
+    let s = rule.points[j];
+    [
+        scale * s[0] + shift[0],
+        scale * s[1] + shift[1],
+        scale * s[2] + shift[2],
+    ]
 }
 
 impl TranslationSet {
-    /// Build all matrices for a rule, truncation, sphere radii (in units of
+    /// The eight T1 and the eight T3 matrices (transposed, by octant) for
+    /// sphere radii in units of the *child* box side.
+    ///
+    /// T1: parent sample j is the child's outer approximation evaluated at
+    /// the parent integration point (2ρ s_j, relative to the parent
+    /// centre), i.e. at 2ρ s_j − c_oct relative to the child centre.
+    /// T3: child sample j is the parent's inner approximation evaluated at
+    /// c_oct + b s_j relative to the parent centre.
+    pub fn build_t1_t3(
+        rule: &SphereRule,
+        m: usize,
+        outer_ratio: f64,
+        inner_ratio: f64,
+    ) -> (Vec<Matrix>, Vec<Matrix>) {
+        let k = rule.len();
+        (0..8)
+            .map(|oct| {
+                let c = child_center_offset(oct);
+                let t1t = transposed_from_rows(k, |j, row| {
+                    let x = sample_point(rule, j, 2.0 * outer_ratio, c.map(|v| -v));
+                    outer_kernel_row(rule, m, outer_ratio, x, row)
+                });
+                let t3t = transposed_from_rows(k, |j, row| {
+                    let x = sample_point(rule, j, inner_ratio, c);
+                    inner_kernel_row(rule, m, 2.0 * inner_ratio, x, row)
+                });
+                (t1t, t3t)
+            })
+            .unzip()
+    }
+
+    /// Build the matrices for a rule, truncation, sphere radii (in units of
     /// the box side at the *child* level) and separation.
     ///
-    /// `with_supernodes` additionally builds the parent-level source
-    /// matrices of the supernode decomposition.
+    /// `with_supernodes` builds the set the supernode traversal uses — the
+    /// parent-level source matrices and the leftover child-level ones — and
+    /// not the rest of the T2 cube, so it serves `downward_pass(…,
+    /// supernodes = true, …)` only; without it, the plain traversal only.
     pub fn build(
         rule: &SphereRule,
         m: usize,
@@ -74,99 +143,44 @@ impl TranslationSet {
         with_supernodes: bool,
     ) -> Self {
         let k = rule.len();
-        let a_child = outer_ratio;
-        let a_parent = 2.0 * outer_ratio;
-        let b_child = inner_ratio;
-        let b_parent = 2.0 * inner_ratio;
+        let (t1t, t3t) = Self::build_t1_t3(rule, m, outer_ratio, inner_ratio);
 
-        // T1: parent sample j is the child's outer approximation evaluated
-        // at the parent integration point (2ρ s_j, relative to the parent
-        // centre), i.e. at 2ρ s_j − c_oct relative to the child centre.
-        let mut t1t = Vec::with_capacity(8);
-        let mut t3t = Vec::with_capacity(8);
-        let mut row = vec![0.0; k];
-        for oct in 0..8 {
-            let c = child_center_offset(oct);
-            let mut m1 = Matrix::zeros(k, k);
-            let mut m3 = Matrix::zeros(k, k);
-            for j in 0..k {
-                let s = rule.points[j];
-                let x1 = [
-                    a_parent * s[0] - c[0],
-                    a_parent * s[1] - c[1],
-                    a_parent * s[2] - c[2],
-                ];
-                outer_kernel_row(rule, m, a_child, x1, &mut row);
-                for i in 0..k {
-                    m1[(i, j)] = row[i]; // transposed store
-                }
-                // T3: child sample j is the parent's inner approximation
-                // evaluated at c_oct + b_child s_j relative to the parent
-                // centre.
-                let x3 = [
-                    c[0] + b_child * s[0],
-                    c[1] + b_child * s[1],
-                    c[2] + b_child * s[2],
-                ];
-                inner_kernel_row(rule, m, b_parent, x3, &mut row);
-                for i in 0..k {
-                    m3[(i, j)] = row[i];
-                }
-            }
-            t1t.push(m1);
-            t3t.push(m3);
-        }
-
-        // T2 cube: target sample j is the source box's outer approximation
-        // evaluated at b_child s_j − o relative to the source centre, where
-        // o is the source-centre offset (source − target) in box units.
-        let d = separation.d();
-        let w = (4 * d + 3) as usize;
+        // T2: target sample j is the source box's outer approximation
+        // evaluated at b s_j − o relative to the source centre, where
+        // o is the source-centre offset (source − target) in box units —
+        // whole child boxes in the cube, half-integral for the supernode
+        // matrices (parent-level sources, outer radius 2ρ, keyed by the
+        // doubled offset; the key set is shared across octants).
+        let t2 = |a: f64, o: [f64; 3]| {
+            transposed_from_rows(k, |j, row| {
+                let x = sample_point(rule, j, inner_ratio, o.map(|v| -v));
+                outer_kernel_row(rule, m, a, x, row)
+            })
+        };
+        let w = (4 * separation.d() + 3) as usize;
         let mut t2t: Vec<Option<Matrix>> = vec![None; w * w * w];
-        for o in interactive_field_union(separation) {
-            let mut mt = Matrix::zeros(k, k);
-            for j in 0..k {
-                let s = rule.points[j];
-                let x = [
-                    b_child * s[0] - o[0] as f64,
-                    b_child * s[1] - o[1] as f64,
-                    b_child * s[2] - o[2] as f64,
-                ];
-                outer_kernel_row(rule, m, a_child, x, &mut row);
-                for i in 0..k {
-                    mt[(i, j)] = row[i];
-                }
-            }
-            t2t[Self::t2_index_for(separation, o)] = Some(mt);
-        }
-
-        // Supernode matrices: parent-level sources (outer radius 2ρ) at the
-        // doubled centre offsets produced by the decomposition. The key
-        // set is shared across octants, so collect the union.
         // det: keyed lookups only (see the field's justification).
         let mut t2t_super = HashMap::new();
+        let mut child_offsets = Vec::new();
         if with_supernodes {
             for oct in 0..8 {
-                let o = [oct & 1, (oct >> 1) & 1, (oct >> 2) & 1];
-                for p in supernode_decomposition(o, separation).parents {
-                    t2t_super.entry(p.center_offset_half).or_insert_with(|| {
-                        let mut mt = Matrix::zeros(k, k);
-                        for j in 0..k {
-                            let s = rule.points[j];
-                            let x = [
-                                b_child * s[0] - p.center_offset_half[0] as f64 / 2.0,
-                                b_child * s[1] - p.center_offset_half[1] as f64 / 2.0,
-                                b_child * s[2] - p.center_offset_half[2] as f64 / 2.0,
-                            ];
-                            outer_kernel_row(rule, m, a_parent, x, &mut row);
-                            for i in 0..k {
-                                mt[(i, j)] = row[i];
-                            }
-                        }
-                        mt
-                    });
+                let sd =
+                    supernode_decomposition([oct & 1, (oct >> 1) & 1, (oct >> 2) & 1], separation);
+                child_offsets.extend(sd.children);
+                for p in sd.parents {
+                    t2t_super
+                        .entry(p.center_offset_half)
+                        .or_insert_with_key(|key| {
+                            t2(2.0 * outer_ratio, key.map(|v| v as f64 / 2.0))
+                        });
                 }
             }
+        } else {
+            child_offsets = interactive_field_union(separation);
+        }
+        for o in child_offsets {
+            t2t[Self::t2_index_for(separation, o)]
+                .get_or_insert_with(|| t2(outer_ratio, o.map(|v| v as f64)));
         }
 
         TranslationSet {
@@ -212,6 +226,9 @@ impl TranslationSet {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::config::FmmConfig;
+    use crate::plan::TraversalPlan;
+    use fmm_linalg::Kernel;
     use fmm_sphere::{InnerApprox, OuterApprox};
 
     fn apply_t(mt: &Matrix, g: &[f64]) -> Vec<f64> {
@@ -239,20 +256,6 @@ mod tests {
         SphereRule::product(10)
     }
 
-    /// Build one translation matrix (transposed) from a kernel-row closure.
-    fn single_matrix(rule: &SphereRule, mut row_for: impl FnMut(usize, &mut [f64])) -> Matrix {
-        let k = rule.len();
-        let mut mt = Matrix::zeros(k, k);
-        let mut row = vec![0.0; k];
-        for j in 0..k {
-            row_for(j, &mut row);
-            for i in 0..k {
-                mt[(i, j)] = row[i];
-            }
-        }
-        mt
-    }
-
     #[test]
     fn t2_cube_has_1206_matrices() {
         let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, Separation::Two, false);
@@ -277,6 +280,34 @@ mod tests {
     }
 
     #[test]
+    fn each_setting_builds_exactly_what_its_plan_references() {
+        let plan = TraversalPlan::build_with(3, Separation::Two, Kernel::Scalar);
+        for supernodes in [false, true] {
+            let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, Separation::Two, supernodes);
+            let idx = referenced_t2(supernodes);
+            assert!(idx.iter().all(|&i| ts.t2t[i as usize].is_some()));
+            assert_eq!(ts.t2_count(), idx.len(), "supernodes = {supernodes}");
+            let mut keys: Vec<[i32; 3]> = plan
+                .octants
+                .iter()
+                .flat_map(|op| op.sn_parent_keys.iter().copied())
+                .collect();
+            keys.sort_unstable();
+            keys.dedup();
+            if supernodes {
+                assert!(keys.iter().all(|key| ts.t2t_super.contains_key(key)));
+                assert_eq!(ts.t2t_super.len(), keys.len());
+                // 218 leftover children + 784 parent sources, against the
+                // 1206 + 784 the full cube would hold.
+                assert_eq!((idx.len(), keys.len()), (218, 784));
+            } else {
+                assert!(ts.t2t_super.is_empty());
+                assert_eq!(idx.len(), 1206);
+            }
+        }
+    }
+
+    #[test]
     fn t1_combines_children_into_parent() {
         // Particles in one child box; T1 applied to the child's outer
         // samples must reproduce the parent's directly-built outer samples.
@@ -286,7 +317,7 @@ mod tests {
         // Child box side 1, octant 5 = (1,0,1): centre offset (0.5,-0.5,0.5).
         let oct = 5;
         let cc = child_center_offset(oct);
-        let t1t = single_matrix(&rule, |j, row| {
+        let t1t = transposed_from_rows(rule.len(), |j, row| {
             let s = rule.points[j];
             let x = [
                 2.0 * rho * s[0] - cc[0],
@@ -319,7 +350,7 @@ mod tests {
         let m = 6;
         let (rho, b_in) = (1.6, 1.0);
         let o = [4.0, -3.0, 2.0]; // source centre − target centre, box units
-        let t2t = single_matrix(&rule, |j, row| {
+        let t2t = transposed_from_rows(rule.len(), |j, row| {
             let s = rule.points[j];
             let x = [b_in * s[0] - o[0], b_in * s[1] - o[1], b_in * s[2] - o[2]];
             outer_kernel_row(&rule, m, rho, x, row);
@@ -352,7 +383,7 @@ mod tests {
         // 2); child at octant 2 = (0,1,0): centre (−0.5, 0.5, −0.5).
         let oct = 2;
         let cc = child_center_offset(oct);
-        let t3t = single_matrix(&rule, |j, row| {
+        let t3t = transposed_from_rows(rule.len(), |j, row| {
             let s = rule.points[j];
             let x = [
                 cc[0] + b_in * s[0],
@@ -396,6 +427,74 @@ mod tests {
         let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, Separation::Two, false);
         let mb = ts.memory_bytes() as f64 / 1e6;
         assert!(mb > 1.3 && mb < 1.6, "memory {} MB", mb);
+    }
+
+    /// The T2 cube indices the plan resolves under a supernode setting
+    /// (the union over octants), ascending.
+    fn referenced_t2(supernodes: bool) -> Vec<u32> {
+        let plan = TraversalPlan::build_with(3, Separation::Two, Kernel::Scalar);
+        let mut idx: Vec<u32> = plan
+            .octants
+            .iter()
+            .flat_map(|op| {
+                if supernodes {
+                    &op.sn_child_idx
+                } else {
+                    &op.t2_idx
+                }
+            })
+            .copied()
+            .collect();
+        idx.sort_unstable();
+        idx.dedup();
+        idx
+    }
+
+    /// FNV-1a over `to_bits()` of every matrix the traversal can reach
+    /// under `supernodes`: T1, T3, the referenced T2 cube entries in index
+    /// order, the supernode matrices in key order.
+    fn set_checksum(order: usize, supernodes: bool) -> u64 {
+        let cfg = FmmConfig::order(order);
+        let ts = TranslationSet::build(
+            &cfg.rule(),
+            cfg.m_trunc,
+            cfg.outer_ratio,
+            cfg.inner_ratio,
+            cfg.separation,
+            supernodes,
+        );
+        let idx = referenced_t2(supernodes);
+        let mut keys: Vec<[i32; 3]> = ts.t2t_super.keys().copied().collect();
+        keys.sort_unstable();
+        let t2 = idx.iter().map(|&i| {
+            ts.t2t[i as usize]
+                .as_ref()
+                .expect("every plan index resolves for the matching setting")
+        });
+        let sup = keys.iter().map(|key| &ts.t2t_super[key]);
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for mt in ts.t1t.iter().chain(&ts.t3t).chain(t2).chain(sup) {
+            for v in mt.as_slice() {
+                for b in v.to_bits().to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
+        }
+        h
+    }
+
+    /// The gate on the series body: every matrix entry, to the bit, as
+    /// recorded at the commit before the lane-blocked body replaced the
+    /// scalar loops. A "faster" recurrence that moves one bit fails here.
+    #[test]
+    fn translation_checksums_are_pinned() {
+        assert_eq!(set_checksum(5, false), 0xbaf6_6b9c_fbdd_bd95, "order 5");
+        assert_eq!(
+            set_checksum(5, true),
+            0x7c72_9f20_04ad_f8f5,
+            "order 5, supernodes"
+        );
+        assert_eq!(set_checksum(8, false), 0xbb09_ec0b_18e7_34bd, "order 8");
     }
 
     #[test]

@@ -288,8 +288,10 @@ fn resolve_offset_lists<'a>(
     plan: &'a TraversalPlan,
     supernodes: bool,
 ) -> Vec<Vec<OffsetList<'a>>> {
-    let t2_at =
-        |i: &u32| -> &'a Matrix { ts.t2t[*i as usize].as_ref().expect("interactive offset") };
+    // A set holds the matrices of one supernode setting (see
+    // `TranslationSet::build`).
+    const OTHER_SETTING: &str = "translation set was built for the other supernode setting";
+    let t2_at = |i: &u32| -> &'a Matrix { ts.t2t[*i as usize].as_ref().expect(OTHER_SETTING) };
     plan.octants
         .iter()
         .map(|op| {
@@ -300,7 +302,7 @@ fn resolve_offset_lists<'a>(
                         matrices: op
                             .sn_parent_keys
                             .iter()
-                            .map(|key| &ts.t2t_super[key])
+                            .map(|key| ts.t2t_super.get(key).expect(OTHER_SETTING))
                             .collect(),
                         shift: 1,
                     },
@@ -549,9 +551,14 @@ mod tests {
     use fmm_sphere::SphereRule;
     use fmm_tree::{Hierarchy, Separation};
 
-    fn small_setup(depth: u32) -> (FieldHierarchy, TranslationSet, TraversalPlan) {
+    /// A translation set serves one supernode setting (it holds only the
+    /// T2 matrices that setting's traversal reaches).
+    fn small_setup(
+        depth: u32,
+        supernodes: bool,
+    ) -> (FieldHierarchy, TranslationSet, TraversalPlan) {
         let rule = SphereRule::for_order(3);
-        let ts = TranslationSet::build(&rule, 4, 1.0, 1.0, Separation::Two, true);
+        let ts = TranslationSet::build(&rule, 4, 1.0, 1.0, Separation::Two, supernodes);
         let fh = FieldHierarchy::new(Hierarchy::new(depth), rule.len());
         let plan = TraversalPlan::build(depth, Separation::Two);
         (fh, ts, plan)
@@ -570,7 +577,7 @@ mod tests {
 
     #[test]
     fn upward_parallel_matches_sequential() {
-        let (mut a, ts, plan) = small_setup(4);
+        let (mut a, ts, plan) = small_setup(4, false);
         fill_pseudo(&mut a);
         let mut b = a.clone();
         upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
@@ -584,7 +591,7 @@ mod tests {
 
     #[test]
     fn upward_gemv_matches_gemm() {
-        let (mut a, ts, plan) = small_setup(3);
+        let (mut a, ts, plan) = small_setup(3, false);
         fill_pseudo(&mut a);
         let mut b = a.clone();
         upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
@@ -598,7 +605,7 @@ mod tests {
 
     #[test]
     fn downward_parallel_matches_sequential() {
-        let (mut a, ts, plan) = small_setup(3);
+        let (mut a, ts, plan) = small_setup(3, false);
         fill_pseudo(&mut a);
         upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
         let mut b = a.clone();
@@ -613,7 +620,7 @@ mod tests {
 
     #[test]
     fn downward_gemv_matches_gemm() {
-        let (mut a, ts, plan) = small_setup(3);
+        let (mut a, ts, plan) = small_setup(3, false);
         fill_pseudo(&mut a);
         upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
         let mut b = a.clone();
@@ -630,19 +637,20 @@ mod tests {
         // stored keys/indices; make sure that machinery runs and counts
         // fewer translations than the plain path (the end-to-end accuracy
         // check on physical data lives in the driver tests).
-        let (mut a, ts, plan) = small_setup(3);
+        let (mut a, ts, plan) = small_setup(3, false);
         fill_pseudo(&mut a);
         upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
         let mut b = a.clone();
         let plain = downward_pass(&mut a, &ts, &plan, false, Aggregation::Gemm, false);
-        let sup = downward_pass(&mut b, &ts, &plan, true, Aggregation::Gemm, false);
+        let (_, ts_sup, _) = small_setup(3, true);
+        let sup = downward_pass(&mut b, &ts_sup, &plan, true, Aggregation::Gemm, false);
         assert!(sup.t2 < plain.t2, "{} !< {}", sup.t2, plain.t2);
         assert!(b.local[3].iter().any(|&x| x != 0.0));
     }
 
     #[test]
     fn upward_flops_counted() {
-        let (mut a, ts, plan) = small_setup(4);
+        let (mut a, ts, plan) = small_setup(4, false);
         fill_pseudo(&mut a);
         let f = upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
         // Levels 3, 2 and 1 are computed: 8·2K²·(8³ + 8² + 8) with K = 6.
@@ -657,7 +665,7 @@ mod tests {
         for supernodes in [false, true] {
             let mut solo = Vec::new();
             for seed in 0..3u64 {
-                let (mut fh, ts, plan) = small_setup(4);
+                let (mut fh, ts, plan) = small_setup(4, supernodes);
                 fill_pseudo(&mut fh);
                 fh.far[4].iter_mut().for_each(|v| *v *= 1.0 + seed as f64);
                 let pristine = fh.clone();
@@ -665,7 +673,7 @@ mod tests {
                 downward_pass(&mut fh, &ts, &plan, supernodes, Aggregation::Gemm, false);
                 solo.push((pristine, fh));
             }
-            let (_, ts, plan) = small_setup(4);
+            let (_, ts, plan) = small_setup(4, supernodes);
             for parallel in [false, true] {
                 let mut fhs: Vec<FieldHierarchy> = solo.iter().map(|(p, _)| p.clone()).collect();
                 for l in (1..4).rev() {
@@ -698,7 +706,7 @@ mod tests {
         const SENTINEL: f64 = 12345.678;
         let agg = Aggregation::Gemm;
         for supernodes in [false, true] {
-            let (mut full, ts, plan) = small_setup(4);
+            let (mut full, ts, plan) = small_setup(4, supernodes);
             fill_pseudo(&mut full);
             upward_pass(&mut full, &ts, &plan, agg, false);
             downward_pass(&mut full, &ts, &plan, supernodes, agg, false);
@@ -745,7 +753,7 @@ mod tests {
 
     #[test]
     fn empty_far_field_stays_zero() {
-        let (mut a, ts, plan) = small_setup(3);
+        let (mut a, ts, plan) = small_setup(3, false);
         upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
         downward_pass(&mut a, &ts, &plan, false, Aggregation::Gemm, false);
         assert!(a.local[3].iter().all(|&x| x == 0.0));

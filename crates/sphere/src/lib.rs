@@ -37,8 +37,8 @@ pub mod legendre;
 pub mod quadrature;
 
 pub use approximation::{
-    inner_kernel_row, inner_kernel_row_grad, outer_kernel_row, outer_kernel_row_grad, InnerApprox,
-    OuterApprox,
+    inner_kernel_row, inner_kernel_row_grad, inner_kernel_row_with_grad, outer_kernel_row,
+    outer_kernel_row_grad, InnerApprox, OuterApprox,
 };
 pub use quadrature::{SphereRule, SphereRuleKind};
 
