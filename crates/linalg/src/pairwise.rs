@@ -1,28 +1,113 @@
 //! Pairwise particle–particle microkernels for the near field.
 //!
 //! One target against a contiguous SoA run of sources, `Σ q_s/√(r²+ε²)`,
-//! in three flavours: *gather* (target-only accumulation), *exchange*
-//! (the symmetric Newton's-third-law form — the target gathers while each
-//! source accumulates the reciprocal term) and *force gather* (potential
-//! and field `Σ q_s·r⁻³·Δ` together). Each flavour exists in f64 and in
-//! f32, dispatched over the same [`Kernel`] families as the GEMM path:
+//! in three shapes: *gather* (target-only accumulation), *exchange* (the
+//! symmetric Newton's-third-law form — the target gathers while each
+//! source accumulates the reciprocal term into an f64 `s_out`; one target
+//! per source sweep, or two) and *force gather* (potential and field
+//! `Σ q_s·r⁻³·Δ` together). Each shape is written once, generic over a
+//! private `Lanes` vector type, and serves both precisions. A tier is a set
+//! of concrete entry points (`x86::gather_avx2`, …), each one instantiation
+//! of a body under the tier's `#[target_feature]`; they are not generic, so
+//! each is compiled once, in this crate, and the copy a rate probe times is
+//! the copy every executor runs. [`Kernel`] dispatch selects among them.
+//! The scalar tier is its own exact-`sqrt` bodies, which the vector tiers
+//! also run over whatever a run leaves after its last whole vector, seeded
+//! with the vector partial sums.
 //!
-//! | kernel   | f64 lanes | f32 lanes | rsqrt seed        | NR steps f64/f32 |
-//! |----------|-----------|-----------|-------------------|------------------|
-//! | scalar   | 1         | 1         | `1.0/x.sqrt()`    | — (exact)        |
-//! | avx2+fma | 4         | 8         | `rsqrt_ps` (2⁻¹²) | 3 / 2            |
-//! | avx512   | 8         | 16        | `rsqrt14` (2⁻¹⁴)  | 2 / 1            |
-//! | neon     | 2         | 4         | `vrsqrte` (~2⁻⁸)  | 3 / 2            |
+//! This header is the table of record for what a tier is. The f32 kernels
+//! power the mixed-precision near field, whose error budget is derived in
+//! DESIGN.md §5.5 ("Kernel tiers and precision modes").
+//!
+//! | tier     | `Lanes` f64 / f32             | lanes  | rsqrt seed f64 / f32                             | NR steps | lane sum                              |
+//! |----------|-------------------------------|--------|--------------------------------------------------|----------|---------------------------------------|
+//! | scalar   | — (own bodies)                | 1 / 1  | `1.0 / x.sqrt()`, exact                          | —        | running sum in source order           |
+//! | avx2+fma | `__m256d` / `__m256`          | 4 / 8  | `rsqrt_ps` (2⁻¹²) of the f32-narrowed r² / of r² | 3 / 2    | halves, then pairs, then the last two |
+//! | avx512   | `__m512d` / `__m512`          | 8 / 16 | `rsqrt14_pd` / `rsqrt14_ps` (2⁻¹⁴)               | 2 / 1    | `_mm512_reduce_add_{pd,ps}`           |
+//! | neon     | `float64x2_t` / `float32x4_t` | 2 / 4  | `vrsqrte` (~2⁻⁸)                                 | 3 / 2    | `vaddvq`                              |
 //!
 //! Newton–Raphson squares the relative error each step (`e ← 3/2·e²`), so
 //! the f64 paths land at ~1 ulp (2⁻¹⁴ → 2⁻²⁷ → 2⁻⁵³ for AVX-512) and the
-//! f32 paths land below f32 machine epsilon. The f32 kernels power the
-//! mixed-precision near field; their error budget is derived in DESIGN.md
-//! §5.5 ("Kernel tiers and precision modes").
+//! f32 paths below f32 machine epsilon. x86 steps are
+//! `y ← ½y·(3 − r²y²)` with one `fnmadd`; NEON's are `y ← y·vrsqrts(r²y, y)`.
+//! `r² + ε²` is `fma(Δz, Δz, fma(Δy, Δy, fma(Δx, Δx, ε²)))` on every
+//! vector tier and `Δx² + Δy² + Δz² + ε²`, unfused, on the scalar one.
+//!
+//! What a tier does with the sources after its last whole vector:
+//!
+//! | tier     | `gather` | `exchange` | `exchange_f32`, panel | `force_gather_f32` | `force_gather` |
+//! |----------|----------|------------|-----------------------|--------------------|----------------|
+//! | avx2+fma | scalar   | scalar     | scalar                | scalar             | scalar         |
+//! | avx512   | scalar   | scalar     | masked                | masked             | masked         |
+//! | neon     | scalar   | scalar     | scalar                | scalar             | scalar         |
+//!
+//! *scalar*: the scalar body continues from the vector partial sums.
+//! *masked*: one more vector iteration under a mask of the live leading
+//! lanes — dead lanes load 0 for every coordinate and charge and have r²
+//! pinned to 1 (it would be `|t|² + ε²`, which can be 0, and 0·∞ = NaN
+//! would poison the sums), so they add exactly 0, and the `s_out` update
+//! is write-masked. A box holds few enough particles that a scalar tail
+//! would dominate those calls. The policy is a const parameter of the
+//! body, named where each entry point instantiates it. Only AVX-512 has
+//! the two-target exchange ([`exchange_f32_panel_with`]); the other tiers
+//! serve a panel one `exchange_f32` per target.
+//!
+//! Checked on x86: the generic bodies at NEON's widths and tail policy
+//! through a portable lane type (unit tests below), and every x86 tier's
+//! output bits (`tests/pairwise_bits.rs`). Still needing an aarch64 host:
+//! the two NEON `Lanes` impls at the end of this file — one intrinsic per
+//! method bar `rsqrt_nr` and the f32 scatter — which CI cross-builds and
+//! lints but no one here can run.
+
+// Hosts with no vector tier still build the vector bodies' source.
+#![cfg_attr(
+    not(any(target_arch = "x86_64", target_arch = "aarch64")),
+    allow(dead_code, unused_macros)
+)]
 
 use crate::kernel::Kernel;
+use core::ops::{Add, AddAssign, Div, Mul, Sub};
+
+/// The vector bodies read every slice through raw pointers up to the
+/// first one's length, so the safe entry points check the lengths — in
+/// release builds too — before they dispatch.
+macro_rules! assert_equal_lengths {
+    ($first:ident, $($rest:ident),+) => {
+        assert!(
+            $($rest.len() == $first.len())&&+,
+            "pairwise: slices of unequal lengths"
+        )
+    };
+}
+
+/// A single-target operation's safe entry: the length check, then
+/// [`Kernel`] dispatch of the same arguments to the tier's entry point.
+macro_rules! dispatch {
+    (
+        $kernel:ident,
+        [$avx2:ident, $avx512:ident, $neon:ident, $scalar:ident],
+        ($($target:ident),+),
+        ($($slice:ident),+)
+    ) => {{
+        assert_equal_lengths!($($slice),+);
+        match $kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: callers obtain the kernel from detect()/supported();
+            // slice lengths checked above.
+            Kernel::Avx2Fma => unsafe { x86::$avx2($($target),+, $($slice),+) },
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: as above.
+            Kernel::Avx512 => unsafe { x86::$avx512($($target),+, $($slice),+) },
+            #[cfg(target_arch = "aarch64")]
+            // SAFETY: NEON is architecturally guaranteed on aarch64; lengths as above.
+            Kernel::Neon => unsafe { arm::$neon($($target),+, $($slice),+) },
+            _ => scalar::$scalar($($target),+, $($slice),+),
+        }
+    }};
+}
 
 /// f64 gather: `Σ q_s/√(r²+ε²)` of one target against a source run.
+/// Panics if the four source slices differ in length.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn gather_with(
@@ -36,23 +121,17 @@ pub fn gather_with(
     zs: &[f64],
     qs: &[f64],
 ) -> f64 {
-    debug_assert!(ys.len() == xs.len() && zs.len() == xs.len() && qs.len() == xs.len());
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers obtain the kernel from detect()/supported().
-        Kernel::Avx2Fma => unsafe { x86::gather_avx2(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe { x86::gather_avx512(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        Kernel::Neon => unsafe { arm::gather_neon(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        _ => gather_scalar(tx, ty, tz, eps2, xs, ys, zs, qs),
-    }
+    dispatch!(
+        kernel,
+        [gather_avx2, gather_avx512, gather_neon, gather_scalar],
+        (tx, ty, tz, eps2),
+        (xs, ys, zs, qs)
+    )
 }
 
 /// f64 exchange: the target gathers `Σ q_s·r⁻¹` (returned) while each
 /// source accumulates `q_t·r⁻¹` into `s_out`.
+/// Panics if the source slices and `s_out` differ in length.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn exchange_with(
@@ -68,28 +147,17 @@ pub fn exchange_with(
     qs: &[f64],
     s_out: &mut [f64],
 ) -> f64 {
-    debug_assert!(
-        ys.len() == xs.len()
-            && zs.len() == xs.len()
-            && qs.len() == xs.len()
-            && s_out.len() == xs.len()
-    );
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers obtain the kernel from detect()/supported().
-        Kernel::Avx2Fma => unsafe {
-            x86::exchange_avx2(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe {
-            x86::exchange_avx512(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        Kernel::Neon => unsafe { arm::exchange_neon(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out) },
-        _ => exchange_scalar(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out),
-    }
+    dispatch!(
+        kernel,
+        [
+            exchange_avx2,
+            exchange_avx512,
+            exchange_neon,
+            exchange_scalar
+        ],
+        (tx, ty, tz, tq, eps2),
+        (xs, ys, zs, qs, s_out)
+    )
 }
 
 /// f32 exchange (mixed-precision symmetric near field). Every pairwise
@@ -100,6 +168,7 @@ pub fn exchange_with(
 /// the f32 error per output at O(per-term) instead of O(chain length),
 /// which is what the documented ≤1e-5 near-field bound relies on (see
 /// DESIGN.md §5.5).
+/// Panics if the source slices and `s_out` differ in length.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn exchange_f32_with(
@@ -115,30 +184,17 @@ pub fn exchange_f32_with(
     qs: &[f32],
     s_out: &mut [f64],
 ) -> f32 {
-    debug_assert!(
-        ys.len() == xs.len()
-            && zs.len() == xs.len()
-            && qs.len() == xs.len()
-            && s_out.len() == xs.len()
-    );
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers obtain the kernel from detect()/supported().
-        Kernel::Avx2Fma => unsafe {
-            x86::exchange_f32_avx2(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out)
-        },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe {
-            x86::exchange_f32_avx512(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out)
-        },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        Kernel::Neon => unsafe {
-            arm::exchange_f32_neon(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out)
-        },
-        _ => exchange_f32_scalar(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out),
-    }
+    dispatch!(
+        kernel,
+        [
+            exchange_f32_avx2,
+            exchange_f32_avx512,
+            exchange_f32_neon,
+            exchange_f32_scalar
+        ],
+        (tx, ty, tz, tq, eps2),
+        (xs, ys, zs, qs, s_out)
+    )
 }
 
 /// f32 exchange over a whole panel of targets against one source box.
@@ -150,6 +206,8 @@ pub fn exchange_f32_with(
 /// are summed in f32 (one extra rounding within the box pair, inside the
 /// documented error model) before a single widened scatter-add. Other
 /// kernels fall back to the per-target routine.
+/// Panics if the target slices and `t_out`, or the source slices and
+/// `s_out`, differ in length.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn exchange_f32_panel_with(
@@ -166,18 +224,8 @@ pub fn exchange_f32_panel_with(
     t_out: &mut [f64],
     s_out: &mut [f64],
 ) {
-    debug_assert!(
-        tys.len() == txs.len()
-            && tzs.len() == txs.len()
-            && tqs.len() == txs.len()
-            && t_out.len() == txs.len()
-    );
-    debug_assert!(
-        ys.len() == xs.len()
-            && zs.len() == xs.len()
-            && qs.len() == xs.len()
-            && s_out.len() == xs.len()
-    );
+    assert_equal_lengths!(txs, tys, tzs, tqs, t_out);
+    assert_equal_lengths!(xs, ys, zs, qs, s_out);
     match kernel {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: callers obtain the kernel from detect()/supported();
@@ -197,6 +245,7 @@ pub fn exchange_f32_panel_with(
 
 /// f32 potential + field gather: returns `(Σ q·r⁻¹, Σ q·r⁻³·Δ)` for one
 /// target against a source run (mixed-precision force near field).
+/// Panics if the four source slices differ in length.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn force_gather_f32_with(
@@ -210,25 +259,24 @@ pub fn force_gather_f32_with(
     zs: &[f32],
     qs: &[f32],
 ) -> (f32, [f32; 3]) {
-    debug_assert!(ys.len() == xs.len() && zs.len() == xs.len() && qs.len() == xs.len());
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers obtain the kernel from detect()/supported().
-        Kernel::Avx2Fma => unsafe { x86::force_gather_f32_avx2(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe { x86::force_gather_f32_avx512(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        Kernel::Neon => unsafe { arm::force_gather_f32_neon(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        _ => force_gather_f32_scalar(tx, ty, tz, eps2, xs, ys, zs, qs),
-    }
+    dispatch!(
+        kernel,
+        [
+            force_gather_f32_avx2,
+            force_gather_f32_avx512,
+            force_gather_f32_neon,
+            force_gather_f32_scalar
+        ],
+        (tx, ty, tz, eps2),
+        (xs, ys, zs, qs)
+    )
 }
 
 /// f64 potential + field gather: returns `(Σ q·r⁻¹, Σ q·r⁻³·Δ)` for one
 /// target against a source run (the target-centric force near field). The
 /// target must not be among the sources: a caller whose target sits inside
 /// the source block gathers over the sub-runs before and after it.
+/// Panics if the four source slices differ in length.
 #[inline]
 #[allow(clippy::too_many_arguments)]
 pub fn force_gather_with(
@@ -242,143 +290,122 @@ pub fn force_gather_with(
     zs: &[f64],
     qs: &[f64],
 ) -> (f64, [f64; 3]) {
-    debug_assert!(ys.len() == xs.len() && zs.len() == xs.len() && qs.len() == xs.len());
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers obtain the kernel from detect()/supported().
-        Kernel::Avx2Fma => unsafe { x86::force_gather_avx2(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above.
-        Kernel::Avx512 => unsafe { x86::force_gather_avx512(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        Kernel::Neon => unsafe { arm::force_gather_neon(tx, ty, tz, eps2, xs, ys, zs, qs) },
-        _ => force_gather_scalar(tx, ty, tz, eps2, xs, ys, zs, qs),
+    dispatch!(
+        kernel,
+        [
+            force_gather_avx2,
+            force_gather_avx512,
+            force_gather_neon,
+            force_gather_scalar
+        ],
+        (tx, ty, tz, eps2),
+        (xs, ys, zs, qs)
+    )
+}
+
+/// A run of sources (or a panel of targets) as four SoA slices, which the
+/// entry points above have checked to be of one length.
+#[derive(Clone, Copy)]
+struct Run<'a, T> {
+    xs: &'a [T],
+    ys: &'a [T],
+    zs: &'a [T],
+    qs: &'a [T],
+}
+
+/// `f64` or `f32`: what a lane holds and the scalar bodies compute in.
+trait Real:
+    Copy
+    + Add<Output = Self>
+    + Sub<Output = Self>
+    + Mul<Output = Self>
+    + Div<Output = Self>
+    + AddAssign
+    + Into<f64>
+{
+    const ZERO: Self;
+    const ONE: Self;
+    fn sqrt(self) -> Self;
+}
+
+impl Real for f64 {
+    const ZERO: f64 = 0.0;
+    const ONE: f64 = 1.0;
+    #[inline(always)]
+    fn sqrt(self) -> f64 {
+        f64::sqrt(self)
+    }
+}
+
+impl Real for f32 {
+    const ZERO: f32 = 0.0;
+    const ONE: f32 = 1.0;
+    #[inline(always)]
+    fn sqrt(self) -> f32 {
+        f32::sqrt(self)
     }
 }
 
 // ---------------------------------------------------------------- scalar
+//
+// The scalar tier, the reference every other tier is tested against, and
+// the tail of every vector tier without a masked one: each body runs over
+// the sources from `from` on and continues from the accumulators it is
+// handed, so a tail adds its terms to the vector partial sums one by one
+// in source order. (Indexing from `from`, not re-slicing there: four slice
+// checks cost a call on eight sources a tenth of its time.)
 
-#[allow(clippy::too_many_arguments)]
-fn gather_scalar(
-    tx: f64,
-    ty: f64,
-    tz: f64,
-    eps2: f64,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-) -> f64 {
-    let mut acc = 0.0;
-    for j in 0..xs.len() {
-        let dx = tx - xs[j];
-        let dy = ty - ys[j];
-        let dz = tz - zs[j];
+#[inline(always)]
+fn gather_from<T: Real>(mut acc: T, t: [T; 3], eps2: T, src: Run<T>, from: usize) -> T {
+    let Run { xs, ys, zs, qs } = src;
+    for j in from..xs.len() {
+        let dx = t[0] - xs[j];
+        let dy = t[1] - ys[j];
+        let dz = t[2] - zs[j];
         let r2 = dx * dx + dy * dy + dz * dz + eps2;
         acc += qs[j] / r2.sqrt();
     }
     acc
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exchange_scalar(
-    tx: f64,
-    ty: f64,
-    tz: f64,
-    tq: f64,
-    eps2: f64,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
+/// `t` is the target's `[x, y, z, q]`; `s_out` is as long as `src`.
+#[inline(always)]
+fn exchange_from<T: Real>(
+    mut acc: T,
+    t: [T; 4],
+    eps2: T,
+    src: Run<T>,
     s_out: &mut [f64],
-) -> f64 {
-    let mut acc = 0.0;
-    for j in 0..xs.len() {
-        let dx = tx - xs[j];
-        let dy = ty - ys[j];
-        let dz = tz - zs[j];
-        let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
+    from: usize,
+) -> T {
+    let Run { xs, ys, zs, qs } = src;
+    for j in from..xs.len() {
+        let dx = t[0] - xs[j];
+        let dy = t[1] - ys[j];
+        let dz = t[2] - zs[j];
+        let inv_r = T::ONE / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
         acc += qs[j] * inv_r;
-        s_out[j] += tq * inv_r;
+        s_out[j] += (t[3] * inv_r).into();
     }
     acc
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exchange_f32_scalar(
-    tx: f32,
-    ty: f32,
-    tz: f32,
-    tq: f32,
-    eps2: f32,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    qs: &[f32],
-    s_out: &mut [f64],
-) -> f32 {
-    let mut acc = 0.0f32;
-    for j in 0..xs.len() {
-        let dx = tx - xs[j];
-        let dy = ty - ys[j];
-        let dz = tz - zs[j];
-        let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-        acc += qs[j] * inv_r;
-        s_out[j] += (tq * inv_r) as f64;
-    }
-    acc
-}
-
-#[allow(clippy::too_many_arguments)]
-fn force_gather_f32_scalar(
-    tx: f32,
-    ty: f32,
-    tz: f32,
-    eps2: f32,
-    xs: &[f32],
-    ys: &[f32],
-    zs: &[f32],
-    qs: &[f32],
-) -> (f32, [f32; 3]) {
-    let mut p = 0.0f32;
-    let mut f = [0.0f32; 3];
-    for j in 0..xs.len() {
-        let dx = tx - xs[j];
-        let dy = ty - ys[j];
-        let dz = tz - zs[j];
+#[inline(always)]
+fn force_gather_from<T: Real>(
+    mut p: T,
+    mut f: [T; 3],
+    t: [T; 3],
+    eps2: T,
+    src: Run<T>,
+    from: usize,
+) -> (T, [T; 3]) {
+    let Run { xs, ys, zs, qs } = src;
+    for j in from..xs.len() {
+        let dx = t[0] - xs[j];
+        let dy = t[1] - ys[j];
+        let dz = t[2] - zs[j];
         let r2 = dx * dx + dy * dy + dz * dz + eps2;
-        let inv_r = 1.0 / r2.sqrt();
-        let qr = qs[j] * inv_r;
-        p += qr;
-        let qr3 = qr * inv_r * inv_r;
-        f[0] += qr3 * dx;
-        f[1] += qr3 * dy;
-        f[2] += qr3 * dz;
-    }
-    (p, f)
-}
-
-#[allow(clippy::too_many_arguments)]
-fn force_gather_scalar(
-    tx: f64,
-    ty: f64,
-    tz: f64,
-    eps2: f64,
-    xs: &[f64],
-    ys: &[f64],
-    zs: &[f64],
-    qs: &[f64],
-) -> (f64, [f64; 3]) {
-    let mut p = 0.0;
-    let mut f = [0.0; 3];
-    for j in 0..xs.len() {
-        let dx = tx - xs[j];
-        let dy = ty - ys[j];
-        let dz = tz - zs[j];
-        let r2 = dx * dx + dy * dy + dz * dz + eps2;
-        let inv_r = 1.0 / r2.sqrt();
+        let inv_r = T::ONE / r2.sqrt();
         let qr = qs[j] * inv_r;
         p += qr;
         // −∇(q/r) = q (x_t − x_s) / r³
@@ -390,551 +417,407 @@ fn force_gather_scalar(
     (p, f)
 }
 
+/// One tier's five single-target entry points, each the named body behind
+/// a concrete signature. Not generic and not `#[inline]`, so this crate
+/// holds the one compiled copy of each, whoever calls it. The target
+/// crosses as scalars, in registers: an array would go through memory,
+/// where its reload as one vector stalls on the caller's element-wise
+/// stores and serializes back-to-back calls.
+macro_rules! entry_points {
+    (
+        $(#[$tier:meta])*
+        pub $($fn:ident)+ {
+            $gather:ident = $gather_body:expr;
+            $exchange:ident = $exchange_body:expr;
+            $exchange_f32:ident = $exchange_f32_body:expr;
+            $force_gather_f32:ident = $force_gather_f32_body:expr;
+            $force_gather:ident = $force_gather_body:expr;
+        }
+    ) => {
+        entry_points!(@gather $(#[$tier])* [$($fn)+] $gather(f64) -> f64 = $gather_body);
+        entry_points!(@exchange $(#[$tier])* [$($fn)+] $exchange(f64) = $exchange_body);
+        entry_points!(
+            @exchange $(#[$tier])* [$($fn)+] $exchange_f32(f32) = $exchange_f32_body
+        );
+        entry_points!(
+            @gather $(#[$tier])* [$($fn)+]
+            $force_gather_f32(f32) -> (f32, [f32; 3]) = $force_gather_f32_body
+        );
+        entry_points!(
+            @gather $(#[$tier])* [$($fn)+]
+            $force_gather(f64) -> (f64, [f64; 3]) = $force_gather_body
+        );
+    };
+    // Target and run in, sums out: `gather` and `force_gather`.
+    (
+        @gather $(#[$tier:meta])* [$($fn:ident)+]
+        $name:ident($T:ty) -> $Sums:ty = $body:expr
+    ) => {
+        $(#[$tier])*
+        #[allow(clippy::too_many_arguments)]
+        pub $($fn)+ $name(
+            tx: $T,
+            ty: $T,
+            tz: $T,
+            eps2: $T,
+            xs: &[$T],
+            ys: &[$T],
+            zs: &[$T],
+            qs: &[$T],
+        ) -> $Sums {
+            $body([tx, ty, tz], eps2, Run { xs, ys, zs, qs })
+        }
+    };
+    (@exchange $(#[$tier:meta])* [$($fn:ident)+] $name:ident($T:ty) = $body:expr) => {
+        $(#[$tier])*
+        #[allow(clippy::too_many_arguments)]
+        pub $($fn)+ $name(
+            tx: $T,
+            ty: $T,
+            tz: $T,
+            tq: $T,
+            eps2: $T,
+            xs: &[$T],
+            ys: &[$T],
+            zs: &[$T],
+            qs: &[$T],
+            s_out: &mut [f64],
+        ) -> $T {
+            let [sum] = $body([[tx, ty, tz, tq]], eps2, Run { xs, ys, zs, qs }, s_out);
+            sum
+        }
+    };
+}
+
+mod scalar {
+    use super::{exchange_from, force_gather_from, gather_from, Run};
+
+    entry_points! {
+        /// The scalar body over the whole run, from zero.
+        pub fn {
+            gather_scalar = |t, eps2, src| gather_from(0.0, t, eps2, src, 0);
+            exchange_scalar =
+                |[t]: [_; 1], eps2, src, s_out| [exchange_from(0.0, t, eps2, src, s_out, 0)];
+            exchange_f32_scalar =
+                |[t]: [_; 1], eps2, src, s_out| [exchange_from(0.0, t, eps2, src, s_out, 0)];
+            force_gather_f32_scalar =
+                |t, eps2, src| force_gather_from(0.0, [0.0; 3], t, eps2, src, 0);
+            force_gather_scalar = |t, eps2, src| force_gather_from(0.0, [0.0; 3], t, eps2, src, 0);
+        }
+    }
+}
+
+// ---------------------------------------------------------------- vector
+
+/// One SIMD vector of `WIDTH` lanes of `Elem`: the whole of what a tier
+/// contributes to the vector bodies below. Implemented for the x86 and
+/// NEON register types at the end of this file; each method there is the
+/// named intrinsic(s) and nothing else.
+///
+/// A `mask` names the lanes a memory operation touches, bit `l` for lane
+/// `l`: [`Lanes::FULL`] in every whole-vector iteration, `FULL` shifted
+/// down to the live leading lanes in a masked tail. Only a tier with
+/// `MASKED_TAIL` honours it; the others are only ever handed `FULL`,
+/// which the bodies check at compile time.
+///
+/// # Safety
+/// Every method requires the CPU features of the implementing type's tier
+/// (module header), and the pointer it takes, if any, to be valid for the
+/// lanes its mask names.
+trait Lanes: Copy {
+    type Elem: Real;
+    const WIDTH: usize;
+    const FULL: u16 = u16::MAX >> (16 - Self::WIDTH);
+    const MASKED_TAIL: bool = false;
+
+    unsafe fn splat(v: Self::Elem) -> Self;
+    /// The lanes in `mask` from `p`, unaligned; the rest 0.
+    unsafe fn load(p: *const Self::Elem, mask: u16) -> Self;
+    unsafe fn sub(a: Self, b: Self) -> Self;
+    unsafe fn add(a: Self, b: Self) -> Self;
+    unsafe fn mul(a: Self, b: Self) -> Self;
+    /// `a·b + c`, fused.
+    unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
+    /// `r2^{-1/2}` per lane: the tier's seed instruction refined by its
+    /// number of Newton–Raphson steps.
+    unsafe fn rsqrt_nr(r2: Self) -> Self;
+    /// `r2` with the lanes outside `mask` set to 1.
+    #[inline(always)]
+    unsafe fn pin_dead(r2: Self, _mask: u16) -> Self {
+        r2
+    }
+    /// Sum of the lanes, in the tier's own association.
+    unsafe fn hsum(v: Self) -> Self::Elem;
+    // Each default below is written in terms of the other: an f32 type
+    // implements `scatter_add`, an f64 type `scatter_fma`.
+    /// `out[l] += v[l]` for the f64 slots in `mask`. f32 lanes are widened
+    /// first, so source-side rounding never accumulates in f32; for f64
+    /// lanes `v·1 + out` in one rounding is the exact sum.
+    #[inline(always)]
+    unsafe fn scatter_add(out: *mut f64, v: Self, mask: u16) {
+        Self::scatter_fma(out, v, Self::splat(Self::Elem::ONE), mask)
+    }
+    /// `out[l] += a[l]·b[l]`: f32 lanes round the product and widen it,
+    /// f64 lanes fuse it into one rounding.
+    #[inline(always)]
+    unsafe fn scatter_fma(out: *mut f64, a: Self, b: Self, mask: u16) {
+        Self::scatter_add(out, Self::mul(a, b), mask)
+    }
+    #[inline(always)]
+    unsafe fn zero() -> Self {
+        Self::splat(Self::Elem::ZERO)
+    }
+}
+
+/// The [`Lanes`] methods that are one intrinsic each, by its name; `load`
+/// and `fma` also by their argument order.
+macro_rules! one_intrinsic {
+    (
+        splat = $splat:ident, sub = $sub:ident, add = $add:ident, mul = $mul:ident,
+        load($p:ident, $mask:ident) = $load:expr, fma($a:ident, $b:ident, $c:ident) = $fma:expr
+    ) => {
+        #[inline(always)]
+        unsafe fn splat(v: Self::Elem) -> Self {
+            $splat(v)
+        }
+        #[inline(always)]
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            $sub(a, b)
+        }
+        #[inline(always)]
+        unsafe fn add(a: Self, b: Self) -> Self {
+            $add(a, b)
+        }
+        #[inline(always)]
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            $mul(a, b)
+        }
+        #[inline(always)]
+        unsafe fn load($p: *const Self::Elem, $mask: u16) -> Self {
+            $load
+        }
+        #[inline(always)]
+        unsafe fn fma($a: Self, $b: Self, $c: Self) -> Self {
+            $fma
+        }
+    };
+}
+
+/// One vector of sources at `j`: `Δ = t − s` per axis and `r² + ε²`, the
+/// lanes outside `mask` pinned to r² = 1.
+///
+/// # Safety
+/// As [`Lanes`]; the lanes of `mask` at `j` lie inside `src`.
+#[inline(always)]
+unsafe fn delta_r2<L: Lanes>(
+    t: &[L],
+    e2: L,
+    src: Run<L::Elem>,
+    j: usize,
+    mask: u16,
+) -> ([L; 3], L) {
+    let d = [
+        L::sub(t[0], L::load(src.xs.as_ptr().add(j), mask)),
+        L::sub(t[1], L::load(src.ys.as_ptr().add(j), mask)),
+        L::sub(t[2], L::load(src.zs.as_ptr().add(j), mask)),
+    ];
+    let r2 = L::fma(d[2], d[2], L::fma(d[1], d[1], L::fma(d[0], d[0], e2)));
+    (d, L::pin_dead(r2, mask))
+}
+
+/// # Safety
+/// Requires the CPU features of `L`'s tier; `src`'s slices of one length.
+#[inline(always)]
+unsafe fn gather<L: Lanes>(t: [L::Elem; 3], eps2: L::Elem, src: Run<L::Elem>) -> L::Elem {
+    let tv = [L::splat(t[0]), L::splat(t[1]), L::splat(t[2])];
+    let e2 = L::splat(eps2);
+    let mut acc = L::zero();
+    let n = src.xs.len();
+    let whole = n - n % L::WIDTH;
+    let mut j = 0;
+    while j < whole {
+        let (_, r2) = delta_r2(&tv, e2, src, j, L::FULL);
+        let q = L::load(src.qs.as_ptr().add(j), L::FULL);
+        acc = L::fma(q, L::rsqrt_nr(r2), acc);
+        j += L::WIDTH;
+    }
+    gather_from(L::hsum(acc), t, eps2, src, whole)
+}
+
+/// One vector of sources at `j` against `NT` targets `tv = [x, y, z, q]`.
+///
+/// # Safety
+/// As [`Lanes`]; the lanes of `mask` at `j` lie inside `src`, and `so` is
+/// valid for as many f64s as `src` holds.
+#[inline(always)]
+unsafe fn exchange_step<L: Lanes, const NT: usize>(
+    tv: &[[L; 4]; NT],
+    e2: L,
+    acc: &mut [L; NT],
+    src: Run<L::Elem>,
+    so: *mut f64,
+    j: usize,
+    mask: u16,
+) {
+    // A dead lane's charge loads as 0, so it leaves `acc` as it was.
+    let q = L::load(src.qs.as_ptr().add(j), mask);
+    let mut inv_r = [L::zero(); NT];
+    for k in 0..NT {
+        let (_, r2) = delta_r2(&tv[k], e2, src, j, mask);
+        inv_r[k] = L::rsqrt_nr(r2);
+        acc[k] = L::fma(q, inv_r[k], acc[k]);
+    }
+    if NT == 1 {
+        L::scatter_fma(so.add(j), tv[0][3], inv_r[0], mask)
+    } else {
+        // The targets' source-side terms are summed in lane precision —
+        // one extra rounding per further target — and scattered once.
+        let mut terms = L::mul(tv[0][3], inv_r[0]);
+        for k in 1..NT {
+            terms = L::fma(tv[k][3], inv_r[k], terms);
+        }
+        L::scatter_add(so.add(j), terms, mask)
+    }
+}
+
+/// `NT` targets `t = [x, y, z, q]` share one sweep over the sources;
+/// returns each target's gathered sum.
+///
+/// # Safety
+/// Requires the CPU features of `L`'s tier; `src`'s slices and `s_out` of
+/// one length.
+#[inline(always)]
+unsafe fn exchange<L: Lanes, const NT: usize, const MASKED: bool>(
+    t: [[L::Elem; 4]; NT],
+    eps2: L::Elem,
+    src: Run<L::Elem>,
+    s_out: &mut [f64],
+) -> [L::Elem; NT] {
+    const { assert!(L::MASKED_TAIL || !MASKED) };
+    let mut tv = [[L::zero(); 4]; NT];
+    for k in 0..NT {
+        for c in 0..4 {
+            tv[k][c] = L::splat(t[k][c]);
+        }
+    }
+    let e2 = L::splat(eps2);
+    let mut acc = [L::zero(); NT];
+    let so = s_out.as_mut_ptr();
+    let n = src.xs.len();
+    let whole = n - n % L::WIDTH;
+    let mut j = 0;
+    while j < whole {
+        exchange_step(&tv, e2, &mut acc, src, so, j, L::FULL);
+        j += L::WIDTH;
+    }
+    if MASKED && whole < n {
+        let live = L::FULL >> (L::WIDTH - (n - whole));
+        exchange_step(&tv, e2, &mut acc, src, so, whole, live);
+    }
+    // The scalar body takes what the vectors left: nothing after a masked tail.
+    let rest = if MASKED { n } else { whole };
+    let mut sum = [L::Elem::ZERO; NT];
+    for k in 0..NT {
+        sum[k] = exchange_from(L::hsum(acc[k]), t[k], eps2, src, s_out, rest);
+    }
+    sum
+}
+
+/// One vector of sources at `j` into `acc = [Σ q·r⁻³·Δ (x, y, z), Σ q·r⁻¹]`.
+///
+/// # Safety
+/// As [`Lanes`]; the lanes of `mask` at `j` lie inside `src`.
+#[inline(always)]
+unsafe fn force_step<L: Lanes>(
+    tv: &[L; 3],
+    e2: L,
+    acc: &mut [L; 4],
+    src: Run<L::Elem>,
+    j: usize,
+    mask: u16,
+) {
+    let (d, r2) = delta_r2(tv, e2, src, j, mask);
+    let inv_r = L::rsqrt_nr(r2);
+    // A dead lane's charge loads as 0, so qr and qr3 vanish there.
+    let qr = L::mul(L::load(src.qs.as_ptr().add(j), mask), inv_r);
+    acc[3] = L::add(acc[3], qr);
+    let qr3 = L::mul(qr, L::mul(inv_r, inv_r));
+    for c in 0..3 {
+        acc[c] = L::fma(qr3, d[c], acc[c]);
+    }
+}
+
+/// # Safety
+/// Requires the CPU features of `L`'s tier; `src`'s slices of one length.
+#[inline(always)]
+unsafe fn force_gather<L: Lanes, const MASKED: bool>(
+    t: [L::Elem; 3],
+    eps2: L::Elem,
+    src: Run<L::Elem>,
+) -> (L::Elem, [L::Elem; 3]) {
+    const { assert!(L::MASKED_TAIL || !MASKED) };
+    let tv = [L::splat(t[0]), L::splat(t[1]), L::splat(t[2])];
+    let e2 = L::splat(eps2);
+    let mut acc = [L::zero(); 4];
+    let n = src.xs.len();
+    let whole = n - n % L::WIDTH;
+    let mut j = 0;
+    while j < whole {
+        force_step(&tv, e2, &mut acc, src, j, L::FULL);
+        j += L::WIDTH;
+    }
+    if MASKED && whole < n {
+        let live = L::FULL >> (L::WIDTH - (n - whole));
+        force_step(&tv, e2, &mut acc, src, whole, live);
+    }
+    // The scalar body takes what the vectors left: nothing after a masked tail.
+    let rest = if MASKED { n } else { whole };
+    let f = [L::hsum(acc[0]), L::hsum(acc[1]), L::hsum(acc[2])];
+    force_gather_from(L::hsum(acc[3]), f, t, eps2, src, rest)
+}
+
 // ---------------------------------------------------------------- x86-64
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
+    use super::{exchange, force_gather, gather, Lanes, Run};
     use core::arch::x86_64::*;
 
-    /// 4-lane f64 `x^{-1/2}`: `rsqrt_ps` seed widened + 3 Newton–Raphson
-    /// refinements (~4e-4 → 1e-7 → 1e-14 → ~1 ulp).
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn rsqrt_nr(r2: __m256d) -> __m256d {
-        let mut y = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(r2)));
-        let half = _mm256_set1_pd(0.5);
-        let three = _mm256_set1_pd(3.0);
-        for _ in 0..3 {
-            // y ← ½·y·(3 − r²·y²)
-            let y2 = _mm256_mul_pd(y, y);
-            let t = _mm256_fnmadd_pd(r2, y2, three);
-            y = _mm256_mul_pd(_mm256_mul_pd(half, y), t);
+    entry_points! {
+        /// # Safety
+        /// Requires AVX2+FMA; all slices (including `s_out`) equal lengths.
+        #[target_feature(enable = "avx2,fma")]
+        pub unsafe fn {
+            gather_avx2 = gather::<__m256d>;
+            exchange_avx2 = exchange::<__m256d, 1, false>;
+            exchange_f32_avx2 = exchange::<__m256, 1, false>;
+            force_gather_f32_avx2 = force_gather::<__m256, false>;
+            force_gather_avx2 = force_gather::<__m256d, false>;
         }
-        y
     }
 
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd(v, 1);
-        let s = _mm_add_pd(lo, hi);
-        _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
-    }
-
-    /// 8-lane f64 `x^{-1/2}`: `rsqrt14_pd` seed (2⁻¹⁴) + 2 refinements
-    /// (2⁻¹⁴ → ~6e-9 → ~5e-17, i.e. ~1 ulp).
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn rsqrt_nr_512(r2: __m512d) -> __m512d {
-        let mut y = _mm512_rsqrt14_pd(r2);
-        let half = _mm512_set1_pd(0.5);
-        let three = _mm512_set1_pd(3.0);
-        for _ in 0..2 {
-            let y2 = _mm512_mul_pd(y, y);
-            let t = _mm512_fnmadd_pd(r2, y2, three);
-            y = _mm512_mul_pd(_mm512_mul_pd(half, y), t);
+    entry_points! {
+        /// # Safety
+        /// Requires AVX-512F; all slices (including `s_out`) equal lengths.
+        #[target_feature(enable = "avx512f")]
+        pub unsafe fn {
+            gather_avx512 = gather::<__m512d>;
+            exchange_avx512 = exchange::<__m512d, 1, false>;
+            exchange_f32_avx512 = exchange::<__m512, 1, true>;
+            force_gather_f32_avx512 = force_gather::<__m512, true>;
+            force_gather_avx512 = force_gather::<__m512d, true>;
         }
-        y
-    }
-
-    /// 8-lane f32 `x^{-1/2}`: `rsqrt_ps` seed (2⁻¹²) + 2 refinements.
-    #[inline]
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn rsqrt_nr_ps(r2: __m256) -> __m256 {
-        let mut y = _mm256_rsqrt_ps(r2);
-        let half = _mm256_set1_ps(0.5);
-        let three = _mm256_set1_ps(3.0);
-        for _ in 0..2 {
-            let y2 = _mm256_mul_ps(y, y);
-            let t = _mm256_fnmadd_ps(r2, y2, three);
-            y = _mm256_mul_ps(_mm256_mul_ps(half, y), t);
-        }
-        y
-    }
-
-    /// 16-lane f32 `x^{-1/2}`: `rsqrt14_ps` seed (2⁻¹⁴) + 1 refinement
-    /// (→ ~6e-9, below f32 epsilon).
-    #[inline]
-    #[target_feature(enable = "avx512f")]
-    unsafe fn rsqrt_nr_ps_512(r2: __m512) -> __m512 {
-        let y = _mm512_rsqrt14_ps(r2);
-        let y2 = _mm512_mul_ps(y, y);
-        let t = _mm512_fnmadd_ps(r2, y2, _mm512_set1_ps(3.0));
-        _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.5), y), t)
-    }
-
-    #[inline]
-    #[target_feature(enable = "avx2")]
-    unsafe fn hsum_ps(v: __m256) -> f32 {
-        let lo = _mm256_castps256_ps128(v);
-        let hi = _mm256_extractf128_ps(v, 1);
-        let s = _mm_add_ps(lo, hi);
-        let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-        let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-        _mm_cvtss_f32(s)
-    }
-
-    /// # Safety
-    /// Requires AVX2+FMA; SoA slices must have equal lengths.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gather_avx2(
-        tx: f64,
-        ty: f64,
-        tz: f64,
-        eps2: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        qs: &[f64],
-    ) -> f64 {
-        let n = xs.len();
-        let txv = _mm256_set1_pd(tx);
-        let tyv = _mm256_set1_pd(ty);
-        let tzv = _mm256_set1_pd(tz);
-        let e2v = _mm256_set1_pd(eps2);
-        let mut acc = _mm256_setzero_pd();
-        let mut j = 0;
-        while j + 4 <= n {
-            let dx = _mm256_sub_pd(txv, _mm256_loadu_pd(xs.as_ptr().add(j)));
-            let dy = _mm256_sub_pd(tyv, _mm256_loadu_pd(ys.as_ptr().add(j)));
-            let dz = _mm256_sub_pd(tzv, _mm256_loadu_pd(zs.as_ptr().add(j)));
-            let r2 = _mm256_fmadd_pd(
-                dz,
-                dz,
-                _mm256_fmadd_pd(dy, dy, _mm256_fmadd_pd(dx, dx, e2v)),
-            );
-            let qv = _mm256_loadu_pd(qs.as_ptr().add(j));
-            acc = _mm256_fmadd_pd(qv, rsqrt_nr(r2), acc);
-            j += 4;
-        }
-        let mut total = hsum(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            total += qs[j] / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            j += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Requires AVX2+FMA; all slices (including `s_out`) equal lengths.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn exchange_avx2(
-        tx: f64,
-        ty: f64,
-        tz: f64,
-        tq: f64,
-        eps2: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        qs: &[f64],
-        s_out: &mut [f64],
-    ) -> f64 {
-        let n = xs.len();
-        let txv = _mm256_set1_pd(tx);
-        let tyv = _mm256_set1_pd(ty);
-        let tzv = _mm256_set1_pd(tz);
-        let tqv = _mm256_set1_pd(tq);
-        let e2v = _mm256_set1_pd(eps2);
-        let mut acc = _mm256_setzero_pd();
-        let mut j = 0;
-        while j + 4 <= n {
-            let dx = _mm256_sub_pd(txv, _mm256_loadu_pd(xs.as_ptr().add(j)));
-            let dy = _mm256_sub_pd(tyv, _mm256_loadu_pd(ys.as_ptr().add(j)));
-            let dz = _mm256_sub_pd(tzv, _mm256_loadu_pd(zs.as_ptr().add(j)));
-            let r2 = _mm256_fmadd_pd(
-                dz,
-                dz,
-                _mm256_fmadd_pd(dy, dy, _mm256_fmadd_pd(dx, dx, e2v)),
-            );
-            let inv_r = rsqrt_nr(r2);
-            acc = _mm256_fmadd_pd(_mm256_loadu_pd(qs.as_ptr().add(j)), inv_r, acc);
-            let so = s_out.as_mut_ptr().add(j);
-            _mm256_storeu_pd(so, _mm256_fmadd_pd(tqv, inv_r, _mm256_loadu_pd(so)));
-            j += 4;
-        }
-        let mut total = hsum(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            total += qs[j] * inv_r;
-            s_out[j] += tq * inv_r;
-            j += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Requires AVX-512F; SoA slices must have equal lengths.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gather_avx512(
-        tx: f64,
-        ty: f64,
-        tz: f64,
-        eps2: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        qs: &[f64],
-    ) -> f64 {
-        let n = xs.len();
-        let txv = _mm512_set1_pd(tx);
-        let tyv = _mm512_set1_pd(ty);
-        let tzv = _mm512_set1_pd(tz);
-        let e2v = _mm512_set1_pd(eps2);
-        let mut acc = _mm512_setzero_pd();
-        let mut j = 0;
-        while j + 8 <= n {
-            let dx = _mm512_sub_pd(txv, _mm512_loadu_pd(xs.as_ptr().add(j)));
-            let dy = _mm512_sub_pd(tyv, _mm512_loadu_pd(ys.as_ptr().add(j)));
-            let dz = _mm512_sub_pd(tzv, _mm512_loadu_pd(zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_pd(
-                dz,
-                dz,
-                _mm512_fmadd_pd(dy, dy, _mm512_fmadd_pd(dx, dx, e2v)),
-            );
-            let qv = _mm512_loadu_pd(qs.as_ptr().add(j));
-            acc = _mm512_fmadd_pd(qv, rsqrt_nr_512(r2), acc);
-            j += 8;
-        }
-        let mut total = _mm512_reduce_add_pd(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            total += qs[j] / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            j += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Requires AVX-512F; all slices (including `s_out`) equal lengths.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn exchange_avx512(
-        tx: f64,
-        ty: f64,
-        tz: f64,
-        tq: f64,
-        eps2: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        qs: &[f64],
-        s_out: &mut [f64],
-    ) -> f64 {
-        let n = xs.len();
-        let txv = _mm512_set1_pd(tx);
-        let tyv = _mm512_set1_pd(ty);
-        let tzv = _mm512_set1_pd(tz);
-        let tqv = _mm512_set1_pd(tq);
-        let e2v = _mm512_set1_pd(eps2);
-        let mut acc = _mm512_setzero_pd();
-        let mut j = 0;
-        while j + 8 <= n {
-            let dx = _mm512_sub_pd(txv, _mm512_loadu_pd(xs.as_ptr().add(j)));
-            let dy = _mm512_sub_pd(tyv, _mm512_loadu_pd(ys.as_ptr().add(j)));
-            let dz = _mm512_sub_pd(tzv, _mm512_loadu_pd(zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_pd(
-                dz,
-                dz,
-                _mm512_fmadd_pd(dy, dy, _mm512_fmadd_pd(dx, dx, e2v)),
-            );
-            let inv_r = rsqrt_nr_512(r2);
-            acc = _mm512_fmadd_pd(_mm512_loadu_pd(qs.as_ptr().add(j)), inv_r, acc);
-            let so = s_out.as_mut_ptr().add(j);
-            _mm512_storeu_pd(so, _mm512_fmadd_pd(tqv, inv_r, _mm512_loadu_pd(so)));
-            j += 8;
-        }
-        let mut total = _mm512_reduce_add_pd(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            total += qs[j] * inv_r;
-            s_out[j] += tq * inv_r;
-            j += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Requires AVX2+FMA; all slices (including `s_out`) equal lengths.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn exchange_f32_avx2(
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        tq: f32,
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-        s_out: &mut [f64],
-    ) -> f32 {
-        let n = xs.len();
-        let txv = _mm256_set1_ps(tx);
-        let tyv = _mm256_set1_ps(ty);
-        let tzv = _mm256_set1_ps(tz);
-        let tqv = _mm256_set1_ps(tq);
-        let e2v = _mm256_set1_ps(eps2);
-        let mut acc = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            let dx = _mm256_sub_ps(txv, _mm256_loadu_ps(xs.as_ptr().add(j)));
-            let dy = _mm256_sub_ps(tyv, _mm256_loadu_ps(ys.as_ptr().add(j)));
-            let dz = _mm256_sub_ps(tzv, _mm256_loadu_ps(zs.as_ptr().add(j)));
-            let r2 = _mm256_fmadd_ps(
-                dz,
-                dz,
-                _mm256_fmadd_ps(dy, dy, _mm256_fmadd_ps(dx, dx, e2v)),
-            );
-            let inv_r = rsqrt_nr_ps(r2);
-            acc = _mm256_fmadd_ps(_mm256_loadu_ps(qs.as_ptr().add(j)), inv_r, acc);
-            // Widen each source's f32 contribution to f64 for the
-            // scatter-add, so source-side rounding never accumulates.
-            let contrib = _mm256_mul_ps(tqv, inv_r);
-            let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(contrib));
-            let hi = _mm256_cvtps_pd(_mm256_extractf128_ps(contrib, 1));
-            let so = s_out.as_mut_ptr().add(j);
-            _mm256_storeu_pd(so, _mm256_add_pd(_mm256_loadu_pd(so), lo));
-            _mm256_storeu_pd(so.add(4), _mm256_add_pd(_mm256_loadu_pd(so.add(4)), hi));
-            j += 8;
-        }
-        let mut total = hsum_ps(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            total += qs[j] * inv_r;
-            s_out[j] += (tq * inv_r) as f64;
-            j += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// Requires AVX-512F; all slices (including `s_out`) equal lengths.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn exchange_f32_avx512(
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        tq: f32,
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-        s_out: &mut [f64],
-    ) -> f32 {
-        let n = xs.len();
-        let txv = _mm512_set1_ps(tx);
-        let tyv = _mm512_set1_ps(ty);
-        let tzv = _mm512_set1_ps(tz);
-        let tqv = _mm512_set1_ps(tq);
-        let e2v = _mm512_set1_ps(eps2);
-        let mut acc = _mm512_setzero_ps();
-        let mut j = 0;
-        while j + 16 <= n {
-            let dx = _mm512_sub_ps(txv, _mm512_loadu_ps(xs.as_ptr().add(j)));
-            let dy = _mm512_sub_ps(tyv, _mm512_loadu_ps(ys.as_ptr().add(j)));
-            let dz = _mm512_sub_ps(tzv, _mm512_loadu_ps(zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_ps(
-                dz,
-                dz,
-                _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dx, dx, e2v)),
-            );
-            let inv_r = rsqrt_nr_ps_512(r2);
-            acc = _mm512_fmadd_ps(_mm512_loadu_ps(qs.as_ptr().add(j)), inv_r, acc);
-            // Widen the 16 f32 contributions to f64 for the scatter-add.
-            // The upper 8 lanes come out via an f64x4-pair bitcast
-            // (extractf32x8 would need AVX-512DQ; extractf64x4 is plain F).
-            let contrib = _mm512_mul_ps(tqv, inv_r);
-            let lo8 = _mm512_castps512_ps256(contrib);
-            let hi8 = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(contrib), 1));
-            let so = s_out.as_mut_ptr().add(j);
-            _mm512_storeu_pd(so, _mm512_add_pd(_mm512_loadu_pd(so), _mm512_cvtps_pd(lo8)));
-            let so8 = so.add(8);
-            _mm512_storeu_pd(
-                so8,
-                _mm512_add_pd(_mm512_loadu_pd(so8), _mm512_cvtps_pd(hi8)),
-            );
-            j += 16;
-        }
-        if j < n {
-            // Masked tail: one more 16-lane iteration with dead lanes
-            // zeroed, since a box holds few enough particles that a scalar
-            // tail would dominate the call. Dead lanes of r2 hold
-            // tx²+ty²+tz²+eps2, which can be 0, so they are pinned to 1.0
-            // to keep rsqrt finite (0·∞ = NaN would poison acc); the f64
-            // scatter-add is write-masked per 8-lane half.
-            let m: __mmask16 = (1u16 << (n - j)) - 1;
-            let dx = _mm512_sub_ps(txv, _mm512_maskz_loadu_ps(m, xs.as_ptr().add(j)));
-            let dy = _mm512_sub_ps(tyv, _mm512_maskz_loadu_ps(m, ys.as_ptr().add(j)));
-            let dz = _mm512_sub_ps(tzv, _mm512_maskz_loadu_ps(m, zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_ps(
-                dz,
-                dz,
-                _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dx, dx, e2v)),
-            );
-            let r2 = _mm512_mask_mov_ps(_mm512_set1_ps(1.0), m, r2);
-            let inv_r = rsqrt_nr_ps_512(r2);
-            acc = _mm512_fmadd_ps(_mm512_maskz_loadu_ps(m, qs.as_ptr().add(j)), inv_r, acc);
-            let contrib = _mm512_mul_ps(tqv, inv_r);
-            let lo8 = _mm512_castps512_ps256(contrib);
-            let hi8 = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(contrib), 1));
-            let so = s_out.as_mut_ptr().add(j);
-            let (mlo, mhi) = ((m & 0xff) as __mmask8, (m >> 8) as __mmask8);
-            let cur = _mm512_maskz_loadu_pd(mlo, so);
-            _mm512_mask_storeu_pd(so, mlo, _mm512_add_pd(cur, _mm512_cvtps_pd(lo8)));
-            if mhi != 0 {
-                let so8 = so.add(8);
-                let cur = _mm512_maskz_loadu_pd(mhi, so8);
-                _mm512_mask_storeu_pd(so8, mhi, _mm512_add_pd(cur, _mm512_cvtps_pd(hi8)));
-            }
-        }
-        _mm512_reduce_add_ps(acc)
-    }
-
-    /// Two-target f32 exchange: one pass over the source box serves a
-    /// pair of targets. Source coordinates are loaded once per chunk, the
-    /// two rsqrt chains interleave (twice the ILP of the single-target
-    /// kernel), and the targets' source-side contributions are summed in
-    /// f32 — one extra rounding within the box pair — before the single
-    /// widened scatter-add.
-    ///
-    /// # Safety
-    /// Requires AVX-512F; source slices and `s_out` equal lengths.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    unsafe fn exchange_f32_pair_avx512(
-        t0: [f32; 4],
-        t1: [f32; 4],
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-        s_out: &mut [f64],
-    ) -> (f32, f32) {
-        let n = xs.len();
-        let tx0 = _mm512_set1_ps(t0[0]);
-        let ty0 = _mm512_set1_ps(t0[1]);
-        let tz0 = _mm512_set1_ps(t0[2]);
-        let tq0 = _mm512_set1_ps(t0[3]);
-        let tx1 = _mm512_set1_ps(t1[0]);
-        let ty1 = _mm512_set1_ps(t1[1]);
-        let tz1 = _mm512_set1_ps(t1[2]);
-        let tq1 = _mm512_set1_ps(t1[3]);
-        let e2v = _mm512_set1_ps(eps2);
-        let mut acc0 = _mm512_setzero_ps();
-        let mut acc1 = _mm512_setzero_ps();
-        let mut j = 0;
-        while j + 16 <= n {
-            let xv = _mm512_loadu_ps(xs.as_ptr().add(j));
-            let yv = _mm512_loadu_ps(ys.as_ptr().add(j));
-            let zv = _mm512_loadu_ps(zs.as_ptr().add(j));
-            let qv = _mm512_loadu_ps(qs.as_ptr().add(j));
-            let dx0 = _mm512_sub_ps(tx0, xv);
-            let dy0 = _mm512_sub_ps(ty0, yv);
-            let dz0 = _mm512_sub_ps(tz0, zv);
-            let dx1 = _mm512_sub_ps(tx1, xv);
-            let dy1 = _mm512_sub_ps(ty1, yv);
-            let dz1 = _mm512_sub_ps(tz1, zv);
-            let r20 = _mm512_fmadd_ps(
-                dz0,
-                dz0,
-                _mm512_fmadd_ps(dy0, dy0, _mm512_fmadd_ps(dx0, dx0, e2v)),
-            );
-            let r21 = _mm512_fmadd_ps(
-                dz1,
-                dz1,
-                _mm512_fmadd_ps(dy1, dy1, _mm512_fmadd_ps(dx1, dx1, e2v)),
-            );
-            let inv0 = rsqrt_nr_ps_512(r20);
-            let inv1 = rsqrt_nr_ps_512(r21);
-            acc0 = _mm512_fmadd_ps(qv, inv0, acc0);
-            acc1 = _mm512_fmadd_ps(qv, inv1, acc1);
-            let contrib = _mm512_fmadd_ps(tq1, inv1, _mm512_mul_ps(tq0, inv0));
-            let lo8 = _mm512_castps512_ps256(contrib);
-            let hi8 = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(contrib), 1));
-            let so = s_out.as_mut_ptr().add(j);
-            _mm512_storeu_pd(so, _mm512_add_pd(_mm512_loadu_pd(so), _mm512_cvtps_pd(lo8)));
-            let so8 = so.add(8);
-            _mm512_storeu_pd(
-                so8,
-                _mm512_add_pd(_mm512_loadu_pd(so8), _mm512_cvtps_pd(hi8)),
-            );
-            j += 16;
-        }
-        if j < n {
-            // Masked tail (see exchange_f32_avx512): dead lanes zeroed, r2
-            // pinned to 1.0, scatter write-masked per 8-lane half.
-            let m: __mmask16 = (1u16 << (n - j)) - 1;
-            let xv = _mm512_maskz_loadu_ps(m, xs.as_ptr().add(j));
-            let yv = _mm512_maskz_loadu_ps(m, ys.as_ptr().add(j));
-            let zv = _mm512_maskz_loadu_ps(m, zs.as_ptr().add(j));
-            let qv = _mm512_maskz_loadu_ps(m, qs.as_ptr().add(j));
-            let dx0 = _mm512_sub_ps(tx0, xv);
-            let dy0 = _mm512_sub_ps(ty0, yv);
-            let dz0 = _mm512_sub_ps(tz0, zv);
-            let dx1 = _mm512_sub_ps(tx1, xv);
-            let dy1 = _mm512_sub_ps(ty1, yv);
-            let dz1 = _mm512_sub_ps(tz1, zv);
-            let one = _mm512_set1_ps(1.0);
-            let r20 = _mm512_fmadd_ps(
-                dz0,
-                dz0,
-                _mm512_fmadd_ps(dy0, dy0, _mm512_fmadd_ps(dx0, dx0, e2v)),
-            );
-            let r21 = _mm512_fmadd_ps(
-                dz1,
-                dz1,
-                _mm512_fmadd_ps(dy1, dy1, _mm512_fmadd_ps(dx1, dx1, e2v)),
-            );
-            let inv0 = rsqrt_nr_ps_512(_mm512_mask_mov_ps(one, m, r20));
-            let inv1 = rsqrt_nr_ps_512(_mm512_mask_mov_ps(one, m, r21));
-            acc0 = _mm512_fmadd_ps(qv, inv0, acc0);
-            acc1 = _mm512_fmadd_ps(qv, inv1, acc1);
-            let contrib = _mm512_fmadd_ps(tq1, inv1, _mm512_mul_ps(tq0, inv0));
-            let lo8 = _mm512_castps512_ps256(contrib);
-            let hi8 = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(contrib), 1));
-            let so = s_out.as_mut_ptr().add(j);
-            let (mlo, mhi) = ((m & 0xff) as __mmask8, (m >> 8) as __mmask8);
-            let cur = _mm512_maskz_loadu_pd(mlo, so);
-            _mm512_mask_storeu_pd(so, mlo, _mm512_add_pd(cur, _mm512_cvtps_pd(lo8)));
-            if mhi != 0 {
-                let so8 = so.add(8);
-                let cur = _mm512_maskz_loadu_pd(mhi, so8);
-                _mm512_mask_storeu_pd(so8, mhi, _mm512_add_pd(cur, _mm512_cvtps_pd(hi8)));
-            }
-        }
-        (_mm512_reduce_add_ps(acc0), _mm512_reduce_add_ps(acc1))
     }
 
     /// Panel of targets against one source box: pairs of targets share
-    /// each source sweep; an odd final target falls back to the
-    /// single-target kernel.
+    /// each source sweep — source coordinates load once per vector and the
+    /// two rsqrt chains interleave, twice the ILP of the single-target
+    /// kernel — and an odd final target falls back to the single-target
+    /// kernel.
     ///
     /// # Safety
-    /// Requires AVX-512F; target slices equal lengths, source slices and
-    /// `s_out` equal lengths, `t_out.len() == txs.len()`.
+    /// Requires AVX-512F; target slices and `t_out` equal lengths, source
+    /// slices and `s_out` equal lengths.
     #[target_feature(enable = "avx512f")]
     #[allow(clippy::too_many_arguments)]
     pub unsafe fn exchange_f32_panel_avx512(
@@ -950,297 +833,172 @@ mod x86 {
         t_out: &mut [f64],
         s_out: &mut [f64],
     ) {
-        let nt = txs.len();
+        let src = Run { xs, ys, zs, qs };
+        let target = |a: usize| [txs[a], tys[a], tzs[a], tqs[a]];
         let mut a = 0;
-        while a + 2 <= nt {
-            let (p0, p1) = exchange_f32_pair_avx512(
-                [txs[a], tys[a], tzs[a], tqs[a]],
-                [txs[a + 1], tys[a + 1], tzs[a + 1], tqs[a + 1]],
-                eps2,
-                xs,
-                ys,
-                zs,
-                qs,
-                s_out,
-            );
+        while a + 2 <= txs.len() {
+            let pair = [target(a), target(a + 1)];
+            let [p0, p1] = exchange::<__m512, 2, true>(pair, eps2, src, s_out);
             t_out[a] += p0 as f64;
             t_out[a + 1] += p1 as f64;
             a += 2;
         }
-        if a < nt {
-            t_out[a] +=
-                exchange_f32_avx512(txs[a], tys[a], tzs[a], tqs[a], eps2, xs, ys, zs, qs, s_out)
-                    as f64;
+        if a < txs.len() {
+            let [tx, ty, tz, tq] = target(a);
+            t_out[a] += exchange_f32_avx512(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out) as f64;
         }
     }
 
-    /// # Safety
-    /// Requires AVX2+FMA; SoA slices must have equal lengths.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn force_gather_f32_avx2(
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-    ) -> (f32, [f32; 3]) {
-        let n = xs.len();
-        let txv = _mm256_set1_ps(tx);
-        let tyv = _mm256_set1_ps(ty);
-        let tzv = _mm256_set1_ps(tz);
-        let e2v = _mm256_set1_ps(eps2);
-        let mut pacc = _mm256_setzero_ps();
-        let mut fx = _mm256_setzero_ps();
-        let mut fy = _mm256_setzero_ps();
-        let mut fz = _mm256_setzero_ps();
-        let mut j = 0;
-        while j + 8 <= n {
-            let dx = _mm256_sub_ps(txv, _mm256_loadu_ps(xs.as_ptr().add(j)));
-            let dy = _mm256_sub_ps(tyv, _mm256_loadu_ps(ys.as_ptr().add(j)));
-            let dz = _mm256_sub_ps(tzv, _mm256_loadu_ps(zs.as_ptr().add(j)));
-            let r2 = _mm256_fmadd_ps(
-                dz,
-                dz,
-                _mm256_fmadd_ps(dy, dy, _mm256_fmadd_ps(dx, dx, e2v)),
-            );
-            let inv_r = rsqrt_nr_ps(r2);
-            let qr = _mm256_mul_ps(_mm256_loadu_ps(qs.as_ptr().add(j)), inv_r);
-            pacc = _mm256_add_ps(pacc, qr);
-            let qr3 = _mm256_mul_ps(qr, _mm256_mul_ps(inv_r, inv_r));
-            fx = _mm256_fmadd_ps(qr3, dx, fx);
-            fy = _mm256_fmadd_ps(qr3, dy, fy);
-            fz = _mm256_fmadd_ps(qr3, dz, fz);
-            j += 8;
+    /// AVX2+FMA, f64.
+    impl Lanes for __m256d {
+        type Elem = f64;
+        const WIDTH: usize = 4;
+        one_intrinsic! {
+            splat = _mm256_set1_pd, sub = _mm256_sub_pd, add = _mm256_add_pd, mul = _mm256_mul_pd,
+            load(p, _mask) = _mm256_loadu_pd(p), fma(a, b, c) = _mm256_fmadd_pd(a, b, c)
         }
-        let mut p = hsum_ps(pacc);
-        let mut f = [hsum_ps(fx), hsum_ps(fy), hsum_ps(fz)];
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            let r2 = dx * dx + dy * dy + dz * dz + eps2;
-            let inv_r = 1.0 / r2.sqrt();
-            let qr = qs[j] * inv_r;
-            p += qr;
-            let qr3 = qr * inv_r * inv_r;
-            f[0] += qr3 * dx;
-            f[1] += qr3 * dy;
-            f[2] += qr3 * dz;
-            j += 1;
+        /// ~4e-4 → 1e-7 → 1e-14 → ~1 ulp.
+        #[inline(always)]
+        unsafe fn rsqrt_nr(r2: Self) -> Self {
+            let mut y = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(r2)));
+            let half = _mm256_set1_pd(0.5);
+            let three = _mm256_set1_pd(3.0);
+            for _ in 0..3 {
+                // y ← ½·y·(3 − r²·y²)
+                let y2 = _mm256_mul_pd(y, y);
+                let t = _mm256_fnmadd_pd(r2, y2, three);
+                y = _mm256_mul_pd(_mm256_mul_pd(half, y), t);
+            }
+            y
         }
-        (p, f)
+        #[inline(always)]
+        unsafe fn hsum(v: Self) -> f64 {
+            let lo = _mm256_castpd256_pd128(v);
+            let hi = _mm256_extractf128_pd(v, 1);
+            let s = _mm_add_pd(lo, hi);
+            _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
+        }
+        #[inline(always)]
+        unsafe fn scatter_fma(out: *mut f64, a: Self, b: Self, _mask: u16) {
+            _mm256_storeu_pd(out, _mm256_fmadd_pd(a, b, _mm256_loadu_pd(out)))
+        }
     }
 
-    /// # Safety
-    /// Requires AVX-512F; SoA slices must have equal lengths.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn force_gather_f32_avx512(
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-    ) -> (f32, [f32; 3]) {
-        let n = xs.len();
-        let txv = _mm512_set1_ps(tx);
-        let tyv = _mm512_set1_ps(ty);
-        let tzv = _mm512_set1_ps(tz);
-        let e2v = _mm512_set1_ps(eps2);
-        let mut pacc = _mm512_setzero_ps();
-        let mut fx = _mm512_setzero_ps();
-        let mut fy = _mm512_setzero_ps();
-        let mut fz = _mm512_setzero_ps();
-        let mut j = 0;
-        while j + 16 <= n {
-            let dx = _mm512_sub_ps(txv, _mm512_loadu_ps(xs.as_ptr().add(j)));
-            let dy = _mm512_sub_ps(tyv, _mm512_loadu_ps(ys.as_ptr().add(j)));
-            let dz = _mm512_sub_ps(tzv, _mm512_loadu_ps(zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_ps(
-                dz,
-                dz,
-                _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dx, dx, e2v)),
-            );
-            let inv_r = rsqrt_nr_ps_512(r2);
-            let qr = _mm512_mul_ps(_mm512_loadu_ps(qs.as_ptr().add(j)), inv_r);
-            pacc = _mm512_add_ps(pacc, qr);
-            let qr3 = _mm512_mul_ps(qr, _mm512_mul_ps(inv_r, inv_r));
-            fx = _mm512_fmadd_ps(qr3, dx, fx);
-            fy = _mm512_fmadd_ps(qr3, dy, fy);
-            fz = _mm512_fmadd_ps(qr3, dz, fz);
-            j += 16;
+    /// AVX-512, f64.
+    impl Lanes for __m512d {
+        type Elem = f64;
+        const WIDTH: usize = 8;
+        const MASKED_TAIL: bool = true;
+        one_intrinsic! {
+            splat = _mm512_set1_pd, sub = _mm512_sub_pd, add = _mm512_add_pd, mul = _mm512_mul_pd,
+            load(p, mask) = _mm512_maskz_loadu_pd(mask as __mmask8, p),
+            fma(a, b, c) = _mm512_fmadd_pd(a, b, c)
         }
-        if j < n {
-            // Masked tail (see exchange_f32_avx512): q is zeroed on dead
-            // lanes so qr and qr3 vanish there; r2 is pinned to 1.0 to
-            // keep rsqrt finite.
-            let m: __mmask16 = (1u16 << (n - j)) - 1;
-            let dx = _mm512_sub_ps(txv, _mm512_maskz_loadu_ps(m, xs.as_ptr().add(j)));
-            let dy = _mm512_sub_ps(tyv, _mm512_maskz_loadu_ps(m, ys.as_ptr().add(j)));
-            let dz = _mm512_sub_ps(tzv, _mm512_maskz_loadu_ps(m, zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_ps(
-                dz,
-                dz,
-                _mm512_fmadd_ps(dy, dy, _mm512_fmadd_ps(dx, dx, e2v)),
-            );
-            let r2 = _mm512_mask_mov_ps(_mm512_set1_ps(1.0), m, r2);
-            let inv_r = rsqrt_nr_ps_512(r2);
-            let qr = _mm512_mul_ps(_mm512_maskz_loadu_ps(m, qs.as_ptr().add(j)), inv_r);
-            pacc = _mm512_add_ps(pacc, qr);
-            let qr3 = _mm512_mul_ps(qr, _mm512_mul_ps(inv_r, inv_r));
-            fx = _mm512_fmadd_ps(qr3, dx, fx);
-            fy = _mm512_fmadd_ps(qr3, dy, fy);
-            fz = _mm512_fmadd_ps(qr3, dz, fz);
+        /// 2⁻¹⁴ → ~6e-9 → ~5e-17, i.e. ~1 ulp.
+        #[inline(always)]
+        unsafe fn rsqrt_nr(r2: Self) -> Self {
+            let mut y = _mm512_rsqrt14_pd(r2);
+            let half = _mm512_set1_pd(0.5);
+            let three = _mm512_set1_pd(3.0);
+            for _ in 0..2 {
+                let y2 = _mm512_mul_pd(y, y);
+                let t = _mm512_fnmadd_pd(r2, y2, three);
+                y = _mm512_mul_pd(_mm512_mul_pd(half, y), t);
+            }
+            y
         }
-        let p = _mm512_reduce_add_ps(pacc);
-        let f = [
-            _mm512_reduce_add_ps(fx),
-            _mm512_reduce_add_ps(fy),
-            _mm512_reduce_add_ps(fz),
-        ];
-        (p, f)
+        #[inline(always)]
+        unsafe fn hsum(v: Self) -> f64 {
+            _mm512_reduce_add_pd(v)
+        }
+        #[inline(always)]
+        unsafe fn pin_dead(r2: Self, mask: u16) -> Self {
+            _mm512_mask_mov_pd(_mm512_set1_pd(1.0), mask as __mmask8, r2)
+        }
+        #[inline(always)]
+        unsafe fn scatter_fma(out: *mut f64, a: Self, b: Self, mask: u16) {
+            let sum = _mm512_fmadd_pd(a, b, _mm512_maskz_loadu_pd(mask as __mmask8, out));
+            _mm512_mask_storeu_pd(out, mask as __mmask8, sum)
+        }
     }
 
-    /// # Safety
-    /// Requires AVX2+FMA; SoA slices must have equal lengths.
-    #[target_feature(enable = "avx2,fma")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn force_gather_avx2(
-        tx: f64,
-        ty: f64,
-        tz: f64,
-        eps2: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        qs: &[f64],
-    ) -> (f64, [f64; 3]) {
-        let n = xs.len();
-        let txv = _mm256_set1_pd(tx);
-        let tyv = _mm256_set1_pd(ty);
-        let tzv = _mm256_set1_pd(tz);
-        let e2v = _mm256_set1_pd(eps2);
-        let mut pacc = _mm256_setzero_pd();
-        let mut fx = _mm256_setzero_pd();
-        let mut fy = _mm256_setzero_pd();
-        let mut fz = _mm256_setzero_pd();
-        let mut j = 0;
-        while j + 4 <= n {
-            let dx = _mm256_sub_pd(txv, _mm256_loadu_pd(xs.as_ptr().add(j)));
-            let dy = _mm256_sub_pd(tyv, _mm256_loadu_pd(ys.as_ptr().add(j)));
-            let dz = _mm256_sub_pd(tzv, _mm256_loadu_pd(zs.as_ptr().add(j)));
-            let r2 = _mm256_fmadd_pd(
-                dz,
-                dz,
-                _mm256_fmadd_pd(dy, dy, _mm256_fmadd_pd(dx, dx, e2v)),
-            );
-            let inv_r = rsqrt_nr(r2);
-            let qr = _mm256_mul_pd(_mm256_loadu_pd(qs.as_ptr().add(j)), inv_r);
-            pacc = _mm256_add_pd(pacc, qr);
-            let qr3 = _mm256_mul_pd(qr, _mm256_mul_pd(inv_r, inv_r));
-            fx = _mm256_fmadd_pd(qr3, dx, fx);
-            fy = _mm256_fmadd_pd(qr3, dy, fy);
-            fz = _mm256_fmadd_pd(qr3, dz, fz);
-            j += 4;
+    /// AVX2+FMA, f32.
+    impl Lanes for __m256 {
+        type Elem = f32;
+        const WIDTH: usize = 8;
+        one_intrinsic! {
+            splat = _mm256_set1_ps, sub = _mm256_sub_ps, add = _mm256_add_ps, mul = _mm256_mul_ps,
+            load(p, _mask) = _mm256_loadu_ps(p), fma(a, b, c) = _mm256_fmadd_ps(a, b, c)
         }
-        let mut p = hsum(pacc);
-        let mut f = [hsum(fx), hsum(fy), hsum(fz)];
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            let r2 = dx * dx + dy * dy + dz * dz + eps2;
-            let inv_r = 1.0 / r2.sqrt();
-            let qr = qs[j] * inv_r;
-            p += qr;
-            let qr3 = qr * inv_r * inv_r;
-            f[0] += qr3 * dx;
-            f[1] += qr3 * dy;
-            f[2] += qr3 * dz;
-            j += 1;
+        #[inline(always)]
+        unsafe fn rsqrt_nr(r2: Self) -> Self {
+            let mut y = _mm256_rsqrt_ps(r2);
+            let half = _mm256_set1_ps(0.5);
+            let three = _mm256_set1_ps(3.0);
+            for _ in 0..2 {
+                let y2 = _mm256_mul_ps(y, y);
+                let t = _mm256_fnmadd_ps(r2, y2, three);
+                y = _mm256_mul_ps(_mm256_mul_ps(half, y), t);
+            }
+            y
         }
-        (p, f)
+        #[inline(always)]
+        unsafe fn hsum(v: Self) -> f32 {
+            let lo = _mm256_castps256_ps128(v);
+            let hi = _mm256_extractf128_ps(v, 1);
+            let s = _mm_add_ps(lo, hi);
+            let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
+            let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
+            _mm_cvtss_f32(s)
+        }
+        #[inline(always)]
+        unsafe fn scatter_add(out: *mut f64, v: Self, _mask: u16) {
+            let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
+            let hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
+            _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), lo));
+            _mm256_storeu_pd(out.add(4), _mm256_add_pd(_mm256_loadu_pd(out.add(4)), hi));
+        }
     }
 
-    /// # Safety
-    /// Requires AVX-512F; SoA slices must have equal lengths.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn force_gather_avx512(
-        tx: f64,
-        ty: f64,
-        tz: f64,
-        eps2: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        qs: &[f64],
-    ) -> (f64, [f64; 3]) {
-        let n = xs.len();
-        let txv = _mm512_set1_pd(tx);
-        let tyv = _mm512_set1_pd(ty);
-        let tzv = _mm512_set1_pd(tz);
-        let e2v = _mm512_set1_pd(eps2);
-        let mut pacc = _mm512_setzero_pd();
-        let mut fx = _mm512_setzero_pd();
-        let mut fy = _mm512_setzero_pd();
-        let mut fz = _mm512_setzero_pd();
-        let mut j = 0;
-        while j + 8 <= n {
-            let dx = _mm512_sub_pd(txv, _mm512_loadu_pd(xs.as_ptr().add(j)));
-            let dy = _mm512_sub_pd(tyv, _mm512_loadu_pd(ys.as_ptr().add(j)));
-            let dz = _mm512_sub_pd(tzv, _mm512_loadu_pd(zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_pd(
-                dz,
-                dz,
-                _mm512_fmadd_pd(dy, dy, _mm512_fmadd_pd(dx, dx, e2v)),
-            );
-            let inv_r = rsqrt_nr_512(r2);
-            let qr = _mm512_mul_pd(_mm512_loadu_pd(qs.as_ptr().add(j)), inv_r);
-            pacc = _mm512_add_pd(pacc, qr);
-            let qr3 = _mm512_mul_pd(qr, _mm512_mul_pd(inv_r, inv_r));
-            fx = _mm512_fmadd_pd(qr3, dx, fx);
-            fy = _mm512_fmadd_pd(qr3, dy, fy);
-            fz = _mm512_fmadd_pd(qr3, dz, fz);
-            j += 8;
+    /// AVX-512, f32.
+    impl Lanes for __m512 {
+        type Elem = f32;
+        const WIDTH: usize = 16;
+        const MASKED_TAIL: bool = true;
+        one_intrinsic! {
+            splat = _mm512_set1_ps, sub = _mm512_sub_ps, add = _mm512_add_ps, mul = _mm512_mul_ps,
+            load(p, mask) = _mm512_maskz_loadu_ps(mask, p), fma(a, b, c) = _mm512_fmadd_ps(a, b, c)
         }
-        if j < n {
-            // Masked tail (see exchange_f32_avx512): a leaf holds ~8 particles
-            // on the clustered force workloads, so most runs are all tail.
-            // q is zeroed on dead lanes so qr and qr3 vanish there; r2 is
-            // pinned to 1.0 to keep rsqrt finite.
-            let m: __mmask8 = (1u8 << (n - j)) - 1;
-            let dx = _mm512_sub_pd(txv, _mm512_maskz_loadu_pd(m, xs.as_ptr().add(j)));
-            let dy = _mm512_sub_pd(tyv, _mm512_maskz_loadu_pd(m, ys.as_ptr().add(j)));
-            let dz = _mm512_sub_pd(tzv, _mm512_maskz_loadu_pd(m, zs.as_ptr().add(j)));
-            let r2 = _mm512_fmadd_pd(
-                dz,
-                dz,
-                _mm512_fmadd_pd(dy, dy, _mm512_fmadd_pd(dx, dx, e2v)),
-            );
-            let r2 = _mm512_mask_mov_pd(_mm512_set1_pd(1.0), m, r2);
-            let inv_r = rsqrt_nr_512(r2);
-            let qr = _mm512_mul_pd(_mm512_maskz_loadu_pd(m, qs.as_ptr().add(j)), inv_r);
-            pacc = _mm512_add_pd(pacc, qr);
-            let qr3 = _mm512_mul_pd(qr, _mm512_mul_pd(inv_r, inv_r));
-            fx = _mm512_fmadd_pd(qr3, dx, fx);
-            fy = _mm512_fmadd_pd(qr3, dy, fy);
-            fz = _mm512_fmadd_pd(qr3, dz, fz);
+        /// 2⁻¹⁴ → ~6e-9, below f32 epsilon.
+        #[inline(always)]
+        unsafe fn rsqrt_nr(r2: Self) -> Self {
+            let y = _mm512_rsqrt14_ps(r2);
+            let y2 = _mm512_mul_ps(y, y);
+            let t = _mm512_fnmadd_ps(r2, y2, _mm512_set1_ps(3.0));
+            _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.5), y), t)
         }
-        let p = _mm512_reduce_add_pd(pacc);
-        let f = [
-            _mm512_reduce_add_pd(fx),
-            _mm512_reduce_add_pd(fy),
-            _mm512_reduce_add_pd(fz),
-        ];
-        (p, f)
+        #[inline(always)]
+        unsafe fn hsum(v: Self) -> f32 {
+            _mm512_reduce_add_ps(v)
+        }
+        #[inline(always)]
+        unsafe fn pin_dead(r2: Self, mask: u16) -> Self {
+            _mm512_mask_mov_ps(_mm512_set1_ps(1.0), mask, r2)
+        }
+        /// Per 8-lane half. The upper half is skipped when it is all dead,
+        /// since `out.add(8)` may then lie past `s_out`; it comes out via
+        /// an f64x4-pair bitcast (`extractf32x8` would need AVX-512DQ).
+        #[inline(always)]
+        unsafe fn scatter_add(out: *mut f64, v: Self, mask: u16) {
+            let (mlo, mhi) = (mask as __mmask8, (mask >> 8) as __mmask8);
+            let lo = _mm512_cvtps_pd(_mm512_castps512_ps256(v));
+            _mm512_mask_storeu_pd(out, mlo, _mm512_add_pd(_mm512_maskz_loadu_pd(mlo, out), lo));
+            if mhi != 0 {
+                let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
+                let (out, hi) = (out.add(8), _mm512_cvtps_pd(hi));
+                _mm512_mask_storeu_pd(out, mhi, _mm512_add_pd(_mm512_maskz_loadu_pd(mhi, out), hi));
+            }
+        }
     }
 }
 
@@ -1248,277 +1006,75 @@ mod x86 {
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
+    use super::{exchange, force_gather, gather, Lanes, Run};
     use core::arch::aarch64::*;
 
-    /// 2-lane f64 `x^{-1/2}`: `vrsqrte` seed (~2⁻⁸) + 3 `vrsqrts` steps.
-    #[inline]
-    unsafe fn rsqrt_nr_f64(r2: float64x2_t) -> float64x2_t {
-        let mut y = vrsqrteq_f64(r2);
-        for _ in 0..3 {
-            y = vmulq_f64(y, vrsqrtsq_f64(vmulq_f64(r2, y), y));
+    entry_points! {
+        /// # Safety
+        /// All slices (including `s_out`) must have equal lengths (NEON is
+        /// always present).
+        pub unsafe fn {
+            gather_neon = gather::<float64x2_t>;
+            exchange_neon = exchange::<float64x2_t, 1, false>;
+            exchange_f32_neon = exchange::<float32x4_t, 1, false>;
+            force_gather_f32_neon = force_gather::<float32x4_t, false>;
+            force_gather_neon = force_gather::<float64x2_t, false>;
         }
-        y
     }
 
-    /// 4-lane f32 `x^{-1/2}`: `vrsqrte` seed + 2 `vrsqrts` steps.
-    #[inline]
-    unsafe fn rsqrt_nr_f32(r2: float32x4_t) -> float32x4_t {
-        let mut y = vrsqrteq_f32(r2);
-        for _ in 0..2 {
-            y = vmulq_f32(y, vrsqrtsq_f32(vmulq_f32(r2, y), y));
+    /// `vrsqrte` seed (~2⁻⁸) + 3 `vrsqrts` steps.
+    impl Lanes for float64x2_t {
+        type Elem = f64;
+        const WIDTH: usize = 2;
+        one_intrinsic! {
+            splat = vdupq_n_f64, sub = vsubq_f64, add = vaddq_f64, mul = vmulq_f64,
+            load(p, _mask) = vld1q_f64(p), fma(a, b, c) = vfmaq_f64(c, a, b)
         }
-        y
+        #[inline(always)]
+        unsafe fn rsqrt_nr(r2: Self) -> Self {
+            let mut y = vrsqrteq_f64(r2);
+            for _ in 0..3 {
+                y = vmulq_f64(y, vrsqrtsq_f64(vmulq_f64(r2, y), y));
+            }
+            y
+        }
+        #[inline(always)]
+        unsafe fn hsum(v: Self) -> f64 {
+            vaddvq_f64(v)
+        }
+        #[inline(always)]
+        unsafe fn scatter_fma(out: *mut f64, a: Self, b: Self, _mask: u16) {
+            vst1q_f64(out, vfmaq_f64(vld1q_f64(out), a, b))
+        }
     }
 
-    /// # Safety
-    /// SoA slices must have equal lengths (NEON is always present).
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn gather_neon(
-        tx: f64,
-        ty: f64,
-        tz: f64,
-        eps2: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        qs: &[f64],
-    ) -> f64 {
-        let n = xs.len();
-        let txv = vdupq_n_f64(tx);
-        let tyv = vdupq_n_f64(ty);
-        let tzv = vdupq_n_f64(tz);
-        let e2v = vdupq_n_f64(eps2);
-        let mut acc = vdupq_n_f64(0.0);
-        let mut j = 0;
-        while j + 2 <= n {
-            let dx = vsubq_f64(txv, vld1q_f64(xs.as_ptr().add(j)));
-            let dy = vsubq_f64(tyv, vld1q_f64(ys.as_ptr().add(j)));
-            let dz = vsubq_f64(tzv, vld1q_f64(zs.as_ptr().add(j)));
-            let r2 = vfmaq_f64(vfmaq_f64(vfmaq_f64(e2v, dx, dx), dy, dy), dz, dz);
-            acc = vfmaq_f64(acc, vld1q_f64(qs.as_ptr().add(j)), rsqrt_nr_f64(r2));
-            j += 2;
+    /// `vrsqrte` seed + 2 `vrsqrts` steps.
+    impl Lanes for float32x4_t {
+        type Elem = f32;
+        const WIDTH: usize = 4;
+        one_intrinsic! {
+            splat = vdupq_n_f32, sub = vsubq_f32, add = vaddq_f32, mul = vmulq_f32,
+            load(p, _mask) = vld1q_f32(p), fma(a, b, c) = vfmaq_f32(c, a, b)
         }
-        let mut total = vaddvq_f64(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            total += qs[j] / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            j += 1;
+        #[inline(always)]
+        unsafe fn rsqrt_nr(r2: Self) -> Self {
+            let mut y = vrsqrteq_f32(r2);
+            for _ in 0..2 {
+                y = vmulq_f32(y, vrsqrtsq_f32(vmulq_f32(r2, y), y));
+            }
+            y
         }
-        total
-    }
-
-    /// # Safety
-    /// All slices (including `s_out`) must have equal lengths.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn exchange_neon(
-        tx: f64,
-        ty: f64,
-        tz: f64,
-        tq: f64,
-        eps2: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        qs: &[f64],
-        s_out: &mut [f64],
-    ) -> f64 {
-        let n = xs.len();
-        let txv = vdupq_n_f64(tx);
-        let tyv = vdupq_n_f64(ty);
-        let tzv = vdupq_n_f64(tz);
-        let tqv = vdupq_n_f64(tq);
-        let e2v = vdupq_n_f64(eps2);
-        let mut acc = vdupq_n_f64(0.0);
-        let mut j = 0;
-        while j + 2 <= n {
-            let dx = vsubq_f64(txv, vld1q_f64(xs.as_ptr().add(j)));
-            let dy = vsubq_f64(tyv, vld1q_f64(ys.as_ptr().add(j)));
-            let dz = vsubq_f64(tzv, vld1q_f64(zs.as_ptr().add(j)));
-            let r2 = vfmaq_f64(vfmaq_f64(vfmaq_f64(e2v, dx, dx), dy, dy), dz, dz);
-            let inv_r = rsqrt_nr_f64(r2);
-            acc = vfmaq_f64(acc, vld1q_f64(qs.as_ptr().add(j)), inv_r);
-            let so = s_out.as_mut_ptr().add(j);
-            vst1q_f64(so, vfmaq_f64(vld1q_f64(so), tqv, inv_r));
-            j += 2;
+        #[inline(always)]
+        unsafe fn hsum(v: Self) -> f32 {
+            vaddvq_f32(v)
         }
-        let mut total = vaddvq_f64(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            total += qs[j] * inv_r;
-            s_out[j] += tq * inv_r;
-            j += 1;
+        #[inline(always)]
+        unsafe fn scatter_add(out: *mut f64, v: Self, _mask: u16) {
+            let lo = vcvt_f64_f32(vget_low_f32(v));
+            let hi = vcvt_high_f64_f32(v);
+            vst1q_f64(out, vaddq_f64(vld1q_f64(out), lo));
+            vst1q_f64(out.add(2), vaddq_f64(vld1q_f64(out.add(2)), hi));
         }
-        total
-    }
-
-    /// # Safety
-    /// All slices (including `s_out`) must have equal lengths.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn exchange_f32_neon(
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        tq: f32,
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-        s_out: &mut [f64],
-    ) -> f32 {
-        let n = xs.len();
-        let txv = vdupq_n_f32(tx);
-        let tyv = vdupq_n_f32(ty);
-        let tzv = vdupq_n_f32(tz);
-        let tqv = vdupq_n_f32(tq);
-        let e2v = vdupq_n_f32(eps2);
-        let mut acc = vdupq_n_f32(0.0);
-        let mut j = 0;
-        while j + 4 <= n {
-            let dx = vsubq_f32(txv, vld1q_f32(xs.as_ptr().add(j)));
-            let dy = vsubq_f32(tyv, vld1q_f32(ys.as_ptr().add(j)));
-            let dz = vsubq_f32(tzv, vld1q_f32(zs.as_ptr().add(j)));
-            let r2 = vfmaq_f32(vfmaq_f32(vfmaq_f32(e2v, dx, dx), dy, dy), dz, dz);
-            let inv_r = rsqrt_nr_f32(r2);
-            acc = vfmaq_f32(acc, vld1q_f32(qs.as_ptr().add(j)), inv_r);
-            // Widen each source's f32 contribution to f64 for the
-            // scatter-add, so source-side rounding never accumulates.
-            let contrib = vmulq_f32(tqv, inv_r);
-            let so = s_out.as_mut_ptr().add(j);
-            let lo = vcvt_f64_f32(vget_low_f32(contrib));
-            let hi = vcvt_high_f64_f32(contrib);
-            vst1q_f64(so, vaddq_f64(vld1q_f64(so), lo));
-            vst1q_f64(so.add(2), vaddq_f64(vld1q_f64(so.add(2)), hi));
-            j += 4;
-        }
-        let mut total = vaddvq_f32(acc);
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            total += qs[j] * inv_r;
-            s_out[j] += (tq * inv_r) as f64;
-            j += 1;
-        }
-        total
-    }
-
-    /// # Safety
-    /// SoA slices must have equal lengths.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn force_gather_f32_neon(
-        tx: f32,
-        ty: f32,
-        tz: f32,
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-    ) -> (f32, [f32; 3]) {
-        let n = xs.len();
-        let txv = vdupq_n_f32(tx);
-        let tyv = vdupq_n_f32(ty);
-        let tzv = vdupq_n_f32(tz);
-        let e2v = vdupq_n_f32(eps2);
-        let mut pacc = vdupq_n_f32(0.0);
-        let mut fx = vdupq_n_f32(0.0);
-        let mut fy = vdupq_n_f32(0.0);
-        let mut fz = vdupq_n_f32(0.0);
-        let mut j = 0;
-        while j + 4 <= n {
-            let dx = vsubq_f32(txv, vld1q_f32(xs.as_ptr().add(j)));
-            let dy = vsubq_f32(tyv, vld1q_f32(ys.as_ptr().add(j)));
-            let dz = vsubq_f32(tzv, vld1q_f32(zs.as_ptr().add(j)));
-            let r2 = vfmaq_f32(vfmaq_f32(vfmaq_f32(e2v, dx, dx), dy, dy), dz, dz);
-            let inv_r = rsqrt_nr_f32(r2);
-            let qr = vmulq_f32(vld1q_f32(qs.as_ptr().add(j)), inv_r);
-            pacc = vaddq_f32(pacc, qr);
-            let qr3 = vmulq_f32(qr, vmulq_f32(inv_r, inv_r));
-            fx = vfmaq_f32(fx, qr3, dx);
-            fy = vfmaq_f32(fy, qr3, dy);
-            fz = vfmaq_f32(fz, qr3, dz);
-            j += 4;
-        }
-        let mut p = vaddvq_f32(pacc);
-        let mut f = [vaddvq_f32(fx), vaddvq_f32(fy), vaddvq_f32(fz)];
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            let r2 = dx * dx + dy * dy + dz * dz + eps2;
-            let inv_r = 1.0 / r2.sqrt();
-            let qr = qs[j] * inv_r;
-            p += qr;
-            let qr3 = qr * inv_r * inv_r;
-            f[0] += qr3 * dx;
-            f[1] += qr3 * dy;
-            f[2] += qr3 * dz;
-            j += 1;
-        }
-        (p, f)
-    }
-
-    /// # Safety
-    /// SoA slices must have equal lengths.
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn force_gather_neon(
-        tx: f64,
-        ty: f64,
-        tz: f64,
-        eps2: f64,
-        xs: &[f64],
-        ys: &[f64],
-        zs: &[f64],
-        qs: &[f64],
-    ) -> (f64, [f64; 3]) {
-        let n = xs.len();
-        let txv = vdupq_n_f64(tx);
-        let tyv = vdupq_n_f64(ty);
-        let tzv = vdupq_n_f64(tz);
-        let e2v = vdupq_n_f64(eps2);
-        let mut pacc = vdupq_n_f64(0.0);
-        let mut fx = vdupq_n_f64(0.0);
-        let mut fy = vdupq_n_f64(0.0);
-        let mut fz = vdupq_n_f64(0.0);
-        let mut j = 0;
-        while j + 2 <= n {
-            let dx = vsubq_f64(txv, vld1q_f64(xs.as_ptr().add(j)));
-            let dy = vsubq_f64(tyv, vld1q_f64(ys.as_ptr().add(j)));
-            let dz = vsubq_f64(tzv, vld1q_f64(zs.as_ptr().add(j)));
-            let r2 = vfmaq_f64(vfmaq_f64(vfmaq_f64(e2v, dx, dx), dy, dy), dz, dz);
-            let inv_r = rsqrt_nr_f64(r2);
-            let qr = vmulq_f64(vld1q_f64(qs.as_ptr().add(j)), inv_r);
-            pacc = vaddq_f64(pacc, qr);
-            let qr3 = vmulq_f64(qr, vmulq_f64(inv_r, inv_r));
-            fx = vfmaq_f64(fx, qr3, dx);
-            fy = vfmaq_f64(fy, qr3, dy);
-            fz = vfmaq_f64(fz, qr3, dz);
-            j += 2;
-        }
-        let mut p = vaddvq_f64(pacc);
-        let mut f = [vaddvq_f64(fx), vaddvq_f64(fy), vaddvq_f64(fz)];
-        while j < n {
-            let dx = tx - xs[j];
-            let dy = ty - ys[j];
-            let dz = tz - zs[j];
-            let r2 = dx * dx + dy * dy + dz * dz + eps2;
-            let inv_r = 1.0 / r2.sqrt();
-            let qr = qs[j] * inv_r;
-            p += qr;
-            let qr3 = qr * inv_r * inv_r;
-            f[0] += qr3 * dx;
-            f[1] += qr3 * dy;
-            f[2] += qr3 * dz;
-            j += 1;
-        }
-        (p, f)
     }
 }
 
@@ -1858,6 +1414,220 @@ mod tests {
                         b
                     );
                 }
+            }
+        }
+    }
+
+    // A safe caller's short slice must panic before any tier's raw loads,
+    // in release builds too: 33 sources reach past a 5-element slice in
+    // the first vector of every tier.
+    const LONG: [f64; 33] = [1.5; 33];
+    const SHORT: [f64; 5] = [1.5; 5];
+    const LONG32: [f32; 33] = [1.5; 33];
+    const SHORT32: [f32; 5] = [1.5; 5];
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn gather_rejects_a_short_ys() {
+        gather_with(
+            Kernel::detect(),
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            &LONG,
+            &SHORT,
+            &LONG,
+            &LONG,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn exchange_rejects_a_short_ys() {
+        let (k, mut s_out) = (Kernel::detect(), LONG);
+        exchange_with(
+            k, 0.0, 0.0, 0.0, 1.0, 0.0, &LONG, &SHORT, &LONG, &LONG, &mut s_out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn exchange_rejects_a_short_s_out() {
+        let (k, mut s_out) = (Kernel::detect(), SHORT);
+        exchange_with(
+            k, 0.0, 0.0, 0.0, 1.0, 0.0, &LONG, &LONG, &LONG, &LONG, &mut s_out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn exchange_f32_rejects_a_short_ys() {
+        let (k, l, mut s_out) = (Kernel::detect(), &LONG32, LONG);
+        exchange_f32_with(k, 0.0, 0.0, 0.0, 1.0, 0.0, l, &SHORT32, l, l, &mut s_out);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn exchange_f32_rejects_a_short_s_out() {
+        let (k, l, mut s_out) = (Kernel::detect(), &LONG32, SHORT);
+        exchange_f32_with(k, 0.0, 0.0, 0.0, 1.0, 0.0, l, l, l, l, &mut s_out);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn panel_rejects_a_short_ys() {
+        let (k, l, mut t_out, mut s_out) = (Kernel::detect(), &LONG32, LONG, LONG);
+        exchange_f32_panel_with(
+            k, l, l, l, l, 0.0, l, &SHORT32, l, l, &mut t_out, &mut s_out,
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn panel_rejects_a_short_s_out() {
+        let (k, l, mut t_out, mut s_out) = (Kernel::detect(), &LONG32, LONG, SHORT);
+        exchange_f32_panel_with(k, l, l, l, l, 0.0, l, l, l, l, &mut t_out, &mut s_out);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn panel_rejects_a_short_t_out() {
+        let (k, l, mut t_out, mut s_out) = (Kernel::detect(), &LONG32, SHORT, LONG);
+        exchange_f32_panel_with(k, l, l, l, l, 0.0, l, l, l, l, &mut t_out, &mut s_out);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn force_gather_f32_rejects_a_short_ys() {
+        let (k, l) = (Kernel::detect(), &LONG32);
+        force_gather_f32_with(k, 0.0, 0.0, 0.0, 0.0, l, &SHORT32, l, l);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn force_gather_rejects_a_short_ys() {
+        force_gather_with(
+            Kernel::detect(),
+            0.0,
+            0.0,
+            0.0,
+            0.0,
+            &LONG,
+            &SHORT,
+            &LONG,
+            &LONG,
+        );
+    }
+
+    /// NEON's shape without NEON: `N` lanes in a plain array (2 of f64, 4 of
+    /// f32), an exact `1/sqrt` where NEON refines an estimate, no masked
+    /// tail, and the f32 scatter in widened pieces. What it shares with
+    /// the NEON tier is everything but the intrinsics: loop bounds, the
+    /// hand-off to the scalar tail and the `s_out` indexing.
+    impl<T: Real, const N: usize> Lanes for [T; N] {
+        type Elem = T;
+        const WIDTH: usize = N;
+        unsafe fn splat(v: T) -> Self {
+            [v; N]
+        }
+        unsafe fn load(p: *const T, _mask: u16) -> Self {
+            core::array::from_fn(|l| *p.add(l))
+        }
+        unsafe fn sub(a: Self, b: Self) -> Self {
+            core::array::from_fn(|l| a[l] - b[l])
+        }
+        unsafe fn add(a: Self, b: Self) -> Self {
+            core::array::from_fn(|l| a[l] + b[l])
+        }
+        unsafe fn mul(a: Self, b: Self) -> Self {
+            core::array::from_fn(|l| a[l] * b[l])
+        }
+        unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
+            core::array::from_fn(|l| a[l] * b[l] + c[l])
+        }
+        unsafe fn rsqrt_nr(r2: Self) -> Self {
+            r2.map(|x| T::ONE / x.sqrt())
+        }
+        unsafe fn hsum(v: Self) -> T {
+            let mut sum = T::ZERO;
+            for x in v {
+                sum += x;
+            }
+            sum
+        }
+        unsafe fn scatter_add(out: *mut f64, v: Self, _mask: u16) {
+            for (l, x) in v.into_iter().enumerate() {
+                *out.add(l) += x.into();
+            }
+        }
+    }
+
+    #[test]
+    fn neon_shaped_lanes_agree_with_scalar_through_every_body() {
+        let t = [0.0, 0.1, -0.05, 0.7];
+        let u = [-0.3, 0.2, 0.4, -1.1];
+        let (t3, eps2) = ([t[0], t[1], t[2]], 1e-6);
+        let (t32, u32) = (t.map(|v| v as f32), u.map(|v| v as f32));
+        let (t3_32, eps32) = (t3.map(|v| v as f32), eps2 as f32);
+        let close = |a: f64, b: f64, tol: f64| (a - b).abs() < tol * (1.0 + b.abs());
+        for n in 0..=9 {
+            let src = soa(n, 42);
+            let (xs, ys, zs, qs) = &src;
+            let run = Run { xs, ys, zs, qs };
+            let f = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
+            let (xs32, ys32, zs32, qs32) = (f(xs), f(ys), f(zs), f(qs));
+            let run32 = Run {
+                xs: &xs32,
+                ys: &ys32,
+                zs: &zs32,
+                qs: &qs32,
+            };
+
+            let want = gather_from(0.0, t3, eps2, run, 0);
+            // SAFETY: the array lanes need no CPU feature.
+            let got = unsafe { gather::<[f64; 2]>(t3, eps2, run) };
+            assert!(close(got, want, 1e-12), "gather n={n}: {got} vs {want}");
+
+            let (mut want_s, mut got_s) = (vec![0.1; n], vec![0.1; n]);
+            let want = exchange_from(0.0, t, eps2, run, &mut want_s, 0);
+            // SAFETY: as above; `got_s` is as long as the run.
+            let [got] = unsafe { exchange::<[f64; 2], 1, false>([t], eps2, run, &mut got_s) };
+            assert!(close(got, want, 1e-12), "exchange n={n}: {got} vs {want}");
+            for (a, b) in got_s.iter().zip(&want_s) {
+                assert!(close(*a, *b, 1e-12), "exchange s_out n={n}");
+            }
+
+            let (mut want_s, mut got_s) = (vec![0.0; n], vec![0.0; n]);
+            let want = exchange_from(0.0, t32, eps32, run32, &mut want_s, 0);
+            // SAFETY: as above.
+            let [got] = unsafe { exchange::<[f32; 4], 1, false>([t32], eps32, run32, &mut got_s) };
+            assert!(close(got.into(), want.into(), 1e-5), "exchange_f32 n={n}");
+            let want1 = exchange_from(0.0, u32, eps32, run32, &mut want_s, 0);
+            // SAFETY: as above. A second, two-target sweep on top of the first.
+            let got2 =
+                unsafe { exchange::<[f32; 4], 2, false>([u32, t32], eps32, run32, &mut got_s) };
+            let want0 = exchange_from(0.0, t32, eps32, run32, &mut want_s, 0);
+            assert!(close(got2[0].into(), want1.into(), 1e-5), "pair n={n}");
+            assert!(close(got2[1].into(), want0.into(), 1e-5), "pair n={n}");
+            for (a, b) in got_s.iter().zip(&want_s) {
+                assert!(close(*a, *b, 1e-5), "exchange_f32 s_out n={n}: {a} vs {b}");
+            }
+
+            let want = force_gather_from(0.0, [0.0; 3], t3, eps2, run, 0);
+            // SAFETY: as above.
+            let got = unsafe { force_gather::<[f64; 2], false>(t3, eps2, run) };
+            assert_force_close(got, want, force_scale(t3, eps2, &src), &format!("n={n}"));
+
+            let (wp, wf) = force_gather_from(0.0, [0.0; 3], t3_32, eps32, run32, 0);
+            // SAFETY: as above.
+            let (gp, gf) = unsafe { force_gather::<[f32; 4], false>(t3_32, eps32, run32) };
+            assert!(close(gp.into(), wp.into(), 1e-5), "force_gather_f32 n={n}");
+            for d in 0..3 {
+                assert!(
+                    close(gf[d].into(), wf[d].into(), 1e-4),
+                    "force_gather_f32[{d}] n={n}"
+                );
             }
         }
     }
