@@ -1,9 +1,9 @@
-//! Criterion bench: the GEMM/GEMV substrate at the translation shapes the
+//! Criterion bench: the GEMM substrate at the translation shapes the
 //! paper uses — K×K by K×n panels for K ∈ {12, 72, 120} (Table 3's
 //! arithmetic-efficiency kernels).
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion, Throughput};
-use fmm_linalg::{gemm_acc, gemm_flops, gemv_acc};
+use fmm_linalg::{gemm_acc, gemm_flops};
 
 fn pseudo(seed: u64, len: usize) -> Vec<f64> {
     let mut state = seed;
@@ -32,29 +32,9 @@ fn bench_gemm_panels(c: &mut Criterion) {
     group.finish();
 }
 
-fn bench_gemv_equivalent(c: &mut Criterion) {
-    // The unaggregated (level-2 BLAS) path: one GEMV per box.
-    let mut group = c.benchmark_group("gemv_per_box");
-    for &k in &[12usize, 72] {
-        let n = 2048;
-        let a = pseudo(3, k * k);
-        let x = pseudo(4, n * k);
-        let mut y = vec![0.0; n * k];
-        group.throughput(Throughput::Elements(gemm_flops(n, k, k)));
-        group.bench_with_input(BenchmarkId::new("K", k), &k, |bench, _| {
-            bench.iter(|| {
-                for i in 0..n {
-                    gemv_acc(k, k, &a, &x[i * k..(i + 1) * k], &mut y[i * k..(i + 1) * k]);
-                }
-            });
-        });
-    }
-    group.finish();
-}
-
 criterion_group! {
     name = benches;
     config = Criterion::default().sample_size(20);
-    targets = bench_gemm_panels, bench_gemv_equivalent
+    targets = bench_gemm_panels
 }
 criterion_main!(benches);

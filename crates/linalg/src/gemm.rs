@@ -3,22 +3,32 @@
 //! The hot path of the hierarchy traversal is `C += A * B` where `A` is a
 //! `K × K` translation matrix and `B` a gathered `K × n` panel of potential
 //! vectors (K is 12–120, n is the number of aggregated boxes, often
-//! hundreds to thousands). These wrappers dispatch to the microkernels in
-//! [`crate::kernel`] — an explicit AVX2+FMA register-tiled kernel when the
-//! CPU supports it, the blocked scalar loop otherwise.
+//! hundreds to thousands). `gemm_acc` dispatches to the microkernels in
+//! [`crate::kernel`]: the widest vector tier the CPU supports (`lanes.rs`
+//! tabulates them), the blocked scalar loop where it supports none. The
+//! GEMV is a plain loop; the traversal's per-box path has its own.
 
-use crate::kernel::{gemm_acc_with, gemv_with, Kernel};
+use crate::kernel::{assert_shapes, gemm_acc_with, Kernel};
 
-/// `y = A * x` where `A` is row-major `m × k`.
-#[inline]
+/// `y = A * x` where `A` is row-major `m × k`. Panics unless `a`, `x` and
+/// `y` hold `m × k`, `k` and `m` elements.
 pub fn gemv(m: usize, k: usize, a: &[f64], x: &[f64], y: &mut [f64]) {
-    gemv_with(Kernel::detect(), m, k, a, x, y, false);
+    y.fill(0.0);
+    gemv_acc(m, k, a, x, y);
 }
 
-/// `y += A * x` where `A` is row-major `m × k`.
-#[inline]
+/// `y += A * x` where `A` is row-major `m × k`. Panics as [`gemv`].
 pub fn gemv_acc(m: usize, k: usize, a: &[f64], x: &[f64], y: &mut [f64]) {
-    gemv_with(Kernel::detect(), m, k, a, x, y, true);
+    assert_eq!(Some(a.len()), m.checked_mul(k), "A shape mismatch");
+    assert_eq!(x.len(), k, "x length mismatch");
+    assert_eq!(y.len(), m, "y length mismatch");
+    for (i, yi) in y.iter_mut().enumerate() {
+        let mut acc = 0.0;
+        for (aij, xj) in a[i * k..(i + 1) * k].iter().zip(x) {
+            acc += aij * xj;
+        }
+        *yi += acc;
+    }
 }
 
 /// `C += A * B`, all row-major; `A` is `m × k`, `B` is `k × n`, `C` is `m × n`.
@@ -30,9 +40,7 @@ pub fn gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
 
 /// Reference triple-loop GEMM (`C += A * B`) used to validate `gemm_acc`.
 pub fn gemm_naive(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    assert_eq!(a.len(), m * k);
-    assert_eq!(b.len(), k * n);
-    assert_eq!(c.len(), m * n);
+    assert_shapes(m, k, n, a, b, c);
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0;
@@ -78,6 +86,30 @@ mod tests {
         let mut y = vec![10.0];
         gemv_acc(1, 1, &a, &x, &mut y);
         assert_eq!(y[0], 16.0);
+    }
+
+    // A short operand must panic in release builds too: at k = 64 the
+    // vector GEMVs this loop replaced read past a 3-element `x`, and the
+    // scalar one returned the truncated dot product.
+    #[test]
+    #[should_panic(expected = "x length mismatch")]
+    fn gemv_rejects_a_short_x() {
+        let (a, mut y) = (vec![1.0; 64], [0.0]);
+        gemv(1, 64, &a, &[1.0; 3], &mut y);
+    }
+
+    #[test]
+    #[should_panic(expected = "A shape mismatch")]
+    fn gemv_rejects_a_short_a() {
+        let mut y = [0.0; 2];
+        gemv_acc(2, 64, &[1.0; 64], &[1.0; 64], &mut y);
+    }
+
+    #[test]
+    #[should_panic(expected = "y length mismatch")]
+    fn gemv_rejects_a_short_y() {
+        let mut y = [0.0; 1];
+        gemv(2, 64, &[1.0; 128], &[1.0; 64], &mut y);
     }
 
     #[test]

@@ -1,31 +1,28 @@
-//! Runtime-dispatched microkernels for the panel GEMM/GEMV hot path.
+//! Runtime-dispatched microkernels for the panel GEMM hot path.
 //!
 //! The traversal's dominant cost is `C(m×n) += A(m×k)·B(k×n)` with `A` a
 //! K×K translation matrix (K = 12–120) and `B`/`C` gathered panels whose row
 //! length `n` is the number of aggregated boxes (hundreds to thousands). The
 //! paper leans on CMSSL's tuned multiple-instance GEMM for exactly this
-//! shape (§3.3, Table 3); here the equivalent is a family of explicit SIMD
-//! microkernels, selected at runtime behind the [`Kernel`] enum with the
-//! portable scalar loop kept as the reference implementation.
+//! shape (§3.3, Table 3); here the equivalent is one explicit SIMD loop
+//! nest, selected at runtime behind the [`Kernel`] enum with the portable
+//! scalar loop kept as the reference implementation.
 //!
-//! Three SIMD tiers exist:
-//!
-//! * **AVX2+FMA** (x86-64): a 2×16 register tile — two C rows × four 4-lane
-//!   accumulators each (8 independent FMA chains, enough to cover FMA
-//!   latency on any recent x86), broadcasting one `A` element per row per
-//!   `k` step and streaming unit-stride over `B`. Edges fall back to a 2×4
-//!   tile and then scalar columns. The GEMV kernel runs four accumulators
-//!   over one row (4×-unrolled by 4 lanes) and reduces horizontally once
-//!   per row.
-//! * **AVX-512** ([`crate::avx512`], x86-64): the same tiling doubled to
-//!   8-lane ZMM registers — a 2×32 main tile, 8 FMA chains.
-//! * **NEON** ([`crate::neon`], aarch64): 2-lane f64 vectors, a 2×8 main
-//!   tile with 8 independent `vfmaq_f64` chains.
+//! The loop nest ([`gemm_acc_lanes`]) is written once over the crate's
+//! `Lanes` vector type; a vector tier is one entry point instantiating it
+//! (`x86::gemm_acc_avx2`, …; tile and tail per tier in `lanes.rs`).
+//! Panels of four vectors of columns are the *outer* loop: one panel's
+//! `k × 4W` stripe of `B` stays L1-resident while a `ROWS`-row register
+//! tile (`a_ip` broadcast, `B` streamed, p ascending) takes every row of
+//! `A` and `C` past it. Rows outermost re-reads all of `B` per row block;
+//! on AVX-512 that measured slower than AVX2 (DESIGN.md §5.5).
 //!
 //! Detection runs once (cached in a `OnceLock`) and can be overridden for
 //! reproducible benchmarking via `FMM_KERNEL=scalar|avx2|avx512|neon`; an
 //! override naming a family the host cannot run falls back to the best
 //! supported kernel instead of faulting.
+
+use crate::lanes::Lanes;
 
 /// Which microkernel family to run. `detect()` is cheap (cached) and the
 /// enum is `Copy`, so callers can hoist it out of loops or pass it down.
@@ -73,23 +70,10 @@ impl Kernel {
 
     /// The widest kernel the running CPU supports, ignoring `FMM_KERNEL`.
     pub fn best_supported() -> Kernel {
-        #[cfg(target_arch = "x86_64")]
-        {
-            if std::arch::is_x86_feature_detected!("avx512f") {
-                return Kernel::Avx512;
-            }
-            if std::arch::is_x86_feature_detected!("avx2")
-                && std::arch::is_x86_feature_detected!("fma")
-            {
-                return Kernel::Avx2Fma;
-            }
-        }
-        #[cfg(target_arch = "aarch64")]
-        {
-            return Kernel::Neon;
-        }
-        #[allow(unreachable_code)]
-        Kernel::Scalar
+        [Kernel::Avx512, Kernel::Avx2Fma, Kernel::Neon]
+            .into_iter()
+            .find(|k| k.supported())
+            .unwrap_or(Kernel::Scalar)
     }
 
     /// Can this family run on the current host?
@@ -103,14 +87,9 @@ impl Kernel {
             }
             #[cfg(target_arch = "x86_64")]
             Kernel::Avx512 => std::arch::is_x86_feature_detected!("avx512f"),
-            #[cfg(target_arch = "aarch64")]
-            Kernel::Neon => true,
             #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Avx2Fma => false,
-            #[cfg(not(target_arch = "x86_64"))]
-            Kernel::Avx512 => false,
-            #[cfg(not(target_arch = "aarch64"))]
-            Kernel::Neon => false,
+            Kernel::Avx2Fma | Kernel::Avx512 => false,
+            Kernel::Neon => cfg!(target_arch = "aarch64"),
         }
     }
 
@@ -152,6 +131,7 @@ impl Kernel {
 
 /// `C += A * B` with an explicit kernel choice. `gemm_acc` calls this with
 /// `Kernel::detect()`; benchmarks call it with every variant to compare.
+/// Panics unless `a`, `b`, `c` hold `m × k`, `k × n`, `m × n` elements.
 pub fn gemm_acc_with(
     kernel: Kernel,
     m: usize,
@@ -161,58 +141,33 @@ pub fn gemm_acc_with(
     b: &[f64],
     c: &mut [f64],
 ) {
-    assert_eq!(a.len(), m * k, "A shape mismatch");
-    assert_eq!(b.len(), k * n, "B shape mismatch");
-    assert_eq!(c.len(), m * n, "C shape mismatch");
     match kernel {
-        Kernel::Scalar => gemm_acc_scalar(m, k, n, a, b, c),
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma is only handed out by detect() after the feature
         // check (or chosen explicitly by tests/benches on the same CPU).
-        Kernel::Avx2Fma => unsafe { avx2::gemm_acc(m, k, n, a, b, c) },
+        Kernel::Avx2Fma => unsafe { x86::gemm_acc_avx2(m, k, n, a, b, c) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, gated on avx512f.
-        Kernel::Avx512 => unsafe { crate::avx512::gemm_acc(m, k, n, a, b, c) },
+        Kernel::Avx512 => unsafe { x86::gemm_acc_avx512(m, k, n, a, b, c) },
         #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        Kernel::Neon => unsafe { crate::neon::gemm_acc(m, k, n, a, b, c) },
-        #[allow(unreachable_patterns)]
+        Kernel::Neon => arm::gemm_acc_neon(m, k, n, a, b, c),
         _ => gemm_acc_scalar(m, k, n, a, b, c),
     }
 }
 
-/// Shared accumulating GEMV core: `y = A*x` (`accumulate = false`) or
-/// `y += A*x` (`accumulate = true`). Both public wrappers route here.
-pub fn gemv_with(
-    kernel: Kernel,
-    m: usize,
-    k: usize,
-    a: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    accumulate: bool,
-) {
-    debug_assert_eq!(a.len(), m * k);
-    debug_assert_eq!(x.len(), k);
-    debug_assert_eq!(y.len(), m);
-    match kernel {
-        Kernel::Scalar => gemv_scalar(m, k, a, x, y, accumulate),
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see gemm_acc_with.
-        Kernel::Avx2Fma => unsafe { avx2::gemv(m, k, a, x, y, accumulate) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: see gemm_acc_with.
-        Kernel::Avx512 => unsafe { crate::avx512::gemv(m, k, a, x, y, accumulate) },
-        #[cfg(target_arch = "aarch64")]
-        // SAFETY: NEON is architecturally guaranteed on aarch64.
-        Kernel::Neon => unsafe { crate::neon::gemv(m, k, a, x, y, accumulate) },
-        #[allow(unreachable_patterns)]
-        _ => gemv_scalar(m, k, a, x, y, accumulate),
-    }
+/// Every entry point's shape check, in release builds too: the vector
+/// tiers read and write through raw pointers.
+#[inline]
+pub(crate) fn assert_shapes(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &[f64]) {
+    assert_eq!(Some(a.len()), m.checked_mul(k), "A shape mismatch");
+    assert_eq!(Some(b.len()), k.checked_mul(n), "B shape mismatch");
+    assert_eq!(Some(c.len()), m.checked_mul(n), "C shape mismatch");
 }
 
 /// Portable blocked i-k-j GEMM (the original reference kernel).
+/// Panics on a shape mismatch, as [`gemm_acc_with`].
 pub fn gemm_acc_scalar(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+    assert_shapes(m, k, n, a, b, c);
     // Block over k so that the `KB` rows of B being streamed stay in L1/L2.
     const KB: usize = 64;
     let mut k0 = 0;
@@ -245,234 +200,162 @@ pub fn gemm_acc_scalar(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &m
     }
 }
 
-pub(crate) fn gemv_scalar(
-    _m: usize,
+/// `C += A·B` over `L`'s lanes, the one loop nest of every vector tier:
+/// whole panels of four vectors, a trailing panel of 1–3 (under `MASKED`
+/// 1–4, the last masked), then any scalar tail columns (module header).
+///
+/// # Safety
+/// Requires the CPU features of `L`'s tier; `a`, `b` and `c` hold
+/// `m × k`, `k × n` and `m × n` elements.
+#[inline(always)]
+#[cfg_attr(
+    not(any(target_arch = "x86_64", target_arch = "aarch64")),
+    allow(dead_code)
+)]
+pub(crate) unsafe fn gemm_acc_lanes<L: Lanes<Elem = f64>, const ROWS: usize, const MASKED: bool>(
+    m: usize,
     k: usize,
+    n: usize,
     a: &[f64],
-    x: &[f64],
-    y: &mut [f64],
-    accumulate: bool,
+    b: &[f64],
+    c: &mut [f64],
 ) {
-    for (i, yi) in y.iter_mut().enumerate() {
-        let row = &a[i * k..(i + 1) * k];
-        let mut acc = 0.0;
-        for (aij, xj) in row.iter().zip(x) {
-            acc += aij * xj;
+    const { assert!(L::MASKED_TAIL || !MASKED) };
+    let w = L::WIDTH;
+    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let mut j = 0;
+    while j + 4 * w <= n {
+        panel::<L, 4, ROWS>(m, k, n, j, 4 * w, ap, bp, cp);
+        j += 4 * w;
+    }
+    let rest = n - j;
+    let cols = if MASKED { rest } else { rest - rest % w };
+    match cols.div_ceil(w) {
+        0 => {}
+        1 => panel::<L, 1, ROWS>(m, k, n, j, cols, ap, bp, cp),
+        2 => panel::<L, 2, ROWS>(m, k, n, j, cols, ap, bp, cp),
+        3 => panel::<L, 3, ROWS>(m, k, n, j, cols, ap, bp, cp),
+        _ => panel::<L, 4, ROWS>(m, k, n, j, cols, ap, bp, cp),
+    }
+    // The scalar column tail: empty under a mask.
+    for jt in j + cols..n {
+        for i in 0..m {
+            let arow = &a[i * k..(i + 1) * k];
+            let mut s = 0.0;
+            for (aip, bpj) in arow.iter().zip(b.iter().skip(jt).step_by(n)) {
+                s += aip * bpj;
+            }
+            c[i * n + jt] += s;
         }
-        if accumulate {
-            *yi += acc;
-        } else {
-            *yi = acc;
+    }
+}
+
+/// The `cols` columns from `j` in `REGS` vectors, the last masked to the
+/// columns it holds, for every row: `ROWS` rows at a time, then one.
+///
+/// # Safety
+/// As [`gemm_acc_lanes`], with `j + cols ≤ n`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
+    m: usize,
+    k: usize,
+    n: usize,
+    j: usize,
+    cols: usize,
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+) {
+    let w = L::WIDTH;
+    let masks: [u16; REGS] = core::array::from_fn(|q| L::FULL >> (w - (cols - w * q).min(w)));
+    let mut i = 0;
+    while i + ROWS <= m {
+        tile::<L, REGS, ROWS>(i, k, n, j, masks, a, b, c);
+        i += ROWS;
+    }
+    while i < m {
+        tile::<L, REGS, 1>(i, k, n, j, masks, a, b, c);
+        i += 1;
+    }
+}
+
+/// Rows `i..i + ROWS` × `REGS` vectors of `C` at column `j`, held in
+/// registers while `p` runs up `A`'s row and down `B`'s columns: one
+/// broadcast of `a_ip` per row, one fma per accumulator.
+///
+/// # Safety
+/// As [`panel`], with `i + ROWS ≤ m`.
+#[inline(always)]
+#[allow(clippy::too_many_arguments)]
+unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
+    i: usize,
+    k: usize,
+    n: usize,
+    j: usize,
+    masks: [u16; REGS],
+    a: *const f64,
+    b: *const f64,
+    c: *mut f64,
+) {
+    let w = L::WIDTH;
+    let mut acc = [[L::zero(); REGS]; ROWS];
+    for (r, row) in acc.iter_mut().enumerate() {
+        for (q, v) in row.iter_mut().enumerate() {
+            *v = L::load(c.add((i + r) * n + j + w * q), masks[q]);
+        }
+    }
+    for p in 0..k {
+        let mut bv = [L::zero(); REGS];
+        for (q, v) in bv.iter_mut().enumerate() {
+            *v = L::load(b.add(p * n + j + w * q), masks[q]);
+        }
+        for (r, row) in acc.iter_mut().enumerate() {
+            let av = L::splat(*a.add((i + r) * k + p));
+            for (q, v) in row.iter_mut().enumerate() {
+                *v = L::fma(av, bv[q], *v);
+            }
+        }
+    }
+    for (r, row) in acc.iter().enumerate() {
+        for (q, v) in row.iter().enumerate() {
+            L::store(c.add((i + r) * n + j + w * q), *v, masks[q]);
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
-mod avx2 {
+mod x86 {
+    use super::{assert_shapes, gemm_acc_lanes};
     use core::arch::x86_64::*;
 
-    /// 2-row × 16-column register-tiled `C += A·B`.
-    ///
-    /// # Safety
-    /// Caller must ensure the CPU supports AVX2 and FMA, and that the slice
-    /// lengths match (checked by the public wrapper).
+    /// Panics on a shape mismatch.
     #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        let ap = a.as_ptr();
-        let bp = b.as_ptr();
-        let cp = c.as_mut_ptr();
-        let mut i = 0;
-        // Main 2-row tile.
-        while i + 2 <= m {
-            row_pair(i, k, n, ap, bp, cp);
-            i += 2;
-        }
-        // Odd final row: a 1×16 tile with four accumulators.
-        if i < m {
-            row_single(i, k, n, ap, bp, cp);
-        }
+    pub fn gemm_acc_avx2(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+        assert_shapes(m, k, n, a, b, c);
+        // SAFETY: this function carries the tier's features; shapes checked.
+        unsafe { gemm_acc_lanes::<__m256d, 2, false>(m, k, n, a, b, c) }
     }
 
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn row_pair(i: usize, k: usize, n: usize, ap: *const f64, bp: *const f64, cp: *mut f64) {
-        let a0row = ap.add(i * k);
-        let a1row = ap.add((i + 1) * k);
-        let c0row = cp.add(i * n);
-        let c1row = cp.add((i + 1) * n);
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut q00 = _mm256_loadu_pd(c0row.add(j));
-            let mut q01 = _mm256_loadu_pd(c0row.add(j + 4));
-            let mut q02 = _mm256_loadu_pd(c0row.add(j + 8));
-            let mut q03 = _mm256_loadu_pd(c0row.add(j + 12));
-            let mut q10 = _mm256_loadu_pd(c1row.add(j));
-            let mut q11 = _mm256_loadu_pd(c1row.add(j + 4));
-            let mut q12 = _mm256_loadu_pd(c1row.add(j + 8));
-            let mut q13 = _mm256_loadu_pd(c1row.add(j + 12));
-            for p in 0..k {
-                let brow = bp.add(p * n + j);
-                let b0 = _mm256_loadu_pd(brow);
-                let b1 = _mm256_loadu_pd(brow.add(4));
-                let b2 = _mm256_loadu_pd(brow.add(8));
-                let b3 = _mm256_loadu_pd(brow.add(12));
-                let a0 = _mm256_set1_pd(*a0row.add(p));
-                let a1 = _mm256_set1_pd(*a1row.add(p));
-                q00 = _mm256_fmadd_pd(a0, b0, q00);
-                q01 = _mm256_fmadd_pd(a0, b1, q01);
-                q02 = _mm256_fmadd_pd(a0, b2, q02);
-                q03 = _mm256_fmadd_pd(a0, b3, q03);
-                q10 = _mm256_fmadd_pd(a1, b0, q10);
-                q11 = _mm256_fmadd_pd(a1, b1, q11);
-                q12 = _mm256_fmadd_pd(a1, b2, q12);
-                q13 = _mm256_fmadd_pd(a1, b3, q13);
-            }
-            _mm256_storeu_pd(c0row.add(j), q00);
-            _mm256_storeu_pd(c0row.add(j + 4), q01);
-            _mm256_storeu_pd(c0row.add(j + 8), q02);
-            _mm256_storeu_pd(c0row.add(j + 12), q03);
-            _mm256_storeu_pd(c1row.add(j), q10);
-            _mm256_storeu_pd(c1row.add(j + 4), q11);
-            _mm256_storeu_pd(c1row.add(j + 8), q12);
-            _mm256_storeu_pd(c1row.add(j + 12), q13);
-            j += 16;
-        }
-        while j + 4 <= n {
-            let mut q0 = _mm256_loadu_pd(c0row.add(j));
-            let mut q1 = _mm256_loadu_pd(c1row.add(j));
-            for p in 0..k {
-                let bv = _mm256_loadu_pd(bp.add(p * n + j));
-                q0 = _mm256_fmadd_pd(_mm256_set1_pd(*a0row.add(p)), bv, q0);
-                q1 = _mm256_fmadd_pd(_mm256_set1_pd(*a1row.add(p)), bv, q1);
-            }
-            _mm256_storeu_pd(c0row.add(j), q0);
-            _mm256_storeu_pd(c1row.add(j), q1);
-            j += 4;
-        }
-        while j < n {
-            let mut s0 = 0.0;
-            let mut s1 = 0.0;
-            for p in 0..k {
-                let bv = *bp.add(p * n + j);
-                s0 += *a0row.add(p) * bv;
-                s1 += *a1row.add(p) * bv;
-            }
-            *c0row.add(j) += s0;
-            *c1row.add(j) += s1;
-            j += 1;
-        }
+    /// Panics on a shape mismatch.
+    #[target_feature(enable = "avx512f")]
+    pub fn gemm_acc_avx512(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+        assert_shapes(m, k, n, a, b, c);
+        // SAFETY: this function carries the tier's features; shapes checked.
+        unsafe { gemm_acc_lanes::<__m512d, 4, true>(m, k, n, a, b, c) }
     }
+}
 
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn row_single(
-        i: usize,
-        k: usize,
-        n: usize,
-        ap: *const f64,
-        bp: *const f64,
-        cp: *mut f64,
-    ) {
-        let arow = ap.add(i * k);
-        let crow = cp.add(i * n);
-        let mut j = 0;
-        while j + 16 <= n {
-            let mut q0 = _mm256_loadu_pd(crow.add(j));
-            let mut q1 = _mm256_loadu_pd(crow.add(j + 4));
-            let mut q2 = _mm256_loadu_pd(crow.add(j + 8));
-            let mut q3 = _mm256_loadu_pd(crow.add(j + 12));
-            for p in 0..k {
-                let brow = bp.add(p * n + j);
-                let av = _mm256_set1_pd(*arow.add(p));
-                q0 = _mm256_fmadd_pd(av, _mm256_loadu_pd(brow), q0);
-                q1 = _mm256_fmadd_pd(av, _mm256_loadu_pd(brow.add(4)), q1);
-                q2 = _mm256_fmadd_pd(av, _mm256_loadu_pd(brow.add(8)), q2);
-                q3 = _mm256_fmadd_pd(av, _mm256_loadu_pd(brow.add(12)), q3);
-            }
-            _mm256_storeu_pd(crow.add(j), q0);
-            _mm256_storeu_pd(crow.add(j + 4), q1);
-            _mm256_storeu_pd(crow.add(j + 8), q2);
-            _mm256_storeu_pd(crow.add(j + 12), q3);
-            j += 16;
-        }
-        while j + 4 <= n {
-            let mut q = _mm256_loadu_pd(crow.add(j));
-            for p in 0..k {
-                q = _mm256_fmadd_pd(
-                    _mm256_set1_pd(*arow.add(p)),
-                    _mm256_loadu_pd(bp.add(p * n + j)),
-                    q,
-                );
-            }
-            _mm256_storeu_pd(crow.add(j), q);
-            j += 4;
-        }
-        while j < n {
-            let mut s = 0.0;
-            for p in 0..k {
-                s += *arow.add(p) * *bp.add(p * n + j);
-            }
-            *crow.add(j) += s;
-            j += 1;
-        }
-    }
+#[cfg(target_arch = "aarch64")]
+mod arm {
+    use super::{assert_shapes, gemm_acc_lanes};
+    use core::arch::aarch64::*;
 
-    #[target_feature(enable = "avx2,fma")]
-    unsafe fn hsum(v: __m256d) -> f64 {
-        let lo = _mm256_castpd256_pd128(v);
-        let hi = _mm256_extractf128_pd(v, 1);
-        let s = _mm_add_pd(lo, hi);
-        let swapped = _mm_unpackhi_pd(s, s);
-        _mm_cvtsd_f64(_mm_add_sd(s, swapped))
-    }
-
-    /// Row-wise dot products, 4 accumulators × 4 lanes per row.
-    ///
-    /// # Safety
-    /// Caller must ensure AVX2+FMA support and matching slice lengths.
-    #[target_feature(enable = "avx2,fma")]
-    pub unsafe fn gemv(_m: usize, k: usize, a: &[f64], x: &[f64], y: &mut [f64], accumulate: bool) {
-        let ap = a.as_ptr();
-        let xp = x.as_ptr();
-        for (i, yi) in y.iter_mut().enumerate() {
-            let row = ap.add(i * k);
-            let mut q0 = _mm256_setzero_pd();
-            let mut q1 = _mm256_setzero_pd();
-            let mut q2 = _mm256_setzero_pd();
-            let mut q3 = _mm256_setzero_pd();
-            let mut p = 0;
-            while p + 16 <= k {
-                q0 = _mm256_fmadd_pd(_mm256_loadu_pd(row.add(p)), _mm256_loadu_pd(xp.add(p)), q0);
-                q1 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(row.add(p + 4)),
-                    _mm256_loadu_pd(xp.add(p + 4)),
-                    q1,
-                );
-                q2 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(row.add(p + 8)),
-                    _mm256_loadu_pd(xp.add(p + 8)),
-                    q2,
-                );
-                q3 = _mm256_fmadd_pd(
-                    _mm256_loadu_pd(row.add(p + 12)),
-                    _mm256_loadu_pd(xp.add(p + 12)),
-                    q3,
-                );
-                p += 16;
-            }
-            while p + 4 <= k {
-                q0 = _mm256_fmadd_pd(_mm256_loadu_pd(row.add(p)), _mm256_loadu_pd(xp.add(p)), q0);
-                p += 4;
-            }
-            let mut acc = hsum(_mm256_add_pd(_mm256_add_pd(q0, q1), _mm256_add_pd(q2, q3)));
-            while p < k {
-                acc += *row.add(p) * *xp.add(p);
-                p += 1;
-            }
-            if accumulate {
-                *yi += acc;
-            } else {
-                *yi = acc;
-            }
-        }
+    /// Panics on a shape mismatch.
+    pub fn gemm_acc_neon(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+        assert_shapes(m, k, n, a, b, c);
+        // SAFETY: NEON is architecturally guaranteed on aarch64; shapes checked.
+        unsafe { gemm_acc_lanes::<float64x2_t, 2, false>(m, k, n, a, b, c) }
     }
 }
 
@@ -584,35 +467,6 @@ mod tests {
                             assert_eq!(x.to_bits(), y.to_bits(), "{kernel:?} K={k} row {i} of {m}");
                         }
                     }
-                }
-            }
-        }
-    }
-
-    #[test]
-    fn gemv_kernels_agree() {
-        for kernel in Kernel::available() {
-            for &(m, k) in &[(1, 1), (3, 5), (12, 12), (7, 17), (72, 72), (33, 129)] {
-                let a = pseudo(5 + m as u64, m * k);
-                let x = pseudo(7 + k as u64, k);
-                let mut y1 = pseudo(9, m);
-                let mut y2 = y1.clone();
-                gemv_with(kernel, m, k, &a, &x, &mut y1, true);
-                gemv_with(Kernel::Scalar, m, k, &a, &x, &mut y2, true);
-                for (p, q) in y1.iter().zip(&y2) {
-                    assert!(
-                        (p - q).abs() < 1e-11 * (1.0 + q.abs()),
-                        "{:?} {}x{}",
-                        kernel,
-                        m,
-                        k
-                    );
-                }
-                gemv_with(kernel, m, k, &a, &x, &mut y1, false);
-                gemv_with(Kernel::Scalar, m, k, &a, &x, &mut y2, false);
-                assert_eq!(y1.len(), y2.len());
-                for (p, q) in y1.iter().zip(&y2) {
-                    assert!((p - q).abs() < 1e-11 * (1.0 + q.abs()));
                 }
             }
         }

@@ -15,18 +15,15 @@
 //! Rust Performance Book guidance: no allocation and no bounds checks in
 //! hot loops.
 
-#[cfg(target_arch = "x86_64")]
-pub(crate) mod avx512;
 pub mod gemm;
 pub mod kernel;
+mod lanes;
 pub mod matrix;
-#[cfg(target_arch = "aarch64")]
-pub(crate) mod neon;
 pub mod pairwise;
 pub mod perm;
 
 pub use gemm::{gemm_acc, gemm_naive, gemv, gemv_acc};
-pub use kernel::{gemm_acc_scalar, gemm_acc_with, gemv_with, Kernel};
+pub use kernel::{gemm_acc_scalar, gemm_acc_with, Kernel};
 pub use matrix::Matrix;
 pub use perm::Permutation;
 

@@ -121,12 +121,12 @@ impl Matrix {
     }
 
     /// Apply `self * x` into `y` (overwrite). Shapes: `x.len() == cols`,
-    /// `y.len() == rows`.
+    /// `y.len() == rows`; panics otherwise.
     pub fn apply(&self, x: &[f64], y: &mut [f64]) {
         crate::gemm::gemv(self.rows, self.cols, &self.data, x, y);
     }
 
-    /// Accumulate `self * x` into `y`.
+    /// Accumulate `self * x` into `y`. Shapes as [`Matrix::apply`].
     pub fn apply_acc(&self, x: &[f64], y: &mut [f64]) {
         crate::gemm::gemv_acc(self.rows, self.cols, &self.data, x, y);
     }

@@ -5,26 +5,14 @@
 //! symmetric Newton's-third-law form — the target gathers while each
 //! source accumulates the reciprocal term into an f64 `s_out`; one target
 //! per source sweep, or two) and *force gather* (potential and field
-//! `Σ q_s·r⁻³·Δ` together). Each shape is written once, generic over a
-//! private `Lanes` vector type, and serves both precisions. A tier is a set
-//! of concrete entry points (`x86::gather_avx2`, …), each one instantiation
-//! of a body under the tier's `#[target_feature]`; they are not generic, so
-//! each is compiled once, in this crate, and the copy a rate probe times is
-//! the copy every executor runs. [`Kernel`] dispatch selects among them.
-//! The scalar tier is its own exact-`sqrt` bodies, which the vector tiers
-//! also run over whatever a run leaves after its last whole vector, seeded
-//! with the vector partial sums.
-//!
-//! This header is the table of record for what a tier is. The f32 kernels
-//! power the mixed-precision near field, whose error budget is derived in
-//! DESIGN.md §5.5 ("Kernel tiers and precision modes").
-//!
-//! | tier     | `Lanes` f64 / f32             | lanes  | rsqrt seed f64 / f32                             | NR steps | lane sum                              |
-//! |----------|-------------------------------|--------|--------------------------------------------------|----------|---------------------------------------|
-//! | scalar   | — (own bodies)                | 1 / 1  | `1.0 / x.sqrt()`, exact                          | —        | running sum in source order           |
-//! | avx2+fma | `__m256d` / `__m256`          | 4 / 8  | `rsqrt_ps` (2⁻¹²) of the f32-narrowed r² / of r² | 3 / 2    | halves, then pairs, then the last two |
-//! | avx512   | `__m512d` / `__m512`          | 8 / 16 | `rsqrt14_pd` / `rsqrt14_ps` (2⁻¹⁴)               | 2 / 1    | `_mm512_reduce_add_{pd,ps}`           |
-//! | neon     | `float64x2_t` / `float32x4_t` | 2 / 4  | `vrsqrte` (~2⁻⁸)                                 | 3 / 2    | `vaddvq`                              |
+//! `Σ q_s·r⁻³·Δ` together). Each shape is written once over the crate's
+//! `Lanes` vector type and serves both precisions; a tier is a set of
+//! concrete entry points (`x86::gather_avx2`, …) that [`Kernel`] dispatch
+//! selects among, and `lanes.rs`'s header tabulates what each tier is. The
+//! scalar tier is its own exact-`sqrt` bodies, which the vector tiers also
+//! run over whatever a run leaves after its last whole vector, seeded with
+//! the vector partial sums. The f32 kernels power the mixed-precision near
+//! field, whose error budget is derived in DESIGN.md §5.5.
 //!
 //! Newton–Raphson squares the relative error each step (`e ← 3/2·e²`), so
 //! the f64 paths land at ~1 ulp (2⁻¹⁴ → 2⁻²⁷ → 2⁻⁵³ for AVX-512) and the
@@ -33,40 +21,22 @@
 //! `r² + ε²` is `fma(Δz, Δz, fma(Δy, Δy, fma(Δx, Δx, ε²)))` on every
 //! vector tier and `Δx² + Δy² + Δz² + ε²`, unfused, on the scalar one.
 //!
-//! What a tier does with the sources after its last whole vector:
-//!
-//! | tier     | `gather` | `exchange` | `exchange_f32`, panel | `force_gather_f32` | `force_gather` |
-//! |----------|----------|------------|-----------------------|--------------------|----------------|
-//! | avx2+fma | scalar   | scalar     | scalar                | scalar             | scalar         |
-//! | avx512   | scalar   | scalar     | masked                | masked             | masked         |
-//! | neon     | scalar   | scalar     | scalar                | scalar             | scalar         |
-//!
-//! *scalar*: the scalar body continues from the vector partial sums.
-//! *masked*: one more vector iteration under a mask of the live leading
-//! lanes — dead lanes load 0 for every coordinate and charge and have r²
-//! pinned to 1 (it would be `|t|² + ε²`, which can be 0, and 0·∞ = NaN
-//! would poison the sums), so they add exactly 0, and the `s_out` update
-//! is write-masked. A box holds few enough particles that a scalar tail
-//! would dominate those calls. The policy is a const parameter of the
-//! body, named where each entry point instantiates it. Only AVX-512 has
-//! the two-target exchange ([`exchange_f32_panel_with`]); the other tiers
+//! In a masked tail, dead lanes load 0 for every coordinate and charge
+//! and have r² pinned to 1 (it would be `|t|² + ε²`, which can be 0, and
+//! 0·∞ = NaN would poison the sums), so they add exactly 0, and the
+//! `s_out` update is write-masked. A box holds few enough particles that
+//! a scalar tail would dominate those calls. Only AVX-512 has the
+//! two-target exchange ([`exchange_f32_panel_with`]); the other tiers
 //! serve a panel one `exchange_f32` per target.
-//!
-//! Checked on x86: the generic bodies at NEON's widths and tail policy
-//! through a portable lane type (unit tests below), and every x86 tier's
-//! output bits (`tests/pairwise_bits.rs`). Still needing an aarch64 host:
-//! the two NEON `Lanes` impls at the end of this file — one intrinsic per
-//! method bar `rsqrt_nr` and the f32 scatter — which CI cross-builds and
-//! lints but no one here can run.
 
 // Hosts with no vector tier still build the vector bodies' source.
 #![cfg_attr(
     not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(dead_code, unused_macros)
+    allow(dead_code)
 )]
 
 use crate::kernel::Kernel;
-use core::ops::{Add, AddAssign, Div, Mul, Sub};
+use crate::lanes::{Lanes, Real};
 
 /// The vector bodies read every slice through raw pointers up to the
 /// first one's length, so the safe entry points check the lengths — in
@@ -313,39 +283,6 @@ struct Run<'a, T> {
     qs: &'a [T],
 }
 
-/// `f64` or `f32`: what a lane holds and the scalar bodies compute in.
-trait Real:
-    Copy
-    + Add<Output = Self>
-    + Sub<Output = Self>
-    + Mul<Output = Self>
-    + Div<Output = Self>
-    + AddAssign
-    + Into<f64>
-{
-    const ZERO: Self;
-    const ONE: Self;
-    fn sqrt(self) -> Self;
-}
-
-impl Real for f64 {
-    const ZERO: f64 = 0.0;
-    const ONE: f64 = 1.0;
-    #[inline(always)]
-    fn sqrt(self) -> f64 {
-        f64::sqrt(self)
-    }
-}
-
-impl Real for f32 {
-    const ZERO: f32 = 0.0;
-    const ONE: f32 = 1.0;
-    #[inline(always)]
-    fn sqrt(self) -> f32 {
-        f32::sqrt(self)
-    }
-}
-
 // ---------------------------------------------------------------- scalar
 //
 // The scalar tier, the reference every other tier is tested against, and
@@ -508,100 +445,6 @@ mod scalar {
 }
 
 // ---------------------------------------------------------------- vector
-
-/// One SIMD vector of `WIDTH` lanes of `Elem`: the whole of what a tier
-/// contributes to the vector bodies below. Implemented for the x86 and
-/// NEON register types at the end of this file; each method there is the
-/// named intrinsic(s) and nothing else.
-///
-/// A `mask` names the lanes a memory operation touches, bit `l` for lane
-/// `l`: [`Lanes::FULL`] in every whole-vector iteration, `FULL` shifted
-/// down to the live leading lanes in a masked tail. Only a tier with
-/// `MASKED_TAIL` honours it; the others are only ever handed `FULL`,
-/// which the bodies check at compile time.
-///
-/// # Safety
-/// Every method requires the CPU features of the implementing type's tier
-/// (module header), and the pointer it takes, if any, to be valid for the
-/// lanes its mask names.
-trait Lanes: Copy {
-    type Elem: Real;
-    const WIDTH: usize;
-    const FULL: u16 = u16::MAX >> (16 - Self::WIDTH);
-    const MASKED_TAIL: bool = false;
-
-    unsafe fn splat(v: Self::Elem) -> Self;
-    /// The lanes in `mask` from `p`, unaligned; the rest 0.
-    unsafe fn load(p: *const Self::Elem, mask: u16) -> Self;
-    unsafe fn sub(a: Self, b: Self) -> Self;
-    unsafe fn add(a: Self, b: Self) -> Self;
-    unsafe fn mul(a: Self, b: Self) -> Self;
-    /// `a·b + c`, fused.
-    unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
-    /// `r2^{-1/2}` per lane: the tier's seed instruction refined by its
-    /// number of Newton–Raphson steps.
-    unsafe fn rsqrt_nr(r2: Self) -> Self;
-    /// `r2` with the lanes outside `mask` set to 1.
-    #[inline(always)]
-    unsafe fn pin_dead(r2: Self, _mask: u16) -> Self {
-        r2
-    }
-    /// Sum of the lanes, in the tier's own association.
-    unsafe fn hsum(v: Self) -> Self::Elem;
-    // Each default below is written in terms of the other: an f32 type
-    // implements `scatter_add`, an f64 type `scatter_fma`.
-    /// `out[l] += v[l]` for the f64 slots in `mask`. f32 lanes are widened
-    /// first, so source-side rounding never accumulates in f32; for f64
-    /// lanes `v·1 + out` in one rounding is the exact sum.
-    #[inline(always)]
-    unsafe fn scatter_add(out: *mut f64, v: Self, mask: u16) {
-        Self::scatter_fma(out, v, Self::splat(Self::Elem::ONE), mask)
-    }
-    /// `out[l] += a[l]·b[l]`: f32 lanes round the product and widen it,
-    /// f64 lanes fuse it into one rounding.
-    #[inline(always)]
-    unsafe fn scatter_fma(out: *mut f64, a: Self, b: Self, mask: u16) {
-        Self::scatter_add(out, Self::mul(a, b), mask)
-    }
-    #[inline(always)]
-    unsafe fn zero() -> Self {
-        Self::splat(Self::Elem::ZERO)
-    }
-}
-
-/// The [`Lanes`] methods that are one intrinsic each, by its name; `load`
-/// and `fma` also by their argument order.
-macro_rules! one_intrinsic {
-    (
-        splat = $splat:ident, sub = $sub:ident, add = $add:ident, mul = $mul:ident,
-        load($p:ident, $mask:ident) = $load:expr, fma($a:ident, $b:ident, $c:ident) = $fma:expr
-    ) => {
-        #[inline(always)]
-        unsafe fn splat(v: Self::Elem) -> Self {
-            $splat(v)
-        }
-        #[inline(always)]
-        unsafe fn sub(a: Self, b: Self) -> Self {
-            $sub(a, b)
-        }
-        #[inline(always)]
-        unsafe fn add(a: Self, b: Self) -> Self {
-            $add(a, b)
-        }
-        #[inline(always)]
-        unsafe fn mul(a: Self, b: Self) -> Self {
-            $mul(a, b)
-        }
-        #[inline(always)]
-        unsafe fn load($p: *const Self::Elem, $mask: u16) -> Self {
-            $load
-        }
-        #[inline(always)]
-        unsafe fn fma($a: Self, $b: Self, $c: Self) -> Self {
-            $fma
-        }
-    };
-}
 
 /// One vector of sources at `j`: `Δ = t − s` per axis and `r² + ε²`, the
 /// lanes outside `mask` pinned to r² = 1.
@@ -780,7 +623,7 @@ unsafe fn force_gather<L: Lanes, const MASKED: bool>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{exchange, force_gather, gather, Lanes, Run};
+    use super::{exchange, force_gather, gather, Run};
     use core::arch::x86_64::*;
 
     entry_points! {
@@ -848,165 +691,13 @@ mod x86 {
             t_out[a] += exchange_f32_avx512(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out) as f64;
         }
     }
-
-    /// AVX2+FMA, f64.
-    impl Lanes for __m256d {
-        type Elem = f64;
-        const WIDTH: usize = 4;
-        one_intrinsic! {
-            splat = _mm256_set1_pd, sub = _mm256_sub_pd, add = _mm256_add_pd, mul = _mm256_mul_pd,
-            load(p, _mask) = _mm256_loadu_pd(p), fma(a, b, c) = _mm256_fmadd_pd(a, b, c)
-        }
-        /// ~4e-4 → 1e-7 → 1e-14 → ~1 ulp.
-        #[inline(always)]
-        unsafe fn rsqrt_nr(r2: Self) -> Self {
-            let mut y = _mm256_cvtps_pd(_mm_rsqrt_ps(_mm256_cvtpd_ps(r2)));
-            let half = _mm256_set1_pd(0.5);
-            let three = _mm256_set1_pd(3.0);
-            for _ in 0..3 {
-                // y ← ½·y·(3 − r²·y²)
-                let y2 = _mm256_mul_pd(y, y);
-                let t = _mm256_fnmadd_pd(r2, y2, three);
-                y = _mm256_mul_pd(_mm256_mul_pd(half, y), t);
-            }
-            y
-        }
-        #[inline(always)]
-        unsafe fn hsum(v: Self) -> f64 {
-            let lo = _mm256_castpd256_pd128(v);
-            let hi = _mm256_extractf128_pd(v, 1);
-            let s = _mm_add_pd(lo, hi);
-            _mm_cvtsd_f64(_mm_add_sd(s, _mm_unpackhi_pd(s, s)))
-        }
-        #[inline(always)]
-        unsafe fn scatter_fma(out: *mut f64, a: Self, b: Self, _mask: u16) {
-            _mm256_storeu_pd(out, _mm256_fmadd_pd(a, b, _mm256_loadu_pd(out)))
-        }
-    }
-
-    /// AVX-512, f64.
-    impl Lanes for __m512d {
-        type Elem = f64;
-        const WIDTH: usize = 8;
-        const MASKED_TAIL: bool = true;
-        one_intrinsic! {
-            splat = _mm512_set1_pd, sub = _mm512_sub_pd, add = _mm512_add_pd, mul = _mm512_mul_pd,
-            load(p, mask) = _mm512_maskz_loadu_pd(mask as __mmask8, p),
-            fma(a, b, c) = _mm512_fmadd_pd(a, b, c)
-        }
-        /// 2⁻¹⁴ → ~6e-9 → ~5e-17, i.e. ~1 ulp.
-        #[inline(always)]
-        unsafe fn rsqrt_nr(r2: Self) -> Self {
-            let mut y = _mm512_rsqrt14_pd(r2);
-            let half = _mm512_set1_pd(0.5);
-            let three = _mm512_set1_pd(3.0);
-            for _ in 0..2 {
-                let y2 = _mm512_mul_pd(y, y);
-                let t = _mm512_fnmadd_pd(r2, y2, three);
-                y = _mm512_mul_pd(_mm512_mul_pd(half, y), t);
-            }
-            y
-        }
-        #[inline(always)]
-        unsafe fn hsum(v: Self) -> f64 {
-            _mm512_reduce_add_pd(v)
-        }
-        #[inline(always)]
-        unsafe fn pin_dead(r2: Self, mask: u16) -> Self {
-            _mm512_mask_mov_pd(_mm512_set1_pd(1.0), mask as __mmask8, r2)
-        }
-        #[inline(always)]
-        unsafe fn scatter_fma(out: *mut f64, a: Self, b: Self, mask: u16) {
-            let sum = _mm512_fmadd_pd(a, b, _mm512_maskz_loadu_pd(mask as __mmask8, out));
-            _mm512_mask_storeu_pd(out, mask as __mmask8, sum)
-        }
-    }
-
-    /// AVX2+FMA, f32.
-    impl Lanes for __m256 {
-        type Elem = f32;
-        const WIDTH: usize = 8;
-        one_intrinsic! {
-            splat = _mm256_set1_ps, sub = _mm256_sub_ps, add = _mm256_add_ps, mul = _mm256_mul_ps,
-            load(p, _mask) = _mm256_loadu_ps(p), fma(a, b, c) = _mm256_fmadd_ps(a, b, c)
-        }
-        #[inline(always)]
-        unsafe fn rsqrt_nr(r2: Self) -> Self {
-            let mut y = _mm256_rsqrt_ps(r2);
-            let half = _mm256_set1_ps(0.5);
-            let three = _mm256_set1_ps(3.0);
-            for _ in 0..2 {
-                let y2 = _mm256_mul_ps(y, y);
-                let t = _mm256_fnmadd_ps(r2, y2, three);
-                y = _mm256_mul_ps(_mm256_mul_ps(half, y), t);
-            }
-            y
-        }
-        #[inline(always)]
-        unsafe fn hsum(v: Self) -> f32 {
-            let lo = _mm256_castps256_ps128(v);
-            let hi = _mm256_extractf128_ps(v, 1);
-            let s = _mm_add_ps(lo, hi);
-            let s = _mm_add_ps(s, _mm_movehl_ps(s, s));
-            let s = _mm_add_ss(s, _mm_shuffle_ps(s, s, 1));
-            _mm_cvtss_f32(s)
-        }
-        #[inline(always)]
-        unsafe fn scatter_add(out: *mut f64, v: Self, _mask: u16) {
-            let lo = _mm256_cvtps_pd(_mm256_castps256_ps128(v));
-            let hi = _mm256_cvtps_pd(_mm256_extractf128_ps(v, 1));
-            _mm256_storeu_pd(out, _mm256_add_pd(_mm256_loadu_pd(out), lo));
-            _mm256_storeu_pd(out.add(4), _mm256_add_pd(_mm256_loadu_pd(out.add(4)), hi));
-        }
-    }
-
-    /// AVX-512, f32.
-    impl Lanes for __m512 {
-        type Elem = f32;
-        const WIDTH: usize = 16;
-        const MASKED_TAIL: bool = true;
-        one_intrinsic! {
-            splat = _mm512_set1_ps, sub = _mm512_sub_ps, add = _mm512_add_ps, mul = _mm512_mul_ps,
-            load(p, mask) = _mm512_maskz_loadu_ps(mask, p), fma(a, b, c) = _mm512_fmadd_ps(a, b, c)
-        }
-        /// 2⁻¹⁴ → ~6e-9, below f32 epsilon.
-        #[inline(always)]
-        unsafe fn rsqrt_nr(r2: Self) -> Self {
-            let y = _mm512_rsqrt14_ps(r2);
-            let y2 = _mm512_mul_ps(y, y);
-            let t = _mm512_fnmadd_ps(r2, y2, _mm512_set1_ps(3.0));
-            _mm512_mul_ps(_mm512_mul_ps(_mm512_set1_ps(0.5), y), t)
-        }
-        #[inline(always)]
-        unsafe fn hsum(v: Self) -> f32 {
-            _mm512_reduce_add_ps(v)
-        }
-        #[inline(always)]
-        unsafe fn pin_dead(r2: Self, mask: u16) -> Self {
-            _mm512_mask_mov_ps(_mm512_set1_ps(1.0), mask, r2)
-        }
-        /// Per 8-lane half. The upper half is skipped when it is all dead,
-        /// since `out.add(8)` may then lie past `s_out`; it comes out via
-        /// an f64x4-pair bitcast (`extractf32x8` would need AVX-512DQ).
-        #[inline(always)]
-        unsafe fn scatter_add(out: *mut f64, v: Self, mask: u16) {
-            let (mlo, mhi) = (mask as __mmask8, (mask >> 8) as __mmask8);
-            let lo = _mm512_cvtps_pd(_mm512_castps512_ps256(v));
-            _mm512_mask_storeu_pd(out, mlo, _mm512_add_pd(_mm512_maskz_loadu_pd(mlo, out), lo));
-            if mhi != 0 {
-                let hi = _mm256_castpd_ps(_mm512_extractf64x4_pd(_mm512_castps_pd(v), 1));
-                let (out, hi) = (out.add(8), _mm512_cvtps_pd(hi));
-                _mm512_mask_storeu_pd(out, mhi, _mm512_add_pd(_mm512_maskz_loadu_pd(mhi, out), hi));
-            }
-        }
-    }
 }
 
 // --------------------------------------------------------------- aarch64
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
-    use super::{exchange, force_gather, gather, Lanes, Run};
+    use super::{exchange, force_gather, gather, Run};
     use core::arch::aarch64::*;
 
     entry_points! {
@@ -1019,61 +710,6 @@ mod arm {
             exchange_f32_neon = exchange::<float32x4_t, 1, false>;
             force_gather_f32_neon = force_gather::<float32x4_t, false>;
             force_gather_neon = force_gather::<float64x2_t, false>;
-        }
-    }
-
-    /// `vrsqrte` seed (~2⁻⁸) + 3 `vrsqrts` steps.
-    impl Lanes for float64x2_t {
-        type Elem = f64;
-        const WIDTH: usize = 2;
-        one_intrinsic! {
-            splat = vdupq_n_f64, sub = vsubq_f64, add = vaddq_f64, mul = vmulq_f64,
-            load(p, _mask) = vld1q_f64(p), fma(a, b, c) = vfmaq_f64(c, a, b)
-        }
-        #[inline(always)]
-        unsafe fn rsqrt_nr(r2: Self) -> Self {
-            let mut y = vrsqrteq_f64(r2);
-            for _ in 0..3 {
-                y = vmulq_f64(y, vrsqrtsq_f64(vmulq_f64(r2, y), y));
-            }
-            y
-        }
-        #[inline(always)]
-        unsafe fn hsum(v: Self) -> f64 {
-            vaddvq_f64(v)
-        }
-        #[inline(always)]
-        unsafe fn scatter_fma(out: *mut f64, a: Self, b: Self, _mask: u16) {
-            vst1q_f64(out, vfmaq_f64(vld1q_f64(out), a, b))
-        }
-    }
-
-    /// `vrsqrte` seed + 2 `vrsqrts` steps.
-    impl Lanes for float32x4_t {
-        type Elem = f32;
-        const WIDTH: usize = 4;
-        one_intrinsic! {
-            splat = vdupq_n_f32, sub = vsubq_f32, add = vaddq_f32, mul = vmulq_f32,
-            load(p, _mask) = vld1q_f32(p), fma(a, b, c) = vfmaq_f32(c, a, b)
-        }
-        #[inline(always)]
-        unsafe fn rsqrt_nr(r2: Self) -> Self {
-            let mut y = vrsqrteq_f32(r2);
-            for _ in 0..2 {
-                y = vmulq_f32(y, vrsqrtsq_f32(vmulq_f32(r2, y), y));
-            }
-            y
-        }
-        #[inline(always)]
-        unsafe fn hsum(v: Self) -> f32 {
-            vaddvq_f32(v)
-        }
-        #[inline(always)]
-        unsafe fn scatter_add(out: *mut f64, v: Self, _mask: u16) {
-            let lo = vcvt_f64_f32(vget_low_f32(v));
-            let hi = vcvt_high_f64_f32(v);
-            vst1q_f64(out, vaddq_f64(vld1q_f64(out), lo));
-            vst1q_f64(out.add(2), vaddq_f64(vld1q_f64(out.add(2)), hi));
         }
     }
 }
@@ -1518,49 +1154,6 @@ mod tests {
             &LONG,
             &LONG,
         );
-    }
-
-    /// NEON's shape without NEON: `N` lanes in a plain array (2 of f64, 4 of
-    /// f32), an exact `1/sqrt` where NEON refines an estimate, no masked
-    /// tail, and the f32 scatter in widened pieces. What it shares with
-    /// the NEON tier is everything but the intrinsics: loop bounds, the
-    /// hand-off to the scalar tail and the `s_out` indexing.
-    impl<T: Real, const N: usize> Lanes for [T; N] {
-        type Elem = T;
-        const WIDTH: usize = N;
-        unsafe fn splat(v: T) -> Self {
-            [v; N]
-        }
-        unsafe fn load(p: *const T, _mask: u16) -> Self {
-            core::array::from_fn(|l| *p.add(l))
-        }
-        unsafe fn sub(a: Self, b: Self) -> Self {
-            core::array::from_fn(|l| a[l] - b[l])
-        }
-        unsafe fn add(a: Self, b: Self) -> Self {
-            core::array::from_fn(|l| a[l] + b[l])
-        }
-        unsafe fn mul(a: Self, b: Self) -> Self {
-            core::array::from_fn(|l| a[l] * b[l])
-        }
-        unsafe fn fma(a: Self, b: Self, c: Self) -> Self {
-            core::array::from_fn(|l| a[l] * b[l] + c[l])
-        }
-        unsafe fn rsqrt_nr(r2: Self) -> Self {
-            r2.map(|x| T::ONE / x.sqrt())
-        }
-        unsafe fn hsum(v: Self) -> T {
-            let mut sum = T::ZERO;
-            for x in v {
-                sum += x;
-            }
-            sum
-        }
-        unsafe fn scatter_add(out: *mut f64, v: Self, _mask: u16) {
-            for (l, x) in v.into_iter().enumerate() {
-                *out.add(l) += x.into();
-            }
-        }
     }
 
     #[test]

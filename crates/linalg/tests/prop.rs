@@ -1,9 +1,9 @@
 //! Scalar-parity property tests for every dispatched kernel family: on any
 //! host, every `Kernel::available()` entry must agree with the scalar
-//! reference on arbitrary shapes and data — GEMM, GEMV, and the pairwise
+//! reference on arbitrary shapes and data — GEMM and the pairwise
 //! near-field kernels (f64 and f32).
 
-use fmm_linalg::kernel::{gemm_acc_with, gemv_with, Kernel};
+use fmm_linalg::kernel::{gemm_acc_with, Kernel};
 use fmm_linalg::pairwise;
 use proptest::prelude::*;
 
@@ -36,33 +36,6 @@ proptest! {
             for (x, y) in c.iter().zip(&want) {
                 prop_assert!((x - y).abs() < 1e-11 * (1.0 + y.abs()),
                              "{:?} {}x{}x{}: {} vs {}", kernel, m, k, n, x, y);
-            }
-        }
-    }
-
-    /// GEMV agrees with the scalar kernel in both accumulate modes.
-    #[test]
-    fn gemv_matches_scalar(m in 1usize..50, k in 1usize..80, seed in 0u64..1000) {
-        let pseudo = |s: u64, len: usize| -> Vec<f64> {
-            let mut state = (seed ^ s).wrapping_mul(6364136223846793005).wrapping_add(1);
-            (0..len).map(|_| {
-                state = state.wrapping_mul(6364136223846793005).wrapping_add(1442695040888963407);
-                ((state >> 11) as f64 / (1u64 << 53) as f64) * 2.0 - 1.0
-            }).collect()
-        };
-        let a = pseudo(4, m * k);
-        let x = pseudo(5, k);
-        let y0 = pseudo(6, m);
-        for accumulate in [false, true] {
-            let mut want = y0.clone();
-            gemv_with(Kernel::Scalar, m, k, &a, &x, &mut want, accumulate);
-            for kernel in Kernel::available() {
-                let mut y = y0.clone();
-                gemv_with(kernel, m, k, &a, &x, &mut y, accumulate);
-                for (p, q) in y.iter().zip(&want) {
-                    prop_assert!((p - q).abs() < 1e-11 * (1.0 + q.abs()),
-                                 "{:?} {}x{} acc={}", kernel, m, k, accumulate);
-                }
             }
         }
     }

@@ -1,7 +1,7 @@
 //! Property-based tests of physical and structural invariants.
 
 use anderson_fmm::fmm_core::{Fmm, FmmConfig};
-use anderson_fmm::fmm_linalg::{gemm_acc_with, gemm_naive, gemv_with, Kernel};
+use anderson_fmm::fmm_linalg::{gemm_acc_with, gemm_naive, Kernel};
 use anderson_fmm::fmm_tree::{bin_particles, morton, BoxCoord, Domain};
 use proptest::prelude::*;
 
@@ -177,27 +177,6 @@ proptest! {
         for (x, y) in c1.iter().zip(&c2) {
             prop_assert!((x - y).abs() < 1e-12 * scale * (1.0 + y.abs()),
                          "K={} n={}: {} vs {}", k, n, x, y);
-        }
-    }
-
-    /// The dispatched GEMV kernel agrees with scalar on odd lengths, in
-    /// both overwrite and accumulate modes.
-    #[test]
-    fn simd_gemv_matches_scalar(
-        m in 1usize..200,
-        k in 1usize..130,
-        accumulate in proptest::bool::ANY,
-        seed in 0u64..1000,
-    ) {
-        let a = pseudo_f64(seed, m * k);
-        let x = pseudo_f64(seed ^ 0x1b3, k);
-        let mut y1 = pseudo_f64(seed ^ 0x5c9, m);
-        let mut y2 = y1.clone();
-        gemv_with(Kernel::detect(), m, k, &a, &x, &mut y1, accumulate);
-        gemv_with(Kernel::Scalar, m, k, &a, &x, &mut y2, accumulate);
-        for (p, q) in y1.iter().zip(&y2) {
-            prop_assert!((p - q).abs() < 1e-12 * (1.0 + q.abs()),
-                         "m={} k={} acc={}: {} vs {}", m, k, accumulate, p, q);
         }
     }
 
