@@ -50,38 +50,42 @@ pub fn peak_gemm_gflops() -> f64 {
 /// to the CM-5E model's time for `model_matrices` on one VU (the paper's
 /// "all-redundant" strategy, Figs. 8–9), for the paper's K = 12, 50, 72 and
 /// this repo's headline K = 120. `build(rule, m)` builds the matrices and
-/// returns how many it built; the best of three calls is reported.
+/// returns how many it evaluated from the series and how many it derived
+/// from a mirror image; the best of three calls is reported.
 pub fn measured_build_table(
     model_matrices: usize,
-    build: impl Fn(&fmm_core::SphereRule, usize) -> usize,
+    build: impl Fn(&fmm_core::SphereRule, usize) -> (usize, usize),
 ) {
     use fmm_core::translations::matrix_build_flops;
     use fmm_machine::replication::{precompute_cost, ReplicationStrategy};
     let cost = fmm_machine::CostModel::cm5e();
     println!(
-        "{:>4} {:>3} {:>12} {:>10} {:>12} {:>14}",
-        "K", "M", "build", "ns/entry", "flops/entry", "CM-5E model"
+        "{:>4} {:>3} {:>6} {:>8} {:>12} {:>10} {:>12} {:>14}",
+        "K", "M", "built", "derived", "build", "ns/entry", "flops/entry", "CM-5E model"
     );
     for (d, m) in [(5usize, 3usize), (9, 5), (11, 8), (14, 8)] {
         let rule = fmm_core::SphereRule::for_order(d);
         let k = rule.len();
-        let (t, n) = best_of(3, || build(&rule, m));
+        let (t, (built, derived)) = best_of(3, || build(&rule, m));
         let strategy = ReplicationStrategy::ComputeAllRedundant;
         let model = precompute_cost(model_matrices, k, m, 1, strategy, 0, &cost);
         println!(
-            "{:>4} {:>3} {:>10.3}ms {:>10.2} {:>12} {:>12.1}ms",
+            "{:>4} {:>3} {:>6} {:>8} {:>10.3}ms {:>10.2} {:>12} {:>12.1}ms",
             k,
             m,
+            built,
+            derived,
             t * 1e3,
-            t * 1e9 / (n * k * k) as f64,
+            t * 1e9 / (built * k * k) as f64,
             matrix_build_flops(k, m) / (k * k) as u64,
             model.total_s() * 1e3
         );
     }
     println!(
-        "(ns/entry over all matrices built; flops/entry is `matrix_build_flops`,\n\
-         7 per series term + 10: the build runs at flops/entry ÷ ns/entry Gflop/s,\n\
-         bounded by one divide per term.)"
+        "(ns/entry over the built matrices only, the derived ones' permuted\n\
+         copies included in the time; flops/entry is `matrix_build_flops`,\n\
+         7 per series term + 10: the build runs at flops/entry ÷ ns/entry\n\
+         Gflop/s, bounded by one divide per term.)"
     );
 }
 

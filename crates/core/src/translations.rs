@@ -13,9 +13,16 @@
 //! of potential vectors laid out one-vector-per-row (`n_boxes × K`), so the
 //! update is `OUT (n×K) += IN (n×K) · Tᵗ (K×K)` — a single GEMM with unit
 //! stride everywhere.
+//!
+//! The paper observes that the symmetry of the sphere points makes the
+//! matrices permutations of one another (§3.5). Here that is exact: when the
+//! rule is invariant under a sign flip g ([`SphereRule::mirrors`]), the
+//! matrix of the mirrored geometry is the stored one with rows and columns
+//! permuted by g's point involution σ, to the bit. So one matrix is built
+//! per mirror orbit and the rest are derived from it by `conjugate`.
 
 use fmm_linalg::Matrix;
-use fmm_sphere::{inner_kernel_row, outer_kernel_row, SphereRule};
+use fmm_sphere::{inner_kernel_row, outer_kernel_row, Mirror, SphereRule};
 use fmm_tree::{interactive_field_union, supernode_decomposition, Separation};
 use std::collections::HashMap;
 
@@ -46,14 +53,19 @@ pub struct TranslationSet {
     /// [`TranslationSet::t2_index_for`]; `None` for every offset the
     /// traversal never asks for. Without supernodes that is the near field
     /// only: from depth 3 on every one of the 1206 interactive offsets of
-    /// the 11³ = 1331 cube is some box's, so all are built (the paper does
+    /// the 11³ = 1331 cube is some box's, so all are stored (the paper does
     /// the same). With supernodes it is also every child-level offset the
     /// decomposition folded into a parent source; only the leftover
-    /// children of the eight octants are built (152 at two-separation).
+    /// children of the eight octants are stored (218 at two-separation).
     pub t2t: Vec<Option<Matrix>>,
     /// Supernode T2 matrices keyed by the doubled parent-centre offset.
     // det: matrices are fetched by offset key only, never iterated.
     pub t2t_super: HashMap<[i32; 3], Matrix>,
+    /// T1/T3 matrices evaluated from the series; the other stored ones
+    /// were derived from a mirror image ([`TranslationSet::derived`]).
+    pub built_t1t3: usize,
+    /// T2 matrices, supernode ones included, evaluated from the series.
+    pub built_t2: usize,
 }
 
 /// Floating point work to build one K×K translation matrix with truncation
@@ -95,36 +107,117 @@ fn sample_point(rule: &SphereRule, j: usize, scale: f64, shift: [f64; 3]) -> [f6
     ]
 }
 
-impl TranslationSet {
-    /// The eight T1 and the eight T3 matrices (transposed, by octant) for
-    /// sphere radii in units of the *child* box side.
-    ///
+/// `out[a][b] = m[σa][σb]`, written row by row in order: the matrix of the
+/// mirror image of `m`'s geometry under the flip whose point involution is
+/// `sigma`. Equal to the series evaluated at that image, bit for bit.
+fn conjugate(m: &Matrix, sigma: &[usize]) -> Matrix {
+    let k = sigma.len();
+    let mut out = Vec::with_capacity(k * k);
+    for &sa in sigma {
+        let row = m.row(sa);
+        out.extend(sigma.iter().map(|&sb| row[sb]));
+    }
+    Matrix::from_vec(k, k, out)
+}
+
+/// The first stored mirror image of a key, conjugated back: `stored(g)` is
+/// the matrix at g's image of the key, if there is one yet.
+fn mirror_image<'s>(
+    mirrors: &[Mirror],
+    stored: impl Fn(&Mirror) -> Option<&'s Matrix>,
+) -> Option<Matrix> {
+    mirrors
+        .iter()
+        .find_map(|g| stored(g).map(|mt| conjugate(mt, &g.sigma)))
+}
+
+/// The series evaluation of each family's matrices, from their geometry
+/// key alone; sphere radii are in units of the *child* box side.
+struct Direct<'a> {
+    rule: &'a SphereRule,
+    m: usize,
+    outer_ratio: f64,
+    inner_ratio: f64,
+}
+
+impl Direct<'_> {
     /// T1: parent sample j is the child's outer approximation evaluated at
     /// the parent integration point (2ρ s_j, relative to the parent
     /// centre), i.e. at 2ρ s_j − c_oct relative to the child centre.
+    fn t1(&self, oct: usize) -> Matrix {
+        let (rule, c) = (self.rule, child_center_offset(oct));
+        transposed_from_rows(rule.len(), |j, row| {
+            let x = sample_point(rule, j, 2.0 * self.outer_ratio, c.map(|v| -v));
+            outer_kernel_row(rule, self.m, self.outer_ratio, x, row)
+        })
+    }
+
     /// T3: child sample j is the parent's inner approximation evaluated at
     /// c_oct + b s_j relative to the parent centre.
+    fn t3(&self, oct: usize) -> Matrix {
+        let (rule, c) = (self.rule, child_center_offset(oct));
+        transposed_from_rows(rule.len(), |j, row| {
+            let x = sample_point(rule, j, self.inner_ratio, c);
+            inner_kernel_row(rule, self.m, 2.0 * self.inner_ratio, x, row)
+        })
+    }
+
+    /// T2: target sample j is the source box's outer approximation
+    /// evaluated at b s_j − o relative to the source centre, where o is the
+    /// source-centre offset (source − target) in child boxes.
+    fn t2(&self, o: [i32; 3]) -> Matrix {
+        self.t2_at(self.outer_ratio, o.map(|v| v as f64))
+    }
+
+    /// Supernode T2: a parent-level source (outer radius 2ρ) keyed by the
+    /// doubled, half-integral offset.
+    fn t2_super(&self, key: [i32; 3]) -> Matrix {
+        self.t2_at(2.0 * self.outer_ratio, key.map(|v| v as f64 / 2.0))
+    }
+
+    fn t2_at(&self, a: f64, o: [f64; 3]) -> Matrix {
+        let rule = self.rule;
+        transposed_from_rows(rule.len(), |j, row| {
+            let x = sample_point(rule, j, self.inner_ratio, o.map(|v| -v));
+            outer_kernel_row(rule, self.m, a, x, row)
+        })
+    }
+}
+
+impl TranslationSet {
+    /// The eight T1 and the eight T3 matrices (transposed, by octant) for
+    /// sphere radii in units of the *child* box side, and how many of the
+    /// sixteen were evaluated from the series: a mirror g sends octant
+    /// `oct` to `oct ^ g.flips`, so an octant with a lower mirror image is
+    /// derived from it.
     pub fn build_t1_t3(
         rule: &SphereRule,
         m: usize,
         outer_ratio: f64,
         inner_ratio: f64,
-    ) -> (Vec<Matrix>, Vec<Matrix>) {
-        let k = rule.len();
-        (0..8)
-            .map(|oct| {
-                let c = child_center_offset(oct);
-                let t1t = transposed_from_rows(k, |j, row| {
-                    let x = sample_point(rule, j, 2.0 * outer_ratio, c.map(|v| -v));
-                    outer_kernel_row(rule, m, outer_ratio, x, row)
-                });
-                let t3t = transposed_from_rows(k, |j, row| {
-                    let x = sample_point(rule, j, inner_ratio, c);
-                    inner_kernel_row(rule, m, 2.0 * inner_ratio, x, row)
-                });
-                (t1t, t3t)
-            })
-            .unzip()
+    ) -> (Vec<Matrix>, Vec<Matrix>, usize) {
+        let direct = Direct {
+            rule,
+            m,
+            outer_ratio,
+            inner_ratio,
+        };
+        let mirrors = rule.mirrors();
+        let (mut t1t, mut t3t, mut built) = (Vec::with_capacity(8), Vec::with_capacity(8), 0);
+        for oct in 0..8 {
+            match mirrors.iter().find(|g| oct ^ g.flips < oct) {
+                Some(g) => {
+                    t1t.push(conjugate(&t1t[oct ^ g.flips], &g.sigma));
+                    t3t.push(conjugate(&t3t[oct ^ g.flips], &g.sigma));
+                }
+                None => {
+                    t1t.push(direct.t1(oct));
+                    t3t.push(direct.t3(oct));
+                    built += 2;
+                }
+            }
+        }
+        (t1t, t3t, built)
     }
 
     /// Build the matrices for a rule, truncation, sphere radii (in units of
@@ -134,6 +227,12 @@ impl TranslationSet {
     /// parent-level source matrices and the leftover child-level ones — and
     /// not the rest of the T2 cube, so it serves `downward_pass(…,
     /// supernodes = true, …)` only; without it, the plain traversal only.
+    ///
+    /// The walk evaluates a matrix only when none of its mirror images is
+    /// stored yet, and derives it from one otherwise. The icosahedral rule
+    /// (all seven flips) thus builds 189 of the 1206 T2 matrices, one per
+    /// orbit of [−5,5]³∖[−2,2]³, and 2 of the 16 T1/T3; a product rule
+    /// (the z flip) 651 and 8; a rule with no mirrors, everything.
     pub fn build(
         rule: &SphereRule,
         m: usize,
@@ -142,54 +241,66 @@ impl TranslationSet {
         separation: Separation,
         with_supernodes: bool,
     ) -> Self {
-        let k = rule.len();
-        let (t1t, t3t) = Self::build_t1_t3(rule, m, outer_ratio, inner_ratio);
-
-        // T2: target sample j is the source box's outer approximation
-        // evaluated at b s_j − o relative to the source centre, where
-        // o is the source-centre offset (source − target) in box units —
-        // whole child boxes in the cube, half-integral for the supernode
-        // matrices (parent-level sources, outer radius 2ρ, keyed by the
-        // doubled offset; the key set is shared across octants).
-        let t2 = |a: f64, o: [f64; 3]| {
-            transposed_from_rows(k, |j, row| {
-                let x = sample_point(rule, j, inner_ratio, o.map(|v| -v));
-                outer_kernel_row(rule, m, a, x, row)
-            })
+        let (t1t, t3t, built_t1t3) = Self::build_t1_t3(rule, m, outer_ratio, inner_ratio);
+        let direct = Direct {
+            rule,
+            m,
+            outer_ratio,
+            inner_ratio,
         };
+        let mirrors = rule.mirrors();
+
         let w = (4 * separation.d() + 3) as usize;
         let mut t2t: Vec<Option<Matrix>> = vec![None; w * w * w];
         // det: keyed lookups only (see the field's justification).
         let mut t2t_super = HashMap::new();
+        let mut built_t2 = 0;
         let mut child_offsets = Vec::new();
         if with_supernodes {
+            // The supernode key set is shared across octants.
             for oct in 0..8 {
                 let sd =
                     supernode_decomposition([oct & 1, (oct >> 1) & 1, (oct >> 2) & 1], separation);
                 child_offsets.extend(sd.children);
-                for p in sd.parents {
-                    t2t_super
-                        .entry(p.center_offset_half)
-                        .or_insert_with_key(|key| {
-                            t2(2.0 * outer_ratio, key.map(|v| v as f64 / 2.0))
+                for key in sd.parents.iter().map(|p| p.center_offset_half) {
+                    if t2t_super.contains_key(&key) {
+                        continue;
+                    }
+                    let mt = mirror_image(&mirrors, |g| t2t_super.get(&g.apply(key)))
+                        .unwrap_or_else(|| {
+                            built_t2 += 1;
+                            direct.t2_super(key)
                         });
+                    t2t_super.insert(key, mt);
                 }
             }
         } else {
             child_offsets = interactive_field_union(separation);
         }
         for o in child_offsets {
-            t2t[Self::t2_index_for(separation, o)]
-                .get_or_insert_with(|| t2(outer_ratio, o.map(|v| v as f64)));
+            let i = Self::t2_index_for(separation, o);
+            if t2t[i].is_some() {
+                continue;
+            }
+            let mt = mirror_image(&mirrors, |g| {
+                t2t[Self::t2_index_for(separation, g.apply(o))].as_ref()
+            })
+            .unwrap_or_else(|| {
+                built_t2 += 1;
+                direct.t2(o)
+            });
+            t2t[i] = Some(mt);
         }
 
         TranslationSet {
-            k,
+            k: rule.len(),
             separation,
             t1t,
             t3t,
             t2t,
             t2t_super,
+            built_t1t3,
+            built_t2,
         }
     }
 
@@ -214,12 +325,30 @@ impl TranslationSet {
         self.t2t.iter().filter(|m| m.is_some()).count()
     }
 
+    /// Number of matrices stored, of every family.
+    pub fn matrix_count(&self) -> usize {
+        self.t1t.len() + self.t3t.len() + self.t2_count() + self.t2t_super.len()
+    }
+
+    /// Matrices evaluated from the series.
+    pub fn built(&self) -> usize {
+        self.built_t1t3 + self.built_t2
+    }
+
+    /// Matrices derived from a mirror image by index permutation. Every
+    /// one is still stored: the GEMM runs each output column as one fma
+    /// chain with p ascending, and applying a stored matrix through
+    /// σ-permuted panels would run p in σ order and change bits
+    /// (DESIGN §5.2).
+    pub fn derived(&self) -> usize {
+        self.matrix_count() - self.built()
+    }
+
     /// Memory footprint of all stored matrices in bytes (the paper tracks
     /// this: 1331 double-precision K×K matrices are 1.53 MB at K = 12 and
     /// 53.9 MB at K = 72).
     pub fn memory_bytes(&self) -> usize {
-        let per = self.k * self.k * std::mem::size_of::<f64>();
-        (self.t1t.len() + self.t3t.len() + self.t2_count() + self.t2t_super.len()) * per
+        self.matrix_count() * self.k * self.k * std::mem::size_of::<f64>()
     }
 }
 
@@ -407,16 +536,117 @@ mod tests {
         }
     }
 
+    fn same_bits(a: &Matrix, b: &Matrix) -> bool {
+        a.as_slice().len() == b.as_slice().len()
+            && a.as_slice()
+                .iter()
+                .zip(b.as_slice())
+                .all(|(x, y)| x.to_bits() == y.to_bits())
+    }
+
     #[test]
-    fn t1_matrices_are_permutations_of_each_other() {
+    fn t1_t3_matrices_are_exact_permutations_of_each_other() {
         // The paper: "due to the symmetry of the distribution of the
         // integration points on the spheres, the eight matrices required to
-        // represent T1 (T3) are permutations of each other". True for the
-        // icosahedral rule (antipodally symmetric point set).
-        let ts = TranslationSet::build(&rule5(), 5, 1.0, 1.0, Separation::Two, false);
-        for oct in 1..8 {
-            let p = fmm_linalg::perm::find_row_permutation(&ts.t1t[0], &ts.t1t[oct], 1e-9);
-            assert!(p.is_some(), "t1t[0] and t1t[{}] not row-permutable", oct);
+        // represent T1 (T3) are permutations of each other". Under the
+        // icosahedral rule every octant is the flip `oct` of octant 0, and
+        // its matrices are octant 0's conjugated by that flip's σ, exactly.
+        let rule = rule5();
+        let ts = TranslationSet::build(&rule, 5, 1.0, 1.0, Separation::Two, false);
+        let mirrors = rule.mirrors();
+        assert_eq!(mirrors.len(), 7);
+        for g in &mirrors {
+            let oct = g.flips;
+            assert!(same_bits(&ts.t1t[oct], &conjugate(&ts.t1t[0], &g.sigma)));
+            assert!(same_bits(&ts.t3t[oct], &conjugate(&ts.t3t[0], &g.sigma)));
+        }
+    }
+
+    /// Builds the set for `order` under both supernode settings and holds
+    /// every stored matrix, derived or built, to the bits of its own series
+    /// evaluation. Returns `(mirrors, [(built T1/T3, built T2, stored T2)
+    /// without and with supernodes])`.
+    fn derived_against_direct(order: usize) -> (usize, [(usize, usize, usize); 2]) {
+        let cfg = FmmConfig::order(order);
+        let rule = cfg.rule();
+        let direct = Direct {
+            rule: &rule,
+            m: cfg.m_trunc,
+            outer_ratio: cfg.outer_ratio,
+            inner_ratio: cfg.inner_ratio,
+        };
+        let r = 2 * cfg.separation.d() + 1;
+        let counts = [false, true].map(|supernodes| {
+            let ts = TranslationSet::build(
+                &rule,
+                cfg.m_trunc,
+                cfg.outer_ratio,
+                cfg.inner_ratio,
+                cfg.separation,
+                supernodes,
+            );
+            for oct in 0..8 {
+                assert!(same_bits(&ts.t1t[oct], &direct.t1(oct)), "T1 {oct}");
+                assert!(same_bits(&ts.t3t[oct], &direct.t3(oct)), "T3 {oct}");
+            }
+            for z in -r..=r {
+                for y in -r..=r {
+                    for x in -r..=r {
+                        if let Some(mt) = ts.t2([x, y, z]) {
+                            let o = [x, y, z];
+                            assert!(same_bits(mt, &direct.t2(o)), "T2 {o:?}");
+                        }
+                    }
+                }
+            }
+            for (key, mt) in &ts.t2t_super {
+                assert!(same_bits(mt, &direct.t2_super(*key)), "supernode {key:?}");
+            }
+            assert_eq!(ts.built() + ts.derived(), ts.matrix_count());
+            (
+                ts.built_t1t3,
+                ts.built_t2,
+                ts.t2_count() + ts.t2t_super.len(),
+            )
+        });
+        (rule.mirrors().len(), counts)
+    }
+
+    /// One matrix is built per mirror orbit, and every derived matrix has
+    /// the bits a direct build gives it, for each rule kind `for_order`
+    /// picks: tetrahedron (order 1, 3 mirrors), octahedron (3, 7),
+    /// icosahedron (5, 7), product rules (6, 8, only the z flip). Under all
+    /// seven flips the 1206 T2 offsets fall into 189 orbits, one per point
+    /// of [0,5]³∖[0,2]³; under the z flip into 651, the 96 with oz = 0 and
+    /// 555 mirror pairs.
+    #[test]
+    fn derived_matrices_match_direct_builds() {
+        let cases = [
+            (1, 3, [(4, 306, 1206), (4, 252, 1002)]),
+            (3, 7, [(2, 189, 1206), (2, 135, 1002)]),
+            (5, 7, [(2, 189, 1206), (2, 135, 1002)]),
+            (6, 1, [(8, 651, 1206), (8, 513, 1002)]),
+            (8, 1, [(8, 651, 1206), (8, 513, 1002)]),
+        ];
+        for (order, mirrors, counts) in cases {
+            assert_eq!(
+                derived_against_direct(order),
+                (mirrors, counts),
+                "order {order}"
+            );
+        }
+    }
+
+    /// The same at the high orders, K = 120 and 153.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore)]
+    fn derived_matrices_match_direct_builds_high_order() {
+        for order in [14, 16] {
+            assert_eq!(
+                derived_against_direct(order),
+                (1, [(8, 651, 1206), (8, 513, 1002)]),
+                "order {order}"
+            );
         }
     }
 

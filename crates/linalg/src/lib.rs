@@ -20,12 +20,10 @@ pub mod kernel;
 mod lanes;
 pub mod matrix;
 pub mod pairwise;
-pub mod perm;
 
 pub use gemm::{gemm_acc, gemm_naive, gemv, gemv_acc};
 pub use kernel::{gemm_acc_scalar, gemm_acc_with, Kernel};
 pub use matrix::Matrix;
-pub use perm::Permutation;
 
 /// Number of floating point operations for an `m×k` by `k×n` matrix product
 /// (multiplies + adds counted separately, as the paper's Mflops rates do).

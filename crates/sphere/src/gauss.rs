@@ -7,18 +7,25 @@
 
 use crate::legendre::legendre_all_with_deriv;
 
-/// Nodes and weights of the `n`-point Gauss–Legendre rule on [−1, 1].
+/// Nodes and weights of the `n`-point Gauss–Legendre rule on [−1, 1],
+/// nodes ascending.
 ///
-/// Nodes are roots of Pₙ found by Newton iteration from the Chebyshev-like
-/// initial guess; weights are 2 / ((1 − x²) Pₙ'(x)²). Accurate to ~1e-15
-/// for the modest n (≤ 64) used by sphere rules.
+/// The positive nodes are roots of Pₙ found by Newton iteration from the
+/// Chebyshev-like initial guess; weights are 2 / ((1 − x²) Pₙ'(x)²).
+/// Accurate to ~1e-15 for the modest n (≤ 64) used by sphere rules.
+///
+/// The rule is symmetric by construction, not by luck of rounding: node
+/// n−1−i is exactly −(node i) with the same weight, and an odd rule's
+/// middle node is exactly 0.0. A product rule's z mirror, which the
+/// translation set derives matrices from, rests on this.
 pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
     assert!(n >= 1, "need at least one node");
     let mut nodes = vec![0.0; n];
     let mut weights = vec![0.0; n];
     let mut p = vec![0.0; n + 1];
     let mut dp = vec![0.0; n + 1];
-    for i in 0..n {
+    // The cos ladder's first n/2 guesses are the positive roots, descending.
+    for i in 0..n / 2 {
         // Initial guess (Abramowitz & Stegun 25.4.38-style).
         let mut x = (std::f64::consts::PI * (i as f64 + 0.75) / (n as f64 + 0.5)).cos();
         for _ in 0..100 {
@@ -29,17 +36,20 @@ pub fn gauss_legendre(n: usize) -> (Vec<f64>, Vec<f64>) {
                 break;
             }
         }
-        legendre_all_with_deriv(n, x, &mut p, &mut dp);
-        nodes[i] = x;
-        weights[i] = 2.0 / ((1.0 - x * x) * dp[n] * dp[n]);
+        let w = weight(n, x, &mut p, &mut dp);
+        (nodes[n - 1 - i], weights[n - 1 - i]) = (x, w);
+        (nodes[i], weights[i]) = (-x, w);
     }
-    // Newton converged from the cos ladder gives descending nodes; sort
-    // ascending for a canonical ordering.
-    let mut idx: Vec<usize> = (0..n).collect();
-    idx.sort_by(|&a, &b| nodes[a].partial_cmp(&nodes[b]).unwrap());
-    let nodes_sorted: Vec<f64> = idx.iter().map(|&i| nodes[i]).collect();
-    let weights_sorted: Vec<f64> = idx.iter().map(|&i| weights[i]).collect();
-    (nodes_sorted, weights_sorted)
+    if n % 2 == 1 {
+        weights[n / 2] = weight(n, 0.0, &mut p, &mut dp);
+    }
+    (nodes, weights)
+}
+
+/// The Gauss weight 2 / ((1 − x²) Pₙ'(x)²) of node x.
+fn weight(n: usize, x: f64, p: &mut [f64], dp: &mut [f64]) -> f64 {
+    legendre_all_with_deriv(n, x, p, dp);
+    2.0 / ((1.0 - x * x) * dp[n] * dp[n])
 }
 
 #[cfg(test)]
@@ -92,15 +102,36 @@ mod tests {
     }
 
     #[test]
-    fn nodes_symmetric_and_sorted() {
-        let (x, w) = gauss_legendre(7);
-        for i in 0..7 {
-            assert!((x[i] + x[6 - i]).abs() < 1e-13);
-            assert!((w[i] - w[6 - i]).abs() < 1e-13);
+    fn nodes_bit_symmetric_and_sorted() {
+        for n in 1..=64 {
+            let (x, w) = gauss_legendre(n);
+            for i in 0..n {
+                let j = n - 1 - i;
+                let mirror = if i == j { 0.0 } else { -x[j] };
+                assert_eq!(x[i].to_bits(), mirror.to_bits(), "n = {n}, node {i}");
+                assert_eq!(w[i].to_bits(), w[j].to_bits(), "n = {n}, weight {i}");
+            }
+            assert!(x.windows(2).all(|p| p[0] < p[1]), "n = {n}: not ascending");
         }
-        for i in 1..7 {
-            assert!(x[i] > x[i - 1]);
+    }
+
+    /// FNV-1a over every node and weight bit for n = 1..=11 (every rule an
+    /// order ≤ 21 uses), recorded from the Newton iteration over all n roots
+    /// and a sort, before the rule was made symmetric by construction. For
+    /// these n that iteration happened to be bit-symmetric already, so the
+    /// rebuilt rule must not move a bit of them.
+    #[test]
+    fn bits_are_pinned_through_n_11() {
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        for n in 1..=11 {
+            let (x, w) = gauss_legendre(n);
+            for v in x.iter().chain(&w) {
+                for b in v.to_bits().to_le_bytes() {
+                    h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
+                }
+            }
         }
+        assert_eq!(h, 0xc2aa_a228_56cb_5365);
     }
 
     #[test]

@@ -40,7 +40,7 @@ pub use approximation::{
     inner_kernel_row, inner_kernel_row_grad, inner_kernel_row_with_grad, outer_kernel_row,
     outer_kernel_row_grad, InnerApprox, OuterApprox,
 };
-pub use quadrature::{SphereRule, SphereRuleKind};
+pub use quadrature::{Mirror, SphereRule, SphereRuleKind};
 
 /// A point or vector in 3-space. A plain array keeps the crate
 /// dependency-free and lets slices of points be viewed as flat f64 buffers.

@@ -31,6 +31,30 @@ pub enum SphereRuleKind {
     Product,
 }
 
+/// A sign flip of the coordinate axes that maps a rule onto itself.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct Mirror {
+    /// Bit c set: axis c is negated — the encoding of an octant index, so
+    /// the flip sends child octant `oct` to `oct ^ flips`.
+    pub flips: usize,
+    /// `sigma[i]`: the point the flip sends point i to. An involution.
+    pub sigma: Vec<usize>,
+}
+
+impl Mirror {
+    /// The flipped vector.
+    #[inline]
+    pub fn apply<T: Copy + std::ops::Neg<Output = T>>(&self, v: [T; 3]) -> [T; 3] {
+        std::array::from_fn(|c| {
+            if self.flips >> c & 1 == 1 {
+                -v[c]
+            } else {
+                v[c]
+            }
+        })
+    }
+}
+
 /// A quadrature rule on the unit sphere: K points, K weights summing to 1,
 /// exact for spherical polynomials of total degree ≤ `degree`.
 #[derive(Debug, Clone)]
@@ -60,6 +84,35 @@ impl SphereRule {
             .zip(&self.weights)
             .map(|(&p, &w)| w * f(p))
             .sum()
+    }
+
+    /// The non-identity sign flips g ∈ {±1}³ under which the rule is
+    /// invariant: g·sᵢ equals some s_σ(i) by value (so ±0.0 match) with a
+    /// weight of the same bits. A kernel row depends on its point only
+    /// through |x| and sᵢ·x, both exact under a flip, so the row at g·x is
+    /// the row at x permuted by σ, to the bit. The tetrahedron has its 3
+    /// double flips; the octahedron, cube and icosahedron all 7; a product
+    /// rule only the z flip (its Gauss nodes are symmetric by construction,
+    /// its azimuths are not under rounding).
+    pub fn mirrors(&self) -> Vec<Mirror> {
+        (1..8)
+            .filter_map(|flips| {
+                let mut mirror = Mirror {
+                    flips,
+                    sigma: Vec::with_capacity(self.len()),
+                };
+                for (s, w) in self.points.iter().zip(&self.weights) {
+                    let image = mirror.apply(*s);
+                    let j = self
+                        .points
+                        .iter()
+                        .zip(&self.weights)
+                        .position(|(t, v)| *t == image && v.to_bits() == w.to_bits())?;
+                    mirror.sigma.push(j);
+                }
+                Some(mirror)
+            })
+            .collect()
     }
 
     /// The regular tetrahedron rule: K = 4, degree 2.
@@ -259,6 +312,29 @@ mod tests {
         let r14 = SphereRule::for_order(14);
         assert_eq!(r14.kind, SphereRuleKind::Product);
         assert_eq!(r14.len(), 8 * 15);
+    }
+
+    #[test]
+    fn mirrors_per_rule_kind() {
+        let flips =
+            |rule: &SphereRule| -> Vec<usize> { rule.mirrors().iter().map(|g| g.flips).collect() };
+        assert_eq!(flips(&SphereRule::tetrahedron()), [3, 5, 6]);
+        assert_eq!(flips(&SphereRule::octahedron()), [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(flips(&SphereRule::cube()), [1, 2, 3, 4, 5, 6, 7]);
+        assert_eq!(flips(&SphereRule::icosahedron()), [1, 2, 3, 4, 5, 6, 7]);
+        // From d = 1: product(0) is the one point (1, 0, 0), which the y
+        // flip also fixes.
+        for d in 1..=24 {
+            assert_eq!(flips(&SphereRule::product(d)), [4], "product({d})");
+        }
+        for rule in [SphereRule::icosahedron(), SphereRule::product(14)] {
+            for g in rule.mirrors() {
+                for (i, &j) in g.sigma.iter().enumerate() {
+                    assert_eq!(g.sigma[j], i, "σ is an involution");
+                    assert_eq!(g.apply(rule.points[i]), rule.points[j]);
+                }
+            }
+        }
     }
 
     #[test]
