@@ -131,7 +131,7 @@ impl Fmm {
         requests: &[BatchRequest<'_>],
         with_fields: bool,
     ) -> Result<BatchOutput, FmmError> {
-        let (out, offsets) = self.run(requests, None, with_fields, false)?;
+        let (out, offsets) = self.run(requests, None, with_fields)?;
         Ok(BatchOutput {
             potentials: out.potentials,
             fields: out.fields,

@@ -176,6 +176,13 @@ impl Fmm {
         &self.translations
     }
 
+    /// Whether this instance's phases open parallel regions: only on
+    /// [`Executor::Rayon`]. `Executor::Serial` keeps every phase on the
+    /// calling thread, whatever the legacy `parallel` flag says.
+    fn parallel(&self) -> bool {
+        self.cfg.effective_executor() == Executor::Rayon
+    }
+
     /// Number of sphere integration points K.
     pub fn k(&self) -> usize {
         self.rule.len()
@@ -210,8 +217,7 @@ impl Fmm {
         self.solo(positions, charges, None, true)
     }
 
-    /// A solo evaluation is a batch of one whose sweeps may use the
-    /// configured parallelism.
+    /// A solo evaluation is a batch of one.
     fn solo(
         &self,
         positions: &[[f64; 3]],
@@ -220,7 +226,7 @@ impl Fmm {
         with_fields: bool,
     ) -> Result<EvalOutput, FmmError> {
         let request = BatchRequest { positions, charges };
-        let (out, _) = self.run(&[request], domain, with_fields, self.cfg.parallel)?;
+        let (out, _) = self.run(&[request], domain, with_fields)?;
         Ok(out)
     }
 
@@ -256,7 +262,7 @@ impl Fmm {
 
         let depth = self.cfg.depth.resolve(positions.len());
         let k = self.k();
-        let par = self.cfg.parallel;
+        let par = self.parallel();
         let plan = self.plan_for(depth);
         let bp = BinnedParticles::build(positions, charges, domain, depth);
         let mut fh = FieldHierarchy::new(Hierarchy::new(depth), k);
@@ -340,13 +346,8 @@ impl Fmm {
     /// near-field variants are particle-bound and run per request.
     ///
     /// `domain` overrides the bounding cube (solo `evaluate_in` only).
-    /// `sweep_par` says whether the shared sweeps may open parallel
-    /// regions: a solo call passes `cfg.parallel`; a coalesced batch
-    /// passes `false` and keeps them on the calling thread, where the
-    /// instance-major panels already aggregate the work a solo sweep
-    /// would spread over threads (the travelling sweep alone would open
-    /// 62 regions per small request). The per-request phases follow
-    /// `cfg.parallel` either way.
+    /// Every phase, shared sweep or per request, follows
+    /// [`Fmm::parallel`], so a batch runs like a solo call of its size.
     ///
     /// Returns the batch as one [`EvalOutput`] — potentials and fields
     /// concatenated in request order, counters summed, the first request's
@@ -356,7 +357,6 @@ impl Fmm {
         requests: &[BatchRequest<'_>],
         domain: Option<Domain>,
         with_fields: bool,
-        sweep_par: bool,
     ) -> Result<(EvalOutput, Vec<usize>), FmmError> {
         if requests.is_empty() {
             return Err(FmmError::BadInput("empty batch".into()));
@@ -411,7 +411,7 @@ impl Fmm {
             }
         }
         let k = self.k();
-        let par = self.cfg.parallel;
+        let par = self.parallel();
         // One plan lookup for the whole batch: exactly one `plan_builds`
         // when the key is cold, zero when warm.
         let plan = self.plan_for(depth);
@@ -450,7 +450,7 @@ impl Fmm {
             let mut acc = TraversalFlops::default();
             if depth >= 3 {
                 for l in (1..depth).rev() {
-                    acc += upward_level(&mut fhs, ts, &plan, l, Aggregation::Gemm, sweep_par);
+                    acc += upward_level(&mut fhs, ts, &plan, l, Aggregation::Gemm, par);
                 }
             }
             acc
@@ -462,7 +462,7 @@ impl Fmm {
             let mut acc = TraversalFlops::default();
             for l in 2..=depth {
                 let agg = Aggregation::Gemm;
-                acc += downward_level(&mut fhs, ts, &plan, self.cfg.supernodes, agg, sweep_par, l);
+                acc += downward_level(&mut fhs, ts, &plan, self.cfg.supernodes, agg, par, l);
             }
             acc
         });
@@ -486,7 +486,7 @@ impl Fmm {
         if travelling {
             let mut outs: Vec<&mut [f64]> = near_pots.iter_mut().map(Vec::as_mut_slice).collect();
             near_stats = profile.time(Phase::Near, || {
-                travelling_sweep(plan.kernel, &bps, sep, sweep_par, eps, &mut outs)
+                travelling_sweep(plan.kernel, &bps, sep, par, eps, &mut outs)
             });
         }
 
@@ -862,6 +862,35 @@ mod tests {
         for (x, y) in a.iter().zip(&b) {
             assert!((x - y).abs() < 1e-9 * x.abs().max(1.0));
         }
+    }
+
+    #[test]
+    fn serial_executor_opens_no_parallel_region() {
+        // `executor(Executor::Serial)` leaves the legacy `parallel` flag
+        // set; the executor alone must decide. Two pinned threads make the
+        // Rayon side split even on a one-processor host.
+        let (pts, q) = pseudo_system(300, 7);
+        let requests = [BatchRequest {
+            positions: &pts,
+            charges: &q,
+        }; 2];
+        let regions = |executor: Executor| {
+            let fmm = Fmm::new(FmmConfig::order(3).depth(2).executor(executor)).unwrap();
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(2)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                let before = rayon::regions_opened();
+                fmm.evaluate(&pts, &q).unwrap();
+                fmm.evaluate_forces(&pts, &q).unwrap();
+                fmm.evaluate_at(&pts[..5], &pts, &q).unwrap();
+                fmm.evaluate_batch(&requests).unwrap();
+                rayon::regions_opened() - before
+            })
+        };
+        assert_eq!(regions(Executor::Serial), 0);
+        assert!(regions(Executor::Rayon) > 0);
     }
 
     #[test]

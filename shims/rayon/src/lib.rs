@@ -7,42 +7,76 @@
 //! `enumerate` / `map` adapters, the `for_each` / `sum` / `reduce` /
 //! `collect` consumers, and `ThreadPoolBuilder::install` — with the same
 //! semantics (deterministic length-based splitting, order-preserving
-//! collect). Parallelism comes from `std::thread::scope`: each call splits
-//! its producer into at most `current_num_threads()` contiguous pieces and
-//! joins them. That trades rayon's work-stealing for zero dependencies; for
-//! the coarse-grained loops in this workspace the difference is noise.
+//! collect).
+//!
+//! Each consumer call is one parallel *region*. It splits its producer into
+//! `current_num_threads()` contiguous pieces by length alone and combines
+//! the per-piece results in piece order, so no reduction's combine order
+//! depends on which thread ran which piece. The pieces run on one
+//! process-wide pool of persistent workers: the calling thread publishes
+//! the region as one job, runs pieces itself while idle workers claim the
+//! rest, and returns once the last piece is done. Workers start on first
+//! use, never exit, and number at most the largest piece count any region
+//! asked for, minus one. A region therefore costs a queue push and a
+//! wake-up rather than a thread spawn. That trades rayon's work-stealing
+//! for zero dependencies; for the coarse-grained loops in this workspace
+//! the difference is noise.
 
+use std::any::Any;
 use std::cell::Cell;
+use std::collections::VecDeque;
 use std::ops::Range;
+use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::{Arc, Condvar, Mutex, MutexGuard, OnceLock, PoisonError};
 
 // ---------------------------------------------------------------------------
 // Thread-count plumbing (ThreadPoolBuilder / install)
 // ---------------------------------------------------------------------------
 
-static GLOBAL_THREADS: AtomicUsize = AtomicUsize::new(0);
-
 thread_local! {
+    /// The count `install` pinned on this thread; 0 means the default.
     static LOCAL_THREADS: Cell<usize> = const { Cell::new(0) };
+    /// Regions opened on this thread (see [`regions_opened`]).
+    static REGIONS: Cell<u64> = const { Cell::new(0) };
 }
 
+/// The host's available parallelism, read once per process.
 fn default_threads() -> usize {
-    std::thread::available_parallelism()
-        .map(|v| v.get())
-        .unwrap_or(1)
+    static DEFAULT: OnceLock<usize> = OnceLock::new();
+    *DEFAULT.get_or_init(|| {
+        std::thread::available_parallelism()
+            .map(|v| v.get())
+            .unwrap_or(1)
+    })
 }
 
 /// Number of threads parallel calls on this thread will use.
 pub fn current_num_threads() -> usize {
-    let local = LOCAL_THREADS.with(|c| c.get());
-    if local != 0 {
-        return local;
+    match LOCAL_THREADS.with(Cell::get) {
+        0 => default_threads(),
+        n => n,
     }
-    let global = GLOBAL_THREADS.load(Ordering::Relaxed);
-    if global != 0 {
-        return global;
+}
+
+/// Parallel regions (consumer calls on a `par_*` iterator) opened on the
+/// calling thread so far, counted whether or not they split. Lets a test
+/// show that a code path stays off the parallel iterators.
+pub fn regions_opened() -> u64 {
+    REGIONS.with(Cell::get)
+}
+
+/// Run `f` with this thread's count pinned to `n` (0: the default),
+/// restoring the previous pin afterwards, unwinding included.
+fn with_threads<R>(n: usize, f: impl FnOnce() -> R) -> R {
+    struct Restore(usize);
+    impl Drop for Restore {
+        fn drop(&mut self) {
+            LOCAL_THREADS.with(|c| c.set(self.0));
+        }
     }
-    default_threads()
+    let _restore = Restore(LOCAL_THREADS.with(|c| c.replace(n)));
+    f()
 }
 
 #[derive(Debug)]
@@ -79,33 +113,19 @@ impl ThreadPoolBuilder {
         };
         Ok(ThreadPool { threads: n })
     }
-
-    pub fn build_global(self) -> Result<(), ThreadPoolBuildError> {
-        let n = if self.num_threads == 0 {
-            default_threads()
-        } else {
-            self.num_threads
-        };
-        GLOBAL_THREADS.store(n, Ordering::Relaxed);
-        Ok(())
-    }
 }
 
-/// A "pool" is just a thread-count scope: `install` pins the count for
-/// parallel calls made on the current thread while the closure runs.
+/// A thread-count scope over the one shared pool: `install` pins the piece
+/// count for parallel calls made on the current thread while the closure
+/// runs. The pool grows to serve it, so a count above the host's
+/// processors works too.
 pub struct ThreadPool {
     threads: usize,
 }
 
 impl ThreadPool {
     pub fn install<R>(&self, f: impl FnOnce() -> R) -> R {
-        LOCAL_THREADS.with(|c| {
-            let prev = c.get();
-            c.set(self.threads);
-            let out = f();
-            c.set(prev);
-            out
-        })
+        with_threads(self.threads, f)
     }
 
     pub fn current_num_threads(&self) -> usize {
@@ -113,25 +133,140 @@ impl ThreadPool {
     }
 }
 
-/// Fork-join on two closures. Runs them on two scoped threads when more than
-/// one thread is configured, sequentially otherwise.
-pub fn join<A, B, RA, RB>(a: A, b: B) -> (RA, RB)
-where
-    A: FnOnce() -> RA + Send,
-    B: FnOnce() -> RB + Send,
-    RA: Send,
-    RB: Send,
-{
-    if current_num_threads() <= 1 {
-        let ra = a();
-        let rb = b();
-        (ra, rb)
-    } else {
-        std::thread::scope(|s| {
-            let hb = s.spawn(b);
-            let ra = a();
-            (ra, hb.join().unwrap())
-        })
+// ---------------------------------------------------------------------------
+// The pool: persistent workers claiming the pieces of published regions
+// ---------------------------------------------------------------------------
+
+/// Lock, ignoring poison: no lock here is held across user code, and every
+/// update under one is a single step, so a poisoned one still guards
+/// consistent data. No two of the pool's locks are ever held at once.
+fn lock<T>(m: &Mutex<T>) -> MutexGuard<'_, T> {
+    m.lock().unwrap_or_else(PoisonError::into_inner)
+}
+
+/// One region in flight: `pieces` calls of `body`, each claimed by index.
+struct Job {
+    /// The region's per-piece closure, its borrow's lifetime erased by
+    /// [`run_region`], which keeps the borrow alive until every claimed
+    /// index has returned.
+    body: &'static (dyn Fn(usize) + Sync),
+    pieces: usize,
+    /// The next unclaimed piece; an index at or past `pieces` claims none.
+    /// It publishes no data (a piece's inputs reach it through the job and
+    /// its own mutex), so claims are `Relaxed`.
+    next: AtomicUsize,
+    /// The latch: pieces not yet finished, panicked ones included. The
+    /// submitter sleeps on `finished` until it reaches zero; its mutex
+    /// hands every piece's writes on to the submitter.
+    left: Mutex<usize>,
+    finished: Condvar,
+    /// The first panic payload of a piece, resumed on the submitter.
+    panic: Mutex<Option<Box<dyn Any + Send>>>,
+}
+
+impl Job {
+    fn exhausted(&self) -> bool {
+        self.next.load(Ordering::Relaxed) >= self.pieces
+    }
+
+    /// Claim and run pieces until none is left unclaimed.
+    fn work(&self) {
+        loop {
+            let i = self.next.fetch_add(1, Ordering::Relaxed);
+            if i >= self.pieces {
+                return;
+            }
+            if let Err(payload) = catch_unwind(AssertUnwindSafe(|| (self.body)(i))) {
+                lock(&self.panic).get_or_insert(payload);
+            }
+            let mut left = lock(&self.left);
+            *left -= 1;
+            if *left == 0 {
+                self.finished.notify_all();
+            }
+        }
+    }
+}
+
+/// Published regions, oldest first, and the number of workers started.
+struct Queue {
+    jobs: VecDeque<Arc<Job>>,
+    workers: usize,
+}
+
+static QUEUE: Mutex<Queue> = Mutex::new(Queue {
+    jobs: VecDeque::new(),
+    workers: 0,
+});
+static WAKE: Condvar = Condvar::new();
+
+/// A worker's life: take the oldest region with a piece left, help run it,
+/// repeat; sleep while there is none. Workers are never joined: a piece's
+/// panic is caught and handed to its submitter, so none is lost with them.
+fn worker() {
+    loop {
+        let job = {
+            let mut q = lock(&QUEUE);
+            loop {
+                while q.jobs.front().is_some_and(|j| j.exhausted()) {
+                    q.jobs.pop_front();
+                }
+                if let Some(job) = q.jobs.front() {
+                    break Arc::clone(job);
+                }
+                q = WAKE.wait(q).unwrap_or_else(PoisonError::into_inner);
+            }
+        };
+        job.work();
+    }
+}
+
+/// Run `body(0..pieces)` on the pool and return when every call has; a
+/// panic in any call is resumed here once all have finished. The caller
+/// runs pieces too, so a region completes even if no worker ever picks it
+/// up — which is why a region nested inside a piece cannot deadlock.
+fn run_region(pieces: usize, body: &(dyn Fn(usize) + Sync)) {
+    // SAFETY: only the lifetime changes. `body` is called solely for a
+    // claimed index below `pieces`, each claim running it once, and this
+    // function returns (or unwinds) only after the latch counts all
+    // `pieces` finished: every such call has returned, so none outlives the
+    // borrow. A worker that still holds the job afterwards finds it
+    // exhausted and never calls `body` again.
+    let body = unsafe {
+        std::mem::transmute::<&(dyn Fn(usize) + Sync), &'static (dyn Fn(usize) + Sync)>(body)
+    };
+    let job = Arc::new(Job {
+        body,
+        pieces,
+        next: AtomicUsize::new(0),
+        left: Mutex::new(pieces),
+        finished: Condvar::new(),
+        panic: Mutex::new(None),
+    });
+    {
+        let mut q = lock(&QUEUE);
+        // A failed spawn only leaves more pieces to this thread.
+        while q.workers + 1 < pieces && std::thread::Builder::new().spawn(worker).is_ok() {
+            q.workers += 1;
+        }
+        q.jobs.push_back(Arc::clone(&job));
+    }
+    for _ in 1..pieces {
+        WAKE.notify_one();
+    }
+    // A piece sees the default count wherever it runs, as on a worker.
+    with_threads(0, || job.work());
+    let mut left = lock(&job.left);
+    while *left > 0 {
+        left = job
+            .finished
+            .wait(left)
+            .unwrap_or_else(PoisonError::into_inner);
+    }
+    drop(left);
+    let panicked = lock(&job.panic).take();
+    if let Some(payload) = panicked {
+        resume_unwind(payload);
     }
 }
 
@@ -378,14 +513,15 @@ pub struct Par<P> {
 }
 
 /// Split `producer` into at most `current_num_threads()` near-equal pieces
-/// and run `work` over each on a scoped thread, returning per-piece results
-/// in order.
+/// and run `work` over each on the pool, returning per-piece results in
+/// order.
 fn run_pieces<P, W, R>(producer: P, work: W) -> Vec<R>
 where
     P: Producer,
     W: Fn(P) -> R + Sync,
     R: Send,
 {
+    REGIONS.with(|c| c.set(c.get() + 1));
     let len = producer.len();
     let pieces = current_num_threads().min(len.max(1));
     if pieces <= 1 {
@@ -397,19 +533,22 @@ where
     for i in 0..pieces - 1 {
         let take = remaining / (pieces - i);
         let (head, tail) = rest.split_at(take);
-        parts.push(head);
+        parts.push(Mutex::new(Some(head)));
         rest = tail;
         remaining -= take;
     }
-    parts.push(rest);
-    let work = &work;
-    std::thread::scope(|s| {
-        let handles: Vec<_> = parts
-            .into_iter()
-            .map(|part| s.spawn(move || work(part)))
-            .collect();
-        handles.into_iter().map(|h| h.join().unwrap()).collect()
-    })
+    parts.push(Mutex::new(Some(rest)));
+    let results: Vec<Mutex<Option<R>>> = (0..pieces).map(|_| Mutex::new(None)).collect();
+    run_region(pieces, &|i| {
+        let part = lock(&parts[i]).take().expect("a piece is claimed once");
+        let out = work(part);
+        *lock(&results[i]) = Some(out);
+    });
+    let done = results.into_iter().map(|r| {
+        let out = r.into_inner().unwrap_or_else(PoisonError::into_inner);
+        out.expect("every piece ran")
+    });
+    done.collect()
 }
 
 impl<P: Producer> Par<P> {
@@ -636,5 +775,110 @@ mod tests {
         assert!(out.is_empty());
         let s: f64 = v.par_iter().map(|&x| x).sum();
         assert_eq!(s, 0.0);
+    }
+
+    fn threads(n: usize) -> ThreadPool {
+        ThreadPoolBuilder::new().num_threads(n).build().unwrap()
+    }
+
+    #[test]
+    fn combine_order_follows_the_length_split() {
+        // Pieces are cut by length alone and combined in piece order: 10
+        // items on 3 threads are [0..3) [3..6) [6..10), however the pieces
+        // were scheduled.
+        let xs: Vec<f64> = (0..10).map(|i| 1.0 / (1 + i * i * i) as f64).collect();
+        let pieces = [&xs[..3], &xs[3..6], &xs[6..]];
+        let want: f64 = pieces.iter().map(|p| p.iter().sum::<f64>()).sum();
+        threads(3).install(|| {
+            for _ in 0..20 {
+                let got: f64 = xs.par_iter().map(|&x| x).sum();
+                assert_eq!(got.to_bits(), want.to_bits());
+                let cat = (0..10usize)
+                    .into_par_iter()
+                    .map(|i| vec![i])
+                    .reduce(Vec::new, |a, b| [a, b].concat());
+                assert_eq!(cat, (0..10).collect::<Vec<_>>());
+                let out: Vec<usize> = (0..10usize).into_par_iter().collect();
+                assert_eq!(out, (0..10).collect::<Vec<_>>());
+            }
+        });
+    }
+
+    #[test]
+    fn concurrent_submitters() {
+        std::thread::scope(|s| {
+            for t in 1..=4usize {
+                s.spawn(move || {
+                    threads(3).install(|| {
+                        for _ in 0..50 {
+                            let got: usize = (0..1000).into_par_iter().map(|i| i * t).sum();
+                            assert_eq!(got, t * 999 * 1000 / 2);
+                        }
+                    })
+                });
+            }
+        });
+    }
+
+    #[test]
+    fn region_nested_inside_a_piece() {
+        let outer: Vec<usize> = threads(4).install(|| {
+            (0..8usize)
+                .into_par_iter()
+                .map(|i| {
+                    // Pieces run with the default count wherever they land.
+                    assert_eq!(current_num_threads(), default_threads());
+                    let inner = (0..100usize).into_par_iter().map(|j| i * j);
+                    threads(3).install(|| inner.sum::<usize>())
+                })
+                .collect()
+        });
+        assert_eq!(outer, (0..8).map(|i| i * 4950).collect::<Vec<_>>());
+    }
+
+    #[test]
+    fn install_above_the_core_count() {
+        // Eight pieces of one item each, every one waiting for all the
+        // others: this returns only if eight threads run them at once.
+        let all = std::sync::Barrier::new(8);
+        let pieces = threads(8).install(|| {
+            (0..8usize)
+                .into_par_iter()
+                .map(|_| {
+                    all.wait();
+                    1
+                })
+                .sum::<usize>()
+        });
+        assert_eq!(pieces, 8);
+    }
+
+    #[test]
+    fn a_panicking_piece_reaches_the_caller_and_the_pool_survives() {
+        let pool = threads(4);
+        let caught = std::panic::catch_unwind(|| {
+            pool.install(|| {
+                (0..4usize).into_par_iter().for_each(|i| {
+                    if i % 2 == 1 {
+                        panic!("piece {i}");
+                    }
+                })
+            })
+        });
+        let payload = caught.expect_err("the panic must reach the caller");
+        let msg = payload.downcast_ref::<String>().unwrap();
+        assert!(msg == "piece 1" || msg == "piece 3", "{msg}");
+        assert_eq!(current_num_threads(), default_threads());
+        let got: usize = pool.install(|| (0..100usize).into_par_iter().sum());
+        assert_eq!(got, 4950);
+    }
+
+    #[test]
+    fn every_consumer_call_counts_as_a_region() {
+        let before = regions_opened();
+        let v = [1.0f64; 5];
+        let _: f64 = v.par_iter().map(|&x| x).sum();
+        threads(1).install(|| v.par_iter().for_each(|_| {}));
+        assert_eq!(regions_opened() - before, 2);
     }
 }
