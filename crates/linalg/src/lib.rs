@@ -21,7 +21,7 @@ mod lanes;
 pub mod matrix;
 pub mod pairwise;
 
-pub use gemm::{gemm_acc, gemm_naive, gemv, gemv_acc};
+pub use gemm::{gemm_acc, gemm_naive};
 pub use kernel::{gemm_acc_scalar, gemm_acc_with, Kernel};
 pub use matrix::Matrix;
 

@@ -119,17 +119,6 @@ impl Matrix {
             .map(|(a, b)| (a - b).abs())
             .fold(0.0, f64::max)
     }
-
-    /// Apply `self * x` into `y` (overwrite). Shapes: `x.len() == cols`,
-    /// `y.len() == rows`; panics otherwise.
-    pub fn apply(&self, x: &[f64], y: &mut [f64]) {
-        crate::gemm::gemv(self.rows, self.cols, &self.data, x, y);
-    }
-
-    /// Accumulate `self * x` into `y`. Shapes as [`Matrix::apply`].
-    pub fn apply_acc(&self, x: &[f64], y: &mut [f64]) {
-        crate::gemm::gemv_acc(self.rows, self.cols, &self.data, x, y);
-    }
 }
 
 impl Index<(usize, usize)> for Matrix {
@@ -169,15 +158,6 @@ impl fmt::Debug for Matrix {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn identity_apply_is_noop() {
-        let m = Matrix::identity(5);
-        let x = [1.0, 2.0, 3.0, 4.0, 5.0];
-        let mut y = [0.0; 5];
-        m.apply(&x, &mut y);
-        assert_eq!(x, y);
-    }
 
     #[test]
     fn transpose_round_trip() {

@@ -141,14 +141,19 @@ fn run_json(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-fn binary_evaluate(addr: &str, req: &EvalRequest) -> Result<protocol::EvalResponse, String> {
+/// One request frame on a fresh binary-door connection; the reply frame.
+fn binary_exchange(addr: &str, payload: &[u8]) -> Result<Vec<u8>, String> {
     let mut stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-    stream
-        .write_all(&protocol::MAGIC)
-        .map_err(|e| e.to_string())?;
-    protocol::write_frame(&mut stream, &protocol::encode_evaluate(req))
-        .map_err(|e| e.to_string())?;
-    let frame = protocol::read_frame(&mut stream).map_err(|e| e.to_string())?;
+    let mut send = || {
+        stream.write_all(&protocol::MAGIC)?;
+        protocol::write_frame(&mut stream, payload)?;
+        protocol::read_frame(&mut stream)
+    };
+    send().map_err(|e| e.to_string())
+}
+
+fn binary_evaluate(addr: &str, req: &EvalRequest) -> Result<protocol::EvalResponse, String> {
+    let frame = binary_exchange(addr, &protocol::encode_evaluate(req))?;
     protocol::decode_eval_response(&frame, req.shape.forces)
 }
 
@@ -210,13 +215,7 @@ fn run_storm(addr: &str) -> Result<(), String> {
 }
 
 fn run_binary_text(addr: &str, op: Opcode) -> Result<String, String> {
-    let mut stream = TcpStream::connect(addr).map_err(|e| e.to_string())?;
-    stream
-        .write_all(&protocol::MAGIC)
-        .map_err(|e| e.to_string())?;
-    protocol::write_frame(&mut stream, &[op as u8]).map_err(|e| e.to_string())?;
-    let frame = protocol::read_frame(&mut stream).map_err(|e| e.to_string())?;
-    protocol::decode_text(&frame)
+    protocol::decode_text(&binary_exchange(addr, &[op as u8])?)
 }
 
 fn main() {

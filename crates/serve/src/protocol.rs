@@ -28,6 +28,8 @@
 
 use std::io::{self, Read, Write};
 
+use fmm_wire::{put_f64s, put_f64x3s, put_u16, put_u32, put_u8, Reader};
+
 /// Connection preamble identifying the binary protocol (HTTP requests
 /// never start with these bytes).
 pub const MAGIC: [u8; 4] = *b"FMM1";
@@ -89,95 +91,49 @@ pub struct EvalResponse {
     pub batch_size: usize,
 }
 
-/// Read one length-prefixed frame payload.
+/// Read one length-prefixed frame payload (at most [`MAX_FRAME`] bytes).
 pub fn read_frame<R: Read>(r: &mut R) -> io::Result<Vec<u8>> {
-    let mut len = [0u8; 4];
-    r.read_exact(&mut len)?;
-    let len = u32::from_le_bytes(len);
-    if len > MAX_FRAME {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("frame of {} bytes exceeds the {} byte cap", len, MAX_FRAME),
-        ));
-    }
-    let mut buf = vec![0u8; len as usize];
-    r.read_exact(&mut buf)?;
-    Ok(buf)
+    fmm_wire::read_frame(r, MAX_FRAME as usize)
 }
 
-/// Write one length-prefixed frame.
+/// Write one length-prefixed frame; a payload over [`MAX_FRAME`] is
+/// refused.
 pub fn write_frame<W: Write>(w: &mut W, payload: &[u8]) -> io::Result<()> {
-    w.write_all(&(payload.len() as u32).to_le_bytes())?;
-    w.write_all(payload)?;
-    w.flush()
+    fmm_wire::write_frame(w, payload, MAX_FRAME as usize)
 }
 
 /// Encode an `Evaluate` request payload (opcode byte included).
 pub fn encode_evaluate(req: &EvalRequest) -> Vec<u8> {
     let n = req.positions.len();
     let mut out = Vec::with_capacity(13 + 8 * (3 * n + n));
-    out.push(Opcode::Evaluate as u8);
-    let mut flags = 0u8;
-    if req.shape.forces {
-        flags |= 1;
-    }
-    if req.shape.mixed {
-        flags |= 2;
-    }
-    out.push(flags);
-    out.push(req.shape.separation);
-    out.extend_from_slice(&req.shape.order.to_le_bytes());
-    out.extend_from_slice(&req.shape.depth.to_le_bytes());
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    for p in &req.positions {
-        for c in p {
-            out.extend_from_slice(&c.to_le_bytes());
-        }
-    }
-    for q in &req.charges {
-        out.extend_from_slice(&q.to_le_bytes());
-    }
+    put_u8(&mut out, Opcode::Evaluate as u8);
+    put_u8(
+        &mut out,
+        u8::from(req.shape.forces) | u8::from(req.shape.mixed) << 1,
+    );
+    put_u8(&mut out, req.shape.separation);
+    put_u16(&mut out, req.shape.order);
+    put_u32(&mut out, req.shape.depth);
+    put_u32(&mut out, n as u32);
+    put_f64x3s(&mut out, &req.positions);
+    put_f64s(&mut out, &req.charges);
     out
 }
 
-fn take<'a>(b: &mut &'a [u8], n: usize) -> Result<&'a [u8], String> {
-    if b.len() < n {
-        return Err(format!(
-            "truncated payload: wanted {} bytes, had {}",
-            n,
-            b.len()
-        ));
-    }
-    let (head, tail) = b.split_at(n);
-    *b = tail;
-    Ok(head)
-}
-
-fn take_f64s(b: &mut &[u8], n: usize) -> Result<Vec<f64>, String> {
-    let raw = take(b, 8 * n)?;
-    Ok(raw
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect())
-}
-
 /// Decode an `Evaluate` request payload (after the opcode byte).
-pub fn decode_evaluate(mut b: &[u8]) -> Result<EvalRequest, String> {
-    let head = take(&mut b, 12)?;
-    let flags = head[0];
-    let separation = head[1];
-    let order = u16::from_le_bytes(head[2..4].try_into().unwrap());
-    let depth = u32::from_le_bytes(head[4..8].try_into().unwrap());
-    let n = u32::from_le_bytes(head[8..12].try_into().unwrap()) as usize;
-    let pos_flat = take_f64s(&mut b, 3 * n)?;
-    let charges = take_f64s(&mut b, n)?;
-    if !b.is_empty() {
-        return Err(format!("{} trailing bytes after evaluate payload", b.len()));
-    }
-    let positions = pos_flat
-        .chunks_exact(3)
-        .map(|c| [c[0], c[1], c[2]])
-        .collect();
+pub fn decode_evaluate(b: &[u8]) -> Result<EvalRequest, String> {
+    evaluate_body(&mut Reader::new(b)).map_err(|e| e.to_string())
+}
+
+fn evaluate_body(r: &mut Reader) -> io::Result<EvalRequest> {
+    let flags = r.u8()?;
+    let separation = r.u8()?;
+    let order = r.u16()?;
+    let depth = r.u32()?;
+    let n = r.u32()?.into();
+    let positions = r.f64x3s(n)?;
+    let charges = r.f64s(n)?;
+    r.done()?;
     Ok(EvalRequest {
         shape: Shape {
             order,
@@ -195,41 +151,36 @@ pub fn decode_evaluate(mut b: &[u8]) -> Result<EvalRequest, String> {
 pub fn encode_eval_response(resp: &EvalResponse) -> Vec<u8> {
     let n = resp.potentials.len();
     let mut out = Vec::with_capacity(9 + 8 * n);
-    out.push(0u8); // status ok
-    out.extend_from_slice(&(n as u32).to_le_bytes());
-    out.extend_from_slice(&(resp.batch_size as u32).to_le_bytes());
-    for p in &resp.potentials {
-        out.extend_from_slice(&p.to_le_bytes());
-    }
+    put_u8(&mut out, 0); // status ok
+    put_u32(&mut out, n as u32);
+    put_u32(&mut out, resp.batch_size as u32);
+    put_f64s(&mut out, &resp.potentials);
     if let Some(f) = &resp.fields {
-        for row in f {
-            for c in row {
-                out.extend_from_slice(&c.to_le_bytes());
-            }
-        }
+        put_f64x3s(&mut out, f);
     }
     out
 }
 
+/// The body of an ok response payload, or the text of an error one.
+fn ok_body(b: &[u8]) -> Result<Reader<'_>, String> {
+    let mut r = Reader::new(b);
+    match r.u8().map_err(|e| e.to_string())? {
+        0 => Ok(r),
+        _ => Err(String::from_utf8_lossy(r.rest()).into_owned()),
+    }
+}
+
 /// Decode an `Evaluate` response payload. `forces` must match the request.
-pub fn decode_eval_response(mut b: &[u8], forces: bool) -> Result<EvalResponse, String> {
-    let status = take(&mut b, 1)?[0];
-    if status != 0 {
-        return Err(String::from_utf8_lossy(b).into_owned());
-    }
-    let head = take(&mut b, 8)?;
-    let n = u32::from_le_bytes(head[0..4].try_into().unwrap()) as usize;
-    let batch_size = u32::from_le_bytes(head[4..8].try_into().unwrap()) as usize;
-    let potentials = take_f64s(&mut b, n)?;
-    let fields = if forces {
-        let flat = take_f64s(&mut b, 3 * n)?;
-        Some(flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect())
-    } else {
-        None
-    };
-    if !b.is_empty() {
-        return Err(format!("{} trailing bytes after response", b.len()));
-    }
+pub fn decode_eval_response(b: &[u8], forces: bool) -> Result<EvalResponse, String> {
+    eval_response_body(&mut ok_body(b)?, forces).map_err(|e| e.to_string())
+}
+
+fn eval_response_body(r: &mut Reader, forces: bool) -> io::Result<EvalResponse> {
+    let n = r.u32()?.into();
+    let batch_size = r.u32()? as usize;
+    let potentials = r.f64s(n)?;
+    let fields = if forces { Some(r.f64x3s(n)?) } else { None };
+    r.done()?;
     Ok(EvalResponse {
         potentials,
         fields,
@@ -237,30 +188,26 @@ pub fn decode_eval_response(mut b: &[u8], forces: bool) -> Result<EvalResponse, 
     })
 }
 
-/// Encode an error response.
-pub fn encode_error(msg: &str) -> Vec<u8> {
-    let mut out = Vec::with_capacity(1 + msg.len());
-    out.push(1u8);
-    out.extend_from_slice(msg.as_bytes());
-    out
-}
-
-/// Encode an ok response carrying UTF-8 text (`Info` / `Metrics`).
-pub fn encode_text(text: &str) -> Vec<u8> {
+fn status_text(status: u8, text: &str) -> Vec<u8> {
     let mut out = Vec::with_capacity(1 + text.len());
-    out.push(0u8);
+    put_u8(&mut out, status);
     out.extend_from_slice(text.as_bytes());
     out
 }
 
+/// Encode an error response.
+pub fn encode_error(msg: &str) -> Vec<u8> {
+    status_text(1, msg)
+}
+
+/// Encode an ok response carrying UTF-8 text (`Info` / `Metrics`).
+pub fn encode_text(text: &str) -> Vec<u8> {
+    status_text(0, text)
+}
+
 /// Decode a text response (`Info` / `Metrics` / `Shutdown` ack).
-pub fn decode_text(mut b: &[u8]) -> Result<String, String> {
-    let status = take(&mut b, 1)?[0];
-    let text = String::from_utf8_lossy(b).into_owned();
-    if status != 0 {
-        return Err(text);
-    }
-    Ok(text)
+pub fn decode_text(b: &[u8]) -> Result<String, String> {
+    Ok(String::from_utf8_lossy(ok_body(b)?.rest()).into_owned())
 }
 
 #[cfg(test)]

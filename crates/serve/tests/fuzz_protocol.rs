@@ -1,6 +1,7 @@
-//! Proptest fuzzing of the FMM1 binary framing — the randomized
+//! Proptest fuzzing of the FMM1 message codec — the randomized
 //! counterpart of the deterministic-corpus `framing-totality` pass in
-//! `fmm-verify`.
+//! `fmm-verify`. The frame layer under it (byte soup, the cap, every
+//! truncation of a frame) is fuzzed in `fmm-wire`'s `fuzz_frames.rs`.
 //!
 //! Three families of properties:
 //!
@@ -15,7 +16,7 @@
 
 use fmm_serve::protocol::{
     decode_eval_response, decode_evaluate, decode_text, encode_eval_response, encode_evaluate,
-    encode_text, read_frame, write_frame, EvalRequest, EvalResponse, Shape, MAX_FRAME,
+    encode_text, EvalRequest, EvalResponse, Shape,
 };
 use proptest::prelude::*;
 
@@ -83,7 +84,6 @@ proptest! {
         let _ = decode_eval_response(&bytes, false);
         let _ = decode_eval_response(&bytes, true);
         let _ = decode_text(&bytes);
-        let _ = read_frame(&mut bytes.as_slice());
     }
 
     /// A hostile particle count in an otherwise plausible header is
@@ -146,24 +146,6 @@ proptest! {
                 }
             }
         }
-    }
-
-    /// write_frame→read_frame is the identity for in-cap payloads, and
-    /// a length prefix over MAX_FRAME is rejected without reading a body.
-    #[test]
-    fn frames_round_trip_and_cap_holds(
-        payload in proptest::collection::vec(0u8..=255, 0..512),
-        over in 1u32..1024,
-    ) {
-        let mut wire = Vec::new();
-        write_frame(&mut wire, &payload).expect("write to vec");
-        let back = read_frame(&mut wire.as_slice()).expect("read own frame");
-        prop_assert_eq!(&back, &payload);
-
-        let mut hostile = Vec::new();
-        hostile.extend_from_slice(&(MAX_FRAME + over).to_le_bytes());
-        hostile.extend_from_slice(&payload);
-        prop_assert!(read_frame(&mut hostile.as_slice()).is_err());
     }
 
     /// Text frames round-trip arbitrary (printable-ish) strings.

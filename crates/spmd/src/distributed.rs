@@ -4,8 +4,8 @@
 //! (`unix:/path` or `tcp:host:port`) and optionally spawns `p` copies of
 //! the `fmm-worker` binary; independently started workers can join the
 //! same rendezvous by address. The control plane speaks `FMMC` frames
-//! (length-prefixed, same little-endian discipline as the `FMMW` data
-//! plane):
+//! (one [`fmm_wire`] frame each, like the `FMMW` data plane; the codecs
+//! below are public so `fmm-verify` can prove them total):
 //!
 //! 1. each worker binds its own *mesh* listener first, connects the
 //!    rendezvous, and sends `Hello { rank, mesh_addr }`;
@@ -44,6 +44,7 @@ use fmm_core::{
     Balance, DepthPolicy, Domain, Executor, FmmConfig, Kernel, Separation, SpmdOptions,
 };
 use fmm_machine::{communication_budget_with, preflight, ProgramConfig, TransportModel};
+use fmm_wire::{invalid, put_f64, put_f64s, put_f64x3s, put_str, put_u32, put_u64, put_u8, Reader};
 
 use crate::exec::{self, WorkerOut};
 use crate::fabric::WorkerCtx;
@@ -64,112 +65,49 @@ const OP_RESULT: u8 = 3;
 const CTRL_TIMEOUT: Duration = Duration::from_secs(600);
 
 // ---------------------------------------------------------------------
-// FMMC framing and primitive encodings
+// FMMC message codecs
 // ---------------------------------------------------------------------
+//
+// A control message is one frame whose payload is `"FMMC" | u8 opcode |
+// body`. The exchange is a fixed sequence — Hello, Job, Result — so each
+// message has its own encoder and reader, and a reader rejects any other
+// opcode.
 
-fn write_ctrl(w: &mut impl Write, op: u8, body: &[u8]) -> io::Result<()> {
-    let len = 5 + body.len();
-    if len > MAX_CTRL {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidInput,
-            "control frame exceeds MAX_CTRL",
-        ));
-    }
-    w.write_all(&(len as u32).to_le_bytes())?;
-    w.write_all(&CTRL_MAGIC)?;
-    w.write_all(&[op])?;
-    w.write_all(body)?;
-    w.flush()
+fn ctrl_payload(op: u8) -> Vec<u8> {
+    let mut b = CTRL_MAGIC.to_vec();
+    put_u8(&mut b, op);
+    b
 }
 
-fn read_ctrl(r: &mut impl Read) -> io::Result<(u8, Vec<u8>)> {
-    let mut lenb = [0u8; 4];
-    r.read_exact(&mut lenb)?;
-    let len = u32::from_le_bytes(lenb) as usize;
-    if !(5..=MAX_CTRL).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("control frame length {len} out of range"),
-        ));
+/// Read one control frame carrying opcode `op` and decode its body,
+/// which must be consumed whole.
+fn read_message<T>(
+    r: &mut impl Read,
+    op: u8,
+    body: impl FnOnce(&mut Reader) -> io::Result<T>,
+) -> io::Result<T> {
+    let payload = fmm_wire::read_frame(r, MAX_CTRL)?;
+    let mut d = Reader::new(&payload);
+    d.magic(CTRL_MAGIC)?;
+    let got = d.u8()?;
+    if got != op {
+        return Err(invalid(format!("expected control opcode {op}, got {got}")));
     }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    if payload[..4] != CTRL_MAGIC {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("bad control magic {:02x?}", &payload[..4]),
-        ));
-    }
-    let op = payload[4];
-    payload.drain(..5);
-    Ok((op, payload))
+    let msg = body(&mut d)?;
+    d.done()?;
+    Ok(msg)
 }
 
-fn put_u32(b: &mut Vec<u8>, v: u32) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-fn put_u64(b: &mut Vec<u8>, v: u64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-fn put_f64(b: &mut Vec<u8>, v: f64) {
-    b.extend_from_slice(&v.to_le_bytes());
-}
-fn put_str(b: &mut Vec<u8>, s: &str) {
-    put_u32(b, s.len() as u32);
-    b.extend_from_slice(s.as_bytes());
+/// `Hello`: a worker's rank and the address its mesh listener is bound to.
+pub fn encode_hello(rank: u32, mesh_addr: &str) -> Vec<u8> {
+    let mut b = ctrl_payload(OP_HELLO);
+    put_u32(&mut b, rank);
+    put_str(&mut b, mesh_addr);
+    b
 }
 
-/// Decode cursor with bounds-checked little-endian takes.
-struct Dec<'a> {
-    b: &'a [u8],
-}
-
-impl<'a> Dec<'a> {
-    fn new(b: &'a [u8]) -> Self {
-        Dec { b }
-    }
-    fn bytes(&mut self, n: usize) -> io::Result<&'a [u8]> {
-        if self.b.len() < n {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("truncated control body: need {n}, have {}", self.b.len()),
-            ));
-        }
-        let (head, tail) = self.b.split_at(n);
-        self.b = tail;
-        Ok(head)
-    }
-    fn u32(&mut self) -> io::Result<u32> {
-        Ok(u32::from_le_bytes(self.bytes(4)?.try_into().unwrap()))
-    }
-    fn u64(&mut self) -> io::Result<u64> {
-        Ok(u64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-    fn f64(&mut self) -> io::Result<f64> {
-        Ok(f64::from_le_bytes(self.bytes(8)?.try_into().unwrap()))
-    }
-    fn str(&mut self) -> io::Result<String> {
-        let n = self.u32()? as usize;
-        String::from_utf8(self.bytes(n)?.to_vec())
-            .map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
-    }
-    fn f64s(&mut self, n: usize) -> io::Result<Vec<f64>> {
-        Ok(self
-            .bytes(8 * n)?
-            .chunks_exact(8)
-            .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-            .collect())
-    }
-    fn done(&self) -> io::Result<()> {
-        if self.b.is_empty() {
-            Ok(())
-        } else {
-            Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("{} trailing bytes in control body", self.b.len()),
-            ))
-        }
-    }
+pub fn read_hello(r: &mut impl Read) -> io::Result<(u32, String)> {
+    read_message(r, OP_HELLO, |d| Ok((d.u32()?, d.str()?)))
 }
 
 // ---------------------------------------------------------------------
@@ -179,7 +117,8 @@ impl<'a> Dec<'a> {
 /// Everything a worker needs to reproduce the launcher's evaluation
 /// bitwise: the method knobs (kernel resolved by name), the system, and
 /// the mesh address table.
-pub(crate) struct JobSpec {
+#[derive(Debug, Clone, PartialEq)]
+pub struct JobSpec {
     pub order: u32,
     pub m_trunc: u32,
     pub outer_ratio: f64,
@@ -198,85 +137,70 @@ pub(crate) struct JobSpec {
     pub peers: Vec<String>,
 }
 
+/// `Job`: the launcher's broadcast.
+pub fn encode_job(job: &JobSpec) -> Vec<u8> {
+    let mut b = ctrl_payload(OP_JOB);
+    put_u32(&mut b, job.order);
+    put_u32(&mut b, job.m_trunc);
+    put_f64(&mut b, job.outer_ratio);
+    put_f64(&mut b, job.inner_ratio);
+    put_u32(&mut b, job.sep_d);
+    put_u32(&mut b, job.depth);
+    put_f64(&mut b, job.softening);
+    put_str(&mut b, &job.kernel);
+    put_u32(&mut b, u32::from(job.cost_weighted));
+    put_u32(&mut b, u32::from(job.with_fields));
+    put_u32(&mut b, job.workers);
+    put_f64s(&mut b, &job.domain_min);
+    put_f64(&mut b, job.domain_size);
+    put_u64(&mut b, job.positions.len() as u64);
+    put_f64x3s(&mut b, &job.positions);
+    put_f64s(&mut b, &job.charges);
+    put_u32(&mut b, job.peers.len() as u32);
+    for a in &job.peers {
+        put_str(&mut b, a);
+    }
+    b
+}
+
+/// Read a `Job`; its address table must name one peer per worker.
+pub fn read_job(r: &mut impl Read) -> io::Result<JobSpec> {
+    read_message(r, OP_JOB, |d| {
+        // A struct literal evaluates its fields in source order: wire order.
+        let mut job = JobSpec {
+            order: d.u32()?,
+            m_trunc: d.u32()?,
+            outer_ratio: d.f64()?,
+            inner_ratio: d.f64()?,
+            sep_d: d.u32()?,
+            depth: d.u32()?,
+            softening: d.f64()?,
+            kernel: d.str()?,
+            cost_weighted: d.u32()? != 0,
+            with_fields: d.u32()? != 0,
+            workers: d.u32()?,
+            domain_min: [d.f64()?, d.f64()?, d.f64()?],
+            domain_size: d.f64()?,
+            positions: Vec::new(),
+            charges: Vec::new(),
+            peers: Vec::new(),
+        };
+        let n = d.u64()?;
+        job.positions = d.f64x3s(n)?;
+        job.charges = d.f64s(n)?;
+        let np = d.u32()?;
+        if np != job.workers {
+            let workers = job.workers;
+            return Err(invalid(format!(
+                "job names {np} peers for {workers} workers"
+            )));
+        }
+        job.peers = (0..np).map(|_| d.str()).collect::<io::Result<_>>()?;
+        Ok(job)
+    })
+}
+
 impl JobSpec {
-    fn encode(&self) -> Vec<u8> {
-        let mut b = Vec::new();
-        put_u32(&mut b, self.order);
-        put_u32(&mut b, self.m_trunc);
-        put_f64(&mut b, self.outer_ratio);
-        put_f64(&mut b, self.inner_ratio);
-        put_u32(&mut b, self.sep_d);
-        put_u32(&mut b, self.depth);
-        put_f64(&mut b, self.softening);
-        put_str(&mut b, &self.kernel);
-        put_u32(&mut b, u32::from(self.cost_weighted));
-        put_u32(&mut b, u32::from(self.with_fields));
-        put_u32(&mut b, self.workers);
-        for d in 0..3 {
-            put_f64(&mut b, self.domain_min[d]);
-        }
-        put_f64(&mut b, self.domain_size);
-        put_u64(&mut b, self.positions.len() as u64);
-        for p in &self.positions {
-            for &c in p {
-                put_f64(&mut b, c);
-            }
-        }
-        for &q in &self.charges {
-            put_f64(&mut b, q);
-        }
-        put_u32(&mut b, self.peers.len() as u32);
-        for a in &self.peers {
-            put_str(&mut b, a);
-        }
-        b
-    }
-
-    fn decode(body: &[u8]) -> io::Result<JobSpec> {
-        let mut d = Dec::new(body);
-        let order = d.u32()?;
-        let m_trunc = d.u32()?;
-        let outer_ratio = d.f64()?;
-        let inner_ratio = d.f64()?;
-        let sep_d = d.u32()?;
-        let depth = d.u32()?;
-        let softening = d.f64()?;
-        let kernel = d.str()?;
-        let cost_weighted = d.u32()? != 0;
-        let with_fields = d.u32()? != 0;
-        let workers = d.u32()?;
-        let domain_min = [d.f64()?, d.f64()?, d.f64()?];
-        let domain_size = d.f64()?;
-        let n = d.u64()? as usize;
-        let flat = d.f64s(3 * n)?;
-        let positions = flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect();
-        let charges = d.f64s(n)?;
-        let np = d.u32()? as usize;
-        let mut peers = Vec::with_capacity(np);
-        for _ in 0..np {
-            peers.push(d.str()?);
-        }
-        d.done()?;
-        Ok(JobSpec {
-            order,
-            m_trunc,
-            outer_ratio,
-            inner_ratio,
-            sep_d,
-            depth,
-            softening,
-            kernel,
-            cost_weighted,
-            with_fields,
-            workers,
-            domain_min,
-            domain_size,
-            positions,
-            charges,
-            peers,
-        })
-    }
-
     /// Rebuild the method configuration the launcher serialized. The
     /// kernel arrives pre-resolved: every rank must run the same
     /// microkernel family or the bitwise contract breaks.
@@ -310,8 +234,9 @@ impl JobSpec {
 // WorkerOut wire form
 // ---------------------------------------------------------------------
 
-fn encode_out(rank: u32, out: &WorkerOut) -> Vec<u8> {
-    let mut b = Vec::new();
+/// `Result`: one worker's [`WorkerOut`], f64s as exact bit patterns.
+pub fn encode_result(rank: u32, out: &WorkerOut) -> Vec<u8> {
+    let mut b = ctrl_payload(OP_RESULT);
     put_u32(&mut b, rank);
     for ph in out.counters.iter() {
         put_u64(&mut b, ph.messages);
@@ -322,16 +247,10 @@ fn encode_out(rank: u32, out: &WorkerOut) -> Vec<u8> {
     for &o in &out.orig {
         put_u64(&mut b, o as u64);
     }
-    for &p in &out.pot {
-        put_f64(&mut b, p);
-    }
+    put_f64s(&mut b, &out.pot);
     put_u32(&mut b, u32::from(out.fields.is_some()));
     if let Some(fs) = &out.fields {
-        for f in fs {
-            for &c in f {
-                put_f64(&mut b, c);
-            }
-        }
+        put_f64x3s(&mut b, fs);
     }
     put_u64(&mut b, out.near_stats.pair_interactions);
     put_u64(&mut b, out.near_stats.box_pairs);
@@ -345,64 +264,49 @@ fn encode_out(rank: u32, out: &WorkerOut) -> Vec<u8> {
     b
 }
 
-fn decode_out(body: &[u8]) -> io::Result<(u32, WorkerOut)> {
-    let mut d = Dec::new(body);
-    let rank = d.u32()?;
-    let mut counters = Counters::default();
-    for phase in 0..Counters::PHASES {
-        counters.set_phase(phase);
-        let (messages, bytes, local) = (d.u64()?, d.u64()?, d.u64()?);
-        if bytes % 8 != 0 {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                "counter bytes not word-aligned",
-            ));
+pub fn read_result(r: &mut impl Read) -> io::Result<(u32, WorkerOut)> {
+    read_message(r, OP_RESULT, |d| {
+        let rank = d.u32()?;
+        let mut counters = Counters::default();
+        for phase in 0..Counters::PHASES {
+            counters.set_phase(phase);
+            let (messages, bytes, local) = (d.u64()?, d.u64()?, d.u64()?);
+            if bytes % 8 != 0 {
+                return Err(invalid("counter bytes not word-aligned".into()));
+            }
+            counters.add_messages(messages);
+            counters.add_words(bytes / 8);
+            counters.add_local_words(local);
         }
-        counters.add_messages(messages);
-        counters.add_words(bytes / 8);
-        counters.add_local_words(local);
-    }
-    counters.set_phase(0);
-    let n = d.u64()? as usize;
-    let mut orig = Vec::with_capacity(n);
-    for _ in 0..n {
-        orig.push(d.u64()? as usize);
-    }
-    let pot = d.f64s(n)?;
-    let fields = if d.u32()? != 0 {
-        let flat = d.f64s(3 * n)?;
-        Some(flat.chunks_exact(3).map(|c| [c[0], c[1], c[2]]).collect())
-    } else {
-        None
-    };
-    let near_stats = NearFieldStats {
-        pair_interactions: d.u64()?,
-        box_pairs: d.u64()?,
-        flops: d.u64()?,
-    };
-    let p2o_flops = d.u64()?;
-    let eval_flops = d.u64()?;
-    let traversal_flops = d.u64()?;
-    let (mut times, mut wait) = ([Duration::ZERO; 6], [Duration::ZERO; 6]);
-    for t in times.iter_mut().chain(&mut wait) {
-        *t = Duration::from_nanos(d.u64()?);
-    }
-    d.done()?;
-    Ok((
-        rank,
-        WorkerOut {
+        counters.set_phase(0);
+        let n = d.u64()?;
+        let orig = d.u64s(n)?.into_iter().map(|o| o as usize).collect();
+        let pot = d.f64s(n)?;
+        let fields = if d.u32()? != 0 {
+            Some(d.f64x3s(n)?)
+        } else {
+            None
+        };
+        let mut out = WorkerOut {
             counters,
             orig,
             pot,
             fields,
-            near_stats,
-            p2o_flops,
-            eval_flops,
-            traversal_flops,
-            times,
-            wait,
-        },
-    ))
+            near_stats: NearFieldStats {
+                pair_interactions: d.u64()?,
+                box_pairs: d.u64()?,
+                flops: d.u64()?,
+            },
+            p2o_flops: d.u64()?,
+            eval_flops: d.u64()?,
+            traversal_flops: d.u64()?,
+            ..WorkerOut::default()
+        };
+        for t in out.times.iter_mut().chain(&mut out.wait) {
+            *t = Duration::from_nanos(d.u64()?);
+        }
+        Ok((rank, out))
+    })
 }
 
 // ---------------------------------------------------------------------
@@ -411,6 +315,12 @@ fn decode_out(body: &[u8]) -> io::Result<(u32, WorkerOut)> {
 
 trait Conn: Read + Write + Send {}
 impl<T: Read + Write + Send> Conn for T {}
+
+/// A control connection, its reads bounded by [`CTRL_TIMEOUT`].
+fn ctrl_conn<S: MeshStream>(s: S) -> io::Result<Box<dyn Conn>> {
+    s.read_timeout(CTRL_TIMEOUT)?;
+    Ok(Box::new(s))
+}
 
 enum CtrlListener {
     Tcp(TcpListener),
@@ -447,17 +357,9 @@ impl CtrlListener {
 
     fn accept(&self) -> io::Result<Box<dyn Conn>> {
         match self {
-            CtrlListener::Tcp(l) => {
-                let (s, _) = l.accept()?;
-                s.set_read_timeout(Some(CTRL_TIMEOUT))?;
-                Ok(Box::new(s))
-            }
+            CtrlListener::Tcp(l) => ctrl_conn(l.accept()?.0),
             #[cfg(unix)]
-            CtrlListener::Unix(l) => {
-                let (s, _) = l.accept()?;
-                s.set_read_timeout(Some(CTRL_TIMEOUT))?;
-                Ok(Box::new(s))
-            }
+            CtrlListener::Unix(l) => ctrl_conn(l.accept()?.0),
         }
     }
 }
@@ -467,16 +369,10 @@ impl CtrlListener {
 fn ctrl_connect(addr: &FabricAddr) -> io::Result<Box<dyn Conn>> {
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        let res: io::Result<Box<dyn Conn>> = match addr {
-            FabricAddr::Tcp(a) => TcpStream::connect(a.as_str()).map(|s| {
-                let _ = s.set_read_timeout(Some(CTRL_TIMEOUT));
-                Box::new(s) as Box<dyn Conn>
-            }),
+        let res = match addr {
+            FabricAddr::Tcp(a) => TcpStream::connect(a.as_str()).and_then(ctrl_conn),
             #[cfg(unix)]
-            FabricAddr::Unix(p) => UnixStream::connect(p).map(|s| {
-                let _ = s.set_read_timeout(Some(CTRL_TIMEOUT));
-                Box::new(s) as Box<dyn Conn>
-            }),
+            FabricAddr::Unix(p) => UnixStream::connect(p).and_then(ctrl_conn),
             #[cfg(not(unix))]
             FabricAddr::Unix(_) => Err(io::Error::new(
                 io::ErrorKind::Unsupported,
@@ -559,7 +455,7 @@ pub fn evaluate_distributed(
             grid.dims
         )));
     }
-    let balance = cfg.effective_balance();
+    let balance = cfg.balance;
     let plan = fmm.plan_for(depth);
     let program = build_program(fmm, positions, domain, depth, grid, lc.with_fields, balance);
 
@@ -607,27 +503,17 @@ pub fn evaluate_distributed(
         let mut peers = vec![String::new(); p];
         for _ in 0..p {
             let mut conn = listener.accept()?;
-            let (op, body) = read_ctrl(&mut conn)?;
-            if op != OP_HELLO {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("expected Hello, got opcode {op}"),
-                ));
-            }
-            let mut dec = Dec::new(&body);
-            let rank = dec.u32()? as usize;
-            let mesh_addr = dec.str()?;
-            dec.done()?;
+            let (rank, mesh_addr) = read_hello(&mut conn)?;
+            let rank = rank as usize;
             if rank >= p || conns[rank].is_some() {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("duplicate or out-of-range rank {rank} at rendezvous"),
-                ));
+                return Err(invalid(format!(
+                    "duplicate or out-of-range rank {rank} at rendezvous"
+                )));
             }
             peers[rank] = mesh_addr;
             conns[rank] = Some(conn);
         }
-        let job = JobSpec {
+        let job = encode_job(&JobSpec {
             order: cfg.order as u32,
             m_trunc: cfg.m_trunc as u32,
             outer_ratio: cfg.outer_ratio,
@@ -644,27 +530,24 @@ pub fn evaluate_distributed(
             positions: positions.to_vec(),
             charges: charges.to_vec(),
             peers,
-        }
-        .encode();
+        });
         for conn in conns.iter_mut().flatten() {
-            write_ctrl(conn, OP_JOB, &job)?;
+            fmm_wire::write_frame(conn, &job, MAX_CTRL)?;
         }
         let mut outs: Vec<Option<WorkerOut>> = (0..p).map(|_| None).collect();
         for (rank, conn) in conns.iter_mut().enumerate() {
             let conn = conn.as_mut().unwrap();
-            let (op, body) = read_ctrl(conn)?;
-            if op != OP_RESULT {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("expected Result from rank {rank}, got opcode {op}"),
-                ));
-            }
-            let (r, out) = decode_out(&body)?;
+            let (r, out) = read_result(conn)?;
             if r as usize != rank {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("rank {rank}'s connection returned rank {r}'s result"),
-                ));
+                return Err(invalid(format!(
+                    "rank {rank}'s connection returned rank {r}'s result"
+                )));
+            }
+            if let Some(o) = out.orig.iter().find(|&&o| o >= positions.len()) {
+                return Err(invalid(format!(
+                    "rank {rank} returned particle {o} of {}",
+                    positions.len()
+                )));
             }
             outs[rank] = Some(out);
         }
@@ -726,7 +609,7 @@ fn run_job<S: MeshStream>(
         job.depth,
         grid,
         job.with_fields,
-        fmm.config().effective_balance(),
+        fmm.config().balance,
     );
     let shared = exec::Shared {
         fmm: &fmm,
@@ -774,16 +657,10 @@ pub fn worker_join(rendezvous: &FabricAddr, rank: usize) -> Result<(), String> {
     };
 
     let mut conn = ctrl_connect(rendezvous).map_err(|e| err("rendezvous connect", &e))?;
-    let mut hello = Vec::new();
-    put_u32(&mut hello, rank as u32);
-    put_str(&mut hello, &mesh_addr);
-    write_ctrl(&mut conn, OP_HELLO, &hello).map_err(|e| err("hello", &e))?;
+    let hello = encode_hello(rank as u32, &mesh_addr);
+    fmm_wire::write_frame(&mut conn, &hello, MAX_CTRL).map_err(|e| err("hello", &e))?;
 
-    let (op, body) = read_ctrl(&mut conn).map_err(|e| err("job read", &e))?;
-    if op != OP_JOB {
-        return Err(err("job read", &format!("unexpected opcode {op}")));
-    }
-    let job = JobSpec::decode(&body).map_err(|e| err("job decode", &e))?;
+    let job = read_job(&mut conn).map_err(|e| err("job read", &e))?;
     let p = job.workers as usize;
     if rank >= p {
         return Err(format!("rank {rank} out of range for {p} workers"));
@@ -797,7 +674,7 @@ pub fn worker_join(rendezvous: &FabricAddr, rank: usize) -> Result<(), String> {
                 |peer| {
                     let a = job.peers[peer]
                         .strip_prefix("tcp:")
-                        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "peer kind"))?;
+                        .ok_or_else(|| invalid("peer kind".into()))?;
                     TcpStream::connect(a)
                 },
                 || l.accept().map(|(s, _)| s),
@@ -813,7 +690,7 @@ pub fn worker_join(rendezvous: &FabricAddr, rank: usize) -> Result<(), String> {
                 |peer| {
                     let a = job.peers[peer]
                         .strip_prefix("unix:")
-                        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "peer kind"))?;
+                        .ok_or_else(|| invalid("peer kind".into()))?;
                     UnixStream::connect(a)
                 },
                 || l.accept().map(|(s, _)| s),
@@ -823,8 +700,8 @@ pub fn worker_join(rendezvous: &FabricAddr, rank: usize) -> Result<(), String> {
         }
     };
 
-    let body = encode_out(rank as u32, &out);
-    write_ctrl(&mut conn, OP_RESULT, &body).map_err(|e| err("result", &e))?;
+    let result = encode_result(rank as u32, &out);
+    fmm_wire::write_frame(&mut conn, &result, MAX_CTRL).map_err(|e| err("result", &e))?;
     Ok(())
 }
 
@@ -853,9 +730,14 @@ pub fn launch_config_from_env(opts: SpmdOptions, with_fields: bool) -> Option<La
 mod tests {
     use super::*;
 
-    #[test]
-    fn job_spec_round_trips() {
-        let job = JobSpec {
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        fmm_wire::write_frame(&mut frame, payload, MAX_CTRL).unwrap();
+        frame
+    }
+
+    fn job(cost_weighted: bool, workers: u32, n: usize) -> JobSpec {
+        JobSpec {
             order: 3,
             m_trunc: 5,
             outer_ratio: 1.25,
@@ -864,21 +746,22 @@ mod tests {
             depth: 3,
             softening: 0.0,
             kernel: "scalar".into(),
-            cost_weighted: true,
-            with_fields: true,
-            workers: 4,
+            cost_weighted,
+            with_fields: cost_weighted,
+            workers,
             domain_min: [-1.0, 0.5, 2.0],
             domain_size: 3.5,
-            positions: vec![[0.1, 0.2, 0.3], [0.4, 0.5, 0.6]],
-            charges: vec![1.0, -1.0],
-            peers: vec!["unix:/tmp/a".into(); 4],
-        };
-        let out = JobSpec::decode(&job.encode()).unwrap();
-        assert_eq!(out.order, 3);
-        assert_eq!(out.positions, job.positions);
-        assert_eq!(out.charges, job.charges);
-        assert_eq!(out.peers, job.peers);
-        assert!(out.cost_weighted && out.with_fields);
+            positions: (0..n).map(|i| [0.1, 0.2, i as f64]).collect(),
+            charges: (0..n).map(|i| 1.0 - i as f64).collect(),
+            peers: vec!["unix:/tmp/a".into(); workers as usize],
+        }
+    }
+
+    #[test]
+    fn job_spec_round_trips() {
+        let job = job(true, 4, 2);
+        let out = read_job(&mut framed(&encode_job(&job)).as_slice()).unwrap();
+        assert_eq!(out, job);
         let cfg = out.config().unwrap();
         assert_eq!(cfg.m_trunc, 5);
         assert_eq!(cfg.balance, Balance::CostWeighted);
@@ -886,31 +769,17 @@ mod tests {
 
     #[test]
     fn job_decode_rejects_truncation() {
-        let job = JobSpec {
-            order: 3,
-            m_trunc: 5,
-            outer_ratio: 1.25,
-            inner_ratio: 0.875,
-            sep_d: 2,
-            depth: 3,
-            softening: 0.0,
-            kernel: "scalar".into(),
-            cost_weighted: false,
-            with_fields: false,
-            workers: 2,
-            domain_min: [0.0; 3],
-            domain_size: 1.0,
-            positions: vec![[0.1, 0.2, 0.3]],
-            charges: vec![1.0],
-            peers: vec!["tcp:127.0.0.1:1".into(); 2],
-        };
-        let bytes = job.encode();
-        for cut in [0, 4, 17, bytes.len() - 1] {
-            assert!(JobSpec::decode(&bytes[..cut]).is_err(), "cut {cut}");
+        let payload = encode_job(&job(false, 2, 1));
+        for cut in 0..payload.len() {
+            let frame = framed(&payload[..cut]);
+            assert!(read_job(&mut frame.as_slice()).is_err(), "cut {cut}");
         }
-        let mut extra = bytes.clone();
+        let mut extra = payload.clone();
         extra.push(0);
-        assert!(JobSpec::decode(&extra).is_err(), "trailing byte accepted");
+        assert!(
+            read_job(&mut framed(&extra).as_slice()).is_err(),
+            "trailing byte accepted"
+        );
     }
 
     #[test]
@@ -938,7 +807,8 @@ mod tests {
             times: [Duration::from_nanos(5); 6],
             wait: [Duration::from_nanos(2); 6],
         };
-        let (rank, back) = decode_out(&encode_out(3, &out)).unwrap();
+        let frame = framed(&encode_result(3, &out));
+        let (rank, back) = read_result(&mut frame.as_slice()).unwrap();
         assert_eq!(rank, 3);
         assert_eq!(back.counters, out.counters);
         assert_eq!(back.orig, out.orig);
@@ -952,13 +822,56 @@ mod tests {
     }
 
     #[test]
-    fn ctrl_frames_round_trip_and_reject_bad_magic() {
-        let mut buf = Vec::new();
-        write_ctrl(&mut buf, OP_HELLO, b"payload").unwrap();
-        let (op, body) = read_ctrl(&mut buf.as_slice()).unwrap();
-        assert_eq!(op, OP_HELLO);
-        assert_eq!(body, b"payload");
+    fn ctrl_frames_round_trip_and_reject_bad_magic_and_opcode() {
+        let mut buf = framed(&encode_hello(5, "tcp:127.0.0.1:9"));
+        let hello = read_hello(&mut buf.as_slice()).unwrap();
+        assert_eq!(hello, (5, "tcp:127.0.0.1:9".to_string()));
+        assert!(
+            read_job(&mut buf.as_slice()).is_err(),
+            "Hello read as a Job"
+        );
         buf[4] = b'X';
-        assert!(read_ctrl(&mut buf.as_slice()).is_err());
+        assert!(read_hello(&mut buf.as_slice()).is_err());
+    }
+
+    /// The bytes of a `Job` for `workers` ranks, up to and excluding its
+    /// particle count.
+    fn job_head(workers: u32) -> Vec<u8> {
+        let mut head = job(false, 0, 0);
+        head.workers = workers;
+        let mut b = encode_job(&head);
+        b.truncate(b.len() - 12); // n: u64, peer count: u32
+        b
+    }
+
+    #[test]
+    fn hostile_result_particle_count_is_an_error() {
+        let mut b = ctrl_payload(OP_RESULT);
+        put_u32(&mut b, 0);
+        for _ in 0..3 * Counters::PHASES {
+            put_u64(&mut b, 0);
+        }
+        put_u64(&mut b, 1 << 40);
+        assert!(read_result(&mut framed(&b).as_slice()).is_err());
+    }
+
+    #[test]
+    fn hostile_job_particle_count_is_an_error() {
+        let mut b = job_head(0);
+        put_u64(&mut b, 1 << 61); // 8 · 3 · 2^61 wraps to 0 in u64
+        put_u32(&mut b, 0);
+        assert!(read_job(&mut framed(&b).as_slice()).is_err());
+    }
+
+    #[test]
+    fn hostile_job_peer_count_is_an_error() {
+        let mut b = job_head(u32::MAX);
+        put_u64(&mut b, 0);
+        put_u32(&mut b, u32::MAX);
+        assert!(read_job(&mut framed(&b).as_slice()).is_err());
+        // A table that does not name one peer per worker is refused too.
+        let mut short = job(false, 2, 1);
+        short.peers.pop();
+        assert!(read_job(&mut framed(&encode_job(&short)).as_slice()).is_err());
     }
 }

@@ -76,7 +76,7 @@ pub(crate) struct Shared<'a> {
 
 /// One worker's contribution to the evaluation.
 #[derive(Default)]
-pub(crate) struct WorkerOut {
+pub struct WorkerOut {
     pub counters: Counters,
     /// Original input index of each locally-sorted particle.
     pub orig: Vec<usize>,

@@ -26,7 +26,7 @@
 //! receive names its `(from, tag)` pair; packets that arrive early are
 //! parked in a buffer, so arrival order never affects results.
 
-use std::collections::HashMap;
+use std::collections::{HashMap, VecDeque};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{channel, Receiver, RecvTimeoutError, Sender};
 use std::sync::Arc;
@@ -96,6 +96,42 @@ impl TagAllocator {
     }
 }
 
+/// Early arrivals, parked by `(from, tag)` until the matching receive:
+/// the one receive discipline every [`Transport`] shares.
+#[derive(Default)]
+pub(crate) struct Mailbox {
+    // det: payloads are taken by (from, tag) key only, never iterated.
+    parked: HashMap<(usize, u64), VecDeque<Vec<f64>>>,
+}
+
+impl Mailbox {
+    /// The payload `from` sent under `tag`: the oldest parked one, else
+    /// the first match `next` delivers, parking every other arrival.
+    pub(crate) fn recv(
+        &mut self,
+        from: usize,
+        tag: u64,
+        mut next: impl FnMut() -> (usize, u64, Vec<f64>),
+    ) -> Vec<f64> {
+        let key = (from, tag);
+        if let Some(q) = self.parked.get_mut(&key) {
+            if let Some(data) = q.pop_front() {
+                if q.is_empty() {
+                    self.parked.remove(&key);
+                }
+                return data;
+            }
+        }
+        loop {
+            let (src, t, data) = next();
+            if (src, t) == key {
+                return data;
+            }
+            self.parked.entry((src, t)).or_default().push_back(data);
+        }
+    }
+}
+
 /// One message on the in-process fabric.
 struct Packet {
     from: usize,
@@ -109,9 +145,7 @@ pub struct ChannelTransport {
     rank: usize,
     senders: Vec<Sender<Packet>>,
     rx: Receiver<Packet>,
-    /// Early arrivals, keyed by (from, tag).
-    // det: packets are taken by (from, tag) key only, never iterated.
-    pending: HashMap<(usize, u64), Vec<Vec<f64>>>,
+    mailbox: Mailbox,
 }
 
 impl Transport for ChannelTransport {
@@ -126,38 +160,17 @@ impl Transport for ChannelTransport {
     }
 
     fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        let key = (from, tag);
-        if let Some(q) = self.pending.get_mut(&key) {
-            if !q.is_empty() {
-                let data = q.remove(0);
-                if q.is_empty() {
-                    self.pending.remove(&key);
-                }
-                return data;
-            }
-        }
-        loop {
-            match self.rx.recv_timeout(RECV_TIMEOUT) {
-                Ok(pkt) => {
-                    if (pkt.from, pkt.tag) == key {
-                        return pkt.data;
-                    }
-                    self.pending
-                        .entry((pkt.from, pkt.tag))
-                        .or_default()
-                        .push(pkt.data);
-                }
+        let (rank, rx) = (self.rank, &self.rx);
+        self.mailbox
+            .recv(from, tag, || match rx.recv_timeout(RECV_TIMEOUT) {
+                Ok(pkt) => (pkt.from, pkt.tag, pkt.data),
                 Err(RecvTimeoutError::Timeout) => {
-                    panic!(
-                        "spmd rank {} timed out waiting for (from={}, tag={})",
-                        self.rank, from, tag
-                    );
+                    panic!("spmd rank {rank} timed out waiting for (from={from}, tag={tag})")
                 }
                 Err(RecvTimeoutError::Disconnected) => {
-                    panic!("spmd rank {}: fabric disconnected", self.rank);
+                    panic!("spmd rank {rank}: fabric disconnected")
                 }
-            }
-        }
+            })
     }
 
     fn kind(&self) -> &'static str {
@@ -318,8 +331,7 @@ pub fn channel_ctxs(grid: VuGrid) -> Vec<WorkerCtx> {
                     rank,
                     senders: txs.clone(),
                     rx,
-                    // det: keyed lookups only (see the field's note).
-                    pending: HashMap::new(),
+                    mailbox: Mailbox::default(),
                 }),
             )
         })

@@ -75,8 +75,10 @@ use fmm_core::{
 use fmm_linalg::gemm_flops;
 use fmm_machine::VuGrid;
 use fmm_tree::partition::{leaf_costs, CostModel};
+use transport::MeshStream;
 
 pub use distributed::{evaluate_distributed, worker_join, LaunchConfig};
+pub use exec::WorkerOut;
 pub use fabric::{
     channel_ctxs, run_ctxs, run_workers, ChannelTransport, TagAllocator, Transport, WorkerCtx,
 };
@@ -145,41 +147,30 @@ pub fn fabric_ctxs(grid: VuGrid, fabric: Fabric) -> io::Result<Vec<WorkerCtx>> {
     let p = grid.len();
     match fabric {
         Fabric::InProcess => Ok(channel_ctxs(grid)),
-        Fabric::Unix => {
-            #[cfg(unix)]
-            {
-                transport::unix_pair_mesh(p)?
-                    .into_iter()
-                    .enumerate()
-                    .map(|(rank, row)| {
-                        Ok(WorkerCtx::new(
-                            rank,
-                            grid,
-                            Box::new(SocketTransport::new(rank, row)?),
-                        ))
-                    })
-                    .collect()
-            }
-            #[cfg(not(unix))]
-            {
-                Err(io::Error::new(
-                    io::ErrorKind::Unsupported,
-                    "the unix fabric needs UNIX-domain sockets",
-                ))
-            }
-        }
-        Fabric::Tcp => transport::tcp_loopback_mesh(p)?
-            .into_iter()
-            .enumerate()
-            .map(|(rank, row)| {
-                Ok(WorkerCtx::new(
-                    rank,
-                    grid,
-                    Box::new(SocketTransport::new(rank, row)?),
-                ))
-            })
-            .collect(),
+        #[cfg(unix)]
+        Fabric::Unix => socket_ctxs(grid, transport::unix_pair_mesh(p)?),
+        #[cfg(not(unix))]
+        Fabric::Unix => Err(io::Error::new(
+            io::ErrorKind::Unsupported,
+            "the unix fabric needs UNIX-domain sockets",
+        )),
+        Fabric::Tcp => socket_ctxs(grid, transport::tcp_loopback_mesh(p)?),
     }
+}
+
+/// One context per row of a socket mesh, rank `r` on `mesh[r]`.
+fn socket_ctxs<S: MeshStream>(
+    grid: VuGrid,
+    mesh: Vec<Vec<Option<S>>>,
+) -> io::Result<Vec<WorkerCtx>> {
+    let ctx = |(rank, row)| {
+        Ok(WorkerCtx::new(
+            rank,
+            grid,
+            Box::new(SocketTransport::new(rank, row)?),
+        ))
+    };
+    mesh.into_iter().enumerate().map(ctx).collect()
 }
 
 /// One source of truth for the communication schedule: the executor walks
@@ -251,7 +242,7 @@ fn run_spmd(
         depth,
         grid,
         with_fields,
-        cfg.effective_balance(),
+        cfg.balance,
     );
     let ctxs = fabric_ctxs(grid, opts.transport).map_err(|e| {
         FmmError::InvalidConfig(format!(

@@ -1,20 +1,19 @@
-//! Socket transports and the `FMMW` wire codec.
+//! Socket transports and the `FMMW` message codec.
 //!
-//! A fabric message is one length-prefixed frame:
+//! A fabric message is one [`fmm_wire`] frame whose payload is:
 //!
 //! ```text
-//! u32 LE  payload length (bytes; magic..data, excluding this prefix)
 //! [4]     magic "FMMW"
 //! u32 LE  sending rank
 //! u64 LE  collective tag
-//! f64 LE  payload words (length implied by the frame length)
+//! f64 LE  payload words (count implied by the frame length)
 //! ```
 //!
 //! f64s travel as their exact little-endian bit patterns — the same
 //! discipline as `fmm_serve`'s `FMM1` protocol — so a potential computed
 //! across OS processes is bitwise the one computed in-process. Frames are
-//! capped at [`MAX_FRAME`] and the cap is checked *before* the payload
-//! allocation, so a corrupt or hostile length field cannot balloon memory.
+//! capped at [`MAX_FRAME`], checked before the payload is allocated, so a
+//! corrupt or hostile length field cannot balloon memory.
 //!
 //! [`SocketTransport`] runs the codec over any stream that can be split
 //! into a read and a write half ([`MeshStream`]: UNIX-domain or TCP
@@ -25,7 +24,6 @@
 //! deadlock a schedule that is provably deadlock-free under non-blocking
 //! sends.
 
-use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
@@ -35,96 +33,43 @@ use std::sync::mpsc::{self, Sender};
 use std::thread::JoinHandle;
 
 use fmm_core::Fabric;
+use fmm_wire::{invalid, put_f64s, put_u32, put_u64, Reader};
 
-use crate::fabric::{Transport, RECV_TIMEOUT};
+use crate::fabric::{Mailbox, Transport, RECV_TIMEOUT};
 
 /// Frame magic, first bytes of every fabric message.
 pub const MAGIC: [u8; 4] = *b"FMMW";
 
-/// Header bytes after the length prefix: magic + from + tag.
+/// Payload bytes before the words: magic + from + tag.
 pub const HEADER: usize = 4 + 4 + 8;
 
 /// Refuse frames beyond this (256 MiB) — far above any real halo
 /// exchange, far below an allocation amplification attack.
 pub const MAX_FRAME: usize = 256 << 20;
 
-/// Encode one fabric message as a full frame (length prefix included).
+/// Encode one fabric message as a frame payload, which
+/// [`fmm_wire::write_frame`] prefixes with its length.
 pub fn encode_msg(from: u32, tag: u64, data: &[f64]) -> Vec<u8> {
-    let len = HEADER + 8 * data.len();
-    assert!(len <= MAX_FRAME, "fabric message exceeds MAX_FRAME");
-    let mut buf = Vec::with_capacity(4 + len);
-    buf.extend_from_slice(&(len as u32).to_le_bytes());
-    buf.extend_from_slice(&MAGIC);
-    buf.extend_from_slice(&from.to_le_bytes());
-    buf.extend_from_slice(&tag.to_le_bytes());
-    for &w in data {
-        buf.extend_from_slice(&w.to_le_bytes());
-    }
-    buf
+    let mut b = Vec::with_capacity(HEADER + 8 * data.len());
+    b.extend_from_slice(&MAGIC);
+    put_u32(&mut b, from);
+    put_u64(&mut b, tag);
+    put_f64s(&mut b, data);
+    b
 }
 
-/// Decode the payload of one frame (everything after the length prefix).
-/// Rejects bad magic, short frames, and ragged (non-multiple-of-8) data.
-pub fn decode_payload(payload: &[u8]) -> Result<(u32, u64, Vec<f64>), String> {
-    if payload.len() < HEADER {
-        return Err(format!(
-            "frame too short: {} bytes < {HEADER}-byte header",
-            payload.len()
-        ));
-    }
-    if payload[..4] != MAGIC {
-        return Err(format!("bad magic {:02x?}", &payload[..4]));
-    }
-    let from = u32::from_le_bytes(payload[4..8].try_into().unwrap());
-    let tag = u64::from_le_bytes(payload[8..16].try_into().unwrap());
-    let body = &payload[HEADER..];
-    if !body.len().is_multiple_of(8) {
-        return Err(format!("ragged payload: {} bytes", body.len()));
-    }
-    let data = body
-        .chunks_exact(8)
-        .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
-        .collect();
-    Ok((from, tag, data))
-}
-
-/// Decode a full frame as produced by [`encode_msg`] (length prefix
-/// first). Rejects truncation at any byte and length/size mismatches.
-pub fn decode_msg(frame: &[u8]) -> Result<(u32, u64, Vec<f64>), String> {
-    if frame.len() < 4 {
-        return Err(format!(
-            "frame too short for length prefix: {}",
-            frame.len()
-        ));
-    }
-    let len = u32::from_le_bytes(frame[..4].try_into().unwrap()) as usize;
-    if len > MAX_FRAME {
-        return Err(format!("frame length {len} exceeds cap {MAX_FRAME}"));
-    }
-    if frame.len() != 4 + len {
-        return Err(format!(
-            "frame length mismatch: prefix says {len}, have {}",
-            frame.len() - 4
-        ));
-    }
-    decode_payload(&frame[4..])
-}
-
-/// Read one frame off a stream. The [`MAX_FRAME`] cap is enforced before
-/// the payload buffer is allocated.
+/// Read one fabric message off a stream: a frame of at most
+/// [`MAX_FRAME`] bytes whose payload is magic, sender, tag and a whole
+/// number of words.
 pub fn read_msg<R: Read>(r: &mut R) -> io::Result<(u32, u64, Vec<f64>)> {
-    let mut lenb = [0u8; 4];
-    r.read_exact(&mut lenb)?;
-    let len = u32::from_le_bytes(lenb) as usize;
-    if !(HEADER..=MAX_FRAME).contains(&len) {
-        return Err(io::Error::new(
-            io::ErrorKind::InvalidData,
-            format!("fabric frame length {len} out of range"),
-        ));
-    }
-    let mut payload = vec![0u8; len];
-    r.read_exact(&mut payload)?;
-    decode_payload(&payload).map_err(|e| io::Error::new(io::ErrorKind::InvalidData, e))
+    let payload = fmm_wire::read_frame(r, MAX_FRAME)?;
+    let mut d = Reader::new(&payload);
+    d.magic(MAGIC)?;
+    let from = d.u32()?;
+    let tag = d.u64()?;
+    let data = d.f64s(d.remaining() as u64 / 8)?;
+    d.done()?;
+    Ok((from, tag, data))
 }
 
 /// A duplex byte stream a [`SocketTransport`] can split into a reading
@@ -159,17 +104,14 @@ impl MeshStream for UnixStream {
 /// [`Transport`] over a mesh of framed streams, one per peer rank
 /// (`None` at this rank's own slot). Writes go through per-peer writer
 /// threads so `send` never blocks; reads come off buffered per-peer
-/// streams with the same `(from, tag)` parking discipline as the channel
-/// fabric.
+/// streams into the same `(from, tag)` mailbox as the channel fabric's.
 pub struct SocketTransport {
     rank: usize,
     kind: &'static str,
     writers: Vec<Option<Sender<Vec<u8>>>>,
     writer_joins: Vec<JoinHandle<()>>,
     readers: Vec<Option<BufReader<Box<dyn ReadStream>>>>,
-    /// Early arrivals, keyed by (from, tag).
-    // det: taken by key only, never iterated.
-    pending: HashMap<(usize, u64), VecDeque<Vec<f64>>>,
+    mailbox: Mailbox,
 }
 
 /// Object-safe read half (the concrete stream type is erased so
@@ -197,12 +139,12 @@ impl SocketTransport {
             let mut wh = s.clone_stream()?;
             let (tx, rx) = mpsc::channel::<Vec<u8>>();
             writer_joins.push(std::thread::spawn(move || {
-                // Drain until every sender clone is dropped, then flush:
-                // frames queued at teardown still reach the peer.
-                for frame in rx {
-                    wh.write_all(&frame).expect("fabric write failed");
+                // Drain until every sender clone is dropped: frames
+                // queued at teardown still reach the peer.
+                for payload in rx {
+                    fmm_wire::write_frame(&mut wh, &payload, MAX_FRAME)
+                        .expect("fabric write failed");
                 }
-                wh.flush().expect("fabric flush failed");
             }));
             writers.push(Some(tx));
             readers.push(Some(BufReader::new(Box::new(s) as Box<dyn ReadStream>)));
@@ -213,63 +155,42 @@ impl SocketTransport {
             writers,
             writer_joins,
             readers,
-            // det: taken by key only, never iterated (see the field).
-            pending: HashMap::new(),
+            mailbox: Mailbox::default(),
         })
     }
 }
 
 impl Transport for SocketTransport {
     fn send(&mut self, to: usize, tag: u64, data: Vec<f64>) {
-        let frame = encode_msg(self.rank as u32, tag, &data);
+        let payload = encode_msg(self.rank as u32, tag, &data);
         self.writers[to]
             .as_ref()
             .expect("send to unwired peer")
-            .send(frame)
+            .send(payload)
             .expect("fabric peer hung up");
     }
 
     fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
-        let key = (from, tag);
-        if let Some(q) = self.pending.get_mut(&key) {
-            if let Some(data) = q.pop_front() {
-                if q.is_empty() {
-                    self.pending.remove(&key);
-                }
-                return data;
-            }
-        }
+        let rank = self.rank;
         let reader = self.readers[from].as_mut().expect("recv from unwired peer");
-        loop {
-            match read_msg(reader) {
-                Ok((src, t, data)) => {
-                    assert_eq!(
-                        src as usize, from,
-                        "frame on rank {}'s link to {from} claims source {src}",
-                        self.rank
-                    );
-                    if t == tag {
-                        return data;
-                    }
-                    self.pending.entry((from, t)).or_default().push_back(data);
-                }
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    panic!(
-                        "spmd rank {} timed out waiting for (from={from}, tag={tag})",
-                        self.rank
-                    );
-                }
-                Err(e) => panic!(
-                    "spmd rank {}: fabric read from {from} failed: {e}",
-                    self.rank
-                ),
+        self.mailbox.recv(from, tag, || match read_msg(reader) {
+            Ok((src, t, data)) => {
+                assert_eq!(
+                    src as usize, from,
+                    "frame on rank {rank}'s link to {from} claims source {src}"
+                );
+                (from, t, data)
             }
-        }
+            Err(e)
+                if matches!(
+                    e.kind(),
+                    io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+                ) =>
+            {
+                panic!("spmd rank {rank} timed out waiting for (from={from}, tag={tag})")
+            }
+            Err(e) => panic!("spmd rank {rank}: fabric read from {from} failed: {e}"),
+        })
     }
 
     fn kind(&self) -> &'static str {
@@ -393,10 +314,9 @@ pub fn connect_mesh<S: MeshStream>(
         s.read_exact(&mut hdr)?;
         let from = u32::from_le_bytes(hdr) as usize;
         if from <= rank || from >= p || row[from].is_some() {
-            return Err(io::Error::new(
-                io::ErrorKind::InvalidData,
-                format!("mesh handshake: unexpected peer rank {from} at rank {rank}"),
-            ));
+            return Err(invalid(format!(
+                "mesh handshake: unexpected peer rank {from} at rank {rank}"
+            )));
         }
         row[from] = Some(s);
     }
@@ -407,6 +327,12 @@ pub fn connect_mesh<S: MeshStream>(
 mod tests {
     use super::*;
 
+    fn framed(payload: &[u8]) -> Vec<u8> {
+        let mut frame = Vec::new();
+        fmm_wire::write_frame(&mut frame, payload, MAX_FRAME).unwrap();
+        frame
+    }
+
     #[test]
     fn codec_round_trips_bit_patterns() {
         let data = [
@@ -416,8 +342,8 @@ mod tests {
             f64::INFINITY,
             f64::from_bits(0x7ff8_dead_beef_0001),
         ];
-        let frame = encode_msg(3, 42, &data);
-        let (from, tag, out) = decode_msg(&frame).unwrap();
+        let frame = framed(&encode_msg(3, 42, &data));
+        let (from, tag, out) = read_msg(&mut frame.as_slice()).unwrap();
         assert_eq!((from, tag), (3, 42));
         assert_eq!(out.len(), data.len());
         for (a, b) in data.iter().zip(&out) {
@@ -427,10 +353,25 @@ mod tests {
 
     #[test]
     fn codec_rejects_truncation_everywhere() {
-        let frame = encode_msg(1, 7, &[1.0, 2.0, 3.0]);
+        let frame = framed(&encode_msg(1, 7, &[1.0, 2.0, 3.0]));
         for cut in 0..frame.len() {
-            assert!(decode_msg(&frame[..cut]).is_err(), "cut at {cut} accepted");
+            assert!(
+                read_msg(&mut &frame[..cut]).is_err(),
+                "cut at {cut} accepted"
+            );
         }
+        // Inside a whole frame, a short header or a ragged word is an error.
+        let payload = encode_msg(1, 7, &[1.0]);
+        for cut in (0..payload.len()).filter(|c| *c < HEADER || !(c - HEADER).is_multiple_of(8)) {
+            let frame = framed(&payload[..cut]);
+            assert!(
+                read_msg(&mut frame.as_slice()).is_err(),
+                "payload cut {cut}"
+            );
+        }
+        let mut bad_magic = payload;
+        bad_magic[3] = b'X';
+        assert!(read_msg(&mut framed(&bad_magic).as_slice()).is_err());
     }
 
     #[test]

@@ -1,19 +1,19 @@
-//! Proptest fuzzing of the FMMW data-plane framing — the SPMD socket
-//! fabrics' counterpart of `fmm-serve`'s FMM1 fuzz (`fuzz_protocol.rs`).
+//! Proptest fuzzing of the FMMW data-plane message codec — the SPMD
+//! socket fabrics' counterpart of `fmm-serve`'s FMM1 fuzz
+//! (`fuzz_protocol.rs`). The frame layer under both (byte soup, the cap,
+//! every truncation of a frame) is fuzzed in `fmm-wire`'s
+//! `fuzz_frames.rs`.
 //!
-//! The same three families of properties:
+//! Two families of properties:
 //!
-//! 1. **No panic on byte soup** — decoders are total over arbitrary
-//!    input and never allocate proportionally to a hostile length field.
-//! 2. **Round-trip identity** — encode→decode is the identity for
+//! 1. **No panic on byte soup** — `read_msg`, the codec's one decode
+//!    path, is total over arbitrary input, framed or not.
+//! 2. **Round-trip identity** — encode→frame→read is the identity for
 //!    arbitrary (from, tag, payload) triples, bit-for-bit: payload f64s
 //!    are drawn from raw bit patterns, NaNs and infinities included.
-//! 3. **Truncation is always an error** — every strict prefix of a valid
-//!    frame is rejected, at every cut point.
 
-use std::io::Cursor;
-
-use fmm_spmd::transport::{decode_msg, decode_payload, encode_msg, read_msg, HEADER, MAX_FRAME};
+use fmm_spmd::transport::{encode_msg, read_msg, HEADER, MAX_FRAME};
+use fmm_wire::write_frame;
 use proptest::prelude::*;
 
 /// f64s from raw bit patterns: includes NaNs, infinities, subnormals.
@@ -29,63 +29,41 @@ fn arb_msg() -> impl Strategy<Value = (u32, u64, Vec<f64>)> {
     )
 }
 
+fn framed(payload: &[u8]) -> Vec<u8> {
+    let mut frame = Vec::new();
+    write_frame(&mut frame, payload, MAX_FRAME).expect("in-cap payload");
+    frame
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
-    /// Decoders are total: arbitrary bytes produce Ok or Err, never a
-    /// panic — through the slice decoders and the streaming reader.
+    /// `read_msg` is total: arbitrary bytes produce Ok or Err, never a
+    /// panic — as a raw stream, and as the payload of a well-formed frame
+    /// (with and without the right magic in front).
     #[test]
-    fn decoders_never_panic_on_byte_soup(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
-        let _ = decode_msg(&bytes);
-        let _ = decode_payload(&bytes);
-        let _ = read_msg(&mut Cursor::new(&bytes));
+    fn read_msg_never_panics_on_byte_soup(bytes in proptest::collection::vec(0u8..=255, 0..512)) {
+        let _ = read_msg(&mut bytes.as_slice());
+        let _ = read_msg(&mut framed(&bytes).as_slice());
+        let magic = [b"FMMW".as_slice(), &bytes].concat();
+        let _ = read_msg(&mut framed(&magic).as_slice());
     }
 
-    /// encode→decode is the identity, bit for bit, for arbitrary header
-    /// fields and payload bit patterns — via both the slice decoder and
-    /// the streaming reader.
+    /// encode→frame→read is the identity, bit for bit, for arbitrary
+    /// header fields and payload bit patterns.
     #[test]
     fn round_trip_is_identity((from, tag, data) in arb_msg()) {
-        let frame = encode_msg(from, tag, &data);
-        prop_assert_eq!(frame.len(), 4 + HEADER + 8 * data.len());
+        let payload = encode_msg(from, tag, &data);
+        prop_assert_eq!(payload.len(), HEADER + 8 * data.len());
 
-        let (f2, t2, d2) = decode_msg(&frame).unwrap();
-        prop_assert_eq!(f2, from);
-        prop_assert_eq!(t2, tag);
+        let frame = framed(&payload);
+        let mut stream = frame.as_slice();
+        let (f2, t2, d2) = read_msg(&mut stream).unwrap();
+        prop_assert!(stream.is_empty());
+        prop_assert_eq!((f2, t2), (from, tag));
         prop_assert_eq!(d2.len(), data.len());
         for (a, b) in data.iter().zip(&d2) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-
-        let (f3, t3, d3) = read_msg(&mut Cursor::new(&frame)).unwrap();
-        prop_assert_eq!((f3, t3), (from, tag));
-        for (a, b) in data.iter().zip(&d3) {
-            prop_assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    /// Every strict prefix of a valid frame is rejected — no cut point
-    /// decodes to anything.
-    #[test]
-    fn truncation_is_always_an_error((from, tag, data) in arb_msg(), frac in 0.0f64..1.0) {
-        let frame = encode_msg(from, tag, &data);
-        let cut = ((frame.len() as f64) * frac) as usize; // < len: strict prefix
-        prop_assert!(decode_msg(&frame[..cut]).is_err(), "cut at {} accepted", cut);
-        prop_assert!(read_msg(&mut Cursor::new(&frame[..cut])).is_err());
-    }
-
-    /// A hostile length prefix never drives an allocation: lengths past
-    /// MAX_FRAME are rejected before the payload is touched, and lengths
-    /// the stream cannot back fail with an error, not a panic.
-    #[test]
-    fn hostile_lengths_are_bounded(len in 0u64..=u64::MAX >> 16) {
-        let mut frame = Vec::new();
-        frame.extend_from_slice(&(len.min(u32::MAX as u64) as u32).to_le_bytes());
-        frame.extend_from_slice(b"FMMW");
-        let res = read_msg(&mut Cursor::new(&frame));
-        prop_assert!(res.is_err());
-        if len as usize > MAX_FRAME {
-            let _ = decode_msg(&frame); // total, no alloc proportional to len
         }
     }
 }

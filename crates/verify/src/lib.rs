@@ -26,9 +26,10 @@
 //! 5. **No reply after shutdown** ([`passes::lifecycle`]) — every
 //!    shutdown-tagged transition ends in `Drain`; no handler path can
 //!    answer a request once the server is draining.
-//! 6. **Framing totality** ([`passes::framing`]) — the FMM1 binary codec
-//!    round-trips bit-exactly, rejects every truncation cleanly, and
-//!    bounds hostile length fields before allocating.
+//! 6. **Framing totality** ([`passes::framing`]) — the three binary
+//!    codecs on the one frame layer (`FMM1`, `FMMW`, `FMMC`) round-trip
+//!    bit-exactly, reject every truncation cleanly, and bound hostile
+//!    counts and length fields before allocating.
 //! 7. **Determinism + concurrency lints** ([`passes::lints`]) — lexical
 //!    checks over the workspace sources for undocumented `unsafe`,
 //!    unordered hashed containers, unjustified parallel reductions,
@@ -327,9 +328,13 @@ pub fn run_checks(cfg: &CheckConfig) -> Report {
             name: "framing-totality",
             ok: true,
             detail: format!(
-                "{} round-trip identities, {} truncations/hostile inputs cleanly \
-                 rejected, {} opcode bytes classified",
-                s.round_trips, s.truncations, s.opcodes
+                "{}: {} round-trip identities, {} truncations and {} hostile frames \
+                 cleanly rejected, caps held before allocating, {} opcode bytes classified",
+                s.protocols.join(", "),
+                s.round_trips,
+                s.truncations,
+                s.hostile,
+                s.opcodes
             ),
         }),
         Err(errs) => passes.push(PassResult {
