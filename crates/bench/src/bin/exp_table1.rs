@@ -1,11 +1,13 @@
 //! **E11 — Paper Table 1 (our rows)**: efficiency and cycles/particle of
 //! this implementation, with a Barnes–Hut quadrupole run in the same
 //! harness (the class of codes the paper's Table 1 compares against) and
-//! direct summation as the absolute baseline.
+//! direct summation as the absolute baseline. Then the small-N crossover
+//! of the three methods: direct, Barnes–Hut θ = 0.6 and Anderson D = 5 at
+//! N = 2,000 and 16,000.
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_table1 [n]`
 
-use fmm_bench::util::{header, peak_gemm_gflops, rms_digits, time_s};
+use fmm_bench::util::{best_of, header, peak_gemm_gflops, rms_digits, time_s};
 use fmm_bench::workloads::{direct_potentials, uniform, unit_charges};
 use fmm_bh::BarnesHut;
 use fmm_core::{Fmm, FmmConfig};
@@ -85,4 +87,27 @@ fn main() {
          FMM's flop rate (BLAS-heavy) exceeds BH's (irregular traversal),\n\
          while BH does fewer flops at low accuracy."
     );
+    crossover();
+}
+
+/// Best-of-three wall time of each method at small N, on its own uniform
+/// system. Direct summation is O(N²); the Barnes–Hut time includes its tree
+/// build; the FMM's translation matrices are built once, outside the timing.
+fn crossover() {
+    header("Crossover — direct vs Barnes–Hut vs Anderson at small N");
+    println!(
+        "{:>8} {:>12} {:>14} {:>16}",
+        "N", "direct (s)", "BH θ=0.6 (s)", "Anderson D=5 (s)"
+    );
+    let fmm = Fmm::new(FmmConfig::order(5)).unwrap();
+    for n in [2_000usize, 16_000] {
+        let positions = uniform(n, 31);
+        let charges = unit_charges(n);
+        let (t_direct, _) = best_of(3, || fmm_direct::potentials(&positions, &charges));
+        let (t_bh, _) = best_of(3, || {
+            BarnesHut::build(&positions, &charges, 32).potentials(0.6, false)
+        });
+        let (t_fmm, _) = best_of(3, || fmm.evaluate(&positions, &charges).unwrap());
+        println!("{:>8} {:>12.4} {:>14.4} {:>16.4}", n, t_direct, t_bh, t_fmm);
+    }
 }

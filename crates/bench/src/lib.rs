@@ -1,7 +1,7 @@
 //! # fmm-bench — experiment harness
 //!
-//! One binary per paper table/figure (see DESIGN.md §4) plus criterion
-//! benches for the hot kernels. Shared workload generators live here.
+//! One binary per paper table/figure (see DESIGN.md §4). Shared workload
+//! generators and timers live here.
 
 #![forbid(unsafe_code)]
 

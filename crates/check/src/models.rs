@@ -521,16 +521,17 @@ pub fn batcher_replica_overflow(reset_tick: bool, opts: &Options) -> ModelReport
 }
 
 // ---------------------------------------------------------------------
-// Lock ordering: the engine→registry nesting.
+// Lock ordering: the checker's AB/BA self-test.
 // ---------------------------------------------------------------------
 
-/// Replica of the control plane's one nested acquisition:
-/// `Engine::fmm_for` holds the `fmms` write lock while the `Fmm`
-/// constructor resolves plans in the shared registry. Every production
-/// path takes `fmms` before the registry lock. Healthy, both model
-/// tenants follow that order and the model is deadlock-free under
-/// every schedule; the `swap-lock-order` mutant reverses one tenant,
-/// and the checker finds the AB/BA schedule that deadlocks.
+/// The checker's self-test for lock-order deadlocks, on two stand-in
+/// locks named after the engine's `fmms` map and the plan registry. No
+/// production path nests them: `Engine::fmm_for` builds the `Fmm`
+/// outside the `fmms` lock, and `Fmm::with_registry` takes no registry
+/// lock. Healthy, both tenants take `fmms` before `registry` and the
+/// model is deadlock-free under every schedule; the `swap-lock-order`
+/// mutant reverses one tenant, and the checker must find the AB/BA
+/// schedule that deadlocks.
 pub fn lock_order(swapped: bool, opts: &Options) -> ModelReport {
     let result = explore(opts, move || {
         let fmms = Arc::new(Mutex::new(0u32));
@@ -539,7 +540,7 @@ pub fn lock_order(swapped: bool, opts: &Options) -> ModelReport {
             let (fmms, registry) = (fmms.clone(), registry.clone());
             spawn("tenant-a".into(), move || {
                 let mut f = fmms.lock().unwrap();
-                // lock-order: fmms → registry (matches Engine::fmm_for).
+                // lock-order: fmms → registry.
                 let mut r = registry.lock().unwrap();
                 *f += 1;
                 *r += 1;
@@ -557,7 +558,7 @@ pub fn lock_order(swapped: bool, opts: &Options) -> ModelReport {
                     *r += 1;
                 } else {
                     let mut f = fmms.lock().unwrap();
-                    // lock-order: fmms → registry (matches Engine::fmm_for).
+                    // lock-order: fmms → registry.
                     let mut r = registry.lock().unwrap();
                     *f += 1;
                     *r += 1;

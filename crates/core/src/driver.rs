@@ -12,9 +12,7 @@ use crate::plan::TraversalPlan;
 use crate::registry::{PlanKey, PlanRegistry};
 use crate::stats::{Phase, Profile, SpmdReport};
 use crate::translations::TranslationSet;
-use crate::traversal::{
-    downward_level, downward_pass, upward_level, upward_pass, Aggregation, TraversalFlops,
-};
+use crate::traversal::{downward_level, upward_level, Aggregation, TraversalFlops};
 use fmm_sphere::{inner_kernel_row, inner_kernel_row_with_grad, norm, SphereRule};
 use fmm_tree::{BoxCoord, Domain, Hierarchy};
 use rayon::prelude::*;
@@ -159,11 +157,6 @@ impl Fmm {
         self.registry.stats().plan_builds
     }
 
-    /// The plan registry this instance resolves from.
-    pub fn plan_registry(&self) -> &Arc<PlanRegistry> {
-        &self.registry
-    }
-
     pub fn config(&self) -> &FmmConfig {
         &self.cfg
     }
@@ -235,9 +228,10 @@ impl Fmm {
     /// source's contribution skipped only if they coincide *exactly*.
     ///
     /// The far field is read from the leaf inner approximations of the
-    /// target's box; the near field is summed directly over the source
-    /// particles of the d-separation neighbourhood — the same split the
-    /// paper uses for the sources themselves.
+    /// target's box, computed by the same steps as [`Fmm::evaluate`]; the
+    /// near field is summed directly over the source particles of the
+    /// d-separation neighbourhood, with the configured Plummer softening —
+    /// the same split the paper uses for the sources themselves.
     pub fn evaluate_at(
         &self,
         targets: &[[f64; 3]],
@@ -264,32 +258,16 @@ impl Fmm {
         let k = self.k();
         let par = self.parallel();
         let plan = self.plan_for(depth);
-        let bp = BinnedParticles::build(positions, charges, domain, depth);
-        let mut fh = FieldHierarchy::new(Hierarchy::new(depth), k);
-        let leaf_side = domain.box_side(depth);
-        let a_leaf = self.cfg.outer_ratio * leaf_side;
-        p2o(
-            &bp,
-            &self.rule,
-            a_leaf,
-            depth,
-            par,
-            &mut fh.far[depth as usize],
-        );
-        upward_pass(&mut fh, &self.translations, &plan, Aggregation::Gemm, par);
-        downward_pass(
-            &mut fh,
-            &self.translations,
-            &plan,
-            self.cfg.supernodes,
-            Aggregation::Gemm,
-            par,
-        );
+        let request = BatchRequest { positions, charges };
+        let (bps, fhs, _) =
+            self.far_field(&[request], |_| domain, depth, &plan, &mut Profile::new());
+        let bp = &bps[0];
 
-        let b_leaf = self.cfg.inner_ratio * leaf_side;
+        let b_leaf = self.cfg.inner_ratio * domain.box_side(depth);
         let m = self.cfg.m_trunc;
+        let eps2 = self.cfg.softening * self.cfg.softening;
         let near_offsets = fmm_tree::near_field_offsets(self.cfg.separation);
-        let local_leaf = &fh.local[depth as usize];
+        let local_leaf = &fhs[0].local[depth as usize];
         let eval_one = |row: &mut [f64], t: &[f64; 3]| -> f64 {
             let b = domain.locate(*t, depth);
             let c = domain.box_center(b);
@@ -310,7 +288,7 @@ impl Fmm {
                     let dz = t[2] - bp.z[s];
                     let r2 = dx * dx + dy * dy + dz * dz;
                     if r2 > 0.0 {
-                        pot += bp.q[s] / r2.sqrt();
+                        pot += bp.q[s] / (r2 + eps2).sqrt();
                     }
                 }
             };
@@ -337,6 +315,75 @@ impl Fmm {
             out.chunks_mut(CHUNK).enumerate().for_each(eval_chunk);
         }
         Ok(out)
+    }
+
+    /// Steps 0–3 for every request: coordinate sort / binning (paper
+    /// §3.2) and leaf-level outer approximations (P2O) per request, then
+    /// the upward and downward passes of all requests per level, as one
+    /// instance-major sweep. Returns the binned particles, the hierarchies
+    /// (leaf inner samples in `local[depth]`) and the traversal flops; each
+    /// phase's time and flops go to `profile`.
+    fn far_field(
+        &self,
+        requests: &[BatchRequest<'_>],
+        domain_of: impl Fn(&BatchRequest) -> Domain,
+        depth: u32,
+        plan: &TraversalPlan,
+        profile: &mut Profile,
+    ) -> (Vec<BinnedParticles>, Vec<FieldHierarchy>, TraversalFlops) {
+        let k = self.k();
+        let par = self.parallel();
+        let mut bps: Vec<BinnedParticles> = Vec::with_capacity(requests.len());
+        let mut fhs: Vec<FieldHierarchy> = Vec::with_capacity(requests.len());
+        for q in requests {
+            let domain = domain_of(q);
+            let bp = profile.time(Phase::Sort, || {
+                BinnedParticles::build(q.positions, q.charges, domain, depth)
+            });
+            let mut fh = FieldHierarchy::new(Hierarchy::new(depth), k);
+            let a_leaf = self.cfg.outer_ratio * domain.box_side(depth);
+            let p2o_flops = profile.time(Phase::P2O, || {
+                p2o(
+                    &bp,
+                    &self.rule,
+                    a_leaf,
+                    depth,
+                    par,
+                    &mut fh.far[depth as usize],
+                )
+            });
+            profile.add_flops(Phase::P2O, p2o_flops);
+            bps.push(bp);
+            fhs.push(fh);
+        }
+
+        // Step 2: upward pass, all requests per level (a no-op below
+        // depth 3, like `upward_pass`).
+        let ts = &self.translations;
+        let mut tflops = profile.time(Phase::Upward, || {
+            let mut acc = TraversalFlops::default();
+            if depth >= 3 {
+                for l in (1..depth).rev() {
+                    acc += upward_level(&mut fhs, ts, plan, l, Aggregation::Gemm, par);
+                }
+            }
+            acc
+        });
+
+        // Step 3: downward pass (T2 + T3 are timed together; the
+        // interactive field dominates, as in the paper).
+        tflops += profile.time(Phase::Interactive, || {
+            let mut acc = TraversalFlops::default();
+            for l in 2..=depth {
+                let agg = Aggregation::Gemm;
+                acc += downward_level(&mut fhs, ts, plan, self.cfg.supernodes, agg, par, l);
+            }
+            acc
+        });
+        profile.add_flops(Phase::Upward, tflops.t1);
+        profile.add_flops(Phase::Interactive, tflops.t2);
+        profile.add_flops(Phase::Downward, tflops.t3);
+        (bps, fhs, tflops)
     }
 
     /// The one pipeline behind every `evaluate*` and `evaluate_batch*`:
@@ -410,65 +457,12 @@ impl Fmm {
                 )));
             }
         }
-        let k = self.k();
         let par = self.parallel();
         // One plan lookup for the whole batch: exactly one `plan_builds`
         // when the key is cold, zero when warm.
         let plan = self.plan_for(depth);
         let mut profile = Profile::new();
-
-        // Steps 0–1 per request: coordinate sort / binning (paper §3.2)
-        // and leaf-level outer approximations (P2O).
-        let mut bps: Vec<BinnedParticles> = Vec::with_capacity(requests.len());
-        let mut fhs: Vec<FieldHierarchy> = Vec::with_capacity(requests.len());
-        for q in requests {
-            let domain = domain_of(q);
-            let bp = profile.time(Phase::Sort, || {
-                BinnedParticles::build(q.positions, q.charges, domain, depth)
-            });
-            let mut fh = FieldHierarchy::new(Hierarchy::new(depth), k);
-            let a_leaf = self.cfg.outer_ratio * domain.box_side(depth);
-            let p2o_flops = profile.time(Phase::P2O, || {
-                p2o(
-                    &bp,
-                    &self.rule,
-                    a_leaf,
-                    depth,
-                    par,
-                    &mut fh.far[depth as usize],
-                )
-            });
-            profile.add_flops(Phase::P2O, p2o_flops);
-            bps.push(bp);
-            fhs.push(fh);
-        }
-
-        // Step 2: upward pass, all requests per level (a no-op below
-        // depth 3, like `upward_pass`).
-        let ts = &self.translations;
-        let mut tflops = profile.time(Phase::Upward, || {
-            let mut acc = TraversalFlops::default();
-            if depth >= 3 {
-                for l in (1..depth).rev() {
-                    acc += upward_level(&mut fhs, ts, &plan, l, Aggregation::Gemm, par);
-                }
-            }
-            acc
-        });
-
-        // Step 3: downward pass (T2 + T3 are timed together; the
-        // interactive field dominates, as in the paper).
-        tflops += profile.time(Phase::Interactive, || {
-            let mut acc = TraversalFlops::default();
-            for l in 2..=depth {
-                let agg = Aggregation::Gemm;
-                acc += downward_level(&mut fhs, ts, &plan, self.cfg.supernodes, agg, par, l);
-            }
-            acc
-        });
-        profile.add_flops(Phase::Upward, tflops.t1);
-        profile.add_flops(Phase::Interactive, tflops.t2);
-        profile.add_flops(Phase::Downward, tflops.t3);
+        let (bps, fhs, tflops) = self.far_field(requests, domain_of, depth, &plan, &mut profile);
 
         // Step 5 for f64 potentials: the travelling-accumulator near field,
         // all requests in one sweep. Newton's third law halves the pair
@@ -989,22 +983,27 @@ mod tests {
     #[test]
     fn evaluate_at_particle_positions_matches_evaluate() {
         let (pts, q) = pseudo_system(800, 37);
-        let fmm = Fmm::new(FmmConfig::order(5).depth(3).sequential()).unwrap();
-        let at = fmm.evaluate_at(&pts, &pts, &q).unwrap();
-        let out = fmm.evaluate(&pts, &q).unwrap().potentials;
         // evaluate_at skips exactly-coincident sources, so at a particle's
-        // own position the two agree.
-        for (a, b) in at.iter().zip(&out) {
-            assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()), "{} vs {}", a, b);
+        // own position the two agree, softened or not.
+        for eps in [0.0, 1e-3] {
+            let cfg = FmmConfig::order(5).depth(3).softening(eps);
+            let fmm = Fmm::new(cfg.clone().sequential()).unwrap();
+            let at = fmm.evaluate_at(&pts, &pts, &q).unwrap();
+            let out = fmm.evaluate(&pts, &q).unwrap().potentials;
+            for (a, b) in at.iter().zip(&out) {
+                assert!(
+                    (a - b).abs() < 1e-9 * (1.0 + b.abs()),
+                    "ε = {eps}: {a} vs {b}"
+                );
+            }
+            // 800 targets are three chunks of 256 and a tail; the parallel
+            // path walks the same chunks.
+            let at_par = Fmm::new(cfg).unwrap().evaluate_at(&pts, &pts, &q).unwrap();
+            assert!(at
+                .iter()
+                .zip(&at_par)
+                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
-        // 800 targets are three chunks of 256 and a tail; the parallel
-        // path walks the same chunks.
-        let par = Fmm::new(FmmConfig::order(5).depth(3)).unwrap();
-        let at_par = par.evaluate_at(&pts, &pts, &q).unwrap();
-        assert!(at
-            .iter()
-            .zip(&at_par)
-            .all(|(a, b)| a.to_bits() == b.to_bits()));
     }
 
     #[test]

@@ -405,17 +405,6 @@ fn add_stats(mut a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
 /// whose workers call the same [`travelling_step`] on the boxes they own
 /// — are bitwise identical.
 /// Reports the same third-law-halved counts as [`near_field_symmetric`].
-pub fn near_field_travelling(
-    bp: &BinnedParticles,
-    sep: Separation,
-    parallel: bool,
-    eps: f64,
-    out: &mut [f64],
-) -> NearFieldStats {
-    near_field_travelling_with(Kernel::detect(), bp, sep, parallel, eps, out)
-}
-
-/// [`near_field_travelling`] with an explicit kernel choice.
 pub fn near_field_travelling_with(
     kernel: Kernel,
     bp: &BinnedParticles,
@@ -632,20 +621,9 @@ pub fn return_add(out: &mut [f64], acc: &[f64]) {
     }
 }
 
-/// Target-centric near-field potentials **and** fields (−∇Φ). Outputs are
-/// in sorted particle order.
-pub fn near_field_forces(
-    bp: &BinnedParticles,
-    sep: Separation,
-    parallel: bool,
-    pot: &mut [f64],
-    field: &mut [[f64; 3]],
-) -> NearFieldStats {
-    near_field_forces_softened(bp, sep, parallel, 0.0, pot, field)
-}
-
-/// [`near_field_forces`] with Plummer softening (see
-/// [`near_field_potentials_softened`]).
+/// Target-centric near-field potentials **and** fields (−∇Φ) with Plummer
+/// softening (see [`near_field_potentials_softened`]). Outputs are in
+/// sorted particle order.
 pub fn near_field_forces_softened(
     bp: &BinnedParticles,
     sep: Separation,
@@ -941,7 +919,7 @@ mod tests {
         let bp = build(200, 2, 19);
         let mut pot = vec![0.0; bp.len()];
         let mut field = vec![[0.0; 3]; bp.len()];
-        near_field_forces(&bp, Separation::Two, false, &mut pot, &mut field);
+        near_field_forces_softened(&bp, Separation::Two, false, 0.0, &mut pot, &mut field);
         // Check potential part agrees with the potential-only kernel.
         let mut pot2 = vec![0.0; bp.len()];
         near_field_potentials(&bp, Separation::Two, false, &mut pot2);
@@ -1282,7 +1260,7 @@ mod tests {
         let mut tc = vec![0.0; bp.len()];
         near_field_potentials_softened(&bp, Separation::Two, false, eps, &mut tc);
         let mut col = vec![0.0; bp.len()];
-        near_field_travelling(&bp, Separation::Two, true, eps, &mut col);
+        near_field_travelling_with(Kernel::detect(), &bp, Separation::Two, true, eps, &mut col);
         for (a, b) in tc.iter().zip(&col) {
             assert!((a - b).abs() < 1e-10 * (1.0 + a.abs()), "{} vs {}", a, b);
         }

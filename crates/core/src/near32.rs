@@ -231,7 +231,7 @@ pub fn near_field_forces_f32(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::near::{near_field_forces, near_field_symmetric, ColorSchedule};
+    use crate::near::{near_field_forces_softened, near_field_symmetric, ColorSchedule};
     use fmm_tree::Domain;
 
     fn build(n: usize, level: u32, seed: u64) -> BinnedParticles {
@@ -295,7 +295,8 @@ mod tests {
         let bp = build(1500, 2, 59);
         let mut pot64 = vec![0.0; bp.len()];
         let mut field64 = vec![[0.0; 3]; bp.len()];
-        let st64 = near_field_forces(&bp, Separation::Two, false, &mut pot64, &mut field64);
+        let st64 =
+            near_field_forces_softened(&bp, Separation::Two, false, 0.0, &mut pot64, &mut field64);
         for kernel in Kernel::available() {
             let mut pot = vec![0.0; bp.len()];
             let mut field = vec![[0.0; 3]; bp.len()];

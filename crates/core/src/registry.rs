@@ -24,7 +24,7 @@ use fmm_sync::atomic::{AtomicU64, Ordering};
 use fmm_sync::RwLock;
 use fmm_tree::Separation;
 use std::collections::HashMap;
-use std::sync::{Arc, OnceLock};
+use std::sync::Arc;
 
 /// Everything a cached plan is keyed by. `depth`, `separation` and
 /// `kernel` determine the plan's contents; `k` (sphere-rule size),
@@ -108,15 +108,6 @@ impl PlanRegistry {
             hits: AtomicU64::new(0),
             evictions: AtomicU64::new(0),
         }
-    }
-
-    /// The process-wide registry (capacity 64). `Fmm::new` does *not* use
-    /// it — a private instance keeps library semantics local — but
-    /// services that construct many instances share it via
-    /// [`crate::Fmm::with_registry`].
-    pub fn global() -> &'static Arc<PlanRegistry> {
-        static GLOBAL: OnceLock<Arc<PlanRegistry>> = OnceLock::new();
-        GLOBAL.get_or_init(|| Arc::new(PlanRegistry::new(64)))
     }
 
     /// The plan for `key`, built (and admitted) on first use. Hits take

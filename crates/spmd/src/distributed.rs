@@ -40,9 +40,7 @@ use std::time::{Duration, Instant};
 use fmm_core::driver::{EvalOutput, Fmm, FmmError};
 use fmm_core::near::NearFieldStats;
 use fmm_core::stats::Counters;
-use fmm_core::{
-    Balance, DepthPolicy, Domain, Executor, FmmConfig, Kernel, Separation, SpmdOptions,
-};
+use fmm_core::{Balance, DepthPolicy, Domain, Executor, FmmConfig, Kernel, Separation};
 use fmm_machine::{communication_budget_with, preflight, ProgramConfig, TransportModel};
 use fmm_wire::{invalid, put_f64, put_f64s, put_f64x3s, put_str, put_u32, put_u64, put_u8, Reader};
 
@@ -703,27 +701,6 @@ pub fn worker_join(rendezvous: &FabricAddr, rank: usize) -> Result<(), String> {
     let result = encode_result(rank as u32, &out);
     fmm_wire::write_frame(&mut conn, &result, MAX_CTRL).map_err(|e| err("result", &e))?;
     Ok(())
-}
-
-/// Everything an `SpmdOptions` launch needs to know, derived from the
-/// environment: the `--fabric`-style rendezvous address in `FMM_FABRIC`,
-/// the worker binary in `FMM_WORKER_BIN`, and an optional capacity gate
-/// in `FMM_CAPACITY_BYTES`.
-pub fn launch_config_from_env(opts: SpmdOptions, with_fields: bool) -> Option<LaunchConfig> {
-    let addr = std::env::var("FMM_FABRIC").ok()?;
-    let rendezvous = FabricAddr::parse(&addr).ok()?;
-    if rendezvous.fabric() != opts.transport {
-        return None;
-    }
-    Some(LaunchConfig {
-        rendezvous,
-        workers: opts.workers,
-        with_fields,
-        worker_bin: std::env::var_os("FMM_WORKER_BIN").map(PathBuf::from),
-        capacity_bytes: std::env::var("FMM_CAPACITY_BYTES")
-            .ok()
-            .and_then(|v| v.parse().ok()),
-    })
 }
 
 #[cfg(test)]

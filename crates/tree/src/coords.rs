@@ -122,16 +122,6 @@ impl BoxCoord {
         ((self.x & 1) | ((self.y & 1) << 1) | ((self.z & 1) << 2)) as usize
     }
 
-    /// Octant as a 0/1 triple `(ox, oy, oz)`.
-    #[inline]
-    pub fn octant_coords(&self) -> [i32; 3] {
-        [
-            (self.x & 1) as i32,
-            (self.y & 1) as i32,
-            (self.z & 1) as i32,
-        ]
-    }
-
     /// The eight children, ordered by octant index.
     pub fn children(&self) -> [BoxCoord; 8] {
         let mut out = [*self; 8];

@@ -54,7 +54,7 @@ pub mod passes;
 use std::fmt::Write as _;
 
 use fmm_machine::VuGrid;
-use fmm_spmd::{vu_grid_for, CommProgram, Partition};
+use fmm_spmd::{CommProgram, Partition};
 
 pub use lower::{apply_mutation, lower, Lowered, Mutation};
 
@@ -93,14 +93,6 @@ impl CheckConfig {
             balance: false,
             mutate: None,
             skip_lints: false,
-        }
-    }
-
-    pub fn for_workers(workers: usize, depth: u32) -> Self {
-        CheckConfig {
-            grid: vu_grid_for(workers),
-            depth,
-            ..CheckConfig::table4()
         }
     }
 }

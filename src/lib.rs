@@ -21,13 +21,11 @@
 //!   bitwise-identical output on all three; see `fmm-worker` for
 //!   multi-process execution),
 //! * [`fmm_direct`] / [`fmm_bh`] — O(N²) and Barnes–Hut baselines,
-//! * [`fmm2d`] — the two-dimensional (log-kernel) variant of the method,
 //! * [`fmm_serve`] — a batched, multi-tenant evaluation service
 //!   (coalescing batcher + shared [`PlanRegistry`]).
 //!
 //! See `examples/quickstart.rs` for a five-line end-to-end use.
 
-pub use fmm2d;
 pub use fmm_bh;
 pub use fmm_core;
 pub use fmm_direct;
