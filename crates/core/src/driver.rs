@@ -2,7 +2,7 @@
 //! hierarchical method, wired together with binning, translation matrices
 //! and per-phase profiling.
 
-use crate::batch::{first_non_finite, BatchRequest};
+use crate::batch::BatchRequest;
 use crate::config::{Executor, FmmConfig, Precision};
 use crate::field::FieldHierarchy;
 use crate::near::{near_field_forces_softened_with, travelling_sweep, NearFieldStats};
@@ -39,13 +39,18 @@ impl fmt::Display for FmmError {
 
 impl std::error::Error for FmmError {}
 
-/// Result of one evaluation.
+/// Result of one evaluation of one or more requests.
 #[derive(Debug, Clone)]
 pub struct EvalOutput {
-    /// Potential at every input particle (original order).
+    /// Potential at every input particle: requests concatenated in request
+    /// order, each request's particles in their original order.
     pub potentials: Vec<f64>,
-    /// Field −∇Φ at every particle, when requested.
+    /// Field −∇Φ at every particle, concatenated like `potentials`, when
+    /// requested.
     pub fields: Option<Vec<[f64; 3]>>,
+    /// Request `i` owns `potentials[offsets[i]..offsets[i + 1]]`
+    /// (`[0, n]` for one request).
+    pub offsets: Vec<usize>,
     /// Per-phase timing and flops.
     pub profile: Profile,
     /// Hierarchy depth used.
@@ -54,11 +59,26 @@ pub struct EvalOutput {
     pub near_stats: NearFieldStats,
     /// Traversal flop counters.
     pub traversal_flops: TraversalFlops,
-    /// The domain the hierarchy was built on.
+    /// The domain the (first request's) hierarchy was built on: its
+    /// particles' bounding cube.
     pub domain: Domain,
     /// Measured per-phase communication when the run used
     /// [`Executor::Spmd`]; `None` for the shared-memory backends.
     pub spmd: Option<SpmdReport>,
+}
+
+impl EvalOutput {
+    /// Request `i`'s potentials (original particle order).
+    pub fn potentials_of(&self, i: usize) -> &[f64] {
+        &self.potentials[self.offsets[i]..self.offsets[i + 1]]
+    }
+
+    /// Request `i`'s fields, when the evaluation computed them.
+    pub fn fields_of(&self, i: usize) -> Option<&[[f64; 3]]> {
+        self.fields
+            .as_ref()
+            .map(|f| &f[self.offsets[i]..self.offsets[i + 1]])
+    }
 }
 
 /// Entry point of the message-passing backend, installed by
@@ -181,140 +201,31 @@ impl Fmm {
         self.rule.len()
     }
 
-    /// Evaluate potentials with the domain inferred from the particles'
-    /// bounding cube.
+    /// Potentials of one system: [`Fmm::evaluate_requests`] of one
+    /// request. Kept only because `benchmark/` imports it (ROADMAP item 1).
     pub fn evaluate(
         &self,
         positions: &[[f64; 3]],
         charges: &[f64],
     ) -> Result<EvalOutput, FmmError> {
-        self.solo(positions, charges, None, false)
+        self.evaluate_requests(&[BatchRequest { positions, charges }], false)
     }
 
-    /// Evaluate potentials on an explicit domain.
-    pub fn evaluate_in(
-        &self,
-        positions: &[[f64; 3]],
-        charges: &[f64],
-        domain: Domain,
-    ) -> Result<EvalOutput, FmmError> {
-        self.solo(positions, charges, Some(domain), false)
-    }
-
-    /// Evaluate potentials and fields (−∇Φ).
+    /// Potentials and fields (−∇Φ) of one system: [`Fmm::evaluate_requests`]
+    /// of one request with fields. Kept only because `benchmark/` imports
+    /// it (ROADMAP item 1).
     pub fn evaluate_forces(
         &self,
         positions: &[[f64; 3]],
         charges: &[f64],
     ) -> Result<EvalOutput, FmmError> {
-        self.solo(positions, charges, None, true)
+        self.evaluate_requests(&[BatchRequest { positions, charges }], true)
     }
 
-    /// A solo evaluation is a batch of one.
-    fn solo(
-        &self,
-        positions: &[[f64; 3]],
-        charges: &[f64],
-        domain: Option<Domain>,
-        with_fields: bool,
-    ) -> Result<EvalOutput, FmmError> {
-        let request = BatchRequest { positions, charges };
-        let (out, _) = self.run(&[request], domain, with_fields)?;
-        Ok(out)
-    }
-
-    /// Evaluate the potential at arbitrary target points (not necessarily
-    /// source particles). Targets coinciding with a source see that
-    /// source's contribution skipped only if they coincide *exactly*.
-    ///
-    /// The far field is read from the leaf inner approximations of the
-    /// target's box, computed by the same steps as [`Fmm::evaluate`]; the
-    /// near field is summed directly over the source particles of the
-    /// d-separation neighbourhood, with the configured Plummer softening —
-    /// the same split the paper uses for the sources themselves.
-    pub fn evaluate_at(
-        &self,
-        targets: &[[f64; 3]],
-        positions: &[[f64; 3]],
-        charges: &[f64],
-    ) -> Result<Vec<f64>, FmmError> {
-        BatchRequest { positions, charges }
-            .validate()
-            .map_err(FmmError::BadInput)?;
-        if let Some(i) = first_non_finite(targets) {
-            return Err(FmmError::BadInput(format!(
-                "target {i} is not finite: {:?}",
-                targets[i]
-            )));
-        }
-        // The domain must cover sources and targets.
-        let mut all: Vec<[f64; 3]> = Vec::with_capacity(positions.len() + targets.len());
-        all.extend_from_slice(positions);
-        all.extend_from_slice(targets);
-        let domain = Domain::bounding(&all);
-        drop(all);
-
-        let depth = self.cfg.depth.resolve(positions.len());
-        let k = self.k();
-        let par = self.parallel();
-        let plan = self.plan_for(depth);
-        let request = BatchRequest { positions, charges };
-        let (bps, fhs, _) =
-            self.far_field(&[request], |_| domain, depth, &plan, &mut Profile::new());
-        let bp = &bps[0];
-
-        let b_leaf = self.cfg.inner_ratio * domain.box_side(depth);
-        let m = self.cfg.m_trunc;
-        let eps2 = self.cfg.softening * self.cfg.softening;
-        let near_offsets = fmm_tree::near_field_offsets(self.cfg.separation);
-        let local_leaf = &fhs[0].local[depth as usize];
-        let eval_one = |row: &mut [f64], t: &[f64; 3]| -> f64 {
-            let b = domain.locate(*t, depth);
-            let c = domain.box_center(b);
-            inner_kernel_row(
-                &self.rule,
-                m,
-                b_leaf,
-                [t[0] - c[0], t[1] - c[1], t[2] - c[2]],
-                row,
-            );
-            let g = &local_leaf[b.index() * k..(b.index() + 1) * k];
-            let mut pot: f64 = row.iter().zip(g).map(|(r, gg)| r * gg).sum();
-            // Near field: own box + neighbours, direct.
-            let mut near_box = |bb: BoxCoord| {
-                for s in bp.range(bb.index()) {
-                    let dx = t[0] - bp.x[s];
-                    let dy = t[1] - bp.y[s];
-                    let dz = t[2] - bp.z[s];
-                    let r2 = dx * dx + dy * dy + dz * dz;
-                    if r2 > 0.0 {
-                        pot += bp.q[s] / (r2 + eps2).sqrt();
-                    }
-                }
-            };
-            near_box(b);
-            for &d in &near_offsets {
-                if let Some(nb) = b.offset(d) {
-                    near_box(nb);
-                }
-            }
-            pot
-        };
-        // One kernel-row buffer per chunk of targets, not per target.
-        const CHUNK: usize = 256;
-        let mut out = vec![0.0; targets.len()];
-        let eval_chunk = |(c, o): (usize, &mut [f64])| {
-            let mut row = vec![0.0; k];
-            for (oi, t) in o.iter_mut().zip(&targets[c * CHUNK..]) {
-                *oi = eval_one(&mut row, t);
-            }
-        };
-        if par {
-            out.par_chunks_mut(CHUNK).enumerate().for_each(eval_chunk);
-        } else {
-            out.chunks_mut(CHUNK).enumerate().for_each(eval_chunk);
-        }
-        Ok(out)
+    /// Potentials of many requests: [`Fmm::evaluate_requests`] without
+    /// fields. Kept only because `benchmark/` imports it (ROADMAP item 1).
+    pub fn evaluate_batch(&self, requests: &[BatchRequest<'_>]) -> Result<EvalOutput, FmmError> {
+        self.evaluate_requests(requests, false)
     }
 
     /// Steps 0–3 for every request: coordinate sort / binning (paper
@@ -326,7 +237,6 @@ impl Fmm {
     fn far_field(
         &self,
         requests: &[BatchRequest<'_>],
-        domain_of: impl Fn(&BatchRequest) -> Domain,
         depth: u32,
         plan: &TraversalPlan,
         profile: &mut Profile,
@@ -336,7 +246,7 @@ impl Fmm {
         let mut bps: Vec<BinnedParticles> = Vec::with_capacity(requests.len());
         let mut fhs: Vec<FieldHierarchy> = Vec::with_capacity(requests.len());
         for q in requests {
-            let domain = domain_of(q);
+            let domain = Domain::bounding(q.positions);
             let bp = profile.time(Phase::Sort, || {
                 BinnedParticles::build(q.positions, q.charges, domain, depth)
             });
@@ -386,25 +296,26 @@ impl Fmm {
         (bps, fhs, tflops)
     }
 
-    /// The one pipeline behind every `evaluate*` and `evaluate_batch*`:
-    /// the requests share one traversal plan, their hierarchy sweeps run as
-    /// one instance-major sweep and their f64 potential near fields as one
-    /// travelling sweep; binning, P2O, leaf evaluation and the other
-    /// near-field variants are particle-bound and run per request.
+    /// The one evaluation pipeline: the paper's steps 0–5 for every
+    /// request, each on its particles' bounding cube, with fields (−∇Φ)
+    /// when `with_fields`. The requests share one traversal plan, their
+    /// hierarchy sweeps run as one instance-major sweep and their f64
+    /// potential near fields as one travelling sweep; binning, P2O, leaf
+    /// evaluation and the other near-field variants are particle-bound and
+    /// run per request. Every phase, shared sweep or per request, opens
+    /// parallel regions only on [`Executor::Rayon`], so a batch runs like a
+    /// solo call of its size, and each request's results are bitwise those
+    /// of a batch of it alone.
     ///
-    /// `domain` overrides the bounding cube (solo `evaluate_in` only).
-    /// Every phase, shared sweep or per request, follows
-    /// [`Fmm::parallel`], so a batch runs like a solo call of its size.
-    ///
-    /// Returns the batch as one [`EvalOutput`] — potentials and fields
-    /// concatenated in request order, counters summed, the first request's
-    /// domain — and the offsets of each request's slice in it.
-    pub(crate) fn run(
+    /// All requests must resolve to one hierarchy depth (fixed-depth
+    /// configurations always do). Returns one [`EvalOutput`]: potentials
+    /// and fields concatenated in request order, split by `offsets`,
+    /// counters summed, the first request's domain.
+    pub fn evaluate_requests(
         &self,
         requests: &[BatchRequest<'_>],
-        domain: Option<Domain>,
         with_fields: bool,
-    ) -> Result<(EvalOutput, Vec<usize>), FmmError> {
+    ) -> Result<EvalOutput, FmmError> {
         if requests.is_empty() {
             return Err(FmmError::BadInput("empty batch".into()));
         }
@@ -412,10 +323,6 @@ impl Fmm {
             q.validate()
                 .map_err(|e| FmmError::BadInput(format!("request {i}: {e}")))?;
         }
-        let domain_of = |q: &BatchRequest| domain.unwrap_or_else(|| Domain::bounding(q.positions));
-        let mut offsets = Vec::with_capacity(requests.len() + 1);
-        offsets.push(0usize);
-
         if let Executor::Spmd(opts) = self.cfg.effective_executor() {
             // The message-passing backend owns its whole pipeline, so the
             // requests go through it one by one (still bitwise per
@@ -427,11 +334,10 @@ impl Fmm {
                 )
             })?;
             let mut outs = requests.iter().map(|q| {
-                let d = domain_of(q);
+                let d = Domain::bounding(q.positions);
                 backend(self, q.positions, q.charges, d, with_fields, opts)
             });
             let mut all = outs.next().expect("requests is not empty")?;
-            offsets.push(all.potentials.len());
             for one in outs {
                 let one = one?;
                 all.potentials.extend(one.potentials);
@@ -442,9 +348,9 @@ impl Fmm {
                 all.near_stats.merge(&one.near_stats);
                 all.traversal_flops += one.traversal_flops;
                 all.spmd = one.spmd;
-                offsets.push(all.potentials.len());
+                all.offsets.push(all.potentials.len());
             }
-            return Ok((all, offsets));
+            return Ok(all);
         }
 
         let depth = self.cfg.depth.resolve(requests[0].positions.len());
@@ -462,7 +368,7 @@ impl Fmm {
         // when the key is cold, zero when warm.
         let plan = self.plan_for(depth);
         let mut profile = Profile::new();
-        let (bps, fhs, tflops) = self.far_field(requests, domain_of, depth, &plan, &mut profile);
+        let (bps, fhs, tflops) = self.far_field(requests, depth, &plan, &mut profile);
 
         // Step 5 for f64 potentials: the travelling-accumulator near field,
         // all requests in one sweep. Newton's third law halves the pair
@@ -492,6 +398,7 @@ impl Fmm {
         let total: usize = bps.iter().map(BinnedParticles::len).sum();
         let mut potentials = vec![0.0; total];
         let mut fields = with_fields.then(|| vec![[0.0; 3]; total]);
+        let mut offsets = vec![0];
         let mut start = 0;
         for ((bp, fh), near_pot) in bps.iter().zip(fhs).zip(&mut near_pots) {
             let mut far_pot = vec![0.0; bp.len()];
@@ -561,17 +468,17 @@ impl Fmm {
         }
         profile.add_flops(Phase::Near, near_stats.flops);
 
-        let out = EvalOutput {
+        Ok(EvalOutput {
             potentials,
             fields,
+            offsets,
             profile,
             depth,
             near_stats,
             traversal_flops: tflops,
             domain: bps[0].domain,
             spmd: None,
-        };
-        Ok((out, offsets))
+        })
     }
 }
 
@@ -878,8 +785,8 @@ mod tests {
                 let before = rayon::regions_opened();
                 fmm.evaluate(&pts, &q).unwrap();
                 fmm.evaluate_forces(&pts, &q).unwrap();
-                fmm.evaluate_at(&pts[..5], &pts, &q).unwrap();
                 fmm.evaluate_batch(&requests).unwrap();
+                fmm.evaluate_requests(&requests, true).unwrap();
                 rayon::regions_opened() - before
             })
         };
@@ -930,79 +837,17 @@ mod tests {
     fn charge_superposition_linearity() {
         let (pts, q1) = pseudo_mixed(500, 19);
         let (_, q2) = pseudo_mixed(500, 23);
-        let domain = Domain::bounding(&pts);
         let fmm = Fmm::new(FmmConfig::order(3).depth(2).sequential()).unwrap();
-        let p1 = fmm.evaluate_in(&pts, &q1, domain).unwrap().potentials;
-        let p2 = fmm.evaluate_in(&pts, &q2, domain).unwrap().potentials;
+        let p1 = fmm.evaluate(&pts, &q1).unwrap().potentials;
+        let p2 = fmm.evaluate(&pts, &q2).unwrap().potentials;
         let qs: Vec<f64> = q1.iter().zip(&q2).map(|(a, b)| a + b).collect();
-        let ps = fmm.evaluate_in(&pts, &qs, domain).unwrap().potentials;
+        let ps = fmm.evaluate(&pts, &qs).unwrap().potentials;
         for i in 0..pts.len() {
             assert!(
                 (ps[i] - p1[i] - p2[i]).abs() < 1e-9 * ps[i].abs().max(1.0),
                 "superposition violated at {}",
                 i
             );
-        }
-    }
-
-    #[test]
-    fn evaluate_at_matches_direct_at_off_particle_points() {
-        let (pts, q) = pseudo_system(1200, 31);
-        let fmm = Fmm::new(FmmConfig::order(5).depth(3)).unwrap();
-        // Probe points strictly inside the cube, away from particles.
-        let targets: Vec<[f64; 3]> = (0..50)
-            .map(|i| {
-                let f = i as f64 / 50.0;
-                [
-                    0.1 + 0.8 * f,
-                    0.5 + 0.3 * (f * 9.0).sin() * 0.5,
-                    0.3 + 0.5 * f,
-                ]
-            })
-            .collect();
-        let approx = fmm.evaluate_at(&targets, &pts, &q).unwrap();
-        for (t, a) in targets.iter().zip(&approx) {
-            let exact: f64 = pts
-                .iter()
-                .zip(&q)
-                .map(|(p, qq)| {
-                    let d = [t[0] - p[0], t[1] - p[1], t[2] - p[2]];
-                    qq / norm(d)
-                })
-                .sum();
-            assert!(
-                (a - exact).abs() < 2e-3 * exact.abs().max(1.0),
-                "target {:?}: {} vs {}",
-                t,
-                a,
-                exact
-            );
-        }
-    }
-
-    #[test]
-    fn evaluate_at_particle_positions_matches_evaluate() {
-        let (pts, q) = pseudo_system(800, 37);
-        // evaluate_at skips exactly-coincident sources, so at a particle's
-        // own position the two agree, softened or not.
-        for eps in [0.0, 1e-3] {
-            let cfg = FmmConfig::order(5).depth(3).softening(eps);
-            let fmm = Fmm::new(cfg.clone().sequential()).unwrap();
-            let at = fmm.evaluate_at(&pts, &pts, &q).unwrap();
-            let out = fmm.evaluate(&pts, &q).unwrap().potentials;
-            for (a, b) in at.iter().zip(&out) {
-                assert!(
-                    (a - b).abs() < 1e-9 * (1.0 + b.abs()),
-                    "ε = {eps}: {a} vs {b}"
-                );
-            }
-            // 800 targets are three chunks of 256 and a tail; the parallel
-            // path walks the same chunks.
-            let at_par = Fmm::new(cfg).unwrap().evaluate_at(&pts, &pts, &q).unwrap();
-            assert!(at
-                .iter()
-                .zip(&at_par)
-                .all(|(a, b)| a.to_bits() == b.to_bits()));
         }
     }
 
@@ -1087,7 +932,7 @@ mod tests {
         let (pts, q) = pseudo_system(700, 43);
         let domain = Domain::bounding(&pts);
         let fmm = Fmm::new(FmmConfig::order(3).depth(2)).unwrap();
-        let out = fmm.evaluate_in(&pts, &q, domain).unwrap();
+        let out = fmm.evaluate(&pts, &q).unwrap();
         let bp = BinnedParticles::build(&pts, &q, domain, 2);
         let (_, sym) = crate::near::near_field_symmetric(&bp, fmm.config().separation);
         assert_eq!(out.near_stats, sym);

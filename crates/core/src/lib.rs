@@ -57,7 +57,7 @@ pub mod stats;
 pub mod translations;
 pub mod traversal;
 
-pub use batch::{BatchOutput, BatchRequest};
+pub use batch::BatchRequest;
 pub use config::{Balance, DepthPolicy, Executor, Fabric, FmmConfig, Precision, SpmdOptions};
 pub use driver::{EvalOutput, Fmm, FmmError};
 pub use error::{relative_error_stats, ErrorStats};

@@ -197,7 +197,7 @@ pub fn near_field_potentials_f32(
 }
 
 /// Mixed-precision near-field potentials **and** fields: the f64 force
-/// sweep's skeleton ([`target_sweep`], [`target_box`]) over the f32 mirror;
+/// sweep's skeleton (`target_sweep`, `target_box`) over the f32 mirror;
 /// each run's partial (own box before and after the target, then each
 /// neighbour box) is widened to f64 before joining the target's
 /// accumulator.

@@ -354,7 +354,7 @@ struct DownwardSources<'a> {
 /// One level of the downward pass, for every instance of `fhs`: T2
 /// (interactive field) plus T3 (parent inner shift) into `local[l]`, which
 /// is zeroed first. Each slab is walked in sub-panels of one parent row
-/// ([`PANEL_MIN_PARENTS`]); per (sub-panel, octant, offset) the source
+/// (`PANEL_MIN_PARENTS`); per (sub-panel, octant, offset) the source
 /// geometry — offset application, domain bounds, the all-rows-invalid
 /// skip — is computed once and every instance's rows go through one GEMM.
 pub fn downward_level(

@@ -4,8 +4,7 @@
 //! once under concurrent hammering while enforcing its LRU bound.
 
 use fmm_core::{
-    BatchRequest, Domain, Executor, Fmm, FmmConfig, FmmError, PlanKey, PlanRegistry, Precision,
-    Separation,
+    BatchRequest, Executor, Fmm, FmmConfig, FmmError, PlanKey, PlanRegistry, Precision, Separation,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -61,7 +60,7 @@ fn batched_evaluation_is_bitwise_identical_to_solo() {
         // Still exactly one build: the solo evaluations reuse the plan.
         assert_eq!(fmm.plan_builds(), 1);
 
-        let batch_f = fmm.evaluate_batch_forces(&requests).unwrap();
+        let batch_f = fmm.evaluate_requests(&requests, true).unwrap();
         for (i, (p, q)) in systems.iter().enumerate() {
             let solo = fmm.evaluate_forces(p, q).unwrap();
             let gf = batch_f.fields_of(i).unwrap();
@@ -78,8 +77,8 @@ fn batched_evaluation_is_bitwise_identical_to_solo() {
     }
 }
 
-/// One pipeline: `evaluate*` ≡ `evaluate_batch*` of `[r]` ≡ slot *i* of a
-/// three-request batch, bitwise, potentials and forces, along the
+/// One pipeline: `evaluate*` ≡ `evaluate_requests` of `[r]` ≡ slot *i* of
+/// a three-request batch, bitwise, potentials and forces, along the
 /// configuration axes the serve shape key discriminates on — supernodes
 /// on and off, f64 and mixed precision — and on the scalar sequential
 /// executor.
@@ -110,12 +109,13 @@ fn solo_batch_of_one_and_batch_slot_agree_bitwise() {
                 charges: q,
             })
             .collect();
-        let batch = fmm.evaluate_batch(&requests).unwrap();
-        let batch_f = fmm.evaluate_batch_forces(&requests).unwrap();
+        let batch = fmm.evaluate_requests(&requests, false).unwrap();
+        let batch_f = fmm.evaluate_requests(&requests, true).unwrap();
         for (i, (p, q)) in systems.iter().enumerate() {
             let solo = fmm.evaluate(p, q).unwrap();
-            let one = fmm.evaluate_batch(&requests[i..=i]).unwrap();
-            assert_eq!(one.len(), 1);
+            assert_eq!(solo.offsets, [0, p.len()]);
+            let one = fmm.evaluate_requests(&requests[i..=i], false).unwrap();
+            assert_eq!(one.offsets, [0, p.len()]);
             assert_eq!(bits(&one.potentials), bits(&solo.potentials), "[r] {i}");
             assert_eq!(
                 bits(batch.potentials_of(i)),
@@ -124,7 +124,7 @@ fn solo_batch_of_one_and_batch_slot_agree_bitwise() {
             );
 
             let solo_f = fmm.evaluate_forces(p, q).unwrap();
-            let one_f = fmm.evaluate_batch_forces(&requests[i..=i]).unwrap();
+            let one_f = fmm.evaluate_requests(&requests[i..=i], true).unwrap();
             let want = field_bits(solo_f.fields.as_ref().unwrap());
             assert_eq!(bits(&one_f.potentials), bits(&solo_f.potentials));
             assert_eq!(field_bits(one_f.fields_of(0).unwrap()), want, "[r] {i}");
@@ -164,13 +164,10 @@ fn non_finite_input_is_rejected_by_name() {
         let mut bad_q = q.clone();
         bad_q[5] = bad;
         for (pp, qq, what) in [(&bad_p, &q, "position 17"), (&p, &bad_q, "charge 5")] {
-            let solo = [
+            for r in [
                 fmm.evaluate(pp, qq).map(drop),
                 fmm.evaluate_forces(pp, qq).map(drop),
-                fmm.evaluate_in(pp, qq, Domain::unit()).map(drop),
-                fmm.evaluate_at(&p[..4], pp, qq).map(drop),
-            ];
-            for r in solo {
+            ] {
                 let m = message(r);
                 assert!(m.contains(what), "{m}");
             }
@@ -182,15 +179,17 @@ fn non_finite_input_is_rejected_by_name() {
                 positions: pp,
                 charges: qq,
             };
-            let m = message(fmm.evaluate_batch(&[good, second, good]).map(drop));
-            assert!(m.contains("request 1") && m.contains(what), "{m}");
-            let m = message(fmm.evaluate_batch_forces(&[good, second, good]).map(drop));
-            assert!(m.contains("request 1") && m.contains(what), "{m}");
+            let batch = [good, second, good];
+            for r in [
+                fmm.evaluate_batch(&batch).map(drop),
+                fmm.evaluate_requests(&batch, false).map(drop),
+                fmm.evaluate_requests(&batch, true).map(drop),
+            ] {
+                let m = message(r);
+                assert!(m.contains("request 1") && m.contains(what), "{m}");
+            }
         }
     }
-    let target = [[0.5, f64::NAN, 0.5]];
-    let m = message(fmm.evaluate_at(&target, &p, &q).map(drop));
-    assert!(m.contains("target 0"), "{m}");
 }
 
 /// N threads hammer a shared registry with a mix of keys: every distinct

@@ -8,7 +8,7 @@
 //! nest, selected at runtime behind the [`Kernel`] enum with the portable
 //! scalar loop kept as the reference implementation.
 //!
-//! The loop nest ([`gemm_acc_lanes`]) is written once over the crate's
+//! The loop nest (`gemm_acc_lanes`) is written once over the crate's
 //! `Lanes` vector type; a vector tier is one entry point instantiating it
 //! (`x86::gemm_acc_avx2`, …; tile and tail per tier in `lanes.rs`).
 //! Panels of four vectors of columns are the *outer* loop: one panel's

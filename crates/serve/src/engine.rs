@@ -1,7 +1,8 @@
 //! The evaluation engine: a cache of `Fmm` instances keyed by request
-//! [`Shape`], all sharing one process-wide [`PlanRegistry`], plus the
-//! batch execution path that fans a coalesced batch through
-//! [`Fmm::evaluate_batch`] and slices each request's result back out.
+//! [`Shape`] (fields or not is a call argument, not part of the key), all
+//! sharing one process-wide [`PlanRegistry`], plus the batch execution
+//! path that fans a coalesced batch through [`Fmm::evaluate_requests`]
+//! and slices each request's result back out.
 
 use crate::batcher::Job;
 use crate::metrics::Metrics;
@@ -64,20 +65,25 @@ impl Engine {
         Ok(cfg)
     }
 
-    /// The `Fmm` instance serving `shape`, built on first use. All
-    /// instances resolve plans from the shared registry, so a new tenant
-    /// whose plan key matches a resident one costs zero plan builds.
+    /// The `Fmm` instance serving `shape`, built on first use. Shapes
+    /// that differ only in `forces` share one instance and its translation
+    /// set. All instances resolve plans from the shared registry, so a new
+    /// tenant whose plan key matches a resident one costs zero plan builds.
     pub fn fmm_for(&self, shape: &Shape) -> Result<Arc<Fmm>, String> {
-        if let Some(f) = self.fmms.read().unwrap().get(shape) {
+        let key = Shape {
+            forces: false,
+            ..*shape
+        };
+        if let Some(f) = self.fmms.read().unwrap().get(&key) {
             return Ok(Arc::clone(f));
         }
-        let cfg = Self::config_for(shape)?;
+        let cfg = Self::config_for(&key)?;
         let built = Arc::new(
             Fmm::with_registry(cfg, Arc::clone(&self.registry)).map_err(|e| e.to_string())?,
         );
         let mut w = self.fmms.write().unwrap();
         // Double-check: another tenant may have built it while we did.
-        Ok(Arc::clone(w.entry(*shape).or_insert(built)))
+        Ok(Arc::clone(w.entry(key).or_insert(built)))
     }
 
     /// Execute one coalesced batch and deliver each job its slice. Every
@@ -110,12 +116,7 @@ impl Engine {
                 charges: &j.charges,
             })
             .collect();
-        let out = if shape.forces {
-            fmm.evaluate_batch_forces(&requests)
-        } else {
-            fmm.evaluate_batch(&requests)
-        };
-        let out = match out {
+        let out = match fmm.evaluate_requests(&requests, shape.forces) {
             Ok(o) => o,
             Err(e) => return fail_all(&jobs, &e.to_string()),
         };
@@ -154,10 +155,10 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let mut forces = shape();
         forces.forces = true;
-        // A forces-only difference is a distinct instance but the same
-        // plan key, so serving both costs one plan build.
+        // Fields are a call argument: a forces-only difference is the
+        // same instance, translation set and plan.
         let c = eng.fmm_for(&forces).unwrap();
-        assert!(!Arc::ptr_eq(&a, &c));
+        assert!(Arc::ptr_eq(&a, &c));
         a.plan_for(2);
         c.plan_for(2);
         assert_eq!(eng.registry().stats().plan_builds, 1);

@@ -5,7 +5,7 @@
 //! crate replays that trick across *requests*: a long-running, std-only
 //! (no async runtime) TCP server whose **coalescing batcher** merges
 //! same-shape requests within a time/size window into one
-//! [`fmm_core::Fmm::evaluate_batch`] call, and whose tenants' `Fmm`
+//! [`fmm_core::Fmm::evaluate_requests`] call, and whose tenants' `Fmm`
 //! instances all resolve traversal plans from one process-wide
 //! [`fmm_core::PlanRegistry`] — a new tenant whose
 //! `(depth, K, separation, executor, kernel, precision)` matches a

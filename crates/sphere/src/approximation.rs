@@ -225,8 +225,8 @@ pub fn inner_kernel_row(rule: &SphereRule, m: usize, a: f64, x: Vec3, row: &mut 
 }
 
 /// Gradient version of [`outer_kernel_row`]: fills `rows[d][i]` with
-/// ∂/∂x_d of the outer kernel, so that ∇Φ(x) = (rows[0]·g, rows[1]·g,
-/// rows[2]·g). Panics if `x` is the centre.
+/// ∂/∂x_d of the outer kernel, so that ∇Φ(x) = (`rows[0]`·g, `rows[1]`·g,
+/// `rows[2]`·g). Panics if `x` is the centre.
 pub fn outer_kernel_row_grad(
     rule: &SphereRule,
     m: usize,

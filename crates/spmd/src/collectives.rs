@@ -220,12 +220,12 @@ pub fn particle_exchange(ctx: &mut WorkerCtx, (sends, recvs): Side<'_>, store: &
 
 /// One unit CSHIFT of the travelling slots: every slot's position moves by
 /// `delta` (±1) along `axis` with circular wrap. The rank's side of the
-/// hop — [`ring_route`] under the block layout, the
-/// [`fmm_tree::slot_route`] under a partition — names, per destination and
-/// by current position, the slots whose new position another rank owns.
-/// Those are serialized in that order, `[new position, origin, count,
-/// xs.., ys.., zs.., qs.., acc..]` each, and one message from every source
-/// brings the arrivals; no other slot is touched. `local_words` is charged
+/// hop — [`ring_route`](crate::schedule::ring_route) under the block
+/// layout, the [`fmm_tree::slot_route`] under a partition — names, per
+/// destination and by current position, the slots whose new position
+/// another rank owns. Those are serialized in that order, `[new position,
+/// origin, count, xs.., ys.., zs.., qs.., acc..]` each, and one message
+/// from every source brings the arrivals; no other slot is touched. `local_words` is charged
 /// the *logical* shift all the same: five words per particle of every slot
 /// that stays. Fails with the origin of a slot to send that is not here.
 pub fn shift_slots(

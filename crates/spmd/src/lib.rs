@@ -92,7 +92,8 @@ pub fn install() {
 }
 
 /// Arrange `p` workers (a power of two) on a VU grid, spreading factors of
-/// two across x, y, z round-robin: 2 → [2,1,1], 8 → [2,2,2], 128 → [8,4,4].
+/// two across x, y, z round-robin: 2 → `[2,1,1]`, 8 → `[2,2,2]`,
+/// 128 → `[8,4,4]`.
 pub fn vu_grid_for(p: usize) -> VuGrid {
     assert!(p.is_power_of_two(), "worker count must be a power of two");
     let mut dims = [1usize; 3];
@@ -367,6 +368,7 @@ pub(crate) fn assemble(
     EvalOutput {
         potentials,
         fields,
+        offsets: vec![0, n],
         profile,
         depth,
         near_stats: stats,

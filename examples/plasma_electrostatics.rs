@@ -1,16 +1,14 @@
 //! Electrostatics of a two-species plasma slab: mixed-sign charges, the
 //! plasma-physics workload of the paper's introduction.
 //!
-//! Demonstrates: explicit domains (`evaluate_in` with a fixed bounding
-//! box, so repeated evaluations bin identically), mixed-sign accuracy
-//! behaviour, higher-order configuration (D = 14) when more digits are
-//! needed, and Debye-like screening visible in the potential statistics.
+//! Demonstrates: mixed-sign accuracy behaviour, higher-order
+//! configuration (D = 14) when more digits are needed, and Debye-like
+//! screening visible in the potential statistics.
 //!
 //! Run: `cargo run --release --example plasma_electrostatics [n]`
 
 use anderson_fmm::fmm_core::{relative_error_stats, Fmm, FmmConfig};
 use anderson_fmm::fmm_direct;
-use anderson_fmm::fmm_tree::Domain;
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
 
@@ -43,7 +41,6 @@ fn main() {
         charges.push(1.0);
     }
 
-    let domain = Domain::unit();
     let reference = fmm_direct::potentials(&positions, &charges);
     let scale = (reference.iter().map(|p| p * p).sum::<f64>() / n as f64).sqrt();
     println!(
@@ -60,7 +57,7 @@ fn main() {
     for d in [5usize, 9, 14] {
         let fmm = Fmm::new(FmmConfig::order(d)).expect("config");
         let t0 = std::time::Instant::now();
-        let out = fmm.evaluate_in(&positions, &charges, domain).expect("fmm");
+        let out = fmm.evaluate(&positions, &charges).expect("fmm");
         let dt = t0.elapsed().as_secs_f64() * 1e3;
         let stats = relative_error_stats(&out.potentials, &reference);
         println!(
@@ -76,7 +73,7 @@ fn main() {
     // Field energy check: Σ qᵢ Φᵢ ≥ ... for a screened neutral system the
     // interaction energy is negative (opposite charges attract).
     let fmm = Fmm::new(FmmConfig::order(9)).expect("config");
-    let out = fmm.evaluate_in(&positions, &charges, domain).expect("fmm");
+    let out = fmm.evaluate(&positions, &charges).expect("fmm");
     let energy: f64 = 0.5
         * charges
             .iter()

@@ -25,19 +25,18 @@ fn fmm() -> Fmm {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 
-    /// Rigid translation of the whole system (and its domain) leaves every
-    /// potential unchanged — the method has no preferred origin.
+    /// Rigid translation of the whole system (and with it its bounding
+    /// cube) leaves every potential unchanged — the method has no
+    /// preferred origin.
     #[test]
     fn translation_invariance((pts, q) in small_system(),
                               shift in (-5.0f64..5.0, -5.0f64..5.0, -5.0f64..5.0)) {
         let f = fmm();
-        let d1 = Domain::unit();
-        let p1 = f.evaluate_in(&pts, &q, d1).unwrap().potentials;
+        let p1 = f.evaluate(&pts, &q).unwrap().potentials;
         let shifted: Vec<[f64;3]> = pts.iter()
             .map(|p| [p[0] + shift.0, p[1] + shift.1, p[2] + shift.2])
             .collect();
-        let d2 = Domain { min: [shift.0, shift.1, shift.2], size: 1.0 };
-        let p2 = f.evaluate_in(&shifted, &q, d2).unwrap().potentials;
+        let p2 = f.evaluate(&shifted, &q).unwrap().potentials;
         for (a, b) in p1.iter().zip(&p2) {
             prop_assert!((a - b).abs() < 1e-9 * (1.0 + a.abs()),
                          "{} vs {}", a, b);
@@ -45,16 +44,16 @@ proptest! {
     }
 
     /// Scaling all lengths by λ scales potentials by 1/λ (Coulomb kernel
-    /// homogeneity); translation matrices are scale-free.
+    /// homogeneity); translation matrices are scale-free, and the
+    /// bounding cube scales with the points.
     #[test]
     fn scaling_covariance((pts, q) in small_system(), lambda in 0.2f64..5.0) {
         let f = fmm();
-        let p1 = f.evaluate_in(&pts, &q, Domain::unit()).unwrap().potentials;
+        let p1 = f.evaluate(&pts, &q).unwrap().potentials;
         let scaled: Vec<[f64;3]> = pts.iter()
             .map(|p| [p[0] * lambda, p[1] * lambda, p[2] * lambda])
             .collect();
-        let d2 = Domain { min: [0.0;3], size: lambda };
-        let p2 = f.evaluate_in(&scaled, &q, d2).unwrap().potentials;
+        let p2 = f.evaluate(&scaled, &q).unwrap().potentials;
         for (a, b) in p1.iter().zip(&p2) {
             prop_assert!((a / lambda - b).abs() < 1e-9 * (1.0 + b.abs()),
                          "λ={}: {} vs {}", lambda, a / lambda, b);
@@ -65,7 +64,7 @@ proptest! {
     #[test]
     fn permutation_invariance((pts, q) in small_system(), seed in 0u64..1000) {
         let f = fmm();
-        let p1 = f.evaluate_in(&pts, &q, Domain::unit()).unwrap().potentials;
+        let p1 = f.evaluate(&pts, &q).unwrap().potentials;
         // A deterministic shuffle from the seed.
         let n = pts.len();
         let mut order: Vec<usize> = (0..n).collect();
@@ -76,7 +75,7 @@ proptest! {
         }
         let pts2: Vec<[f64;3]> = order.iter().map(|&i| pts[i]).collect();
         let q2: Vec<f64> = order.iter().map(|&i| q[i]).collect();
-        let p2 = f.evaluate_in(&pts2, &q2, Domain::unit()).unwrap().potentials;
+        let p2 = f.evaluate(&pts2, &q2).unwrap().potentials;
         for (pos, &i) in order.iter().enumerate() {
             prop_assert!((p1[i] - p2[pos]).abs() < 1e-10 * (1.0 + p1[i].abs()));
         }
@@ -86,10 +85,9 @@ proptest! {
     #[test]
     fn superposition((pts, q) in small_system(), alpha in -3.0f64..3.0) {
         let f = fmm();
-        let d = Domain::unit();
-        let p1 = f.evaluate_in(&pts, &q, d).unwrap().potentials;
+        let p1 = f.evaluate(&pts, &q).unwrap().potentials;
         let q2: Vec<f64> = q.iter().map(|v| alpha * v).collect();
-        let p2 = f.evaluate_in(&pts, &q2, d).unwrap().potentials;
+        let p2 = f.evaluate(&pts, &q2).unwrap().potentials;
         for (a, b) in p1.iter().zip(&p2) {
             prop_assert!((alpha * a - b).abs() < 1e-9 * (1.0 + b.abs()));
         }
@@ -185,10 +183,9 @@ proptest! {
     #[test]
     fn repeated_evaluate_deterministic((pts, q) in small_system()) {
         let f = fmm();
-        let d = Domain::unit();
-        let p1 = f.evaluate_in(&pts, &q, d).unwrap().potentials;
+        let p1 = f.evaluate(&pts, &q).unwrap().potentials;
         prop_assert_eq!(f.plan_builds(), 1);
-        let p2 = f.evaluate_in(&pts, &q, d).unwrap().potentials;
+        let p2 = f.evaluate(&pts, &q).unwrap().potentials;
         prop_assert_eq!(f.plan_builds(), 1);
         for (a, b) in p1.iter().zip(&p2) {
             prop_assert_eq!(a.to_bits(), b.to_bits());
