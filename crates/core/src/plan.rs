@@ -4,8 +4,9 @@
 //! that depend only on the hierarchy depth and the separation parameter:
 //! the per-octant interactive-field offset lists, the supernode
 //! decompositions, the T2 matrix lookups, the slab decomposition of every
-//! level, and the child gather/scatter index lists that turn panels of
-//! parents into panels of children. None of this depends on the particles.
+//! level, the child gather/scatter index lists that turn panels of
+//! parents into panels of children, every level's parent list and its
+//! count of live T2 rows. None of this depends on the particles.
 //!
 //! A [`TraversalPlan`] hoists all of it into a one-time build, cached on
 //! the driver per depth (the separation and rule size K are fixed per
@@ -31,6 +32,22 @@ pub struct ChildMap {
     pub coord: Vec<[i32; 3]>,
 }
 
+/// Parents per T2 panel, at least: one parent row (`2^l` parents) once a
+/// row is that long. A panel of fewer parents than this pays the GEMM's
+/// per-call overhead on too few rows; see DESIGN.md §5.5.
+pub(crate) const PANEL_MIN_PARENTS: usize = 8;
+
+/// How the downward sweep into the children of one parent level is cut:
+/// a slab group of `planes` consecutive parent z-planes is one unit of
+/// parallel work (its children are one contiguous range of the child
+/// level), and it is walked in panels of `panel` consecutive parents per
+/// octant; every T2 matrix of an octant meets one panel per call.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct T2Blocking {
+    pub(crate) panel: usize,
+    pub(crate) planes: usize,
+}
+
 /// Precomputed structure for one parent level.
 #[derive(Debug, Clone)]
 pub struct LevelPlan {
@@ -41,6 +58,54 @@ pub struct LevelPlan {
     pub slabs: Vec<(usize, usize)>,
     /// Per octant (index 0..8): the parents' children along that octant.
     pub children: Vec<ChildMap>,
+    /// Every parent of the level, in box order: the target rows of a
+    /// full-level sweep are sub-slices of this list.
+    pub parents: Vec<u32>,
+    /// T2 rows with an in-domain source in the downward sweep into this
+    /// level's children, summed over octants and offsets; index 0 for the
+    /// plain offset lists, 1 for the supernode decomposition. A sweep of
+    /// the whole child level multiplies exactly this many rows per
+    /// instance.
+    pub t2_rows: [u64; 2],
+}
+
+impl LevelPlan {
+    /// The blocking of the downward sweep into this level's children at
+    /// rule size `k`, for a sweep spread over `threads` pool threads (1
+    /// for a sequential sweep). A function of `(k, level, threads)`:
+    ///
+    /// - A T2 matrix is `8k²` bytes, and a call streams it once for its
+    ///   panel's rows. A panel should hold at least `⌈k/4⌉` parents
+    ///   (rounded up to a power of two), so its source and accumulator
+    ///   rows (`16k` bytes each) weigh at least half the matrix. At
+    ///   `k = 12` that is 4, below [`PANEL_MIN_PARENTS`], and the panel is
+    ///   one parent row (`max(2^l, 8)` parents, clipped to a plane) as it
+    ///   always was; at `k = 120` it is 32.
+    /// - Where a plane holds fewer parents than that, a slab group takes
+    ///   as many planes as the panel needs, but never so many that fewer
+    ///   groups than `threads` remain.
+    pub(crate) fn t2_blocking(&self, k: usize, threads: usize) -> T2Blocking {
+        let n = 1usize << self.parent_level;
+        let plane = n * n;
+        let want = k.div_ceil(4).next_power_of_two();
+        let most = prev_power_of_two((n / threads.max(1)).max(1));
+        let planes = want.div_ceil(plane).min(most);
+        let panel = want.max(n).max(PANEL_MIN_PARENTS).min(planes * plane);
+        T2Blocking { panel, planes }
+    }
+
+    /// The slabs merged into groups of `planes` consecutive z-planes
+    /// (`planes` a power of two, at most the plane count): ranges of
+    /// parent box indices of equal length.
+    pub(crate) fn slab_groups(&self, planes: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
+        self.slabs
+            .chunks(planes)
+            .map(|g| (g[0].0, g[g.len() - 1].1))
+    }
+}
+
+fn prev_power_of_two(x: usize) -> usize {
+    1 << (usize::BITS - 1 - x.leading_zeros())
 }
 
 /// Precomputed interaction structure for one child octant.
@@ -95,7 +160,7 @@ impl TraversalPlan {
 
     /// [`TraversalPlan::build`] with an explicit kernel choice.
     pub fn build_with(depth: u32, separation: Separation, kernel: Kernel) -> Self {
-        let octants = (0..8usize)
+        let octants: Vec<OctantPlan> = (0..8usize)
             .map(|oct| {
                 let o = [
                     (oct & 1) as i32,
@@ -147,6 +212,8 @@ impl TraversalPlan {
                     parent_level: lp,
                     slabs: parent_slabs(lp),
                     children,
+                    parents: (0..n as u32).collect(),
+                    t2_rows: [t2_rows(lp, &octants, false), t2_rows(lp, &octants, true)],
                 }
             })
             .collect();
@@ -182,6 +249,7 @@ impl TraversalPlan {
             .iter()
             .map(|l| {
                 l.slabs.len() * 16
+                    + l.parents.len() * 4
                     + l.children
                         .iter()
                         .map(|c| c.idx.len() * 4 + c.coord.len() * 12)
@@ -190,6 +258,57 @@ impl TraversalPlan {
             .sum();
         per_oct + per_level
     }
+}
+
+/// T2 rows with an in-domain source, over the child level of `l_parent`:
+/// per (octant, offset), the product over the three axes of the targets
+/// whose source coordinate lies on its level's axis. Along one axis the
+/// children `t = 2p + o` (`n` parents) reach `t + off` under a same-level
+/// offset, which lies on the `2n`-box axis for the `t ≡ o (mod 2)` in
+/// `[−off, 2n − off)`; under a parent-level (supernode) offset the parent
+/// `p` reaches `p + off`, on the axis for `n − |off|` parents.
+fn t2_rows(l_parent: u32, octants: &[OctantPlan], supernodes: bool) -> u64 {
+    // An octant's offset lists, each flagged if it is parent-level.
+    fn lists(op: &OctantPlan, supernodes: bool) -> [(&[[i32; 3]], bool); 2] {
+        if supernodes {
+            [(&op.sn_parent_offsets, true), (&op.sn_child_offsets, false)]
+        } else {
+            [(&op.offsets, false), (&[], false)]
+        }
+    }
+    let n = 1i64 << l_parent; // parents per axis
+    let all = octants.iter().flat_map(|op| lists(op, supernodes));
+    let reach = all.flat_map(|(offs, _)| offs);
+    let reach = reach.flatten().map(|c| c.abs() as i64).max().unwrap_or(0);
+    // Per-axis counts by offset component, `[off + reach]`: same-level
+    // ones by the octant's bit on the axis, then the parent-level one.
+    let same_level = |o: i64, off: i64| {
+        let (lo, hi) = ((-off).max(0), (2 * n - off).min(2 * n));
+        // ⌈(x − o)/2⌉ counts the t ≡ o below x.
+        let below = |x: i64| (x - o + 1).div_euclid(2);
+        (below(hi) - below(lo)).max(0)
+    };
+    let span = -reach..=reach;
+    let table = [
+        span.clone()
+            .map(|off| same_level(0, off))
+            .collect::<Vec<_>>(),
+        span.clone().map(|off| same_level(1, off)).collect(),
+        span.map(|off| (n - off.abs()).max(0)).collect(),
+    ];
+    let mut rows = 0;
+    for (oct, op) in octants.iter().enumerate() {
+        for (offsets, parent_level) in lists(op, supernodes) {
+            let axis = |d: usize| if parent_level { 2 } else { (oct >> d) & 1 };
+            let axes = [0, 1, 2].map(|d| &table[axis(d)]);
+            let at = |d: usize, off: &[i32; 3]| axes[d][(off[d] as i64 + reach) as usize];
+            rows += offsets
+                .iter()
+                .map(|off| at(0, off) * at(1, off) * at(2, off))
+                .sum::<i64>();
+        }
+    }
+    rows as u64
 }
 
 /// Slab decomposition of a parent level: ranges of parent box indices, one
@@ -256,6 +375,61 @@ mod tests {
                 assert_eq!(op.sn_child_offsets, sd.children);
                 assert_eq!(op.sn_parent_offsets.len(), op.sn_parent_keys.len());
             }
+        }
+    }
+
+    #[test]
+    fn t2_rows_match_a_box_by_box_count() {
+        for sep in [Separation::One, Separation::Two] {
+            let plan = TraversalPlan::build(4, sep);
+            for l in 2..=4u32 {
+                let mut rows = [0u64; 2];
+                for b in 0..1usize << (3 * l) {
+                    let c = BoxCoord::from_index(l, b);
+                    let t = [c.x, c.y, c.z].map(|x| x as i32);
+                    let op = &plan.octants[c.octant()];
+                    let on = |x: [i32; 3], off: &[i32; 3], level: u32| {
+                        (0..3).all(|d| (0..1 << level).contains(&(x[d] + off[d])))
+                    };
+                    let live = |offs: &[[i32; 3]]| offs.iter().filter(|o| on(t, o, l)).count();
+                    rows[0] += live(&op.offsets) as u64;
+                    let parent = t.map(|x| x >> 1);
+                    let up = op.sn_parent_offsets.iter();
+                    rows[1] += (up.filter(|o| on(parent, o, l - 1)).count()
+                        + live(&op.sn_child_offsets)) as u64;
+                }
+                assert_eq!(plan.level(l - 1).t2_rows, rows, "{sep:?} level {l}");
+            }
+        }
+    }
+
+    #[test]
+    fn t2_blocking_follows_k() {
+        let plan = TraversalPlan::build(5, Separation::Two);
+        let at = |lp: u32, k, threads| {
+            let b = plan.level(lp).t2_blocking(k, threads);
+            (b.panel, b.planes)
+        };
+        // K = 12: one parent row of at least 8 parents, one plane per slab.
+        for threads in [1, 2, 8] {
+            assert_eq!(at(1, 12, threads), (4, 1));
+            assert_eq!(at(2, 12, threads), (8, 1));
+            assert_eq!(at(3, 12, threads), (8, 1));
+            assert_eq!(at(4, 12, threads), (16, 1));
+        }
+        // K = 120: 32-parent panels, over plane pairs where a plane holds
+        // 16, unless that would leave a thread without a slab group.
+        assert_eq!(at(2, 120, 2), (32, 2));
+        assert_eq!(at(2, 120, 1), (32, 2));
+        assert_eq!(at(2, 120, 4), (16, 1));
+        assert_eq!(at(3, 120, 2), (32, 1));
+        assert_eq!(at(1, 120, 1), (8, 2));
+        assert_eq!(at(1, 120, 2), (4, 1));
+        for lp in 1..5 {
+            let groups: Vec<_> = plan.level(lp).slab_groups(2).collect();
+            let n = 1usize << lp;
+            assert_eq!(groups.len(), n.div_ceil(2));
+            assert_eq!(groups.last().unwrap().1, n * n * n);
         }
     }
 

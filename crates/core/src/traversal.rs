@@ -38,13 +38,16 @@
 //! their ratio is the paper's Table 3 experiment.
 
 use crate::field::FieldHierarchy;
-use crate::plan::TraversalPlan;
+use crate::plan::{T2Blocking, TraversalPlan};
 use crate::translations::TranslationSet;
 use fmm_linalg::{gemm_acc_with, gemm_flops, Kernel, Matrix};
 use fmm_tree::BoxCoord;
 use rayon::prelude::*;
+use std::ops::Range;
+use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Flop counters from a traversal.
+/// Flop counters from a traversal: `2K²` per row a sweep actually
+/// multiplied (a T2 row whose source lies outside the domain is not).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct TraversalFlops {
     pub t1: u64,
@@ -72,13 +75,6 @@ pub enum Aggregation {
     /// Panel-aggregated GEMMs (the paper's level-3-BLAS optimization).
     Gemm,
 }
-
-/// Parents per T2 sub-panel, at least: a slab is walked in sub-panels of
-/// one parent row (`max(2^l, 8)` parents), so the source and accumulator
-/// panels stay cache-resident across the hundreds of offsets of an
-/// octant, where a whole slab's panels stream through memory once per
-/// offset. A constant, not a knob: see DESIGN.md §5.5 for the numbers.
-const PANEL_MIN_PARENTS: usize = 8;
 
 /// `acc += panel · m` over `rows` rows of `k` samples, as one GEMM or as
 /// one GEMV per row. The GEMV arm skips exact-zero samples (the zero rows
@@ -109,29 +105,17 @@ fn translate_acc(
     }
 }
 
-/// Gather the k-sample rows `idx` of a whole level `src` into a panel.
-fn gather_rows(src: &[f64], idx: impl Iterator<Item = usize>, k: usize, panel: &mut [f64]) {
-    for (dst, i) in panel.chunks_mut(k).zip(idx) {
-        dst.copy_from_slice(&src[i * k..(i + 1) * k]);
-    }
-}
-
-/// Scatter-add a panel into the children `cidx[p]` of `parents`, where
-/// `dst` is the slice of the child level starting at child box index
-/// `dst_base`.
-fn scatter_add_children(
-    dst: &mut [f64],
-    dst_base: usize,
-    cidx: &[u32],
-    parents: &[u32],
+/// Gather the k-sample rows `idx` of a whole level `src` into a panel,
+/// one row every `stride` samples.
+fn gather_rows(
+    src: &[f64],
+    idx: impl Iterator<Item = usize>,
     k: usize,
-    panel: &[f64],
+    stride: usize,
+    panel: &mut [f64],
 ) {
-    for (&pi, row) in parents.iter().zip(panel.chunks(k)) {
-        let ci = cidx[pi as usize] as usize - dst_base;
-        for (dj, sj) in dst[ci * k..(ci + 1) * k].iter_mut().zip(row) {
-            *dj += sj;
-        }
+    for (dst, i) in panel.chunks_mut(stride).zip(idx) {
+        dst[..k].copy_from_slice(&src[i * k..(i + 1) * k]);
     }
 }
 
@@ -192,10 +176,10 @@ pub fn upward_level(
     agg: Aggregation,
     parallel: bool,
 ) -> TraversalFlops {
-    // Every parent is a target: the plan's slabs over an identity list.
-    let ident: Vec<u32> = (0..1u32 << (3 * l)).collect();
-    let slabs = plan.level(l).slabs.iter();
-    let slabs: Vec<_> = slabs.map(|&(p0, p1)| (p0, &ident[p0..p1])).collect();
+    // Every parent is a target: the plan's slabs over its parent list.
+    let lvl = plan.level(l);
+    let slabs = lvl.slabs.iter();
+    let slabs: Vec<_> = slabs.map(|&(p0, p1)| (p0, &lvl.parents[p0..p1])).collect();
     upward_sweep(fhs, ts, plan, l, agg, parallel, &slabs)
 }
 
@@ -251,7 +235,7 @@ fn upward_sweep(
                 let cidx = &lvl.children[oct].idx;
                 let kids = || rows.iter().map(|&pi| cidx[pi as usize] as usize);
                 for (src, panel) in children.iter().zip(panel.chunks_mut(np * k)) {
-                    gather_rows(src, kids(), k, panel);
+                    gather_rows(src, kids(), k, k, panel);
                 }
                 translate_acc(agg, plan.kernel, r * np, k, &panel, &ts.t1t[oct], &mut acc);
             }
@@ -353,10 +337,12 @@ struct DownwardSources<'a> {
 
 /// One level of the downward pass, for every instance of `fhs`: T2
 /// (interactive field) plus T3 (parent inner shift) into `local[l]`, which
-/// is zeroed first. Each slab is walked in sub-panels of one parent row
-/// (`PANEL_MIN_PARENTS`); per (sub-panel, octant, offset) the source
-/// geometry — offset application, domain bounds, the all-rows-invalid
-/// skip — is computed once and every instance's rows go through one GEMM.
+/// is zeroed first. The level is cut as the plan's `t2_blocking` says for
+/// the rule size and the pool's thread count: slab groups of consecutive
+/// parent z-planes run in parallel, each walked in panels of consecutive
+/// parents per octant. Per (panel, octant, offset) the source geometry —
+/// offset application, domain bounds, which rows are live — is computed
+/// once and every instance's live rows go through one GEMM.
 pub fn downward_level(
     fhs: &mut [FieldHierarchy],
     ts: &TranslationSet,
@@ -366,14 +352,38 @@ pub fn downward_level(
     parallel: bool,
     l: u32,
 ) -> TraversalFlops {
-    // Every box is a target: along each octant, the plan's slabs over an
-    // identity parent list.
-    let ident: Vec<u32> = (0..1u32 << (3 * (l - 1))).collect();
-    let slabs = plan.level(l - 1).slabs.iter();
-    let slabs: Vec<_> = slabs
-        .map(|&(p0, p1)| (p0 * 8, [&ident[p0..p1]; 8]))
+    let threads = if parallel {
+        rayon::current_num_threads()
+    } else {
+        1
+    };
+    let blocking = plan.level(l - 1).t2_blocking(fhs[0].k, threads);
+    downward_blocked(fhs, ts, plan, supernodes, agg, parallel, l, blocking)
+}
+
+/// [`downward_level`] with an explicit blocking: every box is a target,
+/// along each octant the slab groups over the plan's parent list.
+#[allow(clippy::too_many_arguments)]
+fn downward_blocked(
+    fhs: &mut [FieldHierarchy],
+    ts: &TranslationSet,
+    plan: &TraversalPlan,
+    supernodes: bool,
+    agg: Aggregation,
+    parallel: bool,
+    l: u32,
+    blocking: T2Blocking,
+) -> TraversalFlops {
+    let lvl = plan.level(l - 1);
+    let slabs: Vec<_> = lvl
+        .slab_groups(blocking.planes)
+        .map(|(p0, p1)| (p0 * 8, [&lvl.parents[p0..p1]; 8]))
         .collect();
-    downward_sweep(fhs, ts, plan, supernodes, agg, parallel, l, &slabs)
+    let panel = blocking.panel;
+    let flops = downward_sweep(fhs, ts, plan, supernodes, agg, parallel, l, panel, &slabs);
+    let per_row = gemm_flops(fhs.len(), fhs[0].k, fhs[0].k);
+    debug_assert_eq!(flops.t2, lvl.t2_rows[supernodes as usize] * per_row);
+    flops
 }
 
 /// [`downward_level`] restricted to the target boxes `boxes` (box indices
@@ -396,13 +406,25 @@ pub fn downward_rows(
         let parent = c.parent().expect("the downward pass starts at level 2");
         parents[c.octant()].push(parent.index() as u32);
     }
-    let rows = std::array::from_fn(|oct| parents[oct].as_slice());
-    downward_sweep(fhs, ts, plan, supernodes, agg, false, l, &[(0, rows)])
+    let slab = [(0, std::array::from_fn(|oct| parents[oct].as_slice()))];
+    let panel = plan.level(l - 1).t2_blocking(fhs[0].k, 1).panel;
+    downward_sweep(fhs, ts, plan, supernodes, agg, false, l, panel, &slab)
 }
 
 /// The downward body. A slab's rows are, per octant, the parents whose
 /// child along that octant is a target; the child's index and coordinate
-/// come from the plan's child map.
+/// come from the plan's child map. A slab is walked in panels of `panel`
+/// parents per octant, held parent-major (the `R` instances' rows of one
+/// parent adjacent), so parents that form one run are one run of rows.
+///
+/// Only live rows — those whose source lies in the domain — are gathered
+/// and multiplied: in place when an offset's live parents form one run
+/// (always, in a panel of one parent row), else packed with their
+/// accumulator rows, which are copied back after the product. The GEMM
+/// computes each row independently of the others, and a dropped
+/// all-zero row could only have changed an accumulator holding −0.0,
+/// which one starting at +0.0 never does, so no bit depends on which
+/// rows share a call.
 #[allow(clippy::too_many_arguments)]
 fn downward_sweep(
     fhs: &mut [FieldHierarchy],
@@ -412,16 +434,19 @@ fn downward_sweep(
     agg: Aggregation,
     parallel: bool,
     l: u32,
+    panel: usize,
     slabs: &[Slab<[&[u32]; 8]>],
 ) -> TraversalFlops {
     let r = fhs.len();
     let k = fhs[0].k;
+    let kr = k * r; // one parent's rows
     let oct_lists = resolve_offset_lists(ts, plan, supernodes);
     let l_parent = l - 1;
     let lvl = plan.level(l_parent);
     let chunk = fhs[0].hierarchy.boxes_at_level(l) / slabs.len();
     let n_par = 1usize << l_parent; // parent-level axis length
     let apply_t3 = l >= 3; // local field is zero above level 2
+    let live_rows = AtomicU64::new(0);
 
     let mut sources: Vec<DownwardSources> = Vec::with_capacity(r);
     let mut outs: Vec<Vec<&mut [f64]>> = slabs.iter().map(|_| Vec::with_capacity(r)).collect();
@@ -437,26 +462,44 @@ fn downward_sweep(
         }
     }
 
+    // A panel is a run of at most `panel` of an octant's rows, and where
+    // one parent row holds that many, of rows in one parent row: an
+    // offset's live rows there are always one run (its x range).
+    let row_len = if panel <= n_par { n_par } else { usize::MAX };
+    let row_of = |pi: u32| pi as usize / row_len;
+    let cut = |rows: &[u32]| {
+        let mut cuts: Vec<Range<usize>> = Vec::new();
+        for (j, &pi) in rows.iter().enumerate() {
+            match cuts.last_mut() {
+                Some(c) if c.len() < panel && row_of(rows[c.start]) == row_of(pi) => c.end = j + 1,
+                _ => cuts.push(j..j + 1),
+            }
+        }
+        cuts
+    };
+
     for_each_slab(slabs, &mut outs, parallel, |(&(base, ref rows), out)| {
+        let cuts: [Vec<Range<usize>>; 8] = std::array::from_fn(|oct| cut(rows[oct]));
         let longest = rows.iter().map(|p| p.len()).max().unwrap_or(0);
-        let step = n_par.max(PANEL_MIN_PARENTS);
-        let cap = step.min(longest);
-        let mut src_panel = vec![0.0; r * cap * k];
-        let mut acc_panel = vec![0.0; r * cap * k];
+        let cap = panel.min(longest);
+        let mut src_panel = vec![0.0; cap * kr];
+        let mut acc_panel = vec![0.0; cap * kr];
+        let mut acc_packed = vec![0.0; cap * kr];
         // Source box of each row under the current offset.
         const OUTSIDE: usize = usize::MAX;
         let mut src_idx = vec![OUTSIDE; cap];
         // Target box of each row on the current list's source level.
         let mut targets = vec![([0i32; 3], 0isize); cap];
-        for sub in 0..longest.div_ceil(step) {
+        let mut n_live = 0u64;
+        for sub in 0..cuts.iter().map(Vec::len).max().unwrap_or(0) {
             for (oct, lists) in oct_lists.iter().enumerate() {
-                // Rows of the panels: this sub-panel's parents along `oct`.
-                let Some(parents) = rows[oct].chunks(step).nth(sub) else {
+                // Rows of the panels: this panel's parents along `oct`.
+                let Some(range) = cuts[oct].get(sub) else {
                     continue;
                 };
+                let parents = &rows[oct][range.clone()];
                 let np = parents.len();
-                let src_panel = &mut src_panel[..r * np * k];
-                let acc_panel = &mut acc_panel[..r * np * k];
+                let acc_panel = &mut acc_panel[..np * kr];
                 let src_idx = &mut src_idx[..np];
                 let targets = &mut targets[..np];
                 let kids = &lvl.children[oct];
@@ -465,11 +508,11 @@ fn downward_sweep(
                 // ---- T3: parent inner → child inner -------------------
                 if apply_t3 {
                     let at = || parents.iter().map(|&pi| pi as usize);
-                    for (src, panel) in sources.iter().zip(src_panel.chunks_mut(np * k)) {
-                        gather_rows(src.local_parent, at(), k, panel);
+                    for (i, src) in sources.iter().enumerate() {
+                        gather_rows(src.local_parent, at(), k, kr, &mut src_panel[i * k..]);
                     }
-                    let t3 = &ts.t3t[oct];
-                    translate_acc(agg, plan.kernel, r * np, k, src_panel, t3, acc_panel);
+                    let (a, t3) = (&src_panel[..np * kr], &ts.t3t[oct]);
+                    translate_acc(agg, plan.kernel, np * r, k, a, t3, acc_panel);
                 }
 
                 // ---- T2: interactive field ----------------------------
@@ -487,61 +530,81 @@ fn downward_sweep(
                     }
                     for (&off, &m) in list.offsets.iter().zip(&list.matrices) {
                         // A row's source box depends only on the plan, so
-                        // it is located once for all instances.
+                        // it is located once for all instances, with the
+                        // count and the first and last of the live rows.
                         let delta = lin(off);
-                        let mut any = false;
-                        for (si, &(c, base)) in src_idx.iter_mut().zip(targets.iter()) {
+                        let (mut nl, mut first, mut last) = (0, np, 0);
+                        for (j, (si, &(c, at))) in src_idx.iter_mut().zip(&*targets).enumerate() {
                             // One unsigned compare per axis covers both ends.
                             *si = if (0..3).all(|d| ((c[d] + off[d]) as u32) < axis) {
-                                any = true;
-                                (base + delta) as usize
+                                (nl, first, last) = (nl + 1, first.min(j), j);
+                                (at + delta) as usize
                             } else {
                                 OUTSIDE
                             };
                         }
-                        if !any {
+                        if nl == 0 {
                             continue;
                         }
-                        // Gather sources; out-of-domain sources are zero.
-                        for (src, panel) in sources.iter().zip(src_panel.chunks_mut(np * k)) {
-                            let far = src.far[list.shift as usize];
-                            for (dst, &si) in panel.chunks_mut(k).zip(src_idx.iter()) {
-                                if si == OUTSIDE {
-                                    dst.fill(0.0);
-                                } else {
-                                    dst.copy_from_slice(&far[si * k..(si + 1) * k]);
-                                }
+                        let run = last + 1 - first == nl;
+                        let live = || (first..=last).filter(|&j| src_idx[j] != OUTSIDE);
+                        // Gather the live sources, packed (a run needs no
+                        // filter).
+                        for (i, src) in sources.iter().enumerate() {
+                            let (far, dst) =
+                                (src.far[list.shift as usize], &mut src_panel[i * k..]);
+                            if run {
+                                gather_rows(far, src_idx[first..=last].iter().copied(), k, kr, dst);
+                            } else {
+                                gather_rows(far, live().map(|j| src_idx[j]), k, kr, dst);
                             }
                         }
-                        translate_acc(agg, plan.kernel, r * np, k, src_panel, m, acc_panel);
+                        let a = &src_panel[..nl * kr];
+                        if run {
+                            let acc = &mut acc_panel[first * kr..(last + 1) * kr];
+                            translate_acc(agg, plan.kernel, nl * r, k, a, m, acc);
+                        } else {
+                            let packed = &mut acc_packed[..nl * kr];
+                            gather_rows(acc_panel, live(), kr, kr, packed);
+                            translate_acc(agg, plan.kernel, nl * r, k, a, m, packed);
+                            for (row, j) in packed.chunks(kr).zip(live()) {
+                                acc_panel[j * kr..(j + 1) * kr].copy_from_slice(row);
+                            }
+                        }
+                        n_live += nl as u64;
                     }
                 }
 
-                // Scatter the accumulated panel into each instance's children.
-                for (o, panel) in out.iter_mut().zip(acc_panel.chunks(np * k)) {
-                    scatter_add_children(o, base, &kids.idx, parents, k, panel);
+                // Scatter-add each parent's rows into its child, per instance.
+                for (i, o) in out.iter_mut().enumerate() {
+                    for (rows, &pi) in acc_panel.chunks(kr).zip(parents) {
+                        let at = (kids.idx[pi as usize] as usize - base) * k;
+                        for (dj, sj) in o[at..at + k].iter_mut().zip(&rows[i * k..]) {
+                            *dj += sj;
+                        }
+                    }
                 }
             }
         }
+        live_rows.fetch_add(n_live, Ordering::Relaxed);
     });
 
-    // Flop accounting (interior-box counts; boundary boxes do less).
-    let per_box_t2 = if supernodes {
-        plan.octants[0].sn_translation_count as u64
-    } else {
-        plan.octants[0].offsets.len() as u64
-    };
+    // Exact counts: every multiplied row is a live T2 row or a T3 row;
+    // every multiplied source row is gathered once, every target row is
+    // scattered once (packing accumulator rows is not counted, so the
+    // counts do not depend on the blocking).
     let n_rows: usize = slabs
         .iter()
         .flat_map(|(_, rows)| rows)
         .map(|p| p.len())
         .sum();
-    let level_gemm = gemm_flops(n_rows, k, k) * r as u64;
+    let (live, n_rows) = (live_rows.into_inner() * r as u64, (n_rows * r) as u64);
+    let t3_rows = if apply_t3 { n_rows } else { 0 };
     TraversalFlops {
         t1: 0,
-        t2: per_box_t2 * level_gemm,
-        t3: if apply_t3 { level_gemm } else { 0 },
-        copied: (n_rows * k * r) as u64 * (per_box_t2 + 2),
+        t2: gemm_flops(live as usize, k, k),
+        t3: gemm_flops(t3_rows as usize, k, k),
+        copied: (live + t3_rows + n_rows) * k as u64,
     }
 }
 
@@ -749,6 +812,168 @@ mod tests {
                 }
             }
         }
+    }
+
+    /// The sweep before panels followed K: per parent plane, panels of one
+    /// parent row (`max(2^l, 8)` parents), instance-major, out-of-domain
+    /// sources zero-filled, one dense GEMM per (panel, octant, offset).
+    fn reference_level(
+        fhs: &mut [FieldHierarchy],
+        ts: &TranslationSet,
+        plan: &TraversalPlan,
+        supernodes: bool,
+        l: u32,
+    ) {
+        let (r, k, li) = (fhs.len(), fhs[0].k, l as usize);
+        let lists = resolve_offset_lists(ts, plan, supernodes);
+        let lvl = plan.level(l - 1);
+        for fh in fhs.iter_mut() {
+            fh.local[li].fill(0.0);
+        }
+        for &(p0, p1) in &lvl.slabs {
+            for parents in lvl.parents[p0..p1].chunks((1 << (l - 1)).max(8)) {
+                let np = parents.len();
+                let gemm = |src: &[f64], m: &Matrix, acc: &mut [f64]| {
+                    gemm_acc_with(plan.kernel, r * np, k, k, src, m.as_slice(), acc)
+                };
+                for (oct, lists) in lists.iter().enumerate() {
+                    let kids = &lvl.children[oct];
+                    let mut src = vec![0.0; r * np * k];
+                    let mut acc = vec![0.0; r * np * k];
+                    if l >= 3 {
+                        for (i, fh) in fhs.iter().enumerate() {
+                            for (j, &pi) in parents.iter().enumerate() {
+                                let row = &fh.local[li - 1][pi as usize * k..][..k];
+                                src[(i * np + j) * k..][..k].copy_from_slice(row);
+                            }
+                        }
+                        gemm(&src, &ts.t3t[oct], &mut acc);
+                    }
+                    for list in lists {
+                        let sl = li - list.shift as usize;
+                        let axis = 1i32 << sl;
+                        for (&off, &m) in list.offsets.iter().zip(&list.matrices) {
+                            for (i, fh) in fhs.iter().enumerate() {
+                                for (j, &pi) in parents.iter().enumerate() {
+                                    let c = kids.coord[pi as usize].map(|x| x >> list.shift);
+                                    let s = [0, 1, 2].map(|d| c[d] + off[d]);
+                                    let dst = &mut src[(i * np + j) * k..][..k];
+                                    if s.iter().all(|x| (0..axis).contains(x)) {
+                                        let si = ((s[2] * axis + s[1]) * axis + s[0]) as usize;
+                                        dst.copy_from_slice(&fh.far[sl][si * k..][..k]);
+                                    } else {
+                                        dst.fill(0.0);
+                                    }
+                                }
+                            }
+                            gemm(&src, m, &mut acc);
+                        }
+                    }
+                    for (i, fh) in fhs.iter_mut().enumerate() {
+                        for (j, &pi) in parents.iter().enumerate() {
+                            let ci = kids.idx[pi as usize] as usize;
+                            let dst = fh.local[li][ci * k..][..k].iter_mut();
+                            for (d, s) in dst.zip(&acc[(i * np + j) * k..][..k]) {
+                                *d += s;
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    /// `downward_level` — with the pool's blocking, sequentially, and with
+    /// every blocking `extra` lists — against [`reference_level`], bit for
+    /// bit, on every kernel tier, with supernodes on and off, for one and
+    /// three instances. Level by level from the reference's own inputs.
+    fn assert_blocked_sweep_is_reference(order: usize, depth: u32, extra: &[T2Blocking]) {
+        let rule = SphereRule::for_order(order);
+        let k = rule.len();
+        for supernodes in [false, true] {
+            let ts = TranslationSet::build(&rule, order, 1.0, 1.0, Separation::Two, supernodes);
+            for kernel in Kernel::available() {
+                let plan = TraversalPlan::build_with(depth, Separation::Two, kernel);
+                for r in [1, 3] {
+                    let mut want: Vec<FieldHierarchy> = (0..r)
+                        .map(|i| {
+                            let mut fh = FieldHierarchy::new(Hierarchy::new(depth), k);
+                            fill_pseudo(&mut fh);
+                            fh.far[depth as usize]
+                                .iter_mut()
+                                .for_each(|v| *v *= 1.0 + i as f64);
+                            upward_pass(&mut fh, &ts, &plan, Aggregation::Gemm, false);
+                            fh
+                        })
+                        .collect();
+                    for l in 2..=depth {
+                        let li = l as usize;
+                        let input = want.clone();
+                        reference_level(&mut want, &ts, &plan, supernodes, l);
+                        let pool = [(false, None), (true, None)].into_iter();
+                        let runs = pool.chain(extra.iter().map(|&b| (true, Some(b))));
+                        for (parallel, blocking) in runs {
+                            let mut got = input.clone();
+                            let agg = Aggregation::Gemm;
+                            let fl = match blocking {
+                                Some(b) => downward_blocked(
+                                    &mut got, &ts, &plan, supernodes, agg, parallel, l, b,
+                                ),
+                                None => downward_level(
+                                    &mut got, &ts, &plan, supernodes, agg, parallel, l,
+                                ),
+                            };
+                            let rows = plan.level(l - 1).t2_rows[supernodes as usize];
+                            assert_eq!(fl.t2, rows * gemm_flops(r, k, k));
+                            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                                for (x, y) in g.local[li].iter().zip(&w.local[li]) {
+                                    assert_eq!(
+                                        x.to_bits(),
+                                        y.to_bits(),
+                                        "K={k} {kernel:?} supernodes={supernodes} R={r} \
+                                         instance {i} level {l} parallel={parallel} {blocking:?}"
+                                    );
+                                }
+                            }
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[cfg_attr(
+        debug_assertions,
+        ignore = "depth-4 sweeps on every tier: release only"
+    )]
+    fn blocked_sweep_equals_reference_at_small_k() {
+        // Blockings the pool's thread count alone would not reach at
+        // K = 6: one-parent panels, panels across rows and planes, slab
+        // groups of two planes and of the whole level.
+        let extra = [1, 3, 16, 64].map(|panel| T2Blocking { panel, planes: 2 });
+        assert_blocked_sweep_is_reference(3, 4, &extra);
+        assert_blocked_sweep_is_reference(
+            5,
+            4,
+            &[T2Blocking {
+                panel: 8,
+                planes: 8,
+            }],
+        );
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "K = 120 sweeps: release only")]
+    fn blocked_sweep_equals_reference_at_k120() {
+        assert_blocked_sweep_is_reference(
+            14,
+            3,
+            &[T2Blocking {
+                panel: 16,
+                planes: 1,
+            }],
+        );
     }
 
     #[test]

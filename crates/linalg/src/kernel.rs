@@ -251,7 +251,7 @@ pub(crate) unsafe fn gemm_acc_lanes<L: Lanes<Elem = f64>, const ROWS: usize, con
 }
 
 /// The `cols` columns from `j` in `REGS` vectors, the last masked to the
-/// columns it holds, for every row: `ROWS` rows at a time, then one.
+/// columns it holds, for every row: `ROWS` rows at a time, then the rest.
 ///
 /// # Safety
 /// As [`gemm_acc_lanes`], with `j + cols ≤ n`.
@@ -274,9 +274,20 @@ unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
         tile::<L, REGS, ROWS>(i, k, n, j, masks, a, b, c);
         i += ROWS;
     }
-    while i < m {
-        tile::<L, REGS, 1>(i, k, n, j, masks, a, b, c);
-        i += 1;
+    // The rows left over as one tile where the tier's row count allows:
+    // a tile's time is set by its fma latency chain, not by its rows, so
+    // one short tile costs what one whole tile does, where one-row tiles
+    // would cost that each.
+    match m - i {
+        0 => {}
+        3 if ROWS > 3 => tile::<L, REGS, 3>(i, k, n, j, masks, a, b, c),
+        2 if ROWS > 2 => tile::<L, REGS, 2>(i, k, n, j, masks, a, b, c),
+        _ => {
+            while i < m {
+                tile::<L, REGS, 1>(i, k, n, j, masks, a, b, c);
+                i += 1;
+            }
+        }
     }
 }
 

@@ -6,7 +6,7 @@
 //! Where a tier keeps a column in a register, and in which order it
 //! walks rows and panels, moves no bit; this file checks that.
 //!
-//! The model is also the contract ROADMAP item 2(a)'s offset stacking
+//! The model is also the contract ROADMAP item 2(c)'s offset stacking
 //! needs. Stacking B offsets along the inner dimension keeps each output
 //! row's summation order only where columns accumulate straight into C:
 //! vector columns do, scalar-tail columns do not. At the FMM's

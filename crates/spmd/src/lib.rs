@@ -323,7 +323,7 @@ pub(crate) fn assemble(
     }
 
     // Nominal traversal flop counters, closed-form — identical to the
-    // serial per-level accounting (which also counts interior-box work).
+    // serial per-level accounting (the live T2 rows come from the plan).
     // The workers' own sweep counters do not sum to it: a partitioned run
     // never computes level 1.
     let k = fmm.k();
@@ -335,14 +335,13 @@ pub(crate) fn assemble(
             tfl.copied += (n_parents * 8 * k) as u64;
         }
     }
-    let per_box_t2 = plan.octants[0].offsets.len() as u64;
     for l in 2..=depth {
-        let n_boxes = 1usize << (3 * l);
-        tfl.t2 += per_box_t2 * gemm_flops(n_boxes, k, k);
-        if l >= 3 {
-            tfl.t3 += gemm_flops(n_boxes, k, k);
-        }
-        tfl.copied += (n_boxes * k) as u64 * (per_box_t2 + 2);
+        let n_boxes = 1u64 << (3 * l);
+        let live = plan.level(l - 1).t2_rows[0]; // no supernodes under SPMD
+        let t3_rows = if l >= 3 { n_boxes } else { 0 };
+        tfl.t2 += live * gemm_flops(1, k, k);
+        tfl.t3 += t3_rows * gemm_flops(1, k, k);
+        tfl.copied += (live + t3_rows + n_boxes) * k as u64;
     }
 
     let mut profile = Profile::new();

@@ -237,10 +237,10 @@ pub struct CostModel {
 ///   in-domain neighbour pairs at [`PAIR_FORCE_FLOPS`];
 /// * per particle — `10·K` for P2O and `6·K·(M+1)` for inner evaluation;
 /// * per box at level l (charged to its first descendant leaf) —
-///   `2K²` per T2 source of its octant's full interactive field (the
-///   executors sweep dense level arrays, so boundary boxes pay the full
-///   stencil), `2K²` for the T3 parent shift (l ≥ 3), and `8·2K²` for
-///   forming its children's T1 contributions (2 ≤ l < depth).
+///   `2K²` per T2 source of its octant's interactive field that lies in
+///   the domain (the executors multiply only those rows), `2K²` for the
+///   T3 parent shift (l ≥ 3), and `8·2K²` for forming its children's T1
+///   contributions (2 ≤ l < depth).
 pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
     let leaves = 1usize << (3 * depth);
     assert_eq!(counts.len(), leaves, "one particle count per leaf box");
@@ -252,12 +252,26 @@ pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
     let octant_offsets: Vec<Vec<[i32; 3]>> = (0..8)
         .map(|o| interactive_field_offsets([o & 1, (o >> 1) & 1, (o >> 2) & 1], model.sep))
         .collect();
+    // A box's in-domain T2 sources depend only on its octant and, per
+    // axis, on its distance to either face up to the stencil's reach.
+    let reach = octant_offsets
+        .iter()
+        .flatten()
+        .flatten()
+        .map(|c| c.unsigned_abs());
+    let reach = reach.max().unwrap_or(0);
+    let mut live_t2 = BTreeMap::new();
     for l in 2..=depth {
         let shift = 3 * (depth - l);
+        let last = (1u32 << l) - 1;
         for code in 0..1u64 << (3 * l) {
             let (x, y, z) = morton_decode(code);
             let b = BoxCoord { level: l, x, y, z };
-            let t2 = octant_offsets[b.octant()].len() as u64;
+            let class = [x, y, z].map(|c| (c.min(reach), (last - c).min(reach)));
+            let t2 = *live_t2.entry((b.octant(), class)).or_insert_with(|| {
+                let offsets = octant_offsets[b.octant()].iter();
+                offsets.filter(|&&o| b.offset(o).is_some()).count() as u64
+            });
             let mut w = t2 * gemm_row;
             if l >= 3 {
                 w += gemm_row; // T3 from the parent's local expansion
