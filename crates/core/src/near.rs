@@ -127,34 +127,30 @@ fn box_pair_potential(
     pairs
 }
 
-/// Potentials within one box, pairwise symmetric, excluding self terms.
+/// Potentials within one box, pairwise symmetric, excluding self terms:
+/// each particle exchanges with the run after it, `out` being the box's.
 #[inline]
 fn self_box_potential(
+    kernel: Kernel,
     bp: &BinnedParticles,
     range: Range<usize>,
     eps2: f64,
     out: &mut [f64],
 ) -> u64 {
-    let n = range.len();
-    let base = range.start;
-    let mut pairs = 0u64;
-    for a in 0..n {
-        let ia = base + a;
-        let (xa, ya, za, qa) = (bp.x[ia], bp.y[ia], bp.z[ia], bp.q[ia]);
-        let mut acc = 0.0;
-        for (b, ob) in out.iter_mut().enumerate().take(n).skip(a + 1) {
-            let ib = base + b;
-            let dx = xa - bp.x[ib];
-            let dy = ya - bp.y[ib];
-            let dz = za - bp.z[ib];
-            let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            acc += bp.q[ib] * inv_r;
-            *ob += qa * inv_r;
-            pairs += 1;
-        }
-        out[a] += acc;
+    let (x, y, z, q) = (
+        &bp.x[range.clone()],
+        &bp.y[range.clone()],
+        &bp.z[range.clone()],
+        &bp.q[range],
+    );
+    for a in 0..x.len() {
+        let (o, after) = out[a..].split_first_mut().expect("out holds the box");
+        let b = a + 1..;
+        let (xs, ys, zs, qs) = (&x[b.clone()], &y[b.clone()], &z[b.clone()], &q[b]);
+        *o += pairwise::exchange_with(kernel, x[a], y[a], z[a], q[a], eps2, xs, ys, zs, qs, after);
     }
-    pairs
+    let n = x.len() as u64;
+    n * n.saturating_sub(1) / 2
 }
 
 /// Split a buffer into per-box mutable slices following the binning CSR.
@@ -207,7 +203,7 @@ pub fn near_field_potentials_softened(
         let t = BoxCoord::from_index(level, b);
         let t_range = bp.range(b);
         let mut st = NearFieldStats::default();
-        st.pair_interactions += self_box_potential(bp, t_range.clone(), eps2, o);
+        st.pair_interactions += self_box_potential(kernel, bp, t_range.clone(), eps2, o);
         st.box_pairs += 1;
         for &d in &offsets {
             if let Some(s) = t.offset(d) {
@@ -266,7 +262,8 @@ pub fn near_field_symmetric(bp: &BinnedParticles, sep: Separation) -> (Vec<f64>,
         {
             let (t0, t1) = (t_range.start, t_range.end);
             let mut local = vec![0.0; t1 - t0];
-            st.pair_interactions += self_box_potential(bp, t_range.clone(), 0.0, &mut local);
+            st.pair_interactions +=
+                self_box_potential(Kernel::Scalar, bp, t_range.clone(), 0.0, &mut local);
             st.box_pairs += 1;
             for (i, v) in local.into_iter().enumerate() {
                 out[t0 + i] += v;
@@ -450,7 +447,7 @@ pub(crate) fn travelling_sweep(
     }
     let mut total = NearFieldStats::default();
     for (bp, out) in bps.iter().zip(outs.iter_mut()) {
-        total.merge(&self_pass(bp, eps2, parallel, out));
+        total.merge(&self_pass(kernel, bp, eps2, parallel, out));
     }
     // Every box is a target, and a binning serves its own sources.
     let targets: Vec<u32> = (0..first.binning.starts.len() as u32 - 1).collect();
@@ -477,8 +474,10 @@ pub(crate) fn travelling_sweep(
 }
 
 /// Self interactions of a travelling sweep, symmetric within each box of
-/// `bp`, added into `out` (sorted particle order).
+/// `bp`, added into `out` (sorted particle order): one exchange per
+/// particle with the particles after it in its box, on `kernel`.
 pub fn self_pass(
+    kernel: Kernel,
     bp: &BinnedParticles,
     eps2: f64,
     parallel: bool,
@@ -491,7 +490,7 @@ pub fn self_pass(
         if t_range.is_empty() {
             return NearFieldStats::default();
         }
-        let pairs = self_box_potential(bp, t_range, eps2, o);
+        let pairs = self_box_potential(kernel, bp, t_range, eps2, o);
         NearFieldStats {
             pair_interactions: pairs,
             box_pairs: 1,
@@ -587,12 +586,17 @@ fn step_over<L: Fn(usize) -> Range<usize> + Sync>(
             let ys = &cells.y[s_range.clone()];
             let zs = &cells.z[s_range.clone()];
             let qs = &cells.q[s_range.clone()];
-            for (i, ti) in t_range.enumerate() {
-                t_out[i] += pairwise::exchange_with(
-                    kernel, bp.x[ti], bp.y[ti], bp.z[ti], bp.q[ti], eps2, xs, ys, zs, qs, s_acc,
-                );
-                st.pair_interactions += s_range.len() as u64;
-            }
+            let t = t_range.clone();
+            let (txs, tys, tzs, tqs) = (
+                &bp.x[t.clone()],
+                &bp.y[t.clone()],
+                &bp.z[t.clone()],
+                &bp.q[t],
+            );
+            pairwise::exchange_panel_with(
+                kernel, txs, tys, tzs, tqs, eps2, xs, ys, zs, qs, t_out, s_acc,
+            );
+            st.pair_interactions += (t_range.len() * s_range.len()) as u64;
             st.box_pairs += 1;
         }
         st.flops = st.pair_interactions * PAIR_FLOPS;
@@ -1183,7 +1187,7 @@ mod tests {
             let want_st = near_field_travelling_with(kernel, &bp, sep, false, 0.0, &mut want);
             let mut got = vec![0.0; bp.len()];
             let mut acc = vec![0.0; x.len()];
-            let mut st = self_pass(&bp, 0.0, false, &mut got);
+            let mut st = self_pass(kernel, &bp, 0.0, false, &mut got);
             for step in &fmm_machine::TravelPath::new(sep.d()).steps {
                 for boxes in &subsets {
                     let mut one = Travelling {

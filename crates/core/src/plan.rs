@@ -94,6 +94,20 @@ impl LevelPlan {
         T2Blocking { panel, planes }
     }
 
+    /// T2 source rows a full-level downward sweep of one instance under
+    /// GEMM aggregation gathers into panels, at rule size `k`: none where
+    /// its panels are cut within parent rows (every live run is then read
+    /// in place), else every live row. The panel rule makes that a
+    /// function of `k` and the level alone, whatever the thread count.
+    pub fn t2_gathered_rows(&self, k: usize, supernodes: bool) -> u64 {
+        let in_rows = self.t2_blocking(k, 1).panel <= 1 << self.parent_level;
+        if in_rows {
+            0
+        } else {
+            self.t2_rows[supernodes as usize]
+        }
+    }
+
     /// The slabs merged into groups of `planes` consecutive z-planes
     /// (`planes` a power of two, at most the plane count): ranges of
     /// parent box indices of equal length.
@@ -425,6 +439,19 @@ mod tests {
         assert_eq!(at(3, 120, 2), (32, 1));
         assert_eq!(at(1, 120, 1), (8, 2));
         assert_eq!(at(1, 120, 2), (4, 1));
+        // Whether panels fall within parent rows does not depend on the
+        // thread count (the copy count of a sweep relies on it).
+        for lp in 1..5 {
+            let n = 1usize << lp;
+            for k in [6, 12, 72, 120] {
+                let in_rows = plan.level(lp).t2_gathered_rows(k, false) == 0;
+                for threads in [1, 2, 3, 8, 64] {
+                    let rows = plan.level(lp).t2_blocking(k, threads).panel <= n;
+                    assert_eq!(rows, in_rows, "level {lp} K={k} threads={threads}");
+                }
+            }
+            assert_eq!(plan.level(lp).t2_gathered_rows(12, false) == 0, lp >= 3);
+        }
         for lp in 1..5 {
             let groups: Vec<_> = plan.level(lp).slab_groups(2).collect();
             let n = 1usize << lp;

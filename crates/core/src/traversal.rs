@@ -40,7 +40,7 @@
 use crate::field::FieldHierarchy;
 use crate::plan::{T2Blocking, TraversalPlan};
 use crate::translations::TranslationSet;
-use fmm_linalg::{gemm_acc_with, gemm_flops, Kernel, Matrix};
+use fmm_linalg::{gemm_acc_strided_with, gemm_acc_with, gemm_flops, Kernel, Matrix};
 use fmm_tree::BoxCoord;
 use rayon::prelude::*;
 use std::ops::Range;
@@ -117,6 +117,25 @@ fn gather_rows(
     for (dst, i) in panel.chunks_mut(stride).zip(idx) {
         dst[..k].copy_from_slice(&src[i * k..(i + 1) * k]);
     }
+}
+
+/// `(first, step)` when the indices `idx` are `first + step·i`, `step ≥ 1`
+/// (a single index has step 1): rows a GEMM can read at one stride.
+fn one_stride(idx: impl IntoIterator<Item = usize>) -> Option<(usize, usize)> {
+    let mut idx = idx.into_iter();
+    let first = idx.next()?;
+    let Some(second) = idx.next() else {
+        return Some((first, 1));
+    };
+    let step = second.checked_sub(first).filter(|&d| d > 0)?;
+    let mut prev = second;
+    for i in idx {
+        if i.checked_sub(prev) != Some(step) {
+            return None;
+        }
+        prev = i;
+    }
+    Some((first, step))
 }
 
 /// Run `do_slab` over the slabs of a level, each with the output chunks
@@ -381,8 +400,23 @@ fn downward_blocked(
         .collect();
     let panel = blocking.panel;
     let flops = downward_sweep(fhs, ts, plan, supernodes, agg, parallel, l, panel, &slabs);
-    let per_row = gemm_flops(fhs.len(), fhs[0].k, fhs[0].k);
-    debug_assert_eq!(flops.t2, lvl.t2_rows[supernodes as usize] * per_row);
+    let (r, k) = (fhs.len(), fhs[0].k);
+    debug_assert_eq!(
+        flops.t2,
+        lvl.t2_rows[supernodes as usize] * gemm_flops(r, k, k)
+    );
+    if r == 1 && agg == Aggregation::Gemm {
+        // T3 reads its panels' consecutive parents in place; T2 gathers
+        // its live rows unless the panels lie within parent rows.
+        let in_rows = panel <= 1 << (l - 1);
+        let gathered = if in_rows {
+            0
+        } else {
+            lvl.t2_rows[supernodes as usize]
+        };
+        let scattered = lvl.parents.len() as u64 * 8;
+        debug_assert_eq!(flops.copied, (gathered + scattered) * k as u64);
+    }
     flops
 }
 
@@ -417,10 +451,12 @@ pub fn downward_rows(
 /// parents per octant, held parent-major (the `R` instances' rows of one
 /// parent adjacent), so parents that form one run are one run of rows.
 ///
-/// Only live rows — those whose source lies in the domain — are gathered
-/// and multiplied: in place when an offset's live parents form one run
-/// (always, in a panel of one parent row), else packed with their
-/// accumulator rows, which are copied back after the product. The GEMM
+/// Only live rows — those whose source lies in the domain — are
+/// multiplied. Their accumulator rows are used in place when an offset's
+/// live parents form one run (always, in a panel of one parent row), else
+/// packed and copied back after the product; their sources are read in
+/// place from the level array where one instance's run sits at one
+/// stride there, else gathered into a panel. The GEMM
 /// computes each row independently of the others, and a dropped
 /// all-zero row could only have changed an accumulator holding −0.0,
 /// which one starting at +0.0 never does, so no bit depends on which
@@ -446,7 +482,13 @@ fn downward_sweep(
     let chunk = fhs[0].hierarchy.boxes_at_level(l) / slabs.len();
     let n_par = 1usize << l_parent; // parent-level axis length
     let apply_t3 = l >= 3; // local field is zero above level 2
-    let live_rows = AtomicU64::new(0);
+    let (live_rows, copied_rows) = (AtomicU64::new(0), AtomicU64::new(0));
+    // One instance's source rows at one stride are multiplied where they
+    // lie (GEMM only): T3's parents wherever they are, T2's live sources
+    // where panels are cut within parent rows, which in a full-level
+    // sweep holds for every live run ([`LevelPlan::t2_gathered_rows`]
+    // counts the rest). All other rows are gathered into a panel.
+    let solo_gemm = agg == Aggregation::Gemm && r == 1;
 
     let mut sources: Vec<DownwardSources> = Vec::with_capacity(r);
     let mut outs: Vec<Vec<&mut [f64]>> = slabs.iter().map(|_| Vec::with_capacity(r)).collect();
@@ -465,7 +507,8 @@ fn downward_sweep(
     // A panel is a run of at most `panel` of an octant's rows, and where
     // one parent row holds that many, of rows in one parent row: an
     // offset's live rows there are always one run (its x range).
-    let row_len = if panel <= n_par { n_par } else { usize::MAX };
+    let in_rows = panel <= n_par;
+    let row_len = if in_rows { n_par } else { usize::MAX };
     let row_of = |pi: u32| pi as usize / row_len;
     let cut = |rows: &[u32]| {
         let mut cuts: Vec<Range<usize>> = Vec::new();
@@ -490,7 +533,7 @@ fn downward_sweep(
         let mut src_idx = vec![OUTSIDE; cap];
         // Target box of each row on the current list's source level.
         let mut targets = vec![([0i32; 3], 0isize); cap];
-        let mut n_live = 0u64;
+        let (mut n_live, mut n_copied) = (0u64, 0u64);
         for sub in 0..cuts.iter().map(Vec::len).max().unwrap_or(0) {
             for (oct, lists) in oct_lists.iter().enumerate() {
                 // Rows of the panels: this panel's parents along `oct`.
@@ -508,15 +551,24 @@ fn downward_sweep(
                 // ---- T3: parent inner → child inner -------------------
                 if apply_t3 {
                     let at = || parents.iter().map(|&pi| pi as usize);
-                    for (i, src) in sources.iter().enumerate() {
-                        gather_rows(src.local_parent, at(), k, kr, &mut src_panel[i * k..]);
+                    let t3 = &ts.t3t[oct];
+                    if let Some((p0, step)) = solo_gemm.then(|| one_stride(at())).flatten() {
+                        let a = &sources[0].local_parent[p0 * k..];
+                        let m = t3.as_slice();
+                        gemm_acc_strided_with(plan.kernel, np, k, k, a, step * k, m, acc_panel);
+                    } else {
+                        for (i, src) in sources.iter().enumerate() {
+                            gather_rows(src.local_parent, at(), k, kr, &mut src_panel[i * k..]);
+                        }
+                        let a = &src_panel[..np * kr];
+                        translate_acc(agg, plan.kernel, np * r, k, a, t3, acc_panel);
+                        n_copied += (np * r) as u64;
                     }
-                    let (a, t3) = (&src_panel[..np * kr], &ts.t3t[oct]);
-                    translate_acc(agg, plan.kernel, np * r, k, a, t3, acc_panel);
                 }
 
                 // ---- T2: interactive field ----------------------------
                 for list in lists {
+                    let shift = list.shift as usize;
                     let bits = l - list.shift; // log2 of the source level's axis
                     let axis = 1u32 << bits;
                     let lin = |c: [i32; 3]| {
@@ -546,19 +598,29 @@ fn downward_sweep(
                         if nl == 0 {
                             continue;
                         }
+                        n_live += nl as u64;
                         let run = last + 1 - first == nl;
                         let live = || (first..=last).filter(|&j| src_idx[j] != OUTSIDE);
+                        let run_idx = || src_idx[first..=last].iter().copied();
+                        let direct = solo_gemm && in_rows && run;
+                        if let Some((s0, step)) = direct.then(|| one_stride(run_idx())).flatten() {
+                            let a = &sources[0].far[shift][s0 * k..];
+                            let acc = &mut acc_panel[first * k..(last + 1) * k];
+                            let m = m.as_slice();
+                            gemm_acc_strided_with(plan.kernel, nl, k, k, a, step * k, m, acc);
+                            continue;
+                        }
                         // Gather the live sources, packed (a run needs no
                         // filter).
                         for (i, src) in sources.iter().enumerate() {
-                            let (far, dst) =
-                                (src.far[list.shift as usize], &mut src_panel[i * k..]);
+                            let dst = &mut src_panel[i * k..];
                             if run {
-                                gather_rows(far, src_idx[first..=last].iter().copied(), k, kr, dst);
+                                gather_rows(src.far[shift], run_idx(), k, kr, dst);
                             } else {
-                                gather_rows(far, live().map(|j| src_idx[j]), k, kr, dst);
+                                gather_rows(src.far[shift], live().map(|j| src_idx[j]), k, kr, dst);
                             }
                         }
+                        n_copied += (nl * r) as u64;
                         let a = &src_panel[..nl * kr];
                         if run {
                             let acc = &mut acc_panel[first * kr..(last + 1) * kr];
@@ -571,7 +633,6 @@ fn downward_sweep(
                                 acc_panel[j * kr..(j + 1) * kr].copy_from_slice(row);
                             }
                         }
-                        n_live += nl as u64;
                     }
                 }
 
@@ -587,12 +648,14 @@ fn downward_sweep(
             }
         }
         live_rows.fetch_add(n_live, Ordering::Relaxed);
+        copied_rows.fetch_add(n_copied, Ordering::Relaxed);
     });
 
     // Exact counts: every multiplied row is a live T2 row or a T3 row;
-    // every multiplied source row is gathered once, every target row is
-    // scattered once (packing accumulator rows is not counted, so the
-    // counts do not depend on the blocking).
+    // every source row gathered into a panel is copied once, and every
+    // target row is scattered once. Packing accumulator rows is not
+    // counted, so the flops do not depend on the blocking, and the copies
+    // only on whether its panels lie within parent rows.
     let n_rows: usize = slabs
         .iter()
         .flat_map(|(_, rows)| rows)
@@ -604,7 +667,7 @@ fn downward_sweep(
         t1: 0,
         t2: gemm_flops(live as usize, k, k),
         t3: gemm_flops(t3_rows as usize, k, k),
-        copied: (live + t3_rows + n_rows) * k as u64,
+        copied: (copied_rows.into_inner() + n_rows) * k as u64,
     }
 }
 

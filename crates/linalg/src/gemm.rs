@@ -19,7 +19,7 @@ pub fn gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
 
 /// Reference triple-loop GEMM (`C += A * B`) used to validate `gemm_acc`.
 pub fn gemm_naive(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    assert_shapes(m, k, n, a, b, c);
+    assert_shapes(m, k, n, a, k, b, c);
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0;

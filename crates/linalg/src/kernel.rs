@@ -141,40 +141,83 @@ pub fn gemm_acc_with(
     b: &[f64],
     c: &mut [f64],
 ) {
+    assert_eq!(Some(a.len()), m.checked_mul(k), "A shape mismatch");
+    gemm_acc_strided_with(kernel, m, k, n, a, k, b, c)
+}
+
+/// [`gemm_acc_with`] with `A`'s rows `lda` elements apart: row `i` is
+/// `a[i·lda..i·lda + k]`, so rows that sit at one stride in a larger array
+/// are multiplied where they lie, with the bits of the product of the
+/// same rows gathered densely (`lda` only moves the loads of `A`).
+/// Panics unless `lda ≥ k`, `a` reaches `(m − 1)·lda + k` elements, and
+/// `b`, `c` hold `k × n`, `m × n`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm_acc_strided_with(
+    kernel: Kernel,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    c: &mut [f64],
+) {
     match kernel {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma is only handed out by detect() after the feature
         // check (or chosen explicitly by tests/benches on the same CPU).
-        Kernel::Avx2Fma => unsafe { x86::gemm_acc_avx2(m, k, n, a, b, c) },
+        Kernel::Avx2Fma => unsafe { x86::gemm_acc_avx2(m, k, n, a, lda, b, c) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, gated on avx512f.
-        Kernel::Avx512 => unsafe { x86::gemm_acc_avx512(m, k, n, a, b, c) },
+        Kernel::Avx512 => unsafe { x86::gemm_acc_avx512(m, k, n, a, lda, b, c) },
         #[cfg(target_arch = "aarch64")]
-        Kernel::Neon => arm::gemm_acc_neon(m, k, n, a, b, c),
-        _ => gemm_acc_scalar(m, k, n, a, b, c),
+        Kernel::Neon => arm::gemm_acc_neon(m, k, n, a, lda, b, c),
+        _ => gemm_acc_scalar(m, k, n, a, lda, b, c),
     }
 }
 
 /// Every entry point's shape check, in release builds too: the vector
-/// tiers read and write through raw pointers.
+/// tiers read and write through raw pointers. `A`'s `m` rows of `k` lie
+/// `lda ≥ k` apart.
 #[inline]
-pub(crate) fn assert_shapes(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &[f64]) {
-    assert_eq!(Some(a.len()), m.checked_mul(k), "A shape mismatch");
+pub(crate) fn assert_shapes(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    c: &[f64],
+) {
+    assert!(lda >= k, "A row stride below its row length");
+    let a_end = m.checked_sub(1).map_or(Some(0), |rows| {
+        rows.checked_mul(lda).and_then(|at| at.checked_add(k))
+    });
+    assert!(a_end.is_some_and(|end| end <= a.len()), "A shape mismatch");
     assert_eq!(Some(b.len()), k.checked_mul(n), "B shape mismatch");
     assert_eq!(Some(c.len()), m.checked_mul(n), "C shape mismatch");
 }
 
-/// Portable blocked i-k-j GEMM (the original reference kernel).
-/// Panics on a shape mismatch, as [`gemm_acc_with`].
-pub fn gemm_acc_scalar(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    assert_shapes(m, k, n, a, b, c);
+/// Portable blocked i-k-j GEMM (the original reference kernel), `A`'s
+/// rows `lda` apart. Panics on a shape mismatch, as
+/// [`gemm_acc_strided_with`].
+pub fn gemm_acc_scalar(
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    lda: usize,
+    b: &[f64],
+    c: &mut [f64],
+) {
+    assert_shapes(m, k, n, a, lda, b, c);
     // Block over k so that the `KB` rows of B being streamed stay in L1/L2.
     const KB: usize = 64;
     let mut k0 = 0;
     while k0 < k {
         let kb = KB.min(k - k0);
         for i in 0..m {
-            let arow = &a[i * k + k0..i * k + k0 + kb];
+            let arow = &a[i * lda + k0..i * lda + k0 + kb];
             let crow = &mut c[i * n..(i + 1) * n];
             // Unroll pairs of rank-1 updates to expose more ILP.
             let mut p = 0;
@@ -205,8 +248,8 @@ pub fn gemm_acc_scalar(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &m
 /// 1–4, the last masked), then any scalar tail columns (module header).
 ///
 /// # Safety
-/// Requires the CPU features of `L`'s tier; `a`, `b` and `c` hold
-/// `m × k`, `k × n` and `m × n` elements.
+/// Requires the CPU features of `L`'s tier; `a` holds `m` rows of `k`
+/// elements `lda` apart, `b` and `c` hold `k × n` and `m × n` elements.
 #[inline(always)]
 #[cfg_attr(
     not(any(target_arch = "x86_64", target_arch = "aarch64")),
@@ -217,12 +260,13 @@ pub(crate) unsafe fn gemm_acc_lanes<L: Lanes<Elem = f64>, const ROWS: usize, con
     k: usize,
     n: usize,
     a: &[f64],
+    lda: usize,
     b: &[f64],
     c: &mut [f64],
 ) {
     const { assert!(L::MASKED_TAIL || !MASKED) };
     let w = L::WIDTH;
-    let (ap, bp, cp) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let (ap, bp, cp) = ((a.as_ptr(), lda), b.as_ptr(), c.as_mut_ptr());
     let mut j = 0;
     while j + 4 * w <= n {
         panel::<L, 4, ROWS>(m, k, n, j, 4 * w, ap, bp, cp);
@@ -240,7 +284,7 @@ pub(crate) unsafe fn gemm_acc_lanes<L: Lanes<Elem = f64>, const ROWS: usize, con
     // The scalar column tail: empty under a mask.
     for jt in j + cols..n {
         for i in 0..m {
-            let arow = &a[i * k..(i + 1) * k];
+            let arow = &a[i * lda..i * lda + k];
             let mut s = 0.0;
             for (aip, bpj) in arow.iter().zip(b.iter().skip(jt).step_by(n)) {
                 s += aip * bpj;
@@ -254,7 +298,8 @@ pub(crate) unsafe fn gemm_acc_lanes<L: Lanes<Elem = f64>, const ROWS: usize, con
 /// columns it holds, for every row: `ROWS` rows at a time, then the rest.
 ///
 /// # Safety
-/// As [`gemm_acc_lanes`], with `j + cols ≤ n`.
+/// As [`gemm_acc_lanes`], with `j + cols ≤ n`; `a` is `A` and its row
+/// stride.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
 unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
@@ -263,7 +308,7 @@ unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
     n: usize,
     j: usize,
     cols: usize,
-    a: *const f64,
+    a: (*const f64, usize),
     b: *const f64,
     c: *mut f64,
 ) {
@@ -305,11 +350,11 @@ unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
     n: usize,
     j: usize,
     masks: [u16; REGS],
-    a: *const f64,
+    a: (*const f64, usize),
     b: *const f64,
     c: *mut f64,
 ) {
-    let w = L::WIDTH;
+    let (w, (a, lda)) = (L::WIDTH, a);
     let mut acc = [[L::zero(); REGS]; ROWS];
     for (r, row) in acc.iter_mut().enumerate() {
         for (q, v) in row.iter_mut().enumerate() {
@@ -322,7 +367,7 @@ unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
             *v = L::load(b.add(p * n + j + w * q), masks[q]);
         }
         for (r, row) in acc.iter_mut().enumerate() {
-            let av = L::splat(*a.add((i + r) * k + p));
+            let av = L::splat(*a.add((i + r) * lda + p));
             for (q, v) in row.iter_mut().enumerate() {
                 *v = L::fma(av, bv[q], *v);
             }
@@ -342,18 +387,34 @@ mod x86 {
 
     /// Panics on a shape mismatch.
     #[target_feature(enable = "avx2,fma")]
-    pub fn gemm_acc_avx2(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        assert_shapes(m, k, n, a, b, c);
+    pub fn gemm_acc_avx2(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        assert_shapes(m, k, n, a, lda, b, c);
         // SAFETY: this function carries the tier's features; shapes checked.
-        unsafe { gemm_acc_lanes::<__m256d, 2, false>(m, k, n, a, b, c) }
+        unsafe { gemm_acc_lanes::<__m256d, 2, false>(m, k, n, a, lda, b, c) }
     }
 
     /// Panics on a shape mismatch.
     #[target_feature(enable = "avx512f")]
-    pub fn gemm_acc_avx512(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        assert_shapes(m, k, n, a, b, c);
+    pub fn gemm_acc_avx512(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        assert_shapes(m, k, n, a, lda, b, c);
         // SAFETY: this function carries the tier's features; shapes checked.
-        unsafe { gemm_acc_lanes::<__m512d, 4, true>(m, k, n, a, b, c) }
+        unsafe { gemm_acc_lanes::<__m512d, 4, true>(m, k, n, a, lda, b, c) }
     }
 }
 
@@ -363,10 +424,18 @@ mod arm {
     use core::arch::aarch64::*;
 
     /// Panics on a shape mismatch.
-    pub fn gemm_acc_neon(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-        assert_shapes(m, k, n, a, b, c);
+    pub fn gemm_acc_neon(
+        m: usize,
+        k: usize,
+        n: usize,
+        a: &[f64],
+        lda: usize,
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        assert_shapes(m, k, n, a, lda, b, c);
         // SAFETY: NEON is architecturally guaranteed on aarch64; shapes checked.
-        unsafe { gemm_acc_lanes::<float64x2_t, 2, false>(m, k, n, a, b, c) }
+        unsafe { gemm_acc_lanes::<float64x2_t, 2, false>(m, k, n, a, lda, b, c) }
     }
 }
 

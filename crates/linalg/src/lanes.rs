@@ -25,11 +25,11 @@
 //! What a tier does after its last whole vector, of sources (pairwise) or
 //! of columns (GEMM):
 //!
-//! | tier     | `gather` | `exchange` | `exchange_f32`, panel | `force_gather_f32` | `force_gather` | GEMM   |
-//! |----------|----------|------------|-----------------------|--------------------|----------------|--------|
-//! | avx2+fma | scalar   | scalar     | scalar                | scalar             | scalar         | scalar |
-//! | avx512   | scalar   | scalar     | masked                | masked             | masked         | masked |
-//! | neon     | scalar   | scalar     | scalar                | scalar             | scalar         | scalar |
+//! | tier     | `gather` | `exchange`, panel | `exchange_f32`, panel | `force_gather_f32` | `force_gather` | GEMM   |
+//! |----------|----------|-------------------|-----------------------|--------------------|----------------|--------|
+//! | avx2+fma | scalar   | scalar            | scalar                | scalar             | scalar         | scalar |
+//! | avx512   | masked   | masked            | masked                | masked             | masked         | masked |
+//! | neon     | scalar   | scalar            | scalar                | scalar             | scalar         | scalar |
 //!
 //! *masked*: one more vector under a mask of the live leading lanes
 //! ([`Lanes::FULL`] shifted down), the dead lanes neither read nor
@@ -37,7 +37,9 @@
 //! scalar body, seeded with the vector partial sums; a GEMM column is
 //! `c + Σ_p a_ip·b_pj`, the sum formed from 0 apart from `c`, unfused.
 //! The policy is a const parameter of each body, named where each entry
-//! point instantiates it. `tests/gemm_bits.rs` and `tests/pairwise_bits.rs`
+//! point instantiates it. A panel (f64 or f32) is two targets per source
+//! sweep on AVX-512, the odd last one alone; on the other tiers it is one
+//! single-target exchange per target, so it has their tails. `tests/gemm_bits.rs` and `tests/pairwise_bits.rs`
 //! hold every x86 tier to these rows, bit for bit.
 //!
 //! Checked on x86: the generic bodies at NEON's widths and tail policy
@@ -510,11 +512,11 @@ mod tests {
         assert_matches_model(unmasked(2), "[f64; 2]", |m, k, n, a, b, c| {
             // SAFETY: the array lanes need no CPU feature, and the model
             // hands over `m × k`, `k × n` and `m × n` slices.
-            unsafe { gemm_acc_lanes::<[f64; 2], 2, false>(m, k, n, a, b, c) }
+            unsafe { gemm_acc_lanes::<[f64; 2], 2, false>(m, k, n, a, k, b, c) }
         });
         assert_matches_model(unmasked(4), "[f64; 4]", |m, k, n, a, b, c| {
             // SAFETY: as above.
-            unsafe { gemm_acc_lanes::<[f64; 4], 2, false>(m, k, n, a, b, c) }
+            unsafe { gemm_acc_lanes::<[f64; 4], 2, false>(m, k, n, a, k, b, c) }
         });
     }
 }

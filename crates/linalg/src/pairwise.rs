@@ -26,8 +26,8 @@
 //! 0·∞ = NaN would poison the sums), so they add exactly 0, and the
 //! `s_out` update is write-masked. A box holds few enough particles that
 //! a scalar tail would dominate those calls. Only AVX-512 has the
-//! two-target exchange ([`exchange_f32_panel_with`]); the other tiers
-//! serve a panel one `exchange_f32` per target.
+//! two-target exchange ([`exchange_panel_with`], [`exchange_f32_panel_with`]);
+//! the other tiers serve a panel one single-target exchange per target.
 
 // Hosts with no vector tier still build the vector bodies' source.
 #![cfg_attr(
@@ -167,15 +167,78 @@ pub fn exchange_f32_with(
     )
 }
 
-/// f32 exchange over a whole panel of targets against one source box.
-/// Semantically one [`exchange_f32_with`] call per target — each target's
-/// f32 partial is widened into `t_out[i]`, each source's per-term
-/// contributions into `s_out[j]` — but the AVX-512 path serves two
-/// targets per source sweep: source coordinates load once per chunk, the
-/// two rsqrt chains interleave, and the pair's source-side contributions
-/// are summed in f32 (one extra rounding within the box pair, inside the
-/// documented error model) before a single widened scatter-add. Other
-/// kernels fall back to the per-target routine.
+/// A panel operation's safe entry: the length checks, then AVX-512's
+/// two-target entry point, or on any other tier one single-target
+/// exchange per target, its sum added into the target's `t_out` slot.
+macro_rules! panel_dispatch {
+    (
+        $kernel:ident, $avx512:ident, $single:ident,
+        ($txs:ident, $tys:ident, $tzs:ident, $tqs:ident), $eps2:ident,
+        ($($src:ident),+), $t_out:ident, $s_out:ident
+    ) => {{
+        assert_equal_lengths!($txs, $tys, $tzs, $tqs, $t_out);
+        assert_equal_lengths!($($src),+, $s_out);
+        match $kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: callers obtain the kernel from detect()/supported();
+            // slice lengths checked above.
+            Kernel::Avx512 => unsafe {
+                x86::$avx512($txs, $tys, $tzs, $tqs, $eps2, $($src),+, $t_out, $s_out)
+            },
+            _ => {
+                for (i, t) in $t_out.iter_mut().enumerate() {
+                    let (tx, ty, tz, tq) = ($txs[i], $tys[i], $tzs[i], $tqs[i]);
+                    *t += f64::from($single($kernel, tx, ty, tz, tq, $eps2, $($src),+, $s_out));
+                }
+            }
+        }
+    }};
+}
+
+/// f64 exchange over a whole panel of targets against one source run.
+/// The same sums as one [`exchange_with`] call per target, each target's
+/// added into `t_out[i]`, each source's into `s_out[j]`; but the AVX-512
+/// path serves two targets per source sweep: source coordinates load once
+/// per vector, the two rsqrt chains interleave, and the pair's source-side
+/// terms are summed in one vector (one more rounding per source and pair)
+/// before a single add into `s_out`. Other kernels run the per-target
+/// routine, bit for bit.
+/// Panics if the target slices and `t_out`, or the source slices and
+/// `s_out`, differ in length.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn exchange_panel_with(
+    kernel: Kernel,
+    txs: &[f64],
+    tys: &[f64],
+    tzs: &[f64],
+    tqs: &[f64],
+    eps2: f64,
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    qs: &[f64],
+    t_out: &mut [f64],
+    s_out: &mut [f64],
+) {
+    panel_dispatch!(
+        kernel,
+        exchange_panel_avx512,
+        exchange_with,
+        (txs, tys, tzs, tqs),
+        eps2,
+        (xs, ys, zs, qs),
+        t_out,
+        s_out
+    )
+}
+
+/// f32 exchange over a whole panel of targets against one source box:
+/// [`exchange_panel_with`] in f32. Each target's f32 partial is widened
+/// into `t_out[i]`, each source's per-term contributions into `s_out[j]`;
+/// on AVX-512 a pair's source-side contributions are summed in f32 (one
+/// extra rounding within the box pair, inside the documented error model)
+/// before a single widened scatter-add.
 /// Panics if the target slices and `t_out`, or the source slices and
 /// `s_out`, differ in length.
 #[inline]
@@ -194,23 +257,16 @@ pub fn exchange_f32_panel_with(
     t_out: &mut [f64],
     s_out: &mut [f64],
 ) {
-    assert_equal_lengths!(txs, tys, tzs, tqs, t_out);
-    assert_equal_lengths!(xs, ys, zs, qs, s_out);
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: callers obtain the kernel from detect()/supported();
-        // slice lengths checked above.
-        Kernel::Avx512 => unsafe {
-            x86::exchange_f32_panel_avx512(txs, tys, tzs, tqs, eps2, xs, ys, zs, qs, t_out, s_out)
-        },
-        _ => {
-            for (i, t) in t_out.iter_mut().enumerate() {
-                *t += exchange_f32_with(
-                    kernel, txs[i], tys[i], tzs[i], tqs[i], eps2, xs, ys, zs, qs, s_out,
-                ) as f64;
-            }
-        }
-    }
+    panel_dispatch!(
+        kernel,
+        exchange_f32_panel_avx512,
+        exchange_f32_with,
+        (txs, tys, tzs, tqs),
+        eps2,
+        (xs, ys, zs, qs),
+        t_out,
+        s_out
+    )
 }
 
 /// f32 potential + field gather: returns `(Σ q·r⁻¹, Σ q·r⁻³·Δ)` for one
@@ -354,9 +410,10 @@ fn force_gather_from<T: Real>(
     (p, f)
 }
 
-/// One tier's five single-target entry points, each the named body behind
-/// a concrete signature. Not generic and not `#[inline]`, so this crate
-/// holds the one compiled copy of each, whoever calls it. The target
+/// One tier's five single-target entry points, or its two panel entry
+/// points, each the named body behind a concrete signature. Not generic
+/// and not `#[inline]`, so this crate holds the one compiled copy of
+/// each, whoever calls it. The target
 /// crosses as scalars, in registers: an array would go through memory,
 /// where its reload as one vector stalls on the caller's element-wise
 /// stores and serializes back-to-back calls.
@@ -403,6 +460,37 @@ macro_rules! entry_points {
             qs: &[$T],
         ) -> $Sums {
             $body([tx, ty, tz], eps2, Run { xs, ys, zs, qs })
+        }
+    };
+    // A tier's two panel entry points, f64 and f32.
+    (
+        $(#[$tier:meta])*
+        pub $($fn:ident)+ {
+            $panel:ident = $panel_body:expr;
+            $panel_f32:ident = $panel_f32_body:expr;
+        }
+    ) => {
+        entry_points!(@panel $(#[$tier])* [$($fn)+] $panel(f64) = $panel_body);
+        entry_points!(@panel $(#[$tier])* [$($fn)+] $panel_f32(f32) = $panel_f32_body);
+    };
+    (@panel $(#[$tier:meta])* [$($fn:ident)+] $name:ident($T:ty) = $body:expr) => {
+        $(#[$tier])*
+        #[allow(clippy::too_many_arguments)]
+        pub $($fn)+ $name(
+            txs: &[$T],
+            tys: &[$T],
+            tzs: &[$T],
+            tqs: &[$T],
+            eps2: $T,
+            xs: &[$T],
+            ys: &[$T],
+            zs: &[$T],
+            qs: &[$T],
+            t_out: &mut [f64],
+            s_out: &mut [f64],
+        ) {
+            let targets = Run { xs: txs, ys: tys, zs: tzs, qs: tqs };
+            $body(targets, eps2, Run { xs, ys, zs, qs }, t_out, s_out)
         }
     };
     (@exchange $(#[$tier:meta])* [$($fn:ident)+] $name:ident($T:ty) = $body:expr) => {
@@ -468,10 +556,34 @@ unsafe fn delta_r2<L: Lanes>(
     (d, L::pin_dead(r2, mask))
 }
 
+/// One vector of sources at `j` into `acc = Σ q·r⁻¹`.
+///
+/// # Safety
+/// As [`Lanes`]; the lanes of `mask` at `j` lie inside `src`.
+#[inline(always)]
+unsafe fn gather_step<L: Lanes>(
+    tv: &[L; 3],
+    e2: L,
+    acc: &mut L,
+    src: Run<L::Elem>,
+    j: usize,
+    mask: u16,
+) {
+    let (_, r2) = delta_r2(tv, e2, src, j, mask);
+    // A dead lane's charge loads as 0, so it leaves `acc` as it was.
+    let q = L::load(src.qs.as_ptr().add(j), mask);
+    *acc = L::fma(q, L::rsqrt_nr(r2), *acc);
+}
+
 /// # Safety
 /// Requires the CPU features of `L`'s tier; `src`'s slices of one length.
 #[inline(always)]
-unsafe fn gather<L: Lanes>(t: [L::Elem; 3], eps2: L::Elem, src: Run<L::Elem>) -> L::Elem {
+unsafe fn gather<L: Lanes, const MASKED: bool>(
+    t: [L::Elem; 3],
+    eps2: L::Elem,
+    src: Run<L::Elem>,
+) -> L::Elem {
+    const { assert!(L::MASKED_TAIL || !MASKED) };
     let tv = [L::splat(t[0]), L::splat(t[1]), L::splat(t[2])];
     let e2 = L::splat(eps2);
     let mut acc = L::zero();
@@ -479,12 +591,16 @@ unsafe fn gather<L: Lanes>(t: [L::Elem; 3], eps2: L::Elem, src: Run<L::Elem>) ->
     let whole = n - n % L::WIDTH;
     let mut j = 0;
     while j < whole {
-        let (_, r2) = delta_r2(&tv, e2, src, j, L::FULL);
-        let q = L::load(src.qs.as_ptr().add(j), L::FULL);
-        acc = L::fma(q, L::rsqrt_nr(r2), acc);
+        gather_step(&tv, e2, &mut acc, src, j, L::FULL);
         j += L::WIDTH;
     }
-    gather_from(L::hsum(acc), t, eps2, src, whole)
+    if MASKED && whole < n {
+        let live = L::FULL >> (L::WIDTH - (n - whole));
+        gather_step(&tv, e2, &mut acc, src, whole, live);
+    }
+    // The scalar body takes what the vectors left: nothing after a masked tail.
+    let rest = if MASKED { n } else { whole };
+    gather_from(L::hsum(acc), t, eps2, src, rest)
 }
 
 /// One vector of sources at `j` against `NT` targets `tv = [x, y, z, q]`.
@@ -566,6 +682,38 @@ unsafe fn exchange<L: Lanes, const NT: usize, const MASKED: bool>(
     sum
 }
 
+/// A panel of targets against one run of sources: pairs of targets share
+/// each source sweep — the sources load once per vector and the two rsqrt
+/// chains interleave, twice the ILP of one target — and an odd last
+/// target takes the single-target body. Each target's sum is widened into
+/// its `t_out` slot.
+///
+/// # Safety
+/// Requires the CPU features of `L`'s tier, which has a masked tail;
+/// `tgt`'s slices and `t_out` of one length, `src`'s and `s_out` of one.
+#[inline(always)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+unsafe fn exchange_panel<L: Lanes>(
+    tgt: Run<L::Elem>,
+    eps2: L::Elem,
+    src: Run<L::Elem>,
+    t_out: &mut [f64],
+    s_out: &mut [f64],
+) {
+    let target = |a: usize| [tgt.xs[a], tgt.ys[a], tgt.zs[a], tgt.qs[a]];
+    let mut a = 0;
+    while a + 2 <= t_out.len() {
+        let [p0, p1] = exchange::<L, 2, true>([target(a), target(a + 1)], eps2, src, s_out);
+        t_out[a] += p0.into();
+        t_out[a + 1] += p1.into();
+        a += 2;
+    }
+    if a < t_out.len() {
+        let [p] = exchange::<L, 1, true>([target(a)], eps2, src, s_out);
+        t_out[a] += p.into();
+    }
+}
+
 /// One vector of sources at `j` into `acc = [Σ q·r⁻³·Δ (x, y, z), Σ q·r⁻¹]`.
 ///
 /// # Safety
@@ -623,7 +771,7 @@ unsafe fn force_gather<L: Lanes, const MASKED: bool>(
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{exchange, force_gather, gather, Run};
+    use super::{exchange, exchange_panel, force_gather, gather, Run};
     use core::arch::x86_64::*;
 
     entry_points! {
@@ -631,7 +779,7 @@ mod x86 {
         /// Requires AVX2+FMA; all slices (including `s_out`) equal lengths.
         #[target_feature(enable = "avx2,fma")]
         pub unsafe fn {
-            gather_avx2 = gather::<__m256d>;
+            gather_avx2 = gather::<__m256d, false>;
             exchange_avx2 = exchange::<__m256d, 1, false>;
             exchange_f32_avx2 = exchange::<__m256, 1, false>;
             force_gather_f32_avx2 = force_gather::<__m256, false>;
@@ -644,51 +792,22 @@ mod x86 {
         /// Requires AVX-512F; all slices (including `s_out`) equal lengths.
         #[target_feature(enable = "avx512f")]
         pub unsafe fn {
-            gather_avx512 = gather::<__m512d>;
-            exchange_avx512 = exchange::<__m512d, 1, false>;
+            gather_avx512 = gather::<__m512d, true>;
+            exchange_avx512 = exchange::<__m512d, 1, true>;
             exchange_f32_avx512 = exchange::<__m512, 1, true>;
             force_gather_f32_avx512 = force_gather::<__m512, true>;
             force_gather_avx512 = force_gather::<__m512d, true>;
         }
     }
 
-    /// Panel of targets against one source box: pairs of targets share
-    /// each source sweep — source coordinates load once per vector and the
-    /// two rsqrt chains interleave, twice the ILP of the single-target
-    /// kernel — and an odd final target falls back to the single-target
-    /// kernel.
-    ///
-    /// # Safety
-    /// Requires AVX-512F; target slices and `t_out` equal lengths, source
-    /// slices and `s_out` equal lengths.
-    #[target_feature(enable = "avx512f")]
-    #[allow(clippy::too_many_arguments)]
-    pub unsafe fn exchange_f32_panel_avx512(
-        txs: &[f32],
-        tys: &[f32],
-        tzs: &[f32],
-        tqs: &[f32],
-        eps2: f32,
-        xs: &[f32],
-        ys: &[f32],
-        zs: &[f32],
-        qs: &[f32],
-        t_out: &mut [f64],
-        s_out: &mut [f64],
-    ) {
-        let src = Run { xs, ys, zs, qs };
-        let target = |a: usize| [txs[a], tys[a], tzs[a], tqs[a]];
-        let mut a = 0;
-        while a + 2 <= txs.len() {
-            let pair = [target(a), target(a + 1)];
-            let [p0, p1] = exchange::<__m512, 2, true>(pair, eps2, src, s_out);
-            t_out[a] += p0 as f64;
-            t_out[a + 1] += p1 as f64;
-            a += 2;
-        }
-        if a < txs.len() {
-            let [tx, ty, tz, tq] = target(a);
-            t_out[a] += exchange_f32_avx512(tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out) as f64;
+    entry_points! {
+        /// # Safety
+        /// Requires AVX-512F; target slices and `t_out` equal lengths, source
+        /// slices and `s_out` equal lengths.
+        #[target_feature(enable = "avx512f")]
+        pub unsafe fn {
+            exchange_panel_avx512 = exchange_panel::<__m512d>;
+            exchange_f32_panel_avx512 = exchange_panel::<__m512>;
         }
     }
 }
@@ -705,7 +824,7 @@ mod arm {
         /// All slices (including `s_out`) must have equal lengths (NEON is
         /// always present).
         pub unsafe fn {
-            gather_neon = gather::<float64x2_t>;
+            gather_neon = gather::<float64x2_t, false>;
             exchange_neon = exchange::<float64x2_t, 1, false>;
             exchange_f32_neon = exchange::<float32x4_t, 1, false>;
             force_gather_f32_neon = force_gather::<float32x4_t, false>;
@@ -1054,6 +1173,107 @@ mod tests {
         }
     }
 
+    #[test]
+    fn f64_panel_matches_per_target_calls() {
+        // Each target's sum is the single-target one bit for bit on every
+        // tier: its accumulator sees the same terms in the same order. So
+        // is each source's on a tier that serves a panel one target at a
+        // time; AVX-512 adds a pair's two source-side terms together
+        // first, one more rounding per source and pair.
+        for (nt, n) in [
+            (0usize, 9usize),
+            (1, 17),
+            (2, 16),
+            (3, 7),
+            (5, 33),
+            (8, 120),
+        ] {
+            let (sx, sy, sz, sq) = soa(n, 11);
+            let (tx, ty, tz, tq) = soa(nt, 13);
+            let tx: Vec<f64> = tx.iter().map(|v| v - 1.5).collect();
+            for kernel in Kernel::available() {
+                let mut want_t = vec![0.25; nt];
+                let mut want_s = vec![0.1; n];
+                for i in 0..nt {
+                    want_t[i] += exchange_with(
+                        kernel,
+                        tx[i],
+                        ty[i],
+                        tz[i],
+                        tq[i],
+                        1e-4,
+                        &sx,
+                        &sy,
+                        &sz,
+                        &sq,
+                        &mut want_s,
+                    );
+                }
+                let mut got_t = vec![0.25; nt];
+                let mut got_s = vec![0.1; n];
+                exchange_panel_with(
+                    kernel, &tx, &ty, &tz, &tq, 1e-4, &sx, &sy, &sz, &sq, &mut got_t, &mut got_s,
+                );
+                let what = format!("{kernel:?} nt={nt} n={n}");
+                for (a, b) in got_t.iter().zip(&want_t) {
+                    assert_eq!(a.to_bits(), b.to_bits(), "{what} t_out: {a} vs {b}");
+                }
+                for (a, b) in got_s.iter().zip(&want_s) {
+                    if kernel == Kernel::Avx512 {
+                        assert!((a - b).abs() < 1e-14 * (1.0 + b.abs()), "{what} s_out");
+                    } else {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what} s_out: {a} vs {b}");
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn exchange_dead_lanes_leave_s_out_untouched() {
+        // The run and `s_out` are the heads of longer arrays: the run's
+        // rest is NaN, which a dead lane must not read into a sum, and
+        // `s_out`'s a sentinel, which it must not write. A target at the
+        // origin with ε = 0 puts r² = 0 on every dead lane, which must not
+        // poison the sums either.
+        const SENTINEL: f64 = 12345.678;
+        for n in [1usize, 5, 7, 9, 15, 17] {
+            let (mut xs, mut ys, mut zs, mut qs) = soa(n, 47);
+            for v in [&mut xs, &mut ys, &mut zs, &mut qs] {
+                v.resize(n + 16, f64::NAN);
+            }
+            let src = (&xs[..n], &ys[..n], &zs[..n], &qs[..n]);
+            let (tx, ty, tz, tq) = ([0.0, 0.0, 0.1], [0.0, 0.2, 0.0], [0.0, -0.1, 0.3], [0.7; 3]);
+            for kernel in Kernel::available() {
+                let what = format!("{kernel:?} n={n}");
+                let mut s_buf = vec![SENTINEL; n + 16];
+                s_buf[..n].fill(0.1);
+                let s_out = &mut s_buf[..n];
+                let p = exchange_with(
+                    kernel, 0.0, 0.0, 0.0, 0.7, 0.0, src.0, src.1, src.2, src.3, s_out,
+                );
+                assert!(
+                    p.is_finite() && s_out.iter().all(|v| v.is_finite()),
+                    "{what}"
+                );
+                let mut t_buf = [SENTINEL; 3 + 16];
+                t_buf[..3].fill(0.0);
+                let t_out = &mut t_buf[..3];
+                let s_out = &mut s_buf[..n];
+                exchange_panel_with(
+                    kernel, &tx, &ty, &tz, &tq, 0.0, src.0, src.1, src.2, src.3, t_out, s_out,
+                );
+                assert!(
+                    t_out.iter().chain(&*s_out).all(|v| v.is_finite()),
+                    "{what} panel"
+                );
+                let untouched = |v: &[f64]| v.iter().all(|v| v.to_bits() == SENTINEL.to_bits());
+                assert!(untouched(&s_buf[n..]), "{what}: past s_out written");
+                assert!(untouched(&t_buf[3..]), "{what}: past t_out written");
+            }
+        }
+    }
+
     // A safe caller's short slice must panic before any tier's raw loads,
     // in release builds too: 33 sources reach past a 5-element slice in
     // the first vector of every tier.
@@ -1179,7 +1399,7 @@ mod tests {
 
             let want = gather_from(0.0, t3, eps2, run, 0);
             // SAFETY: the array lanes need no CPU feature.
-            let got = unsafe { gather::<[f64; 2]>(t3, eps2, run) };
+            let got = unsafe { gather::<[f64; 2], false>(t3, eps2, run) };
             assert!(close(got, want, 1e-12), "gather n={n}: {got} vs {want}");
 
             let (mut want_s, mut got_s) = (vec![0.1; n], vec![0.1; n]);

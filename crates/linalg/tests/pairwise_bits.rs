@@ -2,13 +2,14 @@
 //! `fmm_linalg::pairwise`, on every `Kernel::available()` tier, over run
 //! lengths 0..=33 (twice the widest vector — AVX-512's 16 f32 lanes — plus
 //! one, so every tier sees the empty run, an all-tail run, whole vectors,
-//! body + tail and, where it has one, the masked tail; the panel also over
-//! 0..=3 targets, so its pair path and its odd last target both run).
-//! Each (operation, tier) folds the bits of everything it writes into one
-//! FNV-1a checksum, compared against a constant recorded from the
+//! body + tail and, where it has one, the masked tail; the panels also
+//! over 0..=3 targets, so their pair path and their odd last target both
+//! run). Each (operation, tier) folds the bits of everything it writes
+//! into one FNV-1a checksum, compared against a constant recorded from the
 //! hand-written per-tier kernels this file was introduced to replace
 //! (commit dc9d874, on an AVX-512 host, so Scalar, AVX2+FMA and AVX-512
-//! are all pinned).
+//! are all pinned). Since re-recorded: AVX-512 `gather` and `exchange`,
+//! when their tails became masked; the f64 `exchange_panel`, added then.
 //!
 //! The scalar pins hold on any host: IEEE arithmetic and an exact `sqrt`.
 //! The SIMD tiers start from a hardware reciprocal-square-root *estimate*
@@ -82,18 +83,19 @@ fn narrow(src: &[Vec<f64>; 4]) -> [Vec<f32>; 4] {
 /// case where every dead lane of a masked tail sits at r² = 0.
 const TARGETS: [([f64; 3], f64); 2] = [([0.0, 0.1, -0.05], 2.5e-3), ([0.0; 3], 0.0)];
 
-const OPS: [&str; 6] = [
+const OPS: [&str; 7] = [
     "gather",
     "exchange",
     "exchange_f32",
     "exchange_f32_panel",
     "force_gather_f32",
     "force_gather",
+    "exchange_panel",
 ];
 
 /// One checksum per entry of `OPS`.
-fn checksums(kernel: Kernel) -> [u64; 6] {
-    let mut sums = [(); 6].map(|_| Fnv::new());
+fn checksums(kernel: Kernel) -> [u64; 7] {
+    let mut sums = [(); 7].map(|_| Fnv::new());
     for n in 0..=MAX_N {
         let src = soa(n, 42);
         let [xs, ys, zs, qs] = &src;
@@ -131,7 +133,8 @@ fn checksums(kernel: Kernel) -> [u64; 6] {
         }
         for nt in 0..=3 {
             // Targets one unit below the sources in x, so no pair meets.
-            let [tx, ty, tz, tq] = narrow(&soa(nt, 13));
+            let targets = soa(nt, 13);
+            let [tx, ty, tz, tq] = narrow(&targets);
             let tx: Vec<f32> = tx.iter().map(|v| v - 1.5).collect();
             let mut t_out = vec![0.25; nt];
             let mut s_out = vec![0.1; n];
@@ -140,28 +143,39 @@ fn checksums(kernel: Kernel) -> [u64; 6] {
             );
             sums[3].f64s(&t_out);
             sums[3].f64s(&s_out);
+
+            let [tx, ty, tz, tq] = &targets;
+            let tx: Vec<f64> = tx.iter().map(|v| v - 1.5).collect();
+            let mut t_out = vec![0.25; nt];
+            let mut s_out = vec![0.1; n];
+            exchange_panel_with(
+                kernel, &tx, ty, tz, tq, 1e-4, xs, ys, zs, qs, &mut t_out, &mut s_out,
+            );
+            sums[6].f64s(&t_out);
+            sums[6].f64s(&s_out);
         }
     }
     sums.map(|s| s.0)
 }
 
-fn assert_pinned(kernel: Kernel, want: [u64; 6]) {
+fn assert_pinned(kernel: Kernel, want: [u64; 7]) {
     let got = checksums(kernel);
     for (op, (g, w)) in OPS.iter().zip(got.iter().zip(&want)) {
         assert_eq!(
             g, w,
-            "{kernel:?} {op}: output bits moved; all six: {got:#018x?}"
+            "{kernel:?} {op}: output bits moved; all seven: {got:#018x?}"
         );
     }
 }
 
-const SCALAR_PINS: [u64; 6] = [
+const SCALAR_PINS: [u64; 7] = [
     0x624c60d86123b419,
     0x90f4767519ce8b11,
     0xa8223b47dbc69247,
     0x3b704351428c8d29,
     0x143a25a83e7317b5,
     0xb897cdf4752ce66c,
+    0xcdc11d232b317adf,
 ];
 
 #[test]
@@ -177,22 +191,24 @@ mod x86 {
     const PROBE: [f32; 8] = [0.37, 1.0, 1.9, 2.5e-3, 3.0, 17.25, 640.5, 9.1e4];
 
     pub const AVX2_SEED: u64 = 0x5dbd941f5a21048f;
-    pub const AVX2_PINS: [u64; 6] = [
+    pub const AVX2_PINS: [u64; 7] = [
         0xa4e032ee1a33ed42,
         0x4bd3fd85a999cc44,
         0xfeec592cc27af488,
         0x9cb26129813bb9fa,
         0xcd50f50d96b1a607,
         0x77797b850717c296,
+        0x42f1aa19f9cf8196,
     ];
     pub const AVX512_SEED: u64 = 0x1dfc8807be46e3bc;
-    pub const AVX512_PINS: [u64; 6] = [
-        0xd73b9e0d4bdbed59,
-        0xd382a7f1855794fd,
+    pub const AVX512_PINS: [u64; 7] = [
+        0x72596e2fbefd8bd1,
+        0xe2360bed5c919965,
         0xf0fcc89b09b89839,
         0xc028e95013ddcdb5,
         0x190572f2015a471c,
         0xd71f9892e283c2f7,
+        0xd8fbe0a1ec7d7160,
     ];
 
     /// Bits of `rsqrt_ps` (the AVX2+FMA tier's seed, both precisions) on

@@ -450,7 +450,7 @@ impl Worker<'_> {
             // each owned box's particles + partial accumulator ride a slot
             // that shifts along the snake itinerary, exactly as the serial
             // emulation (and the paper's CM implementation) orders it.
-            let mut stats = self_pass(&self.bp, eps2, false, &mut near_pot);
+            let mut stats = self_pass(kernel, &self.bp, eps2, false, &mut near_pot);
             for st in steps {
                 self.step(st);
                 // Return shifts (no visit) only move the accumulators home.

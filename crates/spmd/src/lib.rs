@@ -337,11 +337,13 @@ pub(crate) fn assemble(
     }
     for l in 2..=depth {
         let n_boxes = 1u64 << (3 * l);
-        let live = plan.level(l - 1).t2_rows[0]; // no supernodes under SPMD
+        let lvl = plan.level(l - 1);
+        let live = lvl.t2_rows[0]; // no supernodes under SPMD
         let t3_rows = if l >= 3 { n_boxes } else { 0 };
         tfl.t2 += live * gemm_flops(1, k, k);
         tfl.t3 += t3_rows * gemm_flops(1, k, k);
-        tfl.copied += (live + t3_rows + n_boxes) * k as u64;
+        // T3 reads its sources in place, T2 where its panels allow.
+        tfl.copied += (lvl.t2_gathered_rows(k, false) + n_boxes) * k as u64;
     }
 
     let mut profile = Profile::new();
