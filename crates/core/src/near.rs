@@ -24,10 +24,17 @@
 //!   ([`near_field_forces_softened_with`], per box
 //!   [`near_field_forces_box`]): parallel over target boxes without write
 //!   conflicts at the full 124-neighbour pair count, swept in pieces of
-//!   near-equal pair count on the plan's kernel.
+//!   near-equal pair count on the plan's kernel. A target gathers one
+//!   neighbour *row* at a time — the 2d+1 boxes of one x-row, one run of
+//!   a binning — so 26 calls at two-separation instead of 126, and pairs
+//!   of targets share every row but their own through the two-target
+//!   force panel.
 //!
-//! [`near_field_symmetric`] is the sequential third-law sweep: the
-//! correctness oracle and the flop-count reference for experiment E13.
+//! [`near_field_potentials_softened`] is the same target-centric sweep
+//! with the potential gather: the oracle of the travelling sweep and the
+//! one-sided side of experiment E13. [`near_field_symmetric`] is the
+//! sequential third-law sweep: the correctness oracle and the flop-count
+//! reference for E13.
 //!
 //! [`ColorSchedule`] — 4×4×4 blocks of leaf boxes colored by the 2×2×2
 //! parity of their block coordinates, so that every color phase of a
@@ -80,18 +87,18 @@ impl NearFieldStats {
 /// is a binning's own sorted arrays; an SPMD worker hands in its cell
 /// store, where cells received from other ranks sit behind its own in
 /// arrival order.
-pub struct Cells<'a, L> {
-    x: &'a [f64],
-    y: &'a [f64],
-    z: &'a [f64],
-    q: &'a [f64],
+pub struct Cells<'a, L, T = f64> {
+    x: &'a [T],
+    y: &'a [T],
+    z: &'a [T],
+    q: &'a [T],
     range: L,
 }
 
-impl<'a, L: Fn(usize) -> Range<usize>> Cells<'a, L> {
+impl<'a, L: Fn(usize) -> Range<usize>, T> Cells<'a, L, T> {
     /// `range(b)` is the run of leaf box `b`'s particles in the four
     /// equally long arrays, empty if it has none.
-    pub fn new(x: &'a [f64], y: &'a [f64], z: &'a [f64], q: &'a [f64], range: L) -> Self {
+    pub fn new(x: &'a [T], y: &'a [T], z: &'a [T], q: &'a [T], range: L) -> Self {
         assert!(x.len() == y.len() && y.len() == z.len() && z.len() == q.len());
         Cells { x, y, z, q, range }
     }
@@ -102,29 +109,6 @@ impl BinnedParticles {
     pub fn cells(&self) -> Cells<'_, impl Fn(usize) -> Range<usize> + '_> {
         Cells::new(&self.x, &self.y, &self.z, &self.q, |b| self.range(b))
     }
-}
-
-/// Accumulate potentials of particles in `t_range` due to particles in
-/// `s_range` (one direction).
-#[inline]
-fn box_pair_potential(
-    kernel: Kernel,
-    bp: &BinnedParticles,
-    t_range: std::ops::Range<usize>,
-    s_range: std::ops::Range<usize>,
-    eps2: f64,
-    out: &mut [f64],
-) -> u64 {
-    let xs = &bp.x[s_range.clone()];
-    let ys = &bp.y[s_range.clone()];
-    let zs = &bp.z[s_range.clone()];
-    let qs = &bp.q[s_range.clone()];
-    let mut pairs = 0u64;
-    for (ti, o) in t_range.clone().zip(out.iter_mut()) {
-        *o += pairwise::gather_with(kernel, bp.x[ti], bp.y[ti], bp.z[ti], eps2, xs, ys, zs, qs);
-        pairs += s_range.len() as u64;
-    }
-    pairs
 }
 
 /// Potentials within one box, pairwise symmetric, excluding self terms:
@@ -169,9 +153,12 @@ fn per_box_slices<'a>(bp: &BinnedParticles, mut buf: &'a mut [f64]) -> Vec<&'a m
     out
 }
 
-/// Target-centric near field: every target box accumulates from itself and
-/// all d-separation neighbours. `out` is in **sorted** particle order.
-/// Parallelizes over target boxes with no write conflicts.
+/// Target-centric near-field potentials: every target gathers from its own
+/// box and all d-separation neighbours, one [`pairwise::gather_with`] per
+/// neighbour row, on the sweep the forces run (`target_box`). `out` is
+/// in **sorted** particle order. Parallelizes over cost-balanced pieces of
+/// target boxes with no write conflicts. The oracle of the travelling
+/// sweep and the target-centric side of experiment E13.
 pub fn near_field_potentials(
     bp: &BinnedParticles,
     sep: Separation,
@@ -193,44 +180,11 @@ pub fn near_field_potentials_softened(
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
-    let (kernel, eps2) = (Kernel::detect(), eps * eps);
-    assert_eq!(out.len(), bp.len());
-    let offsets = near_field_offsets(sep);
-    let level = bp.level;
-    let mut slices = per_box_slices(bp, out);
-
-    let work = |(b, o): (usize, &mut &mut [f64])| -> NearFieldStats {
-        let t = BoxCoord::from_index(level, b);
-        let t_range = bp.range(b);
-        let mut st = NearFieldStats::default();
-        st.pair_interactions += self_box_potential(kernel, bp, t_range.clone(), eps2, o);
-        st.box_pairs += 1;
-        for &d in &offsets {
-            if let Some(s) = t.offset(d) {
-                let s_range = bp.range(s.index());
-                if !s_range.is_empty() {
-                    st.pair_interactions +=
-                        box_pair_potential(kernel, bp, t_range.clone(), s_range, eps2, o);
-                    st.box_pairs += 1;
-                }
-            }
-        }
-        st
+    let sum = Potentials {
+        kernel: Kernel::detect(),
+        eps2: eps * eps,
     };
-
-    // det: the reduction adds integer counters; potentials accumulate in
-    // disjoint per-box slices, unaffected by the combine order.
-    let total = if parallel {
-        let boxes = slices.par_iter_mut().enumerate();
-        boxes.map(work).reduce(NearFieldStats::default, add_stats)
-    } else {
-        let boxes = slices.iter_mut().enumerate();
-        boxes.map(work).fold(NearFieldStats::default(), add_stats)
-    };
-    NearFieldStats {
-        flops: total.pair_interactions * PAIR_FLOPS,
-        ..total
-    }
+    target_sweep(bp, &bp.cells(), sep, parallel, &sum, out, None)
 }
 
 /// Symmetric near field exploiting Newton's third law: each unordered box
@@ -650,79 +604,259 @@ pub fn near_field_forces_softened_with(
     pot: &mut [f64],
     field: &mut [[f64; 3]],
 ) -> NearFieldStats {
-    let (eps2, cells) = (eps * eps, bp.cells());
-    target_sweep(bp, sep, parallel, pot, field, |b, offsets, po, fo| {
-        near_field_forces_box(kernel, &cells, bp.level, b, offsets, eps2, po, fo)
-    })
+    let sum = Forces {
+        kernel,
+        eps2: eps * eps,
+    };
+    target_sweep(bp, &bp.cells(), sep, parallel, &sum, pot, Some(field))
 }
 
 /// Target-centric potential + field accumulation for the particles of leaf
-/// box `b` of `level`, targets and sources both read through `cells`.
-/// `po`/`fo` are the per-box output slices of box `b`; `offsets` is the
-/// full near-field offset list. The SPMD workers run the boxes they own
-/// through this, over a cell store that holds their halo.
+/// box `b` of `level` (`target_box` on the f64 force kernels), targets
+/// and sources both read through `cells`: each target sums its own
+/// neighbour row split at itself, then the other rows of its `sep`
+/// neighbourhood in (dz, dy) order, a row its `cells` do not hold back to
+/// back in x order being copied into `scratch` first. `po`/`fo` are the
+/// per-box output slices of box `b`. The SPMD workers run the boxes they
+/// own through this, over a cell store that holds their halo, with one
+/// `scratch` for all of them. Returns the directed pairs and box pairs.
 #[allow(clippy::too_many_arguments)]
 pub fn near_field_forces_box<L: Fn(usize) -> Range<usize>>(
     kernel: Kernel,
     cells: &Cells<'_, L>,
     level: u32,
     b: usize,
-    offsets: &[[i32; 3]],
+    sep: Separation,
     eps2: f64,
+    scratch: &mut RowScratch,
     po: &mut [f64],
     fo: &mut [[f64; 3]],
-) -> u64 {
-    let (x, y, z, q) = (cells.x, cells.y, cells.z, cells.q);
-    target_box(level, b, offsets, &cells.range, po, fo, |ti, r| {
-        let (xs, ys, zs) = (&x[r.clone()], &y[r.clone()], &z[r.clone()]);
-        pairwise::force_gather_with(kernel, x[ti], y[ti], z[ti], eps2, xs, ys, zs, &q[r])
+) -> NearFieldStats {
+    let sum = Forces { kernel, eps2 };
+    target_box(&sum, cells, level, b, sep, scratch, |i, p, f| {
+        po[i] += p;
+        for a in 0..3 {
+            fo[i][a] += f[a];
+        }
     })
 }
 
-/// One box of a target-centric sweep, either precision; `range` places a
-/// box's particles in the arrays `gather` reads. Each target sums the run
-/// of its own box before itself, the run after itself, then every
-/// non-empty in-domain neighbour run in `offsets` order; `gather(ti, run)`
-/// returns one run's `(potential, field)`, which joins the target's
-/// accumulator whole. A target's bits depend on that order alone. Returns
-/// the directed pair count.
-pub(crate) fn target_box(
+/// What a target-centric sweep sums over a run of sources in lane
+/// precision `T`: the potential alone, or the potential and the field.
+/// Sums are added into f64 accumulators, one run at a time.
+pub(crate) trait RowSum<T>: Sync {
+    /// Flops charged per directed pair.
+    const PAIR_FLOPS: u64;
+    /// Add target `t`'s sums over the run `src` into `p` and `f`.
+    fn one(&self, t: [T; 3], src: [&[T]; 4], p: &mut f64, f: &mut [f64; 3]);
+    /// [`Self::one`] for every target of `tgt`, each into its slots of `p`
+    /// and `f`, with the same bits.
+    fn panel(&self, tgt: [&[T]; 3], src: [&[T]; 4], p: &mut [f64], f: &mut [[f64; 3]]);
+}
+
+/// Potentials alone, f64: one [`pairwise::gather_with`] per target and run.
+struct Potentials {
+    kernel: Kernel,
+    eps2: f64,
+}
+
+impl RowSum<f64> for Potentials {
+    const PAIR_FLOPS: u64 = PAIR_FLOPS;
+    fn one(&self, t: [f64; 3], [xs, ys, zs, qs]: [&[f64]; 4], p: &mut f64, _: &mut [f64; 3]) {
+        *p += pairwise::gather_with(self.kernel, t[0], t[1], t[2], self.eps2, xs, ys, zs, qs);
+    }
+    fn panel(&self, tgt: [&[f64]; 3], src: [&[f64]; 4], p: &mut [f64], f: &mut [[f64; 3]]) {
+        for (i, (p, f)) in p.iter_mut().zip(f).enumerate() {
+            self.one(tgt.map(|c| c[i]), src, p, f);
+        }
+    }
+}
+
+/// Potentials and fields in `T`, each run's sums widened to f64: the
+/// force gathers, two targets per source sweep through the panels.
+pub(crate) struct Forces<T> {
+    pub(crate) kernel: Kernel,
+    pub(crate) eps2: T,
+}
+
+impl RowSum<f64> for Forces<f64> {
+    const PAIR_FLOPS: u64 = PAIR_FORCE_FLOPS;
+    fn one(&self, t: [f64; 3], [xs, ys, zs, qs]: [&[f64]; 4], p: &mut f64, f: &mut [f64; 3]) {
+        let (k, e) = (self.kernel, self.eps2);
+        let (sp, sf) = pairwise::force_gather_with(k, t[0], t[1], t[2], e, xs, ys, zs, qs);
+        *p += sp;
+        for a in 0..3 {
+            f[a] += sf[a];
+        }
+    }
+    fn panel(&self, tgt: [&[f64]; 3], src: [&[f64]; 4], p: &mut [f64], f: &mut [[f64; 3]]) {
+        let ([tx, ty, tz], [xs, ys, zs, qs]) = (tgt, src);
+        let (k, e) = (self.kernel, self.eps2);
+        pairwise::force_gather_panel_with(k, tx, ty, tz, e, xs, ys, zs, qs, p, f);
+    }
+}
+
+impl RowSum<f32> for Forces<f32> {
+    const PAIR_FLOPS: u64 = PAIR_FORCE_FLOPS;
+    fn one(&self, t: [f32; 3], [xs, ys, zs, qs]: [&[f32]; 4], p: &mut f64, f: &mut [f64; 3]) {
+        let (k, e) = (self.kernel, self.eps2);
+        let (sp, sf) = pairwise::force_gather_f32_with(k, t[0], t[1], t[2], e, xs, ys, zs, qs);
+        *p += f64::from(sp);
+        for a in 0..3 {
+            f[a] += f64::from(sf[a]);
+        }
+    }
+    fn panel(&self, tgt: [&[f32]; 3], src: [&[f32]; 4], p: &mut [f64], f: &mut [[f64; 3]]) {
+        let ([tx, ty, tz], [xs, ys, zs, qs]) = (tgt, src);
+        let (k, e) = (self.kernel, self.eps2);
+        pairwise::force_gather_f32_panel_with(k, tx, ty, tz, e, xs, ys, zs, qs, p, f);
+    }
+}
+
+/// Most rows a box gathers from: (2d + 1)² at two-separation.
+const MAX_ROWS: usize = 25;
+
+/// Grow-only scratch of one sweep piece: the rows of a box whose cells do
+/// not lie in x order, back to back, in the cell arrays — copied there in
+/// x order. A binning's rows never need it.
+#[derive(Default)]
+pub struct RowScratch<T = f64> {
+    soa: [Vec<T>; 4],
+}
+
+/// Where a row's sources are: a run of the cell arrays, or of the scratch.
+#[derive(Clone, Default)]
+struct Row {
+    copied: bool,
+    run: Range<usize>,
+}
+
+/// One box of a target-centric sweep, either precision, targets and
+/// sources read through `cells`. A *row* is the boxes x−d … x+d of one
+/// (y, z) in the neighbourhood, clipped to the domain, and one run of
+/// sources: in a binning it is one slice of the arrays; where `cells`
+/// places its boxes elsewhere, their particles are copied in x order into
+/// `scratch`, which gives the same values at the same run positions. Each
+/// target sums its own row split at itself — the run before it, then the
+/// run after it — then the other rows in (dz, dy) order. A run's sums join
+/// the target's f64 accumulators whole, so a target's bits depend on that
+/// order alone; pairs of targets share each other row through
+/// [`RowSum::panel`]. `emit(i, p, f)` hands over the sums of the box's
+/// `i`-th target. Returns the directed pairs and the box pairs (own box
+/// included) with particles at both ends.
+pub(crate) fn target_box<T: Copy, L: Fn(usize) -> Range<usize>, S: RowSum<T>>(
+    sum: &S,
+    cells: &Cells<'_, L, T>,
     level: u32,
     b: usize,
-    offsets: &[[i32; 3]],
-    range: &impl Fn(usize) -> Range<usize>,
-    po: &mut [f64],
-    fo: &mut [[f64; 3]],
-    gather: impl Fn(usize, Range<usize>) -> (f64, [f64; 3]),
-) -> u64 {
-    let t_range = range(b);
+    sep: Separation,
+    scratch: &mut RowScratch<T>,
+    mut emit: impl FnMut(usize, f64, [f64; 3]),
+) -> NearFieldStats {
+    let t_range = (cells.range)(b);
     if t_range.is_empty() {
-        return 0;
+        return NearFieldStats::default();
     }
-    let t = BoxCoord::from_index(level, b);
-    let neighbours = offsets.iter().filter_map(|&d| t.offset(d));
-    let runs: Vec<Range<usize>> = neighbours
-        .map(|s| range(s.index()))
-        .filter(|r| !r.is_empty())
-        .collect();
-    for (ti, (p_out, f_out)) in t_range.clone().zip(po.iter_mut().zip(fo.iter_mut())) {
-        let mut p_acc = 0.0;
-        let mut f_acc = [0.0; 3];
-        let own = [t_range.start..ti, ti + 1..t_range.end];
-        for r in own.iter().chain(&runs).filter(|r| !r.is_empty()) {
-            let (p, f) = gather(ti, r.clone());
-            p_acc += p;
-            for a in 0..3 {
-                f_acc[a] += f[a];
+    let (t, d, side) = (BoxCoord::from_index(level, b), sep.d(), 1i32 << level);
+    let row_xs = (t.x as i32 - d).max(0) as u32..=(t.x as i32 + d).min(side - 1) as u32;
+    for arr in &mut scratch.soa {
+        arr.clear();
+    }
+    let (mut sources, mut boxes) = (0, 0);
+    // The row at (y, z), and where box x starts in it when it is this one's.
+    let mut row = |y: u32, z: u32| -> (Row, usize) {
+        let range = |x| (cells.range)(BoxCoord { level, x, y, z }.index());
+        let mut run: Option<Range<usize>> = None;
+        let mut copied = false;
+        for r in row_xs.clone().map(range).filter(|r| !r.is_empty()) {
+            boxes += 1;
+            run = match run {
+                None => Some(r),
+                Some(run) if run.end == r.start => Some(run.start..r.end),
+                Some(run) => {
+                    copied = true;
+                    Some(run)
+                }
+            };
+        }
+        let Some(mut run) = run else {
+            return (Row::default(), 0);
+        };
+        let mut own = t_range.start;
+        if copied {
+            run = scratch.soa[0].len()..scratch.soa[0].len();
+            for x in row_xs.clone() {
+                let r = range(x);
+                if x == t.x {
+                    own = run.end;
+                }
+                for (arr, src) in scratch
+                    .soa
+                    .iter_mut()
+                    .zip([cells.x, cells.y, cells.z, cells.q])
+                {
+                    arr.extend_from_slice(&src[r.clone()]);
+                }
+                run.end += r.len();
             }
         }
-        *p_out += p_acc;
-        for a in 0..3 {
-            f_out[a] += f_acc[a];
+        sources += run.len();
+        (Row { copied, run }, own)
+    };
+    let (own_row, own) = row(t.y, t.z);
+    let mut rows: [Row; MAX_ROWS] = Default::default();
+    let mut n_rows = 0;
+    for dz in -d..=d {
+        for dy in -d..=d {
+            let (y, z) = (t.y as i32 + dy, t.z as i32 + dz);
+            if (dy, dz) == (0, 0) || !(0..side).contains(&y) || !(0..side).contains(&z) {
+                continue;
+            }
+            let (r, _) = row(y as u32, z as u32);
+            if !r.run.is_empty() {
+                rows[n_rows] = r;
+                n_rows += 1;
+            }
         }
     }
-    let sources: usize = runs.iter().map(Range::len).sum();
-    (t_range.len() * (t_range.len() - 1 + sources)) as u64
+    let arrays = [cells.x, cells.y, cells.z, cells.q];
+    let copies = scratch.soa.each_ref().map(Vec::as_slice);
+    let src = |r: &Row, run: Range<usize>| {
+        let arrays = if r.copied { copies } else { arrays };
+        arrays.map(|a| &a[run.clone()])
+    };
+    let tgt = [
+        &cells.x[t_range.clone()],
+        &cells.y[t_range.clone()],
+        &cells.z[t_range.clone()],
+    ];
+    let n_t = t_range.len();
+    for a in (0..n_t).step_by(2) {
+        let pair = a..(a + 2).min(n_t);
+        let (mut p, mut f) = ([0.0; 2], [[0.0; 3]; 2]);
+        for i in pair.clone() {
+            let at = own + i;
+            for run in [own_row.run.start..at, at + 1..own_row.run.end] {
+                if !run.is_empty() {
+                    let ti = tgt.map(|c| c[i]);
+                    sum.one(ti, src(&own_row, run), &mut p[i - a], &mut f[i - a]);
+                }
+            }
+        }
+        let (p, f) = (&mut p[..pair.len()], &mut f[..pair.len()]);
+        for r in &rows[..n_rows] {
+            sum.panel(tgt.map(|c| &c[pair.clone()]), src(r, r.run.clone()), p, f);
+        }
+        for (i, (p, f)) in pair.zip(p.iter().zip(f.iter())) {
+            emit(i, *p, *f);
+        }
+    }
+    let pairs = (n_t * (sources - 1)) as u64;
+    NearFieldStats {
+        pair_interactions: pairs,
+        box_pairs: boxes as u64,
+        flops: pairs * S::PAIR_FLOPS,
+    }
 }
 
 /// Pieces per thread of a parallel target-centric sweep: several, so that
@@ -760,61 +894,70 @@ fn cut_pieces(bp: &BinnedParticles, offsets: &[[i32; 3]], pieces: usize) -> Vec<
     cuts
 }
 
-/// The target-centric sweep both precisions share: `per_box(b, offsets,
-/// po, fo)` on every box, `pot`/`field` in sorted particle order. A
-/// parallel sweep cuts the box range into [`PIECES_PER_THREAD`] pieces per
-/// thread by cost — leaf occupancy on clustered inputs is far too skewed
-/// to cut by box count — and hands each its own `split_at_mut` of the
-/// outputs; a sequential one is a single piece and skips the cost pass.
-/// Each output element is written by its own target alone, so the result
-/// is bitwise the same wherever the cuts fall.
-pub(crate) fn target_sweep(
+/// The target-centric sweep: [`target_box`] on every box of `bp`, reading
+/// through `cells` (the binning's own, or a mirror of them in another
+/// precision), `pot` and, where asked for, `field` in sorted particle
+/// order. A parallel sweep cuts the box range into [`PIECES_PER_THREAD`]
+/// pieces per thread by cost — leaf occupancy on clustered inputs is far
+/// too skewed to cut by box count — and hands each its own `split_at_mut`
+/// of the outputs and its own [`RowScratch`]; a sequential one is a single
+/// piece and skips the cost pass. Each output element is written by its
+/// own target alone, so the result is bitwise the same wherever the cuts
+/// fall.
+pub(crate) fn target_sweep<T: Copy + Default + Sync, L: Fn(usize) -> Range<usize> + Sync>(
     bp: &BinnedParticles,
+    cells: &Cells<'_, L, T>,
     sep: Separation,
     parallel: bool,
+    sum: &impl RowSum<T>,
     pot: &mut [f64],
-    field: &mut [[f64; 3]],
-    per_box: impl Fn(usize, &[[i32; 3]], &mut [f64], &mut [[f64; 3]]) -> u64 + Sync,
+    field: Option<&mut [[f64; 3]]>,
 ) -> NearFieldStats {
     assert_eq!(pot.len(), bp.len());
-    assert_eq!(field.len(), bp.len());
-    let offsets = near_field_offsets(sep);
+    assert!(field.as_ref().is_none_or(|f| f.len() == bp.len()));
     let starts = &bp.binning.starts;
     let cuts = if parallel {
-        cut_pieces(
-            bp,
-            &offsets,
-            PIECES_PER_THREAD * rayon::current_num_threads(),
-        )
+        let offsets = near_field_offsets(sep);
+        let pieces = PIECES_PER_THREAD * rayon::current_num_threads();
+        cut_pieces(bp, &offsets, pieces)
     } else {
         vec![0, starts.len() - 1]
     };
-    type Piece<'a> = (Range<usize>, &'a mut [f64], &'a mut [[f64; 3]]);
+    type Piece<'a> = (Range<usize>, &'a mut [f64], Option<&'a mut [[f64; 3]]>);
     let mut pieces: Vec<Piece<'_>> = Vec::with_capacity(cuts.len() - 1);
     let (mut pot, mut field) = (pot, field);
     for w in cuts.windows(2) {
         let len = (starts[w[1]] - starts[w[0]]) as usize;
         let (p_head, p_tail) = pot.split_at_mut(len);
-        let (f_head, f_tail) = field.split_at_mut(len);
+        let (f_head, f_tail) = field.map(|f| f.split_at_mut(len)).unzip();
         pieces.push((w[0]..w[1], p_head, f_head));
         (pot, field) = (p_tail, f_tail);
     }
-    let work = |(boxes, po, fo): &mut Piece<'_>| -> u64 {
+    let work = |(boxes, po, fo): &mut Piece<'_>| -> NearFieldStats {
         let base = starts[boxes.start] as usize;
-        let slot = |b| bp.range(b).start - base..bp.range(b).end - base;
-        let per_box = |b| per_box(b, &offsets, &mut po[slot(b)], &mut fo[slot(b)]);
-        boxes.clone().map(per_box).sum()
+        let mut scratch = RowScratch::default();
+        let mut st = NearFieldStats::default();
+        for b in boxes.clone() {
+            let at = bp.range(b).start - base;
+            let box_st = target_box(sum, cells, bp.level, b, sep, &mut scratch, |i, p, f| {
+                po[at + i] += p;
+                if let Some(fo) = fo {
+                    for a in 0..3 {
+                        fo[at + i][a] += f[a];
+                    }
+                }
+            });
+            st.merge(&box_st);
+        }
+        st
     };
-    // det: integer pair counts only; floats live in disjoint slices.
-    let pairs: u64 = if parallel {
-        pieces.par_iter_mut().map(work).sum()
+    // det: integer counters only; floats live in disjoint slices.
+    if parallel {
+        let pieces = pieces.par_iter_mut();
+        pieces.map(work).reduce(NearFieldStats::default, add_stats)
     } else {
-        pieces.iter_mut().map(work).sum()
-    };
-    NearFieldStats {
-        pair_interactions: pairs,
-        box_pairs: 0,
-        flops: pairs * PAIR_FORCE_FLOPS,
+        let pieces = pieces.iter_mut();
+        pieces.map(work).fold(NearFieldStats::default(), add_stats)
     }
 }
 
@@ -997,23 +1140,32 @@ mod tests {
 
     #[test]
     fn scalar_force_sweep_is_the_exact_sqrt_loop_in_run_order() {
-        // Pins both the summation order per target — own box before the
-        // target, own box after it, then neighbours in offset order, each
-        // run summed on its own — and that `Kernel::Scalar` is 1/√ exactly.
-        let bp = build(700, 2, 61);
+        // Pins both the summation order per target — its own row before
+        // the target, its own row after it, then the other rows in
+        // (dz, dy) order, each run summed on its own — and that
+        // `Kernel::Scalar` is 1/√ exactly. A row is the x-neighbours of one
+        // (y, z), one slice of the binning.
+        let bp = build(700, 3, 61);
         let got = forces(&bp, Kernel::Scalar, true);
-        let offsets = near_field_offsets(Separation::Two);
-        for b in 0..64 {
-            let t = BoxCoord::from_index(2, b);
-            let own = bp.range(b);
-            for ti in own.clone() {
+        let row = |t: BoxCoord, dy: i32, dz: i32| {
+            let boxes = (-2..=2).filter_map(|dx| t.offset([dx, dy, dz]));
+            let ranges: Vec<_> = boxes.map(|s| bp.range(s.index())).collect();
+            ranges
+                .first()
+                .map_or(0..0, |r| r.start..ranges[ranges.len() - 1].end)
+        };
+        for b in 0..512 {
+            let t = BoxCoord::from_index(3, b);
+            for ti in bp.range(b) {
+                let own = row(t, 0, 0);
                 let mut runs = vec![own.start..ti, ti + 1..own.end];
-                runs.extend(
-                    offsets
-                        .iter()
-                        .filter_map(|&d| t.offset(d))
-                        .map(|s| bp.range(s.index())),
-                );
+                for dz in -2..=2 {
+                    for dy in -2..=2 {
+                        if (dy, dz) != (0, 0) && t.offset([0, dy, dz]).is_some() {
+                            runs.push(row(t, dy, dz));
+                        }
+                    }
+                }
                 let (mut p_acc, mut f_acc) = (0.0, [0.0; 3]);
                 for run in runs.into_iter().filter(|r| !r.is_empty()) {
                     let (mut p, mut f) = (0.0, [0.0; 3]);
@@ -1068,6 +1220,154 @@ mod tests {
                     .unwrap();
                 let par = pool.install(|| forces(&bp, kernel, true));
                 assert_same_bits(&seq, &par, &format!("{kernel:?}, {threads} threads"));
+            }
+        }
+    }
+
+    #[test]
+    fn row_forces_match_brute_force() {
+        // 400 points in the lower half of a 512-box grid and 20 scattered
+        // over all of it: rows clipped at every face, whole rows empty,
+        // and empty boxes inside non-empty rows. Each target against
+        // every source of its neighbourhood, to 1e-12 of Σ |q|/r (Σ |q|/r²
+        // for the field), on every tier, sequential and parallel.
+        let (mut pts, q) = pseudo_system(420, 73);
+        for p in pts.iter_mut().take(400) {
+            p[2] *= 0.5;
+        }
+        let bp = BinnedParticles::build(&pts, &q, Domain::unit(), 3);
+        let empty = (0..512).filter(|&b| bp.binning.count(b) == 0).count();
+        assert!(empty > 100, "{empty} empty boxes");
+        for sep in [Separation::One, Separation::Two] {
+            for eps in [0.0, 0.02] {
+                let (d, eps2) = (sep.d(), eps * eps);
+                let boxes: Vec<BoxCoord> = (0..bp.len())
+                    .map(|i| bp.domain.locate([bp.x[i], bp.y[i], bp.z[i]], 3))
+                    .collect();
+                let mut want = vec![(0.0, [0.0; 3], 0.0, 0.0); bp.len()];
+                let mut pairs = 0;
+                for (ti, w) in want.iter_mut().enumerate() {
+                    for si in 0..bp.len() {
+                        let (a, b) = (boxes[ti], boxes[si]);
+                        let near = [(a.x, b.x), (a.y, b.y), (a.z, b.z)]
+                            .iter()
+                            .all(|&(u, v)| (u as i32 - v as i32).abs() <= d);
+                        if si == ti || !near {
+                            continue;
+                        }
+                        pairs += 1;
+                        let dr = [
+                            bp.x[ti] - bp.x[si],
+                            bp.y[ti] - bp.y[si],
+                            bp.z[ti] - bp.z[si],
+                        ];
+                        let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2] + eps2;
+                        let r = r2.sqrt();
+                        w.0 += bp.q[si] / r;
+                        for (wf, dr) in w.1.iter_mut().zip(dr) {
+                            *wf += bp.q[si] * dr / (r2 * r);
+                        }
+                        w.2 += bp.q[si].abs() / r;
+                        w.3 += bp.q[si].abs() / r2;
+                    }
+                }
+                for kernel in Kernel::available() {
+                    for parallel in [false, true] {
+                        let what = format!("{sep:?} eps={eps} {kernel:?} parallel={parallel}");
+                        let mut pot = vec![0.0; bp.len()];
+                        let mut field = vec![[0.0; 3]; bp.len()];
+                        let st = near_field_forces_softened_with(
+                            kernel, &bp, sep, parallel, eps, &mut pot, &mut field,
+                        );
+                        assert_eq!(st.pair_interactions, pairs, "{what}");
+                        for (i, &(p, f, sp, sf)) in want.iter().enumerate() {
+                            assert!((pot[i] - p).abs() <= 1e-12 * sp, "{what}: potential {i}");
+                            for a in 0..3 {
+                                let err = (field[i][a] - f[a]).abs();
+                                assert!(err <= 1e-12 * sf, "{what}: field {i}[{a}]");
+                            }
+                        }
+                        let mut pot = vec![0.0; bp.len()];
+                        let st = near_field_potentials_softened(&bp, sep, parallel, eps, &mut pot);
+                        assert_eq!(st.pair_interactions, pairs, "{what}");
+                        for (i, &(p, _, sp, _)) in want.iter().enumerate() {
+                            assert!((pot[i] - p).abs() <= 1e-12 * sp, "{what}: oracle {i}");
+                        }
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn cells_out_of_row_order_give_the_binnings_bits() {
+        // What the SPMD workers run: every box through
+        // `near_field_forces_box` over a cell store whose layout is not the
+        // binning's. Reversed, every row's cells are back to back but in
+        // the wrong order (memory adjacency is not row adjacency); in order
+        // with a NaN gap after every third cell, some rows are one run and
+        // some are not. Copied rows must give the contiguous sweep's bits.
+        let (sep, n) = (Separation::Two, 512usize);
+        let bp = build(2500, 3, 79);
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        let in_order: Vec<usize> = (0..n).collect();
+        for (layout, order, gap_every) in [("reversed", &reversed, 0), ("gaps", &in_order, 3)] {
+            let mut store: [Vec<f64>; 4] = Default::default();
+            let mut start_of = vec![0; n];
+            for (k, &b) in order.iter().enumerate() {
+                start_of[b] = store[0].len();
+                for (arr, src) in store.iter_mut().zip([&bp.x, &bp.y, &bp.z, &bp.q]) {
+                    arr.extend_from_slice(&src[bp.range(b)]);
+                    if gap_every > 0 && k % gap_every == 0 {
+                        arr.push(f64::NAN);
+                    }
+                }
+            }
+            let range = |b: usize| start_of[b]..start_of[b] + bp.binning.count(b);
+            let [x, y, z, q] = &store;
+            let cells = Cells::new(x, y, z, q, range);
+            for kernel in Kernel::available() {
+                for eps in [0.0, 0.03] {
+                    let what = format!("{layout} {kernel:?} eps={eps}");
+                    let mut want = (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
+                    let want_st = near_field_forces_softened_with(
+                        kernel,
+                        &bp,
+                        sep,
+                        false,
+                        eps,
+                        &mut want.0,
+                        &mut want.1,
+                    );
+                    let mut got = (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
+                    let mut scratch = RowScratch::default();
+                    let mut st = NearFieldStats::default();
+                    for b in 0..n {
+                        let r = bp.range(b);
+                        let (po, fo) = (&mut got.0[r.clone()], &mut got.1[r]);
+                        let eps2 = eps * eps;
+                        let one = near_field_forces_box(
+                            kernel,
+                            &cells,
+                            3,
+                            b,
+                            sep,
+                            eps2,
+                            &mut scratch,
+                            po,
+                            fo,
+                        );
+                        st.merge(&one);
+                    }
+                    assert_eq!(st, want_st, "{what}");
+                    assert!(scratch.soa[0].capacity() > 0, "{what}: no row was copied");
+                    for (a, b) in got.0.iter().zip(&want.0) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what}: potential");
+                    }
+                    for (a, b) in got.1.iter().flatten().zip(want.1.iter().flatten()) {
+                        assert_eq!(a.to_bits(), b.to_bits(), "{what}: field");
+                    }
+                }
             }
         }
     }

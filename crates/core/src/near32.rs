@@ -13,21 +13,23 @@
 //!
 //! Accuracy (derived in DESIGN.md §5.5): per interaction the f32 kernel
 //! carries ~1e-7 relative error (representation + refined rsqrt).
-//! Crucially, f32 accumulation chains are bounded by *one box pair*: each
-//! SIMD call sums at most one source box's terms (m ≈ 10–40 particles) in
-//! f32 lanes, and the partial is widened to f64 before joining the
-//! target's running sum. Source-side (third-law) contributions are
-//! widened per term. The worst-case f32 chain error is therefore
-//! m_box·ε_f32 ≈ 40·6e-8 ≈ 2.4e-6 relative — comfortably inside the
-//! ≤ 1e-5 bound on the standard 40k-particle depth-4 configuration,
-//! and validated against the f64 near field and `fmm-direct` by
-//! `tests/mixed.rs`. (A whole-neighbourhood f32 accumulator would grow
-//! linearly with the ~10³-term target sum and violate the bound.)
+//! Crucially, f32 accumulation chains are bounded by *one run*: each
+//! SIMD call sums at most one source box's terms (potentials; m ≈ 10–40
+//! particles) or one neighbour row's (forces; the 2d+1 boxes of one x-row,
+//! ≈ 5 times that) in f32 lanes, and the partial is widened to f64 before
+//! joining the target's running sum. Source-side (third-law)
+//! contributions are widened per term. The worst-case f32 chain error is
+//! therefore m·ε_f32: ≈ 40·6e-8 ≈ 2.4e-6 relative for a box, ≈ 1.2e-5 for
+//! a row, whose terms rarely round the same way — inside the bounds on
+//! the standard 40k-particle depth-4 configuration that `tests/mixed.rs`
+//! holds against the f64 near field and `fmm-direct`. (A
+//! whole-neighbourhood f32 accumulator would grow linearly with the
+//! ~10³-term target sum.)
 //!
-//! Arithmetic is f32; accumulation across box pairs is f64, so repeated
+//! Arithmetic is f32; accumulation across runs is f64, so repeated
 //! `evaluate()` calls stay deterministic for a fixed kernel choice.
 
-use crate::near::{target_box, target_sweep, NearFieldStats, SharedOut, PAIR_FLOPS};
+use crate::near::{target_sweep, Cells, Forces, NearFieldStats, SharedOut, PAIR_FLOPS};
 use crate::particles::BinnedParticles;
 use fmm_linalg::{pairwise, Kernel};
 use fmm_tree::{near_field_offsets, BoxCoord, Separation};
@@ -197,10 +199,10 @@ pub fn near_field_potentials_f32(
 }
 
 /// Mixed-precision near-field potentials **and** fields: the f64 force
-/// sweep's skeleton (`target_sweep`, `target_box`) over the f32 mirror;
-/// each run's partial (own box before and after the target, then each
-/// neighbour box) is widened to f64 before joining the target's
-/// accumulator.
+/// sweep (`target_sweep`, `target_box`) over the f32 mirror, two targets
+/// per source sweep through the f32 force panel; each run's partial (the
+/// own row before and after the target, then each other neighbour row) is
+/// widened to f64 before joining the target's accumulator.
 pub fn near_field_forces_f32(
     kernel: Kernel,
     bp: &BinnedParticles,
@@ -211,21 +213,12 @@ pub fn near_field_forces_f32(
     field: &mut [[f64; 3]],
 ) -> NearFieldStats {
     let ps = ParticlesF32::build(bp);
-    let eps2 = (eps * eps) as f32;
-    let gather = |ti: usize, r: std::ops::Range<usize>| {
-        let (x, y, z, q) = (
-            &ps.x[r.clone()],
-            &ps.y[r.clone()],
-            &ps.z[r.clone()],
-            &ps.q[r],
-        );
-        let (p, f) =
-            pairwise::force_gather_f32_with(kernel, ps.x[ti], ps.y[ti], ps.z[ti], eps2, x, y, z, q);
-        (p as f64, f.map(f64::from))
+    let cells = Cells::new(&ps.x, &ps.y, &ps.z, &ps.q, |b| bp.range(b));
+    let sum = Forces {
+        kernel,
+        eps2: (eps * eps) as f32,
     };
-    target_sweep(bp, sep, parallel, pot, field, |b, offsets, po, fo| {
-        target_box(bp.level, b, offsets, &|b| bp.range(b), po, fo, gather)
-    })
+    target_sweep(bp, &cells, sep, parallel, &sum, pot, Some(field))
 }
 
 #[cfg(test)]

@@ -25,11 +25,11 @@
 //! What a tier does after its last whole vector, of sources (pairwise) or
 //! of columns (GEMM):
 //!
-//! | tier     | `gather` | `exchange`, panel | `exchange_f32`, panel | `force_gather_f32` | `force_gather` | GEMM   |
-//! |----------|----------|-------------------|-----------------------|--------------------|----------------|--------|
-//! | avx2+fma | scalar   | scalar            | scalar                | scalar             | scalar         | scalar |
-//! | avx512   | masked   | masked            | masked                | masked             | masked         | masked |
-//! | neon     | scalar   | scalar            | scalar                | scalar             | scalar         | scalar |
+//! | tier     | `gather` | `exchange`, panel | `exchange_f32`, panel | `force_gather_f32` | `force_gather` | force panel, f64 / f32 | GEMM   |
+//! |----------|----------|-------------------|-----------------------|--------------------|----------------|------------------------|--------|
+//! | avx2+fma | scalar   | scalar            | scalar                | scalar             | scalar         | scalar                 | scalar |
+//! | avx512   | masked   | masked            | masked                | masked             | masked         | masked                 | masked |
+//! | neon     | scalar   | scalar            | scalar                | scalar             | scalar         | scalar                 | scalar |
 //!
 //! *masked*: one more vector under a mask of the live leading lanes
 //! ([`Lanes::FULL`] shifted down), the dead lanes neither read nor
@@ -37,10 +37,11 @@
 //! scalar body, seeded with the vector partial sums; a GEMM column is
 //! `c + Σ_p a_ip·b_pj`, the sum formed from 0 apart from `c`, unfused.
 //! The policy is a const parameter of each body, named where each entry
-//! point instantiates it. A panel (f64 or f32) is two targets per source
-//! sweep on AVX-512, the odd last one alone; on the other tiers it is one
-//! single-target exchange per target, so it has their tails. `tests/gemm_bits.rs` and `tests/pairwise_bits.rs`
-//! hold every x86 tier to these rows, bit for bit.
+//! point instantiates it. A panel (exchange or force gather, f64 or f32)
+//! is two targets per source sweep on AVX-512, the odd last one alone; on
+//! the other tiers it is one single-target call per target, so it has
+//! their tails. `tests/gemm_bits.rs` and `tests/pairwise_bits.rs` hold
+//! every x86 tier to these rows, bit for bit.
 //!
 //! Checked on x86: the generic bodies at NEON's widths and tail policy
 //! through a portable lane type (unit tests here and in `pairwise.rs`).

@@ -26,8 +26,12 @@
 //! 0·∞ = NaN would poison the sums), so they add exactly 0, and the
 //! `s_out` update is write-masked. A box holds few enough particles that
 //! a scalar tail would dominate those calls. Only AVX-512 has the
-//! two-target exchange ([`exchange_panel_with`], [`exchange_f32_panel_with`]);
-//! the other tiers serve a panel one single-target exchange per target.
+//! two-target bodies, the exchange ([`exchange_panel_with`],
+//! [`exchange_f32_panel_with`]) and the force gather
+//! ([`force_gather_panel_with`], [`force_gather_f32_panel_with`]); the
+//! other tiers serve a panel one single-target call per target. A force
+//! panel returns each target's single-target bits; an exchange panel sums
+//! a pair's source-side terms first.
 
 // Hosts with no vector tier still build the vector bodies' source.
 #![cfg_attr(
@@ -329,6 +333,105 @@ pub fn force_gather_with(
     )
 }
 
+/// A force panel's safe entry: the length checks, then AVX-512's
+/// two-target entry point, or on any other tier one single-target force
+/// gather per target, its sums widened and added into the target's slots.
+macro_rules! force_panel_dispatch {
+    (
+        $kernel:ident, $avx512:ident, $single:ident,
+        ($txs:ident, $tys:ident, $tzs:ident), $eps2:ident,
+        ($($src:ident),+), $p_out:ident, $f_out:ident
+    ) => {{
+        assert_equal_lengths!($txs, $tys, $tzs, $p_out, $f_out);
+        assert_equal_lengths!($($src),+);
+        match $kernel {
+            #[cfg(target_arch = "x86_64")]
+            // SAFETY: callers obtain the kernel from detect()/supported();
+            // slice lengths checked above.
+            Kernel::Avx512 => unsafe {
+                x86::$avx512($txs, $tys, $tzs, $eps2, $($src),+, $p_out, $f_out)
+            },
+            _ => {
+                for (i, (po, fo)) in $p_out.iter_mut().zip($f_out.iter_mut()).enumerate() {
+                    let (p, f) = $single($kernel, $txs[i], $tys[i], $tzs[i], $eps2, $($src),+);
+                    *po += f64::from(p);
+                    for c in 0..3 {
+                        fo[c] += f64::from(f[c]);
+                    }
+                }
+            }
+        }
+    }};
+}
+
+/// f64 potential + field gather over a panel of targets against one
+/// source run: the sums of one [`force_gather_with`] call per target, bit
+/// for bit, each added into the target's `p_out` and `f_out` slots. On
+/// AVX-512 two targets share each source sweep (the sources load once per
+/// vector and the two rsqrt chains interleave) and an odd last target
+/// takes the single-target body; other kernels make one call per target.
+/// No target may be among the sources.
+/// Panics if the target slices, `p_out` and `f_out`, or the source
+/// slices, differ in length.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn force_gather_panel_with(
+    kernel: Kernel,
+    txs: &[f64],
+    tys: &[f64],
+    tzs: &[f64],
+    eps2: f64,
+    xs: &[f64],
+    ys: &[f64],
+    zs: &[f64],
+    qs: &[f64],
+    p_out: &mut [f64],
+    f_out: &mut [[f64; 3]],
+) {
+    force_panel_dispatch!(
+        kernel,
+        force_gather_panel_avx512,
+        force_gather_with,
+        (txs, tys, tzs),
+        eps2,
+        (xs, ys, zs, qs),
+        p_out,
+        f_out
+    )
+}
+
+/// [`force_gather_panel_with`] in f32: each target's f32 sums, bit for bit
+/// those of one [`force_gather_f32_with`] call, are widened and added
+/// into its `p_out` and `f_out` slots.
+/// Panics if the target slices, `p_out` and `f_out`, or the source
+/// slices, differ in length.
+#[inline]
+#[allow(clippy::too_many_arguments)]
+pub fn force_gather_f32_panel_with(
+    kernel: Kernel,
+    txs: &[f32],
+    tys: &[f32],
+    tzs: &[f32],
+    eps2: f32,
+    xs: &[f32],
+    ys: &[f32],
+    zs: &[f32],
+    qs: &[f32],
+    p_out: &mut [f64],
+    f_out: &mut [[f64; 3]],
+) {
+    force_panel_dispatch!(
+        kernel,
+        force_gather_f32_panel_avx512,
+        force_gather_f32_with,
+        (txs, tys, tzs),
+        eps2,
+        (xs, ys, zs, qs),
+        p_out,
+        f_out
+    )
+}
+
 /// A run of sources (or a panel of targets) as four SoA slices, which the
 /// entry points above have checked to be of one length.
 #[derive(Clone, Copy)]
@@ -410,7 +513,7 @@ fn force_gather_from<T: Real>(
     (p, f)
 }
 
-/// One tier's five single-target entry points, or its two panel entry
+/// One tier's five single-target entry points, or its four panel entry
 /// points, each the named body behind a concrete signature. Not generic
 /// and not `#[inline]`, so this crate holds the one compiled copy of
 /// each, whoever calls it. The target
@@ -462,16 +565,41 @@ macro_rules! entry_points {
             $body([tx, ty, tz], eps2, Run { xs, ys, zs, qs })
         }
     };
-    // A tier's two panel entry points, f64 and f32.
+    // A tier's four panel entry points: exchange and force gather, f64
+    // and f32.
     (
         $(#[$tier:meta])*
         pub $($fn:ident)+ {
             $panel:ident = $panel_body:expr;
             $panel_f32:ident = $panel_f32_body:expr;
+            $force_panel:ident = $force_panel_body:expr;
+            $force_panel_f32:ident = $force_panel_f32_body:expr;
         }
     ) => {
         entry_points!(@panel $(#[$tier])* [$($fn)+] $panel(f64) = $panel_body);
         entry_points!(@panel $(#[$tier])* [$($fn)+] $panel_f32(f32) = $panel_f32_body);
+        entry_points!(@force_panel $(#[$tier])* [$($fn)+] $force_panel(f64) = $force_panel_body);
+        entry_points!(
+            @force_panel $(#[$tier])* [$($fn)+] $force_panel_f32(f32) = $force_panel_f32_body
+        );
+    };
+    (@force_panel $(#[$tier:meta])* [$($fn:ident)+] $name:ident($T:ty) = $body:expr) => {
+        $(#[$tier])*
+        #[allow(clippy::too_many_arguments)]
+        pub $($fn)+ $name(
+            txs: &[$T],
+            tys: &[$T],
+            tzs: &[$T],
+            eps2: $T,
+            xs: &[$T],
+            ys: &[$T],
+            zs: &[$T],
+            qs: &[$T],
+            p_out: &mut [f64],
+            f_out: &mut [[f64; 3]],
+        ) {
+            $body([txs, tys, tzs], eps2, Run { xs, ys, zs, qs }, p_out, f_out)
+        }
     };
     (@panel $(#[$tier:meta])* [$($fn:ident)+] $name:ident($T:ty) = $body:expr) => {
         $(#[$tier])*
@@ -714,42 +842,56 @@ unsafe fn exchange_panel<L: Lanes>(
     }
 }
 
-/// One vector of sources at `j` into `acc = [Σ q·r⁻³·Δ (x, y, z), Σ q·r⁻¹]`.
+/// One vector of sources at `j` against `NT` targets `tv = [x, y, z]`,
+/// into each target's `acc = [Σ q·r⁻³·Δ (x, y, z), Σ q·r⁻¹]`. The targets
+/// share the loads; each one's arithmetic is the single-target step's.
 ///
 /// # Safety
 /// As [`Lanes`]; the lanes of `mask` at `j` lie inside `src`.
 #[inline(always)]
-unsafe fn force_step<L: Lanes>(
-    tv: &[L; 3],
+unsafe fn force_step<L: Lanes, const NT: usize>(
+    tv: &[[L; 3]; NT],
     e2: L,
-    acc: &mut [L; 4],
+    acc: &mut [[L; 4]; NT],
     src: Run<L::Elem>,
     j: usize,
     mask: u16,
 ) {
-    let (d, r2) = delta_r2(tv, e2, src, j, mask);
-    let inv_r = L::rsqrt_nr(r2);
     // A dead lane's charge loads as 0, so qr and qr3 vanish there.
-    let qr = L::mul(L::load(src.qs.as_ptr().add(j), mask), inv_r);
-    acc[3] = L::add(acc[3], qr);
-    let qr3 = L::mul(qr, L::mul(inv_r, inv_r));
-    for c in 0..3 {
-        acc[c] = L::fma(qr3, d[c], acc[c]);
+    let q = L::load(src.qs.as_ptr().add(j), mask);
+    for k in 0..NT {
+        let (d, r2) = delta_r2(&tv[k], e2, src, j, mask);
+        let inv_r = L::rsqrt_nr(r2);
+        let qr = L::mul(q, inv_r);
+        acc[k][3] = L::add(acc[k][3], qr);
+        let qr3 = L::mul(qr, L::mul(inv_r, inv_r));
+        for c in 0..3 {
+            acc[k][c] = L::fma(qr3, d[c], acc[k][c]);
+        }
     }
 }
 
+/// `NT` targets `t = [x, y, z]` share one sweep over the sources; returns
+/// each target's `(Σ q·r⁻¹, Σ q·r⁻³·Δ)`, bit for bit what a sweep of its
+/// own returns.
+///
 /// # Safety
 /// Requires the CPU features of `L`'s tier; `src`'s slices of one length.
 #[inline(always)]
-unsafe fn force_gather<L: Lanes, const MASKED: bool>(
-    t: [L::Elem; 3],
+unsafe fn force_sweep<L: Lanes, const NT: usize, const MASKED: bool>(
+    t: [[L::Elem; 3]; NT],
     eps2: L::Elem,
     src: Run<L::Elem>,
-) -> (L::Elem, [L::Elem; 3]) {
+) -> [(L::Elem, [L::Elem; 3]); NT] {
     const { assert!(L::MASKED_TAIL || !MASKED) };
-    let tv = [L::splat(t[0]), L::splat(t[1]), L::splat(t[2])];
+    let mut tv = [[L::zero(); 3]; NT];
+    for k in 0..NT {
+        for c in 0..3 {
+            tv[k][c] = L::splat(t[k][c]);
+        }
+    }
     let e2 = L::splat(eps2);
-    let mut acc = [L::zero(); 4];
+    let mut acc = [[L::zero(); 4]; NT];
     let n = src.xs.len();
     let whole = n - n % L::WIDTH;
     let mut j = 0;
@@ -763,15 +905,73 @@ unsafe fn force_gather<L: Lanes, const MASKED: bool>(
     }
     // The scalar body takes what the vectors left: nothing after a masked tail.
     let rest = if MASKED { n } else { whole };
-    let f = [L::hsum(acc[0]), L::hsum(acc[1]), L::hsum(acc[2])];
-    force_gather_from(L::hsum(acc[3]), f, t, eps2, src, rest)
+    let mut sums = [(L::Elem::ZERO, [L::Elem::ZERO; 3]); NT];
+    for k in 0..NT {
+        let f = [L::hsum(acc[k][0]), L::hsum(acc[k][1]), L::hsum(acc[k][2])];
+        sums[k] = force_gather_from(L::hsum(acc[k][3]), f, t[k], eps2, src, rest);
+    }
+    sums
+}
+
+/// # Safety
+/// As [`force_sweep`].
+#[inline(always)]
+unsafe fn force_gather<L: Lanes, const MASKED: bool>(
+    t: [L::Elem; 3],
+    eps2: L::Elem,
+    src: Run<L::Elem>,
+) -> (L::Elem, [L::Elem; 3]) {
+    let [sums] = force_sweep::<L, 1, MASKED>([t], eps2, src);
+    sums
+}
+
+/// A panel of targets `tgt = [xs, ys, zs]` against one run of sources:
+/// pairs of targets share each source sweep and an odd last target takes
+/// the single-target body. Each target's sums are widened and added into
+/// its `p_out` and `f_out` slots, bit for bit what one [`force_gather`]
+/// per target adds.
+///
+/// # Safety
+/// Requires the CPU features of `L`'s tier, which has a masked tail;
+/// `tgt`'s slices, `p_out` and `f_out` of one length, `src`'s of one.
+#[inline(always)]
+#[cfg_attr(not(target_arch = "x86_64"), allow(dead_code))]
+unsafe fn force_panel<L: Lanes>(
+    tgt: [&[L::Elem]; 3],
+    eps2: L::Elem,
+    src: Run<L::Elem>,
+    p_out: &mut [f64],
+    f_out: &mut [[f64; 3]],
+) {
+    let target = |a: usize| tgt.map(|c| c[a]);
+    let add = |a: usize, (p, f): (L::Elem, [L::Elem; 3]), po: &mut [f64], fo: &mut [[f64; 3]]| {
+        po[a] += p.into();
+        for c in 0..3 {
+            fo[a][c] += f[c].into();
+        }
+    };
+    let mut a = 0;
+    while a + 2 <= p_out.len() {
+        let [s0, s1] = force_sweep::<L, 2, true>([target(a), target(a + 1)], eps2, src);
+        add(a, s0, p_out, f_out);
+        add(a + 1, s1, p_out, f_out);
+        a += 2;
+    }
+    if a < p_out.len() {
+        add(
+            a,
+            force_gather::<L, true>(target(a), eps2, src),
+            p_out,
+            f_out,
+        );
+    }
 }
 
 // ---------------------------------------------------------------- x86-64
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{exchange, exchange_panel, force_gather, gather, Run};
+    use super::{exchange, exchange_panel, force_gather, force_panel, gather, Run};
     use core::arch::x86_64::*;
 
     entry_points! {
@@ -802,12 +1002,15 @@ mod x86 {
 
     entry_points! {
         /// # Safety
-        /// Requires AVX-512F; target slices and `t_out` equal lengths, source
-        /// slices and `s_out` equal lengths.
+        /// Requires AVX-512F; target slices and the target outputs (`t_out`,
+        /// or `p_out` and `f_out`) equal lengths, source slices and `s_out`
+        /// equal lengths.
         #[target_feature(enable = "avx512f")]
         pub unsafe fn {
             exchange_panel_avx512 = exchange_panel::<__m512d>;
             exchange_f32_panel_avx512 = exchange_panel::<__m512>;
+            force_gather_panel_avx512 = force_panel::<__m512d>;
+            force_gather_f32_panel_avx512 = force_panel::<__m512>;
         }
     }
 }
@@ -1229,6 +1432,148 @@ mod tests {
         }
     }
 
+    /// One force panel call against one single-target call per target,
+    /// both adding into outputs that start at `init`; `f32` narrows the
+    /// coordinates and charges first.
+    fn force_panel_and_per_target(
+        kernel: Kernel,
+        tgt: [&[f64]; 3],
+        eps2: f64,
+        src: [&[f64]; 4],
+        init: f64,
+        f32: bool,
+    ) -> [(Vec<f64>, Vec<[f64; 3]>); 2] {
+        let nt = tgt[0].len();
+        let (mut p_want, mut f_want) = (vec![init; nt], vec![[init; 3]; nt]);
+        let (mut p_got, mut f_got) = (p_want.clone(), f_want.clone());
+        let narrow = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
+        let [tx, ty, tz] = tgt;
+        let [xs, ys, zs, qs] = src;
+        let add = |p: &mut f64, f: &mut [f64; 3], (sp, sf): (f64, [f64; 3])| {
+            *p += sp;
+            for c in 0..3 {
+                f[c] += sf[c];
+            }
+        };
+        if f32 {
+            let ([tx, ty, tz], [xs, ys, zs, qs]) = (tgt.map(narrow), src.map(narrow));
+            let e = eps2 as f32;
+            for i in 0..nt {
+                let (p, f) =
+                    force_gather_f32_with(kernel, tx[i], ty[i], tz[i], e, &xs, &ys, &zs, &qs);
+                add(&mut p_want[i], &mut f_want[i], (p.into(), f.map(f64::from)));
+            }
+            force_gather_f32_panel_with(
+                kernel, &tx, &ty, &tz, e, &xs, &ys, &zs, &qs, &mut p_got, &mut f_got,
+            );
+        } else {
+            for i in 0..nt {
+                let sums = force_gather_with(kernel, tx[i], ty[i], tz[i], eps2, xs, ys, zs, qs);
+                add(&mut p_want[i], &mut f_want[i], sums);
+            }
+            force_gather_panel_with(
+                kernel, tx, ty, tz, eps2, xs, ys, zs, qs, &mut p_got, &mut f_got,
+            );
+        }
+        [(p_want, f_want), (p_got, f_got)]
+    }
+
+    fn assert_same_force_bits(
+        want: &(Vec<f64>, Vec<[f64; 3]>),
+        got: &(Vec<f64>, Vec<[f64; 3]>),
+        what: &str,
+    ) {
+        for (a, b) in got.0.iter().zip(&want.0) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} p_out: {a} vs {b}");
+        }
+        for (a, b) in got.1.iter().flatten().zip(want.1.iter().flatten()) {
+            assert_eq!(a.to_bits(), b.to_bits(), "{what} f_out: {a} vs {b}");
+        }
+    }
+
+    #[test]
+    fn force_panel_matches_per_target_calls_bitwise() {
+        // Each target's sums are the single-target ones bit for bit on
+        // every tier, either precision: the pair path shares the source
+        // loads and nothing else.
+        for nt in 0..=5 {
+            let (tx, ty, tz, _) = soa(nt, 13);
+            let tx: Vec<f64> = tx.iter().map(|v| v - 1.5).collect();
+            for n in 0..=17 {
+                let (xs, ys, zs, qs) = soa(n, 11);
+                for kernel in Kernel::available() {
+                    for (eps2, f32) in [(0.0, false), (1e-4, false), (0.0, true), (1e-4, true)] {
+                        let [want, got] = force_panel_and_per_target(
+                            kernel,
+                            [&tx, &ty, &tz],
+                            eps2,
+                            [&xs, &ys, &zs, &qs],
+                            0.25,
+                            f32,
+                        );
+                        let what = format!("{kernel:?} nt={nt} n={n} eps2={eps2} f32={f32}");
+                        assert_same_force_bits(&want, &got, &what);
+                    }
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn force_panel_dead_lanes_read_and_write_nothing() {
+        // The run is the head of longer arrays whose rest is NaN, which a
+        // dead lane must not read into a sum, and the outputs are heads of
+        // sentinel buffers, which nothing may write past. Targets at the
+        // origin with ε = 0 put r² = 0 on every dead lane.
+        const SENTINEL: f64 = 12345.678;
+        for n in [1usize, 5, 7, 9, 15, 17] {
+            let (mut xs, mut ys, mut zs, mut qs) = soa(n, 47);
+            for v in [&mut xs, &mut ys, &mut zs, &mut qs] {
+                v.resize(n + 16, f64::NAN);
+            }
+            let src = [&xs[..n], &ys[..n], &zs[..n], &qs[..n]];
+            let tgt: [&[f64]; 3] = [&[0.0, 0.0, 0.1], &[0.0, 0.2, 0.0], &[0.0, -0.1, 0.3]];
+            for kernel in Kernel::available() {
+                for f32 in [false, true] {
+                    let what = format!("{kernel:?} n={n} f32={f32}");
+                    let [want, got] = force_panel_and_per_target(kernel, tgt, 0.0, src, 0.0, f32);
+                    assert_same_force_bits(&want, &got, &what);
+                    assert!(got
+                        .0
+                        .iter()
+                        .chain(got.1.iter().flatten())
+                        .all(|v| v.is_finite()));
+                    let mut p_buf = [SENTINEL; 3 + 16];
+                    let mut f_buf = [[SENTINEL; 3]; 3 + 16];
+                    p_buf[..3].fill(0.0);
+                    f_buf[..3].fill([0.0; 3]);
+                    let (p_out, f_out) = (&mut p_buf[..3], &mut f_buf[..3]);
+                    if f32 {
+                        let narrow = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
+                        let ([tx, ty, tz], [xs, ys, zs, qs]) = (tgt.map(narrow), src.map(narrow));
+                        force_gather_f32_panel_with(
+                            kernel, &tx, &ty, &tz, 0.0, &xs, &ys, &zs, &qs, p_out, f_out,
+                        );
+                    } else {
+                        let ([tx, ty, tz], [xs, ys, zs, qs]) = (tgt, src);
+                        force_gather_panel_with(
+                            kernel, tx, ty, tz, 0.0, xs, ys, zs, qs, p_out, f_out,
+                        );
+                    }
+                    let untouched = |v: &f64| v.to_bits() == SENTINEL.to_bits();
+                    assert!(
+                        p_buf[3..].iter().all(untouched),
+                        "{what}: past p_out written"
+                    );
+                    assert!(
+                        f_buf[3..].iter().flatten().all(untouched),
+                        "{what}: past f_out written"
+                    );
+                }
+            }
+        }
+    }
+
     #[test]
     fn exchange_dead_lanes_leave_s_out_untouched() {
         // The run and `s_out` are the heads of longer arrays: the run's
@@ -1362,6 +1707,20 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "unequal lengths")]
+    fn force_panel_rejects_a_short_f_out() {
+        let (k, l, mut p_out, mut f_out) = (Kernel::detect(), &LONG, LONG, [[0.0; 3]; 5]);
+        force_gather_panel_with(k, l, l, l, 0.0, l, l, l, l, &mut p_out, &mut f_out);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
+    fn force_panel_f32_rejects_a_short_ys() {
+        let (k, l, mut p_out, mut f_out) = (Kernel::detect(), &LONG32, LONG, [[0.0; 3]; 33]);
+        force_gather_f32_panel_with(k, l, l, l, 0.0, l, &SHORT32, l, l, &mut p_out, &mut f_out);
+    }
+
+    #[test]
+    #[should_panic(expected = "unequal lengths")]
     fn force_gather_rejects_a_short_ys() {
         force_gather_with(
             Kernel::detect(),
@@ -1431,6 +1790,16 @@ mod tests {
             // SAFETY: as above.
             let got = unsafe { force_gather::<[f64; 2], false>(t3, eps2, run) };
             assert_force_close(got, want, force_scale(t3, eps2, &src), &format!("n={n}"));
+
+            let u3 = [u[0], u[1], u[2]];
+            // SAFETY: as above.
+            let pair = unsafe { force_sweep::<[f64; 2], 2, false>([u3, t3], eps2, run) };
+            // SAFETY: as above.
+            let alone = unsafe { force_gather::<[f64; 2], false>(u3, eps2, run) };
+            assert_eq!(pair[0].0.to_bits(), alone.0.to_bits(), "force pair n={n}");
+            assert_eq!(pair[0].1.map(f64::to_bits), alone.1.map(f64::to_bits));
+            assert_eq!(pair[1].0.to_bits(), got.0.to_bits(), "force pair n={n}");
+            assert_eq!(pair[1].1.map(f64::to_bits), got.1.map(f64::to_bits));
 
             let (wp, wf) = force_gather_from(0.0, [0.0; 3], t3_32, eps32, run32, 0);
             // SAFETY: as above.

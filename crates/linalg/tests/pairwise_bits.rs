@@ -10,6 +10,9 @@
 //! (commit dc9d874, on an AVX-512 host, so Scalar, AVX2+FMA and AVX-512
 //! are all pinned). Since re-recorded: AVX-512 `gather` and `exchange`,
 //! when their tails became masked; the f64 `exchange_panel`, added then.
+//! Since added: the two force panels, each recorded from its first
+//! version; their scalar and AVX2 tiers are one single-target call per
+//! target, so those pins also hold the single-target force gathers.
 //!
 //! The scalar pins hold on any host: IEEE arithmetic and an exact `sqrt`.
 //! The SIMD tiers start from a hardware reciprocal-square-root *estimate*
@@ -83,7 +86,7 @@ fn narrow(src: &[Vec<f64>; 4]) -> [Vec<f32>; 4] {
 /// case where every dead lane of a masked tail sits at r² = 0.
 const TARGETS: [([f64; 3], f64); 2] = [([0.0, 0.1, -0.05], 2.5e-3), ([0.0; 3], 0.0)];
 
-const OPS: [&str; 7] = [
+const OPS: [&str; 9] = [
     "gather",
     "exchange",
     "exchange_f32",
@@ -91,11 +94,13 @@ const OPS: [&str; 7] = [
     "force_gather_f32",
     "force_gather",
     "exchange_panel",
+    "force_gather_f32_panel",
+    "force_gather_panel",
 ];
 
 /// One checksum per entry of `OPS`.
-fn checksums(kernel: Kernel) -> [u64; 7] {
-    let mut sums = [(); 7].map(|_| Fnv::new());
+fn checksums(kernel: Kernel) -> [u64; 9] {
+    let mut sums = [(); 9].map(|_| Fnv::new());
     for n in 0..=MAX_N {
         let src = soa(n, 42);
         let [xs, ys, zs, qs] = &src;
@@ -153,22 +158,37 @@ fn checksums(kernel: Kernel) -> [u64; 7] {
             );
             sums[6].f64s(&t_out);
             sums[6].f64s(&s_out);
+
+            let [tx32, ty32, tz32, _] = narrow(&[tx.clone(), ty.clone(), tz.clone(), tq.clone()]);
+            let (mut p_out, mut f_out) = (vec![0.25; nt], vec![[0.25; 3]; nt]);
+            force_gather_f32_panel_with(
+                kernel, &tx32, &ty32, &tz32, 1e-4, xs32, ys32, zs32, qs32, &mut p_out, &mut f_out,
+            );
+            sums[7].f64s(&p_out);
+            sums[7].f64s(f_out.as_flattened());
+
+            let (mut p_out, mut f_out) = (vec![0.25; nt], vec![[0.25; 3]; nt]);
+            force_gather_panel_with(
+                kernel, &tx, ty, tz, 1e-4, xs, ys, zs, qs, &mut p_out, &mut f_out,
+            );
+            sums[8].f64s(&p_out);
+            sums[8].f64s(f_out.as_flattened());
         }
     }
     sums.map(|s| s.0)
 }
 
-fn assert_pinned(kernel: Kernel, want: [u64; 7]) {
+fn assert_pinned(kernel: Kernel, want: [u64; 9]) {
     let got = checksums(kernel);
     for (op, (g, w)) in OPS.iter().zip(got.iter().zip(&want)) {
         assert_eq!(
             g, w,
-            "{kernel:?} {op}: output bits moved; all seven: {got:#018x?}"
+            "{kernel:?} {op}: output bits moved; all nine: {got:#018x?}"
         );
     }
 }
 
-const SCALAR_PINS: [u64; 7] = [
+const SCALAR_PINS: [u64; 9] = [
     0x624c60d86123b419,
     0x90f4767519ce8b11,
     0xa8223b47dbc69247,
@@ -176,6 +196,8 @@ const SCALAR_PINS: [u64; 7] = [
     0x143a25a83e7317b5,
     0xb897cdf4752ce66c,
     0xcdc11d232b317adf,
+    0x45e309074ced95b8,
+    0xc50fc50b59dde411,
 ];
 
 #[test]
@@ -191,7 +213,7 @@ mod x86 {
     const PROBE: [f32; 8] = [0.37, 1.0, 1.9, 2.5e-3, 3.0, 17.25, 640.5, 9.1e4];
 
     pub const AVX2_SEED: u64 = 0x5dbd941f5a21048f;
-    pub const AVX2_PINS: [u64; 7] = [
+    pub const AVX2_PINS: [u64; 9] = [
         0xa4e032ee1a33ed42,
         0x4bd3fd85a999cc44,
         0xfeec592cc27af488,
@@ -199,9 +221,11 @@ mod x86 {
         0xcd50f50d96b1a607,
         0x77797b850717c296,
         0x42f1aa19f9cf8196,
+        0xfd18359532354e7b,
+        0xfd33e32db65822e1,
     ];
     pub const AVX512_SEED: u64 = 0x1dfc8807be46e3bc;
-    pub const AVX512_PINS: [u64; 7] = [
+    pub const AVX512_PINS: [u64; 9] = [
         0x72596e2fbefd8bd1,
         0xe2360bed5c919965,
         0xf0fcc89b09b89839,
@@ -209,6 +233,8 @@ mod x86 {
         0x190572f2015a471c,
         0xd71f9892e283c2f7,
         0xd8fbe0a1ec7d7160,
+        0xba2695ae26c00828,
+        0x0ab9798a78622bc4,
     ];
 
     /// Bits of `rsqrt_ps` (the AVX2+FMA tier's seed, both precisions) on

@@ -40,8 +40,8 @@ use std::time::{Duration, Instant};
 use fmm_core::driver::{eval_local, p2o, Fmm};
 use fmm_core::field::FieldHierarchy;
 use fmm_core::near::{
-    near_field_forces_box, return_add, self_pass, travelling_step, NearFieldStats, Travelling,
-    PAIR_FORCE_FLOPS,
+    near_field_forces_box, return_add, self_pass, travelling_step, NearFieldStats, RowScratch,
+    Travelling,
 };
 use fmm_core::particles::BinnedParticles;
 use fmm_core::stats::{Counters, SpmdReport};
@@ -49,7 +49,7 @@ use fmm_core::traversal::{downward_rows, upward_rows, Aggregation};
 use fmm_core::TraversalPlan;
 use fmm_machine::{subgrid_extent, BlockLayout};
 use fmm_tree::partition::morton_to_rowmajor;
-use fmm_tree::{near_field_offsets, BoxCoord, Domain, Hierarchy};
+use fmm_tree::{BoxCoord, Domain, Hierarchy};
 
 use crate::cells::CellStore;
 use crate::collectives::{
@@ -421,18 +421,32 @@ impl Worker<'_> {
             // Forces are target-centric: fetch the true neighbour cells,
             // then run the serial per-box kernel on every owned box. A
             // cell arrives in its owner's order, which is the serial
-            // binning's, so every run a target sums is the serial run.
+            // binning's, and a row whose cells the store does not hold
+            // back to back in x order is copied into the scratch in that
+            // order, so every run a target sums is the serial run.
             for st in steps {
                 self.step(st);
             }
             let (cells, _) = self.store.cells(|c| cell_missing(&here, last, c));
-            let offsets = near_field_offsets(cfg.separation);
+            let (sep, depth) = (cfg.separation, sh.depth);
             let mut near_f = vec![[0.0; 3]; self.bp.len()];
-            let mut pairs = 0;
+            let mut scratch = RowScratch::default();
+            let mut stats = NearFieldStats::default();
             for b in owned.iter().map(|&b| b as usize) {
-                let (r, depth) = (self.bp.range(b), sh.depth);
+                let r = self.bp.range(b);
                 let (po, fo) = (&mut near_pot[r.clone()], &mut near_f[r]);
-                pairs += near_field_forces_box(kernel, &cells, depth, b, &offsets, eps2, po, fo);
+                let st = near_field_forces_box(
+                    kernel,
+                    &cells,
+                    depth,
+                    b,
+                    sep,
+                    eps2,
+                    &mut scratch,
+                    po,
+                    fo,
+                );
+                stats.merge(&st);
             }
             let fields = self.out.fields.as_mut().expect("forces were asked for");
             for (f, nf) in fields.iter_mut().zip(&near_f) {
@@ -440,11 +454,7 @@ impl Worker<'_> {
                     f[d] += nf[d];
                 }
             }
-            NearFieldStats {
-                pair_interactions: pairs,
-                box_pairs: 0,
-                flops: pairs * PAIR_FORCE_FLOPS,
-            }
+            stats
         } else {
             // Potentials use the symmetric travelling-accumulator sweep:
             // each owned box's particles + partial accumulator ride a slot

@@ -1,7 +1,10 @@
 //! `evaluate_forces` against recorded bits. The cross-executor tests in
 //! `bitwise.rs` hold the executors equal to each other; this one holds all
-//! of them equal to the output of the commit before the leaf evaluation
-//! computed value and gradient rows in one pass over the same `P_n`.
+//! of them equal to recorded output: first that of the commit before the
+//! leaf evaluation computed value and gradient rows in one pass over the
+//! same `P_n`, re-recorded once when the force near field began summing
+//! neighbour rows instead of neighbour boxes (old hashes `0xbef77eea33d06348`,
+//! `0x274fbda0af040142`).
 
 use fmm_core::{Executor, Fmm, FmmConfig, Kernel};
 
@@ -62,7 +65,7 @@ fn evaluate_forces_reproduces_the_recorded_bits_on_every_executor() {
         fields.iter().flatten().for_each(|&v| fnv1a(&mut hf, v));
         assert_eq!(
             (hp, hf),
-            (0xbef7_7eea_33d0_6348, 0x274f_bda0_af04_0142),
+            (0x198d_4878_6312_fbf8, 0x1c5d_082d_a4b2_1883),
             "{executor:?}: potentials / fields moved bits"
         );
     }
