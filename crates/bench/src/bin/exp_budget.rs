@@ -1,11 +1,12 @@
 //! **E9b — abstract communication/efficiency claims**: the whole-program
 //! communication budget of the paper's two 100M-particle configurations,
-//! assembled from the machine simulator's per-phase counting.
+//! assembled from the budget oracle's per-phase counting.
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_budget`
 
+use fmm_bench::machine::cost::CostModel;
 use fmm_bench::util::header;
-use fmm_machine::{communication_budget, CostModel, ProgramConfig};
+use fmm_machine::{communication_budget, ProgramConfig};
 
 fn show(name: &str, cfg: &ProgramConfig, cost: &CostModel) {
     let b = communication_budget(cfg);
@@ -33,8 +34,8 @@ fn show(name: &str, cfg: &ProgramConfig, cost: &CostModel) {
     }
     println!(
         "communication fraction: {:.1}%   efficiency (at 50% kernel efficiency): {:.1}%",
-        100.0 * b.comm_fraction(cost),
-        100.0 * b.efficiency(cost, cost.flop_ns / 2.0)
+        100.0 * cost.comm_fraction(&b),
+        100.0 * cost.efficiency(&b, cost.flop_ns / 2.0)
     );
 }
 

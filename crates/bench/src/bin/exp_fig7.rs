@@ -8,9 +8,9 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_fig7`
 
+use fmm_bench::machine::cost::CostModel;
+use fmm_bench::machine::multigrid::{best_method, embed_counters, EmbedMethod};
 use fmm_bench::util::header;
-use fmm_machine::multigrid::{best_method, embed_counters, EmbedMethod};
-use fmm_machine::CostModel;
 
 fn main() {
     header("Fig. 7 — Multigrid-embed: general send vs local-copy / two-step");

@@ -7,10 +7,10 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_fig8`
 
+use fmm_bench::machine::cost::CostModel;
+use fmm_bench::machine::replication::{precompute_cost, ReplicationStrategy};
 use fmm_bench::util::{header, measured_build_table};
 use fmm_core::TranslationSet;
-use fmm_machine::replication::{precompute_cost, ReplicationStrategy};
-use fmm_machine::CostModel;
 
 fn main() {
     header("Fig. 8 — computation vs replication for the 8 T1/T3 matrices (1024 VUs)");

@@ -10,10 +10,10 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_fig9`
 
+use fmm_bench::machine::cost::CostModel;
+use fmm_bench::machine::replication::{precompute_cost, ReplicationStrategy};
 use fmm_bench::util::{header, measured_build_table};
 use fmm_core::{Separation, TranslationSet};
-use fmm_machine::replication::{precompute_cost, ReplicationStrategy};
-use fmm_machine::CostModel;
 
 const N_MAT: usize = 1331;
 

@@ -8,11 +8,12 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_nearfield [n] [depth]`
 
+use fmm_bench::machine::cost::CostModel;
 use fmm_bench::util::{best_of, header};
 use fmm_bench::workloads::{uniform, unit_charges};
 use fmm_core::particles::BinnedParticles;
 use fmm_core::{near_field_potentials, near_field_symmetric, near_field_travelling_with, Kernel};
-use fmm_machine::{CostModel, Counters};
+use fmm_machine::Counters;
 use fmm_tree::{Domain, Separation};
 
 fn main() {

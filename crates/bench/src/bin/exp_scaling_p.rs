@@ -11,11 +11,12 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_scaling_p [n]`
 
+use fmm_bench::machine::ghost::{fetch, FetchStrategy};
+use fmm_bench::machine::{cost::CostModel, grid::DistGrid};
 use fmm_bench::util::{header, time_s};
 use fmm_bench::workloads::{uniform, unit_charges};
 use fmm_core::{Executor, Fmm, FmmConfig};
-use fmm_machine::ghost::{fetch, FetchStrategy};
-use fmm_machine::{BlockLayout, CostModel, Counters, DistGrid, VuGrid};
+use fmm_machine::{BlockLayout, Counters, VuGrid};
 use fmm_tree::{interactive_field_union, Separation};
 
 fn main() {

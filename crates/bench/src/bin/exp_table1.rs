@@ -7,9 +7,9 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_table1 [n]`
 
+use fmm_bench::bh::BarnesHut;
 use fmm_bench::util::{best_of, header, peak_gemm_gflops, rms_digits, time_s};
 use fmm_bench::workloads::{direct_potentials, uniform, unit_charges};
-use fmm_bh::BarnesHut;
 use fmm_core::{Fmm, FmmConfig};
 
 fn main() {

@@ -8,9 +8,10 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_table4`
 
+use fmm_bench::machine::ghost::{fetch, ghost_volume, FetchStrategy};
+use fmm_bench::machine::{cost::CostModel, grid::DistGrid};
 use fmm_bench::util::header;
-use fmm_machine::ghost::{fetch, ghost_volume, FetchStrategy};
-use fmm_machine::{BlockLayout, CostModel, DistGrid, VuGrid};
+use fmm_machine::{BlockLayout, VuGrid};
 use fmm_tree::{interactive_field_union, Separation};
 
 fn main() {

@@ -56,9 +56,9 @@ pub fn measured_build_table(
     model_matrices: usize,
     build: impl Fn(&fmm_core::SphereRule, usize) -> (usize, usize),
 ) {
+    use crate::machine::replication::{precompute_cost, ReplicationStrategy};
     use fmm_core::translations::matrix_build_flops;
-    use fmm_machine::replication::{precompute_cost, ReplicationStrategy};
-    let cost = fmm_machine::CostModel::cm5e();
+    let cost = crate::machine::cost::CostModel::cm5e();
     println!(
         "{:>4} {:>3} {:>6} {:>8} {:>12} {:>10} {:>12} {:>14}",
         "K", "M", "built", "derived", "build", "ns/entry", "flops/entry", "CM-5E model"

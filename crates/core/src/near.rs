@@ -49,7 +49,7 @@
 
 use crate::particles::BinnedParticles;
 use fmm_linalg::{pairwise, Kernel};
-use fmm_tree::{near_field_offsets, BoxCoord, Separation};
+use fmm_tree::{near_field_offsets, BoxCoord, Separation, TravelPath};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -346,7 +346,7 @@ fn add_stats(mut a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
 }
 
 /// Near-field potentials via the paper's travelling-accumulator sweep
-/// (shared-memory emulation). The canonical [`fmm_machine::TravelPath`]
+/// (shared-memory emulation). The canonical [`TravelPath`]
 /// visits each lexicographically-positive half-offset once; at every step
 /// each target box exchanges with the box `cum` away, gathering into `out`
 /// and scattering into a separate travelling accumulator array, which is
@@ -415,7 +415,7 @@ pub(crate) fn travelling_sweep(
             acc,
         })
         .collect();
-    for step in &fmm_machine::TravelPath::new(sep.d()).steps {
+    for step in &TravelPath::new(sep.d()).steps {
         total.merge(&step_over(
             kernel, eps2, step.cum, &targets, parallel, &mut insts,
         ));
@@ -1488,7 +1488,7 @@ mod tests {
             let mut got = vec![0.0; bp.len()];
             let mut acc = vec![0.0; x.len()];
             let mut st = self_pass(kernel, &bp, 0.0, false, &mut got);
-            for step in &fmm_machine::TravelPath::new(sep.d()).steps {
+            for step in &TravelPath::new(sep.d()).steps {
                 for boxes in &subsets {
                     let mut one = Travelling {
                         bp: &bp,

@@ -31,18 +31,9 @@ pub struct Counters {
 }
 
 impl Counters {
-    pub fn new() -> Self {
-        Counters::default()
-    }
-
     /// Sum of two counter sets.
     pub fn merge(&mut self, other: &Counters) {
         *self += *other;
-    }
-
-    /// Total boxes touched by communication (for sanity checks).
-    pub fn total_boxes_moved(&self) -> u64 {
-        self.off_vu_boxes + self.local_box_moves
     }
 }
 
@@ -94,7 +85,6 @@ mod tests {
         assert_eq!(a.off_vu_boxes, 11);
         assert_eq!(a.local_box_moves, 2);
         assert_eq!(a.flops, 5);
-        assert_eq!(a.total_boxes_moved(), 13);
     }
 
     #[test]

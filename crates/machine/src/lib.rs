@@ -1,54 +1,42 @@
-//! # fmm-machine — a data-parallel machine simulator
+//! # fmm-machine — the communication-budget oracle
 //!
 //! The paper's communication results are statements about *data motion* on
-//! a CM-5/5E: how many boxes cross vector-unit (VU) boundaries, how many
-//! are copied locally, and how many CSHIFT invocations (each with a large
-//! fixed overhead) a strategy needs. Those quantities are properties of
-//! the algorithms and the block data layout, not of the silicon — so this
-//! crate simulates exactly that machine model:
+//! a CM-5/5E: how many boxes cross vector-unit (VU) boundaries and how many
+//! messages carry them. Those quantities are properties of the algorithms
+//! and the block data layout, not of the silicon. This crate prices them
+//! phase by phase, and the SPMD executor, `fmm-verify` and the launcher's
+//! pre-flight check hold their measured or statically summed traffic to
+//! that price:
 //!
 //! * [`layout`] — block distribution of a 3-D box grid over a VU grid,
 //!   with the VU-address / local-address bit fields of the paper's Fig. 4,
-//! * [`counters`] + [`cost`] — data-motion counters and a
-//!   latency/bandwidth/copy cost model with CM-5E-flavoured constants,
-//! * [`grid`] — a distributed array with a *circular shift* (CSHIFT)
-//!   primitive that moves real data and counts its motion,
-//! * [`ghost`] — the four interactive-field fetch strategies compared in
-//!   the paper's Table 4 (direct / linearized × unaliased / aliased),
-//! * [`multigrid`] — the Multigrid-embed cost comparison of Fig. 7,
-//! * [`replication`] — the precomputation-vs-replication trade-offs of
-//!   Figs. 8 and 9.
+//! * [`counters`] — data-motion counters,
+//! * [`program`] — the per-phase budget of a whole run, uniform or on a
+//!   cost-weighted partition,
+//! * [`compare`] — the one comparator between a budget and a measured
+//!   profile,
+//! * [`transport`] — per-fabric pricing and the launcher's pre-flight.
 //!
-//! Strategies that build ghost buffers are verified for *data
-//! correctness*, not just counted: every strategy must produce identical
-//! halo contents.
+//! The CM-5E simulator that reproduces Table 4 and Figs. 7–9 (CSHIFT
+//! grids, ghost-fetch strategies, the CM-5E cost model) lives in
+//! `fmm-bench`.
 
 #![forbid(unsafe_code)]
 
 pub mod compare;
-pub mod cost;
 pub mod counters;
-pub mod ghost;
-pub mod grid;
 pub mod layout;
-pub mod multigrid;
 pub mod program;
-pub mod replication;
 pub mod transport;
-pub mod travel;
 
 pub use compare::{
     check_phases, predicted_bytes, predicted_messages, BudgetMismatch, MeasuredPhase,
     DEFAULT_TOLERANCE,
 };
-pub use cost::CostModel;
 pub use counters::Counters;
-pub use ghost::{FetchStrategy, GhostResult};
-pub use grid::DistGrid;
 pub use layout::{BlockLayout, VuGrid};
 pub use program::{
     communication_budget, communication_budget_with, gather_hops, subgrid_extent, PhaseBudget,
     ProgramBudget, ProgramConfig, PARTICLE_WORDS,
 };
 pub use transport::{preflight, PreflightReport, TransportModel};
-pub use travel::{TravelPath, TravelStep};

@@ -29,9 +29,9 @@
 
 use std::collections::BTreeMap;
 
-use fmm_machine::{subgrid_extent, BlockLayout, TravelPath, VuGrid};
+use fmm_machine::{subgrid_extent, BlockLayout, VuGrid};
 use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo, slot_route};
-use fmm_tree::Separation;
+use fmm_tree::{Separation, TravelPath};
 
 pub use fmm_tree::{Exchange, Partition, Side};
 

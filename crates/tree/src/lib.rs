@@ -12,6 +12,8 @@
 //!   translations to ≈189 ([`interaction`]),
 //! * the coordinate sort of §3.2 (keys built from VU-address and
 //!   local-address bits) and particle binning ([`sort`]),
+//! * the travelling-accumulator path over the half near field
+//!   ([`travel`]),
 //! * the cubic domain geometry ([`domain`]).
 
 #![forbid(unsafe_code)]
@@ -23,6 +25,7 @@ pub mod interaction;
 pub mod morton;
 pub mod partition;
 pub mod sort;
+pub mod travel;
 
 pub use balance::{analyze as analyze_balance, LoadBalance};
 pub use coords::{BoxCoord, Hierarchy};
@@ -36,3 +39,4 @@ pub use partition::{
     rowmajor_to_morton, slot_route, CostModel, Exchange, Partition, Side,
 };
 pub use sort::{assign_boxes, bin_particles, coordinate_sort, Binning, CoordinateSortKey};
+pub use travel::{TravelPath, TravelStep};
