@@ -15,7 +15,7 @@
 //!
 //! | model                    | property                         |
 //! |--------------------------|----------------------------------|
-//! | `registry-build-once`    | exactly-one-plan-build-per-key   |
+//! | `registry-build-once`    | exactly-one-build-per-key        |
 //! | `batcher-exactly-once`   | exactly-one-completion-per-job   |
 //! | `batcher-shutdown-drains`| shutdown-drains-all-jobs         |
 //! | `batcher-overflow-tick`  | overflow-keeps-opening-tick      |
@@ -45,8 +45,8 @@ pub enum Mutation {
     /// Re-stamp the batch-opening tick when a drain leaves overflow
     /// queued: the leftover's window deadline silently moves later.
     ResetOverflowTick,
-    /// Reverse one tenant's fmms→registry acquisition order: the
-    /// classic AB/BA deadlock.
+    /// Reverse one tenant's plans→sets acquisition order (stand-ins for
+    /// the registry's two maps): the classic AB/BA deadlock.
     SwapLockOrder,
 }
 
@@ -161,7 +161,7 @@ mod tests {
         match &v.kind {
             ViolationKind::Panic(msg) => {
                 assert!(
-                    msg.contains("exactly-one-plan-build-per-key"),
+                    msg.contains("exactly-one-build-per-key"),
                     "names the property: {msg}"
                 )
             }

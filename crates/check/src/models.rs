@@ -14,7 +14,10 @@
 //! replicas are known-faithful; the mutants exist to prove the checker
 //! would catch the bug if it were ever introduced into the real code.
 
-use fmm_core::{Executor, Kernel, PlanKey, PlanRegistry, Precision, Separation, TraversalPlan};
+use fmm_core::{
+    Kernel, PlanKey, PlanRegistry, Separation, SphereRuleKind, TranslationKey, TranslationSet,
+    TraversalPlan,
+};
 use fmm_serve::protocol::{EvalRequest, EvalResponse, Shape};
 use fmm_serve::Batcher;
 use fmm_sync::atomic::{AtomicUsize, Ordering};
@@ -41,76 +44,114 @@ fn spawn<F: FnOnce() + Send + 'static>(name: String, f: F) -> fmm_sync::thread::
 }
 
 // ---------------------------------------------------------------------
-// Registry: exactly one plan build per key.
+// Registry: exactly one build per key, in each of its two maps.
 // ---------------------------------------------------------------------
 
 fn plan_key() -> PlanKey {
     PlanKey {
         depth: 2,
-        k: 12,
         separation: Separation::Two,
-        executor: Executor::Rayon,
         kernel: Kernel::Scalar,
-        precision: Precision::F64,
     }
 }
 
-/// `threads` tenants race `PlanRegistry::get_or_build_with` on one key.
-/// The builder clones a prototype plan built once outside the model, so
-/// every explored schedule exercises the full read-lock / double-checked
-/// write-lock protocol without paying for a real plan build. Property:
-/// the builder runs exactly once, and every tenant observes that one
-/// plan.
+fn set_key() -> TranslationKey {
+    TranslationKey {
+        rule: SphereRuleKind::Icosahedron,
+        degree: 5,
+        m_trunc: 3,
+        outer_ratio: 1.6f64.to_bits(),
+        inner_ratio: 1.0f64.to_bits(),
+        separation: Separation::Two,
+        supernodes: false,
+    }
+}
+
+/// `threads` tenants race `PlanRegistry::get_or_build_with` on one plan
+/// key and `PlanRegistry::translations_with` on one set key, even tenants
+/// plan first and odd ones set first. The builders clone prototypes made
+/// once outside the model (an empty translation set stands in for a real
+/// one), so every explored schedule exercises the full read-lock /
+/// double-checked write-lock protocol of both maps without paying for
+/// real builds. Property: each builder runs exactly once, and every
+/// tenant observes that one plan and that one set.
 pub fn registry_build_once(threads: usize, opts: &Options) -> ModelReport {
-    let proto = Arc::new(TraversalPlan::build_with(
+    let plan = Arc::new(TraversalPlan::build_with(
         2,
         Separation::Two,
         Kernel::Scalar,
     ));
+    let set = Arc::new(TranslationSet {
+        k: 0,
+        separation: Separation::Two,
+        t1t: Vec::new(),
+        t3t: Vec::new(),
+        t2t: Vec::new(),
+        // det: empty, never iterated.
+        t2t_super: HashMap::new(),
+        built_t1t3: 0,
+        built_t2: 0,
+    });
     let result = explore(opts, move || {
         let reg = Arc::new(PlanRegistry::new(4));
-        let builds = Arc::new(AtomicUsize::new(0));
+        let plan_builds = Arc::new(AtomicUsize::new(0));
+        let set_builds = Arc::new(AtomicUsize::new(0));
         let handles: Vec<_> = (0..threads)
             .map(|i| {
-                let (reg, proto, builds) = (reg.clone(), proto.clone(), builds.clone());
+                let (reg, plan, set) = (reg.clone(), plan.clone(), set.clone());
+                let (plan_builds, set_builds) = (plan_builds.clone(), set_builds.clone());
                 spawn(format!("tenant-{i}"), move || {
-                    let p = reg.get_or_build_with(plan_key(), || {
-                        builds.fetch_add(1, Ordering::Relaxed);
-                        proto.clone()
-                    });
-                    assert!(
-                        Arc::ptr_eq(&p, &proto),
-                        "exactly-one-plan-build-per-key: tenant observed a plan \
-                         that is not the single prototype"
-                    );
+                    for step in [i % 2, 1 - i % 2] {
+                        let same = if step == 0 {
+                            let p = reg.get_or_build_with(plan_key(), || {
+                                plan_builds.fetch_add(1, Ordering::Relaxed);
+                                plan.clone()
+                            });
+                            Arc::ptr_eq(&p, &plan)
+                        } else {
+                            let s = reg.translations_with(set_key(), || {
+                                set_builds.fetch_add(1, Ordering::Relaxed);
+                                set.clone()
+                            });
+                            Arc::ptr_eq(&s, &set)
+                        };
+                        assert!(
+                            same,
+                            "exactly-one-build-per-key: tenant observed an entry \
+                             that is not the single prototype"
+                        );
+                    }
                 })
             })
             .collect();
         for h in handles {
             h.join().unwrap();
         }
-        let n = builds.load(Ordering::Relaxed);
-        assert_eq!(
-            n, 1,
-            "exactly-one-plan-build-per-key: builder ran {n} times for one key"
-        );
+        for (what, n) in [("plan", &plan_builds), ("set", &set_builds)] {
+            let n = n.load(Ordering::Relaxed);
+            assert_eq!(
+                n, 1,
+                "exactly-one-build-per-key: {what} builder ran {n} times for one key"
+            );
+        }
         let s = reg.stats();
         assert_eq!(
-            s.plan_builds, 1,
-            "exactly-one-plan-build-per-key: stats disagree"
+            (s.plan_builds, s.set_builds),
+            (1, 1),
+            "exactly-one-build-per-key: stats disagree"
         );
     });
     ModelReport {
         name: "registry-build-once",
-        property: "exactly-one-plan-build-per-key",
+        property: "exactly-one-build-per-key",
         result,
     }
 }
 
 /// Replica of the registry's read-then-write locking protocol (the map
-/// payload is irrelevant, so a `u32` stands in for the plan). With
+/// payload is irrelevant, so a `u32` stands in for the plan or set). With
 /// `double_check` the write path re-checks residency before building —
-/// exactly what `PlanRegistry::get_or_build_with` does; without it the
+/// exactly what both of `PlanRegistry`'s maps do; without it the
 /// protocol has the classic check-then-act race.
 struct MiniRegistry {
     // det: keyed lookups only; never iterated.
@@ -165,7 +206,7 @@ pub fn registry_replica(threads: usize, double_check: bool, opts: &Options) -> M
         let n = builds.load(Ordering::Relaxed);
         assert_eq!(
             n, 1,
-            "exactly-one-plan-build-per-key: builder ran {n} times for one key"
+            "exactly-one-build-per-key: builder ran {n} times for one key"
         );
     });
     ModelReport {
@@ -174,7 +215,7 @@ pub fn registry_replica(threads: usize, double_check: bool, opts: &Options) -> M
         } else {
             "registry-replica(drop-double-check)"
         },
-        property: "exactly-one-plan-build-per-key",
+        property: "exactly-one-build-per-key",
         result,
     }
 }
@@ -525,43 +566,43 @@ pub fn batcher_replica_overflow(reset_tick: bool, opts: &Options) -> ModelReport
 // ---------------------------------------------------------------------
 
 /// The checker's self-test for lock-order deadlocks, on two stand-in
-/// locks named after the engine's `fmms` map and the plan registry. No
-/// production path nests them: `Engine::fmm_for` builds the `Fmm`
-/// outside the `fmms` lock, and `Fmm::with_registry` takes no registry
-/// lock. Healthy, both tenants take `fmms` before `registry` and the
-/// model is deadlock-free under every schedule; the `swap-lock-order`
+/// locks named after the registry's plan map and set map. No production
+/// path nests them: `Fmm::with_registry` takes only the set map's lock
+/// and returns before any plan is looked up, and a plan lookup takes only
+/// the plan map's. Healthy, both tenants take `plans` before `sets` and
+/// the model is deadlock-free under every schedule; the `swap-lock-order`
 /// mutant reverses one tenant, and the checker must find the AB/BA
 /// schedule that deadlocks.
 pub fn lock_order(swapped: bool, opts: &Options) -> ModelReport {
     let result = explore(opts, move || {
-        let fmms = Arc::new(Mutex::new(0u32));
-        let registry = Arc::new(Mutex::new(0u32));
+        let plans = Arc::new(Mutex::new(0u32));
+        let sets = Arc::new(Mutex::new(0u32));
         let a = {
-            let (fmms, registry) = (fmms.clone(), registry.clone());
+            let (plans, sets) = (plans.clone(), sets.clone());
             spawn("tenant-a".into(), move || {
-                let mut f = fmms.lock().unwrap();
-                // lock-order: fmms → registry.
-                let mut r = registry.lock().unwrap();
-                *f += 1;
-                *r += 1;
+                let mut p = plans.lock().unwrap();
+                // lock-order: plans → sets.
+                let mut t = sets.lock().unwrap();
+                *p += 1;
+                *t += 1;
             })
         };
         let b = {
-            let (fmms, registry) = (fmms.clone(), registry.clone());
+            let (plans, sets) = (plans.clone(), sets.clone());
             spawn("tenant-b".into(), move || {
                 if swapped {
-                    let mut r = registry.lock().unwrap();
-                    // Seeded bug: acquisition order reversed (registry →
-                    // fmms), the classic AB/BA deadlock against tenant-a.
-                    let mut f = fmms.lock().unwrap();
-                    *f += 1;
-                    *r += 1;
+                    let mut t = sets.lock().unwrap();
+                    // Seeded bug: acquisition order reversed (sets →
+                    // plans), the classic AB/BA deadlock against tenant-a.
+                    let mut p = plans.lock().unwrap();
+                    *p += 1;
+                    *t += 1;
                 } else {
-                    let mut f = fmms.lock().unwrap();
-                    // lock-order: fmms → registry.
-                    let mut r = registry.lock().unwrap();
-                    *f += 1;
-                    *r += 1;
+                    let mut p = plans.lock().unwrap();
+                    // lock-order: plans → sets.
+                    let mut t = sets.lock().unwrap();
+                    *p += 1;
+                    *t += 1;
                 }
             })
         };

@@ -9,7 +9,7 @@ use crate::near::{near_field_forces_softened_with, travelling_sweep, NearFieldSt
 use crate::near32::{near_field_forces_f32, near_field_potentials_f32};
 use crate::particles::BinnedParticles;
 use crate::plan::TraversalPlan;
-use crate::registry::{PlanKey, PlanRegistry};
+use crate::registry::{PlanKey, PlanRegistry, TranslationKey};
 use crate::stats::{Phase, Profile, SpmdReport};
 use crate::translations::TranslationSet;
 use crate::traversal::{downward_level, upward_level, Aggregation, TraversalFlops};
@@ -104,22 +104,24 @@ pub fn install_spmd_backend(backend: SpmdBackend) {
 
 /// A configured instance of Anderson's method with precomputed translation
 /// matrices (the paper precomputes all 1331 + 16 matrices once and reuses
-/// them across evaluations and levels).
+/// them across evaluations and levels). A cheap view over its registry:
+/// the translation set and the traversal plans are the registry's, shared
+/// with every instance whose keys match.
 pub struct Fmm {
     pub(crate) cfg: FmmConfig,
     pub(crate) rule: SphereRule,
-    pub(crate) translations: TranslationSet,
-    /// Plan registry this instance resolves its traversal plans from. A
-    /// private registry by default (preserving per-instance `plan_builds`
-    /// semantics); services share one process-wide registry across many
-    /// instances via [`Fmm::with_registry`].
+    pub(crate) translations: Arc<TranslationSet>,
+    /// Registry this instance takes its translation set and traversal
+    /// plans from. A private registry by default (preserving per-instance
+    /// `plan_builds` semantics); services share one process-wide registry
+    /// across many instances via [`Fmm::with_registry`].
     registry: Arc<PlanRegistry>,
 }
 
 impl Fmm {
     /// Build an instance: validates the configuration and precomputes the
-    /// translation matrices. Plans are cached in a private
-    /// [`PlanRegistry`]; use [`Fmm::with_registry`] to share one.
+    /// translation matrices, in a private [`PlanRegistry`] that also
+    /// caches its plans; use [`Fmm::with_registry`] to share one.
     pub fn new(cfg: FmmConfig) -> Result<Self, FmmError> {
         Self::with_registry(
             cfg,
@@ -127,21 +129,18 @@ impl Fmm {
         )
     }
 
-    /// [`Fmm::new`] resolving plans from a shared registry — the
-    /// "millions of users" configuration: every instance whose
-    /// `(depth, K, separation, executor, kernel, precision)` shape matches
-    /// an already-admitted plan reuses it without building.
+    /// [`Fmm::new`] over a shared registry — the "millions of users"
+    /// configuration. The instance takes its translation set from the
+    /// registry under its [`TranslationKey`] (sphere rule, truncation,
+    /// radii, separation, supernodes), building it only if no earlier
+    /// instance did, and resolves plans under [`Fmm::plan_key`]. What is
+    /// left to construct is the validated configuration and its sphere
+    /// rule, so building an instance per request is cheap once the set is
+    /// resident.
     pub fn with_registry(cfg: FmmConfig, registry: Arc<PlanRegistry>) -> Result<Self, FmmError> {
         cfg.validate().map_err(FmmError::InvalidConfig)?;
         let rule = cfg.rule();
-        let translations = TranslationSet::build(
-            &rule,
-            cfg.m_trunc,
-            cfg.outer_ratio,
-            cfg.inner_ratio,
-            cfg.separation,
-            cfg.supernodes,
-        );
+        let translations = registry.translations(TranslationKey::new(&rule, &cfg), &rule);
         Ok(Fmm {
             cfg,
             rule,
@@ -150,15 +149,13 @@ impl Fmm {
         })
     }
 
-    /// The registry key this instance uses for plans at `depth`.
+    /// The registry key this instance uses for plans at `depth`: a plan
+    /// depends on the depth, the separation and the microkernel only.
     pub fn plan_key(&self, depth: u32) -> PlanKey {
         PlanKey {
             depth,
-            k: self.rule.len(),
             separation: self.cfg.separation,
-            executor: self.cfg.effective_executor(),
             kernel: self.cfg.resolve_kernel(),
-            precision: self.cfg.precision,
         }
     }
 

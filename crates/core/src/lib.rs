@@ -67,11 +67,11 @@ pub use near::{
 };
 pub use near32::{near_field_forces_f32, near_field_potentials_f32, ParticlesF32};
 pub use plan::TraversalPlan;
-pub use registry::{PlanKey, PlanRegistry, RegistryStats};
+pub use registry::{PlanKey, PlanRegistry, RegistryStats, TranslationKey};
 pub use stats::{Counters, Phase, Profile, SpmdPhase, SpmdReport};
 pub use translations::TranslationSet;
 
 /// Re-exported substrate types that appear in the public API.
 pub use fmm_linalg::Kernel;
-pub use fmm_sphere::{SphereRule, Vec3};
+pub use fmm_sphere::{SphereRule, SphereRuleKind, Vec3};
 pub use fmm_tree::{Domain, Separation};

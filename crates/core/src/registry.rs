@@ -1,52 +1,78 @@
-//! Process-wide traversal-plan registry.
+//! Process-wide registry of what evaluations reuse: traversal plans and
+//! translation sets.
 //!
-//! PR 1 gave every [`crate::Fmm`] a private per-depth plan cache; a
-//! long-running evaluation service (fmm-serve) builds many `Fmm`
-//! instances — one per tenant configuration — whose plans are identical
-//! whenever `(depth, K, separation, executor, kernel, precision)` agree.
-//! The [`PlanRegistry`] promotes the cache to a shared, concurrently
-//! readable structure: a `RwLock`ed map handing out `Arc` snapshots of
-//! immutable [`TraversalPlan`]s, with an LRU capacity bound and admission
-//! counters (`plan_builds` / `plan_hits` / `evictions`) so a service can
-//! report cache efficiency per process, not per instance.
+//! Every [`crate::Fmm`] takes its translation set and its traversal plans
+//! from a [`PlanRegistry`]: a private one by default, or one that a
+//! long-running service (fmm-serve) shares across all of its tenants.
+//! Each of the registry's two maps is keyed by exactly the inputs its
+//! entries are built from — a plan by [`PlanKey`], a set by
+//! [`TranslationKey`] — so instances that differ in anything else (order,
+//! precision, executor, depth) share one `Arc` of what they have in
+//! common, and the registry is the only cache of evaluation state.
 //!
-//! Reads take the shared lock only; the recency stamp is an atomic inside
-//! each entry, so concurrent hits never serialize on the write lock.
-//! Misses take the exclusive lock and build *inside* it (double-checked),
-//! which guarantees a key is never built twice even under a thundering
-//! herd — the service's coalesced batches rely on "one `plan_builds` per
-//! distinct shape" being exact, not approximate.
+//! Both maps run one protocol. Reads take the shared lock only; the
+//! recency stamp is an atomic inside each entry, so concurrent hits never
+//! serialize on the write lock. Misses take the exclusive lock and build
+//! *inside* it (double-checked), which guarantees a key is never built
+//! twice even under a thundering herd — the service's coalesced batches
+//! rely on "one `plan_builds` per distinct key" being exact, not
+//! approximate. Past its capacity a map evicts its least recently used
+//! entry. Each map has its own lock and counters, so a cold set build
+//! (a quarter second at order 16) blocks set lookups only, never a plan
+//! lookup.
 
-use crate::config::{Executor, Precision};
+use crate::config::FmmConfig;
 use crate::plan::TraversalPlan;
+use crate::translations::TranslationSet;
 use fmm_linalg::Kernel;
+use fmm_sphere::{SphereRule, SphereRuleKind};
 use fmm_sync::atomic::{AtomicU64, Ordering};
 use fmm_sync::RwLock;
 use fmm_tree::Separation;
 use std::collections::HashMap;
+use std::hash::Hash;
 use std::sync::Arc;
 
-/// Everything a cached plan is keyed by. `depth`, `separation` and
-/// `kernel` determine the plan's contents; `k` (sphere-rule size),
-/// `executor` and `precision` are discriminators so instances with
-/// different execution shapes never alias a plan entry (their eviction
-/// behaviour and metrics stay attributable per shape).
+/// The inputs of [`TraversalPlan::build_with`], which key a cached plan.
+/// Instances that differ in sphere rule, executor or precision share the
+/// plan of one (depth, separation, kernel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     pub depth: u32,
-    /// Sphere-rule size K of the owning configuration.
-    pub k: usize,
     pub separation: Separation,
-    pub executor: Executor,
     pub kernel: Kernel,
-    pub precision: Precision,
 }
 
-struct Entry {
-    plan: Arc<TraversalPlan>,
-    /// Monotonic recency stamp (from [`PlanRegistry::tick`]); updated with
-    /// a plain atomic store under the *read* lock on every hit.
-    last_used: AtomicU64,
+/// The inputs of [`TranslationSet::build`], which key a cached set: the
+/// sphere rule (by kind and degree, so orders 4 and 5 share the one
+/// icosahedron), the truncation, both radii (as bits), the separation and
+/// the supernode setting.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+pub struct TranslationKey {
+    pub rule: SphereRuleKind,
+    pub degree: usize,
+    pub m_trunc: usize,
+    /// `outer_ratio.to_bits()`.
+    pub outer_ratio: u64,
+    /// `inner_ratio.to_bits()`.
+    pub inner_ratio: u64,
+    pub separation: Separation,
+    pub supernodes: bool,
+}
+
+impl TranslationKey {
+    /// The key of the set `cfg` evaluates with; `rule` is `cfg.rule()`.
+    pub fn new(rule: &SphereRule, cfg: &FmmConfig) -> Self {
+        TranslationKey {
+            rule: rule.kind,
+            degree: rule.degree,
+            m_trunc: cfg.m_trunc,
+            outer_ratio: cfg.outer_ratio.to_bits(),
+            inner_ratio: cfg.inner_ratio.to_bits(),
+            separation: cfg.separation,
+            supernodes: cfg.supernodes,
+        }
+    }
 }
 
 /// Counter snapshot of a registry (see [`PlanRegistry::stats`]).
@@ -57,21 +83,36 @@ pub struct RegistryStats {
     pub plan_builds: u64,
     /// Lookups served from a resident plan.
     pub plan_hits: u64,
-    /// Entries displaced by the LRU capacity bound.
+    /// Plans displaced by the LRU capacity bound.
     pub evictions: u64,
     /// Currently resident plans.
     pub entries: usize,
-    /// Capacity bound.
+    /// Translation sets built; exact like `plan_builds`.
+    pub set_builds: u64,
+    /// Lookups served from a resident translation set.
+    pub set_hits: u64,
+    /// Translation sets displaced by the LRU capacity bound.
+    pub set_evictions: u64,
+    /// Currently resident translation sets.
+    pub set_entries: usize,
+    /// Capacity bound of each map.
     pub capacity: usize,
 }
 
-/// A shared, LRU-bounded map from [`PlanKey`] to immutable
-/// [`TraversalPlan`] snapshots. See the module docs.
-pub struct PlanRegistry {
+struct Entry<V> {
+    value: Arc<V>,
+    /// Monotonic recency stamp (from [`Lru::tick`]); updated with a plain
+    /// atomic store under the *read* lock on every hit.
+    last_used: AtomicU64,
+}
+
+/// One LRU-bounded map of immutable `Arc` snapshots, built on first use:
+/// the protocol both of the registry's maps run (see the module docs).
+struct Lru<K, V> {
     // det: keyed lookups plus a min-by-unique-recency eviction scan; no
     // result depends on the map's iteration order (recency stamps are
     // unique, so the LRU minimum is unique).
-    map: RwLock<HashMap<PlanKey, Entry>>,
+    map: RwLock<HashMap<K, Entry<V>>>,
     capacity: usize,
     tick: AtomicU64,
     builds: AtomicU64,
@@ -79,16 +120,96 @@ pub struct PlanRegistry {
     evictions: AtomicU64,
 }
 
+impl<K: Copy + Eq + Hash, V> Lru<K, V> {
+    fn new(capacity: usize) -> Self {
+        Lru {
+            // det: see the field justification.
+            map: RwLock::new(HashMap::new()),
+            capacity: capacity.max(1),
+            tick: AtomicU64::new(0),
+            builds: AtomicU64::new(0),
+            hits: AtomicU64::new(0),
+            evictions: AtomicU64::new(0),
+        }
+    }
+
+    fn hit(&self, e: &Entry<V>) -> Arc<V> {
+        e.last_used
+            .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
+        self.hits.fetch_add(1, Ordering::Relaxed);
+        e.value.clone()
+    }
+
+    fn get_or_build(&self, key: K, build: impl FnOnce() -> Arc<V>) -> Arc<V> {
+        {
+            let map = self.map.read().expect("registry lock poisoned");
+            if let Some(e) = map.get(&key) {
+                return self.hit(e);
+            }
+        }
+        let mut map = self.map.write().expect("registry lock poisoned");
+        // Double-check: someone else may have built it while we queued.
+        if let Some(e) = map.get(&key) {
+            return self.hit(e);
+        }
+        // Build inside the exclusive section so a key is built exactly
+        // once (a herd re-building the same entry would cost more than
+        // the serialization does).
+        let value = build();
+        self.builds.fetch_add(1, Ordering::Relaxed);
+        map.insert(
+            key,
+            Entry {
+                value: value.clone(),
+                last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
+            },
+        );
+        while map.len() > self.capacity {
+            // det: recency stamps are unique, so the minimum is unique and
+            // the evicted key does not depend on iteration order.
+            let victim = map
+                .iter()
+                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
+                .map(|(k, _)| *k)
+                .expect("non-empty over capacity");
+            map.remove(&victim);
+            self.evictions.fetch_add(1, Ordering::Relaxed);
+        }
+        value
+    }
+
+    /// `(builds, hits, evictions, entries)`.
+    fn counts(&self) -> (u64, u64, u64, usize) {
+        (
+            self.builds.load(Ordering::Relaxed),
+            self.hits.load(Ordering::Relaxed),
+            self.evictions.load(Ordering::Relaxed),
+            self.len(),
+        )
+    }
+
+    /// Resident keys with `f` of their values, in map order (callers sort).
+    fn list<T>(&self, f: impl Fn(&V) -> T) -> Vec<(K, T)> {
+        let map = self.map.read().expect("registry lock poisoned");
+        map.iter().map(|(k, e)| (*k, f(&e.value))).collect()
+    }
+
+    fn len(&self) -> usize {
+        self.map.read().expect("registry lock poisoned").len()
+    }
+}
+
+/// Shared, LRU-bounded maps from [`PlanKey`] to immutable
+/// [`TraversalPlan`] snapshots and from [`TranslationKey`] to immutable
+/// [`TranslationSet`] snapshots. See the module docs.
+pub struct PlanRegistry {
+    plans: Lru<PlanKey, TraversalPlan>,
+    sets: Lru<TranslationKey, TranslationSet>,
+}
+
 impl std::fmt::Debug for PlanRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        let s = self.stats();
-        f.debug_struct("PlanRegistry")
-            .field("entries", &s.entries)
-            .field("capacity", &s.capacity)
-            .field("plan_builds", &s.plan_builds)
-            .field("plan_hits", &s.plan_hits)
-            .field("evictions", &s.evictions)
-            .finish()
+        f.debug_tuple("PlanRegistry").field(&self.stats()).finish()
     }
 }
 
@@ -97,16 +218,12 @@ impl PlanRegistry {
     /// single instance rarely visits more than a handful of depths).
     pub const DEFAULT_CAPACITY: usize = 16;
 
-    /// An empty registry bounded to `capacity` resident plans.
+    /// An empty registry bounded to `capacity` resident plans and
+    /// `capacity` resident translation sets.
     pub fn new(capacity: usize) -> Self {
         PlanRegistry {
-            // det: see the field justification.
-            map: RwLock::new(HashMap::new()),
-            capacity: capacity.max(1),
-            tick: AtomicU64::new(0),
-            builds: AtomicU64::new(0),
-            hits: AtomicU64::new(0),
-            evictions: AtomicU64::new(0),
+            plans: Lru::new(capacity),
+            sets: Lru::new(capacity),
         }
     }
 
@@ -132,82 +249,78 @@ impl PlanRegistry {
         key: PlanKey,
         build: impl FnOnce() -> Arc<TraversalPlan>,
     ) -> Arc<TraversalPlan> {
-        {
-            let map = self.map.read().unwrap();
-            if let Some(e) = map.get(&key) {
-                e.last_used
-                    .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-                self.hits.fetch_add(1, Ordering::Relaxed);
-                return e.plan.clone();
-            }
-        }
-        let mut map = self.map.write().unwrap();
-        // Double-check: someone else may have built it while we queued.
-        if let Some(e) = map.get(&key) {
-            e.last_used
-                .store(self.tick.fetch_add(1, Ordering::Relaxed), Ordering::Relaxed);
-            self.hits.fetch_add(1, Ordering::Relaxed);
-            return e.plan.clone();
-        }
-        // Build inside the exclusive section so a key is built exactly
-        // once (plan builds are milliseconds; a herd re-building the same
-        // plan would cost more than the serialization does).
-        let plan = build();
-        self.builds.fetch_add(1, Ordering::Relaxed);
-        map.insert(
-            key,
-            Entry {
-                plan: plan.clone(),
-                last_used: AtomicU64::new(self.tick.fetch_add(1, Ordering::Relaxed)),
-            },
+        self.plans.get_or_build(key, build)
+    }
+
+    /// The translation set for `key`, built from `rule` (the rule `key`
+    /// names) and admitted on first use. Hits take the set map's shared
+    /// lock only; a build holds the set map's lock and no other.
+    pub fn translations(&self, key: TranslationKey, rule: &SphereRule) -> Arc<TranslationSet> {
+        assert_eq!(
+            (key.rule, key.degree),
+            (rule.kind, rule.degree),
+            "the rule is not the one the key names"
         );
-        while map.len() > self.capacity {
-            // det: recency stamps are unique, so the minimum is unique and
-            // the evicted key does not depend on iteration order.
-            let victim = map
-                .iter()
-                .min_by_key(|(_, e)| e.last_used.load(Ordering::Relaxed))
-                .map(|(k, _)| *k)
-                .expect("non-empty over capacity");
-            map.remove(&victim);
-            self.evictions.fetch_add(1, Ordering::Relaxed);
-        }
-        plan
+        self.translations_with(key, || {
+            Arc::new(TranslationSet::build(
+                rule,
+                key.m_trunc,
+                f64::from_bits(key.outer_ratio),
+                f64::from_bits(key.inner_ratio),
+                key.separation,
+                key.supernodes,
+            ))
+        })
+    }
+
+    /// [`Self::translations`] with a caller-supplied constructor, the seam
+    /// [`Self::get_or_build_with`] is for plans.
+    pub fn translations_with(
+        &self,
+        key: TranslationKey,
+        build: impl FnOnce() -> Arc<TranslationSet>,
+    ) -> Arc<TranslationSet> {
+        self.sets.get_or_build(key, build)
     }
 
     /// Counter snapshot.
     pub fn stats(&self) -> RegistryStats {
+        let (plan_builds, plan_hits, evictions, entries) = self.plans.counts();
+        let (set_builds, set_hits, set_evictions, set_entries) = self.sets.counts();
         RegistryStats {
-            plan_builds: self.builds.load(Ordering::Relaxed),
-            plan_hits: self.hits.load(Ordering::Relaxed),
-            evictions: self.evictions.load(Ordering::Relaxed),
-            entries: self.map.read().unwrap().len(),
-            capacity: self.capacity,
+            plan_builds,
+            plan_hits,
+            evictions,
+            entries,
+            set_builds,
+            set_hits,
+            set_evictions,
+            set_entries,
+            capacity: self.plans.capacity,
         }
     }
 
     /// Keys and approximate heap footprints of the resident plans, sorted
     /// by key for a deterministic listing (diagnostics / `info` endpoint).
     pub fn snapshot(&self) -> Vec<(PlanKey, usize)> {
-        let map = self.map.read().unwrap();
-        let mut v: Vec<(PlanKey, usize)> = map
-            .iter()
-            .map(|(k, e)| (*k, e.plan.memory_bytes()))
-            .collect();
+        let mut v = self.plans.list(TraversalPlan::memory_bytes);
         // det: sorted before exposure, so callers never observe map order.
-        v.sort_by_key(|(k, _)| {
-            (
-                k.depth,
-                k.k,
-                format!("{:?}", (k.separation, k.executor, k.kernel, k.precision)),
-            )
-        });
+        v.sort_by_key(|(k, _)| (k.depth, format!("{:?}", (k.separation, k.kernel))));
+        v
+    }
+
+    /// Keys and footprints of the resident translation sets, sorted like
+    /// [`Self::snapshot`].
+    pub fn set_snapshot(&self) -> Vec<(TranslationKey, usize)> {
+        let mut v = self.sets.list(TranslationSet::memory_bytes);
+        // det: sorted before exposure, so callers never observe map order.
+        v.sort_by_key(|(k, _)| (k.degree, format!("{k:?}")));
         v
     }
 
     /// Number of resident plans.
     pub fn len(&self) -> usize {
-        self.map.read().unwrap().len()
+        self.plans.len()
     }
 
     pub fn is_empty(&self) -> bool {
@@ -222,12 +335,37 @@ mod tests {
     fn key(depth: u32) -> PlanKey {
         PlanKey {
             depth,
-            k: 12,
             separation: Separation::Two,
-            executor: Executor::Rayon,
             kernel: Kernel::Scalar,
-            precision: Precision::F64,
         }
+    }
+
+    fn set_key(degree: usize) -> TranslationKey {
+        TranslationKey {
+            rule: SphereRuleKind::Product,
+            degree,
+            m_trunc: 3,
+            outer_ratio: 1.6f64.to_bits(),
+            inner_ratio: 1.0f64.to_bits(),
+            separation: Separation::Two,
+            supernodes: false,
+        }
+    }
+
+    /// A set with no matrices: the cheap constructor the race tests clone,
+    /// so they stay fast enough for Miri.
+    fn empty_set() -> Arc<TranslationSet> {
+        Arc::new(TranslationSet {
+            k: 0,
+            separation: Separation::Two,
+            t1t: Vec::new(),
+            t3t: Vec::new(),
+            t2t: Vec::new(),
+            // det: empty, never iterated.
+            t2t_super: HashMap::new(),
+            built_t1t3: 0,
+            built_t2: 0,
+        })
     }
 
     #[test]
@@ -238,6 +376,7 @@ mod tests {
         assert!(Arc::ptr_eq(&a, &b));
         let s = r.stats();
         assert_eq!((s.plan_builds, s.plan_hits, s.entries), (1, 1, 1));
+        assert_eq!((s.set_builds, s.set_hits, s.set_entries), (0, 0, 0));
     }
 
     #[test]
@@ -257,19 +396,10 @@ mod tests {
         assert_eq!(r.stats().plan_builds, 4);
     }
 
-    #[test]
-    fn distinct_discriminators_do_not_alias() {
-        let r = PlanRegistry::new(8);
-        r.get_or_build(key(2));
-        let mut mixed = key(2);
-        mixed.precision = Precision::Mixed;
-        r.get_or_build(mixed);
-        assert_eq!(r.stats().plan_builds, 2);
-    }
-
-    // The `concurrent_*` tests below use `get_or_build_with` with a
-    // cheap constructor (cloning one prebuilt plan) so they stay fast
-    // enough for Miri and ThreadSanitizer, which run them in CI.
+    // The `concurrent_*` tests below use `get_or_build_with` /
+    // `translations_with` with a cheap constructor (cloning one prebuilt
+    // value) so they stay fast enough for Miri and ThreadSanitizer, which
+    // run them in CI.
 
     #[test]
     fn concurrent_get_or_build_with_builds_once() {
@@ -325,5 +455,54 @@ mod tests {
         let s = r.stats();
         assert_eq!(s.plan_builds, 3, "one build per distinct key");
         assert_eq!(s.plan_hits, 4 * 3 - 3);
+    }
+
+    #[test]
+    fn concurrent_set_and_plan_lookups_build_each_key_once() {
+        let plan = Arc::new(TraversalPlan::build_with(
+            2,
+            Separation::Two,
+            Kernel::Scalar,
+        ));
+        let set = empty_set();
+        let r = Arc::new(PlanRegistry::new(4));
+        let handles: Vec<_> = (0..4)
+            .map(|i| {
+                let (r, plan, set) = (r.clone(), plan.clone(), set.clone());
+                std::thread::spawn(move || {
+                    // Half the tenants take the set first, half the plan.
+                    for step in [i % 2, 1 - i % 2] {
+                        if step == 0 {
+                            let s = r.translations_with(set_key(6), || set.clone());
+                            assert!(Arc::ptr_eq(&s, &set));
+                        } else {
+                            let p = r.get_or_build_with(key(2), || plan.clone());
+                            assert!(Arc::ptr_eq(&p, &plan));
+                        }
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().unwrap();
+        }
+        let s = r.stats();
+        assert_eq!((s.plan_builds, s.plan_hits, s.entries), (1, 3, 1));
+        assert_eq!((s.set_builds, s.set_hits, s.set_entries), (1, 3, 1));
+    }
+
+    #[test]
+    fn set_map_is_lru_bounded_apart_from_plans() {
+        let r = PlanRegistry::new(2);
+        let set = empty_set();
+        for degree in [6, 7, 6, 8] {
+            r.translations_with(set_key(degree), || set.clone());
+        }
+        r.get_or_build(key(2));
+        let s = r.stats();
+        assert_eq!((s.set_builds, s.set_hits, s.set_evictions), (3, 1, 1));
+        assert_eq!((s.set_entries, s.entries, s.evictions), (2, 1, 0));
+        let degrees: Vec<usize> = r.set_snapshot().iter().map(|(k, _)| k.degree).collect();
+        assert_eq!(degrees, vec![6, 8]);
     }
 }

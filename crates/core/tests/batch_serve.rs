@@ -203,11 +203,8 @@ fn registry_concurrent_stress_builds_each_key_once() {
     let iters = 40;
     let key = |depth: u32| PlanKey {
         depth,
-        k: 12,
         separation: Separation::Two,
-        executor: Executor::Rayon,
         kernel: fmm_core::Kernel::Scalar,
-        precision: Precision::F64,
     };
     let handles: Vec<_> = (0..threads)
         .map(|t| {
@@ -257,17 +254,16 @@ fn shared_registry_fmm_instances_and_lru_bound() {
     for h in handles {
         h.join().unwrap();
     }
-    // 4 tenants × 2 depths share 2 plans process-wide.
-    assert_eq!(registry.stats().plan_builds, 2);
+    // 4 tenants × 2 depths share 2 plans and 1 translation set
+    // process-wide.
+    let s = registry.stats();
+    assert_eq!((s.plan_builds, s.set_builds), (2, 1));
 
     let small = PlanRegistry::new(2);
     let key = |depth: u32| PlanKey {
         depth,
-        k: 6,
         separation: Separation::Two,
-        executor: Executor::Serial,
         kernel: fmm_core::Kernel::Scalar,
-        precision: Precision::F64,
     };
     for depth in [2, 3, 4, 2, 3, 4] {
         small.get_or_build(key(depth));
@@ -277,4 +273,41 @@ fn shared_registry_fmm_instances_and_lru_bound() {
     assert!(s.evictions >= 1);
     // Cycling three keys through capacity two always misses: 6 builds.
     assert_eq!(s.plan_builds, 6);
+}
+
+/// What an instance reuses is keyed by its inputs alone: instances that
+/// differ in depth, precision and executor share one translation set, and
+/// those of one depth share one plan whatever their precision.
+#[test]
+fn instances_share_one_set_and_one_plan_per_depth() {
+    let registry = Arc::new(PlanRegistry::new(8));
+    let cfg = FmmConfig::order(5);
+    let a = Fmm::with_registry(cfg.clone().depth(2), Arc::clone(&registry)).unwrap();
+    let b = Fmm::with_registry(
+        cfg.clone()
+            .depth(3)
+            .precision(Precision::Mixed)
+            .executor(Executor::Serial),
+        Arc::clone(&registry),
+    )
+    .unwrap();
+    assert!(std::ptr::eq(a.translations(), b.translations()));
+    assert_eq!(registry.stats().set_builds, 1);
+    // Order 4 resolves to the same icosahedron and truncation.
+    let c = Fmm::with_registry(FmmConfig::order(4), Arc::clone(&registry)).unwrap();
+    assert!(std::ptr::eq(a.translations(), c.translations()));
+
+    let mixed = Fmm::with_registry(
+        cfg.depth(2).precision(Precision::Mixed),
+        Arc::clone(&registry),
+    )
+    .unwrap();
+    assert!(Arc::ptr_eq(&a.plan_for(2), &mixed.plan_for(2)));
+    let s = registry.stats();
+    assert_eq!((s.set_builds, s.set_hits, s.plan_builds), (1, 3, 1));
+
+    let (p, q) = system(200, 17);
+    a.evaluate(&p, &q).unwrap();
+    mixed.evaluate(&p, &q).unwrap();
+    assert_eq!(registry.stats().plan_builds, 1);
 }

@@ -1,15 +1,14 @@
-//! The evaluation engine: a cache of `Fmm` instances keyed by request
-//! [`Shape`] (fields or not is a call argument, not part of the key), all
-//! sharing one process-wide [`PlanRegistry`], plus the batch execution
-//! path that fans a coalesced batch through [`Fmm::evaluate_requests`]
-//! and slices each request's result back out.
+//! The evaluation engine: the batch execution path that builds the `Fmm`
+//! a request [`Shape`] names over the process-wide [`PlanRegistry`], fans
+//! a coalesced batch through [`Fmm::evaluate_requests`] and slices each
+//! request's result back out. The registry is the only cache: an `Fmm` is
+//! a cheap view over the translation set and plans it holds, so the engine
+//! builds one per batch and keeps none.
 
 use crate::batcher::Job;
 use crate::metrics::Metrics;
 use crate::protocol::{EvalResponse, Shape};
 use fmm_core::{BatchRequest, Fmm, FmmConfig, PlanRegistry, Precision, Separation};
-use fmm_sync::RwLock;
-use std::collections::HashMap;
 use std::sync::Arc;
 
 /// Depth bound on requests: deeper hierarchies than this are almost
@@ -18,8 +17,6 @@ const MAX_DEPTH: u32 = 7;
 
 pub struct Engine {
     registry: Arc<PlanRegistry>,
-    // det: keyed lookups only; never iterated.
-    fmms: RwLock<HashMap<Shape, Arc<Fmm>>>,
     pub metrics: Arc<Metrics>,
 }
 
@@ -27,8 +24,6 @@ impl Engine {
     pub fn new(registry_capacity: usize) -> Self {
         Engine {
             registry: Arc::new(PlanRegistry::new(registry_capacity)),
-            // det: see the field justification.
-            fmms: RwLock::new(HashMap::new()),
             metrics: Arc::new(Metrics::default()),
         }
     }
@@ -50,14 +45,18 @@ impl Engine {
                 shape.order
             ));
         }
-        let separation = match shape.separation {
-            1 => Separation::One,
-            2 => Separation::Two,
-            d => return Err(format!("separation {} not in {{1, 2}}", d)),
-        };
+        // `FmmConfig::order`'s radii are calibrated for two-separation and
+        // fail validation at one-separation for every order.
+        if shape.separation != 2 {
+            return Err(format!(
+                "separation {} is not served (only 2: one-separation needs \
+                 radii calibrated for it)",
+                shape.separation
+            ));
+        }
         let mut cfg = FmmConfig::order(shape.order as usize)
             .depth(shape.depth)
-            .separation(separation);
+            .separation(Separation::Two);
         if shape.mixed {
             cfg = cfg.precision(Precision::Mixed);
         }
@@ -65,25 +64,12 @@ impl Engine {
         Ok(cfg)
     }
 
-    /// The `Fmm` instance serving `shape`, built on first use. Shapes
-    /// that differ only in `forces` share one instance and its translation
-    /// set. All instances resolve plans from the shared registry, so a new
-    /// tenant whose plan key matches a resident one costs zero plan builds.
-    pub fn fmm_for(&self, shape: &Shape) -> Result<Arc<Fmm>, String> {
-        let key = Shape {
-            forces: false,
-            ..*shape
-        };
-        if let Some(f) = self.fmms.read().unwrap().get(&key) {
-            return Ok(Arc::clone(f));
-        }
-        let cfg = Self::config_for(&key)?;
-        let built = Arc::new(
-            Fmm::with_registry(cfg, Arc::clone(&self.registry)).map_err(|e| e.to_string())?,
-        );
-        let mut w = self.fmms.write().unwrap();
-        // Double-check: another tenant may have built it while we did.
-        Ok(Arc::clone(w.entry(key).or_insert(built)))
+    /// The `Fmm` serving `shape` (`forces` is a call argument, not part of
+    /// the configuration): its translation set and plans come from the
+    /// shared registry, built only by the first shape that needs them.
+    pub fn fmm_for(&self, shape: &Shape) -> Result<Fmm, String> {
+        let cfg = Self::config_for(shape)?;
+        Fmm::with_registry(cfg, Arc::clone(&self.registry)).map_err(|e| e.to_string())
     }
 
     /// Execute one coalesced batch and deliver each job its slice. Every
@@ -147,21 +133,64 @@ mod tests {
         }
     }
 
+    /// A job of `n` particles and the receiver of its reply.
+    fn job(seed: usize, n: usize) -> (Job, mpsc::Receiver<Result<EvalResponse, String>>) {
+        let (tx, rx) = mpsc::sync_channel(1);
+        let positions = (0..n)
+            .map(|j| {
+                let f = (seed * 37 + j) as f64 / 40.0;
+                [f % 1.0, (f * 1.7) % 1.0, (f * 2.3) % 1.0]
+            })
+            .collect();
+        let charges = (0..n)
+            .map(|j| if j % 3 == 0 { -1.0 } else { 1.0 })
+            .collect();
+        let job = Job {
+            positions,
+            charges,
+            tx,
+        };
+        (job, rx)
+    }
+
     #[test]
-    fn instances_are_cached_and_share_the_registry() {
+    fn shapes_share_one_set_and_one_plan_per_depth() {
         let eng = Engine::new(8);
-        let a = eng.fmm_for(&shape()).unwrap();
-        let b = eng.fmm_for(&shape()).unwrap();
-        assert!(Arc::ptr_eq(&a, &b));
-        let mut forces = shape();
-        forces.forces = true;
-        // Fields are a call argument: a forces-only difference is the
-        // same instance, translation set and plan.
-        let c = eng.fmm_for(&forces).unwrap();
-        assert!(Arc::ptr_eq(&a, &c));
-        a.plan_for(2);
-        c.plan_for(2);
-        assert_eq!(eng.registry().stats().plan_builds, 1);
+        let mut seed = 0;
+        for round in 0..2 {
+            for depth in [2, 3] {
+                for mixed in [false, true] {
+                    for forces in [false, true] {
+                        let s = Shape {
+                            order: 5,
+                            depth,
+                            mixed,
+                            forces,
+                            ..shape()
+                        };
+                        seed += 1;
+                        let (j, rx) = job(seed, 48);
+                        let (positions, charges) = (j.positions.clone(), j.charges.clone());
+                        eng.run_batch(s, vec![j]);
+                        let got = rx.recv().unwrap().unwrap();
+                        let solo = Fmm::new(Engine::config_for(&s).unwrap()).unwrap();
+                        let want = if forces {
+                            solo.evaluate_forces(&positions, &charges).unwrap()
+                        } else {
+                            solo.evaluate(&positions, &charges).unwrap()
+                        };
+                        let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                        assert_eq!(bits(&got.potentials), bits(&want.potentials), "{s:?}");
+                        let flat = |f: Option<Vec<[f64; 3]>>| f.map(|f| bits(&f.concat()));
+                        assert_eq!(flat(got.fields), flat(want.fields), "{s:?}");
+                        let st = eng.registry().stats();
+                        assert_eq!(st.set_builds, 1, "round {round}, {s:?}");
+                    }
+                }
+            }
+        }
+        // One plan per depth, whatever the precision or the fields.
+        assert_eq!(eng.registry().stats().plan_builds, 2);
     }
 
     #[test]
@@ -173,27 +202,18 @@ mod tests {
         s = shape();
         s.separation = 3;
         assert!(eng.fmm_for(&s).is_err());
+        // One-separation fails validation with `FmmConfig::order`'s radii,
+        // so it is refused by name before any build.
+        s.separation = 1;
+        let err = eng.fmm_for(&s).err().unwrap();
+        assert!(err.contains("separation 1"), "{err}");
+        assert_eq!(eng.registry().stats().set_builds, 0);
     }
 
     #[test]
     fn run_batch_answers_every_job() {
         let eng = Engine::new(8);
-        let mut jobs = Vec::new();
-        let mut rxs = Vec::new();
-        for i in 0..3 {
-            let (tx, rx) = mpsc::sync_channel(1);
-            jobs.push(Job {
-                positions: (0..32)
-                    .map(|j| {
-                        let f = (i * 37 + j) as f64 / 40.0;
-                        [f % 1.0, (f * 1.7) % 1.0, (f * 2.3) % 1.0]
-                    })
-                    .collect(),
-                charges: vec![1.0; 32],
-                tx,
-            });
-            rxs.push(rx);
-        }
+        let (jobs, rxs): (Vec<_>, Vec<_>) = (0..3).map(|i| job(i, 32)).unzip();
         eng.run_batch(shape(), jobs);
         for rx in rxs {
             let resp = rx.recv().unwrap().unwrap();

@@ -15,26 +15,50 @@ pub struct HttpRequest {
     pub body: Vec<u8>,
 }
 
-/// Read a single HTTP request from the stream.
-pub fn read_request<R: Read>(r: &mut BufReader<R>) -> io::Result<HttpRequest> {
+/// Longest request line or header line the reader accepts, terminator
+/// included.
+const MAX_LINE: u64 = 8 * 1024;
+
+/// Most header lines the reader accepts.
+const MAX_HEADERS: usize = 64;
+
+fn invalid(msg: &str) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidData, msg)
+}
+
+/// One line of the request head, read through `take` so a peer that never
+/// sends a newline costs at most [`MAX_LINE`] bytes.
+fn read_head_line<R: Read>(r: &mut BufReader<R>) -> io::Result<String> {
     let mut line = String::new();
-    r.read_line(&mut line)?;
+    let n = r.by_ref().take(MAX_LINE).read_line(&mut line)?;
+    if n as u64 == MAX_LINE && !line.ends_with('\n') {
+        return Err(invalid("request head line too long"));
+    }
+    Ok(line)
+}
+
+/// Read a single HTTP request from the stream. The head is bounded (each
+/// line at 8 KiB, at most 64 headers; `InvalidData` past either), the body
+/// at the binary protocol's frame cap.
+pub fn read_request<R: Read>(r: &mut BufReader<R>) -> io::Result<HttpRequest> {
+    let line = read_head_line(r)?;
     let mut parts = line.split_whitespace();
     let method = parts
         .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "empty request line"))?
+        .ok_or_else(|| invalid("empty request line"))?
         .to_string();
-    let path = parts
-        .next()
-        .ok_or_else(|| io::Error::new(io::ErrorKind::InvalidData, "no path"))?
-        .to_string();
+    let path = parts.next().ok_or_else(|| invalid("no path"))?.to_string();
     let mut content_length = 0usize;
+    let mut headers = 0;
     loop {
-        let mut h = String::new();
-        r.read_line(&mut h)?;
+        let h = read_head_line(r)?;
         let h = h.trim_end();
         if h.is_empty() {
             break;
+        }
+        headers += 1;
+        if headers > MAX_HEADERS {
+            return Err(invalid("too many headers"));
         }
         if let Some((name, val)) = h.split_once(':') {
             if name.eq_ignore_ascii_case("content-length") {
@@ -46,7 +70,7 @@ pub fn read_request<R: Read>(r: &mut BufReader<R>) -> io::Result<HttpRequest> {
         }
     }
     if content_length > crate::protocol::MAX_FRAME as usize {
-        return Err(io::Error::new(io::ErrorKind::InvalidData, "body too large"));
+        return Err(invalid("body too large"));
     }
     let mut body = vec![0u8; content_length];
     r.read_exact(&mut body)?;
@@ -75,7 +99,9 @@ pub fn write_response<W: Write>(
 
 /// Parse the `/evaluate` JSON body. Required: `positions` (flat, 3·n) and
 /// `charges` (n). Optional with defaults: `order` 5, `depth` 2,
-/// `separation` 2, `precision` `"f64"`, `forces` false.
+/// `separation` 2, `precision` `"f64"`, `forces` false. `separation` 1
+/// parses, but the engine refuses it: serving one-separation needs sphere
+/// radii calibrated for it, and `FmmConfig::order`'s fail validation there.
 pub fn eval_request_from_json(body: &[u8]) -> Result<EvalRequest, String> {
     let text = std::str::from_utf8(body).map_err(|e| e.to_string())?;
     let v = json::parse(text)?;

@@ -5,11 +5,11 @@
 //! crate replays that trick across *requests*: a long-running, std-only
 //! (no async runtime) TCP server whose **coalescing batcher** merges
 //! same-shape requests within a time/size window into one
-//! [`fmm_core::Fmm::evaluate_requests`] call, and whose tenants' `Fmm`
-//! instances all resolve traversal plans from one process-wide
-//! [`fmm_core::PlanRegistry`] — a new tenant whose
-//! `(depth, K, separation, executor, kernel, precision)` matches a
-//! resident plan costs zero plan builds.
+//! [`fmm_core::Fmm::evaluate_requests`] call on an `Fmm` built over one
+//! process-wide [`fmm_core::PlanRegistry`], the only cache: a new tenant
+//! whose translation-set key (sphere rule, truncation, radii, separation)
+//! or plan key (depth, separation, kernel) matches a resident one costs
+//! no build.
 //!
 //! Two front doors on one port, distinguished by the first bytes of the
 //! connection:

@@ -3,8 +3,9 @@
 //! PetFMM's lesson (PAPERS.md): once workloads are heterogeneous,
 //! per-request cost accounting — queue depth, batch occupancy — must be
 //! first-class. Everything here is a relaxed atomic; the registry's own
-//! counters (`plan_builds` / `plan_hits` / evictions) are scraped live
-//! from the shared [`fmm_core::PlanRegistry`] at render time.
+//! counters (of plans: builds, hits, evictions, entries; of translation
+//! sets: builds, hits, entries) are scraped live from the shared
+//! [`fmm_core::PlanRegistry`] at render time.
 
 use fmm_core::PlanRegistry;
 use std::fmt::Write as _;
@@ -128,6 +129,21 @@ impl Metrics {
             "plans currently resident in the registry",
             reg.entries as u64,
         );
+        line(
+            "fmm_set_builds",
+            "translation sets built by the shared registry",
+            reg.set_builds,
+        );
+        line(
+            "fmm_set_hits",
+            "translation-set lookups served from the shared registry",
+            reg.set_hits,
+        );
+        line(
+            "fmm_set_entries",
+            "translation sets currently resident in the registry",
+            reg.set_entries as u64,
+        );
         s
     }
 }
@@ -146,5 +162,6 @@ mod tests {
         assert!(text.contains("fmm_requests_total 1"));
         assert!(text.contains("fmm_particles_total 64"));
         assert!(text.contains("fmm_plan_builds 0"));
+        assert!(text.contains("fmm_set_builds 0"));
     }
 }

@@ -60,13 +60,13 @@ impl Opcode {
 }
 
 /// The evaluation parameters every request carries; requests whose shapes
-/// agree are coalescable (they resolve to the same `Fmm` instance and
-/// plan key).
+/// agree are coalescable (they evaluate as one batch on one
+/// configuration).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct Shape {
     pub order: u16,
     pub depth: u32,
-    /// Well-separateness d ∈ {1, 2}.
+    /// Well-separateness d ∈ {1, 2}; the engine serves 2 only.
     pub separation: u8,
     /// Mixed-precision near field.
     pub mixed: bool,

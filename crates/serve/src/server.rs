@@ -291,7 +291,23 @@ fn info_json(engine: &Arc<Engine>) -> String {
         .map(|(k, bytes)| {
             let mut p = BTreeMap::new();
             p.insert("depth".into(), Value::Num(k.depth as f64));
-            p.insert("k".into(), Value::Num(k.k as f64));
+            p.insert("separation".into(), Value::Num(k.separation.d() as f64));
+            p.insert("bytes".into(), Value::Num(bytes as f64));
+            Value::Obj(p)
+        })
+        .collect();
+    let sets: Vec<Value> = engine
+        .registry()
+        .set_snapshot()
+        .into_iter()
+        .map(|(k, bytes)| {
+            let mut p = BTreeMap::new();
+            p.insert(
+                "rule".into(),
+                Value::Str(format!("{:?}", k.rule).to_lowercase()),
+            );
+            p.insert("degree".into(), Value::Num(k.degree as f64));
+            p.insert("separation".into(), Value::Num(k.separation.d() as f64));
             p.insert("bytes".into(), Value::Num(bytes as f64));
             Value::Obj(p)
         })
@@ -316,6 +332,7 @@ fn info_json(engine: &Arc<Engine>) -> String {
     );
     obj.insert("registry".into(), Value::Obj(registry));
     obj.insert("plans".into(), Value::Arr(plans));
+    obj.insert("sets".into(), Value::Arr(sets));
     json::write(&Value::Obj(obj))
 }
 

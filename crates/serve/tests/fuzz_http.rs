@@ -135,3 +135,53 @@ proptest! {
         prop_assert_eq!(v.get("batch_size").unwrap().as_usize(), Some(batch));
     }
 }
+
+/// A reader that counts the bytes taken from it.
+struct Counting<R> {
+    inner: R,
+    taken: std::rc::Rc<std::cell::Cell<usize>>,
+}
+
+impl<R: std::io::Read> std::io::Read for Counting<R> {
+    fn read(&mut self, buf: &mut [u8]) -> std::io::Result<usize> {
+        let n = self.inner.read(buf)?;
+        self.taken.set(self.taken.get() + n);
+        Ok(n)
+    }
+}
+
+/// The request head is bounded: a header that never ends is refused after
+/// at most 8 KiB past the request line, not buffered whole, and so is a
+/// head of more than 64 headers.
+#[test]
+fn unbounded_request_heads_are_refused() {
+    let first = b"GET /healthz HTTP/1.1\r\n";
+    let mut raw = first.to_vec();
+    raw.extend_from_slice(b"X-Pad: ");
+    raw.extend(std::iter::repeat_n(b'a', 1 << 20));
+    let taken = std::rc::Rc::new(std::cell::Cell::new(0));
+    let src = Counting {
+        inner: raw.as_slice(),
+        taken: taken.clone(),
+    };
+    // A one-byte buffer: every byte the reader consumes is counted, and no
+    // more.
+    let mut r = BufReader::with_capacity(1, src);
+    let err = read_request(&mut r).err().expect("endless header refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+    assert!(
+        taken.get() <= first.len() + 8 * 1024,
+        "read {} bytes",
+        taken.get()
+    );
+
+    let mut raw = first.to_vec();
+    for i in 0..65 {
+        raw.extend_from_slice(format!("X-H{i}: v\r\n").as_bytes());
+    }
+    raw.extend_from_slice(b"\r\n");
+    let err = read_request(&mut BufReader::new(raw.as_slice()))
+        .err()
+        .expect("65 headers refused");
+    assert_eq!(err.kind(), std::io::ErrorKind::InvalidData);
+}

@@ -293,6 +293,9 @@ fn metrics_and_info_report_the_registry() {
     assert!(status.contains("200"));
     assert!(metrics.contains("fmm_requests_total 1"), "{metrics}");
     assert!(metrics.contains("fmm_plan_builds 1"), "{metrics}");
+    assert!(metrics.contains("fmm_set_builds 1"), "{metrics}");
+    assert!(metrics.contains("fmm_set_hits 0"), "{metrics}");
+    assert!(metrics.contains("fmm_set_entries 1"), "{metrics}");
     assert!(metrics.contains("fmm_batches_total 1"), "{metrics}");
 
     // Info over the binary door.
@@ -309,6 +312,13 @@ fn metrics_and_info_report_the_registry() {
             .as_usize(),
         Some(1)
     );
+    // One translation set: the order-3 octahedron's.
+    let Some(fmm_serve::json::Value::Arr(sets)) = v.get("sets") else {
+        panic!("no sets array: {info}")
+    };
+    assert_eq!(sets.len(), 1, "{info}");
+    assert_eq!(sets[0].get("rule").unwrap().as_str(), Some("octahedron"));
+    assert!(sets[0].get("bytes").unwrap().as_usize().unwrap() > 0);
     // The fabrics the SPMD executor can run over, in declaration order.
     assert!(
         info.contains(r#""transports":["inprocess","unix","tcp"]"#),

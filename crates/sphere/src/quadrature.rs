@@ -16,7 +16,7 @@ use crate::gauss::gauss_legendre;
 use crate::Vec3;
 
 /// How a [`SphereRule`] was constructed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum SphereRuleKind {
     /// Regular tetrahedron vertices: K = 4, exact to degree 2.
     Tetrahedron,

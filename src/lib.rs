@@ -39,7 +39,7 @@ pub use fmm_sphere;
 pub use fmm_spmd;
 pub use fmm_tree;
 
-pub use fmm_core::{BatchRequest, PlanKey, PlanRegistry, RegistryStats};
+pub use fmm_core::{BatchRequest, PlanKey, PlanRegistry, RegistryStats, TranslationKey};
 pub use fmm_core::{Counters, Fabric, SpmdOptions};
 pub use fmm_core::{DepthPolicy, EvalOutput, Executor, Fmm, FmmConfig, FmmError, Precision};
 pub use fmm_linalg::Kernel;
