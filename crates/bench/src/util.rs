@@ -51,7 +51,9 @@ pub fn peak_gemm_gflops() -> f64 {
 /// "all-redundant" strategy, Figs. 8–9), for the paper's K = 12, 50, 72 and
 /// this repo's headline K = 120. `build(rule, m)` builds the matrices and
 /// returns how many it evaluated from the series and how many it derived
-/// from a mirror image; the best of three calls is reported.
+/// from a mirror image. The build runs on the thread pool, so the one-core
+/// time is taken inside a one-thread install; the pool column is the same
+/// build on every pool thread. Each is the best of three calls.
 pub fn measured_build_table(
     model_matrices: usize,
     build: impl Fn(&fmm_core::SphereRule, usize) -> (usize, usize),
@@ -59,18 +61,31 @@ pub fn measured_build_table(
     use crate::machine::replication::{precompute_cost, ReplicationStrategy};
     use fmm_core::translations::matrix_build_flops;
     let cost = crate::machine::cost::CostModel::cm5e();
+    let one_core = rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread scope");
     println!(
-        "{:>4} {:>3} {:>6} {:>8} {:>12} {:>10} {:>12} {:>14}",
-        "K", "M", "built", "derived", "build", "ns/entry", "flops/entry", "CM-5E model"
+        "{:>4} {:>3} {:>6} {:>8} {:>12} {:>10} {:>12} {:>14} {:>12}",
+        "K",
+        "M",
+        "built",
+        "derived",
+        "build",
+        "ns/entry",
+        "flops/entry",
+        "CM-5E model",
+        format!("pool ({})", rayon::current_num_threads())
     );
     for (d, m) in [(5usize, 3usize), (9, 5), (11, 8), (14, 8)] {
         let rule = fmm_core::SphereRule::for_order(d);
         let k = rule.len();
-        let (t, (built, derived)) = best_of(3, || build(&rule, m));
+        let (t, (built, derived)) = one_core.install(|| best_of(3, || build(&rule, m)));
+        let (t_pool, _) = best_of(3, || build(&rule, m));
         let strategy = ReplicationStrategy::ComputeAllRedundant;
         let model = precompute_cost(model_matrices, k, m, 1, strategy, 0, &cost);
         println!(
-            "{:>4} {:>3} {:>6} {:>8} {:>10.3}ms {:>10.2} {:>12} {:>12.1}ms",
+            "{:>4} {:>3} {:>6} {:>8} {:>10.3}ms {:>10.2} {:>12} {:>12.1}ms {:>10.3}ms",
             k,
             m,
             built,
@@ -78,14 +93,16 @@ pub fn measured_build_table(
             t * 1e3,
             t * 1e9 / (built * k * k) as f64,
             matrix_build_flops(k, m) / (k * k) as u64,
-            model.total_s() * 1e3
+            model.total_s() * 1e3,
+            t_pool * 1e3
         );
     }
     println!(
-        "(ns/entry over the built matrices only, the derived ones' permuted\n\
-         copies included in the time; flops/entry is `matrix_build_flops`,\n\
-         7 per series term + 10: the build runs at flops/entry ÷ ns/entry\n\
-         Gflop/s, bounded by one divide per term.)"
+        "(build and ns/entry on one core; ns/entry over the built matrices\n\
+         only, the derived ones' permuted copies included in the time;\n\
+         flops/entry is `matrix_build_flops`, 7 per series term + 10: the\n\
+         build runs at flops/entry ÷ ns/entry Gflop/s, bounded by one divide\n\
+         per term. pool: the same build on every pool thread.)"
     );
 }
 

@@ -565,49 +565,65 @@ pub fn batcher_replica_overflow(reset_tick: bool, opts: &Options) -> ModelReport
 // Lock ordering: the checker's AB/BA self-test.
 // ---------------------------------------------------------------------
 
-/// The checker's self-test for lock-order deadlocks, on two stand-in
-/// locks named after the registry's plan map and set map. No production
-/// path nests them: `Fmm::with_registry` takes only the set map's lock
-/// and returns before any plan is looked up, and a plan lookup takes only
-/// the plan map's. Healthy, both tenants take `plans` before `sets` and
-/// the model is deadlock-free under every schedule; the `swap-lock-order`
-/// mutant reverses one tenant, and the checker must find the AB/BA
-/// schedule that deadlocks.
+/// The checker's self-test for lock-order deadlocks, on three stand-in
+/// locks named after the registry's plan map and set map and the thread
+/// pool's queue. No production path nests the two maps:
+/// `Fmm::with_registry` takes only the set map's lock and returns before
+/// any plan is looked up, and a plan lookup takes only the plan map's. One
+/// path nests the queue under the set map: a cold set build runs its
+/// parallel regions inside the set map's write lock, and publishing a
+/// region takes the queue lock for one push. A pool worker takes the queue
+/// lock alone and holds no lock while it runs a piece. Healthy, both
+/// tenants take `plans` → `sets` → `queue`, a worker takes `queue` alone,
+/// and the model is deadlock-free under every schedule; the
+/// `swap-lock-order` mutant reverses one tenant's first two, and the
+/// checker must find the AB/BA schedule that deadlocks.
 pub fn lock_order(swapped: bool, opts: &Options) -> ModelReport {
     let result = explore(opts, move || {
         let plans = Arc::new(Mutex::new(0u32));
         let sets = Arc::new(Mutex::new(0u32));
+        let queue = Arc::new(Mutex::new(0u32));
         let a = {
-            let (plans, sets) = (plans.clone(), sets.clone());
+            let (plans, sets, queue) = (plans.clone(), sets.clone(), queue.clone());
             spawn("tenant-a".into(), move || {
                 let mut p = plans.lock().unwrap();
-                // lock-order: plans → sets.
+                // lock-order: plans → sets → queue.
                 let mut t = sets.lock().unwrap();
+                *queue.lock().unwrap() += 1;
                 *p += 1;
                 *t += 1;
             })
         };
         let b = {
-            let (plans, sets) = (plans.clone(), sets.clone());
+            let (plans, sets, queue) = (plans.clone(), sets.clone(), queue.clone());
             spawn("tenant-b".into(), move || {
                 if swapped {
                     let mut t = sets.lock().unwrap();
                     // Seeded bug: acquisition order reversed (sets →
                     // plans), the classic AB/BA deadlock against tenant-a.
                     let mut p = plans.lock().unwrap();
+                    *queue.lock().unwrap() += 1;
                     *p += 1;
                     *t += 1;
                 } else {
                     let mut p = plans.lock().unwrap();
-                    // lock-order: plans → sets.
+                    // lock-order: plans → sets → queue.
                     let mut t = sets.lock().unwrap();
+                    *queue.lock().unwrap() += 1;
                     *p += 1;
                     *t += 1;
                 }
             })
         };
+        let worker = {
+            let queue = queue.clone();
+            spawn("pool-worker".into(), move || {
+                *queue.lock().unwrap() += 1;
+            })
+        };
         a.join().unwrap();
         b.join().unwrap();
+        worker.join().unwrap();
     });
     ModelReport {
         name: if swapped {

@@ -24,6 +24,7 @@
 use fmm_linalg::Matrix;
 use fmm_sphere::{inner_kernel_row, outer_kernel_row, Mirror, SphereRule};
 use fmm_tree::{interactive_field_union, supernode_decomposition, Separation};
+use rayon::prelude::*;
 use std::collections::HashMap;
 
 /// Offsets of the eight child centres relative to their parent's centre,
@@ -120,15 +121,53 @@ fn conjugate(m: &Matrix, sigma: &[usize]) -> Matrix {
     Matrix::from_vec(k, k, out)
 }
 
-/// The first stored mirror image of a key, conjugated back: `stored(g)` is
-/// the matrix at g's image of the key, if there is one yet.
-fn mirror_image<'s>(
-    mirrors: &[Mirror],
-    stored: impl Fn(&Mirror) -> Option<&'s Matrix>,
-) -> Option<Matrix> {
-    mirrors
-        .iter()
-        .find_map(|g| stored(g).map(|mt| conjugate(mt, &g.sigma)))
+/// What a stored matrix is a function of: its family and its geometry.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum Key {
+    /// T1 of a child octant.
+    T1(usize),
+    /// T3 of a child octant.
+    T3(usize),
+    /// Child-level T2 by source-centre offset.
+    T2([i32; 3]),
+    /// Supernode T2 by doubled parent-centre offset.
+    Super([i32; 3]),
+}
+
+impl Key {
+    /// The key of g's mirror image of this geometry: g sends octant `oct`
+    /// to `oct ^ g.flips` and an offset to its flipped offset.
+    fn image(self, g: &Mirror) -> Key {
+        match self {
+            Key::T1(oct) => Key::T1(oct ^ g.flips),
+            Key::T3(oct) => Key::T3(oct ^ g.flips),
+            Key::T2(o) => Key::T2(g.apply(o)),
+            Key::Super(key) => Key::Super(g.apply(key)),
+        }
+    }
+
+    /// The largest offset component, 0 for an octant.
+    fn reach(self) -> i32 {
+        match self {
+            Key::T1(_) | Key::T3(_) => 0,
+            Key::T2(v) | Key::Super(v) => v.into_iter().map(i32::abs).max().unwrap_or(0),
+        }
+    }
+
+    /// A dense index, below `16 + 2(2r+1)³`, for keys of reach ≤ r.
+    fn slot(self, r: i32) -> usize {
+        let w = (2 * r + 1) as usize;
+        let cube = |v: [i32; 3]| {
+            let [x, y, z] = v.map(|c| (c + r) as usize);
+            (z * w + y) * w + x
+        };
+        match self {
+            Key::T1(oct) => oct,
+            Key::T3(oct) => 8 + oct,
+            Key::T2(o) => 16 + cube(o),
+            Key::Super(key) => 16 + w * w * w + cube(key),
+        }
+    }
 }
 
 /// The series evaluation of each family's matrices, from their geometry
@@ -141,6 +180,15 @@ struct Direct<'a> {
 }
 
 impl Direct<'_> {
+    fn eval(&self, key: Key) -> Matrix {
+        match key {
+            Key::T1(oct) => self.t1(oct),
+            Key::T3(oct) => self.t3(oct),
+            Key::T2(o) => self.t2(o),
+            Key::Super(key) => self.t2_super(key),
+        }
+    }
+
     /// T1: parent sample j is the child's outer approximation evaluated at
     /// the parent integration point (2ρ s_j, relative to the parent
     /// centre), i.e. at 2ρ s_j − c_oct relative to the child centre.
@@ -182,14 +230,68 @@ impl Direct<'_> {
             outer_kernel_row(rule, self.m, a, x, row)
         })
     }
+
+    /// Every distinct key of `keys` with its matrix, in walk order, and the
+    /// keys evaluated from the series — one per mirror orbit. A serial walk
+    /// marks a key as its orbit's representative when no image of it is
+    /// one yet (the mirrors form a group, so an orbit met before has its
+    /// representative among the key's images). The representatives are
+    /// evaluated in one parallel region, and every other key is conjugated
+    /// from its representative in another. A derived matrix has the bits
+    /// of its own series evaluation, so neither the route nor the thread
+    /// count moves a bit.
+    fn orbits(&self, keys: &[Key]) -> (Vec<(Key, Matrix)>, Vec<Key>) {
+        let mirrors = self.rule.mirrors();
+        let r = keys.iter().map(|key| key.reach()).max().unwrap_or(0);
+        let w = (2 * r + 1) as usize;
+        // Per slot: the representative of the key there, once met.
+        let mut rep_of: Vec<Option<usize>> = vec![None; 16 + 2 * w * w * w];
+        let mut reps = Vec::new();
+        // Per distinct key: its representative and the mirror that maps
+        // the representative to it (`None`: the key is one).
+        let mut route = Vec::with_capacity(keys.len());
+        for &key in keys {
+            if rep_of[key.slot(r)].is_some() {
+                continue;
+            }
+            let image = mirrors.iter().find_map(|g| {
+                let image = key.image(g);
+                let rep = rep_of[image.slot(r)].filter(|&i| reps[i] == image);
+                rep.map(|i| (i, Some(g)))
+            });
+            let (rep, g) = image.unwrap_or_else(|| {
+                reps.push(key);
+                (reps.len() - 1, None)
+            });
+            rep_of[key.slot(r)] = Some(rep);
+            route.push((key, rep, g));
+        }
+        let built: Vec<Matrix> = reps.par_iter().map(|&key| self.eval(key)).collect();
+        let derived: Vec<Option<Matrix>> = route
+            .par_iter()
+            .map(|&(_, rep, g)| g.map(|g: &Mirror| conjugate(&built[rep], &g.sigma)))
+            .collect();
+        // The representatives were met in walk order: each `None` takes the
+        // next built matrix.
+        let mut built = built.into_iter();
+        let matrices = route
+            .iter()
+            .zip(derived)
+            .map(|(&(key, ..), mt)| {
+                let mt = mt.or_else(|| built.next());
+                (key, mt.expect("one per representative"))
+            })
+            .collect();
+        (matrices, reps)
+    }
 }
 
 impl TranslationSet {
     /// The eight T1 and the eight T3 matrices (transposed, by octant) for
     /// sphere radii in units of the *child* box side, and how many of the
     /// sixteen were evaluated from the series: a mirror g sends octant
-    /// `oct` to `oct ^ g.flips`, so an octant with a lower mirror image is
-    /// derived from it.
+    /// `oct` to `oct ^ g.flips`, so only one octant per mirror orbit is
+    /// evaluated. The same walk as [`TranslationSet::build`], on the pool.
     pub fn build_t1_t3(
         rule: &SphereRule,
         m: usize,
@@ -202,22 +304,11 @@ impl TranslationSet {
             outer_ratio,
             inner_ratio,
         };
-        let mirrors = rule.mirrors();
-        let (mut t1t, mut t3t, mut built) = (Vec::with_capacity(8), Vec::with_capacity(8), 0);
-        for oct in 0..8 {
-            match mirrors.iter().find(|g| oct ^ g.flips < oct) {
-                Some(g) => {
-                    t1t.push(conjugate(&t1t[oct ^ g.flips], &g.sigma));
-                    t3t.push(conjugate(&t3t[oct ^ g.flips], &g.sigma));
-                }
-                None => {
-                    t1t.push(direct.t1(oct));
-                    t3t.push(direct.t3(oct));
-                    built += 2;
-                }
-            }
-        }
-        (t1t, t3t, built)
+        let keys: Vec<Key> = (0..8).map(Key::T1).chain((0..8).map(Key::T3)).collect();
+        let (matrices, reps) = direct.orbits(&keys);
+        let mut t1t: Vec<Matrix> = matrices.into_iter().map(|(_, mt)| mt).collect();
+        let t3t = t1t.split_off(8);
+        (t1t, t3t, reps.len())
     }
 
     /// Build the matrices for a rule, truncation, sphere radii (in units of
@@ -228,11 +319,17 @@ impl TranslationSet {
     /// not the rest of the T2 cube, so it serves `downward_pass(…,
     /// supernodes = true, …)` only; without it, the plain traversal only.
     ///
-    /// The walk evaluates a matrix only when none of its mirror images is
-    /// stored yet, and derives it from one otherwise. The icosahedral rule
-    /// (all seven flips) thus builds 189 of the 1206 T2 matrices, one per
-    /// orbit of [−5,5]³∖[−2,2]³, and 2 of the 16 T1/T3; a product rule
-    /// (the z flip) 651 and 8; a rule with no mirrors, everything.
+    /// One walk over every key of every family evaluates one matrix per
+    /// mirror orbit and derives the rest by index permutation. The
+    /// icosahedron and the odd-degree product rules (all seven flips) thus
+    /// build 189 of the 1206 T2 matrices, one per orbit of
+    /// [−5,5]³∖[−2,2]³, and 2 of the 16 T1/T3; the even-degree product
+    /// rules (the y, z and yz flips) 351 and 4; a rule with no mirrors,
+    /// everything. Both the evaluations and the derivations run on the
+    /// shared thread pool whatever [`crate::Executor`] evaluates with: a
+    /// set is shared by every instance with its [`crate::TranslationKey`],
+    /// and the executor governs evaluation only. The bits do not depend on
+    /// the thread count.
     pub fn build(
         rule: &SphereRule,
         m: usize,
@@ -241,56 +338,49 @@ impl TranslationSet {
         separation: Separation,
         with_supernodes: bool,
     ) -> Self {
-        let (t1t, t3t, built_t1t3) = Self::build_t1_t3(rule, m, outer_ratio, inner_ratio);
         let direct = Direct {
             rule,
             m,
             outer_ratio,
             inner_ratio,
         };
-        let mirrors = rule.mirrors();
+        let mut keys: Vec<Key> = (0..8).map(Key::T1).chain((0..8).map(Key::T3)).collect();
+        if with_supernodes {
+            let decompositions: Vec<_> = (0..8)
+                .map(|oct| {
+                    supernode_decomposition([oct & 1, (oct >> 1) & 1, (oct >> 2) & 1], separation)
+                })
+                .collect();
+            // The supernode key set is shared across octants.
+            let parents = decompositions.iter().flat_map(|sd| &sd.parents);
+            keys.extend(parents.map(|p| Key::Super(p.center_offset_half)));
+            let children = decompositions.iter().flat_map(|sd| &sd.children);
+            keys.extend(children.map(|&o| Key::T2(o)));
+        } else {
+            keys.extend(interactive_field_union(separation).into_iter().map(Key::T2));
+        }
+        let (matrices, reps) = direct.orbits(&keys);
 
         let w = (4 * separation.d() + 3) as usize;
+        let mut t1t = Vec::with_capacity(8);
+        let mut t3t = Vec::with_capacity(8);
         let mut t2t: Vec<Option<Matrix>> = vec![None; w * w * w];
         // det: keyed lookups only (see the field's justification).
         let mut t2t_super = HashMap::new();
-        let mut built_t2 = 0;
-        let mut child_offsets = Vec::new();
-        if with_supernodes {
-            // The supernode key set is shared across octants.
-            for oct in 0..8 {
-                let sd =
-                    supernode_decomposition([oct & 1, (oct >> 1) & 1, (oct >> 2) & 1], separation);
-                child_offsets.extend(sd.children);
-                for key in sd.parents.iter().map(|p| p.center_offset_half) {
-                    if t2t_super.contains_key(&key) {
-                        continue;
-                    }
-                    let mt = mirror_image(&mirrors, |g| t2t_super.get(&g.apply(key)))
-                        .unwrap_or_else(|| {
-                            built_t2 += 1;
-                            direct.t2_super(key)
-                        });
+        for (key, mt) in matrices {
+            match key {
+                Key::T1(_) => t1t.push(mt),
+                Key::T3(_) => t3t.push(mt),
+                Key::T2(o) => t2t[Self::t2_index_for(separation, o)] = Some(mt),
+                Key::Super(key) => {
                     t2t_super.insert(key, mt);
                 }
             }
-        } else {
-            child_offsets = interactive_field_union(separation);
         }
-        for o in child_offsets {
-            let i = Self::t2_index_for(separation, o);
-            if t2t[i].is_some() {
-                continue;
-            }
-            let mt = mirror_image(&mirrors, |g| {
-                t2t[Self::t2_index_for(separation, g.apply(o))].as_ref()
-            })
-            .unwrap_or_else(|| {
-                built_t2 += 1;
-                direct.t2(o)
-            });
-            t2t[i] = Some(mt);
-        }
+        let built_t1t3 = reps
+            .iter()
+            .filter(|key| matches!(key, Key::T1(_) | Key::T3(_)))
+            .count();
 
         TranslationSet {
             k: rule.len(),
@@ -300,7 +390,7 @@ impl TranslationSet {
             t2t,
             t2t_super,
             built_t1t3,
-            built_t2,
+            built_t2: reps.len() - built_t1t3,
         }
     }
 
@@ -615,18 +705,21 @@ mod tests {
     /// One matrix is built per mirror orbit, and every derived matrix has
     /// the bits a direct build gives it, for each rule kind `for_order`
     /// picks: tetrahedron (order 1, 3 mirrors), octahedron (3, 7),
-    /// icosahedron (5, 7), product rules (6, 8, only the z flip). Under all
-    /// seven flips the 1206 T2 offsets fall into 189 orbits, one per point
-    /// of [0,5]³∖[0,2]³; under the z flip into 651, the 96 with oz = 0 and
-    /// 555 mirror pairs.
+    /// icosahedron (5, 7), product rules at even degree (6, 8: the y, z
+    /// and yz flips) and at odd degree (7: all seven). Under all seven
+    /// flips the 1206 T2 offsets fall into 189 orbits, one per point of
+    /// [0,5]³∖[0,2]³; under the y and z flips into 351, by Burnside
+    /// (1206 + 96 + 96 + 6)/4: 96 offsets have oy = 0, 96 have oz = 0 and 6
+    /// have both.
     #[test]
     fn derived_matrices_match_direct_builds() {
         let cases = [
             (1, 3, [(4, 306, 1206), (4, 252, 1002)]),
             (3, 7, [(2, 189, 1206), (2, 135, 1002)]),
             (5, 7, [(2, 189, 1206), (2, 135, 1002)]),
-            (6, 1, [(8, 651, 1206), (8, 513, 1002)]),
-            (8, 1, [(8, 651, 1206), (8, 513, 1002)]),
+            (6, 3, [(4, 351, 1206), (4, 263, 1002)]),
+            (7, 7, [(2, 189, 1206), (2, 135, 1002)]),
+            (8, 3, [(4, 351, 1206), (4, 263, 1002)]),
         ];
         for (order, mirrors, counts) in cases {
             assert_eq!(
@@ -637,14 +730,19 @@ mod tests {
         }
     }
 
-    /// The same at the high orders, K = 120 and 153.
+    /// The same at the high orders, K = 120, 128 and 153.
     #[test]
     #[cfg_attr(debug_assertions, ignore)]
     fn derived_matrices_match_direct_builds_high_order() {
-        for order in [14, 16] {
+        let cases = [
+            (14, 3, [(4, 351, 1206), (4, 263, 1002)]),
+            (15, 7, [(2, 189, 1206), (2, 135, 1002)]),
+            (16, 3, [(4, 351, 1206), (4, 263, 1002)]),
+        ];
+        for (order, mirrors, counts) in cases {
             assert_eq!(
                 derived_against_direct(order),
-                (1, [(8, 651, 1206), (8, 513, 1002)]),
+                (mirrors, counts),
                 "order {order}"
             );
         }
@@ -684,15 +782,22 @@ mod tests {
     /// under `supernodes`: T1, T3, the referenced T2 cube entries in index
     /// order, the supernode matrices in key order.
     fn set_checksum(order: usize, supernodes: bool) -> u64 {
+        checksum(&build_order(order, supernodes), supernodes)
+    }
+
+    fn build_order(order: usize, supernodes: bool) -> TranslationSet {
         let cfg = FmmConfig::order(order);
-        let ts = TranslationSet::build(
+        TranslationSet::build(
             &cfg.rule(),
             cfg.m_trunc,
             cfg.outer_ratio,
             cfg.inner_ratio,
             cfg.separation,
             supernodes,
-        );
+        )
+    }
+
+    fn checksum(ts: &TranslationSet, supernodes: bool) -> u64 {
         let idx = referenced_t2(supernodes);
         let mut keys: Vec<[i32; 3]> = ts.t2t_super.keys().copied().collect();
         keys.sort_unstable();
@@ -716,6 +821,8 @@ mod tests {
     /// The gate on the series body: every matrix entry, to the bit, as
     /// recorded at the commit before the lane-blocked body replaced the
     /// scalar loops. A "faster" recurrence that moves one bit fails here.
+    /// Order 8 was re-pinned once, when the product rule's azimuths became
+    /// exact sign images of one another (its points moved by ≤ 1.1e-15).
     #[test]
     fn translation_checksums_are_pinned() {
         assert_eq!(set_checksum(5, false), 0xbaf6_6b9c_fbdd_bd95, "order 5");
@@ -724,7 +831,26 @@ mod tests {
             0x7c72_9f20_04ad_f8f5,
             "order 5, supernodes"
         );
-        assert_eq!(set_checksum(8, false), 0xbb09_ec0b_18e7_34bd, "order 8");
+        assert_eq!(set_checksum(8, false), 0x8e6f_939f_0128_f4e0, "order 8");
+    }
+
+    /// The build's two parallel phases split by thread count; the stored
+    /// bits and the built/derived counts must not.
+    #[test]
+    fn set_bits_do_not_depend_on_threads() {
+        let run = |threads: usize| {
+            let pool = rayon::ThreadPoolBuilder::new()
+                .num_threads(threads)
+                .build()
+                .unwrap();
+            pool.install(|| {
+                [(5, false), (5, true), (8, false)].map(|(order, supernodes)| {
+                    let ts = build_order(order, supernodes);
+                    (checksum(&ts, supernodes), ts.built(), ts.derived())
+                })
+            })
+        };
+        assert_eq!(run(1), run(3));
     }
 
     #[test]

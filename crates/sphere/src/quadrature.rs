@@ -91,9 +91,11 @@ impl SphereRule {
     /// weight of the same bits. A kernel row depends on its point only
     /// through |x| and sᵢ·x, both exact under a flip, so the row at g·x is
     /// the row at x permuted by σ, to the bit. The tetrahedron has its 3
-    /// double flips; the octahedron, cube and icosahedron all 7; a product
-    /// rule only the z flip (its Gauss nodes are symmetric by construction,
-    /// its azimuths are not under rounding).
+    /// double flips; the octahedron, cube and icosahedron all 7. A product
+    /// rule's Gauss nodes and azimuths are both symmetric by construction
+    /// ([`SphereRule::product`]): at odd degree it has all 7, at even
+    /// degree (an odd number of azimuths, so no x flip) the y, z and yz
+    /// flips.
     pub fn mirrors(&self) -> Vec<Mirror> {
         (1..8)
             .filter_map(|flips| {
@@ -194,17 +196,25 @@ impl SphereRule {
 
     /// Gauss–Legendre (in cos θ) × trapezoid (in φ) product rule exact to
     /// degree `d`: `⌈(d+1)/2⌉ × (d+1)` points.
+    ///
+    /// The azimuths φ_j = 2πj/n (n = d + 1) are symmetric by construction,
+    /// as the Gauss nodes are: each (cos φ_j, sin φ_j) is written as an
+    /// exact sign image of one computed for a fundamental set of j (j ≤ n/2,
+    /// and j ≤ n/4 at even n). So the y flip (j → n − j) is a mirror of
+    /// every product rule, and at even n (odd d) so is the x flip
+    /// (j → n/2 − j). No grid 2π(j + c)/n has both at odd n, so at even d
+    /// the rule keeps the y, z and yz flips, and at odd d all seven.
     pub fn product(d: usize) -> Self {
         let n_theta = d / 2 + 1; // 2·n_theta − 1 ≥ d
         let n_phi = d + 1; // trapezoid exact for e^{imφ}, |m| ≤ n_phi − 1
         let (ct, wt) = gauss_legendre(n_theta);
         let mut points = Vec::with_capacity(n_theta * n_phi);
         let mut weights = Vec::with_capacity(n_theta * n_phi);
+        let azimuths: Vec<[f64; 2]> = (0..n_phi).map(|j| azimuth(j, n_phi)).collect();
         for (i, &c) in ct.iter().enumerate() {
             let s = (1.0 - c * c).max(0.0).sqrt();
-            for j in 0..n_phi {
-                let phi = 2.0 * std::f64::consts::PI * j as f64 / n_phi as f64;
-                points.push([s * phi.cos(), s * phi.sin(), c]);
+            for &[cos, sin] in &azimuths {
+                points.push([s * cos, s * sin, c]);
                 // Gauss weight integrates dμ/2 over cosθ; trapezoid gives
                 // 1/n_phi of the azimuthal mean.
                 weights.push(wt[i] / 2.0 / n_phi as f64);
@@ -228,6 +238,30 @@ impl SphereRule {
             _ => SphereRule::product(d),
         }
     }
+}
+
+/// (cos, sin) of φ_j = 2πj/n, folded onto the fundamental set so that
+/// mirrored azimuths are exact sign images: j > n/2 takes n − j with sin
+/// negated, then at even n a j > n/4 takes n/2 − j with cos negated. The
+/// axes are exact — j = 0 is (1, 0) and j = n/4 is (0, 1) — and every
+/// other fundamental j is `cos`/`sin` of 2πj/n.
+fn azimuth(j: usize, n: usize) -> [f64; 2] {
+    let (mut j, mut sign_cos, mut sign_sin) = (j, 1.0, 1.0);
+    if 2 * j > n {
+        (j, sign_sin) = (n - j, -1.0);
+    }
+    if n.is_multiple_of(2) && 4 * j > n {
+        (j, sign_cos) = (n / 2 - j, -1.0);
+    }
+    let [cos, sin] = if j == 0 {
+        [1.0, 0.0]
+    } else if 4 * j == n {
+        [0.0, 1.0]
+    } else {
+        let phi = 2.0 * std::f64::consts::PI * j as f64 / n as f64;
+        [phi.cos(), phi.sin()]
+    };
+    [sign_cos * cos, sign_sin * sin]
 }
 
 #[cfg(test)]
@@ -285,8 +319,49 @@ mod tests {
 
     #[test]
     fn product_rules_exact() {
-        for d in [4, 6, 7, 9, 11, 14] {
+        for d in 1..=24 {
             check_exactness(&SphereRule::product(d));
+        }
+    }
+
+    #[test]
+    fn product_azimuths_are_exact_images() {
+        let today = |j: usize, n: usize| {
+            let phi = 2.0 * std::f64::consts::PI * j as f64 / n as f64;
+            [phi.cos(), phi.sin()]
+        };
+        let axes = [[1.0, 0.0], [0.0, 1.0], [-1.0, 0.0], [0.0, -1.0]];
+        for d in 1..=24 {
+            let n = d + 1;
+            let rule = SphereRule::product(d);
+            for j in 0..n {
+                let az = azimuth(j, n);
+                // The fundamental j this one folds onto.
+                let mut k = j.min(n - j);
+                if n.is_multiple_of(2) {
+                    k = k.min(n / 2 - k);
+                }
+                let fundamental = azimuth(k, n);
+                // No point moves by more than today's own rounding of
+                // 2πj/n (1.1e-15 at worst, d = 12 and 13).
+                for c in 0..2 {
+                    assert_eq!(az[c].abs().to_bits(), fundamental[c].abs().to_bits());
+                    assert!((az[c] - today(j, n)[c]).abs() < 2e-15, "d = {d}, j = {j}");
+                }
+                if (4 * j).is_multiple_of(n) {
+                    assert_eq!(az, axes[4 * j / n], "d = {d}, j = {j}");
+                } else {
+                    let signs = today(j, n).map(f64::signum);
+                    assert_eq!(az.map(f64::signum), signs, "d = {d}, j = {j}");
+                    if j == k {
+                        assert_eq!(az.map(f64::to_bits), today(j, n).map(f64::to_bits));
+                    }
+                }
+                for (ring, p) in rule.points.chunks(n).map(|ring| ring[j]).enumerate() {
+                    let s = (1.0 - p[2] * p[2]).max(0.0).sqrt();
+                    assert_eq!(p, [s * az[0], s * az[1], p[2]], "ring {ring}");
+                }
+            }
         }
     }
 
@@ -322,12 +397,20 @@ mod tests {
         assert_eq!(flips(&SphereRule::octahedron()), [1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(flips(&SphereRule::cube()), [1, 2, 3, 4, 5, 6, 7]);
         assert_eq!(flips(&SphereRule::icosahedron()), [1, 2, 3, 4, 5, 6, 7]);
-        // From d = 1: product(0) is the one point (1, 0, 0), which the y
-        // flip also fixes.
+        // An odd number of azimuths (even d) has no x flip.
         for d in 1..=24 {
-            assert_eq!(flips(&SphereRule::product(d)), [4], "product({d})");
+            let want: &[usize] = if d % 2 == 1 {
+                &[1, 2, 3, 4, 5, 6, 7]
+            } else {
+                &[2, 4, 6]
+            };
+            assert_eq!(flips(&SphereRule::product(d)), want, "product({d})");
         }
-        for rule in [SphereRule::icosahedron(), SphereRule::product(14)] {
+        for rule in [
+            SphereRule::icosahedron(),
+            SphereRule::product(14),
+            SphereRule::product(15),
+        ] {
             for g in rule.mirrors() {
                 for (i, &j) in g.sigma.iter().enumerate() {
                     assert_eq!(g.sigma[j], i, "σ is an involution");
