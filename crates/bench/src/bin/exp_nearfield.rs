@@ -3,8 +3,9 @@
 //! work; the CSHIFTs that carry the travelling accumulators are 10–15% of
 //! the near-field time on the CM-5E. Also prices the one-sided gather (the
 //! target-centric sweep, one `gather_with` per neighbour row) against the
-//! travelling accumulator (§3.4's schedule), sequential and parallel, on
-//! the detected kernel.
+//! travelling accumulator (§3.4's schedule), on one thread (the serial
+//! column, taken inside `fmm_core::serially`) and on the pool, on the
+//! detected kernel.
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_nearfield [n] [depth]`
 
@@ -12,7 +13,9 @@ use fmm_bench::machine::cost::CostModel;
 use fmm_bench::util::{best_of, header};
 use fmm_bench::workloads::{uniform, unit_charges};
 use fmm_core::particles::BinnedParticles;
-use fmm_core::{near_field_potentials, near_field_symmetric, near_field_travelling_with, Kernel};
+use fmm_core::{
+    near_field_potentials, near_field_symmetric, near_field_travelling_with, serially, Kernel,
+};
 use fmm_machine::Counters;
 use fmm_tree::{Domain, Separation};
 
@@ -35,21 +38,21 @@ fn main() {
 
     let sep = Separation::Two;
     let mut out = vec![0.0; n];
-    let mut gather = |parallel| {
+    let mut gather = || {
         best_of(3, || {
             out.iter_mut().for_each(|x| *x = 0.0);
-            near_field_potentials(&bp, sep, parallel, &mut out)
+            near_field_potentials(&bp, sep, &mut out)
         })
     };
-    let ((t_tc, st_tc), (t_tc_par, _)) = (gather(false), gather(true));
+    let ((t_tc, st_tc), (t_tc_par, _)) = (serially(&mut gather), gather());
     let pot_tc = out.clone();
-    let mut travel = |parallel| {
+    let mut travel = || {
         best_of(3, || {
             out.iter_mut().for_each(|x| *x = 0.0);
-            near_field_travelling_with(kernel, &bp, sep, parallel, 0.0, &mut out)
+            near_field_travelling_with(kernel, &bp, sep, true, 0.0, &mut out)
         })
     };
-    let ((t_tr, st_tr), (t_tr_par, _)) = (travel(false), travel(true));
+    let ((t_tr, st_tr), (t_tr_par, _)) = (serially(&mut travel), travel());
     let (t_sym, (pot_sym, st_sym)) = best_of(1, || near_field_symmetric(&bp, sep));
 
     println!(

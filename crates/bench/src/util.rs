@@ -52,8 +52,8 @@ pub fn peak_gemm_gflops() -> f64 {
 /// this repo's headline K = 120. `build(rule, m)` builds the matrices and
 /// returns how many it evaluated from the series and how many it derived
 /// from a mirror image. The build runs on the thread pool, so the one-core
-/// time is taken inside a one-thread install; the pool column is the same
-/// build on every pool thread. Each is the best of three calls.
+/// time is taken inside [`fmm_core::serially`]; the pool column is the
+/// same build on every pool thread. Each is the best of three calls.
 pub fn measured_build_table(
     model_matrices: usize,
     build: impl Fn(&fmm_core::SphereRule, usize) -> (usize, usize),
@@ -61,10 +61,6 @@ pub fn measured_build_table(
     use crate::machine::replication::{precompute_cost, ReplicationStrategy};
     use fmm_core::translations::matrix_build_flops;
     let cost = crate::machine::cost::CostModel::cm5e();
-    let one_core = rayon::ThreadPoolBuilder::new()
-        .num_threads(1)
-        .build()
-        .expect("a one-thread scope");
     println!(
         "{:>4} {:>3} {:>6} {:>8} {:>12} {:>10} {:>12} {:>14} {:>12}",
         "K",
@@ -80,7 +76,7 @@ pub fn measured_build_table(
     for (d, m) in [(5usize, 3usize), (9, 5), (11, 8), (14, 8)] {
         let rule = fmm_core::SphereRule::for_order(d);
         let k = rule.len();
-        let (t, (built, derived)) = one_core.install(|| best_of(3, || build(&rule, m)));
+        let (t, (built, derived)) = fmm_core::serially(|| best_of(3, || build(&rule, m)));
         let (t_pool, _) = best_of(3, || build(&rule, m));
         let strategy = ReplicationStrategy::ComputeAllRedundant;
         let model = precompute_cost(model_matrices, k, m, 1, strategy, 0, &cost);

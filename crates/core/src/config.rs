@@ -135,7 +135,8 @@ impl From<usize> for SpmdOptions {
 /// the same arithmetic per worker over an explicit message fabric.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Executor {
-    /// Single-threaded reference execution.
+    /// Single-threaded reference execution: the `Rayon` path in a
+    /// one-thread scope of the pool ([`crate::serially`]).
     Serial,
     /// Shared-memory parallelism over rayon iterators (the default).
     Rayon,
@@ -375,6 +376,15 @@ impl FmmConfig {
 
     /// Validate parameter sanity; returns a human-readable complaint.
     pub fn validate(&self) -> Result<(), String> {
+        // Every comparison below is false for NaN.
+        let reals = [
+            ("outer_ratio", self.outer_ratio),
+            ("inner_ratio", self.inner_ratio),
+            ("softening", self.softening),
+        ];
+        if let Some((name, v)) = reals.into_iter().find(|(_, v)| !v.is_finite()) {
+            return Err(format!("{name} {v} must be finite"));
+        }
         let min_ratio = 3f64.sqrt() / 2.0;
         if self.outer_ratio <= min_ratio {
             return Err(format!(
@@ -474,6 +484,22 @@ mod tests {
         assert!(FmmConfig::order(5).radii(0.5, 1.0).validate().is_err());
         assert!(FmmConfig::order(5).radii(1.0, 0.5).validate().is_err());
         assert!(FmmConfig::order(5).radii(2.5, 1.0).validate().is_err());
+    }
+
+    #[test]
+    fn non_finite_radii_and_softening_rejected_by_name() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            let cfg = FmmConfig::order(3).depth(2);
+            let cases = [
+                ("outer_ratio", cfg.clone().radii(v, 1.0)),
+                ("inner_ratio", cfg.clone().radii(1.6, v)),
+                ("softening", cfg.softening(v)),
+            ];
+            for (name, cfg) in cases {
+                let err = cfg.validate().expect_err(name);
+                assert!(err.starts_with(name), "{name} = {v}: {err}");
+            }
+        }
     }
 
     #[test]

@@ -5,11 +5,14 @@
 use crate::batch::BatchRequest;
 use crate::config::{Executor, FmmConfig, Precision};
 use crate::field::FieldHierarchy;
-use crate::near::{near_field_forces_softened_with, travelling_sweep, NearFieldStats};
+use crate::near::{
+    near_field_forces_softened_with, per_box_slices, travelling_sweep, NearFieldStats,
+};
 use crate::near32::{near_field_forces_f32, near_field_potentials_f32};
 use crate::particles::BinnedParticles;
 use crate::plan::TraversalPlan;
 use crate::registry::{PlanKey, PlanRegistry, TranslationKey};
+use crate::serially;
 use crate::stats::{Phase, Profile, SpmdReport};
 use crate::translations::TranslationSet;
 use crate::traversal::{downward_level, upward_level, Aggregation, TraversalFlops};
@@ -186,13 +189,6 @@ impl Fmm {
         &self.translations
     }
 
-    /// Whether this instance's phases open parallel regions: only on
-    /// [`Executor::Rayon`]. `Executor::Serial` keeps every phase on the
-    /// calling thread, whatever the legacy `parallel` flag says.
-    fn parallel(&self) -> bool {
-        self.cfg.effective_executor() == Executor::Rayon
-    }
-
     /// Number of sphere integration points K.
     pub fn k(&self) -> usize {
         self.rule.len()
@@ -239,7 +235,6 @@ impl Fmm {
         profile: &mut Profile,
     ) -> (Vec<BinnedParticles>, Vec<FieldHierarchy>, TraversalFlops) {
         let k = self.k();
-        let par = self.parallel();
         let mut bps: Vec<BinnedParticles> = Vec::with_capacity(requests.len());
         let mut fhs: Vec<FieldHierarchy> = Vec::with_capacity(requests.len());
         for q in requests {
@@ -255,7 +250,7 @@ impl Fmm {
                     &self.rule,
                     a_leaf,
                     depth,
-                    par,
+                    true,
                     &mut fh.far[depth as usize],
                 )
             });
@@ -271,7 +266,7 @@ impl Fmm {
             let mut acc = TraversalFlops::default();
             if depth >= 3 {
                 for l in (1..depth).rev() {
-                    acc += upward_level(&mut fhs, ts, plan, l, Aggregation::Gemm, par);
+                    acc += upward_level(&mut fhs, ts, plan, l, Aggregation::Gemm);
                 }
             }
             acc
@@ -283,7 +278,7 @@ impl Fmm {
             let mut acc = TraversalFlops::default();
             for l in 2..=depth {
                 let agg = Aggregation::Gemm;
-                acc += downward_level(&mut fhs, ts, plan, self.cfg.supernodes, agg, par, l);
+                acc += downward_level(&mut fhs, ts, plan, self.cfg.supernodes, agg, l);
             }
             acc
         });
@@ -299,10 +294,11 @@ impl Fmm {
     /// hierarchy sweeps run as one instance-major sweep and their f64
     /// potential near fields as one travelling sweep; binning, P2O, leaf
     /// evaluation and the other near-field variants are particle-bound and
-    /// run per request. Every phase, shared sweep or per request, opens
-    /// parallel regions only on [`Executor::Rayon`], so a batch runs like a
-    /// solo call of its size, and each request's results are bitwise those
-    /// of a batch of it alone.
+    /// run per request. [`Executor::Serial`] runs the whole pipeline
+    /// [`serially`], so every phase, shared sweep or per request, splits
+    /// its loops over threads only on [`Executor::Rayon`]: a batch runs
+    /// like a solo call of its size, and each request's results are
+    /// bitwise those of a batch of it alone.
     ///
     /// All requests must resolve to one hierarchy depth (fixed-depth
     /// configurations always do). Returns one [`EvalOutput`]: potentials
@@ -349,7 +345,20 @@ impl Fmm {
             }
             return Ok(all);
         }
+        let shared = || self.evaluate_shared(requests, with_fields);
+        match self.cfg.effective_executor() {
+            Executor::Serial => serially(shared),
+            _ => shared(),
+        }
+    }
 
+    /// The shared-memory pipeline of [`Fmm::evaluate_requests`], on the
+    /// pool's threads in scope.
+    fn evaluate_shared(
+        &self,
+        requests: &[BatchRequest<'_>],
+        with_fields: bool,
+    ) -> Result<EvalOutput, FmmError> {
         let depth = self.cfg.depth.resolve(requests[0].positions.len());
         for (i, q) in requests.iter().enumerate() {
             let d = self.cfg.depth.resolve(q.positions.len());
@@ -360,7 +369,6 @@ impl Fmm {
                 )));
             }
         }
-        let par = self.parallel();
         // One plan lookup for the whole batch: exactly one `plan_builds`
         // when the key is cold, zero when warm.
         let plan = self.plan_for(depth);
@@ -383,7 +391,7 @@ impl Fmm {
         if travelling {
             let mut outs: Vec<&mut [f64]> = near_pots.iter_mut().map(Vec::as_mut_slice).collect();
             near_stats = profile.time(Phase::Near, || {
-                travelling_sweep(plan.kernel, &bps, sep, par, eps, &mut outs)
+                travelling_sweep(plan.kernel, &bps, sep, eps, &mut outs)
             });
         }
 
@@ -408,7 +416,7 @@ impl Fmm {
                     self.cfg.m_trunc,
                     b_leaf,
                     depth,
-                    par,
+                    true,
                     &fh.local[depth as usize],
                     &mut far_pot,
                     far_field.as_deref_mut(),
@@ -423,12 +431,12 @@ impl Fmm {
                 let st = profile.time(Phase::Near, || match far_field.as_mut() {
                     Some(ff) => {
                         let mut near_f = vec![[0.0; 3]; bp.len()];
-                        let forces = if mixed {
-                            near_field_forces_f32
+                        let k = plan.kernel;
+                        let st = if mixed {
+                            near_field_forces_f32(k, bp, sep, true, eps, near_pot, &mut near_f)
                         } else {
-                            near_field_forces_softened_with
+                            near_field_forces_softened_with(k, bp, sep, eps, near_pot, &mut near_f)
                         };
-                        let st = forces(plan.kernel, bp, sep, par, eps, near_pot, &mut near_f);
                         for (a, b) in ff.iter_mut().zip(&near_f) {
                             for d in 0..3 {
                                 a[d] += b[d];
@@ -443,7 +451,7 @@ impl Fmm {
                         bp,
                         sep,
                         &plan.near_schedule,
-                        par,
+                        true,
                         eps,
                         near_pot,
                     ),
@@ -514,7 +522,8 @@ fn p2o_box(
 
 /// Leaf-level particle → outer samples: g_i = Σ_j q_j / |c + a s_i − x_j|.
 /// Public (hidden) so the SPMD backend can run the identical per-box loop
-/// on its locally-owned boxes.
+/// on its locally-owned boxes. `parallel = false` runs it [`serially`];
+/// the flag is kept only because `benchmark/` imports it (ROADMAP item 1).
 #[doc(hidden)]
 pub fn p2o(
     bp: &BinnedParticles,
@@ -524,19 +533,20 @@ pub fn p2o(
     parallel: bool,
     far_leaf: &mut [f64],
 ) -> u64 {
+    if !parallel {
+        return serially(|| p2o(bp, rule, a_leaf, depth, true, far_leaf));
+    }
     let k = rule.len();
     let work = |(b, g): (usize, &mut [f64])| -> u64 { p2o_box(bp, rule, a_leaf, depth, b, g) };
     // det: the reduction sums integer flop counts; the float outputs land
     // in disjoint chunks, untouched by the combine order.
-    if parallel {
-        far_leaf.par_chunks_mut(k).enumerate().map(work).sum()
-    } else {
-        far_leaf.chunks_mut(k).enumerate().map(work).sum()
-    }
+    far_leaf.par_chunks_mut(k).enumerate().map(work).sum()
 }
 
 /// Leaf-level inner samples → particle potentials (and fields). Public
-/// (hidden) for the SPMD backend, like [`p2o`].
+/// (hidden) for the SPMD backend, like [`p2o`]; `parallel = false` runs it
+/// [`serially`], and the flag is kept only because `benchmark/` imports it
+/// (ROADMAP item 1).
 #[doc(hidden)]
 #[allow(clippy::too_many_arguments)]
 pub fn eval_local(
@@ -548,33 +558,17 @@ pub fn eval_local(
     parallel: bool,
     local_leaf: &[f64],
     pot: &mut [f64],
-    mut fields: Option<&mut [[f64; 3]]>,
+    fields: Option<&mut [[f64; 3]]>,
 ) -> u64 {
+    if !parallel {
+        return serially(|| eval_local(bp, rule, m, b_leaf, depth, true, local_leaf, pot, fields));
+    }
     let k = rule.len();
-    let n_boxes = 1usize << (3 * depth);
-
-    // Split outputs per box (contiguous ranges).
-    let mut pot_slices: Vec<&mut [f64]> = Vec::with_capacity(n_boxes);
-    {
-        let mut rest: &mut [f64] = pot;
-        for b in 0..n_boxes {
-            let (head, tail) = rest.split_at_mut(bp.binning.count(b));
-            pot_slices.push(head);
-            rest = tail;
-        }
-    }
-    let mut field_slices: Vec<Option<&mut [[f64; 3]]>> = Vec::with_capacity(n_boxes);
-    match fields.as_mut() {
-        Some(f) => {
-            let mut rest: &mut [[f64; 3]] = f;
-            for b in 0..n_boxes {
-                let (head, tail) = rest.split_at_mut(bp.binning.count(b));
-                field_slices.push(Some(head));
-                rest = tail;
-            }
-        }
-        None => field_slices.resize_with(n_boxes, || None),
-    }
+    let mut pot_slices = per_box_slices(bp, pot);
+    let mut field_slices: Vec<Option<&mut [[f64; 3]]>> = match fields {
+        Some(f) => per_box_slices(bp, f).into_iter().map(Some).collect(),
+        None => pot_slices.iter().map(|_| None).collect(),
+    };
 
     #[allow(clippy::type_complexity)]
     let work = |(b, (po, fo)): (usize, (&mut &mut [f64], &mut Option<&mut [[f64; 3]]>))| -> u64 {
@@ -583,21 +577,12 @@ pub fn eval_local(
     };
 
     // det: integer flop-count reduction; floats stay in disjoint slices.
-    if parallel {
-        pot_slices
-            .par_iter_mut()
-            .zip(field_slices.par_iter_mut())
-            .enumerate()
-            .map(work)
-            .sum()
-    } else {
-        pot_slices
-            .iter_mut()
-            .zip(field_slices.iter_mut())
-            .enumerate()
-            .map(work)
-            .sum()
-    }
+    pot_slices
+        .par_iter_mut()
+        .zip(field_slices.par_iter_mut())
+        .enumerate()
+        .map(work)
+        .sum()
 }
 
 /// One box of [`eval_local`]: evaluate leaf box `b`'s inner samples `g` at
@@ -751,21 +736,10 @@ mod tests {
     }
 
     #[test]
-    fn parallel_matches_sequential_bitwise_phases() {
-        let (pts, q) = pseudo_system(800, 13);
-        let seq = Fmm::new(FmmConfig::order(3).depth(3).sequential()).unwrap();
-        let par = Fmm::new(FmmConfig::order(3).depth(3)).unwrap();
-        let a = seq.evaluate(&pts, &q).unwrap().potentials;
-        let b = par.evaluate(&pts, &q).unwrap().potentials;
-        for (x, y) in a.iter().zip(&b) {
-            assert!((x - y).abs() < 1e-9 * x.abs().max(1.0));
-        }
-    }
-
-    #[test]
-    fn serial_executor_opens_no_parallel_region() {
+    fn serial_executor_splits_no_region() {
         // `executor(Executor::Serial)` leaves the legacy `parallel` flag
-        // set; the executor alone must decide. Two pinned threads make the
+        // set; the executor alone must decide. Serial runs every region as
+        // one piece on the calling thread. Two pinned threads make the
         // Rayon side split even on a one-processor host.
         let (pts, q) = pseudo_system(300, 7);
         let requests = [BatchRequest {
@@ -774,21 +748,96 @@ mod tests {
         }; 2];
         let regions = |executor: Executor| {
             let fmm = Fmm::new(FmmConfig::order(3).depth(2).executor(executor)).unwrap();
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(2)
-                .build()
-                .unwrap();
-            pool.install(|| {
-                let before = rayon::regions_opened();
+            crate::threads(2).install(|| {
+                let before = rayon::regions_split();
                 fmm.evaluate(&pts, &q).unwrap();
                 fmm.evaluate_forces(&pts, &q).unwrap();
                 fmm.evaluate_batch(&requests).unwrap();
                 fmm.evaluate_requests(&requests, true).unwrap();
-                rayon::regions_opened() - before
+                rayon::regions_split() - before
             })
         };
         assert_eq!(regions(Executor::Serial), 0);
         assert!(regions(Executor::Rayon) > 0);
+    }
+
+    #[test]
+    fn pinned_flags_map_false_onto_the_serial_scope() {
+        // The eight signatures `benchmark/` imports keep their `parallel`
+        // flag. Inside a three-thread install, `false` must split no region
+        // and write the bits and counts of `true`, function by function.
+        use crate::near::{near_field_forces_softened, near_field_travelling_with};
+        use crate::traversal::{downward_pass, upward_pass};
+        let (pts, q) = pseudo_mixed(2000, 71);
+        let fmm = Fmm::new(FmmConfig::order(3).depth(3)).unwrap();
+        let (plan, cfg, rule, ts) = (
+            fmm.plan_for(3),
+            fmm.config(),
+            fmm.rule(),
+            fmm.translations(),
+        );
+        let bp = BinnedParticles::build(&pts, &q, Domain::bounding(&pts), 3);
+        let (sep, kernel, eps, gemm) = (cfg.separation, plan.kernel, 0.01, Aggregation::Gemm);
+        let side = bp.domain.box_side(3);
+        let zeros = || (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
+        // Per function, in the order of `names`: the regions it split, then
+        // its counts and outputs as bits.
+        let names = "p2o upward_pass downward_pass eval_local near_field_travelling_with \
+                     near_field_forces_softened near_field_forces_f32 near_field_potentials_f32";
+        let run = |par: bool| {
+            let mut got = Vec::new();
+            let mut record = |before, counts: &[u64], out: Vec<f64>| {
+                let bits = counts
+                    .iter()
+                    .copied()
+                    .chain(out.into_iter().map(f64::to_bits));
+                got.push((rayon::regions_split() - before, bits.collect::<Vec<_>>()));
+            };
+            let mut fh = FieldHierarchy::new(Hierarchy::new(3), fmm.k());
+            let before = rayon::regions_split();
+            let fl = p2o(&bp, rule, cfg.outer_ratio * side, 3, par, &mut fh.far[3]);
+            record(before, &[fl], fh.far[3].clone());
+            let before = rayon::regions_split();
+            let fl = upward_pass(&mut fh, ts, &plan, gemm, par);
+            record(before, &[fl.t1], fh.far.concat());
+            let before = rayon::regions_split();
+            let fl = downward_pass(&mut fh, ts, &plan, false, gemm, par);
+            record(before, &[fl.t2, fl.t3], fh.local.concat());
+            let ((mut p, mut f), before) = (zeros(), rayon::regions_split());
+            let (m, b_leaf, fo) = (cfg.m_trunc, cfg.inner_ratio * side, Some(&mut f[..]));
+            let fl = eval_local(&bp, rule, m, b_leaf, 3, par, &fh.local[3], &mut p, fo);
+            record(before, &[fl], [p, f.concat()].concat());
+            let ((mut p, _), before) = (zeros(), rayon::regions_split());
+            let st = near_field_travelling_with(kernel, &bp, sep, par, eps, &mut p);
+            record(before, &[st.pair_interactions, st.flops], p);
+            let ((mut p, mut f), before) = (zeros(), rayon::regions_split());
+            let st = near_field_forces_softened(&bp, sep, par, eps, &mut p, &mut f);
+            record(
+                before,
+                &[st.pair_interactions, st.flops],
+                [p, f.concat()].concat(),
+            );
+            let ((mut p, mut f), before) = (zeros(), rayon::regions_split());
+            let st = near_field_forces_f32(kernel, &bp, sep, par, eps, &mut p, &mut f);
+            record(
+                before,
+                &[st.pair_interactions, st.flops],
+                [p, f.concat()].concat(),
+            );
+            let ((mut p, _), before) = (zeros(), rayon::regions_split());
+            let schedule = &plan.near_schedule;
+            let st = near_field_potentials_f32(kernel, &bp, sep, schedule, par, eps, &mut p);
+            record(before, &[st.pair_interactions, st.flops], p);
+            got
+        };
+        let (serial, parallel) = crate::threads(3).install(|| (run(false), run(true)));
+        assert_eq!(serial.len(), 8);
+        for (name, ((splits, a), (_, b))) in names.split(' ').zip(serial.iter().zip(&parallel)) {
+            assert_eq!(*splits, 0, "{name}(parallel = false) split a region");
+            assert!(a == b, "{name}: parallel = false wrote other bits");
+        }
+        let split: u64 = parallel.iter().map(|(n, _)| n).sum();
+        assert!(split > 0, "no region split on three threads");
     }
 
     #[test]

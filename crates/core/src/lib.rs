@@ -22,7 +22,9 @@
 //! BLAS via `fmm-linalg`, exactly the paper's central optimization. The
 //! data-parallel execution model of the paper (CM Fortran over VUs) maps to
 //! rayon parallel iterators over box slabs within each level; levels are
-//! processed sequentially as in the paper's upward/downward passes.
+//! processed sequentially as in the paper's upward/downward passes. Each
+//! sweep is written once: the pool's thread count is the executor, and
+//! [`serially`] is `Executor::Serial`.
 //!
 //! ## Quick start
 //!
@@ -70,6 +72,28 @@ pub use plan::TraversalPlan;
 pub use registry::{PlanKey, PlanRegistry, RegistryStats, TranslationKey};
 pub use stats::{Counters, Phase, Profile, SpmdPhase, SpmdReport};
 pub use translations::TranslationSet;
+
+/// Run `f` in a one-thread scope of the pool: every parallel loop inside
+/// it is one piece on the calling thread. `Executor::Serial` and each
+/// SPMD rank run their phases under this, so the sweeps need no
+/// sequential twin.
+pub fn serially<R>(f: impl FnOnce() -> R) -> R {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(1)
+        .build()
+        .expect("a one-thread scope")
+        .install(f)
+}
+
+/// A thread-count scope of the pool, for tests that run one sweep on
+/// several counts.
+#[cfg(test)]
+pub(crate) fn threads(n: usize) -> rayon::ThreadPool {
+    rayon::ThreadPoolBuilder::new()
+        .num_threads(n)
+        .build()
+        .unwrap()
+}
 
 /// Re-exported substrate types that appear in the public API.
 pub use fmm_linalg::Kernel;

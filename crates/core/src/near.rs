@@ -10,7 +10,9 @@
 //! Two sweeps are production paths, and each has one body that every
 //! executor runs — the Serial/Rayon driver over its own binning, an SPMD
 //! worker over the boxes it owns with sources served from its cell store
-//! through a [`Cells`] range lookup:
+//! through a [`Cells`] range lookup. No sweep takes an executor: its box
+//! loop is a pool loop, one piece on the calling thread under
+//! [`crate::serially`] (`Executor::Serial`, every SPMD rank):
 //!
 //! * **potentials** — the travelling-accumulator sweep
 //!   ([`near_field_travelling_with`]): a self pass ([`self_pass`]), one
@@ -26,9 +28,9 @@
 //!   conflicts at the full 124-neighbour pair count, swept in pieces of
 //!   near-equal pair count on the plan's kernel. A target gathers one
 //!   neighbour *row* at a time — the 2d+1 boxes of one x-row, one run of
-//!   a binning — so 26 calls at two-separation instead of 126, and pairs
-//!   of targets share every row but their own through the two-target
-//!   force panel.
+//!   a binning or of a row-major SPMD cell store — so 26 calls at
+//!   two-separation instead of 126, and pairs of targets share every row
+//!   but their own through the two-target force panel.
 //!
 //! [`near_field_potentials_softened`] is the same target-centric sweep
 //! with the potential gather: the oracle of the travelling sweep and the
@@ -48,17 +50,14 @@
 //! [`crate::near32`].
 
 use crate::particles::BinnedParticles;
+use crate::serially;
 use fmm_linalg::{pairwise, Kernel};
 use fmm_tree::{near_field_offsets, BoxCoord, Separation, TravelPath};
 use rayon::prelude::*;
 use std::ops::Range;
 
-/// Flops charged per pairwise potential interaction (3 subs, 3 mults, 2
-/// adds, rsqrt, multiply–accumulate — the conventional count used when
-/// comparing N-body codes).
-pub const PAIR_FLOPS: u64 = 10;
-/// Flops per pairwise potential+field interaction.
-pub const PAIR_FORCE_FLOPS: u64 = 20;
+/// The pair flop counts, one definition with the cost model's.
+pub use fmm_tree::partition::{PAIR_FLOPS, PAIR_FORCE_FLOPS};
 
 /// Counters from a near-field sweep.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -85,8 +84,9 @@ impl NearFieldStats {
 /// Leaf cells as flat SoA arrays with a per-box range lookup: what the
 /// near-field bodies read their sources through. [`BinnedParticles::cells`]
 /// is a binning's own sorted arrays; an SPMD worker hands in its cell
-/// store, where cells received from other ranks sit behind its own in
-/// arrival order.
+/// store, where the travelling steps find cells received from other ranks
+/// behind its own in arrival order, and the force rows find every cell in
+/// row-major order.
 pub struct Cells<'a, L, T = f64> {
     x: &'a [T],
     y: &'a [T],
@@ -138,7 +138,10 @@ fn self_box_potential(
 }
 
 /// Split a buffer into per-box mutable slices following the binning CSR.
-fn per_box_slices<'a>(bp: &BinnedParticles, mut buf: &'a mut [f64]) -> Vec<&'a mut [f64]> {
+pub(crate) fn per_box_slices<'a, T>(
+    bp: &BinnedParticles,
+    mut buf: &'a mut [T],
+) -> Vec<&'a mut [T]> {
     let n_boxes = bp.binning.starts.len() - 1;
     let mut out = Vec::with_capacity(n_boxes);
     let mut consumed = 0usize;
@@ -162,10 +165,9 @@ fn per_box_slices<'a>(bp: &BinnedParticles, mut buf: &'a mut [f64]) -> Vec<&'a m
 pub fn near_field_potentials(
     bp: &BinnedParticles,
     sep: Separation,
-    parallel: bool,
     out: &mut [f64],
 ) -> NearFieldStats {
-    near_field_potentials_softened(bp, sep, parallel, 0.0, out)
+    near_field_potentials_softened(bp, sep, 0.0, out)
 }
 
 /// [`near_field_potentials`] with Plummer softening: the pairwise kernel
@@ -176,7 +178,6 @@ pub fn near_field_potentials(
 pub fn near_field_potentials_softened(
     bp: &BinnedParticles,
     sep: Separation,
-    parallel: bool,
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
@@ -184,7 +185,7 @@ pub fn near_field_potentials_softened(
         kernel: Kernel::detect(),
         eps2: eps * eps,
     };
-    target_sweep(bp, &bp.cells(), sep, parallel, &sum, out, None)
+    target_sweep(bp, &bp.cells(), sep, &sum, out, None)
 }
 
 /// Symmetric near field exploiting Newton's third law: each unordered box
@@ -340,7 +341,7 @@ impl SharedOut {
 }
 
 #[inline]
-fn add_stats(mut a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
+pub(crate) fn add_stats(mut a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
     a.merge(&b);
     a
 }
@@ -352,10 +353,12 @@ fn add_stats(mut a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
 /// and scattering into a separate travelling accumulator array, which is
 /// added back at the end (the "return shifts"). Steps are ordered; within
 /// a step each out/accumulator element is written by exactly one box, so
-/// the parallel and sequential forms — and the message-passing executor,
-/// whose workers call the same [`travelling_step`] on the boxes they own
-/// — are bitwise identical.
+/// the sweep gives the same bits on any number of threads — and so does
+/// the message-passing executor, whose workers call the same
+/// [`travelling_step`] on the boxes they own.
 /// Reports the same third-law-halved counts as [`near_field_symmetric`].
+/// `parallel = false` runs it [`serially`]; the flag is kept only because
+/// `benchmark/` imports it (ROADMAP item 1).
 pub fn near_field_travelling_with(
     kernel: Kernel,
     bp: &BinnedParticles,
@@ -364,8 +367,10 @@ pub fn near_field_travelling_with(
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
-    let bps = std::slice::from_ref(bp);
-    travelling_sweep(kernel, bps, sep, parallel, eps, &mut [out])
+    if !parallel {
+        return serially(|| near_field_travelling_with(kernel, bp, sep, true, eps, out));
+    }
+    travelling_sweep(kernel, std::slice::from_ref(bp), sep, eps, &mut [out])
 }
 
 /// The travelling sweep over `R` same-depth particle sets at once. The
@@ -376,7 +381,7 @@ pub fn near_field_travelling_with(
 /// steps × every box, a few particles each), so this is where batching a
 /// serving workload actually pays.
 ///
-/// Per instance the arithmetic does not depend on `R` or on `parallel`:
+/// Per instance the arithmetic does not depend on `R` or on the threads:
 /// same self pass in box order, same ordered steps, same gather/scatter
 /// into a per-instance accumulator, same return shift — so an instance's
 /// output is bitwise identical however it is swept.
@@ -387,7 +392,6 @@ pub(crate) fn travelling_sweep(
     kernel: Kernel,
     bps: &[BinnedParticles],
     sep: Separation,
-    parallel: bool,
     eps: f64,
     outs: &mut [&mut [f64]],
 ) -> NearFieldStats {
@@ -401,7 +405,7 @@ pub(crate) fn travelling_sweep(
     }
     let mut total = NearFieldStats::default();
     for (bp, out) in bps.iter().zip(outs.iter_mut()) {
-        total.merge(&self_pass(kernel, bp, eps2, parallel, out));
+        total.merge(&self_pass(kernel, bp, eps2, out));
     }
     // Every box is a target, and a binning serves its own sources.
     let targets: Vec<u32> = (0..first.binning.starts.len() as u32 - 1).collect();
@@ -416,9 +420,7 @@ pub(crate) fn travelling_sweep(
         })
         .collect();
     for step in &TravelPath::new(sep.d()).steps {
-        total.merge(&step_over(
-            kernel, eps2, step.cum, &targets, parallel, &mut insts,
-        ));
+        total.merge(&step_over(kernel, eps2, step.cum, &targets, &mut insts));
     }
     drop(insts);
     for (out, acc) in outs.iter_mut().zip(&accs) {
@@ -434,7 +436,6 @@ pub fn self_pass(
     kernel: Kernel,
     bp: &BinnedParticles,
     eps2: f64,
-    parallel: bool,
     out: &mut [f64],
 ) -> NearFieldStats {
     assert_eq!(out.len(), bp.len());
@@ -452,13 +453,8 @@ pub fn self_pass(
         }
     };
     // det: integer-counter reduction over disjoint per-box slices.
-    if parallel {
-        let boxes = slices.par_iter_mut().enumerate();
-        boxes.map(work).reduce(NearFieldStats::default, add_stats)
-    } else {
-        let boxes = slices.iter_mut().enumerate();
-        boxes.map(work).fold(NearFieldStats::default(), add_stats)
-    }
+    let boxes = slices.par_iter_mut().enumerate();
+    boxes.map(work).reduce(NearFieldStats::default, add_stats)
 }
 
 /// One instance of a travelling step: the target boxes' particles and
@@ -477,6 +473,8 @@ pub struct Travelling<'a, L> {
 /// distinct; then every element is written by one box, and a sweep that
 /// covers the boxes by any split into calls, in any order, writes the bits
 /// of the full one. The SPMD workers step the boxes they own through this.
+/// It runs [`serially`]: a caller's targets and range lookup are not
+/// checked, and one at a time they need not be distinct.
 pub fn travelling_step<L: Fn(usize) -> Range<usize> + Sync>(
     kernel: Kernel,
     eps2: f64,
@@ -484,20 +482,19 @@ pub fn travelling_step<L: Fn(usize) -> Range<usize> + Sync>(
     targets: &[u32],
     one: &mut Travelling<'_, L>,
 ) -> NearFieldStats {
-    step_over(kernel, eps2, cum, targets, false, std::slice::from_mut(one))
+    serially(|| step_over(kernel, eps2, cum, targets, std::slice::from_mut(one)))
 }
 
 /// [`travelling_step`] over same-depth instances, the instances innermost.
 /// The boxes of a step are independent — box t writes out[t] and
-/// acc[t + cum], both bijections of t — so they may run in parallel
-/// without changing bits; `parallel` stays in this module because that
-/// holds only for distinct targets under an injective range lookup.
+/// acc[t + cum], both bijections of t — so they are split over the pool
+/// without changing bits. That holds only for distinct targets under an
+/// injective range lookup, which this module's own sweep guarantees.
 fn step_over<L: Fn(usize) -> Range<usize> + Sync>(
     kernel: Kernel,
     eps2: f64,
     cum: [i32; 3],
     targets: &[u32],
-    parallel: bool,
     insts: &mut [Travelling<'_, L>],
 ) -> NearFieldStats {
     let Some(first) = insts.first() else {
@@ -531,7 +528,7 @@ fn step_over<L: Fn(usize) -> Range<usize> + Sync>(
                 continue;
             }
             // SAFETY: t ↦ t_range and t ↦ s_range are injective over the
-            // boxes of a parallel step, a sequential one holds one pair of
+            // boxes of a split step, a step in one piece holds one pair of
             // slices at a time, and `out`/`acc` are distinct arrays.
             let t_out = unsafe { out.slice(t_range.clone()) };
             // SAFETY: same disjointness argument as `t_out`, on `acc`.
@@ -557,17 +554,10 @@ fn step_over<L: Fn(usize) -> Range<usize> + Sync>(
         st
     };
     // det: integer-counter reduction; each box owns its accumulators.
-    if parallel {
-        let boxes = targets.par_iter();
-        boxes
-            .map(step_work)
-            .reduce(NearFieldStats::default, add_stats)
-    } else {
-        let boxes = targets.iter();
-        boxes
-            .map(step_work)
-            .fold(NearFieldStats::default(), add_stats)
-    }
+    let boxes = targets.par_iter();
+    boxes
+        .map(step_work)
+        .reduce(NearFieldStats::default, add_stats)
 }
 
 /// The return shifts of a travelling sweep: accumulators that are home
@@ -581,7 +571,8 @@ pub fn return_add(out: &mut [f64], acc: &[f64]) {
 
 /// Target-centric near-field potentials **and** fields (−∇Φ) with Plummer
 /// softening (see [`near_field_potentials_softened`]). Outputs are in
-/// sorted particle order.
+/// sorted particle order. `parallel = false` runs it [`serially`]; the
+/// flag is kept only because `benchmark/` imports it (ROADMAP item 1).
 pub fn near_field_forces_softened(
     bp: &BinnedParticles,
     sep: Separation,
@@ -590,7 +581,10 @@ pub fn near_field_forces_softened(
     pot: &mut [f64],
     field: &mut [[f64; 3]],
 ) -> NearFieldStats {
-    near_field_forces_softened_with(Kernel::detect(), bp, sep, parallel, eps, pot, field)
+    if !parallel {
+        return serially(|| near_field_forces_softened(bp, sep, true, eps, pot, field));
+    }
+    near_field_forces_softened_with(Kernel::detect(), bp, sep, eps, pot, field)
 }
 
 /// [`near_field_forces_softened`] with an explicit kernel choice (the
@@ -599,7 +593,6 @@ pub fn near_field_forces_softened_with(
     kernel: Kernel,
     bp: &BinnedParticles,
     sep: Separation,
-    parallel: bool,
     eps: f64,
     pot: &mut [f64],
     field: &mut [[f64; 3]],
@@ -608,18 +601,18 @@ pub fn near_field_forces_softened_with(
         kernel,
         eps2: eps * eps,
     };
-    target_sweep(bp, &bp.cells(), sep, parallel, &sum, pot, Some(field))
+    target_sweep(bp, &bp.cells(), sep, &sum, pot, Some(field))
 }
 
 /// Target-centric potential + field accumulation for the particles of leaf
 /// box `b` of `level` (`target_box` on the f64 force kernels), targets
-/// and sources both read through `cells`: each target sums its own
-/// neighbour row split at itself, then the other rows of its `sep`
-/// neighbourhood in (dz, dy) order, a row its `cells` do not hold back to
-/// back in x order being copied into `scratch` first. `po`/`fo` are the
-/// per-box output slices of box `b`. The SPMD workers run the boxes they
-/// own through this, over a cell store that holds their halo, with one
-/// `scratch` for all of them. Returns the directed pairs and box pairs.
+/// and sources both read through `cells`, which must hold every
+/// neighbour row's boxes back to back in x order: each target sums its
+/// own neighbour row split at itself, then the other rows of its `sep`
+/// neighbourhood in (dz, dy) order. `po`/`fo` are the per-box output
+/// slices of box `b`. The SPMD workers run the boxes they own through
+/// this, over a cell store that holds their halo laid out row-major.
+/// Returns the directed pairs and box pairs.
 #[allow(clippy::too_many_arguments)]
 pub fn near_field_forces_box<L: Fn(usize) -> Range<usize>>(
     kernel: Kernel,
@@ -628,12 +621,11 @@ pub fn near_field_forces_box<L: Fn(usize) -> Range<usize>>(
     b: usize,
     sep: Separation,
     eps2: f64,
-    scratch: &mut RowScratch,
     po: &mut [f64],
     fo: &mut [[f64; 3]],
 ) -> NearFieldStats {
     let sum = Forces { kernel, eps2 };
-    target_box(&sum, cells, level, b, sep, scratch, |i, p, f| {
+    target_box(&sum, cells, level, b, sep, |i, p, f| {
         po[i] += p;
         for a in 0..3 {
             fo[i][a] += f[a];
@@ -716,41 +708,25 @@ impl RowSum<f32> for Forces<f32> {
 /// Most rows a box gathers from: (2d + 1)² at two-separation.
 const MAX_ROWS: usize = 25;
 
-/// Grow-only scratch of one sweep piece: the rows of a box whose cells do
-/// not lie in x order, back to back, in the cell arrays — copied there in
-/// x order. A binning's rows never need it.
-#[derive(Default)]
-pub struct RowScratch<T = f64> {
-    soa: [Vec<T>; 4],
-}
-
-/// Where a row's sources are: a run of the cell arrays, or of the scratch.
-#[derive(Clone, Default)]
-struct Row {
-    copied: bool,
-    run: Range<usize>,
-}
-
 /// One box of a target-centric sweep, either precision, targets and
 /// sources read through `cells`. A *row* is the boxes x−d … x+d of one
 /// (y, z) in the neighbourhood, clipped to the domain, and one run of
-/// sources: in a binning it is one slice of the arrays; where `cells`
-/// places its boxes elsewhere, their particles are copied in x order into
-/// `scratch`, which gives the same values at the same run positions. Each
-/// target sums its own row split at itself — the run before it, then the
-/// run after it — then the other rows in (dz, dy) order. A run's sums join
-/// the target's f64 accumulators whole, so a target's bits depend on that
-/// order alone; pairs of targets share each other row through
-/// [`RowSum::panel`]. `emit(i, p, f)` hands over the sums of the box's
-/// `i`-th target. Returns the directed pairs and the box pairs (own box
-/// included) with particles at both ends.
+/// sources: `cells` must hold a row's non-empty boxes back to back in x
+/// order, as a binning and a row-major SPMD cell store do, and a row that
+/// is not panics naming the box and the row. Each target sums its own row
+/// split at itself — the run before it, then the run after it — then the
+/// other rows in (dz, dy) order. A run's sums join the target's f64
+/// accumulators whole, so a target's bits depend on that order alone;
+/// pairs of targets share each other row through [`RowSum::panel`].
+/// `emit(i, p, f)` hands over the sums of the box's `i`-th target. Returns
+/// the directed pairs and the box pairs (own box included) with particles
+/// at both ends.
 pub(crate) fn target_box<T: Copy, L: Fn(usize) -> Range<usize>, S: RowSum<T>>(
     sum: &S,
     cells: &Cells<'_, L, T>,
     level: u32,
     b: usize,
     sep: Separation,
-    scratch: &mut RowScratch<T>,
     mut emit: impl FnMut(usize, f64, [f64; 3]),
 ) -> NearFieldStats {
     let t_range = (cells.range)(b);
@@ -759,52 +735,31 @@ pub(crate) fn target_box<T: Copy, L: Fn(usize) -> Range<usize>, S: RowSum<T>>(
     }
     let (t, d, side) = (BoxCoord::from_index(level, b), sep.d(), 1i32 << level);
     let row_xs = (t.x as i32 - d).max(0) as u32..=(t.x as i32 + d).min(side - 1) as u32;
-    for arr in &mut scratch.soa {
-        arr.clear();
-    }
     let (mut sources, mut boxes) = (0, 0);
-    // The row at (y, z), and where box x starts in it when it is this one's.
-    let mut row = |y: u32, z: u32| -> (Row, usize) {
+    // The run of the row at (y, z), empty if the row holds no particle.
+    let mut row = |y: u32, z: u32| -> Range<usize> {
         let range = |x| (cells.range)(BoxCoord { level, x, y, z }.index());
         let mut run: Option<Range<usize>> = None;
-        let mut copied = false;
         for r in row_xs.clone().map(range).filter(|r| !r.is_empty()) {
             boxes += 1;
-            run = match run {
-                None => Some(r),
-                Some(run) if run.end == r.start => Some(run.start..r.end),
+            run = Some(match run {
+                None => r,
                 Some(run) => {
-                    copied = true;
-                    Some(run)
+                    assert!(
+                        run.end == r.start,
+                        "box {b} of level {level}: the cells of row (y, z) = ({y}, {z}) \
+                         are not back to back in x order"
+                    );
+                    run.start..r.end
                 }
-            };
+            });
         }
-        let Some(mut run) = run else {
-            return (Row::default(), 0);
-        };
-        let mut own = t_range.start;
-        if copied {
-            run = scratch.soa[0].len()..scratch.soa[0].len();
-            for x in row_xs.clone() {
-                let r = range(x);
-                if x == t.x {
-                    own = run.end;
-                }
-                for (arr, src) in scratch
-                    .soa
-                    .iter_mut()
-                    .zip([cells.x, cells.y, cells.z, cells.q])
-                {
-                    arr.extend_from_slice(&src[r.clone()]);
-                }
-                run.end += r.len();
-            }
-        }
+        let run = run.unwrap_or_default();
         sources += run.len();
-        (Row { copied, run }, own)
+        run
     };
-    let (own_row, own) = row(t.y, t.z);
-    let mut rows: [Row; MAX_ROWS] = Default::default();
+    let own_row = row(t.y, t.z);
+    let mut rows: [Range<usize>; MAX_ROWS] = Default::default();
     let mut n_rows = 0;
     for dz in -d..=d {
         for dy in -d..=d {
@@ -812,19 +767,14 @@ pub(crate) fn target_box<T: Copy, L: Fn(usize) -> Range<usize>, S: RowSum<T>>(
             if (dy, dz) == (0, 0) || !(0..side).contains(&y) || !(0..side).contains(&z) {
                 continue;
             }
-            let (r, _) = row(y as u32, z as u32);
-            if !r.run.is_empty() {
+            let r = row(y as u32, z as u32);
+            if !r.is_empty() {
                 rows[n_rows] = r;
                 n_rows += 1;
             }
         }
     }
-    let arrays = [cells.x, cells.y, cells.z, cells.q];
-    let copies = scratch.soa.each_ref().map(Vec::as_slice);
-    let src = |r: &Row, run: Range<usize>| {
-        let arrays = if r.copied { copies } else { arrays };
-        arrays.map(|a| &a[run.clone()])
-    };
+    let src = |run: Range<usize>| [cells.x, cells.y, cells.z, cells.q].map(|a| &a[run.clone()]);
     let tgt = [
         &cells.x[t_range.clone()],
         &cells.y[t_range.clone()],
@@ -835,17 +785,17 @@ pub(crate) fn target_box<T: Copy, L: Fn(usize) -> Range<usize>, S: RowSum<T>>(
         let pair = a..(a + 2).min(n_t);
         let (mut p, mut f) = ([0.0; 2], [[0.0; 3]; 2]);
         for i in pair.clone() {
-            let at = own + i;
-            for run in [own_row.run.start..at, at + 1..own_row.run.end] {
+            let at = t_range.start + i;
+            for run in [own_row.start..at, at + 1..own_row.end] {
                 if !run.is_empty() {
                     let ti = tgt.map(|c| c[i]);
-                    sum.one(ti, src(&own_row, run), &mut p[i - a], &mut f[i - a]);
+                    sum.one(ti, src(run), &mut p[i - a], &mut f[i - a]);
                 }
             }
         }
         let (p, f) = (&mut p[..pair.len()], &mut f[..pair.len()]);
         for r in &rows[..n_rows] {
-            sum.panel(tgt.map(|c| &c[pair.clone()]), src(r, r.run.clone()), p, f);
+            sum.panel(tgt.map(|c| &c[pair.clone()]), src(r.clone()), p, f);
         }
         for (i, (p, f)) in pair.zip(p.iter().zip(f.iter())) {
             emit(i, *p, *f);
@@ -897,18 +847,17 @@ fn cut_pieces(bp: &BinnedParticles, offsets: &[[i32; 3]], pieces: usize) -> Vec<
 /// The target-centric sweep: [`target_box`] on every box of `bp`, reading
 /// through `cells` (the binning's own, or a mirror of them in another
 /// precision), `pot` and, where asked for, `field` in sorted particle
-/// order. A parallel sweep cuts the box range into [`PIECES_PER_THREAD`]
-/// pieces per thread by cost — leaf occupancy on clustered inputs is far
-/// too skewed to cut by box count — and hands each its own `split_at_mut`
-/// of the outputs and its own [`RowScratch`]; a sequential one is a single
+/// order. On more than one pool thread the sweep cuts the box range into
+/// [`PIECES_PER_THREAD`] pieces per thread by cost — leaf occupancy on
+/// clustered inputs is far too skewed to cut by box count — and hands each
+/// its own `split_at_mut` of the outputs; on one thread it is a single
 /// piece and skips the cost pass. Each output element is written by its
 /// own target alone, so the result is bitwise the same wherever the cuts
 /// fall.
-pub(crate) fn target_sweep<T: Copy + Default + Sync, L: Fn(usize) -> Range<usize> + Sync>(
+pub(crate) fn target_sweep<T: Copy + Sync, L: Fn(usize) -> Range<usize> + Sync>(
     bp: &BinnedParticles,
     cells: &Cells<'_, L, T>,
     sep: Separation,
-    parallel: bool,
     sum: &impl RowSum<T>,
     pot: &mut [f64],
     field: Option<&mut [[f64; 3]]>,
@@ -916,10 +865,10 @@ pub(crate) fn target_sweep<T: Copy + Default + Sync, L: Fn(usize) -> Range<usize
     assert_eq!(pot.len(), bp.len());
     assert!(field.as_ref().is_none_or(|f| f.len() == bp.len()));
     let starts = &bp.binning.starts;
-    let cuts = if parallel {
+    let threads = rayon::current_num_threads();
+    let cuts = if threads > 1 {
         let offsets = near_field_offsets(sep);
-        let pieces = PIECES_PER_THREAD * rayon::current_num_threads();
-        cut_pieces(bp, &offsets, pieces)
+        cut_pieces(bp, &offsets, PIECES_PER_THREAD * threads)
     } else {
         vec![0, starts.len() - 1]
     };
@@ -935,11 +884,10 @@ pub(crate) fn target_sweep<T: Copy + Default + Sync, L: Fn(usize) -> Range<usize
     }
     let work = |(boxes, po, fo): &mut Piece<'_>| -> NearFieldStats {
         let base = starts[boxes.start] as usize;
-        let mut scratch = RowScratch::default();
         let mut st = NearFieldStats::default();
         for b in boxes.clone() {
             let at = bp.range(b).start - base;
-            let box_st = target_box(sum, cells, bp.level, b, sep, &mut scratch, |i, p, f| {
+            let box_st = target_box(sum, cells, bp.level, b, sep, |i, p, f| {
                 po[at + i] += p;
                 if let Some(fo) = fo {
                     for a in 0..3 {
@@ -952,18 +900,14 @@ pub(crate) fn target_sweep<T: Copy + Default + Sync, L: Fn(usize) -> Range<usize
         st
     };
     // det: integer counters only; floats live in disjoint slices.
-    if parallel {
-        let pieces = pieces.par_iter_mut();
-        pieces.map(work).reduce(NearFieldStats::default, add_stats)
-    } else {
-        let pieces = pieces.iter_mut();
-        pieces.map(work).fold(NearFieldStats::default(), add_stats)
-    }
+    let pieces = pieces.par_iter_mut();
+    pieces.map(work).reduce(NearFieldStats::default, add_stats)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threads;
     use fmm_tree::Domain;
 
     fn pseudo_system(n: usize, seed: u64) -> (Vec<[f64; 3]>, Vec<f64>) {
@@ -1016,7 +960,7 @@ mod tests {
     fn target_centric_matches_reference() {
         let bp = build(300, 2, 11);
         let mut out = vec![0.0; bp.len()];
-        near_field_potentials(&bp, Separation::Two, false, &mut out);
+        near_field_potentials(&bp, Separation::Two, &mut out);
         let r = reference(&bp, Separation::Two);
         for (a, b) in out.iter().zip(&r) {
             assert!((a - b).abs() < 1e-10, "{} vs {}", a, b);
@@ -1026,10 +970,12 @@ mod tests {
     #[test]
     fn parallel_matches_sequential() {
         let bp = build(500, 2, 13);
-        let mut seq = vec![0.0; bp.len()];
-        let mut par = vec![0.0; bp.len()];
-        near_field_potentials(&bp, Separation::Two, false, &mut seq);
-        near_field_potentials(&bp, Separation::Two, true, &mut par);
+        let run = |n| {
+            let mut out = vec![0.0; bp.len()];
+            threads(n).install(|| near_field_potentials(&bp, Separation::Two, &mut out));
+            out
+        };
+        let (seq, par) = (run(1), run(3));
         for (a, b) in seq.iter().zip(&par) {
             assert!((a - b).abs() < 1e-12);
         }
@@ -1040,7 +986,7 @@ mod tests {
         for sep in [Separation::One, Separation::Two] {
             let bp = build(400, 2, 17);
             let mut tc = vec![0.0; bp.len()];
-            let st_tc = near_field_potentials(&bp, sep, false, &mut tc);
+            let st_tc = near_field_potentials(&bp, sep, &mut tc);
             let (sym, st_sym) = near_field_symmetric(&bp, sep);
             for (a, b) in tc.iter().zip(&sym) {
                 assert!((a - b).abs() < 1e-10);
@@ -1069,7 +1015,7 @@ mod tests {
         near_field_forces_softened(&bp, Separation::Two, false, 0.0, &mut pot, &mut field);
         // Check potential part agrees with the potential-only kernel.
         let mut pot2 = vec![0.0; bp.len()];
-        near_field_potentials(&bp, Separation::Two, false, &mut pot2);
+        near_field_potentials(&bp, Separation::Two, &mut pot2);
         for (a, b) in pot.iter().zip(&pot2) {
             assert!((a - b).abs() < 1e-10);
         }
@@ -1119,12 +1065,11 @@ mod tests {
 
     type ForceOut = (Vec<f64>, Vec<[f64; 3]>, NearFieldStats);
 
-    fn forces(bp: &BinnedParticles, kernel: Kernel, parallel: bool) -> ForceOut {
+    fn forces(bp: &BinnedParticles, kernel: Kernel) -> ForceOut {
         let mut pot = vec![0.0; bp.len()];
         let mut field = vec![[0.0; 3]; bp.len()];
         let sep = Separation::Two;
-        let st =
-            near_field_forces_softened_with(kernel, bp, sep, parallel, 0.0, &mut pot, &mut field);
+        let st = near_field_forces_softened_with(kernel, bp, sep, 0.0, &mut pot, &mut field);
         (pot, field, st)
     }
 
@@ -1146,7 +1091,7 @@ mod tests {
         // `Kernel::Scalar` is 1/√ exactly. A row is the x-neighbours of one
         // (y, z), one slice of the binning.
         let bp = build(700, 3, 61);
-        let got = forces(&bp, Kernel::Scalar, true);
+        let got = forces(&bp, Kernel::Scalar);
         let row = |t: BoxCoord, dy: i32, dz: i32| {
             let boxes = (-2..=2).filter_map(|dx| t.offset([dx, dy, dz]));
             let ranges: Vec<_> = boxes.map(|s| bp.range(s.index())).collect();
@@ -1212,14 +1157,10 @@ mod tests {
         let hot: usize = counts[..512 / 20].iter().sum();
         assert!(hot > 1100, "5 % of the boxes must hold the cluster");
         for kernel in Kernel::available() {
-            let seq = forces(&bp, kernel, false);
-            for threads in [1, 2, 3, 7] {
-                let pool = rayon::ThreadPoolBuilder::new()
-                    .num_threads(threads)
-                    .build()
-                    .unwrap();
-                let par = pool.install(|| forces(&bp, kernel, true));
-                assert_same_bits(&seq, &par, &format!("{kernel:?}, {threads} threads"));
+            let seq = threads(1).install(|| forces(&bp, kernel));
+            for n in [2, 3, 7] {
+                let par = threads(n).install(|| forces(&bp, kernel));
+                assert_same_bits(&seq, &par, &format!("{kernel:?}, {n} threads"));
             }
         }
     }
@@ -1230,7 +1171,7 @@ mod tests {
         // over all of it: rows clipped at every face, whole rows empty,
         // and empty boxes inside non-empty rows. Each target against
         // every source of its neighbourhood, to 1e-12 of Σ |q|/r (Σ |q|/r²
-        // for the field), on every tier, sequential and parallel.
+        // for the field), on every tier, on one thread and on three.
         let (mut pts, q) = pseudo_system(420, 73);
         for p in pts.iter_mut().take(400) {
             p[2] *= 0.5;
@@ -1272,13 +1213,15 @@ mod tests {
                     }
                 }
                 for kernel in Kernel::available() {
-                    for parallel in [false, true] {
-                        let what = format!("{sep:?} eps={eps} {kernel:?} parallel={parallel}");
+                    for n in [1, 3] {
+                        let what = format!("{sep:?} eps={eps} {kernel:?} threads={n}");
                         let mut pot = vec![0.0; bp.len()];
                         let mut field = vec![[0.0; 3]; bp.len()];
-                        let st = near_field_forces_softened_with(
-                            kernel, &bp, sep, parallel, eps, &mut pot, &mut field,
-                        );
+                        let st = threads(n).install(|| {
+                            near_field_forces_softened_with(
+                                kernel, &bp, sep, eps, &mut pot, &mut field,
+                            )
+                        });
                         assert_eq!(st.pair_interactions, pairs, "{what}");
                         for (i, &(p, f, sp, sf)) in want.iter().enumerate() {
                             assert!((pot[i] - p).abs() <= 1e-12 * sp, "{what}: potential {i}");
@@ -1288,7 +1231,8 @@ mod tests {
                             }
                         }
                         let mut pot = vec![0.0; bp.len()];
-                        let st = near_field_potentials_softened(&bp, sep, parallel, eps, &mut pot);
+                        let st = threads(n)
+                            .install(|| near_field_potentials_softened(&bp, sep, eps, &mut pot));
                         assert_eq!(st.pair_interactions, pairs, "{what}");
                         for (i, &(p, _, sp, _)) in want.iter().enumerate() {
                             assert!((pot[i] - p).abs() <= 1e-12 * sp, "{what}: oracle {i}");
@@ -1300,76 +1244,21 @@ mod tests {
     }
 
     #[test]
-    fn cells_out_of_row_order_give_the_binnings_bits() {
-        // What the SPMD workers run: every box through
-        // `near_field_forces_box` over a cell store whose layout is not the
-        // binning's. Reversed, every row's cells are back to back but in
-        // the wrong order (memory adjacency is not row adjacency); in order
-        // with a NaN gap after every third cell, some rows are one run and
-        // some are not. Copied rows must give the contiguous sweep's bits.
-        let (sep, n) = (Separation::Two, 512usize);
-        let bp = build(2500, 3, 79);
-        let reversed: Vec<usize> = (0..n).rev().collect();
-        let in_order: Vec<usize> = (0..n).collect();
-        for (layout, order, gap_every) in [("reversed", &reversed, 0), ("gaps", &in_order, 3)] {
-            let mut store: [Vec<f64>; 4] = Default::default();
-            let mut start_of = vec![0; n];
-            for (k, &b) in order.iter().enumerate() {
-                start_of[b] = store[0].len();
-                for (arr, src) in store.iter_mut().zip([&bp.x, &bp.y, &bp.z, &bp.q]) {
-                    arr.extend_from_slice(&src[bp.range(b)]);
-                    if gap_every > 0 && k % gap_every == 0 {
-                        arr.push(f64::NAN);
-                    }
-                }
-            }
-            let range = |b: usize| start_of[b]..start_of[b] + bp.binning.count(b);
-            let [x, y, z, q] = &store;
-            let cells = Cells::new(x, y, z, q, range);
-            for kernel in Kernel::available() {
-                for eps in [0.0, 0.03] {
-                    let what = format!("{layout} {kernel:?} eps={eps}");
-                    let mut want = (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
-                    let want_st = near_field_forces_softened_with(
-                        kernel,
-                        &bp,
-                        sep,
-                        false,
-                        eps,
-                        &mut want.0,
-                        &mut want.1,
-                    );
-                    let mut got = (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
-                    let mut scratch = RowScratch::default();
-                    let mut st = NearFieldStats::default();
-                    for b in 0..n {
-                        let r = bp.range(b);
-                        let (po, fo) = (&mut got.0[r.clone()], &mut got.1[r]);
-                        let eps2 = eps * eps;
-                        let one = near_field_forces_box(
-                            kernel,
-                            &cells,
-                            3,
-                            b,
-                            sep,
-                            eps2,
-                            &mut scratch,
-                            po,
-                            fo,
-                        );
-                        st.merge(&one);
-                    }
-                    assert_eq!(st, want_st, "{what}");
-                    assert!(scratch.soa[0].capacity() > 0, "{what}: no row was copied");
-                    for (a, b) in got.0.iter().zip(&want.0) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{what}: potential");
-                    }
-                    for (a, b) in got.1.iter().flatten().zip(want.1.iter().flatten()) {
-                        assert_eq!(a.to_bits(), b.to_bits(), "{what}: field");
-                    }
-                }
-            }
-        }
+    #[should_panic(expected = "row (y, z) = (1, 2) are not back to back")]
+    fn a_row_out_of_x_order_panics_naming_the_row() {
+        // One particle in each of boxes x = 0 and x = 1 of the row at
+        // (y, z) = (1, 2) of level 2, boxes 36 and 37, held in the arrays
+        // the other way round.
+        let range = |b: usize| match b {
+            37 => 0..1,
+            36 => 1..2,
+            _ => 0..0,
+        };
+        let (xs, q) = ([0.3, 0.1], [1.0, 1.0]);
+        let cells = Cells::new(&xs, &[0.4; 2], &[0.6; 2], &q, range);
+        let (mut po, mut fo) = ([0.0], [[0.0; 3]]);
+        let sep = Separation::Two;
+        near_field_forces_box(Kernel::Scalar, &cells, 2, 36, sep, 0.0, &mut po, &mut fo);
     }
 
     #[test]
@@ -1402,12 +1291,9 @@ mod tests {
                 assert_eq!((cuts[0], cuts[pieces]), (0, 512), "{what}");
                 assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{what}: {cuts:?}");
             }
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(7)
-                .build()
-                .unwrap();
-            let got = pool.install(|| forces(&bp, Kernel::detect(), true));
-            assert_same_bits(&got, &forces(&bp, Kernel::detect(), false), what);
+            let got = threads(7).install(|| forces(&bp, Kernel::detect()));
+            let one = threads(1).install(|| forces(&bp, Kernel::detect()));
+            assert_same_bits(&got, &one, what);
             let sorted: Vec<[f64; 3]> =
                 (0..bp.len()).map(|i| [bp.x[i], bp.y[i], bp.z[i]]).collect();
             let (want_p, want_f) = fmm_direct::potentials_and_fields(&sorted, &bp.q);
@@ -1487,7 +1373,7 @@ mod tests {
             let want_st = near_field_travelling_with(kernel, &bp, sep, false, 0.0, &mut want);
             let mut got = vec![0.0; bp.len()];
             let mut acc = vec![0.0; x.len()];
-            let mut st = self_pass(kernel, &bp, 0.0, false, &mut got);
+            let mut st = self_pass(kernel, &bp, 0.0, &mut got);
             for step in &TravelPath::new(sep.d()).steps {
                 for boxes in &subsets {
                     let mut one = Travelling {
@@ -1533,7 +1419,7 @@ mod tests {
             })
             .collect();
         let mut outs: Vec<&mut [f64]> = together.iter_mut().map(Vec::as_mut_slice).collect();
-        let st = travelling_sweep(kernel, &bps, Separation::Two, false, 0.0, &mut outs);
+        let st = travelling_sweep(kernel, &bps, Separation::Two, 0.0, &mut outs);
         assert_eq!(st, alone_stats);
         for (a, b) in together.iter().flatten().zip(alone.iter().flatten()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1562,7 +1448,7 @@ mod tests {
         let bp = build(600, 2, 37);
         let eps = 0.05;
         let mut tc = vec![0.0; bp.len()];
-        near_field_potentials_softened(&bp, Separation::Two, false, eps, &mut tc);
+        near_field_potentials_softened(&bp, Separation::Two, eps, &mut tc);
         let mut col = vec![0.0; bp.len()];
         near_field_travelling_with(Kernel::detect(), &bp, Separation::Two, true, eps, &mut col);
         for (a, b) in tc.iter().zip(&col) {
@@ -1575,8 +1461,8 @@ mod tests {
         let bp = build(600, 2, 23);
         let mut o1 = vec![0.0; bp.len()];
         let mut o2 = vec![0.0; bp.len()];
-        let s1 = near_field_potentials(&bp, Separation::One, false, &mut o1);
-        let s2 = near_field_potentials(&bp, Separation::Two, false, &mut o2);
+        let s1 = near_field_potentials(&bp, Separation::One, &mut o1);
+        let s2 = near_field_potentials(&bp, Separation::Two, &mut o2);
         assert!(s1.pair_interactions < s2.pair_interactions);
         assert!(s1.box_pairs < s2.box_pairs);
     }
@@ -1586,7 +1472,7 @@ mod tests {
         // Few particles at deep level: most boxes empty.
         let bp = build(10, 3, 29);
         let mut out = vec![0.0; bp.len()];
-        let st = near_field_potentials(&bp, Separation::Two, false, &mut out);
+        let st = near_field_potentials(&bp, Separation::Two, &mut out);
         assert!(st.pair_interactions <= 90);
     }
 }

@@ -29,8 +29,9 @@
 //! Arithmetic is f32; accumulation across runs is f64, so repeated
 //! `evaluate()` calls stay deterministic for a fixed kernel choice.
 
-use crate::near::{target_sweep, Cells, Forces, NearFieldStats, SharedOut, PAIR_FLOPS};
+use crate::near::{add_stats, target_sweep, Cells, Forces, NearFieldStats, SharedOut, PAIR_FLOPS};
 use crate::particles::BinnedParticles;
+use crate::serially;
 use fmm_linalg::{pairwise, Kernel};
 use fmm_tree::{near_field_offsets, BoxCoord, Separation};
 use rayon::prelude::*;
@@ -87,19 +88,11 @@ fn self_box_potential_f32(
     pairs
 }
 
-#[inline]
-fn add_stats(a: NearFieldStats, b: NearFieldStats) -> NearFieldStats {
-    NearFieldStats {
-        pair_interactions: a.pair_interactions + b.pair_interactions,
-        box_pairs: a.box_pairs + b.box_pairs,
-        flops: 0,
-    }
-}
-
 /// Mixed-precision near-field potentials: the colored symmetric sweep run
 /// on the f32 mirror, with every box-pair partial widened to f64 before
 /// accumulation into `out`. Reports the same third-law-halved counters as
-/// the f64 symmetric sweeps.
+/// the f64 symmetric sweeps. `parallel = false` runs it [`serially`]; the
+/// flag is kept only because `benchmark/` imports it (ROADMAP item 1).
 pub fn near_field_potentials_f32(
     kernel: Kernel,
     bp: &BinnedParticles,
@@ -109,6 +102,9 @@ pub fn near_field_potentials_f32(
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
+    if !parallel {
+        return serially(|| near_field_potentials_f32(kernel, bp, sep, schedule, true, eps, out));
+    }
     assert_eq!(out.len(), bp.len());
     assert_eq!(schedule.level, bp.level);
     let ps = ParticlesF32::build(bp);
@@ -181,17 +177,10 @@ pub fn near_field_potentials_f32(
     for color in &schedule.colors {
         // det: integer-counter reduction; block writes are conflict-free
         // within a color.
-        let st = if parallel {
-            color
-                .par_iter()
-                .map(process_block)
-                .reduce(NearFieldStats::default, add_stats)
-        } else {
-            color
-                .iter()
-                .map(process_block)
-                .fold(NearFieldStats::default(), add_stats)
-        };
+        let st = color
+            .par_iter()
+            .map(process_block)
+            .reduce(NearFieldStats::default, add_stats);
         total = add_stats(total, st);
     }
     total.flops = total.pair_interactions * PAIR_FLOPS;
@@ -203,6 +192,8 @@ pub fn near_field_potentials_f32(
 /// per source sweep through the f32 force panel; each run's partial (the
 /// own row before and after the target, then each other neighbour row) is
 /// widened to f64 before joining the target's accumulator.
+/// `parallel = false` runs it [`serially`]; the flag is kept only because
+/// `benchmark/` imports it (ROADMAP item 1).
 pub fn near_field_forces_f32(
     kernel: Kernel,
     bp: &BinnedParticles,
@@ -212,13 +203,16 @@ pub fn near_field_forces_f32(
     pot: &mut [f64],
     field: &mut [[f64; 3]],
 ) -> NearFieldStats {
+    if !parallel {
+        return serially(|| near_field_forces_f32(kernel, bp, sep, true, eps, pot, field));
+    }
     let ps = ParticlesF32::build(bp);
     let cells = Cells::new(&ps.x, &ps.y, &ps.z, &ps.q, |b| bp.range(b));
     let sum = Forces {
         kernel,
         eps2: (eps * eps) as f32,
     };
-    target_sweep(bp, &cells, sep, parallel, &sum, pot, Some(field))
+    target_sweep(bp, &cells, sep, &sum, pot, Some(field))
 }
 
 #[cfg(test)]

@@ -839,11 +839,7 @@ mod tests {
     #[test]
     fn set_bits_do_not_depend_on_threads() {
         let run = |threads: usize| {
-            let pool = rayon::ThreadPoolBuilder::new()
-                .num_threads(threads)
-                .build()
-                .unwrap();
-            pool.install(|| {
+            crate::threads(threads).install(|| {
                 [(5, false), (5, true), (8, false)].map(|(order, supernodes)| {
                     let ts = build_order(order, supernodes);
                     (checksum(&ts, supernodes), ts.built(), ts.derived())

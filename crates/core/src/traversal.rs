@@ -8,7 +8,9 @@
 //! slabs of parent z-planes (the analogue of per-VU subgrids); slabs are
 //! processed by rayon workers, each of which owns a disjoint, contiguous
 //! range of the level's output buffer, so there are no write conflicts.
-//! Levels are sequential, as in the paper.
+//! Levels are sequential, as in the paper. The sweeps take no executor:
+//! every slab loop is a pool loop, which under [`serially`]
+//! (`Executor::Serial`, an SPMD rank) is one piece on the calling thread.
 //!
 //! There is one body per sweep, [`upward_level`] and [`downward_level`],
 //! and both take a slice of hierarchies: `R` instances that share one plan
@@ -39,6 +41,7 @@
 
 use crate::field::FieldHierarchy;
 use crate::plan::{T2Blocking, TraversalPlan};
+use crate::serially;
 use crate::translations::TranslationSet;
 use fmm_linalg::{gemm_acc_strided_with, gemm_acc_with, gemm_flops, Kernel, Matrix};
 use fmm_tree::BoxCoord;
@@ -138,25 +141,10 @@ fn one_stride(idx: impl IntoIterator<Item = usize>) -> Option<(usize, usize)> {
     Some((first, step))
 }
 
-/// Run `do_slab` over the slabs of a level, each with the output chunks
-/// (one per instance) that slab owns.
-fn for_each_slab<'a, S: Send + Sync, F>(
-    slabs: &[S],
-    outs: &mut [Vec<&'a mut [f64]>],
-    parallel: bool,
-    do_slab: F,
-) where
-    F: Fn((&S, &mut Vec<&'a mut [f64]>)) + Sync + Send,
-{
-    if parallel {
-        slabs.par_iter().zip(outs.par_iter_mut()).for_each(do_slab);
-    } else {
-        slabs.iter().zip(outs.iter_mut()).for_each(do_slab);
-    }
-}
-
 /// Upward pass: for levels l = depth−1 … 1 combine children's outer
-/// samples into parents' (T1). Returns flop counters.
+/// samples into parents' (T1). Returns flop counters. `parallel = false`
+/// runs it [`serially`]; the flag is kept only because `benchmark/`
+/// imports it (ROADMAP item 1).
 pub fn upward_pass(
     fh: &mut FieldHierarchy,
     ts: &TranslationSet,
@@ -164,6 +152,9 @@ pub fn upward_pass(
     agg: Aggregation,
     parallel: bool,
 ) -> TraversalFlops {
+    if !parallel {
+        return serially(|| upward_pass(fh, ts, plan, agg, true));
+    }
     let depth = fh.hierarchy.depth;
     debug_assert_eq!(plan.depth, depth);
     let mut flops = TraversalFlops::default();
@@ -173,7 +164,7 @@ pub fn upward_pass(
     // Level 1 is included (beyond the paper's level-2 stop) because the
     // supernode path at level 2 reads parent-level outer samples.
     for l in (1..depth).rev() {
-        flops += upward_level(std::slice::from_mut(fh), ts, plan, l, agg, parallel);
+        flops += upward_level(std::slice::from_mut(fh), ts, plan, l, agg);
     }
     flops
 }
@@ -193,13 +184,12 @@ pub fn upward_level(
     plan: &TraversalPlan,
     l: u32,
     agg: Aggregation,
-    parallel: bool,
 ) -> TraversalFlops {
     // Every parent is a target: the plan's slabs over its parent list.
     let lvl = plan.level(l);
     let slabs = lvl.slabs.iter();
     let slabs: Vec<_> = slabs.map(|&(p0, p1)| (p0, &lvl.parents[p0..p1])).collect();
-    upward_sweep(fhs, ts, plan, l, agg, parallel, &slabs)
+    upward_sweep(fhs, ts, plan, l, agg, &slabs)
 }
 
 /// [`upward_level`] restricted to the parents `parents` (box indices at
@@ -214,7 +204,7 @@ pub fn upward_rows(
     agg: Aggregation,
     parents: &[u32],
 ) -> TraversalFlops {
-    upward_sweep(fhs, ts, plan, l, agg, false, &[(0, parents)])
+    upward_sweep(fhs, ts, plan, l, agg, &[(0, parents)])
 }
 
 fn upward_sweep(
@@ -223,7 +213,6 @@ fn upward_sweep(
     plan: &TraversalPlan,
     l: u32,
     agg: Aggregation,
-    parallel: bool,
     slabs: &[Slab<&[u32]>],
 ) -> TraversalFlops {
     let r = fhs.len();
@@ -244,7 +233,8 @@ fn upward_sweep(
         }
     }
 
-    for_each_slab(slabs, &mut outs, parallel, |(&(base, parents), out)| {
+    let slabs_outs = slabs.par_iter().zip(outs.par_iter_mut());
+    slabs_outs.for_each(|(&(base, parents), out)| {
         // Panels of at most one parent plane (a plan slab is exactly one).
         for rows in parents.chunks(plane) {
             let np = rows.len();
@@ -328,7 +318,9 @@ fn resolve_offset_lists<'a>(
 
 /// Downward pass: for levels l = 2 … depth, convert interactive-field
 /// outer samples to inner samples (T2, optionally with supernodes) and add
-/// the parent's shifted inner samples (T3).
+/// the parent's shifted inner samples (T3). `parallel = false` runs it
+/// [`serially`]; the flag is kept only because `benchmark/` imports it
+/// (ROADMAP item 1).
 pub fn downward_pass(
     fh: &mut FieldHierarchy,
     ts: &TranslationSet,
@@ -337,12 +329,15 @@ pub fn downward_pass(
     agg: Aggregation,
     parallel: bool,
 ) -> TraversalFlops {
+    if !parallel {
+        return serially(|| downward_pass(fh, ts, plan, supernodes, agg, true));
+    }
     let depth = fh.hierarchy.depth;
     debug_assert_eq!(plan.depth, depth);
     let mut flops = TraversalFlops::default();
     for l in 2..=depth {
         let one = std::slice::from_mut(fh);
-        flops += downward_level(one, ts, plan, supernodes, agg, parallel, l);
+        flops += downward_level(one, ts, plan, supernodes, agg, l);
     }
     flops
 }
@@ -368,28 +363,21 @@ pub fn downward_level(
     plan: &TraversalPlan,
     supernodes: bool,
     agg: Aggregation,
-    parallel: bool,
     l: u32,
 ) -> TraversalFlops {
-    let threads = if parallel {
-        rayon::current_num_threads()
-    } else {
-        1
-    };
+    let threads = rayon::current_num_threads();
     let blocking = plan.level(l - 1).t2_blocking(fhs[0].k, threads);
-    downward_blocked(fhs, ts, plan, supernodes, agg, parallel, l, blocking)
+    downward_blocked(fhs, ts, plan, supernodes, agg, l, blocking)
 }
 
 /// [`downward_level`] with an explicit blocking: every box is a target,
 /// along each octant the slab groups over the plan's parent list.
-#[allow(clippy::too_many_arguments)]
 fn downward_blocked(
     fhs: &mut [FieldHierarchy],
     ts: &TranslationSet,
     plan: &TraversalPlan,
     supernodes: bool,
     agg: Aggregation,
-    parallel: bool,
     l: u32,
     blocking: T2Blocking,
 ) -> TraversalFlops {
@@ -399,7 +387,7 @@ fn downward_blocked(
         .map(|(p0, p1)| (p0 * 8, [&lvl.parents[p0..p1]; 8]))
         .collect();
     let panel = blocking.panel;
-    let flops = downward_sweep(fhs, ts, plan, supernodes, agg, parallel, l, panel, &slabs);
+    let flops = downward_sweep(fhs, ts, plan, supernodes, agg, l, panel, &slabs);
     let (r, k) = (fhs.len(), fhs[0].k);
     debug_assert_eq!(
         flops.t2,
@@ -442,7 +430,7 @@ pub fn downward_rows(
     }
     let slab = [(0, std::array::from_fn(|oct| parents[oct].as_slice()))];
     let panel = plan.level(l - 1).t2_blocking(fhs[0].k, 1).panel;
-    downward_sweep(fhs, ts, plan, supernodes, agg, false, l, panel, &slab)
+    downward_sweep(fhs, ts, plan, supernodes, agg, l, panel, &slab)
 }
 
 /// The downward body. A slab's rows are, per octant, the parents whose
@@ -468,7 +456,6 @@ fn downward_sweep(
     plan: &TraversalPlan,
     supernodes: bool,
     agg: Aggregation,
-    parallel: bool,
     l: u32,
     panel: usize,
     slabs: &[Slab<[&[u32]; 8]>],
@@ -521,7 +508,8 @@ fn downward_sweep(
         cuts
     };
 
-    for_each_slab(slabs, &mut outs, parallel, |(&(base, ref rows), out)| {
+    let slabs_outs = slabs.par_iter().zip(outs.par_iter_mut());
+    slabs_outs.for_each(|(&(base, ref rows), out)| {
         let cuts: [Vec<Range<usize>>; 8] = std::array::from_fn(|oct| cut(rows[oct]));
         let longest = rows.iter().map(|p| p.len()).max().unwrap_or(0);
         let cap = panel.min(longest);
@@ -674,6 +662,7 @@ fn downward_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::threads;
     use fmm_sphere::SphereRule;
     use fmm_tree::{Hierarchy, Separation};
 
@@ -702,20 +691,6 @@ mod tests {
     }
 
     #[test]
-    fn upward_parallel_matches_sequential() {
-        let (mut a, ts, plan) = small_setup(4, false);
-        fill_pseudo(&mut a);
-        let mut b = a.clone();
-        upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
-        upward_pass(&mut b, &ts, &plan, Aggregation::Gemm, true);
-        for l in 2..=4usize {
-            for (x, y) in a.far[l].iter().zip(&b.far[l]) {
-                assert!((x - y).abs() < 1e-12);
-            }
-        }
-    }
-
-    #[test]
     fn upward_gemv_matches_gemm() {
         let (mut a, ts, plan) = small_setup(3, false);
         fill_pseudo(&mut a);
@@ -725,21 +700,6 @@ mod tests {
         for l in 2..3usize {
             for (x, y) in a.far[l].iter().zip(&b.far[l]) {
                 assert!((x - y).abs() < 1e-10);
-            }
-        }
-    }
-
-    #[test]
-    fn downward_parallel_matches_sequential() {
-        let (mut a, ts, plan) = small_setup(3, false);
-        fill_pseudo(&mut a);
-        upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
-        let mut b = a.clone();
-        downward_pass(&mut a, &ts, &plan, false, Aggregation::Gemm, false);
-        downward_pass(&mut b, &ts, &plan, false, Aggregation::Gemm, true);
-        for l in 2..=3usize {
-            for (x, y) in a.local[l].iter().zip(&b.local[l]) {
-                assert!((x - y).abs() < 1e-12);
             }
         }
     }
@@ -786,8 +746,8 @@ mod tests {
 
     #[test]
     fn instances_share_panels_without_changing_bits() {
-        // Three instances through the one body, sequential and with
-        // parallel slabs, against each instance swept alone.
+        // Three instances through the one body, on one thread and with
+        // slabs split over three, against each instance swept alone.
         for supernodes in [false, true] {
             let mut solo = Vec::new();
             for seed in 0..3u64 {
@@ -800,15 +760,17 @@ mod tests {
                 solo.push((pristine, fh));
             }
             let (_, ts, plan) = small_setup(4, supernodes);
-            for parallel in [false, true] {
+            for n in [1, 3] {
                 let mut fhs: Vec<FieldHierarchy> = solo.iter().map(|(p, _)| p.clone()).collect();
-                for l in (1..4).rev() {
-                    upward_level(&mut fhs, &ts, &plan, l, Aggregation::Gemm, parallel);
-                }
-                for l in 2..=4 {
-                    let agg = Aggregation::Gemm;
-                    downward_level(&mut fhs, &ts, &plan, supernodes, agg, parallel, l);
-                }
+                threads(n).install(|| {
+                    for l in (1..4).rev() {
+                        upward_level(&mut fhs, &ts, &plan, l, Aggregation::Gemm);
+                    }
+                    for l in 2..=4 {
+                        let agg = Aggregation::Gemm;
+                        downward_level(&mut fhs, &ts, &plan, supernodes, agg, l);
+                    }
+                });
                 for (got, (_, want)) in fhs.iter().zip(&solo) {
                     for l in 1..=4usize {
                         for (x, y) in got.far[l].iter().zip(&want.far[l]) {
@@ -946,8 +908,9 @@ mod tests {
         }
     }
 
-    /// `downward_level` — with the pool's blocking, sequentially, and with
-    /// every blocking `extra` lists — against [`reference_level`], bit for
+    /// `downward_level` — with the blocking of a one- and a three-thread
+    /// pool, and with every blocking `extra` lists — against
+    /// [`reference_level`], bit for
     /// bit, on every kernel tier, with supernodes on and off, for one and
     /// three instances. Level by level from the reference's own inputs.
     fn assert_blocked_sweep_is_reference(order: usize, depth: u32, extra: &[T2Blocking]) {
@@ -973,19 +936,17 @@ mod tests {
                         let li = l as usize;
                         let input = want.clone();
                         reference_level(&mut want, &ts, &plan, supernodes, l);
-                        let pool = [(false, None), (true, None)].into_iter();
-                        let runs = pool.chain(extra.iter().map(|&b| (true, Some(b))));
-                        for (parallel, blocking) in runs {
+                        let pool = [(1, None), (3, None)].into_iter();
+                        let runs = pool.chain(extra.iter().map(|&b| (3, Some(b))));
+                        for (n, blocking) in runs {
                             let mut got = input.clone();
                             let agg = Aggregation::Gemm;
-                            let fl = match blocking {
-                                Some(b) => downward_blocked(
-                                    &mut got, &ts, &plan, supernodes, agg, parallel, l, b,
-                                ),
-                                None => downward_level(
-                                    &mut got, &ts, &plan, supernodes, agg, parallel, l,
-                                ),
-                            };
+                            let fl = threads(n).install(|| match blocking {
+                                Some(b) => {
+                                    downward_blocked(&mut got, &ts, &plan, supernodes, agg, l, b)
+                                }
+                                None => downward_level(&mut got, &ts, &plan, supernodes, agg, l),
+                            });
                             let rows = plan.level(l - 1).t2_rows[supernodes as usize];
                             assert_eq!(fl.t2, rows * gemm_flops(r, k, k));
                             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
@@ -994,7 +955,7 @@ mod tests {
                                         x.to_bits(),
                                         y.to_bits(),
                                         "K={k} {kernel:?} supernodes={supernodes} R={r} \
-                                         instance {i} level {l} parallel={parallel} {blocking:?}"
+                                         instance {i} level {l} threads={n} {blocking:?}"
                                     );
                                 }
                             }

@@ -6,8 +6,11 @@
 //! sweep's slots (a cell's particles plus its accumulators) live here
 //! too: a slot's position is its origin minus the displacement so far, so
 //! a shift only packs the slots that cross to another rank and unpacks the
-//! ones that arrive — everything else stays where it is. `fmm-core`'s
-//! near-field bodies read the arrays through [`CellStore::cells`].
+//! ones that arrive — everything else stays where it is. Once the force
+//! halo is in, [`CellStore::lay_out_row_major`] copies the cells afresh in
+//! row-major cell order, so each x-row of a neighbourhood is one run, as
+//! in a binning. `fmm-core`'s near-field bodies read the arrays through
+//! [`CellStore::cells`].
 
 use std::ops::Range;
 
@@ -178,6 +181,23 @@ impl CellStore {
         data
     }
 
+    /// Copy the cells that are here into fresh arrays in row-major cell
+    /// order: consecutive cells of an x-row then lie back to back, which
+    /// the force sweep's rows need. `compact` cannot do this in place,
+    /// because it keeps storage order.
+    pub fn lay_out_row_major(&mut self) {
+        let mut soa: [Vec<f64>; 5] = Default::default();
+        for c in 0..self.spans.len() {
+            let Some(r) = self.range(c) else { continue };
+            let start = soa[0].len() as u32;
+            for (to, from) in soa.iter_mut().zip(&self.soa) {
+                to.extend_from_slice(&from[r.clone()]);
+            }
+            self.spans[c] = Some(start..start + r.len() as u32);
+        }
+        self.soa = soa;
+    }
+
     /// Slide the cells that are here down over the gaps, in storage order.
     fn compact(&mut self) {
         let here = (0..self.spans.len()).filter_map(|c| Some((self.range(c)?, c)));
@@ -200,7 +220,9 @@ impl CellStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmm_core::Domain;
+    use fmm_core::near::{near_field_forces_box, near_field_forces_softened_with};
+    use fmm_core::{Domain, Kernel, Separation};
+    use fmm_tree::BoxCoord;
 
     #[test]
     fn slots_that_leave_and_return_keep_their_bits_in_a_bounded_footprint() {
@@ -238,5 +260,54 @@ mod tests {
             assert_eq!(store.soa[4].len(), store.soa[0].len());
         }
         assert_eq!(snapshot(&store), before);
+    }
+
+    #[test]
+    fn halo_cells_in_reverse_arrival_order_give_the_binnings_force_bits() {
+        // A rank owning z-planes 3 and 4 of a 512-box grid receives the
+        // rest of their neighbourhoods last cell first, then lays its store
+        // out row-major: every owned box gets the binning's bits, on every
+        // tier.
+        let unit = |i: usize| (i as f64 * 0.618_033_988_75).fract();
+        let pts: Vec<[f64; 3]> = (0..2500)
+            .map(|i| [unit(i), unit(5 * i + 1), unit(9 * i + 2)])
+            .collect();
+        let q: Vec<f64> = (0..2500).map(|i| unit(13 * i) - 0.5).collect();
+        let bp = BinnedParticles::build(&pts, &q, Domain::unit(), 3);
+        let z = |b: &u32| BoxCoord::from_index(3, *b as usize).z;
+        let (owned, halo): (Vec<u32>, Vec<u32>) = (0..512)
+            .rev()
+            .filter(|b| (1..7).contains(&z(b)))
+            .partition(|b| (3..5).contains(&z(b)));
+        let halo: Vec<usize> = halo.iter().map(|&c| c as usize).collect();
+        let all = CellStore::seed(&bp, &(0..512).collect::<Vec<_>>());
+        let mut data = Vec::new();
+        for &c in &halo {
+            all.pack_cell(c, &mut data);
+        }
+        let mut store = CellStore::seed(&bp, &owned);
+        store.unpack_cells(&data, &halo);
+        store.lay_out_row_major();
+        let (cells, _) = store.cells(|c| panic!("cell {c} is not here"));
+        let (sep, eps) = (Separation::Two, 0.01);
+        for kernel in Kernel::available() {
+            let zeros = || (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
+            let (mut want, mut got) = (zeros(), zeros());
+            near_field_forces_softened_with(kernel, &bp, sep, eps, &mut want.0, &mut want.1);
+            for b in owned.iter().map(|&b| b as usize) {
+                let r = bp.range(b);
+                let (po, fo) = (&mut got.0[r.clone()], &mut got.1[r.clone()]);
+                near_field_forces_box(kernel, &cells, 3, b, sep, eps * eps, po, fo);
+                let bits = |(p, f): &(Vec<f64>, Vec<[f64; 3]>)| {
+                    let f = f[r.clone()].concat();
+                    p[r.clone()]
+                        .iter()
+                        .chain(&f)
+                        .map(|v| v.to_bits())
+                        .collect::<Vec<_>>()
+                };
+                assert_eq!(bits(&got), bits(&want), "{kernel:?} box {b}");
+            }
+        }
     }
 }

@@ -851,4 +851,23 @@ mod tests {
         short.peers.pop();
         assert!(read_job(&mut framed(&encode_job(&short)).as_slice()).is_err());
     }
+
+    #[test]
+    fn hostile_job_non_finite_radius_is_an_error() {
+        // The radii and the softening come off the wire as raw f64 bits.
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            for name in ["outer_ratio", "inner_ratio", "softening"] {
+                let mut hostile = job(false, 2, 1);
+                *match name {
+                    "outer_ratio" => &mut hostile.outer_ratio,
+                    "inner_ratio" => &mut hostile.inner_ratio,
+                    _ => &mut hostile.softening,
+                } = v;
+                let frame = framed(&encode_job(&hostile));
+                let got = read_job(&mut frame.as_slice()).unwrap();
+                let err = got.config().expect_err(name);
+                assert!(err.starts_with(name), "{name} = {v}: {err}");
+            }
+        }
+    }
 }

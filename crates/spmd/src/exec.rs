@@ -18,16 +18,20 @@
 //!   leaf" and "which boxes of this level does this rank compute": the
 //!   block layout (a Multigrid-embedded level is simply "rank 0 owns every
 //!   box, the others none") or the Morton [`fmm_tree::Partition`].
-//! * **Arithmetic.** P2O and evaluation run
+//! * **Arithmetic.** A rank runs its phases under [`fmm_core::serially`],
+//!   a one-thread scope of the pool, so the sweeps it calls are the
+//!   shared-memory executors' own bodies, each loop one piece on the
+//!   rank's thread. P2O and evaluation run
 //!   `fmm_core::driver::{p2o, eval_local}` over the worker's own binning
 //!   (other boxes are empty and skipped). T1/T2/T3 run
-//!   `fmm_core::traversal::{upward_rows, downward_rows}` — the serial
-//!   sweep's panel loop, handed the owned boxes instead of the plan's
-//!   slabs. The near field runs `fmm_core::near::{self_pass,
-//!   travelling_step, return_add}` (potentials) or
-//!   `near_field_forces_box` (forces) over the owned boxes, sources read
-//!   from the rank's [`CellStore`]: its own cells, plus the slots the
-//!   program's shifts or the cells its halo steps have brought so far.
+//!   `fmm_core::traversal::{upward_rows, downward_rows}` — the sweep's
+//!   panel loop, handed the owned boxes instead of the plan's slabs. The
+//!   near field runs `fmm_core::near::{self_pass, travelling_step,
+//!   return_add}` (potentials) or `near_field_forces_box` (forces) over
+//!   the owned boxes, sources read from the rank's [`CellStore`]: its own
+//!   cells, plus the slots the program's shifts or the cells its halo
+//!   steps have brought so far — the latter laid out row-major once they
+//!   are all in, so the force rows read runs as in a binning.
 //!
 //! Bitwise identity with the serial backend is a hard invariant. It holds
 //! because a GEMM row does not depend on the height of the panel it sits
@@ -40,8 +44,7 @@ use std::time::{Duration, Instant};
 use fmm_core::driver::{eval_local, p2o, Fmm};
 use fmm_core::field::FieldHierarchy;
 use fmm_core::near::{
-    near_field_forces_box, return_add, self_pass, travelling_step, NearFieldStats, RowScratch,
-    Travelling,
+    near_field_forces_box, return_add, self_pass, travelling_step, NearFieldStats, Travelling,
 };
 use fmm_core::particles::BinnedParticles;
 use fmm_core::stats::{Counters, SpmdReport};
@@ -192,6 +195,8 @@ struct Worker<'a> {
     out: WorkerOut,
 }
 
+/// One rank's program. Its phases run [`fmm_core::serially`]: every sweep
+/// they call runs on this thread.
 pub(crate) fn worker_main<'a>(ctx: WorkerCtx, sh: &'a Shared<'a>) -> WorkerOut {
     let own = match &sh.program.partition {
         Some(ps) => Ownership::Part(ps),
@@ -215,16 +220,18 @@ pub(crate) fn worker_main<'a>(ctx: WorkerCtx, sh: &'a Shared<'a>) -> WorkerOut {
         Worker::eval,
         Worker::near,
     ];
-    for (ph, run) in phases.into_iter().enumerate() {
-        w.ctx.set_phase(ph);
-        let t0 = Instant::now();
-        let mut steps = sh.program.phases[ph].iter().peekable();
-        run(&mut w, &mut steps);
-        if let Some(st) = steps.next() {
-            panic!("{}: step {st:?} was never executed", w.whereabouts());
+    fmm_core::serially(|| {
+        for (ph, run) in phases.into_iter().enumerate() {
+            w.ctx.set_phase(ph);
+            let t0 = Instant::now();
+            let mut steps = sh.program.phases[ph].iter().peekable();
+            run(&mut w, &mut steps);
+            if let Some(st) = steps.next() {
+                panic!("{}: step {st:?} was never executed", w.whereabouts());
+            }
+            w.out.times[ph] = t0.elapsed();
         }
-        w.out.times[ph] = t0.elapsed();
-    }
+    });
     w.out.counters = w.ctx.counters;
     w.out.wait = w.ctx.wait;
     w.out
@@ -343,7 +350,7 @@ impl Worker<'_> {
         let (sh, depth) = (self.sh, self.sh.depth);
         let a_leaf = sh.fmm.config().outer_ratio * sh.domain.box_side(depth);
         let far_leaf = &mut self.fh.far[depth as usize];
-        self.out.p2o_flops = p2o(&self.bp, sh.fmm.rule(), a_leaf, depth, false, far_leaf);
+        self.out.p2o_flops = p2o(&self.bp, sh.fmm.rule(), a_leaf, depth, true, far_leaf);
     }
 
     /// Phase 2: per parent level, whatever child rows the program moves,
@@ -392,7 +399,7 @@ impl Worker<'_> {
             cfg.m_trunc,
             b_leaf,
             depth,
-            false,
+            true,
             &self.fh.local[depth as usize],
             &mut self.out.pot,
             self.out.fields.as_deref_mut(),
@@ -419,33 +426,23 @@ impl Worker<'_> {
         let mut near_pot = vec![0.0; self.bp.len()];
         let stats = if sh.with_fields {
             // Forces are target-centric: fetch the true neighbour cells,
-            // then run the serial per-box kernel on every owned box. A
-            // cell arrives in its owner's order, which is the serial
-            // binning's, and a row whose cells the store does not hold
-            // back to back in x order is copied into the scratch in that
-            // order, so every run a target sums is the serial run.
+            // lay the store out row-major, then run the serial per-box
+            // kernel on every owned box. A cell arrives in its owner's
+            // order, which is the serial binning's, and the halo brings
+            // every cell of an owned box's neighbourhood, so each row a
+            // target sums is one run holding the serial run's values.
             for st in steps {
                 self.step(st);
             }
+            self.store.lay_out_row_major();
             let (cells, _) = self.store.cells(|c| cell_missing(&here, last, c));
             let (sep, depth) = (cfg.separation, sh.depth);
             let mut near_f = vec![[0.0; 3]; self.bp.len()];
-            let mut scratch = RowScratch::default();
             let mut stats = NearFieldStats::default();
             for b in owned.iter().map(|&b| b as usize) {
                 let r = self.bp.range(b);
                 let (po, fo) = (&mut near_pot[r.clone()], &mut near_f[r]);
-                let st = near_field_forces_box(
-                    kernel,
-                    &cells,
-                    depth,
-                    b,
-                    sep,
-                    eps2,
-                    &mut scratch,
-                    po,
-                    fo,
-                );
+                let st = near_field_forces_box(kernel, &cells, depth, b, sep, eps2, po, fo);
                 stats.merge(&st);
             }
             let fields = self.out.fields.as_mut().expect("forces were asked for");
@@ -460,7 +457,7 @@ impl Worker<'_> {
             // each owned box's particles + partial accumulator ride a slot
             // that shifts along the snake itinerary, exactly as the serial
             // emulation (and the paper's CM implementation) orders it.
-            let mut stats = self_pass(kernel, &self.bp, eps2, false, &mut near_pot);
+            let mut stats = self_pass(kernel, &self.bp, eps2, &mut near_pot);
             for st in steps {
                 self.step(st);
                 // Return shifts (no visit) only move the accumulators home.

@@ -198,11 +198,12 @@ fn parts_needed(costs: &[u64], b: u64) -> usize {
     parts
 }
 
-/// Per-pair cost weight of one near-field interaction when only potentials
-/// are evaluated (mirrors `fmm_core::near::PAIR_FLOPS`).
+/// Flops charged per pairwise potential interaction (3 subs, 3 mults, 2
+/// adds, rsqrt, multiply–accumulate — the conventional count used when
+/// comparing N-body codes): the cost model's pair weight and the near-field
+/// sweeps' counter, which `fmm_core::near` re-exports.
 pub const PAIR_FLOPS: u64 = 10;
-/// Per-pair cost weight with forces (mirrors
-/// `fmm_core::near::PAIR_FORCE_FLOPS`).
+/// Flops per pairwise potential+field interaction.
 pub const PAIR_FORCE_FLOPS: u64 = 20;
 
 /// Parameters of the a-priori cost model used to weight leaf boxes.

@@ -39,6 +39,8 @@ thread_local! {
     static LOCAL_THREADS: Cell<usize> = const { Cell::new(0) };
     /// Regions opened on this thread (see [`regions_opened`]).
     static REGIONS: Cell<u64> = const { Cell::new(0) };
+    /// Of those, the ones that ran as more than one piece.
+    static SPLIT: Cell<u64> = const { Cell::new(0) };
 }
 
 /// The host's available parallelism, read once per process.
@@ -64,6 +66,13 @@ pub fn current_num_threads() -> usize {
 /// show that a code path stays off the parallel iterators.
 pub fn regions_opened() -> u64 {
     REGIONS.with(Cell::get)
+}
+
+/// The regions [`regions_opened`] counts that ran as more than one piece;
+/// a one-piece region runs inline on the calling thread. Lets a test show
+/// that a code path keeps to the calling thread.
+pub fn regions_split() -> u64 {
+    SPLIT.with(Cell::get)
 }
 
 /// Run `f` with this thread's count pinned to `n` (0: the default),
@@ -527,6 +536,7 @@ where
     if pieces <= 1 {
         return vec![work(producer)];
     }
+    SPLIT.with(|c| c.set(c.get() + 1));
     let mut parts = Vec::with_capacity(pieces);
     let mut rest = producer;
     let mut remaining = len;
@@ -880,5 +890,16 @@ mod tests {
         let _: f64 = v.par_iter().map(|&x| x).sum();
         threads(1).install(|| v.par_iter().for_each(|_| {}));
         assert_eq!(regions_opened() - before, 2);
+    }
+
+    #[test]
+    fn only_regions_of_several_pieces_count_as_split() {
+        let before = regions_split();
+        let v = [1.0f64; 5];
+        threads(1).install(|| v.par_iter().for_each(|_| {}));
+        threads(3).install(|| v[..1].par_iter().for_each(|_| {}));
+        assert_eq!(regions_split() - before, 0);
+        threads(3).install(|| v.par_iter().for_each(|_| {}));
+        assert_eq!(regions_split() - before, 1);
     }
 }
