@@ -309,6 +309,10 @@ impl Fmm {
         requests: &[BatchRequest<'_>],
         with_fields: bool,
     ) -> Result<EvalOutput, FmmError> {
+        // Inside the scope the pool has one thread, so this re-enters once.
+        if self.cfg.effective_executor() == Executor::Serial && rayon::current_num_threads() > 1 {
+            return serially(|| self.evaluate_requests(requests, with_fields));
+        }
         if requests.is_empty() {
             return Err(FmmError::BadInput("empty batch".into()));
         }
@@ -345,20 +349,6 @@ impl Fmm {
             }
             return Ok(all);
         }
-        let shared = || self.evaluate_shared(requests, with_fields);
-        match self.cfg.effective_executor() {
-            Executor::Serial => serially(shared),
-            _ => shared(),
-        }
-    }
-
-    /// The shared-memory pipeline of [`Fmm::evaluate_requests`], on the
-    /// pool's threads in scope.
-    fn evaluate_shared(
-        &self,
-        requests: &[BatchRequest<'_>],
-        with_fields: bool,
-    ) -> Result<EvalOutput, FmmError> {
         let depth = self.cfg.depth.resolve(requests[0].positions.len());
         for (i, q) in requests.iter().enumerate() {
             let d = self.cfg.depth.resolve(q.positions.len());
@@ -736,6 +726,20 @@ mod tests {
     }
 
     #[test]
+    fn parallel_matches_sequential_bitwise_phases() {
+        let (pts, q) = pseudo_system(800, 13);
+        let seq = Fmm::new(FmmConfig::order(3).depth(3).sequential()).unwrap();
+        let par = Fmm::new(FmmConfig::order(3).depth(3)).unwrap();
+        let (a, b) = crate::threads(3).install(|| {
+            let a = seq.evaluate(&pts, &q).unwrap().potentials;
+            (a, par.evaluate(&pts, &q).unwrap().potentials)
+        });
+        for (x, y) in a.iter().zip(&b) {
+            assert_eq!(x.to_bits(), y.to_bits(), "{x} vs {y}");
+        }
+    }
+
+    #[test]
     fn serial_executor_splits_no_region() {
         // `executor(Executor::Serial)` leaves the legacy `parallel` flag
         // set; the executor alone must decide. Serial runs every region as
@@ -779,65 +783,58 @@ mod tests {
         let bp = BinnedParticles::build(&pts, &q, Domain::bounding(&pts), 3);
         let (sep, kernel, eps, gemm) = (cfg.separation, plan.kernel, 0.01, Aggregation::Gemm);
         let side = bp.domain.box_side(3);
-        let zeros = || (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
-        // Per function, in the order of `names`: the regions it split, then
-        // its counts and outputs as bits.
+        let (a_leaf, b_leaf, m) = (cfg.outer_ratio * side, cfg.inner_ratio * side, cfg.m_trunc);
         let names = "p2o upward_pass downward_pass eval_local near_field_travelling_with \
                      near_field_forces_softened near_field_forces_f32 near_field_potentials_f32";
-        let run = |par: bool| {
-            let mut got = Vec::new();
-            let mut record = |before, counts: &[u64], out: Vec<f64>| {
-                let bits = counts
-                    .iter()
-                    .copied()
-                    .chain(out.into_iter().map(f64::to_bits));
-                got.push((rayon::regions_split() - before, bits.collect::<Vec<_>>()));
+        // Step `i` calls the `i`th name (the first four chain through `fh`)
+        // and returns its counts, then `fh` and its outputs, as bits.
+        let run = |i: usize, par: bool, fh: &mut FieldHierarchy| -> Vec<u64> {
+            let (mut p, mut f) = (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
+            let counts = match i {
+                0 => vec![p2o(&bp, rule, a_leaf, 3, par, &mut fh.far[3])],
+                1 => vec![upward_pass(fh, ts, &plan, gemm, par).t1],
+                2 => {
+                    let fl = downward_pass(fh, ts, &plan, false, gemm, par);
+                    vec![fl.t2, fl.t3]
+                }
+                3 => {
+                    let fo = Some(&mut f[..]);
+                    let fl = eval_local(&bp, rule, m, b_leaf, 3, par, &fh.local[3], &mut p, fo);
+                    vec![fl]
+                }
+                _ => {
+                    let st = match i {
+                        4 => near_field_travelling_with(kernel, &bp, sep, par, eps, &mut p),
+                        5 => near_field_forces_softened(&bp, sep, par, eps, &mut p, &mut f),
+                        6 => near_field_forces_f32(kernel, &bp, sep, par, eps, &mut p, &mut f),
+                        _ => {
+                            let schedule = &plan.near_schedule;
+                            near_field_potentials_f32(kernel, &bp, sep, schedule, par, eps, &mut p)
+                        }
+                    };
+                    vec![st.pair_interactions, st.flops]
+                }
             };
-            let mut fh = FieldHierarchy::new(Hierarchy::new(3), fmm.k());
-            let before = rayon::regions_split();
-            let fl = p2o(&bp, rule, cfg.outer_ratio * side, 3, par, &mut fh.far[3]);
-            record(before, &[fl], fh.far[3].clone());
-            let before = rayon::regions_split();
-            let fl = upward_pass(&mut fh, ts, &plan, gemm, par);
-            record(before, &[fl.t1], fh.far.concat());
-            let before = rayon::regions_split();
-            let fl = downward_pass(&mut fh, ts, &plan, false, gemm, par);
-            record(before, &[fl.t2, fl.t3], fh.local.concat());
-            let ((mut p, mut f), before) = (zeros(), rayon::regions_split());
-            let (m, b_leaf, fo) = (cfg.m_trunc, cfg.inner_ratio * side, Some(&mut f[..]));
-            let fl = eval_local(&bp, rule, m, b_leaf, 3, par, &fh.local[3], &mut p, fo);
-            record(before, &[fl], [p, f.concat()].concat());
-            let ((mut p, _), before) = (zeros(), rayon::regions_split());
-            let st = near_field_travelling_with(kernel, &bp, sep, par, eps, &mut p);
-            record(before, &[st.pair_interactions, st.flops], p);
-            let ((mut p, mut f), before) = (zeros(), rayon::regions_split());
-            let st = near_field_forces_softened(&bp, sep, par, eps, &mut p, &mut f);
-            record(
-                before,
-                &[st.pair_interactions, st.flops],
-                [p, f.concat()].concat(),
-            );
-            let ((mut p, mut f), before) = (zeros(), rayon::regions_split());
-            let st = near_field_forces_f32(kernel, &bp, sep, par, eps, &mut p, &mut f);
-            record(
-                before,
-                &[st.pair_interactions, st.flops],
-                [p, f.concat()].concat(),
-            );
-            let ((mut p, _), before) = (zeros(), rayon::regions_split());
-            let schedule = &plan.near_schedule;
-            let st = near_field_potentials_f32(kernel, &bp, sep, schedule, par, eps, &mut p);
-            record(before, &[st.pair_interactions, st.flops], p);
-            got
+            let out = [fh.far.concat(), fh.local.concat(), p, f.concat()].concat();
+            counts
+                .into_iter()
+                .chain(out.into_iter().map(f64::to_bits))
+                .collect()
         };
-        let (serial, parallel) = crate::threads(3).install(|| (run(false), run(true)));
-        assert_eq!(serial.len(), 8);
-        for (name, ((splits, a), (_, b))) in names.split(' ').zip(serial.iter().zip(&parallel)) {
-            assert_eq!(*splits, 0, "{name}(parallel = false) split a region");
-            assert!(a == b, "{name}: parallel = false wrote other bits");
-        }
-        let split: u64 = parallel.iter().map(|(n, _)| n).sum();
-        assert!(split > 0, "no region split on three threads");
+        crate::threads(3).install(|| {
+            let [mut a, mut b] = [0, 1].map(|_| FieldHierarchy::new(Hierarchy::new(3), fmm.k()));
+            let start = rayon::regions_split();
+            for (i, name) in names.split(' ').enumerate() {
+                let before = rayon::regions_split();
+                let serial = run(i, false, &mut a);
+                let splits = rayon::regions_split() - before;
+                assert_eq!(splits, 0, "{name}(parallel = false) split a region");
+                let same = serial == run(i, true, &mut b);
+                assert!(same, "{name}: parallel = false wrote other bits");
+            }
+            let split = rayon::regions_split() - start;
+            assert!(split > 0, "no region split on three threads");
+        });
     }
 
     #[test]

@@ -745,6 +745,36 @@ mod tests {
     }
 
     #[test]
+    fn upward_parallel_matches_sequential() {
+        let (mut a, ts, plan) = small_setup(4, false);
+        fill_pseudo(&mut a);
+        let mut b = a.clone();
+        threads(1).install(|| upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, true));
+        threads(3).install(|| upward_pass(&mut b, &ts, &plan, Aggregation::Gemm, true));
+        for l in 1..=4usize {
+            for (x, y) in a.far[l].iter().zip(&b.far[l]) {
+                assert_eq!(x.to_bits(), y.to_bits(), "far[{l}]");
+            }
+        }
+    }
+
+    #[test]
+    fn downward_parallel_matches_sequential() {
+        let (mut a, ts, plan) = small_setup(4, false);
+        fill_pseudo(&mut a);
+        upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, true);
+        let mut b = a.clone();
+        let agg = Aggregation::Gemm;
+        threads(1).install(|| downward_pass(&mut a, &ts, &plan, false, agg, true));
+        threads(3).install(|| downward_pass(&mut b, &ts, &plan, false, agg, true));
+        for l in 2..=4usize {
+            for (x, y) in a.local[l].iter().zip(&b.local[l]) {
+                assert_eq!(x.to_bits(), y.to_bits(), "local[{l}]");
+            }
+        }
+    }
+
+    #[test]
     fn instances_share_panels_without_changing_bits() {
         // Three instances through the one body, on one thread and with
         // slabs split over three, against each instance swept alone.

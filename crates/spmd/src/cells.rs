@@ -184,17 +184,19 @@ impl CellStore {
     /// Copy the cells that are here into fresh arrays in row-major cell
     /// order: consecutive cells of an x-row then lie back to back, which
     /// the force sweep's rows need. `compact` cannot do this in place,
-    /// because it keeps storage order.
+    /// because it keeps storage order. The accumulators are not carried:
+    /// they come back zero (the force sweep has none).
     pub fn lay_out_row_major(&mut self) {
-        let mut soa: [Vec<f64>; 5] = Default::default();
+        let mut soa: [Vec<f64>; 5] = std::array::from_fn(|_| Vec::with_capacity(self.live));
         for c in 0..self.spans.len() {
             let Some(r) = self.range(c) else { continue };
             let start = soa[0].len() as u32;
-            for (to, from) in soa.iter_mut().zip(&self.soa) {
+            for (to, from) in soa[..4].iter_mut().zip(&self.soa) {
                 to.extend_from_slice(&from[r.clone()]);
             }
             self.spans[c] = Some(start..start + r.len() as u32);
         }
+        soa[4].resize(self.live, 0.0);
         self.soa = soa;
     }
 
