@@ -47,92 +47,12 @@ impl DepthPolicy {
     }
 }
 
-/// Which wire carries SPMD messages between ranks.
-///
-/// All fabrics execute the *same* `CommProgram` and are bitwise
-/// interchangeable: the fabric decides how f64 payloads travel (moved
-/// `Vec`s over in-process channels, or length-prefixed `FMMW` frames over
-/// sockets), never what arrives. Addresses are not part of the selection —
-/// socket fabrics derive them from the environment or allocate ephemeral
-/// endpoints — so the enum stays `Copy` and can live inside plan keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
-pub enum Fabric {
-    /// In-process `mpsc` channels between worker threads (the default;
-    /// zero serialization, payloads move by ownership transfer).
-    #[default]
-    InProcess,
-    /// UNIX-domain stream sockets carrying `FMMW` frames.
-    Unix,
-    /// TCP loopback sockets carrying `FMMW` frames.
-    Tcp,
-}
-
-impl Fabric {
-    pub const ALL: [Fabric; 3] = [Fabric::InProcess, Fabric::Unix, Fabric::Tcp];
-
-    pub fn name(self) -> &'static str {
-        match self {
-            Fabric::InProcess => "inprocess",
-            Fabric::Unix => "unix",
-            Fabric::Tcp => "tcp",
-        }
-    }
-
-    /// Parse a fabric name as used by the `--fabric` CLI knobs; the
-    /// socket fabrics also accept an `addr`-qualified spelling
-    /// (`unix:/path`, `tcp:host:port`) whose address part is ignored here.
-    pub fn from_name(s: &str) -> Option<Fabric> {
-        let kind = s.split(':').next().unwrap_or(s);
-        match kind {
-            "inprocess" | "channels" | "mpsc" => Some(Fabric::InProcess),
-            "unix" => Some(Fabric::Unix),
-            "tcp" => Some(Fabric::Tcp),
-            _ => None,
-        }
-    }
-}
-
-/// Options of the message-passing SPMD executor: how many ranks and which
-/// fabric carries their messages. `Copy + Hash` so [`Executor`] stays
-/// embeddable in plan keys.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
-pub struct SpmdOptions {
-    /// Worker (rank) count; must be a power of two.
-    pub workers: usize,
-    /// The wire between ranks. Outputs are bitwise identical across all
-    /// fabrics; this knob trades ownership-transfer channels against real
-    /// socket framing (and, via `fmm_spmd::distributed`, OS processes).
-    pub transport: Fabric,
-}
-
-impl SpmdOptions {
-    /// `workers` ranks over the default in-process fabric.
-    pub fn new(workers: usize) -> Self {
-        SpmdOptions {
-            workers,
-            transport: Fabric::InProcess,
-        }
-    }
-
-    /// Builder-style: select the message fabric.
-    pub fn transport(mut self, f: Fabric) -> Self {
-        self.transport = f;
-        self
-    }
-}
-
-impl From<usize> for SpmdOptions {
-    fn from(workers: usize) -> Self {
-        SpmdOptions::new(workers)
-    }
-}
-
 /// Which execution backend carries the five phases.
 ///
 /// All backends are bitwise interchangeable for fixed inputs: `Serial`
 /// and `Rayon` share one code path whose parallel loops are
 /// write-disjoint, and `Spmd` (provided by the `fmm-spmd` crate) runs
-/// the same arithmetic per worker over an explicit message fabric.
+/// the same arithmetic per worker, moving data only in explicit messages.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Executor {
     /// Single-threaded reference execution: the `Rayon` path in a
@@ -140,16 +60,17 @@ pub enum Executor {
     Serial,
     /// Shared-memory parallelism over rayon iterators (the default).
     Rayon,
-    /// Message-passing SPMD execution: worker ranks acting as VUs over a
-    /// pluggable [`Fabric`]. Use [`Executor::spmd`] for the common case.
-    Spmd(SpmdOptions),
+    /// Message-passing SPMD execution: this many worker ranks (a power
+    /// of two) acting as VUs, threads of this process talking over
+    /// channels. Ranks in other processes are a launch, not an executor:
+    /// `fmm_spmd::evaluate_distributed`.
+    Spmd(usize),
 }
 
 impl Executor {
-    /// Back-compat constructor: `p` SPMD ranks over the default
-    /// in-process fabric (the former `Executor::Spmd(p)`).
+    /// `workers` SPMD ranks: the same as `Executor::Spmd(workers)`.
     pub fn spmd(workers: usize) -> Executor {
-        Executor::Spmd(SpmdOptions::new(workers))
+        Executor::Spmd(workers)
     }
 }
 
@@ -427,8 +348,7 @@ impl FmmConfig {
                 ));
             }
         }
-        if let Executor::Spmd(opts) = self.executor {
-            let p = opts.workers;
+        if let Executor::Spmd(p) = self.executor {
             if p == 0 || !p.is_power_of_two() {
                 return Err(format!("SPMD worker count {} must be a power of two", p));
             }

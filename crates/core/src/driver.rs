@@ -86,14 +86,14 @@ impl EvalOutput {
 
 /// Entry point of the message-passing backend, installed by
 /// `fmm_spmd::install()`. Takes the configured instance, the inputs of one
-/// evaluation, and the executor options from [`Executor::Spmd`].
+/// evaluation, and the worker count from [`Executor::Spmd`].
 pub type SpmdBackend = fn(
     fmm: &Fmm,
     positions: &[[f64; 3]],
     charges: &[f64],
     domain: Domain,
     with_fields: bool,
-    opts: crate::config::SpmdOptions,
+    workers: usize,
 ) -> Result<EvalOutput, FmmError>;
 
 static SPMD_BACKEND: std::sync::OnceLock<SpmdBackend> = std::sync::OnceLock::new();
@@ -320,7 +320,7 @@ impl Fmm {
             q.validate()
                 .map_err(|e| FmmError::BadInput(format!("request {i}: {e}")))?;
         }
-        if let Executor::Spmd(opts) = self.cfg.effective_executor() {
+        if let Executor::Spmd(workers) = self.cfg.effective_executor() {
             // The message-passing backend owns its whole pipeline, so the
             // requests go through it one by one (still bitwise per
             // request).
@@ -332,7 +332,7 @@ impl Fmm {
             })?;
             let mut outs = requests.iter().map(|q| {
                 let d = Domain::bounding(q.positions);
-                backend(self, q.positions, q.charges, d, with_fields, opts)
+                backend(self, q.positions, q.charges, d, with_fields, workers)
             });
             let mut all = outs.next().expect("requests is not empty")?;
             for one in outs {

@@ -60,7 +60,7 @@ pub mod translations;
 pub mod traversal;
 
 pub use batch::BatchRequest;
-pub use config::{Balance, DepthPolicy, Executor, Fabric, FmmConfig, Precision, SpmdOptions};
+pub use config::{Balance, DepthPolicy, Executor, FmmConfig, Precision};
 pub use driver::{EvalOutput, Fmm, FmmError};
 pub use error::{relative_error_stats, ErrorStats};
 pub use near::{

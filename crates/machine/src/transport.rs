@@ -19,7 +19,8 @@ use crate::program::ProgramBudget;
 /// round: pre-flight is a feasibility gate, not a performance prediction.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct TransportModel {
-    /// Fabric name, matching `fmm_core::Fabric::name()`.
+    /// Wire name: `"inprocess"` for channel ranks, else the kind of the
+    /// rendezvous address (`fmm_spmd::FabricAddr::kind`).
     pub name: &'static str,
     /// Fixed per-message cost, seconds.
     pub latency_s: f64,

@@ -321,15 +321,6 @@ fn info_json(engine: &Arc<Engine>) -> String {
         "kernel".into(),
         Value::Str(fmm_linalg::Kernel::detect().name().to_string()),
     );
-    obj.insert(
-        "transports".into(),
-        Value::Arr(
-            fmm_core::Fabric::ALL
-                .iter()
-                .map(|f| Value::Str(f.name().to_string()))
-                .collect(),
-        ),
-    );
     obj.insert("registry".into(), Value::Obj(registry));
     obj.insert("plans".into(), Value::Arr(plans));
     obj.insert("sets".into(), Value::Arr(sets));

@@ -319,11 +319,8 @@ fn metrics_and_info_report_the_registry() {
     assert_eq!(sets.len(), 1, "{info}");
     assert_eq!(sets[0].get("rule").unwrap().as_str(), Some("octahedron"));
     assert!(sets[0].get("bytes").unwrap().as_usize().unwrap() > 0);
-    // The fabrics the SPMD executor can run over, in declaration order.
-    assert!(
-        info.contains(r#""transports":["inprocess","unix","tcp"]"#),
-        "{info}"
-    );
+    // The server runs no SPMD ranks, so it names no transports.
+    assert!(!info.contains("transports"), "{info}");
     server.shutdown();
     server.join();
 }

@@ -192,7 +192,7 @@ fn run() -> Result<(), String> {
             .map_err(|e| format!("writing stdout: {e}"))?,
     }
 
-    let fabric_name = o.fabric.as_ref().map_or("inprocess", |a| a.fabric().name());
+    let fabric_name = o.fabric.as_ref().map_or("inprocess", FabricAddr::kind);
     eprintln!(
         "fmm-launch: {} particles, depth {}, {} workers over {fabric_name}: \
          messages {:?}, {} evidence bytes",

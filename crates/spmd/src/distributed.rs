@@ -29,10 +29,10 @@
 //! published, mesh connections can only land in a bound listener's
 //! backlog — no sleep-and-retry loops in the data path.
 
-use std::io::{self, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::io::{self, Read};
+use std::net::TcpStream;
 #[cfg(unix)]
-use std::os::unix::net::{UnixListener, UnixStream};
+use std::os::unix::net::UnixStream;
 use std::path::PathBuf;
 use std::process::{Child, Command};
 use std::time::{Duration, Instant};
@@ -46,7 +46,7 @@ use fmm_wire::{invalid, put_f64, put_f64s, put_f64x3s, put_str, put_u32, put_u64
 
 use crate::exec::{self, WorkerOut};
 use crate::fabric::WorkerCtx;
-use crate::transport::{connect_mesh, FabricAddr, MeshStream, SocketTransport};
+use crate::transport::{connect_mesh, FabricAddr, Listener, MeshStream, SocketTransport};
 use crate::{assemble, build_program, vu_grid_for};
 
 /// Control-plane frame magic.
@@ -203,6 +203,10 @@ impl JobSpec {
     /// kernel arrives pre-resolved: every rank must run the same
     /// microkernel family or the bitwise contract breaks.
     fn config(&self) -> Result<FmmConfig, String> {
+        // The range `DepthPolicy::resolve` clamps every launcher's depth to.
+        if !(2..=10).contains(&self.depth) {
+            return Err(format!("depth {} is outside [2, 10]", self.depth));
+        }
         let kernel = Kernel::from_name(&self.kernel)
             .ok_or_else(|| format!("job names unknown kernel {:?}", self.kernel))?;
         let mut cfg = FmmConfig::order(self.order as usize);
@@ -224,6 +228,13 @@ impl JobSpec {
             Balance::Uniform
         };
         cfg.validate()?;
+        let dims = vu_grid_for(self.workers as usize).dims;
+        if dims.iter().any(|&d| d > 1 << self.depth) {
+            return Err(format!(
+                "workers {} lie on a {dims:?} grid wider than depth {}",
+                self.workers, self.depth
+            ));
+        }
         Ok(cfg)
     }
 }
@@ -308,76 +319,21 @@ pub fn read_result(r: &mut impl Read) -> io::Result<(u32, WorkerOut)> {
 }
 
 // ---------------------------------------------------------------------
-// Control-plane endpoints (unix or tcp)
+// Control-plane connections
 // ---------------------------------------------------------------------
 
-trait Conn: Read + Write + Send {}
-impl<T: Read + Write + Send> Conn for T {}
-
 /// A control connection, its reads bounded by [`CTRL_TIMEOUT`].
-fn ctrl_conn<S: MeshStream>(s: S) -> io::Result<Box<dyn Conn>> {
+fn ctrl_conn<S: MeshStream>(s: S) -> io::Result<S> {
     s.read_timeout(CTRL_TIMEOUT)?;
-    Ok(Box::new(s))
-}
-
-enum CtrlListener {
-    Tcp(TcpListener),
-    #[cfg(unix)]
-    Unix(UnixListener),
-}
-
-impl CtrlListener {
-    fn bind(addr: &FabricAddr) -> io::Result<Self> {
-        match addr {
-            FabricAddr::Tcp(a) => Ok(CtrlListener::Tcp(TcpListener::bind(a.as_str())?)),
-            #[cfg(unix)]
-            FabricAddr::Unix(p) => {
-                let _ = std::fs::remove_file(p);
-                Ok(CtrlListener::Unix(UnixListener::bind(p)?))
-            }
-            #[cfg(not(unix))]
-            FabricAddr::Unix(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix rendezvous needs UNIX-domain sockets",
-            )),
-        }
-    }
-
-    /// The address workers should dial — for `tcp:host:0` this is the
-    /// OS-assigned port, not the wildcard the launcher was given.
-    fn resolved(&self, requested: &FabricAddr) -> io::Result<FabricAddr> {
-        match self {
-            CtrlListener::Tcp(l) => Ok(FabricAddr::Tcp(l.local_addr()?.to_string())),
-            #[cfg(unix)]
-            CtrlListener::Unix(_) => Ok(requested.clone()),
-        }
-    }
-
-    fn accept(&self) -> io::Result<Box<dyn Conn>> {
-        match self {
-            CtrlListener::Tcp(l) => ctrl_conn(l.accept()?.0),
-            #[cfg(unix)]
-            CtrlListener::Unix(l) => ctrl_conn(l.accept()?.0),
-        }
-    }
+    Ok(s)
 }
 
 /// Connect the rendezvous, retrying briefly: workers may start before
 /// the launcher has bound its endpoint.
-fn ctrl_connect(addr: &FabricAddr) -> io::Result<Box<dyn Conn>> {
+fn ctrl_connect<S: MeshStream>(addr: &FabricAddr) -> io::Result<S> {
     let deadline = Instant::now() + Duration::from_secs(15);
     loop {
-        let res = match addr {
-            FabricAddr::Tcp(a) => TcpStream::connect(a.as_str()).and_then(ctrl_conn),
-            #[cfg(unix)]
-            FabricAddr::Unix(p) => UnixStream::connect(p).and_then(ctrl_conn),
-            #[cfg(not(unix))]
-            FabricAddr::Unix(_) => Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "unix rendezvous needs UNIX-domain sockets",
-            )),
-        };
-        match res {
+        match S::connect(addr).and_then(ctrl_conn) {
             Ok(c) => return Ok(c),
             Err(e) if Instant::now() < deadline => {
                 let transient = matches!(
@@ -472,35 +428,72 @@ pub fn evaluate_distributed(
         },
         program.partition.as_ref().map(|ps| &ps.partition),
     );
-    let model = TransportModel::by_name(lc.rendezvous.fabric().name())
-        .expect("every fabric has a transport model");
+    let model = TransportModel::by_name(lc.rendezvous.kind())
+        .expect("every rendezvous kind has a transport model");
     preflight(&budget, &model, lc.capacity_bytes).map_err(FmmError::InvalidConfig)?;
 
-    let listener = CtrlListener::bind(&lc.rendezvous).map_err(|e| io_err("rendezvous bind", e))?;
-    let rendezvous = listener
-        .resolved(&lc.rendezvous)
-        .map_err(|e| io_err("rendezvous addr", e))?;
+    let job = JobSpec {
+        order: cfg.order as u32,
+        m_trunc: cfg.m_trunc as u32,
+        outer_ratio: cfg.outer_ratio,
+        inner_ratio: cfg.inner_ratio,
+        sep_d: cfg.separation.d() as u32,
+        depth,
+        softening: cfg.softening,
+        kernel: cfg.resolve_kernel().name().to_string(),
+        cost_weighted: balance == Balance::CostWeighted,
+        with_fields: lc.with_fields,
+        workers: p as u32,
+        domain_min: domain.min,
+        domain_size: domain.size,
+        positions: positions.to_vec(),
+        charges: charges.to_vec(),
+        peers: Vec::new(),
+    };
+    let outs = match &lc.rendezvous {
+        FabricAddr::Tcp(_) => launch::<TcpStream>(lc, job),
+        #[cfg(unix)]
+        FabricAddr::Unix(_) => launch::<UnixStream>(lc, job),
+        #[cfg(not(unix))]
+        FabricAddr::Unix(_) => Err(io_err("rendezvous bind", "unix needs UNIX-domain sockets")),
+    }?;
+    Ok(assemble(
+        fmm,
+        &plan,
+        &program,
+        positions.len(),
+        domain,
+        outs,
+    ))
+}
+
+/// Bind the rendezvous, spawn the ranks when asked to, and run the
+/// Hello, Job, Result exchange. Every exit path reaps the spawned ranks
+/// and, by dropping the listener, removes a UNIX rendezvous file.
+fn launch<S: MeshStream>(lc: &LaunchConfig, mut job: JobSpec) -> Result<Vec<WorkerOut>, FmmError> {
+    let p = lc.workers;
+    let listener = Listener::<S>::bind(&lc.rendezvous).map_err(|e| io_err("rendezvous bind", e))?;
 
     let mut children: Vec<Child> = Vec::new();
-    if let Some(bin) = &lc.worker_bin {
-        for rank in 0..p {
+    let spawned: io::Result<()> = lc.worker_bin.as_ref().map_or(Ok(()), |bin| {
+        (0..p).try_for_each(|rank| {
             let child = Command::new(bin)
                 .arg("--rank")
                 .arg(rank.to_string())
                 .arg("--fabric")
-                .arg(rendezvous.to_string())
-                .spawn()
-                .map_err(|e| io_err("worker spawn", e))?;
+                .arg(listener.addr.to_string())
+                .spawn()?;
             children.push(child);
-        }
-    }
+            Ok(())
+        })
+    });
 
-    let run = || -> io::Result<Vec<WorkerOut>> {
+    let mut run = || -> io::Result<Vec<WorkerOut>> {
         // Collect one Hello per rank; the mesh table is rank-indexed.
-        let mut conns: Vec<Option<Box<dyn Conn>>> = (0..p).map(|_| None).collect();
-        let mut peers = vec![String::new(); p];
+        let mut conns: Vec<Option<S>> = (0..p).map(|_| None).collect();
+        job.peers = vec![String::new(); p];
         for _ in 0..p {
-            let mut conn = listener.accept()?;
+            let mut conn = ctrl_conn(listener.accept()?)?;
             let (rank, mesh_addr) = read_hello(&mut conn)?;
             let rank = rank as usize;
             if rank >= p || conns[rank].is_some() {
@@ -508,29 +501,12 @@ pub fn evaluate_distributed(
                     "duplicate or out-of-range rank {rank} at rendezvous"
                 )));
             }
-            peers[rank] = mesh_addr;
+            job.peers[rank] = mesh_addr;
             conns[rank] = Some(conn);
         }
-        let job = encode_job(&JobSpec {
-            order: cfg.order as u32,
-            m_trunc: cfg.m_trunc as u32,
-            outer_ratio: cfg.outer_ratio,
-            inner_ratio: cfg.inner_ratio,
-            sep_d: cfg.separation.d() as u32,
-            depth,
-            softening: cfg.softening,
-            kernel: cfg.resolve_kernel().name().to_string(),
-            cost_weighted: balance == Balance::CostWeighted,
-            with_fields: lc.with_fields,
-            workers: p as u32,
-            domain_min: domain.min,
-            domain_size: domain.size,
-            positions: positions.to_vec(),
-            charges: charges.to_vec(),
-            peers,
-        });
+        let frame = encode_job(&job);
         for conn in conns.iter_mut().flatten() {
-            fmm_wire::write_frame(conn, &job, MAX_CTRL)?;
+            fmm_wire::write_frame(conn, &frame, MAX_CTRL)?;
         }
         let mut outs: Vec<Option<WorkerOut>> = (0..p).map(|_| None).collect();
         for (rank, conn) in conns.iter_mut().enumerate() {
@@ -541,17 +517,19 @@ pub fn evaluate_distributed(
                     "rank {rank}'s connection returned rank {r}'s result"
                 )));
             }
-            if let Some(o) = out.orig.iter().find(|&&o| o >= positions.len()) {
+            if let Some(o) = out.orig.iter().find(|&&o| o >= job.positions.len()) {
                 return Err(invalid(format!(
                     "rank {rank} returned particle {o} of {}",
-                    positions.len()
+                    job.positions.len()
                 )));
             }
             outs[rank] = Some(out);
         }
         Ok(outs.into_iter().map(Option::unwrap).collect())
     };
-    let outs = run();
+    let outs = spawned
+        .map_err(|e| io_err("worker spawn", e))
+        .and_then(|()| run().map_err(|e| io_err("rendezvous exchange", e)));
 
     // Reap spawned workers regardless of how the exchange went.
     let mut child_fail = None;
@@ -565,21 +543,11 @@ pub fn evaluate_distributed(
             Err(e) => child_fail = Some(format!("worker rank {rank} unreapable: {e}")),
         }
     }
-    if let FabricAddr::Unix(path) = &lc.rendezvous {
-        let _ = std::fs::remove_file(path);
+    let outs = outs?;
+    match child_fail {
+        Some(fail) => Err(io_err("worker exit", fail)),
+        None => Ok(outs),
     }
-    let outs = outs.map_err(|e| io_err("rendezvous exchange", e))?;
-    if let Some(fail) = child_fail {
-        return Err(io_err("worker exit", fail));
-    }
-    Ok(assemble(
-        fmm,
-        &plan,
-        &program,
-        positions.len(),
-        domain,
-        outs,
-    ))
 }
 
 // ---------------------------------------------------------------------
@@ -625,37 +593,39 @@ fn run_job<S: MeshStream>(
 }
 
 /// Join a rendezvous as rank `rank` and execute the job the launcher
-/// publishes: the `fmm-worker` binary is a thin shell over this.
+/// publishes: the `fmm-worker` binary is a thin shell over this. The
+/// rank's mesh listens on an ephemeral loopback port, or at
+/// `<rendezvous>.r<rank>` for a UNIX rendezvous.
 pub fn worker_join(rendezvous: &FabricAddr, rank: usize) -> Result<(), String> {
+    match rendezvous {
+        FabricAddr::Tcp(_) => {
+            join::<TcpStream>(rendezvous, FabricAddr::Tcp("127.0.0.1:0".into()), rank)
+        }
+        #[cfg(unix)]
+        FabricAddr::Unix(base) => {
+            let mesh = PathBuf::from(format!("{}.r{rank}", base.display()));
+            join::<UnixStream>(rendezvous, FabricAddr::Unix(mesh), rank)
+        }
+        #[cfg(not(unix))]
+        FabricAddr::Unix(_) => Err("unix needs UNIX-domain sockets".into()),
+    }
+}
+
+/// Rank `rank`'s side of the exchange, its mesh listener bound at
+/// `mesh_at`. Dropping the listener on any exit path removes a UNIX
+/// mesh socket's file.
+fn join<S: MeshStream>(
+    rendezvous: &FabricAddr,
+    mesh_at: FabricAddr,
+    rank: usize,
+) -> Result<(), String> {
     let err = |stage: &str, e: &dyn std::fmt::Display| format!("rank {rank} {stage}: {e}");
 
     // Bind the mesh listener *before* saying Hello: once the launcher
     // publishes the address table, every listener is guaranteed bound.
-    enum MeshListener {
-        Tcp(TcpListener),
-        #[cfg(unix)]
-        Unix(UnixListener, PathBuf),
-    }
-    let (mesh_listener, mesh_addr) = match rendezvous {
-        FabricAddr::Tcp(_) => {
-            let l = TcpListener::bind("127.0.0.1:0").map_err(|e| err("mesh bind", &e))?;
-            let a = l.local_addr().map_err(|e| err("mesh addr", &e))?;
-            (MeshListener::Tcp(l), format!("tcp:{a}"))
-        }
-        #[cfg(unix)]
-        FabricAddr::Unix(base) => {
-            let path = PathBuf::from(format!("{}.r{rank}", base.display()));
-            let _ = std::fs::remove_file(&path);
-            let l = UnixListener::bind(&path).map_err(|e| err("mesh bind", &e))?;
-            let a = format!("unix:{}", path.display());
-            (MeshListener::Unix(l, path), a)
-        }
-        #[cfg(not(unix))]
-        FabricAddr::Unix(_) => return Err("unix fabric needs UNIX-domain sockets".into()),
-    };
-
-    let mut conn = ctrl_connect(rendezvous).map_err(|e| err("rendezvous connect", &e))?;
-    let hello = encode_hello(rank as u32, &mesh_addr);
+    let listener = Listener::<S>::bind(&mesh_at).map_err(|e| err("mesh bind", &e))?;
+    let mut conn = ctrl_connect::<S>(rendezvous).map_err(|e| err("rendezvous connect", &e))?;
+    let hello = encode_hello(rank as u32, &listener.addr.to_string());
     fmm_wire::write_frame(&mut conn, &hello, MAX_CTRL).map_err(|e| err("hello", &e))?;
 
     let job = read_job(&mut conn).map_err(|e| err("job read", &e))?;
@@ -663,40 +633,14 @@ pub fn worker_join(rendezvous: &FabricAddr, rank: usize) -> Result<(), String> {
     if rank >= p {
         return Err(format!("rank {rank} out of range for {p} workers"));
     }
-
-    let out = match mesh_listener {
-        MeshListener::Tcp(l) => {
-            let mesh = connect_mesh(
-                rank,
-                p,
-                |peer| {
-                    let a = job.peers[peer]
-                        .strip_prefix("tcp:")
-                        .ok_or_else(|| invalid("peer kind".into()))?;
-                    TcpStream::connect(a)
-                },
-                || l.accept().map(|(s, _)| s),
-            )
-            .map_err(|e| err("mesh", &e))?;
-            run_job(rank, &job, mesh)?
-        }
-        #[cfg(unix)]
-        MeshListener::Unix(l, path) => {
-            let mesh = connect_mesh(
-                rank,
-                p,
-                |peer| {
-                    let a = job.peers[peer]
-                        .strip_prefix("unix:")
-                        .ok_or_else(|| invalid("peer kind".into()))?;
-                    UnixStream::connect(a)
-                },
-                || l.accept().map(|(s, _)| s),
-            );
-            let _ = std::fs::remove_file(&path);
-            run_job(rank, &job, mesh.map_err(|e| err("mesh", &e))?)?
-        }
-    };
+    let mesh = connect_mesh(
+        rank,
+        p,
+        |peer| S::connect(&FabricAddr::parse(&job.peers[peer]).map_err(invalid)?),
+        || listener.accept(),
+    );
+    drop(listener);
+    let out = run_job(rank, &job, mesh.map_err(|e| err("mesh", &e))?)?;
 
     let result = encode_result(rank as u32, &out);
     fmm_wire::write_frame(&mut conn, &result, MAX_CTRL).map_err(|e| err("result", &e))?;
@@ -869,5 +813,30 @@ mod tests {
                 assert!(err.starts_with(name), "{name} = {v}: {err}");
             }
         }
+    }
+
+    #[test]
+    fn hostile_job_depth_out_of_range_is_an_error() {
+        // A worker sizes its hierarchy as 8^depth boxes, and `1 << 3·depth`
+        // overflows from depth 22 on.
+        for depth in [0, 1, 11, 40] {
+            let mut hostile = job(false, 2, 1);
+            hostile.depth = depth;
+            let got = read_job(&mut framed(&encode_job(&hostile)).as_slice()).unwrap();
+            let err = got.config().expect_err("depth");
+            assert!(err.starts_with("depth"), "depth {depth}: {err}");
+        }
+    }
+
+    #[test]
+    fn hostile_job_grid_wider_than_depth_is_an_error() {
+        // 128 ranks lie on an [8, 4, 4] grid; depth 2 has 4 boxes per axis.
+        let mut hostile = job(false, 128, 1);
+        hostile.depth = 2;
+        let got = read_job(&mut framed(&encode_job(&hostile)).as_slice()).unwrap();
+        let err = got.config().expect_err("grid");
+        assert!(err.starts_with("workers"), "{err}");
+        hostile.depth = 3;
+        assert!(hostile.config().is_ok());
     }
 }

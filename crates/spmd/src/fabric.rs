@@ -61,8 +61,6 @@ pub trait Transport: Send {
     /// Receive the payload rank `from` sent under `tag`, parking any
     /// other messages that arrive first.
     fn recv(&mut self, from: usize, tag: u64) -> Vec<f64>;
-    /// Fabric name, as in [`fmm_core::Fabric::name`].
-    fn kind(&self) -> &'static str;
     /// Flush and release wire resources (join writer threads, close
     /// sockets). Idempotent; also run on drop by implementations that
     /// need it.
@@ -172,10 +170,6 @@ impl Transport for ChannelTransport {
                 }
             })
     }
-
-    fn kind(&self) -> &'static str {
-        "inprocess"
-    }
 }
 
 /// Per-worker execution context: identity on the VU grid, the transport
@@ -221,11 +215,6 @@ impl WorkerCtx {
         self.grid.coords(self.rank)
     }
 
-    /// The fabric this context runs on.
-    pub fn fabric(&self) -> &'static str {
-        self.transport.kind()
-    }
-
     /// Enter program phase `phase` (0..6, budget order): subsequent
     /// counter charges land there, and the launcher's phase board is
     /// updated so a panic can be attributed.
@@ -267,9 +256,8 @@ impl WorkerCtx {
 }
 
 /// Run one worker closure per pre-wired context (threads as VUs), in rank
-/// order. The contexts may sit on any transport — in-process channels or
-/// per-rank socket endpoints — which is how the socket fabrics reuse the
-/// thread launcher for single-process runs.
+/// order. The contexts may sit on any transport: in-process channels, or
+/// socket endpoints a test wires by hand.
 ///
 /// A panicking worker fails the whole run; the panic is re-raised on the
 /// launcher thread naming the rank and the program phase it died in.

@@ -24,15 +24,15 @@
 //! tree-structured combine/spread for the coarse levels where boxes are
 //! fewer than VUs (the Multigrid embedding).
 //!
-//! Three fabrics carry the same `CommProgram`
-//! ([`fmm_core::Fabric`]): in-process `mpsc` channels (the default),
-//! UNIX-domain sockets, and TCP — the socket fabrics framing every
-//! message with the length-prefixed `FMMW` codec ([`transport`]). The
-//! [`distributed`] module runs the same program across OS processes
-//! (`fmm-worker` ranks joining a rendezvous).
+//! In one process the ranks are threads over `mpsc` channels
+//! ([`ChannelTransport`]). Ranks in separate OS processes are a launch,
+//! not an executor option: [`evaluate_distributed`] binds a UNIX or TCP
+//! rendezvous, `fmm-worker` ranks join it ([`worker_join`]), and their
+//! messages travel as length-prefixed `FMMW` frames over sockets
+//! ([`transport`]). Both run the same `CommProgram`.
 //!
 //! Results are **bitwise identical** to the serial and rayon backends for
-//! every worker count, fabric and balance mode: every box's row goes
+//! every worker count, wire and balance mode: every box's row goes
 //! through the same sweep in the same order, only the data lives elsewhere.
 //!
 //! ## Usage
@@ -62,20 +62,16 @@ pub mod fabric;
 pub mod schedule;
 pub mod transport;
 
-use std::io;
 use std::time::Duration;
 
 use fmm_core::driver::{EvalOutput, Fmm, FmmError};
 use fmm_core::near::NearFieldStats;
 use fmm_core::stats::Counters;
 use fmm_core::traversal::TraversalFlops;
-use fmm_core::{
-    Balance, Domain, Fabric, Phase, Profile, Separation, SpmdOptions, SpmdReport, TraversalPlan,
-};
+use fmm_core::{Balance, Domain, Phase, Profile, Separation, SpmdReport, TraversalPlan};
 use fmm_linalg::gemm_flops;
 use fmm_machine::VuGrid;
 use fmm_tree::partition::{leaf_costs, CostModel};
-use transport::MeshStream;
 
 pub use distributed::{evaluate_distributed, worker_join, LaunchConfig};
 pub use exec::WorkerOut;
@@ -139,41 +135,6 @@ pub fn cost_partition(
     Partition::cost_weighted(depth, workers, &costs)
 }
 
-/// Wire `p = grid.len()` worker contexts over the selected fabric, all in
-/// one process: `mpsc` channels, a UNIX socket-pair mesh, or a loopback
-/// TCP mesh. The socket meshes run the exact framing of the
-/// multi-process path, which is what makes single-process equivalence
-/// tests across fabrics meaningful.
-pub fn fabric_ctxs(grid: VuGrid, fabric: Fabric) -> io::Result<Vec<WorkerCtx>> {
-    let p = grid.len();
-    match fabric {
-        Fabric::InProcess => Ok(channel_ctxs(grid)),
-        #[cfg(unix)]
-        Fabric::Unix => socket_ctxs(grid, transport::unix_pair_mesh(p)?),
-        #[cfg(not(unix))]
-        Fabric::Unix => Err(io::Error::new(
-            io::ErrorKind::Unsupported,
-            "the unix fabric needs UNIX-domain sockets",
-        )),
-        Fabric::Tcp => socket_ctxs(grid, transport::tcp_loopback_mesh(p)?),
-    }
-}
-
-/// One context per row of a socket mesh, rank `r` on `mesh[r]`.
-fn socket_ctxs<S: MeshStream>(
-    grid: VuGrid,
-    mesh: Vec<Vec<Option<S>>>,
-) -> io::Result<Vec<WorkerCtx>> {
-    let ctx = |(rank, row)| {
-        Ok(WorkerCtx::new(
-            rank,
-            grid,
-            Box::new(SocketTransport::new(rank, row)?),
-        ))
-    };
-    mesh.into_iter().enumerate().map(ctx).collect()
-}
-
 /// One source of truth for the communication schedule: the executor walks
 /// this program, `fmm-verify` statically checks it, and the distributed
 /// workers rebuild the identical one from the job description.
@@ -222,10 +183,9 @@ fn run_spmd(
     charges: &[f64],
     domain: Domain,
     with_fields: bool,
-    opts: SpmdOptions,
+    workers: usize,
 ) -> Result<EvalOutput, FmmError> {
     let cfg = fmm.config();
-    let workers = opts.workers;
     let depth = cfg.depth.resolve(positions.len());
     let grid = vu_grid_for(workers);
     let n_axis = 1usize << depth;
@@ -245,12 +205,7 @@ fn run_spmd(
         with_fields,
         cfg.balance,
     );
-    let ctxs = fabric_ctxs(grid, opts.transport).map_err(|e| {
-        FmmError::InvalidConfig(format!(
-            "cannot wire the {} fabric for {workers} workers: {e}",
-            opts.transport.name()
-        ))
-    })?;
+    let ctxs = channel_ctxs(grid);
     Ok(run_program(fmm, positions, charges, domain, &program, ctxs))
 }
 
@@ -284,7 +239,7 @@ fn run_program(
 /// phase's time as the slowest rank's (no rank is special under
 /// `Balance::CostWeighted`). Shared between the thread launcher and the
 /// multi-process launcher in [`distributed`] — the aggregation must be
-/// identical or the fabrics would diverge at the last step.
+/// identical or the two launches would diverge at the last step.
 pub(crate) fn assemble(
     fmm: &Fmm,
     plan: &TraversalPlan,
@@ -395,7 +350,7 @@ mod tests {
     use super::*;
     use fmm_core::FmmConfig;
 
-    /// A loopback-TCP endpoint whose every receive dawdles for `NAP` first.
+    /// A socket endpoint whose every receive dawdles for `NAP` first.
     struct Sleepy(SocketTransport);
     const NAP: Duration = Duration::from_millis(30);
 
@@ -406,9 +361,6 @@ mod tests {
         fn recv(&mut self, from: usize, tag: u64) -> Vec<f64> {
             std::thread::sleep(NAP);
             self.0.recv(from, tag)
-        }
-        fn kind(&self) -> &'static str {
-            "sleepy"
         }
     }
 
@@ -431,12 +383,15 @@ mod tests {
         run_program(&fmm, &positions, &charges, domain, &program, ctxs)
     }
 
+    #[cfg(unix)]
     #[test]
     #[cfg_attr(miri, ignore)] // runs the SIMD kernels
     fn blocked_receives_are_wait_not_busy() {
         let grid = vu_grid_for(2);
-        let mesh = transport::tcp_loopback_mesh(2).unwrap().into_iter();
-        let ctxs = mesh
+        let (a, b) = std::os::unix::net::UnixStream::pair().unwrap();
+        let rows = [vec![None, Some(a)], vec![Some(b), None]];
+        let ctxs = rows
+            .into_iter()
             .enumerate()
             .map(|(rank, row)| {
                 let wire = Sleepy(SocketTransport::new(rank, row).unwrap());

@@ -17,22 +17,22 @@
 //!
 //! [`SocketTransport`] runs the codec over any stream that can be split
 //! into a read and a write half ([`MeshStream`]: UNIX-domain or TCP
-//! sockets). Sends are handed to a per-peer writer thread, which keeps
-//! the fabric's "send never blocks" contract even when a large halo frame
-//! meets a full kernel socket buffer — the receiving rank may be deep in
-//! a compute phase, and two ranks blocked in `write` at each other would
-//! deadlock a schedule that is provably deadlock-free under non-blocking
-//! sends.
+//! sockets, which also bind, accept and connect at a [`FabricAddr`] for
+//! the multi-process rendezvous). Sends are handed to a per-peer writer
+//! thread, which keeps the fabric's "send never blocks" contract even
+//! when a large halo frame meets a full kernel socket buffer — the
+//! receiving rank may be deep in a compute phase, and two ranks blocked
+//! in `write` at each other would deadlock a schedule that is provably
+//! deadlock-free under non-blocking sends.
 
 use std::io::{self, BufReader, Read, Write};
 use std::net::{TcpListener, TcpStream};
 #[cfg(unix)]
-use std::os::unix::net::UnixStream;
+use std::os::unix::net::{UnixListener, UnixStream};
 use std::path::PathBuf;
 use std::sync::mpsc::{self, Sender};
 use std::thread::JoinHandle;
 
-use fmm_core::Fabric;
 use fmm_wire::{invalid, put_f64s, put_u32, put_u64, Reader};
 
 use crate::fabric::{Mailbox, Transport, RECV_TIMEOUT};
@@ -73,32 +73,102 @@ pub fn read_msg<R: Read>(r: &mut R) -> io::Result<(u32, u64, Vec<f64>)> {
 }
 
 /// A duplex byte stream a [`SocketTransport`] can split into a reading
-/// half and an independently-owned writing half.
+/// half and an independently-owned writing half, and that can bind,
+/// accept and connect at a [`FabricAddr`] of its own kind.
 pub trait MeshStream: Read + Write + Send + Sized + 'static {
+    type Listener;
     fn clone_stream(&self) -> io::Result<Self>;
     fn read_timeout(&self, d: std::time::Duration) -> io::Result<()>;
-    const KIND: &'static str;
+    /// Bind at `addr`, returning the listener and the address peers dial:
+    /// for `tcp:host:0` the port the OS assigned.
+    fn bind(addr: &FabricAddr) -> io::Result<(Self::Listener, FabricAddr)>;
+    fn accept(listener: &Self::Listener) -> io::Result<Self>;
+    fn connect(addr: &FabricAddr) -> io::Result<Self>;
+}
+
+fn wrong_kind(addr: &FabricAddr, want: &str) -> io::Error {
+    invalid(format!("{addr} is not a {want} address"))
 }
 
 impl MeshStream for TcpStream {
+    type Listener = TcpListener;
     fn clone_stream(&self) -> io::Result<Self> {
         self.try_clone()
     }
     fn read_timeout(&self, d: std::time::Duration) -> io::Result<()> {
         self.set_read_timeout(Some(d))
     }
-    const KIND: &'static str = "tcp";
+    fn bind(addr: &FabricAddr) -> io::Result<(TcpListener, FabricAddr)> {
+        let FabricAddr::Tcp(a) = addr else {
+            return Err(wrong_kind(addr, "tcp"));
+        };
+        let l = TcpListener::bind(a.as_str())?;
+        let at = FabricAddr::Tcp(l.local_addr()?.to_string());
+        Ok((l, at))
+    }
+    fn accept(listener: &TcpListener) -> io::Result<Self> {
+        Ok(listener.accept()?.0)
+    }
+    fn connect(addr: &FabricAddr) -> io::Result<Self> {
+        match addr {
+            FabricAddr::Tcp(a) => TcpStream::connect(a.as_str()),
+            _ => Err(wrong_kind(addr, "tcp")),
+        }
+    }
 }
 
 #[cfg(unix)]
 impl MeshStream for UnixStream {
+    type Listener = UnixListener;
     fn clone_stream(&self) -> io::Result<Self> {
         self.try_clone()
     }
     fn read_timeout(&self, d: std::time::Duration) -> io::Result<()> {
         self.set_read_timeout(Some(d))
     }
-    const KIND: &'static str = "unix";
+    /// Binds over a stale socket file left at `addr`.
+    fn bind(addr: &FabricAddr) -> io::Result<(UnixListener, FabricAddr)> {
+        let FabricAddr::Unix(p) = addr else {
+            return Err(wrong_kind(addr, "unix"));
+        };
+        let _ = std::fs::remove_file(p);
+        Ok((UnixListener::bind(p)?, addr.clone()))
+    }
+    fn accept(listener: &UnixListener) -> io::Result<Self> {
+        Ok(listener.accept()?.0)
+    }
+    fn connect(addr: &FabricAddr) -> io::Result<Self> {
+        match addr {
+            FabricAddr::Unix(p) => UnixStream::connect(p),
+            _ => Err(wrong_kind(addr, "unix")),
+        }
+    }
+}
+
+/// A bound [`MeshStream`] listener and the address peers dial. Dropping
+/// it removes a UNIX socket's file, so no exit path leaves one behind.
+pub(crate) struct Listener<S: MeshStream> {
+    inner: S::Listener,
+    pub(crate) addr: FabricAddr,
+}
+
+impl<S: MeshStream> Listener<S> {
+    pub(crate) fn bind(addr: &FabricAddr) -> io::Result<Self> {
+        let (inner, addr) = S::bind(addr)?;
+        Ok(Listener { inner, addr })
+    }
+
+    pub(crate) fn accept(&self) -> io::Result<S> {
+        S::accept(&self.inner)
+    }
+}
+
+impl<S: MeshStream> Drop for Listener<S> {
+    fn drop(&mut self) {
+        if let FabricAddr::Unix(p) = &self.addr {
+            let _ = std::fs::remove_file(p);
+        }
+    }
 }
 
 /// [`Transport`] over a mesh of framed streams, one per peer rank
@@ -107,7 +177,6 @@ impl MeshStream for UnixStream {
 /// streams into the same `(from, tag)` mailbox as the channel fabric's.
 pub struct SocketTransport {
     rank: usize,
-    kind: &'static str,
     writers: Vec<Option<Sender<Vec<u8>>>>,
     writer_joins: Vec<JoinHandle<()>>,
     readers: Vec<Option<BufReader<Box<dyn ReadStream>>>>,
@@ -151,7 +220,6 @@ impl SocketTransport {
         }
         Ok(SocketTransport {
             rank,
-            kind: S::KIND,
             writers,
             writer_joins,
             readers,
@@ -193,10 +261,6 @@ impl Transport for SocketTransport {
         })
     }
 
-    fn kind(&self) -> &'static str {
-        self.kind
-    }
-
     fn close(&mut self) {
         for w in self.writers.iter_mut() {
             *w = None; // drop the sender: writer drains, flushes, exits
@@ -214,7 +278,8 @@ impl Drop for SocketTransport {
 }
 
 /// A rendezvous or mesh endpoint address, as written on `--fabric` CLI
-/// knobs: `unix:/path/to.sock` or `tcp:host:port`.
+/// knobs: `unix:/path/to.sock` or `tcp:host:port`. Its kind is the wire
+/// the ranks of a multi-process run talk over.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum FabricAddr {
     Unix(PathBuf),
@@ -232,10 +297,12 @@ impl FabricAddr {
         }
     }
 
-    pub fn fabric(&self) -> Fabric {
+    /// The address kind, `"unix"` or `"tcp"`: also the name of its
+    /// `fmm_machine::TransportModel`.
+    pub fn kind(&self) -> &'static str {
         match self {
-            FabricAddr::Unix(_) => Fabric::Unix,
-            FabricAddr::Tcp(_) => Fabric::Tcp,
+            FabricAddr::Unix(_) => "unix",
+            FabricAddr::Tcp(_) => "tcp",
         }
     }
 }
@@ -247,48 +314,6 @@ impl std::fmt::Display for FabricAddr {
             FabricAddr::Tcp(a) => write!(f, "tcp:{a}"),
         }
     }
-}
-
-/// Full in-process mesh of UNIX socket pairs: `mesh[r][s]` is rank `r`'s
-/// stream to rank `s`. Used when a single-process run selects the
-/// [`Fabric::Unix`] wire — same socket type and framing as the
-/// multi-process path, no filesystem paths needed.
-#[cfg(unix)]
-#[allow(clippy::needless_range_loop)] // mesh[i][j]/mesh[j][i] cross-assignment
-pub fn unix_pair_mesh(p: usize) -> io::Result<Vec<Vec<Option<UnixStream>>>> {
-    let mut mesh: Vec<Vec<Option<UnixStream>>> =
-        (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-    for i in 0..p {
-        for j in i + 1..p {
-            let (a, b) = UnixStream::pair()?;
-            mesh[i][j] = Some(a);
-            mesh[j][i] = Some(b);
-        }
-    }
-    Ok(mesh)
-}
-
-/// Full in-process mesh of loopback TCP streams (ephemeral ports).
-pub fn tcp_loopback_mesh(p: usize) -> io::Result<Vec<Vec<Option<TcpStream>>>> {
-    let mut mesh: Vec<Vec<Option<TcpStream>>> =
-        (0..p).map(|_| (0..p).map(|_| None).collect()).collect();
-    let listeners: Vec<TcpListener> = (0..p)
-        .map(|_| TcpListener::bind("127.0.0.1:0"))
-        .collect::<io::Result<_>>()?;
-    for j in 0..p {
-        let addr = listeners[j].local_addr()?;
-        for i in 0..j {
-            let mut out = TcpStream::connect(addr)?;
-            out.write_all(&(i as u32).to_le_bytes())?;
-            let (mut inc, _) = listeners[j].accept()?;
-            let mut hdr = [0u8; 4];
-            inc.read_exact(&mut hdr)?;
-            let from = u32::from_le_bytes(hdr) as usize;
-            mesh[from][j] = Some(out);
-            mesh[j][from] = Some(inc);
-        }
-    }
-    Ok(mesh)
 }
 
 /// Establish this rank's row of a cross-process mesh: connect to every
@@ -386,10 +411,10 @@ mod tests {
     #[test]
     fn fabric_addr_parses_both_ways() {
         let u = FabricAddr::parse("unix:/tmp/fmm.sock").unwrap();
-        assert_eq!(u.fabric(), Fabric::Unix);
+        assert_eq!(u.kind(), "unix");
         assert_eq!(u.to_string(), "unix:/tmp/fmm.sock");
         let t = FabricAddr::parse("tcp:127.0.0.1:9001").unwrap();
-        assert_eq!(t.fabric(), Fabric::Tcp);
+        assert_eq!(t.kind(), "tcp");
         assert_eq!(t.to_string(), "tcp:127.0.0.1:9001");
         assert!(FabricAddr::parse("carrier-pigeon:coop").is_err());
         assert!(FabricAddr::parse("tcp:nohost").is_err());
@@ -398,10 +423,9 @@ mod tests {
     #[cfg(unix)]
     #[test]
     fn socket_transport_parks_out_of_order_tags() {
-        let mesh = unix_pair_mesh(2).unwrap();
-        let mut rows = mesh.into_iter();
-        let t0 = SocketTransport::new(0, rows.next().unwrap()).unwrap();
-        let t1 = SocketTransport::new(1, rows.next().unwrap()).unwrap();
+        let (a, b) = UnixStream::pair().unwrap();
+        let t0 = SocketTransport::new(0, vec![None, Some(a)]).unwrap();
+        let t1 = SocketTransport::new(1, vec![Some(b), None]).unwrap();
         let h = std::thread::spawn(move || {
             let mut t = t1;
             t.send(0, 0, vec![10.0]);

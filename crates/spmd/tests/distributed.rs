@@ -3,13 +3,14 @@
 //! must reproduce the in-process run bit for bit — potentials, forces,
 //! counters — and the launcher's counters must stay byte-exact against
 //! `communication_budget_with` exactly as the in-process model test
-//! demands.
+//! demands; and no exit path leaves a socket file behind.
 
 use fmm_core::{Balance, Executor, Fmm, FmmConfig};
 use fmm_machine::{
     communication_budget_with, predicted_bytes, predicted_messages, ProgramConfig, VuGrid,
 };
-use fmm_spmd::{evaluate_distributed, FabricAddr, LaunchConfig, Partition};
+use fmm_spmd::distributed::read_hello;
+use fmm_spmd::{evaluate_distributed, worker_join, FabricAddr, LaunchConfig, Partition};
 use std::path::PathBuf;
 
 fn worker_bin() -> PathBuf {
@@ -253,4 +254,64 @@ fn preflight_refuses_undersized_capacity_before_spawning() {
     let msg = err.to_string();
     assert!(msg.contains("pre-flight"), "{msg}");
     assert!(msg.contains("1000-byte"), "{msg}");
+}
+
+#[cfg(unix)]
+#[test]
+fn failed_spawn_leaves_no_rendezvous_file() {
+    let (pts, q) = system(256, 0x5a);
+    let f = fmm(2, 2, Balance::Uniform);
+    let sock = std::env::temp_dir().join(format!("fmm-dist-nobin-{}.sock", std::process::id()));
+    let err = evaluate_distributed(
+        &f,
+        &pts,
+        &q,
+        &LaunchConfig {
+            rendezvous: FabricAddr::Unix(sock.clone()),
+            workers: 2,
+            with_fields: false,
+            worker_bin: Some(PathBuf::from("/nonexistent/fmm-worker-not-here")),
+            capacity_bytes: None,
+        },
+    )
+    .unwrap_err();
+    assert!(err.to_string().contains("worker spawn"), "{err}");
+    assert!(
+        !sock.exists(),
+        "rendezvous file {} left behind",
+        sock.display()
+    );
+}
+
+#[cfg(unix)]
+#[test]
+fn malformed_job_leaves_no_mesh_socket_file() {
+    use std::io::Write;
+    use std::os::unix::net::UnixListener;
+
+    let sock = std::env::temp_dir().join(format!("fmm-dist-badjob-{}.sock", std::process::id()));
+    let _ = std::fs::remove_file(&sock);
+    let launcher = UnixListener::bind(&sock).unwrap();
+    let addr = FabricAddr::Unix(sock.clone());
+    let worker = std::thread::spawn(move || worker_join(&addr, 0));
+    // A stand-in launcher: take the Hello, answer with a Job frame whose
+    // body stops after its opcode.
+    let (mut conn, _) = launcher.accept().unwrap();
+    let (rank, mesh) = read_hello(&mut conn).unwrap();
+    assert_eq!(
+        (rank, mesh.as_str()),
+        (0, format!("unix:{}.r0", sock.display()).as_str())
+    );
+    conn.write_all(&[5, 0, 0, 0, b'F', b'M', b'M', b'C', 2])
+        .unwrap();
+    let err = worker.join().unwrap().unwrap_err();
+    assert!(err.contains("job read"), "{err}");
+    let mesh_file = PathBuf::from(format!("{}.r0", sock.display()));
+    assert!(
+        !mesh_file.exists(),
+        "mesh socket {} left behind",
+        mesh_file.display()
+    );
+    drop(launcher);
+    let _ = std::fs::remove_file(&sock);
 }

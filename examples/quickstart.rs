@@ -6,13 +6,13 @@
 //!
 //! Pass `-- --executor spmd --workers 8` to run the same computation
 //! through the message-passing SPMD executor (worker threads as the VUs
-//! of a CM-5-style grid; identical bits, measured data motion). Add
-//! `--fabric unix` or `--fabric tcp` to carry the same schedule over
-//! length-prefixed socket frames instead of in-process channels — the
-//! output stays bitwise identical (see `fmm-worker` for true
-//! multi-process execution).
+//! of a CM-5-style grid over in-process channels; identical bits,
+//! measured data motion). To run the ranks as OS processes over UNIX or
+//! TCP sockets, launch them through a rendezvous with `fmm-launch
+//! --fabric ... --worker-bin fmm-worker`; the output stays bitwise
+//! identical.
 
-use anderson_fmm::fmm_core::{relative_error_stats, Executor, Fabric, Fmm, FmmConfig};
+use anderson_fmm::fmm_core::{relative_error_stats, Executor, Fmm, FmmConfig};
 use anderson_fmm::{fmm_direct, fmm_spmd};
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -29,14 +29,8 @@ fn executor_from_args() -> Executor {
             let workers = value_of("--workers")
                 .and_then(|w| w.parse().ok())
                 .unwrap_or(8);
-            let fabric = value_of("--fabric")
-                .and_then(|f| Fabric::from_name(f))
-                .unwrap_or_default();
             fmm_spmd::install();
-            match Executor::spmd(workers) {
-                Executor::Spmd(opts) => Executor::Spmd(opts.transport(fabric)),
-                other => other,
-            }
+            Executor::spmd(workers)
         }
         Some("serial") => Executor::Serial,
         _ => Executor::Rayon,

@@ -16,11 +16,12 @@
 //! * [`fmm_machine`] — the per-phase communication-budget oracle that the
 //!   SPMD executor's traffic is checked against,
 //! * [`fmm_spmd`] — the message-passing SPMD executor
-//!   (`Executor::spmd(p)`: worker threads as VUs, explicit channels,
-//!   measured per-phase data motion) and its pluggable fabrics
-//!   ([`Transport`]: in-process channels, UNIX-domain sockets, TCP —
-//!   bitwise-identical output on all three; see `fmm-worker` for
-//!   multi-process execution),
+//!   (`Executor::spmd(p)`: worker threads as VUs over in-process
+//!   channels, measured per-phase data motion) and its multi-process
+//!   launch (`evaluate_distributed` with `fmm-worker` ranks joining a
+//!   UNIX or TCP rendezvous, [`FabricAddr`], their messages framed over
+//!   sockets by the same [`Transport`] seam — bitwise the in-process
+//!   output),
 //! * [`fmm_direct`] — the O(N²) baseline,
 //! * [`fmm_serve`] — a batched, multi-tenant evaluation service
 //!   (coalescing batcher + shared [`PlanRegistry`]).
@@ -39,8 +40,8 @@ pub use fmm_sphere;
 pub use fmm_spmd;
 pub use fmm_tree;
 
+pub use fmm_core::Counters;
 pub use fmm_core::{BatchRequest, PlanKey, PlanRegistry, RegistryStats, TranslationKey};
-pub use fmm_core::{Counters, Fabric, SpmdOptions};
 pub use fmm_core::{DepthPolicy, EvalOutput, Executor, Fmm, FmmConfig, FmmError, Precision};
 pub use fmm_linalg::Kernel;
 pub use fmm_spmd::{FabricAddr, Transport};
