@@ -136,7 +136,11 @@ pub struct FmmConfig {
     /// Near-field separation (the paper assumes two-separation).
     pub separation: Separation,
     /// Use the supernode decomposition in the downward pass (875 → 189
-    /// translations per box).
+    /// translations per box). [`FmmConfig::order`], [`FmmConfig::depth`]
+    /// and [`FmmConfig::auto_depth`] set it by a measured accuracy rule
+    /// (on at orders 4 and 5 under auto depth or a fixed depth ≥ 5;
+    /// EXPERIMENTS.md E10b); [`FmmConfig::supernodes`] after them
+    /// overrides it.
     pub supernodes: bool,
     /// Hierarchy depth policy.
     pub depth: DepthPolicy,
@@ -164,9 +168,25 @@ pub struct FmmConfig {
     pub balance: Balance,
 }
 
+/// Whether the supernode decomposition keeps the method's accuracy at
+/// integration order `d` and hierarchy depth `depth` (`None`: the depth is
+/// chosen per call by [`DepthPolicy::Auto`]). The rule is measured
+/// (EXPERIMENTS.md E10b, error against direct summation with supernodes
+/// over without): at the icosahedron orders 4 and 5 (K = 12) supernodes
+/// cost at most 2 % (uniform) to 7 % (Plummer) in RMS error from depth 5
+/// on and 1–11 % under auto depth, but up to 28 % at a fixed depth of 3
+/// and 16 % at 4, and 13 % to 2.5× at every other order. So they are on
+/// for orders 4 and 5, under auto depth or a fixed depth of at least 5.
+fn supernodes_keep_accuracy(d: usize, depth: Option<u32>) -> bool {
+    matches!(d, 4 | 5) && depth.is_none_or(|h| h >= 5)
+}
+
 impl FmmConfig {
     /// Recommended configuration for integration order `d` (radii/truncation
-    /// from the E1 calibration).
+    /// from the E1 calibration), with auto depth. Supernodes are on at
+    /// orders 4 and 5, where they cost 1–11 % in RMS error at the leaf
+    /// occupancies auto depth picks, and off at every other order, where
+    /// they cost 13 % to 2.5× (EXPERIMENTS.md E10b).
     pub fn order(d: usize) -> Self {
         // Calibrated by the Table-2 sweep (fmm-bench exp_table2 /
         // calibrate): truncating at M = ⌊D/2⌋ + 1 is essential — Legendre
@@ -185,7 +205,7 @@ impl FmmConfig {
             outer_ratio: 1.6,
             inner_ratio: 1.0,
             separation: Separation::Two,
-            supernodes: false,
+            supernodes: supernodes_keep_accuracy(d, None),
             depth: DepthPolicy::Auto {
                 // Calibrated by the E10 depth sweep: for D = 5 (K = 12)
                 // the near-field/traversal crossover sits near ~8
@@ -216,15 +236,22 @@ impl FmmConfig {
         }
     }
 
-    /// Builder-style: fixed depth.
+    /// Builder-style: fixed depth. Also sets supernodes: on only at
+    /// orders 4 and 5 with `h ≥ 5`, where they cost at most 2–7 % in RMS
+    /// error; at a fixed depth of 3 or 4 they cost up to 28 %
+    /// (EXPERIMENTS.md E10b), so every fixed depth up to 4 runs the plain
+    /// 875 translations a box.
     pub fn depth(mut self, h: u32) -> Self {
         self.depth = DepthPolicy::Fixed(h);
+        self.supernodes = supernodes_keep_accuracy(self.order, Some(h));
         self
     }
 
-    /// Builder-style: auto depth with a target leaf occupancy.
+    /// Builder-style: auto depth with a target leaf occupancy. Restores the
+    /// supernode setting [`FmmConfig::order`] chooses.
     pub fn auto_depth(mut self, particles_per_leaf: f64) -> Self {
         self.depth = DepthPolicy::Auto { particles_per_leaf };
+        self.supernodes = supernodes_keep_accuracy(self.order, None);
         self
     }
 
@@ -247,7 +274,9 @@ impl FmmConfig {
         self
     }
 
-    /// Builder-style: enable/disable supernodes.
+    /// Builder-style: enable/disable supernodes, overriding the rule
+    /// [`FmmConfig::order`] and [`FmmConfig::depth`] apply (set it after
+    /// them).
     pub fn supernodes(mut self, on: bool) -> Self {
         self.supernodes = on;
         self
@@ -352,11 +381,6 @@ impl FmmConfig {
             if p == 0 || !p.is_power_of_two() {
                 return Err(format!("SPMD worker count {} must be a power of two", p));
             }
-            if self.supernodes {
-                return Err(
-                    "the SPMD executor does not support the supernode decomposition".into(),
-                );
-            }
             if self.precision == Precision::Mixed {
                 return Err(
                     "the SPMD executor does not support the mixed-precision near field".into(),
@@ -446,6 +470,32 @@ mod tests {
             .precision(Precision::Mixed)
             .validate()
             .unwrap();
+    }
+
+    #[test]
+    fn supernodes_follow_the_accuracy_rule() {
+        for d in [3, 6, 14] {
+            assert!(!FmmConfig::order(d).supernodes, "order {d}");
+            assert!(!FmmConfig::order(d).depth(6).supernodes, "order {d}");
+        }
+        for d in [4, 5] {
+            let cfg = FmmConfig::order(d);
+            assert!(cfg.supernodes, "order {d}");
+            assert!(!cfg.clone().depth(4).supernodes, "order {d}, depth 4");
+            assert!(cfg.clone().depth(5).supernodes, "order {d}, depth 5");
+            assert!(cfg.depth(3).auto_depth(8.0).supernodes, "order {d}, auto");
+        }
+        // An explicit setting after the depth wins; one before it does not.
+        assert!(FmmConfig::order(5).depth(4).supernodes(true).supernodes);
+        assert!(!FmmConfig::order(5).depth(5).supernodes(false).supernodes);
+        assert!(FmmConfig::order(5).supernodes(false).depth(5).supernodes);
+    }
+
+    #[test]
+    fn spmd_accepts_supernodes() {
+        let cfg = FmmConfig::order(5).depth(5).executor(Executor::spmd(4));
+        assert!(cfg.supernodes);
+        cfg.validate().unwrap();
     }
 
     #[test]

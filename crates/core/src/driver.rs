@@ -29,6 +29,9 @@ pub enum FmmError {
     InvalidConfig(String),
     /// Input arrays are inconsistent or empty.
     BadInput(String),
+    /// A rank of a multi-process launch went away before it could take
+    /// part: `detail` says how.
+    RankLost { rank: usize, detail: String },
 }
 
 impl fmt::Display for FmmError {
@@ -36,6 +39,7 @@ impl fmt::Display for FmmError {
         match self {
             FmmError::InvalidConfig(s) => write!(f, "invalid configuration: {}", s),
             FmmError::BadInput(s) => write!(f, "bad input: {}", s),
+            FmmError::RankLost { rank, detail } => write!(f, "rank {rank} lost: {detail}"),
         }
     }
 }

@@ -365,8 +365,9 @@ impl TranslationSet {
         let mut t1t = Vec::with_capacity(8);
         let mut t3t = Vec::with_capacity(8);
         let mut t2t: Vec<Option<Matrix>> = vec![None; w * w * w];
+        let n_super = keys.iter().filter(|k| matches!(k, Key::Super(_))).count();
         // det: keyed lookups only (see the field's justification).
-        let mut t2t_super = HashMap::new();
+        let mut t2t_super = HashMap::with_capacity(n_super);
         for (key, mt) in matrices {
             match key {
                 Key::T1(_) => t1t.push(mt),

@@ -195,7 +195,9 @@ pub fn communication_budget_with(
     budget.phases[2].comm = up;
 
     // Downward: per level, a parent-fetch of local rows (l ≥ 3) and a
-    // box-halo of far rows over the interactive-field union.
+    // box-halo of far rows: the interactive-field union, or under
+    // supernodes the leftover children plus the next level's parent-level
+    // sources.
     let mut down = Counters::default();
     for l in 2..=h {
         if l >= 3 {
@@ -203,7 +205,7 @@ pub fn communication_budget_with(
             down.sends += ex.messages();
             down.off_vu_boxes += ex.rows();
         }
-        let ex = box_halo(part, l, sep);
+        let ex = box_halo(part, l, sep, cfg.supernodes);
         down.sends += ex.messages();
         down.off_vu_boxes += ex.rows();
     }
@@ -349,12 +351,16 @@ fn closed_form_budget(cfg: &ProgramConfig) -> ProgramBudget {
     }
     // Re-entering the distributed region: the first distributed level l_d
     // with an embedded parent needs local[l_d − 1] everywhere for T3, so
-    // rank 0 tree-broadcasts that (tiny) level once.
+    // rank 0 tree-broadcasts that (tiny) level once — and under supernodes
+    // far[l_d − 1] with it, the parent-level T2 sources of level l_d. Every
+    // deeper level finds its supernode sources (parent offsets within ±2)
+    // in the parent level's own halo.
     if let Some(l_d) = (2..=h).find(|&l| subgrid_extent(l, &cfg.vu_grid).is_some()) {
         if l_d >= 3 && subgrid_extent(l_d - 1, &cfg.vu_grid).is_none() {
             let parent_boxes = 1u64 << (3 * (l_d - 1));
+            let buffers = 1 + cfg.supernodes as u64;
             down_comm.broadcast_stages += p.trailing_zeros() as u64;
-            down_comm.broadcast_boxes += parent_boxes * (p - 1);
+            down_comm.broadcast_boxes += buffers * parent_boxes * (p - 1);
         }
     }
     phases.push(PhaseBudget {
@@ -457,8 +463,8 @@ mod tests {
         assert_eq!(b.phases[2].comm.off_vu_boxes, cf.rows());
         // Downward sums parent fetches and box halos.
         let expect: u64 = [
-            box_halo(&part, 2, Separation::Two),
-            box_halo(&part, 3, Separation::Two),
+            box_halo(&part, 2, Separation::Two, false),
+            box_halo(&part, 3, Separation::Two, false),
         ]
         .iter()
         .map(|e| e.messages())

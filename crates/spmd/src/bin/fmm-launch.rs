@@ -9,7 +9,16 @@
 //!            --fabric unix:/tmp/fmm.sock --worker-bin target/release/fmm-worker
 //!
 //! cmp a.bits b.bits   # bitwise-identical fabrics
+//!
+//! # wait for external workers at an OS-chosen port
+//! fmm-launch --workers 2 --fabric tcp:127.0.0.1:0
+//! #   stderr: fmm-launch: rendezvous tcp:127.0.0.1:<port>, waiting for 2 ranks
+//! fmm-worker --rank 0 --fabric tcp:127.0.0.1:<port>   # and rank 1
 //! ```
+//!
+//! With `--fabric`, the address the ranks must dial is reported on
+//! stderr before the launcher waits for them (for `tcp:host:0`, the port
+//! the OS chose), and again on the summary line.
 //!
 //! The evidence file is the little-endian bit pattern of every potential
 //! (and force component with `--forces`) followed by the per-phase
@@ -27,7 +36,7 @@ use fmm_machine::{
     check_phases, communication_budget_with, predicted_bytes, predicted_messages, MeasuredPhase,
     ProgramConfig, VuGrid, DEFAULT_TOLERANCE,
 };
-use fmm_spmd::{evaluate_distributed, FabricAddr, LaunchConfig, Partition};
+use fmm_spmd::{FabricAddr, LaunchConfig, Partition, Rendezvous};
 
 const USAGE: &str = "usage: fmm-launch --workers P [--depth D] [--n N] [--order K] \
 [--balance uniform|cost] [--forces] [--out FILE] [--check-budget] [--capacity-bytes B] \
@@ -142,6 +151,7 @@ fn run() -> Result<(), String> {
     let fmm = Fmm::new(cfg).map_err(|e| e.to_string())?;
     let k = fmm.k();
 
+    let mut fabric = "inprocess".to_string();
     let out = match &o.fabric {
         None => if o.forces {
             fmm.evaluate_forces(&pts, &q)
@@ -149,19 +159,25 @@ fn run() -> Result<(), String> {
             fmm.evaluate(&pts, &q)
         }
         .map_err(|e| e.to_string())?,
-        Some(addr) => evaluate_distributed(
-            &fmm,
-            &pts,
-            &q,
-            &LaunchConfig {
+        Some(addr) => {
+            let rendezvous = Rendezvous::bind(addr).map_err(|e| e.to_string())?;
+            eprintln!(
+                "fmm-launch: rendezvous {}, waiting for {} ranks",
+                rendezvous.addr(),
+                o.workers
+            );
+            fabric = rendezvous.addr().to_string();
+            let lc = LaunchConfig {
                 rendezvous: addr.clone(),
                 workers: o.workers,
                 with_fields: o.forces,
                 worker_bin: o.worker_bin.clone(),
                 capacity_bytes: o.capacity_bytes,
-            },
-        )
-        .map_err(|e| e.to_string())?,
+            };
+            rendezvous
+                .evaluate(&fmm, &pts, &q, &lc)
+                .map_err(|e| e.to_string())?
+        }
     };
     let report = out.spmd.as_ref().ok_or("spmd run attaches a report")?;
 
@@ -192,9 +208,8 @@ fn run() -> Result<(), String> {
             .map_err(|e| format!("writing stdout: {e}"))?,
     }
 
-    let fabric_name = o.fabric.as_ref().map_or("inprocess", FabricAddr::kind);
     eprintln!(
-        "fmm-launch: {} particles, depth {}, {} workers over {fabric_name}: \
+        "fmm-launch: {} particles, depth {}, {} workers over {fabric}: \
          messages {:?}, {} evidence bytes",
         o.n,
         out.depth,
@@ -215,7 +230,7 @@ fn run() -> Result<(), String> {
                 m: fmm.config().m_trunc,
                 particles_per_box: o.n as f64 / 8f64.powi(out.depth as i32),
                 vu_grid: VuGrid::new(report.vu_dims),
-                supernodes: false,
+                supernodes: fmm.config().supernodes,
                 sort_miss_fraction: 1.0 - 1.0 / o.workers as f64,
                 forces_near: o.forces,
             },

@@ -1,18 +1,20 @@
 //! Multi-process execution: the same `CommProgram`, ranks as OS processes.
 //!
 //! A launcher ([`evaluate_distributed`]) binds a rendezvous endpoint
-//! (`unix:/path` or `tcp:host:port`) and optionally spawns `p` copies of
-//! the `fmm-worker` binary; independently started workers can join the
-//! same rendezvous by address. The control plane speaks `FMMC` frames
-//! (one [`fmm_wire`] frame each, like the `FMMW` data plane; the codecs
-//! below are public so `fmm-verify` can prove them total):
+//! (`unix:/path` or `tcp:host:port`; [`Rendezvous::addr`] is the address
+//! to dial, with the OS's port for `tcp:host:0`), runs the pre-flight
+//! budget check ([`fmm_machine::preflight`]) and optionally spawns `p`
+//! copies of the `fmm-worker` binary; independently started workers can
+//! join the same rendezvous by address. The control plane speaks `FMMC`
+//! frames (one [`fmm_wire`] frame each, like the `FMMW` data plane; the
+//! codecs below are public so `fmm-verify` can prove them total):
 //!
 //! 1. each worker binds its own *mesh* listener first, connects the
-//!    rendezvous, and sends `Hello { rank, mesh_addr }`;
-//! 2. once all `p` Hellos are in, the launcher runs the pre-flight
-//!    budget check ([`fmm_machine::preflight`]) — it already has the
-//!    depth, grid, and fabric in hand — then broadcasts `Job`: the full
-//!    method configuration (resolved kernel included, so every host runs
+//!    rendezvous, and sends `Hello { rank, mesh_addr }`; the launcher
+//!    waits for all `p` at most 120 s, and gives up at
+//!    once, naming the rank, if a rank it spawned exits first;
+//! 2. the launcher broadcasts `Job`: the full method configuration
+//!    (resolved kernel and supernode setting included, so every host runs
 //!    identical arithmetic), the particle system, and the mesh address
 //!    table;
 //! 3. every worker rebuilds the identical `Fmm` and `CommProgram` from
@@ -49,8 +51,9 @@ use crate::fabric::WorkerCtx;
 use crate::transport::{connect_mesh, FabricAddr, Listener, MeshStream, SocketTransport};
 use crate::{assemble, build_program, vu_grid_for};
 
-/// Control-plane frame magic.
-pub const CTRL_MAGIC: [u8; 4] = *b"FMMC";
+/// Control-plane frame magic, version 2: the `Job` carries the supernode
+/// flag. A version-1 peer (`"FMMC"`) is refused at the magic.
+pub const CTRL_MAGIC: [u8; 4] = *b"FMC2";
 /// Control frames carry whole particle systems; cap at 1 GiB.
 pub const MAX_CTRL: usize = 1 << 30;
 
@@ -62,11 +65,19 @@ const OP_RESULT: u8 = 3;
 /// wedged (covers the whole compute phase on the worker side).
 const CTRL_TIMEOUT: Duration = Duration::from_secs(600);
 
+/// How long the launcher waits for every rank's `Hello`: the time an
+/// operator has to start external workers.
+const RENDEZVOUS_TIMEOUT: Duration = Duration::from_secs(120);
+
+/// The launcher's pause between looking for a `Hello` and at the spawned
+/// ranks' exit status.
+const RENDEZVOUS_POLL: Duration = Duration::from_millis(10);
+
 // ---------------------------------------------------------------------
 // FMMC message codecs
 // ---------------------------------------------------------------------
 //
-// A control message is one frame whose payload is `"FMMC" | u8 opcode |
+// A control message is one frame whose payload is `"FMC2" | u8 opcode |
 // body`. The exchange is a fixed sequence — Hello, Job, Result — so each
 // message has its own encoder and reader, and a reader rejects any other
 // opcode.
@@ -113,8 +124,8 @@ pub fn read_hello(r: &mut impl Read) -> io::Result<(u32, String)> {
 // ---------------------------------------------------------------------
 
 /// Everything a worker needs to reproduce the launcher's evaluation
-/// bitwise: the method knobs (kernel resolved by name), the system, and
-/// the mesh address table.
+/// bitwise: the method knobs (kernel resolved by name, supernodes as the
+/// launcher decided them), the system, and the mesh address table.
 #[derive(Debug, Clone, PartialEq)]
 pub struct JobSpec {
     pub order: u32,
@@ -125,6 +136,7 @@ pub struct JobSpec {
     pub depth: u32,
     pub softening: f64,
     pub kernel: String,
+    pub supernodes: bool,
     pub cost_weighted: bool,
     pub with_fields: bool,
     pub workers: u32,
@@ -146,6 +158,7 @@ pub fn encode_job(job: &JobSpec) -> Vec<u8> {
     put_u32(&mut b, job.depth);
     put_f64(&mut b, job.softening);
     put_str(&mut b, &job.kernel);
+    put_u32(&mut b, u32::from(job.supernodes));
     put_u32(&mut b, u32::from(job.cost_weighted));
     put_u32(&mut b, u32::from(job.with_fields));
     put_u32(&mut b, job.workers);
@@ -174,6 +187,7 @@ pub fn read_job(r: &mut impl Read) -> io::Result<JobSpec> {
             depth: d.u32()?,
             softening: d.f64()?,
             kernel: d.str()?,
+            supernodes: d.u32()? != 0,
             cost_weighted: d.u32()? != 0,
             with_fields: d.u32()? != 0,
             workers: d.u32()?,
@@ -219,6 +233,7 @@ impl JobSpec {
             d => return Err(format!("job names unknown separation {d}")),
         };
         cfg.depth = DepthPolicy::Fixed(self.depth);
+        cfg.supernodes = self.supernodes;
         cfg.softening = self.softening;
         cfg.kernel = Some(kernel);
         cfg.executor = Executor::spmd(self.workers as usize);
@@ -376,104 +391,189 @@ fn io_err(stage: &str, e: impl std::fmt::Display) -> FmmError {
     FmmError::InvalidConfig(format!("distributed launch failed at {stage}: {e}"))
 }
 
-/// Evaluate `fmm` on `p` OS-process ranks joined through a rendezvous.
-/// Output — potentials, fields, counters, report — is bitwise identical
-/// to `Executor::spmd(p)` in one process.
+/// A bound rendezvous endpoint. Binding resolves the address ranks must
+/// dial: a `tcp:host:0` request names the port the OS chose. Dropping it
+/// removes a UNIX rendezvous's socket file, so no exit path leaves one
+/// behind.
+pub struct Rendezvous(Bound);
+
+enum Bound {
+    Tcp(Listener<TcpStream>),
+    #[cfg(unix)]
+    Unix(Listener<UnixStream>),
+}
+
+impl Rendezvous {
+    /// Bind the rendezvous at `at`.
+    pub fn bind(at: &FabricAddr) -> Result<Rendezvous, FmmError> {
+        let bound = match at {
+            FabricAddr::Tcp(_) => Listener::bind(at).map(Bound::Tcp),
+            #[cfg(unix)]
+            FabricAddr::Unix(_) => Listener::bind(at).map(Bound::Unix),
+            #[cfg(not(unix))]
+            FabricAddr::Unix(_) => Err(invalid("unix needs UNIX-domain sockets".into())),
+        };
+        bound
+            .map(Rendezvous)
+            .map_err(|e| io_err("rendezvous bind", e))
+    }
+
+    /// The address ranks dial: `fmm-worker --fabric <addr>`.
+    pub fn addr(&self) -> &FabricAddr {
+        match &self.0 {
+            Bound::Tcp(l) => &l.addr,
+            #[cfg(unix)]
+            Bound::Unix(l) => &l.addr,
+        }
+    }
+
+    /// [`evaluate_distributed`] at this rendezvous, which the ranks join
+    /// (`lc.rendezvous` is not read): a caller that binds first can hand
+    /// the resolved [`Rendezvous::addr`] to workers it starts itself.
+    pub fn evaluate(
+        self,
+        fmm: &Fmm,
+        positions: &[[f64; 3]],
+        charges: &[f64],
+        lc: &LaunchConfig,
+    ) -> Result<EvalOutput, FmmError> {
+        let cfg = fmm.config();
+        let p = lc.workers;
+        if p == 0 || !p.is_power_of_two() {
+            return Err(FmmError::InvalidConfig(format!(
+                "distributed worker count {p} must be a power of two"
+            )));
+        }
+        if positions.len() != charges.len() || positions.is_empty() {
+            return Err(FmmError::BadInput(format!(
+                "{} positions vs {} charges",
+                positions.len(),
+                charges.len()
+            )));
+        }
+        let domain = Domain::bounding(positions);
+        let depth = cfg.depth.resolve(positions.len());
+        let grid = vu_grid_for(p);
+        let n_axis = 1usize << depth;
+        if grid.dims.iter().any(|&d| d > n_axis) {
+            return Err(FmmError::InvalidConfig(format!(
+                "{p} workers on a {:?} grid exceed depth {depth}'s {n_axis} boxes per axis",
+                grid.dims
+            )));
+        }
+        let balance = cfg.balance;
+        let plan = fmm.plan_for(depth);
+        let program = build_program(fmm, positions, domain, depth, grid, lc.with_fields, balance);
+
+        // Pre-flight: price the program on the selected wire and refuse to
+        // spawn ranks for a run that cannot fit the operator's budget.
+        let budget = communication_budget_with(
+            &ProgramConfig {
+                depth,
+                k: fmm.k(),
+                m: cfg.m_trunc,
+                particles_per_box: positions.len() as f64 / 8f64.powi(depth as i32),
+                vu_grid: grid,
+                supernodes: cfg.supernodes,
+                sort_miss_fraction: 1.0 - 1.0 / p as f64,
+                forces_near: lc.with_fields,
+            },
+            program.partition.as_ref().map(|ps| &ps.partition),
+        );
+        let model = TransportModel::by_name(self.addr().kind())
+            .expect("every rendezvous kind has a transport model");
+        preflight(&budget, &model, lc.capacity_bytes).map_err(FmmError::InvalidConfig)?;
+
+        let job = JobSpec {
+            order: cfg.order as u32,
+            m_trunc: cfg.m_trunc as u32,
+            outer_ratio: cfg.outer_ratio,
+            inner_ratio: cfg.inner_ratio,
+            sep_d: cfg.separation.d() as u32,
+            depth,
+            softening: cfg.softening,
+            kernel: cfg.resolve_kernel().name().to_string(),
+            supernodes: cfg.supernodes,
+            cost_weighted: balance == Balance::CostWeighted,
+            with_fields: lc.with_fields,
+            workers: p as u32,
+            domain_min: domain.min,
+            domain_size: domain.size,
+            positions: positions.to_vec(),
+            charges: charges.to_vec(),
+            peers: Vec::new(),
+        };
+        let outs = match &self.0 {
+            Bound::Tcp(l) => launch(l, lc, job),
+            #[cfg(unix)]
+            Bound::Unix(l) => launch(l, lc, job),
+        }?;
+        Ok(assemble(
+            fmm,
+            &plan,
+            &program,
+            positions.len(),
+            domain,
+            outs,
+        ))
+    }
+}
+
+/// Evaluate `fmm` on `p` OS-process ranks joined through a rendezvous
+/// bound at `lc.rendezvous`. Output — potentials, fields, counters,
+/// report — is bitwise identical to `Executor::spmd(p)` in one process.
 pub fn evaluate_distributed(
     fmm: &Fmm,
     positions: &[[f64; 3]],
     charges: &[f64],
     lc: &LaunchConfig,
 ) -> Result<EvalOutput, FmmError> {
-    let cfg = fmm.config();
-    let p = lc.workers;
-    if p == 0 || !p.is_power_of_two() {
-        return Err(FmmError::InvalidConfig(format!(
-            "distributed worker count {p} must be a power of two"
-        )));
-    }
-    if positions.len() != charges.len() || positions.is_empty() {
-        return Err(FmmError::BadInput(format!(
-            "{} positions vs {} charges",
-            positions.len(),
-            charges.len()
-        )));
-    }
-    let domain = Domain::bounding(positions);
-    let depth = cfg.depth.resolve(positions.len());
-    let grid = vu_grid_for(p);
-    let n_axis = 1usize << depth;
-    if grid.dims.iter().any(|&d| d > n_axis) {
-        return Err(FmmError::InvalidConfig(format!(
-            "{p} workers on a {:?} grid exceed depth {depth}'s {n_axis} boxes per axis",
-            grid.dims
-        )));
-    }
-    let balance = cfg.balance;
-    let plan = fmm.plan_for(depth);
-    let program = build_program(fmm, positions, domain, depth, grid, lc.with_fields, balance);
-
-    // Pre-flight: price the program on the selected wire and refuse to
-    // spawn ranks for a run that cannot fit the operator's budget.
-    let budget = communication_budget_with(
-        &ProgramConfig {
-            depth,
-            k: fmm.k(),
-            m: cfg.m_trunc,
-            particles_per_box: positions.len() as f64 / 8f64.powi(depth as i32),
-            vu_grid: grid,
-            supernodes: false,
-            sort_miss_fraction: 1.0 - 1.0 / p as f64,
-            forces_near: lc.with_fields,
-        },
-        program.partition.as_ref().map(|ps| &ps.partition),
-    );
-    let model = TransportModel::by_name(lc.rendezvous.kind())
-        .expect("every rendezvous kind has a transport model");
-    preflight(&budget, &model, lc.capacity_bytes).map_err(FmmError::InvalidConfig)?;
-
-    let job = JobSpec {
-        order: cfg.order as u32,
-        m_trunc: cfg.m_trunc as u32,
-        outer_ratio: cfg.outer_ratio,
-        inner_ratio: cfg.inner_ratio,
-        sep_d: cfg.separation.d() as u32,
-        depth,
-        softening: cfg.softening,
-        kernel: cfg.resolve_kernel().name().to_string(),
-        cost_weighted: balance == Balance::CostWeighted,
-        with_fields: lc.with_fields,
-        workers: p as u32,
-        domain_min: domain.min,
-        domain_size: domain.size,
-        positions: positions.to_vec(),
-        charges: charges.to_vec(),
-        peers: Vec::new(),
-    };
-    let outs = match &lc.rendezvous {
-        FabricAddr::Tcp(_) => launch::<TcpStream>(lc, job),
-        #[cfg(unix)]
-        FabricAddr::Unix(_) => launch::<UnixStream>(lc, job),
-        #[cfg(not(unix))]
-        FabricAddr::Unix(_) => Err(io_err("rendezvous bind", "unix needs UNIX-domain sockets")),
-    }?;
-    Ok(assemble(
-        fmm,
-        &plan,
-        &program,
-        positions.len(),
-        domain,
-        outs,
-    ))
+    Rendezvous::bind(&lc.rendezvous)?.evaluate(fmm, positions, charges, lc)
 }
 
-/// Bind the rendezvous, spawn the ranks when asked to, and run the
-/// Hello, Job, Result exchange. Every exit path reaps the spawned ranks
-/// and, by dropping the listener, removes a UNIX rendezvous file.
-fn launch<S: MeshStream>(lc: &LaunchConfig, mut job: JobSpec) -> Result<Vec<WorkerOut>, FmmError> {
-    let p = lc.workers;
-    let listener = Listener::<S>::bind(&lc.rendezvous).map_err(|e| io_err("rendezvous bind", e))?;
+/// The next `Hello` connection at `listener`. Between looks, every spawned
+/// rank is checked: one that has exited can no longer join, so the wait
+/// ends with [`FmmError::RankLost`] naming it, and it ends at `deadline`
+/// whatever happens.
+fn accept_hello<S: MeshStream>(
+    listener: &Listener<S>,
+    children: &mut [Child],
+    deadline: Instant,
+) -> Result<S, FmmError> {
+    loop {
+        let conn = listener.try_accept();
+        if let Some(conn) = conn.map_err(|e| io_err("rendezvous accept", e))? {
+            return ctrl_conn(conn).map_err(|e| io_err("rendezvous accept", e));
+        }
+        for (rank, child) in children.iter_mut().enumerate() {
+            match child.try_wait() {
+                Ok(None) => {}
+                Ok(Some(status)) => {
+                    let detail = format!("exited with {status} before the rendezvous completed");
+                    return Err(FmmError::RankLost { rank, detail });
+                }
+                Err(e) => {
+                    let detail = format!("unwaitable before the rendezvous completed: {e}");
+                    return Err(FmmError::RankLost { rank, detail });
+                }
+            }
+        }
+        if Instant::now() >= deadline {
+            let why = format!("not every rank said Hello within {RENDEZVOUS_TIMEOUT:?}");
+            return Err(io_err("rendezvous accept", why));
+        }
+        std::thread::sleep(RENDEZVOUS_POLL);
+    }
+}
 
+/// Spawn the ranks when asked to, and run the Hello, Job, Result exchange
+/// at `listener`. Every exit path reaps the spawned ranks.
+fn launch<S: MeshStream>(
+    listener: &Listener<S>,
+    lc: &LaunchConfig,
+    mut job: JobSpec,
+) -> Result<Vec<WorkerOut>, FmmError> {
+    let p = lc.workers;
     let mut children: Vec<Child> = Vec::new();
     let spawned: io::Result<()> = lc.worker_bin.as_ref().map_or(Ok(()), |bin| {
         (0..p).try_for_each(|rank| {
@@ -488,40 +588,42 @@ fn launch<S: MeshStream>(lc: &LaunchConfig, mut job: JobSpec) -> Result<Vec<Work
         })
     });
 
-    let mut run = || -> io::Result<Vec<WorkerOut>> {
+    let mut run = |children: &mut [Child]| -> Result<Vec<WorkerOut>, FmmError> {
+        let exchange = |e: io::Error| io_err("rendezvous exchange", e);
         // Collect one Hello per rank; the mesh table is rank-indexed.
+        let deadline = Instant::now() + RENDEZVOUS_TIMEOUT;
         let mut conns: Vec<Option<S>> = (0..p).map(|_| None).collect();
         job.peers = vec![String::new(); p];
         for _ in 0..p {
-            let mut conn = ctrl_conn(listener.accept()?)?;
-            let (rank, mesh_addr) = read_hello(&mut conn)?;
+            let mut conn = accept_hello(listener, children, deadline)?;
+            let (rank, mesh_addr) = read_hello(&mut conn).map_err(exchange)?;
             let rank = rank as usize;
             if rank >= p || conns[rank].is_some() {
-                return Err(invalid(format!(
+                return Err(exchange(invalid(format!(
                     "duplicate or out-of-range rank {rank} at rendezvous"
-                )));
+                ))));
             }
             job.peers[rank] = mesh_addr;
             conns[rank] = Some(conn);
         }
         let frame = encode_job(&job);
         for conn in conns.iter_mut().flatten() {
-            fmm_wire::write_frame(conn, &frame, MAX_CTRL)?;
+            fmm_wire::write_frame(conn, &frame, MAX_CTRL).map_err(exchange)?;
         }
         let mut outs: Vec<Option<WorkerOut>> = (0..p).map(|_| None).collect();
         for (rank, conn) in conns.iter_mut().enumerate() {
             let conn = conn.as_mut().unwrap();
-            let (r, out) = read_result(conn)?;
+            let (r, out) = read_result(conn).map_err(exchange)?;
             if r as usize != rank {
-                return Err(invalid(format!(
+                return Err(exchange(invalid(format!(
                     "rank {rank}'s connection returned rank {r}'s result"
-                )));
+                ))));
             }
             if let Some(o) = out.orig.iter().find(|&&o| o >= job.positions.len()) {
-                return Err(invalid(format!(
+                return Err(exchange(invalid(format!(
                     "rank {rank} returned particle {o} of {}",
                     job.positions.len()
-                )));
+                ))));
             }
             outs[rank] = Some(out);
         }
@@ -529,7 +631,7 @@ fn launch<S: MeshStream>(lc: &LaunchConfig, mut job: JobSpec) -> Result<Vec<Work
     };
     let outs = spawned
         .map_err(|e| io_err("worker spawn", e))
-        .and_then(|()| run().map_err(|e| io_err("rendezvous exchange", e)));
+        .and_then(|()| run(&mut children));
 
     // Reap spawned workers regardless of how the exchange went.
     let mut child_fail = None;
@@ -667,6 +769,7 @@ mod tests {
             depth: 3,
             softening: 0.0,
             kernel: "scalar".into(),
+            supernodes: cost_weighted,
             cost_weighted,
             with_fields: cost_weighted,
             workers,
@@ -686,6 +789,14 @@ mod tests {
         let cfg = out.config().unwrap();
         assert_eq!(cfg.m_trunc, 5);
         assert_eq!(cfg.balance, Balance::CostWeighted);
+        // The launcher's supernode setting, not the order's default.
+        for supernodes in [false, true] {
+            let job = JobSpec {
+                supernodes,
+                ..job.clone()
+            };
+            assert_eq!(job.config().unwrap().supernodes, supernodes);
+        }
     }
 
     #[test]

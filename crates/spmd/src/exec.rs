@@ -266,6 +266,15 @@ impl Worker<'_> {
             StepKind::Gather { level } => {
                 gather_level_to_root(ctx, &mut far[level as usize], level, k)
             }
+            StepKind::Broadcast { level } if sh.program.supernodes => {
+                // The next level's supernode sources ride with the locals.
+                let (local, far) = (&mut local[level as usize], &mut far[level as usize]);
+                let mut both = [&local[..], &far[..]].concat();
+                broadcast_from_root(ctx, &mut both);
+                let (l, f) = both.split_at(local.len());
+                local.copy_from_slice(l);
+                far.copy_from_slice(f);
+            }
             StepKind::Broadcast { level } => broadcast_from_root(ctx, &mut local[level as usize]),
             StepKind::BoxHalo { level, axis } => {
                 let ghost = sh.program.ghost;
@@ -372,15 +381,18 @@ impl Worker<'_> {
     }
 
     /// Phase 3: per level, the parent locals and interactive-field far
-    /// rows the program moves, then T2 + T3 over the owned boxes.
+    /// rows the program moves, then T2 + T3 over the owned boxes. Under
+    /// supernodes T2 also reads parent-level far rows, which the parent
+    /// level's steps brought earlier.
     fn downward(&mut self, steps: &mut Steps<'_>) {
         let sh = self.sh;
+        let supernodes = sh.fmm.config().supernodes;
         for l in 2..=sh.depth {
             self.exchange_for(steps, l);
             let boxes = self.own.owned(self.ctx.rank, l);
             let one = std::slice::from_mut(&mut self.fh);
             let ts = sh.fmm.translations();
-            let fl = downward_rows(one, ts, sh.plan, false, Aggregation::Gemm, l, &boxes);
+            let fl = downward_rows(one, ts, sh.plan, supernodes, Aggregation::Gemm, l, &boxes);
             self.ctx.counters.add_local_words(fl.copied);
             self.out.traversal_flops += fl.t2 + fl.t3;
         }

@@ -73,7 +73,7 @@ use fmm_linalg::gemm_flops;
 use fmm_machine::VuGrid;
 use fmm_tree::partition::{leaf_costs, CostModel};
 
-pub use distributed::{evaluate_distributed, worker_join, LaunchConfig};
+pub use distributed::{evaluate_distributed, worker_join, LaunchConfig, Rendezvous};
 pub use exec::WorkerOut;
 pub use fabric::{
     channel_ctxs, run_ctxs, run_workers, ChannelTransport, TagAllocator, Transport, WorkerCtx,
@@ -148,20 +148,18 @@ pub(crate) fn build_program(
     balance: Balance,
 ) -> CommProgram {
     let cfg = fmm.config();
+    let sep_d = cfg.separation.d() as usize;
     match balance {
-        Balance::Uniform => CommProgram::build(
-            grid,
-            depth,
-            fmm.k(),
-            cfg.separation.d() as usize,
-            with_fields,
-        ),
+        Balance::Uniform => {
+            CommProgram::build(grid, depth, fmm.k(), sep_d, with_fields, cfg.supernodes)
+        }
         Balance::CostWeighted => CommProgram::build_partitioned(
             grid,
             depth,
             fmm.k(),
-            cfg.separation.d() as usize,
+            sep_d,
             with_fields,
+            cfg.supernodes,
             cost_partition(
                 positions,
                 domain,
@@ -281,7 +279,7 @@ pub(crate) fn assemble(
     // serial per-level accounting (the live T2 rows come from the plan).
     // The workers' own sweep counters do not sum to it: a partitioned run
     // never computes level 1.
-    let k = fmm.k();
+    let (k, supernodes) = (fmm.k(), program.supernodes);
     let mut tfl = TraversalFlops::default();
     if depth >= 3 {
         for l in 1..depth {
@@ -293,12 +291,12 @@ pub(crate) fn assemble(
     for l in 2..=depth {
         let n_boxes = 1u64 << (3 * l);
         let lvl = plan.level(l - 1);
-        let live = lvl.t2_rows[0]; // no supernodes under SPMD
+        let live = lvl.t2_rows[supernodes as usize];
         let t3_rows = if l >= 3 { n_boxes } else { 0 };
         tfl.t2 += live * gemm_flops(1, k, k);
         tfl.t3 += t3_rows * gemm_flops(1, k, k);
         // T3 reads its sources in place, T2 where its panels allow.
-        tfl.copied += (lvl.t2_gathered_rows(k, false) + n_boxes) * k as u64;
+        tfl.copied += (lvl.t2_gathered_rows(k, supernodes) + n_boxes) * k as u64;
     }
 
     let mut profile = Profile::new();

@@ -1,6 +1,6 @@
 //! The communication program: a first-class IR of the SPMD executor's
-//! schedule, derivable from `(VuGrid, depth, K, separation, output kind)`
-//! alone — before any particle exists.
+//! schedule, derivable from `(VuGrid, depth, K, separation, output kind,
+//! supernodes)` alone — before any particle exists.
 //!
 //! The paper's communication structure is *statically schedulable*: which
 //! CSHIFTs run, which ranks exchange halo cells, how the Multigrid-embedded
@@ -87,7 +87,9 @@ pub enum StepKind {
     /// (the upward Multigrid-embed transition).
     Gather { level: u32 },
     /// Binomial-tree broadcast of rank 0's local field of `level` to all
-    /// ranks (re-entering the distributed region downward).
+    /// ranks (re-entering the distributed region downward); under
+    /// supernodes its far field too, the parent-level T2 sources of
+    /// `level + 1`.
     Broadcast { level: u32 },
     /// One axis phase of the wrapped box-halo CSHIFT exchange at `level`.
     BoxHalo { level: u32, axis: usize },
@@ -111,7 +113,8 @@ pub enum StepKind {
     /// shift, per [`fmm_tree::parent_fetch`].
     ParentFetch { level: u32 },
     /// Partitioned interactive-field exchange of far rows at `level`
-    /// (union over octants), per [`fmm_tree::box_halo`].
+    /// (under supernodes with the next level's parent-level sources), per
+    /// [`fmm_tree::box_halo`].
     PartBoxHalo { level: u32 },
     /// Partitioned leaf particle exchange for the forces near field: one
     /// step covering the whole clipped neighbourhood, per
@@ -203,10 +206,17 @@ pub struct CommProgram {
     pub k: usize,
     /// Near-field separation d.
     pub sep_d: usize,
-    /// Box-halo ghost depth (2d + 1 covers the asymmetric T2 reach).
+    /// Box-halo ghost depth: 2d + 1 covers the asymmetric reach of the
+    /// plain T2 field; the supernode decomposition's leftover children
+    /// reach d + 1, and its parent-level sources d boxes of the parent
+    /// level, so 2d (the paper's four boxes at d = 2) covers both.
     pub ghost: usize,
     /// Forces (particle halo) vs potentials (travelling slots) near field.
     pub with_fields: bool,
+    /// The downward pass runs the supernode decomposition: level l's T2
+    /// also reads far rows of level l − 1, which the parent level's halo
+    /// and the embedded broadcast then carry.
+    pub supernodes: bool,
     /// `Some` when the program runs over a cost-weighted Morton partition
     /// instead of the uniform block layout.
     pub partition: Option<PartitionSchedule>,
@@ -215,9 +225,16 @@ pub struct CommProgram {
 
 impl CommProgram {
     /// Derive the schedule. Pure: depends only on the arguments.
-    pub fn build(grid: VuGrid, depth: u32, k: usize, sep_d: usize, with_fields: bool) -> Self {
+    pub fn build(
+        grid: VuGrid,
+        depth: u32,
+        k: usize,
+        sep_d: usize,
+        with_fields: bool,
+        supernodes: bool,
+    ) -> Self {
         let p = grid.len();
-        let ghost = 2 * sep_d + 1;
+        let ghost = 2 * sep_d + usize::from(!supernodes);
         let mut phases: [Vec<Step>; 6] = Default::default();
         let mut tag = 0u64;
         let mut push = |phases: &mut [Vec<Step>; 6], phase: usize, kind, logical_msgs| {
@@ -252,7 +269,11 @@ impl CommProgram {
         // Phase 3 — downward: re-entering the distributed region
         // broadcasts the embedded parent level once, then every
         // distributed level runs one wrapped halo exchange (three axis
-        // phases, two CSHIFT ops each on the model's ledger).
+        // phases, two CSHIFT ops each on the model's ledger). Supernode
+        // sources need no step of their own: they are far rows of the
+        // parent level within ±d, which its halo (ghost ≥ d) or the
+        // broadcast already put on every rank, and nothing overwrites
+        // `far` on the way down.
         let l_first = (2..=depth).find(|&l| subgrid_extent(l, &grid).is_some());
         for l in 2..=depth {
             if subgrid_extent(l, &grid).is_none() {
@@ -322,6 +343,7 @@ impl CommProgram {
             sep_d,
             ghost,
             with_fields,
+            supernodes,
             partition: None,
             phases,
         }
@@ -341,6 +363,7 @@ impl CommProgram {
         k: usize,
         sep_d: usize,
         with_fields: bool,
+        supernodes: bool,
         partition: Partition,
     ) -> Self {
         assert_eq!(
@@ -350,7 +373,7 @@ impl CommProgram {
         );
         assert_eq!(depth, partition.depth(), "partition depth must match");
         let p = grid.len();
-        let ghost = 2 * sep_d + 1;
+        let ghost = 2 * sep_d + usize::from(!supernodes);
         let sep = match sep_d {
             1 => Separation::One,
             2 => Separation::Two,
@@ -389,7 +412,8 @@ impl CommProgram {
         }
 
         // Phase 3 — downward: per level, a parent local-row fetch (l ≥ 3)
-        // followed by the interactive-field far-row exchange.
+        // followed by the interactive-field far-row exchange, which under
+        // supernodes also ships the next level's parent-level sources.
         let mut pf = Vec::new();
         let mut bh = Vec::new();
         for l in 2..=depth {
@@ -403,7 +427,7 @@ impl CommProgram {
                 );
                 pf.push((l, ex));
             }
-            let ex = box_halo(&partition, l, sep);
+            let ex = box_halo(&partition, l, sep, supernodes);
             push(
                 &mut phases,
                 3,
@@ -474,6 +498,7 @@ impl CommProgram {
             sep_d,
             ghost,
             with_fields,
+            supernodes,
             partition: Some(PartitionSchedule {
                 partition,
                 child_flush: cf,
@@ -696,8 +721,10 @@ impl Step {
             StepKind::Broadcast { level } => {
                 // Binomial spread, high stage first: rank r receives once
                 // (at its lowest set bit) and forwards in every later
-                // stage. The whole level buffer travels each hop.
-                let words = (1u64 << (3 * level)) * k;
+                // stage. The whole level buffer travels each hop, the
+                // far one beside it under supernodes.
+                let buffers = 1 + prog.supernodes as u64;
+                let words = buffers * (1u64 << (3 * level)) * k;
                 let stages = p.trailing_zeros();
                 for s in (0..stages).rev() {
                     let bit = 1usize << s;
@@ -809,7 +836,7 @@ mod tests {
     fn tags_are_contiguous_and_phase_ordered() {
         for p in [1usize, 2, 8, 128] {
             for depth in 2..=4u32 {
-                let prog = CommProgram::build(vu_grid_for(p), depth, 6, 2, false);
+                let prog = CommProgram::build(vu_grid_for(p), depth, 6, 2, false, false);
                 let tags: Vec<u64> = prog.steps().map(|(_, s)| s.tag).collect();
                 let expect: Vec<u64> = (0..tags.len() as u64).collect();
                 assert_eq!(tags, expect, "p={p} depth={depth}");
@@ -821,7 +848,7 @@ mod tests {
     fn table4_message_totals_match_pr2() {
         // The exact per-phase logical message counts PR 2 asserted at
         // runtime on the Table-4 configuration, now derived statically.
-        let prog = CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, 2, false);
+        let prog = CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, 2, false, false);
         let msgs: Vec<u64> = prog
             .phases
             .iter()
@@ -832,11 +859,59 @@ mod tests {
 
     #[test]
     fn forces_program_swaps_near_phase() {
-        let pot = CommProgram::build(vu_grid_for(8), 3, 6, 2, false);
-        let frc = CommProgram::build(vu_grid_for(8), 3, 6, 2, true);
+        let pot = CommProgram::build(vu_grid_for(8), 3, 6, 2, false, false);
+        let frc = CommProgram::build(vu_grid_for(8), 3, 6, 2, true, false);
         assert!(pot.phases[5].len() > 60);
         assert_eq!(frc.phases[5].len(), 3);
         assert_eq!(pot.phases[..5], frc.phases[..5]);
+    }
+
+    /// p = 128 lays the ranks on `[8, 4, 4]`: at depth 6 levels 0–2 are
+    /// Multigrid-embedded on rank 0 and level 3 is the first distributed
+    /// one. Under supernodes its T2 reads far rows of level 2 that only
+    /// rank 0 computed, so the one broadcast carries `far[2]` beside
+    /// `local[2]`: twice the words on every hop, the same hops.
+    #[test]
+    fn embedded_broadcast_carries_far_rows_under_supernodes() {
+        let (grid, depth, k) = (vu_grid_for(128), 6, 12);
+        let [plain, sn] = [false, true].map(|on| CommProgram::build(grid, depth, k, 2, false, on));
+        assert_eq!((plain.ghost, sn.ghost), (5, 4));
+        // Every rank's broadcast ops, sends reduced to their words.
+        let broadcast = |prog: &CommProgram| -> Vec<(Op, u64)> {
+            let steps = prog.phases[3].iter();
+            let mut bc = steps.filter(|st| matches!(st.kind, StepKind::Broadcast { .. }));
+            let st = bc.next().expect("the embedded level is broadcast");
+            assert_eq!(st.kind, StepKind::Broadcast { level: 2 });
+            assert!(bc.next().is_none());
+            let ops = (0..grid.len()).flat_map(|r| st.ops_for(prog, r));
+            ops.map(|op| match op {
+                Op::Send { to, words, payload } => {
+                    let Volume::Exact(w) = words else {
+                        panic!("a broadcast's volume is static")
+                    };
+                    let op = Op::Send {
+                        to,
+                        words: Volume::Dynamic,
+                        payload,
+                    };
+                    (op, w)
+                }
+                recv => (recv, 0),
+            })
+            .collect()
+        };
+        let (plain_ops, sn_ops) = (broadcast(&plain), broadcast(&sn));
+        let sends = plain_ops.iter().filter(|(_, w)| *w > 0).count();
+        assert_eq!(sends, 127);
+        assert_eq!(plain_ops.len(), sn_ops.len());
+        // The same hops, each carrying `far[2]` beside `local[2]`.
+        let level_words = 64 * k as u64;
+        for ((op, w), (op_sn, w_sn)) in plain_ops.iter().zip(&sn_ops) {
+            assert_eq!(op, op_sn);
+            assert!(*w == 0 || (*w, *w_sn) == (level_words, 2 * level_words));
+        }
+        // The same steps otherwise, tag for tag.
+        assert_eq!(plain.phases, sn.phases);
     }
 
     #[test]
@@ -864,6 +939,7 @@ mod tests {
                         6,
                         2,
                         with_fields,
+                        false,
                         Partition::uniform(depth, p),
                     );
                     let tags: Vec<u64> = prog.steps().map(|(_, s)| s.tag).collect();
@@ -880,12 +956,13 @@ mod tests {
         // The travelling-slot sweep visits the same (axis, delta, visit)
         // sequence in both builds — the itinerary is pure geometry; only
         // the routing of each hop differs.
-        let uni = CommProgram::build(vu_grid_for(8), 3, 6, 2, false);
+        let uni = CommProgram::build(vu_grid_for(8), 3, 6, 2, false, false);
         let par = CommProgram::build_partitioned(
             vu_grid_for(8),
             3,
             6,
             2,
+            false,
             false,
             Partition::uniform(3, 8),
         );
@@ -906,6 +983,7 @@ mod tests {
                 6,
                 2,
                 with_fields,
+                false,
                 Partition::uniform(3, 1),
             );
             for (_, s) in prog.steps() {

@@ -84,6 +84,10 @@ pub trait MeshStream: Read + Write + Send + Sized + 'static {
     fn bind(addr: &FabricAddr) -> io::Result<(Self::Listener, FabricAddr)>;
     fn accept(listener: &Self::Listener) -> io::Result<Self>;
     fn connect(addr: &FabricAddr) -> io::Result<Self>;
+    /// Switch the listener's accepts between blocking and returning
+    /// `WouldBlock` at once.
+    fn listener_nonblocking(listener: &Self::Listener, on: bool) -> io::Result<()>;
+    fn set_nonblocking(&self, on: bool) -> io::Result<()>;
 }
 
 fn wrong_kind(addr: &FabricAddr, want: &str) -> io::Error {
@@ -115,6 +119,12 @@ impl MeshStream for TcpStream {
             _ => Err(wrong_kind(addr, "tcp")),
         }
     }
+    fn listener_nonblocking(listener: &TcpListener, on: bool) -> io::Result<()> {
+        listener.set_nonblocking(on)
+    }
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        TcpStream::set_nonblocking(self, on)
+    }
 }
 
 #[cfg(unix)]
@@ -143,6 +153,12 @@ impl MeshStream for UnixStream {
             _ => Err(wrong_kind(addr, "unix")),
         }
     }
+    fn listener_nonblocking(listener: &UnixListener, on: bool) -> io::Result<()> {
+        listener.set_nonblocking(on)
+    }
+    fn set_nonblocking(&self, on: bool) -> io::Result<()> {
+        UnixStream::set_nonblocking(self, on)
+    }
 }
 
 /// A bound [`MeshStream`] listener and the address peers dial. Dropping
@@ -160,6 +176,18 @@ impl<S: MeshStream> Listener<S> {
 
     pub(crate) fn accept(&self) -> io::Result<S> {
         S::accept(&self.inner)
+    }
+
+    /// A pending connection, or `None` at once if there is none yet. The
+    /// connection itself blocks as [`Listener::accept`]'s do.
+    pub(crate) fn try_accept(&self) -> io::Result<Option<S>> {
+        S::listener_nonblocking(&self.inner, true)?;
+        let conn = match S::accept(&self.inner) {
+            Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(None),
+            conn => conn?,
+        };
+        conn.set_nonblocking(false)?;
+        Ok(Some(conn))
     }
 }
 

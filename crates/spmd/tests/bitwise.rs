@@ -27,11 +27,15 @@ fn assert_bitwise(depth: u32, n: usize, workers: &[usize], with_fields: bool) {
 
 fn assert_bitwise_bal(depth: u32, n: usize, workers: &[usize], with_fields: bool, bal: Balance) {
     let (pts, q) = pseudo_system(n, 0x5eed ^ (depth as u64) << 8 ^ n as u64);
-    assert_system_bitwise(depth, &pts, &q, workers, with_fields, bal);
+    let cfg = |e| config(depth, e);
+    assert_system_bitwise(&cfg, &pts, &q, workers, with_fields, bal);
 }
 
+/// The configuration under test on an executor.
+type Config<'a> = &'a dyn Fn(Executor) -> FmmConfig;
+
 fn assert_system_bitwise(
-    depth: u32,
+    config: Config<'_>,
     pts: &[[f64; 3]],
     q: &[f64],
     workers: &[usize],
@@ -39,7 +43,8 @@ fn assert_system_bitwise(
     bal: Balance,
 ) {
     fmm_spmd::install();
-    let serial = Fmm::new(config(depth, Executor::Serial)).unwrap();
+    let serial = Fmm::new(config(Executor::Serial)).unwrap();
+    let depth = serial.config().depth.resolve(pts.len());
     let reference = if with_fields {
         serial.evaluate_forces(pts, q).unwrap()
     } else {
@@ -49,7 +54,7 @@ fn assert_system_bitwise(
     let mut values = reference.potentials.iter().chain(fields);
     assert!(values.all(|v| v.is_finite()), "serial is not finite");
     for &p in workers {
-        let fmm = Fmm::new(config(depth, Executor::spmd(p)).balance(bal)).unwrap();
+        let fmm = Fmm::new(config(Executor::spmd(p)).balance(bal)).unwrap();
         let out = if with_fields {
             fmm.evaluate_forces(pts, q).unwrap()
         } else {
@@ -162,6 +167,79 @@ fn forces_cost_weighted_depth3_all_worker_counts() {
     assert_bitwise_bal(3, 2500, &[1, 2, 4, 8], true, Balance::CostWeighted);
 }
 
+/// The supernode decomposition on every worker count and both layouts,
+/// potentials and forces: order 5, the setting forced on at depths 3
+/// and 4 (the default keeps it off there) and on by default at depth 5.
+/// Level l's T2 then reads level l − 1's far rows, which the parent
+/// level's halo (ghost 4), the embedded broadcast or the partitioned
+/// box halo must have brought.
+fn assert_supernodes_bitwise(depth: u32, n: usize) {
+    let (pts, q) = pseudo_system(n, 0x5a9e ^ (depth as u64) << 8);
+    let cfg = |e| {
+        FmmConfig::order(5)
+            .depth(depth)
+            .supernodes(true)
+            .executor(e)
+    };
+    assert!(FmmConfig::order(5).depth(depth).supernodes == (depth >= 5));
+    for with_fields in [false, true] {
+        for bal in [Balance::Uniform, Balance::CostWeighted] {
+            assert_system_bitwise(&cfg, &pts, &q, &[2, 4, 8], with_fields, bal);
+        }
+    }
+}
+
+#[test]
+fn supernodes_depth3_all_worker_counts() {
+    assert_supernodes_bitwise(3, 3000);
+}
+
+#[test]
+fn supernodes_depth4_all_worker_counts() {
+    assert_supernodes_bitwise(4, 4000);
+}
+
+#[test]
+#[cfg_attr(debug_assertions, ignore = "depth-5 sweeps: release only")]
+fn supernodes_depth5_all_worker_counts() {
+    assert_supernodes_bitwise(5, 6000);
+}
+
+/// p = 64 on `[4, 4, 4]` embeds levels 0 and 1 and p = 128 on `[8, 4, 4]`
+/// level 2 as well: at depth 4 the first distributed level (3) reads
+/// its supernode sources from the broadcast `far[2]`.
+#[test]
+fn supernodes_through_the_embedded_broadcast() {
+    let (pts, q) = pseudo_system(4000, 0xb0ad);
+    let cfg = |e| FmmConfig::order(5).depth(4).supernodes(true).executor(e);
+    assert_system_bitwise(&cfg, &pts, &q, &[64, 128], false, Balance::Uniform);
+}
+
+/// The nominal flop counters of an SPMD run count the rows the workers
+/// multiply: under supernodes, the decomposition's 189 translations a
+/// box, exactly what the serial sweep reports.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "depth-5 sweeps: release only")]
+fn spmd_counts_supernode_t2_flops() {
+    fmm_spmd::install();
+    let (pts, q) = pseudo_system(5000, 0xf10b);
+    let cfg = |e| FmmConfig::order(5).depth(5).executor(e);
+    let serial = Fmm::new(cfg(Executor::Serial)).unwrap();
+    assert!(serial.config().supernodes);
+    let want = serial.evaluate(&pts, &q).unwrap();
+    let plan = serial.plan_for(5);
+    let rows: u64 = (1..5).map(|lp| plan.level(lp).t2_rows[1]).sum();
+    assert_eq!(want.traversal_flops.t2, rows * 2 * 12 * 12);
+    let got = Fmm::new(cfg(Executor::spmd(2)))
+        .unwrap()
+        .evaluate(&pts, &q)
+        .unwrap();
+    assert_eq!(got.traversal_flops.t2, want.traversal_flops.t2);
+    let interactive =
+        |o: &fmm_core::EvalOutput| o.profile.phase_flops(fmm_core::Phase::Interactive);
+    assert_eq!(interactive(&got), interactive(&want));
+}
+
 #[test]
 fn spmd_near_field_survives_degenerate_inputs() {
     // Inputs that leave ranks, slots and halo cells empty: the cell store
@@ -195,7 +273,8 @@ fn spmd_near_field_survives_degenerate_inputs() {
         for with_fields in [false, true] {
             for bal in [Balance::Uniform, Balance::CostWeighted] {
                 eprintln!("{what}, forces: {with_fields}, {bal:?}");
-                assert_system_bitwise(3, pts, &q, &[2, 8], with_fields, bal);
+                let cfg = |e| config(3, e);
+                assert_system_bitwise(&cfg, pts, &q, &[2, 8], with_fields, bal);
             }
         }
     }

@@ -5,13 +5,14 @@
 //! `communication_budget_with` exactly as the in-process model test
 //! demands; and no exit path leaves a socket file behind.
 
-use fmm_core::{Balance, Executor, Fmm, FmmConfig};
+use fmm_core::{Balance, Executor, Fmm, FmmConfig, FmmError};
 use fmm_machine::{
     communication_budget_with, predicted_bytes, predicted_messages, ProgramConfig, VuGrid,
 };
 use fmm_spmd::distributed::read_hello;
 use fmm_spmd::{evaluate_distributed, worker_join, FabricAddr, LaunchConfig, Partition};
 use std::path::PathBuf;
+use std::time::{Duration, Instant};
 
 fn worker_bin() -> PathBuf {
     PathBuf::from(env!("CARGO_BIN_EXE_fmm-worker"))
@@ -302,7 +303,7 @@ fn malformed_job_leaves_no_mesh_socket_file() {
         (rank, mesh.as_str()),
         (0, format!("unix:{}.r0", sock.display()).as_str())
     );
-    conn.write_all(&[5, 0, 0, 0, b'F', b'M', b'M', b'C', 2])
+    conn.write_all(&[5, 0, 0, 0, b'F', b'M', b'C', b'2', 2])
         .unwrap();
     let err = worker.join().unwrap().unwrap_err();
     assert!(err.contains("job read"), "{err}");
@@ -314,4 +315,97 @@ fn malformed_job_leaves_no_mesh_socket_file() {
     );
     drop(launcher);
     let _ = std::fs::remove_file(&sock);
+}
+
+/// A spawned rank that exits before its Hello ends the launch at once,
+/// with an error naming the rank, and leaves no socket file: the launcher
+/// looks at the ranks it spawned while it waits at the rendezvous, and
+/// waits there only so long.
+#[cfg(unix)]
+#[test]
+fn a_rank_that_exits_before_its_hello_is_named_at_once() {
+    let (pts, q) = system(1024, 0x7e);
+    let f = fmm(2, 3, Balance::Uniform);
+    let sock = std::env::temp_dir().join(format!("fmm-dist-true-{}.sock", std::process::id()));
+    let lc = LaunchConfig {
+        rendezvous: FabricAddr::Unix(sock.clone()),
+        workers: 2,
+        with_fields: false,
+        worker_bin: Some(PathBuf::from("/bin/true")),
+        capacity_bytes: None,
+    };
+    let (tx, rx) = std::sync::mpsc::channel();
+    let t0 = Instant::now();
+    std::thread::spawn(move || {
+        let _ = tx.send(evaluate_distributed(&f, &pts, &q, &lc));
+    });
+    let out = rx.recv_timeout(Duration::from_secs(5));
+    let err = out
+        .expect("the launch was still waiting after 5 s")
+        .unwrap_err();
+    assert!(
+        matches!(&err, FmmError::RankLost { rank, detail } if *rank < 2 && detail.contains("exited")),
+        "{err}"
+    );
+    assert!(err.to_string().starts_with("rank "), "{err}");
+    assert!(t0.elapsed() < Duration::from_secs(5));
+    assert!(
+        !sock.exists(),
+        "rendezvous file {} left behind",
+        sock.display()
+    );
+}
+
+/// `fmm-launch --fabric tcp:127.0.0.1:0` reports the port the OS chose on
+/// stderr before it waits, so workers started by hand can join it.
+#[test]
+fn launcher_reports_the_port_it_bound() {
+    use std::io::{BufRead, BufReader};
+    use std::process::{Command, Stdio};
+
+    let out = std::env::temp_dir().join(format!("fmm-dist-port0-{}.bits", std::process::id()));
+    let mut launcher = Command::new(env!("CARGO_BIN_EXE_fmm-launch"))
+        .args(["--workers", "2", "--depth", "3", "--n", "1024"])
+        .args(["--fabric", "tcp:127.0.0.1:0", "--out"])
+        .arg(&out)
+        .stderr(Stdio::piped())
+        .spawn()
+        .unwrap();
+    let stderr = launcher.stderr.take().unwrap();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::spawn(move || {
+        for line in BufReader::new(stderr).lines().map_while(Result::ok) {
+            let _ = tx.send(line);
+        }
+    });
+    let reported = (|| loop {
+        let line = rx.recv_timeout(Duration::from_secs(10)).ok()?;
+        let at = line.strip_prefix("fmm-launch: rendezvous ");
+        if let Some((addr, _)) = at.and_then(|a| a.split_once(',')) {
+            return Some(addr.to_string());
+        }
+    })();
+    let Some(addr) = reported else {
+        let _ = launcher.kill();
+        let _ = launcher.wait();
+        panic!("fmm-launch reported no rendezvous address within 10 s");
+    };
+    let at = FabricAddr::parse(&addr).unwrap();
+    assert!(
+        matches!(&at, FabricAddr::Tcp(a) if !a.ends_with(":0")),
+        "{addr}"
+    );
+    let workers: Vec<_> = (0..2)
+        .map(|rank| {
+            let at = at.clone();
+            std::thread::spawn(move || worker_join(&at, rank))
+        })
+        .collect();
+    for w in workers {
+        w.join().unwrap().unwrap();
+    }
+    let status = launcher.wait().unwrap();
+    assert!(status.success(), "fmm-launch exited with {status}");
+    assert_eq!(std::fs::metadata(&out).unwrap().len(), 1024 * 8 + 6 * 3 * 8);
+    let _ = std::fs::remove_file(&out);
 }

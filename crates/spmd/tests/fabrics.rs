@@ -7,11 +7,10 @@
 //! counting.
 #![cfg(unix)]
 
-use std::net::TcpListener;
 use std::sync::atomic::{AtomicUsize, Ordering};
 
 use fmm_core::{Balance, EvalOutput, Executor, Fmm, FmmConfig};
-use fmm_spmd::{evaluate_distributed, worker_join, FabricAddr, LaunchConfig};
+use fmm_spmd::{worker_join, FabricAddr, LaunchConfig, Rendezvous};
 use proptest::prelude::*;
 
 fn system(lo: usize, hi: usize) -> impl Strategy<Value = (Vec<[f64; 3]>, Vec<f64>)> {
@@ -35,23 +34,20 @@ fn fmm(depth: u32, p: usize, bal: Balance) -> Fmm {
     Fmm::new(cfg).unwrap()
 }
 
-/// A fresh rendezvous of each kind. The TCP one names a port the OS just
-/// handed out: the ranks here must dial it, not a `:0` wildcard.
+/// A fresh rendezvous request of each kind. The TCP one asks for any
+/// free port: binding resolves it, and the ranks dial what it reports.
 fn rendezvous() -> [FabricAddr; 2] {
     static RUN: AtomicUsize = AtomicUsize::new(0);
     let run = RUN.fetch_add(1, Ordering::Relaxed);
     let sock = format!("fmm-fabrics-{}-{run}.sock", std::process::id());
-    let port = TcpListener::bind("127.0.0.1:0")
-        .and_then(|l| l.local_addr())
-        .unwrap()
-        .port();
     [
         FabricAddr::Unix(std::env::temp_dir().join(sock)),
-        FabricAddr::Tcp(format!("127.0.0.1:{port}")),
+        FabricAddr::Tcp("127.0.0.1:0".into()),
     ]
 }
 
-/// `fmm` on `p` ranks joined through `at`, every rank a thread.
+/// `fmm` on `p` ranks joined through a rendezvous bound at `at`, every
+/// rank a thread dialling the address the binding reported.
 fn distributed(
     fmm: &Fmm,
     pts: &[[f64; 3]],
@@ -60,6 +56,11 @@ fn distributed(
     forces: bool,
     at: FabricAddr,
 ) -> EvalOutput {
+    let rendezvous = Rendezvous::bind(&at).unwrap();
+    let dial = rendezvous.addr().clone();
+    if let FabricAddr::Tcp(a) = &dial {
+        assert!(!a.ends_with(":0"), "{a} is not a port the ranks can dial");
+    }
     let lc = LaunchConfig {
         rendezvous: at,
         workers: p,
@@ -68,10 +69,10 @@ fn distributed(
         capacity_bytes: None,
     };
     std::thread::scope(|s| {
-        let launcher = s.spawn(|| evaluate_distributed(fmm, pts, q, &lc));
+        let launcher = s.spawn(|| rendezvous.evaluate(fmm, pts, q, &lc));
         for rank in 0..p {
-            let at = &lc.rendezvous;
-            s.spawn(move || worker_join(at, rank).unwrap());
+            let dial = &dial;
+            s.spawn(move || worker_join(dial, rank).unwrap());
         }
         launcher.join().unwrap().unwrap()
     })

@@ -46,3 +46,27 @@ fn evaluate_potentials_reproduce_the_recorded_bits_on_every_executor() {
         );
     }
 }
+
+/// The same at order 5 and depth 5, where the configuration turns the
+/// supernode decomposition on: 98 parent-level and 91 leftover
+/// child-level translations a box, on every executor.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "depth-5 scalar sweeps: release only")]
+fn supernode_potentials_reproduce_the_recorded_bits_on_every_executor() {
+    fmm_spmd::install();
+    let (pts, q) = uniform(4096);
+    for executor in [Executor::Serial, Executor::Rayon, Executor::spmd(2)] {
+        let cfg = FmmConfig::order(5)
+            .depth(5)
+            .kernel(Kernel::Scalar)
+            .executor(executor);
+        assert!(cfg.supernodes);
+        let out = Fmm::new(cfg).unwrap().evaluate(&pts, &q).unwrap();
+        let mut h = 0xcbf2_9ce4_8422_2325u64;
+        out.potentials.iter().for_each(|&v| fnv1a(&mut h, v));
+        assert_eq!(
+            h, 0x8065_c91d_60e5_11f5,
+            "{executor:?}: potentials moved bits"
+        );
+    }
+}

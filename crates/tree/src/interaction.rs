@@ -169,21 +169,16 @@ pub fn supernode_decomposition(octant: [i32; 3], sep: Separation) -> SupernodeDe
     for pz in -d..=d {
         for py in -d..=d {
             for px in -d..=d {
-                let p = [px, py, pz];
-                let child_offsets: Vec<[i32; 3]> = (0..8)
-                    .map(|e| {
-                        [
-                            2 * px + (e & 1) - octant[0],
-                            2 * py + ((e >> 1) & 1) - octant[1],
-                            2 * pz + ((e >> 2) & 1) - octant[2],
-                        ]
-                    })
-                    .collect();
-                let inside: Vec<&[i32; 3]> =
-                    child_offsets.iter().filter(|o| !in_near(**o, d)).collect();
-                if inside.len() == 8 {
+                let child = |e: i32| {
+                    [
+                        2 * px + (e & 1) - octant[0],
+                        2 * py + ((e >> 1) & 1) - octant[1],
+                        2 * pz + ((e >> 2) & 1) - octant[2],
+                    ]
+                };
+                if (0..8).all(|e| !in_near(child(e), d)) {
                     parents.push(SupernodeOffset {
-                        parent_offset: p,
+                        parent_offset: [px, py, pz],
                         center_offset_half: [
                             4 * px - 2 * octant[0] + 1,
                             4 * py - 2 * octant[1] + 1,
@@ -191,7 +186,7 @@ pub fn supernode_decomposition(octant: [i32; 3], sep: Separation) -> SupernodeDe
                         ],
                     });
                 } else {
-                    children.extend(inside.into_iter().copied());
+                    children.extend((0..8).map(child).filter(|&o| !in_near(o, d)));
                 }
             }
         }

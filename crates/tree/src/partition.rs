@@ -21,7 +21,9 @@
 use std::collections::{BTreeMap, BTreeSet};
 
 use crate::coords::BoxCoord;
-use crate::interaction::{interactive_field_offsets, near_field_offsets, Separation};
+use crate::interaction::{
+    interactive_field_offsets, near_field_offsets, supernode_decomposition, Separation,
+};
 use crate::morton::{morton_decode, morton_encode};
 
 /// Convert a Morton code at `level` to the row-major storage index used by
@@ -432,27 +434,59 @@ pub fn parent_fetch(part: &Partition, level: u32) -> Exchange {
     Exchange::from_pairs(part.workers(), &pairs)
 }
 
-/// Downward-pass exchange of far-field rows at `level`: for every owned
-/// target box, every in-domain interactive-field source (union over
-/// octants) on another owner ships its row once. Cells are row-major at
-/// `level`.
-pub fn box_halo(part: &Partition, level: u32, sep: Separation) -> Exchange {
+/// Downward-pass exchange of far-field rows at `level`: every in-domain
+/// T2 source of a box on another owner ships its row to that box's owner
+/// once. Without `supernodes` the sources are those of the targets at
+/// `level` over the interactive-field union (of the eight octants). With
+/// `supernodes` they are what the decomposition reads (its own octant's
+/// lists): the leftover children of the targets at `level`, and the
+/// parent-level sources of the targets one level down, box
+/// `parent(t) + P` for each box `t` at `level + 1` and each supernode
+/// offset `P`. Those rows are read from the same `far[level]` one level
+/// later, and no other exchange ships them: `P` reaches ±d, inside the
+/// parent's own near field. Cells are row-major at `level`.
+pub fn box_halo(part: &Partition, level: u32, sep: Separation, supernodes: bool) -> Exchange {
     debug_assert!((2..=part.depth()).contains(&level));
-    let union = crate::interaction::interactive_field_union(sep);
     let mut pairs: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
-    for code in 0..1u64 << (3 * level) {
-        let owner_t = part.owner_at(level, code);
-        let (x, y, z) = morton_decode(code);
-        let t = BoxCoord { level, x, y, z };
-        for &off in &union {
-            if let Some(s) = t.offset(off) {
-                let owner_s = part.owner_at(level, morton_encode(s.x, s.y, s.z));
-                if owner_s != owner_t {
-                    pairs
-                        .entry((owner_s, owner_t))
-                        .or_default()
-                        .insert(s.index());
-                }
+    let mut ship = |s: BoxCoord, owner_t: usize| {
+        let owner_s = part.owner(&s);
+        if owner_s != owner_t {
+            pairs
+                .entry((owner_s, owner_t))
+                .or_default()
+                .insert(s.index());
+        }
+    };
+    let boxes = |l: u32| {
+        (0..1u64 << (3 * l)).map(move |code| {
+            let (x, y, z) = morton_decode(code);
+            (part.owner_at(l, code), BoxCoord { level: l, x, y, z })
+        })
+    };
+    if !supernodes {
+        let union = crate::interaction::interactive_field_union(sep);
+        for (owner_t, t) in boxes(level) {
+            for s in union.iter().filter_map(|&off| t.offset(off)) {
+                ship(s, owner_t);
+            }
+        }
+        return Exchange::from_pairs(part.workers(), &pairs);
+    }
+    let decomposition: Vec<_> = (0..8)
+        .map(|o| supernode_decomposition([o & 1, (o >> 1) & 1, (o >> 2) & 1], sep))
+        .collect();
+    for (owner_t, t) in boxes(level) {
+        let children = &decomposition[t.octant()].children;
+        for s in children.iter().filter_map(|&off| t.offset(off)) {
+            ship(s, owner_t);
+        }
+    }
+    if level < part.depth() {
+        for (owner_t, t) in boxes(level + 1) {
+            let parent = t.parent().expect("level + 1 > 0");
+            let sn = &decomposition[t.octant()].parents;
+            for s in sn.iter().filter_map(|p| parent.offset(p.parent_offset)) {
+                ship(s, owner_t);
             }
         }
     }
@@ -697,7 +731,9 @@ mod tests {
             endpoints_balanced(&parent_fetch(&part, l));
         }
         for l in 2..=4u32 {
-            endpoints_balanced(&box_halo(&part, l, Separation::Two));
+            for supernodes in [false, true] {
+                endpoints_balanced(&box_halo(&part, l, Separation::Two, supernodes));
+            }
         }
         endpoints_balanced(&particle_halo(&part, Separation::Two));
         for axis in 0..3 {
@@ -712,9 +748,56 @@ mod tests {
         let part = Partition::uniform(3, 1);
         assert!(child_flush(&part, 2).is_empty());
         assert!(parent_fetch(&part, 3).is_empty());
-        assert!(box_halo(&part, 3, Separation::Two).is_empty());
+        assert!(box_halo(&part, 2, Separation::Two, true).is_empty());
+        assert!(box_halo(&part, 3, Separation::Two, false).is_empty());
         assert!(particle_halo(&part, Separation::Two).is_empty());
         assert!(slot_route(&part, 0, 1).is_empty());
+    }
+
+    #[test]
+    fn supernode_halo_ships_what_the_decomposition_reads() {
+        // Exactly the rows a target on another owner reads under
+        // supernodes, written out from the decomposition box by box.
+        let sep = Separation::Two;
+        let costs = pseudo_costs(4096, 0xface);
+        let part = Partition::cost_weighted(4, 5, &costs);
+        let octant = |t: &BoxCoord| {
+            let o = t.octant() as i32;
+            supernode_decomposition([o & 1, (o >> 1) & 1, (o >> 2) & 1], sep)
+        };
+        for level in 2..=4u32 {
+            let mut want: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
+            for t in (0..1usize << (3 * level)).map(|i| BoxCoord::from_index(level, i)) {
+                for s in octant(&t).children.iter().filter_map(|&o| t.offset(o)) {
+                    want.insert((part.owner(&s), part.owner(&t), s.index()));
+                }
+            }
+            let below = if level < 4 {
+                1usize << (3 * (level + 1))
+            } else {
+                0
+            };
+            for t in (0..below).map(|i| BoxCoord::from_index(level + 1, i)) {
+                let p = t.parent().unwrap();
+                for s in octant(&t)
+                    .parents
+                    .iter()
+                    .filter_map(|sn| p.offset(sn.parent_offset))
+                {
+                    want.insert((part.owner(&s), part.owner(&t), s.index()));
+                }
+            }
+            want.retain(|(src, dst, _)| src != dst);
+            let ex = box_halo(&part, level, sep, true);
+            let mut got = BTreeSet::new();
+            for (src, sends) in ex.sends.iter().enumerate() {
+                for (dst, cells) in sends {
+                    got.extend(cells.iter().map(|&c| (src, *dst, c)));
+                }
+            }
+            assert!(!got.is_empty());
+            assert_eq!(got, want, "level {level}");
+        }
     }
 
     #[test]

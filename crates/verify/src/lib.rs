@@ -148,6 +148,11 @@ fn list<T: std::fmt::Display>(errs: &[T], cap: usize) -> String {
 /// Build the `CommProgram` a `CheckConfig` describes — the same program
 /// `run_checks` verifies and `preflight_budget` prices.
 pub fn build_check_program(cfg: &CheckConfig) -> CommProgram {
+    // The configuration's own supernode default at this order and depth:
+    // the program checked is the one such a run executes.
+    let supernodes = fmm_core::FmmConfig::order(cfg.order)
+        .depth(cfg.depth)
+        .supernodes;
     if cfg.balance {
         // A data-dependent layout: cut the Morton curve for a synthetic
         // heavy-tailed leaf-cost profile (deterministic LCG; a few leaves
@@ -175,6 +180,7 @@ pub fn build_check_program(cfg: &CheckConfig) -> CommProgram {
             k_for_order(cfg.order),
             cfg.sep_d,
             cfg.with_fields,
+            supernodes,
             part,
         )
     } else {
@@ -184,6 +190,7 @@ pub fn build_check_program(cfg: &CheckConfig) -> CommProgram {
             k_for_order(cfg.order),
             cfg.sep_d,
             cfg.with_fields,
+            supernodes,
         )
     }
 }
@@ -261,8 +268,13 @@ pub fn run_checks(cfg: &CheckConfig) -> Report {
                 name: "budget-conformance",
                 ok: true,
                 detail: format!(
-                    "within {:.0}% of the model{d}",
-                    100.0 * fmm_machine::DEFAULT_TOLERANCE
+                    "within {:.0}% of the model, {} T2 field{d}",
+                    100.0 * fmm_machine::DEFAULT_TOLERANCE,
+                    if low.program.supernodes {
+                        "supernode"
+                    } else {
+                        "plain"
+                    },
                 ),
             });
         }

@@ -85,7 +85,7 @@ pub fn budget_for(low: &Lowered, m: usize, particles_per_box: f64) -> ProgramBud
             m,
             particles_per_box,
             vu_grid: prog.grid,
-            supernodes: false,
+            supernodes: prog.supernodes,
             sort_miss_fraction: 1.0 - 1.0 / p as f64,
             forces_near: prog.with_fields,
         },

@@ -275,6 +275,7 @@ fn job(n: usize, workers: u32, cost_weighted: bool) -> JobSpec {
         depth: 3,
         softening: 1e-3,
         kernel: "scalar".into(),
+        supernodes: !cost_weighted,
         cost_weighted,
         with_fields: cost_weighted,
         workers,

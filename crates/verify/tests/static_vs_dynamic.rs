@@ -50,7 +50,7 @@ proptest! {
 
         let grid = vu_grid_for(p);
         prop_assert_eq!(grid.dims, report.vu_dims);
-        let program = CommProgram::build(grid, depth, fmm.k(), 2, forces);
+        let program = CommProgram::build(grid, depth, fmm.k(), 2, forces, false);
         let stat = static_phases(&lower(&program));
 
         for (i, (s, d)) in stat.iter().zip(&report.phases).enumerate() {
@@ -65,6 +65,55 @@ proptest! {
                     "phase {} bytes: static {} vs dynamic {} (p={} depth={} forces={})",
                     i, b, d.bytes, p, depth, forces
                 );
+            }
+        }
+    }
+}
+
+/// The same under the supernode decomposition (order 5, forced on at
+/// depth 4): the measured downward bytes of both layouts, broadcast of
+/// the embedded `far` rows included at p = 128, equal the static sums.
+#[test]
+fn supernode_static_totals_match_dynamic_counters() {
+    use fmm_core::Balance;
+    fmm_spmd::install();
+    let n = 1500;
+    let pts: Vec<[f64; 3]> = (0..n)
+        .map(|i| {
+            let f = (i as f64 + 0.5) / n as f64;
+            [f, (f * 7.31) % 1.0, (f * 3.17) % 1.0]
+        })
+        .collect();
+    let q = vec![1.0; n];
+    for (p, bal) in [
+        (2, Balance::Uniform),
+        (8, Balance::CostWeighted),
+        (128, Balance::Uniform),
+    ] {
+        let cfg = FmmConfig::order(5)
+            .depth(4)
+            .supernodes(true)
+            .executor(Executor::spmd(p))
+            .balance(bal);
+        let out = Fmm::new(cfg).unwrap().evaluate(&pts, &q).unwrap();
+        let report = out.spmd.expect("spmd run attaches a report");
+        let program = match report.partition {
+            None => CommProgram::build(vu_grid_for(p), 4, 12, 2, false, true),
+            Some(splits) => CommProgram::build_partitioned(
+                vu_grid_for(p),
+                4,
+                12,
+                2,
+                false,
+                true,
+                fmm_spmd::Partition::from_splits(4, splits),
+            ),
+        };
+        let stat = static_phases(&lower(&program));
+        for (i, (s, d)) in stat.iter().zip(&report.phases).enumerate() {
+            assert_eq!(s.messages, d.messages, "p={p} phase {i} messages");
+            if let Some(b) = s.bytes {
+                assert_eq!(b, d.bytes, "p={p} phase {i} bytes");
             }
         }
     }
