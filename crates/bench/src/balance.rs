@@ -4,11 +4,12 @@
 //! within a level, interactive-field translations per box, and boxes
 //! across levels — and that the *non-adaptive* decomposition balances the
 //! box work perfectly but leaves the particle work (P2O, evaluation, near
-//! field) to the distribution. This module quantifies that: per-VU work
-//! estimates given a particle binning and a block layout.
+//! field) to the distribution. This module quantifies that for experiment
+//! E14 (`exp_loadbalance`): per-VU work estimates given a particle binning
+//! and a block layout.
 
-use crate::coords::BoxCoord;
-use crate::sort::{Binning, CoordinateSortKey};
+use crate::sort::CoordinateSortKey;
+use fmm_tree::{near_field_offsets, Binning, BoxCoord};
 
 /// Per-VU work summary for one evaluation.
 #[derive(Debug, Clone, PartialEq)]
@@ -53,20 +54,15 @@ impl LoadBalance {
 }
 
 /// Analyze a particle binning at `level` over the VU layout described by
-/// `layout` (near-field pair counts use the d-separation neighbourhood).
-pub fn analyze(
-    binning: &Binning,
-    level: u32,
-    layout: CoordinateSortKey,
-    separation: crate::interaction::Separation,
-) -> LoadBalance {
+/// `layout` (near-field pair counts use the two-separation neighbourhood).
+pub fn analyze(binning: &Binning, level: u32, layout: CoordinateSortKey) -> LoadBalance {
     let n_boxes = binning.starts.len() - 1;
     debug_assert_eq!(n_boxes, 1usize << (3 * level));
     let n_vus = layout.vu_count() as usize;
     let mut particles = vec![0u64; n_vus];
     let mut near_pairs = vec![0u64; n_vus];
     let mut boxes = vec![0u64; n_vus];
-    let offsets = crate::interaction::near_field_offsets(separation);
+    let offsets = near_field_offsets();
     for b in 0..n_boxes {
         let coord = BoxCoord::from_index(level, b);
         let vu = layout.vu_of(coord) as usize;
@@ -91,8 +87,7 @@ pub fn analyze(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::interaction::Separation;
-    use crate::sort::bin_particles;
+    use fmm_tree::bin_particles;
 
     fn binning_for(ids: Vec<u32>, level: u32) -> Binning {
         bin_particles(&ids, 1 << (3 * level))
@@ -105,7 +100,7 @@ mod tests {
         let ids: Vec<u32> = (0..64).collect();
         let b = binning_for(ids, level);
         let layout = CoordinateSortKey::for_vu_grid(level, [2, 2, 2]);
-        let lb = analyze(&b, level, layout, Separation::Two);
+        let lb = analyze(&b, level, layout);
         assert!((lb.particle_imbalance() - 1.0).abs() < 1e-12);
         assert_eq!(lb.boxes, vec![8; 8]);
     }
@@ -117,7 +112,7 @@ mod tests {
         let ids = vec![0u32; 100];
         let b = binning_for(ids, level);
         let layout = CoordinateSortKey::for_vu_grid(level, [2, 2, 2]);
-        let lb = analyze(&b, level, layout, Separation::Two);
+        let lb = analyze(&b, level, layout);
         assert!((lb.particle_imbalance() - 8.0).abs() < 1e-12); // one of 8 VUs holds all
         assert!(lb.near_efficiency_bound() < 0.2);
     }
@@ -131,7 +126,7 @@ mod tests {
         ids.sort_unstable();
         let b = binning_for(ids, level);
         let layout = CoordinateSortKey::local_only(level);
-        let lb = analyze(&b, level, layout, Separation::Two);
+        let lb = analyze(&b, level, layout);
         // box 0 → 1 and box 1 → 0, one pair each direction.
         assert_eq!(lb.near_pairs, vec![2]);
     }
@@ -142,7 +137,7 @@ mod tests {
         let ids = vec![5u32; 77]; // heavily clustered particles
         let b = binning_for(ids, level);
         let layout = CoordinateSortKey::for_vu_grid(level, [4, 2, 2]);
-        let lb = analyze(&b, level, layout, Separation::Two);
+        let lb = analyze(&b, level, layout);
         // Box ownership is distribution-independent: 512/16 = 32 each.
         assert!(lb.boxes.iter().all(|&v| v == 32));
     }

@@ -13,7 +13,7 @@
 use fmm_bench::machine::cost::CostModel;
 use fmm_bench::machine::replication::{precompute_cost, ReplicationStrategy};
 use fmm_bench::util::{header, measured_build_table};
-use fmm_core::{Separation, TranslationSet};
+use fmm_core::TranslationSet;
 
 const N_MAT: usize = 1331;
 
@@ -88,7 +88,7 @@ fn main() {
          one built per mirror orbit (model: 1331 on one VU)",
     );
     measured_build_table(N_MAT, |rule, m| {
-        let ts = TranslationSet::build(rule, m, 1.6, 1.0, Separation::Two, false);
+        let ts = TranslationSet::build(rule, m, 1.6, 1.0, false);
         (ts.built(), ts.derived())
     });
     println!();

@@ -4,11 +4,11 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_loadbalance`
 
+use fmm_bench::balance::analyze;
+use fmm_bench::sort::CoordinateSortKey;
 use fmm_bench::util::header;
 use fmm_bench::workloads::{clustered, jittered_grid, uniform};
-use fmm_tree::{
-    analyze_balance, assign_boxes, bin_particles, CoordinateSortKey, Domain, Separation,
-};
+use fmm_tree::{assign_boxes, bin_particles, Domain};
 
 fn main() {
     header("Load balance of the non-adaptive decomposition (§3.5)");
@@ -34,7 +34,7 @@ fn main() {
     for (name, pts) in cases {
         let ids = assign_boxes(&pts, &domain, level);
         let binning = bin_particles(&ids, 1 << (3 * level));
-        let lb = analyze_balance(&binning, level, layout, Separation::Two);
+        let lb = analyze(&binning, level, layout);
         println!(
             "{:<26} {:>13.2}× {:>13.2}× {:>17.1}%",
             name,

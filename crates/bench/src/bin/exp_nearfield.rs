@@ -36,12 +36,11 @@ fn main() {
         kernel
     );
 
-    let sep = Separation::Two;
     let mut out = vec![0.0; n];
     let mut gather = || {
         best_of(3, || {
             out.iter_mut().for_each(|x| *x = 0.0);
-            near_field_potentials(&bp, sep, &mut out)
+            near_field_potentials(&bp, &mut out)
         })
     };
     let ((t_tc, st_tc), (t_tc_par, _)) = (serially(&mut gather), gather());
@@ -49,11 +48,11 @@ fn main() {
     let mut travel = || {
         best_of(3, || {
             out.iter_mut().for_each(|x| *x = 0.0);
-            near_field_travelling_with(kernel, &bp, sep, true, 0.0, &mut out)
+            near_field_travelling_with(kernel, &bp, Separation::Two, true, 0.0, &mut out)
         })
     };
     let ((t_tr, st_tr), (t_tr_par, _)) = (serially(&mut travel), travel());
-    let (t_sym, (pot_sym, st_sym)) = best_of(1, || near_field_symmetric(&bp, sep));
+    let (t_sym, (pot_sym, st_sym)) = best_of(1, || near_field_symmetric(&bp));
 
     println!(
         "{:<28} {:>14} {:>12} {:>12} {:>12}",

@@ -17,7 +17,7 @@ use fmm_bench::util::{header, time_s};
 use fmm_bench::workloads::{uniform, unit_charges};
 use fmm_core::{Executor, Fmm, FmmConfig};
 use fmm_machine::{BlockLayout, Counters, VuGrid};
-use fmm_tree::{interactive_field_union, Separation};
+use fmm_tree::interactive_field_union;
 
 fn main() {
     let n: usize = std::env::args()
@@ -110,7 +110,7 @@ fn main() {
         let r = fetch(
             &grid,
             FetchStrategy::LinearizedAliased,
-            &interactive_field_union(Separation::Two),
+            &interactive_field_union(),
         );
         let comm = cost.time_s(&r.counters, k);
         // Per-VU T2 compute: boxes_per_vu × 875 × 2K² flops.

@@ -10,9 +10,10 @@
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_sort`
 
+use fmm_bench::sort::{coordinate_sort, CoordinateSortKey};
 use fmm_bench::util::header;
 use fmm_bench::workloads::{clustered, jittered_grid, uniform};
-use fmm_tree::{coordinate_sort, CoordinateSortKey, Domain};
+use fmm_tree::Domain;
 
 fn locality_fraction(positions: &[[f64; 3]], level: u32, vu_grid: [u32; 3]) -> f64 {
     let domain = Domain::unit();

@@ -18,13 +18,13 @@
 use fmm_bench::util::{header, time_s};
 use fmm_bench::workloads::{unit_charges, Distribution};
 use fmm_core::{relative_error_stats, DepthPolicy, Fmm, FmmConfig};
-use fmm_tree::{supernode_decomposition, Separation};
+use fmm_tree::supernode_decomposition;
 
 const SAMPLES: usize = 1000;
 
 fn main() {
     header("Supernodes — 875 → 189 interactive-field translations (§2.3)");
-    let sd = supernode_decomposition([0, 0, 0], Separation::Two);
+    let sd = supernode_decomposition([0, 0, 0]);
     println!(
         "decomposition: {} parent supernodes + {} leftover children = {} translations (covers {})",
         sd.parents.len(),

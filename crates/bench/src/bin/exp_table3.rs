@@ -17,21 +17,14 @@ use fmm_core::plan::TraversalPlan;
 use fmm_core::translations::TranslationSet;
 use fmm_core::traversal::{downward_pass, upward_pass, Aggregation};
 use fmm_core::SphereRule;
-use fmm_tree::{Hierarchy, Separation};
+use fmm_tree::Hierarchy;
 
 fn run_case(d: usize, depth: u32, peak: f64) {
     let rule = SphereRule::for_order(d);
     let k = rule.len();
     let cfg = fmm_core::FmmConfig::order(d);
-    let ts = TranslationSet::build(
-        &rule,
-        cfg.m_trunc,
-        cfg.outer_ratio,
-        cfg.inner_ratio,
-        Separation::Two,
-        false,
-    );
-    let plan = TraversalPlan::build(depth, Separation::Two);
+    let ts = TranslationSet::build(&rule, cfg.m_trunc, cfg.outer_ratio, cfg.inner_ratio, false);
+    let plan = TraversalPlan::build(depth);
     let mut fh = FieldHierarchy::new(Hierarchy::new(depth), k);
     // Pseudo-random leaf potentials.
     let mut state = 99u64;

@@ -12,7 +12,7 @@ use fmm_bench::machine::ghost::{fetch, ghost_volume, FetchStrategy};
 use fmm_bench::machine::{cost::CostModel, grid::DistGrid};
 use fmm_bench::util::header;
 use fmm_machine::{BlockLayout, VuGrid};
-use fmm_tree::{interactive_field_union, Separation};
+use fmm_tree::interactive_field_union;
 
 fn main() {
     header("Table 4 — interactive-field fetch strategies (32-node CM-5E model, S=8³)");
@@ -22,7 +22,7 @@ fn main() {
     let grid = DistGrid::from_fn(layout, k, |g, c| {
         (g[0] * 1_000_000 + g[1] * 1000 + g[2]) as f64 + c as f64 * 0.125
     });
-    let offsets: Vec<[i32; 3]> = interactive_field_union(Separation::Two);
+    let offsets: Vec<[i32; 3]> = interactive_field_union();
     println!(
         "VUs: {}, subgrid: {:?}, ghost volume per VU: {}",
         layout.vu.len(),

@@ -2,12 +2,15 @@
 //!
 //! One binary per paper table/figure (see DESIGN.md §4). Shared workload
 //! generators and timers live here, with the comparison code only the
-//! experiments reach: the CM-5E simulator ([`machine`]) and the
-//! Barnes–Hut baseline of Table 1 ([`bh`]).
+//! experiments reach: the CM-5E simulator ([`machine`]), the Barnes–Hut
+//! baseline of Table 1 ([`bh`]), the VU-aware coordinate sort ([`sort`])
+//! and the block layout's load-balance analysis ([`balance`]).
 
 #![forbid(unsafe_code)]
 
+pub mod balance;
 pub mod bh;
 pub mod machine;
+pub mod sort;
 pub mod util;
 pub mod workloads;

@@ -15,7 +15,7 @@ use fmm_core::traversal::{downward_pass, upward_pass, Aggregation};
 use fmm_core::SphereRule;
 use fmm_machine::program::GHOST_DEPTH;
 use fmm_machine::{BlockLayout, VuGrid};
-use fmm_tree::{interactive_field_offsets, BoxCoord, Hierarchy, Separation};
+use fmm_tree::{interactive_field_offsets, BoxCoord, Hierarchy};
 
 #[test]
 fn simulated_ghost_fetch_supports_exact_t2() {
@@ -23,7 +23,7 @@ fn simulated_ghost_fetch_supports_exact_t2() {
     // random leaf outer samples, downward pass without supernodes.
     let rule = SphereRule::for_order(3);
     let k = rule.len();
-    let ts = TranslationSet::build(&rule, 2, 1.6, 1.0, Separation::Two, false);
+    let ts = TranslationSet::build(&rule, 2, 1.6, 1.0, false);
     let depth = 5u32;
     let mut fh = FieldHierarchy::new(Hierarchy::new(depth), k);
     let mut state = 4242u64;
@@ -33,7 +33,7 @@ fn simulated_ghost_fetch_supports_exact_t2() {
             .wrapping_add(1442695040888963407);
         *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
     }
-    let plan = TraversalPlan::build(depth, Separation::Two);
+    let plan = TraversalPlan::build(depth);
     upward_pass(&mut fh, &ts, &plan, Aggregation::Gemm, false);
     downward_pass(&mut fh, &ts, &plan, false, Aggregation::Gemm, false);
 
@@ -77,7 +77,7 @@ fn simulated_ghost_fetch_supports_exact_t2() {
                 let oct = [(tx & 1) as i32, (ty & 1) as i32, (tz & 1) as i32];
                 let mut acc = vec![0.0; k];
                 let mut all_in_buffer = true;
-                for off in interactive_field_offsets(oct, Separation::Two) {
+                for off in interactive_field_offsets(oct) {
                     let s = [tx as i32 + off[0], ty as i32 + off[1], tz as i32 + off[2]];
                     if s.iter().any(|&v| !(0..32).contains(&v)) {
                         continue; // clipped by the method
@@ -110,7 +110,7 @@ fn simulated_ghost_fetch_supports_exact_t2() {
                 // Shared-memory result = T2 + T3; subtract the T3 part by
                 // recomputing it, or simpler: recompute T2-only truth.
                 let mut truth = vec![0.0; k];
-                for off in interactive_field_offsets(oct, Separation::Two) {
+                for off in interactive_field_offsets(oct) {
                     if let Some(s) = t.offset(off) {
                         let g = &fh.far[depth as usize][s.index() * k..(s.index() + 1) * k];
                         let m = ts.t2(off).unwrap();

@@ -15,8 +15,7 @@
 //! would catch the bug if it were ever introduced into the real code.
 
 use fmm_core::{
-    Kernel, PlanKey, PlanRegistry, Separation, SphereRuleKind, TranslationKey, TranslationSet,
-    TraversalPlan,
+    Kernel, PlanKey, PlanRegistry, SphereRuleKind, TranslationKey, TranslationSet, TraversalPlan,
 };
 use fmm_serve::protocol::{EvalRequest, EvalResponse, Shape};
 use fmm_serve::Batcher;
@@ -50,7 +49,6 @@ fn spawn<F: FnOnce() + Send + 'static>(name: String, f: F) -> fmm_sync::thread::
 fn plan_key() -> PlanKey {
     PlanKey {
         depth: 2,
-        separation: Separation::Two,
         kernel: Kernel::Scalar,
     }
 }
@@ -62,7 +60,6 @@ fn set_key() -> TranslationKey {
         m_trunc: 3,
         outer_ratio: 1.6f64.to_bits(),
         inner_ratio: 1.0f64.to_bits(),
-        separation: Separation::Two,
         supernodes: false,
     }
 }
@@ -76,14 +73,9 @@ fn set_key() -> TranslationKey {
 /// real builds. Property: each builder runs exactly once, and every
 /// tenant observes that one plan and that one set.
 pub fn registry_build_once(threads: usize, opts: &Options) -> ModelReport {
-    let plan = Arc::new(TraversalPlan::build_with(
-        2,
-        Separation::Two,
-        Kernel::Scalar,
-    ));
+    let plan = Arc::new(TraversalPlan::with_kernel(2, Kernel::Scalar));
     let set = Arc::new(TranslationSet {
         k: 0,
-        separation: Separation::Two,
         t1t: Vec::new(),
         t3t: Vec::new(),
         t2t: Vec::new(),

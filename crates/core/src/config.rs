@@ -1,9 +1,10 @@
 //! Configuration of the method: integration order, truncation, sphere
-//! radii, hierarchy depth, separation, supernodes.
+//! radii, hierarchy depth, supernodes. The near-field separation is the
+//! method's two ([`fmm_tree::SEPARATION`]).
 
 use fmm_linalg::Kernel;
 use fmm_sphere::SphereRule;
-use fmm_tree::Separation;
+use fmm_tree::{Separation, SEPARATION};
 
 /// How the hierarchy depth is chosen.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -133,7 +134,9 @@ pub struct FmmConfig {
     pub outer_ratio: f64,
     /// Inner sphere radius in units of the box side.
     pub inner_ratio: f64,
-    /// Near-field separation (the paper assumes two-separation).
+    /// Near-field separation: always two, the method's (see
+    /// [`Separation`]). The field has one value and no builder; it stays
+    /// for callers that pass it on to the near-field entry points.
     pub separation: Separation,
     /// Use the supernode decomposition in the downward pass (875 → 189
     /// translations per box). [`FmmConfig::order`], [`FmmConfig::depth`]
@@ -268,12 +271,6 @@ impl FmmConfig {
         self
     }
 
-    /// Builder-style: near-field separation.
-    pub fn separation(mut self, s: Separation) -> Self {
-        self.separation = s;
-        self
-    }
-
     /// Builder-style: enable/disable supernodes, overriding the rule
     /// [`FmmConfig::order`] and [`FmmConfig::depth`] apply (set it after
     /// them).
@@ -351,7 +348,7 @@ impl FmmConfig {
         // The closest T2 source centre sits (d+1) box sides away; the
         // evaluation point can be inner_ratio closer. The outer series only
         // converges if outer_ratio < distance.
-        let min_dist = (self.separation.d() + 1) as f64 - self.inner_ratio;
+        let min_dist = (SEPARATION + 1) as f64 - self.inner_ratio;
         if self.outer_ratio >= min_dist {
             return Err(format!(
                 "outer_ratio {} too large: T2 evaluation distance can shrink to {:.3}",

@@ -139,7 +139,7 @@ impl Fmm {
     /// [`Fmm::new`] over a shared registry — the "millions of users"
     /// configuration. The instance takes its translation set from the
     /// registry under its [`TranslationKey`] (sphere rule, truncation,
-    /// radii, separation, supernodes), building it only if no earlier
+    /// radii, supernodes), building it only if no earlier
     /// instance did, and resolves plans under [`Fmm::plan_key`]. What is
     /// left to construct is the validated configuration and its sphere
     /// rule, so building an instance per request is cheap once the set is
@@ -157,11 +157,10 @@ impl Fmm {
     }
 
     /// The registry key this instance uses for plans at `depth`: a plan
-    /// depends on the depth, the separation and the microkernel only.
+    /// depends on the depth and the microkernel only.
     pub fn plan_key(&self, depth: u32) -> PlanKey {
         PlanKey {
             depth,
-            separation: self.cfg.separation,
             kernel: self.cfg.resolve_kernel(),
         }
     }
@@ -263,15 +262,13 @@ impl Fmm {
             fhs.push(fh);
         }
 
-        // Step 2: upward pass, all requests per level (a no-op below
-        // depth 3, like `upward_pass`).
+        // Step 2: upward pass, all requests per level, down to level 2
+        // like `upward_pass`.
         let ts = &self.translations;
         let mut tflops = profile.time(Phase::Upward, || {
             let mut acc = TraversalFlops::default();
-            if depth >= 3 {
-                for l in (1..depth).rev() {
-                    acc += upward_level(&mut fhs, ts, plan, l, Aggregation::Gemm);
-                }
+            for l in (2..depth).rev() {
+                acc += upward_level(&mut fhs, ts, plan, l, Aggregation::Gemm);
             }
             acc
         });
@@ -378,14 +375,13 @@ impl Fmm {
         // sequential symmetric sweep.
         let mixed = self.cfg.precision == Precision::Mixed;
         let travelling = !with_fields && !mixed;
-        let sep = self.cfg.separation;
         let eps = self.cfg.softening;
         let mut near_pots: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
         let mut near_stats = NearFieldStats::default();
         if travelling {
             let mut outs: Vec<&mut [f64]> = near_pots.iter_mut().map(Vec::as_mut_slice).collect();
             near_stats = profile.time(Phase::Near, || {
-                travelling_sweep(plan.kernel, &bps, sep, eps, &mut outs)
+                travelling_sweep(plan.kernel, &bps, eps, &mut outs)
             });
         }
 
@@ -427,9 +423,10 @@ impl Fmm {
                         let mut near_f = vec![[0.0; 3]; bp.len()];
                         let k = plan.kernel;
                         let st = if mixed {
+                            let sep = self.cfg.separation;
                             near_field_forces_f32(k, bp, sep, true, eps, near_pot, &mut near_f)
                         } else {
-                            near_field_forces_softened_with(k, bp, sep, eps, near_pot, &mut near_f)
+                            near_field_forces_softened_with(k, bp, eps, near_pot, &mut near_f)
                         };
                         for (a, b) in ff.iter_mut().zip(&near_f) {
                             for d in 0..3 {
@@ -443,7 +440,7 @@ impl Fmm {
                     None => near_field_potentials_f32(
                         plan.kernel,
                         bp,
-                        sep,
+                        self.cfg.separation,
                         &plan.near_schedule,
                         true,
                         eps,
@@ -981,8 +978,38 @@ mod tests {
         let fmm = Fmm::new(FmmConfig::order(3).depth(2)).unwrap();
         let out = fmm.evaluate(&pts, &q).unwrap();
         let bp = BinnedParticles::build(&pts, &q, domain, 2);
-        let (_, sym) = crate::near::near_field_symmetric(&bp, fmm.config().separation);
+        let (_, sym) = crate::near::near_field_symmetric(&bp);
         assert_eq!(out.near_stats, sym);
+    }
+
+    #[test]
+    fn cost_model_charges_the_t2_rows_serial_multiplies() {
+        // `leaf_costs` prices each box's T2 by the decomposition the run
+        // uses: with no particles, its total less the T1 and T3 charges
+        // is Serial's T2 flop count, with supernodes on and off.
+        use fmm_tree::partition::{leaf_costs, CostModel};
+        let (pts, q) = pseudo_system(300, 5);
+        let deepest = if cfg!(debug_assertions) { 4 } else { 5 };
+        for depth in 3..=deepest {
+            for supernodes in [false, true] {
+                let cfg = FmmConfig::order(3).depth(depth).supernodes(supernodes);
+                let fmm = Fmm::new(cfg.executor(Executor::Serial)).unwrap();
+                let t2 = fmm.evaluate(&pts, &q).unwrap().traversal_flops.t2;
+                let model = CostModel {
+                    k: fmm.k(),
+                    m_trunc: fmm.config().m_trunc,
+                    with_fields: false,
+                    supernodes,
+                };
+                let costs = leaf_costs(depth, &model, &vec![0; 1 << (3 * depth)]);
+                let row = fmm_linalg::gemm_flops(1, fmm.k(), fmm.k());
+                let boxes = |l: u32| 1u64 << (3 * l);
+                let t1 = (2..depth).map(|l| 8 * boxes(l)).sum::<u64>() * row;
+                let t3 = (3..=depth).map(boxes).sum::<u64>() * row;
+                let what = format!("depth {depth} supernodes={supernodes}");
+                assert_eq!(costs.iter().sum::<u64>() - t1 - t3, t2, "{what}");
+            }
+        }
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //!    inner approximations down to children,
 //! 4. **Far-field evaluation** — evaluate each leaf's inner approximation
 //!    at its particles,
-//! 5. **Near field** — direct evaluation against the d-separation
+//! 5. **Near field** — direct evaluation against the two-separation
 //!    neighbourhood.
 //!
 //! Every translation is a K×K matrix (see [`translations`]); independent

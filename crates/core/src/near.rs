@@ -3,8 +3,8 @@
 //! At the optimal hierarchy depth the direct evaluation in the near field
 //! accounts for about half of all arithmetic, so its efficiency is crucial.
 //! The particle–particle interactions are structured as neighbour box–box
-//! interactions over the d-separation neighbourhood (124 neighbours for
-//! two-separation); exploiting Newton's third law halves that to 62
+//! interactions over the two-separation neighbourhood (124 neighbours);
+//! exploiting Newton's third law halves that to 62
 //! box–box interactions (the paper's Fig. 10 traversal).
 //!
 //! Two sweeps are production paths, and each has one body that every
@@ -28,8 +28,8 @@
 //!   conflicts at the full 124-neighbour pair count, swept in pieces of
 //!   near-equal pair count on the plan's kernel. A target gathers one
 //!   neighbour *row* at a time — the 2d+1 boxes of one x-row, one run of
-//!   a binning or of a row-major SPMD cell store — so 26 calls at
-//!   two-separation instead of 126, and pairs of targets share every row
+//!   a binning or of a row-major SPMD cell store — so 26 calls instead
+//!   of 126, and pairs of targets share every row
 //!   but their own through the two-target force panel.
 //!
 //! [`near_field_potentials_softened`] is the same target-centric sweep
@@ -52,7 +52,7 @@
 use crate::particles::BinnedParticles;
 use crate::serially;
 use fmm_linalg::{pairwise, Kernel};
-use fmm_tree::{near_field_offsets, BoxCoord, Separation, TravelPath};
+use fmm_tree::{near_field_offsets, BoxCoord, Separation, TravelPath, NEAR_FIELD_SIZE, SEPARATION};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -157,17 +157,13 @@ pub(crate) fn per_box_slices<'a, T>(
 }
 
 /// Target-centric near-field potentials: every target gathers from its own
-/// box and all d-separation neighbours, one [`pairwise::gather_with`] per
+/// box and all two-separation neighbours, one [`pairwise::gather_with`] per
 /// neighbour row, on the sweep the forces run (`target_box`). `out` is
 /// in **sorted** particle order. Parallelizes over cost-balanced pieces of
 /// target boxes with no write conflicts. The oracle of the travelling
 /// sweep and the target-centric side of experiment E13.
-pub fn near_field_potentials(
-    bp: &BinnedParticles,
-    sep: Separation,
-    out: &mut [f64],
-) -> NearFieldStats {
-    near_field_potentials_softened(bp, sep, 0.0, out)
+pub fn near_field_potentials(bp: &BinnedParticles, out: &mut [f64]) -> NearFieldStats {
+    near_field_potentials_softened(bp, 0.0, out)
 }
 
 /// [`near_field_potentials`] with Plummer softening: the pairwise kernel
@@ -177,7 +173,6 @@ pub fn near_field_potentials(
 /// relative perturbation is O(ε²/r²)).
 pub fn near_field_potentials_softened(
     bp: &BinnedParticles,
-    sep: Separation,
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
@@ -185,27 +180,27 @@ pub fn near_field_potentials_softened(
         kernel: Kernel::detect(),
         eps2: eps * eps,
     };
-    target_sweep(bp, &bp.cells(), sep, &sum, out, None)
+    target_sweep(bp, &bp.cells(), &sum, out, None)
 }
 
 /// Symmetric near field exploiting Newton's third law: each unordered box
-/// pair is visited once (62 of the 124 two-separation neighbours, via the
+/// pair is visited once (62 of the 124 neighbours, via the
 /// lexicographically-positive half of the offset set), and both boxes'
 /// particles are updated. Sequential — the paper's CM version resolves the
 /// write conflicts with a travelling accumulator; here the symmetric form
 /// exists to measure the ~2× pair reduction (experiment E13) and as a
 /// reference result.
-pub fn near_field_symmetric(bp: &BinnedParticles, sep: Separation) -> (Vec<f64>, NearFieldStats) {
+pub fn near_field_symmetric(bp: &BinnedParticles) -> (Vec<f64>, NearFieldStats) {
     let mut out = vec![0.0; bp.len()];
     let level = bp.level;
     let n_boxes = bp.binning.starts.len() - 1;
     let mut st = NearFieldStats::default();
     // Positive half: offsets that are lexicographically greater than zero.
-    let half: Vec<[i32; 3]> = near_field_offsets(sep)
+    let half: Vec<[i32; 3]> = near_field_offsets()
         .into_iter()
         .filter(|o| *o > [0, 0, 0])
         .collect();
-    debug_assert_eq!(half.len(), sep.near_field_size() / 2);
+    debug_assert_eq!(half.len(), NEAR_FIELD_SIZE / 2);
 
     for b in 0..n_boxes {
         let t = BoxCoord::from_index(level, b);
@@ -357,25 +352,26 @@ pub(crate) fn add_stats(mut a: NearFieldStats, b: NearFieldStats) -> NearFieldSt
 /// the message-passing executor, whose workers call the same
 /// [`travelling_step`] on the boxes they own.
 /// Reports the same third-law-halved counts as [`near_field_symmetric`].
-/// `parallel = false` runs it [`serially`]; the flag is kept only because
-/// `benchmark/` imports it (ROADMAP item 1).
+/// `parallel = false` runs it [`serially`]; the flag and the one-value
+/// separation, which is ignored, are kept only because `benchmark/`
+/// imports it (ROADMAP item 1).
 pub fn near_field_travelling_with(
     kernel: Kernel,
     bp: &BinnedParticles,
-    sep: Separation,
+    _sep: Separation,
     parallel: bool,
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
     if !parallel {
-        return serially(|| near_field_travelling_with(kernel, bp, sep, true, eps, out));
+        return serially(|| near_field_travelling_with(kernel, bp, _sep, true, eps, out));
     }
-    travelling_sweep(kernel, std::slice::from_ref(bp), sep, eps, &mut [out])
+    travelling_sweep(kernel, std::slice::from_ref(bp), eps, &mut [out])
 }
 
 /// The travelling sweep over `R` same-depth particle sets at once. The
 /// geometry — the path itself, each step's `t ↦ t + cum` box map and its
-/// domain clipping — depends only on the hierarchy depth and separation,
+/// domain clipping — depends only on the hierarchy depth,
 /// so it is computed once per (step, box) and the instances loop
 /// innermost. For small requests the sweep is geometry-bound (tens of
 /// steps × every box, a few particles each), so this is where batching a
@@ -391,7 +387,6 @@ pub fn near_field_travelling_with(
 pub(crate) fn travelling_sweep(
     kernel: Kernel,
     bps: &[BinnedParticles],
-    sep: Separation,
     eps: f64,
     outs: &mut [&mut [f64]],
 ) -> NearFieldStats {
@@ -419,7 +414,7 @@ pub(crate) fn travelling_sweep(
             acc,
         })
         .collect();
-    for step in &TravelPath::new(sep.d()).steps {
+    for step in &TravelPath::new().steps {
         total.merge(&step_over(kernel, eps2, step.cum, &targets, &mut insts));
     }
     drop(insts);
@@ -572,19 +567,20 @@ pub fn return_add(out: &mut [f64], acc: &[f64]) {
 /// Target-centric near-field potentials **and** fields (−∇Φ) with Plummer
 /// softening (see [`near_field_potentials_softened`]). Outputs are in
 /// sorted particle order. `parallel = false` runs it [`serially`]; the
-/// flag is kept only because `benchmark/` imports it (ROADMAP item 1).
+/// flag and the one-value separation, which is ignored, are kept only
+/// because `benchmark/` imports it (ROADMAP item 1).
 pub fn near_field_forces_softened(
     bp: &BinnedParticles,
-    sep: Separation,
+    _sep: Separation,
     parallel: bool,
     eps: f64,
     pot: &mut [f64],
     field: &mut [[f64; 3]],
 ) -> NearFieldStats {
     if !parallel {
-        return serially(|| near_field_forces_softened(bp, sep, true, eps, pot, field));
+        return serially(|| near_field_forces_softened(bp, _sep, true, eps, pot, field));
     }
-    near_field_forces_softened_with(Kernel::detect(), bp, sep, eps, pot, field)
+    near_field_forces_softened_with(Kernel::detect(), bp, eps, pot, field)
 }
 
 /// [`near_field_forces_softened`] with an explicit kernel choice (the
@@ -592,7 +588,6 @@ pub fn near_field_forces_softened(
 pub fn near_field_forces_softened_with(
     kernel: Kernel,
     bp: &BinnedParticles,
-    sep: Separation,
     eps: f64,
     pot: &mut [f64],
     field: &mut [[f64; 3]],
@@ -601,14 +596,14 @@ pub fn near_field_forces_softened_with(
         kernel,
         eps2: eps * eps,
     };
-    target_sweep(bp, &bp.cells(), sep, &sum, pot, Some(field))
+    target_sweep(bp, &bp.cells(), &sum, pot, Some(field))
 }
 
 /// Target-centric potential + field accumulation for the particles of leaf
 /// box `b` of `level` (`target_box` on the f64 force kernels), targets
 /// and sources both read through `cells`, which must hold every
 /// neighbour row's boxes back to back in x order: each target sums its
-/// own neighbour row split at itself, then the other rows of its `sep`
+/// own neighbour row split at itself, then the other rows of its
 /// neighbourhood in (dz, dy) order. `po`/`fo` are the per-box output
 /// slices of box `b`. The SPMD workers run the boxes they own through
 /// this, over a cell store that holds their halo laid out row-major.
@@ -619,13 +614,12 @@ pub fn near_field_forces_box<L: Fn(usize) -> Range<usize>>(
     cells: &Cells<'_, L>,
     level: u32,
     b: usize,
-    sep: Separation,
     eps2: f64,
     po: &mut [f64],
     fo: &mut [[f64; 3]],
 ) -> NearFieldStats {
     let sum = Forces { kernel, eps2 };
-    target_box(&sum, cells, level, b, sep, |i, p, f| {
+    target_box(&sum, cells, level, b, |i, p, f| {
         po[i] += p;
         for a in 0..3 {
             fo[i][a] += f[a];
@@ -705,7 +699,7 @@ impl RowSum<f32> for Forces<f32> {
     }
 }
 
-/// Most rows a box gathers from: (2d + 1)² at two-separation.
+/// Most rows a box gathers from: (2d + 1)².
 const MAX_ROWS: usize = 25;
 
 /// One box of a target-centric sweep, either precision, targets and
@@ -726,14 +720,13 @@ pub(crate) fn target_box<T: Copy, L: Fn(usize) -> Range<usize>, S: RowSum<T>>(
     cells: &Cells<'_, L, T>,
     level: u32,
     b: usize,
-    sep: Separation,
     mut emit: impl FnMut(usize, f64, [f64; 3]),
 ) -> NearFieldStats {
     let t_range = (cells.range)(b);
     if t_range.is_empty() {
         return NearFieldStats::default();
     }
-    let (t, d, side) = (BoxCoord::from_index(level, b), sep.d(), 1i32 << level);
+    let (t, d, side) = (BoxCoord::from_index(level, b), SEPARATION, 1i32 << level);
     let row_xs = (t.x as i32 - d).max(0) as u32..=(t.x as i32 + d).min(side - 1) as u32;
     let (mut sources, mut boxes) = (0, 0);
     // The run of the row at (y, z), empty if the row holds no particle.
@@ -857,7 +850,6 @@ fn cut_pieces(bp: &BinnedParticles, offsets: &[[i32; 3]], pieces: usize) -> Vec<
 pub(crate) fn target_sweep<T: Copy + Sync, L: Fn(usize) -> Range<usize> + Sync>(
     bp: &BinnedParticles,
     cells: &Cells<'_, L, T>,
-    sep: Separation,
     sum: &impl RowSum<T>,
     pot: &mut [f64],
     field: Option<&mut [[f64; 3]]>,
@@ -867,7 +859,7 @@ pub(crate) fn target_sweep<T: Copy + Sync, L: Fn(usize) -> Range<usize> + Sync>(
     let starts = &bp.binning.starts;
     let threads = rayon::current_num_threads();
     let cuts = if threads > 1 {
-        let offsets = near_field_offsets(sep);
+        let offsets = near_field_offsets();
         cut_pieces(bp, &offsets, PIECES_PER_THREAD * threads)
     } else {
         vec![0, starts.len() - 1]
@@ -887,7 +879,7 @@ pub(crate) fn target_sweep<T: Copy + Sync, L: Fn(usize) -> Range<usize> + Sync>(
         let mut st = NearFieldStats::default();
         for b in boxes.clone() {
             let at = bp.range(b).start - base;
-            let box_st = target_box(sum, cells, bp.level, b, sep, |i, p, f| {
+            let box_st = target_box(sum, cells, bp.level, b, |i, p, f| {
                 po[at + i] += p;
                 if let Some(fo) = fo {
                     for a in 0..3 {
@@ -926,9 +918,9 @@ mod tests {
     /// Reference: all-pairs within the near-field neighbourhood, brute
     /// force over boxes.
     #[allow(clippy::needless_range_loop)]
-    fn reference(bp: &BinnedParticles, sep: Separation) -> Vec<f64> {
+    fn reference(bp: &BinnedParticles) -> Vec<f64> {
         let mut out = vec![0.0; bp.len()];
-        let d = sep.d();
+        let d = SEPARATION;
         let level = bp.level;
         for ti in 0..bp.len() {
             let tb = bp.domain.locate([bp.x[ti], bp.y[ti], bp.z[ti]], level);
@@ -960,8 +952,8 @@ mod tests {
     fn target_centric_matches_reference() {
         let bp = build(300, 2, 11);
         let mut out = vec![0.0; bp.len()];
-        near_field_potentials(&bp, Separation::Two, &mut out);
-        let r = reference(&bp, Separation::Two);
+        near_field_potentials(&bp, &mut out);
+        let r = reference(&bp);
         for (a, b) in out.iter().zip(&r) {
             assert!((a - b).abs() < 1e-10, "{} vs {}", a, b);
         }
@@ -972,7 +964,7 @@ mod tests {
         let bp = build(500, 2, 13);
         let run = |n| {
             let mut out = vec![0.0; bp.len()];
-            threads(n).install(|| near_field_potentials(&bp, Separation::Two, &mut out));
+            threads(n).install(|| near_field_potentials(&bp, &mut out));
             out
         };
         let (seq, par) = (run(1), run(3));
@@ -983,28 +975,26 @@ mod tests {
 
     #[test]
     fn symmetric_matches_target_centric() {
-        for sep in [Separation::One, Separation::Two] {
-            let bp = build(400, 2, 17);
-            let mut tc = vec![0.0; bp.len()];
-            let st_tc = near_field_potentials(&bp, sep, &mut tc);
-            let (sym, st_sym) = near_field_symmetric(&bp, sep);
-            for (a, b) in tc.iter().zip(&sym) {
-                assert!((a - b).abs() < 1e-10);
-            }
-            // Newton's third law halves the pair count (self-box pairs are
-            // already symmetric in both).
-            assert!(st_sym.pair_interactions < st_tc.pair_interactions);
-            let cross_tc = st_tc.pair_interactions;
-            let cross_sym = st_sym.pair_interactions;
-            // Within rounding, sym ≈ (tc + self_pairs)/2; just require a
-            // substantial reduction.
-            assert!(
-                (cross_sym as f64) < 0.65 * cross_tc as f64,
-                "sym {} vs tc {}",
-                cross_sym,
-                cross_tc
-            );
+        let bp = build(400, 2, 17);
+        let mut tc = vec![0.0; bp.len()];
+        let st_tc = near_field_potentials(&bp, &mut tc);
+        let (sym, st_sym) = near_field_symmetric(&bp);
+        for (a, b) in tc.iter().zip(&sym) {
+            assert!((a - b).abs() < 1e-10);
         }
+        // Newton's third law halves the pair count (self-box pairs are
+        // already symmetric in both).
+        assert!(st_sym.pair_interactions < st_tc.pair_interactions);
+        let cross_tc = st_tc.pair_interactions;
+        let cross_sym = st_sym.pair_interactions;
+        // Within rounding, sym ≈ (tc + self_pairs)/2; just require a
+        // substantial reduction.
+        assert!(
+            (cross_sym as f64) < 0.65 * cross_tc as f64,
+            "sym {} vs tc {}",
+            cross_sym,
+            cross_tc
+        );
     }
 
     #[test]
@@ -1015,7 +1005,7 @@ mod tests {
         near_field_forces_softened(&bp, Separation::Two, false, 0.0, &mut pot, &mut field);
         // Check potential part agrees with the potential-only kernel.
         let mut pot2 = vec![0.0; bp.len()];
-        near_field_potentials(&bp, Separation::Two, &mut pot2);
+        near_field_potentials(&bp, &mut pot2);
         for (a, b) in pot.iter().zip(&pot2) {
             assert!((a - b).abs() < 1e-10);
         }
@@ -1068,8 +1058,7 @@ mod tests {
     fn forces(bp: &BinnedParticles, kernel: Kernel) -> ForceOut {
         let mut pot = vec![0.0; bp.len()];
         let mut field = vec![[0.0; 3]; bp.len()];
-        let sep = Separation::Two;
-        let st = near_field_forces_softened_with(kernel, bp, sep, 0.0, &mut pot, &mut field);
+        let st = near_field_forces_softened_with(kernel, bp, 0.0, &mut pot, &mut field);
         (pot, field, st)
     }
 
@@ -1179,64 +1168,60 @@ mod tests {
         let bp = BinnedParticles::build(&pts, &q, Domain::unit(), 3);
         let empty = (0..512).filter(|&b| bp.binning.count(b) == 0).count();
         assert!(empty > 100, "{empty} empty boxes");
-        for sep in [Separation::One, Separation::Two] {
-            for eps in [0.0, 0.02] {
-                let (d, eps2) = (sep.d(), eps * eps);
-                let boxes: Vec<BoxCoord> = (0..bp.len())
-                    .map(|i| bp.domain.locate([bp.x[i], bp.y[i], bp.z[i]], 3))
-                    .collect();
-                let mut want = vec![(0.0, [0.0; 3], 0.0, 0.0); bp.len()];
-                let mut pairs = 0;
-                for (ti, w) in want.iter_mut().enumerate() {
-                    for si in 0..bp.len() {
-                        let (a, b) = (boxes[ti], boxes[si]);
-                        let near = [(a.x, b.x), (a.y, b.y), (a.z, b.z)]
-                            .iter()
-                            .all(|&(u, v)| (u as i32 - v as i32).abs() <= d);
-                        if si == ti || !near {
-                            continue;
-                        }
-                        pairs += 1;
-                        let dr = [
-                            bp.x[ti] - bp.x[si],
-                            bp.y[ti] - bp.y[si],
-                            bp.z[ti] - bp.z[si],
-                        ];
-                        let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2] + eps2;
-                        let r = r2.sqrt();
-                        w.0 += bp.q[si] / r;
-                        for (wf, dr) in w.1.iter_mut().zip(dr) {
-                            *wf += bp.q[si] * dr / (r2 * r);
-                        }
-                        w.2 += bp.q[si].abs() / r;
-                        w.3 += bp.q[si].abs() / r2;
+        for eps in [0.0, 0.02] {
+            let (d, eps2) = (SEPARATION, eps * eps);
+            let boxes: Vec<BoxCoord> = (0..bp.len())
+                .map(|i| bp.domain.locate([bp.x[i], bp.y[i], bp.z[i]], 3))
+                .collect();
+            let mut want = vec![(0.0, [0.0; 3], 0.0, 0.0); bp.len()];
+            let mut pairs = 0;
+            for (ti, w) in want.iter_mut().enumerate() {
+                for si in 0..bp.len() {
+                    let (a, b) = (boxes[ti], boxes[si]);
+                    let near = [(a.x, b.x), (a.y, b.y), (a.z, b.z)]
+                        .iter()
+                        .all(|&(u, v)| (u as i32 - v as i32).abs() <= d);
+                    if si == ti || !near {
+                        continue;
                     }
+                    pairs += 1;
+                    let dr = [
+                        bp.x[ti] - bp.x[si],
+                        bp.y[ti] - bp.y[si],
+                        bp.z[ti] - bp.z[si],
+                    ];
+                    let r2 = dr[0] * dr[0] + dr[1] * dr[1] + dr[2] * dr[2] + eps2;
+                    let r = r2.sqrt();
+                    w.0 += bp.q[si] / r;
+                    for (wf, dr) in w.1.iter_mut().zip(dr) {
+                        *wf += bp.q[si] * dr / (r2 * r);
+                    }
+                    w.2 += bp.q[si].abs() / r;
+                    w.3 += bp.q[si].abs() / r2;
                 }
-                for kernel in Kernel::available() {
-                    for n in [1, 3] {
-                        let what = format!("{sep:?} eps={eps} {kernel:?} threads={n}");
-                        let mut pot = vec![0.0; bp.len()];
-                        let mut field = vec![[0.0; 3]; bp.len()];
-                        let st = threads(n).install(|| {
-                            near_field_forces_softened_with(
-                                kernel, &bp, sep, eps, &mut pot, &mut field,
-                            )
-                        });
-                        assert_eq!(st.pair_interactions, pairs, "{what}");
-                        for (i, &(p, f, sp, sf)) in want.iter().enumerate() {
-                            assert!((pot[i] - p).abs() <= 1e-12 * sp, "{what}: potential {i}");
-                            for a in 0..3 {
-                                let err = (field[i][a] - f[a]).abs();
-                                assert!(err <= 1e-12 * sf, "{what}: field {i}[{a}]");
-                            }
+            }
+            for kernel in Kernel::available() {
+                for n in [1, 3] {
+                    let what = format!("eps={eps} {kernel:?} threads={n}");
+                    let mut pot = vec![0.0; bp.len()];
+                    let mut field = vec![[0.0; 3]; bp.len()];
+                    let st = threads(n).install(|| {
+                        near_field_forces_softened_with(kernel, &bp, eps, &mut pot, &mut field)
+                    });
+                    assert_eq!(st.pair_interactions, pairs, "{what}");
+                    for (i, &(p, f, sp, sf)) in want.iter().enumerate() {
+                        assert!((pot[i] - p).abs() <= 1e-12 * sp, "{what}: potential {i}");
+                        for a in 0..3 {
+                            let err = (field[i][a] - f[a]).abs();
+                            assert!(err <= 1e-12 * sf, "{what}: field {i}[{a}]");
                         }
-                        let mut pot = vec![0.0; bp.len()];
-                        let st = threads(n)
-                            .install(|| near_field_potentials_softened(&bp, sep, eps, &mut pot));
-                        assert_eq!(st.pair_interactions, pairs, "{what}");
-                        for (i, &(p, _, sp, _)) in want.iter().enumerate() {
-                            assert!((pot[i] - p).abs() <= 1e-12 * sp, "{what}: oracle {i}");
-                        }
+                    }
+                    let mut pot = vec![0.0; bp.len()];
+                    let st =
+                        threads(n).install(|| near_field_potentials_softened(&bp, eps, &mut pot));
+                    assert_eq!(st.pair_interactions, pairs, "{what}");
+                    for (i, &(p, _, sp, _)) in want.iter().enumerate() {
+                        assert!((pot[i] - p).abs() <= 1e-12 * sp, "{what}: oracle {i}");
                     }
                 }
             }
@@ -1257,8 +1242,7 @@ mod tests {
         let (xs, q) = ([0.3, 0.1], [1.0, 1.0]);
         let cells = Cells::new(&xs, &[0.4; 2], &[0.6; 2], &q, range);
         let (mut po, mut fo) = ([0.0], [[0.0; 3]]);
-        let sep = Separation::Two;
-        near_field_forces_box(Kernel::Scalar, &cells, 2, 36, sep, 0.0, &mut po, &mut fo);
+        near_field_forces_box(Kernel::Scalar, &cells, 2, 36, 0.0, &mut po, &mut fo);
     }
 
     #[test]
@@ -1286,7 +1270,7 @@ mod tests {
             let q: Vec<f64> = (0..pts.len()).map(|i| 1.0 - 0.3 * (i % 5) as f64).collect();
             let bp = BinnedParticles::build(&pts, &q, Domain::unit(), 3);
             for pieces in [1, 2, 16, 1000] {
-                let cuts = cut_pieces(&bp, &near_field_offsets(Separation::Two), pieces);
+                let cuts = cut_pieces(&bp, &near_field_offsets(), pieces);
                 assert_eq!(cuts.len(), pieces + 1, "{what}");
                 assert_eq!((cuts[0], cuts[pieces]), (0, 512), "{what}");
                 assert!(cuts.windows(2).all(|w| w[0] <= w[1]), "{what}: {cuts:?}");
@@ -1314,24 +1298,28 @@ mod tests {
     fn travelling_matches_sequential_symmetric() {
         // Every dispatched kernel family, sequential and parallel, must
         // reproduce the sequential scalar oracle: counters exactly, values
-        // to rounding. Level 2 and 3, both separations.
+        // to rounding. Level 2 and 3.
         for (n, level) in [(400usize, 2u32), (3000, 3)] {
-            for sep in [Separation::One, Separation::Two] {
-                let bp = build(n, level, 31);
-                let (seq, st_seq) = near_field_symmetric(&bp, sep);
-                for kernel in Kernel::available() {
-                    for parallel in [false, true] {
-                        let mut trav = vec![0.0; bp.len()];
-                        let st =
-                            near_field_travelling_with(kernel, &bp, sep, parallel, 0.0, &mut trav);
-                        for (a, b) in seq.iter().zip(&trav) {
-                            assert!(
-                                (a - b).abs() < 1e-12 * (1.0 + a.abs()),
-                                "n={n} level={level} {sep:?} {kernel:?} par={parallel}: {a} vs {b}"
-                            );
-                        }
-                        assert_eq!(st, st_seq);
+            let bp = build(n, level, 31);
+            let (seq, st_seq) = near_field_symmetric(&bp);
+            for kernel in Kernel::available() {
+                for parallel in [false, true] {
+                    let mut trav = vec![0.0; bp.len()];
+                    let st = near_field_travelling_with(
+                        kernel,
+                        &bp,
+                        Separation::Two,
+                        parallel,
+                        0.0,
+                        &mut trav,
+                    );
+                    for (a, b) in seq.iter().zip(&trav) {
+                        assert!(
+                            (a - b).abs() < 1e-12 * (1.0 + a.abs()),
+                            "n={n} level={level} {kernel:?} par={parallel}: {a} vs {b}"
+                        );
                     }
+                    assert_eq!(st, st_seq);
                 }
             }
         }
@@ -1374,7 +1362,7 @@ mod tests {
             let mut got = vec![0.0; bp.len()];
             let mut acc = vec![0.0; x.len()];
             let mut st = self_pass(kernel, &bp, 0.0, &mut got);
-            for step in &TravelPath::new(sep.d()).steps {
+            for step in &TravelPath::new().steps {
                 for boxes in &subsets {
                     let mut one = Travelling {
                         bp: &bp,
@@ -1419,7 +1407,7 @@ mod tests {
             })
             .collect();
         let mut outs: Vec<&mut [f64]> = together.iter_mut().map(Vec::as_mut_slice).collect();
-        let st = travelling_sweep(kernel, &bps, Separation::Two, 0.0, &mut outs);
+        let st = travelling_sweep(kernel, &bps, 0.0, &mut outs);
         assert_eq!(st, alone_stats);
         for (a, b) in together.iter().flatten().zip(alone.iter().flatten()) {
             assert_eq!(a.to_bits(), b.to_bits());
@@ -1448,7 +1436,7 @@ mod tests {
         let bp = build(600, 2, 37);
         let eps = 0.05;
         let mut tc = vec![0.0; bp.len()];
-        near_field_potentials_softened(&bp, Separation::Two, eps, &mut tc);
+        near_field_potentials_softened(&bp, eps, &mut tc);
         let mut col = vec![0.0; bp.len()];
         near_field_travelling_with(Kernel::detect(), &bp, Separation::Two, true, eps, &mut col);
         for (a, b) in tc.iter().zip(&col) {
@@ -1457,22 +1445,11 @@ mod tests {
     }
 
     #[test]
-    fn one_separation_touches_fewer_pairs() {
-        let bp = build(600, 2, 23);
-        let mut o1 = vec![0.0; bp.len()];
-        let mut o2 = vec![0.0; bp.len()];
-        let s1 = near_field_potentials(&bp, Separation::One, &mut o1);
-        let s2 = near_field_potentials(&bp, Separation::Two, &mut o2);
-        assert!(s1.pair_interactions < s2.pair_interactions);
-        assert!(s1.box_pairs < s2.box_pairs);
-    }
-
-    #[test]
     fn empty_boxes_handled() {
         // Few particles at deep level: most boxes empty.
         let bp = build(10, 3, 29);
         let mut out = vec![0.0; bp.len()];
-        let st = near_field_potentials(&bp, Separation::Two, &mut out);
+        let st = near_field_potentials(&bp, &mut out);
         assert!(st.pair_interactions <= 90);
     }
 }

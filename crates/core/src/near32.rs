@@ -92,18 +92,19 @@ fn self_box_potential_f32(
 /// on the f32 mirror, with every box-pair partial widened to f64 before
 /// accumulation into `out`. Reports the same third-law-halved counters as
 /// the f64 symmetric sweeps. `parallel = false` runs it [`serially`]; the
-/// flag is kept only because `benchmark/` imports it (ROADMAP item 1).
+/// flag and the one-value separation, which is ignored, are kept only
+/// because `benchmark/` imports it (ROADMAP item 1).
 pub fn near_field_potentials_f32(
     kernel: Kernel,
     bp: &BinnedParticles,
-    sep: Separation,
+    _sep: Separation,
     schedule: &crate::near::ColorSchedule,
     parallel: bool,
     eps: f64,
     out: &mut [f64],
 ) -> NearFieldStats {
     if !parallel {
-        return serially(|| near_field_potentials_f32(kernel, bp, sep, schedule, true, eps, out));
+        return serially(|| near_field_potentials_f32(kernel, bp, _sep, schedule, true, eps, out));
     }
     assert_eq!(out.len(), bp.len());
     assert_eq!(schedule.level, bp.level);
@@ -111,7 +112,7 @@ pub fn near_field_potentials_f32(
     let eps2 = (eps * eps) as f32;
     let level = bp.level;
     let side = 1u32 << level;
-    let half: Vec<[i32; 3]> = near_field_offsets(sep)
+    let half: Vec<[i32; 3]> = near_field_offsets()
         .into_iter()
         .filter(|o| *o > [0, 0, 0])
         .collect();
@@ -192,19 +193,20 @@ pub fn near_field_potentials_f32(
 /// per source sweep through the f32 force panel; each run's partial (the
 /// own row before and after the target, then each other neighbour row) is
 /// widened to f64 before joining the target's accumulator.
-/// `parallel = false` runs it [`serially`]; the flag is kept only because
-/// `benchmark/` imports it (ROADMAP item 1).
+/// `parallel = false` runs it [`serially`]; the flag and the one-value
+/// separation, which is ignored, are kept only because `benchmark/`
+/// imports it (ROADMAP item 1).
 pub fn near_field_forces_f32(
     kernel: Kernel,
     bp: &BinnedParticles,
-    sep: Separation,
+    _sep: Separation,
     parallel: bool,
     eps: f64,
     pot: &mut [f64],
     field: &mut [[f64; 3]],
 ) -> NearFieldStats {
     if !parallel {
-        return serially(|| near_field_forces_f32(kernel, bp, sep, true, eps, pot, field));
+        return serially(|| near_field_forces_f32(kernel, bp, _sep, true, eps, pot, field));
     }
     let ps = ParticlesF32::build(bp);
     let cells = Cells::new(&ps.x, &ps.y, &ps.z, &ps.q, |b| bp.range(b));
@@ -212,7 +214,7 @@ pub fn near_field_forces_f32(
         kernel,
         eps2: (eps * eps) as f32,
     };
-    target_sweep(bp, &cells, sep, &sum, pot, Some(field))
+    target_sweep(bp, &cells, &sum, pot, Some(field))
 }
 
 #[cfg(test)]
@@ -247,7 +249,7 @@ mod tests {
     #[test]
     fn f32_potentials_track_f64_and_count_identically() {
         let bp = build(3000, 3, 53);
-        let (f64_out, st64) = near_field_symmetric(&bp, Separation::Two);
+        let (f64_out, st64) = near_field_symmetric(&bp);
         let schedule = ColorSchedule::build(3);
         for kernel in Kernel::available() {
             for parallel in [false, true] {

@@ -1,7 +1,7 @@
 //! Reusable traversal plan.
 //!
 //! `Fmm::evaluate` used to recompute, on every call, a family of values
-//! that depend only on the hierarchy depth and the separation parameter:
+//! that depend only on the hierarchy depth:
 //! the per-octant interactive-field offset lists, the supernode
 //! decompositions, the T2 matrix lookups, the slab decomposition of every
 //! level, the child gather/scatter index lists that turn panels of
@@ -9,8 +9,7 @@
 //! count of live T2 rows. None of this depends on the particles.
 //!
 //! A [`TraversalPlan`] hoists all of it into a one-time build, cached on
-//! the driver per depth (the separation and rule size K are fixed per
-//! `Fmm`). Repeated evaluations — the common case in a time-stepping
+//! the driver per depth (the rule size K is fixed per `Fmm`). Repeated evaluations — the common case in a time-stepping
 //! N-body loop, and the regime the paper's timings in §4 assume once the
 //! translation matrices are precomputed (§3.3.4, Figs. 8–9) — then pay
 //! only for the GEMMs and the particle work, not for re-deriving the
@@ -145,12 +144,11 @@ pub struct OctantPlan {
 }
 
 /// Everything the upward/downward passes and the near-field sweep need
-/// that depends only on `(depth, separation)`. Built once, reused across
-/// evaluations; see the module docs.
+/// that depends only on the depth. Built once, reused across evaluations;
+/// see the module docs.
 #[derive(Debug, Clone)]
 pub struct TraversalPlan {
     pub depth: u32,
-    pub separation: Separation,
     /// Microkernel family this plan was resolved for. Every consumer of a
     /// cached plan — the shared-memory passes, the near-field sweeps, the
     /// SPMD workers — dispatches through this field, so one `Fmm` always
@@ -166,14 +164,21 @@ pub struct TraversalPlan {
 }
 
 impl TraversalPlan {
-    /// Build the plan for a hierarchy of `depth` levels at `separation`,
-    /// recording the host-detected kernel.
-    pub fn build(depth: u32, separation: Separation) -> Self {
-        Self::build_with(depth, separation, Kernel::detect())
+    /// Build the plan for a hierarchy of `depth` levels, recording the
+    /// host-detected kernel.
+    pub fn build(depth: u32) -> Self {
+        Self::with_kernel(depth, Kernel::detect())
+    }
+
+    /// [`TraversalPlan::with_kernel`] with the one-value separation
+    /// argument the repository benchmark still passes (`benchmark/` is
+    /// frozen); it is ignored.
+    pub fn build_with(depth: u32, _sep: Separation, kernel: Kernel) -> Self {
+        Self::with_kernel(depth, kernel)
     }
 
     /// [`TraversalPlan::build`] with an explicit kernel choice.
-    pub fn build_with(depth: u32, separation: Separation, kernel: Kernel) -> Self {
+    pub fn with_kernel(depth: u32, kernel: Kernel) -> Self {
         let octants: Vec<OctantPlan> = (0..8usize)
             .map(|oct| {
                 let o = [
@@ -181,19 +186,19 @@ impl TraversalPlan {
                     ((oct >> 1) & 1) as i32,
                     ((oct >> 2) & 1) as i32,
                 ];
-                let offsets = interactive_field_offsets(o, separation);
+                let offsets = interactive_field_offsets(o);
                 let t2_idx = offsets
                     .iter()
-                    .map(|&off| TranslationSet::t2_index_for(separation, off) as u32)
+                    .map(|&off| TranslationSet::t2_index_for(off) as u32)
                     .collect();
-                let sd = supernode_decomposition(o, separation);
+                let sd = supernode_decomposition(o);
                 let sn_translation_count = sd.translation_count();
                 let sn_parent_offsets = sd.parents.iter().map(|p| p.parent_offset).collect();
                 let sn_parent_keys = sd.parents.iter().map(|p| p.center_offset_half).collect();
                 let sn_child_idx = sd
                     .children
                     .iter()
-                    .map(|&off| TranslationSet::t2_index_for(separation, off) as u32)
+                    .map(|&off| TranslationSet::t2_index_for(off) as u32)
                     .collect();
                 OctantPlan {
                     offsets,
@@ -234,7 +239,6 @@ impl TraversalPlan {
 
         TraversalPlan {
             depth,
-            separation,
             kernel,
             octants,
             levels,
@@ -340,7 +344,7 @@ mod tests {
 
     #[test]
     fn child_maps_match_box_arithmetic() {
-        let plan = TraversalPlan::build(3, Separation::Two);
+        let plan = TraversalPlan::build(3);
         for lp in 1..3u32 {
             let lvl = plan.level(lp);
             assert_eq!(lvl.parent_level, lp);
@@ -359,7 +363,7 @@ mod tests {
 
     #[test]
     fn slabs_tile_each_level() {
-        let plan = TraversalPlan::build(4, Separation::One);
+        let plan = TraversalPlan::build(4);
         for lp in 1..4u32 {
             let lvl = plan.level(lp);
             let mut next = 0usize;
@@ -374,52 +378,48 @@ mod tests {
 
     #[test]
     fn octant_plans_are_consistent_with_tree_queries() {
-        for sep in [Separation::One, Separation::Two] {
-            let plan = TraversalPlan::build(2, sep);
-            for (oct, op) in plan.octants.iter().enumerate() {
-                let o = [
-                    (oct & 1) as i32,
-                    ((oct >> 1) & 1) as i32,
-                    ((oct >> 2) & 1) as i32,
-                ];
-                assert_eq!(op.offsets, interactive_field_offsets(o, sep));
-                assert_eq!(op.offsets.len(), op.t2_idx.len());
-                let sd = supernode_decomposition(o, sep);
-                assert_eq!(op.sn_translation_count, sd.translation_count());
-                assert_eq!(op.sn_child_offsets, sd.children);
-                assert_eq!(op.sn_parent_offsets.len(), op.sn_parent_keys.len());
-            }
+        let plan = TraversalPlan::build(2);
+        for (oct, op) in plan.octants.iter().enumerate() {
+            let o = [
+                (oct & 1) as i32,
+                ((oct >> 1) & 1) as i32,
+                ((oct >> 2) & 1) as i32,
+            ];
+            assert_eq!(op.offsets, interactive_field_offsets(o));
+            assert_eq!(op.offsets.len(), op.t2_idx.len());
+            let sd = supernode_decomposition(o);
+            assert_eq!(op.sn_translation_count, sd.translation_count());
+            assert_eq!(op.sn_child_offsets, sd.children);
+            assert_eq!(op.sn_parent_offsets.len(), op.sn_parent_keys.len());
         }
     }
 
     #[test]
     fn t2_rows_match_a_box_by_box_count() {
-        for sep in [Separation::One, Separation::Two] {
-            let plan = TraversalPlan::build(4, sep);
-            for l in 2..=4u32 {
-                let mut rows = [0u64; 2];
-                for b in 0..1usize << (3 * l) {
-                    let c = BoxCoord::from_index(l, b);
-                    let t = [c.x, c.y, c.z].map(|x| x as i32);
-                    let op = &plan.octants[c.octant()];
-                    let on = |x: [i32; 3], off: &[i32; 3], level: u32| {
-                        (0..3).all(|d| (0..1 << level).contains(&(x[d] + off[d])))
-                    };
-                    let live = |offs: &[[i32; 3]]| offs.iter().filter(|o| on(t, o, l)).count();
-                    rows[0] += live(&op.offsets) as u64;
-                    let parent = t.map(|x| x >> 1);
-                    let up = op.sn_parent_offsets.iter();
-                    rows[1] += (up.filter(|o| on(parent, o, l - 1)).count()
-                        + live(&op.sn_child_offsets)) as u64;
-                }
-                assert_eq!(plan.level(l - 1).t2_rows, rows, "{sep:?} level {l}");
+        let plan = TraversalPlan::build(4);
+        for l in 2..=4u32 {
+            let mut rows = [0u64; 2];
+            for b in 0..1usize << (3 * l) {
+                let c = BoxCoord::from_index(l, b);
+                let t = [c.x, c.y, c.z].map(|x| x as i32);
+                let op = &plan.octants[c.octant()];
+                let on = |x: [i32; 3], off: &[i32; 3], level: u32| {
+                    (0..3).all(|d| (0..1 << level).contains(&(x[d] + off[d])))
+                };
+                let live = |offs: &[[i32; 3]]| offs.iter().filter(|o| on(t, o, l)).count();
+                rows[0] += live(&op.offsets) as u64;
+                let parent = t.map(|x| x >> 1);
+                let up = op.sn_parent_offsets.iter();
+                rows[1] += (up.filter(|o| on(parent, o, l - 1)).count()
+                    + live(&op.sn_child_offsets)) as u64;
             }
+            assert_eq!(plan.level(l - 1).t2_rows, rows, "level {l}");
         }
     }
 
     #[test]
     fn t2_blocking_follows_k() {
-        let plan = TraversalPlan::build(5, Separation::Two);
+        let plan = TraversalPlan::build(5);
         let at = |lp: u32, k, threads| {
             let b = plan.level(lp).t2_blocking(k, threads);
             (b.panel, b.planes)
@@ -462,18 +462,15 @@ mod tests {
 
     #[test]
     fn near_schedule_is_for_leaf_level() {
-        let plan = TraversalPlan::build(3, Separation::Two);
+        let plan = TraversalPlan::build(3);
         assert_eq!(plan.near_schedule.level, 3);
         assert!(plan.memory_bytes() > 0);
     }
 
     #[test]
     fn plan_records_kernel() {
-        assert_eq!(
-            TraversalPlan::build(2, Separation::Two).kernel,
-            Kernel::detect()
-        );
-        let forced = TraversalPlan::build_with(2, Separation::Two, Kernel::Scalar);
+        assert_eq!(TraversalPlan::build(2).kernel, Kernel::detect());
+        let forced = TraversalPlan::with_kernel(2, Kernel::Scalar);
         assert_eq!(forced.kernel, Kernel::Scalar);
     }
 }

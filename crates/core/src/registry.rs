@@ -27,25 +27,23 @@ use fmm_linalg::Kernel;
 use fmm_sphere::{SphereRule, SphereRuleKind};
 use fmm_sync::atomic::{AtomicU64, Ordering};
 use fmm_sync::RwLock;
-use fmm_tree::Separation;
 use std::collections::HashMap;
 use std::hash::Hash;
 use std::sync::Arc;
 
-/// The inputs of [`TraversalPlan::build_with`], which key a cached plan.
+/// The inputs of [`TraversalPlan::with_kernel`], which key a cached plan.
 /// Instances that differ in sphere rule, executor or precision share the
-/// plan of one (depth, separation, kernel).
+/// plan of one (depth, kernel).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct PlanKey {
     pub depth: u32,
-    pub separation: Separation,
     pub kernel: Kernel,
 }
 
 /// The inputs of [`TranslationSet::build`], which key a cached set: the
 /// sphere rule (by kind and degree, so orders 4 and 5 share the one
-/// icosahedron), the truncation, both radii (as bits), the separation and
-/// the supernode setting.
+/// icosahedron), the truncation, both radii (as bits) and the supernode
+/// setting.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct TranslationKey {
     pub rule: SphereRuleKind,
@@ -55,7 +53,6 @@ pub struct TranslationKey {
     pub outer_ratio: u64,
     /// `inner_ratio.to_bits()`.
     pub inner_ratio: u64,
-    pub separation: Separation,
     pub supernodes: bool,
 }
 
@@ -68,7 +65,6 @@ impl TranslationKey {
             m_trunc: cfg.m_trunc,
             outer_ratio: cfg.outer_ratio.to_bits(),
             inner_ratio: cfg.inner_ratio.to_bits(),
-            separation: cfg.separation,
             supernodes: cfg.supernodes,
         }
     }
@@ -230,11 +226,7 @@ impl PlanRegistry {
     /// the shared lock only.
     pub fn get_or_build(&self, key: PlanKey) -> Arc<TraversalPlan> {
         self.get_or_build_with(key, || {
-            Arc::new(TraversalPlan::build_with(
-                key.depth,
-                key.separation,
-                key.kernel,
-            ))
+            Arc::new(TraversalPlan::with_kernel(key.depth, key.kernel))
         })
     }
 
@@ -268,7 +260,6 @@ impl PlanRegistry {
                 key.m_trunc,
                 f64::from_bits(key.outer_ratio),
                 f64::from_bits(key.inner_ratio),
-                key.separation,
                 key.supernodes,
             ))
         })
@@ -306,7 +297,7 @@ impl PlanRegistry {
     pub fn snapshot(&self) -> Vec<(PlanKey, usize)> {
         let mut v = self.plans.list(TraversalPlan::memory_bytes);
         // det: sorted before exposure, so callers never observe map order.
-        v.sort_by_key(|(k, _)| (k.depth, format!("{:?}", (k.separation, k.kernel))));
+        v.sort_by_key(|(k, _)| (k.depth, format!("{:?}", k.kernel)));
         v
     }
 
@@ -336,7 +327,6 @@ mod tests {
     fn key(depth: u32) -> PlanKey {
         PlanKey {
             depth,
-            separation: Separation::Two,
             kernel: Kernel::Scalar,
         }
     }
@@ -348,7 +338,6 @@ mod tests {
             m_trunc: 3,
             outer_ratio: 1.6f64.to_bits(),
             inner_ratio: 1.0f64.to_bits(),
-            separation: Separation::Two,
             supernodes: false,
         }
     }
@@ -358,7 +347,6 @@ mod tests {
     fn empty_set() -> Arc<TranslationSet> {
         Arc::new(TranslationSet {
             k: 0,
-            separation: Separation::Two,
             t1t: Vec::new(),
             t3t: Vec::new(),
             t2t: Vec::new(),
@@ -404,11 +392,7 @@ mod tests {
 
     #[test]
     fn concurrent_get_or_build_with_builds_once() {
-        let proto = Arc::new(TraversalPlan::build_with(
-            2,
-            Separation::Two,
-            Kernel::Scalar,
-        ));
+        let proto = Arc::new(TraversalPlan::with_kernel(2, Kernel::Scalar));
         let r = Arc::new(PlanRegistry::new(4));
         let invocations = Arc::new(std::sync::atomic::AtomicUsize::new(0));
         let handles: Vec<_> = (0..4)
@@ -433,11 +417,7 @@ mod tests {
 
     #[test]
     fn concurrent_distinct_keys_build_each_once() {
-        let proto = Arc::new(TraversalPlan::build_with(
-            2,
-            Separation::Two,
-            Kernel::Scalar,
-        ));
+        let proto = Arc::new(TraversalPlan::with_kernel(2, Kernel::Scalar));
         let r = Arc::new(PlanRegistry::new(8));
         let handles: Vec<_> = (0..4)
             .map(|i| {
@@ -460,11 +440,7 @@ mod tests {
 
     #[test]
     fn concurrent_set_and_plan_lookups_build_each_key_once() {
-        let plan = Arc::new(TraversalPlan::build_with(
-            2,
-            Separation::Two,
-            Kernel::Scalar,
-        ));
+        let plan = Arc::new(TraversalPlan::with_kernel(2, Kernel::Scalar));
         let set = empty_set();
         let r = Arc::new(PlanRegistry::new(4));
         let handles: Vec<_> = (0..4)

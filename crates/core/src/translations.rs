@@ -23,7 +23,7 @@
 
 use fmm_linalg::Matrix;
 use fmm_sphere::{inner_kernel_row, outer_kernel_row, Mirror, SphereRule};
-use fmm_tree::{interactive_field_union, supernode_decomposition, Separation};
+use fmm_tree::{interactive_field_union, supernode_decomposition, SEPARATION};
 use rayon::prelude::*;
 use std::collections::HashMap;
 
@@ -44,20 +44,18 @@ pub fn child_center_offset(octant: usize) -> [f64; 3] {
 #[derive(Debug, Clone)]
 pub struct TranslationSet {
     pub k: usize,
-    /// Separation the T2 cube was built for.
-    pub separation: Separation,
     /// `t1t[oct]`: child-outer → parent-outer (transposed).
     pub t1t: Vec<Matrix>,
     /// `t3t[oct]`: parent-inner → child-inner (transposed).
     pub t3t: Vec<Matrix>,
-    /// T2 matrices (transposed) in a dense (4d+3)³ cube indexed by
+    /// T2 matrices (transposed) in a dense 11³ cube indexed by
     /// [`TranslationSet::t2_index_for`]; `None` for every offset the
     /// traversal never asks for. Without supernodes that is the near field
     /// only: from depth 3 on every one of the 1206 interactive offsets of
     /// the 11³ = 1331 cube is some box's, so all are stored (the paper does
     /// the same). With supernodes it is also every child-level offset the
     /// decomposition folded into a parent source; only the leftover
-    /// children of the eight octants are stored (218 at two-separation).
+    /// children of the eight octants are stored (218).
     pub t2t: Vec<Option<Matrix>>,
     /// Supernode T2 matrices keyed by the doubled parent-centre offset.
     // det: matrices are fetched by offset key only, never iterated.
@@ -311,8 +309,8 @@ impl TranslationSet {
         (t1t, t3t, reps.len())
     }
 
-    /// Build the matrices for a rule, truncation, sphere radii (in units of
-    /// the box side at the *child* level) and separation.
+    /// Build the matrices for a rule, truncation and sphere radii (in units
+    /// of the box side at the *child* level).
     ///
     /// `with_supernodes` builds the set the supernode traversal uses — the
     /// parent-level source matrices and the leftover child-level ones — and
@@ -335,7 +333,6 @@ impl TranslationSet {
         m: usize,
         outer_ratio: f64,
         inner_ratio: f64,
-        separation: Separation,
         with_supernodes: bool,
     ) -> Self {
         let direct = Direct {
@@ -347,9 +344,7 @@ impl TranslationSet {
         let mut keys: Vec<Key> = (0..8).map(Key::T1).chain((0..8).map(Key::T3)).collect();
         if with_supernodes {
             let decompositions: Vec<_> = (0..8)
-                .map(|oct| {
-                    supernode_decomposition([oct & 1, (oct >> 1) & 1, (oct >> 2) & 1], separation)
-                })
+                .map(|oct| supernode_decomposition([oct & 1, (oct >> 1) & 1, (oct >> 2) & 1]))
                 .collect();
             // The supernode key set is shared across octants.
             let parents = decompositions.iter().flat_map(|sd| &sd.parents);
@@ -357,11 +352,11 @@ impl TranslationSet {
             let children = decompositions.iter().flat_map(|sd| &sd.children);
             keys.extend(children.map(|&o| Key::T2(o)));
         } else {
-            keys.extend(interactive_field_union(separation).into_iter().map(Key::T2));
+            keys.extend(interactive_field_union().into_iter().map(Key::T2));
         }
         let (matrices, reps) = direct.orbits(&keys);
 
-        let w = (4 * separation.d() + 3) as usize;
+        let w = (4 * SEPARATION + 3) as usize;
         let mut t1t = Vec::with_capacity(8);
         let mut t3t = Vec::with_capacity(8);
         let mut t2t: Vec<Option<Matrix>> = vec![None; w * w * w];
@@ -372,7 +367,7 @@ impl TranslationSet {
             match key {
                 Key::T1(_) => t1t.push(mt),
                 Key::T3(_) => t3t.push(mt),
-                Key::T2(o) => t2t[Self::t2_index_for(separation, o)] = Some(mt),
+                Key::T2(o) => t2t[Self::t2_index_for(o)] = Some(mt),
                 Key::Super(key) => {
                     t2t_super.insert(key, mt);
                 }
@@ -385,7 +380,6 @@ impl TranslationSet {
 
         TranslationSet {
             k: rule.len(),
-            separation,
             t1t,
             t3t,
             t2t,
@@ -397,9 +391,8 @@ impl TranslationSet {
 
     /// Dense-cube index of a T2 offset.
     #[inline]
-    pub fn t2_index_for(separation: Separation, o: [i32; 3]) -> usize {
-        let d = separation.d();
-        let r = 2 * d + 1; // offsets span [−r, r]
+    pub fn t2_index_for(o: [i32; 3]) -> usize {
+        let r = 2 * SEPARATION + 1; // offsets span [−r, r]
         let w = (2 * r + 1) as usize;
         debug_assert!(o.iter().all(|v| v.abs() <= r));
         (((o[2] + r) as usize * w) + (o[1] + r) as usize) * w + (o[0] + r) as usize
@@ -408,7 +401,7 @@ impl TranslationSet {
     /// T2 matrix (transposed) for an offset; `None` inside the near field.
     #[inline]
     pub fn t2(&self, o: [i32; 3]) -> Option<&Matrix> {
-        self.t2t[Self::t2_index_for(self.separation, o)].as_ref()
+        self.t2t[Self::t2_index_for(o)].as_ref()
     }
 
     /// Number of distinct T2 matrices stored.
@@ -478,7 +471,7 @@ mod tests {
 
     #[test]
     fn t2_cube_has_1206_matrices() {
-        let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, Separation::Two, false);
+        let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, false);
         assert_eq!(ts.t2_count(), 1206);
         assert_eq!(ts.t2t.len(), 11 * 11 * 11);
         assert!(ts.t2([0, 0, 0]).is_none());
@@ -489,7 +482,7 @@ mod tests {
 
     #[test]
     fn supernode_matrix_count_is_bounded_by_offsets() {
-        let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, Separation::Two, true);
+        let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, true);
         assert!(!ts.t2t_super.is_empty());
         // Keys are odd triples (4P − 2o + 1).
         for key in ts.t2t_super.keys() {
@@ -501,9 +494,9 @@ mod tests {
 
     #[test]
     fn each_setting_builds_exactly_what_its_plan_references() {
-        let plan = TraversalPlan::build_with(3, Separation::Two, Kernel::Scalar);
+        let plan = TraversalPlan::with_kernel(3, Kernel::Scalar);
         for supernodes in [false, true] {
-            let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, Separation::Two, supernodes);
+            let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, supernodes);
             let idx = referenced_t2(supernodes);
             assert!(idx.iter().all(|&i| ts.t2t[i as usize].is_some()));
             assert_eq!(ts.t2_count(), idx.len(), "supernodes = {supernodes}");
@@ -643,7 +636,7 @@ mod tests {
         // icosahedral rule every octant is the flip `oct` of octant 0, and
         // its matrices are octant 0's conjugated by that flip's σ, exactly.
         let rule = rule5();
-        let ts = TranslationSet::build(&rule, 5, 1.0, 1.0, Separation::Two, false);
+        let ts = TranslationSet::build(&rule, 5, 1.0, 1.0, false);
         let mirrors = rule.mirrors();
         assert_eq!(mirrors.len(), 7);
         for g in &mirrors {
@@ -666,14 +659,13 @@ mod tests {
             outer_ratio: cfg.outer_ratio,
             inner_ratio: cfg.inner_ratio,
         };
-        let r = 2 * cfg.separation.d() + 1;
+        let r = 2 * SEPARATION + 1;
         let counts = [false, true].map(|supernodes| {
             let ts = TranslationSet::build(
                 &rule,
                 cfg.m_trunc,
                 cfg.outer_ratio,
                 cfg.inner_ratio,
-                cfg.separation,
                 supernodes,
             );
             for oct in 0..8 {
@@ -753,7 +745,7 @@ mod tests {
     fn memory_accounting_matches_paper_scale() {
         // K = 12: 1331 matrices ≈ 1.53 MB (paper §3.3.4). We store 1206 +
         // 16 parent/child matrices, so slightly less.
-        let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, Separation::Two, false);
+        let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, false);
         let mb = ts.memory_bytes() as f64 / 1e6;
         assert!(mb > 1.3 && mb < 1.6, "memory {} MB", mb);
     }
@@ -761,7 +753,7 @@ mod tests {
     /// The T2 cube indices the plan resolves under a supernode setting
     /// (the union over octants), ascending.
     fn referenced_t2(supernodes: bool) -> Vec<u32> {
-        let plan = TraversalPlan::build_with(3, Separation::Two, Kernel::Scalar);
+        let plan = TraversalPlan::with_kernel(3, Kernel::Scalar);
         let mut idx: Vec<u32> = plan
             .octants
             .iter()
@@ -793,7 +785,6 @@ mod tests {
             cfg.m_trunc,
             cfg.outer_ratio,
             cfg.inner_ratio,
-            cfg.separation,
             supernodes,
         )
     }

@@ -141,10 +141,12 @@ fn one_stride(idx: impl IntoIterator<Item = usize>) -> Option<(usize, usize)> {
     Some((first, step))
 }
 
-/// Upward pass: for levels l = depth−1 … 1 combine children's outer
-/// samples into parents' (T1). Returns flop counters. `parallel = false`
-/// runs it [`serially`]; the flag is kept only because `benchmark/`
-/// imports it (ROADMAP item 1).
+/// Upward pass: for levels l = depth−1 … 2 combine children's outer
+/// samples into parents' (T1), stopping at level 2 as the paper does.
+/// Nothing reads `far[1]`: T2 starts at level 2, whose supernode sources
+/// all lie outside the domain, and T3 at level 3. Returns flop counters.
+/// `parallel = false` runs it [`serially`]; the flag is kept only because
+/// `benchmark/` imports it (ROADMAP item 1).
 pub fn upward_pass(
     fh: &mut FieldHierarchy,
     ts: &TranslationSet,
@@ -158,12 +160,7 @@ pub fn upward_pass(
     let depth = fh.hierarchy.depth;
     debug_assert_eq!(plan.depth, depth);
     let mut flops = TraversalFlops::default();
-    if depth < 3 {
-        return flops;
-    }
-    // Level 1 is included (beyond the paper's level-2 stop) because the
-    // supernode path at level 2 reads parent-level outer samples.
-    for l in (1..depth).rev() {
+    for l in (2..depth).rev() {
         flops += upward_level(std::slice::from_mut(fh), ts, plan, l, agg);
     }
     flops
@@ -664,7 +661,7 @@ mod tests {
     use super::*;
     use crate::threads;
     use fmm_sphere::SphereRule;
-    use fmm_tree::{Hierarchy, Separation};
+    use fmm_tree::Hierarchy;
 
     /// A translation set serves one supernode setting (it holds only the
     /// T2 matrices that setting's traversal reaches).
@@ -673,9 +670,9 @@ mod tests {
         supernodes: bool,
     ) -> (FieldHierarchy, TranslationSet, TraversalPlan) {
         let rule = SphereRule::for_order(3);
-        let ts = TranslationSet::build(&rule, 4, 1.0, 1.0, Separation::Two, supernodes);
+        let ts = TranslationSet::build(&rule, 4, 1.0, 1.0, supernodes);
         let fh = FieldHierarchy::new(Hierarchy::new(depth), rule.len());
-        let plan = TraversalPlan::build(depth, Separation::Two);
+        let plan = TraversalPlan::build(depth);
         (fh, ts, plan)
     }
 
@@ -739,9 +736,9 @@ mod tests {
         let (mut a, ts, plan) = small_setup(4, false);
         fill_pseudo(&mut a);
         let f = upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, false);
-        // Levels 3, 2 and 1 are computed: 8·2K²·(8³ + 8² + 8) with K = 6.
+        // Levels 3 and 2 are computed: 8·2K²·(8³ + 8²) with K = 6.
         let k = 6u64;
-        assert_eq!(f.t1, 8 * 2 * k * k * (512 + 64 + 8));
+        assert_eq!(f.t1, 8 * 2 * k * k * (512 + 64));
     }
 
     #[test]
@@ -751,7 +748,7 @@ mod tests {
         let mut b = a.clone();
         threads(1).install(|| upward_pass(&mut a, &ts, &plan, Aggregation::Gemm, true));
         threads(3).install(|| upward_pass(&mut b, &ts, &plan, Aggregation::Gemm, true));
-        for l in 1..=4usize {
+        for l in 2..=4usize {
             for (x, y) in a.far[l].iter().zip(&b.far[l]) {
                 assert_eq!(x.to_bits(), y.to_bits(), "far[{l}]");
             }
@@ -793,7 +790,7 @@ mod tests {
             for n in [1, 3] {
                 let mut fhs: Vec<FieldHierarchy> = solo.iter().map(|(p, _)| p.clone()).collect();
                 threads(n).install(|| {
-                    for l in (1..4).rev() {
+                    for l in (2..4).rev() {
                         upward_level(&mut fhs, &ts, &plan, l, Aggregation::Gemm);
                     }
                     for l in 2..=4 {
@@ -947,9 +944,9 @@ mod tests {
         let rule = SphereRule::for_order(order);
         let k = rule.len();
         for supernodes in [false, true] {
-            let ts = TranslationSet::build(&rule, order, 1.0, 1.0, Separation::Two, supernodes);
+            let ts = TranslationSet::build(&rule, order, 1.0, 1.0, supernodes);
             for kernel in Kernel::available() {
-                let plan = TraversalPlan::build_with(depth, Separation::Two, kernel);
+                let plan = TraversalPlan::with_kernel(depth, kernel);
                 for r in [1, 3] {
                     let mut want: Vec<FieldHierarchy> = (0..r)
                         .map(|i| {
@@ -1028,6 +1025,46 @@ mod tests {
                 planes: 1,
             }],
         );
+    }
+
+    /// Level 1 is dead: poisoning `far[1]` and `local[1]` with NaN before
+    /// the downward pass moves no bit of any level below, at order 5
+    /// (K = 12), supernodes on and off.
+    fn level_one_is_never_read(depth: u32) {
+        let rule = SphereRule::for_order(5);
+        for supernodes in [false, true] {
+            let ts = TranslationSet::build(&rule, 3, 1.6, 1.0, supernodes);
+            let plan = TraversalPlan::build(depth);
+            let mut clean = FieldHierarchy::new(Hierarchy::new(depth), rule.len());
+            fill_pseudo(&mut clean);
+            upward_pass(&mut clean, &ts, &plan, Aggregation::Gemm, true);
+            let mut poisoned = clean.clone();
+            poisoned.far[1].fill(f64::NAN);
+            poisoned.local[1].fill(f64::NAN);
+            for fh in [&mut clean, &mut poisoned] {
+                downward_pass(fh, &ts, &plan, supernodes, Aggregation::Gemm, true);
+            }
+            for l in 2..=depth as usize {
+                for (x, y) in clean.local[l].iter().zip(&poisoned.local[l]) {
+                    assert_eq!(
+                        x.to_bits(),
+                        y.to_bits(),
+                        "supernodes={supernodes} local[{l}]"
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn level_one_is_never_read_at_depth_3() {
+        level_one_is_never_read(3);
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "depth-5 sweeps: release only")]
+    fn level_one_is_never_read_at_depth_5() {
+        level_one_is_never_read(5);
     }
 
     #[test]

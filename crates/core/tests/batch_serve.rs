@@ -4,7 +4,7 @@
 //! once under concurrent hammering while enforcing its LRU bound.
 
 use fmm_core::{
-    BatchRequest, Executor, Fmm, FmmConfig, FmmError, PlanKey, PlanRegistry, Precision, Separation,
+    BatchRequest, Executor, Fmm, FmmConfig, FmmError, PlanKey, PlanRegistry, Precision,
 };
 use rand::rngs::SmallRng;
 use rand::{Rng, SeedableRng};
@@ -203,7 +203,6 @@ fn registry_concurrent_stress_builds_each_key_once() {
     let iters = 40;
     let key = |depth: u32| PlanKey {
         depth,
-        separation: Separation::Two,
         kernel: fmm_core::Kernel::Scalar,
     };
     let handles: Vec<_> = (0..threads)
@@ -262,7 +261,6 @@ fn shared_registry_fmm_instances_and_lru_bound() {
     let small = PlanRegistry::new(2);
     let key = |depth: u32| PlanKey {
         depth,
-        separation: Separation::Two,
         kernel: fmm_core::Kernel::Scalar,
     };
     for depth in [2, 3, 4, 2, 3, 4] {

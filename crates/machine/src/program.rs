@@ -22,7 +22,7 @@
 use crate::counters::Counters;
 use crate::layout::VuGrid;
 use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo, slot_route};
-use fmm_tree::{Partition, Separation, TravelPath};
+use fmm_tree::{Partition, TravelPath, SEPARATION};
 
 /// Ghost depth for two-separation interactive fields: the field spans
 /// [−5, 5] per axis but boxes deeper than 4 inside a neighbouring subgrid
@@ -165,8 +165,7 @@ pub fn communication_budget(cfg: &ProgramConfig) -> ProgramBudget {
 /// machine-wide message count and `off_vu_boxes` the cross-owner K-box
 /// rows *exactly*, making the budget byte-exact against executor counters
 /// by construction. Compute flops keep the layout-independent closed
-/// forms. The partitioned near field is modelled at two-separation, like
-/// the closed-form path.
+/// forms.
 pub fn communication_budget_with(
     cfg: &ProgramConfig,
     partition: Option<&Partition>,
@@ -182,7 +181,6 @@ pub fn communication_budget_with(
     );
     assert_eq!(part.depth(), cfg.depth, "partition depth must match");
     let h = cfg.depth;
-    let sep = Separation::Two;
 
     // Upward: one child-flush exchange per computed parent level
     // (depth−1 down to 2); no gather/broadcast embedding.
@@ -205,7 +203,7 @@ pub fn communication_budget_with(
             down.sends += ex.messages();
             down.off_vu_boxes += ex.rows();
         }
-        let ex = box_halo(part, l, sep, cfg.supernodes);
+        let ex = box_halo(part, l, cfg.supernodes);
         down.sends += ex.messages();
         down.off_vu_boxes += ex.rows();
     }
@@ -217,9 +215,9 @@ pub fn communication_budget_with(
     // only the message count is predicted (bytes stay un-checked).
     let mut near = Counters::default();
     if cfg.forces_near {
-        near.sends += particle_halo(part, sep).messages();
+        near.sends += particle_halo(part).messages();
     } else {
-        let path = TravelPath::new(sep.d());
+        let path = TravelPath::new();
         for s in &path.steps {
             near.sends += slot_route(part, s.axis, -s.dir).messages();
         }
@@ -270,10 +268,11 @@ fn closed_form_budget(cfg: &ProgramConfig) -> ProgramBudget {
     // axis), so gathering children is pure local motion. At the single
     // transition to the Multigrid-embed region, the child level's far
     // field is gathered to rank 0 by a binomial tree; every shallower
-    // level is computed there with local moves only.
+    // level is computed there with local moves only. The pass stops at
+    // level 2, as the paper's does: nothing reads level 1's outer samples.
     let mut up_comm = Counters::default();
     let mut up_flops = 0u64;
-    for l in (1..h).rev() {
+    for l in (2..h).rev() {
         let boxes = 1u64 << (3 * l);
         let children = boxes * 8;
         up_flops += boxes * 8 * 2 * k * k;
@@ -388,7 +387,7 @@ fn closed_form_budget(cfg: &ProgramConfig) -> ProgramBudget {
         // accumulate one-sided on the owning VU), scaled to K-boxes.
         near_comm.cshifts += 6;
         if let Some(s) = subgrid_extent(h, &cfg.vu_grid) {
-            let d_sep = 2u64;
+            let d_sep = SEPARATION as u64;
             let plane = leaf_boxes >> h; // n² boxes per leaf-grid plane
             let crossing: u64 = (0..3)
                 .filter(|&a| cfg.vu_grid.dims[a] > 1)
@@ -408,7 +407,7 @@ fn closed_form_budget(cfg: &ProgramConfig) -> ProgramBudget {
         // within VU memory; each box carries particles_per_box particles
         // of PARTICLE_WORDS f64 (x, y, z, q, accumulator), scaled to
         // K-boxes.
-        let path = TravelPath::new(2);
+        let path = TravelPath::new();
         near_comm.cshifts += path.cshift_count();
         let total_moves: u64 = (0..3)
             .map(|a| path.total_travel_along(a) * leaf_boxes)
@@ -462,13 +461,10 @@ mod tests {
         assert_eq!(b.phases[2].comm.sends, cf.messages());
         assert_eq!(b.phases[2].comm.off_vu_boxes, cf.rows());
         // Downward sums parent fetches and box halos.
-        let expect: u64 = [
-            box_halo(&part, 2, Separation::Two, false),
-            box_halo(&part, 3, Separation::Two, false),
-        ]
-        .iter()
-        .map(|e| e.messages())
-        .sum::<u64>()
+        let expect: u64 = [box_halo(&part, 2, false), box_halo(&part, 3, false)]
+            .iter()
+            .map(|e| e.messages())
+            .sum::<u64>()
             + parent_fetch(&part, 3).messages();
         assert_eq!(b.phases[3].comm.sends, expect);
         // P2O and eval stay communication-free.
@@ -482,10 +478,7 @@ mod tests {
             },
             Some(&part),
         );
-        assert_eq!(
-            bf.phases[5].comm.sends,
-            particle_halo(&part, Separation::Two).messages()
-        );
+        assert_eq!(bf.phases[5].comm.sends, particle_halo(&part).messages());
     }
 
     #[test]

@@ -8,7 +8,8 @@
 use crate::batcher::Job;
 use crate::metrics::Metrics;
 use crate::protocol::{EvalResponse, Shape};
-use fmm_core::{BatchRequest, Fmm, FmmConfig, PlanRegistry, Precision, Separation};
+use fmm_core::{BatchRequest, Fmm, FmmConfig, PlanRegistry, Precision};
+use fmm_tree::SEPARATION;
 use std::sync::Arc;
 
 /// Depth bound on requests: deeper hierarchies than this are almost
@@ -45,18 +46,15 @@ impl Engine {
                 shape.order
             ));
         }
-        // `FmmConfig::order`'s radii are calibrated for two-separation and
-        // fail validation at one-separation for every order.
-        if shape.separation != 2 {
+        // The method's near-field separation is two; the wire field only
+        // names it.
+        if i32::from(shape.separation) != SEPARATION {
             return Err(format!(
-                "separation {} is not served (only 2: one-separation needs \
-                 radii calibrated for it)",
+                "separation {} is not served (the method's is {SEPARATION})",
                 shape.separation
             ));
         }
-        let mut cfg = FmmConfig::order(shape.order as usize)
-            .depth(shape.depth)
-            .separation(Separation::Two);
+        let mut cfg = FmmConfig::order(shape.order as usize).depth(shape.depth);
         if shape.mixed {
             cfg = cfg.precision(Precision::Mixed);
         }
@@ -202,8 +200,7 @@ mod tests {
         s = shape();
         s.separation = 3;
         assert!(eng.fmm_for(&s).is_err());
-        // One-separation fails validation with `FmmConfig::order`'s radii,
-        // so it is refused by name before any build.
+        // Any separation but two is refused by name before any build.
         s.separation = 1;
         let err = eng.fmm_for(&s).err().unwrap();
         assert!(err.contains("separation 1"), "{err}");

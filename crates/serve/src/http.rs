@@ -99,9 +99,9 @@ pub fn write_response<W: Write>(
 
 /// Parse the `/evaluate` JSON body. Required: `positions` (flat, 3·n) and
 /// `charges` (n). Optional with defaults: `order` 5, `depth` 2,
-/// `separation` 2, `precision` `"f64"`, `forces` false. `separation` 1
-/// parses, but the engine refuses it: serving one-separation needs sphere
-/// radii calibrated for it, and `FmmConfig::order`'s fail validation there.
+/// `separation` 2, `precision` `"f64"`, `forces` false. Any other
+/// `separation` parses, but the engine refuses it: the method's near field
+/// is two-separated.
 pub fn eval_request_from_json(body: &[u8]) -> Result<EvalRequest, String> {
     let text = std::str::from_utf8(body).map_err(|e| e.to_string())?;
     let v = json::parse(text)?;

@@ -7,8 +7,8 @@
 //! same-shape requests within a time/size window into one
 //! [`fmm_core::Fmm::evaluate_requests`] call on an `Fmm` built over one
 //! process-wide [`fmm_core::PlanRegistry`], the only cache: a new tenant
-//! whose translation-set key (sphere rule, truncation, radii, separation)
-//! or plan key (depth, separation, kernel) matches a resident one costs
+//! whose translation-set key (sphere rule, truncation, radii, supernodes)
+//! or plan key (depth, kernel) matches a resident one costs
 //! no build.
 //!
 //! Two front doors on one port, distinguished by the first bytes of the

@@ -291,7 +291,6 @@ fn info_json(engine: &Arc<Engine>) -> String {
         .map(|(k, bytes)| {
             let mut p = BTreeMap::new();
             p.insert("depth".into(), Value::Num(k.depth as f64));
-            p.insert("separation".into(), Value::Num(k.separation.d() as f64));
             p.insert("bytes".into(), Value::Num(bytes as f64));
             Value::Obj(p)
         })
@@ -307,7 +306,6 @@ fn info_json(engine: &Arc<Engine>) -> String {
                 Value::Str(format!("{:?}", k.rule).to_lowercase()),
             );
             p.insert("degree".into(), Value::Num(k.degree as f64));
-            p.insert("separation".into(), Value::Num(k.separation.d() as f64));
             p.insert("bytes".into(), Value::Num(bytes as f64));
             Value::Obj(p)
         })

@@ -223,7 +223,7 @@ impl CellStore {
 mod tests {
     use super::*;
     use fmm_core::near::{near_field_forces_box, near_field_forces_softened_with};
-    use fmm_core::{Domain, Kernel, Separation};
+    use fmm_core::{Domain, Kernel};
     use fmm_tree::BoxCoord;
 
     #[test]
@@ -291,15 +291,15 @@ mod tests {
         store.unpack_cells(&data, &halo);
         store.lay_out_row_major();
         let (cells, _) = store.cells(|c| panic!("cell {c} is not here"));
-        let (sep, eps) = (Separation::Two, 0.01);
+        let eps = 0.01;
         for kernel in Kernel::available() {
             let zeros = || (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
             let (mut want, mut got) = (zeros(), zeros());
-            near_field_forces_softened_with(kernel, &bp, sep, eps, &mut want.0, &mut want.1);
+            near_field_forces_softened_with(kernel, &bp, eps, &mut want.0, &mut want.1);
             for b in owned.iter().map(|&b| b as usize) {
                 let r = bp.range(b);
                 let (po, fo) = (&mut got.0[r.clone()], &mut got.1[r.clone()]);
-                near_field_forces_box(kernel, &cells, 3, b, sep, eps * eps, po, fo);
+                near_field_forces_box(kernel, &cells, 3, b, eps * eps, po, fo);
                 let bits = |(p, f): &(Vec<f64>, Vec<[f64; 3]>)| {
                     let f = f[r.clone()].concat();
                     p[r.clone()]

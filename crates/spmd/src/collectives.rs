@@ -21,6 +21,7 @@
 //! * receive order is fixed by rank arithmetic, never by arrival order.
 
 use fmm_machine::BlockLayout;
+use fmm_tree::SEPARATION;
 
 use crate::cells::CellStore;
 use crate::fabric::WorkerCtx;
@@ -180,20 +181,14 @@ pub fn exchange_rows(ctx: &mut WorkerCtx, buf: &mut [f64], (sends, recvs): Side<
 }
 
 /// One axis phase of the halo exchange of leaf *particles* (positions +
-/// charges) to ghost depth `g`, without wrap — the forces near field is
+/// charges) to the separation's depth, without wrap — the forces near field is
 /// target-centric and only reads true in-domain neighbors. Cells received
 /// in an earlier phase are re-served from `store` like the rank's own
 /// (corner forwarding).
-pub fn particle_halo_axis(
-    ctx: &mut WorkerCtx,
-    depth: u32,
-    g: usize,
-    axis: usize,
-    store: &mut CellStore,
-) {
+pub fn particle_halo_axis(ctx: &mut WorkerCtx, depth: u32, axis: usize, store: &mut CellStore) {
     let n = 1usize << depth;
     let lay = BlockLayout::new([n; 3], ctx.grid);
-    let plan_of = |who| axis_plan(&lay, who, axis, g, n, false);
+    let plan_of = |who| axis_plan(&lay, who, axis, SEPARATION as usize, n, false);
     let (sends, recvs) = axis_exchange(&ctx.grid, ctx.rank, axis, plan_of);
     particle_exchange(ctx, (&sends, &recvs), store)
 }

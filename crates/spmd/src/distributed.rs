@@ -42,7 +42,7 @@ use std::time::{Duration, Instant};
 use fmm_core::driver::{EvalOutput, Fmm, FmmError};
 use fmm_core::near::NearFieldStats;
 use fmm_core::stats::Counters;
-use fmm_core::{Balance, DepthPolicy, Domain, Executor, FmmConfig, Kernel, Separation};
+use fmm_core::{Balance, DepthPolicy, Domain, Executor, FmmConfig, Kernel};
 use fmm_machine::{communication_budget_with, preflight, ProgramConfig, TransportModel};
 use fmm_wire::{invalid, put_f64, put_f64s, put_f64x3s, put_str, put_u32, put_u64, put_u8, Reader};
 
@@ -51,9 +51,10 @@ use crate::fabric::WorkerCtx;
 use crate::transport::{connect_mesh, FabricAddr, Listener, MeshStream, SocketTransport};
 use crate::{assemble, build_program, vu_grid_for};
 
-/// Control-plane frame magic, version 2: the `Job` carries the supernode
-/// flag. A version-1 peer (`"FMMC"`) is refused at the magic.
-pub const CTRL_MAGIC: [u8; 4] = *b"FMC2";
+/// Control-plane frame magic, version 3: the `Job` carries the supernode
+/// flag (since version 2) and no separation (the method's is fixed at
+/// two). An earlier peer (`"FMMC"`, `"FMC2"`) is refused at the magic.
+pub const CTRL_MAGIC: [u8; 4] = *b"FMC3";
 /// Control frames carry whole particle systems; cap at 1 GiB.
 pub const MAX_CTRL: usize = 1 << 30;
 
@@ -77,7 +78,7 @@ const RENDEZVOUS_POLL: Duration = Duration::from_millis(10);
 // FMMC message codecs
 // ---------------------------------------------------------------------
 //
-// A control message is one frame whose payload is `"FMC2" | u8 opcode |
+// A control message is one frame whose payload is `"FMC3" | u8 opcode |
 // body`. The exchange is a fixed sequence — Hello, Job, Result — so each
 // message has its own encoder and reader, and a reader rejects any other
 // opcode.
@@ -132,7 +133,6 @@ pub struct JobSpec {
     pub m_trunc: u32,
     pub outer_ratio: f64,
     pub inner_ratio: f64,
-    pub sep_d: u32,
     pub depth: u32,
     pub softening: f64,
     pub kernel: String,
@@ -154,7 +154,6 @@ pub fn encode_job(job: &JobSpec) -> Vec<u8> {
     put_u32(&mut b, job.m_trunc);
     put_f64(&mut b, job.outer_ratio);
     put_f64(&mut b, job.inner_ratio);
-    put_u32(&mut b, job.sep_d);
     put_u32(&mut b, job.depth);
     put_f64(&mut b, job.softening);
     put_str(&mut b, &job.kernel);
@@ -183,7 +182,6 @@ pub fn read_job(r: &mut impl Read) -> io::Result<JobSpec> {
             m_trunc: d.u32()?,
             outer_ratio: d.f64()?,
             inner_ratio: d.f64()?,
-            sep_d: d.u32()?,
             depth: d.u32()?,
             softening: d.f64()?,
             kernel: d.str()?,
@@ -227,11 +225,6 @@ impl JobSpec {
         cfg.m_trunc = self.m_trunc as usize;
         cfg.outer_ratio = self.outer_ratio;
         cfg.inner_ratio = self.inner_ratio;
-        cfg.separation = match self.sep_d {
-            1 => Separation::One,
-            2 => Separation::Two,
-            d => return Err(format!("job names unknown separation {d}")),
-        };
         cfg.depth = DepthPolicy::Fixed(self.depth);
         cfg.supernodes = self.supernodes;
         cfg.softening = self.softening;
@@ -489,7 +482,6 @@ impl Rendezvous {
             m_trunc: cfg.m_trunc as u32,
             outer_ratio: cfg.outer_ratio,
             inner_ratio: cfg.inner_ratio,
-            sep_d: cfg.separation.d() as u32,
             depth,
             softening: cfg.softening,
             kernel: cfg.resolve_kernel().name().to_string(),
@@ -765,7 +757,6 @@ mod tests {
             m_trunc: 5,
             outer_ratio: 1.25,
             inner_ratio: 0.875,
-            sep_d: 2,
             depth: 3,
             softening: 0.0,
             kernel: "scalar".into(),

@@ -293,7 +293,7 @@ impl Worker<'_> {
                 exchange_rows(ctx, &mut far[level as usize], plan.side(ctx.rank), k)
             }
             StepKind::ParticleHalo { axis } => {
-                particle_halo_axis(ctx, depth, sh.program.sep_d, axis, &mut self.store)
+                particle_halo_axis(ctx, depth, axis, &mut self.store)
             }
             StepKind::PartParticleHalo => {
                 let side = own.plans().particle_halo.side(ctx.rank);
@@ -362,14 +362,12 @@ impl Worker<'_> {
         self.out.p2o_flops = p2o(&self.bp, sh.fmm.rule(), a_leaf, depth, true, far_leaf);
     }
 
-    /// Phase 2: per parent level, whatever child rows the program moves,
-    /// then T1 over the owned parents.
+    /// Phase 2: per parent level down to 2, as `traversal::upward_pass`,
+    /// whatever child rows the program moves, then T1 over the owned
+    /// parents.
     fn upward(&mut self, steps: &mut Steps<'_>) {
         let sh = self.sh;
-        if sh.depth < 3 {
-            return; // as `traversal::upward_pass`
-        }
-        for l in (1..sh.depth).rev() {
+        for l in (2..sh.depth).rev() {
             self.exchange_for(steps, l);
             let parents = self.own.owned(self.ctx.rank, l);
             let one = std::slice::from_mut(&mut self.fh);
@@ -448,13 +446,13 @@ impl Worker<'_> {
             }
             self.store.lay_out_row_major();
             let (cells, _) = self.store.cells(|c| cell_missing(&here, last, c));
-            let (sep, depth) = (cfg.separation, sh.depth);
+            let depth = sh.depth;
             let mut near_f = vec![[0.0; 3]; self.bp.len()];
             let mut stats = NearFieldStats::default();
             for b in owned.iter().map(|&b| b as usize) {
                 let r = self.bp.range(b);
                 let (po, fo) = (&mut near_pot[r.clone()], &mut near_f[r]);
-                let st = near_field_forces_box(kernel, &cells, depth, b, sep, eps2, po, fo);
+                let st = near_field_forces_box(kernel, &cells, depth, b, eps2, po, fo);
                 stats.merge(&st);
             }
             let fields = self.out.fields.as_mut().expect("forces were asked for");

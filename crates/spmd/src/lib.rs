@@ -68,7 +68,7 @@ use fmm_core::driver::{EvalOutput, Fmm, FmmError};
 use fmm_core::near::NearFieldStats;
 use fmm_core::stats::Counters;
 use fmm_core::traversal::TraversalFlops;
-use fmm_core::{Balance, Domain, Phase, Profile, Separation, SpmdReport, TraversalPlan};
+use fmm_core::{Balance, Domain, Phase, Profile, SpmdReport, TraversalPlan};
 use fmm_linalg::gemm_flops;
 use fmm_machine::VuGrid;
 use fmm_tree::partition::{leaf_costs, CostModel};
@@ -117,7 +117,7 @@ pub fn cost_partition(
     k: usize,
     m_trunc: usize,
     with_fields: bool,
-    sep: Separation,
+    supernodes: bool,
 ) -> Partition {
     let n = 1usize << depth;
     let mut counts = vec![0usize; n * n * n];
@@ -129,7 +129,7 @@ pub fn cost_partition(
         k,
         m_trunc,
         with_fields,
-        sep,
+        supernodes,
     };
     let costs = leaf_costs(depth, &model, &counts);
     Partition::cost_weighted(depth, workers, &costs)
@@ -148,16 +148,12 @@ pub(crate) fn build_program(
     balance: Balance,
 ) -> CommProgram {
     let cfg = fmm.config();
-    let sep_d = cfg.separation.d() as usize;
     match balance {
-        Balance::Uniform => {
-            CommProgram::build(grid, depth, fmm.k(), sep_d, with_fields, cfg.supernodes)
-        }
+        Balance::Uniform => CommProgram::build(grid, depth, fmm.k(), with_fields, cfg.supernodes),
         Balance::CostWeighted => CommProgram::build_partitioned(
             grid,
             depth,
             fmm.k(),
-            sep_d,
             with_fields,
             cfg.supernodes,
             cost_partition(
@@ -168,7 +164,7 @@ pub(crate) fn build_program(
                 fmm.k(),
                 cfg.m_trunc,
                 with_fields,
-                cfg.separation,
+                cfg.supernodes,
             ),
         ),
     }
@@ -277,16 +273,12 @@ pub(crate) fn assemble(
 
     // Nominal traversal flop counters, closed-form — identical to the
     // serial per-level accounting (the live T2 rows come from the plan).
-    // The workers' own sweep counters do not sum to it: a partitioned run
-    // never computes level 1.
     let (k, supernodes) = (fmm.k(), program.supernodes);
     let mut tfl = TraversalFlops::default();
-    if depth >= 3 {
-        for l in 1..depth {
-            let n_parents = 1usize << (3 * l);
-            tfl.t1 += gemm_flops(n_parents, k, k) * 8;
-            tfl.copied += (n_parents * 8 * k) as u64;
-        }
+    for l in 2..depth {
+        let n_parents = 1usize << (3 * l);
+        tfl.t1 += gemm_flops(n_parents, k, k) * 8;
+        tfl.copied += (n_parents * 8 * k) as u64;
     }
     for l in 2..=depth {
         let n_boxes = 1u64 << (3 * l);

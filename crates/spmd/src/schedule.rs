@@ -1,6 +1,6 @@
 //! The communication program: a first-class IR of the SPMD executor's
-//! schedule, derivable from `(VuGrid, depth, K, separation, output kind,
-//! supernodes)` alone — before any particle exists.
+//! schedule, derivable from `(VuGrid, depth, K, output kind, supernodes)`
+//! alone — before any particle exists.
 //!
 //! The paper's communication structure is *statically schedulable*: which
 //! CSHIFTs run, which ranks exchange halo cells, how the Multigrid-embedded
@@ -31,7 +31,7 @@ use std::collections::BTreeMap;
 
 use fmm_machine::{subgrid_extent, BlockLayout, VuGrid};
 use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo, slot_route};
-use fmm_tree::{Separation, TravelPath};
+use fmm_tree::{TravelPath, SEPARATION};
 
 pub use fmm_tree::{Exchange, Partition, Side};
 
@@ -204,8 +204,6 @@ pub struct CommProgram {
     pub depth: u32,
     /// Box vector length (sphere samples per box).
     pub k: usize,
-    /// Near-field separation d.
-    pub sep_d: usize,
     /// Box-halo ghost depth: 2d + 1 covers the asymmetric reach of the
     /// plain T2 field; the supernode decomposition's leftover children
     /// reach d + 1, and its parent-level sources d boxes of the parent
@@ -225,16 +223,9 @@ pub struct CommProgram {
 
 impl CommProgram {
     /// Derive the schedule. Pure: depends only on the arguments.
-    pub fn build(
-        grid: VuGrid,
-        depth: u32,
-        k: usize,
-        sep_d: usize,
-        with_fields: bool,
-        supernodes: bool,
-    ) -> Self {
+    pub fn build(grid: VuGrid, depth: u32, k: usize, with_fields: bool, supernodes: bool) -> Self {
         let p = grid.len();
-        let ghost = 2 * sep_d + usize::from(!supernodes);
+        let ghost = ghost_depth(supernodes);
         let mut phases: [Vec<Step>; 6] = Default::default();
         let mut tag = 0u64;
         let mut push = |phases: &mut [Vec<Step>; 6], phase: usize, kind, logical_msgs| {
@@ -250,19 +241,19 @@ impl CommProgram {
         // p = 1, but the collective still runs and burns its tag).
         push(&mut phases, 0, StepKind::Router, (p > 1) as u64);
 
-        // Phase 2 — upward: a single binomial gather at the transition
-        // from the block-distributed levels into the Multigrid-embed
-        // region (child level still distributed, parent level not).
-        if depth >= 3 {
-            for l in (1..depth).rev() {
-                if subgrid_extent(l, &grid).is_none() && subgrid_extent(l + 1, &grid).is_some() {
-                    push(
-                        &mut phases,
-                        2,
-                        StepKind::Gather { level: l + 1 },
-                        p as u64 - 1,
-                    );
-                }
+        // Phase 2 — upward, parent levels depth − 1 … 2: a single
+        // binomial gather at the transition from the block-distributed
+        // levels into the Multigrid-embed region (child level still
+        // distributed, parent level not). Level 1 is never formed, so a
+        // grid on which level 2 is distributed gathers nothing.
+        for l in (2..depth).rev() {
+            if subgrid_extent(l, &grid).is_none() && subgrid_extent(l + 1, &grid).is_some() {
+                push(
+                    &mut phases,
+                    2,
+                    StepKind::Gather { level: l + 1 },
+                    p as u64 - 1,
+                );
             }
         }
 
@@ -302,7 +293,7 @@ impl CommProgram {
                 push(&mut phases, 5, StepKind::ParticleHalo { axis }, 2);
             }
         } else {
-            let path = TravelPath::new(sep_d as i32);
+            let path = TravelPath::new();
             for s in &path.steps {
                 push(
                     &mut phases,
@@ -340,7 +331,6 @@ impl CommProgram {
             grid,
             depth,
             k,
-            sep_d,
             ghost,
             with_fields,
             supernodes,
@@ -361,7 +351,6 @@ impl CommProgram {
         grid: VuGrid,
         depth: u32,
         k: usize,
-        sep_d: usize,
         with_fields: bool,
         supernodes: bool,
         partition: Partition,
@@ -373,12 +362,7 @@ impl CommProgram {
         );
         assert_eq!(depth, partition.depth(), "partition depth must match");
         let p = grid.len();
-        let ghost = 2 * sep_d + usize::from(!supernodes);
-        let sep = match sep_d {
-            1 => Separation::One,
-            2 => Separation::Two,
-            _ => panic!("unsupported separation d = {sep_d}"),
-        };
+        let ghost = ghost_depth(supernodes);
         let mut phases: [Vec<Step>; 6] = Default::default();
         let mut tag = 0u64;
         let mut push = |phases: &mut [Vec<Step>; 6], phase: usize, kind, logical_msgs| {
@@ -427,7 +411,7 @@ impl CommProgram {
                 );
                 pf.push((l, ex));
             }
-            let ex = box_halo(&partition, l, sep, supernodes);
+            let ex = box_halo(&partition, l, supernodes);
             push(
                 &mut phases,
                 3,
@@ -445,11 +429,11 @@ impl CommProgram {
         let mut ph_ex = Exchange::default();
         let mut routes: BTreeMap<(usize, i32), Exchange> = BTreeMap::new();
         if with_fields {
-            let ex = particle_halo(&partition, sep);
+            let ex = particle_halo(&partition);
             push(&mut phases, 5, StepKind::PartParticleHalo, ex.messages());
             ph_ex = ex;
         } else {
-            let path = TravelPath::new(sep_d as i32);
+            let path = TravelPath::new();
             for s in &path.steps {
                 let delta = -s.dir;
                 let msgs = routes
@@ -495,7 +479,6 @@ impl CommProgram {
             grid,
             depth,
             k,
-            sep_d,
             ghost,
             with_fields,
             supernodes,
@@ -523,6 +506,12 @@ impl CommProgram {
             .enumerate()
             .flat_map(|(i, ph)| ph.iter().map(move |s| (i, s)))
     }
+}
+
+/// The box-halo ghost depth of [`CommProgram::ghost`]: 2d + 1 boxes, or
+/// 2d under supernodes.
+fn ghost_depth(supernodes: bool) -> usize {
+    2 * SEPARATION as usize + usize::from(!supernodes)
 }
 
 /// One direction of a rank's [`Side`] of an exchange, owned: `(peer,
@@ -755,7 +744,7 @@ impl Step {
             StepKind::ParticleHalo { axis } => {
                 let n = 1usize << prog.depth;
                 let lay = BlockLayout::new([n; 3], *grid);
-                let plan_of = |who| axis_plan(&lay, who, axis, prog.sep_d, n, false);
+                let plan_of = |who| axis_plan(&lay, who, axis, SEPARATION as usize, n, false);
                 let (sends, recvs) = axis_exchange(grid, rank, axis, plan_of);
                 exchange_ops((&sends, &recvs), None, Payload::Particles, &mut ops);
             }
@@ -836,7 +825,7 @@ mod tests {
     fn tags_are_contiguous_and_phase_ordered() {
         for p in [1usize, 2, 8, 128] {
             for depth in 2..=4u32 {
-                let prog = CommProgram::build(vu_grid_for(p), depth, 6, 2, false, false);
+                let prog = CommProgram::build(vu_grid_for(p), depth, 6, false, false);
                 let tags: Vec<u64> = prog.steps().map(|(_, s)| s.tag).collect();
                 let expect: Vec<u64> = (0..tags.len() as u64).collect();
                 assert_eq!(tags, expect, "p={p} depth={depth}");
@@ -848,7 +837,7 @@ mod tests {
     fn table4_message_totals_match_pr2() {
         // The exact per-phase logical message counts PR 2 asserted at
         // runtime on the Table-4 configuration, now derived statically.
-        let prog = CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, 2, false, false);
+        let prog = CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, false, false);
         let msgs: Vec<u64> = prog
             .phases
             .iter()
@@ -859,8 +848,8 @@ mod tests {
 
     #[test]
     fn forces_program_swaps_near_phase() {
-        let pot = CommProgram::build(vu_grid_for(8), 3, 6, 2, false, false);
-        let frc = CommProgram::build(vu_grid_for(8), 3, 6, 2, true, false);
+        let pot = CommProgram::build(vu_grid_for(8), 3, 6, false, false);
+        let frc = CommProgram::build(vu_grid_for(8), 3, 6, true, false);
         assert!(pot.phases[5].len() > 60);
         assert_eq!(frc.phases[5].len(), 3);
         assert_eq!(pot.phases[..5], frc.phases[..5]);
@@ -874,7 +863,7 @@ mod tests {
     #[test]
     fn embedded_broadcast_carries_far_rows_under_supernodes() {
         let (grid, depth, k) = (vu_grid_for(128), 6, 12);
-        let [plain, sn] = [false, true].map(|on| CommProgram::build(grid, depth, k, 2, false, on));
+        let [plain, sn] = [false, true].map(|on| CommProgram::build(grid, depth, k, false, on));
         assert_eq!((plain.ghost, sn.ghost), (5, 4));
         // Every rank's broadcast ops, sends reduced to their words.
         let broadcast = |prog: &CommProgram| -> Vec<(Op, u64)> {
@@ -937,7 +926,6 @@ mod tests {
                         vu_grid_for(p),
                         depth,
                         6,
-                        2,
                         with_fields,
                         false,
                         Partition::uniform(depth, p),
@@ -956,12 +944,11 @@ mod tests {
         // The travelling-slot sweep visits the same (axis, delta, visit)
         // sequence in both builds — the itinerary is pure geometry; only
         // the routing of each hop differs.
-        let uni = CommProgram::build(vu_grid_for(8), 3, 6, 2, false, false);
+        let uni = CommProgram::build(vu_grid_for(8), 3, 6, false, false);
         let par = CommProgram::build_partitioned(
             vu_grid_for(8),
             3,
             6,
-            2,
             false,
             false,
             Partition::uniform(3, 8),
@@ -981,7 +968,6 @@ mod tests {
                 vu_grid_for(1),
                 3,
                 6,
-                2,
                 with_fields,
                 false,
                 Partition::uniform(3, 1),

@@ -15,43 +15,32 @@
 //! children) — "a dramatic improvement in the overall performance, at the
 //! cost of slightly decreased accuracy".
 
-/// Near-field separation: the paper's "one separation" (3³ neighbourhood,
-/// Greengard–Rokhlin original) or "two separation" (5³, assumed throughout
-/// the paper).
+/// The d of the method's d-separation (paper §2.1): two boxes on every
+/// axis, the paper's assumption throughout. The supernode decomposition
+/// (875 → 189 translations) and every sphere radius the configuration
+/// calibrates are defined for it alone.
+pub const SEPARATION: i32 = 2;
+
+/// Boxes in the near field, excluding the box itself: (2d+1)³ − 1.
+pub const NEAR_FIELD_SIZE: usize = 124;
+
+/// Interactive-field boxes of an interior box: 7·(2d+1)³.
+pub const INTERACTIVE_FIELD_SIZE: usize = 875;
+
+/// The near-field separation as a value. The method has one, two-separation
+/// ([`SEPARATION`]); the type stays as `FmmConfig::separation` and as the
+/// ignored argument of the few entry points the repository benchmark
+/// calls with it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Separation {
-    One,
     Two,
 }
 
-impl Separation {
-    /// The d in d-separation.
-    #[inline]
-    pub fn d(self) -> i32 {
-        match self {
-            Separation::One => 1,
-            Separation::Two => 2,
-        }
-    }
-
-    /// Boxes in the near field, excluding the box itself: (2d+1)³ − 1.
-    pub fn near_field_size(self) -> usize {
-        let w = (2 * self.d() + 1) as usize;
-        w * w * w - 1
-    }
-
-    /// Interactive-field boxes for an interior box: 7·(2d+1)³.
-    pub fn interactive_field_size(self) -> usize {
-        let w = (2 * self.d() + 1) as usize;
-        7 * w * w * w
-    }
-}
-
-/// Offsets of the near field (excluding `[0,0,0]`) for d-separation:
-/// 124 offsets for two-separation, 26 for one-separation.
-pub fn near_field_offsets(sep: Separation) -> Vec<[i32; 3]> {
-    let d = sep.d();
-    let mut out = Vec::with_capacity(sep.near_field_size());
+/// Offsets of the near field (excluding `[0,0,0]`): the 124 boxes within
+/// [`SEPARATION`] steps on every axis.
+pub fn near_field_offsets() -> Vec<[i32; 3]> {
+    let d = SEPARATION;
+    let mut out = Vec::with_capacity(NEAR_FIELD_SIZE);
     for dz in -d..=d {
         for dy in -d..=d {
             for dx in -d..=d {
@@ -76,11 +65,11 @@ fn in_near(o: [i32; 3], d: i32) -> bool {
 /// Derivation: the parent's near field consists of parents at offsets
 /// P ∈ [−d,d]³; their children sit at child-level offsets 2P + e − octant
 /// for e ∈ {0,1}³; the box's own near field [−d,d]³ (and itself) are
-/// excluded. For two-separation this yields 875 offsets spanning
-/// [−(2d+1)+oct, 2d+(1−oct)] per axis — the paper's [−5+i, 4+i] range.
-pub fn interactive_field_offsets(octant: [i32; 3], sep: Separation) -> Vec<[i32; 3]> {
-    let d = sep.d();
-    let mut out = Vec::with_capacity(sep.interactive_field_size());
+/// excluded. That yields 875 offsets spanning [−(2d+1)+oct, 2d+(1−oct)]
+/// per axis — the paper's [−5+i, 4+i] range.
+pub fn interactive_field_offsets(octant: [i32; 3]) -> Vec<[i32; 3]> {
+    let d = SEPARATION;
+    let mut out = Vec::with_capacity(INTERACTIVE_FIELD_SIZE);
     for pz in -d..=d {
         for py in -d..=d {
             for px in -d..=d {
@@ -101,10 +90,9 @@ pub fn interactive_field_offsets(octant: [i32; 3], sep: Separation) -> Vec<[i32;
 }
 
 /// The union of interactive-field offsets over all eight octants:
-/// [−(2d+1), 2d+1]³ minus the near field — 1206 offsets for
-/// two-separation.
-pub fn interactive_field_union(sep: Separation) -> Vec<[i32; 3]> {
-    let d = sep.d();
+/// [−(2d+1), 2d+1]³ minus the near field — 1206 offsets.
+pub fn interactive_field_union() -> Vec<[i32; 3]> {
+    let d = SEPARATION;
     let w = 2 * d + 1;
     let mut out = Vec::new();
     for dz in -w..=w {
@@ -143,8 +131,7 @@ pub struct SupernodeDecomposition {
 }
 
 impl SupernodeDecomposition {
-    /// Effective number of T2 translations (the paper's N_int = 189 for
-    /// two-separation).
+    /// Effective number of T2 translations (the paper's N_int = 189).
     pub fn translation_count(&self) -> usize {
         self.parents.len() + self.children.len()
     }
@@ -162,8 +149,8 @@ impl SupernodeDecomposition {
 /// target's near field. Child-level offsets of P's children are
 /// 2P + e − octant, and the parent centre sits at child-level offset
 /// 2P − octant + ½ per axis (stored doubled to stay integral).
-pub fn supernode_decomposition(octant: [i32; 3], sep: Separation) -> SupernodeDecomposition {
-    let d = sep.d();
+pub fn supernode_decomposition(octant: [i32; 3]) -> SupernodeDecomposition {
+    let d = SEPARATION;
     let mut parents = Vec::new();
     let mut children = Vec::new();
     for pz in -d..=d {
@@ -201,30 +188,20 @@ mod tests {
 
     #[test]
     fn near_field_sizes() {
-        assert_eq!(near_field_offsets(Separation::One).len(), 26);
-        assert_eq!(near_field_offsets(Separation::Two).len(), 124);
-        assert_eq!(Separation::Two.near_field_size(), 124);
+        assert_eq!(near_field_offsets().len(), NEAR_FIELD_SIZE);
+        assert_eq!(NEAR_FIELD_SIZE, 124);
     }
 
     #[test]
     fn interactive_field_size_is_875_for_two_separation() {
         for oct in 0..8 {
             let o = [oct & 1, (oct >> 1) & 1, (oct >> 2) & 1];
-            let f = interactive_field_offsets(o, Separation::Two);
-            assert_eq!(f.len(), 875, "octant {:?}", o);
+            let f = interactive_field_offsets(o);
+            assert_eq!(f.len(), INTERACTIVE_FIELD_SIZE, "octant {:?}", o);
             // No duplicates.
             let set: HashSet<_> = f.iter().collect();
             assert_eq!(set.len(), 875);
         }
-    }
-
-    #[test]
-    fn interactive_field_size_one_separation() {
-        // 6³ − 3³ = 189 boxes for one-separation (the original GR scheme
-        // has 875 with two-separation; see paper §2.1: 7(2d+1)³ for
-        // interior boxes of an infinite grid, i.e. (4d+2)³−(2d+1)³ here).
-        let f = interactive_field_offsets([0, 0, 0], Separation::One);
-        assert_eq!(f.len(), 6 * 6 * 6 - 27);
     }
 
     #[test]
@@ -234,7 +211,7 @@ mod tests {
         // bounds concretely for two-separation).
         for oct in 0..8 {
             let o = [oct & 1, (oct >> 1) & 1, (oct >> 2) & 1];
-            let f = interactive_field_offsets(o, Separation::Two);
+            let f = interactive_field_offsets(o);
             for axis in 0..3 {
                 let lo = f.iter().map(|v| v[axis]).min().unwrap();
                 let hi = f.iter().map(|v| v[axis]).max().unwrap();
@@ -246,13 +223,13 @@ mod tests {
 
     #[test]
     fn union_is_1206() {
-        let u = interactive_field_union(Separation::Two);
+        let u = interactive_field_union();
         assert_eq!(u.len(), 1331 - 125);
         // And it is exactly the union over octants.
         let mut seen = HashSet::new();
         for oct in 0..8 {
             let o = [oct & 1, (oct >> 1) & 1, (oct >> 2) & 1];
-            seen.extend(interactive_field_offsets(o, Separation::Two));
+            seen.extend(interactive_field_offsets(o));
         }
         let u_set: HashSet<_> = u.into_iter().collect();
         assert_eq!(seen, u_set);
@@ -260,11 +237,10 @@ mod tests {
 
     #[test]
     fn interactive_and_near_disjoint_and_cover_parent_neighbourhood() {
-        let sep = Separation::Two;
-        let near: HashSet<[i32; 3]> = near_field_offsets(sep).into_iter().collect();
+        let near: HashSet<[i32; 3]> = near_field_offsets().into_iter().collect();
         for oct in 0..8 {
             let o = [oct & 1, (oct >> 1) & 1, (oct >> 2) & 1];
-            let inter: HashSet<[i32; 3]> = interactive_field_offsets(o, sep).into_iter().collect();
+            let inter: HashSet<[i32; 3]> = interactive_field_offsets(o).into_iter().collect();
             assert!(inter.is_disjoint(&near));
             assert!(!inter.contains(&[0, 0, 0]));
             // near ∪ interactive ∪ {self} covers all children of the
@@ -278,7 +254,7 @@ mod tests {
         // The paper's headline: supernodes reduce N_int from 875 to 189.
         for oct in 0..8 {
             let o = [oct & 1, (oct >> 1) & 1, (oct >> 2) & 1];
-            let sd = supernode_decomposition(o, Separation::Two);
+            let sd = supernode_decomposition(o);
             assert_eq!(sd.covered_boxes(), 875, "octant {:?}", o);
             assert_eq!(sd.translation_count(), 189, "octant {:?}", o);
             assert_eq!(sd.parents.len(), 98);
@@ -289,10 +265,8 @@ mod tests {
     #[test]
     fn supernode_children_are_in_interactive_field() {
         let o = [1, 0, 1];
-        let sd = supernode_decomposition(o, Separation::Two);
-        let inter: HashSet<[i32; 3]> = interactive_field_offsets(o, Separation::Two)
-            .into_iter()
-            .collect();
+        let sd = supernode_decomposition(o);
+        let inter: HashSet<[i32; 3]> = interactive_field_offsets(o).into_iter().collect();
         for c in &sd.children {
             assert!(inter.contains(c));
         }
@@ -324,7 +298,7 @@ mod tests {
     fn supernode_parents_farther_than_one_parent_box() {
         // Supernode sources must be well separated: each has some axis
         // with |parent_offset| ≥ 2 for two-separation.
-        let sd = supernode_decomposition([0, 0, 0], Separation::Two);
+        let sd = supernode_decomposition([0, 0, 0]);
         for p in &sd.parents {
             assert!(
                 p.parent_offset.iter().any(|v| v.abs() >= 2),
@@ -332,5 +306,29 @@ mod tests {
                 p.parent_offset
             );
         }
+    }
+
+    #[test]
+    fn supernode_sources_enter_the_domain_from_level_3() {
+        // Why the upward pass stops at level 2: no supernode source of a
+        // level-2 box is a box of level 1, so nothing reads `far[1]`.
+        // From level 3 on some are in the domain.
+        use crate::BoxCoord;
+        let in_domain = |level: u32| {
+            let mut n = 0;
+            for b in 0..1usize << (3 * level) {
+                let t = BoxCoord::from_index(level, b);
+                let parent = t.parent().unwrap();
+                let sd = supernode_decomposition([t.x, t.y, t.z].map(|c| (c & 1) as i32));
+                n += sd
+                    .parents
+                    .iter()
+                    .filter(|p| parent.offset(p.parent_offset).is_some())
+                    .count();
+            }
+            n
+        };
+        assert_eq!(in_domain(2), 0);
+        assert!(in_domain(3) > 0);
     }
 }

@@ -7,18 +7,16 @@
 //! * box coordinate / index arithmetic and flattened per-level storage
 //!   layout ([`coords`]) — the analogue of the paper's 5-D array embedding,
 //! * Morton (bit-interleaved) indices ([`morton`]),
-//! * near-field / interactive-field offset lists with d-separation and the
-//!   supernode decomposition that reduces 875 interactive-field
-//!   translations to ≈189 ([`interaction`]),
-//! * the coordinate sort of §3.2 (keys built from VU-address and
-//!   local-address bits) and particle binning ([`sort`]),
+//! * near-field / interactive-field offset lists at the method's
+//!   two-separation and the supernode decomposition that reduces 875
+//!   interactive-field translations to 189 ([`interaction`]),
+//! * particle binning into leaf boxes ([`sort`]),
 //! * the travelling-accumulator path over the half near field
 //!   ([`travel`]),
 //! * the cubic domain geometry ([`domain`]).
 
 #![forbid(unsafe_code)]
 
-pub mod balance;
 pub mod coords;
 pub mod domain;
 pub mod interaction;
@@ -27,16 +25,16 @@ pub mod partition;
 pub mod sort;
 pub mod travel;
 
-pub use balance::{analyze as analyze_balance, LoadBalance};
 pub use coords::{BoxCoord, Hierarchy};
 pub use domain::Domain;
 pub use interaction::{
     interactive_field_offsets, interactive_field_union, near_field_offsets,
     supernode_decomposition, Separation, SupernodeDecomposition, SupernodeOffset,
+    INTERACTIVE_FIELD_SIZE, NEAR_FIELD_SIZE, SEPARATION,
 };
 pub use partition::{
     box_halo, child_flush, leaf_costs, morton_to_rowmajor, parent_fetch, particle_halo,
     rowmajor_to_morton, slot_route, CostModel, Exchange, Partition, Side,
 };
-pub use sort::{assign_boxes, bin_particles, coordinate_sort, Binning, CoordinateSortKey};
+pub use sort::{assign_boxes, bin_particles, Binning};
 pub use travel::{TravelPath, TravelStep};

@@ -22,7 +22,8 @@ use std::collections::{BTreeMap, BTreeSet};
 
 use crate::coords::BoxCoord;
 use crate::interaction::{
-    interactive_field_offsets, near_field_offsets, supernode_decomposition, Separation,
+    interactive_field_offsets, interactive_field_union, near_field_offsets,
+    supernode_decomposition, SEPARATION,
 };
 use crate::morton::{morton_decode, morton_encode};
 
@@ -219,8 +220,9 @@ pub struct CostModel {
     /// cost [`PAIR_FORCE_FLOPS`] each instead of shared
     /// [`PAIR_FLOPS`] halves).
     pub with_fields: bool,
-    /// Near-field separation.
-    pub sep: Separation,
+    /// Whether the downward pass runs the supernode decomposition, whose
+    /// T2 rows a box is charged instead of its plain interactive field's.
+    pub supernodes: bool,
 }
 
 /// Modelled flop cost per leaf Morton code.
@@ -240,10 +242,11 @@ pub struct CostModel {
 ///   in-domain neighbour pairs at [`PAIR_FORCE_FLOPS`];
 /// * per particle — `10·K` for P2O and `6·K·(M+1)` for inner evaluation;
 /// * per box at level l (charged to its first descendant leaf) —
-///   `2K²` per T2 source of its octant's interactive field that lies in
-///   the domain (the executors multiply only those rows), `2K²` for the
-///   T3 parent shift (l ≥ 3), and `8·2K²` for forming its children's T1
-///   contributions (2 ≤ l < depth).
+///   `2K²` per T2 source that lies in the domain (the executors multiply
+///   only those rows): its octant's interactive field, or under
+///   supernodes its decomposition's leftover children and parent-level
+///   sources; `2K²` for the T3 parent shift (l ≥ 3), and `8·2K²` for
+///   forming its children's T1 contributions (2 ≤ l < depth).
 pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
     let leaves = 1usize << (3 * depth);
     assert_eq!(counts.len(), leaves, "one particle count per leaf box");
@@ -252,17 +255,15 @@ pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
     let mut cost = vec![0u64; leaves];
 
     // Translation work at every level, charged to first descendant leaves.
-    let octant_offsets: Vec<Vec<[i32; 3]>> = (0..8)
-        .map(|o| interactive_field_offsets([o & 1, (o >> 1) & 1, (o >> 2) & 1], model.sep))
+    let octant = |o: usize| [o & 1, (o >> 1) & 1, (o >> 2) & 1].map(|b| b as i32);
+    let plain: Vec<_> = (0..8)
+        .map(|o| interactive_field_offsets(octant(o)))
         .collect();
+    let decomposition: Vec<_> = (0..8).map(|o| supernode_decomposition(octant(o))).collect();
     // A box's in-domain T2 sources depend only on its octant and, per
-    // axis, on its distance to either face up to the stencil's reach.
-    let reach = octant_offsets
-        .iter()
-        .flatten()
-        .flatten()
-        .map(|c| c.unsigned_abs());
-    let reach = reach.max().unwrap_or(0);
+    // axis, on its distance to either face up to the interactive field's
+    // reach, which a parent-level source's (±d parents) does not exceed.
+    let reach = 2 * SEPARATION as u32 + 1;
     let mut live_t2 = BTreeMap::new();
     for l in 2..=depth {
         let shift = 3 * (depth - l);
@@ -272,8 +273,15 @@ pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
             let b = BoxCoord { level: l, x, y, z };
             let class = [x, y, z].map(|c| (c.min(reach), (last - c).min(reach)));
             let t2 = *live_t2.entry((b.octant(), class)).or_insert_with(|| {
-                let offsets = octant_offsets[b.octant()].iter();
-                offsets.filter(|&&o| b.offset(o).is_some()).count() as u64
+                let live = |b: BoxCoord, o: &[i32; 3]| b.offset(*o).is_some();
+                if !model.supernodes {
+                    return plain[b.octant()].iter().filter(|o| live(b, o)).count() as u64;
+                }
+                let sd = &decomposition[b.octant()];
+                let parent = b.parent().expect("level ≥ 2");
+                let children = sd.children.iter().filter(|o| live(b, o)).count();
+                let parents = sd.parents.iter().filter(|p| live(parent, &p.parent_offset));
+                (children + parents.count()) as u64
             });
             let mut w = t2 * gemm_row;
             if l >= 3 {
@@ -288,7 +296,7 @@ pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
 
     // Per-leaf particle work: P2O, inner evaluation, near-field pairs —
     // each pair charged to the owner of the box that computes it.
-    let near = near_field_offsets(model.sep);
+    let near = near_field_offsets();
     let visited: Vec<[i32; 3]> = near.iter().copied().filter(|&o| o > [0, 0, 0]).collect();
     for code in 0..leaves as u64 {
         let (x, y, z) = morton_decode(code);
@@ -445,7 +453,7 @@ pub fn parent_fetch(part: &Partition, level: u32) -> Exchange {
 /// offset `P`. Those rows are read from the same `far[level]` one level
 /// later, and no other exchange ships them: `P` reaches ±d, inside the
 /// parent's own near field. Cells are row-major at `level`.
-pub fn box_halo(part: &Partition, level: u32, sep: Separation, supernodes: bool) -> Exchange {
+pub fn box_halo(part: &Partition, level: u32, supernodes: bool) -> Exchange {
     debug_assert!((2..=part.depth()).contains(&level));
     let mut pairs: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
     let mut ship = |s: BoxCoord, owner_t: usize| {
@@ -464,7 +472,7 @@ pub fn box_halo(part: &Partition, level: u32, sep: Separation, supernodes: bool)
         })
     };
     if !supernodes {
-        let union = crate::interaction::interactive_field_union(sep);
+        let union = interactive_field_union();
         for (owner_t, t) in boxes(level) {
             for s in union.iter().filter_map(|&off| t.offset(off)) {
                 ship(s, owner_t);
@@ -473,7 +481,7 @@ pub fn box_halo(part: &Partition, level: u32, sep: Separation, supernodes: bool)
         return Exchange::from_pairs(part.workers(), &pairs);
     }
     let decomposition: Vec<_> = (0..8)
-        .map(|o| supernode_decomposition([o & 1, (o >> 1) & 1, (o >> 2) & 1], sep))
+        .map(|o| supernode_decomposition([o & 1, (o >> 1) & 1, (o >> 2) & 1]))
         .collect();
     for (owner_t, t) in boxes(level) {
         let children = &decomposition[t.octant()].children;
@@ -496,9 +504,9 @@ pub fn box_halo(part: &Partition, level: u32, sep: Separation, supernodes: bool)
 /// Near-field particle exchange at the leaf level (forces path): every
 /// owned target box pulls the particles of its in-domain near-field
 /// neighbours that live on other owners. Cells are row-major leaf indices.
-pub fn particle_halo(part: &Partition, sep: Separation) -> Exchange {
+pub fn particle_halo(part: &Partition) -> Exchange {
     let depth = part.depth();
-    let near = near_field_offsets(sep);
+    let near = near_field_offsets();
     let mut pairs: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
     for code in 0..part.leaf_count() {
         let owner_t = part.leaf_owner(code);
@@ -732,10 +740,10 @@ mod tests {
         }
         for l in 2..=4u32 {
             for supernodes in [false, true] {
-                endpoints_balanced(&box_halo(&part, l, Separation::Two, supernodes));
+                endpoints_balanced(&box_halo(&part, l, supernodes));
             }
         }
-        endpoints_balanced(&particle_halo(&part, Separation::Two));
+        endpoints_balanced(&particle_halo(&part));
         for axis in 0..3 {
             for delta in [-1, 1] {
                 endpoints_balanced(&slot_route(&part, axis, delta));
@@ -748,9 +756,9 @@ mod tests {
         let part = Partition::uniform(3, 1);
         assert!(child_flush(&part, 2).is_empty());
         assert!(parent_fetch(&part, 3).is_empty());
-        assert!(box_halo(&part, 2, Separation::Two, true).is_empty());
-        assert!(box_halo(&part, 3, Separation::Two, false).is_empty());
-        assert!(particle_halo(&part, Separation::Two).is_empty());
+        assert!(box_halo(&part, 2, true).is_empty());
+        assert!(box_halo(&part, 3, false).is_empty());
+        assert!(particle_halo(&part).is_empty());
         assert!(slot_route(&part, 0, 1).is_empty());
     }
 
@@ -758,12 +766,11 @@ mod tests {
     fn supernode_halo_ships_what_the_decomposition_reads() {
         // Exactly the rows a target on another owner reads under
         // supernodes, written out from the decomposition box by box.
-        let sep = Separation::Two;
         let costs = pseudo_costs(4096, 0xface);
         let part = Partition::cost_weighted(4, 5, &costs);
         let octant = |t: &BoxCoord| {
             let o = t.octant() as i32;
-            supernode_decomposition([o & 1, (o >> 1) & 1, (o >> 2) & 1], sep)
+            supernode_decomposition([o & 1, (o >> 1) & 1, (o >> 2) & 1])
         };
         for level in 2..=4u32 {
             let mut want: BTreeSet<(usize, usize, usize)> = BTreeSet::new();
@@ -788,7 +795,7 @@ mod tests {
                 }
             }
             want.retain(|(src, dst, _)| src != dst);
-            let ex = box_halo(&part, level, sep, true);
+            let ex = box_halo(&part, level, true);
             let mut got = BTreeSet::new();
             for (src, sends) in ex.sends.iter().enumerate() {
                 for (dst, cells) in sends {
@@ -825,7 +832,7 @@ mod tests {
             k: 12,
             m_trunc: 3,
             with_fields: false,
-            sep: Separation::Two,
+            supernodes: false,
         };
         let empty = leaf_costs(depth, &model, &vec![0usize; leaves]);
         // Translation charges exist even with no particles…

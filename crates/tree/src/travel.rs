@@ -3,7 +3,7 @@
 //! The paper resolves the near field's symmetric write conflicts with a
 //! *travelling accumulator*: the leaf particle arrays (with a per-particle
 //! accumulator riding along) are circularly shifted through the
-//! d-separation neighbourhood so that every unordered box pair meets
+//! two-separation neighbourhood so that every unordered box pair meets
 //! exactly once, then returned home. The path below is the single source
 //! of truth shared by the analytic model (`fmm_machine::program`), the
 //! shared-memory emulation in `fmm-core`, and the message-passing
@@ -19,6 +19,8 @@
 //! the 62 half-offsets of two-separation. Three per-axis shifts return
 //! the accumulators to their home boxes.
 
+use crate::interaction::SEPARATION;
+
 /// One unit step of the travelling sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TravelStep {
@@ -31,21 +33,26 @@ pub struct TravelStep {
     pub cum: [i32; 3],
 }
 
-/// The full travelling-accumulator itinerary for separation `d`.
+/// The full travelling-accumulator itinerary at the method's separation.
 #[derive(Debug, Clone)]
 pub struct TravelPath {
-    /// Separation parameter d (2 for the paper's two-separation).
-    pub d: i32,
     /// Unit steps, one visited half-offset each.
     pub steps: Vec<TravelStep>,
     /// Signed per-axis return displacement (home − final position).
     pub returns: [i32; 3],
 }
 
+impl Default for TravelPath {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl TravelPath {
-    /// Build the canonical path for separation `d ≥ 1`.
-    pub fn new(d: i32) -> Self {
-        assert!(d >= 1);
+    /// Build the canonical path over the half of the two-separation
+    /// neighbourhood.
+    pub fn new() -> Self {
+        let d = SEPARATION;
         let mut steps = Vec::new();
         let mut cum = [0i32; 3];
         let push = |steps: &mut Vec<TravelStep>, cum: &mut [i32; 3], axis: usize, dir: i32| {
@@ -87,7 +94,7 @@ impl TravelPath {
             }
         }
         let returns = [-cum[0], -cum[1], -cum[2]];
-        TravelPath { d, steps, returns }
+        TravelPath { steps, returns }
     }
 
     /// Unit steps taken along `axis` while visiting (excludes returns).
@@ -116,50 +123,24 @@ impl TravelPath {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{near_field_offsets, Separation};
+    use crate::near_field_offsets;
     use std::collections::HashSet;
-
-    fn half_offsets(d: i32) -> HashSet<[i32; 3]> {
-        let mut set = HashSet::new();
-        for x in -d..=d {
-            for y in -d..=d {
-                for z in -d..=d {
-                    if [x, y, z] > [0, 0, 0] {
-                        set.insert([x, y, z]);
-                    }
-                }
-            }
-        }
-        set
-    }
 
     #[test]
     fn visits_every_half_offset_exactly_once() {
-        for d in 1..=3 {
-            let path = TravelPath::new(d);
-            let expect = half_offsets(d);
-            let visited: Vec<[i32; 3]> = path.steps.iter().map(|s| s.cum).collect();
-            let unique: HashSet<[i32; 3]> = visited.iter().copied().collect();
-            assert_eq!(visited.len(), unique.len(), "d={}: revisited offset", d);
-            assert_eq!(unique, expect, "d={}: wrong half set", d);
-        }
-        for sep in [Separation::One, Separation::Two] {
-            let visited: HashSet<[i32; 3]> = TravelPath::new(sep.d())
-                .steps
-                .iter()
-                .map(|s| s.cum)
-                .collect();
-            let half: HashSet<[i32; 3]> = near_field_offsets(sep)
-                .into_iter()
-                .filter(|&o| o > [0, 0, 0])
-                .collect();
-            assert_eq!(visited, half, "{:?}: path ≠ near_field_offsets half", sep);
-        }
+        let visited: Vec<[i32; 3]> = TravelPath::new().steps.iter().map(|s| s.cum).collect();
+        let unique: HashSet<[i32; 3]> = visited.iter().copied().collect();
+        assert_eq!(visited.len(), unique.len(), "revisited offset");
+        let half: HashSet<[i32; 3]> = near_field_offsets()
+            .into_iter()
+            .filter(|&o| o > [0, 0, 0])
+            .collect();
+        assert_eq!(unique, half, "path ≠ near_field_offsets half");
     }
 
     #[test]
     fn steps_are_unit_and_consistent() {
-        let path = TravelPath::new(2);
+        let path = TravelPath::new();
         let mut cum = [0i32; 3];
         for s in &path.steps {
             assert!(s.dir == 1 || s.dir == -1);
@@ -173,16 +154,10 @@ mod tests {
 
     #[test]
     fn two_separation_counts_match_paper() {
-        let path = TravelPath::new(2);
+        let path = TravelPath::new();
         assert_eq!(path.steps.len(), 62);
         assert_eq!(path.cshift_count(), 65); // 62 visits + 3 returns
         let per_axis: u64 = (0..3).map(|a| path.unit_steps_along(a)).sum();
         assert_eq!(per_axis, 62);
-    }
-
-    #[test]
-    fn one_separation_counts() {
-        let path = TravelPath::new(1);
-        assert_eq!(path.steps.len(), 13); // half of 27 − 1
     }
 }

@@ -2,7 +2,7 @@
 //!
 //! The paper's communication structure is statically schedulable: every
 //! CSHIFT, gather, broadcast and router call of the `fmm-spmd` executor
-//! is derivable from `(VuGrid, depth, K, separation)` before any
+//! is derivable from `(VuGrid, depth, K)` before any
 //! particle exists. The executor already *runs* from that derivation —
 //! [`fmm_spmd::CommProgram`] — so this crate proves properties of the
 //! very program the workers execute, without launching a thread:
@@ -66,7 +66,6 @@ pub struct CheckConfig {
     /// Anderson approximation order `d` (sets K and M as
     /// `fmm_core::FmmConfig::order` does: K spherical samples, M = d/2+1).
     pub order: usize,
-    pub sep_d: usize,
     /// Forces near field (particle halo) instead of potentials
     /// (travelling slots).
     pub with_fields: bool,
@@ -88,7 +87,6 @@ impl CheckConfig {
             depth: 4,
             grid: VuGrid::new([8, 4, 4]),
             order: 3,
-            sep_d: 2,
             with_fields: false,
             balance: false,
             mutate: None,
@@ -178,7 +176,6 @@ pub fn build_check_program(cfg: &CheckConfig) -> CommProgram {
             cfg.grid,
             cfg.depth,
             k_for_order(cfg.order),
-            cfg.sep_d,
             cfg.with_fields,
             supernodes,
             part,
@@ -188,7 +185,6 @@ pub fn build_check_program(cfg: &CheckConfig) -> CommProgram {
             cfg.grid,
             cfg.depth,
             k_for_order(cfg.order),
-            cfg.sep_d,
             cfg.with_fields,
             supernodes,
         )

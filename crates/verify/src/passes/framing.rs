@@ -271,7 +271,6 @@ fn job(n: usize, workers: u32, cost_weighted: bool) -> JobSpec {
         m_trunc: 3,
         outer_ratio: 1.6,
         inner_ratio: 1.0,
-        sep_d: 2,
         depth: 3,
         softening: 1e-3,
         kernel: "scalar".into(),

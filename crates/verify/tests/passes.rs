@@ -8,7 +8,7 @@ use fmm_verify::passes::{budget, deadlock, endpoints};
 use fmm_verify::{apply_mutation, lower, run_checks, CheckConfig, Mutation};
 
 fn table4_program() -> CommProgram {
-    CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, 2, false, false)
+    CommProgram::build(VuGrid::new([8, 4, 4]), 4, 6, false, false)
 }
 
 #[test]
@@ -20,7 +20,7 @@ fn structural_passes_clean_across_machine_shapes() {
                 continue; // grid does not fit the leaf level
             }
             for forces in [false, true] {
-                let prog = CommProgram::build(grid, depth, 6, 2, forces, false);
+                let prog = CommProgram::build(grid, depth, 6, forces, false);
                 let low = lower(&prog);
                 let e = endpoints::check(&low)
                     .unwrap_or_else(|errs| panic!("p={p} depth={depth}: {errs:?}"));
@@ -41,7 +41,7 @@ fn structural_passes_clean_across_machine_shapes() {
 fn budget_pass_clean_and_byte_exact_where_static() {
     for p in [1usize, 2, 4, 8, 16, 128] {
         let depth = if p == 128 { 4 } else { 3 };
-        let prog = CommProgram::build(vu_grid_for(p), depth, 6, 2, false, false);
+        let prog = CommProgram::build(vu_grid_for(p), depth, 6, false, false);
         let low = lower(&prog);
         let s = budget::check(&low, 2).unwrap_or_else(|errs| panic!("p={p}: {errs:?}"));
         // Any phase with a statically known, nonzero byte total must be
@@ -67,7 +67,7 @@ fn budget_pass_clean_and_byte_exact_where_static() {
 fn budget_pass_byte_exact_under_both_supernode_settings() {
     for supernodes in [false, true] {
         for (p, depth) in [(2usize, 5u32), (8, 5), (16, 4), (128, 4)] {
-            let prog = CommProgram::build(vu_grid_for(p), depth, 12, 2, false, supernodes);
+            let prog = CommProgram::build(vu_grid_for(p), depth, 12, false, supernodes);
             let low = lower(&prog);
             let s = budget::check(&low, 3)
                 .unwrap_or_else(|errs| panic!("p={p} sn={supernodes}: {errs:?}"));
@@ -80,7 +80,6 @@ fn budget_pass_byte_exact_under_both_supernode_settings() {
             vu_grid_for(8),
             4,
             12,
-            2,
             true,
             supernodes,
             fmm_spmd::Partition::uniform(4, 8),
@@ -93,7 +92,7 @@ fn budget_pass_byte_exact_under_both_supernode_settings() {
     }
     // Supernodes shrink the child-level halo: fewer bytes at p = 8.
     let bytes = |sn| {
-        let prog = CommProgram::build(vu_grid_for(8), 5, 12, 2, false, sn);
+        let prog = CommProgram::build(vu_grid_for(8), 5, 12, false, sn);
         budget::static_phases(&lower(&prog))[3].bytes.unwrap()
     };
     assert!(bytes(true) < bytes(false));

@@ -50,7 +50,7 @@ proptest! {
 
         let grid = vu_grid_for(p);
         prop_assert_eq!(grid.dims, report.vu_dims);
-        let program = CommProgram::build(grid, depth, fmm.k(), 2, forces, false);
+        let program = CommProgram::build(grid, depth, fmm.k(), forces, false);
         let stat = static_phases(&lower(&program));
 
         for (i, (s, d)) in stat.iter().zip(&report.phases).enumerate() {
@@ -98,12 +98,11 @@ fn supernode_static_totals_match_dynamic_counters() {
         let out = Fmm::new(cfg).unwrap().evaluate(&pts, &q).unwrap();
         let report = out.spmd.expect("spmd run attaches a report");
         let program = match report.partition {
-            None => CommProgram::build(vu_grid_for(p), 4, 12, 2, false, true),
+            None => CommProgram::build(vu_grid_for(p), 4, 12, false, true),
             Some(splits) => CommProgram::build_partitioned(
                 vu_grid_for(p),
                 4,
                 12,
-                2,
                 false,
                 true,
                 fmm_spmd::Partition::from_splits(4, splits),

@@ -104,38 +104,6 @@ fn supernodes_trade_little_accuracy_for_many_fewer_flops() {
 }
 
 #[test]
-fn one_separation_works_but_less_accurately() {
-    use anderson_fmm::fmm_tree::Separation;
-    let n = 3000;
-    let pts = uniform(n, 5);
-    let q = vec![1.0; n];
-    let reference = fmm_direct::potentials(&pts, &q);
-    // One-separation needs a tighter outer radius (T2 distance shrinks to
-    // 2 − inner).
-    let cfg1 = FmmConfig::order(5)
-        .depth(3)
-        .separation(Separation::One)
-        .radii(0.95, 0.9);
-    let fmm1 = Fmm::new(cfg1).unwrap();
-    let out1 = fmm1.evaluate(&pts, &q).unwrap();
-    let st1 = relative_error_stats(&out1.potentials, &reference);
-    let fmm2 = Fmm::new(FmmConfig::order(5).depth(3)).unwrap();
-    let out2 = fmm2.evaluate(&pts, &q).unwrap();
-    let st2 = relative_error_stats(&out2.potentials, &reference);
-    assert!(
-        st1.digits() > 1.5,
-        "one-separation digits {:.2}",
-        st1.digits()
-    );
-    assert!(
-        st2.digits() > st1.digits(),
-        "two-separation ({:.2}) should beat one-separation ({:.2})",
-        st2.digits(),
-        st1.digits()
-    );
-}
-
-#[test]
 fn forces_agree_with_direct() {
     let n = 1500;
     let pts = uniform(n, 6);
