@@ -1,15 +1,17 @@
 //! **E9b — abstract communication/efficiency claims**: the whole-program
 //! communication budget of the paper's two 100M-particle configurations,
-//! assembled from the budget oracle's per-phase counting.
+//! assembled from the budget oracle's per-phase counting, the near field
+//! priced as the paper's travelling accumulator (`fmm_bench::travel`).
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_budget`
 
 use fmm_bench::machine::cost::CostModel;
+use fmm_bench::travel::paper_budget;
 use fmm_bench::util::header;
-use fmm_machine::{communication_budget, ProgramConfig};
+use fmm_machine::ProgramConfig;
 
 fn show(name: &str, cfg: &ProgramConfig, cost: &CostModel) {
-    let b = communication_budget(cfg);
+    let b = paper_budget(cfg);
     println!(
         "\n-- {} (depth {}, K = {}, {:.0}M particles, {} VUs, supernodes {}) --",
         name,

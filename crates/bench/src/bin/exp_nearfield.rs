@@ -1,29 +1,47 @@
 //! **E13 — §3.4 near-field symmetry**: Newton's third law turns 124
 //! neighbour box–box interactions into 62, roughly halving the pairwise
 //! work; the CSHIFTs that carry the travelling accumulators are 10–15% of
-//! the near-field time on the CM-5E. Also prices the one-sided gather (the
-//! target-centric sweep, one `gather_with` per neighbour row) against the
-//! travelling accumulator (§3.4's schedule), on one thread (the serial
-//! column, taken inside `fmm_core::serially`) and on the pool, on the
-//! detected kernel.
+//! the near-field time on the CM-5E. Times three schedules of the same
+//! near field on the detected kernel, on one thread (the serial column,
+//! taken inside `fmm_core::serially`) and on the pool: the target-centric
+//! gather (all 124 neighbours, one `gather_with` per neighbour row), the
+//! paper's travelling accumulator (`fmm_bench::travel`, 62 box pairs, one
+//! pool region per step), and the symmetric rows `fmm-core` runs (the
+//! same 62 box pairs, ≤ 13 panel exchanges per box, z mod 3 plane
+//! colours).
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_nearfield [n] [depth]`
+//! (no arguments: N = 262,144 at depth 5, then N = 100,000 at depth 4).
 
 use fmm_bench::machine::cost::CostModel;
+use fmm_bench::travel::travelling_sweep;
 use fmm_bench::util::{best_of, header};
 use fmm_bench::workloads::{uniform, unit_charges};
 use fmm_core::particles::BinnedParticles;
 use fmm_core::{
-    near_field_potentials, near_field_symmetric, near_field_travelling_with, serially, Kernel,
+    near_field_potentials, near_field_rows, near_field_symmetric, serially, Kernel, NearFieldStats,
 };
 use fmm_machine::Counters;
-use fmm_tree::{Domain, Separation};
+use fmm_tree::Domain;
 
 fn main() {
     let mut args = std::env::args().skip(1).map(|s| s.parse().ok());
-    let n: usize = args.next().flatten().unwrap_or(100_000);
-    let depth = args.next().flatten().unwrap_or(4) as u32;
+    let cases = match (args.next().flatten(), args.next().flatten()) {
+        (None, _) => vec![(262_144, 5), (100_000, 4)],
+        (Some(n), depth) => vec![(n, depth.unwrap_or(4) as u32)],
+    };
     header("Near field — exploiting Newton's third law (§3.4)");
+    let mut last = None;
+    for &(n, depth) in &cases {
+        last = Some((n, depth, sweeps(n, depth)));
+    }
+    let (n, depth, sym) = last.expect("one case at least");
+    cshift_share(n, depth, &sym);
+}
+
+/// One problem: every schedule's pair and box-pair counts and times, and
+/// each result against the scalar symmetric one, whose counts it returns.
+fn sweeps(n: usize, depth: u32) -> NearFieldStats {
     let positions = uniform(n, 55);
     let charges = unit_charges(n);
     let bp = BinnedParticles::build(&positions, &charges, Domain::unit(), depth);
@@ -35,50 +53,48 @@ fn main() {
         1 << (3 * depth),
         kernel
     );
-
-    let mut out = vec![0.0; n];
-    let mut gather = || {
-        best_of(3, || {
-            out.iter_mut().for_each(|x| *x = 0.0);
-            near_field_potentials(&bp, &mut out)
-        })
+    let time = |sweep: &dyn Fn(&mut [f64]) -> NearFieldStats| {
+        let mut out = vec![0.0; n];
+        let mut run = || {
+            best_of(3, || {
+                out.iter_mut().for_each(|x| *x = 0.0);
+                sweep(&mut out)
+            })
+        };
+        let ((serial, st), (pool, _)) = (serially(&mut run), run());
+        (serial, pool, st, out)
     };
-    let ((t_tc, st_tc), (t_tc_par, _)) = (serially(&mut gather), gather());
-    let pot_tc = out.clone();
-    let mut travel = || {
-        best_of(3, || {
-            out.iter_mut().for_each(|x| *x = 0.0);
-            near_field_travelling_with(kernel, &bp, Separation::Two, true, 0.0, &mut out)
-        })
-    };
-    let ((t_tr, st_tr), (t_tr_par, _)) = (serially(&mut travel), travel());
+    let gather = time(&|out| near_field_potentials(&bp, out));
+    let travel = time(&|out| travelling_sweep(kernel, &bp, 0.0, out));
+    let rows = time(&|out| near_field_rows(kernel, &bp, 0.0, out));
     let (t_sym, (pot_sym, st_sym)) = best_of(1, || near_field_symmetric(&bp));
 
     println!(
         "{:<28} {:>14} {:>12} {:>12} {:>12}",
-        "sweep", "pair inters", "box pairs", "serial (s)", "rayon (s)"
+        "sweep", "pair inters", "box pairs", "serial (s)", "pool (s)"
     );
-    let row = |name: &str, pairs: u64, boxes: u64, serial: f64, rayon: Option<f64>| {
-        let rayon = rayon.map_or("—".to_string(), |t| format!("{t:.3}"));
-        println!("{name:<28} {pairs:>14} {boxes:>12} {serial:>12.3} {rayon:>12}");
+    let row = |name: &str, st: &NearFieldStats, serial: f64, pool: Option<f64>| {
+        let pool = pool.map_or("—".to_string(), |t| format!("{t:.3}"));
+        let (pairs, boxes) = (st.pair_interactions, st.box_pairs);
+        println!("{name:<28} {pairs:>14} {boxes:>12} {serial:>12.3} {pool:>12}");
     };
-    let (pairs, boxes) = (st_tc.pair_interactions, st_tc.box_pairs);
     row(
         "target-centric rows (124)",
-        pairs,
-        boxes,
-        t_tc,
-        Some(t_tc_par),
+        &gather.2,
+        gather.0,
+        Some(gather.1),
     );
-    let (pairs, boxes) = (st_tr.pair_interactions, st_tr.box_pairs);
-    row("travelling (62)", pairs, boxes, t_tr, Some(t_tr_par));
-    let (pairs, boxes) = (st_sym.pair_interactions, st_sym.box_pairs);
-    row("symmetric, scalar (62)", pairs, boxes, t_sym, None);
+    row("travelling (62)", &travel.2, travel.0, Some(travel.1));
+    row("symmetric rows (62)", &rows.2, rows.0, Some(rows.1));
+    row("symmetric, scalar (62)", &st_sym, t_sym, None);
     println!(
-        "pair reduction: {:.2}×; travelling over row gather: {:.2}× serial, {:.2}× rayon",
-        st_tc.pair_interactions as f64 / st_sym.pair_interactions as f64,
-        t_tr / t_tc,
-        t_tr_par / t_tc_par
+        "pair reduction: {:.2}×; rows over travelling: {:.2}× serial, {:.2}× pool; \
+         rows over gather: {:.2}× serial, {:.2}× pool",
+        gather.2.pair_interactions as f64 / st_sym.pair_interactions as f64,
+        rows.0 / travel.0,
+        rows.1 / travel.1,
+        rows.0 / gather.0,
+        rows.1 / gather.1
     );
     let scale = pot_sym.iter().fold(0.0f64, |m, v| m.max(v.abs()));
     let worst = |pot: &[f64]| {
@@ -87,12 +103,17 @@ fn main() {
     };
     println!(
         "(symmetric result checksum {:.6e}; max |Δ| / max |Φ| against it: \
-         target-centric {:.1e}, travelling {:.1e})",
+         target-centric {:.1e}, travelling {:.1e}, rows {:.1e})\n",
         pot_sym.iter().sum::<f64>(),
-        worst(&pot_tc),
-        worst(&out)
+        worst(&gather.3),
+        worst(&travel.3),
+        worst(&rows.3)
     );
+    st_sym
+}
 
+/// The simulated CM-5E's CSHIFT share of the travelling sweep.
+fn cshift_share(n: usize, depth: u32, st_sym: &NearFieldStats) {
     // CSHIFT share model: the travelling-accumulator scheme does 62
     // single-step CSHIFTs of the 4-D particle arrays per sweep. Lay this
     // problem's leaf grid over a 64-VU machine (4³ subgrids) and compare
@@ -116,7 +137,7 @@ fn main() {
     };
     let t_comp = cost.time_s(&flops, 1);
     println!(
-        "\nsimulated CM-5E near-field ({} VUs): CSHIFT share = {:.1}% (paper: 10–15%)",
+        "simulated CM-5E near-field ({} VUs): CSHIFT share = {:.1}% (paper: 10–15%)",
         n_vus,
         100.0 * t_comm / (t_comm + t_comp)
     );

@@ -12,5 +12,6 @@ pub mod balance;
 pub mod bh;
 pub mod machine;
 pub mod sort;
+pub mod travel;
 pub mod util;
 pub mod workloads;

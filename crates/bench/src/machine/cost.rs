@@ -111,6 +111,7 @@ impl Default for CostModel {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::travel::paper_budget;
     use fmm_machine::{communication_budget, ProgramConfig};
 
     #[test]
@@ -158,8 +159,8 @@ mod tests {
     #[test]
     fn paper_configs_hit_the_claimed_comm_band() {
         let cost = CostModel::cm5e();
-        let d5 = communication_budget(&ProgramConfig::paper_d5());
-        let d14 = communication_budget(&ProgramConfig::paper_d14());
+        let d5 = paper_budget(&ProgramConfig::paper_d5());
+        let d14 = paper_budget(&ProgramConfig::paper_d14());
         let f5 = cost.comm_fraction(&d5);
         let f14 = cost.comm_fraction(&d14);
         // Paper: "about 10-25%" (12% for K=12/depth 8 in the traversal,
@@ -177,9 +178,9 @@ mod tests {
     fn supernodes_reduce_compute_not_comm() {
         let mut cfg = ProgramConfig::paper_d5();
         cfg.supernodes = false;
-        let plain = communication_budget(&cfg);
+        let plain = paper_budget(&cfg);
         cfg.supernodes = true;
-        let sup = communication_budget(&cfg);
+        let sup = paper_budget(&cfg);
         assert!(sup.total_flops() < plain.total_flops());
         let cost = CostModel::cm5e();
         // Supernodes shrink the halo only slightly (depth 4 vs 5) while
@@ -228,7 +229,7 @@ mod tests {
         // arithmetic efficiency, the paper's Table-3 regime), the overall
         // efficiency should land in the paper's 25–40% band.
         let cost = CostModel::cm5e();
-        let b = communication_budget(&ProgramConfig::paper_d14());
+        let b = paper_budget(&ProgramConfig::paper_d14());
         let eff = cost.efficiency(&b, cost.flop_ns / 2.0);
         assert!(eff > 0.2 && eff < 0.55, "efficiency {}", eff);
     }

@@ -12,9 +12,10 @@
 //! [`crate::traversal::downward_level`] as one slice of hierarchies, which
 //! issue one GEMM of `R · np` rows per (panel, octant, offset) instead of
 //! `R` GEMMs of `np` rows — and compute the per-offset source geometry
-//! once instead of `R` times. The near field batches the same way: the
-//! travelling sweep's path and per-step box maps are instance-independent,
-//! so they are derived once and the instances loop innermost. Purely
+//! once instead of `R` times. The potential near field batches the same
+//! way: the symmetric sweep's plane tasks and each target's rows are
+//! instance-independent, so they are derived once and the instances loop
+//! innermost. Purely
 //! particle-bound phases (binning, P2O, leaf evaluation) have no
 //! cross-request structure to exploit and stay per-instance.
 //!

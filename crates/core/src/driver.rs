@@ -6,9 +6,9 @@ use crate::batch::BatchRequest;
 use crate::config::{Executor, FmmConfig, Precision};
 use crate::field::FieldHierarchy;
 use crate::near::{
-    near_field_forces_softened_with, per_box_slices, travelling_sweep, NearFieldStats,
+    near_field_forces_softened_with, per_box_slices, symmetric_binned, NearFieldStats,
 };
-use crate::near32::{near_field_forces_f32, near_field_potentials_f32};
+use crate::near32::near_field_forces_f32;
 use crate::particles::BinnedParticles;
 use crate::plan::TraversalPlan;
 use crate::registry::{PlanKey, PlanRegistry, TranslationKey};
@@ -292,8 +292,8 @@ impl Fmm {
     /// The one evaluation pipeline: the paper's steps 0–5 for every
     /// request, each on its particles' bounding cube, with fields (−∇Φ)
     /// when `with_fields`. The requests share one traversal plan, their
-    /// hierarchy sweeps run as one instance-major sweep and their f64
-    /// potential near fields as one travelling sweep; binning, P2O, leaf
+    /// hierarchy sweeps run as one instance-major sweep and their potential
+    /// near fields, f64 or mixed, as one symmetric row sweep; binning, P2O, leaf
     /// evaluation and the other near-field variants are particle-bound and
     /// run per request. [`Executor::Serial`] runs the whole pipeline
     /// [`serially`], so every phase, shared sweep or per request, splits
@@ -366,30 +366,29 @@ impl Fmm {
         let mut profile = Profile::new();
         let (bps, fhs, tflops) = self.far_field(requests, depth, &plan, &mut profile);
 
-        // Step 5 for f64 potentials: the travelling-accumulator near field,
-        // all requests in one sweep. Newton's third law halves the pair
-        // work, the ordered unit steps keep the parallel scatter
-        // conflict-free, and the message-passing executor runs the
-        // identical arithmetic — all backends are bitwise interchangeable.
-        // Its stats report third-law-halved counts, identical to the
-        // sequential symmetric sweep.
+        // Step 5 for potentials, f64 or mixed: the symmetric row sweep, all
+        // requests in one sweep. Newton's third law halves the pair work,
+        // z mod 3 plane colours keep the parallel scatter conflict-free,
+        // and the message-passing executor runs the identical arithmetic —
+        // all backends are bitwise interchangeable. Its stats report
+        // third-law-halved counts, identical to the sequential symmetric
+        // sweep.
         let mixed = self.cfg.precision == Precision::Mixed;
-        let travelling = !with_fields && !mixed;
         let eps = self.cfg.softening;
         let mut near_pots: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
         let mut near_stats = NearFieldStats::default();
-        if travelling {
+        if !with_fields {
             let mut outs: Vec<&mut [f64]> = near_pots.iter_mut().map(Vec::as_mut_slice).collect();
             near_stats = profile.time(Phase::Near, || {
-                travelling_sweep(plan.kernel, &bps, eps, &mut outs)
+                symmetric_binned(plan.kernel, &bps, mixed, eps, &mut outs)
             });
         }
 
         // Per request: step 4, evaluate leaf inner approximations at the
-        // particles; step 5 for forces and for `Precision::Mixed`, whose f32
-        // SIMD sweeps (8 lanes on AVX2, 16 on AVX-512) leave the traversal
-        // above in f64; then combine and scatter back to original particle
-        // order.
+        // particles; step 5 for forces, f64 or under `Precision::Mixed` in
+        // f32 SIMD lanes (8 on AVX2, 16 on AVX-512) that leave the
+        // traversal above in f64; then combine and scatter back to original
+        // particle order.
         let total: usize = bps.iter().map(BinnedParticles::len).sum();
         let mut potentials = vec![0.0; total];
         let mut fields = with_fields.then(|| vec![[0.0; 3]; total]);
@@ -417,35 +416,22 @@ impl Fmm {
             // field allocates.
             drop(fh);
 
-            if !travelling {
-                let st = profile.time(Phase::Near, || match far_field.as_mut() {
-                    Some(ff) => {
-                        let mut near_f = vec![[0.0; 3]; bp.len()];
-                        let k = plan.kernel;
-                        let st = if mixed {
-                            let sep = self.cfg.separation;
-                            near_field_forces_f32(k, bp, sep, true, eps, near_pot, &mut near_f)
-                        } else {
-                            near_field_forces_softened_with(k, bp, eps, near_pot, &mut near_f)
-                        };
-                        for (a, b) in ff.iter_mut().zip(&near_f) {
-                            for d in 0..3 {
-                                a[d] += b[d];
-                            }
+            if let Some(ff) = far_field.as_mut() {
+                let st = profile.time(Phase::Near, || {
+                    let mut near_f = vec![[0.0; 3]; bp.len()];
+                    let k = plan.kernel;
+                    let st = if mixed {
+                        let sep = self.cfg.separation;
+                        near_field_forces_f32(k, bp, sep, true, eps, near_pot, &mut near_f)
+                    } else {
+                        near_field_forces_softened_with(k, bp, eps, near_pot, &mut near_f)
+                    };
+                    for (a, b) in ff.iter_mut().zip(&near_f) {
+                        for d in 0..3 {
+                            a[d] += b[d];
                         }
-                        st
                     }
-                    // Mixed-precision potentials run the colored symmetric
-                    // schedule recorded on the plan.
-                    None => near_field_potentials_f32(
-                        plan.kernel,
-                        bp,
-                        self.cfg.separation,
-                        &plan.near_schedule,
-                        true,
-                        eps,
-                        near_pot,
-                    ),
+                    st
                 });
                 near_stats.merge(&st);
             }
@@ -772,6 +758,7 @@ mod tests {
         // flag. Inside a three-thread install, `false` must split no region
         // and write the bits and counts of `true`, function by function.
         use crate::near::{near_field_forces_softened, near_field_travelling_with};
+        use crate::near32::near_field_potentials_f32;
         use crate::traversal::{downward_pass, upward_pass};
         let (pts, q) = pseudo_mixed(2000, 71);
         let fmm = Fmm::new(FmmConfig::order(3).depth(3)).unwrap();
@@ -1008,6 +995,47 @@ mod tests {
                 let t3 = (3..=depth).map(boxes).sum::<u64>() * row;
                 let what = format!("depth {depth} supernodes={supernodes}");
                 assert_eq!(costs.iter().sum::<u64>() - t1 - t3, t2, "{what}");
+            }
+        }
+    }
+
+    #[test]
+    fn cost_model_charges_the_near_flops_serial_counts() {
+        // Σ over leaves of `leaf_costs`' near-field term — the costs less
+        // those of an empty grid and the per-particle P2O and evaluation
+        // charges — is Serial's near-field flop count, potentials and
+        // forces, uniform and crowded.
+        use fmm_tree::partition::{leaf_costs, CostModel};
+        let (mut pts, q) = pseudo_system(3000, 23);
+        for p in pts.iter_mut().take(2000) {
+            *p = p.map(|c| 0.4 + 0.2 * c);
+        }
+        for depth in [3, 4] {
+            let fmm =
+                Fmm::new(FmmConfig::order(3).depth(depth).executor(Executor::Serial)).unwrap();
+            let domain = Domain::bounding(&pts);
+            let mut counts = vec![0; 1 << (3 * depth)];
+            for &p in &pts {
+                counts[domain.locate(p, depth).index()] += 1;
+            }
+            for with_fields in [false, true] {
+                let out = if with_fields {
+                    fmm.evaluate_forces(&pts, &q)
+                } else {
+                    fmm.evaluate(&pts, &q)
+                };
+                let (k, m) = (fmm.k() as u64, fmm.config().m_trunc as u64);
+                let model = CostModel {
+                    k: fmm.k(),
+                    m_trunc: fmm.config().m_trunc,
+                    with_fields,
+                    supernodes: fmm.config().supernodes,
+                };
+                let total = |c: &[usize]| leaf_costs(depth, &model, c).iter().sum::<u64>();
+                let per_particle = pts.len() as u64 * (10 * k + 6 * k * (m + 1));
+                let near = total(&counts) - total(&vec![0; counts.len()]) - per_particle;
+                let what = format!("depth {depth} forces={with_fields}");
+                assert_eq!(near, out.unwrap().near_stats.flops, "{what}");
             }
         }
     }

@@ -9,39 +9,37 @@
 //!
 //! Two sweeps are production paths, and each has one body that every
 //! executor runs — the Serial/Rayon driver over its own binning, an SPMD
-//! worker over the boxes it owns with sources served from its cell store
-//! through a [`Cells`] range lookup. No sweep takes an executor: its box
-//! loop is a pool loop, one piece on the calling thread under
-//! [`crate::serially`] (`Executor::Serial`, every SPMD rank):
+//! worker over its cell store laid out row-major. No sweep takes an
+//! executor: its loop is a pool loop, one piece on the calling thread
+//! under [`crate::serially`] (`Executor::Serial`, every SPMD rank):
 //!
-//! * **potentials** — the travelling-accumulator sweep
-//!   ([`near_field_travelling_with`]): a self pass ([`self_pass`]), one
-//!   [`travelling_step`] per unit step of the canonical path, and the
-//!   return add ([`return_add`]). It keeps the third-law 2× pair savings
-//!   *and* parallelizes, because within one unit step every output and
-//!   accumulator element is written by exactly one box. The driver sweeps
-//!   any number of same-depth particle sets together, deriving the path
-//!   geometry once;
+//! * **potentials** — the symmetric row sweep ([`near_field_rows`], over
+//!   part of the grid [`symmetric_rows`]), f64 or on an f32 mirror. It
+//!   keeps the paper's 62 third-law box pairs per box, but sweeps them by
+//!   *rows*: each target box exchanges with the ≤ 13 runs of its half
+//!   stencil H ([`fmm_tree::half_stencil`]), all after it in row-major
+//!   order, writing both ends into one output array through the
+//!   two-target exchange panel. Leaf planes coloured by z mod 3 are
+//!   conflict-free pool tasks. The paper resolves the conflicts with a
+//!   travelling accumulator instead; an SPMD rank resolves its boundary
+//!   by also running the *ghost targets* whose rows reach its boxes
+//!   ([`TargetRole`]). The driver sweeps any number of same-depth
+//!   particle sets together, deriving the geometry once;
 //! * **forces** — the target-centric sweep
 //!   ([`near_field_forces_softened_with`], per box
 //!   [`near_field_forces_box`]): parallel over target boxes without write
 //!   conflicts at the full 124-neighbour pair count, swept in pieces of
 //!   near-equal pair count on the plan's kernel. A target gathers one
 //!   neighbour *row* at a time — the 2d+1 boxes of one x-row, one run of
-//!   a binning or of a row-major SPMD cell store — so 26 calls instead
-//!   of 126, and pairs of targets share every row
-//!   but their own through the two-target force panel.
+//!   a binning or of a row-major SPMD cell store (read through a [`Cells`]
+//!   range lookup) — so 26 calls instead of 126, and pairs of targets
+//!   share every row but their own through the two-target force panel.
 //!
 //! [`near_field_potentials_softened`] is the same target-centric sweep
-//! with the potential gather: the oracle of the travelling sweep and the
+//! with the potential gather: the oracle of the symmetric sweep and the
 //! one-sided side of experiment E13. [`near_field_symmetric`] is the
 //! sequential third-law sweep: the correctness oracle and the flop-count
 //! reference for E13.
-//!
-//! [`ColorSchedule`] — 4×4×4 blocks of leaf boxes colored by the 2×2×2
-//! parity of their block coordinates, so that every color phase of a
-//! symmetric sweep is conflict-free — is built here and recorded on the
-//! traversal plan; its one consumer is the f32 sweep in [`crate::near32`].
 //!
 //! The innermost particle–particle loops stream the SoA coordinate arrays
 //! through the [`fmm_linalg::pairwise`] rsqrt microkernels (scalar, AVX2,
@@ -49,10 +47,11 @@
 //! the traversal plan. The mixed-precision (f32 near field) sweeps live in
 //! [`crate::near32`].
 
+use crate::near32::ParticlesF32;
 use crate::particles::BinnedParticles;
 use crate::serially;
 use fmm_linalg::{pairwise, Kernel};
-use fmm_tree::{near_field_offsets, BoxCoord, Separation, TravelPath, NEAR_FIELD_SIZE, SEPARATION};
+use fmm_tree::{near_field_offsets, BoxCoord, Separation, NEAR_FIELD_SIZE, SEPARATION};
 use rayon::prelude::*;
 use std::ops::Range;
 
@@ -82,11 +81,10 @@ impl NearFieldStats {
 }
 
 /// Leaf cells as flat SoA arrays with a per-box range lookup: what the
-/// near-field bodies read their sources through. [`BinnedParticles::cells`]
-/// is a binning's own sorted arrays; an SPMD worker hands in its cell
-/// store, where the travelling steps find cells received from other ranks
-/// behind its own in arrival order, and the force rows find every cell in
-/// row-major order.
+/// target-centric bodies read their sources through.
+/// [`BinnedParticles::cells`] is a binning's own sorted arrays; an SPMD
+/// worker hands in its cell store, where the force rows find every cell
+/// in row-major order.
 pub struct Cells<'a, L, T = f64> {
     x: &'a [T],
     y: &'a [T],
@@ -109,32 +107,6 @@ impl BinnedParticles {
     pub fn cells(&self) -> Cells<'_, impl Fn(usize) -> Range<usize> + '_> {
         Cells::new(&self.x, &self.y, &self.z, &self.q, |b| self.range(b))
     }
-}
-
-/// Potentials within one box, pairwise symmetric, excluding self terms:
-/// each particle exchanges with the run after it, `out` being the box's.
-#[inline]
-fn self_box_potential(
-    kernel: Kernel,
-    bp: &BinnedParticles,
-    range: Range<usize>,
-    eps2: f64,
-    out: &mut [f64],
-) -> u64 {
-    let (x, y, z, q) = (
-        &bp.x[range.clone()],
-        &bp.y[range.clone()],
-        &bp.z[range.clone()],
-        &bp.q[range],
-    );
-    for a in 0..x.len() {
-        let (o, after) = out[a..].split_first_mut().expect("out holds the box");
-        let b = a + 1..;
-        let (xs, ys, zs, qs) = (&x[b.clone()], &y[b.clone()], &z[b.clone()], &q[b]);
-        *o += pairwise::exchange_with(kernel, x[a], y[a], z[a], q[a], eps2, xs, ys, zs, qs, after);
-    }
-    let n = x.len() as u64;
-    n * n.saturating_sub(1) / 2
 }
 
 /// Split a buffer into per-box mutable slices following the binning CSR.
@@ -160,7 +132,7 @@ pub(crate) fn per_box_slices<'a, T>(
 /// box and all two-separation neighbours, one [`pairwise::gather_with`] per
 /// neighbour row, on the sweep the forces run (`target_box`). `out` is
 /// in **sorted** particle order. Parallelizes over cost-balanced pieces of
-/// target boxes with no write conflicts. The oracle of the travelling
+/// target boxes with no write conflicts. The oracle of the symmetric
 /// sweep and the target-centric side of experiment E13.
 pub fn near_field_potentials(bp: &BinnedParticles, out: &mut [f64]) -> NearFieldStats {
     near_field_potentials_softened(bp, 0.0, out)
@@ -186,10 +158,10 @@ pub fn near_field_potentials_softened(
 /// Symmetric near field exploiting Newton's third law: each unordered box
 /// pair is visited once (62 of the 124 neighbours, via the
 /// lexicographically-positive half of the offset set), and both boxes'
-/// particles are updated. Sequential — the paper's CM version resolves the
-/// write conflicts with a travelling accumulator; here the symmetric form
-/// exists to measure the ~2× pair reduction (experiment E13) and as a
-/// reference result.
+/// particles are updated. Sequential and scalar — the paper's CM version
+/// resolves the write conflicts with a travelling accumulator, the row
+/// sweep with plane colours; this form exists to measure the ~2× pair
+/// reduction (experiment E13) and as a reference result.
 pub fn near_field_symmetric(bp: &BinnedParticles) -> (Vec<f64>, NearFieldStats) {
     let mut out = vec![0.0; bp.len()];
     let level = bp.level;
@@ -212,8 +184,8 @@ pub fn near_field_symmetric(bp: &BinnedParticles) -> (Vec<f64>, NearFieldStats) 
         {
             let (t0, t1) = (t_range.start, t_range.end);
             let mut local = vec![0.0; t1 - t0];
-            st.pair_interactions +=
-                self_box_potential(Kernel::Scalar, bp, t_range.clone(), 0.0, &mut local);
+            let cells = [&bp.x, &bp.y, &bp.z, &bp.q].map(|a| &a[t_range.clone()]);
+            st.pair_interactions += self_box(Kernel::Scalar, cells, 0.0, &mut local);
             st.box_pairs += 1;
             for (i, v) in local.into_iter().enumerate() {
                 out[t0 + i] += v;
@@ -248,90 +220,20 @@ pub fn near_field_symmetric(bp: &BinnedParticles) -> (Vec<f64>, NearFieldStats) 
     (out, st)
 }
 
-/// Edge length (in leaf boxes) of the blocks the colored schedule tiles the
-/// leaf grid into. Must satisfy `BLOCK ≥ 2·d` so that the symmetric write
-/// region of a block, `[−d, BLOCK−1+d]` per axis, spans at most `2·BLOCK`
-/// boxes — the distance between same-color block origins on any axis they
-/// differ in.
-pub const COLOR_BLOCK: u32 = 4;
-
-/// The 8-color block schedule for the conflict-free symmetric near field.
-///
-/// Leaf boxes are tiled into `COLOR_BLOCK`³ blocks; a block's color is the
-/// 2×2×2 parity of its block coordinates. Two distinct blocks of the same
-/// color differ by a multiple of `2·COLOR_BLOCK = 8` leaf boxes on every
-/// axis they differ in, while a block's symmetric sweep only writes boxes
-/// within `x ∈ [ox, ox+5]`, `y/z ∈ [oy−2, oy+5]` of its origin at
-/// two-separation (the lexicographically-positive half-offsets have
-/// `dx ∈ [0,2]`, `dy, dz ∈ [−2,2]`). Spans of 6 and 8 boxes never reach a
-/// neighbour 8 away, so all writes within one color phase are disjoint.
-///
-/// Note the parity coloring must be applied to *blocks*, not individual
-/// boxes: per-box 2×2×2 parity is unsound at two-separation (two same-color
-/// boxes 4 apart both write the box between them, e.g. via offsets
-/// `[1, 2, c]` and `[1, −2, c]`).
+/// What the traversal plan records for the near field: the leaf level,
+/// whose z mod 3 planes are the symmetric sweep's colours. The type stays
+/// because `benchmark/` passes `TraversalPlan::near_schedule` to
+/// [`crate::near_field_potentials_f32`] (ROADMAP item 1).
 #[derive(Debug, Clone)]
 pub struct ColorSchedule {
     /// Hierarchy level this schedule was built for.
     pub level: u32,
-    /// Per color: origins (in leaf-box coordinates) of its blocks.
-    pub colors: [Vec<[u32; 3]>; 8],
 }
 
 impl ColorSchedule {
-    /// Build the schedule for all leaf boxes of `level`.
+    /// The record for the leaf boxes of `level`.
     pub fn build(level: u32) -> Self {
-        let side = 1u32 << level;
-        let nb = side.div_ceil(COLOR_BLOCK);
-        let mut colors: [Vec<[u32; 3]>; 8] = Default::default();
-        for bz in 0..nb {
-            for by in 0..nb {
-                for bx in 0..nb {
-                    let color = ((bx & 1) | ((by & 1) << 1) | ((bz & 1) << 2)) as usize;
-                    colors[color].push([bx * COLOR_BLOCK, by * COLOR_BLOCK, bz * COLOR_BLOCK]);
-                }
-            }
-        }
-        ColorSchedule { level, colors }
-    }
-
-    /// Total number of blocks across all colors.
-    pub fn n_blocks(&self) -> usize {
-        self.colors.iter().map(Vec::len).sum()
-    }
-}
-
-/// Shared output buffer of a parallel symmetric sweep, this one's and the
-/// colored f32 one's. The tasks of one step (or color) carve out disjoint
-/// sub-slices, so handing each raw-pointer-derived `&mut [f64]` views is
-/// sound.
-pub(crate) struct SharedOut {
-    ptr: *mut f64,
-    len: usize,
-}
-
-// SAFETY: the pointer is only dereferenced through `slice`, whose caller
-// contract guarantees disjoint ranges across concurrently running tasks.
-unsafe impl Sync for SharedOut {}
-// SAFETY: as above — the wrapper carries no thread-affine state.
-unsafe impl Send for SharedOut {}
-
-impl SharedOut {
-    pub(crate) fn new(buf: &mut [f64]) -> Self {
-        SharedOut {
-            ptr: buf.as_mut_ptr(),
-            len: buf.len(),
-        }
-    }
-
-    /// # Safety
-    /// `range` must not be viewed by any other task, nor by any other live
-    /// slice of this buffer, while the returned one lives. Bounds are
-    /// checked here: a range lookup the caller supplies may name anything.
-    #[allow(clippy::mut_from_ref)]
-    pub(crate) unsafe fn slice(&self, range: Range<usize>) -> &mut [f64] {
-        assert!(range.start <= range.end && range.end <= self.len);
-        std::slice::from_raw_parts_mut(self.ptr.add(range.start), range.len())
+        ColorSchedule { level }
     }
 }
 
@@ -341,20 +243,385 @@ pub(crate) fn add_stats(mut a: NearFieldStats, b: NearFieldStats) -> NearFieldSt
     a
 }
 
-/// Near-field potentials via the paper's travelling-accumulator sweep
-/// (shared-memory emulation). The canonical [`TravelPath`]
-/// visits each lexicographically-positive half-offset once; at every step
-/// each target box exchanges with the box `cum` away, gathering into `out`
-/// and scattering into a separate travelling accumulator array, which is
-/// added back at the end (the "return shifts"). Steps are ordered; within
-/// a step each out/accumulator element is written by exactly one box, so
-/// the sweep gives the same bits on any number of threads — and so does
-/// the message-passing executor, whose workers call the same
-/// [`travelling_step`] on the boxes they own.
-/// Reports the same third-law-halved counts as [`near_field_symmetric`].
-/// `parallel = false` runs it [`serially`]; the flag and the one-value
-/// separation, which is ignored, are kept only because `benchmark/`
-/// imports it (ROADMAP item 1).
+/// Lane precision of the symmetric sweep: one target exchanging with a run
+/// of sources, and a panel of targets against one run, in `Self`. Each
+/// call's target partial and each source term joins its f64 output
+/// widened (f32 partials per call, as [`crate::near32`] documents).
+pub(crate) trait Lane: Copy + Send + Sync {
+    /// The target's sum over `src`, returned; each source's term is added
+    /// into its slot of `s_out`.
+    fn one(kernel: Kernel, t: [Self; 4], eps2: Self, src: [&[Self]; 4], s_out: &mut [f64]) -> f64;
+    /// [`Self::one`] for every target of `tgt`, each sum added into its
+    /// slot of `t_out`.
+    fn panel(
+        kernel: Kernel,
+        tgt: [&[Self]; 4],
+        eps2: Self,
+        src: [&[Self]; 4],
+        t_out: &mut [f64],
+        s_out: &mut [f64],
+    );
+}
+
+impl Lane for f64 {
+    fn one(kernel: Kernel, t: [f64; 4], eps2: f64, src: [&[f64]; 4], s_out: &mut [f64]) -> f64 {
+        let ([tx, ty, tz, tq], [xs, ys, zs, qs]) = (t, src);
+        pairwise::exchange_with(kernel, tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out)
+    }
+    fn panel(
+        kernel: Kernel,
+        tgt: [&[f64]; 4],
+        eps2: f64,
+        src: [&[f64]; 4],
+        t_out: &mut [f64],
+        s_out: &mut [f64],
+    ) {
+        let ([tx, ty, tz, tq], [xs, ys, zs, qs]) = (tgt, src);
+        pairwise::exchange_panel_with(kernel, tx, ty, tz, tq, eps2, xs, ys, zs, qs, t_out, s_out)
+    }
+}
+
+impl Lane for f32 {
+    fn one(kernel: Kernel, t: [f32; 4], eps2: f32, src: [&[f32]; 4], s_out: &mut [f64]) -> f64 {
+        let ([tx, ty, tz, tq], [xs, ys, zs, qs]) = (t, src);
+        let p = pairwise::exchange_f32_with(kernel, tx, ty, tz, tq, eps2, xs, ys, zs, qs, s_out);
+        f64::from(p)
+    }
+    fn panel(
+        kernel: Kernel,
+        tgt: [&[f32]; 4],
+        eps2: f32,
+        src: [&[f32]; 4],
+        t_out: &mut [f64],
+        s_out: &mut [f64],
+    ) {
+        let ([tx, ty, tz, tq], [xs, ys, zs, qs]) = (tgt, src);
+        let k = kernel;
+        pairwise::exchange_f32_panel_with(k, tx, ty, tz, tq, eps2, xs, ys, zs, qs, t_out, s_out)
+    }
+}
+
+/// Potentials within one box, pairwise symmetric, excluding self terms:
+/// each particle exchanges with the run after it in the box, `out` being
+/// the box's. Returns the pairs.
+fn self_box<T: Lane>(kernel: Kernel, [x, y, z, q]: [&[T]; 4], eps2: T, out: &mut [f64]) -> u64 {
+    for a in 0..x.len() {
+        let (o, after) = out[a..].split_first_mut().expect("out holds the box");
+        let b = a + 1..;
+        let src = [&x[b.clone()], &y[b.clone()], &z[b.clone()], &q[b]];
+        *o += T::one(kernel, [x[a], y[a], z[a], q[a]], eps2, src, after);
+    }
+    let n = x.len() as u64;
+    n * n.saturating_sub(1) / 2
+}
+
+/// Leaf cells in row-major cell order, what the symmetric sweep reads:
+/// the particles `[x, y, z, q]` of cell `b` at `starts[b]..starts[b + 1]`
+/// of the four arrays. A binning's own arrays and CSR are one; an SPMD
+/// rank's cell store, laid out row-major, is another, its absent cells
+/// empty.
+#[derive(Clone, Copy)]
+pub struct RowCells<'a, T = f64> {
+    soa: [&'a [T]; 4],
+    starts: &'a [u32],
+}
+
+impl<'a, T> RowCells<'a, T> {
+    /// Panics unless the four arrays are equally long and `starts` is a
+    /// nondecreasing cover of them.
+    pub fn new(soa: [&'a [T]; 4], starts: &'a [u32]) -> Self {
+        let n = soa[0].len();
+        assert!(soa.iter().all(|a| a.len() == n), "four equal arrays");
+        assert!(starts.first() == Some(&0) && starts.last() == Some(&(n as u32)));
+        assert!(starts.windows(2).all(|w| w[0] <= w[1]), "starts ascend");
+        RowCells { soa, starts }
+    }
+
+    /// The particles of the cells `boxes`, one run.
+    fn run(&self, boxes: Range<usize>) -> Range<usize> {
+        self.starts[boxes.start] as usize..self.starts[boxes.end] as usize
+    }
+
+    fn arrays(&self, run: Range<usize>) -> [&'a [T]; 4] {
+        self.soa.map(|a| &a[run.clone()])
+    }
+}
+
+impl BinnedParticles {
+    /// The binning's own arrays as row-major cells.
+    pub fn row_cells(&self) -> RowCells<'_> {
+        RowCells::new([&self.x, &self.y, &self.z, &self.q], &self.binning.starts)
+    }
+}
+
+/// What a leaf box is in a symmetric sweep over part of the grid.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum TargetRole {
+    /// Not a target: its H-rows reach no box that is computed here.
+    Skip,
+    /// Computed here: the self pass, then the whole half stencil.
+    Own,
+    /// A *ghost target*: computed elsewhere, run here over those of its
+    /// H-rows that hold an owned box, for the source-side terms they add
+    /// to them. Its own outputs are discarded.
+    Ghost,
+}
+
+/// Counters of a symmetric sweep. `own` counts the owned targets' pairs
+/// and box pairs (self pass included) and charges the flops of the pairs
+/// with an owned box at one end: all of a self pair's, half of any other
+/// (the target's half if the target is owned, the source's if the source
+/// is). Each sums over any split of the grid to the whole sweep's, and
+/// the flops charged to a box do not depend on which way H points.
+/// `ghost` counts the ghost targets' pairs, box pairs and flops apart.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct SweepStats {
+    pub own: NearFieldStats,
+    pub ghost: NearFieldStats,
+}
+
+fn add_sweep(mut a: SweepStats, b: SweepStats) -> SweepStats {
+    a.own.merge(&b.own);
+    a.ghost.merge(&b.ghost);
+    a
+}
+
+// A pair's flops split evenly between its two boxes.
+const _: () = assert!(PAIR_FLOPS.is_multiple_of(2));
+
+/// Most rows of the half stencil: the own row's tail and 12 others.
+const HALF_ROWS: usize = 13;
+
+/// The potentials of each instance split into one slab per task: planes
+/// `first`, `first + stride`, … of `level`, each slab running to the next
+/// task's plane (or the end), so that a target in the task's plane owns
+/// everything its H-rows write while no other task runs. With `stride`
+/// 3 the planes of one colour; with 1 one plane each.
+fn plane_slabs<'o, T>(
+    insts: &[RowCells<'_, T>],
+    outs: &'o mut [&mut [f64]],
+    level: u32,
+    first: u32,
+    stride: u32,
+) -> Vec<(u32, Vec<&'o mut [f64]>)> {
+    let side = 1u32 << level;
+    let plane = |c: &RowCells<'_, T>, z: u32| c.starts[(z.min(side) as usize) << (2 * level)];
+    let mut rest: Vec<&'o mut [f64]> = outs.iter_mut().map(|o| &mut o[..]).collect();
+    for (r, c) in rest.iter_mut().zip(insts) {
+        *r = &mut std::mem::take(r)[plane(c, first) as usize..];
+    }
+    let mut tasks = Vec::new();
+    for z in (first..side).step_by(stride as usize) {
+        let slabs = rest.iter_mut().zip(insts).map(|(r, c)| {
+            let len = (plane(c, z + stride) - plane(c, z)) as usize;
+            let (slab, tail) = std::mem::take(r).split_at_mut(len);
+            *r = tail;
+            slab
+        });
+        tasks.push((z, slabs.collect()));
+    }
+    tasks
+}
+
+/// The symmetric near field by rows over `R` same-depth instances, each
+/// writing both ends of every pair into its own `outs[i]` (sorted particle
+/// order). The order is part of the definition, and depends on the depth
+/// alone:
+///
+/// 1. the self pass of every [`TargetRole::Own`] box;
+/// 2. colours 0, 1, 2 — the leaf planes with z mod 3 equal to it — and
+///    within a colour the targets in z, y, x order, each running its
+///    in-domain H-rows ([`fmm_tree::half_stencil`]) in stencil order: one
+///    panel exchange of the box's particles against the row's run.
+///
+/// A target in plane z writes planes z … z + 2 only, so the planes of one
+/// colour are pool tasks over disjoint slabs of the outputs, and within a
+/// slab the target's run lies before its sources: every output element
+/// receives its terms in the order above on any number of threads, and an
+/// instance's bits do not depend on `R`. The geometry of each target is
+/// computed once; the instances loop innermost.
+pub(crate) fn symmetric_sweep<T: Lane>(
+    kernel: Kernel,
+    level: u32,
+    eps2: T,
+    insts: &[RowCells<'_, T>],
+    outs: &mut [&mut [f64]],
+    role: &(impl Fn(usize) -> TargetRole + Sync),
+) -> SweepStats {
+    assert_eq!(insts.len(), outs.len());
+    for (c, o) in insts.iter().zip(outs.iter()) {
+        assert_eq!(
+            c.starts.len(),
+            (1 << (3 * level)) + 1,
+            "one run per leaf box"
+        );
+        assert_eq!(o.len(), c.soa[0].len());
+    }
+    let (side, plane_boxes) = (1i32 << level, 1usize << (2 * level));
+    let self_pass = |(z, slabs): &mut (u32, Vec<&mut [f64]>)| -> SweepStats {
+        let first = (*z as usize) * plane_boxes;
+        let mut st = SweepStats::default();
+        for b in first..first + plane_boxes {
+            if role(b) != TargetRole::Own {
+                continue;
+            }
+            for (c, slab) in insts.iter().zip(slabs.iter_mut()) {
+                let (base, r) = (c.starts[first] as usize, c.run(b..b + 1));
+                if !r.is_empty() {
+                    let out = &mut slab[r.start - base..r.end - base];
+                    let pairs = self_box(kernel, c.arrays(r), eps2, out);
+                    st.own.pair_interactions += pairs;
+                    st.own.box_pairs += 1;
+                    st.own.flops += pairs * PAIR_FLOPS;
+                }
+            }
+        }
+        st
+    };
+    let stencil = fmm_tree::half_stencil();
+    let exchanges = |(z, slabs): &mut (u32, Vec<&mut [f64]>)| -> SweepStats {
+        let first = (*z as usize) * plane_boxes;
+        let mut st = SweepStats::default();
+        let mut rows: [Range<usize>; HALF_ROWS] = Default::default();
+        for b in first..first + plane_boxes {
+            let me = role(b);
+            if me == TargetRole::Skip {
+                continue;
+            }
+            let t = BoxCoord::from_index(level, b);
+            let mut n_rows = 0;
+            for h in &stencil {
+                let (y, z) = (t.y as i32 + h.dy, t.z as i32 + h.dz);
+                let lo = (t.x as i32 + h.dx.start()).max(0);
+                let hi = (t.x as i32 + h.dx.end()).min(side - 1);
+                if y >= side || z >= side || y < 0 || lo > hi {
+                    continue;
+                }
+                let at = ((z * side + y) * side + lo) as usize;
+                let row = at..at + (hi - lo + 1) as usize;
+                if me == TargetRole::Own || row.clone().any(|s| role(s) == TargetRole::Own) {
+                    rows[n_rows] = row;
+                    n_rows += 1;
+                }
+            }
+            for (c, slab) in insts.iter().zip(slabs.iter_mut()) {
+                let (base, tr) = (c.starts[first] as usize, c.run(b..b + 1));
+                if tr.is_empty() {
+                    continue;
+                }
+                let (head, tail) = slab.split_at_mut(tr.end - base);
+                let t_out = &mut head[tr.start - base..];
+                for row in &rows[..n_rows] {
+                    let sr = c.run(row.clone());
+                    if sr.is_empty() {
+                        continue;
+                    }
+                    let (mut live, mut owned) = (0, 0);
+                    for s in row.clone() {
+                        let n_s = c.run(s..s + 1).len();
+                        live += u64::from(n_s > 0);
+                        if role(s) == TargetRole::Own {
+                            owned += n_s;
+                        }
+                    }
+                    let (n_t, pairs) = (tr.len(), (tr.len() * sr.len()) as u64);
+                    let half = PAIR_FLOPS / 2;
+                    st.own.flops += (n_t * owned) as u64 * half;
+                    let by = match me {
+                        TargetRole::Own => {
+                            st.own.flops += pairs * half;
+                            &mut st.own
+                        }
+                        _ => &mut st.ghost,
+                    };
+                    by.box_pairs += live;
+                    by.pair_interactions += pairs;
+                    let s_out = &mut tail[sr.start - tr.end..sr.end - tr.end];
+                    let (tgt, src) = (c.arrays(tr.clone()), c.arrays(sr));
+                    T::panel(kernel, tgt, eps2, src, t_out, s_out);
+                }
+            }
+        }
+        st
+    };
+    // det: integer counters only; each task writes its own slabs.
+    let mut tasks = plane_slabs(insts, outs, level, 0, 1);
+    let tasks = tasks.par_iter_mut().map(self_pass);
+    let mut total = tasks.reduce(SweepStats::default, add_sweep);
+    for colour in 0..3 {
+        let mut tasks = plane_slabs(insts, outs, level, colour, 3);
+        let tasks = tasks.par_iter_mut().map(exchanges);
+        total = add_sweep(total, tasks.reduce(SweepStats::default, add_sweep));
+    }
+    total.ghost.flops = total.ghost.pair_interactions * PAIR_FLOPS;
+    total
+}
+
+/// The symmetric sweep over part of the grid, f64, one instance: `role`
+/// says which boxes are computed here and which are ghost targets (see
+/// [`TargetRole`]). `out` is laid out as `cells`. The SPMD workers run
+/// this over their cell store; with every box [`TargetRole::Own`] it is
+/// [`near_field_rows`].
+pub fn symmetric_rows(
+    kernel: Kernel,
+    level: u32,
+    cells: RowCells<'_>,
+    eps2: f64,
+    out: &mut [f64],
+    role: impl Fn(usize) -> TargetRole + Sync,
+) -> SweepStats {
+    symmetric_sweep(kernel, level, eps2, &[cells], &mut [out], &role)
+}
+
+/// The symmetric near field of same-depth binnings, in f64 or, `mixed`,
+/// on their f32 mirrors: [`symmetric_sweep`] with every box a target.
+/// `outs[i]` is instance `i`'s potentials in **sorted** particle order;
+/// counters are summed over the instances.
+pub(crate) fn symmetric_binned(
+    kernel: Kernel,
+    bps: &[BinnedParticles],
+    mixed: bool,
+    eps: f64,
+    outs: &mut [&mut [f64]],
+) -> NearFieldStats {
+    let Some(first) = bps.first() else {
+        return NearFieldStats::default();
+    };
+    assert!(
+        bps.iter().all(|bp| bp.level == first.level),
+        "one sweep needs one depth"
+    );
+    let (level, all) = (first.level, |_| TargetRole::Own);
+    let st = if mixed {
+        let mirrors: Vec<ParticlesF32> = bps.iter().map(ParticlesF32::build).collect();
+        let insts: Vec<RowCells<'_, f32>> = (mirrors.iter().zip(bps))
+            .map(|(m, bp)| RowCells::new([&m.x, &m.y, &m.z, &m.q], &bp.binning.starts))
+            .collect();
+        symmetric_sweep(kernel, level, (eps * eps) as f32, &insts, outs, &all)
+    } else {
+        let insts: Vec<RowCells<'_>> = bps.iter().map(BinnedParticles::row_cells).collect();
+        symmetric_sweep(kernel, level, eps * eps, &insts, outs, &all)
+    };
+    st.own
+}
+
+/// Near-field potentials by the symmetric row sweep on `kernel`, f64,
+/// added into `out` (sorted particle order). Reports the same
+/// third-law-halved counts as [`near_field_symmetric`].
+pub fn near_field_rows(
+    kernel: Kernel,
+    bp: &BinnedParticles,
+    eps: f64,
+    out: &mut [f64],
+) -> NearFieldStats {
+    symmetric_binned(kernel, std::slice::from_ref(bp), false, eps, &mut [out])
+}
+
+/// The paper's schedule (§3.4) is a travelling accumulator; this entry
+/// point now runs [`near_field_rows`], the same 62 box pairs and pair
+/// counts swept by rows. `parallel = false` runs it [`serially`]; the
+/// name, the flag and the one-value separation, which is ignored, are
+/// kept only because `benchmark/` imports it (ROADMAP item 1).
 pub fn near_field_travelling_with(
     kernel: Kernel,
     bp: &BinnedParticles,
@@ -366,202 +633,7 @@ pub fn near_field_travelling_with(
     if !parallel {
         return serially(|| near_field_travelling_with(kernel, bp, _sep, true, eps, out));
     }
-    travelling_sweep(kernel, std::slice::from_ref(bp), eps, &mut [out])
-}
-
-/// The travelling sweep over `R` same-depth particle sets at once. The
-/// geometry — the path itself, each step's `t ↦ t + cum` box map and its
-/// domain clipping — depends only on the hierarchy depth,
-/// so it is computed once per (step, box) and the instances loop
-/// innermost. For small requests the sweep is geometry-bound (tens of
-/// steps × every box, a few particles each), so this is where batching a
-/// serving workload actually pays.
-///
-/// Per instance the arithmetic does not depend on `R` or on the threads:
-/// same self pass in box order, same ordered steps, same gather/scatter
-/// into a per-instance accumulator, same return shift — so an instance's
-/// output is bitwise identical however it is swept.
-///
-/// `outs[i]` is instance `i`'s potentials in **sorted** particle order;
-/// counters are summed over the instances.
-pub(crate) fn travelling_sweep(
-    kernel: Kernel,
-    bps: &[BinnedParticles],
-    eps: f64,
-    outs: &mut [&mut [f64]],
-) -> NearFieldStats {
-    assert_eq!(bps.len(), outs.len());
-    let Some(first) = bps.first() else {
-        return NearFieldStats::default();
-    };
-    let eps2 = eps * eps;
-    for bp in bps {
-        assert_eq!(bp.level, first.level, "one sweep needs one depth");
-    }
-    let mut total = NearFieldStats::default();
-    for (bp, out) in bps.iter().zip(outs.iter_mut()) {
-        total.merge(&self_pass(kernel, bp, eps2, out));
-    }
-    // Every box is a target, and a binning serves its own sources.
-    let targets: Vec<u32> = (0..first.binning.starts.len() as u32 - 1).collect();
-    let mut accs: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
-    let parts = bps.iter().zip(outs.iter_mut()).zip(&mut accs);
-    let mut insts: Vec<_> = parts
-        .map(|((bp, out), acc)| Travelling {
-            bp,
-            out,
-            cells: bp.cells(),
-            acc,
-        })
-        .collect();
-    for step in &TravelPath::new().steps {
-        total.merge(&step_over(kernel, eps2, step.cum, &targets, &mut insts));
-    }
-    drop(insts);
-    for (out, acc) in outs.iter_mut().zip(&accs) {
-        return_add(out, acc);
-    }
-    total
-}
-
-/// Self interactions of a travelling sweep, symmetric within each box of
-/// `bp`, added into `out` (sorted particle order): one exchange per
-/// particle with the particles after it in its box, on `kernel`.
-pub fn self_pass(
-    kernel: Kernel,
-    bp: &BinnedParticles,
-    eps2: f64,
-    out: &mut [f64],
-) -> NearFieldStats {
-    assert_eq!(out.len(), bp.len());
-    let mut slices = per_box_slices(bp, out);
-    let work = |(b, o): (usize, &mut &mut [f64])| -> NearFieldStats {
-        let t_range = bp.range(b);
-        if t_range.is_empty() {
-            return NearFieldStats::default();
-        }
-        let pairs = self_box_potential(kernel, bp, t_range, eps2, o);
-        NearFieldStats {
-            pair_interactions: pairs,
-            box_pairs: 1,
-            flops: pairs * PAIR_FLOPS,
-        }
-    };
-    // det: integer-counter reduction over disjoint per-box slices.
-    let boxes = slices.par_iter_mut().enumerate();
-    boxes.map(work).reduce(NearFieldStats::default, add_stats)
-}
-
-/// One instance of a travelling step: the target boxes' particles and
-/// potentials in `bp`'s sorted order, the source cells by origin box —
-/// wherever they sit — and the travelling accumulators laid out as those.
-pub struct Travelling<'a, L> {
-    pub bp: &'a BinnedParticles,
-    pub out: &'a mut [f64],
-    pub cells: Cells<'a, L>,
-    pub acc: &'a mut [f64],
-}
-
-/// One unit step of the travelling sweep over the target boxes `targets`:
-/// each exchanges with the cell `cum` away, gathering into its own run of
-/// `out` and scattering into that cell's run of `acc`. Targets must be
-/// distinct; then every element is written by one box, and a sweep that
-/// covers the boxes by any split into calls, in any order, writes the bits
-/// of the full one. The SPMD workers step the boxes they own through this.
-/// It runs [`serially`]: a caller's targets and range lookup are not
-/// checked, and one at a time they need not be distinct.
-pub fn travelling_step<L: Fn(usize) -> Range<usize> + Sync>(
-    kernel: Kernel,
-    eps2: f64,
-    cum: [i32; 3],
-    targets: &[u32],
-    one: &mut Travelling<'_, L>,
-) -> NearFieldStats {
-    serially(|| step_over(kernel, eps2, cum, targets, std::slice::from_mut(one)))
-}
-
-/// [`travelling_step`] over same-depth instances, the instances innermost.
-/// The boxes of a step are independent — box t writes out[t] and
-/// acc[t + cum], both bijections of t — so they are split over the pool
-/// without changing bits. That holds only for distinct targets under an
-/// injective range lookup, which this module's own sweep guarantees.
-fn step_over<L: Fn(usize) -> Range<usize> + Sync>(
-    kernel: Kernel,
-    eps2: f64,
-    cum: [i32; 3],
-    targets: &[u32],
-    insts: &mut [Travelling<'_, L>],
-) -> NearFieldStats {
-    let Some(first) = insts.first() else {
-        return NearFieldStats::default();
-    };
-    let level = first.bp.level;
-    for t in insts.iter() {
-        assert_eq!(t.out.len(), t.bp.len());
-        assert_eq!(t.acc.len(), t.cells.q.len());
-    }
-    let shared: Vec<(SharedOut, SharedOut)> = insts
-        .iter_mut()
-        .map(|t| (SharedOut::new(t.out), SharedOut::new(t.acc)))
-        .collect();
-    let insts = &*insts;
-    let step_work = |&b: &u32| -> NearFieldStats {
-        let mut st = NearFieldStats::default();
-        let b = b as usize;
-        let Some(s) = BoxCoord::from_index(level, b).offset(cum) else {
-            return st;
-        };
-        let s_idx = s.index();
-        for (t, (out, acc)) in insts.iter().zip(&shared) {
-            let (bp, cells) = (t.bp, &t.cells);
-            let t_range = bp.range(b);
-            if t_range.is_empty() {
-                continue;
-            }
-            let s_range = (cells.range)(s_idx);
-            if s_range.is_empty() {
-                continue;
-            }
-            // SAFETY: t ↦ t_range and t ↦ s_range are injective over the
-            // boxes of a split step, a step in one piece holds one pair of
-            // slices at a time, and `out`/`acc` are distinct arrays.
-            let t_out = unsafe { out.slice(t_range.clone()) };
-            // SAFETY: same disjointness argument as `t_out`, on `acc`.
-            let s_acc = unsafe { acc.slice(s_range.clone()) };
-            let xs = &cells.x[s_range.clone()];
-            let ys = &cells.y[s_range.clone()];
-            let zs = &cells.z[s_range.clone()];
-            let qs = &cells.q[s_range.clone()];
-            let t = t_range.clone();
-            let (txs, tys, tzs, tqs) = (
-                &bp.x[t.clone()],
-                &bp.y[t.clone()],
-                &bp.z[t.clone()],
-                &bp.q[t],
-            );
-            pairwise::exchange_panel_with(
-                kernel, txs, tys, tzs, tqs, eps2, xs, ys, zs, qs, t_out, s_acc,
-            );
-            st.pair_interactions += (t_range.len() * s_range.len()) as u64;
-            st.box_pairs += 1;
-        }
-        st.flops = st.pair_interactions * PAIR_FLOPS;
-        st
-    };
-    // det: integer-counter reduction; each box owns its accumulators.
-    let boxes = targets.par_iter();
-    boxes
-        .map(step_work)
-        .reduce(NearFieldStats::default, add_stats)
-}
-
-/// The return shifts of a travelling sweep: accumulators that are home
-/// again join their cells' potentials, once.
-pub fn return_add(out: &mut [f64], acc: &[f64]) {
-    assert_eq!(out.len(), acc.len());
-    for (o, a) in out.iter_mut().zip(acc) {
-        *o += *a;
-    }
+    near_field_rows(kernel, bp, eps, out)
 }
 
 /// Target-centric near-field potentials **and** fields (−∇Φ) with Plummer
@@ -1294,26 +1366,88 @@ mod tests {
         }
     }
 
+    /// The documented order, written out on `Kernel::Scalar`: the self
+    /// pass box by box, then colours 0, 1, 2, the targets of a colour in
+    /// z, y, x order, and per target its in-domain H-rows in stencil
+    /// order, one `exchange_with` per (target particle, run).
+    fn reference_rows(bp: &BinnedParticles, eps2: f64) -> Vec<f64> {
+        let mut out = vec![0.0; bp.len()];
+        let (level, side) = (bp.level, 1i32 << bp.level);
+        let src = |r: Range<usize>| [&bp.x, &bp.y, &bp.z, &bp.q].map(|a| &a[r.clone()]);
+        let one = |ti: usize, [xs, ys, zs, qs]: [&[f64]; 4], s_out: &mut [f64]| {
+            let (x, y, z, q) = (bp.x[ti], bp.y[ti], bp.z[ti], bp.q[ti]);
+            pairwise::exchange_with(Kernel::Scalar, x, y, z, q, eps2, xs, ys, zs, qs, s_out)
+        };
+        for b in 0..1usize << (3 * level) {
+            for ti in bp.range(b) {
+                let (head, tail) = out.split_at_mut(ti + 1);
+                head[ti] += one(
+                    ti,
+                    src(ti + 1..bp.range(b).end),
+                    &mut tail[..bp.range(b).end - ti - 1],
+                );
+            }
+        }
+        for colour in 0..3 {
+            for z in (colour..side).step_by(3) {
+                for y in 0..side {
+                    for x in 0..side {
+                        let t = BoxCoord::from_index(level, ((z * side + y) * side + x) as usize);
+                        let tr = bp.range(t.index());
+                        for h in fmm_tree::half_stencil() {
+                            let (ry, rz) = (y + h.dy, z + h.dz);
+                            let lo = (x + h.dx.start()).max(0);
+                            let hi = (x + h.dx.end()).min(side - 1);
+                            if ry >= side || rz >= side || ry < 0 || lo > hi {
+                                continue;
+                            }
+                            let at = |x: i32| ((rz * side + ry) * side + x) as usize;
+                            let sr = bp.range(at(lo)).start..bp.range(at(hi)).end;
+                            for ti in tr.clone() {
+                                let (head, tail) = out.split_at_mut(sr.start);
+                                head[ti] += one(ti, src(sr.clone()), &mut tail[..sr.len()]);
+                            }
+                        }
+                    }
+                }
+            }
+        }
+        out
+    }
+
+    fn rows(bp: &BinnedParticles, kernel: Kernel, eps: f64) -> (Vec<f64>, NearFieldStats) {
+        let mut out = vec![0.0; bp.len()];
+        let st = near_field_rows(kernel, bp, eps, &mut out);
+        (out, st)
+    }
+
+    fn bits(v: &[f64]) -> Vec<u64> {
+        v.iter().map(|x| x.to_bits()).collect()
+    }
+
     #[test]
-    fn travelling_matches_sequential_symmetric() {
-        // Every dispatched kernel family, sequential and parallel, must
-        // reproduce the sequential scalar oracle: counters exactly, values
-        // to rounding. Level 2 and 3.
+    fn scalar_rows_are_the_documented_order_bit_for_bit() {
+        for (n, level, eps) in [(400usize, 2u32, 0.0), (3000, 3, 0.0), (2500, 3, 0.03)] {
+            let bp = build(n, level, 31);
+            let (got, _) = rows(&bp, Kernel::Scalar, eps);
+            let want = reference_rows(&bp, eps * eps);
+            assert_eq!(bits(&got), bits(&want), "n={n} level={level} eps={eps}");
+        }
+    }
+
+    #[test]
+    fn rows_match_sequential_symmetric_and_count_alike() {
+        // Every dispatched kernel family, on one thread and on the pool:
+        // counters exactly, values to rounding. Level 2 and 3.
         for (n, level) in [(400usize, 2u32), (3000, 3)] {
             let bp = build(n, level, 31);
             let (seq, st_seq) = near_field_symmetric(&bp);
             for kernel in Kernel::available() {
                 for parallel in [false, true] {
-                    let mut trav = vec![0.0; bp.len()];
-                    let st = near_field_travelling_with(
-                        kernel,
-                        &bp,
-                        Separation::Two,
-                        parallel,
-                        0.0,
-                        &mut trav,
-                    );
-                    for (a, b) in seq.iter().zip(&trav) {
+                    let mut got = vec![0.0; bp.len()];
+                    let sep = Separation::Two;
+                    let st = near_field_travelling_with(kernel, &bp, sep, parallel, 0.0, &mut got);
+                    for (a, b) in seq.iter().zip(&got) {
                         assert!(
                             (a - b).abs() < 1e-12 * (1.0 + a.abs()),
                             "n={n} level={level} {kernel:?} par={parallel}: {a} vs {b}"
@@ -1325,120 +1459,134 @@ mod tests {
         }
     }
 
+    /// Inputs that empty planes, crowd one box, sit on the far faces or
+    /// leave a colour one or two planes deep.
+    fn degenerate() -> Vec<(&'static str, BinnedParticles)> {
+        let (pts, q) = pseudo_system(900, 83);
+        let squeeze = |f: &dyn Fn([f64; 3]) -> [f64; 3]| -> Vec<[f64; 3]> {
+            pts.iter().map(|&p| f(p)).collect()
+        };
+        let at =
+            |pts: Vec<[f64; 3]>, level| BinnedParticles::build(&pts, &q, Domain::unit(), level);
+        let far = |c: f64, above: f64| if c > above { 1.0 } else { c };
+        vec![
+            ("one box", at(squeeze(&|p| p.map(|c| 0.51 + 0.1 * c)), 3)),
+            (
+                "empty planes",
+                at(squeeze(&|p| [p[0], p[1], 0.3 * p[2]]), 3),
+            ),
+            (
+                "far faces",
+                at(squeeze(&|p| [far(p[0], 0.7), far(p[1], 0.85), p[2]]), 3),
+            ),
+            ("depth 2", at(pts.clone(), 2)),
+        ]
+    }
+
     #[test]
-    fn travelling_step_over_box_subsets_writes_the_full_sweeps_bits() {
-        // What the SPMD workers run: every step over a Morton range (cuts
-        // sibling groups at both ends), a scattered set, nothing at all and
-        // the rest, with the sources served from a store that holds the
-        // cells in another order than the binning, gaps between them —
-        // against the full sweep, on every kernel tier.
-        use fmm_tree::partition::morton_to_rowmajor;
-        let (sep, level, n) = (Separation::Two, 3, 512u32);
-        let bp = build(3000, level, 43);
-        let mut store: [Vec<f64>; 4] = Default::default();
-        let mut start_of = vec![0; n as usize];
-        for b in (0..n as usize).rev() {
-            start_of[b] = store[0].len();
-            for (arr, src) in store.iter_mut().zip([&bp.x, &bp.y, &bp.z, &bp.q]) {
-                arr.extend_from_slice(&src[bp.range(b)]);
-                arr.push(f64::NAN);
-            }
-        }
-        let range = |b: usize| start_of[b]..start_of[b] + bp.binning.count(b);
-        let [x, y, z, q] = &store;
-        let morton: Vec<u32> = (5..n as u64 * 5 / 8 + 3)
-            .map(|code| morton_to_rowmajor(level, code) as u32)
-            .collect();
-        let rest = || (0..n).filter(|b| !morton.contains(b));
-        let subsets = [
-            morton.clone(),
-            rest().filter(|b| b % 3 == 1).collect(),
-            Vec::new(),
-            rest().filter(|b| b % 3 != 1).collect(),
-        ];
-        for kernel in Kernel::available() {
-            let mut want = vec![0.0; bp.len()];
-            let want_st = near_field_travelling_with(kernel, &bp, sep, false, 0.0, &mut want);
-            let mut got = vec![0.0; bp.len()];
-            let mut acc = vec![0.0; x.len()];
-            let mut st = self_pass(kernel, &bp, 0.0, &mut got);
-            for step in &TravelPath::new().steps {
-                for boxes in &subsets {
-                    let mut one = Travelling {
-                        bp: &bp,
-                        out: &mut got,
-                        cells: Cells::new(x, y, z, q, range),
-                        acc: &mut acc,
-                    };
-                    st.merge(&travelling_step(kernel, 0.0, step.cum, boxes, &mut one));
+    fn rows_give_one_set_of_bits_on_any_threads_and_degenerate_inputs() {
+        let mut cases = degenerate();
+        cases.push(("uniform", build(3000, 3, 43)));
+        for (what, bp) in &cases {
+            let (sym, st_sym) = near_field_symmetric(bp);
+            let (scalar, _) = threads(4).install(|| rows(bp, Kernel::Scalar, 0.0));
+            assert_eq!(bits(&scalar), bits(&reference_rows(bp, 0.0)), "{what}");
+            for kernel in Kernel::available() {
+                let one = threads(1).install(|| rows(bp, kernel, 0.0));
+                assert_eq!(one.1, st_sym, "{what} {kernel:?}");
+                let scale = sym.iter().fold(1.0f64, |m, v| m.max(v.abs()));
+                for (a, b) in one.0.iter().zip(&sym) {
+                    assert!((a - b).abs() <= 1e-12 * scale, "{what} {kernel:?}");
                 }
-            }
-            for b in 0..n as usize {
-                return_add(&mut got[bp.range(b)], &acc[range(b)]);
-            }
-            assert_eq!(st, want_st, "{kernel:?}");
-            for (a, b) in got.iter().zip(&want) {
-                assert_eq!(a.to_bits(), b.to_bits(), "{kernel:?}");
+                for n in [2, 4] {
+                    let par = threads(n).install(|| rows(bp, kernel, 0.0));
+                    assert_eq!(bits(&par.0), bits(&one.0), "{what} {kernel:?} {n} threads");
+                    assert_eq!(par.1, one.1);
+                }
             }
         }
     }
 
     #[test]
-    fn travelling_instances_swept_together_keep_their_bits() {
+    fn instances_swept_together_keep_their_bits() {
         let bps: Vec<BinnedParticles> = (0..3)
             .map(|i| build(300 + 50 * i, 2, 50 + i as u64))
             .collect();
         let kernel = Kernel::detect();
-        let mut together: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
-        let mut alone_stats = NearFieldStats::default();
-        let alone: Vec<Vec<f64>> = bps
-            .iter()
-            .map(|bp| {
-                let mut out = vec![0.0; bp.len()];
-                alone_stats.merge(&near_field_travelling_with(
-                    kernel,
-                    bp,
-                    Separation::Two,
-                    true,
-                    0.0,
-                    &mut out,
-                ));
-                out
-            })
-            .collect();
-        let mut outs: Vec<&mut [f64]> = together.iter_mut().map(Vec::as_mut_slice).collect();
-        let st = travelling_sweep(kernel, &bps, 0.0, &mut outs);
-        assert_eq!(st, alone_stats);
-        for (a, b) in together.iter().flatten().zip(alone.iter().flatten()) {
-            assert_eq!(a.to_bits(), b.to_bits());
-        }
-    }
-
-    #[test]
-    fn colored_schedule_covers_all_blocks_once() {
-        for level in 1..=4u32 {
-            let schedule = ColorSchedule::build(level);
-            let side = 1u32 << level;
-            let nb = side.div_ceil(COLOR_BLOCK);
-            assert_eq!(schedule.n_blocks(), (nb * nb * nb) as usize);
-            let mut seen = std::collections::HashSet::new();
-            for color in &schedule.colors {
-                for o in color {
-                    assert!(seen.insert(*o), "block {:?} scheduled twice", o);
-                    assert!(o.iter().all(|&c| c < side));
-                }
+        for mixed in [false, true] {
+            let mut together: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
+            let mut alone_stats = NearFieldStats::default();
+            let alone: Vec<Vec<f64>> = bps
+                .iter()
+                .map(|bp| {
+                    let mut out = vec![0.0; bp.len()];
+                    let one = symmetric_binned(
+                        kernel,
+                        std::slice::from_ref(bp),
+                        mixed,
+                        0.0,
+                        &mut [&mut out],
+                    );
+                    alone_stats.merge(&one);
+                    out
+                })
+                .collect();
+            let mut outs: Vec<&mut [f64]> = together.iter_mut().map(Vec::as_mut_slice).collect();
+            let st = symmetric_binned(kernel, &bps, mixed, 0.0, &mut outs);
+            assert_eq!(st, alone_stats);
+            for (a, b) in together.iter().flatten().zip(alone.iter().flatten()) {
+                assert_eq!(a.to_bits(), b.to_bits(), "mixed={mixed}");
             }
         }
     }
 
     #[test]
-    fn travelling_softened_matches_target_centric_softened() {
+    fn ghost_targets_give_every_owned_box_the_full_sweeps_bits() {
+        // What an SPMD rank runs: its boxes as `Own`, the boxes whose
+        // H-rows reach one of them as `Ghost`, the rest skipped. Owned
+        // particles get the full sweep's bits; owned counters sum to its.
+        let (level, n) = (3, 512usize);
+        let bp = build(3000, level, 47);
+        let halo = fmm_tree::half_offsets();
+        for kernel in Kernel::available() {
+            let (want, want_st) = rows(&bp, kernel, 0.0);
+            let mut sum = NearFieldStats::default();
+            for part in 0..3 {
+                let owned = |b: usize| (b * 7 / 3) % 3 == part;
+                let role = |b: usize| {
+                    let t = BoxCoord::from_index(level, b);
+                    if owned(b) {
+                        TargetRole::Own
+                    } else if halo
+                        .iter()
+                        .filter_map(|&h| t.offset(h))
+                        .any(|s| owned(s.index()))
+                    {
+                        TargetRole::Ghost
+                    } else {
+                        TargetRole::Skip
+                    }
+                };
+                let mut got = vec![0.0; bp.len()];
+                let st = symmetric_rows(kernel, level, bp.row_cells(), 0.0, &mut got, role);
+                assert!(st.ghost.pair_interactions > 0);
+                sum.merge(&st.own);
+                for b in (0..n).filter(|&b| owned(b)) {
+                    let r = bp.range(b);
+                    assert_eq!(bits(&got[r.clone()]), bits(&want[r]), "{kernel:?} box {b}");
+                }
+            }
+            assert_eq!(sum, want_st, "{kernel:?}");
+        }
+    }
+
+    #[test]
+    fn rows_softened_match_target_centric_softened() {
         let bp = build(600, 2, 37);
         let eps = 0.05;
         let mut tc = vec![0.0; bp.len()];
         near_field_potentials_softened(&bp, eps, &mut tc);
-        let mut col = vec![0.0; bp.len()];
-        near_field_travelling_with(Kernel::detect(), &bp, Separation::Two, true, eps, &mut col);
+        let (col, _) = rows(&bp, Kernel::detect(), eps);
         for (a, b) in tc.iter().zip(&col) {
             assert!((a - b).abs() < 1e-10 * (1.0 + a.abs()), "{} vs {}", a, b);
         }

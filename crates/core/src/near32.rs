@@ -14,13 +14,16 @@
 //! Accuracy (derived in DESIGN.md §5.5): per interaction the f32 kernel
 //! carries ~1e-7 relative error (representation + refined rsqrt).
 //! Crucially, f32 accumulation chains are bounded by *one run*: each
-//! SIMD call sums at most one source box's terms (potentials; m ≈ 10–40
-//! particles) or one neighbour row's (forces; the 2d+1 boxes of one x-row,
-//! ≈ 5 times that) in f32 lanes, and the partial is widened to f64 before
-//! joining the target's running sum. Source-side (third-law)
-//! contributions are widened per term. The worst-case f32 chain error is
-//! therefore m·ε_f32: ≈ 40·6e-8 ≈ 2.4e-6 relative for a box, ≈ 1.2e-5 for
-//! a row, whose terms rarely round the same way — inside the bounds on
+//! SIMD call sums at most one neighbour row's terms — the ≤ 2d+1 boxes of
+//! one x-row, m ≈ 40 particles at 8 a leaf, for potentials (a row of the
+//! half stencil, or the rest of the target's own box in the self pass)
+//! and forces alike — in f32 lanes, and the partial is widened to f64
+//! before joining the target's running sum. Source-side (third-law)
+//! contributions are widened per term (the AVX-512 panel first sums a
+//! source's terms from its two targets in f32). The worst-case f32 chain
+//! error is therefore m·ε_f32: ≈ 40·6e-8 ≈ 2.4e-6 relative for a row at
+//! 8 particles a leaf, ≈ 1.2e-5 at 40, whose terms rarely round the same
+//! way — inside the bounds on
 //! the standard 40k-particle depth-4 configuration that `tests/mixed.rs`
 //! holds against the f64 near field and `fmm-direct`. (A
 //! whole-neighbourhood f32 accumulator would grow linearly with the
@@ -29,12 +32,11 @@
 //! Arithmetic is f32; accumulation across runs is f64, so repeated
 //! `evaluate()` calls stay deterministic for a fixed kernel choice.
 
-use crate::near::{add_stats, target_sweep, Cells, Forces, NearFieldStats, SharedOut, PAIR_FLOPS};
+use crate::near::{symmetric_binned, target_sweep, Cells, ColorSchedule, Forces, NearFieldStats};
 use crate::particles::BinnedParticles;
 use crate::serially;
-use fmm_linalg::{pairwise, Kernel};
-use fmm_tree::{near_field_offsets, BoxCoord, Separation};
-use rayon::prelude::*;
+use fmm_linalg::Kernel;
+use fmm_tree::Separation;
 
 /// f32 mirror of the sorted SoA particle arrays.
 pub struct ParticlesF32 {
@@ -57,48 +59,19 @@ impl ParticlesF32 {
     }
 }
 
-/// Symmetric f32 potentials within one box, excluding self terms. f32
-/// arithmetic; each per-term contribution is widened to f64 on the
-/// scatter side, and the per-target f32 chain is bounded by the box size.
-fn self_box_potential_f32(
-    ps: &ParticlesF32,
-    range: std::ops::Range<usize>,
-    eps2: f32,
-    out: &mut [f64],
-) -> u64 {
-    let n = range.len();
-    let base = range.start;
-    let mut pairs = 0u64;
-    for a in 0..n {
-        let ia = base + a;
-        let (xa, ya, za, qa) = (ps.x[ia], ps.y[ia], ps.z[ia], ps.q[ia]);
-        let mut acc = 0.0f32;
-        for (b, ob) in out.iter_mut().enumerate().take(n).skip(a + 1) {
-            let ib = base + b;
-            let dx = xa - ps.x[ib];
-            let dy = ya - ps.y[ib];
-            let dz = za - ps.z[ib];
-            let inv_r = 1.0 / (dx * dx + dy * dy + dz * dz + eps2).sqrt();
-            acc += ps.q[ib] * inv_r;
-            *ob += (qa * inv_r) as f64;
-            pairs += 1;
-        }
-        out[a] += acc as f64;
-    }
-    pairs
-}
-
-/// Mixed-precision near-field potentials: the colored symmetric sweep run
-/// on the f32 mirror, with every box-pair partial widened to f64 before
-/// accumulation into `out`. Reports the same third-law-halved counters as
-/// the f64 symmetric sweeps. `parallel = false` runs it [`serially`]; the
-/// flag and the one-value separation, which is ignored, are kept only
-/// because `benchmark/` imports it (ROADMAP item 1).
+/// Mixed-precision near-field potentials: the symmetric row sweep
+/// ([`crate::near::near_field_rows`]'s body) on the f32 mirror, the self
+/// pass included, every call's target partial widened to f64 before it
+/// joins `out`. Reports the same third-law-halved counters as the f64
+/// sweep. `parallel = false` runs it [`serially`]; the flag, the
+/// one-value separation, which is ignored, and the schedule, which only
+/// names the leaf level, are kept only because `benchmark/` imports it
+/// (ROADMAP item 1).
 pub fn near_field_potentials_f32(
     kernel: Kernel,
     bp: &BinnedParticles,
     _sep: Separation,
-    schedule: &crate::near::ColorSchedule,
+    schedule: &ColorSchedule,
     parallel: bool,
     eps: f64,
     out: &mut [f64],
@@ -106,86 +79,8 @@ pub fn near_field_potentials_f32(
     if !parallel {
         return serially(|| near_field_potentials_f32(kernel, bp, _sep, schedule, true, eps, out));
     }
-    assert_eq!(out.len(), bp.len());
     assert_eq!(schedule.level, bp.level);
-    let ps = ParticlesF32::build(bp);
-    let eps2 = (eps * eps) as f32;
-    let level = bp.level;
-    let side = 1u32 << level;
-    let half: Vec<[i32; 3]> = near_field_offsets()
-        .into_iter()
-        .filter(|o| *o > [0, 0, 0])
-        .collect();
-
-    let shared = SharedOut::new(out);
-    let shared = &shared;
-    let ps_ref = &ps;
-
-    let process_block = |origin: &[u32; 3]| -> NearFieldStats {
-        let mut st = NearFieldStats::default();
-        let [ox, oy, oz] = *origin;
-        for z in oz..(oz + crate::near::COLOR_BLOCK).min(side) {
-            for y in oy..(oy + crate::near::COLOR_BLOCK).min(side) {
-                for x in ox..(ox + crate::near::COLOR_BLOCK).min(side) {
-                    let t = BoxCoord { level, x, y, z };
-                    let t_range = bp.range(t.index());
-                    if t_range.is_empty() {
-                        continue;
-                    }
-                    // SAFETY: within one color phase no other block's task
-                    // writes any box this task touches (the schedule's
-                    // disjointness argument is precision-independent).
-                    let t_out = unsafe { shared.slice(t_range.clone()) };
-                    st.pair_interactions +=
-                        self_box_potential_f32(ps_ref, t_range.clone(), eps2, t_out);
-                    st.box_pairs += 1;
-                    for &d in &half {
-                        let Some(s) = t.offset(d) else { continue };
-                        let s_range = bp.range(s.index());
-                        if s_range.is_empty() {
-                            continue;
-                        }
-                        // SAFETY: as above.
-                        let s_out = unsafe { shared.slice(s_range.clone()) };
-                        let xs = &ps_ref.x[s_range.clone()];
-                        let ys = &ps_ref.y[s_range.clone()];
-                        let zs = &ps_ref.z[s_range.clone()];
-                        let qs = &ps_ref.q[s_range.clone()];
-                        pairwise::exchange_f32_panel_with(
-                            kernel,
-                            &ps_ref.x[t_range.clone()],
-                            &ps_ref.y[t_range.clone()],
-                            &ps_ref.z[t_range.clone()],
-                            &ps_ref.q[t_range.clone()],
-                            eps2,
-                            xs,
-                            ys,
-                            zs,
-                            qs,
-                            t_out,
-                            s_out,
-                        );
-                        st.pair_interactions += (t_range.len() * s_range.len()) as u64;
-                        st.box_pairs += 1;
-                    }
-                }
-            }
-        }
-        st
-    };
-
-    let mut total = NearFieldStats::default();
-    for color in &schedule.colors {
-        // det: integer-counter reduction; block writes are conflict-free
-        // within a color.
-        let st = color
-            .par_iter()
-            .map(process_block)
-            .reduce(NearFieldStats::default, add_stats);
-        total = add_stats(total, st);
-    }
-    total.flops = total.pair_interactions * PAIR_FLOPS;
-    total
+    symmetric_binned(kernel, std::slice::from_ref(bp), true, eps, &mut [out])
 }
 
 /// Mixed-precision near-field potentials **and** fields: the f64 force
@@ -220,7 +115,7 @@ pub fn near_field_forces_f32(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::near::{near_field_forces_softened, near_field_symmetric, ColorSchedule};
+    use crate::near::{near_field_forces_softened, near_field_symmetric};
     use fmm_tree::Domain;
 
     fn build(n: usize, level: u32, seed: u64) -> BinnedParticles {

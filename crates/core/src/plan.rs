@@ -158,8 +158,8 @@ pub struct TraversalPlan {
     pub octants: Vec<OctantPlan>,
     /// Parent levels 1..depth, indexed by `parent_level − 1`.
     pub levels: Vec<LevelPlan>,
-    /// Colored block schedule for the symmetric near-field sweep at the
-    /// leaf level.
+    /// The leaf level the near field runs at; its colours, the z mod 3
+    /// planes, follow from it (kept for `benchmark/`, ROADMAP item 1).
     pub near_schedule: ColorSchedule,
 }
 

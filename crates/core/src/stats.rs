@@ -292,6 +292,12 @@ pub struct SpmdReport {
     /// Leaf Morton-curve cut points when the run used
     /// `Balance::CostWeighted` (`None` for the uniform block layout).
     pub partition: Option<Vec<u64>>,
+    /// Near-field pairs the ranks ran for *ghost targets* — boxes owned
+    /// elsewhere whose symmetric rows reach their own (potentials) —
+    /// summed over ranks. The owners count those targets' pairs in
+    /// `near_stats`, which therefore equals the serial sweep's; this is
+    /// the work the distributed sweep adds to it.
+    pub ghost_pairs: u64,
 }
 
 impl SpmdReport {

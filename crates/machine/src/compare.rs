@@ -11,7 +11,7 @@
 //! in); a non-zero prediction must be matched within `tolerance`
 //! relative error. A measured phase may mark its bytes `None` to skip
 //! the byte check — used for quantities the static analyzer cannot sum
-//! because they are data-dependent (router payloads, travelling-slot
+//! because they are data-dependent (router payloads, the particle halo's
 //! occupancy).
 
 use crate::counters::Counters;

@@ -36,7 +36,8 @@ pub use compare::{
 pub use counters::Counters;
 pub use layout::{BlockLayout, VuGrid};
 pub use program::{
-    communication_budget, communication_budget_with, gather_hops, subgrid_extent, PhaseBudget,
-    ProgramBudget, ProgramConfig, PARTICLE_WORDS,
+    clipped_halo_cells, communication_budget, communication_budget_with, gather_hops,
+    near_halo_widths, near_stencil, subgrid_extent, PhaseBudget, ProgramBudget, ProgramConfig,
+    PARTICLE_WORDS,
 };
 pub use transport::{preflight, PreflightReport, TransportModel};

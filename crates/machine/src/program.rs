@@ -16,13 +16,15 @@
 //!   Multigrid-embed),
 //! * **interactive field** — one ghost-halo fetch per level (forwarding
 //!   strategy: exact halo volume, 6 CSHIFTs),
-//! * **near field** — 62 unit CSHIFTs of the leaf particle arrays
-//!   (travelling-accumulator symmetry).
+//! * **near field** — one clipped particle-halo fetch in three axis
+//!   phases: the near-field neighbourhood for forces, the symmetric
+//!   sweep's ghost-target reach (2d deep in x and y, d in z) for
+//!   potentials.
 
 use crate::counters::Counters;
 use crate::layout::VuGrid;
-use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo, slot_route};
-use fmm_tree::{Partition, TravelPath, SEPARATION};
+use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo};
+use fmm_tree::{half_stencil_reach, near_field_offsets, Partition};
 
 /// Ghost depth for two-separation interactive fields: the field spans
 /// [−5, 5] per axis but boxes deeper than 4 inside a neighbouring subgrid
@@ -33,9 +35,8 @@ use fmm_tree::{Partition, TravelPath, SEPARATION};
 /// face" for its subgrids; we keep that constant.
 pub const GHOST_DEPTH: usize = 4;
 
-/// Words moved per particle by the router sort and the travelling
-/// near-field sweep: x, y, z, q plus one bookkeeping word (the original
-/// index for the sort, the travelling accumulator for the near field).
+/// Words moved per particle by the router sort: x, y, z, q plus the
+/// original index.
 pub const PARTICLE_WORDS: u64 = 5;
 
 /// Configuration of a simulated FMM run.
@@ -56,9 +57,10 @@ pub struct ProgramConfig {
     /// Fraction of particles NOT on their box's VU after the coordinate
     /// sort (0 for uniform distributions, per §3.2).
     pub sort_miss_fraction: f64,
-    /// Near-field variant: `false` prices the travelling-accumulator
-    /// potentials sweep (62 visits + returns), `true` the forces
-    /// particle-halo exchange (one clipped halo fetch, three axis phases).
+    /// Near-field variant: `false` prices the potentials' particle halo
+    /// (the symmetric sweep's ghost-target reach), `true` the forces'
+    /// (the near-field neighbourhood); each one clipped halo fetch in
+    /// three axis phases.
     pub forces_near: bool,
 }
 
@@ -209,26 +211,64 @@ pub fn communication_budget_with(
     }
     budget.phases[3].comm = down;
 
-    // Near field: the travelling-slot sweep becomes per-hop routed
-    // exchanges (steps shift by −dir; returns walk the slots home), or one
-    // particle-halo exchange for forces. Payloads are data-dependent, so
-    // only the message count is predicted (bytes stay un-checked).
-    let mut near = Counters::default();
-    if cfg.forces_near {
-        near.sends += particle_halo(part).messages();
-    } else {
-        let path = TravelPath::new();
-        for s in &path.steps {
-            near.sends += slot_route(part, s.axis, -s.dir).messages();
-        }
-        for (axis, &r) in path.returns.iter().enumerate() {
-            for _ in 0..r.unsigned_abs() {
-                near.sends += slot_route(part, axis, -r.signum()).messages();
-            }
-        }
-    }
+    // Near field: one particle-halo exchange of the output kind's
+    // stencil. Payloads are data-dependent, so only the message count is
+    // predicted (bytes stay un-checked).
+    let near = Counters {
+        sends: particle_halo(part, &near_stencil(cfg.forces_near)).messages(),
+        ..Default::default()
+    };
     budget.phases[5].comm = near;
     budget
+}
+
+/// The cells around an owned leaf box its rank reads in the near field:
+/// the near-field neighbourhood for forces (target-centric), the
+/// symmetric sweep's ghost-target reach for potentials
+/// ([`fmm_tree::half_stencil_reach`]).
+pub fn near_stencil(forces_near: bool) -> Vec<[i32; 3]> {
+    if forces_near {
+        near_field_offsets()
+    } else {
+        half_stencil_reach()
+    }
+}
+
+/// Per-axis depth of the block layout's near-field particle halo: the
+/// extent of [`near_stencil`], d boxes for forces, 2d in x and y and d in
+/// z for potentials.
+pub fn near_halo_widths(forces_near: bool) -> [usize; 3] {
+    let reach = near_stencil(forces_near);
+    [0, 1, 2].map(|a| {
+        reach
+            .iter()
+            .map(|o| o[a].unsigned_abs() as usize)
+            .max()
+            .unwrap_or(0)
+    })
+}
+
+/// Cells all ranks together receive in the three axis phases of a
+/// clipped halo `g[a]` deep along axis `a` on a block layout of an
+/// `n`-per-axis grid with subgrids `s` over `dims` VUs: phase `a` fetches
+/// the ghost layers along `a` of the range already extended along the
+/// earlier axes (corner forwarding). Clipped layers are off-VU by
+/// construction, and the per-rank count is a product over axes, so the
+/// sum over ranks is the product of per-axis sums.
+pub fn clipped_halo_cells(n: usize, s: [usize; 3], dims: [usize; 3], g: [usize; 3]) -> u64 {
+    let layers = |a: usize, c: usize| g[a].min(c * s[a]) + g[a].min(n - (c + 1) * s[a]);
+    let sum = |f: &dyn Fn(usize) -> usize, a: usize| (0..dims[a]).map(f).sum::<usize>() as u64;
+    (0..3)
+        .map(|phase| {
+            (0..3)
+                .map(|a| match a.cmp(&phase) {
+                    std::cmp::Ordering::Less => sum(&|c| s[a] + layers(a, c), a),
+                    std::cmp::Ordering::Equal => sum(&|c| layers(a, c), a),
+                    std::cmp::Ordering::Greater => (s[a] * dims[a]) as u64,
+                })
+                .product::<u64>()
+        })
+        .sum()
 }
 
 /// The closed-form uniform-layout budget body.
@@ -237,7 +277,6 @@ fn closed_form_budget(cfg: &ProgramConfig) -> ProgramBudget {
     let k = cfg.k as u64;
     let n = cfg.n_particles();
     let h = cfg.depth;
-    let leaf_boxes = 1u64 << (3 * h);
     let mut phases = Vec::new();
 
     // --- sort -----------------------------------------------------------
@@ -378,50 +417,24 @@ fn closed_form_budget(cfg: &ProgramConfig) -> ProgramBudget {
     // --- near field ---------------------------------------------------------
     let pairs = n * cfg.particles_per_box * 125.0 / 2.0; // symmetric sweep
     let near_flops = (pairs * 10.0) as u64;
-    let mut near_comm = Counters::default();
-    if cfg.forces_near {
-        // Forces near field: one clipped particle-halo fetch of the
-        // separation-depth shell (d = 2) instead of the travelling sweep —
-        // three axis phases, two CSHIFT-ledger ops each (like the box
-        // halo). Ghost particles carry x, y, z, q (no accumulator; forces
-        // accumulate one-sided on the owning VU), scaled to K-boxes.
-        near_comm.cshifts += 6;
-        if let Some(s) = subgrid_extent(h, &cfg.vu_grid) {
-            let d_sep = SEPARATION as u64;
-            let plane = leaf_boxes >> h; // n² boxes per leaf-grid plane
-            let crossing: u64 = (0..3)
-                .filter(|&a| cfg.vu_grid.dims[a] > 1)
-                .map(|a| {
-                    let seams = cfg.vu_grid.dims[a] as u64 - 1;
-                    2 * d_sep.min(s[a] as u64) * seams * plane
-                })
-                .sum();
-            let words_per_box = cfg.particles_per_box * 4.0;
-            near_comm.off_vu_boxes += (crossing as f64 * words_per_box / cfg.k as f64) as u64;
-        }
-    } else if let Some(s) = subgrid_extent(h, &cfg.vu_grid) {
-        // The travelling-accumulator sweep: one unit CSHIFT per visited
-        // half-offset plus one return shift per axis. Each unit
-        // displacement along axis a moves every VU's boundary plane
-        // (leaf_boxes / s[a] boxes globally) across a VU seam and the rest
-        // within VU memory; each box carries particles_per_box particles
-        // of PARTICLE_WORDS f64 (x, y, z, q, accumulator), scaled to
-        // K-boxes.
-        let path = TravelPath::new();
-        near_comm.cshifts += path.cshift_count();
-        let total_moves: u64 = (0..3)
-            .map(|a| path.total_travel_along(a) * leaf_boxes)
-            .sum();
-        // An axis spanned by a single VU wraps onto itself: the shift is
-        // pure local motion, nothing crosses a seam.
-        let crossing: u64 = (0..3)
-            .filter(|&a| cfg.vu_grid.dims[a] > 1)
-            .map(|a| path.total_travel_along(a) * (leaf_boxes / s[a] as u64))
-            .sum();
-        let words_per_box = cfg.particles_per_box * PARTICLE_WORDS as f64;
-        near_comm.off_vu_boxes += (crossing as f64 * words_per_box / cfg.k as f64) as u64;
-        near_comm.local_box_moves +=
-            ((total_moves - crossing) as f64 * words_per_box / cfg.k as f64) as u64;
+    // One clipped particle-halo fetch of the output kind's stencil, three
+    // axis phases, two CSHIFT-ledger ops each (like the box halo). Ghost
+    // particles carry x, y, z, q, scaled to K-boxes; nothing returns:
+    // forces accumulate one-sided on the owning VU, and a potentials
+    // rank keeps only its own particles' outputs of the ghost targets.
+    let mut near_comm = Counters {
+        cshifts: 6,
+        ..Default::default()
+    };
+    if let Some(s) = subgrid_extent(h, &cfg.vu_grid) {
+        let cells = clipped_halo_cells(
+            1 << h,
+            s,
+            cfg.vu_grid.dims,
+            near_halo_widths(cfg.forces_near),
+        );
+        let words_per_box = cfg.particles_per_box * 4.0;
+        near_comm.off_vu_boxes += (cells as f64 * words_per_box / cfg.k as f64) as u64;
     }
     phases.push(PhaseBudget {
         name: "near",
@@ -470,7 +483,11 @@ mod tests {
         // P2O and eval stay communication-free.
         assert_eq!(crate::compare::predicted_messages(&b.phases[1].comm), 0);
         assert_eq!(crate::compare::predicted_messages(&b.phases[4].comm), 0);
-        // The forces variant prices the particle halo instead of the sweep.
+        // Each near field prices its own particle halo.
+        assert_eq!(
+            b.phases[5].comm.sends,
+            particle_halo(&part, &half_stencil_reach()).messages()
+        );
         let bf = communication_budget_with(
             &ProgramConfig {
                 forces_near: true,
@@ -478,7 +495,37 @@ mod tests {
             },
             Some(&part),
         );
-        assert_eq!(bf.phases[5].comm.sends, particle_halo(&part).messages());
+        let forces = particle_halo(&part, &near_field_offsets());
+        assert_eq!(bf.phases[5].comm.sends, forces.messages());
+    }
+
+    #[test]
+    fn clipped_halo_cells_count_what_the_axis_phases_fetch() {
+        // Enumerated: every rank's extended box less its own block.
+        for (n, dims, g) in [
+            (8usize, [2usize, 2, 2], [4usize, 4, 2]),
+            (16, [8, 4, 4], [4, 4, 2]),
+            (16, [2, 1, 1], [2, 2, 2]),
+        ] {
+            let s = [0, 1, 2].map(|a| n / dims[a]);
+            let mut want = 0u64;
+            for r in 0..dims.iter().product() {
+                let c = [r % dims[0], r / dims[0] % dims[1], r / (dims[0] * dims[1])];
+                let ext: u64 = (0..3)
+                    .map(|a| {
+                        let (lo, hi) = (c[a] * s[a], (c[a] + 1) * s[a]);
+                        (hi + g[a]).min(n) - lo.saturating_sub(g[a])
+                    })
+                    .map(|e| e as u64)
+                    .product();
+                want += ext - (s[0] * s[1] * s[2]) as u64;
+            }
+            assert_eq!(
+                clipped_halo_cells(n, s, dims, g),
+                want,
+                "{n} {dims:?} {g:?}"
+            );
+        }
     }
 
     #[test]

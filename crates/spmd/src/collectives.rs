@@ -21,7 +21,6 @@
 //! * receive order is fixed by rank arithmetic, never by arrival order.
 
 use fmm_machine::BlockLayout;
-use fmm_tree::SEPARATION;
 
 use crate::cells::CellStore;
 use crate::fabric::WorkerCtx;
@@ -142,7 +141,7 @@ pub fn halo_exchange_axis(
 ) {
     let n = 1usize << l;
     let lay = BlockLayout::new([n; 3], ctx.grid);
-    let plan_of = |who| axis_plan(&lay, who, axis, g, n, true);
+    let plan_of = |who| axis_plan(&lay, who, axis, [g; 3], n, true);
     let (sends, mut recvs) = axis_exchange(&ctx.grid, ctx.rank, axis, plan_of);
     // Wrap aliased back onto my own subgrid: the true values are already
     // in place, only local index motion.
@@ -181,22 +180,28 @@ pub fn exchange_rows(ctx: &mut WorkerCtx, buf: &mut [f64], (sends, recvs): Side<
 }
 
 /// One axis phase of the halo exchange of leaf *particles* (positions +
-/// charges) to the separation's depth, without wrap — the forces near field is
-/// target-centric and only reads true in-domain neighbors. Cells received
-/// in an earlier phase are re-served from `store` like the rank's own
-/// (corner forwarding).
-pub fn particle_halo_axis(ctx: &mut WorkerCtx, depth: u32, axis: usize, store: &mut CellStore) {
+/// charges), `g[a]` cells deep along axis `a`, without wrap — the near
+/// field only reads true in-domain neighbours. Cells received in an
+/// earlier phase are re-served from `store` like the rank's own (corner
+/// forwarding).
+pub fn particle_halo_axis(
+    ctx: &mut WorkerCtx,
+    depth: u32,
+    axis: usize,
+    g: [usize; 3],
+    store: &mut CellStore,
+) {
     let n = 1usize << depth;
     let lay = BlockLayout::new([n; 3], ctx.grid);
-    let plan_of = |who| axis_plan(&lay, who, axis, SEPARATION as usize, n, false);
+    let plan_of = |who| axis_plan(&lay, who, axis, g, n, false);
     let (sends, recvs) = axis_exchange(&ctx.grid, ctx.rank, axis, plan_of);
     particle_exchange(ctx, (&sends, &recvs), store)
 }
 
 /// Exchange leaf particles by plan: one message per `(dst, cells)` of the
 /// rank's side, every cell served from `store`, then one per `(src,
-/// cells)`, whose cells land in it. The partitioned forces near field
-/// moves its whole [`fmm_tree::particle_halo`] plan in one such exchange.
+/// cells)`, whose cells land in it. The partitioned near field moves
+/// its whole [`fmm_tree::particle_halo`] plan in one such exchange.
 /// Message layout per cell, in plan order: `[count, xs.., ys.., zs..,
 /// qs..]` (the count is envelope metadata).
 pub fn particle_exchange(ctx: &mut WorkerCtx, (sends, recvs): Side<'_>, store: &mut CellStore) {
@@ -211,40 +216,4 @@ pub fn particle_exchange(ctx: &mut WorkerCtx, (sends, recvs): Side<'_>, store: &
         let data = ctx.recv(*src, tag);
         store.unpack_cells(&data, cells);
     }
-}
-
-/// One unit CSHIFT of the travelling slots: every slot's position moves by
-/// `delta` (±1) along `axis` with circular wrap. The rank's side of the
-/// hop — [`ring_route`](crate::schedule::ring_route) under the block
-/// layout, the [`fmm_tree::slot_route`] under a partition — names, per
-/// destination and by current position, the slots whose new position
-/// another rank owns. Those are serialized in that order, `[new position,
-/// origin, count, xs.., ys.., zs.., qs.., acc..]` each, and one message
-/// from every source brings the arrivals; no other slot is touched. `local_words` is charged
-/// the *logical* shift all the same: five words per particle of every slot
-/// that stays. Fails with the origin of a slot to send that is not here.
-pub fn shift_slots(
-    ctx: &mut WorkerCtx,
-    store: &mut CellStore,
-    axis: usize,
-    delta: i32,
-    (sends, recvs): Side<'_>,
-) -> Result<(), usize> {
-    let tag = ctx.tags.fresh();
-    for (dst, cells) in sends {
-        let mut data = Vec::new();
-        let mut words = 0u64;
-        for &pos in cells {
-            words += store.pack_slot(pos, axis, delta, &mut data)?;
-        }
-        ctx.counters.add_words(words);
-        ctx.send(*dst, tag, data);
-    }
-    store.shift(axis, delta);
-    ctx.counters.add_local_words(5 * store.live() as u64);
-    for (src, _) in recvs {
-        let data = ctx.recv(*src, tag);
-        store.unpack_slots(&data);
-    }
-    Ok(())
 }

@@ -51,10 +51,12 @@ use crate::fabric::WorkerCtx;
 use crate::transport::{connect_mesh, FabricAddr, Listener, MeshStream, SocketTransport};
 use crate::{assemble, build_program, vu_grid_for};
 
-/// Control-plane frame magic, version 3: the `Job` carries the supernode
+/// Control-plane frame magic, version 4: the `Result` carries the ghost
+/// targets' near-field pairs (since version 4), the `Job` the supernode
 /// flag (since version 2) and no separation (the method's is fixed at
-/// two). An earlier peer (`"FMMC"`, `"FMC2"`) is refused at the magic.
-pub const CTRL_MAGIC: [u8; 4] = *b"FMC3";
+/// two). An earlier peer (`"FMMC"`, `"FMC2"`, `"FMC3"`) is refused at the
+/// magic.
+pub const CTRL_MAGIC: [u8; 4] = *b"FMC4";
 /// Control frames carry whole particle systems; cap at 1 GiB.
 pub const MAX_CTRL: usize = 1 << 30;
 
@@ -78,7 +80,7 @@ const RENDEZVOUS_POLL: Duration = Duration::from_millis(10);
 // FMMC message codecs
 // ---------------------------------------------------------------------
 //
-// A control message is one frame whose payload is `"FMC3" | u8 opcode |
+// A control message is one frame whose payload is `"FMC4" | u8 opcode |
 // body`. The exchange is a fixed sequence — Hello, Job, Result — so each
 // message has its own encoder and reader, and a reader rejects any other
 // opcode.
@@ -272,6 +274,7 @@ pub fn encode_result(rank: u32, out: &WorkerOut) -> Vec<u8> {
     put_u64(&mut b, out.near_stats.pair_interactions);
     put_u64(&mut b, out.near_stats.box_pairs);
     put_u64(&mut b, out.near_stats.flops);
+    put_u64(&mut b, out.ghost_pairs);
     put_u64(&mut b, out.p2o_flops);
     put_u64(&mut b, out.eval_flops);
     put_u64(&mut b, out.traversal_flops);
@@ -314,6 +317,7 @@ pub fn read_result(r: &mut impl Read) -> io::Result<(u32, WorkerOut)> {
                 box_pairs: d.u64()?,
                 flops: d.u64()?,
             },
+            ghost_pairs: d.u64()?,
             p2o_flops: d.u64()?,
             eval_flops: d.u64()?,
             traversal_flops: d.u64()?,
@@ -824,6 +828,7 @@ mod tests {
                 box_pairs: 4,
                 flops: 99,
             },
+            ghost_pairs: 6,
             p2o_flops: 1,
             eval_flops: 2,
             traversal_flops: 3,
@@ -840,6 +845,7 @@ mod tests {
         }
         assert_eq!(back.fields, out.fields);
         assert_eq!(back.near_stats, out.near_stats);
+        assert_eq!(back.ghost_pairs, out.ghost_pairs);
         assert_eq!(back.times, out.times);
         assert_eq!(back.wait, out.wait);
     }

@@ -8,8 +8,8 @@
 //!   [`Worker::step`] dispatches every [`StepKind`] to its collective in
 //!   one `match`. The uniform block-layout program (router, gather and
 //!   broadcast around the Multigrid-embedded levels, wrapped CSHIFT halos,
-//!   ring-shifted slots) and the cost-weighted one (planned
-//!   [`fmm_tree::Exchange`]s, route-shifted slots) are the same control
+//!   a clipped particle halo) and the cost-weighted one (planned
+//!   [`fmm_tree::Exchange`]s) are the same control
 //!   flow fed different steps. The step *is* the call, so the remaining
 //!   invariants are hard ones, in release builds too: the fabric's tag
 //!   counter equals the step's tag, and a phase consumes all its steps —
@@ -26,12 +26,15 @@
 //!   (other boxes are empty and skipped). T1/T2/T3 run
 //!   `fmm_core::traversal::{upward_rows, downward_rows}` — the sweep's
 //!   panel loop, handed the owned boxes instead of the plan's slabs. The
-//!   near field runs `fmm_core::near::{self_pass, travelling_step,
-//!   return_add}` (potentials) or `near_field_forces_box` (forces) over
-//!   the owned boxes, sources read from the rank's [`CellStore`]: its own
-//!   cells, plus the slots the program's shifts or the cells its halo
-//!   steps have brought so far — the latter laid out row-major once they
-//!   are all in, so the force rows read runs as in a binning.
+//!   near field runs over the rank's [`CellStore`] — its own cells plus
+//!   the particle halo the program's steps bring, laid out row-major once
+//!   they are all in, so every row reads one run as in a binning:
+//!   `fmm_core::near::symmetric_rows` (potentials) over the owned boxes
+//!   and the *ghost targets*, boxes owned elsewhere whose half-stencil
+//!   rows reach an owned one, in the serial sweep's order, so each owned
+//!   particle receives the serial calls in the serial order and nothing
+//!   is shipped back; or `near_field_forces_box` (forces) over the owned
+//!   boxes.
 //!
 //! Bitwise identity with the serial backend is a hard invariant. It holds
 //! because a GEMM row does not depend on the height of the panel it sits
@@ -43,9 +46,7 @@ use std::time::{Duration, Instant};
 
 use fmm_core::driver::{eval_local, p2o, Fmm};
 use fmm_core::field::FieldHierarchy;
-use fmm_core::near::{
-    near_field_forces_box, return_add, self_pass, travelling_step, NearFieldStats, Travelling,
-};
+use fmm_core::near::{near_field_forces_box, symmetric_rows, NearFieldStats, TargetRole};
 use fmm_core::particles::BinnedParticles;
 use fmm_core::stats::{Counters, SpmdReport};
 use fmm_core::traversal::{downward_rows, upward_rows, Aggregation};
@@ -57,10 +58,12 @@ use fmm_tree::{BoxCoord, Domain, Hierarchy};
 use crate::cells::CellStore;
 use crate::collectives::{
     all_to_allv, broadcast_from_root, exchange_rows, gather_level_to_root, halo_exchange_axis,
-    particle_exchange, particle_halo_axis, shift_slots,
+    particle_exchange, particle_halo_axis,
 };
 use crate::fabric::WorkerCtx;
-use crate::schedule::{cell_index, ring_route, CommProgram, PartitionSchedule, Step, StepKind};
+use crate::schedule::{
+    cell_index, near_halo_widths, CommProgram, PartitionSchedule, Step, StepKind,
+};
 
 /// Read-only inputs shared by all workers.
 pub(crate) struct Shared<'a> {
@@ -87,6 +90,9 @@ pub struct WorkerOut {
     pub pot: Vec<f64>,
     pub fields: Option<Vec<[f64; 3]>>,
     pub near_stats: NearFieldStats,
+    /// Pairs the near field ran for ghost targets (potentials): work done
+    /// here for boxes that [`Self::near_stats`] counts on their owners.
+    pub ghost_pairs: u64,
     pub p2o_flops: u64,
     pub eval_flops: u64,
     /// GEMM flops this worker performed in the upward/downward traversal
@@ -169,9 +175,9 @@ fn feeds(kind: &StepKind) -> Option<u32> {
     }
 }
 
-/// Cell coverage is total — every slot a shift moves or a visit reads, and
-/// every neighbour cell a force sweep reads, is on the rank at that point
-/// of the program. Here it is not: `st` left this rank without `origin`.
+/// Cell coverage is total — every neighbour cell the near field reads is
+/// on the rank once the halo steps have run. Here it is not: `st` left
+/// this rank without `origin`.
 fn cell_missing(whereabouts: &str, st: &Step, origin: usize) -> ! {
     panic!("{whereabouts}: step {st:?} needs origin cell {origin}, which is not on this rank")
 }
@@ -293,27 +299,12 @@ impl Worker<'_> {
                 exchange_rows(ctx, &mut far[level as usize], plan.side(ctx.rank), k)
             }
             StepKind::ParticleHalo { axis } => {
-                particle_halo_axis(ctx, depth, axis, &mut self.store)
+                let g = near_halo_widths(sh.with_fields);
+                particle_halo_axis(ctx, depth, axis, g, &mut self.store)
             }
             StepKind::PartParticleHalo => {
                 let side = own.plans().particle_halo.side(ctx.rank);
                 particle_exchange(ctx, side, &mut self.store)
-            }
-            StepKind::SlotShift { axis, delta, .. } => {
-                let store = &mut self.store;
-                let lost = match own {
-                    Ownership::Block(leaf) => {
-                        let (sends, recvs) = ring_route(leaf, ctx.rank, axis, delta);
-                        shift_slots(ctx, store, axis, delta, (&sends, &recvs))
-                    }
-                    Ownership::Part(ps) => {
-                        let side = ps.slot_route_at(axis, delta).side(ctx.rank);
-                        shift_slots(ctx, store, axis, delta, side)
-                    }
-                };
-                if let Err(origin) = lost {
-                    cell_missing(&self.whereabouts(), st, origin);
-                }
             }
         }
     }
@@ -425,29 +416,32 @@ impl Worker<'_> {
     fn near(&mut self, steps: &mut Steps<'_>) {
         let sh = self.sh;
         let cfg = sh.fmm.config();
-        let (kernel, eps2) = (sh.plan.kernel, cfg.softening * cfg.softening);
-        let owned = self.own.owned(self.ctx.rank, sh.depth);
-        let here = self.whereabouts();
+        let (kernel, eps2, depth) = (sh.plan.kernel, cfg.softening * cfg.softening, sh.depth);
+        let owned = self.own.owned(self.ctx.rank, depth);
         // A cell found missing after the steps have run is laid to the last.
         let last = sh.program.phases[5]
             .last()
             .expect("the near phase has steps");
+        // The halo brings every cell the near field reads for the owned
+        // boxes, each in its owner's order, which is the serial binning's;
+        // laid out row-major, every row a target reads is one run holding
+        // the serial run's values. The store takes the particles over: the
+        // binning keeps only its ranges.
+        let n = self.bp.len();
         self.store = CellStore::seed(&self.bp, &owned);
-        let mut near_pot = vec![0.0; self.bp.len()];
+        let bp = &mut self.bp;
+        (bp.x, bp.y, bp.z, bp.q) = Default::default();
+        for st in steps {
+            self.step(st);
+        }
+        self.store.lay_out_row_major();
+        let here = self.whereabouts();
+        let mut near_pot = vec![0.0; n];
         let stats = if sh.with_fields {
-            // Forces are target-centric: fetch the true neighbour cells,
-            // lay the store out row-major, then run the serial per-box
-            // kernel on every owned box. A cell arrives in its owner's
-            // order, which is the serial binning's, and the halo brings
-            // every cell of an owned box's neighbourhood, so each row a
-            // target sums is one run holding the serial run's values.
-            for st in steps {
-                self.step(st);
-            }
-            self.store.lay_out_row_major();
-            let (cells, _) = self.store.cells(|c| cell_missing(&here, last, c));
-            let depth = sh.depth;
-            let mut near_f = vec![[0.0; 3]; self.bp.len()];
+            // Forces are target-centric: the serial per-box kernel on
+            // every owned box.
+            let cells = self.store.cells(|c| cell_missing(&here, last, c));
+            let mut near_f = vec![[0.0; 3]; n];
             let mut stats = NearFieldStats::default();
             for b in owned.iter().map(|&b| b as usize) {
                 let r = self.bp.range(b);
@@ -463,37 +457,41 @@ impl Worker<'_> {
             }
             stats
         } else {
-            // Potentials use the symmetric travelling-accumulator sweep:
-            // each owned box's particles + partial accumulator ride a slot
-            // that shifts along the snake itinerary, exactly as the serial
-            // emulation (and the paper's CM implementation) orders it.
-            let mut stats = self_pass(kernel, &self.bp, eps2, &mut near_pot);
-            for st in steps {
-                self.step(st);
-                // Return shifts (no visit) only move the accumulators home.
-                let StepKind::SlotShift {
-                    visit: Some(cum), ..
-                } = st.kind
-                else {
-                    continue;
-                };
-                let (cells, acc) = self.store.cells(|c| cell_missing(&here, st, c));
-                let (bp, out) = (&self.bp, &mut near_pot[..]);
-                let mut one = Travelling {
-                    bp,
-                    out,
-                    cells,
-                    acc,
-                };
-                stats.merge(&travelling_step(kernel, eps2, cum, &owned, &mut one));
+            // Potentials: the serial symmetric sweep over the owned boxes
+            // and the ghost targets, whose source-side terms on owned
+            // particles arrive in the serial order; the store's other
+            // outputs are dropped. The owned boxes' rows and the ghost
+            // targets must be here.
+            let mut role = vec![TargetRole::Skip; 1 << (3 * depth)];
+            for &b in &owned {
+                role[b as usize] = TargetRole::Own;
             }
+            let half = fmm_tree::half_offsets();
+            for &b in &owned {
+                let s = BoxCoord::from_index(depth, b as usize);
+                for h in &half {
+                    // A box of s's rows, and the target with s in its rows.
+                    let (row, target) = (s.offset(*h), s.offset(h.map(|c| -c)));
+                    for c in row.iter().chain(&target).map(BoxCoord::index) {
+                        if self.store.range(c).is_none() {
+                            cell_missing(&here, last, c);
+                        }
+                    }
+                    if let Some(t) = target.filter(|t| role[t.index()] == TargetRole::Skip) {
+                        role[t.index()] = TargetRole::Ghost;
+                    }
+                }
+            }
+            let starts = self.store.starts();
+            let mut out = vec![0.0; self.store.len()];
+            let cells = self.store.row_cells(&starts);
+            let st = symmetric_rows(kernel, depth, cells, eps2, &mut out, |b| role[b]);
             for b in owned.iter().map(|&b| b as usize) {
-                let Some([.., acc]) = self.store.slot(b) else {
-                    cell_missing(&here, last, b)
-                };
-                return_add(&mut near_pot[self.bp.range(b)], acc);
+                let at = self.store.range(b).expect("an owned cell is here");
+                near_pot[self.bp.range(b)].copy_from_slice(&out[at]);
             }
-            stats
+            self.out.ghost_pairs = st.ghost.pair_interactions;
+            st.own
         };
         for (f, nr) in self.out.pot.iter_mut().zip(&near_pot) {
             *f += nr;

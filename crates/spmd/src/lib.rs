@@ -20,7 +20,7 @@
 //! The channel primitives mirror the CM runtime (see `DESIGN.md`, "The
 //! SPMD runtime"): a personalized all-to-all (the data router) for the
 //! post-sort particle redistribution, grid CSHIFTs with circular wrap for
-//! the downward halo and the near-field travelling accumulators, and
+//! the downward halo and without it for the near field's particle halo, and
 //! tree-structured combine/spread for the coarse levels where boxes are
 //! fewer than VUs (the Multigrid embedding).
 //!
@@ -248,7 +248,7 @@ pub(crate) fn assemble(
     let mut fields = with_fields.then(|| vec![[0.0; 3]; n]);
     let mut counters = Counters::default();
     let mut stats = NearFieldStats::default();
-    let (mut p2o_flops, mut eval_flops) = (0u64, 0u64);
+    let (mut p2o_flops, mut eval_flops, mut ghost_pairs) = (0u64, 0u64, 0u64);
     let mut worker_busy_ns = Vec::with_capacity(outs.len());
     let mut worker_wait_ns = Vec::with_capacity(outs.len());
     let mut worker_flops = Vec::with_capacity(outs.len());
@@ -269,6 +269,7 @@ pub(crate) fn assemble(
         stats.flops += w.near_stats.flops;
         p2o_flops += w.p2o_flops;
         eval_flops += w.eval_flops;
+        ghost_pairs += w.ghost_pairs;
     }
 
     // Nominal traversal flop counters, closed-form — identical to the
@@ -331,6 +332,7 @@ pub(crate) fn assemble(
                 .partition
                 .as_ref()
                 .map(|ps| ps.partition.splits().to_vec()),
+            ghost_pairs,
         }),
     }
 }
@@ -417,10 +419,9 @@ mod tests {
     #[cfg_attr(miri, ignore)]
     fn a_program_the_worker_cannot_follow_panics_with_rank_phase_and_step() {
         // In release builds too: the checks are `assert!`s. A drifted tag,
-        // a step no phase code consumes, and every x-axis shift dropped
-        // (tags closed up): no slot crosses to rank 0, whose boxes at the
-        // boundary then visit origin cells it never received. (Rank 1 is
-        // left needing nothing, so nobody blocks in a receive.)
+        // a step no phase code consumes, and the x-axis particle halo
+        // dropped (tags closed up): rank 0's boxes at the boundary then
+        // read cells it never received.
         let cases: [(Edit, [&str; 3]); 3] = [
             (
                 |p| p.phases[3][0].tag += 1,
@@ -428,20 +429,20 @@ mod tests {
             ),
             (
                 |p| p.phases[4].push(p.phases[5][0]),
-                ["eval", "never executed", "SlotShift"],
+                ["eval", "never executed", "ParticleHalo"],
             ),
             (
                 |p| {
                     let first = p.phases[5][0].tag;
-                    let x_shift = |st: &schedule::Step| {
-                        matches!(st.kind, schedule::StepKind::SlotShift { axis: 0, .. })
+                    let x_halo = |st: &schedule::Step| {
+                        matches!(st.kind, schedule::StepKind::ParticleHalo { axis: 0 })
                     };
-                    p.phases[5].retain(|st| !x_shift(st));
+                    p.phases[5].retain(|st| !x_halo(st));
                     for (st, tag) in p.phases[5].iter_mut().zip(first..) {
                         st.tag = tag;
                     }
                 },
-                ["near", "SlotShift", "needs origin cell"],
+                ["near", "ParticleHalo", "needs origin cell"],
             ),
         ];
         for (edit, wants) in cases {

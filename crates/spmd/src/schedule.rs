@@ -23,15 +23,16 @@
 //! it would be executed.
 //!
 //! Endpoint enumeration reuses the identical per-rank plan functions the
-//! collectives run ([`axis_plan`] under [`axis_exchange`], [`ring_route`]): the sender-side enumeration rebuilds the receiver's
+//! collectives run ([`axis_plan`] under [`axis_exchange`]): the sender-side enumeration rebuilds the receiver's
 //! plan just like the wire protocol does, so the endpoint-matching pass is
 //! a real proof that both ends agree, not a tautology.
 
 use std::collections::BTreeMap;
 
+pub use fmm_machine::{near_halo_widths, near_stencil};
 use fmm_machine::{subgrid_extent, BlockLayout, VuGrid};
-use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo, slot_route};
-use fmm_tree::{TravelPath, SEPARATION};
+use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo};
+use fmm_tree::SEPARATION;
 
 pub use fmm_tree::{Exchange, Partition, Side};
 
@@ -49,8 +50,6 @@ pub enum Payload {
     Particles,
     /// K-sample box vectors of a far/local field level.
     Boxes,
-    /// Travelling near-field slots (particles + accumulator trains).
-    Slots,
 }
 
 /// Statically known payload volume in f64 words, or data-dependent.
@@ -94,16 +93,9 @@ pub enum StepKind {
     /// One axis phase of the wrapped box-halo CSHIFT exchange at `level`.
     BoxHalo { level: u32, axis: usize },
     /// One axis phase of the clipped particle-halo exchange at the leaf
-    /// level (forces near field).
+    /// level, [`near_halo_widths`] deep: the near field's whole-cell
+    /// halo.
     ParticleHalo { axis: usize },
-    /// One unit CSHIFT of the travelling near-field slots. `delta` is the
-    /// slot-position displacement (±1) along `axis`; `visit` is the
-    /// half-offset accumulated after the shift, `None` for return shifts.
-    SlotShift {
-        axis: usize,
-        delta: i32,
-        visit: Option<[i32; 3]>,
-    },
     /// Partitioned upward exchange: child far-field rows of `level` (the
     /// *child* level) flush to the owners of their parents, per the
     /// partition's [`fmm_tree::child_flush`] plan.
@@ -116,8 +108,8 @@ pub enum StepKind {
     /// (under supernodes with the next level's parent-level sources), per
     /// [`fmm_tree::box_halo`].
     PartBoxHalo { level: u32 },
-    /// Partitioned leaf particle exchange for the forces near field: one
-    /// step covering the whole clipped neighbourhood, per
+    /// Partitioned leaf particle exchange for the near field: one step
+    /// covering the whole clipped [`near_stencil`], per
     /// [`fmm_tree::particle_halo`].
     PartParticleHalo,
 }
@@ -151,10 +143,8 @@ pub struct PartitionSchedule {
     pub parent_fetch: Vec<(u32, Exchange)>,
     /// Per level `l ≥ 2`, the interactive-field far-row exchange.
     pub box_halo: Vec<(u32, Exchange)>,
-    /// The one-shot leaf particle exchange (forces near field).
+    /// The one-shot leaf particle exchange of the near field.
     pub particle_halo: Exchange,
-    /// Unit-hop slot routes keyed by `(axis, delta)` — at most six.
-    pub slot_routes: BTreeMap<(usize, i32), Exchange>,
 }
 
 impl PartitionSchedule {
@@ -187,13 +177,6 @@ impl PartitionSchedule {
             .expect("scheduled halo level has a plan")
             .1
     }
-
-    /// The slot route of one unit hop.
-    pub fn slot_route_at(&self, axis: usize, delta: i32) -> &Exchange {
-        self.slot_routes
-            .get(&(axis, delta))
-            .expect("scheduled hop has a route")
-    }
 }
 
 /// The whole communication program of one evaluation, phase by phase, in
@@ -209,7 +192,8 @@ pub struct CommProgram {
     /// reach d + 1, and its parent-level sources d boxes of the parent
     /// level, so 2d (the paper's four boxes at d = 2) covers both.
     pub ghost: usize,
-    /// Forces (particle halo) vs potentials (travelling slots) near field.
+    /// Forces (target-centric, the near-field neighbourhood's halo) vs
+    /// potentials (symmetric rows, the ghost targets' wider halo).
     pub with_fields: bool,
     /// The downward pass runs the supernode decomposition: level l's T2
     /// also reads far rows of level l − 1, which the parent level's halo
@@ -283,48 +267,11 @@ impl CommProgram {
             }
         }
 
-        // Phase 5 — near field. Forces: three particle-halo axis phases.
-        // Potentials: the travelling-accumulator sweep — one unit CSHIFT
-        // per visited half-offset, then per-axis unit return shifts (the
-        // model charges one CSHIFT per visit and one per non-trivial
-        // return axis; extra unit hops of a multi-box return ride free).
-        if with_fields {
-            for axis in 0..3 {
-                push(&mut phases, 5, StepKind::ParticleHalo { axis }, 2);
-            }
-        } else {
-            let path = TravelPath::new();
-            for s in &path.steps {
-                push(
-                    &mut phases,
-                    5,
-                    StepKind::SlotShift {
-                        axis: s.axis,
-                        // Slot position = origin − cum: positions move
-                        // against the step direction.
-                        delta: -s.dir,
-                        visit: Some(s.cum),
-                    },
-                    1,
-                );
-            }
-            for (axis, &r) in path.returns.iter().enumerate() {
-                if r == 0 {
-                    continue;
-                }
-                for hop in 0..r.unsigned_abs() {
-                    push(
-                        &mut phases,
-                        5,
-                        StepKind::SlotShift {
-                            axis,
-                            delta: -r.signum(),
-                            visit: None,
-                        },
-                        (hop == 0) as u64,
-                    );
-                }
-            }
+        // Phase 5 — near field: one clipped particle halo in three axis
+        // phases, two CSHIFT-ledger ops each, as deep as the near field's
+        // output kind reads ([`near_halo_widths`]).
+        for axis in 0..3 {
+            push(&mut phases, 5, StepKind::ParticleHalo { axis }, 2);
         }
 
         CommProgram {
@@ -421,59 +368,10 @@ impl CommProgram {
             bh.push((l, ex));
         }
 
-        // Phase 5 — near field. Forces: the whole clipped particle halo in
-        // one planned exchange. Potentials: the identical travelling-slot
-        // itinerary as the uniform build — same (axis, delta, visit)
-        // sequence — but each hop routed by ownership, with its route's
-        // exact message count on the ledger (return hops included).
-        let mut ph_ex = Exchange::default();
-        let mut routes: BTreeMap<(usize, i32), Exchange> = BTreeMap::new();
-        if with_fields {
-            let ex = particle_halo(&partition);
-            push(&mut phases, 5, StepKind::PartParticleHalo, ex.messages());
-            ph_ex = ex;
-        } else {
-            let path = TravelPath::new();
-            for s in &path.steps {
-                let delta = -s.dir;
-                let msgs = routes
-                    .entry((s.axis, delta))
-                    .or_insert_with(|| slot_route(&partition, s.axis, delta))
-                    .messages();
-                push(
-                    &mut phases,
-                    5,
-                    StepKind::SlotShift {
-                        axis: s.axis,
-                        delta,
-                        visit: Some(s.cum),
-                    },
-                    msgs,
-                );
-            }
-            for (axis, &r) in path.returns.iter().enumerate() {
-                if r == 0 {
-                    continue;
-                }
-                let delta = -r.signum();
-                let msgs = routes
-                    .entry((axis, delta))
-                    .or_insert_with(|| slot_route(&partition, axis, delta))
-                    .messages();
-                for _hop in 0..r.unsigned_abs() {
-                    push(
-                        &mut phases,
-                        5,
-                        StepKind::SlotShift {
-                            axis,
-                            delta,
-                            visit: None,
-                        },
-                        msgs,
-                    );
-                }
-            }
-        }
+        // Phase 5 — near field: the whole clipped particle halo of the
+        // output kind's stencil in one planned exchange.
+        let ph_ex = particle_halo(&partition, &near_stencil(with_fields));
+        push(&mut phases, 5, StepKind::PartParticleHalo, ph_ex.messages());
 
         CommProgram {
             grid,
@@ -488,7 +386,6 @@ impl CommProgram {
                 parent_fetch: pf,
                 box_halo: bh,
                 particle_halo: ph_ex,
-                slot_routes: routes,
             }),
             phases,
         }
@@ -518,53 +415,8 @@ fn ghost_depth(supernodes: bool) -> usize {
 /// cells)` per message.
 pub type Messages = Vec<(usize, Vec<usize>)>;
 
-/// The ring partners of `rank` for a unit circular shift of slot positions
-/// by `delta` along `axis`: `(dst, src)` — we send to `dst` and receive
-/// from `src`. Shared by [`ring_route`] and the static lowering.
-pub fn ring_partners(grid: &VuGrid, rank: usize, axis: usize, delta: i32) -> (usize, usize) {
-    let dims_a = grid.dims[axis] as i64;
-    let my = grid.coords(rank);
-    let mut dst_c = my;
-    dst_c[axis] = (my[axis] as i64 + delta as i64).rem_euclid(dims_a) as usize;
-    let mut src_c = my;
-    src_c[axis] = (my[axis] as i64 - delta as i64).rem_euclid(dims_a) as usize;
-    (grid.rank(dst_c), grid.rank(src_c))
-}
-
-/// `rank`'s side of that shift under the leaf block layout `lay`, in the
-/// shape of a partition's [`slot_route`] entries: the slots that cross are
-/// those on the face of its subgrid towards `dst`, by position in
-/// ascending order; the arrivals from `src` name themselves. Both lists
-/// are empty on an axis one VU spans: it wraps onto itself, pure local
-/// motion.
-pub fn ring_route(lay: &BlockLayout, rank: usize, axis: usize, delta: i32) -> (Messages, Messages) {
-    if lay.vu.dims[axis] == 1 {
-        return (Vec::new(), Vec::new());
-    }
-    let (my, s) = (lay.vu.coords(rank), lay.subgrid);
-    let mut span = [0, 1, 2].map(|a| my[a] * s[a]..(my[a] + 1) * s[a]);
-    let edge = if delta > 0 {
-        span[axis].end - 1
-    } else {
-        span[axis].start
-    };
-    span[axis] = edge..edge + 1;
-    let mut face = Vec::with_capacity(lay.boxes_per_vu() / s[axis]);
-    for z in span[2].clone() {
-        for y in span[1].clone() {
-            face.extend(
-                span[0]
-                    .clone()
-                    .map(|x| cell_index([x, y, z], lay.global[0])),
-            );
-        }
-    }
-    let (dst, src) = ring_partners(&lay.vu, rank, axis, delta);
-    (vec![(dst, face)], vec![(src, Vec::new())])
-}
-
 /// The halo cells rank `who` must obtain in axis phase `axis` of a block-
-/// layout halo exchange with ghost depth `g`, grouped by source rank
+/// layout halo exchange `g[a]` deep along axis `a`, grouped by source rank
 /// (BTreeMap ⇒ deterministic order), in window enumeration order — senders
 /// rebuild the same plan, so both ends agree on the per-message layout
 /// without exchanging metadata. With `wrap` (box halos, CSHIFT semantics)
@@ -580,12 +432,12 @@ pub fn axis_plan(
     lay: &BlockLayout,
     who: [usize; 3],
     axis: usize,
-    g: usize,
+    g: [usize; 3],
     n: usize,
     wrap: bool,
 ) -> BTreeMap<usize, Vec<usize>> {
     let s = lay.subgrid;
-    let (gi, ni) = (g as i64, n as i64);
+    let ni = n as i64;
     let lo: Vec<i64> = (0..3).map(|a| (who[a] * s[a]) as i64).collect();
     let clip = |r: std::ops::Range<i64>| {
         if wrap {
@@ -596,7 +448,7 @@ pub fn axis_plan(
     };
     let ranges: Vec<Vec<i64>> = (0..3)
         .map(|a| {
-            let si = s[a] as i64;
+            let (si, gi) = (s[a] as i64, g[a] as i64);
             if a < axis {
                 clip(lo[a] - gi..lo[a] + si + gi).collect()
             } else if a == axis {
@@ -735,7 +587,8 @@ impl Step {
             StepKind::BoxHalo { level, axis } => {
                 let n = 1usize << level;
                 let lay = BlockLayout::new([n; 3], *grid);
-                let plan_of = |who| axis_plan(&lay, who, axis, prog.ghost, n, true);
+                let g = [prog.ghost; 3];
+                let plan_of = |who| axis_plan(&lay, who, axis, g, n, true);
                 let (sends, mut recvs) = axis_exchange(grid, rank, axis, plan_of);
                 // The wrap-aliased self entry is local motion, not a message.
                 recvs.retain(|(src, _)| *src != rank);
@@ -744,22 +597,11 @@ impl Step {
             StepKind::ParticleHalo { axis } => {
                 let n = 1usize << prog.depth;
                 let lay = BlockLayout::new([n; 3], *grid);
-                let plan_of = |who| axis_plan(&lay, who, axis, SEPARATION as usize, n, false);
+                let g = near_halo_widths(prog.with_fields);
+                let plan_of = |who| axis_plan(&lay, who, axis, g, n, false);
                 let (sends, recvs) = axis_exchange(grid, rank, axis, plan_of);
                 exchange_ops((&sends, &recvs), None, Payload::Particles, &mut ops);
             }
-            StepKind::SlotShift { axis, delta, .. } => match prog.partition.as_ref() {
-                // Partitioned hop: route by ownership, not by ring.
-                Some(ps) => {
-                    let side = ps.slot_route_at(axis, delta).side(rank);
-                    exchange_ops(side, None, Payload::Slots, &mut ops)
-                }
-                None => {
-                    let lay = BlockLayout::new([1 << prog.depth; 3], *grid);
-                    let (sends, recvs) = ring_route(&lay, rank, axis, delta);
-                    exchange_ops((&sends, &recvs), None, Payload::Slots, &mut ops)
-                }
-            },
             StepKind::ChildFlush { level } => {
                 let side = part_sched(prog).child_flush_at(level).side(rank);
                 exchange_ops(side, Some(k), Payload::Boxes, &mut ops);
@@ -843,16 +685,30 @@ mod tests {
             .iter()
             .map(|ph| ph.iter().map(|s| s.logical_msgs).sum())
             .collect();
-        assert_eq!(msgs, [1, 0, 127, 19, 0, 65]);
+        assert_eq!(msgs, [1, 0, 127, 19, 0, 6]);
     }
 
     #[test]
-    fn forces_program_swaps_near_phase() {
+    fn both_near_fields_are_one_halo_of_their_own_depth() {
+        // The same three axis phases; the potentials' ghost targets read
+        // twice as deep in x and y.
         let pot = CommProgram::build(vu_grid_for(8), 3, 6, false, false);
         let frc = CommProgram::build(vu_grid_for(8), 3, 6, true, false);
-        assert!(pot.phases[5].len() > 60);
-        assert_eq!(frc.phases[5].len(), 3);
-        assert_eq!(pot.phases[..5], frc.phases[..5]);
+        assert_eq!(pot.phases, frc.phases);
+        assert_eq!(pot.phases[5].len(), 3);
+        assert_eq!(near_halo_widths(true), [2, 2, 2]);
+        assert_eq!(near_halo_widths(false), [4, 4, 2]);
+        let received = |prog: &CommProgram| -> usize {
+            let lay = BlockLayout::new([8; 3], prog.grid);
+            let g = near_halo_widths(prog.with_fields);
+            let plans = (0..3).map(|axis| axis_plan(&lay, [0; 3], axis, g, 8, false));
+            plans
+                .flat_map(|p| p.into_values())
+                .map(|cells| cells.len())
+                .sum()
+        };
+        // Rank 0 of [2, 2, 2] owns a 4³ corner: 6³ − 4³ and 8·8·6 − 4³.
+        assert_eq!((received(&frc), received(&pot)), (152, 320));
     }
 
     /// p = 128 lays the ranks on `[8, 4, 4]`: at depth 6 levels 0–2 are
@@ -904,20 +760,6 @@ mod tests {
     }
 
     #[test]
-    fn ring_partners_invert() {
-        let grid = VuGrid::new([4, 2, 1]);
-        for rank in 0..grid.len() {
-            for axis in 0..3 {
-                for delta in [-1, 1] {
-                    let (dst, _) = ring_partners(&grid, rank, axis, delta);
-                    let (_, src) = ring_partners(&grid, dst, axis, delta);
-                    assert_eq!(src, rank);
-                }
-            }
-        }
-    }
-
-    #[test]
     fn partitioned_tags_are_contiguous_and_phase_ordered() {
         for p in [1usize, 2, 8] {
             for depth in 2..=4u32 {
@@ -940,23 +782,42 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_near_itinerary_mirrors_uniform() {
-        // The travelling-slot sweep visits the same (axis, delta, visit)
-        // sequence in both builds — the itinerary is pure geometry; only
-        // the routing of each hop differs.
-        let uni = CommProgram::build(vu_grid_for(8), 3, 6, false, false);
-        let par = CommProgram::build_partitioned(
-            vu_grid_for(8),
-            3,
-            6,
-            false,
-            false,
-            Partition::uniform(3, 8),
-        );
-        let kinds = |prog: &CommProgram| -> Vec<StepKind> {
-            prog.phases[5].iter().map(|s| s.kind).collect()
-        };
-        assert_eq!(kinds(&uni), kinds(&par));
+    fn partitioned_near_halo_reads_the_output_kinds_stencil() {
+        // One planned exchange whose cells are exactly the stencil's
+        // neighbours of each rank's boxes on other ranks.
+        let part = Partition::uniform(3, 8);
+        for with_fields in [false, true] {
+            let prog = CommProgram::build_partitioned(
+                vu_grid_for(8),
+                3,
+                6,
+                with_fields,
+                false,
+                part.clone(),
+            );
+            assert_eq!(prog.phases[5].len(), 1);
+            let ps = prog.partition.as_ref().unwrap();
+            let stencil = near_stencil(with_fields);
+            for rank in 0..8 {
+                let mut want = std::collections::BTreeSet::new();
+                for b in 0..512 {
+                    let t = fmm_tree::BoxCoord::from_index(3, b);
+                    if part.owner(&t) != rank {
+                        continue;
+                    }
+                    for s in stencil.iter().filter_map(|&o| t.offset(o)) {
+                        if part.owner(&s) != rank {
+                            want.insert(s.index());
+                        }
+                    }
+                }
+                let got: std::collections::BTreeSet<usize> = ps.particle_halo.recvs[rank]
+                    .iter()
+                    .flat_map(|(_, c)| c.iter().copied())
+                    .collect();
+                assert_eq!(got, want, "rank {rank} forces={with_fields}");
+            }
+        }
     }
 
     #[test]
@@ -983,9 +844,6 @@ mod tests {
                 .chain(&ps.parent_fetch)
                 .chain(&ps.box_halo)
             {
-                assert!(ex.is_empty());
-            }
-            for ex in ps.slot_routes.values() {
                 assert!(ex.is_empty());
             }
         }

@@ -96,6 +96,10 @@ fn assert_system_bitwise(
         assert_eq!(rep.workers, p);
         assert_eq!(rep.worker_busy_ns.len(), p);
         assert_eq!(rep.worker_flops.len(), p);
+        // Ghost targets exist only where potentials cross a rank boundary.
+        if with_fields || p == 1 {
+            assert_eq!(rep.ghost_pairs, 0, "p={p}");
+        }
         match bal {
             Balance::Uniform => assert!(rep.partition.is_none()),
             Balance::CostWeighted => {
@@ -120,8 +124,8 @@ fn potentials_depth3_all_worker_counts() {
 
 #[test]
 fn potentials_depth4_sparse_boxes() {
-    // Fewer particles than leaf boxes: many empty boxes travel and halo
-    // cells are empty — the degenerate paths must still match.
+    // Fewer particles than leaf boxes: many empty boxes, ghost targets and
+    // halo cells — the degenerate paths must still match.
     assert_bitwise(4, 900, &[2, 8], false);
 }
 
@@ -242,7 +246,7 @@ fn spmd_counts_supernode_t2_flops() {
 
 #[test]
 fn spmd_near_field_survives_degenerate_inputs() {
-    // Inputs that leave ranks, slots and halo cells empty: the cell store
+    // Inputs that leave ranks, ghost targets and halo cells empty: the cell store
     // must move nothing as faithfully as it moves particles.
     let (unit, _) = pseudo_system(400, 0xdead);
     let shrunk = |lo: f64, side: f64| unit.iter().map(move |p| p.map(|c| lo + side * c));

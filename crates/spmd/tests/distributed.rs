@@ -197,10 +197,10 @@ fn two_processes_over_tcp_match_in_process_bitwise() {
 }
 
 /// The fabric × balance rows the tests above leave open, over TCP: the
-/// block layout's particle halo (forces) and the partition-routed
-/// travelling slots (`shift_slots_part`, potentials) both cross a socket.
+/// block layout's particle halo (forces) and the partition's planned
+/// halo of the potentials' ghost-target reach both cross a socket.
 #[test]
-fn tcp_carries_uniform_forces_and_partitioned_slots_bitwise() {
+fn tcp_carries_uniform_forces_and_partitioned_potentials_bitwise() {
     const P: usize = 4;
     let (pts, q) = system(1024, 0x7c9f);
     for (bal, with_fields) in [(Balance::Uniform, true), (Balance::CostWeighted, false)] {

@@ -1,6 +1,6 @@
 //! Golden bytes of the SPMD wire protocols, taken off real sockets: one
 //! `FMMW` data-plane message as `SocketTransport` sends and receives it,
-//! and the three `FMMC` control-plane frames (magic `FMC3`) of a
+//! and the three `FMMC` control-plane frames (magic `FMC4`) of a
 //! multi-process run —
 //! `Hello` and `Result` as a worker sends them, `Job` as the launcher
 //! broadcasts it. Any change to either format fails here first.
@@ -64,15 +64,15 @@ fn fmmw_message_bytes_are_pinned() {
     t1.close();
 }
 
-// length | "FMC3" | op Hello | rank u32 | mesh address "unix:/golden"
-const HELLO: &str = "19000000 464d4333 01 00000000 0c000000 756e69783a2f676f6c64656e";
+// length | "FMC4" | op Hello | rank u32 | mesh address "unix:/golden"
+const HELLO: &str = "19000000 464d4334 01 00000000 0c000000 756e69783a2f676f6c64656e";
 
-// length | "FMC3" | op Job | order u32 | m_trunc u32 | outer ratio f64 |
+// length | "FMC4" | op Job | order u32 | m_trunc u32 | outer ratio f64 |
 // inner ratio f64 | depth u32 | softening f64 |
 // kernel "scalar" | supernodes u32 | cost-weighted u32 | with fields u32 |
 // workers u32 | domain min f64 × 3 | domain size f64 | n u64 |
 // positions f64 × 3n | charges f64 × n | peer count u32 | peer "unix:/golden"
-const JOB: &str = "bf000000 464d4333 02 03000000 02000000
+const JOB: &str = "bf000000 464d4334 02 03000000 02000000
     9a9999999999f93f 000000000000f03f 02000000 0000000000000000
     06000000 7363616c6172 00000000 00000000 00000000 01000000
     d0dcffffffffcf3f a0b9ffffffffbf3f 68eeffffffffd73f 981100000000e03f
@@ -82,12 +82,12 @@ const JOB: &str = "bf000000 464d4333 02 03000000 02000000
     000000000000f03f 000000000000f0bf
     01000000 0c000000 756e69783a2f676f6c64656e";
 
-// length | "FMC3" | op Result | rank u32 |
+// length | "FMC4" | op Result | rank u32 |
 // counters per phase (messages, bytes, local words) u64 × 3 × 6 |
 // n u64 | orig u64 × n | potentials f64 × n | fields flag u32 |
-// near (pairs, box pairs, flops) | p2o, eval, traversal flops |
+// near (pairs, box pairs, flops) | ghost pairs | p2o, eval, traversal flops |
 // phase wall times ns u64 × 6 | phase wait times ns u64 × 6
-const RESULT: &str = "55010000 464d4333 03 00000000
+const RESULT: &str = "5d010000 464d4334 03 00000000
     0000000000000000 0000000000000000 0000000000000000
     0000000000000000 0000000000000000 0000000000000000
     0700000000000000 2003000000000000 0300000000000000
@@ -98,6 +98,7 @@ const RESULT: &str = "55010000 464d4333 03 00000000
     000000000000e03f 00000000000004c0
     00000000
     0900000000000000 0400000000000000 6300000000000000
+    0600000000000000
     0100000000000000 0200000000000000 0300000000000000
     0500000000000000 0500000000000000 0500000000000000
     0500000000000000 0500000000000000 0500000000000000
@@ -146,6 +147,7 @@ fn fmmc_frame_bytes_are_pinned() {
             (9, 4, 99)
         );
         let rep = out.spmd.unwrap();
+        assert_eq!(rep.ghost_pairs, 6);
         assert_eq!(rep.phases[2].messages, 7);
         assert_eq!(rep.phases[2].bytes, 800);
         assert_eq!(rep.phases[2].local_words, 3);

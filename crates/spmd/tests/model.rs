@@ -87,10 +87,10 @@ fn table4_motion_matches_the_model_within_10_percent() {
     // The deterministic counts are exact, not just within tolerance: one
     // router operation for the sort, p − 1 binomial gather sends at the
     // upward embed transition, 6 halo CSHIFTs per distributed level plus
-    // log₂ p broadcast stages downward, and the 65-CSHIFT travelling
-    // sweep near field.
+    // log₂ p broadcast stages downward, and the near field's particle
+    // halo: three axis phases, two CSHIFTs each.
     let messages: Vec<u64> = report.phases.iter().map(|p| p.messages).collect();
-    assert_eq!(messages, [1, 0, 127, 19, 0, 65]);
+    assert_eq!(messages, [1, 0, 127, 19, 0, 6]);
 
     // The upward gather and the downward halo + broadcast move a
     // data-independent set of boxes — byte-exact, not statistical.
@@ -166,7 +166,7 @@ fn assert_partitioned_budget_exact(with_fields: bool) {
             "phase {i} bytes"
         );
     }
-    // Near field: exact message count (slot/particle payloads are
+    // Near field: exact message count (particle payloads are
     // data-dependent, so bytes are not statically predictable).
     assert_eq!(
         predicted_messages(&budget.phases[5].comm),

@@ -1,7 +1,13 @@
 //! `evaluate` potentials on the scalar tier against recorded bits: the
-//! potentials twin of `pinned_forces.rs`. The travelling near field and
+//! potentials twin of `pinned_forces.rs`. The symmetric near field and
 //! the T2/T3 sweeps may be reorganised freely, but on the scalar tier
 //! their arithmetic, and so these bits, may not move.
+//!
+//! Recorded when the near field moved from the travelling accumulator to
+//! the symmetric rows (same box pairs, another summation order): the
+//! largest |Δ| against the travelling sweep's bits was 5.7e-13 of
+//! max |Φ| = 267 (2.1e-15 relative) at depth 3, 5.7e-14 (2.1e-16) at
+//! depth 5.
 
 use fmm_core::{Executor, Fmm, FmmConfig, Kernel};
 
@@ -41,7 +47,7 @@ fn evaluate_potentials_reproduce_the_recorded_bits_on_every_executor() {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         out.potentials.iter().for_each(|&v| fnv1a(&mut h, v));
         assert_eq!(
-            h, 0x3d83_b9c0_157e_05a6,
+            h, 0xf4f1_5a14_410f_3a4a,
             "{executor:?}: potentials moved bits"
         );
     }
@@ -65,7 +71,7 @@ fn supernode_potentials_reproduce_the_recorded_bits_on_every_executor() {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         out.potentials.iter().for_each(|&v| fnv1a(&mut h, v));
         assert_eq!(
-            h, 0x8065_c91d_60e5_11f5,
+            h, 0xb073_251d_6574_72ad,
             "{executor:?}: potentials moved bits"
         );
     }

@@ -1,13 +1,13 @@
 //! Property tests of the SPMD executor and its channel primitives:
-//! backend equivalence is bitwise for arbitrary systems, a CSHIFT forward
-//! and back is the identity, and the all-to-all router loses nothing.
+//! backend equivalence is bitwise for arbitrary systems, the particle
+//! halo brings exactly its clipped box bit for bit, and the all-to-all
+//! router loses nothing.
 
 use fmm_core::particles::BinnedParticles;
 use fmm_core::{Balance, Domain, Executor, Fmm, FmmConfig};
 use fmm_machine::BlockLayout;
 use fmm_spmd::cells::CellStore;
-use fmm_spmd::collectives::{all_to_allv, shift_slots};
-use fmm_spmd::schedule::ring_route;
+use fmm_spmd::collectives::{all_to_allv, particle_halo_axis};
 use fmm_spmd::{run_workers, vu_grid_for, Partition};
 use proptest::prelude::*;
 
@@ -35,11 +35,15 @@ fn unit(z: u64) -> f64 {
     (z >> 11) as f64 / (1u64 << 53) as f64
 }
 
-/// Every run of every leaf cell that is on the rank, as bits.
-fn snapshot(store: &CellStore, leaves: usize) -> Vec<Option<[Vec<u64>; 5]>> {
-    let bits = |run: &[f64]| run.iter().map(|v| v.to_bits()).collect();
+/// Every leaf cell that is on the rank, in wire form, as bits.
+fn snapshot(store: &CellStore, leaves: usize) -> Vec<Option<Vec<u64>>> {
+    let wire = |c: usize| {
+        let mut data = Vec::new();
+        store.pack_cell(c, &mut data);
+        data.iter().map(|v| v.to_bits()).collect()
+    };
     (0..leaves)
-        .map(|c| store.slot(c).map(|runs| runs.map(bits)))
+        .map(|c| store.range(c).map(|_| wire(c)))
         .collect()
 }
 
@@ -103,53 +107,61 @@ proptest! {
         prop_assert_eq!(covered, leaves, "exact cover");
     }
 
-    /// A unit CSHIFT of the travelling slots followed by its inverse leaves
-    /// every rank's cell store as it was: the same cells, and bit for bit
-    /// their particles and accumulators.
+    /// The three axis phases of a block-layout particle halo, `g[a]` deep
+    /// along axis `a`, leave every rank holding exactly the cells of its
+    /// subgrid's box grown by `g` and clipped to the domain, each bit for
+    /// bit as its owner binned it (corner cells forwarded through the
+    /// earlier phases).
     #[test]
-    fn cshift_forward_back_is_identity(axis in 0usize..3,
-                                       log_p in 0u32..4,
-                                       seed in 0u64..1 << 60) {
-        let p = 1usize << log_p;
-        let n = 4usize; // depth-2 leaf grid
+    fn particle_halo_brings_the_clipped_box_bit_for_bit(g in (1usize..5, 1usize..5, 1usize..3),
+                                                        log_p in 0u32..4,
+                                                        seed in 0u64..1 << 60) {
+        let (p, n, g) = (1usize << log_p, 8usize, [g.0, g.1, g.2]);
         let coords = |b: usize| [b % n, (b / n) % n, b / (n * n)];
+        // 0–3 particles inside leaf `b`, a pure function of (leaf, seed).
+        let leaf = |b: usize, pos: &mut Vec<[f64; 3]>, q: &mut Vec<f64>| {
+            let h = mix(seed ^ (b as u64).wrapping_mul(0x2545F4914F6CDD1D));
+            for i in 0..h % 4 {
+                let s = mix(h ^ i);
+                let u = [unit(s), unit(mix(s)), unit(mix(mix(s)))];
+                let c = coords(b);
+                pos.push([0, 1, 2].map(|a| (c[a] as f64 + u[a]) / n as f64));
+                q.push(unit(s.rotate_left(17)) * 2.0 - 1.0);
+            }
+        };
+        let (mut pos, mut q) = (Vec::new(), Vec::new());
+        for b in 0..n * n * n {
+            leaf(b, &mut pos, &mut q);
+        }
+        let every = BinnedParticles::build(&pos, &q, Domain::unit(), 3);
+        let want = snapshot(&CellStore::seed(&every, &(0..(n * n * n) as u32).collect::<Vec<_>>()), n * n * n);
         let all: Vec<_> = run_workers(vu_grid_for(p), |mut ctx| {
             let lay = BlockLayout::new([n; 3], ctx.grid);
             let owned: Vec<u32> = (0..(n * n * n) as u32)
                 .filter(|&b| lay.vu_of(coords(b as usize)) == ctx.rank)
                 .collect();
-            // 0–3 particles inside every owned leaf, then accumulators,
-            // all a pure function of (leaf, seed).
             let (mut pos, mut q) = (Vec::new(), Vec::new());
             for &b in &owned {
-                let h = mix(seed ^ (b as u64).wrapping_mul(0x2545F4914F6CDD1D));
-                for i in 0..h % 4 {
-                    let s = mix(h ^ i);
-                    let u = [unit(s), unit(mix(s)), unit(mix(mix(s)))];
-                    let g = coords(b as usize);
-                    pos.push([0, 1, 2].map(|a| (g[a] as f64 + u[a]) / n as f64));
-                    q.push(unit(s.rotate_left(17)) * 2.0 - 1.0);
+                leaf(b as usize, &mut pos, &mut q);
+            }
+            let bp = BinnedParticles::build(&pos, &q, Domain::unit(), 3);
+            let mut store = CellStore::seed(&bp, &owned);
+            for axis in 0..3 {
+                particle_halo_axis(&mut ctx, 3, axis, g, &mut store);
+            }
+            (lay.vu.coords(ctx.rank), lay.subgrid, snapshot(&store, n * n * n))
+        });
+        for (rank, (my, s, got)) in all.into_iter().enumerate() {
+            for (c, cell) in got.iter().enumerate() {
+                let inside = (0..3).all(|a| {
+                    let (lo, x) = (my[a] * s[a], coords(c)[a]);
+                    x + g[a] >= lo && x < lo + s[a] + g[a]
+                });
+                prop_assert_eq!(cell.is_some(), inside, "rank {} cell {}", rank, c);
+                if cell.is_some() {
+                    prop_assert_eq!(cell, &want[c], "rank {} cell {}", rank, c);
                 }
             }
-            let bp = BinnedParticles::build(&pos, &q, Domain::unit(), 2);
-            let mut store = CellStore::seed(&bp, &owned);
-            let (_, acc) = store.cells(|_| 0..0);
-            for (i, a) in acc.iter_mut().enumerate() {
-                *a = unit(mix(seed ^ (ctx.rank * 1000 + i) as u64));
-            }
-            let before = snapshot(&store, n * n * n);
-            for delta in [1, -1] {
-                let (sends, recvs) = ring_route(&lay, ctx.rank, axis, delta);
-                shift_slots(&mut ctx, &mut store, axis, delta, (&sends, &recvs))
-                    .expect("every slot of the face is here");
-            }
-            (owned, before, snapshot(&store, n * n * n))
-        });
-        for (rank, (owned, before, after)) in all.into_iter().enumerate() {
-            for (c, slot) in before.iter().enumerate() {
-                prop_assert_eq!(slot.is_some(), owned.contains(&(c as u32)));
-            }
-            prop_assert_eq!(before, after, "axis={} p={} rank={}", axis, p, rank);
         }
     }
 

@@ -53,6 +53,64 @@ pub fn near_field_offsets() -> Vec<[i32; 3]> {
     out
 }
 
+/// One row of the half stencil: the offsets `[dx, dy, dz]` for `dx` in
+/// `dx`, one run of a row-major binning.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct HalfRow {
+    pub dy: i32,
+    pub dz: i32,
+    pub dx: std::ops::RangeInclusive<i32>,
+}
+
+/// The half stencil H of the symmetric near field, in sweep order: the
+/// own row's boxes x+1 … x+d, then the rows (dy, dz) with dz > 0, or
+/// dz = 0 and dy > 0, in row-major order, each x−d … x+d. Every source
+/// lies after its target in row-major order, and each unordered pair of
+/// neighbouring boxes is one target and one H-source: 62 offsets in 13
+/// rows at two-separation.
+pub fn half_stencil() -> Vec<HalfRow> {
+    let d = SEPARATION;
+    let mut rows = vec![HalfRow {
+        dy: 0,
+        dz: 0,
+        dx: 1..=d,
+    }];
+    for dz in 0..=d {
+        for dy in -d..=d {
+            if dz > 0 || dy > 0 {
+                rows.push(HalfRow { dy, dz, dx: -d..=d });
+            }
+        }
+    }
+    rows
+}
+
+/// The 62 offsets of [`half_stencil`], row by row.
+pub fn half_offsets() -> Vec<[i32; 3]> {
+    let rows = half_stencil().into_iter();
+    rows.flat_map(|r| r.dx.map(move |dx| [dx, r.dy, r.dz]))
+        .collect()
+}
+
+/// The boxes around an owned box that a rank running the symmetric sweep
+/// over part of the grid reads: the difference set (H ∪ 0) − (H ∪ 0) of
+/// the [`half_offsets`], without 0, in row-major order. An owned box's
+/// rows reach `+H`; a *ghost target* — a box owned elsewhere whose rows
+/// reach an owned one — sits at `−H`, and its rows at `−H + H`. The set
+/// spans ±2d in x and y and ±d in z.
+pub fn half_stencil_reach() -> Vec<[i32; 3]> {
+    let mut half = half_offsets();
+    half.push([0; 3]);
+    let mut reach: Vec<[i32; 3]> = half
+        .iter()
+        .flat_map(|a| half.iter().map(move |b| [0, 1, 2].map(|i| a[i] - b[i])))
+        .filter(|&o| o != [0; 3])
+        .collect();
+    reach.sort_unstable_by_key(|o| [o[2], o[1], o[0]]);
+    reach.dedup();
+    reach
+}
+
 #[inline]
 fn in_near(o: [i32; 3], d: i32) -> bool {
     o[0].abs() <= d && o[1].abs() <= d && o[2].abs() <= d
@@ -190,6 +248,32 @@ mod tests {
     fn near_field_sizes() {
         assert_eq!(near_field_offsets().len(), NEAR_FIELD_SIZE);
         assert_eq!(NEAR_FIELD_SIZE, 124);
+    }
+
+    #[test]
+    fn half_stencil_takes_each_neighbour_pair_once_and_after_its_target() {
+        // Row-major index of an offset on a grid wide enough for it.
+        let idx = |o: [i32; 3]| (o[2] * 100 + o[1]) * 100 + o[0];
+        let half = half_offsets();
+        assert_eq!(half_stencil().len(), 13);
+        assert_eq!(half.len(), NEAR_FIELD_SIZE / 2);
+        assert!(
+            half.iter().all(|&o| idx(o) > 0),
+            "a source precedes its target"
+        );
+        assert!(
+            half.windows(2).all(|w| idx(w[0]) < idx(w[1])),
+            "row-major order"
+        );
+        let set: HashSet<[i32; 3]> = half.iter().copied().collect();
+        for o in near_field_offsets() {
+            let neg = o.map(|c| -c);
+            assert!(set.contains(&o) != set.contains(&neg), "{o:?}");
+        }
+        let reach = half_stencil_reach();
+        let span = |a: usize| reach.iter().map(|o| o[a].abs()).max();
+        assert_eq!([0, 1, 2].map(span), [Some(4), Some(4), Some(2)]);
+        assert!(near_field_offsets().iter().all(|o| reach.contains(o)));
     }
 
     #[test]

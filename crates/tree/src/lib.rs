@@ -10,9 +10,8 @@
 //! * near-field / interactive-field offset lists at the method's
 //!   two-separation and the supernode decomposition that reduces 875
 //!   interactive-field translations to 189 ([`interaction`]),
+//! * the half stencil of the symmetric near field ([`interaction`]),
 //! * particle binning into leaf boxes ([`sort`]),
-//! * the travelling-accumulator path over the half near field
-//!   ([`travel`]),
 //! * the cubic domain geometry ([`domain`]).
 
 #![forbid(unsafe_code)]
@@ -23,18 +22,16 @@ pub mod interaction;
 pub mod morton;
 pub mod partition;
 pub mod sort;
-pub mod travel;
 
 pub use coords::{BoxCoord, Hierarchy};
 pub use domain::Domain;
 pub use interaction::{
-    interactive_field_offsets, interactive_field_union, near_field_offsets,
-    supernode_decomposition, Separation, SupernodeDecomposition, SupernodeOffset,
-    INTERACTIVE_FIELD_SIZE, NEAR_FIELD_SIZE, SEPARATION,
+    half_offsets, half_stencil, half_stencil_reach, interactive_field_offsets,
+    interactive_field_union, near_field_offsets, supernode_decomposition, HalfRow, Separation,
+    SupernodeDecomposition, SupernodeOffset, INTERACTIVE_FIELD_SIZE, NEAR_FIELD_SIZE, SEPARATION,
 };
 pub use partition::{
     box_halo, child_flush, leaf_costs, morton_to_rowmajor, parent_fetch, particle_halo,
-    rowmajor_to_morton, slot_route, CostModel, Exchange, Partition, Side,
+    rowmajor_to_morton, CostModel, Exchange, Partition, Side,
 };
 pub use sort::{assign_boxes, bin_particles, Binning};
-pub use travel::{TravelPath, TravelStep};

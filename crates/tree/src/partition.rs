@@ -11,7 +11,7 @@
 //! relations cross at most one cut.
 //!
 //! The exchange-plan builders ([`child_flush`], [`parent_fetch`],
-//! [`box_halo`], [`particle_halo`], [`slot_route`]) derive, from the
+//! [`box_halo`], [`particle_halo`]) derive, from the
 //! partition alone, exactly which box/cell rows cross an ownership boundary
 //! in each phase. They are deliberately the *single source of truth*: the
 //! SPMD schedule, the executor, and the machine-model communication budget
@@ -233,13 +233,16 @@ pub struct CostModel {
 ///
 /// Charges, calibrated against the executor's own counters (see
 /// DESIGN.md §8):
-/// * near field — charged to the box that *computes* each pair:
-///   potentials run the travelling-accumulator sweep, so box `b` pays
-///   `n·(n−1)/2` self pairs plus `n_b·n_{b+h}` for every
-///   lexicographically-positive half-offset `h` (the pair is evaluated
-///   when `b` is visited), at [`PAIR_FLOPS`] each; forces are
-///   target-centric, so `b` pays directed `n·(n−1)` self pairs plus all
-///   in-domain neighbour pairs at [`PAIR_FORCE_FLOPS`];
+/// * near field — potentials run the symmetric row sweep, whose pairs
+///   are charged to the boxes whose particles they serve: box `b` pays
+///   its `n·(n−1)/2` self pairs at [`PAIR_FLOPS`] and half of every pair
+///   with an in-domain neighbour, `n_b·n_s·PAIR_FLOPS/2`, whichever of
+///   the two is the target (an SPMD rank runs its half-stencil rows and
+///   those of the ghost targets whose rows reach it, so it works on both
+///   halves; charging the target alone would pile the cost onto the
+///   lower-z box of every pair); forces are target-centric, so `b` pays
+///   directed `n·(n−1)` self pairs plus all in-domain neighbour pairs at
+///   [`PAIR_FORCE_FLOPS`];
 /// * per particle — `10·K` for P2O and `6·K·(M+1)` for inner evaluation;
 /// * per box at level l (charged to its first descendant leaf) —
 ///   `2K²` per T2 source that lies in the domain (the executors multiply
@@ -297,7 +300,6 @@ pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
     // Per-leaf particle work: P2O, inner evaluation, near-field pairs —
     // each pair charged to the owner of the box that computes it.
     let near = near_field_offsets();
-    let visited: Vec<[i32; 3]> = near.iter().copied().filter(|&o| o > [0, 0, 0]).collect();
     for code in 0..leaves as u64 {
         let (x, y, z) = morton_decode(code);
         let b = BoxCoord {
@@ -308,27 +310,19 @@ pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
         };
         let nt = counts[b.index()] as u64;
         let mut w = nt * k * 10 + nt * k * (model.m_trunc as u64 + 1) * 6;
+        let mut cross = 0u64;
+        for &o in &near {
+            if let Some(s) = b.offset(o) {
+                cross += nt * counts[s.index()] as u64;
+            }
+        }
         w += if model.with_fields {
             // Target-centric: every directed pair is computed at the
             // target box.
-            let mut cross = 0u64;
-            for &o in &near {
-                if let Some(s) = b.offset(o) {
-                    cross += nt * counts[s.index()] as u64;
-                }
-            }
             (nt * nt.saturating_sub(1) + cross) * PAIR_FORCE_FLOPS
         } else {
-            // Travelling accumulator: the pair (b, b + h) for each
-            // lexicographically-positive half-offset h is evaluated when
-            // b is visited — its cost lands wholly on b's owner.
-            let mut cross = 0u64;
-            for &o in &visited {
-                if let Some(s) = b.offset(o) {
-                    cross += nt * counts[s.index()] as u64;
-                }
-            }
-            (nt * nt.saturating_sub(1) / 2 + cross) * PAIR_FLOPS
+            // Symmetric: each pair with a neighbour is half b's.
+            nt * nt.saturating_sub(1) / 2 * PAIR_FLOPS + cross * (PAIR_FLOPS / 2)
         };
         cost[code as usize] += w;
     }
@@ -501,12 +495,14 @@ pub fn box_halo(part: &Partition, level: u32, supernodes: bool) -> Exchange {
     Exchange::from_pairs(part.workers(), &pairs)
 }
 
-/// Near-field particle exchange at the leaf level (forces path): every
-/// owned target box pulls the particles of its in-domain near-field
-/// neighbours that live on other owners. Cells are row-major leaf indices.
-pub fn particle_halo(part: &Partition) -> Exchange {
+/// Near-field particle exchange at the leaf level: every owned box pulls
+/// the particles of the in-domain boxes `stencil` away from it that live
+/// on other owners. The forces near field reads the near-field offsets,
+/// the symmetric potentials sweep its ghost-target reach
+/// ([`crate::interaction::half_stencil_reach`]). Cells are row-major leaf
+/// indices.
+pub fn particle_halo(part: &Partition, stencil: &[[i32; 3]]) -> Exchange {
     let depth = part.depth();
-    let near = near_field_offsets();
     let mut pairs: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
     for code in 0..part.leaf_count() {
         let owner_t = part.leaf_owner(code);
@@ -517,7 +513,7 @@ pub fn particle_halo(part: &Partition) -> Exchange {
             y,
             z,
         };
-        for &off in &near {
+        for &off in stencil {
             if let Some(s) = t.offset(off) {
                 let owner_s = part.leaf_owner(morton_encode(s.x, s.y, s.z));
                 if owner_s != owner_t {
@@ -532,36 +528,10 @@ pub fn particle_halo(part: &Partition) -> Exchange {
     Exchange::from_pairs(part.workers(), &pairs)
 }
 
-/// Routing plan for one unit hop of the travelling-slot scheme: every leaf
-/// cell holds exactly one slot, and a wrapped shift by `delta ∈ {−1, +1}`
-/// along `axis` moves the slot in cell c to cell c′. Cells crossing an
-/// ownership boundary are listed under their *source* row-major index. All
-/// travel-path steps and returns are unit hops, so at most six distinct
-/// `(axis, delta)` routes exist per partition.
-pub fn slot_route(part: &Partition, axis: usize, delta: i32) -> Exchange {
-    debug_assert!(axis < 3 && delta.abs() == 1);
-    let depth = part.depth();
-    let n = 1i64 << depth;
-    let mut pairs: BTreeMap<(usize, usize), BTreeSet<usize>> = BTreeMap::new();
-    for code in 0..part.leaf_count() {
-        let src_owner = part.leaf_owner(code);
-        let (x, y, z) = morton_decode(code);
-        let mut c = [x as i64, y as i64, z as i64];
-        c[axis] = (c[axis] + delta as i64).rem_euclid(n);
-        let dst_owner = part.leaf_owner(morton_encode(c[0] as u32, c[1] as u32, c[2] as u32));
-        if src_owner != dst_owner {
-            pairs
-                .entry((src_owner, dst_owner))
-                .or_default()
-                .insert(morton_to_rowmajor(depth, code));
-        }
-    }
-    Exchange::from_pairs(part.workers(), &pairs)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::interaction::half_stencil_reach;
 
     fn pseudo_costs(leaves: usize, seed: u64) -> Vec<u64> {
         // Deterministic LCG with a heavy-tailed twist to mimic clustering.
@@ -743,12 +713,8 @@ mod tests {
                 endpoints_balanced(&box_halo(&part, l, supernodes));
             }
         }
-        endpoints_balanced(&particle_halo(&part));
-        for axis in 0..3 {
-            for delta in [-1, 1] {
-                endpoints_balanced(&slot_route(&part, axis, delta));
-            }
-        }
+        endpoints_balanced(&particle_halo(&part, &near_field_offsets()));
+        endpoints_balanced(&particle_halo(&part, &half_stencil_reach()));
     }
 
     #[test]
@@ -758,8 +724,8 @@ mod tests {
         assert!(parent_fetch(&part, 3).is_empty());
         assert!(box_halo(&part, 2, true).is_empty());
         assert!(box_halo(&part, 3, false).is_empty());
-        assert!(particle_halo(&part).is_empty());
-        assert!(slot_route(&part, 0, 1).is_empty());
+        assert!(particle_halo(&part, &near_field_offsets()).is_empty());
+        assert!(particle_halo(&part, &half_stencil_reach()).is_empty());
     }
 
     #[test]
@@ -804,23 +770,6 @@ mod tests {
             }
             assert!(!got.is_empty());
             assert_eq!(got, want, "level {level}");
-        }
-    }
-
-    #[test]
-    fn slot_route_moves_each_cell_at_most_once() {
-        let costs = pseudo_costs(512, 31);
-        let part = Partition::cost_weighted(3, 8, &costs);
-        for axis in 0..3 {
-            let route = slot_route(&part, axis, 1);
-            let mut seen = std::collections::HashSet::new();
-            for sends in &route.sends {
-                for (_, cells) in sends {
-                    for &c in cells {
-                        assert!(seen.insert(c), "cell {c} routed twice");
-                    }
-                }
-            }
         }
     }
 

@@ -36,14 +36,15 @@
 //!    `Condvar` waits outside a retry loop, and nested lock acquisition
 //!    without a `// lock-order:` note.
 //!
-//! A mutation hook injects one-sided faults (a flipped CSHIFT direction,
-//! a dropped receive, a reply-on-shutdown lifecycle edge) so CI can
-//! prove the analyzer rejects what it should — see the `check` CLI:
+//! A mutation hook injects one-sided faults (a halo sender serving the
+//! wrong side, a dropped receive, a reply-on-shutdown lifecycle edge) so
+//! CI can prove the analyzer rejects what it should — see the `check`
+//! CLI:
 //!
 //! ```text
 //! cargo run -p fmm-verify -- check [--depth D] [--workers P] [--order O]
 //!                                  [--forces] [--skip-lints]
-//!                                  [--mutate flipped-shift|dropped-recv|reply-after-shutdown]
+//!                                  [--mutate flipped-halo|dropped-recv|reply-after-shutdown]
 //! ```
 
 #![forbid(unsafe_code)]
@@ -66,8 +67,8 @@ pub struct CheckConfig {
     /// Anderson approximation order `d` (sets K and M as
     /// `fmm_core::FmmConfig::order` does: K spherical samples, M = d/2+1).
     pub order: usize,
-    /// Forces near field (particle halo) instead of potentials
-    /// (travelling slots).
+    /// Forces near field (the neighbourhood's particle halo) instead of
+    /// potentials (the symmetric sweep's wider one).
     pub with_fields: bool,
     /// Check the cost-weighted partitioned program (a synthetic
     /// heavy-tailed leaf-cost profile) instead of the uniform block

@@ -8,13 +8,13 @@
 //!
 //! Mutations for the analyzer's own smoke tests are applied *here*, to
 //! the lowered endpoints, not to the schedule builder: flipping a whole
-//! CSHIFT step coherently (sends and receives together) would produce a
-//! different but still valid ring, which no analyzer should reject. The
-//! interesting faults are one-sided — a sender shifting the wrong way
-//! while receivers still expect the old direction, a rank that forgets
-//! to post a receive — and those are exactly what the mutations inject.
+//! halo step coherently (sends and receives together) would produce a
+//! different but still valid exchange, which no analyzer should reject.
+//! The interesting faults are one-sided — a sender serving the wrong side
+//! while receivers still expect the old one, a rank that forgets to post a
+//! receive — and those are exactly what the mutations inject.
 
-use fmm_spmd::schedule::{ring_partners, CommProgram, Op, StepKind};
+use fmm_spmd::schedule::{CommProgram, Op, StepKind};
 
 /// One step of the lowered program: the schedule step plus every rank's
 /// ordered op list.
@@ -58,10 +58,13 @@ pub fn lower(prog: &CommProgram) -> Lowered {
 /// A schedule fault injected for the mutation smoke test.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Mutation {
-    /// Every sender of the first travelling-slot CSHIFT shifts the wrong
-    /// way; receivers keep expecting the scheduled direction. On any ring
-    /// of ≥ 4 ranks the endpoints no longer pair up.
-    FlippedShift,
+    /// Every sender of the first near-field particle-halo step serves the
+    /// rank mirrored across itself along the step's axis instead of the
+    /// one it names; receivers keep expecting the scheduled sources. A
+    /// rank at the domain face then sends around the wrap, where nobody
+    /// expects it, so on an axis of ≥ 3 ranks the endpoints no longer
+    /// pair up.
+    FlippedHalo,
     /// Rank 0 forgets to post its first receive, leaving one send
     /// unmatched.
     DroppedRecv,
@@ -74,7 +77,7 @@ pub enum Mutation {
 impl Mutation {
     pub fn parse(s: &str) -> Option<Mutation> {
         match s {
-            "flipped-shift" => Some(Mutation::FlippedShift),
+            "flipped-halo" => Some(Mutation::FlippedHalo),
             "dropped-recv" => Some(Mutation::DroppedRecv),
             "reply-after-shutdown" => Some(Mutation::ReplyAfterShutdown),
             _ => None,
@@ -83,31 +86,34 @@ impl Mutation {
 }
 
 /// Apply `m` to the lowered program in place. Panics if the program has
-/// no site for the mutation (e.g. a forces program has no slot shifts, a
-/// p = 1 program has no receives) — the smoke test must pick a
+/// no site for the mutation (e.g. a partitioned program has no axis
+/// halo, a p = 1 program has no receives) — the smoke test must pick a
 /// configuration where the fault exists.
 pub fn apply_mutation(low: &mut Lowered, m: Mutation) {
     match m {
-        Mutation::FlippedShift => {
+        Mutation::FlippedHalo => {
             let grid = low.program.grid;
             let step = low
                 .steps
                 .iter_mut()
-                .find(|s| matches!(s.kind, StepKind::SlotShift { .. }))
-                .expect("program has a travelling-slot shift to flip");
-            let StepKind::SlotShift { axis, delta, .. } = step.kind else {
+                .find(|s| matches!(s.kind, StepKind::ParticleHalo { .. }))
+                .expect("program has a particle-halo axis phase to flip");
+            let StepKind::ParticleHalo { axis } = step.kind else {
                 unreachable!()
             };
             assert!(
-                grid.dims[axis] >= 4,
-                "a flipped ring of < 4 ranks is endpoint-equivalent; \
-                 use a grid with >= 4 VUs along axis {axis}"
+                grid.dims[axis] >= 3,
+                "a mirrored axis of < 3 ranks is endpoint-equivalent; \
+                 use a grid with >= 3 VUs along axis {axis}"
             );
+            let dims = grid.dims[axis] as i64;
             for (rank, ops) in step.ops.iter_mut().enumerate() {
+                let my = grid.coords(rank);
                 for op in ops.iter_mut() {
                     if let Op::Send { to, .. } = op {
-                        let (wrong_dst, _) = ring_partners(&grid, rank, axis, -delta);
-                        *to = wrong_dst;
+                        let mut c = grid.coords(*to);
+                        c[axis] = (2 * my[axis] as i64 - c[axis] as i64).rem_euclid(dims) as usize;
+                        *to = grid.rank(c);
                     }
                 }
             }

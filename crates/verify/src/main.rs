@@ -3,7 +3,7 @@
 //! ```text
 //! cargo run -p fmm-verify -- check [--depth D] [--workers P] [--order O]
 //!                                  [--forces] [--skip-lints]
-//!                                  [--mutate flipped-shift|dropped-recv|reply-after-shutdown]
+//!                                  [--mutate flipped-halo|dropped-recv|reply-after-shutdown]
 //! cargo run -p fmm-verify -- preflight [--depth D] [--workers P] [--order O]
 //!                                      [--forces] [--balance]
 //!                                      [--fabric inprocess|unix|tcp]
@@ -25,7 +25,7 @@ fn usage() -> ! {
     eprintln!(
         "usage: fmm-verify check [--depth D] [--workers P] [--order O] \
          [--forces] [--balance] [--skip-lints] \
-         [--mutate flipped-shift|dropped-recv|reply-after-shutdown]\n\
+         [--mutate flipped-halo|dropped-recv|reply-after-shutdown]\n\
          \u{20}      fmm-verify preflight [--depth D] [--workers P] [--order O] \
          [--forces] [--balance] [--fabric inprocess|unix|tcp] [--capacity-bytes B]"
     );

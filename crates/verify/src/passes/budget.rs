@@ -16,8 +16,8 @@
 //! halo + broadcast because the budget's axis-aware halo accounting
 //! prices wrap-aliased ghost cells as local moves exactly as the
 //! lowering does. Phases with data-dependent payloads (router sort,
-//! travelling slots, particle halo) report `bytes: None` and are
-//! checked on message counts alone.
+//! particle halo) report `bytes: None` and are checked on message counts
+//! alone.
 
 use fmm_machine::{
     check_phases, communication_budget_with, BudgetMismatch, MeasuredPhase, ProgramBudget,

@@ -103,7 +103,7 @@ fn table4_static_totals_are_the_pr2_constants() {
     let low = lower(&table4_program());
     let phases = budget::static_phases(&low);
     let msgs: Vec<u64> = phases.iter().map(|p| p.messages).collect();
-    assert_eq!(msgs, [1, 0, 127, 19, 0, 65]);
+    assert_eq!(msgs, [1, 0, 127, 19, 0, 6]);
     assert_eq!(phases[2].bytes, Some(86_016));
     assert_eq!(phases[3].bytes, Some(24_351_744));
     // Sort and near-field payloads are data-dependent.
@@ -112,12 +112,12 @@ fn table4_static_totals_are_the_pr2_constants() {
 }
 
 #[test]
-fn flipped_shift_is_rejected_by_endpoints_and_deadlock() {
+fn flipped_halo_is_rejected_by_endpoints_and_deadlock() {
     let mut low = lower(&table4_program());
-    apply_mutation(&mut low, Mutation::FlippedShift);
-    let errs = endpoints::check(&low).expect_err("flipped ring must not match");
+    apply_mutation(&mut low, Mutation::FlippedHalo);
+    let errs = endpoints::check(&low).expect_err("a flipped halo must not match");
     assert!(!errs.is_empty());
-    deadlock::check(&low).expect_err("flipped ring must not complete");
+    deadlock::check(&low).expect_err("a flipped halo must not complete");
 }
 
 #[test]
@@ -140,10 +140,7 @@ fn dropped_recv_is_rejected_with_one_unmatched_send() {
 
 #[test]
 fn mutation_parsing() {
-    assert_eq!(
-        Mutation::parse("flipped-shift"),
-        Some(Mutation::FlippedShift)
-    );
+    assert_eq!(Mutation::parse("flipped-halo"), Some(Mutation::FlippedHalo));
     assert_eq!(Mutation::parse("dropped-recv"), Some(Mutation::DroppedRecv));
     assert_eq!(Mutation::parse("no-such-fault"), None);
 }
@@ -155,7 +152,7 @@ fn run_checks_reports_the_failing_pass_by_name() {
     let clean = run_checks(&cfg);
     assert!(clean.ok(), "{:?}", clean.failing());
 
-    cfg.mutate = Some(Mutation::FlippedShift);
+    cfg.mutate = Some(Mutation::FlippedHalo);
     let bad = run_checks(&cfg);
     assert!(!bad.ok());
     assert!(bad.failing().contains(&"endpoint-matching"));
