@@ -203,6 +203,7 @@ pub fn travelling_sweep(
         a.merge(&b);
         a
     };
+    // det: integer counters only; each task writes its own box.
     let mut total = outs
         .par_iter_mut()
         .enumerate()
@@ -242,6 +243,8 @@ pub fn travelling_sweep(
                 flops: pairs * PAIR_FLOPS,
             }
         };
+        // det: integer counters only; each visit writes its own box and
+        // accumulator.
         let steps = visits.par_iter_mut().map(visit);
         total = add(total, steps.reduce(NearFieldStats::default, add));
     }

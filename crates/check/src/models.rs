@@ -79,8 +79,7 @@ pub fn registry_build_once(threads: usize, opts: &Options) -> ModelReport {
         t1t: Vec::new(),
         t3t: Vec::new(),
         t2t: Vec::new(),
-        // det: empty, never iterated.
-        t2t_super: HashMap::new(),
+        t2t_super: Vec::new(),
         built_t1t3: 0,
         built_t2: 0,
     });

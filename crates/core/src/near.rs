@@ -31,8 +31,8 @@
 //!   conflicts at the full 124-neighbour pair count, swept in pieces of
 //!   near-equal pair count on the plan's kernel. A target gathers one
 //!   neighbour *row* at a time — the 2d+1 boxes of one x-row, one run of
-//!   a binning or of a row-major SPMD cell store (read through a [`Cells`]
-//!   range lookup) — so 26 calls instead of 126, and pairs of targets
+//!   a binning or of a row-major SPMD cell store (both read through
+//!   [`RowCells`]) — so 26 calls instead of 126, and pairs of targets
 //!   share every row but their own through the two-target force panel.
 //!
 //! [`near_field_potentials_softened`] is the same target-centric sweep
@@ -80,35 +80,6 @@ impl NearFieldStats {
     }
 }
 
-/// Leaf cells as flat SoA arrays with a per-box range lookup: what the
-/// target-centric bodies read their sources through.
-/// [`BinnedParticles::cells`] is a binning's own sorted arrays; an SPMD
-/// worker hands in its cell store, where the force rows find every cell
-/// in row-major order.
-pub struct Cells<'a, L, T = f64> {
-    x: &'a [T],
-    y: &'a [T],
-    z: &'a [T],
-    q: &'a [T],
-    range: L,
-}
-
-impl<'a, L: Fn(usize) -> Range<usize>, T> Cells<'a, L, T> {
-    /// `range(b)` is the run of leaf box `b`'s particles in the four
-    /// equally long arrays, empty if it has none.
-    pub fn new(x: &'a [T], y: &'a [T], z: &'a [T], q: &'a [T], range: L) -> Self {
-        assert!(x.len() == y.len() && y.len() == z.len() && z.len() == q.len());
-        Cells { x, y, z, q, range }
-    }
-}
-
-impl BinnedParticles {
-    /// The binning's own cells: the sorted arrays under [`Self::range`].
-    pub fn cells(&self) -> Cells<'_, impl Fn(usize) -> Range<usize> + '_> {
-        Cells::new(&self.x, &self.y, &self.z, &self.q, |b| self.range(b))
-    }
-}
-
 /// Split a buffer into per-box mutable slices following the binning CSR.
 pub(crate) fn per_box_slices<'a, T>(
     bp: &BinnedParticles,
@@ -152,7 +123,7 @@ pub fn near_field_potentials_softened(
         kernel: Kernel::detect(),
         eps2: eps * eps,
     };
-    target_sweep(bp, &bp.cells(), &sum, out, None)
+    target_sweep(bp, &bp.row_cells(), &sum, out, None)
 }
 
 /// Symmetric near field exploiting Newton's third law: each unordered box
@@ -315,11 +286,12 @@ fn self_box<T: Lane>(kernel: Kernel, [x, y, z, q]: [&[T]; 4], eps2: T, out: &mut
     n * n.saturating_sub(1) / 2
 }
 
-/// Leaf cells in row-major cell order, what the symmetric sweep reads:
+/// Leaf cells in row-major cell order, what every near-field body reads:
 /// the particles `[x, y, z, q]` of cell `b` at `starts[b]..starts[b + 1]`
-/// of the four arrays. A binning's own arrays and CSR are one; an SPMD
-/// rank's cell store, laid out row-major, is another, its absent cells
-/// empty.
+/// of the four arrays, so the cells `first..=last` of an x-row are the one
+/// run `starts[first]..starts[last + 1]`. A binning's own arrays and CSR
+/// are one; an SPMD rank's cell store, laid out row-major, is another, its
+/// absent cells empty.
 #[derive(Clone, Copy)]
 pub struct RowCells<'a, T = f64> {
     soa: [&'a [T]; 4],
@@ -668,22 +640,21 @@ pub fn near_field_forces_softened_with(
         kernel,
         eps2: eps * eps,
     };
-    target_sweep(bp, &bp.cells(), &sum, pot, Some(field))
+    target_sweep(bp, &bp.row_cells(), &sum, pot, Some(field))
 }
 
 /// Target-centric potential + field accumulation for the particles of leaf
 /// box `b` of `level` (`target_box` on the f64 force kernels), targets
-/// and sources both read through `cells`, which must hold every
-/// neighbour row's boxes back to back in x order: each target sums its
-/// own neighbour row split at itself, then the other rows of its
+/// and sources both read through `cells`: each target sums its own
+/// neighbour row split at itself, then the other rows of its
 /// neighbourhood in (dz, dy) order. `po`/`fo` are the per-box output
 /// slices of box `b`. The SPMD workers run the boxes they own through
-/// this, over a cell store that holds their halo laid out row-major.
-/// Returns the directed pairs and box pairs.
-#[allow(clippy::too_many_arguments)]
-pub fn near_field_forces_box<L: Fn(usize) -> Range<usize>>(
+/// this, over a cell store that holds their halo laid out row-major; a
+/// cell that is not there reads as empty. Returns the directed pairs and
+/// box pairs.
+pub fn near_field_forces_box(
     kernel: Kernel,
-    cells: &Cells<'_, L>,
+    cells: &RowCells<'_>,
     level: u32,
     b: usize,
     eps2: f64,
@@ -777,49 +748,41 @@ const MAX_ROWS: usize = 25;
 /// One box of a target-centric sweep, either precision, targets and
 /// sources read through `cells`. A *row* is the boxes x−d … x+d of one
 /// (y, z) in the neighbourhood, clipped to the domain, and one run of
-/// sources: `cells` must hold a row's non-empty boxes back to back in x
-/// order, as a binning and a row-major SPMD cell store do, and a row that
-/// is not panics naming the box and the row. Each target sums its own row
-/// split at itself — the run before it, then the run after it — then the
-/// other rows in (dz, dy) order. A run's sums join the target's f64
+/// sources, as the cells are in row-major order. Each target sums its own
+/// row split at itself — the run before it, then the run after it — then
+/// the other rows in (dz, dy) order. A run's sums join the target's f64
 /// accumulators whole, so a target's bits depend on that order alone;
 /// pairs of targets share each other row through [`RowSum::panel`].
 /// `emit(i, p, f)` hands over the sums of the box's `i`-th target. Returns
 /// the directed pairs and the box pairs (own box included) with particles
 /// at both ends.
-pub(crate) fn target_box<T: Copy, L: Fn(usize) -> Range<usize>, S: RowSum<T>>(
+pub(crate) fn target_box<T: Copy, S: RowSum<T>>(
     sum: &S,
-    cells: &Cells<'_, L, T>,
+    cells: &RowCells<'_, T>,
     level: u32,
     b: usize,
     mut emit: impl FnMut(usize, f64, [f64; 3]),
 ) -> NearFieldStats {
-    let t_range = (cells.range)(b);
+    let t_range = cells.run(b..b + 1);
     if t_range.is_empty() {
         return NearFieldStats::default();
     }
     let (t, d, side) = (BoxCoord::from_index(level, b), SEPARATION, 1i32 << level);
-    let row_xs = (t.x as i32 - d).max(0) as u32..=(t.x as i32 + d).min(side - 1) as u32;
+    let x0 = (t.x as i32 - d).max(0);
+    let width = ((t.x as i32 + d).min(side - 1) - x0 + 1) as usize;
     let (mut sources, mut boxes) = (0, 0);
     // The run of the row at (y, z), empty if the row holds no particle.
     let mut row = |y: u32, z: u32| -> Range<usize> {
-        let range = |x| (cells.range)(BoxCoord { level, x, y, z }.index());
-        let mut run: Option<Range<usize>> = None;
-        for r in row_xs.clone().map(range).filter(|r| !r.is_empty()) {
-            boxes += 1;
-            run = Some(match run {
-                None => r,
-                Some(run) => {
-                    assert!(
-                        run.end == r.start,
-                        "box {b} of level {level}: the cells of row (y, z) = ({y}, {z}) \
-                         are not back to back in x order"
-                    );
-                    run.start..r.end
-                }
-            });
+        let first = BoxCoord {
+            level,
+            x: x0 as u32,
+            y,
+            z,
         }
-        let run = run.unwrap_or_default();
+        .index();
+        let starts = &cells.starts[first..=first + width];
+        boxes += starts.windows(2).filter(|w| w[0] < w[1]).count();
+        let run = cells.run(first..first + width);
         sources += run.len();
         run
     };
@@ -839,12 +802,9 @@ pub(crate) fn target_box<T: Copy, L: Fn(usize) -> Range<usize>, S: RowSum<T>>(
             }
         }
     }
-    let src = |run: Range<usize>| [cells.x, cells.y, cells.z, cells.q].map(|a| &a[run.clone()]);
-    let tgt = [
-        &cells.x[t_range.clone()],
-        &cells.y[t_range.clone()],
-        &cells.z[t_range.clone()],
-    ];
+    let src = |run: Range<usize>| cells.arrays(run);
+    let [tx, ty, tz, _] = cells.arrays(t_range.clone());
+    let tgt = [tx, ty, tz];
     let n_t = t_range.len();
     for a in (0..n_t).step_by(2) {
         let pair = a..(a + 2).min(n_t);
@@ -919,9 +879,9 @@ fn cut_pieces(bp: &BinnedParticles, offsets: &[[i32; 3]], pieces: usize) -> Vec<
 /// piece and skips the cost pass. Each output element is written by its
 /// own target alone, so the result is bitwise the same wherever the cuts
 /// fall.
-pub(crate) fn target_sweep<T: Copy + Sync, L: Fn(usize) -> Range<usize> + Sync>(
+pub(crate) fn target_sweep<T: Copy + Sync>(
     bp: &BinnedParticles,
-    cells: &Cells<'_, L, T>,
+    cells: &RowCells<'_, T>,
     sum: &impl RowSum<T>,
     pot: &mut [f64],
     field: Option<&mut [[f64; 3]]>,
@@ -1298,23 +1258,6 @@ mod tests {
                 }
             }
         }
-    }
-
-    #[test]
-    #[should_panic(expected = "row (y, z) = (1, 2) are not back to back")]
-    fn a_row_out_of_x_order_panics_naming_the_row() {
-        // One particle in each of boxes x = 0 and x = 1 of the row at
-        // (y, z) = (1, 2) of level 2, boxes 36 and 37, held in the arrays
-        // the other way round.
-        let range = |b: usize| match b {
-            37 => 0..1,
-            36 => 1..2,
-            _ => 0..0,
-        };
-        let (xs, q) = ([0.3, 0.1], [1.0, 1.0]);
-        let cells = Cells::new(&xs, &[0.4; 2], &[0.6; 2], &q, range);
-        let (mut po, mut fo) = ([0.0], [[0.0; 3]]);
-        near_field_forces_box(Kernel::Scalar, &cells, 2, 36, 0.0, &mut po, &mut fo);
     }
 
     #[test]

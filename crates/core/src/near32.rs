@@ -32,7 +32,9 @@
 //! Arithmetic is f32; accumulation across runs is f64, so repeated
 //! `evaluate()` calls stay deterministic for a fixed kernel choice.
 
-use crate::near::{symmetric_binned, target_sweep, Cells, ColorSchedule, Forces, NearFieldStats};
+use crate::near::{
+    symmetric_binned, target_sweep, ColorSchedule, Forces, NearFieldStats, RowCells,
+};
 use crate::particles::BinnedParticles;
 use crate::serially;
 use fmm_linalg::Kernel;
@@ -104,7 +106,7 @@ pub fn near_field_forces_f32(
         return serially(|| near_field_forces_f32(kernel, bp, _sep, true, eps, pot, field));
     }
     let ps = ParticlesF32::build(bp);
-    let cells = Cells::new(&ps.x, &ps.y, &ps.z, &ps.q, |b| bp.range(b));
+    let cells = RowCells::new([&ps.x, &ps.y, &ps.z, &ps.q], &bp.binning.starts);
     let sum = Forces {
         kernel,
         eps2: (eps * eps) as f32,

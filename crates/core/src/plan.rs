@@ -3,7 +3,8 @@
 //! `Fmm::evaluate` used to recompute, on every call, a family of values
 //! that depend only on the hierarchy depth:
 //! the per-octant interactive-field offset lists, the supernode
-//! decompositions, the T2 matrix lookups, the slab decomposition of every
+//! decompositions, the T2 matrix lookups and the order the downward sweep
+//! applies them in, the slab decomposition of every
 //! level, the child gather/scatter index lists that turn panels of
 //! parents into panels of children, every level's parent list and its
 //! count of live T2 rows. None of this depends on the particles.
@@ -18,7 +19,10 @@
 use crate::near::ColorSchedule;
 use crate::translations::TranslationSet;
 use fmm_linalg::Kernel;
-use fmm_tree::{interactive_field_offsets, supernode_decomposition, BoxCoord, Separation};
+use fmm_tree::{
+    interactive_field_offsets, supernode_decomposition, BoxCoord, Separation, SEPARATION,
+};
+use std::sync::OnceLock;
 
 /// Children of one level's parents along one octant: for parent `p` (in
 /// row-major box order), `idx[p]` is the child's box index at the child
@@ -132,15 +136,52 @@ pub struct OctantPlan {
     /// Supernode parent-source offsets (parent-box units, applied to the
     /// target's parent coordinate).
     pub sn_parent_offsets: Vec<[i32; 3]>,
-    /// Keys into [`TranslationSet::t2t_super`], parallel to
+    /// Dense-cube indices in [`TranslationSet::t2t_super`] of their
+    /// matrices, keyed by the doubled parent-centre offset, parallel to
     /// `sn_parent_offsets`.
-    pub sn_parent_keys: Vec<[i32; 3]>,
+    pub sn_parent_idx: Vec<u32>,
     /// Leftover child-level offsets of the supernode decomposition.
     pub sn_child_offsets: Vec<[i32; 3]>,
     /// Dense-cube T2 indices parallel to `sn_child_offsets`.
     pub sn_child_idx: Vec<u32>,
     /// Total translations per box under supernodes (parents + children).
     pub sn_translation_count: usize,
+}
+
+/// One T2 offset list of an octant: source offsets and the matrix index
+/// of each.
+pub(crate) type T2List<'a> = (&'a [[i32; 3]], &'a [u32]);
+
+impl OctantPlan {
+    /// The octant's T2 lists under a supernode setting, indexed by how many
+    /// levels above the target their sources sit: `[0]` the same-level
+    /// sources (matrices in [`TranslationSet::t2t`]), `[1]` the
+    /// parent-level supernode sources ([`TranslationSet::t2t_super`]),
+    /// empty without supernodes. A box applies `[1]` first.
+    pub(crate) fn t2_lists(&self, supernodes: bool) -> [T2List<'_>; 2] {
+        if supernodes {
+            [
+                (&self.sn_child_offsets, &self.sn_child_idx),
+                (&self.sn_parent_offsets, &self.sn_parent_idx),
+            ]
+        } else {
+            [(&self.offsets, &self.t2_idx), (&[], &[])]
+        }
+    }
+}
+
+/// One T2 product of the downward schedule: octant `oct`'s accumulator
+/// panel takes `+= sources · M`, the sources `shift` levels above the
+/// targets at `offset` from each target's box there (source − target),
+/// and `M` the matrix `matrix` of that level's family (the `[shift]` list
+/// of [`OctantPlan::t2_lists`]).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct T2Step {
+    /// Components lie in [−5, 5].
+    pub(crate) offset: [i8; 3],
+    pub(crate) oct: u8,
+    pub(crate) shift: u8,
+    pub(crate) matrix: u16,
 }
 
 /// Everything the upward/downward passes and the near-field sweep need
@@ -158,6 +199,11 @@ pub struct TraversalPlan {
     pub octants: Vec<OctantPlan>,
     /// Parent levels 1..depth, indexed by `parent_level − 1`.
     pub levels: Vec<LevelPlan>,
+    /// The order in which the downward sweep applies every octant's T2
+    /// lists to one panel, index 0 without supernodes and 1 with them:
+    /// see [`t2_schedules`]. It depends on neither the depth nor the
+    /// kernel, so every plan shares the one the first plan built.
+    pub(crate) t2_schedule: &'static [Vec<T2Step>; 2],
     /// The leaf level the near field runs at; its colours, the z mod 3
     /// planes, follow from it (kept for `benchmark/`, ROADMAP item 1).
     pub near_schedule: ColorSchedule,
@@ -194,7 +240,11 @@ impl TraversalPlan {
                 let sd = supernode_decomposition(o);
                 let sn_translation_count = sd.translation_count();
                 let sn_parent_offsets = sd.parents.iter().map(|p| p.parent_offset).collect();
-                let sn_parent_keys = sd.parents.iter().map(|p| p.center_offset_half).collect();
+                let sn_parent_idx = sd
+                    .parents
+                    .iter()
+                    .map(|p| TranslationSet::super_index_for(p.center_offset_half) as u32)
+                    .collect();
                 let sn_child_idx = sd
                     .children
                     .iter()
@@ -204,7 +254,7 @@ impl TraversalPlan {
                     offsets,
                     t2_idx,
                     sn_parent_offsets,
-                    sn_parent_keys,
+                    sn_parent_idx,
                     sn_child_offsets: sd.children,
                     sn_child_idx,
                     sn_translation_count,
@@ -240,6 +290,7 @@ impl TraversalPlan {
         TraversalPlan {
             depth,
             kernel,
+            t2_schedule: T2_SCHEDULES.get_or_init(|| t2_schedules(&octants)),
             octants,
             levels,
             near_schedule: ColorSchedule::build(depth),
@@ -258,10 +309,12 @@ impl TraversalPlan {
             .octants
             .iter()
             .map(|o| {
-                (o.offsets.len() + o.sn_parent_offsets.len() * 2 + o.sn_child_offsets.len()) * 12
-                    + (o.t2_idx.len() + o.sn_child_idx.len()) * 4
+                (o.offsets.len() + o.sn_parent_offsets.len() + o.sn_child_offsets.len()) * 12
+                    + (o.t2_idx.len() + o.sn_parent_idx.len() + o.sn_child_idx.len()) * 4
             })
             .sum();
+        let schedule: usize = self.t2_schedule.iter().map(Vec::len).sum();
+        let per_oct = per_oct + schedule * std::mem::size_of::<T2Step>();
         let per_level: usize = self
             .levels
             .iter()
@@ -286,16 +339,8 @@ impl TraversalPlan {
 /// `[−off, 2n − off)`; under a parent-level (supernode) offset the parent
 /// `p` reaches `p + off`, on the axis for `n − |off|` parents.
 fn t2_rows(l_parent: u32, octants: &[OctantPlan], supernodes: bool) -> u64 {
-    // An octant's offset lists, each flagged if it is parent-level.
-    fn lists(op: &OctantPlan, supernodes: bool) -> [(&[[i32; 3]], bool); 2] {
-        if supernodes {
-            [(&op.sn_parent_offsets, true), (&op.sn_child_offsets, false)]
-        } else {
-            [(&op.offsets, false), (&[], false)]
-        }
-    }
     let n = 1i64 << l_parent; // parents per axis
-    let all = octants.iter().flat_map(|op| lists(op, supernodes));
+    let all = octants.iter().flat_map(|op| op.t2_lists(supernodes));
     let reach = all.flat_map(|(offs, _)| offs);
     let reach = reach.flatten().map(|c| c.abs() as i64).max().unwrap_or(0);
     // Per-axis counts by offset component, `[off + reach]`: same-level
@@ -316,8 +361,8 @@ fn t2_rows(l_parent: u32, octants: &[OctantPlan], supernodes: bool) -> u64 {
     ];
     let mut rows = 0;
     for (oct, op) in octants.iter().enumerate() {
-        for (offsets, parent_level) in lists(op, supernodes) {
-            let axis = |d: usize| if parent_level { 2 } else { (oct >> d) & 1 };
+        for (shift, (offsets, _)) in op.t2_lists(supernodes).into_iter().enumerate() {
+            let axis = |d: usize| if shift == 1 { 2 } else { (oct >> d) & 1 };
             let axes = [0, 1, 2].map(|d| &table[axis(d)]);
             let at = |d: usize, off: &[i32; 3]| axes[d][(off[d] as i64 + reach) as usize];
             rows += offsets
@@ -327,6 +372,86 @@ fn t2_rows(l_parent: u32, octants: &[OctantPlan], supernodes: bool) -> u64 {
         }
     }
     rows as u64
+}
+
+/// The T2 schedules every plan shares (see [`t2_schedules`]).
+static T2_SCHEDULES: OnceLock<[Vec<T2Step>; 2]> = OnceLock::new();
+
+/// The downward sweep's T2 order for one panel under both supernode
+/// settings, built in one pass. First every octant's parent-level list,
+/// octant by octant, each in its own order; then the same-level lists
+/// interleaved, so that each matrix meets every octant that uses it back
+/// to back. A same-level source of octant o is child e ∈ {0, 1}³ of the
+/// target parent's neighbour p ∈ [−d, d]³, at offset A = 2p + e − o, and
+/// every list is generated p-major, then by e in (z, y, x) order. The
+/// schedule visits the blocks p in (z, y, x) order, within a block the
+/// matrices c = A − 2p = e − o ∈ {−1, 0, 1}³ in (z, y, x) order, and per
+/// matrix the octants that use it in ascending order. For a fixed o, c is
+/// e translated, so the schedule restricted to one octant's list is that
+/// list in order: each accumulator receives the products it received
+/// when the octants ran one after another, in the same order.
+fn t2_schedules(octants: &[OctantPlan]) -> [Vec<T2Step>; 2] {
+    let step = |oct: usize, shift: u8, offset: [i32; 3], matrix: u32| T2Step {
+        offset: offset.map(|c| c as i8),
+        oct: oct as u8,
+        shift,
+        matrix: matrix as u16,
+    };
+    let mut schedules = [false, true].map(|supernodes| {
+        let lists = octants.iter().flat_map(|op| op.t2_lists(supernodes));
+        let mut steps = Vec::with_capacity(lists.map(|(offsets, _)| offsets.len()).sum());
+        for (oct, op) in octants.iter().enumerate() {
+            let (offsets, idx) = op.t2_lists(supernodes)[1];
+            steps.extend(
+                offsets
+                    .iter()
+                    .zip(idx)
+                    .map(|(&off, &m)| step(oct, 1, off, m)),
+            );
+        }
+        steps
+    });
+    let lists: [[T2List<'_>; 8]; 2] =
+        [false, true].map(|sn| std::array::from_fn(|oct| octants[oct].t2_lists(sn)[0]));
+    // Per setting and octant: the same-level entries placed so far.
+    let mut placed = [[0usize; 8]; 2];
+    // The points of [−r, r]³ in (z, y, x) order.
+    let cube = |r: i32| {
+        let line = move || -r..=r;
+        line().flat_map(move |z| line().flat_map(move |y| line().map(move |x| [x, y, z])))
+    };
+    for p in cube(SEPARATION) {
+        for c in cube(1) {
+            let a = [0, 1, 2].map(|d| 2 * p[d] + c[d]);
+            if a.iter().all(|v| v.abs() <= SEPARATION) {
+                continue; // the near field: in no list
+            }
+            // Octant o reaches (p, c) through the child e = c + o alone, so
+            // its bit is 1 where c = −1, 0 where c = 1, either where c = 0.
+            let bits = |v: i32| (0..3).filter(|&d| c[d] == v).map(|d| 1 << d).sum::<usize>();
+            let (ones, free) = (bits(-1), bits(0));
+            for oct in (0..8).filter(|oct| oct & !free == ones) {
+                for (sn, steps) in schedules.iter_mut().enumerate() {
+                    let (offsets, idx) = lists[sn][oct];
+                    let at = &mut placed[sn][oct];
+                    if offsets.get(*at) == Some(&a) {
+                        steps.push(step(oct, 0, a, idx[*at]));
+                        *at += 1;
+                    }
+                }
+            }
+        }
+    }
+    for (sn, placed) in placed.iter().enumerate() {
+        for (op, &n) in octants.iter().zip(placed) {
+            let len = op.t2_lists(sn == 1)[0].0.len();
+            assert_eq!(
+                n, len,
+                "a same-level list is ordered by block, then by child"
+            );
+        }
+    }
+    schedules
 }
 
 /// Slab decomposition of a parent level: ranges of parent box indices, one
@@ -390,7 +515,7 @@ mod tests {
             let sd = supernode_decomposition(o);
             assert_eq!(op.sn_translation_count, sd.translation_count());
             assert_eq!(op.sn_child_offsets, sd.children);
-            assert_eq!(op.sn_parent_offsets.len(), op.sn_parent_keys.len());
+            assert_eq!(op.sn_parent_offsets.len(), op.sn_parent_idx.len());
         }
     }
 
@@ -458,6 +583,103 @@ mod tests {
             assert_eq!(groups.len(), n.div_ceil(2));
             assert_eq!(groups.last().unwrap().1, n * n * n);
         }
+    }
+
+    /// The steps of one (octant, list) of a schedule, as (offset, matrix).
+    fn restricted(steps: &[T2Step], oct: usize, shift: u8) -> Vec<([i32; 3], u32)> {
+        let mine = steps
+            .iter()
+            .filter(|s| (s.oct as usize, s.shift) == (oct, shift));
+        mine.map(|s| (s.offset.map(i32::from), u32::from(s.matrix)))
+            .collect()
+    }
+
+    #[test]
+    fn t2_schedule_restricted_to_a_list_is_that_list() {
+        let plan = TraversalPlan::build(3);
+        for supernodes in [false, true] {
+            let steps = &plan.t2_schedule[supernodes as usize];
+            let mut total = 0;
+            for (oct, op) in plan.octants.iter().enumerate() {
+                for (shift, (offsets, idx)) in op.t2_lists(supernodes).into_iter().enumerate() {
+                    let want: Vec<_> = offsets.iter().copied().zip(idx.iter().copied()).collect();
+                    assert_eq!(restricted(steps, oct, shift as u8), want, "{oct} {shift}");
+                    total += want.len();
+                }
+            }
+            // Every (octant, list, index) once, and nothing else.
+            assert_eq!(steps.len(), total, "supernodes = {supernodes}");
+            // The parent-level lists come first.
+            let first_same = steps.iter().position(|s| s.shift == 0).unwrap();
+            assert!(steps[first_same..].iter().all(|s| s.shift == 0));
+        }
+    }
+
+    /// The neighbour block p of a same-level step: A = 2p + e − o with
+    /// e ∈ {0, 1}³.
+    fn block(s: &T2Step) -> [i32; 3] {
+        let o = |d: usize| ((s.oct as usize >> d) & 1) as i32;
+        std::array::from_fn(|d| (i32::from(s.offset[d]) + o(d)).div_euclid(2))
+    }
+
+    #[test]
+    fn t2_schedule_runs_each_block_matrix_once() {
+        let plan = TraversalPlan::build(3);
+        for supernodes in [false, true] {
+            let steps = &plan.t2_schedule[supernodes as usize];
+            let same = steps.iter().filter(|s| s.shift == 0);
+            // Runs of one (block, matrix), each with its octants.
+            type BlockMatrix = ([i32; 3], u16);
+            let mut runs: Vec<(BlockMatrix, Vec<u8>)> = Vec::new();
+            for s in same {
+                let key = (block(s), s.matrix);
+                match runs.last_mut() {
+                    Some((k, octs)) if *k == key => octs.push(s.oct),
+                    _ => runs.push((key, vec![s.oct])),
+                }
+            }
+            // Blocks in (z, y, x) order, each (block, matrix) one run, its
+            // octants ascending.
+            let zyx = |p: [i32; 3]| [p[2], p[1], p[0]];
+            assert!(runs.windows(2).all(|w| zyx(w[0].0 .0) <= zyx(w[1].0 .0)));
+            let mut keys: Vec<_> = runs.iter().map(|(k, _)| *k).collect();
+            keys.sort_unstable();
+            keys.dedup();
+            assert_eq!(keys.len(), runs.len(), "supernodes = {supernodes}");
+            assert!(runs.iter().all(|(_, o)| o.windows(2).all(|w| w[0] < w[1])));
+        }
+    }
+
+    /// Matrix switches in a sequence of T2 products of one family: runs
+    /// of one matrix.
+    fn switches(matrices: impl IntoIterator<Item = u32>) -> usize {
+        let mut matrices: Vec<_> = matrices.into_iter().collect();
+        matrices.dedup();
+        matrices.len()
+    }
+
+    #[test]
+    fn t2_schedule_switch_counts_are_pinned() {
+        let plan = TraversalPlan::build(3);
+        let count = |supernodes: bool, shift: u8| {
+            // Octant after octant, each list in its own order, against the
+            // schedule.
+            let octant_major = plan.octants.iter().flat_map(|op| {
+                let (_, idx) = op.t2_lists(supernodes)[shift as usize];
+                idx.iter().copied()
+            });
+            let steps = plan.t2_schedule[supernodes as usize].iter();
+            let scheduled = steps.filter(|s| s.shift == shift);
+            let scheduled = scheduled.map(|s| u32::from(s.matrix));
+            (switches(octant_major), switches(scheduled))
+        };
+        // Plain lists: 8 × 875 products over 1206 matrices, one run per
+        // (block, matrix) outside the near field, 5³·3³ − 7³.
+        assert_eq!(count(false, 0), (7000, 3032));
+        // Supernodes: the 784 parent-level sources are one matrix each; the
+        // 218 leftover child-level matrices are interleaved.
+        assert_eq!(count(true, 1), (784, 784));
+        assert_eq!(count(true, 0), (728, 386));
     }
 
     #[test]

@@ -350,8 +350,7 @@ mod tests {
             t1t: Vec::new(),
             t3t: Vec::new(),
             t2t: Vec::new(),
-            // det: empty, never iterated.
-            t2t_super: HashMap::new(),
+            t2t_super: Vec::new(),
             built_t1t3: 0,
             built_t2: 0,
         })

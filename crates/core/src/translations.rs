@@ -25,7 +25,6 @@ use fmm_linalg::Matrix;
 use fmm_sphere::{inner_kernel_row, outer_kernel_row, Mirror, SphereRule};
 use fmm_tree::{interactive_field_union, supernode_decomposition, SEPARATION};
 use rayon::prelude::*;
-use std::collections::HashMap;
 
 /// Offsets of the eight child centres relative to their parent's centre,
 /// in child-side units, indexed by octant.
@@ -57,9 +56,11 @@ pub struct TranslationSet {
     /// decomposition folded into a parent source; only the leftover
     /// children of the eight octants are stored (218).
     pub t2t: Vec<Option<Matrix>>,
-    /// Supernode T2 matrices keyed by the doubled parent-centre offset.
-    // det: matrices are fetched by offset key only, never iterated.
-    pub t2t_super: HashMap<[i32; 3], Matrix>,
+    /// Supernode T2 matrices (transposed) in a dense 10³ cube of their
+    /// keys, the doubled parent-centre offsets (odd triples in [−9, 9]³),
+    /// indexed by [`TranslationSet::super_index_for`]; all `None` without
+    /// supernodes.
+    pub t2t_super: Vec<Option<Matrix>>,
     /// T1/T3 matrices evaluated from the series; the other stored ones
     /// were derived from a mirror image ([`TranslationSet::derived`]).
     pub built_t1t3: usize,
@@ -356,21 +357,17 @@ impl TranslationSet {
         }
         let (matrices, reps) = direct.orbits(&keys);
 
-        let w = (4 * SEPARATION + 3) as usize;
+        let (w, ws) = ((4 * SEPARATION + 3) as usize, (4 * SEPARATION + 2) as usize);
         let mut t1t = Vec::with_capacity(8);
         let mut t3t = Vec::with_capacity(8);
         let mut t2t: Vec<Option<Matrix>> = vec![None; w * w * w];
-        let n_super = keys.iter().filter(|k| matches!(k, Key::Super(_))).count();
-        // det: keyed lookups only (see the field's justification).
-        let mut t2t_super = HashMap::with_capacity(n_super);
+        let mut t2t_super: Vec<Option<Matrix>> = vec![None; ws * ws * ws];
         for (key, mt) in matrices {
             match key {
                 Key::T1(_) => t1t.push(mt),
                 Key::T3(_) => t3t.push(mt),
                 Key::T2(o) => t2t[Self::t2_index_for(o)] = Some(mt),
-                Key::Super(key) => {
-                    t2t_super.insert(key, mt);
-                }
+                Key::Super(key) => t2t_super[Self::super_index_for(key)] = Some(mt),
             }
         }
         let built_t1t3 = reps
@@ -398,20 +395,33 @@ impl TranslationSet {
         (((o[2] + r) as usize * w) + (o[1] + r) as usize) * w + (o[0] + r) as usize
     }
 
+    /// Dense-cube index of a supernode key: its components are odd and
+    /// span [−(4d + 1), 4d + 1] at separation d (the offset 4P − 2o + 1
+    /// of a parent P ∈ [−d, d]³ from octant o, doubled).
+    #[inline]
+    pub fn super_index_for(key: [i32; 3]) -> usize {
+        let r = 4 * SEPARATION + 1;
+        let w = (r + 1) as usize; // the odd values of [−r, r]
+        debug_assert!(key.iter().all(|v| v.abs() <= r && v % 2 != 0));
+        let [x, y, z] = key.map(|v| ((v + r) / 2) as usize);
+        (z * w + y) * w + x
+    }
+
     /// T2 matrix (transposed) for an offset; `None` inside the near field.
     #[inline]
     pub fn t2(&self, o: [i32; 3]) -> Option<&Matrix> {
         self.t2t[Self::t2_index_for(o)].as_ref()
     }
 
-    /// Number of distinct T2 matrices stored.
+    /// Number of distinct T2 matrices stored, supernode ones excluded.
     pub fn t2_count(&self) -> usize {
-        self.t2t.iter().filter(|m| m.is_some()).count()
+        self.t2t.iter().flatten().count()
     }
 
     /// Number of matrices stored, of every family.
     pub fn matrix_count(&self) -> usize {
-        self.t1t.len() + self.t3t.len() + self.t2_count() + self.t2t_super.len()
+        let supers = self.t2t_super.iter().flatten().count();
+        self.t1t.len() + self.t3t.len() + self.t2_count() + supers
     }
 
     /// Matrices evaluated from the series.
@@ -483,38 +493,41 @@ mod tests {
     #[test]
     fn supernode_matrix_count_is_bounded_by_offsets() {
         let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, true);
-        assert!(!ts.t2t_super.is_empty());
-        // Keys are odd triples (4P − 2o + 1).
-        for key in ts.t2t_super.keys() {
+        // Keys are odd triples (4P − 2o + 1), each in its own slot.
+        let keys = super_keys();
+        for key in &keys {
             for v in key {
                 assert!(v % 2 != 0, "doubled centre offset must be odd: {:?}", key);
             }
+            assert!(stored_super(&ts, *key).is_some(), "{key:?}");
         }
+        let mut slots: Vec<usize> = keys
+            .iter()
+            .map(|&k| TranslationSet::super_index_for(k))
+            .collect();
+        slots.sort_unstable();
+        slots.dedup();
+        assert_eq!(slots.len(), keys.len());
+        assert!(slots.iter().all(|&i| i < ts.t2t_super.len()));
     }
 
     #[test]
     fn each_setting_builds_exactly_what_its_plan_references() {
-        let plan = TraversalPlan::with_kernel(3, Kernel::Scalar);
         for supernodes in [false, true] {
             let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, supernodes);
             let idx = referenced_t2(supernodes);
             assert!(idx.iter().all(|&i| ts.t2t[i as usize].is_some()));
             assert_eq!(ts.t2_count(), idx.len(), "supernodes = {supernodes}");
-            let mut keys: Vec<[i32; 3]> = plan
-                .octants
-                .iter()
-                .flat_map(|op| op.sn_parent_keys.iter().copied())
-                .collect();
-            keys.sort_unstable();
-            keys.dedup();
+            let keys = super_keys();
+            let supers = ts.t2t_super.iter().flatten().count();
             if supernodes {
-                assert!(keys.iter().all(|key| ts.t2t_super.contains_key(key)));
-                assert_eq!(ts.t2t_super.len(), keys.len());
+                assert!(keys.iter().all(|&key| stored_super(&ts, key).is_some()));
+                assert_eq!(supers, keys.len());
                 // 218 leftover children + 784 parent sources, against the
                 // 1206 + 784 the full cube would hold.
                 assert_eq!((idx.len(), keys.len()), (218, 784));
             } else {
-                assert!(ts.t2t_super.is_empty());
+                assert_eq!(supers, 0);
                 assert_eq!(idx.len(), 1206);
             }
         }
@@ -682,14 +695,16 @@ mod tests {
                     }
                 }
             }
-            for (key, mt) in &ts.t2t_super {
-                assert!(same_bits(mt, &direct.t2_super(*key)), "supernode {key:?}");
+            for key in super_keys() {
+                if let Some(mt) = stored_super(&ts, key) {
+                    assert!(same_bits(mt, &direct.t2_super(key)), "supernode {key:?}");
+                }
             }
             assert_eq!(ts.built() + ts.derived(), ts.matrix_count());
             (
                 ts.built_t1t3,
                 ts.built_t2,
-                ts.t2_count() + ts.t2t_super.len(),
+                ts.t2_count() + ts.t2t_super.iter().flatten().count(),
             )
         });
         (rule.mirrors().len(), counts)
@@ -771,6 +786,25 @@ mod tests {
         idx
     }
 
+    /// Every supernode key of the eight octants' decompositions,
+    /// ascending.
+    fn super_keys() -> Vec<[i32; 3]> {
+        let mut keys: Vec<[i32; 3]> = (0..8)
+            .flat_map(|oct| {
+                supernode_decomposition([oct & 1, (oct >> 1) & 1, (oct >> 2) & 1]).parents
+            })
+            .map(|p| p.center_offset_half)
+            .collect();
+        keys.sort_unstable();
+        keys.dedup();
+        keys
+    }
+
+    /// The stored supernode matrix of `key`, if the set holds one.
+    fn stored_super(ts: &TranslationSet, key: [i32; 3]) -> Option<&Matrix> {
+        ts.t2t_super[TranslationSet::super_index_for(key)].as_ref()
+    }
+
     /// FNV-1a over `to_bits()` of every matrix the traversal can reach
     /// under `supernodes`: T1, T3, the referenced T2 cube entries in index
     /// order, the supernode matrices in key order.
@@ -791,14 +825,13 @@ mod tests {
 
     fn checksum(ts: &TranslationSet, supernodes: bool) -> u64 {
         let idx = referenced_t2(supernodes);
-        let mut keys: Vec<[i32; 3]> = ts.t2t_super.keys().copied().collect();
-        keys.sort_unstable();
+        let keys = super_keys();
         let t2 = idx.iter().map(|&i| {
             ts.t2t[i as usize]
                 .as_ref()
                 .expect("every plan index resolves for the matching setting")
         });
-        let sup = keys.iter().map(|key| &ts.t2t_super[key]);
+        let sup = keys.iter().filter_map(|&key| stored_super(ts, key));
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         for mt in ts.t1t.iter().chain(&ts.t3t).chain(t2).chain(sup) {
             for v in mt.as_slice() {

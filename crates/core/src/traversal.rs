@@ -262,57 +262,6 @@ fn upward_sweep(
     }
 }
 
-/// One T2 offset list of a child octant with its matrices resolved from
-/// the plan's stored indices/keys (no hash lookups inside the slab
-/// loops). The source of child `t` under offset `off` is the box
-/// `(t >> shift) + off` of level `l − shift`: `shift` is 0 for same-level
-/// interactive sources and 1 for parent-level supernode sources.
-struct OffsetList<'a> {
-    offsets: &'a [[i32; 3]],
-    matrices: Vec<&'a Matrix>,
-    shift: u32,
-}
-
-fn resolve_offset_lists<'a>(
-    ts: &'a TranslationSet,
-    plan: &'a TraversalPlan,
-    supernodes: bool,
-) -> Vec<Vec<OffsetList<'a>>> {
-    // A set holds the matrices of one supernode setting (see
-    // `TranslationSet::build`).
-    const OTHER_SETTING: &str = "translation set was built for the other supernode setting";
-    let t2_at = |i: &u32| -> &'a Matrix { ts.t2t[*i as usize].as_ref().expect(OTHER_SETTING) };
-    plan.octants
-        .iter()
-        .map(|op| {
-            if supernodes {
-                vec![
-                    OffsetList {
-                        offsets: &op.sn_parent_offsets,
-                        matrices: op
-                            .sn_parent_keys
-                            .iter()
-                            .map(|key| ts.t2t_super.get(key).expect(OTHER_SETTING))
-                            .collect(),
-                        shift: 1,
-                    },
-                    OffsetList {
-                        offsets: &op.sn_child_offsets,
-                        matrices: op.sn_child_idx.iter().map(t2_at).collect(),
-                        shift: 0,
-                    },
-                ]
-            } else {
-                vec![OffsetList {
-                    offsets: &op.offsets,
-                    matrices: op.t2_idx.iter().map(t2_at).collect(),
-                    shift: 0,
-                }]
-            }
-        })
-        .collect()
-}
-
 /// Downward pass: for levels l = 2 … depth, convert interactive-field
 /// outer samples to inner samples (T2, optionally with supernodes) and add
 /// the parent's shifted inner samples (T3). `parallel = false` runs it
@@ -436,6 +385,14 @@ pub fn downward_rows(
 /// parents per octant, held parent-major (the `R` instances' rows of one
 /// parent adjacent), so parents that form one run are one run of rows.
 ///
+/// The eight octants' panels of one step are live together, each with its
+/// own accumulator: T3 runs into each first, then the products follow the
+/// plan's matrix-stationary schedule (`TraversalPlan::t2_schedule`), which
+/// streams each T2 matrix once for every octant that uses it. Restricted
+/// to one octant it is that octant's lists in their own order, so every
+/// accumulator receives the sequence of products it would octant by
+/// octant.
+///
 /// Only live rows — those whose source lies in the domain — are
 /// multiplied. Their accumulator rows are used in place when an offset's
 /// live parents form one run (always, in a panel of one parent row), else
@@ -460,7 +417,11 @@ fn downward_sweep(
     let r = fhs.len();
     let k = fhs[0].k;
     let kr = k * r; // one parent's rows
-    let oct_lists = resolve_offset_lists(ts, plan, supernodes);
+    let schedule = &plan.t2_schedule[supernodes as usize];
+    // The T2 matrices by source level; a set holds those of one supernode
+    // setting (see `TranslationSet::build`).
+    let families = [&ts.t2t, &ts.t2t_super];
+    const OTHER_SETTING: &str = "translation set was built for the other supernode setting";
     let l_parent = l - 1;
     let lvl = plan.level(l_parent);
     let chunk = fhs[0].hierarchy.boxes_at_level(l) / slabs.len();
@@ -504,6 +465,15 @@ fn downward_sweep(
         }
         cuts
     };
+    // Source levels the schedule reads: the child level, and with
+    // supernodes the parent level.
+    let shifts = 1 + supernodes as usize;
+    // log2 of a source level's axis, and a box's linear index there.
+    let bits = |shift: usize| l - shift as u32;
+    let lin = |shift: usize, c: [i32; 3]| {
+        let b = bits(shift);
+        ((c[2] as isize) << (2 * b)) + ((c[1] as isize) << b) + c[0] as isize
+    };
 
     let slabs_outs = slabs.par_iter().zip(outs.par_iter_mut());
     slabs_outs.for_each(|(&(base, ref rows), out)| {
@@ -511,30 +481,37 @@ fn downward_sweep(
         let longest = rows.iter().map(|p| p.len()).max().unwrap_or(0);
         let cap = panel.min(longest);
         let mut src_panel = vec![0.0; cap * kr];
-        let mut acc_panel = vec![0.0; cap * kr];
+        let mut acc_panels = vec![0.0; 8 * cap * kr];
         let mut acc_packed = vec![0.0; cap * kr];
         // Source box of each row under the current offset.
         const OUTSIDE: usize = usize::MAX;
         let mut src_idx = vec![OUTSIDE; cap];
-        // Target box of each row on the current list's source level.
-        let mut targets = vec![([0i32; 3], 0isize); cap];
+        // Target box of each row on each source level, per octant.
+        let mut targets = vec![([0i32; 3], 0isize); shifts * 8 * cap];
         let (mut n_live, mut n_copied) = (0u64, 0u64);
         for sub in 0..cuts.iter().map(Vec::len).max().unwrap_or(0) {
-            for (oct, lists) in oct_lists.iter().enumerate() {
-                // Rows of the panels: this panel's parents along `oct`.
-                let Some(range) = cuts[oct].get(sub) else {
-                    continue;
-                };
-                let parents = &rows[oct][range.clone()];
+            // Rows of the panels: this panel's parents along each octant,
+            // none where an octant has no panel `sub`.
+            let panels: [&[u32]; 8] = std::array::from_fn(|oct| {
+                cuts[oct]
+                    .get(sub)
+                    .map_or(&[][..], |range| &rows[oct][range.clone()])
+            });
+            for (oct, &parents) in panels.iter().enumerate() {
                 let np = parents.len();
-                let acc_panel = &mut acc_panel[..np * kr];
-                let src_idx = &mut src_idx[..np];
-                let targets = &mut targets[..np];
-                let kids = &lvl.children[oct];
+                let acc_panel = &mut acc_panels[oct * cap * kr..][..np * kr];
                 acc_panel.fill(0.0);
+                let coord = &lvl.children[oct].coord;
+                for (shift, targets) in targets.chunks_mut(8 * cap).enumerate() {
+                    let targets = &mut targets[oct * cap..][..np];
+                    for (target, &pi) in targets.iter_mut().zip(parents) {
+                        let c = coord[pi as usize].map(|x| x >> shift);
+                        *target = (c, lin(shift, c));
+                    }
+                }
 
                 // ---- T3: parent inner → child inner -------------------
-                if apply_t3 {
+                if apply_t3 && np > 0 {
                     let at = || parents.iter().map(|&pi| pi as usize);
                     let t3 = &ts.t3t[oct];
                     if let Some((p0, step)) = solo_gemm.then(|| one_stride(at())).flatten() {
@@ -550,81 +527,82 @@ fn downward_sweep(
                         n_copied += (np * r) as u64;
                     }
                 }
+            }
 
-                // ---- T2: interactive field ----------------------------
-                for list in lists {
-                    let shift = list.shift as usize;
-                    let bits = l - list.shift; // log2 of the source level's axis
-                    let axis = 1u32 << bits;
-                    let lin = |c: [i32; 3]| {
-                        ((c[2] as isize) << (2 * bits)) + ((c[1] as isize) << bits) + c[0] as isize
+            // ---- T2: interactive field, matrix by matrix --------------
+            for st in schedule {
+                let (oct, shift) = (st.oct as usize, st.shift as usize);
+                let np = panels[oct].len();
+                if np == 0 {
+                    continue;
+                }
+                let acc_panel = &mut acc_panels[oct * cap * kr..][..np * kr];
+                let src_idx = &mut src_idx[..np];
+                let targets = &targets[(shift * 8 + oct) * cap..][..np];
+                let m = families[shift].get(st.matrix as usize);
+                let m = m.and_then(Option::as_ref).expect(OTHER_SETTING);
+                let off = st.offset.map(i32::from);
+                let axis = 1u32 << bits(shift);
+                // A row's source box depends only on the plan, so it is
+                // located once for all instances, with the count and the
+                // first and last of the live rows.
+                let delta = lin(shift, off);
+                let (mut nl, mut first, mut last) = (0, np, 0);
+                for (j, (si, &(c, at))) in src_idx.iter_mut().zip(targets).enumerate() {
+                    // One unsigned compare per axis covers both ends.
+                    *si = if (0..3).all(|d| ((c[d] + off[d]) as u32) < axis) {
+                        (nl, first, last) = (nl + 1, first.min(j), j);
+                        (at + delta) as usize
+                    } else {
+                        OUTSIDE
                     };
-                    // Each row's target box on the source level, with its
-                    // linear index: an offset then only adds a constant.
-                    for (target, &pi) in targets.iter_mut().zip(parents) {
-                        let c = kids.coord[pi as usize].map(|x| x >> list.shift);
-                        *target = (c, lin(c));
-                    }
-                    for (&off, &m) in list.offsets.iter().zip(&list.matrices) {
-                        // A row's source box depends only on the plan, so
-                        // it is located once for all instances, with the
-                        // count and the first and last of the live rows.
-                        let delta = lin(off);
-                        let (mut nl, mut first, mut last) = (0, np, 0);
-                        for (j, (si, &(c, at))) in src_idx.iter_mut().zip(&*targets).enumerate() {
-                            // One unsigned compare per axis covers both ends.
-                            *si = if (0..3).all(|d| ((c[d] + off[d]) as u32) < axis) {
-                                (nl, first, last) = (nl + 1, first.min(j), j);
-                                (at + delta) as usize
-                            } else {
-                                OUTSIDE
-                            };
-                        }
-                        if nl == 0 {
-                            continue;
-                        }
-                        n_live += nl as u64;
-                        let run = last + 1 - first == nl;
-                        let live = || (first..=last).filter(|&j| src_idx[j] != OUTSIDE);
-                        let run_idx = || src_idx[first..=last].iter().copied();
-                        let direct = solo_gemm && in_rows && run;
-                        if let Some((s0, step)) = direct.then(|| one_stride(run_idx())).flatten() {
-                            let a = &sources[0].far[shift][s0 * k..];
-                            let acc = &mut acc_panel[first * k..(last + 1) * k];
-                            let m = m.as_slice();
-                            gemm_acc_strided_with(plan.kernel, nl, k, k, a, step * k, m, acc);
-                            continue;
-                        }
-                        // Gather the live sources, packed (a run needs no
-                        // filter).
-                        for (i, src) in sources.iter().enumerate() {
-                            let dst = &mut src_panel[i * k..];
-                            if run {
-                                gather_rows(src.far[shift], run_idx(), k, kr, dst);
-                            } else {
-                                gather_rows(src.far[shift], live().map(|j| src_idx[j]), k, kr, dst);
-                            }
-                        }
-                        n_copied += (nl * r) as u64;
-                        let a = &src_panel[..nl * kr];
-                        if run {
-                            let acc = &mut acc_panel[first * kr..(last + 1) * kr];
-                            translate_acc(agg, plan.kernel, nl * r, k, a, m, acc);
-                        } else {
-                            let packed = &mut acc_packed[..nl * kr];
-                            gather_rows(acc_panel, live(), kr, kr, packed);
-                            translate_acc(agg, plan.kernel, nl * r, k, a, m, packed);
-                            for (row, j) in packed.chunks(kr).zip(live()) {
-                                acc_panel[j * kr..(j + 1) * kr].copy_from_slice(row);
-                            }
-                        }
+                }
+                if nl == 0 {
+                    continue;
+                }
+                n_live += nl as u64;
+                let run = last + 1 - first == nl;
+                let live = || (first..=last).filter(|&j| src_idx[j] != OUTSIDE);
+                let run_idx = || src_idx[first..=last].iter().copied();
+                let direct = solo_gemm && in_rows && run;
+                if let Some((s0, step)) = direct.then(|| one_stride(run_idx())).flatten() {
+                    let a = &sources[0].far[shift][s0 * k..];
+                    let acc = &mut acc_panel[first * k..(last + 1) * k];
+                    let m = m.as_slice();
+                    gemm_acc_strided_with(plan.kernel, nl, k, k, a, step * k, m, acc);
+                    continue;
+                }
+                // Gather the live sources, packed (a run needs no filter).
+                for (i, src) in sources.iter().enumerate() {
+                    let dst = &mut src_panel[i * k..];
+                    if run {
+                        gather_rows(src.far[shift], run_idx(), k, kr, dst);
+                    } else {
+                        gather_rows(src.far[shift], live().map(|j| src_idx[j]), k, kr, dst);
                     }
                 }
+                n_copied += (nl * r) as u64;
+                let a = &src_panel[..nl * kr];
+                if run {
+                    let acc = &mut acc_panel[first * kr..(last + 1) * kr];
+                    translate_acc(agg, plan.kernel, nl * r, k, a, m, acc);
+                } else {
+                    let packed = &mut acc_packed[..nl * kr];
+                    gather_rows(acc_panel, live(), kr, kr, packed);
+                    translate_acc(agg, plan.kernel, nl * r, k, a, m, packed);
+                    for (row, j) in packed.chunks(kr).zip(live()) {
+                        acc_panel[j * kr..(j + 1) * kr].copy_from_slice(row);
+                    }
+                }
+            }
 
-                // Scatter-add each parent's rows into its child, per instance.
+            // Scatter-add each parent's rows into its child, per instance.
+            let accs = acc_panels.chunks(cap * kr);
+            for (oct, (&parents, acc_panel)) in panels.iter().zip(accs).enumerate() {
+                let kids = &lvl.children[oct].idx;
                 for (i, o) in out.iter_mut().enumerate() {
                     for (rows, &pi) in acc_panel.chunks(kr).zip(parents) {
-                        let at = (kids.idx[pi as usize] as usize - base) * k;
+                        let at = (kids[pi as usize] as usize - base) * k;
                         for (dj, sj) in o[at..at + k].iter_mut().zip(&rows[i * k..]) {
                             *dj += sj;
                         }
@@ -868,7 +846,8 @@ mod tests {
 
     /// The sweep before panels followed K: per parent plane, panels of one
     /// parent row (`max(2^l, 8)` parents), instance-major, out-of-domain
-    /// sources zero-filled, one dense GEMM per (panel, octant, offset).
+    /// sources zero-filled, one dense GEMM per (panel, octant, offset),
+    /// octant after octant, each octant's lists in their own order.
     fn reference_level(
         fhs: &mut [FieldHierarchy],
         ts: &TranslationSet,
@@ -877,7 +856,7 @@ mod tests {
         l: u32,
     ) {
         let (r, k, li) = (fhs.len(), fhs[0].k, l as usize);
-        let lists = resolve_offset_lists(ts, plan, supernodes);
+        let families = [&ts.t2t, &ts.t2t_super];
         let lvl = plan.level(l - 1);
         for fh in fhs.iter_mut() {
             fh.local[li].fill(0.0);
@@ -888,7 +867,7 @@ mod tests {
                 let gemm = |src: &[f64], m: &Matrix, acc: &mut [f64]| {
                     gemm_acc_with(plan.kernel, r * np, k, k, src, m.as_slice(), acc)
                 };
-                for (oct, lists) in lists.iter().enumerate() {
+                for (oct, op) in plan.octants.iter().enumerate() {
                     let kids = &lvl.children[oct];
                     let mut src = vec![0.0; r * np * k];
                     let mut acc = vec![0.0; r * np * k];
@@ -901,13 +880,15 @@ mod tests {
                         }
                         gemm(&src, &ts.t3t[oct], &mut acc);
                     }
-                    for list in lists {
-                        let sl = li - list.shift as usize;
+                    let lists = op.t2_lists(supernodes);
+                    for shift in [1, 0] {
+                        let (sl, (offsets, idx)) = (li - shift, lists[shift]);
                         let axis = 1i32 << sl;
-                        for (&off, &m) in list.offsets.iter().zip(&list.matrices) {
+                        for (&off, &m) in offsets.iter().zip(idx) {
+                            let m = families[shift][m as usize].as_ref().unwrap();
                             for (i, fh) in fhs.iter().enumerate() {
                                 for (j, &pi) in parents.iter().enumerate() {
-                                    let c = kids.coord[pi as usize].map(|x| x >> list.shift);
+                                    let c = kids.coord[pi as usize].map(|x| x >> shift);
                                     let s = [0, 1, 2].map(|d| c[d] + off[d]);
                                     let dst = &mut src[(i * np + j) * k..][..k];
                                     if s.iter().all(|x| (0..axis).contains(x)) {

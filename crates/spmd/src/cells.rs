@@ -5,13 +5,13 @@
 //! of other ranks are appended as the halo's messages arrive. Once the
 //! halo is in, [`CellStore::lay_out_row_major`] copies the cells afresh in
 //! row-major cell order, so each x-row of a neighbourhood is one run, as
-//! in a binning. `fmm-core`'s near-field bodies read the arrays through
-//! [`CellStore::cells`] (forces) or [`CellStore::row_cells`] (the
-//! symmetric potentials sweep).
+//! in a binning. `fmm-core`'s near-field bodies, the force rows and the
+//! symmetric potentials sweep, read the arrays through
+//! [`CellStore::row_cells`].
 
 use std::ops::Range;
 
-use fmm_core::near::{Cells, RowCells};
+use fmm_core::near::RowCells;
 use fmm_core::particles::BinnedParticles;
 
 /// See the module docs. Wire form of a cell: `[count, xs.., ys.., zs..,
@@ -55,21 +55,6 @@ impl CellStore {
     /// True when no particle is here.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The view the force rows read sources through. `absent` answers for
-    /// a cell that is not here: the caller decides what that means.
-    pub fn cells<'a>(
-        &'a self,
-        absent: impl Fn(usize) -> Range<usize> + Sync + 'a,
-    ) -> Cells<'a, impl Fn(usize) -> Range<usize> + Sync + 'a> {
-        let spans = &self.spans;
-        let range = move |c: usize| match &spans[c] {
-            Some(r) => r.start as usize..r.end as usize,
-            None => absent(c),
-        };
-        let [x, y, z, q] = &self.soa;
-        Cells::new(x, y, z, q, range)
     }
 
     /// Run starts of every leaf cell in row-major order, an absent cell
@@ -179,7 +164,8 @@ mod tests {
         let mut store = CellStore::seed(&bp, &owned);
         store.unpack_cells(&data, &halo);
         store.lay_out_row_major();
-        let cells = store.cells(|c| panic!("cell {c} is not here"));
+        let starts = store.starts();
+        let cells = store.row_cells(&starts);
         let eps = 0.01;
         for kernel in Kernel::available() {
             let zeros = || (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);

@@ -436,11 +436,21 @@ impl Worker<'_> {
         }
         self.store.lay_out_row_major();
         let here = self.whereabouts();
+        let starts = self.store.starts();
         let mut near_pot = vec![0.0; n];
         let stats = if sh.with_fields {
             // Forces are target-centric: the serial per-box kernel on
-            // every owned box.
-            let cells = self.store.cells(|c| cell_missing(&here, last, c));
+            // every owned box. Its whole neighbourhood must be here.
+            let near = fmm_tree::near_field_offsets();
+            for &b in &owned {
+                let t = BoxCoord::from_index(depth, b as usize);
+                for c in near.iter().filter_map(|&o| t.offset(o)).map(|s| s.index()) {
+                    if self.store.range(c).is_none() {
+                        cell_missing(&here, last, c);
+                    }
+                }
+            }
+            let cells = self.store.row_cells(&starts);
             let mut near_f = vec![[0.0; 3]; n];
             let mut stats = NearFieldStats::default();
             for b in owned.iter().map(|&b| b as usize) {
@@ -482,7 +492,6 @@ impl Worker<'_> {
                     }
                 }
             }
-            let starts = self.store.starts();
             let mut out = vec![0.0; self.store.len()];
             let cells = self.store.row_cells(&starts);
             let st = symmetric_rows(kernel, depth, cells, eps2, &mut out, |b| role[b]);
