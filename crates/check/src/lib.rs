@@ -18,7 +18,7 @@
 //! | `registry-build-once`    | exactly-one-build-per-key        |
 //! | `batcher-exactly-once`   | exactly-one-completion-per-job   |
 //! | `batcher-shutdown-drains`| shutdown-drains-all-jobs         |
-//! | `batcher-overflow-tick`  | overflow-keeps-opening-tick      |
+//! | `batcher-oldest-first`   | oldest-head-first                |
 //! | `batcher-replica`        | no-lost-wakeup                   |
 //! | `lock-order`             | consistent-lock-order            |
 //!
@@ -42,9 +42,10 @@ pub enum Mutation {
     /// Drop the `notify_all` in `Batcher::submit`: a worker parked
     /// before the submit never wakes (lost wakeup → deadlock).
     DropNotify,
-    /// Re-stamp the batch-opening tick when a drain leaves overflow
-    /// queued: the leftover's window deadline silently moves later.
-    ResetOverflowTick,
+    /// Take the first non-empty shape queue in key order instead of the
+    /// one whose head is oldest: a shape that sorts early starves the
+    /// others.
+    KeyOrderPick,
     /// Reverse one tenant's plans→sets acquisition order (stand-ins for
     /// the registry's two maps): the classic AB/BA deadlock.
     SwapLockOrder,
@@ -54,7 +55,7 @@ impl Mutation {
     pub const ALL: [Mutation; 4] = [
         Mutation::DropDoubleCheck,
         Mutation::DropNotify,
-        Mutation::ResetOverflowTick,
+        Mutation::KeyOrderPick,
         Mutation::SwapLockOrder,
     ];
 
@@ -62,7 +63,7 @@ impl Mutation {
         Some(match s {
             "drop-double-check" => Mutation::DropDoubleCheck,
             "drop-notify" => Mutation::DropNotify,
-            "reset-overflow-tick" => Mutation::ResetOverflowTick,
+            "key-order-pick" => Mutation::KeyOrderPick,
             "swap-lock-order" => Mutation::SwapLockOrder,
             _ => return None,
         })
@@ -72,7 +73,7 @@ impl Mutation {
         match self {
             Mutation::DropDoubleCheck => "drop-double-check",
             Mutation::DropNotify => "drop-notify",
-            Mutation::ResetOverflowTick => "reset-overflow-tick",
+            Mutation::KeyOrderPick => "key-order-pick",
             Mutation::SwapLockOrder => "swap-lock-order",
         }
     }
@@ -82,7 +83,7 @@ impl Mutation {
         match self {
             Mutation::DropDoubleCheck => models::registry_replica(threads, false, opts),
             Mutation::DropNotify => models::batcher_replica_wakeup(true, opts),
-            Mutation::ResetOverflowTick => models::batcher_replica_overflow(true, opts),
+            Mutation::KeyOrderPick => models::batcher_replica_oldest_first(true, opts),
             Mutation::SwapLockOrder => models::lock_order(true, opts),
         }
     }
@@ -93,7 +94,7 @@ pub const HEALTHY_MODELS: [&str; 6] = [
     "registry-build-once",
     "batcher-exactly-once",
     "batcher-shutdown-drains",
-    "batcher-overflow-tick",
+    "batcher-oldest-first",
     "batcher-replica",
     "lock-order",
 ];
@@ -105,7 +106,7 @@ pub fn run_healthy(name: &str, threads: usize, opts: &Options) -> Option<ModelRe
         "registry-build-once" => models::registry_build_once(threads, opts),
         "batcher-exactly-once" => models::batcher_exactly_once(threads, opts),
         "batcher-shutdown-drains" => models::batcher_shutdown_drains(threads, opts),
-        "batcher-overflow-tick" => models::batcher_overflow_tick(opts),
+        "batcher-oldest-first" => models::batcher_oldest_first(threads, opts),
         "batcher-replica" => models::batcher_replica_wakeup(false, opts),
         "lock-order" => models::lock_order(false, opts),
         _ => return None,
@@ -139,8 +140,8 @@ mod tests {
         // themselves hold, or catching the mutant proves nothing.
         let r = models::registry_replica(2, true, &opts());
         r.result.expect("healthy registry replica holds");
-        let r = models::batcher_replica_overflow(false, &opts());
-        r.result.expect("healthy overflow replica holds");
+        let r = models::batcher_replica_oldest_first(false, &opts());
+        r.result.expect("healthy oldest-first replica holds");
     }
 
     #[test]
@@ -182,13 +183,13 @@ mod tests {
     }
 
     #[test]
-    fn reset_overflow_tick_is_caught() {
-        let report = Mutation::ResetOverflowTick.run(1, &opts());
+    fn key_order_pick_is_caught() {
+        let report = Mutation::KeyOrderPick.run(2, &opts());
         let v = report.result.expect_err("mutant must be caught");
         match &v.kind {
             ViolationKind::Panic(msg) => {
                 assert!(
-                    msg.contains("overflow-keeps-opening-tick"),
+                    msg.contains("oldest-head-first"),
                     "names the property: {msg}"
                 )
             }

@@ -9,7 +9,7 @@
 //! 2) racing threads, print per-model explored-schedule counts, exit 0
 //! iff every property holds under every explored schedule.
 //!
-//! `--mutate drop-double-check|drop-notify|reset-overflow-tick|
+//! `--mutate drop-double-check|drop-notify|key-order-pick|
 //! swap-lock-order` runs the model carrying that seeded bug instead;
 //! the checker must find the violating schedule, and the process exits
 //! **non-zero naming the violated property** (the CI smoke test relies

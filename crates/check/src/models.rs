@@ -9,7 +9,7 @@
 //! under test here is byte-for-byte the code fmm-serve runs. Seeded
 //! mutants run *replicas*: local copies of the same locking protocol
 //! with one bug planted (double-check deleted, `notify_all` dropped,
-//! overflow tick reset, lock order swapped). A replica-with-no-bug
+//! shapes picked in key order, lock order swapped). A replica-with-no-bug
 //! variant of each is model-checked in this crate's tests so the
 //! replicas are known-faithful; the mutants exist to prove the checker
 //! would catch the bug if it were ever introduced into the real code.
@@ -21,11 +21,9 @@ use fmm_serve::protocol::{EvalRequest, EvalResponse, Shape};
 use fmm_serve::Batcher;
 use fmm_sync::atomic::{AtomicUsize, Ordering};
 use fmm_sync::model::{explore, Explored, Options, Violation};
-use fmm_sync::time::Instant;
 use fmm_sync::{Condvar, Mutex, RwLock};
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::sync::Arc;
-use std::time::Duration;
 
 /// One explored model: its name (CLI selector), the property it pins
 /// (named in the violation report), and the outcome.
@@ -212,8 +210,8 @@ pub fn registry_replica(threads: usize, double_check: bool, opts: &Options) -> M
 }
 
 // ---------------------------------------------------------------------
-// Batcher: exactly one completion per job; shutdown drains; overflow
-// keeps its opening tick; no lost wakeup.
+// Batcher: exactly one completion per job; shutdown drains; the oldest
+// head goes first; no lost wakeup.
 // ---------------------------------------------------------------------
 
 fn tiny_shape() -> Shape {
@@ -245,14 +243,12 @@ fn tiny_response(batch_size: usize) -> EvalResponse {
 /// `submitters` clients race one executor worker over the real
 /// [`Batcher`]. Every submitted job must be answered exactly once: the
 /// client asserts one completion arrives and that no second message is
-/// ever buffered behind it. The worker's deadline-aware
-/// `Condvar::wait_timeout` branches between notify-wake and
-/// timeout-wake under the model's virtual clock, so both the "batch
-/// fills" and "window elapses" closings are explored; a lost wakeup
-/// anywhere in the protocol shows up as a deadlock.
+/// ever buffered behind it. With `max_batch = 2` both a batch of two
+/// and back-to-back batches of one are explored; a lost wakeup anywhere
+/// in the protocol shows up as a deadlock.
 pub fn batcher_exactly_once(submitters: usize, opts: &Options) -> ModelReport {
     let result = explore(opts, move || {
-        let b = Arc::new(Batcher::new(Duration::from_millis(5), 2));
+        let b = Arc::new(Batcher::new(2));
         let worker = {
             let b = b.clone();
             spawn("exec".into(), move || {
@@ -300,7 +296,7 @@ pub fn batcher_exactly_once(submitters: usize, opts: &Options) -> ModelReport {
 /// terminates.
 pub fn batcher_shutdown_drains(submitters: usize, opts: &Options) -> ModelReport {
     let result = explore(opts, move || {
-        let b = Arc::new(Batcher::new(Duration::from_millis(5), 2));
+        let b = Arc::new(Batcher::new(2));
         let worker = {
             let b = b.clone();
             spawn("exec".into(), move || {
@@ -348,126 +344,158 @@ pub fn batcher_shutdown_drains(submitters: usize, opts: &Options) -> ModelReport
     }
 }
 
-/// Three same-shape submissions against `max_batch = 2`: the first
-/// batch closes full, one job overflows. The overflow must stay
-/// immediately schedulable — its window deadline (opening tick plus
-/// window) is unchanged by the drain. A batcher that reset `opened` on
-/// drain would report a strictly later deadline and re-arm the window
-/// against traffic that already waited.
-pub fn batcher_overflow_tick(opts: &Options) -> ModelReport {
-    let result = explore(opts, move || {
-        let b = Batcher::new(Duration::from_secs(1), 2);
-        for _ in 0..3 {
-            b.submit(tiny_request()).unwrap();
+type ModelResult = Result<Explored, Box<Violation>>;
+
+/// What the oldest-first model drives, on the real [`Batcher`] and on
+/// its replica alike: shapes are named by a depth.
+trait Queue: Send + Sync + 'static {
+    /// Submit one job of shape `depth`; the closure waits for its answer.
+    fn put(&self, depth: u32) -> Box<dyn FnOnce() + Send>;
+    /// Take the next batch and answer its jobs; the submit number of its
+    /// head job, or `None` once shut down and drained.
+    fn take(&self) -> Option<u64>;
+    fn close(&self);
+}
+
+impl Queue for Batcher {
+    fn put(&self, depth: u32) -> Box<dyn FnOnce() + Send> {
+        let shape = Shape {
+            depth,
+            ..tiny_shape()
+        };
+        let rx = self
+            .submit(EvalRequest {
+                shape,
+                ..tiny_request()
+            })
+            .expect("no shutdown in this model");
+        Box::new(move || {
+            rx.recv().expect("job answered").expect("job succeeded");
+        })
+    }
+
+    fn take(&self) -> Option<u64> {
+        let (_shape, jobs) = self.next_batch()?;
+        let head = jobs[0].seq;
+        for j in &jobs {
+            let _ = j.tx.send(Ok(tiny_response(jobs.len())));
         }
-        let before = b
-            .pending_deadline(&tiny_shape())
-            .expect("three jobs queued");
-        let (_shape, jobs) = b.next_batch().expect("full batch ready");
-        assert_eq!(jobs.len(), 2, "batch closes at max_batch");
-        let after = b
-            .pending_deadline(&tiny_shape())
-            .expect("overflow still queued");
-        assert_eq!(
-            after, before,
-            "overflow-keeps-opening-tick: deadline moved after drain"
-        );
-        b.shutdown();
-        let (_shape, rest) = b.next_batch().expect("overflow drains at shutdown");
-        assert_eq!(rest.len(), 1);
-        assert!(b.next_batch().is_none(), "drain terminates");
-    });
-    ModelReport {
-        name: "batcher-overflow-tick",
-        property: "overflow-keeps-opening-tick",
-        result,
+        Some(head)
+    }
+
+    fn close(&self) {
+        self.shutdown();
     }
 }
 
-/// Replica of the batcher's mutex-and-condvar core, reduced to one
-/// shape and jobs that are bare completion channels. Two seeded bugs:
-/// `drop_notify` deletes the `notify_all` in `submit` (the classic
-/// lost wakeup — a worker already parked on the condvar never learns a
-/// job arrived), and `reset_overflow_tick` re-stamps `opened` when a
-/// drain leaves overflow queued.
+/// `submitters` clients race one executor, client `i` submitting one job
+/// of depth `2 + (i + 1) % 2`, so client 0's shape sorts after client
+/// 1's. With one executor, taking the shape whose head is oldest is the
+/// same as batch heads leaving in submit order: a pick that passed over
+/// an older head takes it later, after a younger one.
+fn oldest_first<Q: Queue>(batcher: fn() -> Q, submitters: usize, opts: &Options) -> ModelResult {
+    explore(opts, move || {
+        let b = Arc::new(batcher());
+        let worker = {
+            let b = b.clone();
+            spawn("exec".into(), move || {
+                let mut last = None;
+                while let Some(head) = b.take() {
+                    if let Some(prev) = last {
+                        assert!(
+                            prev < head,
+                            "oldest-head-first: the batch headed by job {head} \
+                             left after the one headed by job {prev}"
+                        );
+                    }
+                    last = Some(head);
+                }
+            })
+        };
+        let subs: Vec<_> = (0..submitters)
+            .map(|i| {
+                let b = b.clone();
+                spawn(format!("client-{i}"), move || {
+                    b.put(2 + (i as u32 + 1) % 2)();
+                })
+            })
+            .collect();
+        for h in subs {
+            h.join().unwrap();
+        }
+        b.close();
+        worker.join().unwrap();
+    })
+}
+
+/// The oldest-first property on the real [`Batcher`].
+pub fn batcher_oldest_first(submitters: usize, opts: &Options) -> ModelReport {
+    ModelReport {
+        name: "batcher-oldest-first",
+        property: "oldest-head-first",
+        result: oldest_first(|| Batcher::new(2), submitters, opts),
+    }
+}
+
+/// Replica of the batcher's mutex-and-condvar core: shapes are keys,
+/// jobs are bare completion channels that receive their submit number,
+/// and a batch is a whole queue. Two seeded bugs: `drop_notify` deletes
+/// the `notify_all` in `submit` (the classic lost wakeup — a worker
+/// already parked on the condvar never learns a job arrived), and
+/// `key_order_pick` takes the first non-empty queue in key order instead
+/// of the one whose head is oldest.
+#[derive(Default)]
 struct MiniBatcher {
     state: Mutex<MiniState>,
     cond: Condvar,
-    window: Duration,
-    max_batch: usize,
     drop_notify: bool,
-    reset_overflow_tick: bool,
+    key_order_pick: bool,
 }
 
+#[derive(Default)]
 struct MiniState {
-    jobs: Vec<fmm_sync::mpsc::SyncSender<u32>>,
-    opened: Instant,
+    queues: BTreeMap<u32, Vec<(u64, fmm_sync::mpsc::SyncSender<u64>)>>,
+    next_seq: u64,
     shutdown: bool,
 }
 
 impl MiniBatcher {
-    fn new(window: Duration, max_batch: usize) -> Self {
-        MiniBatcher {
-            state: Mutex::new(MiniState {
-                jobs: Vec::new(),
-                opened: Instant::now(),
-                shutdown: false,
-            }),
-            cond: Condvar::new(),
-            window,
-            max_batch,
-            drop_notify: false,
-            reset_overflow_tick: false,
-        }
-    }
-
-    fn submit(&self) -> Result<fmm_sync::mpsc::Receiver<u32>, ()> {
+    fn submit(&self, key: u32) -> Result<fmm_sync::mpsc::Receiver<u64>, ()> {
         let (tx, rx) = fmm_sync::mpsc::sync_channel(1);
         let mut st = self.state.lock().unwrap();
         if st.shutdown {
             return Err(());
         }
-        if st.jobs.is_empty() {
-            st.opened = Instant::now();
-        }
-        st.jobs.push(tx);
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.queues.entry(key).or_default().push((seq, tx));
         if !self.drop_notify {
             self.cond.notify_all();
         }
         Ok(rx)
     }
 
-    fn pending_deadline(&self) -> Option<Instant> {
-        let st = self.state.lock().unwrap();
-        (!st.jobs.is_empty()).then(|| st.opened + self.window)
-    }
-
-    fn next_batch(&self) -> Option<Vec<fmm_sync::mpsc::SyncSender<u32>>> {
+    fn next_batch(&self) -> Option<Vec<(u64, fmm_sync::mpsc::SyncSender<u64>)>> {
         let mut st = self.state.lock().unwrap();
         loop {
-            let now = Instant::now();
-            let ready = !st.jobs.is_empty()
-                && (st.shutdown
-                    || st.jobs.len() >= self.max_batch
-                    || now.duration_since(st.opened) >= self.window);
-            if ready {
-                let take = st.jobs.len().min(self.max_batch);
-                let batch: Vec<_> = st.jobs.drain(..take).collect();
-                if self.reset_overflow_tick && !st.jobs.is_empty() {
-                    st.opened = Instant::now(); // seeded bug: re-arms the window
-                }
-                return Some(batch);
+            let pick = if self.key_order_pick {
+                // Seeded bug: key order, whatever the heads' ages.
+                st.queues
+                    .iter()
+                    .find(|(_, q)| !q.is_empty())
+                    .map(|(k, _)| *k)
+            } else {
+                let heads = st.queues.iter();
+                let heads = heads.filter_map(|(k, q)| Some((q.first()?.0, *k)));
+                heads.min().map(|(_, k)| k)
+            };
+            if let Some(key) = pick {
+                return Some(std::mem::take(st.queues.get_mut(&key).unwrap()));
             }
             if st.shutdown {
                 return None;
             }
-            st = if st.jobs.is_empty() {
-                self.cond.wait(st).unwrap()
-            } else {
-                let deadline = st.opened + self.window;
-                let timeout = deadline.saturating_duration_since(now);
-                self.cond.wait_timeout(st, timeout).unwrap().0
-            };
+            st = self.cond.wait(st).unwrap();
         }
     }
 
@@ -475,6 +503,27 @@ impl MiniBatcher {
         let mut st = self.state.lock().unwrap();
         st.shutdown = true;
         self.cond.notify_all();
+    }
+}
+
+impl Queue for MiniBatcher {
+    fn put(&self, depth: u32) -> Box<dyn FnOnce() + Send> {
+        let rx = self.submit(depth).expect("no shutdown in this model");
+        Box::new(move || {
+            rx.recv().expect("job answered");
+        })
+    }
+
+    fn take(&self) -> Option<u64> {
+        let batch = self.next_batch()?;
+        for (seq, tx) in &batch {
+            let _ = tx.send(*seq);
+        }
+        Some(batch[0].0)
+    }
+
+    fn close(&self) {
+        self.shutdown();
     }
 }
 
@@ -487,23 +536,18 @@ impl MiniBatcher {
 /// checker reports that schedule as a deadlock.
 pub fn batcher_replica_wakeup(drop_notify: bool, opts: &Options) -> ModelReport {
     let result = explore(opts, move || {
-        let mut b = MiniBatcher::new(Duration::from_secs(1), 1);
-        b.drop_notify = drop_notify;
-        let b = Arc::new(b);
+        let b = Arc::new(MiniBatcher {
+            drop_notify,
+            ..MiniBatcher::default()
+        });
         let worker = {
             let b = b.clone();
-            spawn("exec".into(), move || {
-                while let Some(batch) = b.next_batch() {
-                    for tx in batch {
-                        let _ = tx.send(1);
-                    }
-                }
-            })
+            spawn("exec".into(), move || while b.take().is_some() {})
         };
         let client = {
             let b = b.clone();
             spawn("client".into(), move || {
-                let rx = b.submit().expect("no shutdown yet");
+                let rx = b.submit(0).expect("no shutdown yet");
                 rx.recv().expect("no-lost-wakeup: completion never arrived");
             })
         };
@@ -522,33 +566,25 @@ pub fn batcher_replica_wakeup(drop_notify: bool, opts: &Options) -> ModelReport 
     }
 }
 
-/// The overflow-tick property on the replica, healthy or with the
-/// `reset-overflow-tick` mutant planted. Single-threaded: the property
-/// is about state kept across a drain, not about interleavings.
-pub fn batcher_replica_overflow(reset_tick: bool, opts: &Options) -> ModelReport {
-    let result = explore(opts, move || {
-        let mut b = MiniBatcher::new(Duration::from_secs(1), 2);
-        b.reset_overflow_tick = reset_tick;
-        for _ in 0..3 {
-            b.submit().unwrap();
+/// The oldest-first property on the replica, healthy or with the
+/// `key-order-pick` mutant planted, under two clients and one worker.
+pub fn batcher_replica_oldest_first(key_order_pick: bool, opts: &Options) -> ModelReport {
+    let batcher: fn() -> MiniBatcher = if key_order_pick {
+        || MiniBatcher {
+            key_order_pick: true,
+            ..MiniBatcher::default()
         }
-        let before = b.pending_deadline().expect("jobs queued");
-        let batch = b.next_batch().expect("full batch ready");
-        assert_eq!(batch.len(), 2);
-        let after = b.pending_deadline().expect("overflow still queued");
-        assert_eq!(
-            after, before,
-            "overflow-keeps-opening-tick: deadline moved after drain"
-        );
-    });
+    } else {
+        MiniBatcher::default
+    };
     ModelReport {
-        name: if reset_tick {
-            "batcher-replica(reset-overflow-tick)"
+        name: if key_order_pick {
+            "batcher-replica(key-order-pick)"
         } else {
-            "batcher-replica-overflow"
+            "batcher-replica-oldest-first"
         },
-        property: "overflow-keeps-opening-tick",
-        result,
+        property: "oldest-head-first",
+        result: oldest_first(batcher, 2, opts),
     }
 }
 

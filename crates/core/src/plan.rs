@@ -153,6 +153,42 @@ pub struct OctantPlan {
 pub(crate) type T2List<'a> = (&'a [[i32; 3]], &'a [u32]);
 
 impl OctantPlan {
+    /// The plan of child octant `oct` (bit `d` its offset along axis `d`).
+    fn new(oct: usize) -> Self {
+        let o = [
+            (oct & 1) as i32,
+            ((oct >> 1) & 1) as i32,
+            ((oct >> 2) & 1) as i32,
+        ];
+        let offsets = interactive_field_offsets(o);
+        let t2_idx = offsets
+            .iter()
+            .map(|&off| TranslationSet::t2_index_for(off) as u32)
+            .collect();
+        let sd = supernode_decomposition(o);
+        let sn_translation_count = sd.translation_count();
+        let sn_parent_offsets = sd.parents.iter().map(|p| p.parent_offset).collect();
+        let sn_parent_idx = sd
+            .parents
+            .iter()
+            .map(|p| TranslationSet::super_index_for(p.center_offset_half) as u32)
+            .collect();
+        let sn_child_idx = sd
+            .children
+            .iter()
+            .map(|&off| TranslationSet::t2_index_for(off) as u32)
+            .collect();
+        OctantPlan {
+            offsets,
+            t2_idx,
+            sn_parent_offsets,
+            sn_parent_idx,
+            sn_child_offsets: sd.children,
+            sn_child_idx,
+            sn_translation_count,
+        }
+    }
+
     /// The octant's T2 lists under a supernode setting, indexed by how many
     /// levels above the target their sources sit: `[0]` the same-level
     /// sources (matrices in [`TranslationSet::t2t`]), `[1]` the
@@ -195,8 +231,9 @@ pub struct TraversalPlan {
     /// SPMD workers — dispatches through this field, so one `Fmm` always
     /// runs one kernel, bitwise-reproducibly, regardless of backend.
     pub kernel: Kernel,
-    /// Per child octant (0..8).
-    pub octants: Vec<OctantPlan>,
+    /// Per child octant (0..8). They depend on neither the depth nor
+    /// the kernel, so every plan shares the ones the first plan built.
+    pub octants: &'static [OctantPlan; 8],
     /// Parent levels 1..depth, indexed by `parent_level − 1`.
     pub levels: Vec<LevelPlan>,
     /// The order in which the downward sweep applies every octant's T2
@@ -225,43 +262,7 @@ impl TraversalPlan {
 
     /// [`TraversalPlan::build`] with an explicit kernel choice.
     pub fn with_kernel(depth: u32, kernel: Kernel) -> Self {
-        let octants: Vec<OctantPlan> = (0..8usize)
-            .map(|oct| {
-                let o = [
-                    (oct & 1) as i32,
-                    ((oct >> 1) & 1) as i32,
-                    ((oct >> 2) & 1) as i32,
-                ];
-                let offsets = interactive_field_offsets(o);
-                let t2_idx = offsets
-                    .iter()
-                    .map(|&off| TranslationSet::t2_index_for(off) as u32)
-                    .collect();
-                let sd = supernode_decomposition(o);
-                let sn_translation_count = sd.translation_count();
-                let sn_parent_offsets = sd.parents.iter().map(|p| p.parent_offset).collect();
-                let sn_parent_idx = sd
-                    .parents
-                    .iter()
-                    .map(|p| TranslationSet::super_index_for(p.center_offset_half) as u32)
-                    .collect();
-                let sn_child_idx = sd
-                    .children
-                    .iter()
-                    .map(|&off| TranslationSet::t2_index_for(off) as u32)
-                    .collect();
-                OctantPlan {
-                    offsets,
-                    t2_idx,
-                    sn_parent_offsets,
-                    sn_parent_idx,
-                    sn_child_offsets: sd.children,
-                    sn_child_idx,
-                    sn_translation_count,
-                }
-            })
-            .collect();
-
+        let octants = octant_plans();
         let levels = (1..depth.max(1))
             .map(|lp| {
                 let n = 1usize << (3 * lp);
@@ -282,7 +283,7 @@ impl TraversalPlan {
                     slabs: parent_slabs(lp),
                     children,
                     parents: (0..n as u32).collect(),
-                    t2_rows: [t2_rows(lp, &octants, false), t2_rows(lp, &octants, true)],
+                    t2_rows: [t2_rows(lp, octants, false), t2_rows(lp, octants, true)],
                 }
             })
             .collect();
@@ -290,7 +291,7 @@ impl TraversalPlan {
         TraversalPlan {
             depth,
             kernel,
-            t2_schedule: T2_SCHEDULES.get_or_init(|| t2_schedules(&octants)),
+            t2_schedule: T2_SCHEDULES.get_or_init(|| t2_schedules(octants)),
             octants,
             levels,
             near_schedule: ColorSchedule::build(depth),
@@ -372,6 +373,14 @@ fn t2_rows(l_parent: u32, octants: &[OctantPlan], supernodes: bool) -> u64 {
         }
     }
     rows as u64
+}
+
+/// The octant plans every plan shares (see [`octant_plans`]).
+static OCTANTS: OnceLock<[OctantPlan; 8]> = OnceLock::new();
+
+/// The eight octants' plans, built by the first call in the process.
+fn octant_plans() -> &'static [OctantPlan; 8] {
+    OCTANTS.get_or_init(|| std::array::from_fn(OctantPlan::new))
 }
 
 /// The T2 schedules every plan shares (see [`t2_schedules`]).
@@ -484,6 +493,14 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn plans_share_one_octant_geometry() {
+        let a = TraversalPlan::with_kernel(2, Kernel::Scalar);
+        let b = TraversalPlan::with_kernel(4, Kernel::Avx2Fma);
+        assert!(std::ptr::eq(a.octants, b.octants));
+        assert!(std::ptr::eq(a.t2_schedule, b.t2_schedule));
     }
 
     #[test]

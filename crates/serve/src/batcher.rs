@@ -1,65 +1,63 @@
-//! The coalescing batcher: requests with identical [`Shape`]s are merged
-//! within a time/size window into one multiple-instance evaluation.
+//! The work-conserving batcher: requests with identical [`Shape`]s that
+//! queue up while every executor is busy are merged into one
+//! multiple-instance evaluation.
 //!
-//! Window semantics: the first request of a shape opens that shape's
-//! window; the batch closes when either `window` has elapsed since it
-//! opened or `max_batch` requests have accumulated, whichever comes
-//! first. A closing batch takes at most `max_batch` requests (oldest
-//! first); any overflow stays queued with its original arrival-ordering
-//! and is immediately ready. During shutdown every pending batch closes
-//! at once, so no request is dropped.
+//! Batching semantics: an executor that asks for work takes, at once,
+//! every queued job of the shape whose oldest job was submitted first,
+//! up to `max_batch` (oldest first); any overflow stays queued and goes
+//! to the next executor that asks. An executor parks only when every
+//! queue is empty. There is no timer: a job never waits for company
+//! while an executor is idle, and jobs coalesce exactly when they
+//! arrive faster than the executors drain them. During shutdown
+//! admissions stop and every queued job is still taken, so no request
+//! is dropped.
 //!
 //! Plain mutex-and-condvar concurrency — via the `fmm_sync` facade, so
 //! the identical code path runs under `std::sync` in production and
 //! under the fmm-check model scheduler during verification: a `Mutex`
 //! over a `BTreeMap` of per-shape queues plus one `Condvar`; executor
-//! workers block in [`Batcher::next_batch`] with a deadline-aware timed
-//! wait. Each submitted job carries a oneshot (an `mpsc` channel of
-//! capacity one) on which the executor delivers the result.
+//! workers block in [`Batcher::next_batch`]. Each submitted job carries
+//! a oneshot (an `mpsc` channel of capacity one) on which the executor
+//! delivers the result.
 
 use crate::protocol::{EvalRequest, EvalResponse, Shape};
 use fmm_sync::mpsc;
-use fmm_sync::time::Instant;
 use fmm_sync::{Condvar, Mutex};
 use std::collections::BTreeMap;
-use std::time::Duration;
 
 /// One queued request plus its response channel.
 pub struct Job {
+    /// Submit order, stamped under the batcher's lock: the shape whose
+    /// head job has the smallest `seq` is taken first.
+    pub seq: u64,
     pub positions: Vec<[f64; 3]>,
     pub charges: Vec<f64>,
     pub tx: mpsc::SyncSender<Result<EvalResponse, String>>,
 }
 
-struct ShapeQueue {
-    jobs: Vec<Job>,
-    /// When the currently-pending batch opened (first job's arrival).
-    opened: Instant,
-}
-
 struct State {
-    // det: a BTreeMap (Shape: Ord), so batch pick order under equal
-    // deadlines is the key order, never hash order.
-    queues: BTreeMap<Shape, ShapeQueue>,
+    // det: a BTreeMap (Shape: Ord); the pick goes by head `seq`, so
+    // neither key nor hash order decides which shape runs first.
+    queues: BTreeMap<Shape, Vec<Job>>,
+    next_seq: u64,
     shutdown: bool,
 }
 
 pub struct Batcher {
     state: Mutex<State>,
     cond: Condvar,
-    window: Duration,
     max_batch: usize,
 }
 
 impl Batcher {
-    pub fn new(window: Duration, max_batch: usize) -> Self {
+    pub fn new(max_batch: usize) -> Self {
         Batcher {
             state: Mutex::new(State {
                 queues: BTreeMap::new(),
+                next_seq: 0,
                 shutdown: false,
             }),
             cond: Condvar::new(),
-            window,
             max_batch: max_batch.max(1),
         }
     }
@@ -71,25 +69,19 @@ impl Batcher {
         req: EvalRequest,
     ) -> Result<mpsc::Receiver<Result<EvalResponse, String>>, String> {
         let (tx, rx) = mpsc::sync_channel(1);
-        let job = Job {
-            positions: req.positions,
-            charges: req.charges,
-            tx,
-        };
         let mut st = self.state.lock().unwrap();
         if st.shutdown {
             return Err("server is shutting down".into());
         }
-        let q = st.queues.entry(req.shape).or_insert_with(|| ShapeQueue {
-            jobs: Vec::new(),
-            opened: Instant::now(),
+        let seq = st.next_seq;
+        st.next_seq += 1;
+        st.queues.entry(req.shape).or_default().push(Job {
+            seq,
+            positions: req.positions,
+            charges: req.charges,
+            tx,
         });
-        if q.jobs.is_empty() {
-            q.opened = Instant::now();
-        }
-        q.jobs.push(job);
-        // Wake a worker: either to run a now-full batch or to arm the
-        // window timer for a fresh one.
+        // Wake a parked worker to take it.
         self.cond.notify_all();
         Ok(rx)
     }
@@ -97,71 +89,34 @@ impl Batcher {
     /// Total requests currently queued (all shapes).
     pub fn queue_depth(&self) -> usize {
         let st = self.state.lock().unwrap();
-        st.queues.values().map(|q| q.jobs.len()).sum()
+        st.queues.values().map(Vec::len).sum()
     }
 
-    /// When the pending batch for `shape` will close if no further
-    /// traffic arrives (its opening instant plus the window), or `None`
-    /// when nothing is queued for that shape. Introspection for tests
-    /// and the fmm-check models: "overflow keeps its opening tick" is
-    /// asserted against this value — a batcher that reset `opened` on
-    /// drain would report a strictly later deadline for the leftovers.
-    pub fn pending_deadline(&self, shape: &Shape) -> Option<Instant> {
-        let st = self.state.lock().unwrap();
-        st.queues
-            .get(shape)
-            .filter(|q| !q.jobs.is_empty())
-            .map(|q| q.opened + self.window)
-    }
-
-    /// Block until a batch is ready and take it. Returns `None` once the
-    /// batcher is shut down *and* fully drained.
+    /// Take the queue of the shape whose head job is oldest, up to
+    /// `max_batch` jobs, blocking only while nothing is queued. Returns
+    /// `None` once the batcher is shut down *and* fully drained.
     pub fn next_batch(&self) -> Option<(Shape, Vec<Job>)> {
         let mut st = self.state.lock().unwrap();
         loop {
-            let now = Instant::now();
-            // Ready: full, window elapsed, or draining at shutdown.
-            let ready = st
+            let oldest = st
                 .queues
                 .iter()
-                .find(|(_, q)| {
-                    !q.jobs.is_empty()
-                        && (st.shutdown
-                            || q.jobs.len() >= self.max_batch
-                            || now.duration_since(q.opened) >= self.window)
-                })
-                .map(|(s, _)| *s);
-            if let Some(shape) = ready {
+                .filter_map(|(s, q)| Some((q.first()?.seq, *s)))
+                .min();
+            if let Some((_, shape)) = oldest {
                 let q = st.queues.get_mut(&shape).unwrap();
-                let take = q.jobs.len().min(self.max_batch);
-                let jobs: Vec<Job> = q.jobs.drain(..take).collect();
-                // Leftovers keep their original opening time, so they
-                // are immediately ready for the next worker.
-                return Some((shape, jobs));
+                let take = q.len().min(self.max_batch);
+                return Some((shape, q.drain(..take).collect()));
             }
             if st.shutdown {
                 return None;
             }
-            // Sleep until the earliest pending window closes (or forever
-            // if nothing is queued — a submit will notify).
-            let earliest = st
-                .queues
-                .values()
-                .filter(|q| !q.jobs.is_empty())
-                .map(|q| q.opened + self.window)
-                .min();
-            st = match earliest {
-                None => self.cond.wait(st).unwrap(),
-                Some(deadline) => {
-                    let timeout = deadline.saturating_duration_since(now);
-                    self.cond.wait_timeout(st, timeout).unwrap().0
-                }
-            };
+            st = self.cond.wait(st).unwrap();
         }
     }
 
-    /// Begin draining: no new submissions; queued batches close at once;
-    /// `next_batch` returns `None` once empty.
+    /// Begin draining: no new submissions; `next_batch` keeps handing
+    /// out what is queued and returns `None` once it is empty.
     pub fn shutdown(&self) {
         let mut st = self.state.lock().unwrap();
         st.shutdown = true;
@@ -191,54 +146,61 @@ mod tests {
         }
     }
 
+    /// The particle counts of a batch's jobs: the tests tag each request
+    /// by its count, so this is the batch in the order it was taken.
+    fn counts(jobs: &[Job]) -> Vec<usize> {
+        jobs.iter().map(|j| j.positions.len()).collect()
+    }
+
     #[test]
-    fn full_batch_closes_before_the_window() {
-        let b = Batcher::new(Duration::from_secs(3600), 4);
-        for _ in 0..4 {
-            b.submit(request(2, 1)).unwrap();
+    fn jobs_queued_meanwhile_leave_as_one_batch_in_arrival_order() {
+        let b = Batcher::new(4);
+        for n in 1..=6 {
+            b.submit(request(2, n)).unwrap();
         }
-        let t0 = Instant::now();
         let (s, jobs) = b.next_batch().unwrap();
-        assert!(
-            t0.elapsed() < Duration::from_secs(10),
-            "did not wait the window"
-        );
         assert_eq!(s, shape(2));
-        assert_eq!(jobs.len(), 4);
+        assert_eq!(
+            counts(&jobs),
+            [1, 2, 3, 4],
+            "capped at max_batch, oldest first"
+        );
+        assert!(jobs.windows(2).all(|w| w[0].seq < w[1].seq));
     }
 
     #[test]
-    fn window_closes_a_partial_batch() {
-        let b = Batcher::new(Duration::from_millis(20), 1000);
-        b.submit(request(2, 1)).unwrap();
-        b.submit(request(2, 1)).unwrap();
-        let (_, jobs) = b.next_batch().unwrap();
-        assert_eq!(jobs.len(), 2);
-    }
-
-    #[test]
-    fn shapes_do_not_mix_and_overflow_stays_queued() {
-        let b = Batcher::new(Duration::from_millis(5), 3);
-        for _ in 0..4 {
-            b.submit(request(2, 1)).unwrap();
+    fn overflow_is_taken_by_the_next_call() {
+        let b = Batcher::new(3);
+        for n in 1..=4 {
+            b.submit(request(2, n)).unwrap();
         }
+        b.submit(request(3, 5)).unwrap();
+        let (s, jobs) = b.next_batch().unwrap();
+        assert_eq!((s.depth, counts(&jobs)), (2, vec![1, 2, 3]));
+        // Nothing else submits: a call that parked would never return.
+        let (s, jobs) = b.next_batch().unwrap();
+        assert_eq!((s.depth, counts(&jobs)), (2, vec![4]), "shapes do not mix");
+        let (s, jobs) = b.next_batch().unwrap();
+        assert_eq!((s.depth, counts(&jobs)), (3, vec![5]));
+        assert_eq!(b.queue_depth(), 0);
+    }
+
+    #[test]
+    fn the_shape_with_the_older_head_goes_first() {
+        // Depth 3 sorts after depth 2 but its head was submitted first.
+        let b = Batcher::new(64);
         b.submit(request(3, 1)).unwrap();
-        let (s1, j1) = b.next_batch().unwrap();
-        assert_eq!((s1.depth, j1.len()), (2, 3));
-        // The overflow job and the depth-3 job drain as separate batches.
-        let mut rest: Vec<(u32, usize)> = (0..2)
-            .map(|_| {
-                let (s, j) = b.next_batch().unwrap();
-                (s.depth, j.len())
-            })
-            .collect();
-        rest.sort_unstable();
-        assert_eq!(rest, vec![(2, 1), (3, 1)]);
+        b.submit(request(2, 2)).unwrap();
+        b.submit(request(3, 3)).unwrap();
+        let (s, jobs) = b.next_batch().unwrap();
+        assert_eq!((s.depth, counts(&jobs)), (3, vec![1, 3]));
+        let (s, jobs) = b.next_batch().unwrap();
+        assert_eq!((s.depth, counts(&jobs)), (2, vec![2]));
     }
 
     #[test]
     fn shutdown_drains_and_terminates() {
-        let b = Batcher::new(Duration::from_secs(3600), 1000);
+        let b = Batcher::new(1000);
         b.submit(request(2, 1)).unwrap();
         b.shutdown();
         assert!(b.submit(request(2, 1)).is_err());

@@ -180,8 +180,8 @@ fn run_binary(addr: &str) -> Result<(), String> {
     Ok(())
 }
 
-/// Fire concurrent same-shape requests so the server's window actually
-/// coalesces them; verify each against the local reference.
+/// Fire concurrent same-shape requests, so those that queue while the
+/// executors are busy coalesce; verify each against the local reference.
 fn run_storm(addr: &str) -> Result<(), String> {
     let clients = 16;
     let handles: Vec<_> = (0..clients)

@@ -144,6 +144,7 @@ mod tests {
             .map(|j| if j % 3 == 0 { -1.0 } else { 1.0 })
             .collect();
         let job = Job {
+            seq: seed as u64,
             positions,
             charges,
             tx,

@@ -3,8 +3,10 @@
 //! The paper's central aggregation trick (§2, item 2) batches many small
 //! O(P²) translations into a few large multiple-instance GEMMs. This
 //! crate replays that trick across *requests*: a long-running, std-only
-//! (no async runtime) TCP server whose **coalescing batcher** merges
-//! same-shape requests within a time/size window into one
+//! (no async runtime) TCP server whose **work-conserving batcher**
+//! hands an idle executor, at once, every queued request of the shape
+//! that has waited longest (up to `max_batch`): requests that pile up
+//! while the executors are busy run as one
 //! [`fmm_core::Fmm::evaluate_requests`] call on an `Fmm` built over one
 //! process-wide [`fmm_core::PlanRegistry`], the only cache: a new tenant
 //! whose translation-set key (sphere rule, truncation, radii, supernodes)

@@ -2,17 +2,16 @@
 //! shutdown request arrives on either front door.
 //!
 //! ```text
-//! fmm-serve [--addr 127.0.0.1:7331] [--window-us 2000] [--max-batch 64]
-//!           [--conn-threads 4] [--exec-threads 2] [--registry-capacity 64]
+//! fmm-serve [--addr 127.0.0.1:7331] [--max-batch 64] [--conn-threads 4]
+//!           [--exec-threads 2] [--registry-capacity 64]
 //! ```
 
 use fmm_serve::{ServeConfig, Server};
-use std::time::Duration;
 
 fn usage() -> ! {
     eprintln!(
-        "usage: fmm-serve [--addr HOST:PORT] [--window-us N] [--max-batch N]\n\
-         \x20                [--conn-threads N] [--exec-threads N] [--registry-capacity N]"
+        "usage: fmm-serve [--addr HOST:PORT] [--max-batch N] [--conn-threads N]\n\
+         \x20                [--exec-threads N] [--registry-capacity N]"
     );
     std::process::exit(2);
 }
@@ -27,9 +26,6 @@ fn main() {
         let mut grab = || args.next().unwrap_or_else(|| usage());
         match flag.as_str() {
             "--addr" => cfg.addr = grab(),
-            "--window-us" => {
-                cfg.window = Duration::from_micros(grab().parse().unwrap_or_else(|_| usage()))
-            }
             "--max-batch" => cfg.max_batch = grab().parse().unwrap_or_else(|_| usage()),
             "--conn-threads" => cfg.conn_threads = grab().parse().unwrap_or_else(|_| usage()),
             "--exec-threads" => cfg.exec_threads = grab().parse().unwrap_or_else(|_| usage()),
@@ -52,9 +48,8 @@ fn main() {
         }
     };
     println!(
-        "fmm-serve listening on {} (window {:?}, max batch {}, {} conn / {} exec threads)",
+        "fmm-serve listening on {} (max batch {}, {} conn / {} exec threads)",
         server.local_addr(),
-        cfg.window,
         cfg.max_batch,
         cfg.conn_threads,
         cfg.exec_threads

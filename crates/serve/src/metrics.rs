@@ -22,7 +22,7 @@ pub struct Metrics {
     /// Requests that rode in those batches (Σ batch sizes). The ratio
     /// to `batches_total` is the mean batch occupancy.
     pub batched_requests_total: AtomicU64,
-    /// Requests whose window closed with them alone (occupancy 1).
+    /// Requests that ran alone (occupancy 1).
     pub solo_batches_total: AtomicU64,
     /// Particles evaluated.
     pub particles_total: AtomicU64,
@@ -80,7 +80,7 @@ impl Metrics {
         );
         line(
             "fmm_solo_batches_total",
-            "batches that closed with a single request",
+            "batches that ran a single request",
             self.solo_batches_total.load(Ordering::Relaxed),
         );
         line(

@@ -36,9 +36,6 @@ pub struct ServeConfig {
     pub conn_threads: usize,
     /// Batch-executing threads.
     pub exec_threads: usize,
-    /// Coalescing window: how long the first request of a shape waits
-    /// for company before its batch closes.
-    pub window: Duration,
     /// Largest coalesced batch.
     pub max_batch: usize,
     /// Shared plan-registry capacity (resident plans).
@@ -53,7 +50,6 @@ impl Default for ServeConfig {
             addr: "127.0.0.1:0".into(),
             conn_threads: 4,
             exec_threads: 2,
-            window: Duration::from_millis(2),
             max_batch: 64,
             registry_capacity: 64,
             read_timeout: Duration::from_secs(30),
@@ -95,7 +91,7 @@ impl Server {
         let listener = TcpListener::bind(&cfg.addr)?;
         let local_addr = listener.local_addr()?;
         let engine = Arc::new(Engine::new(cfg.registry_capacity));
-        let batcher = Arc::new(Batcher::new(cfg.window, cfg.max_batch));
+        let batcher = Arc::new(Batcher::new(cfg.max_batch));
         let shutdown = Arc::new(ShutdownHandle {
             flag: AtomicBool::new(false),
             addr: local_addr,

@@ -1,5 +1,5 @@
 //! End-to-end service tests on a loopback listener: both front doors,
-//! coalescing under concurrency, metrics, and graceful shutdown.
+//! concurrent same-shape requests, metrics, and graceful shutdown.
 
 use fmm_core::{Fmm, FmmConfig};
 use fmm_serve::protocol::{self, EvalRequest, Opcode, Shape};
@@ -31,13 +31,12 @@ fn shape() -> Shape {
     }
 }
 
-fn start(window_ms: u64, max_batch: usize) -> Server {
+fn start() -> Server {
     Server::start(ServeConfig {
         addr: "127.0.0.1:0".into(),
         conn_threads: 8,
         exec_threads: 2,
-        window: Duration::from_millis(window_ms),
-        max_batch,
+        max_batch: 64,
         registry_capacity: 16,
         read_timeout: Duration::from_secs(10),
     })
@@ -78,7 +77,7 @@ fn http_roundtrip(addr: &str, request: &str) -> (String, String) {
 
 #[test]
 fn binary_round_trip_is_bitwise_vs_local() {
-    let server = start(1, 64);
+    let server = start();
     let addr = server.local_addr().to_string();
     let (pts, q) = system(80, 7);
     let resp = binary_evaluate(
@@ -102,7 +101,7 @@ fn binary_round_trip_is_bitwise_vs_local() {
 
 #[test]
 fn forces_round_trip_carries_fields() {
-    let server = start(1, 64);
+    let server = start();
     let addr = server.local_addr().to_string();
     let (pts, q) = system(48, 21);
     let mut sh = shape();
@@ -130,7 +129,7 @@ fn forces_round_trip_carries_fields() {
 
 #[test]
 fn json_front_door_round_trips() {
-    let server = start(1, 64);
+    let server = start();
     let addr = server.local_addr().to_string();
     let (pts, q) = system(32, 3);
     let flat: Vec<String> = pts
@@ -176,7 +175,7 @@ fn json_front_door_round_trips() {
 /// pool keeps serving.
 #[test]
 fn binary_door_rejects_non_finite_input() {
-    let server = start(1, 64);
+    let server = start();
     let addr = server.local_addr().to_string();
     let (pts, q) = system(40, 11);
     for (bad_position, bad_charge) in [(f64::NAN, 1.0), (0.5, f64::NEG_INFINITY)] {
@@ -215,7 +214,7 @@ fn binary_door_rejects_non_finite_input() {
 /// one JSON can carry) with HTTP 400 and the same complaint.
 #[test]
 fn json_door_rejects_non_finite_input() {
-    let server = start(1, 64);
+    let server = start();
     let addr = server.local_addr().to_string();
     let body =
         "{\"order\":3,\"depth\":2,\"positions\":[0.1,0.2,0.3,0.4,1e999,0.6],\"charges\":[1,1]}";
@@ -234,10 +233,12 @@ fn json_door_rejects_non_finite_input() {
     server.join();
 }
 
+/// However the concurrent requests land in batches, each reply is its
+/// solo evaluation's bits. Which of them coalesce depends on timing; the
+/// batcher's own tests pin that queued jobs leave as one batch.
 #[test]
-fn concurrent_same_shape_requests_coalesce() {
-    // A generous window so concurrent clients land in one batch.
-    let server = start(150, 64);
+fn concurrent_same_shape_requests_match_solo() {
+    let server = start();
     let addr = server.local_addr().to_string();
     let clients = 8;
     let handles: Vec<_> = (0..clients)
@@ -259,17 +260,12 @@ fn concurrent_same_shape_requests_coalesce() {
                 for (a, b) in resp.potentials.iter().zip(&want) {
                     assert_eq!(a.to_bits(), b.to_bits(), "client {i}");
                 }
-                resp.batch_size
             })
         })
         .collect();
-    let sizes: Vec<usize> = handles.into_iter().map(|h| h.join().unwrap()).collect();
-    let max = *sizes.iter().max().unwrap();
-    assert!(
-        max >= 2,
-        "no coalescing observed: batch sizes {sizes:?} (window too short for the host?)"
-    );
-    // However the batches landed, the registry built exactly one plan.
+    for h in handles {
+        h.join().unwrap();
+    }
     assert_eq!(server.engine().registry().stats().plan_builds, 1);
     server.shutdown();
     server.join();
@@ -277,7 +273,7 @@ fn concurrent_same_shape_requests_coalesce() {
 
 #[test]
 fn metrics_and_info_report_the_registry() {
-    let server = start(1, 64);
+    let server = start();
     let addr = server.local_addr().to_string();
     let (pts, q) = system(32, 5);
     binary_evaluate(
@@ -327,7 +323,7 @@ fn metrics_and_info_report_the_registry() {
 
 #[test]
 fn shutdown_endpoint_drains_gracefully() {
-    let server = start(1, 64);
+    let server = start();
     let addr = server.local_addr().to_string();
     let (pts, q) = system(32, 9);
     binary_evaluate(
