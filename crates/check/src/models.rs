@@ -264,7 +264,7 @@ pub fn batcher_exactly_once(submitters: usize, opts: &Options) -> ModelReport {
             .map(|i| {
                 let b = b.clone();
                 spawn(format!("client-{i}"), move || {
-                    let rx = b.submit(tiny_request()).expect("no shutdown in this model");
+                    let (rx, _) = b.submit(tiny_request()).expect("no shutdown in this model");
                     let first = rx
                         .recv()
                         .expect("exactly-one-completion-per-job: job dropped without completion");
@@ -314,7 +314,7 @@ pub fn batcher_shutdown_drains(submitters: usize, opts: &Options) -> ModelReport
                 spawn(format!("client-{i}"), move || {
                     match b.submit(tiny_request()) {
                         Err(_) => (), // rejected atomically: nothing was queued
-                        Ok(rx) => {
+                        Ok((rx, _)) => {
                             rx.recv()
                                 .expect(
                                     "shutdown-drains-all-jobs: accepted job dropped \
@@ -363,7 +363,7 @@ impl Queue for Batcher {
             depth,
             ..tiny_shape()
         };
-        let rx = self
+        let (rx, _) = self
             .submit(EvalRequest {
                 shape,
                 ..tiny_request()

@@ -22,6 +22,7 @@ use fmm_linalg::Kernel;
 use fmm_tree::{
     interactive_field_offsets, supernode_decomposition, BoxCoord, Separation, SEPARATION,
 };
+use std::borrow::Cow;
 use std::sync::OnceLock;
 
 /// Children of one level's parents along one octant: for parent `p` (in
@@ -36,8 +37,11 @@ pub struct ChildMap {
 }
 
 /// Parents per T2 panel, at least: one parent row (`2^l` parents) once a
-/// row is that long. A panel of fewer parents than this pays the GEMM's
-/// per-call overhead on too few rows; see DESIGN.md §5.5.
+/// row is that long. A T2 call takes the live rows of every octant that
+/// uses its matrix, up to 8 per parent of the panel; at K = 12 a call
+/// costs its FMA latency chain whatever its rows, so a panel of fewer
+/// parents pays that on too few rows (DESIGN.md §5.5). The panel moves
+/// no bit.
 pub(crate) const PANEL_MIN_PARENTS: usize = 8;
 
 /// How the downward sweep into the children of one parent level is cut:
@@ -70,6 +74,12 @@ pub struct LevelPlan {
     /// the whole child level multiplies exactly this many rows per
     /// instance.
     pub t2_rows: [u64; 2],
+    /// The downward sweep's T2 schedule into this level's children, index
+    /// as `t2_rows`: [`TraversalPlan::t2_schedule`] without the steps
+    /// that reach no source inside the domain from any box of the level.
+    /// Only the children of level 1 lose any; deeper levels are the
+    /// shared schedule itself.
+    pub(crate) t2_schedule: [&'static [T2Step]; 2],
 }
 
 impl LevelPlan {
@@ -95,20 +105,6 @@ impl LevelPlan {
         let planes = want.div_ceil(plane).min(most);
         let panel = want.max(n).max(PANEL_MIN_PARENTS).min(planes * plane);
         T2Blocking { panel, planes }
-    }
-
-    /// T2 source rows a full-level downward sweep of one instance under
-    /// GEMM aggregation gathers into panels, at rule size `k`: none where
-    /// its panels are cut within parent rows (every live run is then read
-    /// in place), else every live row. The panel rule makes that a
-    /// function of `k` and the level alone, whatever the thread count.
-    pub fn t2_gathered_rows(&self, k: usize, supernodes: bool) -> u64 {
-        let in_rows = self.t2_blocking(k, 1).panel <= 1 << self.parent_level;
-        if in_rows {
-            0
-        } else {
-            self.t2_rows[supernodes as usize]
-        }
     }
 
     /// The slabs merged into groups of `planes` consecutive z-planes
@@ -218,6 +214,50 @@ pub(crate) struct T2Step {
     pub(crate) oct: u8,
     pub(crate) shift: u8,
     pub(crate) matrix: u16,
+    /// Along axis `d`, the target parents `p` whose source lies inside
+    /// the domain are those with `reach[d][0] ≤ p ≤ n + reach[d][1]`, at
+    /// a level of `n` parents per axis (see [`T2Step::live`]).
+    reach: [[i8; 2]; 3],
+}
+
+impl T2Step {
+    fn new(oct: usize, shift: u8, offset: [i32; 3], matrix: u32) -> Self {
+        // Same level: the child t = 2p + o reaches t + a, inside the 2n
+        // boxes of its axis for ⌈(−o − a)/2⌉ ≤ p ≤ n + ⌊(−1 − o − a)/2⌋.
+        // Parent level: p reaches p + a, inside for −a ≤ p ≤ n − 1 − a.
+        let reach = std::array::from_fn(|d| {
+            let (o, a) = (((oct >> d) & 1) as i32, offset[d]);
+            let bounds = if shift == 0 {
+                [(1 - o - a).div_euclid(2), (-1 - o - a).div_euclid(2)]
+            } else {
+                [-a, -1 - a]
+            };
+            bounds.map(|b| b as i8)
+        });
+        T2Step {
+            offset: offset.map(|c| c as i8),
+            oct: oct as u8,
+            shift,
+            matrix: matrix as u16,
+            reach,
+        }
+    }
+
+    /// Per axis, the target parents whose source lies inside the domain,
+    /// `[first, last]`, at a level of `n` parents per axis; `None` where
+    /// some axis has none, so that no box of the level reaches a source.
+    pub(crate) fn live(&self, n: usize) -> Option<[[usize; 2]; 3]> {
+        let n = n as isize;
+        let mut live = [[0; 2]; 3];
+        for (axis, [lo, hi]) in live.iter_mut().zip(self.reach) {
+            let (lo, hi) = (isize::from(lo).max(0), (n + isize::from(hi)).min(n - 1));
+            if lo > hi {
+                return None;
+            }
+            *axis = [lo as usize, hi as usize];
+        }
+        Some(live)
+    }
 }
 
 /// Everything the upward/downward passes and the near-field sweep need
@@ -263,9 +303,11 @@ impl TraversalPlan {
     /// [`TraversalPlan::build`] with an explicit kernel choice.
     pub fn with_kernel(depth: u32, kernel: Kernel) -> Self {
         let octants = octant_plans();
+        let t2_schedule = T2_SCHEDULES.get_or_init(|| t2_schedules(octants));
         let levels = (1..depth.max(1))
             .map(|lp| {
                 let n = 1usize << (3 * lp);
+                let live = level_schedules(lp, t2_schedule);
                 let children = (0..8usize)
                     .map(|oct| {
                         let mut idx = Vec::with_capacity(n);
@@ -283,7 +325,8 @@ impl TraversalPlan {
                     slabs: parent_slabs(lp),
                     children,
                     parents: (0..n as u32).collect(),
-                    t2_rows: [t2_rows(lp, octants, false), t2_rows(lp, octants, true)],
+                    t2_rows: live.rows,
+                    t2_schedule: live.steps.each_ref().map(|steps| &**steps),
                 }
             })
             .collect();
@@ -291,7 +334,7 @@ impl TraversalPlan {
         TraversalPlan {
             depth,
             kernel,
-            t2_schedule: T2_SCHEDULES.get_or_init(|| t2_schedules(octants)),
+            t2_schedule,
             octants,
             levels,
             near_schedule: ColorSchedule::build(depth),
@@ -332,47 +375,49 @@ impl TraversalPlan {
     }
 }
 
-/// T2 rows with an in-domain source, over the child level of `l_parent`:
-/// per (octant, offset), the product over the three axes of the targets
-/// whose source coordinate lies on its level's axis. Along one axis the
-/// children `t = 2p + o` (`n` parents) reach `t + off` under a same-level
-/// offset, which lies on the `2n`-box axis for the `t ≡ o (mod 2)` in
-/// `[−off, 2n − off)`; under a parent-level (supernode) offset the parent
-/// `p` reaches `p + off`, on the axis for `n − |off|` parents.
-fn t2_rows(l_parent: u32, octants: &[OctantPlan], supernodes: bool) -> u64 {
-    let n = 1i64 << l_parent; // parents per axis
-    let all = octants.iter().flat_map(|op| op.t2_lists(supernodes));
-    let reach = all.flat_map(|(offs, _)| offs);
-    let reach = reach.flatten().map(|c| c.abs() as i64).max().unwrap_or(0);
-    // Per-axis counts by offset component, `[off + reach]`: same-level
-    // ones by the octant's bit on the axis, then the parent-level one.
-    let same_level = |o: i64, off: i64| {
-        let (lo, hi) = ((-off).max(0), (2 * n - off).min(2 * n));
-        // ⌈(x − o)/2⌉ counts the t ≡ o below x.
-        let below = |x: i64| (x - o + 1).div_euclid(2);
-        (below(hi) - below(lo)).max(0)
-    };
-    let span = -reach..=reach;
-    let table = [
-        span.clone()
-            .map(|off| same_level(0, off))
-            .collect::<Vec<_>>(),
-        span.clone().map(|off| same_level(1, off)).collect(),
-        span.map(|off| (n - off.abs()).max(0)).collect(),
-    ];
-    let mut rows = 0;
-    for (oct, op) in octants.iter().enumerate() {
-        for (shift, (offsets, _)) in op.t2_lists(supernodes).into_iter().enumerate() {
-            let axis = |d: usize| if shift == 1 { 2 } else { (oct >> d) & 1 };
-            let axes = [0, 1, 2].map(|d| &table[axis(d)]);
-            let at = |d: usize, off: &[i32; 3]| axes[d][(off[d] as i64 + reach) as usize];
-            rows += offsets
-                .iter()
-                .map(|off| at(0, off) * at(1, off) * at(2, off))
-                .sum::<i64>();
-        }
+/// A parent level's part of the shared T2 schedules, index 0 without
+/// supernodes and 1 with them: what [`LevelPlan::t2_schedule`] and
+/// [`LevelPlan::t2_rows`] hold.
+struct LevelSchedules {
+    steps: [Cow<'static, [T2Step]>; 2],
+    rows: [u64; 2],
+}
+
+/// Per parent level 1..=9 (a hierarchy is at most 10 levels deep), built
+/// by the first plan that reaches the level: like the shared schedules
+/// they depend on nothing else, and a plan build then reads them.
+static LEVEL_SCHEDULES: [OnceLock<LevelSchedules>; 9] = [const { OnceLock::new() }; 9];
+
+fn level_schedules(l_parent: u32, shared: &'static [Vec<T2Step>; 2]) -> &'static LevelSchedules {
+    let cell = LEVEL_SCHEDULES.get(l_parent as usize - 1);
+    let cell = cell.expect("a hierarchy is at most 10 levels deep");
+    cell.get_or_init(|| {
+        let steps = shared
+            .each_ref()
+            .map(|steps| level_schedule(steps, l_parent));
+        let rows = steps.each_ref().map(|steps| t2_rows(steps, l_parent));
+        LevelSchedules { steps, rows }
+    })
+}
+
+/// `steps` without those that no box of the child level of `l_parent`
+/// takes a live row from, borrowed where that drops none.
+fn level_schedule(steps: &'static [T2Step], l_parent: u32) -> Cow<'static, [T2Step]> {
+    let live = |s: &T2Step| s.live(1 << l_parent).is_some();
+    if steps.iter().all(live) {
+        Cow::Borrowed(steps)
+    } else {
+        Cow::Owned(steps.iter().copied().filter(live).collect())
     }
-    rows as u64
+}
+
+/// T2 rows with an in-domain source over the child level of `l_parent`:
+/// per step of its schedule, the product over the three axes of the
+/// parents whose source there lies inside the domain.
+fn t2_rows(steps: &[T2Step], l_parent: u32) -> u64 {
+    let live = steps.iter().filter_map(|s| s.live(1 << l_parent));
+    let rows = |axes: [[usize; 2]; 3]| axes.map(|[lo, hi]| (hi + 1 - lo) as u64);
+    live.map(|axes| rows(axes).iter().product::<u64>()).sum()
 }
 
 /// The octant plans every plan shares (see [`octant_plans`]).
@@ -400,12 +445,6 @@ static T2_SCHEDULES: OnceLock<[Vec<T2Step>; 2]> = OnceLock::new();
 /// list in order: each accumulator receives the products it received
 /// when the octants ran one after another, in the same order.
 fn t2_schedules(octants: &[OctantPlan]) -> [Vec<T2Step>; 2] {
-    let step = |oct: usize, shift: u8, offset: [i32; 3], matrix: u32| T2Step {
-        offset: offset.map(|c| c as i8),
-        oct: oct as u8,
-        shift,
-        matrix: matrix as u16,
-    };
     let mut schedules = [false, true].map(|supernodes| {
         let lists = octants.iter().flat_map(|op| op.t2_lists(supernodes));
         let mut steps = Vec::with_capacity(lists.map(|(offsets, _)| offsets.len()).sum());
@@ -415,7 +454,7 @@ fn t2_schedules(octants: &[OctantPlan]) -> [Vec<T2Step>; 2] {
                 offsets
                     .iter()
                     .zip(idx)
-                    .map(|(&off, &m)| step(oct, 1, off, m)),
+                    .map(|(&off, &m)| T2Step::new(oct, 1, off, m)),
             );
         }
         steps
@@ -444,7 +483,7 @@ fn t2_schedules(octants: &[OctantPlan]) -> [Vec<T2Step>; 2] {
                     let (offsets, idx) = lists[sn][oct];
                     let at = &mut placed[sn][oct];
                     if offsets.get(*at) == Some(&a) {
-                        steps.push(step(oct, 0, a, idx[*at]));
+                        steps.push(T2Step::new(oct, 0, a, idx[*at]));
                         *at += 1;
                     }
                 }
@@ -581,19 +620,6 @@ mod tests {
         assert_eq!(at(3, 120, 2), (32, 1));
         assert_eq!(at(1, 120, 1), (8, 2));
         assert_eq!(at(1, 120, 2), (4, 1));
-        // Whether panels fall within parent rows does not depend on the
-        // thread count (the copy count of a sweep relies on it).
-        for lp in 1..5 {
-            let n = 1usize << lp;
-            for k in [6, 12, 72, 120] {
-                let in_rows = plan.level(lp).t2_gathered_rows(k, false) == 0;
-                for threads in [1, 2, 3, 8, 64] {
-                    let rows = plan.level(lp).t2_blocking(k, threads).panel <= n;
-                    assert_eq!(rows, in_rows, "level {lp} K={k} threads={threads}");
-                }
-            }
-            assert_eq!(plan.level(lp).t2_gathered_rows(12, false) == 0, lp >= 3);
-        }
         for lp in 1..5 {
             let groups: Vec<_> = plan.level(lp).slab_groups(2).collect();
             let n = 1usize << lp;
@@ -697,6 +723,51 @@ mod tests {
         // 218 leftover child-level matrices are interleaved.
         assert_eq!(count(true, 1), (784, 784));
         assert_eq!(count(true, 0), (728, 386));
+    }
+
+    /// Whether any box of level `l` takes a live row from `s`, box by box.
+    fn reaches_the_domain(s: &T2Step, l: u32) -> bool {
+        (0..1usize << (3 * l)).any(|b| {
+            let c = BoxCoord::from_index(l, b);
+            let t = [c.x, c.y, c.z].map(|x| x as i32);
+            let (sl, t) = if s.shift == 1 {
+                (l - 1, t.map(|x| x >> 1))
+            } else {
+                (l, t)
+            };
+            let inside = |d: usize| (0..1 << sl).contains(&(t[d] + i32::from(s.offset[d])));
+            c.octant() == s.oct as usize && (0..3).all(inside)
+        })
+    }
+
+    #[test]
+    fn level_schedules_drop_exactly_the_steps_no_box_reaches() {
+        let plan = TraversalPlan::build(4);
+        for supernodes in [false, true] {
+            let shared = &plan.t2_schedule[supernodes as usize];
+            for l in 2..=4u32 {
+                let mine = &plan.level(l - 1).t2_schedule[supernodes as usize];
+                // The shared order, minus the steps no box reaches.
+                let kept: Vec<T2Step> = shared
+                    .iter()
+                    .copied()
+                    .filter(|s| reaches_the_domain(s, l))
+                    .collect();
+                assert_eq!(mine[..], kept[..], "level {l} supernodes = {supernodes}");
+                let shared_itself = std::ptr::eq(mine.as_ptr(), shared.as_ptr());
+                assert_eq!(shared_itself, l >= 3, "only level 2 drops steps");
+            }
+            // Level 2: of 7,000 plain steps 728 stay; with supernodes every
+            // parent-level step goes.
+            let level2 = &plan.level(1).t2_schedule[supernodes as usize];
+            let same_level = shared.iter().filter(|s| s.shift == 0).count();
+            if supernodes {
+                assert_eq!((shared.len(), same_level, level2.len()), (1512, 728, 728));
+            } else {
+                assert_eq!((shared.len(), level2.len()), (7000, 728));
+            }
+            assert!(level2.iter().all(|s| s.shift == 0));
+        }
     }
 
     #[test]

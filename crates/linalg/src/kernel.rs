@@ -8,9 +8,13 @@
 //! nest, selected at runtime behind the [`Kernel`] enum with the portable
 //! scalar loop kept as the reference implementation.
 //!
-//! The loop nest (`gemm_acc_lanes`) is written once over the crate's
-//! `Lanes` vector type; a vector tier is one entry point instantiating it
-//! (`x86::gemm_acc_avx2`, …; tile and tail per tier in `lanes.rs`).
+//! The loop nest (`gemm_acc_body`) is written once over the crate's
+//! `Lanes` vector type and over how rows are addressed: dense, or `A`'s
+//! rows at one stride (`gemm_acc_lanes`), or every row of `A` and `C` at
+//! its own offset (`gemm_acc_rows_lanes`, what the traversal calls). A
+//! vector tier is one entry point per addressing instantiating it
+//! (`x86::gemm_acc_avx2`, `x86::gemm_acc_rows_avx2`, …; tile and tail per
+//! tier in `lanes.rs`).
 //! Panels of four vectors of columns are the *outer* loop: one panel's
 //! `k × 4W` stripe of `B` stays L1-resident while a `ROWS`-row register
 //! tile (`a_ip` broadcast, `B` streamed, p ascending) takes every row of
@@ -176,6 +180,35 @@ pub fn gemm_acc_strided_with(
     }
 }
 
+/// `C[c_off..c_off + n] += A[a_off..a_off + k] · B` for every
+/// `(a_off, c_off)` of `rows`: rows of `A` and `C` multiplied where they
+/// lie, each with the bits it gets in a dense call of the same rows
+/// (the offsets only move the loads and stores). Rows of `C` must not
+/// overlap; which rows share a call moves no bit.
+/// Panics unless `b` holds `k × n` elements and every row lies inside
+/// `a` and `c`.
+pub fn gemm_acc_rows_with(
+    kernel: Kernel,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    rows: &[(usize, usize)],
+    b: &[f64],
+    c: &mut [f64],
+) {
+    match kernel {
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as in `gemm_acc_strided_with`.
+        Kernel::Avx2Fma => unsafe { x86::gemm_acc_rows_avx2(k, n, a, rows, b, c) },
+        #[cfg(target_arch = "x86_64")]
+        // SAFETY: as above, gated on avx512f.
+        Kernel::Avx512 => unsafe { x86::gemm_acc_rows_avx512(k, n, a, rows, b, c) },
+        #[cfg(target_arch = "aarch64")]
+        Kernel::Neon => arm::gemm_acc_rows_neon(k, n, a, rows, b, c),
+        _ => gemm_acc_rows_scalar(k, n, a, rows, b, c),
+    }
+}
+
 /// Every entry point's shape check, in release builds too: the vector
 /// tiers read and write through raw pointers. `A`'s `m` rows of `k` lie
 /// `lda ≥ k` apart.
@@ -198,8 +231,28 @@ pub(crate) fn assert_shapes(
     assert_eq!(Some(c.len()), m.checked_mul(n), "C shape mismatch");
 }
 
-/// Portable blocked i-k-j GEMM (the original reference kernel), `A`'s
-/// rows `lda` apart. Panics on a shape mismatch, as
+/// The row-indexed entry points' check, in release builds too: every
+/// row of `A` (`k` long) and of `C` (`n` long) lies inside its slice.
+#[inline]
+pub(crate) fn assert_rows(
+    k: usize,
+    n: usize,
+    a: &[f64],
+    rows: &[(usize, usize)],
+    b: &[f64],
+    c: &[f64],
+) {
+    assert_eq!(Some(b.len()), k.checked_mul(n), "B shape mismatch");
+    let inside =
+        |at: usize, len: usize, of: &[f64]| at.checked_add(len).is_some_and(|e| e <= of.len());
+    for &(ai, ci) in rows {
+        assert!(inside(ai, k, a), "A row offset past the end of A");
+        assert!(inside(ci, n, c), "C row offset past the end of C");
+    }
+}
+
+/// Portable i-k-j GEMM (the original reference kernel), `A`'s rows
+/// `lda` apart. Panics on a shape mismatch, as
 /// [`gemm_acc_strided_with`].
 pub fn gemm_acc_scalar(
     m: usize,
@@ -211,41 +264,99 @@ pub fn gemm_acc_scalar(
     c: &mut [f64],
 ) {
     assert_shapes(m, k, n, a, lda, b, c);
-    // Block over k so that the `KB` rows of B being streamed stay in L1/L2.
-    const KB: usize = 64;
-    let mut k0 = 0;
-    while k0 < k {
-        let kb = KB.min(k - k0);
-        for i in 0..m {
-            let arow = &a[i * lda + k0..i * lda + k0 + kb];
-            let crow = &mut c[i * n..(i + 1) * n];
-            // Unroll pairs of rank-1 updates to expose more ILP.
-            let mut p = 0;
-            while p + 1 < kb {
-                let a0 = arow[p];
-                let a1 = arow[p + 1];
-                let b0 = &b[(k0 + p) * n..(k0 + p) * n + n];
-                let b1 = &b[(k0 + p + 1) * n..(k0 + p + 1) * n + n];
-                for ((cj, b0j), b1j) in crow.iter_mut().zip(b0).zip(b1) {
-                    *cj += a0 * b0j + a1 * b1j;
-                }
-                p += 2;
-            }
-            if p < kb {
-                let a0 = arow[p];
-                let b0 = &b[(k0 + p) * n..(k0 + p) * n + n];
-                for (cj, b0j) in crow.iter_mut().zip(b0) {
-                    *cj += a0 * b0j;
-                }
-            }
-        }
-        k0 += kb;
+    for i in 0..m {
+        scalar_row(k, n, &a[i * lda..][..k], b, &mut c[i * n..][..n]);
     }
 }
 
-/// `C += A·B` over `L`'s lanes, the one loop nest of every vector tier:
-/// whole panels of four vectors, a trailing panel of 1–3 (under `MASKED`
-/// 1–4, the last masked), then any scalar tail columns (module header).
+/// [`gemm_acc_rows_with`] on the scalar tier: each row with
+/// [`gemm_acc_scalar`]'s arithmetic. Panics as [`gemm_acc_rows_with`].
+fn gemm_acc_rows_scalar(
+    k: usize,
+    n: usize,
+    a: &[f64],
+    rows: &[(usize, usize)],
+    b: &[f64],
+    c: &mut [f64],
+) {
+    assert_rows(k, n, a, rows, b, c);
+    for &(ai, ci) in rows {
+        scalar_row(k, n, &a[ai..][..k], b, &mut c[ci..][..n]);
+    }
+}
+
+/// `crow += arow · B`, the scalar tier's one row: rank-1 updates in pairs
+/// of `p` (`c += a·b + a'·b'`), then one for an odd last `p`.
+fn scalar_row(k: usize, n: usize, arow: &[f64], b: &[f64], crow: &mut [f64]) {
+    let mut p = 0;
+    while p + 1 < k {
+        let (a0, a1) = (arow[p], arow[p + 1]);
+        let (b0, b1) = (&b[p * n..][..n], &b[(p + 1) * n..][..n]);
+        for ((cj, b0j), b1j) in crow.iter_mut().zip(b0).zip(b1) {
+            *cj += a0 * b0j + a1 * b1j;
+        }
+        p += 2;
+    }
+    if p < k {
+        let (a0, b0) = (arow[p], &b[p * n..][..n]);
+        for (cj, b0j) in crow.iter_mut().zip(b0) {
+            *cj += a0 * b0j;
+        }
+    }
+}
+
+/// Where a call's rows lie: row `i` of `A` (`k` long) and of `C` (`n`
+/// long), for `i` below the call's row count.
+trait Rows: Copy {
+    /// # Safety
+    /// `i` is below the call's row count.
+    unsafe fn a(self, i: usize) -> *const f64;
+    /// # Safety
+    /// As [`Rows::a`].
+    unsafe fn c(self, i: usize) -> *mut f64;
+}
+
+/// Dense `C` (`n` apart), `A`'s rows `lda` apart.
+#[derive(Clone, Copy)]
+struct Strided {
+    a: *const f64,
+    lda: usize,
+    c: *mut f64,
+    n: usize,
+}
+
+impl Rows for Strided {
+    #[inline(always)]
+    unsafe fn a(self, i: usize) -> *const f64 {
+        self.a.add(i * self.lda)
+    }
+    #[inline(always)]
+    unsafe fn c(self, i: usize) -> *mut f64 {
+        self.c.add(i * self.n)
+    }
+}
+
+/// Each row at its `(A, C)` element offsets.
+#[derive(Clone, Copy)]
+struct Indexed<'r> {
+    a: *const f64,
+    c: *mut f64,
+    rows: &'r [(usize, usize)],
+}
+
+impl Rows for Indexed<'_> {
+    #[inline(always)]
+    unsafe fn a(self, i: usize) -> *const f64 {
+        self.a.add(self.rows.get_unchecked(i).0)
+    }
+    #[inline(always)]
+    unsafe fn c(self, i: usize) -> *mut f64 {
+        self.c.add(self.rows.get_unchecked(i).1)
+    }
+}
+
+/// `C += A·B` over `L`'s lanes, `A`'s rows `lda` apart: the dense call of
+/// [`gemm_acc_body`].
 ///
 /// # Safety
 /// Requires the CPU features of `L`'s tier; `a` holds `m` rows of `k`
@@ -264,32 +375,79 @@ pub(crate) unsafe fn gemm_acc_lanes<L: Lanes<Elem = f64>, const ROWS: usize, con
     b: &[f64],
     c: &mut [f64],
 ) {
+    let (a, c) = (a.as_ptr(), c.as_mut_ptr());
+    gemm_acc_body::<L, ROWS, MASKED, _>(m, k, n, Strided { a, lda, c, n }, b.as_ptr())
+}
+
+/// The row-indexed call of [`gemm_acc_body`]: row `i` of `A` and `C` at
+/// `rows[i]`.
+///
+/// # Safety
+/// Requires the CPU features of `L`'s tier; every row lies inside `a`
+/// and `c` ([`assert_rows`]), and `b` holds `k × n` elements.
+#[inline(always)]
+#[cfg_attr(
+    not(any(target_arch = "x86_64", target_arch = "aarch64")),
+    allow(dead_code)
+)]
+pub(crate) unsafe fn gemm_acc_rows_lanes<
+    L: Lanes<Elem = f64>,
+    const ROWS: usize,
+    const MASKED: bool,
+>(
+    k: usize,
+    n: usize,
+    a: &[f64],
+    rows: &[(usize, usize)],
+    b: &[f64],
+    c: &mut [f64],
+) {
+    let (a, c) = (a.as_ptr(), c.as_mut_ptr());
+    gemm_acc_body::<L, ROWS, MASKED, _>(rows.len(), k, n, Indexed { a, c, rows }, b.as_ptr())
+}
+
+/// `C += A·B` over `L`'s lanes for `m` rows addressed by `rows`, the one
+/// loop nest of every vector tier: whole panels of four vectors, a
+/// trailing panel of 1–3 (under `MASKED` 1–4, the last masked), then any
+/// scalar tail columns (module header).
+///
+/// # Safety
+/// Requires the CPU features of `L`'s tier; `rows` addresses `m` rows of
+/// `k` readable elements of `A` and `n` writable elements of `C`, and
+/// `b` points at `k × n` elements.
+#[inline(always)]
+unsafe fn gemm_acc_body<L: Lanes<Elem = f64>, const ROWS: usize, const MASKED: bool, R: Rows>(
+    m: usize,
+    k: usize,
+    n: usize,
+    rows: R,
+    b: *const f64,
+) {
     const { assert!(L::MASKED_TAIL || !MASKED) };
     let w = L::WIDTH;
-    let (ap, bp, cp) = ((a.as_ptr(), lda), b.as_ptr(), c.as_mut_ptr());
     let mut j = 0;
     while j + 4 * w <= n {
-        panel::<L, 4, ROWS>(m, k, n, j, 4 * w, ap, bp, cp);
+        panel::<L, 4, ROWS, R>(m, k, n, j, 4 * w, rows, b);
         j += 4 * w;
     }
     let rest = n - j;
     let cols = if MASKED { rest } else { rest - rest % w };
     match cols.div_ceil(w) {
         0 => {}
-        1 => panel::<L, 1, ROWS>(m, k, n, j, cols, ap, bp, cp),
-        2 => panel::<L, 2, ROWS>(m, k, n, j, cols, ap, bp, cp),
-        3 => panel::<L, 3, ROWS>(m, k, n, j, cols, ap, bp, cp),
-        _ => panel::<L, 4, ROWS>(m, k, n, j, cols, ap, bp, cp),
+        1 => panel::<L, 1, ROWS, R>(m, k, n, j, cols, rows, b),
+        2 => panel::<L, 2, ROWS, R>(m, k, n, j, cols, rows, b),
+        3 => panel::<L, 3, ROWS, R>(m, k, n, j, cols, rows, b),
+        _ => panel::<L, 4, ROWS, R>(m, k, n, j, cols, rows, b),
     }
     // The scalar column tail: empty under a mask.
     for jt in j + cols..n {
         for i in 0..m {
-            let arow = &a[i * lda..i * lda + k];
+            let arow = rows.a(i);
             let mut s = 0.0;
-            for (aip, bpj) in arow.iter().zip(b.iter().skip(jt).step_by(n)) {
-                s += aip * bpj;
+            for p in 0..k {
+                s += *arow.add(p) * *b.add(p * n + jt);
             }
-            c[i * n + jt] += s;
+            *rows.c(i).add(jt) += s;
         }
     }
 }
@@ -298,25 +456,23 @@ pub(crate) unsafe fn gemm_acc_lanes<L: Lanes<Elem = f64>, const ROWS: usize, con
 /// columns it holds, for every row: `ROWS` rows at a time, then the rest.
 ///
 /// # Safety
-/// As [`gemm_acc_lanes`], with `j + cols ≤ n`; `a` is `A` and its row
-/// stride.
+/// As [`gemm_acc_body`], with `j + cols ≤ n`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
+unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize, R: Rows>(
     m: usize,
     k: usize,
     n: usize,
     j: usize,
     cols: usize,
-    a: (*const f64, usize),
+    rows: R,
     b: *const f64,
-    c: *mut f64,
 ) {
     let w = L::WIDTH;
     let masks: [u16; REGS] = core::array::from_fn(|q| L::FULL >> (w - (cols - w * q).min(w)));
     let mut i = 0;
     while i + ROWS <= m {
-        tile::<L, REGS, ROWS>(i, k, n, j, masks, a, b, c);
+        tile::<L, REGS, ROWS, R>(i, k, n, j, masks, rows, b);
         i += ROWS;
     }
     // The rows left over as one tile where the tier's row count allows:
@@ -325,11 +481,11 @@ unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
     // would cost that each.
     match m - i {
         0 => {}
-        3 if ROWS > 3 => tile::<L, REGS, 3>(i, k, n, j, masks, a, b, c),
-        2 if ROWS > 2 => tile::<L, REGS, 2>(i, k, n, j, masks, a, b, c),
+        3 if ROWS > 3 => tile::<L, REGS, 3, R>(i, k, n, j, masks, rows, b),
+        2 if ROWS > 2 => tile::<L, REGS, 2, R>(i, k, n, j, masks, rows, b),
         _ => {
             while i < m {
-                tile::<L, REGS, 1>(i, k, n, j, masks, a, b, c);
+                tile::<L, REGS, 1, R>(i, k, n, j, masks, rows, b);
                 i += 1;
             }
         }
@@ -344,21 +500,22 @@ unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
 /// As [`panel`], with `i + ROWS ≤ m`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
+unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize, R: Rows>(
     i: usize,
     k: usize,
     n: usize,
     j: usize,
     masks: [u16; REGS],
-    a: (*const f64, usize),
+    rows: R,
     b: *const f64,
-    c: *mut f64,
 ) {
-    let (w, (a, lda)) = (L::WIDTH, a);
+    let w = L::WIDTH;
+    let a: [*const f64; ROWS] = core::array::from_fn(|r| rows.a(i + r));
+    let c: [*mut f64; ROWS] = core::array::from_fn(|r| rows.c(i + r));
     let mut acc = [[L::zero(); REGS]; ROWS];
-    for (r, row) in acc.iter_mut().enumerate() {
+    for (row, c) in acc.iter_mut().zip(c) {
         for (q, v) in row.iter_mut().enumerate() {
-            *v = L::load(c.add((i + r) * n + j + w * q), masks[q]);
+            *v = L::load(c.add(j + w * q), masks[q]);
         }
     }
     for p in 0..k {
@@ -366,23 +523,23 @@ unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
         for (q, v) in bv.iter_mut().enumerate() {
             *v = L::load(b.add(p * n + j + w * q), masks[q]);
         }
-        for (r, row) in acc.iter_mut().enumerate() {
-            let av = L::splat(*a.add((i + r) * lda + p));
+        for (row, a) in acc.iter_mut().zip(a) {
+            let av = L::splat(*a.add(p));
             for (q, v) in row.iter_mut().enumerate() {
                 *v = L::fma(av, bv[q], *v);
             }
         }
     }
-    for (r, row) in acc.iter().enumerate() {
+    for (row, c) in acc.iter().zip(c) {
         for (q, v) in row.iter().enumerate() {
-            L::store(c.add((i + r) * n + j + w * q), *v, masks[q]);
+            L::store(c.add(j + w * q), *v, masks[q]);
         }
     }
 }
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{assert_shapes, gemm_acc_lanes};
+    use super::{assert_rows, assert_shapes, gemm_acc_lanes, gemm_acc_rows_lanes};
     use core::arch::x86_64::*;
 
     /// Panics on a shape mismatch.
@@ -401,6 +558,21 @@ mod x86 {
         unsafe { gemm_acc_lanes::<__m256d, 2, false>(m, k, n, a, lda, b, c) }
     }
 
+    /// Panics unless every row lies inside `a` and `c`.
+    #[target_feature(enable = "avx2,fma")]
+    pub fn gemm_acc_rows_avx2(
+        k: usize,
+        n: usize,
+        a: &[f64],
+        rows: &[(usize, usize)],
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        assert_rows(k, n, a, rows, b, c);
+        // SAFETY: this function carries the tier's features; rows checked.
+        unsafe { gemm_acc_rows_lanes::<__m256d, 2, false>(k, n, a, rows, b, c) }
+    }
+
     /// Panics on a shape mismatch.
     #[target_feature(enable = "avx512f")]
     pub fn gemm_acc_avx512(
@@ -416,11 +588,26 @@ mod x86 {
         // SAFETY: this function carries the tier's features; shapes checked.
         unsafe { gemm_acc_lanes::<__m512d, 4, true>(m, k, n, a, lda, b, c) }
     }
+
+    /// Panics unless every row lies inside `a` and `c`.
+    #[target_feature(enable = "avx512f")]
+    pub fn gemm_acc_rows_avx512(
+        k: usize,
+        n: usize,
+        a: &[f64],
+        rows: &[(usize, usize)],
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        assert_rows(k, n, a, rows, b, c);
+        // SAFETY: this function carries the tier's features; rows checked.
+        unsafe { gemm_acc_rows_lanes::<__m512d, 4, true>(k, n, a, rows, b, c) }
+    }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
-    use super::{assert_shapes, gemm_acc_lanes};
+    use super::{assert_rows, assert_shapes, gemm_acc_lanes, gemm_acc_rows_lanes};
     use core::arch::aarch64::*;
 
     /// Panics on a shape mismatch.
@@ -436,6 +623,20 @@ mod arm {
         assert_shapes(m, k, n, a, lda, b, c);
         // SAFETY: NEON is architecturally guaranteed on aarch64; shapes checked.
         unsafe { gemm_acc_lanes::<float64x2_t, 2, false>(m, k, n, a, lda, b, c) }
+    }
+
+    /// Panics unless every row lies inside `a` and `c`.
+    pub fn gemm_acc_rows_neon(
+        k: usize,
+        n: usize,
+        a: &[f64],
+        rows: &[(usize, usize)],
+        b: &[f64],
+        c: &mut [f64],
+    ) {
+        assert_rows(k, n, a, rows, b, c);
+        // SAFETY: NEON is architecturally guaranteed on aarch64; rows checked.
+        unsafe { gemm_acc_rows_lanes::<float64x2_t, 2, false>(k, n, a, rows, b, c) }
     }
 }
 

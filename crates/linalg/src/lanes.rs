@@ -18,9 +18,11 @@
 //! | avx512   | `__m512d` / `__m512`          | 8 / 16 | 4 × 4 × 8 | `rsqrt14_pd` / `rsqrt14_ps` (2⁻¹⁴)               | 2 / 1    | `_mm512_reduce_add_{pd,ps}`           |
 //! | neon     | `float64x2_t` / `float32x4_t` | 2 / 4  | 2 × 4 × 2 | `vrsqrte` (~2⁻⁸)                                 | 3 / 2    | `vaddvq`                              |
 //!
-//! The scalar GEMM is `gemm_acc_scalar`: i-k-j over 64-row blocks of `B`,
-//! rank-1 updates in pairs of `p`. A vector GEMM column is
-//! `c ← fma(a_ip, b_pj, c)` for `p` ascending, from the stored `c`.
+//! The scalar GEMM is `gemm_acc_scalar`: row by row, rank-1 updates in
+//! pairs of `p`. A vector GEMM column is `c ← fma(a_ip, b_pj, c)` for `p`
+//! ascending, from the stored `c`. The row-indexed call
+//! (`gemm_acc_rows_with`) runs the same body per tier, each row at its
+//! own offsets.
 //!
 //! What a tier does after its last whole vector, of sources (pairwise) or
 //! of columns (GEMM):
@@ -434,7 +436,7 @@ mod gemm_model;
 mod tests {
     use super::gemm_model::{assert_matches_model, Tier};
     use super::{Lanes, Real};
-    use crate::kernel::gemm_acc_lanes;
+    use crate::kernel::{gemm_acc_lanes, gemm_acc_rows_lanes};
 
     /// `self·a + b`, fused: the array lanes' `fma`.
     trait MulAdd {
@@ -518,6 +520,22 @@ mod tests {
         assert_matches_model(unmasked(4), "[f64; 4]", |m, k, n, a, b, c| {
             // SAFETY: as above.
             unsafe { gemm_acc_lanes::<[f64; 4], 2, false>(m, k, n, a, k, b, c) }
+        });
+    }
+
+    /// The row-indexed call of the same body at NEON's width, its rows
+    /// handed over last to first, holds to that model too.
+    #[test]
+    fn row_indexed_body_through_array_lanes_matches_the_model() {
+        let tier = Tier::Vector {
+            width: 2,
+            masked: false,
+        };
+        assert_matches_model(tier, "[f64; 2] rows", |m, k, n, a, b, c| {
+            let rows: Vec<_> = (0..m).rev().map(|i| (i * k, i * n)).collect();
+            // SAFETY: the array lanes need no CPU feature, and every row
+            // lies inside the model's `m × k` and `m × n` slices.
+            unsafe { gemm_acc_rows_lanes::<[f64; 2], 2, false>(k, n, a, &rows, b, c) }
         });
     }
 }

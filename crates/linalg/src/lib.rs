@@ -22,7 +22,9 @@ pub mod matrix;
 pub mod pairwise;
 
 pub use gemm::{gemm_acc, gemm_naive};
-pub use kernel::{gemm_acc_scalar, gemm_acc_strided_with, gemm_acc_with, Kernel};
+pub use kernel::{
+    gemm_acc_rows_with, gemm_acc_scalar, gemm_acc_strided_with, gemm_acc_with, Kernel,
+};
 pub use matrix::Matrix;
 
 /// Number of floating point operations for an `m×k` by `k×n` matrix product

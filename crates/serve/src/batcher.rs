@@ -43,6 +43,16 @@ struct State {
     shutdown: bool,
 }
 
+impl State {
+    /// Requests queued, all shapes.
+    fn depth(&self) -> usize {
+        self.queues.values().map(Vec::len).sum()
+    }
+}
+
+/// Where a submitted job's result arrives.
+pub type Receiver = mpsc::Receiver<Result<EvalResponse, String>>;
+
 pub struct Batcher {
     state: Mutex<State>,
     cond: Condvar,
@@ -62,12 +72,11 @@ impl Batcher {
         }
     }
 
-    /// Enqueue a request; returns the receiver its result arrives on.
-    /// Returns `Err` with the request if the batcher is shutting down.
-    pub fn submit(
-        &self,
-        req: EvalRequest,
-    ) -> Result<mpsc::Receiver<Result<EvalResponse, String>>, String> {
+    /// Enqueue a request; returns the receiver its result arrives on and
+    /// the number of requests queued (all shapes, this one included) as
+    /// seen under the batcher's lock. Returns `Err` if the batcher is
+    /// shutting down.
+    pub fn submit(&self, req: EvalRequest) -> Result<(Receiver, usize), String> {
         let (tx, rx) = mpsc::sync_channel(1);
         let mut st = self.state.lock().unwrap();
         if st.shutdown {
@@ -83,13 +92,12 @@ impl Batcher {
         });
         // Wake a parked worker to take it.
         self.cond.notify_all();
-        Ok(rx)
+        Ok((rx, st.depth()))
     }
 
     /// Total requests currently queued (all shapes).
     pub fn queue_depth(&self) -> usize {
-        let st = self.state.lock().unwrap();
-        st.queues.values().map(Vec::len).sum()
+        self.state.lock().unwrap().depth()
     }
 
     /// Take the queue of the shape whose head job is oldest, up to

@@ -10,7 +10,7 @@
 //! connects to the loopback listener to unblock the blocking `accept`;
 //! every queued request is still answered before the threads exit.
 
-use crate::batcher::Batcher;
+use crate::batcher::{Batcher, Receiver};
 use crate::engine::Engine;
 use crate::http;
 use crate::json::{self, Value};
@@ -215,6 +215,14 @@ fn handle_connection(
     }
 }
 
+/// Queue `req`, raising `queue_depth_peak` to the depth its submit saw
+/// under the batcher's lock.
+fn submit(m: &Metrics, batcher: &Batcher, req: protocol::EvalRequest) -> Result<Receiver, String> {
+    let (rx, depth) = batcher.submit(req)?;
+    Metrics::max(&m.queue_depth_peak, depth as u64);
+    Ok(rx)
+}
+
 /// Submit an evaluation and wait for its result, driving the caller's
 /// lifecycle witness (at [`State::Frame`] on entry). Validation errors
 /// leave the witness at `Frame` — the caller's error reply takes the
@@ -238,7 +246,7 @@ fn evaluate(
         Metrics::inc(&m.errors_total);
         return Err(e);
     }
-    let rx = match batcher.submit(req) {
+    let rx = match submit(m, batcher, req) {
         Ok(rx) => rx,
         Err(e) => {
             Metrics::inc(&m.errors_total);
@@ -247,7 +255,6 @@ fn evaluate(
         }
     };
     lc.advance(State::Enqueue);
-    Metrics::max(&m.queue_depth_peak, batcher.queue_depth() as u64);
     match rx.recv() {
         Ok(r) => {
             lc.advance(State::Batch);
@@ -442,5 +449,31 @@ fn handle_http(
             "application/json",
             http::error_to_json(&format!("no route {} {}", req.method, req.path)).as_bytes(),
         ),
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn the_queue_depth_peak_is_the_deepest_submit() {
+        // No executor runs, so every job stays queued.
+        let (m, batcher) = (Metrics::default(), Batcher::new(64));
+        let request = |depth| protocol::EvalRequest {
+            shape: protocol::Shape {
+                order: 3,
+                depth,
+                separation: 2,
+                mixed: false,
+                forces: false,
+            },
+            positions: vec![[0.5; 3]],
+            charges: vec![1.0],
+        };
+        let _queued: Vec<_> = [2, 3, 2]
+            .map(|depth| submit(&m, &batcher, request(depth)).unwrap())
+            .into();
+        assert_eq!(m.queue_depth_peak.load(Ordering::Relaxed), 3);
     }
 }

@@ -279,7 +279,6 @@ pub(crate) fn assemble(
     for l in 2..depth {
         let n_parents = 1usize << (3 * l);
         tfl.t1 += gemm_flops(n_parents, k, k) * 8;
-        tfl.copied += (n_parents * 8 * k) as u64;
     }
     for l in 2..=depth {
         let n_boxes = 1u64 << (3 * l);
@@ -288,8 +287,9 @@ pub(crate) fn assemble(
         let t3_rows = if l >= 3 { n_boxes } else { 0 };
         tfl.t2 += live * gemm_flops(1, k, k);
         tfl.t3 += t3_rows * gemm_flops(1, k, k);
-        // T3 reads its sources in place, T2 where its panels allow.
-        tfl.copied += (lvl.t2_gathered_rows(k, supernodes) + n_boxes) * k as u64;
+        // T1, T2 and T3 read their sources in place; the scatter-add of
+        // every target row is the one copy.
+        tfl.copied += n_boxes * k as u64;
     }
 
     let mut profile = Profile::new();
