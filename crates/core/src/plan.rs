@@ -36,13 +36,17 @@ pub struct ChildMap {
     pub coord: Vec<[i32; 3]>,
 }
 
-/// Parents per T2 panel, at least: one parent row (`2^l` parents) once a
-/// row is that long. A T2 call takes the live rows of every octant that
-/// uses its matrix, up to 8 per parent of the panel; at K = 12 a call
-/// costs its FMA latency chain whatever its rows, so a panel of fewer
-/// parents pays that on too few rows (DESIGN.md §5.5). The panel moves
-/// no bit.
-pub(crate) const PANEL_MIN_PARENTS: usize = 8;
+/// Parents per T2 panel, at least, where the panel follows the matrix
+/// (K ≥ 17): one parent row once a row is that long.
+const PANEL_MIN_PARENTS: usize = 8;
+
+/// Parents a latency-bound (K ≤ 16) panel takes whole planes up to: a
+/// level of at most this many parents is one panel on one thread.
+const PANEL_LEVEL_PARENTS: usize = 64;
+
+/// Elements the eight octants' accumulator panels of one slab hold at
+/// most, `8 · panel · K · R` (256 KiB of `f64`).
+const PANEL_ACC_ELEMS: usize = 1 << 15;
 
 /// How the downward sweep into the children of one parent level is cut:
 /// a slab group of `planes` consecutive parent z-planes is one unit of
@@ -84,27 +88,52 @@ pub struct LevelPlan {
 
 impl LevelPlan {
     /// The blocking of the downward sweep into this level's children at
-    /// rule size `k`, for a sweep spread over `threads` pool threads (1
-    /// for a sequential sweep). A function of `(k, level, threads)`:
+    /// rule size `k` for `r` instances, for a sweep spread over `threads`
+    /// pool threads (1 for a sequential sweep). A function of `(k, r,
+    /// level, threads)`:
     ///
     /// - A T2 matrix is `8k²` bytes, and a call streams it once for its
     ///   panel's rows. A panel should hold at least `⌈k/4⌉` parents
     ///   (rounded up to a power of two), so its source and accumulator
-    ///   rows (`16k` bytes each) weigh at least half the matrix. At
-    ///   `k = 12` that is 4, below [`PANEL_MIN_PARENTS`], and the panel is
-    ///   one parent row (`max(2^l, 8)` parents, clipped to a plane) as it
-    ///   always was; at `k = 120` it is 32.
-    /// - Where a plane holds fewer parents than that, a slab group takes
-    ///   as many planes as the panel needs, but never so many that fewer
+    ///   rows (`16k` bytes each) weigh at least half the matrix. From
+    ///   [`PANEL_MIN_PARENTS`] on (`k = 120`: 32) that is the panel, at
+    ///   least one parent row, and a slab group takes as many planes as
+    ///   it needs.
+    /// - Below that (`k = 12`) a call costs its FMA latency chain and
+    ///   listing its rows costs a pass over the schedule per panel, so a
+    ///   panel is whole parent planes: the whole level where it holds at
+    ///   most [`PANEL_LEVEL_PARENTS`], one plane deeper, cut to a power of
+    ///   two so that the slab's accumulators stay within
+    ///   [`PANEL_ACC_ELEMS`].
+    /// - Either way a slab group never spans so many planes that fewer
     ///   groups than `threads` remain.
-    pub(crate) fn t2_blocking(&self, k: usize, threads: usize) -> T2Blocking {
+    pub(crate) fn t2_blocking(&self, k: usize, r: usize, threads: usize) -> T2Blocking {
         let n = 1usize << self.parent_level;
         let plane = n * n;
-        let want = k.div_ceil(4).next_power_of_two();
         let most = prev_power_of_two((n / threads.max(1)).max(1));
-        let planes = want.div_ceil(plane).min(most);
-        let panel = want.max(n).max(PANEL_MIN_PARENTS).min(planes * plane);
-        T2Blocking { panel, planes }
+        let want = k.div_ceil(4).next_power_of_two();
+        if want >= PANEL_MIN_PARENTS {
+            let planes = want.div_ceil(plane).min(most);
+            let panel = want.max(n).min(planes * plane);
+            return T2Blocking { panel, planes };
+        }
+        let planes = (PANEL_LEVEL_PARENTS / plane).clamp(1, most);
+        let fits = prev_power_of_two((PANEL_ACC_ELEMS / (8 * k * r.max(1))).max(1));
+        T2Blocking {
+            panel: (planes * plane).min(fits),
+            planes,
+        }
+    }
+
+    /// The level's T2 schedule under a supernode setting in the form the
+    /// downward sweep lists rows from ([`LiveSchedule`]), built by the
+    /// first sweep that needs it and shared by every plan.
+    pub(crate) fn t2_live(&self, supernodes: bool) -> &'static LiveSchedule {
+        let cells = LIVE_SCHEDULES.get(self.parent_level as usize - 1);
+        let cell = &cells.expect("a hierarchy is at most 10 levels deep")[supernodes as usize];
+        cell.get_or_init(|| {
+            LiveSchedule::new(self.t2_schedule[supernodes as usize], self.parent_level)
+        })
     }
 
     /// The slabs merged into groups of `planes` consecutive z-planes
@@ -258,7 +287,115 @@ impl T2Step {
         }
         Some(live)
     }
+
+    /// The step at parent level `b` as the sweep lists it; the step must
+    /// reach the domain there.
+    fn at_level(&self, b: u32) -> LiveStep {
+        let up = u32::from(self.shift);
+        // Bits per axis of the source level; a same-level source is
+        // displaced by the octant from the target parent's first child.
+        let sb = b + 1 - up;
+        let shifted = |d: usize| {
+            let o = if up == 0 {
+                (self.oct as i32 >> d) & 1
+            } else {
+                0
+            };
+            (o + i32::from(self.offset[d])) * (1 << (d as u32 * sb))
+        };
+        // The live parents [max(r0, 0), min(n + r1, n − 1)] of each axis
+        // are `max(r0, 0)` in from the low end, `max(−1 − r1, 0)` from the
+        // high end.
+        let margin = |[r0, r1]: [i8; 2]| {
+            let (lo, hi) = (r0.max(0) as u8, (-1 - r1).max(0) as u8);
+            assert!(lo < 16 && hi < 16, "a source lies within five boxes");
+            lo | hi << 4
+        };
+        LiveStep {
+            delta: shifted(0) + shifted(1) + shifted(2),
+            margins: self.reach.map(margin),
+            oct: self.oct,
+        }
+    }
 }
+
+/// One step of a level's live T2 schedule, as the downward sweep lists
+/// its rows: the parents with a source inside the domain form one box,
+/// and a parent's source lies at a fixed box-index offset from the
+/// parent's own base box at the source level.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LiveStep {
+    /// Source box index minus the target parent's base box index at the
+    /// source level: the parent itself (parent level), or its first
+    /// child (same level).
+    pub(crate) delta: i32,
+    /// Per axis, the live parents `[lo, n − 1 − hi]` at `n` parents per
+    /// axis, as `lo | hi << 4`.
+    margins: [u8; 3],
+    pub(crate) oct: u8,
+}
+
+impl LiveStep {
+    /// Per axis, the live parents `[first, last]` at `n` parents per axis.
+    #[inline]
+    pub(crate) fn live(&self, n: usize) -> [[usize; 2]; 3] {
+        self.margins
+            .map(|m| [usize::from(m & 15), n - 1 - usize::from(m >> 4)])
+    }
+}
+
+/// A run of consecutive steps of one `(shift, matrix)`, their octants
+/// ascending: one T2 call of the downward sweep.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub(crate) struct LiveVisit {
+    /// The visit's steps: `first..first + len` of the schedule's.
+    first: u16,
+    len: u8,
+    pub(crate) shift: u8,
+    pub(crate) matrix: u16,
+}
+
+/// A level's T2 schedule under one supernode setting, in the form the
+/// downward sweep lists rows from: step `i` is step `i` of
+/// [`LevelPlan::t2_schedule`] at that level, and the visits cut the steps
+/// into matrix visits. Eight bytes a step, six a visit: 74 KB for the
+/// 7,000 plain steps of level 2 and deeper.
+#[derive(Debug)]
+pub(crate) struct LiveSchedule {
+    steps: Vec<LiveStep>,
+    pub(crate) visits: Vec<LiveVisit>,
+}
+
+impl LiveSchedule {
+    fn new(schedule: &[T2Step], b: u32) -> Self {
+        let steps = schedule.iter().map(|s| s.at_level(b)).collect();
+        let mut visits = Vec::new();
+        let mut first = 0;
+        let same =
+            |x: &T2Step, y: &T2Step| (x.shift, x.matrix) == (y.shift, y.matrix) && x.oct < y.oct;
+        for visit in schedule.chunk_by(same) {
+            visits.push(LiveVisit {
+                first: u16::try_from(first).expect("a schedule has under 65,536 steps"),
+                len: visit.len() as u8,
+                shift: visit[0].shift,
+                matrix: visit[0].matrix,
+            });
+            first += visit.len();
+        }
+        LiveSchedule { steps, visits }
+    }
+
+    /// The steps of visit `v`.
+    #[inline]
+    pub(crate) fn steps_of(&self, v: &LiveVisit) -> &[LiveStep] {
+        &self.steps[usize::from(v.first)..][..usize::from(v.len)]
+    }
+}
+
+/// Per parent level 1..=9 and supernode setting, the level's
+/// [`LiveSchedule`], built by the first sweep that needs it.
+static LIVE_SCHEDULES: [[OnceLock<LiveSchedule>; 2]; 9] =
+    [const { [OnceLock::new(), OnceLock::new()] }; 9];
 
 /// Everything the upward/downward passes and the near-field sweep need
 /// that depends only on the depth. Built once, reused across evaluations;
@@ -602,16 +739,26 @@ mod tests {
     fn t2_blocking_follows_k() {
         let plan = TraversalPlan::build(5);
         let at = |lp: u32, k, threads| {
-            let b = plan.level(lp).t2_blocking(k, threads);
+            let b = plan.level(lp).t2_blocking(k, 1, threads);
             (b.panel, b.planes)
         };
-        // K = 12: one parent row of at least 8 parents, one plane per slab.
+        // K = 12: whole planes, the whole level up to 64 parents on one
+        // thread, never fewer slab groups than threads.
+        assert_eq!(
+            [1, 2, 8].map(|threads| at(1, 12, threads)),
+            [(8, 2), (4, 1), (4, 1)]
+        );
+        assert_eq!(
+            [1, 2, 8].map(|threads| at(2, 12, threads)),
+            [(64, 4), (32, 2), (16, 1)]
+        );
         for threads in [1, 2, 8] {
-            assert_eq!(at(1, 12, threads), (4, 1));
-            assert_eq!(at(2, 12, threads), (8, 1));
-            assert_eq!(at(3, 12, threads), (8, 1));
-            assert_eq!(at(4, 12, threads), (16, 1));
+            assert_eq!(at(3, 12, threads), (64, 1));
+            assert_eq!(at(4, 12, threads), (256, 1));
         }
+        // Three instances' accumulators fit 256 KiB in 64-parent panels.
+        let b = plan.level(4).t2_blocking(12, 3, 1);
+        assert_eq!((b.panel, b.planes), (64, 1));
         // K = 120: 32-parent panels, over plane pairs where a plane holds
         // 16, unless that would leave a thread without a slab group.
         assert_eq!(at(2, 120, 2), (32, 2));

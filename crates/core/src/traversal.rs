@@ -42,16 +42,19 @@
 //! bits to those rows that the full-level sweep writes.
 //!
 //! All index structure — slab ranges, child index lists, the level's T2
-//! schedule with each step's live parent intervals, resolved T2 matrix
-//! positions — comes from a precomputed [`TraversalPlan`], so a pass does
-//! no per-box index decoding and no hash-map lookups; it only lists rows
-//! and runs GEMMs.
+//! schedule with each step's live parent box and source offset, resolved
+//! T2 matrix positions — comes from a precomputed [`TraversalPlan`], so a
+//! pass does no per-box index decoding and no hash-map lookups; it only
+//! lists rows and runs GEMMs. A panel's parents are cut once into boxes
+//! of consecutive panel positions, and a step's rows are its live box
+//! intersected with them, listed an x-run at a time: the listing costs
+//! what the rows do, not what the panels times the schedule's steps do.
 //!
 //! Both the aggregated (GEMM) path and a per-box GEMV path are provided;
 //! their ratio is the paper's Table 3 experiment.
 
 use crate::field::FieldHierarchy;
-use crate::plan::{T2Blocking, T2Step, TraversalPlan};
+use crate::plan::{LiveSchedule, LiveStep, LiveVisit, T2Blocking, TraversalPlan};
 use crate::serially;
 use crate::translations::TranslationSet;
 use fmm_linalg::{gemm_acc_rows_with, gemm_flops, Kernel, Matrix};
@@ -331,7 +334,8 @@ pub fn downward_pass(
 /// One level of the downward pass, for every instance of `fhs`: T2
 /// (interactive field) plus T3 (parent inner shift) into `local[l]`, which
 /// is zeroed first. The level is cut as the plan's `t2_blocking` says for
-/// the rule size and the pool's thread count: slab groups of consecutive
+/// the rule size, the instance count and the pool's thread count (at
+/// K = 12 whole parent planes a panel): slab groups of consecutive
 /// parent z-planes run in parallel, each walked in panels of consecutive
 /// parents per octant. Per panel every T2 matrix the level's schedule
 /// reaches is one call over the live rows of every octant that uses it,
@@ -345,7 +349,7 @@ pub fn downward_level(
     l: u32,
 ) -> TraversalFlops {
     let threads = rayon::current_num_threads();
-    let blocking = plan.level(l - 1).t2_blocking(fhs[0].k, threads);
+    let blocking = plan.level(l - 1).t2_blocking(fhs[0].k, fhs.len(), threads);
     downward_blocked(fhs, ts, plan, supernodes, agg, l, blocking)
 }
 
@@ -390,81 +394,159 @@ pub fn downward_rows(
     l: u32,
     boxes: &[u32],
 ) -> TraversalFlops {
+    let parents = octant_parents(l, boxes);
+    let slab = [(0, std::array::from_fn(|oct| parents[oct].as_slice()))];
+    let panel = plan.level(l - 1).t2_blocking(fhs[0].k, fhs.len(), 1).panel;
+    downward_sweep(fhs, ts, plan, supernodes, agg, l, panel, &slab)
+}
+
+/// Per octant, the parents (at level `l − 1`) of those of `boxes` (at
+/// level `l`) that are that octant's child, in the order of `boxes`.
+fn octant_parents(l: u32, boxes: &[u32]) -> [Vec<u32>; 8] {
     let mut parents: [Vec<u32>; 8] = Default::default();
     for &b in boxes {
         let c = BoxCoord::from_index(l, b as usize);
         let parent = c.parent().expect("the downward pass starts at level 2");
         parents[c.octant()].push(parent.index() as u32);
     }
-    let slab = [(0, std::array::from_fn(|oct| parents[oct].as_slice()))];
-    let panel = plan.level(l - 1).t2_blocking(fhs[0].k, 1).panel;
-    downward_sweep(fhs, ts, plan, supernodes, agg, l, panel, &slab)
+    parents
 }
 
-/// A run of consecutive parents of a panel: the first parent's box
-/// index, its position in the panel, and the run's length.
-type Run = (usize, usize, usize);
+/// A box of a panel's parents, `lo..=hi` along each axis, listed in box
+/// order at consecutive panel positions from `at`: parent (x, y, z) is
+/// the panel's `at + (x − lo_x) + ((y − lo_y) + (z − lo_z)·w_y)·w_x`-th,
+/// `w` the box's extents.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+struct Block {
+    lo: [usize; 3],
+    hi: [usize; 3],
+    at: usize,
+}
 
-/// `parents` cut into maximal runs of consecutive ascending box indices:
-/// one run for a panel of a full-level sweep.
-fn runs_of(parents: &[u32], runs: &mut Vec<Run>) {
-    runs.clear();
-    for (j, &pi) in parents.iter().enumerate() {
-        match runs.last_mut() {
-            Some((first, _, len)) if *first + *len == pi as usize => *len += 1,
-            _ => runs.push((pi as usize, j, 1)),
-        }
+impl Block {
+    fn extent(&self, d: usize) -> usize {
+        self.hi[d] + 1 - self.lo[d]
     }
 }
 
-/// Push the rows of one octant's panel, cut into `runs` (parents of a
-/// level of `2^b` per axis), whose source under step `st` lies inside the
-/// domain, as `(source, accumulator)` element offsets: the source box's
-/// row in its level array, and `acc + j·kr` for the panel's `j`-th
-/// parent. The live parents come from arithmetic: per parent row of a run
-/// inside the step's y and z intervals, one x-run, whose sources lie 2
-/// boxes apart (same level) or 1 (parent level).
-fn push_live(
-    st: &T2Step,
-    b: u32,
-    runs: &[Run],
-    (k, acc, kr): (usize, usize, usize),
-    live: &mut Vec<(usize, usize)>,
-) {
+/// `parents` (of a level of `2^b` per axis) cut into the fewest boxes
+/// that a row-by-row merge finds: maximal x-runs of consecutive parents,
+/// the x-runs of one plane stacked along y where they line up, and those
+/// stacked along z where whole boxes line up. A panel of whole planes of
+/// a full-level sweep is one box, an SPMD worker's half rows one box a
+/// panel, a scattered subset a box a parent.
+fn blocks_of(parents: &[u32], b: u32, blocks: &mut Vec<Block>) {
     let n = 1usize << b;
-    let Some([[x0, x1], [y0, y1], [z0, z1]]) = st.live(n) else {
-        return;
-    };
-    // Along axis d the source of parent p is 2p + o_d + a_d on the child
-    // level, p + a_d on the parent level (`up`); x-neighbours' sources
-    // lie `step` elements apart.
-    let up = st.shift as usize;
-    let (sb, o) = (b + 1 - up as u32, if up == 0 { st.oct as usize } else { 0 });
-    let src = |p: [usize; 3]| -> usize {
-        let at = |d: usize| {
-            let s = ((p[d] << (1 - up)) + ((o >> d) & 1)) as isize + isize::from(st.offset[d]);
-            (s as usize) << (d as u32 * sb)
-        };
-        (at(0) + at(1) + at(2)) * k
-    };
-    let step = (2 - up) * k;
-    for &(first, j0, len) in runs {
-        let last = first + len - 1;
-        for row in first >> b..=last >> b {
-            let (y, z) = (row & (n - 1), row >> b);
-            if y < y0 || y > y1 || z < z0 || z > z1 {
-                continue;
+    blocks.clear();
+    let mut at = 0;
+    while at < parents.len() {
+        let first = parents[at] as usize;
+        let [x, y, z] = [first & (n - 1), (first >> b) & (n - 1), first >> (2 * b)];
+        let rest = &parents[at + 1..parents.len().min(at + n - x)];
+        let len = 1 + rest
+            .iter()
+            .zip(first + 1..)
+            .take_while(|&(&p, want)| p as usize == want)
+            .count();
+        let (lo, hi) = ([x, y, z], [x + len - 1, y, z]);
+        // The blocks so far hold positions `..at` in order, so the last
+        // one ends where this x-run starts.
+        let grows = blocks.last_mut().filter(|last| {
+            let flat = last.lo[2] == last.hi[2];
+            flat && (lo[0], hi[0], z) == (last.lo[0], last.hi[0], last.hi[2])
+        });
+        match grows {
+            Some(last) if y == last.hi[1] + 1 => last.hi[1] = y,
+            _ => {
+                stack_planes(blocks);
+                blocks.push(Block { lo, hi, at });
             }
-            let row0 = row << b;
-            let lo = x0.max(first.saturating_sub(row0));
-            let hi = x1.min(last - row0);
-            if lo > hi {
-                continue;
-            }
-            let (s0, c0) = (src([lo, y, z]), acc + (j0 + row0 + lo - first) * kr);
-            live.extend((0..hi + 1 - lo).map(|x| (s0 + x * step, c0 + x * kr)));
+        }
+        at += len;
+    }
+    stack_planes(blocks);
+}
+
+/// Fold the last of `blocks`, one plane, into the box before it where it
+/// is that box's next plane.
+fn stack_planes(blocks: &mut Vec<Block>) {
+    if let [.., below, last] = &mut blocks[..] {
+        let lines_up = (0..2).all(|d| (last.lo[d], last.hi[d]) == (below.lo[d], below.hi[d]));
+        let on_top = last.lo[2] == last.hi[2] && last.lo[2] == below.hi[2] + 1;
+        if lines_up && on_top {
+            below.hi[2] += 1;
+            blocks.pop();
         }
     }
+}
+
+/// Push the rows of step `st` of a matrix visit over the blocks of its
+/// octant's panel (parents of a level of `2^b` per axis) as `(source,
+/// accumulator)` element offsets: the source box's row in its level
+/// array (`shift` levels above the targets), and `acc + j·kr` for the
+/// panel's `j`-th parent. The step's live parents are a box; per block
+/// its intersection with that box is listed plane by plane and row by
+/// row, one x-run a row, whose sources lie 2 boxes apart (same level) or
+/// 1 (parent level). No parent is tested on its own.
+fn push_rows(
+    st: &LiveStep,
+    shift: u8,
+    b: u32,
+    blocks: &[Block],
+    (k, acc, kr): (usize, usize, usize),
+    rows: &mut Vec<(usize, usize)>,
+) {
+    let live = st.live(1 << b);
+    let up = u32::from(shift);
+    // Bits per axis of the source level, and x-neighbours' source
+    // distance.
+    let (sb, step) = (b + 1 - up, (2 - up as usize) * k);
+    for bl in blocks {
+        let lo: [usize; 3] = std::array::from_fn(|d| live[d][0].max(bl.lo[d]));
+        let hi: [usize; 3] = std::array::from_fn(|d| live[d][1].min(bl.hi[d]));
+        if (0..3).any(|d| lo[d] > hi[d]) {
+            continue;
+        }
+        let (wx, len) = (bl.extent(0), hi[0] + 1 - lo[0]);
+        for z in lo[2]..=hi[2] {
+            let plane = bl.at + (z - bl.lo[2]) * bl.extent(1) * wx + lo[0] - bl.lo[0];
+            for y in lo[1]..=hi[1] {
+                // The base box of parent (lo_x, y, z) at the source level.
+                let base = (lo[0] + (y << sb) + (z << (2 * sb))) << (1 - up);
+                let s0 = base.wrapping_add_signed(st.delta as isize) * k;
+                let c0 = acc + (plane + (y - bl.lo[1]) * wx) * kr;
+                rows.extend((0..len).map(|x| (s0 + x * step, c0 + x * kr)));
+            }
+        }
+    }
+}
+
+/// The rows of matrix visit `v` of `schedule`, all its octants' panels
+/// cut into `blocks`, each octant's accumulator panel `panel` elements
+/// after the last (see [`push_rows`]).
+fn list_visit(
+    schedule: &LiveSchedule,
+    v: &LiveVisit,
+    b: u32,
+    blocks: &[Vec<Block>; 8],
+    (k, panel, kr): (usize, usize, usize),
+    rows: &mut Vec<(usize, usize)>,
+) {
+    rows.clear();
+    for st in schedule.steps_of(v) {
+        let oct = usize::from(st.oct);
+        push_rows(st, v.shift, b, &blocks[oct], (k, oct * panel, kr), rows);
+    }
+}
+
+/// Panel `sub` of a slab, along each octant: the parents from `sub ·
+/// panel` on, at most `panel`, none where an octant has fewer.
+fn panel_of<'a>(rows: &[&'a [u32]; 8], sub: usize, panel: usize) -> [&'a [u32]; 8] {
+    std::array::from_fn(|oct| {
+        let all = rows[oct];
+        let from = (sub * panel).min(all.len());
+        &all[from..(from + panel).min(all.len())]
+    })
 }
 
 /// The downward body. A slab's rows are, per octant, the parents whose
@@ -474,11 +556,12 @@ fn push_live(
 /// (the `R` instances' rows of one parent adjacent).
 ///
 /// T3 runs into each octant's accumulator first. Then T2 follows the
-/// level's schedule (`LevelPlan::t2_schedule`): the shared
-/// matrix-stationary order without the steps the level cannot reach,
-/// which streams each T2 matrix once for every octant that uses it. A
-/// run of consecutive steps with one `(shift, matrix)` is one call over
-/// the live rows (source inside the domain) of all its octants. Each
+/// level's schedule (`LevelPlan::t2_live`): the shared matrix-stationary
+/// order without the steps the level cannot reach, which streams each T2
+/// matrix once for every octant that uses it. A visit, a run of
+/// consecutive steps with one `(shift, matrix)`, is one call over the
+/// live rows (source inside the domain) of all its octants, listed by
+/// [`push_rows`] from the panel's [`Block`]s. Each
 /// accumulator row appears at most once in a call and receives the
 /// sequence of products it would octant by octant, list by list. The
 /// GEMM computes each row independently of the others, and a dropped
@@ -501,7 +584,7 @@ fn downward_sweep(
     let kr = k * r; // one parent's rows
     let l_parent = l - 1;
     let lvl = plan.level(l_parent);
-    let schedule = &lvl.t2_schedule[supernodes as usize];
+    let schedule = lvl.t2_live(supernodes);
     // The T2 matrices by source level; a set holds those of one supernode
     // setting (see `TranslationSet::build`).
     let families = [&ts.t2t, &ts.t2t_super];
@@ -534,18 +617,14 @@ fn downward_sweep(
         let mut acc_panels = vec![0.0; 8 * cap * kr];
         let mut products = RowProducts::new(agg, plan.kernel, k, r, 8 * cap);
         let mut live = Vec::with_capacity(8 * cap);
-        let mut runs: [Vec<Run>; 8] = Default::default();
+        let mut blocks: [Vec<Block>; 8] = Default::default();
         let (mut n_live, mut n_copied) = (0u64, 0u64);
         for sub in 0..longest.div_ceil(panel) {
             // This panel's parents along each octant, none where an
-            // octant has no panel `sub`, and their runs.
-            let panels: [&[u32]; 8] = std::array::from_fn(|oct| {
-                let all = rows[oct];
-                let from = (sub * panel).min(all.len());
-                &all[from..(from + panel).min(all.len())]
-            });
-            for (parents, runs) in panels.iter().zip(&mut runs) {
-                runs_of(parents, runs);
+            // octant has no panel `sub`, and their blocks.
+            let panels = panel_of(rows, sub, panel);
+            for (parents, blocks) in panels.iter().zip(&mut blocks) {
+                blocks_of(parents, l_parent, blocks);
             }
 
             // ---- T3: parent inner → child inner -------------------
@@ -562,21 +641,21 @@ fn downward_sweep(
             }
 
             // ---- T2: interactive field, one call per matrix visit ----
-            let visits = schedule
-                .chunk_by(|x, y| (x.shift, x.matrix) == (y.shift, y.matrix) && x.oct < y.oct);
-            for visit in visits {
-                live.clear();
-                for st in visit {
-                    let oct = st.oct as usize;
-                    let at = (k, oct * cap * kr, kr);
-                    push_live(st, l_parent, &runs[oct], at, &mut live);
-                }
+            for visit in &schedule.visits {
+                list_visit(
+                    schedule,
+                    visit,
+                    l_parent,
+                    &blocks,
+                    (k, cap * kr, kr),
+                    &mut live,
+                );
                 if live.is_empty() {
                     continue;
                 }
                 n_live += live.len() as u64;
-                let shift = visit[0].shift as usize;
-                let m = families[shift].get(visit[0].matrix as usize);
+                let shift = usize::from(visit.shift);
+                let m = families[shift].get(usize::from(visit.matrix));
                 let m = m.and_then(Option::as_ref).expect(OTHER_SETTING);
                 n_copied += products.add(&far[shift], &live, m, &mut acc_panels);
             }
@@ -620,6 +699,7 @@ fn downward_sweep(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::plan::T2Step;
     use crate::threads;
     use fmm_linalg::gemm_acc_with;
     use fmm_sphere::SphereRule;
@@ -825,6 +905,214 @@ mod tests {
                     assert_eq!(fl.t3, gemm_flops(boxes.len(), 6, 6) * (l >= 3) as u64);
                 }
             }
+        }
+    }
+
+    /// A run of consecutive parents of a panel: the first parent's box
+    /// index, its position in the panel, and the run's length.
+    type Run = (usize, usize, usize);
+
+    /// `parents` cut into maximal runs of consecutive ascending box
+    /// indices.
+    fn runs_of(parents: &[u32], runs: &mut Vec<Run>) {
+        runs.clear();
+        for (j, &pi) in parents.iter().enumerate() {
+            match runs.last_mut() {
+                Some((first, _, len)) if *first + *len == pi as usize => *len += 1,
+                _ => runs.push((pi as usize, j, 1)),
+            }
+        }
+    }
+
+    /// The per-row listing [`push_rows`] replaced, kept as its oracle:
+    /// per run of the panel and parent row inside the step's y and z
+    /// intervals, one x-run, from the shared [`T2Step`] itself.
+    fn push_live(
+        st: &T2Step,
+        b: u32,
+        runs: &[Run],
+        (k, acc, kr): (usize, usize, usize),
+        live: &mut Vec<(usize, usize)>,
+    ) {
+        let n = 1usize << b;
+        let Some([[x0, x1], [y0, y1], [z0, z1]]) = st.live(n) else {
+            return;
+        };
+        let up = st.shift as usize;
+        let (sb, o) = (b + 1 - up as u32, if up == 0 { st.oct as usize } else { 0 });
+        let src = |p: [usize; 3]| -> usize {
+            let at = |d: usize| {
+                let s = ((p[d] << (1 - up)) + ((o >> d) & 1)) as isize + isize::from(st.offset[d]);
+                (s as usize) << (d as u32 * sb)
+            };
+            (at(0) + at(1) + at(2)) * k
+        };
+        let step = (2 - up) * k;
+        for &(first, j0, len) in runs {
+            let last = first + len - 1;
+            for row in first >> b..=last >> b {
+                let (y, z) = (row & (n - 1), row >> b);
+                if y < y0 || y > y1 || z < z0 || z > z1 {
+                    continue;
+                }
+                let row0 = row << b;
+                let lo = x0.max(first.saturating_sub(row0));
+                let hi = x1.min(last - row0);
+                if lo > hi {
+                    continue;
+                }
+                let (s0, c0) = (src([lo, y, z]), acc + (j0 + row0 + lo - first) * kr);
+                live.extend((0..hi + 1 - lo).map(|x| (s0 + x * step, c0 + x * kr)));
+            }
+        }
+    }
+
+    /// Every visit's rows over the slabs `slabs` of level `l`'s sweep in
+    /// panels of `panel`, as the sweep lists them, against [`push_live`]
+    /// over the same panels, as sets; returns the rows listed. K = 12,
+    /// one instance.
+    fn assert_listing_is_per_row(
+        plan: &TraversalPlan,
+        supernodes: bool,
+        l: u32,
+        panel: usize,
+        slabs: &[[&[u32]; 8]],
+        what: &str,
+    ) -> u64 {
+        let (k, b) = (12, l - 1);
+        let lvl = plan.level(b);
+        let (table, steps) = (
+            lvl.t2_live(supernodes),
+            lvl.t2_schedule[supernodes as usize],
+        );
+        let same =
+            |x: &T2Step, y: &T2Step| (x.shift, x.matrix) == (y.shift, y.matrix) && x.oct < y.oct;
+        assert_eq!(table.visits.len(), steps.chunk_by(same).count());
+        let (mut blocks, mut runs) = (<[Vec<Block>; 8]>::default(), <[Vec<Run>; 8]>::default());
+        let (mut got, mut want, mut total) = (Vec::new(), Vec::new(), 0);
+        for rows in slabs {
+            let longest = rows.iter().map(|p| p.len()).max().unwrap_or(0);
+            let cap = panel.min(longest) * k;
+            for sub in 0..longest.div_ceil(panel) {
+                let panels = panel_of(rows, sub, panel);
+                for (oct, parents) in panels.iter().enumerate() {
+                    blocks_of(parents, b, &mut blocks[oct]);
+                    runs_of(parents, &mut runs[oct]);
+                }
+                for (v, visit) in table.visits.iter().zip(steps.chunk_by(same)) {
+                    list_visit(table, v, b, &blocks, (k, cap, k), &mut got);
+                    want.clear();
+                    for st in visit {
+                        let oct = st.oct as usize;
+                        push_live(st, b, &runs[oct], (k, oct * cap, k), &mut want);
+                    }
+                    total += got.len() as u64;
+                    got.sort_unstable();
+                    want.sort_unstable();
+                    assert!(
+                        got == want,
+                        "{what}: level {l} supernodes={supernodes} {v:?}"
+                    );
+                }
+            }
+        }
+        total
+    }
+
+    fn listing_matches_the_per_row_reference(depth: u32) {
+        use fmm_tree::partition::morton_to_rowmajor;
+        let plan = TraversalPlan::build(depth);
+        for supernodes in [false, true] {
+            for l in 2..=depth {
+                let lvl = plan.level(l - 1);
+                // Full-level sweeps at the one- and two-thread blockings.
+                for threads in [1, 2] {
+                    let blocking = lvl.t2_blocking(12, 1, threads);
+                    let groups = lvl.slab_groups(blocking.planes);
+                    let slabs: Vec<_> = groups.map(|(p0, p1)| [&lvl.parents[p0..p1]; 8]).collect();
+                    let what = format!("full level, {threads} threads");
+                    let total = assert_listing_is_per_row(
+                        &plan,
+                        supernodes,
+                        l,
+                        blocking.panel,
+                        &slabs,
+                        &what,
+                    );
+                    assert_eq!(total, lvl.t2_rows[supernodes as usize], "{what}");
+                }
+                // `downward_rows` subsets: a Morton range cutting sibling
+                // groups, each rank's boxes at two SPMD ranks (half rows
+                // along x), every other pair of rows (parent rows with
+                // gaps between them), and every third box, last first.
+                let (n, axis) = (1u32 << (3 * l), 1u32 << l);
+                let morton = (5..u64::from(n) * 5 / 8 + 3).map(|c| morton_to_rowmajor(l, c) as u32);
+                let half =
+                    |rank: u32| (0..n).filter(move |b| (b % axis >= axis / 2) as u32 == rank);
+                let subsets: [(&str, Vec<u32>); 5] = [
+                    ("Morton range", morton.collect()),
+                    ("rank 0 of 2", half(0).collect()),
+                    ("rank 1 of 2", half(1).collect()),
+                    ("row pairs", (0..n).filter(|b| b / axis % 4 < 2).collect()),
+                    ("scattered", (0..n).rev().step_by(3).collect()),
+                ];
+                let panel = lvl.t2_blocking(12, 1, 1).panel;
+                for (what, boxes) in &subsets {
+                    let parents = octant_parents(l, boxes);
+                    let slab = [std::array::from_fn(|oct| parents[oct].as_slice())];
+                    assert_listing_is_per_row(&plan, supernodes, l, panel, &slab, what);
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn t2_rows_listed_match_the_per_row_reference() {
+        for depth in 2..=4 {
+            listing_matches_the_per_row_reference(depth);
+        }
+    }
+
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "depth-5 listing: release only")]
+    fn t2_rows_listed_match_the_per_row_reference_at_depth_5() {
+        listing_matches_the_per_row_reference(5);
+    }
+
+    #[test]
+    fn blocks_cover_their_parents_in_panel_order() {
+        let bl = |lo, hi, at| Block { lo, hi, at };
+        // At 4 parents per axis: a full plane pair, half rows of two
+        // planes, a run that starts and ends inside rows, and rows and
+        // planes with gaps between them.
+        let cases: [(Vec<u32>, Vec<Block>); 5] = [
+            ((16..48).collect(), vec![bl([0, 0, 1], [3, 3, 2], 0)]),
+            (
+                (0..32).filter(|p| p % 4 < 2).collect(),
+                vec![bl([0, 0, 0], [1, 3, 1], 0)],
+            ),
+            (
+                (6..27).collect(),
+                vec![
+                    bl([2, 1, 0], [3, 1, 0], 0),
+                    bl([0, 2, 0], [3, 3, 0], 2),
+                    bl([0, 0, 1], [3, 1, 1], 10),
+                    bl([0, 2, 1], [2, 2, 1], 18),
+                ],
+            ),
+            (
+                (0..4).chain(8..12).collect(),
+                vec![bl([0, 0, 0], [3, 0, 0], 0), bl([0, 2, 0], [3, 2, 0], 4)],
+            ),
+            (
+                (0..16).chain(32..48).collect(),
+                vec![bl([0, 0, 0], [3, 3, 0], 0), bl([0, 0, 2], [3, 3, 2], 16)],
+            ),
+        ];
+        let mut blocks = Vec::new();
+        for (parents, want) in &cases {
+            blocks_of(parents, 2, &mut blocks);
+            assert_eq!(&blocks, want, "{parents:?}");
         }
     }
 

@@ -233,6 +233,8 @@ pub(crate) fn assert_shapes(
 
 /// The row-indexed entry points' check, in release builds too: every
 /// row of `A` (`k` long) and of `C` (`n` long) lies inside its slice.
+/// One pass finds each side's largest offset; one checked add per side
+/// then bounds every row.
 #[inline]
 pub(crate) fn assert_rows(
     k: usize,
@@ -243,12 +245,17 @@ pub(crate) fn assert_rows(
     c: &[f64],
 ) {
     assert_eq!(Some(b.len()), k.checked_mul(n), "B shape mismatch");
+    let Some(last) = rows
+        .iter()
+        .copied()
+        .reduce(|x, y| (x.0.max(y.0), x.1.max(y.1)))
+    else {
+        return;
+    };
     let inside =
         |at: usize, len: usize, of: &[f64]| at.checked_add(len).is_some_and(|e| e <= of.len());
-    for &(ai, ci) in rows {
-        assert!(inside(ai, k, a), "A row offset past the end of A");
-        assert!(inside(ci, n, c), "C row offset past the end of C");
-    }
+    assert!(inside(last.0, k, a), "A row offset past the end of A");
+    assert!(inside(last.1, n, c), "C row offset past the end of C");
 }
 
 /// Portable i-k-j GEMM (the original reference kernel), `A`'s rows

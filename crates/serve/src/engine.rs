@@ -4,12 +4,18 @@
 //! request's result back out. The registry is the only cache: an `Fmm` is
 //! a cheap view over the translation set and plans it holds, so the engine
 //! builds one per batch and keeps none.
+//!
+//! A batch that starts while another is in flight runs [`serially`] on its
+//! executor's thread: the host's threads are then already busy with the
+//! batches themselves, and splitting each one's regions over the pool
+//! only makes them queue behind each other. A lone batch keeps the pool.
 
 use crate::batcher::Job;
 use crate::metrics::Metrics;
 use crate::protocol::{EvalResponse, Shape};
-use fmm_core::{BatchRequest, Fmm, FmmConfig, PlanRegistry, Precision};
+use fmm_core::{serially, BatchRequest, Fmm, FmmConfig, PlanRegistry, Precision};
 use fmm_tree::SEPARATION;
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 
 /// Depth bound on requests: deeper hierarchies than this are almost
@@ -19,6 +25,18 @@ const MAX_DEPTH: u32 = 7;
 pub struct Engine {
     registry: Arc<PlanRegistry>,
     pub metrics: Arc<Metrics>,
+    /// Batches running now, on any executor.
+    in_flight: AtomicUsize,
+}
+
+/// One batch's count in [`Engine::in_flight`], released however the batch
+/// ends.
+struct InFlight<'a>(&'a AtomicUsize);
+
+impl Drop for InFlight<'_> {
+    fn drop(&mut self) {
+        self.0.fetch_sub(1, Ordering::SeqCst);
+    }
 }
 
 impl Engine {
@@ -26,6 +44,7 @@ impl Engine {
         Engine {
             registry: Arc::new(PlanRegistry::new(registry_capacity)),
             metrics: Arc::new(Metrics::default()),
+            in_flight: AtomicUsize::new(0),
         }
     }
 
@@ -71,8 +90,21 @@ impl Engine {
     }
 
     /// Execute one coalesced batch and deliver each job its slice. Every
-    /// job receives exactly one message, success or failure.
+    /// job receives exactly one message, success or failure. The batch
+    /// runs [`serially`] if another is in flight when it starts (module
+    /// docs); either way it returns the same bits.
     pub fn run_batch(&self, shape: Shape, jobs: Vec<Job>) {
+        let others = self.in_flight.fetch_add(1, Ordering::SeqCst);
+        let _running = InFlight(&self.in_flight);
+        if others > 0 {
+            Metrics::inc(&self.metrics.scoped_batches_total);
+            serially(|| self.execute(shape, jobs));
+        } else {
+            self.execute(shape, jobs);
+        }
+    }
+
+    fn execute(&self, shape: Shape, jobs: Vec<Job>) {
         let m = &self.metrics;
         Metrics::inc(&m.batches_total);
         Metrics::add(&m.batched_requests_total, jobs.len() as u64);
@@ -190,6 +222,47 @@ mod tests {
         }
         // One plan per depth, whatever the precision or the fields.
         assert_eq!(eng.registry().stats().plan_builds, 2);
+    }
+
+    #[test]
+    fn a_batch_beside_another_keeps_to_its_thread() {
+        let eng = Engine::new(8);
+        let s = Shape {
+            order: 5,
+            depth: 3,
+            forces: true,
+            ..shape()
+        };
+        let pool = rayon::ThreadPoolBuilder::new()
+            .num_threads(2)
+            .build()
+            .unwrap();
+        // Returns whether the batch split a region over the pool.
+        let run = |seed| {
+            let (j, rx) = job(seed, 300);
+            let (positions, charges) = (j.positions.clone(), j.charges.clone());
+            let before = rayon::regions_split();
+            pool.install(|| eng.run_batch(s, vec![j]));
+            let split = rayon::regions_split() > before;
+            let got = rx.recv().unwrap().unwrap();
+            let solo = Fmm::new(Engine::config_for(&s).unwrap()).unwrap();
+            let want = solo.evaluate_forces(&positions, &charges).unwrap();
+            let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+            assert_eq!(bits(&got.potentials), bits(&want.potentials));
+            let fields = |f: &[[f64; 3]]| bits(&f.concat());
+            assert_eq!(fields(&got.fields.unwrap()), fields(&want.fields.unwrap()));
+            split
+        };
+        let scoped = || eng.metrics.scoped_batches_total.load(Ordering::Relaxed);
+        assert!(run(1), "a lone batch splits its regions over the pool");
+        assert_eq!(scoped(), 0);
+        // Another executor's batch in flight.
+        eng.in_flight.fetch_add(1, Ordering::SeqCst);
+        assert!(!run(2), "a batch beside another keeps to its thread");
+        assert_eq!(scoped(), 1);
+        eng.in_flight.fetch_sub(1, Ordering::SeqCst);
+        assert!(run(3));
+        assert_eq!((scoped(), eng.in_flight.load(Ordering::SeqCst)), (1, 0));
     }
 
     #[test]

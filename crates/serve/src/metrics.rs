@@ -24,6 +24,9 @@ pub struct Metrics {
     pub batched_requests_total: AtomicU64,
     /// Requests that ran alone (occupancy 1).
     pub solo_batches_total: AtomicU64,
+    /// Batches that started while another was in flight and so ran on
+    /// their executor's thread alone.
+    pub scoped_batches_total: AtomicU64,
     /// Particles evaluated.
     pub particles_total: AtomicU64,
     /// Requests over the binary protocol.
@@ -82,6 +85,11 @@ impl Metrics {
             "fmm_solo_batches_total",
             "batches that ran a single request",
             self.solo_batches_total.load(Ordering::Relaxed),
+        );
+        line(
+            "fmm_scoped_batches_total",
+            "batches run on their executor's thread because another was in flight",
+            self.scoped_batches_total.load(Ordering::Relaxed),
         );
         line(
             "fmm_particles_total",
@@ -161,6 +169,7 @@ mod tests {
         let text = m.render(&reg);
         assert!(text.contains("fmm_requests_total 1"));
         assert!(text.contains("fmm_particles_total 64"));
+        assert!(text.contains("fmm_scoped_batches_total 0"));
         assert!(text.contains("fmm_plan_builds 0"));
         assert!(text.contains("fmm_set_builds 0"));
     }
