@@ -4,13 +4,17 @@
 //! that depend only on the hierarchy depth:
 //! the per-octant interactive-field offset lists, the supernode
 //! decompositions, the T2 matrix lookups and the order the downward sweep
-//! applies them in, the slab decomposition of every
-//! level, the child gather/scatter index lists that turn panels of
-//! parents into panels of children, every level's parent list and its
-//! count of live T2 rows. None of this depends on the particles.
+//! applies them in, every level's parent list and its count of live T2
+//! rows. None of this depends on the particles.
 //!
-//! A [`TraversalPlan`] hoists all of it into a one-time build, cached on
-//! the driver per depth (the rule size K is fixed per `Fmm`). Repeated evaluations — the common case in a time-stepping
+//! A [`TraversalPlan`] hoists all of it into a one-time build, cached in
+//! the driver's plan registry per depth and kernel. What depends on
+//! neither — the octant plans, the shared T2 order and each level's live
+//! T2 table — is built once per process and shared by every plan, so a
+//! plan itself holds only its levels' parent lists. What arithmetic on a
+//! box index gives, a parent's children and a level's parent planes, is
+//! not stored at all: the paper addresses a box's children the same way
+//! (§3.3). Repeated evaluations — the common case in a time-stepping
 //! N-body loop, and the regime the paper's timings in §4 assume once the
 //! translation matrices are precomputed (§3.3.4, Figs. 8–9) — then pay
 //! only for the GEMMs and the particle work, not for re-deriving the
@@ -19,22 +23,8 @@
 use crate::near::ColorSchedule;
 use crate::translations::TranslationSet;
 use fmm_linalg::Kernel;
-use fmm_tree::{
-    interactive_field_offsets, supernode_decomposition, BoxCoord, Separation, SEPARATION,
-};
-use std::borrow::Cow;
+use fmm_tree::{interactive_field_offsets, supernode_decomposition, Separation, SEPARATION};
 use std::sync::OnceLock;
-
-/// Children of one level's parents along one octant: for parent `p` (in
-/// row-major box order), `idx[p]` is the child's box index at the child
-/// level and `coord[p]` its (x, y, z) coordinate. These drive the T1/T3
-/// panel gathers and scatters and the T2 source-offset arithmetic without
-/// any per-row index decoding.
-#[derive(Debug, Clone)]
-pub struct ChildMap {
-    pub idx: Vec<u32>,
-    pub coord: Vec<[i32; 3]>,
-}
 
 /// Parents per T2 panel, at least, where the panel follows the matrix
 /// (K ≥ 17): one parent row once a row is that long.
@@ -64,29 +54,31 @@ pub(crate) struct T2Blocking {
 pub struct LevelPlan {
     /// The parent level this entry describes.
     pub parent_level: u32,
-    /// Slab decomposition: ranges of parent box indices, one z-plane each,
-    /// whose children occupy disjoint contiguous ranges of the child level.
-    pub slabs: Vec<(usize, usize)>,
-    /// Per octant (index 0..8): the parents' children along that octant.
-    pub children: Vec<ChildMap>,
     /// Every parent of the level, in box order: the target rows of a
     /// full-level sweep are sub-slices of this list.
     pub parents: Vec<u32>,
-    /// T2 rows with an in-domain source in the downward sweep into this
-    /// level's children, summed over octants and offsets; index 0 for the
-    /// plain offset lists, 1 for the supernode decomposition. A sweep of
-    /// the whole child level multiplies exactly this many rows per
-    /// instance.
-    pub t2_rows: [u64; 2],
-    /// The downward sweep's T2 schedule into this level's children, index
-    /// as `t2_rows`: [`TraversalPlan::t2_schedule`] without the steps
-    /// that reach no source inside the domain from any box of the level.
-    /// Only the children of level 1 lose any; deeper levels are the
-    /// shared schedule itself.
-    pub(crate) t2_schedule: [&'static [T2Step]; 2],
 }
 
 impl LevelPlan {
+    /// The box index at the child level of parent `pi`'s child along
+    /// octant `oct` (bit `d` its offset along axis `d`): child `(2x + o_x,
+    /// 2y + o_y, 2z + o_z)` of parent `(x, y, z)`, one more bit per axis.
+    #[inline]
+    pub(crate) fn child(&self, pi: u32, oct: usize) -> usize {
+        let (b, pi) = (self.parent_level, pi as usize);
+        let mask = (1 << b) - 1;
+        let axis = |d: u32| ((pi >> (d * b) & mask) << 1 | (oct >> d & 1)) << (d * (b + 1));
+        axis(0) | axis(1) | axis(2)
+    }
+
+    /// T2 rows with an in-domain source in the downward sweep into this
+    /// level's children under a supernode setting, summed over octants
+    /// and offsets: a sweep of the whole child level multiplies exactly
+    /// this many rows per instance.
+    pub fn t2_rows(&self, supernodes: bool) -> u64 {
+        self.t2_live(supernodes).rows
+    }
+
     /// The blocking of the downward sweep into this level's children at
     /// rule size `k` for `r` instances, for a sweep spread over `threads`
     /// pool threads (1 for a sequential sweep). A function of `(k, r,
@@ -127,22 +119,29 @@ impl LevelPlan {
 
     /// The level's T2 schedule under a supernode setting in the form the
     /// downward sweep lists rows from ([`LiveSchedule`]), built by the
-    /// first sweep that needs it and shared by every plan.
+    /// first sweep or row count that needs it and shared by every plan.
     pub(crate) fn t2_live(&self, supernodes: bool) -> &'static LiveSchedule {
         let cells = LIVE_SCHEDULES.get(self.parent_level as usize - 1);
         let cell = &cells.expect("a hierarchy is at most 10 levels deep")[supernodes as usize];
         cell.get_or_init(|| {
-            LiveSchedule::new(self.t2_schedule[supernodes as usize], self.parent_level)
+            LiveSchedule::new(&t2_schedules()[supernodes as usize], self.parent_level)
         })
     }
 
-    /// The slabs merged into groups of `planes` consecutive z-planes
+    /// Parents in one z-plane of the level.
+    pub(crate) fn plane(&self) -> usize {
+        1 << (2 * self.parent_level)
+    }
+
+    /// The level's z-planes in groups of `planes` consecutive ones
     /// (`planes` a power of two, at most the plane count): ranges of
-    /// parent box indices of equal length.
-    pub(crate) fn slab_groups(&self, planes: usize) -> impl Iterator<Item = (usize, usize)> + '_ {
-        self.slabs
-            .chunks(planes)
-            .map(|g| (g[0].0, g[g.len() - 1].1))
+    /// parent box indices of equal length, whose children occupy disjoint
+    /// contiguous ranges of the child level.
+    pub(crate) fn slab_groups(&self, planes: usize) -> impl Iterator<Item = (usize, usize)> {
+        let (n, plane) = (1 << self.parent_level, self.plane());
+        (0..n)
+            .step_by(planes)
+            .map(move |z| (z * plane, (z + planes).min(n) * plane))
     }
 }
 
@@ -169,8 +168,6 @@ pub struct OctantPlan {
     pub sn_child_offsets: Vec<[i32; 3]>,
     /// Dense-cube T2 indices parallel to `sn_child_offsets`.
     pub sn_child_idx: Vec<u32>,
-    /// Total translations per box under supernodes (parents + children).
-    pub sn_translation_count: usize,
 }
 
 /// One T2 offset list of an octant: source offsets and the matrix index
@@ -191,7 +188,6 @@ impl OctantPlan {
             .map(|&off| TranslationSet::t2_index_for(off) as u32)
             .collect();
         let sd = supernode_decomposition(o);
-        let sn_translation_count = sd.translation_count();
         let sn_parent_offsets = sd.parents.iter().map(|p| p.parent_offset).collect();
         let sn_parent_idx = sd
             .parents
@@ -210,7 +206,6 @@ impl OctantPlan {
             sn_parent_idx,
             sn_child_offsets: sd.children,
             sn_child_idx,
-            sn_translation_count,
         }
     }
 
@@ -356,33 +351,51 @@ pub(crate) struct LiveVisit {
 }
 
 /// A level's T2 schedule under one supernode setting, in the form the
-/// downward sweep lists rows from: step `i` is step `i` of
-/// [`LevelPlan::t2_schedule`] at that level, and the visits cut the steps
-/// into matrix visits. Eight bytes a step, six a visit: 74 KB for the
-/// 7,000 plain steps of level 2 and deeper.
+/// downward sweep lists rows from: the shared order
+/// ([`TraversalPlan::t2_schedule`]) without the steps that reach no
+/// source inside the domain from any box of the level (only the children
+/// of level 1 lose any), each step at that level, and the visits that cut
+/// the steps into matrix visits. Eight bytes a step, six a visit: 74 KB
+/// for the 7,000 plain steps of level 2 and deeper.
 #[derive(Debug)]
 pub(crate) struct LiveSchedule {
     steps: Vec<LiveStep>,
     pub(crate) visits: Vec<LiveVisit>,
+    /// T2 rows with an in-domain source over the child level: per step,
+    /// the product over the three axes of its live parents.
+    rows: u64,
 }
 
 impl LiveSchedule {
-    fn new(schedule: &[T2Step], b: u32) -> Self {
-        let steps = schedule.iter().map(|s| s.at_level(b)).collect();
-        let mut visits = Vec::new();
-        let mut first = 0;
-        let same =
-            |x: &T2Step, y: &T2Step| (x.shift, x.matrix) == (y.shift, y.matrix) && x.oct < y.oct;
-        for visit in schedule.chunk_by(same) {
-            visits.push(LiveVisit {
-                first: u16::try_from(first).expect("a schedule has under 65,536 steps"),
-                len: visit.len() as u8,
-                shift: visit[0].shift,
-                matrix: visit[0].matrix,
-            });
-            first += visit.len();
+    fn new(shared: &[T2Step], b: u32) -> Self {
+        let mut steps: Vec<LiveStep> = Vec::with_capacity(shared.len());
+        let (mut visits, mut rows): (Vec<LiveVisit>, u64) = (Vec::new(), 0);
+        for s in shared {
+            let Some(live) = s.live(1 << b) else {
+                continue;
+            };
+            rows += live
+                .iter()
+                .map(|[lo, hi]| (hi + 1 - lo) as u64)
+                .product::<u64>();
+            // A visit runs on while the matrix holds and the octants ascend.
+            let ascends = steps.last().is_some_and(|p| p.oct < s.oct);
+            match visits.last_mut() {
+                Some(v) if ascends && (v.shift, v.matrix) == (s.shift, s.matrix) => v.len += 1,
+                _ => visits.push(LiveVisit {
+                    first: u16::try_from(steps.len()).expect("a schedule has under 65,536 steps"),
+                    len: 1,
+                    shift: s.shift,
+                    matrix: s.matrix,
+                }),
+            }
+            steps.push(s.at_level(b));
         }
-        LiveSchedule { steps, visits }
+        LiveSchedule {
+            steps,
+            visits,
+            rows,
+        }
     }
 
     /// The steps of visit `v`.
@@ -392,8 +405,9 @@ impl LiveSchedule {
     }
 }
 
-/// Per parent level 1..=9 and supernode setting, the level's
-/// [`LiveSchedule`], built by the first sweep that needs it.
+/// Per parent level 1..=9 (a hierarchy is at most 10 levels deep) and
+/// supernode setting, the level's [`LiveSchedule`], built by the first
+/// call that needs it.
 static LIVE_SCHEDULES: [[OnceLock<LiveSchedule>; 2]; 9] =
     [const { [OnceLock::new(), OnceLock::new()] }; 9];
 
@@ -415,7 +429,7 @@ pub struct TraversalPlan {
     pub levels: Vec<LevelPlan>,
     /// The order in which the downward sweep applies every octant's T2
     /// lists to one panel, index 0 without supernodes and 1 with them:
-    /// see [`t2_schedules`]. It depends on neither the depth nor the
+    /// see [`t2_order`]. It depends on neither the depth nor the
     /// kernel, so every plan shares the one the first plan built.
     pub(crate) t2_schedule: &'static [Vec<T2Step>; 2],
     /// The leaf level the near field runs at; its colours, the z mod 3
@@ -439,40 +453,17 @@ impl TraversalPlan {
 
     /// [`TraversalPlan::build`] with an explicit kernel choice.
     pub fn with_kernel(depth: u32, kernel: Kernel) -> Self {
-        let octants = octant_plans();
-        let t2_schedule = T2_SCHEDULES.get_or_init(|| t2_schedules(octants));
         let levels = (1..depth.max(1))
-            .map(|lp| {
-                let n = 1usize << (3 * lp);
-                let live = level_schedules(lp, t2_schedule);
-                let children = (0..8usize)
-                    .map(|oct| {
-                        let mut idx = Vec::with_capacity(n);
-                        let mut coord = Vec::with_capacity(n);
-                        for pi in 0..n {
-                            let c = BoxCoord::from_index(lp, pi).child(oct);
-                            idx.push(c.index() as u32);
-                            coord.push([c.x as i32, c.y as i32, c.z as i32]);
-                        }
-                        ChildMap { idx, coord }
-                    })
-                    .collect();
-                LevelPlan {
-                    parent_level: lp,
-                    slabs: parent_slabs(lp),
-                    children,
-                    parents: (0..n as u32).collect(),
-                    t2_rows: live.rows,
-                    t2_schedule: live.steps.each_ref().map(|steps| &**steps),
-                }
+            .map(|lp| LevelPlan {
+                parent_level: lp,
+                parents: (0..1u32 << (3 * lp)).collect(),
             })
             .collect();
-
         TraversalPlan {
             depth,
             kernel,
-            t2_schedule,
-            octants,
+            t2_schedule: t2_schedules(),
+            octants: octant_plans(),
             levels,
             near_schedule: ColorSchedule::build(depth),
         }
@@ -484,7 +475,9 @@ impl TraversalPlan {
         &self.levels[(parent_level - 1) as usize]
     }
 
-    /// Approximate heap footprint in bytes (for diagnostics).
+    /// Approximate heap footprint in bytes (for diagnostics): the shared
+    /// octant plans and T2 order, which no depth changes, and four bytes
+    /// per parent of every level.
     pub fn memory_bytes(&self) -> usize {
         let per_oct: usize = self
             .octants
@@ -495,66 +488,9 @@ impl TraversalPlan {
             })
             .sum();
         let schedule: usize = self.t2_schedule.iter().map(Vec::len).sum();
-        let per_oct = per_oct + schedule * std::mem::size_of::<T2Step>();
-        let per_level: usize = self
-            .levels
-            .iter()
-            .map(|l| {
-                l.slabs.len() * 16
-                    + l.parents.len() * 4
-                    + l.children
-                        .iter()
-                        .map(|c| c.idx.len() * 4 + c.coord.len() * 12)
-                        .sum::<usize>()
-            })
-            .sum();
-        per_oct + per_level
+        let parents: usize = self.levels.iter().map(|l| l.parents.len()).sum();
+        per_oct + schedule * std::mem::size_of::<T2Step>() + parents * 4
     }
-}
-
-/// A parent level's part of the shared T2 schedules, index 0 without
-/// supernodes and 1 with them: what [`LevelPlan::t2_schedule`] and
-/// [`LevelPlan::t2_rows`] hold.
-struct LevelSchedules {
-    steps: [Cow<'static, [T2Step]>; 2],
-    rows: [u64; 2],
-}
-
-/// Per parent level 1..=9 (a hierarchy is at most 10 levels deep), built
-/// by the first plan that reaches the level: like the shared schedules
-/// they depend on nothing else, and a plan build then reads them.
-static LEVEL_SCHEDULES: [OnceLock<LevelSchedules>; 9] = [const { OnceLock::new() }; 9];
-
-fn level_schedules(l_parent: u32, shared: &'static [Vec<T2Step>; 2]) -> &'static LevelSchedules {
-    let cell = LEVEL_SCHEDULES.get(l_parent as usize - 1);
-    let cell = cell.expect("a hierarchy is at most 10 levels deep");
-    cell.get_or_init(|| {
-        let steps = shared
-            .each_ref()
-            .map(|steps| level_schedule(steps, l_parent));
-        let rows = steps.each_ref().map(|steps| t2_rows(steps, l_parent));
-        LevelSchedules { steps, rows }
-    })
-}
-
-/// `steps` without those that no box of the child level of `l_parent`
-/// takes a live row from, borrowed where that drops none.
-fn level_schedule(steps: &'static [T2Step], l_parent: u32) -> Cow<'static, [T2Step]> {
-    let live = |s: &T2Step| s.live(1 << l_parent).is_some();
-    if steps.iter().all(live) {
-        Cow::Borrowed(steps)
-    } else {
-        Cow::Owned(steps.iter().copied().filter(live).collect())
-    }
-}
-
-/// T2 rows with an in-domain source over the child level of `l_parent`:
-/// per step of its schedule, the product over the three axes of the
-/// parents whose source there lies inside the domain.
-fn t2_rows(steps: &[T2Step], l_parent: u32) -> u64 {
-    let live = steps.iter().filter_map(|s| s.live(1 << l_parent));
-    let rows = |axes: [[usize; 2]; 3]| axes.map(|[lo, hi]| (hi + 1 - lo) as u64);
-    live.map(|axes| rows(axes).iter().product::<u64>()).sum()
 }
 
 /// The octant plans every plan shares (see [`octant_plans`]).
@@ -565,8 +501,13 @@ fn octant_plans() -> &'static [OctantPlan; 8] {
     OCTANTS.get_or_init(|| std::array::from_fn(OctantPlan::new))
 }
 
-/// The T2 schedules every plan shares (see [`t2_schedules`]).
+/// The T2 schedules every plan shares (see [`t2_order`]).
 static T2_SCHEDULES: OnceLock<[Vec<T2Step>; 2]> = OnceLock::new();
+
+/// The shared T2 schedules, built by the first call in the process.
+fn t2_schedules() -> &'static [Vec<T2Step>; 2] {
+    T2_SCHEDULES.get_or_init(|| t2_order(octant_plans()))
+}
 
 /// The downward sweep's T2 order for one panel under both supernode
 /// settings, built in one pass. First every octant's parent-level list,
@@ -581,7 +522,7 @@ static T2_SCHEDULES: OnceLock<[Vec<T2Step>; 2]> = OnceLock::new();
 /// e translated, so the schedule restricted to one octant's list is that
 /// list in order: each accumulator receives the products it received
 /// when the octants ran one after another, in the same order.
-fn t2_schedules(octants: &[OctantPlan]) -> [Vec<T2Step>; 2] {
+fn t2_order(octants: &[OctantPlan]) -> [Vec<T2Step>; 2] {
     let mut schedules = [false, true].map(|supernodes| {
         let lists = octants.iter().flat_map(|op| op.t2_lists(supernodes));
         let mut steps = Vec::with_capacity(lists.map(|(offsets, _)| offsets.len()).sum());
@@ -639,35 +580,38 @@ fn t2_schedules(octants: &[OctantPlan]) -> [Vec<T2Step>; 2] {
     schedules
 }
 
-/// Slab decomposition of a parent level: ranges of parent box indices, one
-/// z-plane each, whose children occupy disjoint contiguous ranges of the
-/// child level.
-fn parent_slabs(l_parent: u32) -> Vec<(usize, usize)> {
-    let n = 1usize << l_parent; // parents per axis
-    let plane = n * n;
-    (0..n).map(|z| (z * plane, (z + 1) * plane)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use fmm_tree::BoxCoord;
 
     #[test]
     fn child_maps_match_box_arithmetic() {
-        let plan = TraversalPlan::build(3);
-        for lp in 1..3u32 {
+        let plan = TraversalPlan::build(5);
+        for lp in 1..5u32 {
             let lvl = plan.level(lp);
             assert_eq!(lvl.parent_level, lp);
-            let n = 1usize << (3 * lp);
+            let n = 1u32 << (3 * lp);
+            assert_eq!(lvl.parents, (0..n).collect::<Vec<_>>());
             for oct in 0..8 {
-                let cm = &lvl.children[oct];
-                assert_eq!(cm.idx.len(), n);
-                for pi in (0..n).step_by(5) {
-                    let c = BoxCoord::from_index(lp, pi).child(oct);
-                    assert_eq!(cm.idx[pi] as usize, c.index());
-                    assert_eq!(cm.coord[pi], [c.x as i32, c.y as i32, c.z as i32]);
+                for pi in 0..n {
+                    let c = BoxCoord::from_index(lp, pi as usize).child(oct);
+                    assert_eq!(lvl.child(pi, oct), c.index(), "level {lp} {pi} {oct}");
                 }
             }
+        }
+    }
+
+    #[test]
+    fn memory_bytes_is_the_shared_tables_plus_the_parent_lists() {
+        // Depth 1 has no parent level: the octant plans and the shared T2
+        // order alone, which every depth shares.
+        let shared = TraversalPlan::build(1).memory_bytes();
+        assert_eq!(shared, 255_360);
+        for depth in 2..=7u32 {
+            let parents: usize = (1..depth).map(|l| 1 << (3 * l)).sum();
+            let plan = TraversalPlan::build(depth);
+            assert_eq!(plan.memory_bytes(), shared + 4 * parents, "depth {depth}");
         }
     }
 
@@ -685,9 +629,9 @@ mod tests {
         for lp in 1..4u32 {
             let lvl = plan.level(lp);
             let mut next = 0usize;
-            for &(a, b) in &lvl.slabs {
+            for (a, b) in lvl.slab_groups(1) {
                 assert_eq!(a, next);
-                assert!(b > a);
+                assert_eq!(b - a, 1 << (2 * lp), "one z-plane");
                 next = b;
             }
             assert_eq!(next, 1usize << (3 * lp));
@@ -706,7 +650,8 @@ mod tests {
             assert_eq!(op.offsets, interactive_field_offsets(o));
             assert_eq!(op.offsets.len(), op.t2_idx.len());
             let sd = supernode_decomposition(o);
-            assert_eq!(op.sn_translation_count, sd.translation_count());
+            let translations = op.sn_parent_offsets.len() + op.sn_child_offsets.len();
+            assert_eq!(translations, sd.translation_count());
             assert_eq!(op.sn_child_offsets, sd.children);
             assert_eq!(op.sn_parent_offsets.len(), op.sn_parent_idx.len());
         }
@@ -731,7 +676,8 @@ mod tests {
                 rows[1] += (up.filter(|o| on(parent, o, l - 1)).count()
                     + live(&op.sn_child_offsets)) as u64;
             }
-            assert_eq!(plan.level(l - 1).t2_rows, rows, "level {l}");
+            let lvl = plan.level(l - 1);
+            assert_eq!([false, true].map(|sn| lvl.t2_rows(sn)), rows, "level {l}");
         }
     }
 
@@ -893,27 +839,33 @@ mod tests {
         for supernodes in [false, true] {
             let shared = &plan.t2_schedule[supernodes as usize];
             for l in 2..=4u32 {
-                let mine = &plan.level(l - 1).t2_schedule[supernodes as usize];
-                // The shared order, minus the steps no box reaches.
-                let kept: Vec<T2Step> = shared
+                let table = plan.level(l - 1).t2_live(supernodes);
+                // The shared order, minus the steps no box reaches, each at
+                // the level.
+                let kept: Vec<LiveStep> = shared
                     .iter()
-                    .copied()
                     .filter(|s| reaches_the_domain(s, l))
+                    .map(|s| s.at_level(l - 1))
                     .collect();
-                assert_eq!(mine[..], kept[..], "level {l} supernodes = {supernodes}");
-                let shared_itself = std::ptr::eq(mine.as_ptr(), shared.as_ptr());
-                assert_eq!(shared_itself, l >= 3, "only level 2 drops steps");
+                assert_eq!(table.steps, kept, "level {l} supernodes = {supernodes}");
+                let visits = table.visits.iter().map(|v| table.steps_of(v).len());
+                assert_eq!(visits.sum::<usize>(), table.steps.len());
+                let dropped = shared.len() - table.steps.len();
+                assert_eq!(dropped > 0, l == 2, "only level 2 drops steps");
             }
             // Level 2: of 7,000 plain steps 728 stay; with supernodes every
             // parent-level step goes.
-            let level2 = &plan.level(1).t2_schedule[supernodes as usize];
+            let level2 = plan.level(1).t2_live(supernodes);
             let same_level = shared.iter().filter(|s| s.shift == 0).count();
             if supernodes {
-                assert_eq!((shared.len(), same_level, level2.len()), (1512, 728, 728));
+                assert_eq!(
+                    (shared.len(), same_level, level2.steps.len()),
+                    (1512, 728, 728)
+                );
             } else {
-                assert_eq!((shared.len(), level2.len()), (7000, 728));
+                assert_eq!((shared.len(), level2.steps.len()), (7000, 728));
             }
-            assert!(level2.iter().all(|s| s.shift == 0));
+            assert!(level2.visits.iter().all(|v| v.shift == 0));
         }
     }
 

@@ -36,16 +36,18 @@
 //!
 //! The target rows of a sweep are data, not loop bounds: a slab is a list
 //! of parent indices per octant. [`upward_level`] / [`downward_level`]
-//! pass the plan's slab ranges (every box of the level);
+//! pass the level's parent z-planes (every box of the level);
 //! [`upward_rows`] / [`downward_rows`] pass an arbitrary subset — the
 //! boxes one SPMD worker owns — through the same body, and write the same
 //! bits to those rows that the full-level sweep writes.
 //!
-//! All index structure — slab ranges, child index lists, the level's T2
-//! schedule with each step's live parent box and source offset, resolved
-//! T2 matrix positions — comes from a precomputed [`TraversalPlan`], so a
-//! pass does no per-box index decoding and no hash-map lookups; it only
-//! lists rows and runs GEMMs. A panel's parents are cut once into boxes
+//! The index structure that arithmetic on a box index does not give — the
+//! level's T2 schedule with each step's live parent box and source
+//! offset, resolved T2 matrix positions — comes from a precomputed
+//! [`TraversalPlan`], so a pass does no hash-map lookups; a parent's
+//! child is its index with one octant bit spliced into each axis, and a
+//! slab a range of whole parent planes. A pass only lists rows and runs
+//! GEMMs. A panel's parents are cut once into boxes
 //! of consecutive panel positions, and a step's rows are its live box
 //! intersected with them, listed an x-run at a time: the listing costs
 //! what the rows do, not what the panels times the schedule's steps do.
@@ -220,10 +222,10 @@ pub fn upward_level(
     l: u32,
     agg: Aggregation,
 ) -> TraversalFlops {
-    // Every parent is a target: the plan's slabs over its parent list.
+    // Every parent is a target: the level's planes over its parent list.
     let lvl = plan.level(l);
-    let slabs = lvl.slabs.iter();
-    let slabs: Vec<_> = slabs.map(|&(p0, p1)| (p0, &lvl.parents[p0..p1])).collect();
+    let slabs = lvl.slab_groups(1);
+    let slabs: Vec<_> = slabs.map(|(p0, p1)| (p0, &lvl.parents[p0..p1])).collect();
     upward_sweep(fhs, ts, plan, l, agg, &slabs)
 }
 
@@ -254,7 +256,7 @@ fn upward_sweep(
     let k = fhs[0].k;
     let kr = k * r; // one parent's rows, the instances' adjacent
     let lvl = plan.level(l);
-    let plane = lvl.slabs[0].1 - lvl.slabs[0].0;
+    let plane = lvl.plane();
     let chunk = fhs[0].hierarchy.boxes_at_level(l) / slabs.len();
 
     // Per instance: the child level to read, and the parent level cut
@@ -271,7 +273,7 @@ fn upward_sweep(
 
     let slabs_outs = slabs.par_iter().zip(outs.par_iter_mut());
     slabs_outs.for_each(|(&(base, parents), out)| {
-        // Panels of at most one parent plane (a plan slab is exactly one).
+        // Panels of at most one parent plane (a full-level slab is one).
         let cap = plane.min(parents.len());
         let mut products = RowProducts::new(agg, plan.kernel, k, r, cap);
         let mut acc = vec![0.0; cap * kr];
@@ -280,10 +282,9 @@ fn upward_sweep(
             let acc = &mut acc[..panel.len() * kr];
             acc.fill(0.0);
             for (oct, t1) in ts.t1t.iter().enumerate() {
-                let kids = &lvl.children[oct].idx;
                 rows.clear();
                 let at = panel.iter().enumerate();
-                rows.extend(at.map(|(j, &pi)| (kids[pi as usize] as usize * k, j * kr)));
+                rows.extend(at.map(|(j, &pi)| (lvl.child(pi, oct) * k, j * kr)));
                 products.add(&children, &rows, t1, acc);
             }
             for (&pi, row) in panel.iter().zip(acc.chunks(kr)) {
@@ -371,10 +372,7 @@ fn downward_blocked(
         .collect();
     let flops = downward_sweep(fhs, ts, plan, supernodes, agg, l, blocking.panel, &slabs);
     let (r, k) = (fhs.len(), fhs[0].k);
-    debug_assert_eq!(
-        flops.t2,
-        lvl.t2_rows[supernodes as usize] * gemm_flops(r, k, k)
-    );
+    debug_assert_eq!(flops.t2, lvl.t2_rows(supernodes) * gemm_flops(r, k, k));
     // One instance copies only its scatter-add of every target row.
     debug_assert!(r > 1 || flops.copied == (lvl.parents.len() * 8 * k) as u64);
     flops
@@ -550,13 +548,14 @@ fn panel_of<'a>(rows: &[&'a [u32]; 8], sub: usize, panel: usize) -> [&'a [u32]; 
 }
 
 /// The downward body. A slab's rows are, per octant, the parents whose
-/// child along that octant is a target; the child's index comes from the
-/// plan's child map. A slab is walked in panels of `panel` parents per
-/// octant, each with an accumulator panel of its own, held parent-major
-/// (the `R` instances' rows of one parent adjacent).
+/// child along that octant is a target; the child's index is the
+/// parent's with the octant's bits spliced in (`LevelPlan::child`). A
+/// slab is walked in panels of `panel` parents per octant, each with an
+/// accumulator panel of its own, held parent-major (the `R` instances'
+/// rows of one parent adjacent).
 ///
 /// T3 runs into each octant's accumulator first. Then T2 follows the
-/// level's schedule (`LevelPlan::t2_live`): the shared matrix-stationary
+/// level's table (`LevelPlan::t2_live`): the shared matrix-stationary
 /// order without the steps the level cannot reach, which streams each T2
 /// matrix once for every octant that uses it. A visit, a run of
 /// consecutive steps with one `(shift, matrix)`, is one call over the
@@ -663,10 +662,9 @@ fn downward_sweep(
             // Scatter-add each parent's rows into its child, per instance.
             let accs = acc_panels.chunks(cap * kr);
             for (oct, (&parents, acc_panel)) in panels.iter().zip(accs).enumerate() {
-                let kids = &lvl.children[oct].idx;
                 for (i, o) in out.iter_mut().enumerate() {
                     for (rows, &pi) in acc_panel.chunks(kr).zip(parents) {
-                        let at = (kids[pi as usize] as usize - base) * k;
+                        let at = (lvl.child(pi, oct) - base) * k;
                         for (dj, sj) in o[at..at + k].iter_mut().zip(&rows[i * k..]) {
                             *dj += sj;
                         }
@@ -980,11 +978,10 @@ mod tests {
         what: &str,
     ) -> u64 {
         let (k, b) = (12, l - 1);
-        let lvl = plan.level(b);
-        let (table, steps) = (
-            lvl.t2_live(supernodes),
-            lvl.t2_schedule[supernodes as usize],
-        );
+        let table = plan.level(b).t2_live(supernodes);
+        // The level's steps: the shared order, less those no box reaches.
+        let shared = plan.t2_schedule[supernodes as usize].iter().copied();
+        let steps: Vec<T2Step> = shared.filter(|s| s.live(1 << b).is_some()).collect();
         let same =
             |x: &T2Step, y: &T2Step| (x.shift, x.matrix) == (y.shift, y.matrix) && x.oct < y.oct;
         assert_eq!(table.visits.len(), steps.chunk_by(same).count());
@@ -1039,7 +1036,7 @@ mod tests {
                         &slabs,
                         &what,
                     );
-                    assert_eq!(total, lvl.t2_rows[supernodes as usize], "{what}");
+                    assert_eq!(total, lvl.t2_rows(supernodes), "{what}");
                 }
                 // `downward_rows` subsets: a Morton range cutting sibling
                 // groups, each rank's boxes at two SPMD ranks (half rows
@@ -1119,7 +1116,8 @@ mod tests {
     /// The sweep before panels followed K: per parent plane, panels of one
     /// parent row (`max(2^l, 8)` parents), instance-major, out-of-domain
     /// sources zero-filled, one dense GEMM per (panel, octant, offset),
-    /// octant after octant, each octant's lists in their own order.
+    /// octant after octant, each octant's lists in their own order. Box
+    /// geometry comes from `BoxCoord`, not from the plan.
     fn reference_level(
         fhs: &mut [FieldHierarchy],
         ts: &TranslationSet,
@@ -1129,18 +1127,22 @@ mod tests {
     ) {
         let (r, k, li) = (fhs.len(), fhs[0].k, l as usize);
         let families = [&ts.t2t, &ts.t2t_super];
-        let lvl = plan.level(l - 1);
+        let lp = l - 1;
         for fh in fhs.iter_mut() {
             fh.local[li].fill(0.0);
         }
-        for &(p0, p1) in &lvl.slabs {
-            for parents in lvl.parents[p0..p1].chunks((1 << (l - 1)).max(8)) {
+        let all: Vec<u32> = (0..1 << (3 * lp)).collect();
+        for plane in all.chunks(1 << (2 * lp)) {
+            for parents in plane.chunks((1 << lp).max(8)) {
                 let np = parents.len();
                 let gemm = |src: &[f64], m: &Matrix, acc: &mut [f64]| {
                     gemm_acc_with(plan.kernel, r * np, k, k, src, m.as_slice(), acc)
                 };
                 for (oct, op) in plan.octants.iter().enumerate() {
-                    let kids = &lvl.children[oct];
+                    let kids: Vec<BoxCoord> = parents
+                        .iter()
+                        .map(|&pi| BoxCoord::from_index(lp, pi as usize).child(oct))
+                        .collect();
                     let mut src = vec![0.0; r * np * k];
                     let mut acc = vec![0.0; r * np * k];
                     if l >= 3 {
@@ -1159,8 +1161,8 @@ mod tests {
                         for (&off, &m) in offsets.iter().zip(idx) {
                             let m = families[shift][m as usize].as_ref().unwrap();
                             for (i, fh) in fhs.iter().enumerate() {
-                                for (j, &pi) in parents.iter().enumerate() {
-                                    let c = kids.coord[pi as usize].map(|x| x >> shift);
+                                for (j, kid) in kids.iter().enumerate() {
+                                    let c = [kid.x, kid.y, kid.z].map(|x| (x >> shift) as i32);
                                     let s = [0, 1, 2].map(|d| c[d] + off[d]);
                                     let dst = &mut src[(i * np + j) * k..][..k];
                                     if s.iter().all(|x| (0..axis).contains(x)) {
@@ -1175,9 +1177,8 @@ mod tests {
                         }
                     }
                     for (i, fh) in fhs.iter_mut().enumerate() {
-                        for (j, &pi) in parents.iter().enumerate() {
-                            let ci = kids.idx[pi as usize] as usize;
-                            let dst = fh.local[li][ci * k..][..k].iter_mut();
+                        for (j, kid) in kids.iter().enumerate() {
+                            let dst = fh.local[li][kid.index() * k..][..k].iter_mut();
                             for (d, s) in dst.zip(&acc[(i * np + j) * k..][..k]) {
                                 *d += s;
                             }
@@ -1227,7 +1228,7 @@ mod tests {
                                 }
                                 None => downward_level(&mut got, &ts, &plan, supernodes, agg, l),
                             });
-                            let rows = plan.level(l - 1).t2_rows[supernodes as usize];
+                            let rows = plan.level(l - 1).t2_rows(supernodes);
                             assert_eq!(fl.t2, rows * gemm_flops(r, k, k));
                             for (i, (g, w)) in got.iter().zip(&want).enumerate() {
                                 for (x, y) in g.local[li].iter().zip(&w.local[li]) {

@@ -283,7 +283,7 @@ pub(crate) fn assemble(
     for l in 2..=depth {
         let n_boxes = 1u64 << (3 * l);
         let lvl = plan.level(l - 1);
-        let live = lvl.t2_rows[supernodes as usize];
+        let live = lvl.t2_rows(supernodes);
         let t3_rows = if l >= 3 { n_boxes } else { 0 };
         tfl.t2 += live * gemm_flops(1, k, k);
         tfl.t3 += t3_rows * gemm_flops(1, k, k);

@@ -232,7 +232,7 @@ fn spmd_counts_supernode_t2_flops() {
     assert!(serial.config().supernodes);
     let want = serial.evaluate(&pts, &q).unwrap();
     let plan = serial.plan_for(5);
-    let rows: u64 = (1..5).map(|lp| plan.level(lp).t2_rows[1]).sum();
+    let rows: u64 = (1..5).map(|lp| plan.level(lp).t2_rows(true)).sum();
     assert_eq!(want.traversal_flops.t2, rows * 2 * 12 * 12);
     let got = Fmm::new(cfg(Executor::spmd(2)))
         .unwrap()
