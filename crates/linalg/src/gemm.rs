@@ -3,12 +3,12 @@
 //! The hot path of the hierarchy traversal is `C += A * B` where `A` is a
 //! `K × K` translation matrix and `B` a gathered `K × n` panel of potential
 //! vectors (K is 12–120, n is the number of aggregated boxes, often
-//! hundreds to thousands). `gemm_acc` dispatches to the microkernels in
-//! [`crate::kernel`]: the widest vector tier the CPU supports (`lanes.rs`
-//! tabulates them), the blocked scalar loop where it supports none. The
-//! traversal's per-box (GEMV) path runs its own loop.
+//! hundreds to thousands). `gemm_acc` is the dense call of the one
+//! row-indexed GEMM in [`crate::kernel`] that the traversal runs: the
+//! widest vector tier the CPU supports (`lanes.rs` tabulates them), the
+//! scalar rows loop where it supports none.
 
-use crate::kernel::{assert_shapes, gemm_acc_with, Kernel};
+use crate::kernel::{assert_dense, gemm_acc_with, Kernel};
 
 /// `C += A * B`, all row-major; `A` is `m × k`, `B` is `k × n`, `C` is `m × n`.
 ///
@@ -19,7 +19,7 @@ pub fn gemm_acc(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64
 
 /// Reference triple-loop GEMM (`C += A * B`) used to validate `gemm_acc`.
 pub fn gemm_naive(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
-    assert_shapes(m, k, n, a, k, b, c);
+    assert_dense(m, k, n, a, b, c);
     for i in 0..m {
         for j in 0..n {
             let mut acc = 0.0;

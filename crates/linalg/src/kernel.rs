@@ -9,12 +9,13 @@
 //! scalar loop kept as the reference implementation.
 //!
 //! The loop nest (`gemm_acc_body`) is written once over the crate's
-//! `Lanes` vector type and over how rows are addressed: dense, or `A`'s
-//! rows at one stride (`gemm_acc_lanes`), or every row of `A` and `C` at
-//! its own offset (`gemm_acc_rows_lanes`, what the traversal calls). A
-//! vector tier is one entry point per addressing instantiating it
-//! (`x86::gemm_acc_avx2`, `x86::gemm_acc_rows_avx2`, …; tile and tail per
-//! tier in `lanes.rs`).
+//! `Lanes` vector type, every row of `A` and `C` at its own offset. Each
+//! tier has one entry point, [`gemm_acc_rows_with`]'s arm:
+//! `x86::gemm_acc_rows_{avx2,avx512}` and `arm::gemm_acc_rows_neon`
+//! instantiate the loop nest (tile and tail per tier in `lanes.rs`), the
+//! scalar tier runs its own rows loop. The dense [`gemm_acc_with`] only
+//! lists its rows and calls it, so the copy a rate probe times is the
+//! copy the traversal runs.
 //! Panels of four vectors of columns are the *outer* loop: one panel's
 //! `k × 4W` stripe of `B` stays L1-resident while a `ROWS`-row register
 //! tile (`a_ip` broadcast, `B` streamed, p ascending) takes every row of
@@ -133,9 +134,11 @@ impl Kernel {
     }
 }
 
-/// `C += A * B` with an explicit kernel choice. `gemm_acc` calls this with
-/// `Kernel::detect()`; benchmarks call it with every variant to compare.
-/// Panics unless `a`, `b`, `c` hold `m × k`, `k × n`, `m × n` elements.
+/// `C += A * B` with an explicit kernel choice, all row-major: the dense
+/// call of [`gemm_acc_rows_with`], row `i` of `A` and `C` at `(i·k, i·n)`.
+/// `gemm_acc` calls this with `Kernel::detect()`; tests call it with every
+/// variant. Panics unless `a`, `b`, `c` hold `m × k`, `k × n`, `m × n`
+/// elements.
 pub fn gemm_acc_with(
     kernel: Kernel,
     m: usize,
@@ -145,46 +148,17 @@ pub fn gemm_acc_with(
     b: &[f64],
     c: &mut [f64],
 ) {
-    assert_eq!(Some(a.len()), m.checked_mul(k), "A shape mismatch");
-    gemm_acc_strided_with(kernel, m, k, n, a, k, b, c)
-}
-
-/// [`gemm_acc_with`] with `A`'s rows `lda` elements apart: row `i` is
-/// `a[i·lda..i·lda + k]`, so rows that sit at one stride in a larger array
-/// are multiplied where they lie, with the bits of the product of the
-/// same rows gathered densely (`lda` only moves the loads of `A`).
-/// Panics unless `lda ≥ k`, `a` reaches `(m − 1)·lda + k` elements, and
-/// `b`, `c` hold `k × n`, `m × n`.
-#[allow(clippy::too_many_arguments)]
-pub fn gemm_acc_strided_with(
-    kernel: Kernel,
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    c: &mut [f64],
-) {
-    match kernel {
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: Avx2Fma is only handed out by detect() after the feature
-        // check (or chosen explicitly by tests/benches on the same CPU).
-        Kernel::Avx2Fma => unsafe { x86::gemm_acc_avx2(m, k, n, a, lda, b, c) },
-        #[cfg(target_arch = "x86_64")]
-        // SAFETY: as above, gated on avx512f.
-        Kernel::Avx512 => unsafe { x86::gemm_acc_avx512(m, k, n, a, lda, b, c) },
-        #[cfg(target_arch = "aarch64")]
-        Kernel::Neon => arm::gemm_acc_neon(m, k, n, a, lda, b, c),
-        _ => gemm_acc_scalar(m, k, n, a, lda, b, c),
-    }
+    assert_dense(m, k, n, a, b, c);
+    let rows: Vec<(usize, usize)> = (0..m).map(|i| (i * k, i * n)).collect();
+    gemm_acc_rows_with(kernel, k, n, a, &rows, b, c)
 }
 
 /// `C[c_off..c_off + n] += A[a_off..a_off + k] · B` for every
 /// `(a_off, c_off)` of `rows`: rows of `A` and `C` multiplied where they
 /// lie, each with the bits it gets in a dense call of the same rows
 /// (the offsets only move the loads and stores). Rows of `C` must not
-/// overlap; which rows share a call moves no bit.
+/// overlap; which rows share a call moves no bit. The one GEMM of every
+/// tier: the traversal's products and the dense wrappers all land here.
 /// Panics unless `b` holds `k × n` elements and every row lies inside
 /// `a` and `c`.
 pub fn gemm_acc_rows_with(
@@ -198,7 +172,8 @@ pub fn gemm_acc_rows_with(
 ) {
     match kernel {
         #[cfg(target_arch = "x86_64")]
-        // SAFETY: as in `gemm_acc_strided_with`.
+        // SAFETY: Avx2Fma is only handed out by detect() after the feature
+        // check (or chosen explicitly by tests/benches on the same CPU).
         Kernel::Avx2Fma => unsafe { x86::gemm_acc_rows_avx2(k, n, a, rows, b, c) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, gated on avx512f.
@@ -209,41 +184,22 @@ pub fn gemm_acc_rows_with(
     }
 }
 
-/// Every entry point's shape check, in release builds too: the vector
-/// tiers read and write through raw pointers. `A`'s `m` rows of `k` lie
-/// `lda ≥ k` apart.
+/// The dense calls' shape check: `a`, `b`, `c` hold `m × k`, `k × n`,
+/// `m × n` elements.
 #[inline]
-pub(crate) fn assert_shapes(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    c: &[f64],
-) {
-    assert!(lda >= k, "A row stride below its row length");
-    let a_end = m.checked_sub(1).map_or(Some(0), |rows| {
-        rows.checked_mul(lda).and_then(|at| at.checked_add(k))
-    });
-    assert!(a_end.is_some_and(|end| end <= a.len()), "A shape mismatch");
+pub(crate) fn assert_dense(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &[f64]) {
+    assert_eq!(Some(a.len()), m.checked_mul(k), "A shape mismatch");
     assert_eq!(Some(b.len()), k.checked_mul(n), "B shape mismatch");
     assert_eq!(Some(c.len()), m.checked_mul(n), "C shape mismatch");
 }
 
-/// The row-indexed entry points' check, in release builds too: every
-/// row of `A` (`k` long) and of `C` (`n` long) lies inside its slice.
-/// One pass finds each side's largest offset; one checked add per side
-/// then bounds every row.
+/// The row-indexed entry points' check, in release builds too: the vector
+/// tiers read and write through raw pointers, so every row of `A` (`k`
+/// long) and of `C` (`n` long) must lie inside its slice. One pass finds
+/// each side's largest offset; one checked add per side then bounds
+/// every row.
 #[inline]
-pub(crate) fn assert_rows(
-    k: usize,
-    n: usize,
-    a: &[f64],
-    rows: &[(usize, usize)],
-    b: &[f64],
-    c: &[f64],
-) {
+fn assert_rows(k: usize, n: usize, a: &[f64], rows: &[(usize, usize)], b: &[f64], c: &[f64]) {
     assert_eq!(Some(b.len()), k.checked_mul(n), "B shape mismatch");
     let Some(last) = rows
         .iter()
@@ -258,26 +214,10 @@ pub(crate) fn assert_rows(
     assert!(inside(last.1, n, c), "C row offset past the end of C");
 }
 
-/// Portable i-k-j GEMM (the original reference kernel), `A`'s rows
-/// `lda` apart. Panics on a shape mismatch, as
-/// [`gemm_acc_strided_with`].
-pub fn gemm_acc_scalar(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    c: &mut [f64],
-) {
-    assert_shapes(m, k, n, a, lda, b, c);
-    for i in 0..m {
-        scalar_row(k, n, &a[i * lda..][..k], b, &mut c[i * n..][..n]);
-    }
-}
-
-/// [`gemm_acc_rows_with`] on the scalar tier: each row with
-/// [`gemm_acc_scalar`]'s arithmetic. Panics as [`gemm_acc_rows_with`].
+/// [`gemm_acc_rows_with`] on the scalar tier, the portable i-k-j
+/// reference: each row by rank-1 updates in pairs of `p`
+/// (`c += a·b + a'·b'`), then one for an odd last `p`. Panics as
+/// [`gemm_acc_rows_with`].
 fn gemm_acc_rows_scalar(
     k: usize,
     n: usize,
@@ -288,106 +228,29 @@ fn gemm_acc_rows_scalar(
 ) {
     assert_rows(k, n, a, rows, b, c);
     for &(ai, ci) in rows {
-        scalar_row(k, n, &a[ai..][..k], b, &mut c[ci..][..n]);
-    }
-}
-
-/// `crow += arow · B`, the scalar tier's one row: rank-1 updates in pairs
-/// of `p` (`c += a·b + a'·b'`), then one for an odd last `p`.
-fn scalar_row(k: usize, n: usize, arow: &[f64], b: &[f64], crow: &mut [f64]) {
-    let mut p = 0;
-    while p + 1 < k {
-        let (a0, a1) = (arow[p], arow[p + 1]);
-        let (b0, b1) = (&b[p * n..][..n], &b[(p + 1) * n..][..n]);
-        for ((cj, b0j), b1j) in crow.iter_mut().zip(b0).zip(b1) {
-            *cj += a0 * b0j + a1 * b1j;
+        let (arow, crow) = (&a[ai..][..k], &mut c[ci..][..n]);
+        let mut p = 0;
+        while p + 1 < k {
+            let (a0, a1) = (arow[p], arow[p + 1]);
+            let (b0, b1) = (&b[p * n..][..n], &b[(p + 1) * n..][..n]);
+            for ((cj, b0j), b1j) in crow.iter_mut().zip(b0).zip(b1) {
+                *cj += a0 * b0j + a1 * b1j;
+            }
+            p += 2;
         }
-        p += 2;
-    }
-    if p < k {
-        let (a0, b0) = (arow[p], &b[p * n..][..n]);
-        for (cj, b0j) in crow.iter_mut().zip(b0) {
-            *cj += a0 * b0j;
+        if p < k {
+            let (a0, b0) = (arow[p], &b[p * n..][..n]);
+            for (cj, b0j) in crow.iter_mut().zip(b0) {
+                *cj += a0 * b0j;
+            }
         }
     }
 }
 
-/// Where a call's rows lie: row `i` of `A` (`k` long) and of `C` (`n`
-/// long), for `i` below the call's row count.
-trait Rows: Copy {
-    /// # Safety
-    /// `i` is below the call's row count.
-    unsafe fn a(self, i: usize) -> *const f64;
-    /// # Safety
-    /// As [`Rows::a`].
-    unsafe fn c(self, i: usize) -> *mut f64;
-}
-
-/// Dense `C` (`n` apart), `A`'s rows `lda` apart.
-#[derive(Clone, Copy)]
-struct Strided {
-    a: *const f64,
-    lda: usize,
-    c: *mut f64,
-    n: usize,
-}
-
-impl Rows for Strided {
-    #[inline(always)]
-    unsafe fn a(self, i: usize) -> *const f64 {
-        self.a.add(i * self.lda)
-    }
-    #[inline(always)]
-    unsafe fn c(self, i: usize) -> *mut f64 {
-        self.c.add(i * self.n)
-    }
-}
-
-/// Each row at its `(A, C)` element offsets.
-#[derive(Clone, Copy)]
-struct Indexed<'r> {
-    a: *const f64,
-    c: *mut f64,
-    rows: &'r [(usize, usize)],
-}
-
-impl Rows for Indexed<'_> {
-    #[inline(always)]
-    unsafe fn a(self, i: usize) -> *const f64 {
-        self.a.add(self.rows.get_unchecked(i).0)
-    }
-    #[inline(always)]
-    unsafe fn c(self, i: usize) -> *mut f64 {
-        self.c.add(self.rows.get_unchecked(i).1)
-    }
-}
-
-/// `C += A·B` over `L`'s lanes, `A`'s rows `lda` apart: the dense call of
-/// [`gemm_acc_body`].
-///
-/// # Safety
-/// Requires the CPU features of `L`'s tier; `a` holds `m` rows of `k`
-/// elements `lda` apart, `b` and `c` hold `k × n` and `m × n` elements.
-#[inline(always)]
-#[cfg_attr(
-    not(any(target_arch = "x86_64", target_arch = "aarch64")),
-    allow(dead_code)
-)]
-pub(crate) unsafe fn gemm_acc_lanes<L: Lanes<Elem = f64>, const ROWS: usize, const MASKED: bool>(
-    m: usize,
-    k: usize,
-    n: usize,
-    a: &[f64],
-    lda: usize,
-    b: &[f64],
-    c: &mut [f64],
-) {
-    let (a, c) = (a.as_ptr(), c.as_mut_ptr());
-    gemm_acc_body::<L, ROWS, MASKED, _>(m, k, n, Strided { a, lda, c, n }, b.as_ptr())
-}
-
-/// The row-indexed call of [`gemm_acc_body`]: row `i` of `A` and `C` at
-/// `rows[i]`.
+/// `C += A·B` over `L`'s lanes, row `i` of `A` and `C` at `rows[i]`: the
+/// one loop nest of every vector tier. Whole panels of four vectors, a
+/// trailing panel of 1–3 (under `MASKED` 1–4, the last masked), then any
+/// scalar tail columns (module header).
 ///
 /// # Safety
 /// Requires the CPU features of `L`'s tier; every row lies inside `a`
@@ -397,11 +260,7 @@ pub(crate) unsafe fn gemm_acc_lanes<L: Lanes<Elem = f64>, const ROWS: usize, con
     not(any(target_arch = "x86_64", target_arch = "aarch64")),
     allow(dead_code)
 )]
-pub(crate) unsafe fn gemm_acc_rows_lanes<
-    L: Lanes<Elem = f64>,
-    const ROWS: usize,
-    const MASKED: bool,
->(
+pub(crate) unsafe fn gemm_acc_body<L: Lanes<Elem = f64>, const ROWS: usize, const MASKED: bool>(
     k: usize,
     n: usize,
     a: &[f64],
@@ -409,52 +268,31 @@ pub(crate) unsafe fn gemm_acc_rows_lanes<
     b: &[f64],
     c: &mut [f64],
 ) {
-    let (a, c) = (a.as_ptr(), c.as_mut_ptr());
-    gemm_acc_body::<L, ROWS, MASKED, _>(rows.len(), k, n, Indexed { a, c, rows }, b.as_ptr())
-}
-
-/// `C += A·B` over `L`'s lanes for `m` rows addressed by `rows`, the one
-/// loop nest of every vector tier: whole panels of four vectors, a
-/// trailing panel of 1–3 (under `MASKED` 1–4, the last masked), then any
-/// scalar tail columns (module header).
-///
-/// # Safety
-/// Requires the CPU features of `L`'s tier; `rows` addresses `m` rows of
-/// `k` readable elements of `A` and `n` writable elements of `C`, and
-/// `b` points at `k × n` elements.
-#[inline(always)]
-unsafe fn gemm_acc_body<L: Lanes<Elem = f64>, const ROWS: usize, const MASKED: bool, R: Rows>(
-    m: usize,
-    k: usize,
-    n: usize,
-    rows: R,
-    b: *const f64,
-) {
     const { assert!(L::MASKED_TAIL || !MASKED) };
+    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
     let w = L::WIDTH;
     let mut j = 0;
     while j + 4 * w <= n {
-        panel::<L, 4, ROWS, R>(m, k, n, j, 4 * w, rows, b);
+        panel::<L, 4, ROWS>(k, n, j, 4 * w, a, rows, b, c);
         j += 4 * w;
     }
     let rest = n - j;
     let cols = if MASKED { rest } else { rest - rest % w };
     match cols.div_ceil(w) {
         0 => {}
-        1 => panel::<L, 1, ROWS, R>(m, k, n, j, cols, rows, b),
-        2 => panel::<L, 2, ROWS, R>(m, k, n, j, cols, rows, b),
-        3 => panel::<L, 3, ROWS, R>(m, k, n, j, cols, rows, b),
-        _ => panel::<L, 4, ROWS, R>(m, k, n, j, cols, rows, b),
+        1 => panel::<L, 1, ROWS>(k, n, j, cols, a, rows, b, c),
+        2 => panel::<L, 2, ROWS>(k, n, j, cols, a, rows, b, c),
+        3 => panel::<L, 3, ROWS>(k, n, j, cols, a, rows, b, c),
+        _ => panel::<L, 4, ROWS>(k, n, j, cols, a, rows, b, c),
     }
     // The scalar column tail: empty under a mask.
     for jt in j + cols..n {
-        for i in 0..m {
-            let arow = rows.a(i);
+        for &(ai, ci) in rows {
             let mut s = 0.0;
             for p in 0..k {
-                s += *arow.add(p) * *b.add(p * n + jt);
+                s += *a.add(ai + p) * *b.add(p * n + jt);
             }
-            *rows.c(i).add(jt) += s;
+            *c.add(ci + jt) += s;
         }
     }
 }
@@ -466,59 +304,60 @@ unsafe fn gemm_acc_body<L: Lanes<Elem = f64>, const ROWS: usize, const MASKED: b
 /// As [`gemm_acc_body`], with `j + cols ≤ n`.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize, R: Rows>(
-    m: usize,
+unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
     k: usize,
     n: usize,
     j: usize,
     cols: usize,
-    rows: R,
+    a: *const f64,
+    rows: &[(usize, usize)],
     b: *const f64,
+    c: *mut f64,
 ) {
     let w = L::WIDTH;
     let masks: [u16; REGS] = core::array::from_fn(|q| L::FULL >> (w - (cols - w * q).min(w)));
-    let mut i = 0;
-    while i + ROWS <= m {
-        tile::<L, REGS, ROWS, R>(i, k, n, j, masks, rows, b);
-        i += ROWS;
+    let mut tiles = rows.chunks_exact(ROWS);
+    for t in &mut tiles {
+        tile::<L, REGS, ROWS>(k, n, j, masks, a, t, b, c);
     }
     // The rows left over as one tile where the tier's row count allows:
     // a tile's time is set by its fma latency chain, not by its rows, so
     // one short tile costs what one whole tile does, where one-row tiles
     // would cost that each.
-    match m - i {
+    let rest = tiles.remainder();
+    match rest.len() {
         0 => {}
-        3 if ROWS > 3 => tile::<L, REGS, 3, R>(i, k, n, j, masks, rows, b),
-        2 if ROWS > 2 => tile::<L, REGS, 2, R>(i, k, n, j, masks, rows, b),
+        3 if ROWS > 3 => tile::<L, REGS, 3>(k, n, j, masks, a, rest, b, c),
+        2 if ROWS > 2 => tile::<L, REGS, 2>(k, n, j, masks, a, rest, b, c),
         _ => {
-            while i < m {
-                tile::<L, REGS, 1, R>(i, k, n, j, masks, rows, b);
-                i += 1;
+            for t in rest.chunks(1) {
+                tile::<L, REGS, 1>(k, n, j, masks, a, t, b, c);
             }
         }
     }
 }
 
-/// Rows `i..i + ROWS` × `REGS` vectors of `C` at column `j`, held in
-/// registers while `p` runs up `A`'s row and down `B`'s columns: one
+/// The `ROWS` rows of `rows` × `REGS` vectors of `C` at column `j`, held
+/// in registers while `p` runs up `A`'s row and down `B`'s columns: one
 /// broadcast of `a_ip` per row, one fma per accumulator.
 ///
 /// # Safety
-/// As [`panel`], with `i + ROWS ≤ m`.
+/// As [`panel`], with `rows` holding exactly `ROWS` rows.
 #[inline(always)]
 #[allow(clippy::too_many_arguments)]
-unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize, R: Rows>(
-    i: usize,
+unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
     k: usize,
     n: usize,
     j: usize,
     masks: [u16; REGS],
-    rows: R,
+    a: *const f64,
+    rows: &[(usize, usize)],
     b: *const f64,
+    c: *mut f64,
 ) {
     let w = L::WIDTH;
-    let a: [*const f64; ROWS] = core::array::from_fn(|r| rows.a(i + r));
-    let c: [*mut f64; ROWS] = core::array::from_fn(|r| rows.c(i + r));
+    let a: [*const f64; ROWS] = core::array::from_fn(|r| a.add(rows.get_unchecked(r).0));
+    let c: [*mut f64; ROWS] = core::array::from_fn(|r| c.add(rows.get_unchecked(r).1));
     let mut acc = [[L::zero(); REGS]; ROWS];
     for (row, c) in acc.iter_mut().zip(c) {
         for (q, v) in row.iter_mut().enumerate() {
@@ -546,24 +385,8 @@ unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize, R: Ro
 
 #[cfg(target_arch = "x86_64")]
 mod x86 {
-    use super::{assert_rows, assert_shapes, gemm_acc_lanes, gemm_acc_rows_lanes};
+    use super::{assert_rows, gemm_acc_body};
     use core::arch::x86_64::*;
-
-    /// Panics on a shape mismatch.
-    #[target_feature(enable = "avx2,fma")]
-    pub fn gemm_acc_avx2(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        lda: usize,
-        b: &[f64],
-        c: &mut [f64],
-    ) {
-        assert_shapes(m, k, n, a, lda, b, c);
-        // SAFETY: this function carries the tier's features; shapes checked.
-        unsafe { gemm_acc_lanes::<__m256d, 2, false>(m, k, n, a, lda, b, c) }
-    }
 
     /// Panics unless every row lies inside `a` and `c`.
     #[target_feature(enable = "avx2,fma")]
@@ -577,23 +400,7 @@ mod x86 {
     ) {
         assert_rows(k, n, a, rows, b, c);
         // SAFETY: this function carries the tier's features; rows checked.
-        unsafe { gemm_acc_rows_lanes::<__m256d, 2, false>(k, n, a, rows, b, c) }
-    }
-
-    /// Panics on a shape mismatch.
-    #[target_feature(enable = "avx512f")]
-    pub fn gemm_acc_avx512(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        lda: usize,
-        b: &[f64],
-        c: &mut [f64],
-    ) {
-        assert_shapes(m, k, n, a, lda, b, c);
-        // SAFETY: this function carries the tier's features; shapes checked.
-        unsafe { gemm_acc_lanes::<__m512d, 4, true>(m, k, n, a, lda, b, c) }
+        unsafe { gemm_acc_body::<__m256d, 2, false>(k, n, a, rows, b, c) }
     }
 
     /// Panics unless every row lies inside `a` and `c`.
@@ -608,29 +415,14 @@ mod x86 {
     ) {
         assert_rows(k, n, a, rows, b, c);
         // SAFETY: this function carries the tier's features; rows checked.
-        unsafe { gemm_acc_rows_lanes::<__m512d, 4, true>(k, n, a, rows, b, c) }
+        unsafe { gemm_acc_body::<__m512d, 4, true>(k, n, a, rows, b, c) }
     }
 }
 
 #[cfg(target_arch = "aarch64")]
 mod arm {
-    use super::{assert_rows, assert_shapes, gemm_acc_lanes, gemm_acc_rows_lanes};
+    use super::{assert_rows, gemm_acc_body};
     use core::arch::aarch64::*;
-
-    /// Panics on a shape mismatch.
-    pub fn gemm_acc_neon(
-        m: usize,
-        k: usize,
-        n: usize,
-        a: &[f64],
-        lda: usize,
-        b: &[f64],
-        c: &mut [f64],
-    ) {
-        assert_shapes(m, k, n, a, lda, b, c);
-        // SAFETY: NEON is architecturally guaranteed on aarch64; shapes checked.
-        unsafe { gemm_acc_lanes::<float64x2_t, 2, false>(m, k, n, a, lda, b, c) }
-    }
 
     /// Panics unless every row lies inside `a` and `c`.
     pub fn gemm_acc_rows_neon(
@@ -643,7 +435,7 @@ mod arm {
     ) {
         assert_rows(k, n, a, rows, b, c);
         // SAFETY: NEON is architecturally guaranteed on aarch64; rows checked.
-        unsafe { gemm_acc_rows_lanes::<float64x2_t, 2, false>(k, n, a, rows, b, c) }
+        unsafe { gemm_acc_body::<float64x2_t, 2, false>(k, n, a, rows, b, c) }
     }
 }
 

@@ -2,10 +2,11 @@
 //! trait: all a tier contributes to this crate's microkernels, the GEMM
 //! tile ([`crate::kernel`]) and the near-field bodies ([`crate::pairwise`]).
 //! Each body is written once over `Lanes` and reached only through
-//! concrete entry points (`kernel::x86::gemm_acc_avx512`, …), one
+//! concrete entry points (`kernel::x86::gemm_acc_rows_avx512`, …), one
 //! instantiation each under the tier's `#[target_feature]` and neither
 //! generic nor `#[inline]`: each is compiled once, here, so the copy a
-//! rate probe times is the copy every executor runs.
+//! rate probe times is the copy every executor runs. The GEMM has one
+//! entry point per tier, the row-indexed one the traversal calls.
 //!
 //! This header is the table of record for what a tier is. The GEMM tile
 //! is rows × vectors × lanes; rsqrt seed, Newton–Raphson steps and lane
@@ -18,11 +19,10 @@
 //! | avx512   | `__m512d` / `__m512`          | 8 / 16 | 4 × 4 × 8 | `rsqrt14_pd` / `rsqrt14_ps` (2⁻¹⁴)               | 2 / 1    | `_mm512_reduce_add_{pd,ps}`           |
 //! | neon     | `float64x2_t` / `float32x4_t` | 2 / 4  | 2 × 4 × 2 | `vrsqrte` (~2⁻⁸)                                 | 3 / 2    | `vaddvq`                              |
 //!
-//! The scalar GEMM is `gemm_acc_scalar`: row by row, rank-1 updates in
-//! pairs of `p`. A vector GEMM column is `c ← fma(a_ip, b_pj, c)` for `p`
-//! ascending, from the stored `c`. The row-indexed call
-//! (`gemm_acc_rows_with`) runs the same body per tier, each row at its
-//! own offsets.
+//! The GEMM is `gemm_acc_rows_with`, each row of `A` and `C` at its own
+//! offsets. Its scalar tier goes row by row, rank-1 updates in pairs of
+//! `p`. A vector GEMM column is `c ← fma(a_ip, b_pj, c)` for `p`
+//! ascending, from the stored `c`.
 //!
 //! What a tier does after its last whole vector, of sources (pairwise) or
 //! of columns (GEMM):
@@ -436,7 +436,7 @@ mod gemm_model;
 mod tests {
     use super::gemm_model::{assert_matches_model, Tier};
     use super::{Lanes, Real};
-    use crate::kernel::{gemm_acc_lanes, gemm_acc_rows_lanes};
+    use crate::kernel::gemm_acc_body;
 
     /// `self·a + b`, fused: the array lanes' `fma`.
     trait MulAdd {
@@ -503,39 +503,26 @@ mod tests {
         }
     }
 
-    /// The GEMM body at NEON's width and tail policy (2 × 4 × 2, scalar
-    /// tail columns) and at AVX2's (2 × 4 × 4) holds to the same model as
-    /// every hardware tier in `tests/gemm_bits.rs`.
+    /// The row-indexed GEMM body at NEON's width and tail policy (2 × 4 ×
+    /// 2, scalar tail columns) and at AVX2's (2 × 4 × 4), its rows handed
+    /// over last to first, holds to the same model as every hardware tier
+    /// in `tests/gemm_bits.rs`.
     #[test]
     fn gemm_body_through_array_lanes_matches_the_model() {
-        let unmasked = |width| Tier::Vector {
-            width,
-            masked: false,
-        };
-        assert_matches_model(unmasked(2), "[f64; 2]", |m, k, n, a, b, c| {
-            // SAFETY: the array lanes need no CPU feature, and the model
-            // hands over `m × k`, `k × n` and `m × n` slices.
-            unsafe { gemm_acc_lanes::<[f64; 2], 2, false>(m, k, n, a, k, b, c) }
-        });
-        assert_matches_model(unmasked(4), "[f64; 4]", |m, k, n, a, b, c| {
-            // SAFETY: as above.
-            unsafe { gemm_acc_lanes::<[f64; 4], 2, false>(m, k, n, a, k, b, c) }
-        });
-    }
-
-    /// The row-indexed call of the same body at NEON's width, its rows
-    /// handed over last to first, holds to that model too.
-    #[test]
-    fn row_indexed_body_through_array_lanes_matches_the_model() {
-        let tier = Tier::Vector {
-            width: 2,
-            masked: false,
-        };
-        assert_matches_model(tier, "[f64; 2] rows", |m, k, n, a, b, c| {
-            let rows: Vec<_> = (0..m).rev().map(|i| (i * k, i * n)).collect();
-            // SAFETY: the array lanes need no CPU feature, and every row
-            // lies inside the model's `m × k` and `m × n` slices.
-            unsafe { gemm_acc_rows_lanes::<[f64; 2], 2, false>(k, n, a, &rows, b, c) }
-        });
+        fn check<L: Lanes<Elem = f64>>() {
+            let tier = Tier::Vector {
+                width: L::WIDTH,
+                masked: false,
+            };
+            let what = format!("[f64; {}] rows", L::WIDTH);
+            assert_matches_model(tier, &what, |m, k, n, a, b, c| {
+                let rows: Vec<_> = (0..m).rev().map(|i| (i * k, i * n)).collect();
+                // SAFETY: the array lanes need no CPU feature, and every
+                // row lies inside the model's `m × k` and `m × n` slices.
+                unsafe { gemm_acc_body::<L, 2, false>(k, n, a, &rows, b, c) }
+            });
+        }
+        check::<[f64; 2]>();
+        check::<[f64; 4]>();
     }
 }

@@ -25,15 +25,6 @@ impl Matrix {
         }
     }
 
-    /// The identity matrix of size `n`.
-    pub fn identity(n: usize) -> Self {
-        let mut m = Matrix::zeros(n, n);
-        for i in 0..n {
-            m[(i, i)] = 1.0;
-        }
-        m
-    }
-
     /// Build from a row-major data vector. Panics if `data.len() != rows*cols`.
     pub fn from_vec(rows: usize, cols: usize, data: Vec<f64>) -> Self {
         assert_eq!(
@@ -44,17 +35,6 @@ impl Matrix {
             rows,
             cols
         );
-        Matrix { rows, cols, data }
-    }
-
-    /// Build a matrix by evaluating `f(row, col)` at every entry.
-    pub fn from_fn(rows: usize, cols: usize, mut f: impl FnMut(usize, usize) -> f64) -> Self {
-        let mut data = Vec::with_capacity(rows * cols);
-        for i in 0..rows {
-            for j in 0..cols {
-                data.push(f(i, j));
-            }
-        }
         Matrix { rows, cols, data }
     }
 
@@ -90,34 +70,6 @@ impl Matrix {
     #[inline]
     pub fn row_mut(&mut self, i: usize) -> &mut [f64] {
         &mut self.data[i * self.cols..(i + 1) * self.cols]
-    }
-
-    /// The transpose (fresh allocation).
-    pub fn transpose(&self) -> Matrix {
-        let mut t = Matrix::zeros(self.cols, self.rows);
-        for i in 0..self.rows {
-            for j in 0..self.cols {
-                t[(j, i)] = self[(i, j)];
-            }
-        }
-        t
-    }
-
-    /// Frobenius norm.
-    pub fn frobenius_norm(&self) -> f64 {
-        self.data.iter().map(|v| v * v).sum::<f64>().sqrt()
-    }
-
-    /// Maximum absolute entry difference against another matrix of the same
-    /// shape. Panics on shape mismatch.
-    pub fn max_abs_diff(&self, other: &Matrix) -> f64 {
-        assert_eq!(self.rows, other.rows);
-        assert_eq!(self.cols, other.cols);
-        self.data
-            .iter()
-            .zip(&other.data)
-            .map(|(a, b)| (a - b).abs())
-            .fold(0.0, f64::max)
     }
 }
 
@@ -160,23 +112,11 @@ mod tests {
     use super::*;
 
     #[test]
-    fn transpose_round_trip() {
-        let m = Matrix::from_fn(3, 4, |i, j| (i * 7 + j) as f64);
-        let tt = m.transpose().transpose();
-        assert_eq!(m, tt);
-    }
-
-    #[test]
-    fn from_fn_indexing() {
-        let m = Matrix::from_fn(4, 3, |i, j| (10 * i + j) as f64);
+    fn from_vec_indexing() {
+        let data = (0..12).map(|e| (10 * (e / 3) + e % 3) as f64).collect();
+        let m = Matrix::from_vec(4, 3, data);
         assert_eq!(m[(2, 1)], 21.0);
         assert_eq!(m.row(3), &[30.0, 31.0, 32.0]);
-    }
-
-    #[test]
-    fn frobenius_norm_simple() {
-        let m = Matrix::from_vec(1, 2, vec![3.0, 4.0]);
-        assert!((m.frobenius_norm() - 5.0).abs() < 1e-15);
     }
 
     #[test]

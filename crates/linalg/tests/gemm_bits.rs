@@ -16,7 +16,7 @@
 
 mod gemm_model;
 
-use fmm_linalg::{gemm_acc_rows_with, gemm_acc_strided_with, gemm_acc_with, Kernel};
+use fmm_linalg::{gemm_acc_rows_with, gemm_acc_with, Kernel};
 use gemm_model::{assert_matches_model, Tier};
 
 fn tier(kernel: Kernel) -> Tier {
@@ -44,55 +44,6 @@ fn every_tier_equals_its_model() {
             gemm_acc_with(kernel, m, k, n, a, b, c)
         });
     }
-}
-
-/// What lets the T2 sweep multiply source rows where they sit in a level
-/// array: a product whose `A` rows lie `lda` apart, from any offset,
-/// equals the dense product of the same rows gathered, bit for bit, on
-/// every tier, at every K the FMM uses (orders 3, 5, 11, 14).
-#[test]
-fn strided_rows_equal_the_gathered_product() {
-    for kernel in Kernel::available() {
-        for k in [6, 12, 72, 120] {
-            let b = gemm_model::pseudo(k as u64, k * k);
-            for m in [1, 2, 3, 5, 8, 33] {
-                for (lda, at) in [(k, 0), (2 * k, k), (3 * k + 1, 5)] {
-                    let big = gemm_model::pseudo((m * 7 + lda) as u64, at + m * lda);
-                    let gathered: Vec<f64> = (0..m)
-                        .flat_map(|i| big[at + i * lda..][..k].iter().copied())
-                        .collect();
-                    let c0 = gemm_model::pseudo(3, m * k);
-                    let (mut want, mut got) = (c0.clone(), c0);
-                    gemm_acc_with(kernel, m, k, k, &gathered, &b, &mut want);
-                    gemm_acc_strided_with(kernel, m, k, k, &big[at..], lda, &b, &mut got);
-                    for (e, (x, y)) in got.iter().zip(&want).enumerate() {
-                        assert_eq!(
-                            x.to_bits(),
-                            y.to_bits(),
-                            "{kernel:?} K={k} m={m} lda={lda} at row {} col {}",
-                            e / k,
-                            e % k
-                        );
-                    }
-                }
-            }
-        }
-    }
-}
-
-#[test]
-#[should_panic(expected = "A row stride below its row length")]
-fn a_stride_below_k_is_refused() {
-    let (a, b, mut c) = ([1.0; 12], [1.0; 9], [0.0; 9]);
-    gemm_acc_strided_with(Kernel::detect(), 3, 3, 3, &a, 2, &b, &mut c);
-}
-
-#[test]
-#[should_panic(expected = "A shape mismatch")]
-fn a_short_of_its_last_strided_row_is_refused() {
-    // Row 2 of a stride-5 A starts at 10 and needs 13 elements.
-    let (a, b, mut c) = ([1.0; 12], [1.0; 9], [0.0; 9]);
-    gemm_acc_strided_with(Kernel::detect(), 3, 3, 3, &a, 5, &b, &mut c);
 }
 
 /// Where a row-indexed case puts its `m` rows of `A` (`k` long) and `C`
@@ -126,16 +77,16 @@ fn layouts(m: usize, k: usize, n: usize) -> [Layout; 3] {
 
 /// What the T2 sweep multiplies where it lies: a row-indexed product
 /// equals the dense product of the same rows gathered, bit for bit, on
-/// every tier, at the translation shapes (n = K ∈ {12, 72, 120}) and one
-/// inner dimension off them, and writes no element of `C` outside its
-/// rows.
+/// every tier, at the translation shapes (n = K ∈ {6, 12, 72, 120}, orders
+/// 3, 5, 11, 14) and one inner dimension off them, on every tile edge up
+/// to a 33-row panel, and writes no element of `C` outside its rows.
 #[test]
 fn indexed_rows_equal_the_gathered_product() {
     for kernel in Kernel::available() {
-        for n in [12, 72, 120] {
+        for n in [6, 12, 72, 120] {
             for k in [7, n] {
                 let b = gemm_model::pseudo((k + n) as u64, k * n);
-                for m in 1..=9 {
+                for m in (1..=9).chain([33]) {
                     for (case, (a_at, a_len, c_at, c_len)) in
                         layouts(m, k, n).into_iter().enumerate()
                     {

@@ -5,7 +5,7 @@
 /// How a tier treats the columns of `C += A·B`.
 #[derive(Clone, Copy, Debug)]
 pub enum Tier {
-    /// `gemm_acc_scalar`: `c += a·b + a'·b'` for each pair of `p`, then
+    /// The scalar rows loop: `c += a·b + a'·b'` for each pair of `p`, then
     /// `c += a·b` for an odd last `p`, each product rounded on its own.
     Scalar,
     /// `width`-lane vectors. A vector column is `c ← fma(a_ip, b_pj, c)`
