@@ -4,22 +4,27 @@
 //! the near-field time on the CM-5E. Times three schedules of the same
 //! near field on the detected kernel, on one thread (the serial column,
 //! taken inside `fmm_core::serially`) and on the pool: the target-centric
-//! gather (all 124 neighbours, one `gather_with` per neighbour row), the
+//! gather (`fmm_bench::gather`: all 124 neighbours, one `gather_with` per
+//! neighbour row), the
 //! paper's travelling accumulator (`fmm_bench::travel`, 62 box pairs, one
 //! pool region per step), and the symmetric rows `fmm-core` runs (the
 //! same 62 box pairs, ≤ 13 panel exchanges per box, z mod 3 plane
-//! colours).
+//! colours). Then the forces' pair counts on the same input: the 124
+//! directed neighbours a target-centric force sweep pays against the
+//! third-law rows `fmm-core` runs for forces too.
 //!
 //! Run: `cargo run --release -p fmm-bench --bin exp_nearfield [n] [depth]`
 //! (no arguments: N = 262,144 at depth 5, then N = 100,000 at depth 4).
 
+use fmm_bench::gather::target_centric_potentials;
 use fmm_bench::machine::cost::CostModel;
 use fmm_bench::travel::travelling_sweep;
 use fmm_bench::util::{best_of, header};
 use fmm_bench::workloads::{uniform, unit_charges};
+use fmm_core::near::near_field_forces_softened;
 use fmm_core::particles::BinnedParticles;
 use fmm_core::{
-    near_field_potentials, near_field_rows, near_field_symmetric, serially, Kernel, NearFieldStats,
+    near_field_rows, near_field_symmetric, serially, Kernel, NearFieldStats, Separation,
 };
 use fmm_machine::Counters;
 use fmm_tree::Domain;
@@ -64,7 +69,7 @@ fn sweeps(n: usize, depth: u32) -> NearFieldStats {
         let ((serial, st), (pool, _)) = (serially(&mut run), run());
         (serial, pool, st, out)
     };
-    let gather = time(&|out| near_field_potentials(&bp, out));
+    let gather = time(&|out| target_centric_potentials(kernel, &bp, 0.0, out));
     let travel = time(&|out| travelling_sweep(kernel, &bp, 0.0, out));
     let rows = time(&|out| near_field_rows(kernel, &bp, 0.0, out));
     let (t_sym, (pot_sym, st_sym)) = best_of(1, || near_field_symmetric(&bp));
@@ -108,6 +113,15 @@ fn sweeps(n: usize, depth: u32) -> NearFieldStats {
         worst(&gather.3),
         worst(&travel.3),
         worst(&rows.3)
+    );
+    let mut field = vec![[0.0; 3]; n];
+    let mut pot = vec![0.0; n];
+    let forces = near_field_forces_softened(&bp, Separation::Two, true, 0.0, &mut pot, &mut field);
+    println!(
+        "forces pairs: target-centric (124, directed) {}, third-law rows (62) {}: {:.2}×\n",
+        gather.2.pair_interactions,
+        forces.pair_interactions,
+        gather.2.pair_interactions as f64 / forces.pair_interactions as f64
     );
     st_sym
 }

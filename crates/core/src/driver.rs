@@ -5,10 +5,7 @@
 use crate::batch::BatchRequest;
 use crate::config::{Executor, FmmConfig, Precision};
 use crate::field::FieldHierarchy;
-use crate::near::{
-    near_field_forces_softened_with, per_box_slices, symmetric_binned, NearFieldStats,
-};
-use crate::near32::near_field_forces_f32;
+use crate::near::{near_field_into, per_box_slices, NearFieldStats};
 use crate::particles::BinnedParticles;
 use crate::plan::TraversalPlan;
 use crate::registry::{PlanKey, PlanRegistry, TranslationKey};
@@ -366,35 +363,11 @@ impl Fmm {
         let mut profile = Profile::new();
         let (bps, fhs, tflops) = self.far_field(requests, depth, &plan, &mut profile);
 
-        // Step 5 for potentials, f64 or mixed: the symmetric row sweep, all
-        // requests in one sweep. Newton's third law halves the pair work,
-        // z mod 3 plane colours keep the parallel scatter conflict-free,
-        // and the message-passing executor runs the identical arithmetic —
-        // all backends are bitwise interchangeable. Its stats report
-        // third-law-halved counts, identical to the sequential symmetric
-        // sweep.
-        let mixed = self.cfg.precision == Precision::Mixed;
-        let eps = self.cfg.softening;
-        let mut near_pots: Vec<Vec<f64>> = bps.iter().map(|bp| vec![0.0; bp.len()]).collect();
-        let mut near_stats = NearFieldStats::default();
-        if !with_fields {
-            let mut outs: Vec<&mut [f64]> = near_pots.iter_mut().map(Vec::as_mut_slice).collect();
-            near_stats = profile.time(Phase::Near, || {
-                symmetric_binned(plan.kernel, &bps, mixed, eps, &mut outs)
-            });
-        }
-
-        // Per request: step 4, evaluate leaf inner approximations at the
-        // particles; step 5 for forces, f64 or under `Precision::Mixed` in
-        // f32 SIMD lanes (8 on AVX2, 16 on AVX-512) that leave the
-        // traversal above in f64; then combine and scatter back to original
-        // particle order.
-        let total: usize = bps.iter().map(BinnedParticles::len).sum();
-        let mut potentials = vec![0.0; total];
-        let mut fields = with_fields.then(|| vec![[0.0; 3]; total]);
-        let mut offsets = vec![0];
-        let mut start = 0;
-        for ((bp, fh), near_pot) in bps.iter().zip(fhs).zip(&mut near_pots) {
+        // Step 4 per request: evaluate leaf inner approximations at the
+        // particles, then free the request's hierarchy — nothing reads it
+        // again — before the near field allocates.
+        let mut fars = Vec::with_capacity(bps.len());
+        for (bp, fh) in bps.iter().zip(fhs) {
             let mut far_pot = vec![0.0; bp.len()];
             let mut far_field = with_fields.then(|| vec![[0.0; 3]; bp.len()]);
             let b_leaf = self.cfg.inner_ratio * bp.domain.box_side(depth);
@@ -412,34 +385,49 @@ impl Fmm {
                 )
             });
             profile.add_flops(Phase::Eval, eval_flops);
-            // Nothing reads the hierarchy again: free it before the near
-            // field allocates.
             drop(fh);
+            fars.push((far_pot, far_field));
+        }
 
-            if let Some(ff) = far_field.as_mut() {
-                let st = profile.time(Phase::Near, || {
-                    let mut near_f = vec![[0.0; 3]; bp.len()];
-                    let k = plan.kernel;
-                    let st = if mixed {
-                        let sep = self.cfg.separation;
-                        near_field_forces_f32(k, bp, sep, true, eps, near_pot, &mut near_f)
-                    } else {
-                        near_field_forces_softened_with(k, bp, eps, near_pot, &mut near_f)
-                    };
-                    for (a, b) in ff.iter_mut().zip(&near_f) {
-                        for d in 0..3 {
-                            a[d] += b[d];
-                        }
+        // Step 5, potentials or forces, f64 or under `Precision::Mixed` in
+        // f32 SIMD lanes (8 on AVX2, 16 on AVX-512) that leave the
+        // traversal above in f64: the symmetric row sweep, all requests in
+        // one sweep. Newton's third law halves the pair work, z mod 3
+        // plane colours keep the parallel scatter conflict-free, and the
+        // message-passing executor runs the identical arithmetic — all
+        // backends are bitwise interchangeable. Its stats report
+        // third-law-halved counts, identical to the sequential symmetric
+        // sweep. Each request's near field lands in its own output slots
+        // (sorted order, the field as three arrays), which the far + near
+        // sum below reads and then overwrites: it takes no memory of its
+        // own.
+        let mixed = self.cfg.precision == Precision::Mixed;
+        let eps = self.cfg.softening;
+        let total: usize = bps.iter().map(BinnedParticles::len).sum();
+        let mut potentials = vec![0.0; total];
+        let mut fields = with_fields.then(|| vec![[0.0; 3]; total]);
+        let near_stats = profile.time(Phase::Near, || {
+            let field = fields.as_mut().map(|f| f.as_flattened_mut());
+            near_field_into(plan.kernel, &bps, mixed, eps, &mut potentials, field)
+        });
+        profile.add_flops(Phase::Near, near_stats.flops);
+
+        // Combine far + near and scatter back to original particle order.
+        let mut offsets = vec![0];
+        let mut start = 0;
+        for (bp, (mut far_pot, mut far_field)) in bps.iter().zip(fars) {
+            let (n, mine) = (bp.len(), start..start + bp.len());
+            if let (Some(ff), Some(all)) = (far_field.as_mut(), fields.as_ref()) {
+                let near_field = &all.as_flattened()[3 * start..3 * mine.end];
+                for (i, f) in ff.iter_mut().enumerate() {
+                    for d in 0..3 {
+                        f[d] += near_field[d * n + i];
                     }
-                    st
-                });
-                near_stats.merge(&st);
+                }
             }
-
-            for (f, n) in far_pot.iter_mut().zip(near_pot.iter()) {
-                *f += n;
+            for (f, near) in far_pot.iter_mut().zip(&potentials[mine.clone()]) {
+                *f += near;
             }
-            let mine = start..start + bp.len();
             bp.binning
                 .scatter_into(&far_pot, &mut potentials[mine.clone()]);
             if let (Some(all), Some(ff)) = (fields.as_mut(), far_field) {
@@ -448,7 +436,6 @@ impl Fmm {
             start = mine.end;
             offsets.push(start);
         }
-        profile.add_flops(Phase::Near, near_stats.flops);
 
         Ok(EvalOutput {
             potentials,
@@ -758,7 +745,7 @@ mod tests {
         // flag. Inside a three-thread install, `false` must split no region
         // and write the bits and counts of `true`, function by function.
         use crate::near::{near_field_forces_softened, near_field_travelling_with};
-        use crate::near32::near_field_potentials_f32;
+        use crate::near32::{near_field_forces_f32, near_field_potentials_f32};
         use crate::traversal::{downward_pass, upward_pass};
         let (pts, q) = pseudo_mixed(2000, 71);
         let fmm = Fmm::new(FmmConfig::order(3).depth(3)).unwrap();
@@ -917,8 +904,8 @@ mod tests {
                 assert_eq!(x.to_bits(), y.to_bits(), "kernel {}", kernel.name());
             }
             assert_eq!(a.near_stats, b.near_stats);
-            // Forces go through the target-centric sweep, cut into pieces
-            // only on the parallel side.
+            // Forces run the same row sweep, its plane tasks dealt into
+            // more than one bin only on the parallel side.
             let a = seq.evaluate_forces(&pts, &q).unwrap();
             let b = par.evaluate_forces(&pts, &q).unwrap();
             for (x, y) in a.potentials.iter().zip(&b.potentials) {

@@ -66,8 +66,8 @@ pub use config::{Balance, DepthPolicy, Executor, FmmConfig, Precision};
 pub use driver::{EvalOutput, Fmm, FmmError};
 pub use error::{relative_error_stats, ErrorStats};
 pub use near::{
-    near_field_potentials, near_field_rows, near_field_symmetric, near_field_travelling_with,
-    ColorSchedule, NearFieldStats,
+    near_field_rows, near_field_symmetric, near_field_travelling_with, ColorSchedule,
+    NearFieldStats,
 };
 pub use near32::{near_field_forces_f32, near_field_potentials_f32, ParticlesF32};
 pub use plan::TraversalPlan;

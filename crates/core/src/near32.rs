@@ -1,5 +1,6 @@
-//! Mixed-precision near field: f32 SIMD sweeps over an f32 mirror of the
-//! binned particle arrays (8 lanes on AVX2, 16 on AVX-512, 4 on NEON).
+//! Mixed-precision near field: the symmetric row sweep, potentials or
+//! forces, over an f32 mirror of the binned particle arrays (8 lanes on
+//! AVX2, 16 on AVX-512, 4 on NEON).
 //!
 //! The near field is direct summation — arithmetic-bound, embarrassingly
 //! data-parallel, and *locally well-conditioned*: every target sums at
@@ -32,9 +33,7 @@
 //! Arithmetic is f32; accumulation across runs is f64, so repeated
 //! `evaluate()` calls stay deterministic for a fixed kernel choice.
 
-use crate::near::{
-    symmetric_binned, target_sweep, ColorSchedule, Forces, NearFieldStats, RowCells,
-};
+use crate::near::{forces_rows, near_field_into, ColorSchedule, NearFieldStats};
 use crate::particles::BinnedParticles;
 use crate::serially;
 use fmm_linalg::Kernel;
@@ -82,14 +81,13 @@ pub fn near_field_potentials_f32(
         return serially(|| near_field_potentials_f32(kernel, bp, _sep, schedule, true, eps, out));
     }
     assert_eq!(schedule.level, bp.level);
-    symmetric_binned(kernel, std::slice::from_ref(bp), true, eps, &mut [out])
+    near_field_into(kernel, std::slice::from_ref(bp), true, eps, out, None)
 }
 
-/// Mixed-precision near-field potentials **and** fields: the f64 force
-/// sweep (`target_sweep`, `target_box`) over the f32 mirror, two targets
-/// per source sweep through the f32 force panel; each run's partial (the
-/// own row before and after the target, then each other neighbour row) is
-/// widened to f64 before joining the target's accumulator.
+/// Mixed-precision near-field potentials **and** fields: the symmetric
+/// row sweep's force exchange on the f32 mirror, every call's target sums
+/// and source terms widened to f64 before they join `pot` and `field`.
+/// Reports the same third-law-halved counters as the f64 sweep.
 /// `parallel = false` runs it [`serially`]; the flag and the one-value
 /// separation, which is ignored, are kept only because `benchmark/`
 /// imports it (ROADMAP item 1).
@@ -105,13 +103,7 @@ pub fn near_field_forces_f32(
     if !parallel {
         return serially(|| near_field_forces_f32(kernel, bp, _sep, true, eps, pot, field));
     }
-    let ps = ParticlesF32::build(bp);
-    let cells = RowCells::new([&ps.x, &ps.y, &ps.z, &ps.q], &bp.binning.starts);
-    let sum = Forces {
-        kernel,
-        eps2: (eps * eps) as f32,
-    };
-    target_sweep(bp, &cells, &sum, pot, Some(field))
+    forces_rows(kernel, bp, true, eps, pot, field)
 }
 
 #[cfg(test)]

@@ -293,8 +293,8 @@ pub struct SpmdReport {
     /// `Balance::CostWeighted` (`None` for the uniform block layout).
     pub partition: Option<Vec<u64>>,
     /// Near-field pairs the ranks ran for *ghost targets* — boxes owned
-    /// elsewhere whose symmetric rows reach their own (potentials) —
-    /// summed over ranks. The owners count those targets' pairs in
+    /// elsewhere whose symmetric rows reach their own — summed over
+    /// ranks; potentials and forces run one set of ghost targets. The owners count those targets' pairs in
     /// `near_stats`, which therefore equals the serial sweep's; this is
     /// the work the distributed sweep adds to it.
     pub ghost_pairs: u64,

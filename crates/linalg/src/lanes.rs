@@ -27,11 +27,11 @@
 //! What a tier does after its last whole vector, of sources (pairwise) or
 //! of columns (GEMM):
 //!
-//! | tier     | `gather` | `exchange`, panel | `exchange_f32`, panel | `force_gather_f32` | `force_gather` | force panel, f64 / f32 | GEMM   |
-//! |----------|----------|-------------------|-----------------------|--------------------|----------------|------------------------|--------|
-//! | avx2+fma | scalar   | scalar            | scalar                | scalar             | scalar         | scalar                 | scalar |
-//! | avx512   | masked   | masked            | masked                | masked             | masked         | masked                 | masked |
-//! | neon     | scalar   | scalar            | scalar                | scalar             | scalar         | scalar                 | scalar |
+//! | tier     | `gather` | `exchange`, panel | `exchange_f32`, panel | `force_exchange`, panel | `force_exchange_f32`, panel | GEMM   |
+//! |----------|----------|-------------------|-----------------------|-------------------------|-----------------------------|--------|
+//! | avx2+fma | scalar   | scalar            | scalar                | scalar                  | scalar                      | scalar |
+//! | avx512   | masked   | masked            | masked                | masked                  | masked                      | masked |
+//! | neon     | scalar   | scalar            | scalar                | scalar                  | scalar                      | scalar |
 //!
 //! *masked*: one more vector under a mask of the live leading lanes
 //! ([`Lanes::FULL`] shifted down), the dead lanes neither read nor
@@ -39,10 +39,11 @@
 //! scalar body, seeded with the vector partial sums; a GEMM column is
 //! `c + Σ_p a_ip·b_pj`, the sum formed from 0 apart from `c`, unfused.
 //! The policy is a const parameter of each body, named where each entry
-//! point instantiates it. A panel (exchange or force gather, f64 or f32)
-//! is two targets per source sweep on AVX-512, the odd last one alone; on
-//! the other tiers it is one single-target call per target, so it has
-//! their tails. `tests/gemm_bits.rs` and `tests/pairwise_bits.rs` hold
+//! point instantiates it. The two exchanges are one body, whose output
+//! count (the potential, or the potential and the field) is another
+//! const parameter. A panel (either exchange, f64 or f32) is two targets
+//! per source sweep on AVX-512, the odd last one alone; on the other
+//! tiers it is one single-target call per target, so it has their tails. `tests/gemm_bits.rs` and `tests/pairwise_bits.rs` hold
 //! every x86 tier to these rows, bit for bit.
 //!
 //! Checked on x86: the generic bodies at NEON's widths and tail policy
@@ -57,7 +58,7 @@
     allow(dead_code, unused_macros)
 )]
 
-use core::ops::{Add, AddAssign, Div, Mul, Sub};
+use core::ops::{Add, AddAssign, Div, Mul, Neg, Sub};
 
 /// `f64` or `f32`: what a lane holds and the scalar bodies compute in.
 pub(crate) trait Real:
@@ -66,6 +67,7 @@ pub(crate) trait Real:
     + Sub<Output = Self>
     + Mul<Output = Self>
     + Div<Output = Self>
+    + Neg<Output = Self>
     + AddAssign
     + Into<f64>
 {
@@ -118,7 +120,6 @@ pub(crate) trait Lanes: Copy {
     /// The lanes in `mask` to `p`, unaligned; the memory of the rest untouched.
     unsafe fn store(p: *mut Self::Elem, v: Self, mask: u16);
     unsafe fn sub(a: Self, b: Self) -> Self;
-    unsafe fn add(a: Self, b: Self) -> Self;
     unsafe fn mul(a: Self, b: Self) -> Self;
     /// `a·b + c`, fused.
     unsafe fn fma(a: Self, b: Self, c: Self) -> Self;
@@ -157,7 +158,7 @@ pub(crate) trait Lanes: Copy {
 /// `store` and `fma` also by their argument order.
 macro_rules! one_intrinsic {
     (
-        splat = $splat:ident, sub = $sub:ident, add = $add:ident, mul = $mul:ident,
+        splat = $splat:ident, sub = $sub:ident, mul = $mul:ident,
         load($p:ident, $mask:ident) = $load:expr,
         store($sp:ident, $sv:ident, $smask:ident) = $store:expr,
         fma($a:ident, $b:ident, $c:ident) = $fma:expr
@@ -169,10 +170,6 @@ macro_rules! one_intrinsic {
         #[inline(always)]
         unsafe fn sub(a: Self, b: Self) -> Self {
             $sub(a, b)
-        }
-        #[inline(always)]
-        unsafe fn add(a: Self, b: Self) -> Self {
-            $add(a, b)
         }
         #[inline(always)]
         unsafe fn mul(a: Self, b: Self) -> Self {
@@ -205,7 +202,7 @@ mod x86 {
         type Elem = f64;
         const WIDTH: usize = 4;
         one_intrinsic! {
-            splat = _mm256_set1_pd, sub = _mm256_sub_pd, add = _mm256_add_pd, mul = _mm256_mul_pd,
+            splat = _mm256_set1_pd, sub = _mm256_sub_pd, mul = _mm256_mul_pd,
             load(p, _mask) = _mm256_loadu_pd(p),
             store(p, v, _mask) = _mm256_storeu_pd(p, v),
             fma(a, b, c) = _mm256_fmadd_pd(a, b, c)
@@ -243,7 +240,7 @@ mod x86 {
         const WIDTH: usize = 8;
         const MASKED_TAIL: bool = true;
         one_intrinsic! {
-            splat = _mm512_set1_pd, sub = _mm512_sub_pd, add = _mm512_add_pd, mul = _mm512_mul_pd,
+            splat = _mm512_set1_pd, sub = _mm512_sub_pd, mul = _mm512_mul_pd,
             load(p, mask) = _mm512_maskz_loadu_pd(mask as __mmask8, p),
             store(p, v, mask) = _mm512_mask_storeu_pd(p, mask as __mmask8, v),
             fma(a, b, c) = _mm512_fmadd_pd(a, b, c)
@@ -280,7 +277,7 @@ mod x86 {
         type Elem = f32;
         const WIDTH: usize = 8;
         one_intrinsic! {
-            splat = _mm256_set1_ps, sub = _mm256_sub_ps, add = _mm256_add_ps, mul = _mm256_mul_ps,
+            splat = _mm256_set1_ps, sub = _mm256_sub_ps, mul = _mm256_mul_ps,
             load(p, _mask) = _mm256_loadu_ps(p),
             store(p, v, _mask) = _mm256_storeu_ps(p, v),
             fma(a, b, c) = _mm256_fmadd_ps(a, b, c)
@@ -321,7 +318,7 @@ mod x86 {
         const WIDTH: usize = 16;
         const MASKED_TAIL: bool = true;
         one_intrinsic! {
-            splat = _mm512_set1_ps, sub = _mm512_sub_ps, add = _mm512_add_ps, mul = _mm512_mul_ps,
+            splat = _mm512_set1_ps, sub = _mm512_sub_ps, mul = _mm512_mul_ps,
             load(p, mask) = _mm512_maskz_loadu_ps(mask, p),
             store(p, v, mask) = _mm512_mask_storeu_ps(p, mask, v),
             fma(a, b, c) = _mm512_fmadd_ps(a, b, c)
@@ -371,7 +368,7 @@ mod arm {
         type Elem = f64;
         const WIDTH: usize = 2;
         one_intrinsic! {
-            splat = vdupq_n_f64, sub = vsubq_f64, add = vaddq_f64, mul = vmulq_f64,
+            splat = vdupq_n_f64, sub = vsubq_f64, mul = vmulq_f64,
             load(p, _mask) = vld1q_f64(p),
             store(p, v, _mask) = vst1q_f64(p, v),
             fma(a, b, c) = vfmaq_f64(c, a, b)
@@ -399,7 +396,7 @@ mod arm {
         type Elem = f32;
         const WIDTH: usize = 4;
         one_intrinsic! {
-            splat = vdupq_n_f32, sub = vsubq_f32, add = vaddq_f32, mul = vmulq_f32,
+            splat = vdupq_n_f32, sub = vsubq_f32, mul = vmulq_f32,
             load(p, _mask) = vld1q_f32(p),
             store(p, v, _mask) = vst1q_f32(p, v),
             fma(a, b, c) = vfmaq_f32(c, a, b)
@@ -476,9 +473,6 @@ mod tests {
         }
         unsafe fn sub(a: Self, b: Self) -> Self {
             core::array::from_fn(|l| a[l] - b[l])
-        }
-        unsafe fn add(a: Self, b: Self) -> Self {
-            core::array::from_fn(|l| a[l] + b[l])
         }
         unsafe fn mul(a: Self, b: Self) -> Self {
             core::array::from_fn(|l| a[l] * b[l])

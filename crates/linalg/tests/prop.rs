@@ -77,8 +77,10 @@ proptest! {
         let f32s = |v: &[f64]| v.iter().map(|&x| x as f32).collect::<Vec<f32>>();
         let (xs32, ys32, zs32, qs32) = (f32s(&xs), f32s(&ys), f32s(&zs), f32s(&qs));
         for kernel in Kernel::available() {
-            let (got, _) = pairwise::force_gather_f32_with(
-                kernel, tx as f32, ty as f32, tz as f32, 0.0, &xs32, &ys32, &zs32, &qs32);
+            let mut s_out = [(); 4].map(|_| vec![0.0; xs.len()]);
+            let [got, ..] = pairwise::force_exchange_f32_with(
+                kernel, tx as f32, ty as f32, tz as f32, 1.0, 0.0, &xs32, &ys32, &zs32, &qs32,
+                s_out.each_mut().map(|v| v.as_mut_slice()));
             prop_assert!((got as f64 - want).abs() < 1e-5 * (1.0 + want.abs()),
                          "{:?}: {} vs {}", kernel, got, want);
         }

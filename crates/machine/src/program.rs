@@ -17,14 +17,13 @@
 //! * **interactive field** — one ghost-halo fetch per level (forwarding
 //!   strategy: exact halo volume, 6 CSHIFTs),
 //! * **near field** — one clipped particle-halo fetch in three axis
-//!   phases: the near-field neighbourhood for forces, the symmetric
-//!   sweep's ghost-target reach (2d deep in x and y, d in z) for
-//!   potentials.
+//!   phases: the symmetric sweep's ghost-target reach (2d deep in x and
+//!   y, d in z), for potentials and forces alike.
 
 use crate::counters::Counters;
 use crate::layout::VuGrid;
 use fmm_tree::partition::{box_halo, child_flush, parent_fetch, particle_halo};
-use fmm_tree::{half_stencil_reach, near_field_offsets, Partition};
+use fmm_tree::{half_stencil_reach, Partition};
 
 /// Ghost depth for two-separation interactive fields: the field spans
 /// [−5, 5] per axis but boxes deeper than 4 inside a neighbouring subgrid
@@ -57,10 +56,9 @@ pub struct ProgramConfig {
     /// Fraction of particles NOT on their box's VU after the coordinate
     /// sort (0 for uniform distributions, per §3.2).
     pub sort_miss_fraction: f64,
-    /// Near-field variant: `false` prices the potentials' particle halo
-    /// (the symmetric sweep's ghost-target reach), `true` the forces'
-    /// (the near-field neighbourhood); each one clipped halo fetch in
-    /// three axis phases.
+    /// Ignored: potentials and forces share one near-field particle halo
+    /// ([`near_stencil`]). Kept only because `benchmark/` builds this
+    /// struct (ROADMAP item 1).
     pub forces_near: bool,
 }
 
@@ -211,34 +209,28 @@ pub fn communication_budget_with(
     }
     budget.phases[3].comm = down;
 
-    // Near field: one particle-halo exchange of the output kind's
-    // stencil. Payloads are data-dependent, so only the message count is
+    // Near field: one particle-halo exchange of the near stencil.
+    // Payloads are data-dependent, so only the message count is
     // predicted (bytes stay un-checked).
     let near = Counters {
-        sends: particle_halo(part, &near_stencil(cfg.forces_near)).messages(),
+        sends: particle_halo(part, &near_stencil()).messages(),
         ..Default::default()
     };
     budget.phases[5].comm = near;
     budget
 }
 
-/// The cells around an owned leaf box its rank reads in the near field:
-/// the near-field neighbourhood for forces (target-centric), the
-/// symmetric sweep's ghost-target reach for potentials
+/// The cells around an owned leaf box its rank reads in the near field,
+/// potentials and forces alike: the symmetric sweep's ghost-target reach
 /// ([`fmm_tree::half_stencil_reach`]).
-pub fn near_stencil(forces_near: bool) -> Vec<[i32; 3]> {
-    if forces_near {
-        near_field_offsets()
-    } else {
-        half_stencil_reach()
-    }
+pub fn near_stencil() -> Vec<[i32; 3]> {
+    half_stencil_reach()
 }
 
 /// Per-axis depth of the block layout's near-field particle halo: the
-/// extent of [`near_stencil`], d boxes for forces, 2d in x and y and d in
-/// z for potentials.
-pub fn near_halo_widths(forces_near: bool) -> [usize; 3] {
-    let reach = near_stencil(forces_near);
+/// extent of [`near_stencil`], 2d in x and y and d in z.
+pub fn near_halo_widths() -> [usize; 3] {
+    let reach = near_stencil();
     [0, 1, 2].map(|a| {
         reach
             .iter()
@@ -417,22 +409,16 @@ fn closed_form_budget(cfg: &ProgramConfig) -> ProgramBudget {
     // --- near field ---------------------------------------------------------
     let pairs = n * cfg.particles_per_box * 125.0 / 2.0; // symmetric sweep
     let near_flops = (pairs * 10.0) as u64;
-    // One clipped particle-halo fetch of the output kind's stencil, three
-    // axis phases, two CSHIFT-ledger ops each (like the box halo). Ghost
-    // particles carry x, y, z, q, scaled to K-boxes; nothing returns:
-    // forces accumulate one-sided on the owning VU, and a potentials
+    // One clipped particle-halo fetch of the near stencil, three axis
+    // phases, two CSHIFT-ledger ops each (like the box halo). Ghost
+    // particles carry x, y, z, q, scaled to K-boxes; nothing returns: a
     // rank keeps only its own particles' outputs of the ghost targets.
     let mut near_comm = Counters {
         cshifts: 6,
         ..Default::default()
     };
     if let Some(s) = subgrid_extent(h, &cfg.vu_grid) {
-        let cells = clipped_halo_cells(
-            1 << h,
-            s,
-            cfg.vu_grid.dims,
-            near_halo_widths(cfg.forces_near),
-        );
+        let cells = clipped_halo_cells(1 << h, s, cfg.vu_grid.dims, near_halo_widths());
         let words_per_box = cfg.particles_per_box * 4.0;
         near_comm.off_vu_boxes += (cells as f64 * words_per_box / cfg.k as f64) as u64;
     }
@@ -483,7 +469,7 @@ mod tests {
         // P2O and eval stay communication-free.
         assert_eq!(crate::compare::predicted_messages(&b.phases[1].comm), 0);
         assert_eq!(crate::compare::predicted_messages(&b.phases[4].comm), 0);
-        // Each near field prices its own particle halo.
+        // Both near fields price the one particle halo.
         assert_eq!(
             b.phases[5].comm.sends,
             particle_halo(&part, &half_stencil_reach()).messages()
@@ -495,8 +481,7 @@ mod tests {
             },
             Some(&part),
         );
-        let forces = particle_halo(&part, &near_field_offsets());
-        assert_eq!(bf.phases[5].comm.sends, forces.messages());
+        assert_eq!(bf.phases[5].comm.sends, b.phases[5].comm.sends);
     }
 
     #[test]

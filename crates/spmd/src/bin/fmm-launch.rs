@@ -232,7 +232,7 @@ fn run() -> Result<(), String> {
                 vu_grid: VuGrid::new(report.vu_dims),
                 supernodes: fmm.config().supernodes,
                 sort_miss_fraction: 1.0 - 1.0 / o.workers as f64,
-                forces_near: o.forces,
+                forces_near: false,
             },
             part.as_ref(),
         );

@@ -134,66 +134,17 @@ impl CellStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use fmm_core::near::{near_field_forces_box, near_field_forces_softened_with};
     use fmm_core::{Domain, Kernel};
     use fmm_tree::BoxCoord;
 
     #[test]
-    fn halo_cells_in_reverse_arrival_order_give_the_binnings_force_bits() {
-        // A rank owning z-planes 3 and 4 of a 512-box grid receives the
-        // rest of their neighbourhoods last cell first, then lays its store
-        // out row-major: every owned box gets the binning's bits, on every
-        // tier.
-        let unit = |i: usize| (i as f64 * 0.618_033_988_75).fract();
-        let pts: Vec<[f64; 3]> = (0..2500)
-            .map(|i| [unit(i), unit(5 * i + 1), unit(9 * i + 2)])
-            .collect();
-        let q: Vec<f64> = (0..2500).map(|i| unit(13 * i) - 0.5).collect();
-        let bp = BinnedParticles::build(&pts, &q, Domain::unit(), 3);
-        let z = |b: &u32| BoxCoord::from_index(3, *b as usize).z;
-        let (owned, halo): (Vec<u32>, Vec<u32>) = (0..512)
-            .rev()
-            .filter(|b| (1..7).contains(&z(b)))
-            .partition(|b| (3..5).contains(&z(b)));
-        let halo: Vec<usize> = halo.iter().map(|&c| c as usize).collect();
-        let all = CellStore::seed(&bp, &(0..512).collect::<Vec<_>>());
-        let mut data = Vec::new();
-        for &c in &halo {
-            all.pack_cell(c, &mut data);
-        }
-        let mut store = CellStore::seed(&bp, &owned);
-        store.unpack_cells(&data, &halo);
-        store.lay_out_row_major();
-        let starts = store.starts();
-        let cells = store.row_cells(&starts);
-        let eps = 0.01;
-        for kernel in Kernel::available() {
-            let zeros = || (vec![0.0; bp.len()], vec![[0.0; 3]; bp.len()]);
-            let (mut want, mut got) = (zeros(), zeros());
-            near_field_forces_softened_with(kernel, &bp, eps, &mut want.0, &mut want.1);
-            for b in owned.iter().map(|&b| b as usize) {
-                let r = bp.range(b);
-                let (po, fo) = (&mut got.0[r.clone()], &mut got.1[r.clone()]);
-                near_field_forces_box(kernel, &cells, 3, b, eps * eps, po, fo);
-                let bits = |(p, f): &(Vec<f64>, Vec<[f64; 3]>)| {
-                    let f = f[r.clone()].concat();
-                    p[r.clone()]
-                        .iter()
-                        .chain(&f)
-                        .map(|v| v.to_bits())
-                        .collect::<Vec<_>>()
-                };
-                assert_eq!(bits(&got), bits(&want), "{kernel:?} box {b}");
-            }
-        }
-    }
-
-    #[test]
     fn halo_cells_in_reverse_arrival_order_give_the_binnings_symmetric_bits() {
-        // The same rank under the symmetric sweep: its halo is the ghost
-        // targets' reach, its boxes `Own`, the boxes whose rows reach one
-        // of them `Ghost`. Every owned particle gets the binning's bits.
-        use fmm_core::near::{near_field_rows, symmetric_rows, TargetRole};
+        // A rank owning z-planes 3 and 4 of a 512-box grid receives its
+        // halo, the ghost targets' reach, last cell first, then lays its
+        // store out row-major; its boxes are `Own`, the boxes whose rows
+        // reach one of them `Ghost`. Every owned particle gets the
+        // binning's bits, potentials and forces, on every tier.
+        use fmm_core::near::{symmetric_rows, TargetRole};
         let unit = |i: usize| (i as f64 * 0.618_033_988_75).fract();
         let pts: Vec<[f64; 3]> = (0..2500)
             .map(|i| [unit(i), unit(5 * i + 1), unit(9 * i + 2)])
@@ -229,17 +180,23 @@ mod tests {
             (false, true) => TargetRole::Ghost,
             (false, false) => TargetRole::Skip,
         };
+        let eps2 = 1e-4;
         for kernel in Kernel::available() {
-            let mut want = vec![0.0; bp.len()];
-            let want_st = near_field_rows(kernel, &bp, 0.0, &mut want);
-            let mut got = vec![0.0; store.len()];
-            let cells = store.row_cells(&starts);
-            let st = symmetric_rows(kernel, 3, cells, 0.0, &mut got, role);
-            assert!(st.own.pair_interactions < want_st.pair_interactions);
-            for &b in &owned {
-                let (r, s) = (bp.range(b as usize), store.range(b as usize).unwrap());
-                let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
-                assert_eq!(bits(&got[s]), bits(&want[r]), "{kernel:?} box {b}");
+            for with_fields in [false, true] {
+                let all = |_| TargetRole::Own;
+                let (want, want_st) =
+                    symmetric_rows(kernel, 3, bp.row_cells(), eps2, with_fields, all);
+                let cells = store.row_cells(&starts);
+                let (got, st) = symmetric_rows(kernel, 3, cells, eps2, with_fields, role);
+                assert!(st.own.pair_interactions < want_st.own.pair_interactions);
+                for &b in &owned {
+                    let (r, s) = (bp.range(b as usize), store.range(b as usize).unwrap());
+                    let bits = |v: &[f64]| v.iter().map(|x| x.to_bits()).collect::<Vec<_>>();
+                    for (g, w) in got.iter().zip(&want) {
+                        let what = format!("{kernel:?} forces={with_fields} box {b}");
+                        assert_eq!(bits(&g[s.clone()]), bits(&w[r.clone()]), "{what}");
+                    }
+                }
             }
         }
     }

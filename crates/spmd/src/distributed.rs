@@ -473,7 +473,7 @@ impl Rendezvous {
                 vu_grid: grid,
                 supernodes: cfg.supernodes,
                 sort_miss_fraction: 1.0 - 1.0 / p as f64,
-                forces_near: lc.with_fields,
+                forces_near: false,
             },
             program.partition.as_ref().map(|ps| &ps.partition),
         );

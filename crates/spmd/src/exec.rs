@@ -29,12 +29,11 @@
 //!   near field runs over the rank's [`CellStore`] — its own cells plus
 //!   the particle halo the program's steps bring, laid out row-major once
 //!   they are all in, so every row reads one run as in a binning:
-//!   `fmm_core::near::symmetric_rows` (potentials) over the owned boxes
-//!   and the *ghost targets*, boxes owned elsewhere whose half-stencil
-//!   rows reach an owned one, in the serial sweep's order, so each owned
-//!   particle receives the serial calls in the serial order and nothing
-//!   is shipped back; or `near_field_forces_box` (forces) over the owned
-//!   boxes.
+//!   `fmm_core::near::symmetric_rows`, potentials or forces, over the
+//!   owned boxes and the *ghost targets*, boxes owned elsewhere whose
+//!   half-stencil rows reach an owned one, in the serial sweep's order, so
+//!   each owned particle receives the serial calls in the serial order and
+//!   nothing is shipped back.
 //!
 //! Bitwise identity with the serial backend is a hard invariant. It holds
 //! because a GEMM row does not depend on the height of the panel it sits
@@ -46,7 +45,7 @@ use std::time::{Duration, Instant};
 
 use fmm_core::driver::{eval_local, p2o, Fmm};
 use fmm_core::field::FieldHierarchy;
-use fmm_core::near::{near_field_forces_box, symmetric_rows, NearFieldStats, TargetRole};
+use fmm_core::near::{symmetric_rows, NearFieldStats, TargetRole};
 use fmm_core::particles::BinnedParticles;
 use fmm_core::stats::{Counters, SpmdReport};
 use fmm_core::traversal::{downward_rows, upward_rows, Aggregation};
@@ -90,8 +89,8 @@ pub struct WorkerOut {
     pub pot: Vec<f64>,
     pub fields: Option<Vec<[f64; 3]>>,
     pub near_stats: NearFieldStats,
-    /// Pairs the near field ran for ghost targets (potentials): work done
-    /// here for boxes that [`Self::near_stats`] counts on their owners.
+    /// Pairs the near field ran for ghost targets: work done here for
+    /// boxes that [`Self::near_stats`] counts on their owners.
     pub ghost_pairs: u64,
     pub p2o_flops: u64,
     pub eval_flops: u64,
@@ -299,7 +298,7 @@ impl Worker<'_> {
                 exchange_rows(ctx, &mut far[level as usize], plan.side(ctx.rank), k)
             }
             StepKind::ParticleHalo { axis } => {
-                let g = near_halo_widths(sh.with_fields);
+                let g = near_halo_widths();
                 particle_halo_axis(ctx, depth, axis, g, &mut self.store)
             }
             StepKind::PartParticleHalo => {
@@ -427,7 +426,6 @@ impl Worker<'_> {
         // laid out row-major, every row a target reads is one run holding
         // the serial run's values. The store takes the particles over: the
         // binning keeps only its ranges.
-        let n = self.bp.len();
         self.store = CellStore::seed(&self.bp, &owned);
         let bp = &mut self.bp;
         (bp.x, bp.y, bp.z, bp.q) = Default::default();
@@ -437,74 +435,47 @@ impl Worker<'_> {
         self.store.lay_out_row_major();
         let here = self.whereabouts();
         let starts = self.store.starts();
-        let mut near_pot = vec![0.0; n];
-        let stats = if sh.with_fields {
-            // Forces are target-centric: the serial per-box kernel on
-            // every owned box. Its whole neighbourhood must be here.
-            let near = fmm_tree::near_field_offsets();
-            for &b in &owned {
-                let t = BoxCoord::from_index(depth, b as usize);
-                for c in near.iter().filter_map(|&o| t.offset(o)).map(|s| s.index()) {
+        // The serial symmetric sweep over the owned boxes and the ghost
+        // targets, whose source-side terms on owned particles arrive in
+        // the serial order; the store's other outputs are dropped. The
+        // owned boxes' rows and the ghost targets must be here.
+        let mut role = vec![TargetRole::Skip; 1 << (3 * depth)];
+        for &b in &owned {
+            role[b as usize] = TargetRole::Own;
+        }
+        let half = fmm_tree::half_offsets();
+        for &b in &owned {
+            let s = BoxCoord::from_index(depth, b as usize);
+            for h in &half {
+                // A box of s's rows, and the target with s in its rows.
+                let (row, target) = (s.offset(*h), s.offset(h.map(|c| -c)));
+                for c in row.iter().chain(&target).map(BoxCoord::index) {
                     if self.store.range(c).is_none() {
                         cell_missing(&here, last, c);
                     }
                 }
-            }
-            let cells = self.store.row_cells(&starts);
-            let mut near_f = vec![[0.0; 3]; n];
-            let mut stats = NearFieldStats::default();
-            for b in owned.iter().map(|&b| b as usize) {
-                let r = self.bp.range(b);
-                let (po, fo) = (&mut near_pot[r.clone()], &mut near_f[r]);
-                let st = near_field_forces_box(kernel, &cells, depth, b, eps2, po, fo);
-                stats.merge(&st);
-            }
-            let fields = self.out.fields.as_mut().expect("forces were asked for");
-            for (f, nf) in fields.iter_mut().zip(&near_f) {
-                for d in 0..3 {
-                    f[d] += nf[d];
+                if let Some(t) = target.filter(|t| role[t.index()] == TargetRole::Skip) {
+                    role[t.index()] = TargetRole::Ghost;
                 }
             }
-            stats
-        } else {
-            // Potentials: the serial symmetric sweep over the owned boxes
-            // and the ghost targets, whose source-side terms on owned
-            // particles arrive in the serial order; the store's other
-            // outputs are dropped. The owned boxes' rows and the ghost
-            // targets must be here.
-            let mut role = vec![TargetRole::Skip; 1 << (3 * depth)];
-            for &b in &owned {
-                role[b as usize] = TargetRole::Own;
-            }
-            let half = fmm_tree::half_offsets();
-            for &b in &owned {
-                let s = BoxCoord::from_index(depth, b as usize);
-                for h in &half {
-                    // A box of s's rows, and the target with s in its rows.
-                    let (row, target) = (s.offset(*h), s.offset(h.map(|c| -c)));
-                    for c in row.iter().chain(&target).map(BoxCoord::index) {
-                        if self.store.range(c).is_none() {
-                            cell_missing(&here, last, c);
-                        }
-                    }
-                    if let Some(t) = target.filter(|t| role[t.index()] == TargetRole::Skip) {
-                        role[t.index()] = TargetRole::Ghost;
-                    }
-                }
-            }
-            let mut out = vec![0.0; self.store.len()];
-            let cells = self.store.row_cells(&starts);
-            let st = symmetric_rows(kernel, depth, cells, eps2, &mut out, |b| role[b]);
-            for b in owned.iter().map(|&b| b as usize) {
-                let at = self.store.range(b).expect("an owned cell is here");
-                near_pot[self.bp.range(b)].copy_from_slice(&out[at]);
-            }
-            self.out.ghost_pairs = st.ghost.pair_interactions;
-            st.own
-        };
-        for (f, nr) in self.out.pot.iter_mut().zip(&near_pot) {
-            *f += nr;
         }
+        let cells = self.store.row_cells(&starts);
+        let (outs, st) = symmetric_rows(kernel, depth, cells, eps2, sh.with_fields, |b| role[b]);
+        // Far + near, each owned particle's near outputs added in place.
+        let mut fields = self.out.fields.as_deref_mut();
+        for b in owned.iter().map(|&b| b as usize) {
+            let at = self.store.range(b).expect("an owned cell is here");
+            for (i, j) in self.bp.range(b).zip(at) {
+                if let Some(f) = fields.as_deref_mut() {
+                    for d in 0..3 {
+                        f[i][d] += outs[1 + d][j];
+                    }
+                }
+                self.out.pot[i] += outs[0][j];
+            }
+        }
+        self.out.ghost_pairs = st.ghost.pair_interactions;
+        let stats = st.own;
         self.out.near_stats = stats;
     }
 }

@@ -456,6 +456,62 @@ mod tests {
     }
 
     #[test]
+    #[cfg_attr(miri, ignore)] // runs the SIMD kernels
+    fn forces_and_potentials_run_one_set_of_ghost_targets() {
+        // One clustered input at p ∈ {2, 8} under both balances. A
+        // program's near field is one halo and one set of ghost targets
+        // whatever the output kind, so forces run over the potentials'
+        // program do exactly the potentials' ghost pairs. (The public entry
+        // prices a force pair at `PAIR_FORCE_FLOPS` when it cuts a
+        // cost-weighted partition, so its own forces partition may differ.)
+        let fmm = Fmm::new(FmmConfig::order(3).depth(4)).unwrap();
+        let unit = |i: usize| (i as f64 * 0.618_033_988_75).fract();
+        let positions: Vec<[f64; 3]> = (0..4000)
+            .map(|i| [unit(i), unit(5 * i + 1), unit(9 * i + 2)])
+            .map(|p| {
+                if p[0] < 0.6 {
+                    p.map(|c| 0.3 + 0.25 * c)
+                } else {
+                    p
+                }
+            })
+            .collect();
+        let charges: Vec<f64> = (0..4000).map(|i| unit(13 * i) - 0.5).collect();
+        let domain = Domain::bounding(&positions);
+        for p in [2, 8] {
+            let grid = vu_grid_for(p);
+            for balance in [Balance::Uniform, Balance::CostWeighted] {
+                let pot = build_program(&fmm, &positions, domain, 4, grid, false, balance);
+                let frc = CommProgram {
+                    with_fields: true,
+                    ..pot.clone()
+                };
+                let run = |prog: &CommProgram| {
+                    let out =
+                        run_program(&fmm, &positions, &charges, domain, prog, channel_ctxs(grid));
+                    out.spmd.expect("an SPMD report").ghost_pairs
+                };
+                let (a, b) = (run(&pot), run(&frc));
+                println!("p = {p}, {balance:?}: ghost pairs {a} (potentials), {b} (forces)");
+                assert!(a > 0, "p = {p} {balance:?}");
+                assert_eq!(a, b, "p = {p} {balance:?}");
+            }
+            let uniform = |with_fields| {
+                build_program(
+                    &fmm,
+                    &positions,
+                    domain,
+                    4,
+                    grid,
+                    with_fields,
+                    Balance::Uniform,
+                )
+            };
+            assert_eq!(uniform(false).phases, uniform(true).phases, "p = {p}");
+        }
+    }
+
+    #[test]
     fn grid_factorization_round_robins() {
         assert_eq!(vu_grid_for(1).dims, [1, 1, 1]);
         assert_eq!(vu_grid_for(2).dims, [2, 1, 1]);

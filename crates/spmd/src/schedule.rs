@@ -1,6 +1,7 @@
 //! The communication program: a first-class IR of the SPMD executor's
-//! schedule, derivable from `(VuGrid, depth, K, output kind, supernodes)`
-//! alone — before any particle exists.
+//! schedule, derivable from `(VuGrid, depth, K, supernodes)` alone —
+//! before any particle exists. The output kind rides along for the
+//! executor; potentials and forces share one schedule.
 //!
 //! The paper's communication structure is *statically schedulable*: which
 //! CSHIFTs run, which ranks exchange halo cells, how the Multigrid-embedded
@@ -192,8 +193,10 @@ pub struct CommProgram {
     /// reach d + 1, and its parent-level sources d boxes of the parent
     /// level, so 2d (the paper's four boxes at d = 2) covers both.
     pub ghost: usize,
-    /// Forces (target-centric, the near-field neighbourhood's halo) vs
-    /// potentials (symmetric rows, the ghost targets' wider halo).
+    /// Forces (potentials and fields) vs potentials alone: what the
+    /// executor's near-field sweep writes. Both run the symmetric rows
+    /// over one set of ghost targets, so the schedule does not depend on
+    /// it.
     pub with_fields: bool,
     /// The downward pass runs the supernode decomposition: level l's T2
     /// also reads far rows of level l − 1, which the parent level's halo
@@ -268,8 +271,8 @@ impl CommProgram {
         }
 
         // Phase 5 — near field: one clipped particle halo in three axis
-        // phases, two CSHIFT-ledger ops each, as deep as the near field's
-        // output kind reads ([`near_halo_widths`]).
+        // phases, two CSHIFT-ledger ops each, as deep as the ghost targets
+        // read ([`near_halo_widths`]).
         for axis in 0..3 {
             push(&mut phases, 5, StepKind::ParticleHalo { axis }, 2);
         }
@@ -369,8 +372,8 @@ impl CommProgram {
         }
 
         // Phase 5 — near field: the whole clipped particle halo of the
-        // output kind's stencil in one planned exchange.
-        let ph_ex = particle_halo(&partition, &near_stencil(with_fields));
+        // near stencil in one planned exchange.
+        let ph_ex = particle_halo(&partition, &near_stencil());
         push(&mut phases, 5, StepKind::PartParticleHalo, ph_ex.messages());
 
         CommProgram {
@@ -597,7 +600,7 @@ impl Step {
             StepKind::ParticleHalo { axis } => {
                 let n = 1usize << prog.depth;
                 let lay = BlockLayout::new([n; 3], *grid);
-                let g = near_halo_widths(prog.with_fields);
+                let g = near_halo_widths();
                 let plan_of = |who| axis_plan(&lay, who, axis, g, n, false);
                 let (sends, recvs) = axis_exchange(grid, rank, axis, plan_of);
                 exchange_ops((&sends, &recvs), None, Payload::Particles, &mut ops);
@@ -689,26 +692,27 @@ mod tests {
     }
 
     #[test]
-    fn both_near_fields_are_one_halo_of_their_own_depth() {
-        // The same three axis phases; the potentials' ghost targets read
-        // twice as deep in x and y.
+    fn both_near_fields_are_one_halo() {
+        // The same three axis phases, as deep as the ghost targets read:
+        // 2d in x and y, d in z.
         let pot = CommProgram::build(vu_grid_for(8), 3, 6, false, false);
         let frc = CommProgram::build(vu_grid_for(8), 3, 6, true, false);
         assert_eq!(pot.phases, frc.phases);
         assert_eq!(pot.phases[5].len(), 3);
-        assert_eq!(near_halo_widths(true), [2, 2, 2]);
-        assert_eq!(near_halo_widths(false), [4, 4, 2]);
-        let received = |prog: &CommProgram| -> usize {
-            let lay = BlockLayout::new([8; 3], prog.grid);
-            let g = near_halo_widths(prog.with_fields);
-            let plans = (0..3).map(|axis| axis_plan(&lay, [0; 3], axis, g, 8, false));
-            plans
-                .flat_map(|p| p.into_values())
-                .map(|cells| cells.len())
-                .sum()
-        };
-        // Rank 0 of [2, 2, 2] owns a 4³ corner: 6³ − 4³ and 8·8·6 − 4³.
-        assert_eq!((received(&frc), received(&pot)), (152, 320));
+        assert_eq!(near_halo_widths(), [4, 4, 2]);
+        let lay = BlockLayout::new([8; 3], pot.grid);
+        let plans = (0..3).map(|axis| axis_plan(&lay, [0; 3], axis, near_halo_widths(), 8, false));
+        let received: usize = plans
+            .flat_map(|p| p.into_values())
+            .map(|cells| cells.len())
+            .sum();
+        // Rank 0 of [2, 2, 2] owns a 4³ corner: 8·8·6 − 4³.
+        assert_eq!(received, 320);
+        for r in 0..8 {
+            for (a, b) in pot.phases[5].iter().zip(&frc.phases[5]) {
+                assert_eq!(a.ops_for(&pot, r), b.ops_for(&frc, r), "rank {r}");
+            }
+        }
     }
 
     /// p = 128 lays the ranks on `[8, 4, 4]`: at depth 6 levels 0–2 are
@@ -782,9 +786,10 @@ mod tests {
     }
 
     #[test]
-    fn partitioned_near_halo_reads_the_output_kinds_stencil() {
+    fn partitioned_near_halo_reads_the_near_stencil() {
         // One planned exchange whose cells are exactly the stencil's
-        // neighbours of each rank's boxes on other ranks.
+        // neighbours of each rank's boxes on other ranks, for either
+        // output kind.
         let part = Partition::uniform(3, 8);
         for with_fields in [false, true] {
             let prog = CommProgram::build_partitioned(
@@ -797,7 +802,7 @@ mod tests {
             );
             assert_eq!(prog.phases[5].len(), 1);
             let ps = prog.partition.as_ref().unwrap();
-            let stencil = near_stencil(with_fields);
+            let stencil = near_stencil();
             for rank in 0..8 {
                 let mut want = std::collections::BTreeSet::new();
                 for b in 0..512 {
@@ -837,7 +842,7 @@ mod tests {
                 assert_eq!(s.logical_msgs, 0, "step {s:?}");
             }
             let ps = prog.partition.as_ref().unwrap();
-            assert!(ps.particle_halo.is_empty() || !with_fields);
+            assert!(ps.particle_halo.is_empty());
             for (_, ex) in ps
                 .child_flush
                 .iter()

@@ -96,8 +96,9 @@ fn assert_system_bitwise(
         assert_eq!(rep.workers, p);
         assert_eq!(rep.worker_busy_ns.len(), p);
         assert_eq!(rep.worker_flops.len(), p);
-        // Ghost targets exist only where potentials cross a rank boundary.
-        if with_fields || p == 1 {
+        // Ghost targets exist only where the near field crosses a rank
+        // boundary.
+        if p == 1 {
             assert_eq!(rep.ghost_pairs, 0, "p={p}");
         }
         match bal {

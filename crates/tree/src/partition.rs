@@ -216,9 +216,8 @@ pub struct CostModel {
     pub k: usize,
     /// Inner-evaluation truncation order M.
     pub m_trunc: usize,
-    /// Whether forces are evaluated (near-field pairs are one-sided and
-    /// cost [`PAIR_FORCE_FLOPS`] each instead of shared
-    /// [`PAIR_FLOPS`] halves).
+    /// Whether forces are evaluated (a near-field pair costs
+    /// [`PAIR_FORCE_FLOPS`] instead of [`PAIR_FLOPS`]).
     pub with_fields: bool,
     /// Whether the downward pass runs the supernode decomposition, whose
     /// T2 rows a box is charged instead of its plain interactive field's.
@@ -233,16 +232,15 @@ pub struct CostModel {
 ///
 /// Charges, calibrated against the executor's own counters (see
 /// DESIGN.md §8):
-/// * near field — potentials run the symmetric row sweep, whose pairs
-///   are charged to the boxes whose particles they serve: box `b` pays
-///   its `n·(n−1)/2` self pairs at [`PAIR_FLOPS`] and half of every pair
-///   with an in-domain neighbour, `n_b·n_s·PAIR_FLOPS/2`, whichever of
-///   the two is the target (an SPMD rank runs its half-stencil rows and
-///   those of the ghost targets whose rows reach it, so it works on both
-///   halves; charging the target alone would pile the cost onto the
-///   lower-z box of every pair); forces are target-centric, so `b` pays
-///   directed `n·(n−1)` self pairs plus all in-domain neighbour pairs at
-///   [`PAIR_FORCE_FLOPS`];
+/// * near field — potentials and forces run the symmetric row sweep,
+///   whose pairs are charged to the boxes whose particles they serve: box
+///   `b` pays its `n·(n−1)/2` self pairs at the pair weight ([`PAIR_FLOPS`],
+///   or [`PAIR_FORCE_FLOPS`] with fields) and half of every pair with an
+///   in-domain neighbour, `n_b·n_s·weight/2`, whichever of the two is the
+///   target (an SPMD rank runs its half-stencil rows and those of the
+///   ghost targets whose rows reach it, so it works on both halves;
+///   charging the target alone would pile the cost onto the lower-z box
+///   of every pair);
 /// * per particle — `10·K` for P2O and `6·K·(M+1)` for inner evaluation;
 /// * per box at level l (charged to its first descendant leaf) —
 ///   `2K²` per T2 source that lies in the domain (the executors multiply
@@ -300,6 +298,11 @@ pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
     // Per-leaf particle work: P2O, inner evaluation, near-field pairs —
     // each pair charged to the owner of the box that computes it.
     let near = near_field_offsets();
+    let pair = if model.with_fields {
+        PAIR_FORCE_FLOPS
+    } else {
+        PAIR_FLOPS
+    };
     for code in 0..leaves as u64 {
         let (x, y, z) = morton_decode(code);
         let b = BoxCoord {
@@ -316,14 +319,8 @@ pub fn leaf_costs(depth: u32, model: &CostModel, counts: &[usize]) -> Vec<u64> {
                 cross += nt * counts[s.index()] as u64;
             }
         }
-        w += if model.with_fields {
-            // Target-centric: every directed pair is computed at the
-            // target box.
-            (nt * nt.saturating_sub(1) + cross) * PAIR_FORCE_FLOPS
-        } else {
-            // Symmetric: each pair with a neighbour is half b's.
-            nt * nt.saturating_sub(1) / 2 * PAIR_FLOPS + cross * (PAIR_FLOPS / 2)
-        };
+        // Symmetric: each pair with a neighbour is half b's.
+        w += nt * nt.saturating_sub(1) / 2 * pair + cross * (pair / 2);
         cost[code as usize] += w;
     }
     cost

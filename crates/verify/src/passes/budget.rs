@@ -87,7 +87,7 @@ pub fn budget_for(low: &Lowered, m: usize, particles_per_box: f64) -> ProgramBud
             vu_grid: prog.grid,
             supernodes: prog.supernodes,
             sort_miss_fraction: 1.0 - 1.0 / p as f64,
-            forces_near: prog.with_fields,
+            forces_near: false,
         },
         prog.partition.as_ref().map(|ps| &ps.partition),
     )
