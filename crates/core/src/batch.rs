@@ -9,9 +9,10 @@
 //! same trick across requests: `R` same-shape evaluations share one
 //! [`crate::TraversalPlan`] and go through
 //! [`crate::traversal::upward_level`] /
-//! [`crate::traversal::downward_level`] as one slice of hierarchies, which
-//! issue one GEMM of `R · np` rows per (panel, octant, offset) instead of
-//! `R` GEMMs of `np` rows — and compute the per-offset source geometry
+//! [`crate::traversal::downward_level`] as one hierarchy of `R` instances
+//! interleaved per box, which issue one GEMM of `R · np` rows per (panel,
+//! matrix visit) instead of `R` GEMMs of `np` rows, reading every row where
+//! it lies — and compute the per-offset source geometry
 //! once instead of `R` times. The potential near field batches the same
 //! way: the symmetric sweep's plane tasks and each target's rows are
 //! instance-independent, so they are derived once and the instances loop

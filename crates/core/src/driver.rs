@@ -222,41 +222,33 @@ impl Fmm {
     }
 
     /// Steps 0–3 for every request: coordinate sort / binning (paper
-    /// §3.2) and leaf-level outer approximations (P2O) per request, then
-    /// the upward and downward passes of all requests per level, as one
-    /// instance-major sweep. Returns the binned particles, the hierarchies
-    /// (leaf inner samples in `local[depth]`) and the traversal flops; each
-    /// phase's time and flops go to `profile`.
+    /// §3.2) and leaf-level outer approximations (P2O) per request into
+    /// its instance of one hierarchy, then the upward and downward passes
+    /// of all instances per level, as one sweep. Returns the binned
+    /// particles, the hierarchy (leaf inner samples in `local[depth]`) and
+    /// the traversal flops; each phase's time and flops go to `profile`.
     fn far_field(
         &self,
         requests: &[BatchRequest<'_>],
         depth: u32,
         plan: &TraversalPlan,
         profile: &mut Profile,
-    ) -> (Vec<BinnedParticles>, Vec<FieldHierarchy>, TraversalFlops) {
-        let k = self.k();
-        let mut bps: Vec<BinnedParticles> = Vec::with_capacity(requests.len());
-        let mut fhs: Vec<FieldHierarchy> = Vec::with_capacity(requests.len());
-        for q in requests {
+    ) -> (Vec<BinnedParticles>, FieldHierarchy, TraversalFlops) {
+        let r = requests.len();
+        let mut fh = FieldHierarchy::instances(Hierarchy::new(depth), self.k(), r);
+        let mut bps: Vec<BinnedParticles> = Vec::with_capacity(r);
+        for (i, q) in requests.iter().enumerate() {
             let domain = Domain::bounding(q.positions);
             let bp = profile.time(Phase::Sort, || {
                 BinnedParticles::build(q.positions, q.charges, domain, depth)
             });
-            let mut fh = FieldHierarchy::new(Hierarchy::new(depth), k);
             let a_leaf = self.cfg.outer_ratio * domain.box_side(depth);
+            let far_leaf = &mut fh.far[depth as usize];
             let p2o_flops = profile.time(Phase::P2O, || {
-                p2o(
-                    &bp,
-                    &self.rule,
-                    a_leaf,
-                    depth,
-                    true,
-                    &mut fh.far[depth as usize],
-                )
+                p2o_instance(&bp, &self.rule, a_leaf, depth, far_leaf, (r, i))
             });
             profile.add_flops(Phase::P2O, p2o_flops);
             bps.push(bp);
-            fhs.push(fh);
         }
 
         // Step 2: upward pass, all requests per level, down to level 2
@@ -265,7 +257,7 @@ impl Fmm {
         let mut tflops = profile.time(Phase::Upward, || {
             let mut acc = TraversalFlops::default();
             for l in (2..depth).rev() {
-                acc += upward_level(&mut fhs, ts, plan, l, Aggregation::Gemm);
+                acc += upward_level(&mut fh, ts, plan, l, Aggregation::Gemm);
             }
             acc
         });
@@ -276,20 +268,20 @@ impl Fmm {
             let mut acc = TraversalFlops::default();
             for l in 2..=depth {
                 let agg = Aggregation::Gemm;
-                acc += downward_level(&mut fhs, ts, plan, self.cfg.supernodes, agg, l);
+                acc += downward_level(&mut fh, ts, plan, self.cfg.supernodes, agg, l);
             }
             acc
         });
         profile.add_flops(Phase::Upward, tflops.t1);
         profile.add_flops(Phase::Interactive, tflops.t2);
         profile.add_flops(Phase::Downward, tflops.t3);
-        (bps, fhs, tflops)
+        (bps, fh, tflops)
     }
 
     /// The one evaluation pipeline: the paper's steps 0–5 for every
     /// request, each on its particles' bounding cube, with fields (−∇Φ)
     /// when `with_fields`. The requests share one traversal plan, their
-    /// hierarchy sweeps run as one instance-major sweep and their potential
+    /// hierarchy sweeps run as one sweep over one interleaved hierarchy and their potential
     /// near fields, f64 or mixed, as one symmetric row sweep; binning, P2O, leaf
     /// evaluation and the other near-field variants are particle-bound and
     /// run per request. [`Executor::Serial`] runs the whole pipeline
@@ -318,6 +310,16 @@ impl Fmm {
             q.validate()
                 .map_err(|e| FmmError::BadInput(format!("request {i}: {e}")))?;
         }
+        let depth = self.cfg.depth.resolve(requests[0].positions.len());
+        for (i, q) in requests.iter().enumerate() {
+            let d = self.cfg.depth.resolve(q.positions.len());
+            if d != depth {
+                return Err(FmmError::BadInput(format!(
+                    "request {i} resolves to depth {d}, batch is depth {depth}; \
+                     batches must be depth-homogeneous"
+                )));
+            }
+        }
         if let Executor::Spmd(workers) = self.cfg.effective_executor() {
             // The message-passing backend owns its whole pipeline, so the
             // requests go through it one by one (still bitwise per
@@ -342,52 +344,37 @@ impl Fmm {
                 all.profile.merge(&one.profile);
                 all.near_stats.merge(&one.near_stats);
                 all.traversal_flops += one.traversal_flops;
-                all.spmd = one.spmd;
+                if let (Some(a), Some(b)) = (all.spmd.as_mut(), one.spmd) {
+                    a.merge(&b);
+                }
                 all.offsets.push(all.potentials.len());
             }
             return Ok(all);
-        }
-        let depth = self.cfg.depth.resolve(requests[0].positions.len());
-        for (i, q) in requests.iter().enumerate() {
-            let d = self.cfg.depth.resolve(q.positions.len());
-            if d != depth {
-                return Err(FmmError::BadInput(format!(
-                    "request {i} resolves to depth {d}, batch is depth {depth}; \
-                     batches must be depth-homogeneous"
-                )));
-            }
         }
         // One plan lookup for the whole batch: exactly one `plan_builds`
         // when the key is cold, zero when warm.
         let plan = self.plan_for(depth);
         let mut profile = Profile::new();
-        let (bps, fhs, tflops) = self.far_field(requests, depth, &plan, &mut profile);
+        let (bps, fh, tflops) = self.far_field(requests, depth, &plan, &mut profile);
 
         // Step 4 per request: evaluate leaf inner approximations at the
-        // particles, then free the request's hierarchy — nothing reads it
-        // again — before the near field allocates.
-        let mut fars = Vec::with_capacity(bps.len());
-        for (bp, fh) in bps.iter().zip(fhs) {
+        // particles, then free the hierarchy — nothing reads it again —
+        // before the near field allocates.
+        let (r, local_leaf) = (bps.len(), &fh.local[depth as usize]);
+        let mut fars = Vec::with_capacity(r);
+        for (i, bp) in bps.iter().enumerate() {
             let mut far_pot = vec![0.0; bp.len()];
             let mut far_field = with_fields.then(|| vec![[0.0; 3]; bp.len()]);
             let b_leaf = self.cfg.inner_ratio * bp.domain.box_side(depth);
+            let (rule, m, at) = (&self.rule, self.cfg.m_trunc, (r, i));
             let eval_flops = profile.time(Phase::Eval, || {
-                eval_local(
-                    bp,
-                    &self.rule,
-                    self.cfg.m_trunc,
-                    b_leaf,
-                    depth,
-                    true,
-                    &fh.local[depth as usize],
-                    &mut far_pot,
-                    far_field.as_deref_mut(),
-                )
+                let (po, fo) = (&mut far_pot, far_field.as_deref_mut());
+                eval_instance(bp, rule, m, b_leaf, depth, local_leaf, at, po, fo)
             });
             profile.add_flops(Phase::Eval, eval_flops);
-            drop(fh);
             fars.push((far_pot, far_field));
         }
+        drop(fh);
 
         // Step 5, potentials or forces, f64 or under `Precision::Mixed` in
         // f32 SIMD lanes (8 on AVX2, 16 on AVX-512) that leave the
@@ -500,11 +487,25 @@ pub fn p2o(
     if !parallel {
         return serially(|| p2o(bp, rule, a_leaf, depth, true, far_leaf));
     }
+    p2o_instance(bp, rule, a_leaf, depth, far_leaf, (1, 0))
+}
+
+/// [`p2o`] into instance `i` of a leaf level of `r` instances.
+fn p2o_instance(
+    bp: &BinnedParticles,
+    rule: &SphereRule,
+    a_leaf: f64,
+    depth: u32,
+    far_leaf: &mut [f64],
+    (r, i): (usize, usize),
+) -> u64 {
     let k = rule.len();
-    let work = |(b, g): (usize, &mut [f64])| -> u64 { p2o_box(bp, rule, a_leaf, depth, b, g) };
+    let work = |(b, g): (usize, &mut [f64])| -> u64 {
+        p2o_box(bp, rule, a_leaf, depth, b, &mut g[i * k..][..k])
+    };
     // det: the reduction sums integer flop counts; the float outputs land
     // in disjoint chunks, untouched by the combine order.
-    far_leaf.par_chunks_mut(k).enumerate().map(work).sum()
+    far_leaf.par_chunks_mut(r * k).enumerate().map(work).sum()
 }
 
 /// Leaf-level inner samples → particle potentials (and fields). Public
@@ -527,6 +528,22 @@ pub fn eval_local(
     if !parallel {
         return serially(|| eval_local(bp, rule, m, b_leaf, depth, true, local_leaf, pot, fields));
     }
+    eval_instance(bp, rule, m, b_leaf, depth, local_leaf, (1, 0), pot, fields)
+}
+
+/// [`eval_local`] from instance `i` of a leaf level of `r` instances.
+#[allow(clippy::too_many_arguments)]
+fn eval_instance(
+    bp: &BinnedParticles,
+    rule: &SphereRule,
+    m: usize,
+    b_leaf: f64,
+    depth: u32,
+    local_leaf: &[f64],
+    (r, i): (usize, usize),
+    pot: &mut [f64],
+    fields: Option<&mut [[f64; 3]]>,
+) -> u64 {
     let k = rule.len();
     let mut pot_slices = per_box_slices(bp, pot);
     let mut field_slices: Vec<Option<&mut [[f64; 3]]>> = match fields {
@@ -536,7 +553,7 @@ pub fn eval_local(
 
     #[allow(clippy::type_complexity)]
     let work = |(b, (po, fo)): (usize, (&mut &mut [f64], &mut Option<&mut [[f64; 3]]>))| -> u64 {
-        let g = &local_leaf[b * k..(b + 1) * k];
+        let g = &local_leaf[(b * r + i) * k..][..k];
         eval_box(bp, rule, m, b_leaf, depth, b, g, po, fo.as_deref_mut())
     };
 

@@ -3,50 +3,50 @@
 //! The paper embeds the whole hierarchy of far-field potentials in two
 //! layers of a 4-D array (Fig. 3) so that herarchical operations become
 //! array operations on flattened data. The shared-memory analogue: one
-//! contiguous `8^l × K` row-major buffer per level (one K-vector per box,
-//! boxes in row-major order), which is exactly the panel layout the
-//! aggregated GEMMs consume.
+//! contiguous `8^l × R × K` row-major buffer per level for `R` instances
+//! that share the hierarchy (one K-vector per box and instance, boxes in
+//! row-major order, a box's `R` instances adjacent), which is exactly the
+//! panel layout the aggregated GEMMs consume. One instance (`R = 1`, what
+//! [`FieldHierarchy::new`] builds) is one K-vector per box.
 
 use fmm_tree::Hierarchy;
 
 /// Far-field (outer) and local-field (inner) sample buffers for every
-/// level of the hierarchy.
+/// level of the hierarchy, for `r` instances.
 #[derive(Debug, Clone)]
 pub struct FieldHierarchy {
     pub k: usize,
+    /// Instances laid out box-major: instance `i` of box `b` at
+    /// `(b·r + i)·k` in every level array.
+    pub r: usize,
     pub hierarchy: Hierarchy,
-    /// `far[l]` has length `8^l * k`; box b's samples at `b*k..(b+1)*k`.
+    /// `far[l]` has length `8^l * r * k`; box b's samples of instance i at
+    /// `(b*r + i)*k..(b*r + i + 1)*k`.
     pub far: Vec<Vec<f64>>,
     /// Same layout for the inner (local-field) samples.
     pub local: Vec<Vec<f64>>,
 }
 
 impl FieldHierarchy {
+    /// One instance.
     pub fn new(hierarchy: Hierarchy, k: usize) -> Self {
-        let far = (0..=hierarchy.depth)
-            .map(|l| vec![0.0; hierarchy.boxes_at_level(l) * k])
-            .collect();
-        let local = (0..=hierarchy.depth)
-            .map(|l| vec![0.0; hierarchy.boxes_at_level(l) * k])
-            .collect();
+        Self::instances(hierarchy, k, 1)
+    }
+
+    /// `r` instances sharing the hierarchy, interleaved per box.
+    pub fn instances(hierarchy: Hierarchy, k: usize, r: usize) -> Self {
+        let levels = || {
+            (0..=hierarchy.depth)
+                .map(|l| vec![0.0; hierarchy.boxes_at_level(l) * r * k])
+                .collect()
+        };
         FieldHierarchy {
             k,
+            r,
+            far: levels(),
+            local: levels(),
             hierarchy,
-            far,
-            local,
         }
-    }
-
-    /// Far-field samples of box `b` (row-major index) at level `l`.
-    #[inline]
-    pub fn far_of(&self, l: u32, b: usize) -> &[f64] {
-        &self.far[l as usize][b * self.k..(b + 1) * self.k]
-    }
-
-    /// Local-field samples of box `b` at level `l`.
-    #[inline]
-    pub fn local_of(&self, l: u32, b: usize) -> &[f64] {
-        &self.local[l as usize][b * self.k..(b + 1) * self.k]
     }
 
     /// Total stored f64s (memory-efficiency accounting; the paper stores
@@ -59,13 +59,6 @@ impl FieldHierarchy {
 
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// Zero all buffers (for reuse across evaluations).
-    pub fn clear(&mut self) {
-        for v in self.far.iter_mut().chain(self.local.iter_mut()) {
-            v.iter_mut().for_each(|x| *x = 0.0);
-        }
     }
 }
 
@@ -84,20 +77,10 @@ mod tests {
     }
 
     #[test]
-    fn slices_are_disjoint_per_box() {
-        let mut f = FieldHierarchy::new(Hierarchy::new(2), 4);
-        f.far[2][5 * 4 + 2] = 7.0;
-        assert_eq!(f.far_of(2, 5), &[0.0, 0.0, 7.0, 0.0]);
-        assert_eq!(f.far_of(2, 4), &[0.0; 4]);
-    }
-
-    #[test]
-    fn clear_zeroes_everything() {
-        let mut f = FieldHierarchy::new(Hierarchy::new(2), 3);
-        f.far[1][0] = 1.0;
-        f.local[2][10] = 2.0;
-        f.clear();
-        assert!(f.far.iter().flatten().all(|&x| x == 0.0));
-        assert!(f.local.iter().flatten().all(|&x| x == 0.0));
+    fn instances_scale_every_level() {
+        let f = FieldHierarchy::instances(Hierarchy::new(2), 4, 3);
+        assert_eq!(f.far[2].len(), 64 * 3 * 4);
+        assert_eq!(f.local[1].len(), 8 * 3 * 4);
+        assert_eq!(f.len(), 3 * FieldHierarchy::new(Hierarchy::new(2), 4).len());
     }
 }

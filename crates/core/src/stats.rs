@@ -311,6 +311,23 @@ impl SpmdReport {
         "near",
     ];
 
+    /// Fold the report of another evaluation on the same workers into this
+    /// one, as a batch's requests are: phases, per-worker times and flops,
+    /// and ghost pairs summed; this report's partition kept.
+    pub fn merge(&mut self, other: &SpmdReport) {
+        self.phases.merge(&other.phases);
+        let sums = [
+            (&mut self.worker_busy_ns, &other.worker_busy_ns),
+            (&mut self.worker_wait_ns, &other.worker_wait_ns),
+            (&mut self.worker_flops, &other.worker_flops),
+        ];
+        for (mine, theirs) in sums {
+            debug_assert_eq!(mine.len(), theirs.len(), "reports of other worker counts");
+            mine.iter_mut().zip(theirs).for_each(|(a, b)| *a += b);
+        }
+        self.ghost_pairs += other.ghost_pairs;
+    }
+
     /// Max-over-mean imbalance of a per-worker measure: 0.0 means every
     /// worker carried exactly the mean, 1.0 means the slowest carried
     /// twice it. Returns 0.0 when the measure is empty or all-zero.
@@ -369,6 +386,37 @@ mod tests {
         b.add_flops(Phase::Eval, 20);
         a.merge(&b);
         assert_eq!(a.phase_flops(Phase::Eval), 30);
+    }
+
+    #[test]
+    fn spmd_merge_sums_per_phase_and_per_worker() {
+        let report = |x: u64, cut: u64| {
+            let mut phases = Counters::default();
+            phases.set_phase(3);
+            phases.add_messages(x);
+            SpmdReport {
+                workers: 2,
+                vu_dims: [2, 1, 1],
+                phases,
+                worker_busy_ns: vec![x, 2 * x],
+                worker_wait_ns: vec![3 * x, 4 * x],
+                worker_flops: vec![5 * x, 6 * x],
+                partition: Some(vec![0, cut]),
+                ghost_pairs: 7 * x,
+            }
+        };
+        let mut a = report(1, 10);
+        a.merge(&report(10, 20));
+        assert_eq!(a.phases[3].messages, 11);
+        assert_eq!(a.worker_busy_ns, [11, 22]);
+        assert_eq!(a.worker_wait_ns, [33, 44]);
+        assert_eq!(a.worker_flops, [55, 66]);
+        assert_eq!(a.ghost_pairs, 77);
+        assert_eq!(
+            a.partition,
+            Some(vec![0, 10]),
+            "the first partition is kept"
+        );
     }
 
     #[test]

@@ -23,10 +23,11 @@
 //! §5.5), so fewer, fuller calls are the speed.
 //!
 //! There is one body per sweep, [`upward_level`] and [`downward_level`],
-//! and both take a slice of hierarchies: `R` instances that share one plan
-//! and one translation set go through the same calls, their source rows
-//! gathered into one panel (the only copy of a source row left), with the
-//! source geometry computed once for all of them — the paper's
+//! and both take one hierarchy of `R` instances interleaved per box: the
+//! instances share one plan and one translation set and go through the
+//! same calls, each listed row being `R` rows `(s + i·K, c + i·K)` read
+//! and written where they lie, with the source geometry computed once for
+//! all of them — the paper's
 //! aggregation trick replayed across *requests*. A solo evaluation is the
 //! `R = 1` case. The GEMM microkernels compute every output row with
 //! per-row accumulators and an identical k-loop order whatever rows share
@@ -72,10 +73,9 @@ pub struct TraversalFlops {
     pub t2: u64,
     pub t3: u64,
     /// Elements copied within memory (the paper's "copying" overhead,
-    /// linear in K where the GEMMs are quadratic): the source rows
-    /// gathered into a panel where more than one instance shares a sweep,
-    /// and the downward sweep's scatter-add of every target row into its
-    /// level. One instance's sources are multiplied where they lie.
+    /// linear in K where the GEMMs are quadratic): the downward sweep's
+    /// scatter-add of every target row into its level. Every source row is
+    /// multiplied where it lies.
     pub copied: u64,
 }
 
@@ -95,61 +95,6 @@ pub enum Aggregation {
     Gemv,
     /// Panel-aggregated GEMMs (the paper's level-3-BLAS optimization).
     Gemm,
-}
-
-/// A slab's means of multiplying rows: `acc[c..c + k] += src[s..s + k] · M`
-/// for each `(s, c)` of a row list, for every instance, whose sources lie
-/// at the same offsets of its own level array and whose accumulator rows
-/// lie `k` apart. One instance's rows are multiplied where they lie; more
-/// are gathered into `panel` first.
-struct RowProducts {
-    agg: Aggregation,
-    kernel: Kernel,
-    k: usize,
-    /// Gathered sources, `R · k` per listed row (empty for one instance).
-    panel: Vec<f64>,
-    /// The `(panel, accumulator)` offsets of the gathered rows.
-    rows: Vec<(usize, usize)>,
-}
-
-impl RowProducts {
-    /// Room for `max_rows` listed rows of `r` instances.
-    fn new(agg: Aggregation, kernel: Kernel, k: usize, r: usize, max_rows: usize) -> Self {
-        let gathered = if r > 1 { max_rows * r } else { 0 };
-        RowProducts {
-            agg,
-            kernel,
-            k,
-            panel: vec![0.0; gathered * k],
-            rows: Vec::with_capacity(gathered),
-        }
-    }
-
-    /// The product over `rows` from the instances' levels `srcs` into
-    /// `acc`; returns the source rows it gathered.
-    fn add(
-        &mut self,
-        srcs: &[&[f64]],
-        rows: &[(usize, usize)],
-        m: &Matrix,
-        acc: &mut [f64],
-    ) -> u64 {
-        let (agg, kernel, k) = (self.agg, self.kernel, self.k);
-        if let [src] = srcs {
-            translate_rows(agg, kernel, k, src, rows, m, acc);
-            return 0;
-        }
-        self.rows.clear();
-        for (q, &(s, c)) in rows.iter().enumerate() {
-            for (i, src) in srcs.iter().enumerate() {
-                let at = (q * srcs.len() + i) * k;
-                self.panel[at..at + k].copy_from_slice(&src[s..s + k]);
-                self.rows.push((at, c + i * k));
-            }
-        }
-        translate_rows(agg, kernel, k, &self.panel, &self.rows, m, acc);
-        (rows.len() * srcs.len()) as u64
-    }
 }
 
 /// `acc[c..c + k] += a[s..s + k] · M` for each `(s, c)` of `rows`: one
@@ -181,6 +126,13 @@ fn translate_rows(
     }
 }
 
+/// Push the `r` instances' rows of one box pair, whose instance 0 rows
+/// start at `s` (source) and `c` (accumulator): `(s + i·k, c + i·k)`.
+#[inline]
+fn push_instances(rows: &mut Vec<(usize, usize)>, (k, r): (usize, usize), s: usize, c: usize) {
+    rows.extend((0..r).map(|i| (s + i * k, c + i * k)));
+}
+
 /// Upward pass: for levels l = depth−1 … 2 combine children's outer
 /// samples into parents' (T1), stopping at level 2 as the paper does.
 /// Nothing reads `far[1]`: T2 starts at level 2, whose supernode sources
@@ -201,7 +153,7 @@ pub fn upward_pass(
     debug_assert_eq!(plan.depth, depth);
     let mut flops = TraversalFlops::default();
     for l in (2..depth).rev() {
-        flops += upward_level(std::slice::from_mut(fh), ts, plan, l, agg);
+        flops += upward_level(fh, ts, plan, l, agg);
     }
     flops
 }
@@ -211,12 +163,13 @@ pub fn upward_pass(
 /// as many equal chunks as there are slabs), and the rows themselves.
 type Slab<R> = (usize, R);
 
-/// One parent level of the upward pass, for every instance of `fhs`:
+/// One parent level of the upward pass, for every instance of `fh`:
 /// combine the children at level `l + 1` into the parents at level `l`,
 /// which are overwritten. Per (panel, octant) one call reads every
-/// parent's child where it lies in the child level.
+/// parent's child where it lies in the child level and adds into the
+/// parent where it lies in its level.
 pub fn upward_level(
-    fhs: &mut [FieldHierarchy],
+    fh: &mut FieldHierarchy,
     ts: &TranslationSet,
     plan: &TraversalPlan,
     l: u32,
@@ -226,7 +179,7 @@ pub fn upward_level(
     let lvl = plan.level(l);
     let slabs = lvl.slab_groups(1);
     let slabs: Vec<_> = slabs.map(|(p0, p1)| (p0, &lvl.parents[p0..p1])).collect();
-    upward_sweep(fhs, ts, plan, l, agg, &slabs)
+    upward_sweep(fh, ts, plan, l, agg, &slabs)
 }
 
 /// [`upward_level`] restricted to the parents `parents` (box indices at
@@ -234,74 +187,60 @@ pub fn upward_level(
 /// bits the full-level sweep writes there. The SPMD backend's workers
 /// sweep the parents they own through this.
 pub fn upward_rows(
-    fhs: &mut [FieldHierarchy],
+    fh: &mut FieldHierarchy,
     ts: &TranslationSet,
     plan: &TraversalPlan,
     l: u32,
     agg: Aggregation,
     parents: &[u32],
 ) -> TraversalFlops {
-    upward_sweep(fhs, ts, plan, l, agg, &[(0, parents)])
+    upward_sweep(fh, ts, plan, l, agg, &[(0, parents)])
 }
 
 fn upward_sweep(
-    fhs: &mut [FieldHierarchy],
+    fh: &mut FieldHierarchy,
     ts: &TranslationSet,
     plan: &TraversalPlan,
     l: u32,
     agg: Aggregation,
     slabs: &[Slab<&[u32]>],
 ) -> TraversalFlops {
-    let r = fhs.len();
-    let k = fhs[0].k;
-    let kr = k * r; // one parent's rows, the instances' adjacent
+    let (k, r) = (fh.k, fh.r);
+    let kr = k * r; // one box's rows, the instances' adjacent
     let lvl = plan.level(l);
     let plane = lvl.plane();
-    let chunk = fhs[0].hierarchy.boxes_at_level(l) / slabs.len();
+    let chunk = fh.hierarchy.boxes_at_level(l) / slabs.len();
 
-    // Per instance: the child level to read, and the parent level cut
-    // into the chunks the slabs own.
-    let mut children: Vec<&[f64]> = Vec::with_capacity(r);
-    let mut outs: Vec<Vec<&mut [f64]>> = slabs.iter().map(|_| Vec::with_capacity(r)).collect();
-    for fh in fhs.iter_mut() {
-        let (lo, hi) = fh.far.split_at_mut(l as usize + 1);
-        children.push(&hi[0]);
-        for (slot, chunk) in outs.iter_mut().zip(lo[l as usize].chunks_mut(chunk * k)) {
-            slot.push(chunk);
-        }
-    }
+    // The child level to read, and the parent level cut into the chunks
+    // the slabs own.
+    let (lo, hi) = fh.far.split_at_mut(l as usize + 1);
+    let children = &hi[0][..];
+    let outs = lo[l as usize].par_chunks_mut(chunk * kr);
 
-    let slabs_outs = slabs.par_iter().zip(outs.par_iter_mut());
-    slabs_outs.for_each(|(&(base, parents), out)| {
-        // Panels of at most one parent plane (a full-level slab is one).
-        let cap = plane.min(parents.len());
-        let mut products = RowProducts::new(agg, plan.kernel, k, r, cap);
-        let mut acc = vec![0.0; cap * kr];
-        let mut rows = Vec::with_capacity(cap);
-        for panel in parents.chunks(plane) {
-            let acc = &mut acc[..panel.len() * kr];
-            acc.fill(0.0);
-            for (oct, t1) in ts.t1t.iter().enumerate() {
-                rows.clear();
-                let at = panel.iter().enumerate();
-                rows.extend(at.map(|(j, &pi)| (lvl.child(pi, oct) * k, j * kr)));
-                products.add(&children, &rows, t1, acc);
-            }
-            for (&pi, row) in panel.iter().zip(acc.chunks(kr)) {
-                let at = (pi as usize - base) * k;
-                for (o, row) in out.iter_mut().zip(row.chunks(k)) {
-                    o[at..at + k].copy_from_slice(row);
+    slabs
+        .par_iter()
+        .zip(outs)
+        .for_each(|(&(base, parents), out)| {
+            // Panels of at most one parent plane (a full-level slab is one).
+            let mut rows = Vec::with_capacity(plane.min(parents.len()) * r);
+            for panel in parents.chunks(plane) {
+                for &pi in panel {
+                    out[(pi as usize - base) * kr..][..kr].fill(0.0);
+                }
+                for (oct, t1) in ts.t1t.iter().enumerate() {
+                    rows.clear();
+                    for &pi in panel {
+                        let (s, c) = (lvl.child(pi, oct) * kr, (pi as usize - base) * kr);
+                        push_instances(&mut rows, (k, r), s, c);
+                    }
+                    translate_rows(agg, plan.kernel, k, children, &rows, t1, out);
                 }
             }
-        }
-    });
+        });
 
-    // One instance's children are read in place; more are gathered.
     let n_rows: usize = slabs.iter().map(|(_, parents)| parents.len()).sum();
-    let gathered = if r > 1 { n_rows * 8 * r } else { 0 };
     TraversalFlops {
-        t1: gemm_flops(n_rows, k, k) * 8 * r as u64,
-        copied: (gathered * k) as u64,
+        t1: gemm_flops(n_rows * r, k, k) * 8,
         ..TraversalFlops::default()
     }
 }
@@ -326,23 +265,22 @@ pub fn downward_pass(
     debug_assert_eq!(plan.depth, depth);
     let mut flops = TraversalFlops::default();
     for l in 2..=depth {
-        let one = std::slice::from_mut(fh);
-        flops += downward_level(one, ts, plan, supernodes, agg, l);
+        flops += downward_level(fh, ts, plan, supernodes, agg, l);
     }
     flops
 }
 
-/// One level of the downward pass, for every instance of `fhs`: T2
+/// One level of the downward pass, for every instance of `fh`: T2
 /// (interactive field) plus T3 (parent inner shift) into `local[l]`, which
 /// is zeroed first. The level is cut as the plan's `t2_blocking` says for
 /// the rule size, the instance count and the pool's thread count (at
 /// K = 12 whole parent planes a panel): slab groups of consecutive
 /// parent z-planes run in parallel, each walked in panels of consecutive
 /// parents per octant. Per panel every T2 matrix the level's schedule
-/// reaches is one call over the live rows of every octant that uses it,
-/// the same call for all instances.
+/// reaches is one call over the live rows of every octant and instance
+/// that uses it.
 pub fn downward_level(
-    fhs: &mut [FieldHierarchy],
+    fh: &mut FieldHierarchy,
     ts: &TranslationSet,
     plan: &TraversalPlan,
     supernodes: bool,
@@ -350,14 +288,14 @@ pub fn downward_level(
     l: u32,
 ) -> TraversalFlops {
     let threads = rayon::current_num_threads();
-    let blocking = plan.level(l - 1).t2_blocking(fhs[0].k, fhs.len(), threads);
-    downward_blocked(fhs, ts, plan, supernodes, agg, l, blocking)
+    let blocking = plan.level(l - 1).t2_blocking(fh.k, fh.r, threads);
+    downward_blocked(fh, ts, plan, supernodes, agg, l, blocking)
 }
 
 /// [`downward_level`] with an explicit blocking: every box is a target,
 /// along each octant the slab groups over the plan's parent list.
 fn downward_blocked(
-    fhs: &mut [FieldHierarchy],
+    fh: &mut FieldHierarchy,
     ts: &TranslationSet,
     plan: &TraversalPlan,
     supernodes: bool,
@@ -370,11 +308,11 @@ fn downward_blocked(
         .slab_groups(blocking.planes)
         .map(|(p0, p1)| (p0 * 8, [&lvl.parents[p0..p1]; 8]))
         .collect();
-    let flops = downward_sweep(fhs, ts, plan, supernodes, agg, l, blocking.panel, &slabs);
-    let (r, k) = (fhs.len(), fhs[0].k);
+    let flops = downward_sweep(fh, ts, plan, supernodes, agg, l, blocking.panel, &slabs);
+    let (r, k) = (fh.r, fh.k);
     debug_assert_eq!(flops.t2, lvl.t2_rows(supernodes) * gemm_flops(r, k, k));
-    // One instance copies only its scatter-add of every target row.
-    debug_assert!(r > 1 || flops.copied == (lvl.parents.len() * 8 * k) as u64);
+    // Only the scatter-add of every target row copies.
+    debug_assert_eq!(flops.copied, (lvl.parents.len() * 8 * r * k) as u64);
     flops
 }
 
@@ -384,7 +322,7 @@ fn downward_blocked(
 /// sweep writes there. The SPMD backend's workers sweep the boxes they
 /// own through this.
 pub fn downward_rows(
-    fhs: &mut [FieldHierarchy],
+    fh: &mut FieldHierarchy,
     ts: &TranslationSet,
     plan: &TraversalPlan,
     supernodes: bool,
@@ -394,8 +332,8 @@ pub fn downward_rows(
 ) -> TraversalFlops {
     let parents = octant_parents(l, boxes);
     let slab = [(0, std::array::from_fn(|oct| parents[oct].as_slice()))];
-    let panel = plan.level(l - 1).t2_blocking(fhs[0].k, fhs.len(), 1).panel;
-    downward_sweep(fhs, ts, plan, supernodes, agg, l, panel, &slab)
+    let panel = plan.level(l - 1).t2_blocking(fh.k, fh.r, 1).panel;
+    downward_sweep(fh, ts, plan, supernodes, agg, l, panel, &slab)
 }
 
 /// Per octant, the parents (at level `l − 1`) of those of `boxes` (at
@@ -480,25 +418,27 @@ fn stack_planes(blocks: &mut Vec<Block>) {
 
 /// Push the rows of step `st` of a matrix visit over the blocks of its
 /// octant's panel (parents of a level of `2^b` per axis) as `(source,
-/// accumulator)` element offsets: the source box's row in its level
-/// array (`shift` levels above the targets), and `acc + j·kr` for the
-/// panel's `j`-th parent. The step's live parents are a box; per block
-/// its intersection with that box is listed plane by plane and row by
-/// row, one x-run a row, whose sources lie 2 boxes apart (same level) or
-/// 1 (parent level). No parent is tested on its own.
+/// accumulator)` element offsets, for each of `r` instances: the source
+/// box's rows in its level array (`shift` levels above the targets), and
+/// `acc + j·kr` for the panel's `j`-th parent, `kr = k·r` a box's rows.
+/// The step's live parents are a box; per block its intersection with
+/// that box is listed plane by plane and row by row, one x-run a row,
+/// whose sources lie 2 boxes apart (same level) or 1 (parent level). No
+/// parent is tested on its own.
 fn push_rows(
     st: &LiveStep,
     shift: u8,
     b: u32,
     blocks: &[Block],
-    (k, acc, kr): (usize, usize, usize),
+    (k, r, acc): (usize, usize, usize),
     rows: &mut Vec<(usize, usize)>,
 ) {
     let live = st.live(1 << b);
     let up = u32::from(shift);
+    let kr = k * r;
     // Bits per axis of the source level, and x-neighbours' source
     // distance.
-    let (sb, step) = (b + 1 - up, (2 - up as usize) * k);
+    let (sb, step) = (b + 1 - up, (2 - up as usize) * kr);
     for bl in blocks {
         let lo: [usize; 3] = std::array::from_fn(|d| live[d][0].max(bl.lo[d]));
         let hi: [usize; 3] = std::array::from_fn(|d| live[d][1].min(bl.hi[d]));
@@ -511,29 +451,31 @@ fn push_rows(
             for y in lo[1]..=hi[1] {
                 // The base box of parent (lo_x, y, z) at the source level.
                 let base = (lo[0] + (y << sb) + (z << (2 * sb))) << (1 - up);
-                let s0 = base.wrapping_add_signed(st.delta as isize) * k;
+                let s0 = base.wrapping_add_signed(st.delta as isize) * kr;
                 let c0 = acc + (plane + (y - bl.lo[1]) * wx) * kr;
-                rows.extend((0..len).map(|x| (s0 + x * step, c0 + x * kr)));
+                for x in 0..len {
+                    push_instances(rows, (k, r), s0 + x * step, c0 + x * kr);
+                }
             }
         }
     }
 }
 
-/// The rows of matrix visit `v` of `schedule`, all its octants' panels
-/// cut into `blocks`, each octant's accumulator panel `panel` elements
-/// after the last (see [`push_rows`]).
+/// The rows of matrix visit `v` of `schedule` for `r` instances, all its
+/// octants' panels cut into `blocks`, each octant's accumulator panel
+/// `panel` elements after the last (see [`push_rows`]).
 fn list_visit(
     schedule: &LiveSchedule,
     v: &LiveVisit,
     b: u32,
     blocks: &[Vec<Block>; 8],
-    (k, panel, kr): (usize, usize, usize),
+    (k, r, panel): (usize, usize, usize),
     rows: &mut Vec<(usize, usize)>,
 ) {
     rows.clear();
     for st in schedule.steps_of(v) {
         let oct = usize::from(st.oct);
-        push_rows(st, v.shift, b, &blocks[oct], (k, oct * panel, kr), rows);
+        push_rows(st, v.shift, b, &blocks[oct], (k, r, oct * panel), rows);
     }
 }
 
@@ -551,16 +493,17 @@ fn panel_of<'a>(rows: &[&'a [u32]; 8], sub: usize, panel: usize) -> [&'a [u32]; 
 /// child along that octant is a target; the child's index is the
 /// parent's with the octant's bits spliced in (`LevelPlan::child`). A
 /// slab is walked in panels of `panel` parents per octant, each with an
-/// accumulator panel of its own, held parent-major (the `R` instances'
-/// rows of one parent adjacent).
+/// accumulator panel of its own, held parent-major like the levels (the
+/// `R` instances' rows of one parent adjacent).
 ///
 /// T3 runs into each octant's accumulator first. Then T2 follows the
 /// level's table (`LevelPlan::t2_live`): the shared matrix-stationary
 /// order without the steps the level cannot reach, which streams each T2
 /// matrix once for every octant that uses it. A visit, a run of
 /// consecutive steps with one `(shift, matrix)`, is one call over the
-/// live rows (source inside the domain) of all its octants, listed by
-/// [`push_rows`] from the panel's [`Block`]s. Each
+/// live rows (source inside the domain) of all its octants and instances,
+/// listed by [`push_rows`] from the panel's [`Block`]s and read where
+/// they lie in the level arrays. Each
 /// accumulator row appears at most once in a call and receives the
 /// sequence of products it would octant by octant, list by list. The
 /// GEMM computes each row independently of the others, and a dropped
@@ -569,7 +512,7 @@ fn panel_of<'a>(rows: &[&'a [u32]; 8], sub: usize, panel: usize) -> [&'a [u32]; 
 /// rows share a call.
 #[allow(clippy::too_many_arguments)]
 fn downward_sweep(
-    fhs: &mut [FieldHierarchy],
+    fh: &mut FieldHierarchy,
     ts: &TranslationSet,
     plan: &TraversalPlan,
     supernodes: bool,
@@ -578,8 +521,7 @@ fn downward_sweep(
     panel: usize,
     slabs: &[Slab<[&[u32]; 8]>],
 ) -> TraversalFlops {
-    let r = fhs.len();
-    let k = fhs[0].k;
+    let (k, r) = (fh.k, fh.r);
     let kr = k * r; // one parent's rows
     let l_parent = l - 1;
     let lvl = plan.level(l_parent);
@@ -588,109 +530,106 @@ fn downward_sweep(
     // setting (see `TranslationSet::build`).
     let families = [&ts.t2t, &ts.t2t_super];
     const OTHER_SETTING: &str = "translation set was built for the other supernode setting";
-    let chunk = fhs[0].hierarchy.boxes_at_level(l) / slabs.len();
+    let chunk = fh.hierarchy.boxes_at_level(l) / slabs.len();
     let apply_t3 = l >= 3; // local field is zero above level 2
-    let (live_rows, copied_rows) = (AtomicU64::new(0), AtomicU64::new(0));
+    let live_rows = AtomicU64::new(0);
 
-    // Per instance: outer samples by shift (`far[l]`, `far[l − 1]`), the
-    // parent level's inner samples, and the child level cut into the
-    // chunks the slabs own.
-    let mut far: [Vec<&[f64]>; 2] = [Vec::with_capacity(r), Vec::with_capacity(r)];
-    let mut local_parent: Vec<&[f64]> = Vec::with_capacity(r);
-    let mut outs: Vec<Vec<&mut [f64]>> = slabs.iter().map(|_| Vec::with_capacity(r)).collect();
-    for fh in fhs.iter_mut() {
-        let (lo, hi) = fh.local.split_at_mut(l as usize);
-        hi[0].fill(0.0);
-        far[0].push(&fh.far[l as usize]);
-        far[1].push(&fh.far[l_parent as usize]);
-        local_parent.push(&lo[l_parent as usize]);
-        for (slot, chunk) in outs.iter_mut().zip(hi[0].chunks_mut(chunk * k)) {
-            slot.push(chunk);
-        }
-    }
+    // Outer samples by shift (`far[l]`, `far[l − 1]`), the parent level's
+    // inner samples, and the child level cut into the chunks the slabs
+    // own.
+    let far = [&fh.far[l as usize][..], &fh.far[l_parent as usize][..]];
+    let (lo, hi) = fh.local.split_at_mut(l as usize);
+    let local_parent = &lo[l_parent as usize][..];
+    hi[0].fill(0.0);
+    let outs = hi[0].par_chunks_mut(chunk * kr);
 
-    let slabs_outs = slabs.par_iter().zip(outs.par_iter_mut());
-    slabs_outs.for_each(|(&(base, ref rows), out)| {
-        let longest = rows.iter().map(|p| p.len()).max().unwrap_or(0);
-        let cap = panel.min(longest);
-        let mut acc_panels = vec![0.0; 8 * cap * kr];
-        let mut products = RowProducts::new(agg, plan.kernel, k, r, 8 * cap);
-        let mut live = Vec::with_capacity(8 * cap);
-        let mut blocks: [Vec<Block>; 8] = Default::default();
-        let (mut n_live, mut n_copied) = (0u64, 0u64);
-        for sub in 0..longest.div_ceil(panel) {
-            // This panel's parents along each octant, none where an
-            // octant has no panel `sub`, and their blocks.
-            let panels = panel_of(rows, sub, panel);
-            for (parents, blocks) in panels.iter().zip(&mut blocks) {
-                blocks_of(parents, l_parent, blocks);
-            }
-
-            // ---- T3: parent inner → child inner -------------------
-            for (oct, &parents) in panels.iter().enumerate() {
-                let acc0 = oct * cap * kr;
-                acc_panels[acc0..acc0 + parents.len() * kr].fill(0.0);
-                if apply_t3 && !parents.is_empty() {
-                    live.clear();
-                    let at = parents.iter().enumerate();
-                    live.extend(at.map(|(j, &pi)| (pi as usize * k, acc0 + j * kr)));
-                    let t3 = &ts.t3t[oct];
-                    n_copied += products.add(&local_parent, &live, t3, &mut acc_panels);
+    slabs
+        .par_iter()
+        .zip(outs)
+        .for_each(|(&(base, ref rows), out)| {
+            let longest = rows.iter().map(|p| p.len()).max().unwrap_or(0);
+            let cap = panel.min(longest);
+            let mut acc_panels = vec![0.0; 8 * cap * kr];
+            let mut live = Vec::with_capacity(8 * cap * r);
+            let mut blocks: [Vec<Block>; 8] = Default::default();
+            let mut n_live = 0u64;
+            for sub in 0..longest.div_ceil(panel) {
+                // This panel's parents along each octant, none where an
+                // octant has no panel `sub`, and their blocks.
+                let panels = panel_of(rows, sub, panel);
+                for (parents, blocks) in panels.iter().zip(&mut blocks) {
+                    blocks_of(parents, l_parent, blocks);
                 }
-            }
 
-            // ---- T2: interactive field, one call per matrix visit ----
-            for visit in &schedule.visits {
-                list_visit(
-                    schedule,
-                    visit,
-                    l_parent,
-                    &blocks,
-                    (k, cap * kr, kr),
-                    &mut live,
-                );
-                if live.is_empty() {
-                    continue;
+                // ---- T3: parent inner → child inner -------------------
+                for (oct, &parents) in panels.iter().enumerate() {
+                    let acc0 = oct * cap * kr;
+                    acc_panels[acc0..acc0 + parents.len() * kr].fill(0.0);
+                    if apply_t3 && !parents.is_empty() {
+                        live.clear();
+                        for (j, &pi) in parents.iter().enumerate() {
+                            push_instances(&mut live, (k, r), pi as usize * kr, acc0 + j * kr);
+                        }
+                        let t3 = &ts.t3t[oct];
+                        translate_rows(
+                            agg,
+                            plan.kernel,
+                            k,
+                            local_parent,
+                            &live,
+                            t3,
+                            &mut acc_panels,
+                        );
+                    }
                 }
-                n_live += live.len() as u64;
-                let shift = usize::from(visit.shift);
-                let m = families[shift].get(usize::from(visit.matrix));
-                let m = m.and_then(Option::as_ref).expect(OTHER_SETTING);
-                n_copied += products.add(&far[shift], &live, m, &mut acc_panels);
-            }
 
-            // Scatter-add each parent's rows into its child, per instance.
-            let accs = acc_panels.chunks(cap * kr);
-            for (oct, (&parents, acc_panel)) in panels.iter().zip(accs).enumerate() {
-                for (i, o) in out.iter_mut().enumerate() {
+                // ---- T2: interactive field, one call per matrix visit ----
+                for visit in &schedule.visits {
+                    list_visit(
+                        schedule,
+                        visit,
+                        l_parent,
+                        &blocks,
+                        (k, r, cap * kr),
+                        &mut live,
+                    );
+                    if live.is_empty() {
+                        continue;
+                    }
+                    n_live += live.len() as u64;
+                    let shift = usize::from(visit.shift);
+                    let m = families[shift].get(usize::from(visit.matrix));
+                    let m = m.and_then(Option::as_ref).expect(OTHER_SETTING);
+                    translate_rows(agg, plan.kernel, k, far[shift], &live, m, &mut acc_panels);
+                }
+
+                // Scatter-add each parent's rows into its child.
+                let accs = acc_panels.chunks(cap * kr);
+                for (oct, (&parents, acc_panel)) in panels.iter().zip(accs).enumerate() {
                     for (rows, &pi) in acc_panel.chunks(kr).zip(parents) {
-                        let at = (lvl.child(pi, oct) - base) * k;
-                        for (dj, sj) in o[at..at + k].iter_mut().zip(&rows[i * k..]) {
+                        let at = (lvl.child(pi, oct) - base) * kr;
+                        for (dj, sj) in out[at..at + kr].iter_mut().zip(rows) {
                             *dj += sj;
                         }
                     }
                 }
             }
-        }
-        live_rows.fetch_add(n_live, Ordering::Relaxed);
-        copied_rows.fetch_add(n_copied, Ordering::Relaxed);
-    });
+            live_rows.fetch_add(n_live, Ordering::Relaxed);
+        });
 
-    // Exact counts: every multiplied row is a live T2 row or a T3 row;
-    // every source row gathered into a panel is copied once, and every
-    // target row is scattered once.
-    let n_rows: usize = slabs
+    // Exact counts: every multiplied row is a live T2 row or a T3 row,
+    // and every target row is scattered once.
+    let n_rows = r * slabs
         .iter()
         .flat_map(|(_, rows)| rows)
         .map(|p| p.len())
-        .sum();
-    let (live, n_rows) = (live_rows.into_inner() * r as u64, (n_rows * r) as u64);
+        .sum::<usize>();
     let t3_rows = if apply_t3 { n_rows } else { 0 };
     TraversalFlops {
         t1: 0,
-        t2: gemm_flops(live as usize, k, k),
-        t3: gemm_flops(t3_rows as usize, k, k),
-        copied: (copied_rows.into_inner() + n_rows) * k as u64,
+        t2: gemm_flops(live_rows.into_inner() as usize, k, k),
+        t3: gemm_flops(t3_rows, k, k),
+        copied: (n_rows * k) as u64,
     }
 }
 
@@ -725,6 +664,35 @@ mod tests {
                 .wrapping_add(1442695040888963407);
             *v = (state >> 11) as f64 / (1u64 << 53) as f64 - 0.5;
         }
+    }
+
+    /// The one-instance hierarchies `solo` interleaved into one of
+    /// `solo.len()` instances.
+    fn interleave(solo: &[FieldHierarchy]) -> FieldHierarchy {
+        let (k, r) = (solo[0].k, solo.len());
+        let mut fh = FieldHierarchy::instances(solo[0].hierarchy, k, r);
+        for (i, one) in solo.iter().enumerate() {
+            let levels = fh.far.iter_mut().chain(&mut fh.local);
+            for (dst, src) in levels.zip(one.far.iter().chain(&one.local)) {
+                for (b, row) in src.chunks(k).enumerate() {
+                    dst[(b * r + i) * k..][..k].copy_from_slice(row);
+                }
+            }
+        }
+        fh
+    }
+
+    /// Instance `i` of `fh` as a hierarchy of its own.
+    fn instance(fh: &FieldHierarchy, i: usize) -> FieldHierarchy {
+        let (k, r) = (fh.k, fh.r);
+        let mut one = FieldHierarchy::new(fh.hierarchy, k);
+        let levels = one.far.iter_mut().chain(&mut one.local);
+        for (dst, src) in levels.zip(fh.far.iter().chain(&fh.local)) {
+            for (b, row) in dst.chunks_mut(k).enumerate() {
+                row.copy_from_slice(&src[(b * r + i) * k..][..k]);
+            }
+        }
+        one
     }
 
     #[test]
@@ -813,32 +781,34 @@ mod tests {
 
     #[test]
     fn instances_share_panels_without_changing_bits() {
-        // Three instances through the one body, on one thread and with
-        // slabs split over three, against each instance swept alone.
+        // Three instances interleaved in one hierarchy through the one
+        // body, on one thread and with slabs split over three, against
+        // each instance swept alone.
         for supernodes in [false, true] {
-            let mut solo = Vec::new();
+            let (mut pristine, mut solo) = (Vec::new(), Vec::new());
             for seed in 0..3u64 {
                 let (mut fh, ts, plan) = small_setup(4, supernodes);
                 fill_pseudo(&mut fh);
                 fh.far[4].iter_mut().for_each(|v| *v *= 1.0 + seed as f64);
-                let pristine = fh.clone();
+                pristine.push(fh.clone());
                 upward_pass(&mut fh, &ts, &plan, Aggregation::Gemm, false);
                 downward_pass(&mut fh, &ts, &plan, supernodes, Aggregation::Gemm, false);
-                solo.push((pristine, fh));
+                solo.push(fh);
             }
             let (_, ts, plan) = small_setup(4, supernodes);
             for n in [1, 3] {
-                let mut fhs: Vec<FieldHierarchy> = solo.iter().map(|(p, _)| p.clone()).collect();
+                let mut fh = interleave(&pristine);
                 threads(n).install(|| {
                     for l in (2..4).rev() {
-                        upward_level(&mut fhs, &ts, &plan, l, Aggregation::Gemm);
+                        upward_level(&mut fh, &ts, &plan, l, Aggregation::Gemm);
                     }
                     for l in 2..=4 {
                         let agg = Aggregation::Gemm;
-                        downward_level(&mut fhs, &ts, &plan, supernodes, agg, l);
+                        downward_level(&mut fh, &ts, &plan, supernodes, agg, l);
                     }
                 });
-                for (got, (_, want)) in fhs.iter().zip(&solo) {
+                for (i, want) in solo.iter().enumerate() {
+                    let got = instance(&fh, i);
                     for l in 1..=4usize {
                         for (x, y) in got.far[l].iter().zip(&want.far[l]) {
                             assert_eq!(x.to_bits(), y.to_bits(), "far[{l}]");
@@ -889,15 +859,13 @@ mod tests {
                     if l < 4 {
                         let mut fh = full.clone();
                         fh.far[li].fill(SENTINEL);
-                        let one = std::slice::from_mut(&mut fh);
-                        let fl = upward_rows(one, &ts, &plan, l, agg, boxes);
+                        let fl = upward_rows(&mut fh, &ts, &plan, l, agg, boxes);
                         check(&fh.far[li], &full.far[li], SENTINEL, "far");
                         assert_eq!(fl.t1, gemm_flops(boxes.len(), 6, 6) * 8);
                     }
                     let mut fh = full.clone();
                     fh.local[li].fill(SENTINEL);
-                    let one = std::slice::from_mut(&mut fh);
-                    let fl = downward_rows(one, &ts, &plan, supernodes, agg, l, boxes);
+                    let fl = downward_rows(&mut fh, &ts, &plan, supernodes, agg, l, boxes);
                     // The level is zeroed first, as in the full sweep.
                     check(&fh.local[li], &full.local[li], 0.0, "local");
                     assert_eq!(fl.t3, gemm_flops(boxes.len(), 6, 6) * (l >= 3) as u64);
@@ -997,7 +965,7 @@ mod tests {
                     runs_of(parents, &mut runs[oct]);
                 }
                 for (v, visit) in table.visits.iter().zip(steps.chunk_by(same)) {
-                    list_visit(table, v, b, &blocks, (k, cap, k), &mut got);
+                    list_visit(table, v, b, &blocks, (k, 1, cap), &mut got);
                     want.clear();
                     for st in visit {
                         let oct = st.oct as usize;
@@ -1113,44 +1081,41 @@ mod tests {
         }
     }
 
-    /// The sweep before panels followed K: per parent plane, panels of one
-    /// parent row (`max(2^l, 8)` parents), instance-major, out-of-domain
-    /// sources zero-filled, one dense GEMM per (panel, octant, offset),
-    /// octant after octant, each octant's lists in their own order. Box
-    /// geometry comes from `BoxCoord`, not from the plan.
+    /// The sweep before panels followed K, on one instance: per parent
+    /// plane, panels of one parent row (`max(2^l, 8)` parents),
+    /// out-of-domain sources zero-filled, one dense GEMM per (panel,
+    /// octant, offset), octant after octant, each octant's lists in their
+    /// own order. Box geometry comes from `BoxCoord`, not from the plan.
     fn reference_level(
-        fhs: &mut [FieldHierarchy],
+        fh: &mut FieldHierarchy,
         ts: &TranslationSet,
         plan: &TraversalPlan,
         supernodes: bool,
         l: u32,
     ) {
-        let (r, k, li) = (fhs.len(), fhs[0].k, l as usize);
+        assert_eq!(fh.r, 1, "the reference sweeps one instance");
+        let (k, li) = (fh.k, l as usize);
         let families = [&ts.t2t, &ts.t2t_super];
         let lp = l - 1;
-        for fh in fhs.iter_mut() {
-            fh.local[li].fill(0.0);
-        }
+        fh.local[li].fill(0.0);
         let all: Vec<u32> = (0..1 << (3 * lp)).collect();
         for plane in all.chunks(1 << (2 * lp)) {
             for parents in plane.chunks((1 << lp).max(8)) {
                 let np = parents.len();
                 let gemm = |src: &[f64], m: &Matrix, acc: &mut [f64]| {
-                    gemm_acc_with(plan.kernel, r * np, k, k, src, m.as_slice(), acc)
+                    gemm_acc_with(plan.kernel, np, k, k, src, m.as_slice(), acc)
                 };
                 for (oct, op) in plan.octants.iter().enumerate() {
                     let kids: Vec<BoxCoord> = parents
                         .iter()
                         .map(|&pi| BoxCoord::from_index(lp, pi as usize).child(oct))
                         .collect();
-                    let mut src = vec![0.0; r * np * k];
-                    let mut acc = vec![0.0; r * np * k];
+                    let mut src = vec![0.0; np * k];
+                    let mut acc = vec![0.0; np * k];
                     if l >= 3 {
-                        for (i, fh) in fhs.iter().enumerate() {
-                            for (j, &pi) in parents.iter().enumerate() {
-                                let row = &fh.local[li - 1][pi as usize * k..][..k];
-                                src[(i * np + j) * k..][..k].copy_from_slice(row);
-                            }
+                        for (j, &pi) in parents.iter().enumerate() {
+                            let row = &fh.local[li - 1][pi as usize * k..][..k];
+                            src[j * k..][..k].copy_from_slice(row);
                         }
                         gemm(&src, &ts.t3t[oct], &mut acc);
                     }
@@ -1160,28 +1125,24 @@ mod tests {
                         let axis = 1i32 << sl;
                         for (&off, &m) in offsets.iter().zip(idx) {
                             let m = families[shift][m as usize].as_ref().unwrap();
-                            for (i, fh) in fhs.iter().enumerate() {
-                                for (j, kid) in kids.iter().enumerate() {
-                                    let c = [kid.x, kid.y, kid.z].map(|x| (x >> shift) as i32);
-                                    let s = [0, 1, 2].map(|d| c[d] + off[d]);
-                                    let dst = &mut src[(i * np + j) * k..][..k];
-                                    if s.iter().all(|x| (0..axis).contains(x)) {
-                                        let si = ((s[2] * axis + s[1]) * axis + s[0]) as usize;
-                                        dst.copy_from_slice(&fh.far[sl][si * k..][..k]);
-                                    } else {
-                                        dst.fill(0.0);
-                                    }
+                            for (j, kid) in kids.iter().enumerate() {
+                                let c = [kid.x, kid.y, kid.z].map(|x| (x >> shift) as i32);
+                                let s = [0, 1, 2].map(|d| c[d] + off[d]);
+                                let dst = &mut src[j * k..][..k];
+                                if s.iter().all(|x| (0..axis).contains(x)) {
+                                    let si = ((s[2] * axis + s[1]) * axis + s[0]) as usize;
+                                    dst.copy_from_slice(&fh.far[sl][si * k..][..k]);
+                                } else {
+                                    dst.fill(0.0);
                                 }
                             }
                             gemm(&src, m, &mut acc);
                         }
                     }
-                    for (i, fh) in fhs.iter_mut().enumerate() {
-                        for (j, kid) in kids.iter().enumerate() {
-                            let dst = fh.local[li][kid.index() * k..][..k].iter_mut();
-                            for (d, s) in dst.zip(&acc[(i * np + j) * k..][..k]) {
-                                *d += s;
-                            }
+                    for (j, kid) in kids.iter().enumerate() {
+                        let dst = fh.local[li][kid.index() * k..][..k].iter_mut();
+                        for (d, s) in dst.zip(&acc[j * k..][..k]) {
+                            *d += s;
                         }
                     }
                 }
@@ -1191,9 +1152,10 @@ mod tests {
 
     /// `downward_level` — with the blocking of a one- and a three-thread
     /// pool, and with every blocking `extra` lists — and `downward_rows`
-    /// on a scattered box subset, against [`reference_level`], bit for
-    /// bit, on every kernel tier, with supernodes on and off, for one and
-    /// three instances. Level by level from the reference's own inputs.
+    /// on a scattered box subset, against [`reference_level`] of each
+    /// instance alone, bit for bit, on every kernel tier, with supernodes
+    /// on and off, for one and three instances interleaved in one
+    /// hierarchy. Level by level from the reference's own inputs.
     fn assert_blocked_sweep_is_reference(order: usize, depth: u32, extra: &[T2Blocking]) {
         let rule = SphereRule::for_order(order);
         let k = rule.len();
@@ -1215,8 +1177,10 @@ mod tests {
                         .collect();
                     for l in 2..=depth {
                         let li = l as usize;
-                        let input = want.clone();
-                        reference_level(&mut want, &ts, &plan, supernodes, l);
+                        let input = interleave(&want);
+                        for fh in &mut want {
+                            reference_level(fh, &ts, &plan, supernodes, l);
+                        }
                         let pool = [(1, None), (3, None)].into_iter();
                         let runs = pool.chain(extra.iter().map(|&b| (3, Some(b))));
                         for (n, blocking) in runs {
@@ -1230,7 +1194,8 @@ mod tests {
                             });
                             let rows = plan.level(l - 1).t2_rows(supernodes);
                             assert_eq!(fl.t2, rows * gemm_flops(r, k, k));
-                            for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                            for (i, w) in want.iter().enumerate() {
+                                let g = instance(&got, i);
                                 for (x, y) in g.local[li].iter().zip(&w.local[li]) {
                                     assert_eq!(
                                         x.to_bits(),
@@ -1247,7 +1212,8 @@ mod tests {
                         let mut got = input.clone();
                         let agg = Aggregation::Gemm;
                         downward_rows(&mut got, &ts, &plan, supernodes, agg, l, &boxes);
-                        for (i, (g, w)) in got.iter().zip(&want).enumerate() {
+                        for (i, w) in want.iter().enumerate() {
+                            let g = instance(&got, i);
                             let rows = g.local[li].chunks(k).zip(w.local[li].chunks(k));
                             for (b, (g, w)) in rows.enumerate() {
                                 let target = boxes.contains(&(b as u32));

@@ -310,3 +310,39 @@ fn instances_share_one_set_and_one_plan_per_depth() {
     mixed.evaluate(&p, &q).unwrap();
     assert_eq!(registry.stats().plan_builds, 1);
 }
+
+/// A batch multiplies and copies exactly what its requests do alone: every
+/// source row is read where it lies, so the only copy left is the
+/// scatter-add of every target row, which sums over instances.
+#[test]
+fn batch_traversal_counts_are_the_sum_of_solo_counts() {
+    for executor in [Executor::Serial, Executor::Rayon] {
+        for depth in [2u32, 3] {
+            let fmm = Fmm::new(FmmConfig::order(5).depth(depth).executor(executor)).unwrap();
+            for r in [2usize, 3, 8] {
+                let systems: Vec<_> = (0..r)
+                    .map(|i| system(200 + 30 * i, 70 + i as u64))
+                    .collect();
+                let requests: Vec<BatchRequest> = systems
+                    .iter()
+                    .map(|(p, q)| BatchRequest {
+                        positions: p,
+                        charges: q,
+                    })
+                    .collect();
+                for with_fields in [false, true] {
+                    let batch = fmm.evaluate_requests(&requests, with_fields).unwrap();
+                    let mut want = fmm_core::traversal::TraversalFlops::default();
+                    for q in &requests {
+                        let solo = fmm.evaluate_requests(&[*q], with_fields).unwrap();
+                        want += solo.traversal_flops;
+                    }
+                    assert_eq!(
+                        batch.traversal_flops, want,
+                        "{executor:?} depth {depth} R={r} forces={with_fields}"
+                    );
+                }
+            }
+        }
+    }
+}

@@ -360,9 +360,8 @@ impl Worker<'_> {
         for l in (2..sh.depth).rev() {
             self.exchange_for(steps, l);
             let parents = self.own.owned(self.ctx.rank, l);
-            let one = std::slice::from_mut(&mut self.fh);
             let ts = sh.fmm.translations();
-            let fl = upward_rows(one, ts, sh.plan, l, Aggregation::Gemm, &parents);
+            let fl = upward_rows(&mut self.fh, ts, sh.plan, l, Aggregation::Gemm, &parents);
             self.ctx.counters.add_local_words(fl.copied);
             self.out.traversal_flops += fl.t1;
         }
@@ -378,9 +377,16 @@ impl Worker<'_> {
         for l in 2..=sh.depth {
             self.exchange_for(steps, l);
             let boxes = self.own.owned(self.ctx.rank, l);
-            let one = std::slice::from_mut(&mut self.fh);
             let ts = sh.fmm.translations();
-            let fl = downward_rows(one, ts, sh.plan, supernodes, Aggregation::Gemm, l, &boxes);
+            let fl = downward_rows(
+                &mut self.fh,
+                ts,
+                sh.plan,
+                supernodes,
+                Aggregation::Gemm,
+                l,
+                &boxes,
+            );
             self.ctx.counters.add_local_words(fl.copied);
             self.out.traversal_flops += fl.t2 + fl.t3;
         }

@@ -334,3 +334,63 @@ fn forced_kernels_bitwise_across_all_executors() {
         }
     }
 }
+
+/// An SPMD batch keeps the batch contract: its report is the merge of its
+/// requests' solo reports (the deterministic parts exactly, the times
+/// per worker), and a batch whose requests resolve to different depths
+/// is refused as on the shared-memory executors.
+#[test]
+fn spmd_batches_merge_reports_and_refuse_mixed_depths() {
+    use fmm_core::{BatchRequest, FmmError};
+    fmm_spmd::install();
+    let fmm = Fmm::new(config(3, Executor::spmd(2))).unwrap();
+    let systems = [pseudo_system(600, 11), pseudo_system(500, 12)];
+    let requests: Vec<BatchRequest> = systems
+        .iter()
+        .map(|(p, q)| BatchRequest {
+            positions: p,
+            charges: q,
+        })
+        .collect();
+    let batch = fmm.evaluate_requests(&requests, false).unwrap();
+    let got = batch.spmd.expect("an SPMD batch reports");
+    let mut want = fmm
+        .evaluate_requests(&requests[..1], false)
+        .unwrap()
+        .spmd
+        .unwrap();
+    want.merge(
+        &fmm.evaluate_requests(&requests[1..], false)
+            .unwrap()
+            .spmd
+            .unwrap(),
+    );
+    assert_eq!(got.phases, want.phases);
+    assert_eq!(got.worker_flops, want.worker_flops);
+    assert_eq!(got.ghost_pairs, want.ghost_pairs);
+    assert_eq!(got.partition, want.partition);
+    assert_eq!((got.workers, got.vu_dims), (want.workers, want.vu_dims));
+    assert_eq!(got.worker_busy_ns.len(), 2);
+    assert_eq!(got.worker_wait_ns.len(), 2);
+
+    let auto = FmmConfig::order(3)
+        .auto_depth(8.0)
+        .executor(Executor::spmd(2));
+    let fmm = Fmm::new(auto).unwrap();
+    let (small, large) = (pseudo_system(64, 13), pseudo_system(4000, 14));
+    let mixed = [
+        BatchRequest {
+            positions: &small.0,
+            charges: &small.1,
+        },
+        BatchRequest {
+            positions: &large.0,
+            charges: &large.1,
+        },
+    ];
+    let err = fmm.evaluate_requests(&mixed, false).unwrap_err();
+    assert!(
+        matches!(err, FmmError::BadInput(ref s) if s.contains("depth-homogeneous")),
+        "{err:?}"
+    );
+}
