@@ -12,7 +12,7 @@ use crate::registry::{PlanKey, PlanRegistry, TranslationKey};
 use crate::serially;
 use crate::stats::{Phase, Profile, SpmdReport};
 use crate::translations::TranslationSet;
-use crate::traversal::{downward_level, upward_level, Aggregation, TraversalFlops};
+use crate::traversal::{downward_pass, upward_pass, Aggregation, TraversalFlops};
 use fmm_sphere::{inner_kernel_row, inner_kernel_row_with_grad, norm, SphereRule};
 use fmm_tree::{BoxCoord, Domain, Hierarchy};
 use rayon::prelude::*;
@@ -251,26 +251,13 @@ impl Fmm {
             bps.push(bp);
         }
 
-        // Step 2: upward pass, all requests per level, down to level 2
-        // like `upward_pass`.
-        let ts = &self.translations;
-        let mut tflops = profile.time(Phase::Upward, || {
-            let mut acc = TraversalFlops::default();
-            for l in (2..depth).rev() {
-                acc += upward_level(&mut fh, ts, plan, l, Aggregation::Gemm);
-            }
-            acc
-        });
-
-        // Step 3: downward pass (T2 + T3 are timed together; the
+        // Step 2: upward pass, all requests per level, down to level 2;
+        // step 3: downward pass (T2 + T3 are timed together; the
         // interactive field dominates, as in the paper).
+        let (ts, agg) = (&self.translations, Aggregation::Gemm);
+        let mut tflops = profile.time(Phase::Upward, || upward_pass(&mut fh, ts, plan, agg, true));
         tflops += profile.time(Phase::Interactive, || {
-            let mut acc = TraversalFlops::default();
-            for l in 2..=depth {
-                let agg = Aggregation::Gemm;
-                acc += downward_level(&mut fh, ts, plan, self.cfg.supernodes, agg, l);
-            }
-            acc
+            downward_pass(&mut fh, ts, plan, self.cfg.supernodes, agg, true)
         });
         profile.add_flops(Phase::Upward, tflops.t1);
         profile.add_flops(Phase::Interactive, tflops.t2);
