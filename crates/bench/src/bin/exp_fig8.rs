@@ -9,7 +9,7 @@
 
 use fmm_bench::machine::cost::CostModel;
 use fmm_bench::machine::replication::{precompute_cost, ReplicationStrategy};
-use fmm_bench::util::{header, measured_build_table};
+use fmm_bench::util::{header, measured_build_table, BuildCounts};
 use fmm_core::TranslationSet;
 
 fn main() {
@@ -72,7 +72,13 @@ fn main() {
     );
     measured_build_table(16, |rule, m| {
         let (t1t, t3t, built) = TranslationSet::build_t1_t3(rule, m, 1.6, 1.0);
-        (built, t1t.len() + t3t.len() - built)
+        let stored = t1t.len() + t3t.len();
+        BuildCounts {
+            built,
+            stored,
+            mirrored: 0,
+            bytes: stored * rule.len() * rule.len() * std::mem::size_of::<f64>(),
+        }
     });
     println!(
         "\nPaper: parallel-compute+replicate costs 66%→24% of the all-redundant\n\

@@ -50,23 +50,24 @@ pub fn peak_gemm_gflops() -> f64 {
 /// to the CM-5E model's time for `model_matrices` on one VU (the paper's
 /// "all-redundant" strategy, Figs. 8–9), for the paper's K = 12, 50, 72 and
 /// this repo's headline K = 120. `build(rule, m)` builds the matrices and
-/// returns how many it evaluated from the series and how many it derived
-/// from a mirror image. The build runs on the thread pool, so the one-core
+/// returns its [`BuildCounts`]. The build runs on the thread pool, so the one-core
 /// time is taken inside [`fmm_core::serially`]; the pool column is the
 /// same build on every pool thread. Each is the best of three calls.
 pub fn measured_build_table(
     model_matrices: usize,
-    build: impl Fn(&fmm_core::SphereRule, usize) -> (usize, usize),
+    build: impl Fn(&fmm_core::SphereRule, usize) -> BuildCounts,
 ) {
     use crate::machine::replication::{precompute_cost, ReplicationStrategy};
     use fmm_core::translations::matrix_build_flops;
     let cost = crate::machine::cost::CostModel::cm5e();
     println!(
-        "{:>4} {:>3} {:>6} {:>8} {:>12} {:>10} {:>12} {:>14} {:>12}",
+        "{:>4} {:>3} {:>6} {:>7} {:>8} {:>10} {:>12} {:>10} {:>12} {:>14} {:>12}",
         "K",
         "M",
         "built",
-        "derived",
+        "stored",
+        "mirrored",
+        "stored MB",
         "build",
         "ns/entry",
         "flops/entry",
@@ -76,18 +77,20 @@ pub fn measured_build_table(
     for (d, m) in [(5usize, 3usize), (9, 5), (11, 8), (14, 8)] {
         let rule = fmm_core::SphereRule::for_order(d);
         let k = rule.len();
-        let (t, (built, derived)) = fmm_core::serially(|| best_of(3, || build(&rule, m)));
+        let (t, counts) = fmm_core::serially(|| best_of(3, || build(&rule, m)));
         let (t_pool, _) = best_of(3, || build(&rule, m));
         let strategy = ReplicationStrategy::ComputeAllRedundant;
         let model = precompute_cost(model_matrices, k, m, 1, strategy, 0, &cost);
         println!(
-            "{:>4} {:>3} {:>6} {:>8} {:>10.3}ms {:>10.2} {:>12} {:>12.1}ms {:>10.3}ms",
+            "{:>4} {:>3} {:>6} {:>7} {:>8} {:>10.2} {:>10.3}ms {:>10.2} {:>12} {:>12.1}ms {:>10.3}ms",
             k,
             m,
-            built,
-            derived,
+            counts.built,
+            counts.stored,
+            counts.mirrored,
+            counts.bytes as f64 / 1e6,
             t * 1e3,
-            t * 1e9 / (built * k * k) as f64,
+            t * 1e9 / (counts.built * k * k) as f64,
             matrix_build_flops(k, m) / (k * k) as u64,
             model.total_s() * 1e3,
             t_pool * 1e3
@@ -95,11 +98,23 @@ pub fn measured_build_table(
     }
     println!(
         "(build and ns/entry on one core; ns/entry over the built matrices\n\
-         only, the derived ones' permuted copies included in the time;\n\
-         flops/entry is `matrix_build_flops`, 7 per series term + 10: the\n\
-         build runs at flops/entry ÷ ns/entry Gflop/s, bounded by one divide\n\
-         per term. pool: the same build on every pool thread.)"
+         only, the written-out mirror copies included in the time; stored:\n\
+         matrices held, built or written out; mirrored: keys served through\n\
+         a mirror of a stored matrix, which hold nothing; flops/entry is\n\
+         `matrix_build_flops`, 7 per series term + 10: the build runs at\n\
+         flops/entry ÷ ns/entry Gflop/s, bounded by one divide per term.\n\
+         pool: the same build on every pool thread.)"
     );
+}
+
+/// What [`measured_build_table`] reports of one build: matrices evaluated
+/// from the series, matrices held, keys served through a mirror of a held
+/// matrix, and the bytes held.
+pub struct BuildCounts {
+    pub built: usize,
+    pub stored: usize,
+    pub mirrored: usize,
+    pub bytes: usize,
 }
 
 /// RMS-relative error and implied digits.

@@ -10,7 +10,7 @@ use fmm_bench::machine::ghost::{fetch, ghost_extents, FetchStrategy};
 use fmm_bench::machine::grid::DistGrid;
 use fmm_core::field::FieldHierarchy;
 use fmm_core::plan::TraversalPlan;
-use fmm_core::translations::TranslationSet;
+use fmm_core::translations::{T2View, TranslationSet};
 use fmm_core::traversal::{downward_pass, upward_pass, Aggregation};
 use fmm_core::SphereRule;
 use fmm_machine::program::GHOST_DEPTH;
@@ -95,14 +95,7 @@ fn simulated_ghost_fetch_supports_exact_t2() {
                     let src =
                         ((e[2] as usize * ext[1] + e[1] as usize) * ext[0] + e[0] as usize) * k;
                     let g = &ghost[src..src + k];
-                    let m = ts.t2(off).expect("interactive offset");
-                    for j in 0..k {
-                        let mut v = 0.0;
-                        for i in 0..k {
-                            v += g[i] * m[(i, j)];
-                        }
-                        acc[j] += v;
-                    }
+                    add_product(&mut acc, g, ts.t2(off).expect("interactive offset"));
                 }
                 if !all_in_buffer {
                     continue;
@@ -113,14 +106,7 @@ fn simulated_ghost_fetch_supports_exact_t2() {
                 for off in interactive_field_offsets(oct) {
                     if let Some(s) = t.offset(off) {
                         let g = &fh.far[depth as usize][s.index() * k..(s.index() + 1) * k];
-                        let m = ts.t2(off).unwrap();
-                        for j in 0..k {
-                            let mut v = 0.0;
-                            for i in 0..k {
-                                v += g[i] * m[(i, j)];
-                            }
-                            truth[j] += v;
-                        }
+                        add_product(&mut truth, g, ts.t2(off).unwrap());
                     }
                 }
                 for (a, b) in acc.iter().zip(&truth) {
@@ -163,5 +149,16 @@ fn all_fetch_strategies_equivalent_on_fmm_data() {
     for i in 0..a.len() {
         assert_eq!(a[i], b[i]);
         assert_eq!(a[i], c[i]);
+    }
+}
+
+/// `out += g · M` for a served T2 matrix, one column at a time.
+fn add_product(out: &mut [f64], g: &[f64], m: T2View<'_>) {
+    for (j, o) in out.iter_mut().enumerate() {
+        *o += g
+            .iter()
+            .enumerate()
+            .map(|(i, gi)| gi * m.get(i, j))
+            .sum::<f64>();
     }
 }

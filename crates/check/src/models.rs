@@ -72,15 +72,7 @@ fn set_key() -> TranslationKey {
 /// tenant observes that one plan and that one set.
 pub fn registry_build_once(threads: usize, opts: &Options) -> ModelReport {
     let plan = Arc::new(TraversalPlan::with_kernel(2, Kernel::Scalar));
-    let set = Arc::new(TranslationSet {
-        k: 0,
-        t1t: Vec::new(),
-        t3t: Vec::new(),
-        t2t: Vec::new(),
-        t2t_super: Vec::new(),
-        built_t1t3: 0,
-        built_t2: 0,
-    });
+    let set = Arc::new(TranslationSet::default());
     let result = explore(opts, move || {
         let reg = Arc::new(PlanRegistry::new(4));
         let plan_builds = Arc::new(AtomicUsize::new(0));

@@ -21,9 +21,9 @@
 //! traversal's index structure.
 
 use crate::near::ColorSchedule;
-use crate::translations::TranslationSet;
+use crate::translations::{Served, TranslationSet};
 use fmm_linalg::Kernel;
-use fmm_tree::{interactive_field_offsets, supernode_decomposition, Separation, SEPARATION};
+use fmm_tree::{interactive_field_offsets, supernode_decomposition, Separation};
 use std::sync::OnceLock;
 
 /// Parents per T2 panel, at least, where the panel follows the matrix
@@ -339,7 +339,7 @@ impl LiveStep {
     }
 }
 
-/// A run of consecutive steps of one `(shift, matrix)`, their octants
+/// The steps of one `(shift, matrix)`, consecutive, their octants
 /// ascending: one T2 call of the downward sweep.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub(crate) struct LiveVisit {
@@ -350,17 +350,25 @@ pub(crate) struct LiveVisit {
     pub(crate) matrix: u16,
 }
 
+/// Slots of [`LiveSchedule`]'s visit index: the T2 cube's 11³, then the
+/// supernode cube's 10³.
+const KEY_SLOTS: usize = 11 * 11 * 11 + 10 * 10 * 10;
+
 /// A level's T2 schedule under one supernode setting, in the form the
 /// downward sweep lists rows from: the shared order
 /// ([`TraversalPlan::t2_schedule`]) without the steps that reach no
 /// source inside the domain from any box of the level (only the children
-/// of level 1 lose any), each step at that level, and the visits that cut
-/// the steps into matrix visits. Eight bytes a step, six a visit: 74 KB
-/// for the 7,000 plain steps of level 2 and deeper.
+/// of level 1 lose any), each step at that level, the visits that cut the
+/// steps into one per matrix, and per matrix key its visit. Eight bytes a
+/// step, six a visit, two a key slot: 68 KB for the 7,000 plain steps of
+/// level 2 and deeper.
 #[derive(Debug)]
 pub(crate) struct LiveSchedule {
     steps: Vec<LiveStep>,
     pub(crate) visits: Vec<LiveVisit>,
+    /// Per key slot (`shift · 11³ + matrix`), the index of its visit in
+    /// `visits`, `u16::MAX` where no box of the level reaches it.
+    visit_of: Vec<u16>,
     /// T2 rows with an in-domain source over the child level: per step,
     /// the product over the three axes of its live parents.
     rows: u64,
@@ -378,10 +386,10 @@ impl LiveSchedule {
                 .iter()
                 .map(|[lo, hi]| (hi + 1 - lo) as u64)
                 .product::<u64>();
-            // A visit runs on while the matrix holds and the octants ascend.
-            let ascends = steps.last().is_some_and(|p| p.oct < s.oct);
+            // The shared order is key-major: a visit runs on while the
+            // matrix holds.
             match visits.last_mut() {
-                Some(v) if ascends && (v.shift, v.matrix) == (s.shift, s.matrix) => v.len += 1,
+                Some(v) if (v.shift, v.matrix) == (s.shift, s.matrix) => v.len += 1,
                 _ => visits.push(LiveVisit {
                     first: u16::try_from(steps.len()).expect("a schedule has under 65,536 steps"),
                     len: 1,
@@ -391,9 +399,14 @@ impl LiveSchedule {
             }
             steps.push(s.at_level(b));
         }
+        let mut visit_of = vec![u16::MAX; KEY_SLOTS];
+        for (i, v) in visits.iter().enumerate() {
+            visit_of[key_slot(v.shift, v.matrix)] = i as u16;
+        }
         LiveSchedule {
             steps,
             visits,
+            visit_of,
             rows,
         }
     }
@@ -403,6 +416,38 @@ impl LiveSchedule {
     pub(crate) fn steps_of(&self, v: &LiveVisit) -> &[LiveStep] {
         &self.steps[usize::from(v.first)..][..usize::from(v.len)]
     }
+
+    /// The visit of matrix `matrix` of the `shift` family, if a box of the
+    /// level reaches it.
+    #[inline]
+    pub(crate) fn visit(&self, shift: u8, matrix: u16) -> Option<&LiveVisit> {
+        let i = self.visit_of[key_slot(shift, matrix)];
+        self.visits.get(usize::from(i))
+    }
+
+    /// The level's visits in the order the downward sweep runs them under
+    /// the set `ts`, each with the point order it is read through and how
+    /// `ts` serves its matrix: the set's groups ([`TranslationSet::t2_groups`],
+    /// the identity first), in each the keys the level reaches.
+    pub(crate) fn in_groups<'a>(
+        &'a self,
+        ts: &'a TranslationSet,
+    ) -> impl Iterator<Item = (&'a LiveVisit, Served)> + 'a {
+        const OTHER_SETTING: &str = "translation set was built for the other supernode setting";
+        let families = [&ts.t2t, &ts.t2t_super];
+        let keys = ts.t2_groups.iter().flatten();
+        keys.filter_map(move |&(shift, matrix)| {
+            let visit = self.visit(shift, matrix)?;
+            let served = families[usize::from(shift)].get(usize::from(matrix));
+            Some((visit, served.copied().flatten().expect(OTHER_SETTING)))
+        })
+    }
+}
+
+/// The slot of a `(shift, matrix)` key in [`LiveSchedule`]'s visit index.
+#[inline]
+fn key_slot(shift: u8, matrix: u16) -> usize {
+    usize::from(shift) * 11 * 11 * 11 + usize::from(matrix)
 }
 
 /// Per parent level 1..=9 (a hierarchy is at most 10 levels deep) and
@@ -427,10 +472,10 @@ pub struct TraversalPlan {
     pub octants: &'static [OctantPlan; 8],
     /// Parent levels 1..depth, indexed by `parent_level − 1`.
     pub levels: Vec<LevelPlan>,
-    /// The order in which the downward sweep applies every octant's T2
-    /// lists to one panel, index 0 without supernodes and 1 with them:
-    /// see [`t2_order`]. It depends on neither the depth nor the
-    /// kernel, so every plan shares the one the first plan built.
+    /// Every octant's T2 steps of one panel, grouped by matrix, index 0
+    /// without supernodes and 1 with them: see [`t2_order`]. It depends
+    /// on neither the depth nor the kernel, so every plan shares the one
+    /// the first plan built.
     pub(crate) t2_schedule: &'static [Vec<T2Step>; 2],
     /// The leaf level the near field runs at; its colours, the z mod 3
     /// planes, follow from it (kept for `benchmark/`, ROADMAP item 1).
@@ -509,75 +554,29 @@ fn t2_schedules() -> &'static [Vec<T2Step>; 2] {
     T2_SCHEDULES.get_or_init(|| t2_order(octant_plans()))
 }
 
-/// The downward sweep's T2 order for one panel under both supernode
-/// settings, built in one pass. First every octant's parent-level list,
-/// octant by octant, each in its own order; then the same-level lists
-/// interleaved, so that each matrix meets every octant that uses it back
-/// to back. A same-level source of octant o is child e ∈ {0, 1}³ of the
-/// target parent's neighbour p ∈ [−d, d]³, at offset A = 2p + e − o, and
-/// every list is generated p-major, then by e in (z, y, x) order. The
-/// schedule visits the blocks p in (z, y, x) order, within a block the
-/// matrices c = A − 2p = e − o ∈ {−1, 0, 1}³ in (z, y, x) order, and per
-/// matrix the octants that use it in ascending order. For a fixed o, c is
-/// e translated, so the schedule restricted to one octant's list is that
-/// list in order: each accumulator receives the products it received
-/// when the octants ran one after another, in the same order.
+/// The downward sweep's T2 steps for one panel under both supernode
+/// settings, key-major: every octant's parent-level steps (shift 1), then
+/// the same-level ones (shift 0), each family by matrix index ascending,
+/// and per matrix the octants that use it in ascending order. A matrix's
+/// steps are one visit; the order in which the sweep takes the visits is
+/// the translation set's ([`LiveSchedule::in_groups`]), since which
+/// mirror serves a key depends on the rule.
 fn t2_order(octants: &[OctantPlan]) -> [Vec<T2Step>; 2] {
-    let mut schedules = [false, true].map(|supernodes| {
-        let lists = octants.iter().flat_map(|op| op.t2_lists(supernodes));
-        let mut steps = Vec::with_capacity(lists.map(|(offsets, _)| offsets.len()).sum());
-        for (oct, op) in octants.iter().enumerate() {
-            let (offsets, idx) = op.t2_lists(supernodes)[1];
-            steps.extend(
-                offsets
-                    .iter()
-                    .zip(idx)
-                    .map(|(&off, &m)| T2Step::new(oct, 1, off, m)),
-            );
-        }
+    [false, true].map(|supernodes| {
+        let mut steps: Vec<T2Step> = octants
+            .iter()
+            .enumerate()
+            .flat_map(|(oct, op)| {
+                let lists = op.t2_lists(supernodes).into_iter().enumerate();
+                lists.flat_map(move |(shift, (offsets, idx))| {
+                    let list = offsets.iter().zip(idx);
+                    list.map(move |(&off, &m)| T2Step::new(oct, shift as u8, off, m))
+                })
+            })
+            .collect();
+        steps.sort_unstable_by_key(|s| (std::cmp::Reverse(s.shift), s.matrix, s.oct));
         steps
-    });
-    let lists: [[T2List<'_>; 8]; 2] =
-        [false, true].map(|sn| std::array::from_fn(|oct| octants[oct].t2_lists(sn)[0]));
-    // Per setting and octant: the same-level entries placed so far.
-    let mut placed = [[0usize; 8]; 2];
-    // The points of [−r, r]³ in (z, y, x) order.
-    let cube = |r: i32| {
-        let line = move || -r..=r;
-        line().flat_map(move |z| line().flat_map(move |y| line().map(move |x| [x, y, z])))
-    };
-    for p in cube(SEPARATION) {
-        for c in cube(1) {
-            let a = [0, 1, 2].map(|d| 2 * p[d] + c[d]);
-            if a.iter().all(|v| v.abs() <= SEPARATION) {
-                continue; // the near field: in no list
-            }
-            // Octant o reaches (p, c) through the child e = c + o alone, so
-            // its bit is 1 where c = −1, 0 where c = 1, either where c = 0.
-            let bits = |v: i32| (0..3).filter(|&d| c[d] == v).map(|d| 1 << d).sum::<usize>();
-            let (ones, free) = (bits(-1), bits(0));
-            for oct in (0..8).filter(|oct| oct & !free == ones) {
-                for (sn, steps) in schedules.iter_mut().enumerate() {
-                    let (offsets, idx) = lists[sn][oct];
-                    let at = &mut placed[sn][oct];
-                    if offsets.get(*at) == Some(&a) {
-                        steps.push(T2Step::new(oct, 0, a, idx[*at]));
-                        *at += 1;
-                    }
-                }
-            }
-        }
-    }
-    for (sn, placed) in placed.iter().enumerate() {
-        for (op, &n) in octants.iter().zip(placed) {
-            let len = op.t2_lists(sn == 1)[0].0.len();
-            assert_eq!(
-                n, len,
-                "a same-level list is ordered by block, then by child"
-            );
-        }
-    }
-    schedules
+    })
 }
 
 #[cfg(test)]
@@ -731,91 +730,101 @@ mod tests {
     }
 
     #[test]
-    fn t2_schedule_restricted_to_a_list_is_that_list() {
+    fn t2_schedule_holds_every_octant_step_once_key_major() {
         let plan = TraversalPlan::build(3);
         for supernodes in [false, true] {
             let steps = &plan.t2_schedule[supernodes as usize];
             let mut total = 0;
             for (oct, op) in plan.octants.iter().enumerate() {
                 for (shift, (offsets, idx)) in op.t2_lists(supernodes).into_iter().enumerate() {
-                    let want: Vec<_> = offsets.iter().copied().zip(idx.iter().copied()).collect();
+                    // The list, by matrix: an offset has one matrix.
+                    let mut want: Vec<_> =
+                        offsets.iter().copied().zip(idx.iter().copied()).collect();
+                    want.sort_unstable_by_key(|&(_, m)| m);
                     assert_eq!(restricted(steps, oct, shift as u8), want, "{oct} {shift}");
                     total += want.len();
                 }
             }
             // Every (octant, list, index) once, and nothing else.
             assert_eq!(steps.len(), total, "supernodes = {supernodes}");
-            // The parent-level lists come first.
-            let first_same = steps.iter().position(|s| s.shift == 0).unwrap();
-            assert!(steps[first_same..].iter().all(|s| s.shift == 0));
+            // The parent-level lists first, then by matrix and octant.
+            let key = |s: &T2Step| (std::cmp::Reverse(s.shift), s.matrix, s.oct);
+            assert!(steps.windows(2).all(|w| key(&w[0]) < key(&w[1])));
         }
     }
 
-    /// The neighbour block p of a same-level step: A = 2p + e − o with
-    /// e ∈ {0, 1}³.
-    fn block(s: &T2Step) -> [i32; 3] {
-        let o = |d: usize| ((s.oct as usize >> d) & 1) as i32;
-        std::array::from_fn(|d| (i32::from(s.offset[d]) + o(d)).div_euclid(2))
+    /// Visits a schedule cuts into: runs of one `(shift, matrix)`.
+    fn visits(steps: impl IntoIterator<Item = (u8, u16)>) -> usize {
+        let mut keys: Vec<_> = steps.into_iter().collect();
+        keys.dedup();
+        keys.len()
     }
 
     #[test]
-    fn t2_schedule_runs_each_block_matrix_once() {
-        let plan = TraversalPlan::build(3);
-        for supernodes in [false, true] {
-            let steps = &plan.t2_schedule[supernodes as usize];
-            let same = steps.iter().filter(|s| s.shift == 0);
-            // Runs of one (block, matrix), each with its octants.
-            type BlockMatrix = ([i32; 3], u16);
-            let mut runs: Vec<(BlockMatrix, Vec<u8>)> = Vec::new();
-            for s in same {
-                let key = (block(s), s.matrix);
-                match runs.last_mut() {
-                    Some((k, octs)) if *k == key => octs.push(s.oct),
-                    _ => runs.push((key, vec![s.oct])),
-                }
-            }
-            // Blocks in (z, y, x) order, each (block, matrix) one run, its
-            // octants ascending.
-            let zyx = |p: [i32; 3]| [p[2], p[1], p[0]];
-            assert!(runs.windows(2).all(|w| zyx(w[0].0 .0) <= zyx(w[1].0 .0)));
-            let mut keys: Vec<_> = runs.iter().map(|(k, _)| *k).collect();
-            keys.sort_unstable();
-            keys.dedup();
-            assert_eq!(keys.len(), runs.len(), "supernodes = {supernodes}");
-            assert!(runs.iter().all(|(_, o)| o.windows(2).all(|w| w[0] < w[1])));
-        }
-    }
-
-    /// Matrix switches in a sequence of T2 products of one family: runs
-    /// of one matrix.
-    fn switches(matrices: impl IntoIterator<Item = u32>) -> usize {
-        let mut matrices: Vec<_> = matrices.into_iter().collect();
-        matrices.dedup();
-        matrices.len()
-    }
-
-    #[test]
-    fn t2_schedule_switch_counts_are_pinned() {
+    fn t2_schedule_visit_counts_are_pinned() {
         let plan = TraversalPlan::build(3);
         let count = |supernodes: bool, shift: u8| {
-            // Octant after octant, each list in its own order, against the
-            // schedule.
-            let octant_major = plan.octants.iter().flat_map(|op| {
-                let (_, idx) = op.t2_lists(supernodes)[shift as usize];
-                idx.iter().copied()
-            });
             let steps = plan.t2_schedule[supernodes as usize].iter();
-            let scheduled = steps.filter(|s| s.shift == shift);
-            let scheduled = scheduled.map(|s| u32::from(s.matrix));
-            (switches(octant_major), switches(scheduled))
+            let family: Vec<_> = steps.filter(|s| s.shift == shift).collect();
+            (
+                family.len(),
+                visits(family.iter().map(|s| (s.shift, s.matrix))),
+            )
         };
-        // Plain lists: 8 × 875 products over 1206 matrices, one run per
-        // (block, matrix) outside the near field, 5³·3³ − 7³.
-        assert_eq!(count(false, 0), (7000, 3032));
+        // Plain lists: 8 × 875 products over 1206 matrices, one visit per
+        // matrix (3,032 when the visits followed the neighbour blocks).
+        assert_eq!(count(false, 0), (7000, 1206));
         // Supernodes: the 784 parent-level sources are one matrix each; the
-        // 218 leftover child-level matrices are interleaved.
+        // 728 leftover child-level steps use 218 matrices (386 visits by
+        // block).
         assert_eq!(count(true, 1), (784, 784));
-        assert_eq!(count(true, 0), (728, 386));
+        assert_eq!(count(true, 0), (728, 218));
+        // Every level's table cuts its steps into one visit per matrix.
+        for supernodes in [false, true] {
+            for l in 1..3 {
+                let table = plan.level(l).t2_live(supernodes);
+                let keys = table.visits.iter().map(|v| (v.shift, v.matrix));
+                assert_eq!(visits(keys), table.visits.len());
+            }
+        }
+    }
+
+    /// The order the sweep runs a level's visits in under a set: each
+    /// visit of the level once, each one `(representative, mirror)` of
+    /// the set, mirror by mirror with the identity first, under both
+    /// supernode settings and rules with seven mirrors (order 5) and three
+    /// (order 6).
+    #[test]
+    fn t2_groups_run_each_visit_once_mirror_by_mirror() {
+        use fmm_sphere::SphereRule;
+        let plan = TraversalPlan::build(3);
+        for order in [5, 6] {
+            let rule = SphereRule::for_order(order);
+            for supernodes in [false, true] {
+                let ts = TranslationSet::build(&rule, 3, 1.6, 1.0, supernodes);
+                let families = [&ts.t2t, &ts.t2t_super];
+                for l in 1..3 {
+                    let table = plan.level(l).t2_live(supernodes);
+                    let run: Vec<_> = table.in_groups(&ts).collect();
+                    let what = format!("order {order} supernodes={supernodes} level {}", l + 1);
+                    let mut seen: Vec<_> = run.iter().map(|(v, _)| (v.shift, v.matrix)).collect();
+                    seen.sort_unstable();
+                    let mut all: Vec<_> =
+                        table.visits.iter().map(|v| (v.shift, v.matrix)).collect();
+                    all.sort_unstable();
+                    assert_eq!(seen, all, "{what}");
+                    for (v, served) in &run {
+                        let want = families[usize::from(v.shift)][usize::from(v.matrix)];
+                        assert_eq!(Some(*served), want, "{what}");
+                    }
+                    let mirrors: Vec<u8> = run.iter().map(|(_, s)| s.mirror).collect();
+                    assert!(mirrors.windows(2).all(|w| w[0] <= w[1]), "{what}");
+                    assert_eq!(mirrors.first(), Some(&0), "{what}");
+                    let groups = visits(mirrors.iter().map(|&m| (m, 0)));
+                    assert_eq!(groups, 1 + rule.mirrors().len(), "{what}");
+                }
+            }
+        }
     }
 
     /// Whether any box of level `l` takes a live row from `s`, box by box.

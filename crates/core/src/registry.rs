@@ -345,15 +345,7 @@ mod tests {
     /// A set with no matrices: the cheap constructor the race tests clone,
     /// so they stay fast enough for Miri.
     fn empty_set() -> Arc<TranslationSet> {
-        Arc::new(TranslationSet {
-            k: 0,
-            t1t: Vec::new(),
-            t3t: Vec::new(),
-            t2t: Vec::new(),
-            t2t_super: Vec::new(),
-            built_t1t3: 0,
-            built_t2: 0,
-        })
+        Arc::new(TranslationSet::default())
     }
 
     #[test]

@@ -19,7 +19,14 @@
 //! rule is invariant under a sign flip g ([`SphereRule::mirrors`]), the
 //! matrix of the mirrored geometry is the stored one with rows and columns
 //! permuted by g's point involution σ, to the bit. So one matrix is built
-//! per mirror orbit and the rest are derived from it by `conjugate`.
+//! per mirror orbit. The sixteen T1/T3 matrices are then written out by
+//! `conjugate`; a T2 or supernode key is *served* by its orbit's stored
+//! matrix and the mirror that maps it there ([`Served`]), and the sweep
+//! applies the stored matrix through σ (`fmm-linalg`'s row order): a
+//! product whose accumulator is held in σ's point order reads the stored
+//! rows σ(p), p ascending, and that is the product with the conjugate,
+//! bit for bit (DESIGN.md §5.2). `conjugate` stays as the reference the
+//! tests hold every served key to.
 
 use fmm_linalg::Matrix;
 use fmm_sphere::{inner_kernel_row, outer_kernel_row, Mirror, SphereRule};
@@ -37,35 +44,76 @@ pub fn child_center_offset(octant: usize) -> [f64; 3] {
     ]
 }
 
+/// How the set serves one T2 or supernode key: stored matrix `rep` of
+/// [`TranslationSet::t2_reps`] read through point order `mirror` of
+/// [`TranslationSet::orders`] (0, the identity, for the representative
+/// itself).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Served {
+    pub rep: u32,
+    pub mirror: u8,
+}
+
+/// A served T2 or supernode matrix: `matrix` read through the point order
+/// `order`, entry `(a, b)` being `matrix[(σa, σb)]`; `rows` are its rows'
+/// element offsets in that order, `σ(p)·K`, as the GEMM reads them.
+#[derive(Debug, Clone, Copy)]
+pub struct T2View<'a> {
+    pub matrix: &'a Matrix,
+    pub order: &'a [usize],
+    pub rows: &'a [usize],
+}
+
+impl T2View<'_> {
+    /// Entry `(a, b)` of the served matrix (transposed, as stored).
+    #[inline]
+    pub fn get(&self, a: usize, b: usize) -> f64 {
+        self.matrix[(self.order[a], self.order[b])]
+    }
+}
+
 /// The translation-matrix side of an FMM instance: all T1/T3 matrices, the
 /// cube of T2 matrices the configured traversal can reach, and (with
-/// supernodes) the parent-level supernode T2 matrices.
-#[derive(Debug, Clone)]
+/// supernodes) the parent-level supernode T2 matrices — the last two
+/// stored once per mirror orbit.
+#[derive(Debug, Clone, Default)]
 pub struct TranslationSet {
     pub k: usize,
     /// `t1t[oct]`: child-outer → parent-outer (transposed).
     pub t1t: Vec<Matrix>,
     /// `t3t[oct]`: parent-inner → child-inner (transposed).
     pub t3t: Vec<Matrix>,
-    /// T2 matrices (transposed) in a dense 11³ cube indexed by
+    /// The stored T2 and supernode matrices (transposed), one per mirror
+    /// orbit of the keys the traversal can reach, in walk order.
+    pub t2_reps: Vec<Matrix>,
+    /// How each T2 offset is served, in a dense 11³ cube indexed by
     /// [`TranslationSet::t2_index_for`]; `None` for every offset the
     /// traversal never asks for. Without supernodes that is the near field
     /// only: from depth 3 on every one of the 1206 interactive offsets of
-    /// the 11³ = 1331 cube is some box's, so all are stored (the paper does
-    /// the same). With supernodes it is also every child-level offset the
-    /// decomposition folded into a parent source; only the leftover
-    /// children of the eight octants are stored (218).
-    pub t2t: Vec<Option<Matrix>>,
-    /// Supernode T2 matrices (transposed) in a dense 10³ cube of their
-    /// keys, the doubled parent-centre offsets (odd triples in [−9, 9]³),
-    /// indexed by [`TranslationSet::super_index_for`]; all `None` without
-    /// supernodes.
-    pub t2t_super: Vec<Option<Matrix>>,
-    /// T1/T3 matrices evaluated from the series; the other stored ones
-    /// were derived from a mirror image ([`TranslationSet::derived`]).
+    /// the 11³ = 1331 cube is some box's, so all are served (the paper
+    /// stores all). With supernodes it is also every child-level offset
+    /// the decomposition folded into a parent source; only the leftover
+    /// children of the eight octants are served (218).
+    pub t2t: Vec<Option<Served>>,
+    /// How each supernode key is served, in a dense 10³ cube of the
+    /// doubled parent-centre offsets (odd triples in [−9, 9]³), indexed by
+    /// [`TranslationSet::super_index_for`]; all `None` without supernodes.
+    pub t2t_super: Vec<Option<Served>>,
+    /// Point orders: `orders[0]` the identity, then each of the rule's
+    /// mirrors' involution σ ([`SphereRule::mirrors`] order).
+    pub orders: Vec<Vec<usize>>,
+    /// Per point order, a K×K matrix's row offsets in it, `σ(p)·K`: the
+    /// GEMM's `b_rows`.
+    pub row_offsets: Vec<Vec<usize>>,
+    /// The downward sweep's T2 order, one group per point order: the keys
+    /// `(shift, cube index)` served through it — supernode keys (shift 1,
+    /// indexed by [`TranslationSet::super_index_for`]) first, then T2
+    /// offsets (shift 0, [`TranslationSet::t2_index_for`]), each
+    /// ascending.
+    pub t2_groups: Vec<Vec<(u8, u16)>>,
+    /// T1/T3 matrices evaluated from the series; the rest of the sixteen
+    /// were written out from a mirror image.
     pub built_t1t3: usize,
-    /// T2 matrices, supernode ones included, evaluated from the series.
-    pub built_t2: usize,
 }
 
 /// Floating point work to build one K×K translation matrix with truncation
@@ -110,6 +158,8 @@ fn sample_point(rule: &SphereRule, j: usize, scale: f64, shift: [f64; 3]) -> [f6
 /// `out[a][b] = m[σa][σb]`, written row by row in order: the matrix of the
 /// mirror image of `m`'s geometry under the flip whose point involution is
 /// `sigma`. Equal to the series evaluated at that image, bit for bit.
+/// Written out for the T1/T3 octants only; a T2 or supernode key is
+/// served through σ instead ([`Served`]).
 fn conjugate(m: &Matrix, sigma: &[usize]) -> Matrix {
     let k = sigma.len();
     let mut out = Vec::with_capacity(k * k);
@@ -142,6 +192,15 @@ impl Key {
             Key::T3(oct) => Key::T3(oct ^ g.flips),
             Key::T2(o) => Key::T2(g.apply(o)),
             Key::Super(key) => Key::Super(g.apply(key)),
+        }
+    }
+
+    /// The sweep's `(shift, cube index)` of a T2 or supernode key.
+    fn t2_slot(self) -> Option<(u8, u16)> {
+        match self {
+            Key::T1(_) | Key::T3(_) => None,
+            Key::T2(o) => Some((0, TranslationSet::t2_index_for(o) as u16)),
+            Key::Super(key) => Some((1, TranslationSet::super_index_for(key) as u16)),
         }
     }
 
@@ -230,59 +289,69 @@ impl Direct<'_> {
         })
     }
 
-    /// Every distinct key of `keys` with its matrix, in walk order, and the
-    /// keys evaluated from the series — one per mirror orbit. A serial walk
-    /// marks a key as its orbit's representative when no image of it is
-    /// one yet (the mirrors form a group, so an orbit met before has its
-    /// representative among the key's images). The representatives are
-    /// evaluated in one parallel region, and every other key is conjugated
-    /// from its representative in another. A derived matrix has the bits
-    /// of its own series evaluation, so neither the route nor the thread
-    /// count moves a bit.
-    fn orbits(&self, keys: &[Key]) -> (Vec<(Key, Matrix)>, Vec<Key>) {
-        let mirrors = self.rule.mirrors();
-        let r = keys.iter().map(|key| key.reach()).max().unwrap_or(0);
-        let w = (2 * r + 1) as usize;
-        // Per slot: the representative of the key there, once met.
-        let mut rep_of: Vec<Option<usize>> = vec![None; 16 + 2 * w * w * w];
-        let mut reps = Vec::new();
-        // Per distinct key: its representative and the mirror that maps
-        // the representative to it (`None`: the key is one).
-        let mut route = Vec::with_capacity(keys.len());
-        for &key in keys {
-            if rep_of[key.slot(r)].is_some() {
-                continue;
-            }
-            let image = mirrors.iter().find_map(|g| {
-                let image = key.image(g);
-                let rep = rep_of[image.slot(r)].filter(|&i| reps[i] == image);
-                rep.map(|i| (i, Some(g)))
-            });
-            let (rep, g) = image.unwrap_or_else(|| {
-                reps.push(key);
-                (reps.len() - 1, None)
-            });
-            rep_of[key.slot(r)] = Some(rep);
-            route.push((key, rep, g));
-        }
-        let built: Vec<Matrix> = reps.par_iter().map(|&key| self.eval(key)).collect();
-        let derived: Vec<Option<Matrix>> = route
-            .par_iter()
-            .map(|&(_, rep, g)| g.map(|g: &Mirror| conjugate(&built[rep], &g.sigma)))
-            .collect();
-        // The representatives were met in walk order: each `None` takes the
-        // next built matrix.
-        let mut built = built.into_iter();
-        let matrices = route
-            .iter()
-            .zip(derived)
-            .map(|(&(key, ..), mt)| {
-                let mt = mt.or_else(|| built.next());
-                (key, mt.expect("one per representative"))
-            })
-            .collect();
-        (matrices, reps)
+    /// The representatives' matrices, evaluated from the series in one
+    /// parallel region.
+    fn eval_all(&self, reps: &[Key]) -> Vec<Matrix> {
+        reps.par_iter().map(|&key| self.eval(key)).collect()
     }
+}
+
+/// Every distinct key of a walk, with its orbit's representative (an index
+/// into `reps`) and the mirror that maps the representative to it (an
+/// index into the rule's [`SphereRule::mirrors`]; `None`: the key is one).
+struct Orbits {
+    reps: Vec<Key>,
+    route: Vec<(Key, usize, Option<usize>)>,
+}
+
+/// A serial walk over `keys` that marks a key as its orbit's
+/// representative when no image of it is one yet (the mirrors form a
+/// group, so an orbit met before has its representative among the key's
+/// images).
+fn orbits(keys: &[Key], mirrors: &[Mirror]) -> Orbits {
+    let r = keys.iter().map(|key| key.reach()).max().unwrap_or(0);
+    let w = (2 * r + 1) as usize;
+    // Per slot: the representative of the key there, once met.
+    let mut rep_of: Vec<Option<usize>> = vec![None; 16 + 2 * w * w * w];
+    let (mut reps, mut route) = (Vec::new(), Vec::with_capacity(keys.len()));
+    for &key in keys {
+        if rep_of[key.slot(r)].is_some() {
+            continue;
+        }
+        let image = mirrors.iter().enumerate().find_map(|(g, mirror)| {
+            let image = key.image(mirror);
+            let rep = rep_of[image.slot(r)].filter(|&i| reps[i] == image);
+            rep.map(|i| (i, Some(g)))
+        });
+        let (rep, g) = image.unwrap_or_else(|| {
+            reps.push(key);
+            (reps.len() - 1, None)
+        });
+        rep_of[key.slot(r)] = Some(rep);
+        route.push((key, rep, g));
+    }
+    Orbits { reps, route }
+}
+
+/// The T1/T3 matrices of `route`'s octant keys, in order, each its
+/// representative's (`built`, by index) or written out from it through
+/// its mirror, on the pool. Neither the route nor the thread count moves
+/// a bit.
+fn octant_matrices(
+    route: &[(Key, usize, Option<usize>)],
+    built: &[Matrix],
+    mirrors: &[Mirror],
+) -> Vec<Matrix> {
+    route
+        .par_iter()
+        .map(|&(key, rep, g)| {
+            debug_assert!(matches!(key, Key::T1(_) | Key::T3(_)));
+            match g {
+                Some(g) => conjugate(&built[rep], &mirrors[g].sigma),
+                None => built[rep].clone(),
+            }
+        })
+        .collect()
 }
 
 impl TranslationSet {
@@ -303,9 +372,11 @@ impl TranslationSet {
             outer_ratio,
             inner_ratio,
         };
+        let mirrors = rule.mirrors();
         let keys: Vec<Key> = (0..8).map(Key::T1).chain((0..8).map(Key::T3)).collect();
-        let (matrices, reps) = direct.orbits(&keys);
-        let mut t1t: Vec<Matrix> = matrices.into_iter().map(|(_, mt)| mt).collect();
+        let Orbits { reps, route } = orbits(&keys, &mirrors);
+        let built = direct.eval_all(&reps);
+        let mut t1t = octant_matrices(&route, &built, &mirrors);
         let t3t = t1t.split_off(8);
         (t1t, t3t, reps.len())
     }
@@ -319,14 +390,15 @@ impl TranslationSet {
     /// supernodes = true, …)` only; without it, the plain traversal only.
     ///
     /// One walk over every key of every family evaluates one matrix per
-    /// mirror orbit and derives the rest by index permutation. The
-    /// icosahedron and the odd-degree product rules (all seven flips) thus
-    /// build 189 of the 1206 T2 matrices, one per orbit of
-    /// [−5,5]³∖[−2,2]³, and 2 of the 16 T1/T3; the even-degree product
-    /// rules (the y, z and yz flips) 351 and 4; a rule with no mirrors,
-    /// everything. Both the evaluations and the derivations run on the
-    /// shared thread pool whatever [`crate::Executor`] evaluates with: a
-    /// set is shared by every instance with its [`crate::TranslationKey`],
+    /// mirror orbit. The icosahedron and the odd-degree product rules (all
+    /// seven flips) thus build and store 189 of the 1206 T2 matrices, one
+    /// per orbit of [−5,5]³∖[−2,2]³, and 2 of the 16 T1/T3; the
+    /// even-degree product rules (the y, z and yz flips) 351 and 4; a rule
+    /// with no mirrors, everything. The other T1/T3 matrices are written
+    /// out; every other T2 and supernode key is served through its mirror
+    /// and stores nothing. Both the evaluations and the write-outs run on
+    /// the shared thread pool whatever [`crate::Executor`] evaluates with:
+    /// a set is shared by every instance with its [`crate::TranslationKey`],
     /// and the executor governs evaluation only. The bits do not depend on
     /// the thread count.
     pub fn build(
@@ -355,34 +427,56 @@ impl TranslationSet {
         } else {
             keys.extend(interactive_field_union().into_iter().map(Key::T2));
         }
-        let (matrices, reps) = direct.orbits(&keys);
+        let mirrors = rule.mirrors();
+        let Orbits { reps, route } = orbits(&keys, &mirrors);
+        let mut octant_reps = direct.eval_all(&reps);
+
+        // The octants come first in the walk; their representatives are
+        // the first ones.
+        let (octants, t2_route) = route.split_at(16);
+        let built_t1t3 = reps.iter().filter(|key| key.t2_slot().is_none()).count();
+        let t2_reps = octant_reps.split_off(built_t1t3);
+        let mut t1t = octant_matrices(octants, &octant_reps, &mirrors);
+        let t3t = t1t.split_off(8);
 
         let (w, ws) = ((4 * SEPARATION + 3) as usize, (4 * SEPARATION + 2) as usize);
-        let mut t1t = Vec::with_capacity(8);
-        let mut t3t = Vec::with_capacity(8);
-        let mut t2t: Vec<Option<Matrix>> = vec![None; w * w * w];
-        let mut t2t_super: Vec<Option<Matrix>> = vec![None; ws * ws * ws];
-        for (key, mt) in matrices {
-            match key {
-                Key::T1(_) => t1t.push(mt),
-                Key::T3(_) => t3t.push(mt),
-                Key::T2(o) => t2t[Self::t2_index_for(o)] = Some(mt),
-                Key::Super(key) => t2t_super[Self::super_index_for(key)] = Some(mt),
-            }
+        let mut t2t: Vec<Option<Served>> = vec![None; w * w * w];
+        let mut t2t_super: Vec<Option<Served>> = vec![None; ws * ws * ws];
+        let mut t2_groups: Vec<Vec<(u8, u16)>> = vec![Vec::new(); 1 + mirrors.len()];
+        for &(key, rep, g) in t2_route {
+            let (shift, at) = key.t2_slot().expect("T1/T3 keys come first");
+            let served = Served {
+                rep: (rep - built_t1t3) as u32,
+                mirror: g.map_or(0, |g| g as u8 + 1),
+            };
+            let cube = if shift == 0 { &mut t2t } else { &mut t2t_super };
+            cube[usize::from(at)] = Some(served);
+            t2_groups[usize::from(served.mirror)].push((shift, at));
         }
-        let built_t1t3 = reps
+        for group in &mut t2_groups {
+            group.sort_unstable_by_key(|&(shift, at)| (std::cmp::Reverse(shift), at));
+        }
+        let k = rule.len();
+        let identity = (0..k).collect();
+        let orders: Vec<Vec<usize>> = std::iter::once(identity)
+            .chain(mirrors.into_iter().map(|g| g.sigma))
+            .collect();
+        let row_offsets = orders
             .iter()
-            .filter(|key| matches!(key, Key::T1(_) | Key::T3(_)))
-            .count();
+            .map(|order| order.iter().map(|&p| p * k).collect())
+            .collect();
 
         TranslationSet {
-            k: rule.len(),
+            k,
             t1t,
             t3t,
+            t2_reps,
             t2t,
             t2t_super,
+            orders,
+            row_offsets,
+            t2_groups,
             built_t1t3,
-            built_t2: reps.len() - built_t1t3,
         }
     }
 
@@ -407,35 +501,59 @@ impl TranslationSet {
         (z * w + y) * w + x
     }
 
-    /// T2 matrix (transposed) for an offset; `None` inside the near field.
+    /// The stored matrix and point order a served key reads.
     #[inline]
-    pub fn t2(&self, o: [i32; 3]) -> Option<&Matrix> {
-        self.t2t[Self::t2_index_for(o)].as_ref()
+    pub fn view(&self, served: Served) -> T2View<'_> {
+        let g = usize::from(served.mirror);
+        T2View {
+            matrix: &self.t2_reps[served.rep as usize],
+            order: &self.orders[g],
+            rows: &self.row_offsets[g],
+        }
     }
 
-    /// Number of distinct T2 matrices stored, supernode ones excluded.
+    /// T2 matrix (transposed) for an offset; `None` inside the near field.
+    #[inline]
+    pub fn t2(&self, o: [i32; 3]) -> Option<T2View<'_>> {
+        self.t2t[Self::t2_index_for(o)].map(|served| self.view(served))
+    }
+
+    /// Supernode T2 matrix (transposed) for a doubled parent-centre
+    /// offset; `None` where the set serves none.
+    #[inline]
+    pub fn t2_super(&self, key: [i32; 3]) -> Option<T2View<'_>> {
+        self.t2t_super[Self::super_index_for(key)].map(|served| self.view(served))
+    }
+
+    /// Number of T2 offsets served, supernode keys excluded.
     pub fn t2_count(&self) -> usize {
         self.t2t.iter().flatten().count()
     }
 
     /// Number of matrices stored, of every family.
     pub fn matrix_count(&self) -> usize {
-        let supers = self.t2t_super.iter().flatten().count();
-        self.t1t.len() + self.t3t.len() + self.t2_count() + supers
+        self.t1t.len() + self.t3t.len() + self.t2_reps.len()
     }
 
-    /// Matrices evaluated from the series.
+    /// Matrices evaluated from the series: every stored T2 and supernode
+    /// matrix, and the T1/T3 representatives.
     pub fn built(&self) -> usize {
-        self.built_t1t3 + self.built_t2
+        self.built_t1t3 + self.t2_reps.len()
     }
 
-    /// Matrices derived from a mirror image by index permutation. Every
-    /// one is still stored: the GEMM runs each output column as one fma
-    /// chain with p ascending, and applying a stored matrix through
-    /// σ-permuted panels would run p in σ order and change bits
-    /// (DESIGN §5.2).
-    pub fn derived(&self) -> usize {
-        self.matrix_count() - self.built()
+    /// A K×K matrix's row offsets in the identity point order, which T1
+    /// and T3 are read through.
+    #[inline]
+    pub fn identity_rows(&self) -> &[usize] {
+        &self.row_offsets[0]
+    }
+
+    /// T2 and supernode keys served through a mirror of a stored matrix:
+    /// each would be a matrix of its own in a set that wrote the images
+    /// out.
+    pub fn mirror_served(&self) -> usize {
+        let served = self.t2t.iter().chain(&self.t2t_super).flatten();
+        served.filter(|s| s.mirror != 0).count()
     }
 
     /// Memory footprint of all stored matrices in bytes (the paper tracks
@@ -499,7 +617,7 @@ mod tests {
             for v in key {
                 assert!(v % 2 != 0, "doubled centre offset must be odd: {:?}", key);
             }
-            assert!(stored_super(&ts, *key).is_some(), "{key:?}");
+            assert!(ts.t2_super(*key).is_some(), "{key:?}");
         }
         let mut slots: Vec<usize> = keys
             .iter()
@@ -521,7 +639,7 @@ mod tests {
             let keys = super_keys();
             let supers = ts.t2t_super.iter().flatten().count();
             if supernodes {
-                assert!(keys.iter().all(|&key| stored_super(&ts, key).is_some()));
+                assert!(keys.iter().all(|&key| ts.t2_super(key).is_some()));
                 assert_eq!(supers, keys.len());
                 // 218 leftover children + 784 parent sources, against the
                 // 1206 + 784 the full cube would hold.
@@ -659,11 +777,18 @@ mod tests {
         }
     }
 
+    /// The matrix a served key stands for, written out: the stored one
+    /// conjugated by its mirror's σ (the identity for a representative).
+    fn written_out(view: T2View<'_>) -> Matrix {
+        conjugate(view.matrix, view.order)
+    }
+
     /// Builds the set for `order` under both supernode settings and holds
-    /// every stored matrix, derived or built, to the bits of its own series
-    /// evaluation. Returns `(mirrors, [(built T1/T3, built T2, stored T2)
-    /// without and with supernodes])`.
-    fn derived_against_direct(order: usize) -> (usize, [(usize, usize, usize); 2]) {
+    /// every T1/T3 matrix, and every T2 and supernode key written out
+    /// from its stored matrix through its mirror, to the bits of its own
+    /// series evaluation. Returns `(mirrors, [(built T1/T3, stored T2,
+    /// served T2 keys)] without and with supernodes)`.
+    fn served_against_direct(order: usize) -> (usize, [(usize, usize, usize); 2]) {
         let cfg = FmmConfig::order(order);
         let rule = cfg.rule();
         let direct = Direct {
@@ -688,37 +813,36 @@ mod tests {
             for z in -r..=r {
                 for y in -r..=r {
                     for x in -r..=r {
-                        if let Some(mt) = ts.t2([x, y, z]) {
+                        if let Some(view) = ts.t2([x, y, z]) {
                             let o = [x, y, z];
-                            assert!(same_bits(mt, &direct.t2(o)), "T2 {o:?}");
+                            assert!(same_bits(&written_out(view), &direct.t2(o)), "T2 {o:?}");
                         }
                     }
                 }
             }
             for key in super_keys() {
-                if let Some(mt) = stored_super(&ts, key) {
-                    assert!(same_bits(mt, &direct.t2_super(key)), "supernode {key:?}");
+                if let Some(view) = ts.t2_super(key) {
+                    let want = direct.t2_super(key);
+                    assert!(same_bits(&written_out(view), &want), "supernode {key:?}");
                 }
             }
-            assert_eq!(ts.built() + ts.derived(), ts.matrix_count());
-            (
-                ts.built_t1t3,
-                ts.built_t2,
-                ts.t2_count() + ts.t2t_super.iter().flatten().count(),
-            )
+            let served = ts.t2_count() + ts.t2t_super.iter().flatten().count();
+            assert_eq!(ts.t2_reps.len() + ts.mirror_served(), served);
+            assert_eq!(ts.matrix_count(), 16 + ts.t2_reps.len());
+            (ts.built_t1t3, ts.t2_reps.len(), served)
         });
         (rule.mirrors().len(), counts)
     }
 
-    /// One matrix is built per mirror orbit, and every derived matrix has
-    /// the bits a direct build gives it, for each rule kind `for_order`
-    /// picks: tetrahedron (order 1, 3 mirrors), octahedron (3, 7),
-    /// icosahedron (5, 7), product rules at even degree (6, 8: the y, z
-    /// and yz flips) and at odd degree (7: all seven). Under all seven
-    /// flips the 1206 T2 offsets fall into 189 orbits, one per point of
-    /// [0,5]³∖[0,2]³; under the y and z flips into 351, by Burnside
-    /// (1206 + 96 + 96 + 6)/4: 96 offsets have oy = 0, 96 have oz = 0 and 6
-    /// have both.
+    /// One matrix is built and stored per mirror orbit, and every key
+    /// served through a mirror, written out, has the bits a direct build
+    /// gives it, for each rule kind `for_order` picks: tetrahedron (order
+    /// 1, 3 mirrors), octahedron (3, 7), icosahedron (5, 7), product rules
+    /// at even degree (6, 8: the y, z and yz flips) and at odd degree (7:
+    /// all seven). Under all seven flips the 1206 T2 offsets fall into 189
+    /// orbits, one per point of [0,5]³∖[0,2]³; under the y and z flips
+    /// into 351, by Burnside (1206 + 96 + 96 + 6)/4: 96 offsets have oy =
+    /// 0, 96 have oz = 0 and 6 have both.
     #[test]
     fn derived_matrices_match_direct_builds() {
         let cases = [
@@ -731,7 +855,7 @@ mod tests {
         ];
         for (order, mirrors, counts) in cases {
             assert_eq!(
-                derived_against_direct(order),
+                served_against_direct(order),
                 (mirrors, counts),
                 "order {order}"
             );
@@ -749,7 +873,7 @@ mod tests {
         ];
         for (order, mirrors, counts) in cases {
             assert_eq!(
-                derived_against_direct(order),
+                served_against_direct(order),
                 (mirrors, counts),
                 "order {order}"
             );
@@ -757,12 +881,26 @@ mod tests {
     }
 
     #[test]
-    fn memory_accounting_matches_paper_scale() {
-        // K = 12: 1331 matrices ≈ 1.53 MB (paper §3.3.4). We store 1206 +
-        // 16 parent/child matrices, so slightly less.
+    fn memory_accounting_counts_the_stored_matrices() {
+        // K = 12: the paper's 1331 matrices are 1.53 MB (§3.3.4). Written
+        // out, the 1206 + 16 this traversal reaches would be 1.41 MB; one
+        // per mirror orbit, 189 + 16, they are 0.24 MB.
         let ts = TranslationSet::build(&rule5(), 3, 1.0, 1.0, false);
-        let mb = ts.memory_bytes() as f64 / 1e6;
-        assert!(mb > 1.3 && mb < 1.6, "memory {} MB", mb);
+        assert_eq!(ts.matrix_count(), 189 + 16);
+        assert_eq!(ts.memory_bytes(), (189 + 16) * 12 * 12 * 8);
+        assert_eq!(ts.t2_count() - ts.mirror_served(), 189);
+    }
+
+    /// At order 14 (K = 120, the product rule's y, z and yz flips) the set
+    /// stores 351 T2 and the 16 T1/T3 matrices, 42.3 MB, where written
+    /// out the 1206 + 16 were 140.8 MB.
+    #[test]
+    #[cfg_attr(debug_assertions, ignore = "an order-14 set: release only")]
+    fn order_14_stores_one_matrix_per_orbit() {
+        let ts = build_order(14, false);
+        assert_eq!((ts.k, ts.t2_reps.len(), ts.matrix_count()), (120, 351, 367));
+        assert_eq!(ts.mirror_served(), 1206 - 351);
+        assert_eq!(ts.memory_bytes(), 367 * 120 * 120 * 8);
     }
 
     /// The T2 cube indices the plan resolves under a supernode setting
@@ -800,14 +938,10 @@ mod tests {
         keys
     }
 
-    /// The stored supernode matrix of `key`, if the set holds one.
-    fn stored_super(ts: &TranslationSet, key: [i32; 3]) -> Option<&Matrix> {
-        ts.t2t_super[TranslationSet::super_index_for(key)].as_ref()
-    }
-
     /// FNV-1a over `to_bits()` of every matrix the traversal can reach
-    /// under `supernodes`: T1, T3, the referenced T2 cube entries in index
-    /// order, the supernode matrices in key order.
+    /// under `supernodes`, served ones written out: T1, T3, the referenced
+    /// T2 cube entries in index order, the supernode matrices in key
+    /// order.
     fn set_checksum(order: usize, supernodes: bool) -> u64 {
         checksum(&build_order(order, supernodes), supernodes)
     }
@@ -827,13 +961,16 @@ mod tests {
         let idx = referenced_t2(supernodes);
         let keys = super_keys();
         let t2 = idx.iter().map(|&i| {
-            ts.t2t[i as usize]
-                .as_ref()
-                .expect("every plan index resolves for the matching setting")
+            let served = ts.t2t[i as usize];
+            let served = served.expect("every plan index resolves for the matching setting");
+            written_out(ts.view(served))
         });
-        let sup = keys.iter().filter_map(|&key| stored_super(ts, key));
+        let sup = keys
+            .iter()
+            .filter_map(|&key| ts.t2_super(key).map(written_out));
         let mut h = 0xcbf2_9ce4_8422_2325u64;
-        for mt in ts.t1t.iter().chain(&ts.t3t).chain(t2).chain(sup) {
+        let octants = ts.t1t.iter().chain(&ts.t3t).cloned();
+        for mt in octants.chain(t2).chain(sup) {
             for v in mt.as_slice() {
                 for b in v.to_bits().to_le_bytes() {
                     h = (h ^ b as u64).wrapping_mul(0x0000_0100_0000_01b3);
@@ -860,14 +997,14 @@ mod tests {
     }
 
     /// The build's two parallel phases split by thread count; the stored
-    /// bits and the built/derived counts must not.
+    /// bits and the built/mirror-served counts must not.
     #[test]
     fn set_bits_do_not_depend_on_threads() {
         let run = |threads: usize| {
             crate::threads(threads).install(|| {
                 [(5, false), (5, true), (8, false)].map(|(order, supernodes)| {
                     let ts = build_order(order, supernodes);
-                    (checksum(&ts, supernodes), ts.built(), ts.derived())
+                    (checksum(&ts, supernodes), ts.built(), ts.mirror_served())
                 })
             })
         };

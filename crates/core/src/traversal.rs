@@ -16,9 +16,12 @@
 //! `gemm_acc_rows_with`): each row of `A` and of `C` is named by its
 //! offset, so rows are multiplied where they lie. A T1 call reads the
 //! children of a panel of parents in the child level; a T2 call takes,
-//! for one matrix, the live rows of every octant that uses it — one call
-//! per matrix visit — reading the sources in the level array and adding
-//! into the octants' accumulator panels. At K = 12 a call costs about
+//! for one key, the live rows of every octant that uses it — one call
+//! per visit — reading the sources in the level array and adding into
+//! the octants' accumulator panels. The set stores one T2 matrix per
+//! mirror orbit, so T2 runs mirror by mirror: a key served through a
+//! mirror reads its stored matrix's rows in σ order into accumulators
+//! held in σ's point order (DESIGN.md §5.2). At K = 12 a call costs about
 //! what its FMA latency chain does whatever its row count (DESIGN.md
 //! §5.5), so fewer, fuller calls are the speed.
 //!
@@ -97,8 +100,12 @@ pub enum Aggregation {
     Gemm,
 }
 
-/// `acc[c..c + k] += a[s..s + k] · M` for each `(s, c)` of `rows`: one
-/// GEMM, or one GEMV per row skipping exact-zero samples.
+/// `acc[c..c + k] += a[s..s + k] · M_σ` for each `(s, c)` of `rows`, row
+/// `p` of `M_σ` being the `k` elements of `m` from `m_rows[p]`: one GEMM,
+/// or one GEMV per row skipping exact-zero samples. Through a mirror's σ, with `acc` held in
+/// σ's point order, that is the product with the mirror's matrix written
+/// out (DESIGN.md §5.2); T1 and T3 pass the identity.
+#[allow(clippy::too_many_arguments)]
 fn translate_rows(
     agg: Aggregation,
     kernel: Kernel,
@@ -106,18 +113,20 @@ fn translate_rows(
     a: &[f64],
     rows: &[(usize, usize)],
     m: &Matrix,
+    m_rows: &[usize],
     acc: &mut [f64],
 ) {
+    let m = m.as_slice();
     match agg {
-        Aggregation::Gemm => gemm_acc_rows_with(kernel, k, k, a, rows, m.as_slice(), acc),
+        Aggregation::Gemm => gemm_acc_rows_with(kernel, k, k, a, rows, m, m_rows, acc),
         Aggregation::Gemv => {
             for &(s, c) in rows {
                 let dst = &mut acc[c..c + k];
-                for (i, &gi) in a[s..s + k].iter().enumerate() {
+                for (&gi, &p) in a[s..s + k].iter().zip(m_rows) {
                     if gi == 0.0 {
                         continue;
                     }
-                    for (dj, tj) in dst.iter_mut().zip(m.row(i)) {
+                    for (dj, tj) in dst.iter_mut().zip(&m[p..p + k]) {
                         *dj += gi * tj;
                     }
                 }
@@ -233,7 +242,8 @@ fn upward_sweep(
                         let (s, c) = (lvl.child(pi, oct) * kr, (pi as usize - base) * kr);
                         push_instances(&mut rows, (k, r), s, c);
                     }
-                    translate_rows(agg, plan.kernel, k, children, &rows, t1, out);
+                    let identity = ts.identity_rows();
+                    translate_rows(agg, plan.kernel, k, children, &rows, t1, identity, out);
                 }
             }
         });
@@ -479,6 +489,30 @@ fn list_visit(
     }
 }
 
+/// Every accumulator row of a panel's parents (`kr` elements a parent,
+/// octant `o`'s panel at `o · stride`), held in point order `from`,
+/// rewritten in point order `to`: element `j` of a `k`-row becomes its
+/// old element `from[to[j]]` (both orders are involutions of `0..k`).
+fn reorder(
+    acc: &mut [f64],
+    panels: &[&[u32]; 8],
+    (k, kr, stride): (usize, usize, usize),
+    from: &[usize],
+    to: &[usize],
+) {
+    let tau: Vec<usize> = to.iter().map(|&t| from[t]).collect();
+    let mut old = vec![0.0; k];
+    for (oct, parents) in panels.iter().enumerate() {
+        let rows = &mut acc[oct * stride..][..parents.len() * kr];
+        for row in rows.chunks_exact_mut(k) {
+            old.copy_from_slice(row);
+            for (x, &t) in row.iter_mut().zip(&tau) {
+                *x = old[t];
+            }
+        }
+    }
+}
+
 /// Panel `sub` of a slab, along each octant: the parents from `sub ·
 /// panel` on, at most `panel`, none where an octant has fewer.
 fn panel_of<'a>(rows: &[&'a [u32]; 8], sub: usize, panel: usize) -> [&'a [u32]; 8] {
@@ -496,20 +530,23 @@ fn panel_of<'a>(rows: &[&'a [u32]; 8], sub: usize, panel: usize) -> [&'a [u32]; 
 /// accumulator panel of its own, held parent-major like the levels (the
 /// `R` instances' rows of one parent adjacent).
 ///
-/// T3 runs into each octant's accumulator first. Then T2 follows the
-/// level's table (`LevelPlan::t2_live`): the shared matrix-stationary
-/// order without the steps the level cannot reach, which streams each T2
-/// matrix once for every octant that uses it. A visit, a run of
-/// consecutive steps with one `(shift, matrix)`, is one call over the
-/// live rows (source inside the domain) of all its octants and instances,
-/// listed by [`push_rows`] from the panel's [`Block`]s and read where
-/// they lie in the level arrays. Each
-/// accumulator row appears at most once in a call and receives the
-/// sequence of products it would octant by octant, list by list. The
-/// GEMM computes each row independently of the others, and a dropped
-/// all-zero row could only have changed an accumulator holding −0.0,
-/// which one starting at +0.0 never does, so no bit depends on which
-/// rows share a call.
+/// T3 runs into each octant's accumulator first. Then T2 runs mirror by
+/// mirror (`LiveSchedule::in_groups`): the set stores one matrix per
+/// mirror orbit, and each group is the keys served through one mirror
+/// g, the identity first. Before a group every octant's accumulator is
+/// re-permuted into σ_g's point order (pure moves); each key of the
+/// group is one call over the live rows (source inside the domain) of
+/// all its octants and instances, listed by [`push_rows`] from the
+/// panel's [`Block`]s, read where they lie in the level arrays and
+/// multiplied by the stored matrix with its rows read in σ_g order; the
+/// scatter-add reads the accumulator back through the last group's σ.
+/// Each accumulator element thus runs the chain the materialised
+/// conjugates would give it in the same order of keys. Each accumulator
+/// row appears at most once in a call. The GEMM computes each row
+/// independently of the others, and a dropped all-zero row could only
+/// have changed an accumulator holding −0.0, which one starting at +0.0
+/// never does, so no bit depends on which rows share a call, nor on which
+/// groups a panel skips.
 #[allow(clippy::too_many_arguments)]
 fn downward_sweep(
     fh: &mut FieldHierarchy,
@@ -526,10 +563,6 @@ fn downward_sweep(
     let l_parent = l - 1;
     let lvl = plan.level(l_parent);
     let schedule = lvl.t2_live(supernodes);
-    // The T2 matrices by source level; a set holds those of one supernode
-    // setting (see `TranslationSet::build`).
-    let families = [&ts.t2t, &ts.t2t_super];
-    const OTHER_SETTING: &str = "translation set was built for the other supernode setting";
     let chunk = fh.hierarchy.boxes_at_level(l) / slabs.len();
     let apply_t3 = l >= 3; // local field is zero above level 2
     let live_rows = AtomicU64::new(0);
@@ -578,13 +611,17 @@ fn downward_sweep(
                             local_parent,
                             &live,
                             t3,
+                            ts.identity_rows(),
                             &mut acc_panels,
                         );
                     }
                 }
 
-                // ---- T2: interactive field, one call per matrix visit ----
-                for visit in &schedule.visits {
+                // ---- T2: interactive field, mirror by mirror ------------
+                // The accumulators are held in point order `cur` of the
+                // set's orders, the identity first.
+                let mut cur = 0;
+                for (visit, served) in schedule.in_groups(ts) {
                     list_visit(
                         schedule,
                         visit,
@@ -596,20 +633,30 @@ fn downward_sweep(
                     if live.is_empty() {
                         continue;
                     }
+                    let mirror = usize::from(served.mirror);
+                    if mirror != cur {
+                        let (from, to) = (&ts.orders[cur], &ts.orders[mirror]);
+                        reorder(&mut acc_panels, &panels, (k, kr, cap * kr), from, to);
+                        cur = mirror;
+                    }
                     n_live += live.len() as u64;
-                    let shift = usize::from(visit.shift);
-                    let m = families[shift].get(usize::from(visit.matrix));
-                    let m = m.and_then(Option::as_ref).expect(OTHER_SETTING);
-                    translate_rows(agg, plan.kernel, k, far[shift], &live, m, &mut acc_panels);
+                    let view = ts.view(served);
+                    let src = far[usize::from(visit.shift)];
+                    let (m, m_rows) = (view.matrix, view.rows);
+                    translate_rows(agg, plan.kernel, k, src, &live, m, m_rows, &mut acc_panels);
                 }
 
-                // Scatter-add each parent's rows into its child.
+                // Scatter-add each parent's rows into its child, reading
+                // point `σ(i)` of the accumulator into point `i`.
+                let order = &ts.orders[cur];
                 let accs = acc_panels.chunks(cap * kr);
                 for (oct, (&parents, acc_panel)) in panels.iter().zip(accs).enumerate() {
                     for (rows, &pi) in acc_panel.chunks(kr).zip(parents) {
                         let at = (lvl.child(pi, oct) - base) * kr;
-                        for (dj, sj) in out[at..at + kr].iter_mut().zip(rows) {
-                            *dj += sj;
+                        for (dst, src) in out[at..at + kr].chunks_mut(k).zip(rows.chunks(k)) {
+                            for (dj, &p) in dst.iter_mut().zip(order) {
+                                *dj += src[p];
+                            }
                         }
                     }
                 }
@@ -1081,11 +1128,28 @@ mod tests {
         }
     }
 
+    /// Row by row, element `j` of each `k`-row of `acc` becomes its old
+    /// element `order[j]`: for an involution σ, into σ's point order and
+    /// back.
+    fn permute_rows(acc: &mut [f64], k: usize, order: &[usize]) {
+        for row in acc.chunks_exact_mut(k) {
+            let old = row.to_vec();
+            for (x, &p) in row.iter_mut().zip(order) {
+                *x = old[p];
+            }
+        }
+    }
+
     /// The sweep before panels followed K, on one instance: per parent
     /// plane, panels of one parent row (`max(2^l, 8)` parents),
     /// out-of-domain sources zero-filled, one dense GEMM per (panel,
-    /// octant, offset), octant after octant, each octant's lists in their
-    /// own order. Box geometry comes from `BoxCoord`, not from the plan.
+    /// octant, offset), octant after octant. Each octant's offsets run in
+    /// the order the set serves them, mirror by mirror (the identity
+    /// first), in a mirror the parent-level sources first, then by matrix
+    /// index; a product through mirror σ moves the accumulator into σ's
+    /// point order, reads the stored matrix's rows in σ order and moves
+    /// the accumulator back. Box geometry comes from `BoxCoord`, not from
+    /// the plan.
     fn reference_level(
         fh: &mut FieldHierarchy,
         ts: &TranslationSet,
@@ -1102,9 +1166,7 @@ mod tests {
         for plane in all.chunks(1 << (2 * lp)) {
             for parents in plane.chunks((1 << lp).max(8)) {
                 let np = parents.len();
-                let gemm = |src: &[f64], m: &Matrix, acc: &mut [f64]| {
-                    gemm_acc_with(plan.kernel, np, k, k, src, m.as_slice(), acc)
-                };
+                let dense: Vec<(usize, usize)> = (0..np).map(|i| (i * k, i * k)).collect();
                 for (oct, op) in plan.octants.iter().enumerate() {
                     let kids: Vec<BoxCoord> = parents
                         .iter()
@@ -1117,27 +1179,39 @@ mod tests {
                             let row = &fh.local[li - 1][pi as usize * k..][..k];
                             src[j * k..][..k].copy_from_slice(row);
                         }
-                        gemm(&src, &ts.t3t[oct], &mut acc);
+                        let t3 = ts.t3t[oct].as_slice();
+                        gemm_acc_with(plan.kernel, np, k, k, &src, t3, &mut acc);
                     }
                     let lists = op.t2_lists(supernodes);
+                    let mut steps: Vec<(usize, [i32; 3], u32)> = Vec::new();
                     for shift in [1, 0] {
-                        let (sl, (offsets, idx)) = (li - shift, lists[shift]);
+                        let (offsets, idx) = lists[shift];
+                        steps.extend(offsets.iter().zip(idx).map(|(&o, &m)| (shift, o, m)));
+                    }
+                    let served = |&(shift, _, m): &(usize, [i32; 3], u32)| {
+                        families[shift][m as usize].expect("the set serves every listed key")
+                    };
+                    steps.sort_by_key(|st| (served(st).mirror, std::cmp::Reverse(st.0), st.2));
+                    for st in &steps {
+                        let (shift, off) = (st.0, st.1);
+                        let sl = li - shift;
                         let axis = 1i32 << sl;
-                        for (&off, &m) in offsets.iter().zip(idx) {
-                            let m = families[shift][m as usize].as_ref().unwrap();
-                            for (j, kid) in kids.iter().enumerate() {
-                                let c = [kid.x, kid.y, kid.z].map(|x| (x >> shift) as i32);
-                                let s = [0, 1, 2].map(|d| c[d] + off[d]);
-                                let dst = &mut src[j * k..][..k];
-                                if s.iter().all(|x| (0..axis).contains(x)) {
-                                    let si = ((s[2] * axis + s[1]) * axis + s[0]) as usize;
-                                    dst.copy_from_slice(&fh.far[sl][si * k..][..k]);
-                                } else {
-                                    dst.fill(0.0);
-                                }
+                        for (j, kid) in kids.iter().enumerate() {
+                            let c = [kid.x, kid.y, kid.z].map(|x| (x >> shift) as i32);
+                            let s = [0, 1, 2].map(|d| c[d] + off[d]);
+                            let dst = &mut src[j * k..][..k];
+                            if s.iter().all(|x| (0..axis).contains(x)) {
+                                let si = ((s[2] * axis + s[1]) * axis + s[0]) as usize;
+                                dst.copy_from_slice(&fh.far[sl][si * k..][..k]);
+                            } else {
+                                dst.fill(0.0);
                             }
-                            gemm(&src, m, &mut acc);
                         }
+                        let view = ts.view(served(st));
+                        permute_rows(&mut acc, k, view.order);
+                        let m = view.matrix.as_slice();
+                        gemm_acc_rows_with(plan.kernel, k, k, &src, &dense, m, view.rows, &mut acc);
+                        permute_rows(&mut acc, k, view.order);
                     }
                     for (j, kid) in kids.iter().enumerate() {
                         let dst = fh.local[li][kid.index() * k..][..k].iter_mut();

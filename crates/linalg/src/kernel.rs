@@ -9,7 +9,10 @@
 //! scalar loop kept as the reference implementation.
 //!
 //! The loop nest (`gemm_acc_body`) is written once over the crate's
-//! `Lanes` vector type, every row of `A` and `C` at its own offset. Each
+//! `Lanes` vector type, every row of `A`, `B` and `C` at its own offset
+//! (row `p` of `B` at `b_rows[p]`: the translation sweep reads one stored
+//! matrix's rows in a mirror's point order σ this way, `b_rows[p] =
+//! σ(p)·n`). Each
 //! tier has one entry point, [`gemm_acc_rows_with`]'s arm:
 //! `x86::gemm_acc_rows_{avx2,avx512}` and `arm::gemm_acc_rows_neon`
 //! instantiate the loop nest (tile and tail per tier in `lanes.rs`), the
@@ -150,17 +153,24 @@ pub fn gemm_acc_with(
 ) {
     assert_dense(m, k, n, a, b, c);
     let rows: Vec<(usize, usize)> = (0..m).map(|i| (i * k, i * n)).collect();
-    gemm_acc_rows_with(kernel, k, n, a, &rows, b, c)
+    let b_rows: Vec<usize> = (0..k).map(|p| p * n).collect();
+    gemm_acc_rows_with(kernel, k, n, a, &rows, b, &b_rows, c)
 }
 
-/// `C[c_off..c_off + n] += A[a_off..a_off + k] · B` for every
-/// `(a_off, c_off)` of `rows`: rows of `A` and `C` multiplied where they
-/// lie, each with the bits it gets in a dense call of the same rows
-/// (the offsets only move the loads and stores). Rows of `C` must not
+/// `C[c_off..c_off + n] += A[a_off..a_off + k] · B_σ` for every
+/// `(a_off, c_off)` of `rows`, where row `p` of `B_σ` is the `n`
+/// elements of `b` from `b_rows[p]`: rows of `A` and `C` multiplied where
+/// they lie, each with the bits it gets in a dense call of the same rows
+/// (the offsets only move the loads and stores), and `B`'s rows read from
+/// `b_rows` with `p`
+/// ascending, so that each output column runs the chain it runs over a
+/// copy of `b` with its rows moved into that order. Rows of `C` must not
 /// overlap; which rows share a call moves no bit. The one GEMM of every
-/// tier: the traversal's products and the dense wrappers all land here.
-/// Panics unless `b` holds `k × n` elements and every row lies inside
+/// tier: the traversal's products and the dense wrappers (which pass
+/// `p·n`) all land here. Panics unless `b` holds `k × n` elements,
+/// `b_rows` holds `k` row offsets inside `b`, and every row lies inside
 /// `a` and `c`.
+#[allow(clippy::too_many_arguments)]
 pub fn gemm_acc_rows_with(
     kernel: Kernel,
     k: usize,
@@ -168,19 +178,20 @@ pub fn gemm_acc_rows_with(
     a: &[f64],
     rows: &[(usize, usize)],
     b: &[f64],
+    b_rows: &[usize],
     c: &mut [f64],
 ) {
     match kernel {
         #[cfg(target_arch = "x86_64")]
         // SAFETY: Avx2Fma is only handed out by detect() after the feature
         // check (or chosen explicitly by tests/benches on the same CPU).
-        Kernel::Avx2Fma => unsafe { x86::gemm_acc_rows_avx2(k, n, a, rows, b, c) },
+        Kernel::Avx2Fma => unsafe { x86::gemm_acc_rows_avx2(k, n, a, rows, b, b_rows, c) },
         #[cfg(target_arch = "x86_64")]
         // SAFETY: as above, gated on avx512f.
-        Kernel::Avx512 => unsafe { x86::gemm_acc_rows_avx512(k, n, a, rows, b, c) },
+        Kernel::Avx512 => unsafe { x86::gemm_acc_rows_avx512(k, n, a, rows, b, b_rows, c) },
         #[cfg(target_arch = "aarch64")]
-        Kernel::Neon => arm::gemm_acc_rows_neon(k, n, a, rows, b, c),
-        _ => gemm_acc_rows_scalar(k, n, a, rows, b, c),
+        Kernel::Neon => arm::gemm_acc_rows_neon(k, n, a, rows, b, b_rows, c),
+        _ => gemm_acc_rows_scalar(k, n, a, rows, b, b_rows, c),
     }
 }
 
@@ -195,12 +206,23 @@ pub(crate) fn assert_dense(m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c
 
 /// The row-indexed entry points' check, in release builds too: the vector
 /// tiers read and write through raw pointers, so every row of `A` (`k`
-/// long) and of `C` (`n` long) must lie inside its slice. One pass finds
-/// each side's largest offset; one checked add per side then bounds
-/// every row.
+/// long) and of `C` (`n` long) must lie inside its slice, and `b_rows`
+/// must name `k` rows inside `B`. One pass finds each side's largest offset;
+/// one checked add per side then bounds every row.
 #[inline]
-fn assert_rows(k: usize, n: usize, a: &[f64], rows: &[(usize, usize)], b: &[f64], c: &[f64]) {
+fn assert_rows(
+    k: usize,
+    n: usize,
+    a: &[f64],
+    rows: &[(usize, usize)],
+    b: &[f64],
+    b_rows: &[usize],
+    c: &[f64],
+) {
     assert_eq!(Some(b.len()), k.checked_mul(n), "B shape mismatch");
+    assert_eq!(b_rows.len(), k, "B row count mismatch");
+    let inside = |&o: &usize| o.checked_add(n).is_some_and(|end| end <= b.len());
+    assert!(b_rows.iter().all(inside), "B row offset past the end of B");
     let Some(last) = rows
         .iter()
         .copied()
@@ -224,22 +246,24 @@ fn gemm_acc_rows_scalar(
     a: &[f64],
     rows: &[(usize, usize)],
     b: &[f64],
+    b_rows: &[usize],
     c: &mut [f64],
 ) {
-    assert_rows(k, n, a, rows, b, c);
+    assert_rows(k, n, a, rows, b, b_rows, c);
+    let brow = |p: usize| &b[b_rows[p]..][..n];
     for &(ai, ci) in rows {
         let (arow, crow) = (&a[ai..][..k], &mut c[ci..][..n]);
         let mut p = 0;
         while p + 1 < k {
             let (a0, a1) = (arow[p], arow[p + 1]);
-            let (b0, b1) = (&b[p * n..][..n], &b[(p + 1) * n..][..n]);
+            let (b0, b1) = (brow(p), brow(p + 1));
             for ((cj, b0j), b1j) in crow.iter_mut().zip(b0).zip(b1) {
                 *cj += a0 * b0j + a1 * b1j;
             }
             p += 2;
         }
         if p < k {
-            let (a0, b0) = (arow[p], &b[p * n..][..n]);
+            let (a0, b0) = (arow[p], brow(p));
             for (cj, b0j) in crow.iter_mut().zip(b0) {
                 *cj += a0 * b0j;
             }
@@ -247,14 +271,16 @@ fn gemm_acc_rows_scalar(
     }
 }
 
-/// `C += A·B` over `L`'s lanes, row `i` of `A` and `C` at `rows[i]`: the
-/// one loop nest of every vector tier. Whole panels of four vectors, a
-/// trailing panel of 1–3 (under `MASKED` 1–4, the last masked), then any
-/// scalar tail columns (module header).
+/// `C += A·B_σ` over `L`'s lanes, row `i` of `A` and `C` at `rows[i]`,
+/// row `p` of `B_σ` at offset `b_rows[p]` of `b`: the one loop nest of every
+/// vector tier. Whole panels of four vectors, a trailing panel of 1–3
+/// (under `MASKED` 1–4, the last masked), then any scalar tail columns
+/// (module header).
 ///
 /// # Safety
 /// Requires the CPU features of `L`'s tier; every row lies inside `a`
-/// and `c` ([`assert_rows`]), and `b` holds `k × n` elements.
+/// and `c`, and `b_rows` holds `k` row offsets inside `b`, which holds `k × n`
+/// elements ([`assert_rows`]).
 #[inline(always)]
 #[cfg_attr(
     not(any(target_arch = "x86_64", target_arch = "aarch64")),
@@ -266,31 +292,32 @@ pub(crate) unsafe fn gemm_acc_body<L: Lanes<Elem = f64>, const ROWS: usize, cons
     a: &[f64],
     rows: &[(usize, usize)],
     b: &[f64],
+    b_rows: &[usize],
     c: &mut [f64],
 ) {
     const { assert!(L::MASKED_TAIL || !MASKED) };
-    let (a, b, c) = (a.as_ptr(), b.as_ptr(), c.as_mut_ptr());
+    let (a, b, b_rows, c) = (a.as_ptr(), b.as_ptr(), b_rows.as_ptr(), c.as_mut_ptr());
     let w = L::WIDTH;
     let mut j = 0;
     while j + 4 * w <= n {
-        panel::<L, 4, ROWS>(k, n, j, 4 * w, a, rows, b, c);
+        panel::<L, 4, ROWS>(k, j, 4 * w, a, rows, b, b_rows, c);
         j += 4 * w;
     }
     let rest = n - j;
     let cols = if MASKED { rest } else { rest - rest % w };
     match cols.div_ceil(w) {
         0 => {}
-        1 => panel::<L, 1, ROWS>(k, n, j, cols, a, rows, b, c),
-        2 => panel::<L, 2, ROWS>(k, n, j, cols, a, rows, b, c),
-        3 => panel::<L, 3, ROWS>(k, n, j, cols, a, rows, b, c),
-        _ => panel::<L, 4, ROWS>(k, n, j, cols, a, rows, b, c),
+        1 => panel::<L, 1, ROWS>(k, j, cols, a, rows, b, b_rows, c),
+        2 => panel::<L, 2, ROWS>(k, j, cols, a, rows, b, b_rows, c),
+        3 => panel::<L, 3, ROWS>(k, j, cols, a, rows, b, b_rows, c),
+        _ => panel::<L, 4, ROWS>(k, j, cols, a, rows, b, b_rows, c),
     }
     // The scalar column tail: empty under a mask.
     for jt in j + cols..n {
         for &(ai, ci) in rows {
             let mut s = 0.0;
             for p in 0..k {
-                s += *a.add(ai + p) * *b.add(p * n + jt);
+                s += *a.add(ai + p) * *b.add(*b_rows.add(p) + jt);
             }
             *c.add(ci + jt) += s;
         }
@@ -306,19 +333,19 @@ pub(crate) unsafe fn gemm_acc_body<L: Lanes<Elem = f64>, const ROWS: usize, cons
 #[allow(clippy::too_many_arguments)]
 unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
     k: usize,
-    n: usize,
     j: usize,
     cols: usize,
     a: *const f64,
     rows: &[(usize, usize)],
     b: *const f64,
+    b_rows: *const usize,
     c: *mut f64,
 ) {
     let w = L::WIDTH;
     let masks: [u16; REGS] = core::array::from_fn(|q| L::FULL >> (w - (cols - w * q).min(w)));
     let mut tiles = rows.chunks_exact(ROWS);
     for t in &mut tiles {
-        tile::<L, REGS, ROWS>(k, n, j, masks, a, t, b, c);
+        tile::<L, REGS, ROWS>(k, j, masks, a, t, b, b_rows, c);
     }
     // The rows left over as one tile where the tier's row count allows:
     // a tile's time is set by its fma latency chain, not by its rows, so
@@ -327,19 +354,20 @@ unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
     let rest = tiles.remainder();
     match rest.len() {
         0 => {}
-        3 if ROWS > 3 => tile::<L, REGS, 3>(k, n, j, masks, a, rest, b, c),
-        2 if ROWS > 2 => tile::<L, REGS, 2>(k, n, j, masks, a, rest, b, c),
+        3 if ROWS > 3 => tile::<L, REGS, 3>(k, j, masks, a, rest, b, b_rows, c),
+        2 if ROWS > 2 => tile::<L, REGS, 2>(k, j, masks, a, rest, b, b_rows, c),
         _ => {
             for t in rest.chunks(1) {
-                tile::<L, REGS, 1>(k, n, j, masks, a, t, b, c);
+                tile::<L, REGS, 1>(k, j, masks, a, t, b, b_rows, c);
             }
         }
     }
 }
 
 /// The `ROWS` rows of `rows` × `REGS` vectors of `C` at column `j`, held
-/// in registers while `p` runs up `A`'s row and down `B`'s columns: one
-/// broadcast of `a_ip` per row, one fma per accumulator.
+/// in registers while `p` runs up `A`'s row and down `B`'s columns (row
+/// `p` at `b_rows[p]`): one broadcast of `a_ip` per row, one fma per
+/// accumulator.
 ///
 /// # Safety
 /// As [`panel`], with `rows` holding exactly `ROWS` rows.
@@ -347,12 +375,12 @@ unsafe fn panel<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
 #[allow(clippy::too_many_arguments)]
 unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
     k: usize,
-    n: usize,
     j: usize,
     masks: [u16; REGS],
     a: *const f64,
     rows: &[(usize, usize)],
     b: *const f64,
+    b_rows: *const usize,
     c: *mut f64,
 ) {
     let w = L::WIDTH;
@@ -365,9 +393,10 @@ unsafe fn tile<L: Lanes<Elem = f64>, const REGS: usize, const ROWS: usize>(
         }
     }
     for p in 0..k {
+        let brow = b.add(*b_rows.add(p) + j);
         let mut bv = [L::zero(); REGS];
         for (q, v) in bv.iter_mut().enumerate() {
-            *v = L::load(b.add(p * n + j + w * q), masks[q]);
+            *v = L::load(brow.add(w * q), masks[q]);
         }
         for (row, a) in acc.iter_mut().zip(a) {
             let av = L::splat(*a.add(p));
@@ -388,7 +417,8 @@ mod x86 {
     use super::{assert_rows, gemm_acc_body};
     use core::arch::x86_64::*;
 
-    /// Panics unless every row lies inside `a` and `c`.
+    /// Panics unless every row lies inside `a` and `c` and `b_rows` names
+    /// `k` rows inside `b`.
     #[target_feature(enable = "avx2,fma")]
     pub fn gemm_acc_rows_avx2(
         k: usize,
@@ -396,14 +426,16 @@ mod x86 {
         a: &[f64],
         rows: &[(usize, usize)],
         b: &[f64],
+        b_rows: &[usize],
         c: &mut [f64],
     ) {
-        assert_rows(k, n, a, rows, b, c);
+        assert_rows(k, n, a, rows, b, b_rows, c);
         // SAFETY: this function carries the tier's features; rows checked.
-        unsafe { gemm_acc_body::<__m256d, 2, false>(k, n, a, rows, b, c) }
+        unsafe { gemm_acc_body::<__m256d, 2, false>(k, n, a, rows, b, b_rows, c) }
     }
 
-    /// Panics unless every row lies inside `a` and `c`.
+    /// Panics unless every row lies inside `a` and `c` and `b_rows` names
+    /// `k` rows inside `b`.
     #[target_feature(enable = "avx512f")]
     pub fn gemm_acc_rows_avx512(
         k: usize,
@@ -411,11 +443,12 @@ mod x86 {
         a: &[f64],
         rows: &[(usize, usize)],
         b: &[f64],
+        b_rows: &[usize],
         c: &mut [f64],
     ) {
-        assert_rows(k, n, a, rows, b, c);
+        assert_rows(k, n, a, rows, b, b_rows, c);
         // SAFETY: this function carries the tier's features; rows checked.
-        unsafe { gemm_acc_body::<__m512d, 4, true>(k, n, a, rows, b, c) }
+        unsafe { gemm_acc_body::<__m512d, 4, true>(k, n, a, rows, b, b_rows, c) }
     }
 }
 
@@ -424,18 +457,20 @@ mod arm {
     use super::{assert_rows, gemm_acc_body};
     use core::arch::aarch64::*;
 
-    /// Panics unless every row lies inside `a` and `c`.
+    /// Panics unless every row lies inside `a` and `c` and `b_rows` names
+    /// `k` rows inside `b`.
     pub fn gemm_acc_rows_neon(
         k: usize,
         n: usize,
         a: &[f64],
         rows: &[(usize, usize)],
         b: &[f64],
+        b_rows: &[usize],
         c: &mut [f64],
     ) {
-        assert_rows(k, n, a, rows, b, c);
+        assert_rows(k, n, a, rows, b, b_rows, c);
         // SAFETY: NEON is architecturally guaranteed on aarch64; rows checked.
-        unsafe { gemm_acc_body::<float64x2_t, 2, false>(k, n, a, rows, b, c) }
+        unsafe { gemm_acc_body::<float64x2_t, 2, false>(k, n, a, rows, b, b_rows, c) }
     }
 }
 

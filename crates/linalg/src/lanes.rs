@@ -20,9 +20,9 @@
 //! | neon     | `float64x2_t` / `float32x4_t` | 2 / 4  | 2 × 4 × 2 | `vrsqrte` (~2⁻⁸)                                 | 3 / 2    | `vaddvq`                              |
 //!
 //! The GEMM is `gemm_acc_rows_with`, each row of `A` and `C` at its own
-//! offsets. Its scalar tier goes row by row, rank-1 updates in pairs of
-//! `p`. A vector GEMM column is `c ← fma(a_ip, b_pj, c)` for `p`
-//! ascending, from the stored `c`.
+//! offsets and row `p` of `B` read from offset `b_rows[p]`. Its scalar tier
+//! goes row by row, rank-1 updates in pairs of `p`. A vector GEMM column
+//! is `c ← fma(a_ip, b_pj, c)` for `p` ascending, from the stored `c`.
 //!
 //! What a tier does after its last whole vector, of sources (pairwise) or
 //! of columns (GEMM):
@@ -499,8 +499,9 @@ mod tests {
 
     /// The row-indexed GEMM body at NEON's width and tail policy (2 × 4 ×
     /// 2, scalar tail columns) and at AVX2's (2 × 4 × 4), its rows handed
-    /// over last to first, holds to the same model as every hardware tier
-    /// in `tests/gemm_bits.rs`.
+    /// over last to first and `B`'s rows in their own order and shuffled,
+    /// holds to the same model as every hardware tier in
+    /// `tests/gemm_bits.rs`.
     #[test]
     fn gemm_body_through_array_lanes_matches_the_model() {
         fn check<L: Lanes<Elem = f64>>() {
@@ -509,11 +510,13 @@ mod tests {
                 masked: false,
             };
             let what = format!("[f64; {}] rows", L::WIDTH);
-            assert_matches_model(tier, &what, |m, k, n, a, b, c| {
+            assert_matches_model(tier, &what, |m, k, n, a, b, order, c| {
                 let rows: Vec<_> = (0..m).rev().map(|i| (i * k, i * n)).collect();
-                // SAFETY: the array lanes need no CPU feature, and every
-                // row lies inside the model's `m × k` and `m × n` slices.
-                unsafe { gemm_acc_body::<L, 2, false>(k, n, a, &rows, b, c) }
+                let b_rows: Vec<usize> = order.iter().map(|&p| p * n).collect();
+                // SAFETY: the array lanes need no CPU feature, every row
+                // lies inside the model's `m × k` and `m × n` slices, and
+                // `order` is a permutation of `B`'s `k` rows.
+                unsafe { gemm_acc_body::<L, 2, false>(k, n, a, &rows, b, &b_rows, c) }
             });
         }
         check::<[f64; 2]>();

@@ -14,11 +14,22 @@ pub enum Tier {
     Vector { width: usize, masked: bool },
 }
 
-/// `C += A·B` as `tier` computes it, all row-major (`A` `m × k`, `B`
-/// `k × n`, `C` `m × n`).
-pub fn gemm(tier: Tier, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &mut [f64]) {
+/// `C += A·B_σ` as `tier` computes it, all row-major (`A` `m × k`, `B`
+/// `k × n`, `C` `m × n`), row `p` of `B_σ` being row `order[p]` of `b`.
+#[allow(clippy::too_many_arguments)]
+pub fn gemm(
+    tier: Tier,
+    m: usize,
+    k: usize,
+    n: usize,
+    a: &[f64],
+    b: &[f64],
+    order: &[usize],
+    c: &mut [f64],
+) {
+    let b = |p: usize, j: usize| b[order[p] * n + j];
     for i in 0..m {
-        let ab = |p: usize, j: usize| a[i * k + p] * b[p * n + j];
+        let ab = |p: usize, j: usize| a[i * k + p] * b(p, j);
         for j in 0..n {
             let cij = &mut c[i * n + j];
             match tier {
@@ -34,7 +45,7 @@ pub fn gemm(tier: Tier, m: usize, k: usize, n: usize, a: &[f64], b: &[f64], c: &
                 }
                 Tier::Vector { width, masked } if masked || j < n - n % width => {
                     for p in 0..k {
-                        *cij = a[i * k + p].mul_add(b[p * n + j], *cij);
+                        *cij = a[i * k + p].mul_add(b(p, j), *cij);
                     }
                 }
                 Tier::Vector { .. } => {
@@ -73,30 +84,44 @@ pub fn ns() -> impl Iterator<Item = usize> {
     (1..=40).chain([63, 72, 120, 129])
 }
 
+/// `0..len` in the order of a fixed pseudo-random key: a permutation
+/// with no structure a loop could lean on.
+pub fn shuffled(seed: u64, len: usize) -> Vec<usize> {
+    let key = pseudo(seed, len);
+    let mut order: Vec<usize> = (0..len).collect();
+    order.sort_by(|&x, &y| key[x].total_cmp(&key[y]));
+    order
+}
+
 /// Runs `got` and the model of `tier` on every shape above from the same
-/// `C` and panics at the first element whose bits differ.
+/// `C`, with `B`'s rows in their own order and shuffled, and panics at
+/// the first element whose bits differ.
 pub fn assert_matches_model(
     tier: Tier,
     what: &str,
-    mut got: impl FnMut(usize, usize, usize, &[f64], &[f64], &mut [f64]),
+    mut got: impl FnMut(usize, usize, usize, &[f64], &[f64], &[usize], &mut [f64]),
 ) {
     for m in MS {
         for k in KS {
             for n in ns() {
                 let a = pseudo((m * 1000 + k) as u64, m * k);
                 let b = pseudo((k * 1000 + n) as u64, k * n);
-                let mut want = pseudo(n as u64, m * n);
-                let mut c = want.clone();
-                gemm(tier, m, k, n, &a, &b, &mut want);
-                got(m, k, n, &a, &b, &mut c);
-                for (e, (x, y)) in c.iter().zip(&want).enumerate() {
-                    assert_eq!(
-                        x.to_bits(),
-                        y.to_bits(),
-                        "{what} ({tier:?}) m={m} k={k} n={n} at row {} col {}: {x} vs model {y}",
-                        e / n,
-                        e % n
-                    );
+                for order in [(0..k).collect(), shuffled(k as u64, k)] {
+                    let mut want = pseudo(n as u64, m * n);
+                    let mut c = want.clone();
+                    gemm(tier, m, k, n, &a, &b, &order, &mut want);
+                    got(m, k, n, &a, &b, &order, &mut c);
+                    for (e, (x, y)) in c.iter().zip(&want).enumerate() {
+                        assert_eq!(
+                            x.to_bits(),
+                            y.to_bits(),
+                            "{what} ({tier:?}) m={m} k={k} n={n} order {:?}… at row {} col {}: \
+                             {x} vs model {y}",
+                            &order[..order.len().min(4)],
+                            e / n,
+                            e % n
+                        );
+                    }
                 }
             }
         }

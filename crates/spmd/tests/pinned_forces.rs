@@ -7,7 +7,15 @@
 //! `0x274fbda0af040142`), and once when it moved onto the third-law row
 //! sweep, the potentials' schedule (old hashes `0x198d48786312fbf8`,
 //! `0x1c5d082da4b21883`; every finite output within 2.1e-15·max|Φ| and
-//! 1.8e-15·max|E| of the old one).
+//! 1.8e-15·max|E| of the old one), and once when the translation set
+//! began storing one T2 matrix per mirror orbit and the downward sweep
+//! ran T2 mirror by mirror (old hashes `0xe30a50fd8a70d663`,
+//! `0x45ab307a4f040fbd` over every output). Since then the outputs of
+//! particles that share their position with another are left out of the
+//! hashes, and the count of non-finite outputs is pinned on its own: the
+//! clamping puts some points on top of one another, and what those get is
+//! a question of its own (ROADMAP item 27), which can move the count
+//! without moving the hashes.
 
 use fmm_core::{Executor, Fmm, FmmConfig, Kernel};
 
@@ -51,10 +59,26 @@ fn fnv1a(h: &mut u64, v: f64) {
     }
 }
 
+/// Per particle, whether another one sits at the same position.
+fn coincident(pts: &[[f64; 3]]) -> Vec<bool> {
+    let key = |i: usize| pts[i].map(f64::to_bits);
+    let mut order: Vec<usize> = (0..pts.len()).collect();
+    order.sort_unstable_by_key(|&i| key(i));
+    let mut shared = vec![false; pts.len()];
+    for w in order.windows(2) {
+        if key(w[0]) == key(w[1]) {
+            shared[w[0]] = true;
+            shared[w[1]] = true;
+        }
+    }
+    shared
+}
+
 #[test]
 fn evaluate_forces_reproduces_the_recorded_bits_on_every_executor() {
     fmm_spmd::install();
     let (pts, q) = plummer(2000);
+    let shared = coincident(&pts);
     for executor in [Executor::Serial, Executor::Rayon, Executor::spmd(2)] {
         // The scalar tier runs everywhere, so the recorded bits do too.
         let cfg = FmmConfig::order(5)
@@ -62,14 +86,25 @@ fn evaluate_forces_reproduces_the_recorded_bits_on_every_executor() {
             .kernel(Kernel::Scalar)
             .executor(executor);
         let out = Fmm::new(cfg).unwrap().evaluate_forces(&pts, &q).unwrap();
-        let (mut hp, mut hf) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
-        out.potentials.iter().for_each(|&v| fnv1a(&mut hp, v));
         let fields = out.fields.expect("forces were requested");
-        fields.iter().flatten().for_each(|&v| fnv1a(&mut hf, v));
+        let outputs = out.potentials.iter().chain(fields.iter().flatten());
+        let non_finite = outputs.filter(|v| !v.is_finite()).count();
+        let (mut hp, mut hf) = (0xcbf2_9ce4_8422_2325u64, 0xcbf2_9ce4_8422_2325u64);
+        for (i, (&p, f)) in out.potentials.iter().zip(&fields).enumerate() {
+            let finite = p.is_finite() && f.iter().all(|v| v.is_finite());
+            assert!(
+                finite || shared[i],
+                "{executor:?}: particle {i} alone, not finite"
+            );
+            if !shared[i] {
+                fnv1a(&mut hp, p);
+                f.iter().for_each(|&v| fnv1a(&mut hf, v));
+            }
+        }
         assert_eq!(
-            (hp, hf),
-            (0xe30a_50fd_8a70_d663, 0x45ab_307a_4f04_0fbd),
-            "{executor:?}: potentials / fields moved bits"
+            (non_finite, hp, hf),
+            (16, 0xac6a_3fca_3111_3e21, 0x841e_1c37_ce31_8814),
+            "{executor:?}: non-finite outputs / potentials / fields moved"
         );
     }
 }

@@ -7,7 +7,12 @@
 //! the symmetric rows (same box pairs, another summation order): the
 //! largest |Δ| against the travelling sweep's bits was 5.7e-13 of
 //! max |Φ| = 267 (2.1e-15 relative) at depth 3, 5.7e-14 (2.1e-16) at
-//! depth 5.
+//! depth 5. Re-recorded once when the translation set began storing one
+//! T2 matrix per mirror orbit and the downward sweep ran T2 mirror by
+//! mirror (same products, another order of offsets per accumulator; old
+//! hashes `0xf4f15a14410f3a4a`, `0xb073251d657472ad`): the largest |Δ|
+//! was 1.7e-13 of max |Φ| (6.5e-16 relative) at depth 3 and 1.8e-13
+//! (6.9e-16) at depth 5.
 
 use fmm_core::{Executor, Fmm, FmmConfig, Kernel};
 
@@ -47,7 +52,7 @@ fn evaluate_potentials_reproduce_the_recorded_bits_on_every_executor() {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         out.potentials.iter().for_each(|&v| fnv1a(&mut h, v));
         assert_eq!(
-            h, 0xf4f1_5a14_410f_3a4a,
+            h, 0x48c0_f2fb_0a1e_7283,
             "{executor:?}: potentials moved bits"
         );
     }
@@ -71,7 +76,7 @@ fn supernode_potentials_reproduce_the_recorded_bits_on_every_executor() {
         let mut h = 0xcbf2_9ce4_8422_2325u64;
         out.potentials.iter().for_each(|&v| fnv1a(&mut h, v));
         assert_eq!(
-            h, 0xb073_251d_6574_72ad,
+            h, 0x1e32_d336_b494_374c,
             "{executor:?}: potentials moved bits"
         );
     }
