@@ -489,25 +489,36 @@ fn list_visit(
     }
 }
 
+/// The element swaps that rewrite a `k`-row held in point order `from` in
+/// point order `to`: element `j` becomes its old element `τ(j) =
+/// from[to[j]]`. Both orders are sign flips' involutions, and flips
+/// commute, so τ is an involution too: the move is the swaps `(j, τ(j))`
+/// with `j < τ(j)`, in place.
+fn swaps_between(from: &[usize], to: &[usize], swaps: &mut Vec<(usize, usize)>) {
+    swaps.clear();
+    for (j, &t) in to.iter().enumerate() {
+        let tau = from[t];
+        assert_eq!(from[to[tau]], j, "point orders whose move is no involution");
+        if j < tau {
+            swaps.push((j, tau));
+        }
+    }
+}
+
 /// Every accumulator row of a panel's parents (`kr` elements a parent,
-/// octant `o`'s panel at `o · stride`), held in point order `from`,
-/// rewritten in point order `to`: element `j` of a `k`-row becomes its
-/// old element `from[to[j]]` (both orders are involutions of `0..k`).
+/// octant `o`'s panel at `o · stride`), its `k`-rows each moved by
+/// `swaps` ([`swaps_between`]).
 fn reorder(
     acc: &mut [f64],
     panels: &[&[u32]; 8],
     (k, kr, stride): (usize, usize, usize),
-    from: &[usize],
-    to: &[usize],
+    swaps: &[(usize, usize)],
 ) {
-    let tau: Vec<usize> = to.iter().map(|&t| from[t]).collect();
-    let mut old = vec![0.0; k];
     for (oct, parents) in panels.iter().enumerate() {
         let rows = &mut acc[oct * stride..][..parents.len() * kr];
         for row in rows.chunks_exact_mut(k) {
-            old.copy_from_slice(row);
-            for (x, &t) in row.iter_mut().zip(&tau) {
-                *x = old[t];
+            for &(i, j) in swaps {
+                row.swap(i, j);
             }
         }
     }
@@ -584,6 +595,7 @@ fn downward_sweep(
             let cap = panel.min(longest);
             let mut acc_panels = vec![0.0; 8 * cap * kr];
             let mut live = Vec::with_capacity(8 * cap * r);
+            let mut swaps = Vec::with_capacity(k / 2);
             let mut blocks: [Vec<Block>; 8] = Default::default();
             let mut n_live = 0u64;
             for sub in 0..longest.div_ceil(panel) {
@@ -635,8 +647,8 @@ fn downward_sweep(
                     }
                     let mirror = usize::from(served.mirror);
                     if mirror != cur {
-                        let (from, to) = (&ts.orders[cur], &ts.orders[mirror]);
-                        reorder(&mut acc_panels, &panels, (k, kr, cap * kr), from, to);
+                        swaps_between(&ts.orders[cur], &ts.orders[mirror], &mut swaps);
+                        reorder(&mut acc_panels, &panels, (k, kr, cap * kr), &swaps);
                         cur = mirror;
                     }
                     n_live += live.len() as u64;

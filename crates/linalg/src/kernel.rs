@@ -221,8 +221,13 @@ fn assert_rows(
 ) {
     assert_eq!(Some(b.len()), k.checked_mul(n), "B shape mismatch");
     assert_eq!(b_rows.len(), k, "B row count mismatch");
-    let inside = |&o: &usize| o.checked_add(n).is_some_and(|end| end <= b.len());
-    assert!(b_rows.iter().all(inside), "B row offset past the end of B");
+    let inside =
+        |at: usize, len: usize, of: &[f64]| at.checked_add(len).is_some_and(|e| e <= of.len());
+    let b_last = b_rows.iter().copied().max().unwrap_or(0);
+    assert!(
+        k == 0 || inside(b_last, n, b),
+        "B row offset past the end of B"
+    );
     let Some(last) = rows
         .iter()
         .copied()
@@ -230,8 +235,6 @@ fn assert_rows(
     else {
         return;
     };
-    let inside =
-        |at: usize, len: usize, of: &[f64]| at.checked_add(len).is_some_and(|e| e <= of.len());
     assert!(inside(last.0, k, a), "A row offset past the end of A");
     assert!(inside(last.1, n, c), "C row offset past the end of C");
 }
